@@ -1,10 +1,11 @@
-(* Micro-benchmark of the simulation hot loop: raw Event_queue ops,
-   Engine.run dispatch, and Network.send delivery throughput.
+(* Micro-benchmark of the simulation hot loop (raw Event_queue ops,
+   Engine.run dispatch, Network.send delivery throughput) and of two
+   storage-node paths whose cost grows with the node's state.
 
      dune exec bench/bench_events.exe -- --ops 300000
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Four sections, each timed in isolation:
+   Six sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -13,6 +14,12 @@
                        through Engine.run — the sweep's inner loop
    - network_send:     ping-pong handlers over a 2-DC topology delivering
                        N messages end to end (send + schedule + deliver)
+   - visibility_hot_key: 2,000 committed visibilities, one at a time, on a
+                       record whose applied set already holds 10,000
+                       entries (one op = one visibility)
+   - dangling_scan_idle: 100 dangling-transaction scans over 10,000
+                       records, each with one pending option younger than
+                       the transaction timeout (one op = one scan)
 
    Wall-clock throughput (ops/s) is machine-dependent and noisy on a
    shared container; the per-op minor-allocation figure (minor_words/op,
@@ -27,6 +34,15 @@ module Network = Mdcc_sim.Network
 module Topology = Mdcc_sim.Topology
 module Rng = Mdcc_util.Rng
 module Json = Mdcc_obs.Json
+module Key = Mdcc_storage.Key
+module Schema = Mdcc_storage.Schema
+module Update = Mdcc_storage.Update
+module Value = Mdcc_storage.Value
+module Config = Mdcc_core.Config
+module Messages = Mdcc_core.Messages
+module Runtime = Mdcc_core.Runtime
+module Storage_node = Mdcc_core.Storage_node
+module Woption = Mdcc_core.Woption
 
 type section = {
   s_name : string;
@@ -123,6 +139,75 @@ let network_send ~ops =
       done;
       Engine.run engine)
 
+(* A storage node on a runtime whose sends go nowhere and whose timers are
+   queued for the caller to fire, so a section measures the node's own
+   handlers and not the simulator.  Returns the node's message handler. *)
+let bare_node () =
+  let handler = ref (fun ~src:_ _ -> ()) and timers = Queue.create () in
+  let clock = ref 0.0 in
+  let runtime =
+    Runtime.make
+      ~now:(fun () -> !clock)
+      ~send:(fun ~src:_ ~dst:_ _ -> ())
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ f ->
+        Queue.push f timers;
+        ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Rng.create 5) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let config = Config.make ~replication:3 () in
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let node =
+    Storage_node.create ~runtime ~config ~node_id:0 ~schema
+      ~replicas:(fun _ -> [ 0 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  (node, !handler, clock, timers, config)
+
+let visibility_hot_key () =
+  let ops = 2_000 in
+  let _, deliver, _, _, _ = bare_node () in
+  let key = Key.make ~table:"item" ~id:"hot" in
+  let commit txid =
+    Messages.Visibility { txid; key; update = Update.Delta [ ("stock", -1) ]; committed = true }
+  in
+  for i = 0 to 9_999 do
+    deliver ~src:9 (commit (Printf.sprintf "a%06d" i))
+  done;
+  let msgs = Array.init ops (fun i -> commit (Printf.sprintf "b%06d" i)) in
+  time_section "visibility_hot_key" ops (fun () -> Array.iter (deliver ~src:9) msgs)
+
+let dangling_scan_idle () =
+  let scans = 100 and records = 10_000 in
+  let node, deliver, clock, timers, config = bare_node () in
+  for i = 0 to records - 1 do
+    let key = Key.make ~table:"item" ~id:(string_of_int i) in
+    deliver ~src:9
+      (Messages.Propose
+         {
+           woption =
+             {
+               Woption.txid = Printf.sprintf "p%06d" i;
+               key;
+               update = Update.Insert Value.empty;
+               write_set = [ key ];
+               coordinator = 9;
+             };
+           route = `Fast;
+         })
+  done;
+  clock := config.Config.txn_timeout /. 2.0;
+  Storage_node.start_maintenance node;
+  time_section "dangling_scan_idle" scans (fun () ->
+      for _ = 1 to scans do
+        (Queue.pop timers) ()
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -153,11 +238,13 @@ let bench ~ops ~out =
       queue_cancel ~ops;
       engine_dispatch ~ops;
       network_send ~ops;
+      visibility_hot_key ();
+      dangling_scan_idle ();
     ]
   in
   List.iter
     (fun s ->
-      Printf.printf "  %-16s %8.3f s  %10.0f ops/s  %6.2f minor words/op\n" s.s_name
+      Printf.printf "  %-18s %8.3f s  %10.0f ops/s  %7.2f minor words/op\n" s.s_name
         s.s_wall_s s.s_ops_per_s s.s_minor_words_per_op)
     sections;
   Option.iter
@@ -172,7 +259,8 @@ let bench ~ops ~out =
 open Cmdliner
 
 let ops_arg =
-  Arg.(value & opt int 300_000 & info [ "ops" ] ~docv:"N" ~doc:"Operations per section.")
+  Arg.(value & opt int 300_000 & info [ "ops" ] ~docv:"N"
+        ~doc:"Operations per simulator section (the storage-node sections have fixed sizes).")
 
 let out_arg =
   Arg.(
@@ -182,7 +270,10 @@ let out_arg =
         ~doc:"Write the measurement as JSON (schema mdcc.bench_events.v1).")
 
 let () =
-  let doc = "micro-benchmark of the DES hot loop: event queue, dispatch, network send" in
+  let doc =
+    "micro-benchmark of the DES hot loop (event queue, dispatch, network send) and of the \
+     storage node's visibility and dangling-scan paths"
+  in
   let cmd =
     Cmd.v
       (Cmd.info "bench-events" ~doc)

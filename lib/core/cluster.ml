@@ -95,18 +95,8 @@ let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
   let net = Net.create engine topo ~drop_probability ~jitter_sigma () in
   (* Per-node traffic instruments, charged at the network edge so every
      protocol message — including Batch folding — is counted once. *)
-  Net.set_meter net
-    {
-      Net.m_size = Messages.size_of;
-      m_on_send =
-        (fun ~src ~dst:_ ~bytes ->
-          Obs.incr obs (Printf.sprintf "net.sent.node%02d" src);
-          Obs.incr obs ~by:bytes (Printf.sprintf "net.sent_bytes.node%02d" src));
-      m_on_deliver =
-        (fun ~src:_ ~dst ~bytes ->
-          Obs.incr obs (Printf.sprintf "net.recv.node%02d" dst);
-          Obs.incr obs ~by:bytes (Printf.sprintf "net.recv_bytes.node%02d" dst));
-    };
+  let m_on_send, m_on_deliver = Obs.traffic_meter obs ~nodes:(Topology.num_nodes topo) in
+  Net.set_meter net { Net.m_size = Messages.size_of; m_on_send; m_on_deliver };
   let master_dc_of =
     match master_dc_of with Some f -> f | None -> default_master_dc ~dcs
   in

@@ -77,8 +77,6 @@ type t = {
   trace_tag : string;  (* "app<id>", rendered once — not per trace point *)
 }
 
-let record t ev = match t.history with Some h -> History.record h ev | None -> ()
-
 (* How long a collision keeps steering this coordinator to the master before
    it probes fast ballots again (client-side half of the γ policy). *)
 let hint_ttl = 2000.0
@@ -98,6 +96,10 @@ let tracing t = Runtime.tracing t.runtime
 
 let span t ~txid ~name ?key ~detail () =
   Obs.span_event t.obs ~txid ~at:(now t) ~node:t.id ~name ?key ~detail ()
+
+(* Span arguments (rendered keys, formatted details) are built only when
+   spans are recorded. *)
+let spans_on t = Obs.spans_on t.obs
 
 let n t = t.config.Config.replication
 
@@ -142,14 +144,16 @@ let send_all t pairs =
 
 let propose_payloads t (ks : key_state) =
   let w = ks.woption in
-  let key_str = Key.to_string w.Woption.key in
-  if route_classic t w.Woption.key then begin
+  let classic = route_classic t w.Woption.key in
+  if spans_on t then
+    span t ~txid:w.Woption.txid ~name:"propose" ~key:(Key.to_string w.Woption.key)
+      ~detail:(if classic then "classic" else "fast")
+      ();
+  if classic then begin
     ks.redirected <- true;
-    span t ~txid:w.Woption.txid ~name:"propose" ~key:key_str ~detail:"classic" ();
     [ (t.master_of w.Woption.key, Messages.Propose { woption = w; route = `Classic }) ]
   end
   else begin
-    span t ~txid:w.Woption.txid ~name:"propose" ~key:key_str ~detail:"fast" ();
     List.map
       (fun replica -> (replica, Messages.Propose { woption = w; route = `Fast }))
       (t.replicas w.Woption.key)
@@ -192,10 +196,14 @@ let decide t (ts : txn_state) =
   | Txn.Aborted _ ->
     t.stats.aborts <- t.stats.aborts + 1;
     Obs.incr t.obs "abort_conflict");
-  let outcome_str = Format.asprintf "%a" Txn.pp_outcome outcome in
-  span t ~txid:ts.txn.Txn.id ~name:"decide" ~detail:outcome_str ();
-  trace t "decide %s %s" ts.txn.Txn.id outcome_str;
-  record t (History.Decided { time = now t; txid = ts.txn.Txn.id; outcome });
+  if spans_on t || tracing t then begin
+    let outcome_str = Format.asprintf "%a" Txn.pp_outcome outcome in
+    span t ~txid:ts.txn.Txn.id ~name:"decide" ~detail:outcome_str ();
+    trace t "decide %s %s" ts.txn.Txn.id outcome_str
+  end;
+  (match t.history with
+  | Some h -> History.record h (History.Decided { time = now t; txid = ts.txn.Txn.id; outcome })
+  | None -> ());
   (* Asynchronous Learned/Visibility notification: execute or void every
      option; correctness does not depend on its timing (§3.2.1). *)
   let pairs =
@@ -219,17 +227,19 @@ let learn t (ts : txn_state) (ks : key_state) decision =
   | None ->
     ks.learned <- Some decision;
     ts.undecided <- ts.undecided - 1;
-    let key_str = Key.to_string ks.woption.Woption.key in
-    span t ~txid:ts.txn.Txn.id ~name:"learn" ~key:key_str
-      ~detail:(match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
-      ();
+    if spans_on t then
+      span t ~txid:ts.txn.Txn.id ~name:"learn" ~key:(Key.to_string ks.woption.Woption.key)
+        ~detail:(match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
+        ();
     (match ks.collided_at with
     | Some at ->
       (* The collision on this key has now been resolved (either way). *)
       ks.collided_at <- None;
       Obs.incr t.obs "collision_resolved";
       Obs.observe t.obs "collision_resolve_ms" (now t -. at);
-      span t ~txid:ts.txn.Txn.id ~name:"collision_resolved" ~key:key_str ~detail:"" ()
+      if spans_on t then
+        span t ~txid:ts.txn.Txn.id ~name:"collision_resolved"
+          ~key:(Key.to_string ks.woption.Woption.key) ~detail:"" ()
     | None -> ());
     if ts.undecided = 0 then decide t ts
 
@@ -251,9 +261,10 @@ let start_recovery_for t (ks : key_state) =
   ks.attempts <- ks.attempts + 1;
   if tracing t then
     trace t "start_recovery %s %s via node %d" w.Woption.txid (Key.to_string key) target;
-  span t ~txid:w.Woption.txid ~name:"start_recovery" ~key:(Key.to_string key)
-    ~detail:(Printf.sprintf "via node %d" target)
-    ();
+  if spans_on t then
+    span t ~txid:w.Woption.txid ~name:"start_recovery" ~key:(Key.to_string key)
+      ~detail:(Printf.sprintf "via node %d" target)
+      ();
   (* Timeout-driven recoveries run outside any delivery, so re-establish the
      causal context explicitly for the recovery cascade. *)
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
@@ -283,9 +294,10 @@ let on_vote t txid key acceptor decision =
           ks.collided_at <- Some (now t);
           t.stats.collisions <- t.stats.collisions + 1;
           Obs.incr t.obs "collision";
-          span t ~txid ~name:"collision" ~key:(Key.to_string key)
-            ~detail:(Printf.sprintf "acks=%d rejects=%d" acks rejects)
-            ();
+          if spans_on t then
+            span t ~txid ~name:"collision" ~key:(Key.to_string key)
+              ~detail:(Printf.sprintf "acks=%d rejects=%d" acks rejects)
+              ();
           start_recovery_for t ks
         end
       end)
@@ -310,9 +322,10 @@ let on_redirect t txid key master =
         ks.redirected <- true;
         t.stats.redirects <- t.stats.redirects + 1;
         Obs.incr t.obs "redirect";
-        span t ~txid ~name:"redirect" ~key:(Key.to_string key)
-          ~detail:(Printf.sprintf "to master %d" master)
-          ();
+        if spans_on t then
+          span t ~txid ~name:"redirect" ~key:(Key.to_string key)
+            ~detail:(Printf.sprintf "to master %d" master)
+            ();
         send t master (Messages.Propose { woption = ks.woption; route = `Classic })
       end)
 
@@ -349,12 +362,16 @@ let submit t txn callback =
     in
     let ts = { txn; callback; keys; undecided = Key.Map.cardinal keys; timeout = None } in
     Hashtbl.replace t.txns txn.Txn.id ts;
-    record t (History.Submitted { time = now t; coordinator = t.id; txn });
+    (* History events are built only when a recorder is attached. *)
+    (match t.history with
+    | Some h -> History.record h (History.Submitted { time = now t; coordinator = t.id; txn })
+    | None -> ());
     Obs.incr t.obs "txn_submitted";
     Obs.begin_txn t.obs ~txid:txn.Txn.id ~at:(now t);
-    span t ~txid:txn.Txn.id ~name:"submit"
-      ~detail:(Printf.sprintf "%d keys" (Key.Map.cardinal keys))
-      ();
+    if spans_on t then
+      span t ~txid:txn.Txn.id ~name:"submit"
+        ~detail:(Printf.sprintf "%d keys" (Key.Map.cardinal keys))
+        ();
     (* Establish the causal trace context: every Propose (and every message
        it triggers in turn) is attributed to this transaction's span. *)
     Net.with_trace_context (Some txn.Txn.id) (fun () ->

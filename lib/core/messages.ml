@@ -76,33 +76,31 @@ type Mdcc_sim.Network.payload +=
 
 let decision_str = function Woption.Accepted -> "acc" | Woption.Rejected -> "rej"
 
-(* Order-independent digest of the transaction ids folded into a replica's
-   committed value.  Two replicas at the same version whose digests differ
-   have applied different delta sets — the equal-version divergence the
-   ROADMAP calls out.  A handwritten fold over the sorted list rather than
-   [Hashtbl.hash], which caps its traversal and would silently collide on
-   long txid lists. *)
-let applied_digest txids =
-  let sorted = List.sort String.compare txids in
-  List.fold_left
-    (fun acc txid ->
+(* Digest of the transaction ids folded into a replica's committed value.
+   Two replicas at the same version whose digests differ have applied
+   different delta sets — the equal-version divergence the ROADMAP calls
+   out.  A handwritten fold over the ids in txid order (the map's own
+   order, so nothing is sorted) rather than [Hashtbl.hash], which caps its
+   traversal and would silently collide on large sets. *)
+let applied_digest applied =
+  Txn.Map.fold
+    (fun txid _ acc ->
       String.fold_left (fun a c -> (a * 131) + Char.code c) ((acc * 257) + 1) txid)
-    0x811c9dc5 sorted
+    applied 0x811c9dc5
   land 0x3FFFFFFF
 
 (* Estimated wire size (bytes) of a payload for the per-node traffic
    instruments.  Coarse by design: a fixed per-message header plus the
    variable-length parts that dominate real encodings (keys, values, vote
-   and txid lists). *)
+   and txid lists).  Runs on every send, so it only adds lengths and
+   allocates nothing. *)
 let header_bytes = 16
 
-let key_bytes key = String.length (Key.to_string key)
+(* [String.length (Key.to_string key)], without rendering the key. *)
+let key_bytes key = String.length key.Key.table + 1 + String.length key.Key.id
 
 let value_bytes value =
-  List.fold_left
-    (fun acc (name, _scalar) -> acc + String.length name + 8)
-    0
-    (Value.to_list value)
+  Value.fold (fun name _scalar acc -> acc + String.length name + 8) value 0
 
 let update_bytes = function
   | Update.Insert value -> 1 + value_bytes value

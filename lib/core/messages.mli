@@ -134,12 +134,13 @@ type Mdcc_sim.Network.payload +=
 val describe : Mdcc_sim.Network.payload -> string
 (** Short human-readable form for traces (["propose(fast, t1, item/4)"]). *)
 
-val applied_digest : Txn.id list -> int
-(** Order-independent digest of the transaction ids folded into a replica's
-    committed value, exchanged in [Sync_request] entries.  Equal versions
-    with different digests mean diverged replicas. *)
+val applied_digest : 'a Txn.Map.t -> int
+(** Digest of the transaction ids of an applied set (the keys of the map;
+    the updates are ignored), exchanged in [Sync_request] entries.  Equal
+    versions with different digests mean diverged replicas. *)
 
 val size_of : Mdcc_sim.Network.payload -> int
 (** Estimated wire size in bytes, used by the network meter to charge
     per-node byte counters.  A coarse model — fixed header plus the
-    dominant variable-length parts — not a serialization. *)
+    dominant variable-length parts — not a serialization.  Allocates
+    nothing. *)

@@ -9,38 +9,42 @@ type pending = {
   mutable proposed_at : Engine.sim_time;
 }
 
+type applied = Update.t Txn.Map.t
+
 type t = {
   key : Key.t;
   mutable promised : Ballot.t;
   mutable classic_until : int;
   mutable pending : pending list;
-  mutable applied : (Txn.id * Update.t) list;
+  mutable applied : applied;
+  mutable decided : (Txn.id * bool) list;
 }
 
 let create ?(classic_until = 0) key =
-  { key; promised = Ballot.initial_fast; classic_until; pending = []; applied = [] }
+  {
+    key;
+    promised = Ballot.initial_fast;
+    classic_until;
+    pending = [];
+    applied = Txn.Map.empty;
+    decided = [];
+  }
 
 (* The applied set — every committed transaction folded into this replica's
-   copy of the record, with the update it contributed.  Kept sorted by txid
+   copy of the record, with the update it contributed.  A txid-ordered map,
    so iteration order, digests and merges are deterministic (lint R1), and
    updated idempotently: membership by txid is the guard that makes replays
    of commutative deltas safe. *)
 
-let entry_compare (a, _) (b, _) = String.compare a b
-
-let applied_mem applied txid = List.exists (fun (id, _) -> String.equal id txid) applied
+let applied_mem applied txid = Txn.Map.mem txid applied
 
 let applied_add applied txid update =
-  if applied_mem applied txid then applied
-  else List.merge entry_compare [ (txid, update) ] applied
-
-let applied_txids applied = List.map fst applied
+  if Txn.Map.mem txid applied then applied else Txn.Map.add txid update applied
 
 let applied_missing ~mine ~theirs =
-  List.filter (fun (txid, _) -> not (applied_mem mine txid)) theirs
+  Txn.Map.filter (fun txid _ -> not (Txn.Map.mem txid mine)) theirs
 
-let applied_merge mine theirs =
-  List.fold_left (fun acc (txid, up) -> applied_add acc txid up) mine theirs
+let applied_merge mine theirs = Txn.Map.union (fun _ m _ -> Some m) mine theirs
 
 let mark_applied t txid update = t.applied <- applied_add t.applied txid update
 

@@ -33,6 +33,10 @@ type pending = {
           writers are [Storage_node]'s [now t] call sites. *)
 }
 
+type applied = Update.t Txn.Map.t
+(** An applied set: txid -> the update that transaction contributed.  It
+    travels on the wire as [Txn.Map.bindings], the txid-sorted list. *)
+
 type t = {
   key : Key.t;
   mutable promised : Ballot.t;  (** highest Phase1a answered (mbal_a) *)
@@ -40,41 +44,41 @@ type t = {
       (** record versions below this must use classic ballots (γ window);
           [max_int] in Multi mode *)
   mutable pending : pending list;  (** outstanding options, arrival order *)
-  mutable applied : (Txn.id * Update.t) list;
+  mutable applied : applied;
       (** every committed transaction folded into this replica's copy of the
-          record, with the update it contributed — sorted by txid.  This is
-          the authoritative input to the anti-entropy digest and the set
-          exchanged in [Sync_reply] repair; txid membership is what makes
-          replaying a commutative delta idempotent. *)
+          record, with the update it contributed.  This is the authoritative
+          input to the anti-entropy digest and the set exchanged in
+          [Sync_reply] repair; txid membership is what makes replaying a
+          commutative delta idempotent. *)
+  mutable decided : (Txn.id * bool) list;
+      (** visibility outcomes (committed?) known at this replica, newest
+          first, each txid once.  A visibility is a final decision, yet it
+          erases the option's pending vote, so later classic ballots cannot
+          re-learn it from votes alone: the log is shipped in Phase1b and
+          recovery must honor it.  The storage node's visibility index
+          guards against duplicates. *)
 }
 
 val create : ?classic_until:int -> Key.t -> t
 
 (** {2 Applied-set operations}
 
-    Pure functions over txid-sorted applied sets, plus the one mutator
+    Pure functions over applied sets, plus the one mutator
     ({!mark_applied}).  All are deterministic and idempotent:
     [applied_add s txid up] is a no-op when [txid] is already a member, so
     merging the same [Sync_reply] twice — or in either order — yields the
     same set. *)
 
-val applied_mem : (Txn.id * Update.t) list -> Txn.id -> bool
+val applied_mem : applied -> Txn.id -> bool
 
-val applied_add :
-  (Txn.id * Update.t) list -> Txn.id -> Update.t -> (Txn.id * Update.t) list
-(** Insert preserving txid order; identity if [txid] is already present. *)
+val applied_add : applied -> Txn.id -> Update.t -> applied
+(** Identity if [txid] is already present; O(log n) otherwise. *)
 
-val applied_txids : (Txn.id * Update.t) list -> Txn.id list
+val applied_missing : mine:applied -> theirs:applied -> applied
+(** The entries of [theirs] absent from [mine] — exactly what a repair has
+    to replay. *)
 
-val applied_missing :
-  mine:(Txn.id * Update.t) list ->
-  theirs:(Txn.id * Update.t) list ->
-  (Txn.id * Update.t) list
-(** The entries of [theirs] absent from [mine] (txid order preserved) —
-    exactly what a repair has to replay. *)
-
-val applied_merge :
-  (Txn.id * Update.t) list -> (Txn.id * Update.t) list -> (Txn.id * Update.t) list
+val applied_merge : applied -> applied -> applied
 (** Set union keyed by txid ([mine] wins on duplicates); commutative up to
     the update payloads and associative, so repair converges regardless of
     exchange order. *)

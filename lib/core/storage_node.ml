@@ -43,6 +43,15 @@ type txrec = {
   mutable tx_done : bool;
 }
 
+(* Visibility outcomes keyed by (txid, key) as they arrive, so a lookup
+   renders neither. *)
+module Visible = Hashtbl.Make (struct
+  type t = Txn.id * Key.t
+
+  let equal (t1, k1) (t2, k2) = String.equal t1 t2 && Key.equal k1 k2
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   runtime : Runtime.t;
   config : Config.t;
@@ -52,13 +61,7 @@ type t = {
   master_of : Key.t -> int;
   store : Store.t;
   records : Rstate.t Key.Tbl.t;
-  visible : (string, bool) Hashtbl.t;  (* "txid#key" -> txn committed? *)
-  decided_log : (string, (Txn.id * bool) list) Hashtbl.t;
-      (* key -> visibility outcomes known at this replica.  A visibility is
-         a final decision, yet it erases the option's pending vote, so later
-         classic ballots cannot re-learn it from votes alone: the log is
-         shipped in Phase1b (recovery must honor it) and its committed
-         subset in every rebase (receivers dedupe late Visibilities). *)
+  visible : bool Visible.t;  (* (txid, key) -> txn committed? *)
   masters : mstate Key.Tbl.t;
   recoveries : (Txn.id, txrec) Hashtbl.t;
   rng : Rng.t;
@@ -70,21 +73,25 @@ type t = {
   trace_tag : string;  (* "node<id>", rendered once — not per trace point *)
 }
 
-let record t ev = match t.history with Some h -> History.record h ev | None -> ()
+(* History events are built only when a recorder is attached. *)
+let record_applied t txid key (row : Store.row) =
+  match t.history with
+  | Some h ->
+    History.record h
+      (History.Applied
+         {
+           time = Runtime.now t.runtime;
+           node = t.id;
+           txid;
+           key;
+           version = row.Store.version;
+           value = row.Store.value;
+         })
+  | None -> ()
 
 let node_id t = t.id
 
 let store t = t.store
-
-let vkey txid key = txid ^ "#" ^ Key.to_string key
-
-let decided_for t key =
-  Option.value (Hashtbl.find_opt t.decided_log (Key.to_string key)) ~default:[]
-
-let record_decided t key txid committed =
-  let k = Key.to_string key in
-  let cur = Option.value (Hashtbl.find_opt t.decided_log k) ~default:[] in
-  if not (List.mem_assoc txid cur) then Hashtbl.replace t.decided_log k ((txid, committed) :: cur)
 
 let default_classic_until config =
   match config.Config.mode with Config.Multi -> max_int | Config.Full | Config.Fast_only -> 0
@@ -97,15 +104,27 @@ let rstate t key =
     Key.Tbl.add t.records key rs;
     rs
 
+let visible_outcome t txid key = Visible.find_opt t.visible (txid, key)
+
+let is_visible t txid key = Visible.mem t.visible (txid, key)
+
+(* Record a final visibility outcome.  [visible] doubles as the index of the
+   record's decided log, so a (txid, key) enters the log once, when first
+   seen, however often its outcome is re-asserted later. *)
+let set_visible t (rs : Rstate.t) txid key committed =
+  let vk = (txid, key) in
+  if not (Visible.mem t.visible vk) then
+    rs.Rstate.decided <- (txid, committed) :: rs.Rstate.decided;
+  Visible.replace t.visible vk committed
+
 (* The applied set lives on the record's Rstate — the authoritative list of
    committed updates folded into our copy of [key], which is what the
    anti-entropy digest must summarize.  (The decided log is the wrong
    source: it also remembers committed read guards, which never change the
    value, and keeps txids whose effect a later rebase clobbered.) *)
-let applied_of t key = (rstate t key).Rstate.applied
+let applied_of t key = Txn.Map.bindings (rstate t key).Rstate.applied
 
-let applied_digest_of t key =
-  Messages.applied_digest (Rstate.applied_txids (applied_of t key))
+let applied_digest_of t key = Messages.applied_digest (rstate t key).Rstate.applied
 
 (* A snapshot of our committed state, tagged with every transaction folded
    into it. *)
@@ -154,6 +173,10 @@ let trace t fmt = Runtime.trace t.runtime ~tag:t.trace_tag fmt
    but argument evaluation happens at the call site. *)
 let tracing t = Runtime.tracing t.runtime
 
+(* Trace lines and span events share their rendered arguments: render them
+   only when one of the two has a consumer. *)
+let observed t = tracing t || Obs.spans_on t.obs
+
 let span t ~txid ~name ?key ~detail () =
   Obs.span_event t.obs ~txid ~at:(now t) ~node:t.id ~name ?key ~detail ()
 
@@ -181,7 +204,7 @@ let fast_propose t (w : Woption.t) =
     send t w.Woption.coordinator
       (Messages.Phase2b_fast { key; txid = w.Woption.txid; decision; acceptor = t.id })
   in
-  match Hashtbl.find_opt t.visible (vkey w.Woption.txid key) with
+  match visible_outcome t w.Woption.txid key with
   | Some committed -> reply (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
     match Rstate.find_pending rs w.Woption.txid with
@@ -222,18 +245,20 @@ let fast_propose t (w : Woption.t) =
             ballot = Ballot.initial_fast;
             proposed_at = now t;
           };
-        let verdict_str =
-          match (decision, reason) with
-          | Woption.Accepted, _ -> "acc"
-          | Woption.Rejected, Some Rstate.Version_validation -> "rej:version"
-          | Woption.Rejected, Some Rstate.Outstanding_option -> "rej:outstanding"
-          | Woption.Rejected, Some Rstate.Demarcation -> "rej:demarcation"
-          | Woption.Rejected, None -> "rej"
-        in
-        let key_str = Key.to_string key in
-        trace t "fast vote %s %s %s" w.Woption.txid key_str verdict_str;
-        span t ~txid:w.Woption.txid ~name:"vote" ~key:key_str
-          ~detail:("fast " ^ verdict_str) ();
+        if observed t then begin
+          let verdict_str =
+            match (decision, reason) with
+            | Woption.Accepted, _ -> "acc"
+            | Woption.Rejected, Some Rstate.Version_validation -> "rej:version"
+            | Woption.Rejected, Some Rstate.Outstanding_option -> "rej:outstanding"
+            | Woption.Rejected, Some Rstate.Demarcation -> "rej:demarcation"
+            | Woption.Rejected, None -> "rej"
+          in
+          let key_str = Key.to_string key in
+          trace t "fast vote %s %s %s" w.Woption.txid key_str verdict_str;
+          span t ~txid:w.Woption.txid ~name:"vote" ~key:key_str
+            ~detail:("fast " ^ verdict_str) ()
+        end;
         reply decision
       end)
 
@@ -249,7 +274,7 @@ let acceptor_phase1a t key ballot =
         { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot })
       rs.Rstate.pending
   in
-  (ok, rs.Rstate.promised, votes, rebase_of t key, decided_for t key)
+  (ok, rs.Rstate.promised, votes, rebase_of t key, rs.Rstate.decided)
 
 let apply_rebase t key (rb : Messages.rebase) =
   let row = Store.ensure t.store key in
@@ -267,14 +292,13 @@ let apply_rebase t key (rb : Messages.rebase) =
        rebaser lacked was clobbered with the overwrite and will come back
        through Sync_reply repair from a replica that still holds it. *)
     let rs = rstate t key in
-    rs.Rstate.applied <- rb.Messages.included;
+    rs.Rstate.applied <- Txn.Map.of_list rb.Messages.included;
     List.iter
       (fun (txid, _update) ->
-        if not (Hashtbl.mem t.visible (vkey txid key)) then begin
-          Hashtbl.replace t.visible (vkey txid key) true;
+        if not (is_visible t txid key) then begin
+          set_visible t rs txid key true;
           Rstate.remove_pending rs txid
-        end;
-        record_decided t key txid true)
+        end)
       rb.Messages.included
   end
 
@@ -284,18 +308,19 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
     rs.Rstate.promised <- ballot;
     rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
     (match rebase with Some rb -> apply_rebase t key rb | None -> ());
-    match Hashtbl.find_opt t.visible (vkey w.Woption.txid key) with
+    match visible_outcome t w.Woption.txid key with
     | Some committed ->
       (* The option's visibility already executed here: that decision is
          final, answer it instead of the proposer's. *)
       (true, ballot, if committed then Woption.Accepted else Woption.Rejected)
     | None ->
       Rstate.add_pending rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
-      span t ~txid:w.Woption.txid ~name:"vote" ~key:(Key.to_string key)
-        ~detail:
-          ("classic "
-          ^ match decision with Woption.Accepted -> "acc" | Woption.Rejected -> "rej")
-        ();
+      if Obs.spans_on t.obs then
+        span t ~txid:w.Woption.txid ~name:"vote" ~key:(Key.to_string key)
+          ~detail:
+            ("classic "
+            ^ match decision with Woption.Accepted -> "acc" | Woption.Rejected -> "rej")
+          ();
       (true, ballot, decision)
   end
   else (false, rs.Rstate.promised, decision)
@@ -312,17 +337,16 @@ let visibility t txid key (update : Update.t) committed =
        pending vote stays (so conflicting rounds cannot validate against our
        stale row) and the master's committed state — whose rebase watermark
        settles this transaction — repairs us instead. *)
-    if not (Hashtbl.mem t.visible (vkey txid key)) then begin
+    if not (is_visible t txid key) then begin
       if tracing t then
         trace t "visibility %s %s unknown update: catching up" txid (Key.to_string key);
       if t.master_of key <> t.id then
         send t (t.master_of key) (Messages.Catchup_request { key })
     end
   end
-  else if not (Hashtbl.mem t.visible (vkey txid key)) then begin
-    Hashtbl.replace t.visible (vkey txid key) committed;
-    record_decided t key txid committed;
+  else if not (is_visible t txid key) then begin
     let rs = rstate t key in
+    set_visible t rs txid key committed;
     Rstate.remove_pending rs txid;
     if committed then begin
       let row = Store.ensure t.store key in
@@ -346,28 +370,24 @@ let visibility t txid key (update : Update.t) committed =
         Rstate.mark_applied rs txid update);
       if apply_it then begin
         Store.apply t.store key update;
-        record t
-          (History.Applied
-             {
-               time = now t;
-               node = t.id;
-               txid;
-               key;
-               version = row.Store.version;
-               value = row.Store.value;
-             })
+        record_applied t txid key row
       end
     end
-    else record t (History.Voided { time = now t; node = t.id; txid; key });
+    else (
+      match t.history with
+      | Some h -> History.record h (History.Voided { time = now t; node = t.id; txid; key })
+      | None -> ());
     Obs.incr t.obs (if committed then "visibility_exec" else "visibility_void");
-    let verdict = if committed then "exec" else "void" in
-    span t ~txid ~name:"visible" ~key:(Key.to_string key) ~detail:verdict ();
-    if tracing t then trace t "visibility %s %s -> %s" txid (Key.to_string key) verdict
+    if observed t then begin
+      let key_str = Key.to_string key and verdict = if committed then "exec" else "void" in
+      span t ~txid ~name:"visible" ~key:key_str ~detail:verdict ();
+      trace t "visibility %s %s -> %s" txid key_str verdict
+    end
   end
 
 let status_query t ~src txid key =
   let status =
-    match Hashtbl.find_opt t.visible (vkey txid key) with
+    match visible_outcome t txid key with
     | Some committed -> Messages.Status_decided committed
     | None -> (
       match Rstate.find_pending (rstate t key) txid with
@@ -481,7 +501,7 @@ and master_propose t (w : Woption.t) ~notify =
         else send t dst (Messages.Learned { key; txid; decision }))
       (union [ w.Woption.coordinator ] notify)
   in
-  match Hashtbl.find_opt t.visible (vkey txid key) with
+  match visible_outcome t txid key with
   | Some committed -> tell (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
     match List.find_opt (fun r -> String.equal r.r_opt.Woption.txid txid) ms.m_rounds with
@@ -547,7 +567,7 @@ and start_recovery t key ~extras ~notify =
     in
     ms.m_recovery <- Some rc;
     Obs.incr t.obs "recovery_start";
-    trace t "recovery start %s ballot=%d" (Key.to_string key) ms.m_highest;
+    if tracing t then trace t "recovery start %s ballot=%d" (Key.to_string key) ms.m_highest;
     broadcast_phase1a t key rc;
     watch_recovery t key rc
 
@@ -640,7 +660,7 @@ and resolve_recovery t key rc =
      — a concurrent recovery already executed or voided these options, and
      this ballot must confirm, not contradict, them. *)
   let known_viz : (Txn.id, bool) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) (decided_for t key);
+  List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) (rstate t key).Rstate.decided;
   List.iter
     (fun (_, _, _, decided) ->
       List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided)
@@ -804,10 +824,11 @@ and resolve_recovery t key rc =
     (fun ((w : Woption.t), d) ->
       broadcast_phase2a t key rc.rc_ballot w d ~classic_until ~rebase:(Some rebase))
     outcomes;
-  trace t "recovery resolved %s: %d options (%d forced, %d free)" (Key.to_string key)
-    (List.length outcomes)
-    (List.length classic_checked + List.length fast_checked)
-    (List.length decided_free)
+  if tracing t then
+    trace t "recovery resolved %s: %d options (%d forced, %d free)" (Key.to_string key)
+      (List.length outcomes)
+      (List.length classic_checked + List.length fast_checked)
+      (List.length decided_free)
 
 (* ------------------------------------------------------------------ *)
 (* Dangling-transaction recovery (app-server failure, §3.2.3)          *)
@@ -924,7 +945,8 @@ and evaluate_txn_recovery t tr =
 
 and finish_txn_recovery t tr committed =
   tr.tx_done <- true;
-  trace t "txn recovery %s -> %s" tr.tx_id (if committed then "commit" else "abort");
+  if tracing t then
+    trace t "txn recovery %s -> %s" tr.tx_id (if committed then "commit" else "abort");
   List.iter
     (fun key ->
       let update =
@@ -954,7 +976,8 @@ let start_txn_recovery t (w : Woption.t) =
       }
     in
     Hashtbl.replace t.recoveries w.Woption.txid tr;
-    trace t "txn recovery start %s (%d keys)" w.Woption.txid (List.length tr.tx_keys);
+    if tracing t then
+      trace t "txn recovery start %s (%d keys)" w.Woption.txid (List.length tr.tx_keys);
     List.iter
       (fun key ->
         List.iter
@@ -986,22 +1009,30 @@ let txn_recovery_status t txid key status acceptor =
 (* Periodic scan for pending options whose coordinator went silent.  The
    record's master reacts after one timeout; other replicas after three, so
    a single node usually drives each recovery.  Candidates are collected
-   first: starting a recovery mutates [t.records]. *)
+   first: starting a recovery mutates [t.records].  Recoveries start in
+   reverse (key, pending) order.  The scan runs over every record at every
+   node, so records with nothing stale cost a visit and no allocation. *)
 let scan_dangling t =
-  let deadline_factor key = if t.master_of key = t.id then 1.0 else 3.0 in
-  let stale = ref [] in
-  Key.Tbl.sorted_iter
-    (fun key rs ->
-      List.iter
-        (fun (p : Rstate.pending) ->
-          let age = now t -. p.Rstate.proposed_at in
-          if
-            age > t.config.Config.txn_timeout *. deadline_factor key
-            && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
-          then stale := p.Rstate.woption :: !stale)
-        rs.Rstate.pending)
-    t.records;
-  List.iter (start_txn_recovery t) !stale
+  let now = now t and timeout = t.config.Config.txn_timeout in
+  let older_than limit (p : Rstate.pending) = now -. p.Rstate.proposed_at > limit in
+  let past_timeout p = older_than timeout p in
+  let stale_in key (rs : Rstate.t) =
+    (* The shortest deadline first: it settles almost every record without
+       computing the record's master. *)
+    if not (List.exists past_timeout rs.Rstate.pending) then None
+    else begin
+      let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
+      let is_stale (p : Rstate.pending) =
+        older_than limit p && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
+      in
+      match List.filter is_stale rs.Rstate.pending with
+      | [] -> None
+      | stale -> Some (List.map (fun (p : Rstate.pending) -> p.Rstate.woption) stale)
+    end
+  in
+  Key.Tbl.sorted_filter_map stale_in t.records
+  |> List.concat |> List.rev
+  |> List.iter (start_txn_recovery t)
 
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy repair (Sync_reply reconciliation)                      *)
@@ -1021,33 +1052,27 @@ let scan_dangling t =
    terminates after at most one reply each way. *)
 let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
   let rs = rstate t key in
+  let theirs = Txn.Map.of_list theirs in
   let missing = Rstate.applied_missing ~mine:rs.Rstate.applied ~theirs in
   let merged = ref 0 in
   let stale = ref false in
-  List.iter
-    (fun (txid, (update : Update.t)) ->
+  Txn.Map.iter
+    (fun txid (update : Update.t) ->
       match update with
       | Update.Delta _ ->
         let row = Store.ensure t.store key in
-        Hashtbl.replace t.visible (vkey txid key) true;
-        record_decided t key txid true;
+        set_visible t rs txid key true;
         Rstate.remove_pending rs txid;
         Store.apply t.store key update;
         Rstate.mark_applied rs txid update;
         incr merged;
         Obs.incr t.obs "antientropy_repair";
-        record t
-          (History.Applied
-             {
-               time = now t;
-               node = t.id;
-               txid;
-               key;
-               version = row.Store.version;
-               value = row.Store.value;
-             });
-        span t ~txid ~name:"repair" ~key:(Key.to_string key) ~detail:"replay delta" ();
-        trace t "repair %s %s: replayed delta from node %d" txid (Key.to_string key) src
+        record_applied t txid key row;
+        if observed t then begin
+          let key_str = Key.to_string key in
+          span t ~txid ~name:"repair" ~key:key_str ~detail:"replay delta" ();
+          trace t "repair %s %s: replayed delta from node %d" txid key_str src
+        end
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Read_guard _ ->
         stale := true)
     missing;
@@ -1058,14 +1083,16 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
     Hashtbl.remove t.diverged dkey;
     Obs.add_gauge t.obs "diverged_replicas" (-1)
   end;
-  if !merged > 0 && Rstate.applied_missing ~mine:theirs ~theirs:rs.Rstate.applied <> []
+  if
+    !merged > 0
+    && not (Txn.Map.is_empty (Rstate.applied_missing ~mine:theirs ~theirs:rs.Rstate.applied))
   then
     send t src
       (Messages.Sync_reply
          {
            key;
            version = (Store.ensure t.store key).Store.version;
-           applied = rs.Rstate.applied;
+           applied = Txn.Map.bindings rs.Rstate.applied;
          })
 
 (* ------------------------------------------------------------------ *)
@@ -1101,8 +1128,9 @@ let rec handle t ~src payload =
               Hashtbl.replace t.diverged dkey ();
               Obs.incr t.obs "antientropy_divergence";
               Obs.add_gauge t.obs "diverged_replicas" 1;
-              trace t "anti-entropy divergence with node %d on %s at v%d" src
-                (Key.to_string key) version
+              if tracing t then
+                trace t "anti-entropy divergence with node %d on %s at v%d" src
+                  (Key.to_string key) version
             end;
             send t src
               (Messages.Sync_reply
@@ -1200,8 +1228,7 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       master_of;
       store = Store.create schema;
       records = Key.Tbl.create 1024;
-      visible = Hashtbl.create 4096;
-      decided_log = Hashtbl.create 1024;
+      visible = Visible.create 4096;
       masters = Key.Tbl.create 256;
       recoveries = Hashtbl.create 64;
       rng = Rng.split (Runtime.rng runtime);
@@ -1224,10 +1251,10 @@ let load t rows =
     rows
 
 let pending_options t =
-  List.fold_left
-    (fun acc (_, rs) -> acc + List.length rs.Rstate.pending)
-    0
-    (Key.Tbl.sorted_bindings t.records)
+  Key.Tbl.sorted_filter_map
+    (fun _ rs -> match rs.Rstate.pending with [] -> None | ps -> Some (List.length ps))
+    t.records
+  |> List.fold_left ( + ) 0
 
 (* Anti-entropy sweep: probe the master of every key we hold with our
    version; stale keys come back via Catchup.  The "background process" that

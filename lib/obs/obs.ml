@@ -8,10 +8,33 @@ let create ?(spans = false) () =
 
 let registry t = t.registry
 let spans t = t.spans
+let spans_on t = Option.is_some t.spans
 let incr t ?by name = Registry.incr t.registry ?by name
 let set_gauge t name v = Registry.set_gauge t.registry name v
 let add_gauge t name d = Registry.add_gauge t.registry name d
 let observe t name sample = Registry.observe t.registry name sample
+
+type node_counters = { sent : string; sent_bytes : string; recv : string; recv_bytes : string }
+
+let traffic_meter t ~nodes =
+  let names =
+    Array.init nodes (fun n ->
+        {
+          sent = Printf.sprintf "net.sent.node%02d" n;
+          sent_bytes = Printf.sprintf "net.sent_bytes.node%02d" n;
+          recv = Printf.sprintf "net.recv.node%02d" n;
+          recv_bytes = Printf.sprintf "net.recv_bytes.node%02d" n;
+        })
+  in
+  let on_send ~src ~dst:_ ~bytes =
+    incr t names.(src).sent;
+    incr t ~by:bytes names.(src).sent_bytes
+  in
+  let on_deliver ~src:_ ~dst ~bytes =
+    incr t names.(dst).recv;
+    incr t ~by:bytes names.(dst).recv_bytes
+  in
+  (on_send, on_deliver)
 
 let begin_txn t ~txid ~at =
   match t.spans with Some sp -> Span.begin_txn sp ~txid ~at | None -> ()

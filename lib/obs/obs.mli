@@ -13,11 +13,26 @@ val create : ?spans:bool -> unit -> t
 val registry : t -> Registry.t
 val spans : t -> Span.t option
 
+val spans_on : t -> bool
+(** Whether span events are recorded.  Call sites whose span arguments
+    allocate (rendered keys, formatted details) build them only when this,
+    or tracing, is true. *)
+
 val incr : t -> ?by:int -> string -> unit
 val set_gauge : t -> string -> int -> unit
 val add_gauge : t -> string -> int -> unit
 val observe : t -> string -> float -> unit
 (** Registry pass-throughs. *)
+
+val traffic_meter :
+  t ->
+  nodes:int ->
+  (src:int -> dst:int -> bytes:int -> unit) * (src:int -> dst:int -> bytes:int -> unit)
+(** [(on_send, on_deliver)] for a deployment's network meter over node ids
+    [0 .. nodes-1]: [on_send] counts a message and its bytes on the
+    sender's [net.sent.nodeNN] and [net.sent_bytes.nodeNN], [on_deliver] on
+    the receiver's [net.recv.nodeNN] and [net.recv_bytes.nodeNN].  The
+    counter names are rendered once here, not per message. *)
 
 val begin_txn : t -> txid:string -> at:float -> unit
 

@@ -37,4 +37,11 @@ module Tbl = struct
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   let sorted_iter f t = List.iter (fun (k, v) -> f k v) (sorted_bindings t)
+
+  (* Only the survivors are consed and sorted, so a walk that selects
+     nothing allocates nothing per binding. *)
+  let sorted_filter_map f t =
+    fold (fun k v acc -> match f k v with Some b -> (k, b) :: acc | None -> acc) t []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
 end

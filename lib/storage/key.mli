@@ -26,4 +26,9 @@ module Tbl : sig
       replacement for [iter]/[fold] (see `mdcc_lint` rule R1). *)
 
   val sorted_iter : (key -> 'a -> unit) -> 'a t -> unit
+
+  val sorted_filter_map : (key -> 'a -> 'b option) -> 'a t -> 'b list
+  (** [sorted_filter_map f t] is [List.filter_map] of [f] over
+      {!sorted_bindings}, but only the bindings [f] keeps are collected and
+      sorted.  [f] must not mutate [t]. *)
 end

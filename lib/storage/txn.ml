@@ -1,5 +1,7 @@
 type id = string
 
+module Map = Map.Make (String)
+
 type abort_reason = Conflict | Constraint_violation | Node_unreachable | Recovered_abort
 
 type outcome = Committed | Aborted of abort_reason

@@ -8,6 +8,9 @@
 
 type id = string
 
+module Map : Map.S with type key = id
+(** Maps keyed by transaction id, in [String.compare] order. *)
+
 type abort_reason =
   | Conflict  (** a write-write conflict: some option was learned rejected *)
   | Constraint_violation  (** a value constraint (demarcation) rejection *)

@@ -10,6 +10,8 @@ let of_list bindings = List.fold_left (fun m (k, v) -> Smap.add k v m) empty bin
 
 let to_list t = Smap.bindings t
 
+let fold f t init = Smap.fold f t init
+
 let get t attr = Smap.find_opt attr t
 
 let get_int t attr =

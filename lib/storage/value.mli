@@ -17,6 +17,10 @@ val of_list : (string * scalar) list -> t
 val to_list : t -> (string * scalar) list
 (** Bindings in attribute-name order. *)
 
+val fold : (string -> scalar -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the bindings in attribute-name order, without building
+    {!to_list}. *)
+
 val get : t -> string -> scalar option
 
 val get_int : t -> string -> int

@@ -41,14 +41,29 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
   (* Per-partition request accounting, when the deployment is partitioned:
      [partition_of] is the server's key hash — the same routing the
      coordinator applies — so [stats detail] shows where the keyspace load
-     actually lands ([wire.partition.p00.reads], [.writes], ...). *)
-  let tally verb id =
+     actually lands ([wire.partition.p00.reads], [.writes], ...).  Each
+     name is rendered the first time its partition is hit, not per
+     request. *)
+  let tally verb =
     match (partition_of, obs) with
-    | Some pf, Some o -> Obs.incr o (Printf.sprintf "wire.partition.p%02d.%s" (pf id) verb)
-    | _, _ -> ()
+    | Some pf, Some o ->
+      let names = Hashtbl.create 8 in
+      fun id ->
+        let p = pf id in
+        let name =
+          match Hashtbl.find names p with
+          | name -> name
+          | exception Stdlib.Not_found ->
+            let name = Printf.sprintf "wire.partition.p%02d.%s" p verb in
+            Hashtbl.replace names p name;
+            name
+        in
+        Obs.incr o name
+    | _, _ -> ignore
   in
+  let tally_read = tally "reads" and tally_write = tally "writes" in
   let get id level k =
-    tally "reads" id;
+    tally_read id;
     Session.read ~level session (key_of id) (fun found -> k (Option.map (decode id) found))
   in
   let submit1 key update k =
@@ -57,7 +72,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
   (* Read-modify-write with bounded conflict retries: each retry re-reads at
      [`Session] level, so it observes the version that beat it. *)
   let set ~key ~flags ~data k =
-    tally "writes" key;
+    tally_write key;
     let value = encode ~flags ~data in
     let rec attempt budget =
       Session.read ~level:`Session session (key_of key) (fun cur ->
@@ -76,7 +91,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
     attempt retries
   in
   let cas ~key ~flags ~data ~cas k =
-    tally "writes" key;
+    tally_write key;
     Session.read ~level:`Session session (key_of key) (function
       | None -> k Not_found
       | Some (_, version) when version <> cas -> k Exists
@@ -89,7 +104,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
           | Txn.Aborted reason -> k (Server_busy (reason_of reason))))
   in
   let delete key k =
-    tally "writes" key;
+    tally_write key;
     let rec attempt budget =
       Session.read ~level:`Session session (key_of key) (function
         | None -> k Not_found
@@ -108,7 +123,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
   let commit ops k =
     List.iter
       (fun op ->
-        tally "writes" (match op with T_set { key; _ } -> key | T_delete key -> key))
+        tally_write (match op with T_set { key; _ } -> key | T_delete key -> key))
       ops;
     let module S = Set.Make (String) in
     let _, deduped =

@@ -125,18 +125,8 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
     Coordinator.create ~runtime ~config ~node_id:storage_n ~replicas ~master_of ~snapshot
       ~ctx ()
   in
-  Loop.set_meter lp
-    {
-      Loop.w_size = Messages.size_of;
-      w_on_send =
-        (fun ~src ~dst:_ ~bytes ->
-          Obs.incr observ (Printf.sprintf "net.sent.node%02d" src);
-          Obs.incr observ ~by:bytes (Printf.sprintf "net.sent_bytes.node%02d" src));
-      w_on_deliver =
-        (fun ~src:_ ~dst ~bytes ->
-          Obs.incr observ (Printf.sprintf "net.recv.node%02d" dst);
-          Obs.incr observ ~by:bytes (Printf.sprintf "net.recv_bytes.node%02d" dst));
-    };
+  let w_on_send, w_on_deliver = Obs.traffic_meter observ ~nodes:(storage_n + 1) in
+  Loop.set_meter lp { Loop.w_size = Messages.size_of; w_on_send; w_on_deliver };
   let t =
     {
       sv_loop = lp;

@@ -9,6 +9,7 @@ module Cluster = Mdcc_core.Cluster
 module Engine = Mdcc_sim.Engine
 module Topology = Mdcc_sim.Topology
 module Trace = Mdcc_sim.Trace
+module Ballot = Mdcc_paxos.Ballot
 
 let test_config_quorums () =
   let c = Config.make ~replication:5 () in
@@ -72,6 +73,111 @@ let test_messages_describe () =
             Messages.Propose { woption = w; route = `Fast };
             Messages.Propose { woption = w; route = `Classic };
           ]))
+
+(* One payload per constructor, with the byte count [Messages.size_of]
+   charges for it.  The per-node byte counters are pinned outputs, so the
+   size model must not drift when its implementation changes. *)
+let size_pins () =
+  let k = item 42 and k2 = Key.make ~table:"order" ~id:"7" in
+  let row = Value.of_list [ ("stock", Value.Int 9); ("name", Value.Str "widget") ] in
+  let w update =
+    { Woption.txid = "txn17"; key = k; update; write_set = [ k; k2 ]; coordinator = 9 }
+  in
+  let delta = Update.Delta [ ("stock", -1); ("sold", 1) ] in
+  let vote =
+    { Messages.woption = w delta; decision = Woption.Accepted; ballot = Ballot.initial_fast }
+  in
+  let included = [ ("t1", delta); ("t2", Update.Physical { vread = 3; value = row }) ] in
+  let rebase = { Messages.value = row; version = 4; exists = true; included } in
+  let b = Ballot.classic ~number:2 ~proposer:1 in
+  [
+    ("propose insert", 73, Messages.Propose { woption = w (Update.Insert row); route = `Fast });
+    ("propose delta", 73, Messages.Propose { woption = w delta; route = `Classic });
+    ( "propose delete",
+      52,
+      Messages.Propose { woption = w (Update.Delete { vread = 2 }); route = `Fast } );
+    ( "propose read guard",
+      52,
+      Messages.Propose { woption = w (Update.Read_guard { vread = 2 }); route = `Fast } );
+    ("phase1a", 31, Messages.Phase1a { key = k; ballot = b });
+    ( "phase1b",
+      261,
+      Messages.Phase1b
+        {
+          key = k;
+          ballot = b;
+          ok = true;
+          promised = b;
+          votes = [ vote; vote ];
+          version = 4;
+          value = row;
+          exists = true;
+          included;
+          decided = [ ("t1", true); ("t9", false) ];
+        } );
+    ( "phase2a",
+      182,
+      Messages.Phase2a
+        {
+          key = k;
+          ballot = b;
+          woption = w delta;
+          decision = Woption.Accepted;
+          classic_until = 9;
+          rebase = Some rebase;
+        } );
+    ( "phase2b master",
+      38,
+      Messages.Phase2b_master
+        { key = k; txid = "txn17"; ballot = b; ok = true; decision = Woption.Rejected } );
+    ( "phase2b fast",
+      33,
+      Messages.Phase2b_fast { key = k; txid = "txn17"; decision = Woption.Accepted; acceptor = 3 }
+    );
+    ("learned", 29, Messages.Learned { key = k; txid = "txn17"; decision = Woption.Accepted });
+    ("redirect", 36, Messages.Redirect { key = k; txid = "txn17"; master = 2; classic_until = 5 });
+    ( "visibility",
+      59,
+      Messages.Visibility
+        {
+          txid = "txn17";
+          key = k;
+          update = Update.Physical { vread = 3; value = row };
+          committed = true;
+        } );
+    ("start_recovery", 79, Messages.Start_recovery { key = k; woption = Some (w delta) });
+    ("status_query", 28, Messages.Status_query { txid = "txn17"; key = k });
+    ( "status_reply",
+      97,
+      Messages.Status_reply
+        { txid = "txn17"; key = k; status = Messages.Status_pending vote; acceptor = 1 } );
+    ("catchup_request", 23, Messages.Catchup_request { key = k });
+    ("catchup", 113, Messages.Catchup { key = k; rebase });
+    ("read_request", 27, Messages.Read_request { rid = 1; key = k });
+    ( "read_reply",
+      57,
+      Messages.Read_reply { rid = 1; key = k; value = row; version = 4; exists = true } );
+    ( "batch",
+      76,
+      Messages.Batch
+        [
+          Messages.Learned { key = k; txid = "txn17"; decision = Woption.Accepted };
+          Messages.Phase1a { key = k2; ballot = b };
+        ] );
+    ("sync_request", 46, Messages.Sync_request { entries = [ (k, 4, 77); (k2, 1, 5) ] });
+    ("sync_reply", 87, Messages.Sync_reply { key = k; version = 4; applied = included });
+    ( "scan_request",
+      33,
+      Messages.Scan_request { rid = 2; table = "item"; order_by = Some "stock"; limit = 10 } );
+    ( "scan_reply",
+      67,
+      Messages.Scan_reply { rid = 2; rows = [ (k, row, 4); (k2, Value.empty, 1) ] } );
+  ]
+
+let test_messages_size_of_pinned () =
+  List.iter
+    (fun (name, bytes, payload) -> Alcotest.(check int) name bytes (Messages.size_of payload))
+    (size_pins ())
 
 let test_trace_toggle () =
   let engine = Engine.create ~seed:1 in
@@ -185,6 +291,8 @@ let suite =
     Alcotest.test_case "config mode names" `Quick test_config_mode_names;
     Alcotest.test_case "woption of_txn" `Quick test_woption_of_txn;
     Alcotest.test_case "messages describe" `Quick test_messages_describe;
+    Alcotest.test_case "messages size_of pinned per constructor" `Quick
+      test_messages_size_of_pinned;
     Alcotest.test_case "trace toggle" `Quick test_trace_toggle;
     Alcotest.test_case "cluster replica groups" `Quick test_cluster_replica_groups;
     Alcotest.test_case "cluster deterministic mapping" `Quick test_cluster_deterministic_mapping;

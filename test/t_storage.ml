@@ -194,47 +194,94 @@ module Messages = Mdcc_core.Messages
 
 let up i = Update.Delta [ ("stock", -i) ]
 
+(* An applied set built by adding entries in the given order. *)
+let applied entries =
+  List.fold_left (fun s (txid, u) -> Rstate.applied_add s txid u) Txn.Map.empty entries
+
+let txids s = List.map fst (Txn.Map.bindings s)
+
+let same_set a b = Txn.Map.bindings a = Txn.Map.bindings b
+
 let test_applied_set_idempotent () =
-  let a = Rstate.applied_add (Rstate.applied_add [] "t1" (up 1)) "t2" (up 2) in
-  Alcotest.(check int) "re-add is a no-op" 2 (List.length (Rstate.applied_add a "t1" (up 1)));
-  Alcotest.(check bool) "merge with itself is identity" true (Rstate.applied_merge a a = a);
+  let a = applied [ ("t1", up 1); ("t2", up 2) ] in
+  Alcotest.(check int) "re-add is a no-op" 2 (Txn.Map.cardinal (Rstate.applied_add a "t1" (up 1)));
+  Alcotest.(check bool) "re-add keeps the first update" true
+    (Txn.Map.find "t1" (Rstate.applied_add a "t1" (up 9)) = up 1);
+  Alcotest.(check bool) "merge with itself is identity" true
+    (same_set (Rstate.applied_merge a a) a);
   Alcotest.(check bool) "membership" true
     (Rstate.applied_mem a "t1" && Rstate.applied_mem a "t2" && not (Rstate.applied_mem a "t3"))
 
 let test_applied_set_commutative () =
-  let a = Rstate.applied_add (Rstate.applied_add [] "t1" (up 1)) "t2" (up 2) in
-  let b = Rstate.applied_add (Rstate.applied_add [] "t2" (up 2)) "t1" (up 1) in
-  Alcotest.(check bool) "insertion order never matters" true (a = b);
-  let x = Rstate.applied_add [] "t3" (up 3) in
+  let a = applied [ ("t1", up 1); ("t2", up 2) ] in
+  let b = applied [ ("t2", up 2); ("t1", up 1) ] in
+  Alcotest.(check bool) "insertion order never matters" true (same_set a b);
+  let x = applied [ ("t3", up 3) ] in
   Alcotest.(check bool) "merge commutes" true
-    (Rstate.applied_merge a x = Rstate.applied_merge x a)
+    (same_set (Rstate.applied_merge a x) (Rstate.applied_merge x a))
 
 let test_applied_set_merge_union () =
-  let mine = Rstate.applied_add (Rstate.applied_add [] "t1" (up 1)) "t2" (up 2) in
-  let theirs = Rstate.applied_add (Rstate.applied_add [] "t3" (up 3)) "t1" (up 1) in
+  let mine = applied [ ("t1", up 1); ("t2", up 2) ] in
+  let theirs = applied [ ("t3", up 3); ("t1", up 1) ] in
   Alcotest.(check (list string)) "missing = theirs minus mine" [ "t3" ]
-    (List.map fst (Rstate.applied_missing ~mine ~theirs));
+    (txids (Rstate.applied_missing ~mine ~theirs));
   let merged = Rstate.applied_merge mine theirs in
-  Alcotest.(check (list string)) "union, sorted" [ "t1"; "t2"; "t3" ]
-    (Rstate.applied_txids merged);
+  Alcotest.(check (list string)) "union, sorted" [ "t1"; "t2"; "t3" ] (txids merged);
   Alcotest.(check bool) "nothing missing after merge" true
-    (Rstate.applied_missing ~mine:merged ~theirs = [])
+    (Txn.Map.is_empty (Rstate.applied_missing ~mine:merged ~theirs))
+
+let txid_set l = List.fold_left (fun s txid -> Txn.Map.add txid () s) Txn.Map.empty l
 
 let test_applied_digest_consistent () =
-  let d = Messages.applied_digest in
+  let d l = Messages.applied_digest (txid_set l) in
   Alcotest.(check int) "permutation invariant"
     (d [ "a"; "b"; "c" ])
     (d [ "c"; "a"; "b" ]);
   Alcotest.(check bool) "membership sensitive" true (d [ "a"; "b" ] <> d [ "a"; "b"; "c" ]);
+  (* Digests travel in Sync_request entries between replicas: their values
+     are part of the wire format. *)
+  Alcotest.(check (list int)) "pinned values" [ 440008032; 310271322; 18652613 ]
+    [ d [ "a"; "b"; "c" ]; d [ "t1"; "t2"; "t3" ]; d [] ];
   (* Two replicas that merged the same entries in different orders render
      the same digest — the probe's equal-version divergence test. *)
-  let mine = Rstate.applied_add (Rstate.applied_add [] "t1" (up 1)) "t2" (up 2) in
-  let theirs = Rstate.applied_add (Rstate.applied_add [] "t3" (up 3)) "t1" (up 1) in
+  let mine = applied [ ("t1", up 1); ("t2", up 2) ] in
+  let theirs = applied [ ("t3", up 3); ("t1", up 1) ] in
+  let d = Messages.applied_digest in
   Alcotest.(check int) "merged digests agree"
-    (d (Rstate.applied_txids (Rstate.applied_merge mine theirs)))
-    (d (Rstate.applied_txids (Rstate.applied_merge theirs mine)));
-  Alcotest.(check bool) "diverged digests differ" true
-    (d (Rstate.applied_txids mine) <> d (Rstate.applied_txids theirs))
+    (d (Rstate.applied_merge mine theirs))
+    (d (Rstate.applied_merge theirs mine));
+  Alcotest.(check bool) "diverged digests differ" true (d mine <> d theirs)
+
+(* The digest as it was computed over the wire list: sort the txids, then
+   fold.  The map-backed digest folds the map in order instead; the two
+   must agree on every set. *)
+let sorted_list_digest txids =
+  List.fold_left
+    (fun acc txid ->
+      String.fold_left (fun a c -> (a * 131) + Char.code c) ((acc * 257) + 1) txid)
+    0x811c9dc5
+    (List.sort String.compare txids)
+  land 0x3FFFFFFF
+
+let prop_digest_matches_sorted_list =
+  QCheck.Test.make ~name:"map digest equals the sorted-list digest" ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 40) (string_gen_of_size Gen.(int_range 0 8) Gen.printable))
+    (fun l ->
+      let l = List.sort_uniq String.compare l in
+      Messages.applied_digest (txid_set l) = sorted_list_digest (List.rev l))
+
+let prop_sorted_filter_map =
+  QCheck.Test.make ~name:"Key.Tbl.sorted_filter_map is filter_map over sorted_bindings"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 60) (pair (int_range 0 30) small_nat))
+    (fun entries ->
+      let tbl = Key.Tbl.create 4 in
+      List.iter
+        (fun (id, v) -> Key.Tbl.replace tbl (Key.make ~table:"item" ~id:(string_of_int id)) v)
+        entries;
+      let f (k : Key.t) v = if v mod 3 = 0 then None else Some (k.Key.id, v) in
+      Key.Tbl.sorted_filter_map f tbl
+      = List.filter_map (fun (k, v) -> f k v) (Key.Tbl.sorted_bindings tbl))
 
 let suite =
   [
@@ -258,4 +305,6 @@ let suite =
     Alcotest.test_case "applied set merge is union" `Quick test_applied_set_merge_union;
     Alcotest.test_case "applied digest is set-consistent" `Quick test_applied_digest_consistent;
     QCheck_alcotest.to_alcotest prop_delta_versions;
+    QCheck_alcotest.to_alcotest prop_digest_matches_sorted_list;
+    QCheck_alcotest.to_alcotest prop_sorted_filter_map;
   ]

@@ -14,6 +14,7 @@ let () =
       ("serializable", T_serializable.suite);
       ("extensions", T_extensions.suite);
       ("core-units", T_core_units.suite);
+      ("alloc", T_alloc.suite);
       ("stats", T_stats.suite);
       ("sql", T_sql.suite);
       ("edge", T_edge.suite);
