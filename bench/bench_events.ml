@@ -75,12 +75,13 @@ let queue_push_pop ~ops =
   let rng = Rng.create 42 in
   let n = ops / 2 in
   let ats = Array.init n (fun _ -> Rng.float rng 1_000_000.0) in
+  let now = { Event_queue.f = 0.0 } in
   time_section "queue_push_pop" ops (fun () ->
       for i = 0 to n - 1 do
         ignore (Event_queue.push q ~at:ats.(i) ~seq:i ignore)
       done;
       for _ = 1 to n do
-        ignore (Event_queue.pop q)
+        ignore (Event_queue.pop_before q ~limit:Float.infinity ~now)
       done)
 
 let queue_cancel ~ops =
@@ -88,6 +89,7 @@ let queue_cancel ~ops =
   let rng = Rng.create 43 in
   let n = ops / 3 in
   let ats = Array.init n (fun _ -> Rng.float rng 1_000_000.0) in
+  let now = { Event_queue.f = 0.0 } in
   (* push N + cancel N/2 + pop N/2 ~= ops individual operations *)
   time_section "queue_cancel" ops (fun () ->
       let handles =
@@ -96,7 +98,7 @@ let queue_cancel ~ops =
       for i = 0 to n - 1 do
         if i land 1 = 0 then Event_queue.cancel q handles.(i)
       done;
-      while Event_queue.pop q <> None do
+      while not (Event_queue.is_dummy (Event_queue.pop_before q ~limit:Float.infinity ~now)) do
         ()
       done)
 

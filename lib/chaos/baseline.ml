@@ -20,14 +20,14 @@ open Mdcc_storage
 open Mdcc_core
 module Engine = Mdcc_sim.Engine
 module Rng = Mdcc_util.Rng
-module Fabric = Mdcc_protocols.Fabric
 module Harness = Mdcc_protocols.Harness
+module Setup = Mdcc_workload.Setup
 
 type proto = {
   p_name : string;
   p_required : string list;
   p_allowed : string list;
-  p_make : engine:Engine.t -> schema:Schema.t -> Harness.t;
+  p_protocol : Setup.protocol;
 }
 
 let proto_name p = p.p_name
@@ -46,28 +46,19 @@ let protocols =
       p_name = "qw-3";
       p_required = [ "lost-update" ];
       p_allowed = [ "lost-update"; "serializability"; "read-committed"; "convergence" ];
-      p_make =
-        (fun ~engine ~schema ->
-          let fabric = Fabric.create ~engine ~schema () in
-          Mdcc_protocols.Quorum_writes.(harness (create ~fabric ~w:3)));
+      p_protocol = Setup.Qw 3;
     };
     {
       p_name = "2pc";
       p_required = [];
       p_allowed = [];
-      p_make =
-        (fun ~engine ~schema ->
-          let fabric = Fabric.create ~engine ~schema () in
-          Mdcc_protocols.Two_phase_commit.(harness (create ~fabric)));
+      p_protocol = Setup.Two_pc;
     };
     {
       p_name = "megastore";
       p_required = [];
       p_allowed = [];
-      p_make =
-        (fun ~engine ~schema ->
-          let fabric = Fabric.create ~engine ~schema () in
-          Mdcc_protocols.Megastore.(harness (create ~fabric ())));
+      p_protocol = Setup.Megastore;
     };
   ]
 
@@ -109,8 +100,8 @@ let stock_schema =
 
 let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 60_000.0) ~seed
     proto =
-  let engine = Engine.create ~seed in
-  let h = proto.p_make ~engine ~schema:stock_schema in
+  let h = Setup.make proto.p_protocol ~seed ~schema:stock_schema ~rows:[] () in
+  let engine = h.Harness.engine in
   let history = History.create () in
   let submitted = ref 0 and decided = ref [] in
   let submit ~dc txn =

@@ -3,6 +3,7 @@ module Engine = Mdcc_sim.Engine
 module Net = Mdcc_sim.Network
 module Topology = Mdcc_sim.Topology
 module Rng = Mdcc_util.Rng
+module Layout = Cluster.Layout
 
 type fault =
   | Crash_node of int
@@ -278,12 +279,9 @@ let partition_heal =
    multi-partition cluster ([sc_partitions] = 4); the runner widens the
    deployment accordingly. *)
 
-(* Replica of partition [p] in data center [dc] (the node-id layout the
-   cluster guarantees). *)
-let shard_replica cluster ~dc ~p = (dc * Cluster.num_partitions cluster) + p
+let shard_replica cluster ~dc ~p = Layout.storage_node (Cluster.layout cluster) ~dc p
 
-let shard_replicas cluster p =
-  List.init (Cluster.num_dcs cluster) (fun dc -> shard_replica cluster ~dc ~p)
+let num_partitions cluster = Layout.partitions (Cluster.layout cluster)
 
 (* Cut one random app server off one random partition group, both
    directions.  Its cross-partition transactions have one write-set key
@@ -296,12 +294,12 @@ let shard_partition =
     sc_partitions = 4;
     sc_build =
       (fun ~rng ~cluster ~horizon ->
-        let p = Rng.int rng (Cluster.num_partitions cluster) in
+        let p = Rng.int rng (num_partitions cluster) in
         let dc = Rng.int rng (Cluster.num_dcs cluster) in
         let a = app_node cluster dc in
         let start, stop = window rng ~horizon in
         let pairs =
-          List.concat_map (fun n -> [ (a, n); (n, a) ]) (shard_replicas cluster p)
+          List.concat_map (fun n -> [ (a, n); (n, a) ]) (Layout.group (Cluster.layout cluster) p)
         in
         List.map (fun (src, dst) -> (start, Cut_link { src; dst })) pairs
         @ List.map (fun (src, dst) -> (stop, Heal_link { src; dst })) pairs);
@@ -317,7 +315,7 @@ let shard_outage =
     sc_partitions = 4;
     sc_build =
       (fun ~rng ~cluster ~horizon ->
-        let p = Rng.int rng (Cluster.num_partitions cluster) in
+        let p = Rng.int rng (num_partitions cluster) in
         let d1, d2 = two_distinct_dcs rng cluster in
         let start, stop = window rng ~horizon in
         [
@@ -338,7 +336,7 @@ let shard_flap =
     sc_partitions = 4;
     sc_build =
       (fun ~rng ~cluster ~horizon ->
-        let p = Rng.int rng (Cluster.num_partitions cluster) in
+        let p = Rng.int rng (num_partitions cluster) in
         let dc = Rng.int rng (Cluster.num_dcs cluster) in
         let victim = shard_replica cluster ~dc ~p in
         let start, stop = window rng ~horizon in

@@ -200,7 +200,7 @@ let run s =
   let violations =
     ref
       (Checker.check ~bounds:(Schema.bounds_of stock_schema)
-         ~partition_of:(Cluster.partition_of cluster) history)
+         ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history)
   in
   let add invariant detail = violations := !violations @ [ { Checker.invariant; detail } ] in
   (* Liveness: everything submitted must have decided once all faults healed. *)

@@ -5,31 +5,6 @@ module Topology = Mdcc_sim.Topology
 module Invariant = Mdcc_util.Invariant
 module Obs = Mdcc_obs.Obs
 
-type t = {
-  engine : Engine.t;
-  net : Net.t;
-  config : Config.t;
-  topo : Topology.t;
-  schema : Schema.t;
-  partitions : int;
-  app_per_dc : int;
-  dcs : int;
-  nodes : Storage_node.t array;  (* node id = dc * partitions + partition *)
-  coords : Coordinator.t array;  (* app id = dcs*partitions + dc*app_per_dc + rank *)
-  master_dc_of : Key.t -> int;
-  obs : Obs.t;
-}
-
-let partition_of t key = Key.hash key mod t.partitions
-
-let replicas_fn ~dcs ~partitions key =
-  let p = Key.hash key mod partitions in
-  List.init dcs (fun dc -> (dc * partitions) + p)
-
-let default_master_dc ~dcs key =
-  (* Decorrelated from the partition hash so masters spread evenly. *)
-  Hashtbl.hash (Key.to_string key ^ "#master") mod dcs
-
 module Spec = struct
   type t = {
     topology : Topology.t option;
@@ -72,113 +47,150 @@ module Spec = struct
   let partitions spec = spec.partitions
 end
 
-let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
-  let { Spec.topology; partitions; app_servers_per_dc; jitter_sigma; drop_probability;
-        master_dc_of } =
-    Spec.validate spec
-  in
-  let obs = ctx.Ctx.obs in
-  let storage_topo =
-    match topology with
-    | Some topo -> topo
-    | None -> Topology.ec2_five ~nodes_per_dc:partitions ()
-  in
-  let dcs = Topology.num_dcs storage_topo in
-  if config.Config.replication <> dcs then
-    Invariant.violate ~context:"Cluster.create"
-      "config.replication (%d) must equal the number of data centers (%d)"
-      config.Config.replication dcs;
-  if Topology.num_nodes storage_topo <> dcs * partitions then
-    Invariant.violate ~context:"Cluster.create"
-      "topology must have exactly `partitions` (%d) nodes per DC" partitions;
-  let topo = Topology.add_nodes storage_topo ~per_dc:app_servers_per_dc in
-  let net = Net.create engine topo ~drop_probability ~jitter_sigma () in
-  (* Per-node traffic instruments, charged at the network edge so every
-     protocol message — including Batch folding — is counted once. *)
-  let m_on_send, m_on_deliver = Obs.traffic_meter obs ~nodes:(Topology.num_nodes topo) in
-  Net.set_meter net { Net.m_size = Messages.size_of; m_on_send; m_on_deliver };
-  let master_dc_of =
-    match master_dc_of with Some f -> f | None -> default_master_dc ~dcs
-  in
-  let replicas = replicas_fn ~dcs ~partitions in
-  let master_of key =
-    let p = Key.hash key mod partitions in
-    (master_dc_of key * partitions) + p
-  in
-  let runtime = Runtime.of_network net in
-  let nodes =
-    Array.init (dcs * partitions) (fun node_id ->
-        Storage_node.create ~runtime ~config ~node_id ~schema ~replicas ~master_of ~ctx ())
-  in
-  let base = dcs * partitions in
-  (* Snapshot source of a data center: direct handles on its partition
-     stores, for the coordinator's zero-message [`Snapshot] read level. *)
-  let snapshot_for dc =
+module Layout = struct
+  type t = {
+    dcs : int;
+    partitions : int;
+    app_per_dc : int;
+    master_dc_of : Key.t -> int;
+  }
+
+  let make spec ~dcs =
+    let master_dc_of =
+      match spec.Spec.master_dc_of with
+      | Some f -> f
+      | None ->
+        (* Decorrelated from the partition hash so masters spread evenly. *)
+        fun key -> Hashtbl.hash (Key.to_string key ^ "#master") mod dcs
+    in
+    { dcs; partitions = spec.Spec.partitions; app_per_dc = spec.Spec.app_servers_per_dc;
+      master_dc_of }
+
+  let num_dcs t = t.dcs
+  let partitions t = t.partitions
+  let app_servers_per_dc t = t.app_per_dc
+  let num_storage_nodes t = t.dcs * t.partitions
+  let storage_node t ~dc p = (dc * t.partitions) + p
+  let app_node t ~dc ~rank = num_storage_nodes t + (dc * t.app_per_dc) + rank
+
+  let dc_of t node =
+    let base = num_storage_nodes t in
+    if node < base then node / t.partitions else (node - base) / t.app_per_dc
+
+  let partition t key = Key.hash key mod t.partitions
+  let group t p = List.init t.dcs (fun dc -> storage_node t ~dc p)
+  let replicas t key = group t (partition t key)
+  let master_node t key = storage_node t ~dc:(t.master_dc_of key) (partition t key)
+  let local_node t ~dc key = storage_node t ~dc (partition t key)
+  let local_nodes t ~dc = List.init t.partitions (storage_node t ~dc)
+
+  let snapshot t ~dc store =
     {
-      Coordinator.snap_read =
-        (fun key ->
-          let p = Key.hash key mod partitions in
-          Store.read (Storage_node.store nodes.((dc * partitions) + p)) key);
+      Coordinator.snap_read = (fun key -> Store.read (store (local_node t ~dc key)) key);
       snap_scan =
         (fun ~table ->
           let rows = ref [] in
-          for p = partitions - 1 downto 0 do
-            Store.iter
-              (Storage_node.store nodes.((dc * partitions) + p))
-              (fun key row ->
+          for p = t.partitions - 1 downto 0 do
+            Store.iter (store (storage_node t ~dc p)) (fun key row ->
                 if row.Store.exists && String.equal key.Key.table table then
                   rows := (key, row.Store.value, row.Store.version) :: !rows)
           done;
           !rows);
     }
+end
+
+let scaffold ~engine ~spec =
+  let storage_topo =
+    match spec.Spec.topology with
+    | Some topo -> topo
+    | None -> Topology.ec2_five ~nodes_per_dc:spec.Spec.partitions ()
   in
+  let layout = Layout.make spec ~dcs:(Topology.num_dcs storage_topo) in
+  if Topology.num_nodes storage_topo <> Layout.num_storage_nodes layout then
+    Invariant.violate ~context:"Cluster.scaffold"
+      "topology must have exactly `partitions` (%d) nodes per DC" spec.Spec.partitions;
+  let topo = Topology.add_nodes storage_topo ~per_dc:spec.Spec.app_servers_per_dc in
+  let net =
+    Net.create engine topo ~drop_probability:spec.Spec.drop_probability
+      ~jitter_sigma:spec.Spec.jitter_sigma ()
+  in
+  (layout, net)
+
+type t = {
+  engine : Engine.t;
+  net : Net.t;
+  config : Config.t;
+  layout : Layout.t;
+  nodes : Storage_node.t array;  (* indexed by node id *)
+  coords : Coordinator.t array;  (* indexed by dc * app_servers_per_dc + rank *)
+  obs : Obs.t;
+}
+
+let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
+  let obs = ctx.Ctx.obs in
+  let layout, net = scaffold ~engine ~spec in
+  let dcs = Layout.num_dcs layout and app_per_dc = Layout.app_servers_per_dc layout in
+  if config.Config.replication <> dcs then
+    Invariant.violate ~context:"Cluster.create"
+      "config.replication (%d) must equal the number of data centers (%d)"
+      config.Config.replication dcs;
+  (* Per-node traffic instruments, charged at the network edge so every
+     protocol message — including Batch folding — is counted once. *)
+  let m_on_send, m_on_deliver =
+    Obs.traffic_meter obs ~nodes:(Topology.num_nodes (Net.topology net))
+  in
+  Net.set_meter net { Net.m_size = Messages.size_of; m_on_send; m_on_deliver };
+  let replicas = Layout.replicas layout and master_of = Layout.master_node layout in
+  let runtime = Runtime.of_network net in
+  let nodes =
+    Array.init (Layout.num_storage_nodes layout) (fun node_id ->
+        Storage_node.create ~runtime ~config ~node_id ~schema ~replicas ~master_of ~ctx ())
+  in
+  let store node = Storage_node.store nodes.(node) in
   let coords =
-    Array.init (dcs * app_servers_per_dc) (fun i ->
-        let dc = i / app_servers_per_dc in
-        let local_nodes = List.init partitions (fun p -> (dc * partitions) + p) in
-        Coordinator.create ~runtime ~config ~node_id:(base + i) ~replicas ~master_of
-          ~snapshot:(snapshot_for dc) ~ctx:(Ctx.with_local_nodes ctx local_nodes) ())
+    Array.init (dcs * app_per_dc) (fun i ->
+        let dc = i / app_per_dc in
+        Coordinator.create ~runtime ~config
+          ~node_id:(Layout.app_node layout ~dc ~rank:(i mod app_per_dc))
+          ~replicas ~master_of ~snapshot:(Layout.snapshot layout ~dc store)
+          ~ctx:(Ctx.with_local_nodes ctx (Layout.local_nodes layout ~dc)) ())
   in
-  { engine; net; config; topo; schema; partitions; app_per_dc = app_servers_per_dc; dcs;
-    nodes; coords; master_dc_of; obs }
+  { engine; net; config; layout; nodes; coords; obs }
 
 let engine t = t.engine
 
 let network t = t.net
 
-let topology t = t.topo
+let topology t = Net.topology t.net
 
 let config t = t.config
 
-let num_dcs t = t.dcs
+let layout t = t.layout
 
-let num_partitions t = t.partitions
+let num_dcs t = Layout.num_dcs t.layout
 
 let obs t = t.obs
 
 let coordinator t ~dc ~rank =
-  if dc < 0 || dc >= t.dcs || rank < 0 || rank >= t.app_per_dc then
+  let per_dc = Layout.app_servers_per_dc t.layout in
+  if dc < 0 || dc >= num_dcs t || rank < 0 || rank >= per_dc then
     Invariant.violate ~context:"Cluster.coordinator" "dc %d / rank %d out of range" dc rank;
-  t.coords.((dc * t.app_per_dc) + rank)
+  t.coords.((dc * per_dc) + rank)
 
 let coordinators t = Array.to_list t.coords
 
 let storage_nodes t = Array.to_list t.nodes
 
-let replicas t key = replicas_fn ~dcs:t.dcs ~partitions:t.partitions key
-
-let master_node t key = (t.master_dc_of key * t.partitions) + partition_of t key
-
 let load t rows =
-  (* Group rows by partition and load each replica of that partition. *)
   List.iter
     (fun (key, value) ->
-      List.iter (fun node -> Storage_node.load t.nodes.(node) [ (key, value) ]) (replicas t key))
+      List.iter
+        (fun node -> Storage_node.load t.nodes.(node) [ (key, value) ])
+        (Layout.replicas t.layout key))
     rows
 
 let peek t ~dc key =
-  let node = (dc * t.partitions) + partition_of t key in
-  Store.read (Storage_node.store t.nodes.(node)) key
+  Store.read (Storage_node.store t.nodes.(Layout.local_node t.layout ~dc key)) key
 
 let start_maintenance t = Array.iter Storage_node.start_maintenance t.nodes
 
@@ -187,9 +199,9 @@ let fail_dc t dc = Net.fail_dc t.net dc
 let recover_dc t dc = Net.recover_dc t.net dc
 
 let sync_dc t dc =
-  for p = 0 to t.partitions - 1 do
-    Storage_node.sync_with_masters t.nodes.((dc * t.partitions) + p)
-  done
+  List.iter
+    (fun node -> Storage_node.sync_with_masters t.nodes.(node))
+    (Layout.local_nodes t.layout ~dc)
 
 let fail_node t node = Net.fail_node t.net node
 

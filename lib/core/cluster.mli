@@ -63,6 +63,69 @@ module Spec : sig
   val partitions : t -> int
 end
 
+(** Where everything lives in a deployment: the node-id layout, key
+    routing and master placement, derived from a {!Spec.t} plus the number
+    of data centers.  The simulated cluster, the baselines and the wire
+    server all route through one of these, so they agree node for node. *)
+module Layout : sig
+  type t
+
+  val make : Spec.t -> dcs:int -> t
+  (** [spec.master_dc_of], when [None], becomes a uniform hash of the key
+      (decorrelated from the partition hash). *)
+
+  val num_dcs : t -> int
+  val partitions : t -> int
+  val app_servers_per_dc : t -> int
+
+  val num_storage_nodes : t -> int
+  (** Storage node ids are [0 .. num_storage_nodes - 1]. *)
+
+  val storage_node : t -> dc:int -> int -> int
+  (** [storage_node t ~dc p]: data center [dc]'s replica of partition [p],
+      node id [dc * partitions + p]. *)
+
+  val app_node : t -> dc:int -> rank:int -> int
+  (** The [rank]-th app-server of [dc]; app-server ids follow the storage
+      nodes, data center by data center. *)
+
+  val dc_of : t -> int -> int
+  (** Data center of a storage or app-server node id. *)
+
+  val partition : t -> Key.t -> int
+  (** [Key.hash key mod partitions]. *)
+
+  val group : t -> int -> int list
+  (** A partition's replica group: its storage node in every data center,
+      in data-center order. *)
+
+  val replicas : t -> Key.t -> int list
+  (** The replica group of the key's partition.  Two keys share a group iff
+      they hash to the same partition. *)
+
+  val master_node : t -> Key.t -> int
+  (** The key's master replica: the member of [replicas t key] in
+      [master_dc_of key]'s data center. *)
+
+  val local_node : t -> dc:int -> Key.t -> int
+  (** The key's replica in [dc]. *)
+
+  val local_nodes : t -> dc:int -> int list
+  (** Every storage node of [dc], one per partition. *)
+
+  val snapshot : t -> dc:int -> (int -> Store.t) -> Coordinator.snapshot_source
+  (** The [`Snapshot] read source of an app-server in [dc], over the
+      committed store of each storage node id. *)
+end
+
+val scaffold : engine:Mdcc_sim.Engine.t -> spec:Spec.t -> Layout.t * Mdcc_sim.Network.t
+(** The simulated network of [spec]'s deployment, unmetered, with no
+    handler installed: the storage topology ([spec.topology], which must
+    contain exactly [spec.partitions] nodes per data center, or the EC2
+    five with [partitions] nodes each) plus [app_servers_per_dc] app-server
+    nodes per data center.  {!create} builds MDCC on it; the baselines of
+    [Mdcc_protocols] run on its {!Runtime.of_network}. *)
+
 val create :
   engine:Mdcc_sim.Engine.t ->
   spec:Spec.t ->
@@ -71,9 +134,7 @@ val create :
   schema:Schema.t ->
   unit ->
   t
-(** Builds the deployment [spec] describes.  [spec.topology], when given,
-    must contain exactly [spec.partitions] nodes per data center (the
-    storage nodes); app-server nodes are appended automatically.
+(** Builds the deployment [spec] describes on {!scaffold}.
     [config.replication] must equal the number of data centers.  [ctx]
     (default {!Ctx.default}) is threaded into every coordinator and storage
     node: when its [history] is set they all record into it (chaos testing;
@@ -81,8 +142,8 @@ val create :
     counters through a network meter installed at create time.
     [ctx.local_nodes] is overridden per coordinator with the storage nodes
     of its data center, and every coordinator is wired a
-    {!Coordinator.snapshot_source} over its DC's partition stores (the
-    [`Snapshot] read fast path). *)
+    {!Layout.snapshot} over its DC's partition stores (the [`Snapshot]
+    read fast path). *)
 
 val engine : t -> Mdcc_sim.Engine.t
 val network : t -> Mdcc_sim.Network.t
@@ -90,11 +151,7 @@ val topology : t -> Mdcc_sim.Topology.t
 val config : t -> Config.t
 val num_dcs : t -> int
 
-val num_partitions : t -> int
-(** Hash partitions of the keyspace ([spec.partitions]). *)
-
-val partition_of : t -> Key.t -> int
-(** The partition a key hashes to ([Key.hash key mod num_partitions]). *)
+val layout : t -> Layout.t
 
 val obs : t -> Mdcc_obs.Obs.t
 (** The observability handle every component of this cluster reports to. *)
@@ -106,17 +163,6 @@ val coordinator : t -> dc:int -> rank:int -> Coordinator.t
 val coordinators : t -> Coordinator.t list
 
 val storage_nodes : t -> Storage_node.t list
-
-val replicas : t -> Key.t -> int list
-(** Node ids of the key's replica group: the storage node holding the key's
-    partition in {e every} data center ([num_dcs] nodes — a 1/[partitions]
-    slice of the cluster, not all of it).  Two keys share a replica group
-    iff they hash to the same partition. *)
-
-val master_node : t -> Key.t -> int
-(** The key's master replica: the node of the key's partition in
-    [master_dc_of key]'s data center — always a member of
-    [replicas t key]. *)
 
 val load : t -> (Key.t * Value.t) list -> unit
 (** Install committed rows (version 1) on every replica — experiment

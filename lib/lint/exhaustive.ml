@@ -13,8 +13,8 @@
      [type ... payload += ...] extension and (b) every match that names at
      least one payload constructor and ends in a wildcard arm, recording
      which constructors are named explicitly and whether the wildcard
-     *delegates* (re-forwards the scrutinee, like Fabric's registration
-     shims) or *drops* (returns without using the message);
+     *delegates* (re-forwards the scrutinee, like the read-path shims of
+     [Harness.install]) or *drops* (returns without using the message);
 
    - at link time, [check] joins the two: a dropping wildcard in a match
      that names constructors of family F must be preceded by an explicit

@@ -1,6 +1,8 @@
 open Mdcc_storage
 module Net = Mdcc_sim.Network
 module Rstate = Mdcc_core.Rstate
+module Runtime = Mdcc_core.Runtime
+module Layout = Mdcc_core.Cluster.Layout
 
 type Net.payload +=
   | Ms_submit of { txid : Txn.id; updates : (Key.t * Update.t) list; client : int }
@@ -22,7 +24,7 @@ type replica_state = {
 }
 
 type t = {
-  fabric : Fabric.t;
+  d : Harness.deployment;
   master_node : int;
   queue : (Txn.id * (Key.t * Update.t) list * int) Queue.t;
   mutable inflight : inflight option;
@@ -32,26 +34,28 @@ type t = {
   group_replicas : int list;
 }
 
-let qc t = (Fabric.num_dcs t.fabric / 2) + 1
+let qc t = (Layout.num_dcs (Harness.layout t.d) / 2) + 1
+
+let send t ~src ~dst payload = Runtime.send (Harness.runtime t.d) ~src ~dst payload
 
 (* Validate a transaction against the master's (up-to-date) store: version
    preconditions plus value constraints.  Megastore has no commutative
    support, so deltas are validated like reads-modify-writes. *)
 let validate t (updates : (Key.t * Update.t) list) =
-  let store = Fabric.store_of t.fabric t.master_node in
+  let store = Harness.store t.d t.master_node in
   List.for_all
     (fun (key, update) ->
       let row = Store.ensure store key in
       let valuation =
         { Rstate.value = row.Store.value; version = row.Store.version; exists = row.Store.exists }
       in
-      let bounds = Schema.bounds_of (Fabric.schema t.fabric) key in
+      let bounds = Schema.bounds_of (Harness.schema t.d) key in
       Rstate.evaluate ~bounds ~demarcation:`Escrow valuation ~accepted:[] update
       = Mdcc_core.Woption.Accepted)
     updates
 
 let apply_at t node updates =
-  let store = Fabric.store_of t.fabric node in
+  let store = Harness.store t.d node in
   List.iter (fun (key, update) -> Store.apply store key update) updates
 
 (* Replicas apply log entries strictly in position order. *)
@@ -79,8 +83,7 @@ let rec master_pump t =
       if not (validate t updates) then begin
         (* Conflicting transaction: aborted without consuming a position
            (the Paxos-CP refinement lets the non-conflicting ones proceed). *)
-        Fabric.send t.fabric ~src:t.master_node ~dst:client
-          (Ms_result { txid; committed = false });
+        send t ~src:t.master_node ~dst:client (Ms_result { txid; committed = false });
         master_pump t
       end
       else begin
@@ -95,7 +98,7 @@ let rec master_pump t =
               master_ack t ~src:replica pos
             end
             else
-              Fabric.send t.fabric ~src:t.master_node ~dst:replica (Ms_append { pos; txid; updates }))
+              send t ~src:t.master_node ~dst:replica (Ms_append { pos; txid; updates }))
           t.group_replicas
       end)
 
@@ -106,14 +109,14 @@ and master_ack t ~src pos =
       inf.i_acks <- src :: inf.i_acks;
       if List.length inf.i_acks >= qc t then begin
         t.inflight <- None;
-        Fabric.send t.fabric ~src:t.master_node ~dst:inf.i_client
+        send t ~src:t.master_node ~dst:inf.i_client
           (Ms_result { txid = inf.i_txid; committed = true });
         master_pump t
       end
     end
   | Some _ | None -> ()
 
-let storage_handler t node ~src payload =
+let storage_handler t ~node ~src payload =
   match payload with
   | Ms_submit { txid; updates; client } ->
     if node = t.master_node then begin
@@ -123,10 +126,10 @@ let storage_handler t node ~src payload =
     else
       (* Not the master: a real system would forward; we reply with a
          redirect-style forward to keep latencies honest. *)
-      Fabric.send t.fabric ~src:node ~dst:t.master_node (Ms_submit { txid; updates; client })
+      send t ~src:node ~dst:t.master_node (Ms_submit { txid; updates; client })
   | Ms_append { pos; txid = _; updates } ->
     replica_deliver t node pos updates;
-    Fabric.send t.fabric ~src:node ~dst:src (Ms_append_ack { pos })
+    send t ~src:node ~dst:src (Ms_append_ack { pos })
   | Ms_append_ack { pos } -> if node = t.master_node then master_ack t ~src pos
   (* Client-bound result; the replica log never consumes it. *)
   | Ms_result _ -> ()
@@ -146,49 +149,35 @@ let app_handler t ~node:_ ~src:_ payload =
 
 let submit t ~dc (txn : Txn.t) cb =
   if Txn.is_read_only txn then
-    ignore (Mdcc_sim.Engine.schedule (Fabric.engine t.fabric) ~after:0.0 (fun () -> cb Txn.Committed))
+    Runtime.spawn (Harness.runtime t.d) (fun () -> cb Txn.Committed)
   else begin
     Hashtbl.replace t.results txn.Txn.id cb;
-    let app = Fabric.app_node t.fabric ~dc in
-    Fabric.send t.fabric ~src:app ~dst:t.master_node
+    let app = Harness.app_node t.d ~dc in
+    send t ~src:app ~dst:t.master_node
       (Ms_submit { txid = txn.Txn.id; updates = txn.Txn.updates; client = app })
   end
 
-let create ~fabric ?(master_dc = Mdcc_sim.Topology.us_west) () =
-  let storage = Fabric.storage_node_ids fabric in
-  if List.length storage <> Fabric.num_dcs fabric then
-    invalid_arg "Megastore.create: fabric must have a single partition (one entity group)";
+let create d ?(master_dc = Mdcc_sim.Topology.us_west) () =
+  let layout = Harness.layout d in
+  if Layout.partitions layout <> 1 then
+    invalid_arg "Megastore.create: the deployment must have a single partition (one entity group)";
   let t =
     {
-      fabric;
-      master_node = master_dc;  (* one storage node per DC: id = dc *)
+      d;
+      master_node = Layout.storage_node layout ~dc:master_dc 0;
       queue = Queue.create ();
       inflight = None;
       next_pos = 0;
       replica =
-        Array.init (List.length storage) (fun _ ->
+        Array.init (Layout.num_storage_nodes layout) (fun _ ->
             { next_apply = 0; buffer = Hashtbl.create 16 });
       results = Hashtbl.create 256;
-      group_replicas = storage;
+      group_replicas = Layout.group layout 0;
     }
   in
-  List.iter (fun node -> Fabric.register_storage fabric node (storage_handler t node)) storage;
-  Fabric.register_all_apps fabric (app_handler t);
+  Harness.install d ~storage:(storage_handler t) ~app:(app_handler t);
   t
 
 let log_length t = t.next_pos
 
 let queue_length t = Queue.length t.queue
-
-let harness t =
-  {
-    Harness.name = "Megastore*";
-    engine = Fabric.engine t.fabric;
-    num_dcs = Fabric.num_dcs t.fabric;
-    submit = (fun ~dc txn cb -> submit t ~dc txn cb);
-    read_local = (fun ~dc key cb -> Fabric.read_local t.fabric ~dc key cb);
-    peek = (fun ~dc key -> Fabric.peek t.fabric ~dc key);
-    load = (fun rows -> Fabric.load t.fabric rows);
-    fail_dc = (fun dc -> Fabric.fail_dc t.fabric dc);
-    recover_dc = (fun dc -> Fabric.recover_dc t.fabric dc);
-  }

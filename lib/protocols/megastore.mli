@@ -18,9 +18,9 @@ open Mdcc_storage
 
 type t
 
-val create : fabric:Fabric.t -> ?master_dc:int -> unit -> t
-(** [fabric] must have one partition (a single entity group).
-    [master_dc] defaults to US-West. *)
+val create : Harness.deployment -> ?master_dc:int -> unit -> t
+(** Install the protocol's handlers on the deployment, which must have one
+    partition (a single entity group).  [master_dc] defaults to US-West. *)
 
 val submit : t -> dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit
 
@@ -29,5 +29,3 @@ val log_length : t -> int
 
 val queue_length : t -> int
 (** Transactions waiting for the log at the master (diagnostics). *)
-
-val harness : t -> Harness.t

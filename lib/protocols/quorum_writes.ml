@@ -1,5 +1,7 @@
 open Mdcc_storage
 module Net = Mdcc_sim.Network
+module Runtime = Mdcc_core.Runtime
+module Layout = Mdcc_core.Cluster.Layout
 
 type Net.payload +=
   | Qw_write of { wid : int; key : Key.t; update : Update.t }
@@ -11,11 +13,13 @@ type write_state = {
 }
 
 type t = {
-  fabric : Fabric.t;
+  d : Harness.deployment;
   w : int;
   writes : (int, write_state) Hashtbl.t;
   mutable next_wid : int;
 }
+
+let send t ~src ~dst payload = Runtime.send (Harness.runtime t.d) ~src ~dst payload
 
 (* Blind last-writer-wins apply: no validation of any kind. *)
 let blind_apply store key (up : Update.t) =
@@ -35,11 +39,11 @@ let blind_apply store key (up : Update.t) =
     row.Store.version <- row.Store.version + 1
   | Update.Read_guard _ -> ()
 
-let storage_handler t node ~src payload =
+let storage_handler t ~node ~src payload =
   match payload with
   | Qw_write { wid; key; update } ->
-    blind_apply (Fabric.store_of t.fabric node) key update;
-    Fabric.send t.fabric ~src:node ~dst:src (Qw_ack { wid; key })
+    blind_apply (Harness.store t.d node) key update;
+    send t ~src:node ~dst:src (Qw_ack { wid; key })
   (* Writer-bound ack; a storage replica never consumes it. *)
   | Qw_ack _ -> ()
   | _ -> ()
@@ -67,7 +71,7 @@ let app_handler t ~node:_ ~src:_ payload =
 
 let submit t ~dc (txn : Txn.t) cb =
   if Txn.is_read_only txn then
-    ignore (Mdcc_sim.Engine.schedule (Fabric.engine t.fabric) ~after:0.0 (fun () -> cb Txn.Committed))
+    Runtime.spawn (Harness.runtime t.d) (fun () -> cb Txn.Committed)
   else begin
     let wid = t.next_wid in
     t.next_wid <- t.next_wid + 1;
@@ -75,32 +79,16 @@ let submit t ~dc (txn : Txn.t) cb =
       List.fold_left (fun m (key, _) -> Key.Map.add key t.w m) Key.Map.empty txn.Txn.updates
     in
     Hashtbl.replace t.writes wid { waiting; cb };
-    let app = Fabric.app_node t.fabric ~dc in
+    let app = Harness.app_node t.d ~dc in
     List.iter
       (fun (key, update) ->
         List.iter
-          (fun replica -> Fabric.send t.fabric ~src:app ~dst:replica (Qw_write { wid; key; update }))
-          (Fabric.replicas t.fabric key))
+          (fun replica -> send t ~src:app ~dst:replica (Qw_write { wid; key; update }))
+          (Layout.replicas (Harness.layout t.d) key))
       txn.Txn.updates
   end
 
-let create ~fabric ~w =
-  let t = { fabric; w; writes = Hashtbl.create 256; next_wid = 0 } in
-  List.iter
-    (fun node -> Fabric.register_storage fabric node (storage_handler t node))
-    (Fabric.storage_node_ids fabric);
-  Fabric.register_all_apps fabric (app_handler t);
+let create d ~w =
+  let t = { d; w; writes = Hashtbl.create 256; next_wid = 0 } in
+  Harness.install d ~storage:(storage_handler t) ~app:(app_handler t);
   t
-
-let harness t =
-  {
-    Harness.name = Printf.sprintf "QW-%d" t.w;
-    engine = Fabric.engine t.fabric;
-    num_dcs = Fabric.num_dcs t.fabric;
-    submit = (fun ~dc txn cb -> submit t ~dc txn cb);
-    read_local = (fun ~dc key cb -> Fabric.read_local t.fabric ~dc key cb);
-    peek = (fun ~dc key -> Fabric.peek t.fabric ~dc key);
-    load = (fun rows -> Fabric.load t.fabric rows);
-    fail_dc = (fun dc -> Fabric.fail_dc t.fabric dc);
-    recover_dc = (fun dc -> Fabric.recover_dc t.fabric dc);
-  }

@@ -11,12 +11,10 @@ open Mdcc_storage
 
 type t
 
-val create : fabric:Fabric.t -> w:int -> t
-(** Register the protocol's handlers on the fabric.  [w] is the write
+val create : Harness.deployment -> w:int -> t
+(** Install the protocol's handlers on the deployment.  [w] is the write
     quorum size (3 or 4 in the paper). *)
 
 val submit : t -> dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit
 (** Always reports [Committed] (the protocol cannot abort); latency is the
     time until every record collected [w] acks. *)
-
-val harness : t -> Harness.t

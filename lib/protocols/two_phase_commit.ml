@@ -1,6 +1,8 @@
 open Mdcc_storage
 module Net = Mdcc_sim.Network
 module Rstate = Mdcc_core.Rstate
+module Runtime = Mdcc_core.Runtime
+module Layout = Mdcc_core.Cluster.Layout
 
 type Net.payload +=
   | Prepare of { txid : Txn.id; key : Key.t; update : Update.t }
@@ -18,10 +20,12 @@ type txn_state = {
 }
 
 type t = {
-  fabric : Fabric.t;
+  d : Harness.deployment;
   locks : (Txn.id * Update.t) Key.Tbl.t array;  (* per storage node *)
   txns : (Txn.id, txn_state) Hashtbl.t;
 }
+
+let send t ~src ~dst payload = Runtime.send (Harness.runtime t.d) ~src ~dst payload
 
 (* Prepare: take an exclusive lock and validate, exactly once per record. *)
 let prepare t node key txid update =
@@ -29,12 +33,12 @@ let prepare t node key txid update =
   match Key.Tbl.find_opt locks key with
   | Some (owner, _) -> String.equal owner txid  (* duplicate prepare: same vote *)
   | None ->
-    let store = Fabric.store_of t.fabric node in
+    let store = Harness.store t.d node in
     let row = Store.ensure store key in
     let valuation =
       { Rstate.value = row.Store.value; version = row.Store.version; exists = row.Store.exists }
     in
-    let bounds = Schema.bounds_of (Fabric.schema t.fabric) key in
+    let bounds = Schema.bounds_of (Harness.schema t.d) key in
     let ok =
       Rstate.evaluate ~bounds ~demarcation:`Escrow valuation ~accepted:[] update
       = Mdcc_core.Woption.Accepted
@@ -42,18 +46,18 @@ let prepare t node key txid update =
     if ok then Key.Tbl.replace locks key (txid, update);
     ok
 
-let storage_handler t node ~src payload =
+let storage_handler t ~node ~src payload =
   match payload with
   | Prepare { txid; key; update } ->
     let yes = prepare t node key txid update in
-    Fabric.send t.fabric ~src:node ~dst:src (Vote { txid; key; yes })
+    send t ~src:node ~dst:src (Vote { txid; key; yes })
   | Decision { txid; key; update; commit } ->
     (match Key.Tbl.find_opt t.locks.(node) key with
     | Some (owner, _) when String.equal owner txid ->
       Key.Tbl.remove t.locks.(node) key;
-      if commit then Store.apply (Fabric.store_of t.fabric node) key update
+      if commit then Store.apply (Harness.store t.d node) key update
     | Some _ | None -> ());
-    Fabric.send t.fabric ~src:node ~dst:src (Decision_ack { txid; key })
+    send t ~src:node ~dst:src (Decision_ack { txid; key })
   (* Coordinator-bound replies; a participant never consumes them. *)
   | Vote _ | Decision_ack _ -> ()
   | _ -> ()
@@ -64,9 +68,9 @@ let broadcast_decision t ~app (ts : txn_state) =
     (fun (key, update) ->
       List.iter
         (fun replica ->
-          Fabric.send t.fabric ~src:app ~dst:replica
+          send t ~src:app ~dst:replica
             (Decision { txid = ts.txn.Txn.id; key; update; commit = ts.all_yes }))
-        (Fabric.replicas t.fabric key))
+        (Layout.replicas (Harness.layout t.d) key))
     ts.txn.Txn.updates
 
 let app_handler t ~node ~src:_ payload =
@@ -96,49 +100,29 @@ let app_handler t ~node ~src:_ payload =
 
 let submit t ~dc (txn : Txn.t) cb =
   if Txn.is_read_only txn then
-    ignore (Mdcc_sim.Engine.schedule (Fabric.engine t.fabric) ~after:0.0 (fun () -> cb Txn.Committed))
+    Runtime.spawn (Harness.runtime t.d) (fun () -> cb Txn.Committed)
   else begin
-    let replication = Fabric.num_dcs t.fabric in
+    let replication = Layout.num_dcs (Harness.layout t.d) in
     let total = replication * List.length txn.Txn.updates in
     let ts =
       { txn; cb; votes_missing = total; all_yes = true; phase2 = false; acks_missing = total }
     in
     Hashtbl.replace t.txns txn.Txn.id ts;
-    let app = Fabric.app_node t.fabric ~dc in
+    let app = Harness.app_node t.d ~dc in
     List.iter
       (fun (key, update) ->
         List.iter
-          (fun replica ->
-            Fabric.send t.fabric ~src:app ~dst:replica
-              (Prepare { txid = txn.Txn.id; key; update }))
-          (Fabric.replicas t.fabric key))
+          (fun replica -> send t ~src:app ~dst:replica (Prepare { txid = txn.Txn.id; key; update }))
+          (Layout.replicas (Harness.layout t.d) key))
       txn.Txn.updates
   end
 
-let create ~fabric =
-  let storage = Fabric.storage_node_ids fabric in
+let create d =
+  let storage_nodes = Layout.num_storage_nodes (Harness.layout d) in
   let t =
-    {
-      fabric;
-      locks = Array.init (List.length storage) (fun _ -> Key.Tbl.create 64);
-      txns = Hashtbl.create 256;
-    }
+    { d; locks = Array.init storage_nodes (fun _ -> Key.Tbl.create 64); txns = Hashtbl.create 256 }
   in
-  List.iter (fun node -> Fabric.register_storage fabric node (storage_handler t node)) storage;
-  Fabric.register_all_apps fabric (app_handler t);
+  Harness.install d ~storage:(storage_handler t) ~app:(app_handler t);
   t
 
 let locks_held t = Array.fold_left (fun acc tbl -> acc + Key.Tbl.length tbl) 0 t.locks
-
-let harness t =
-  {
-    Harness.name = "2PC";
-    engine = Fabric.engine t.fabric;
-    num_dcs = Fabric.num_dcs t.fabric;
-    submit = (fun ~dc txn cb -> submit t ~dc txn cb);
-    read_local = (fun ~dc key cb -> Fabric.read_local t.fabric ~dc key cb);
-    peek = (fun ~dc key -> Fabric.peek t.fabric ~dc key);
-    load = (fun rows -> Fabric.load t.fabric rows);
-    fail_dc = (fun dc -> Fabric.fail_dc t.fabric dc);
-    recover_dc = (fun dc -> Fabric.recover_dc t.fabric dc);
-  }

@@ -14,12 +14,11 @@ open Mdcc_storage
 
 type t
 
-val create : fabric:Fabric.t -> t
+val create : Harness.deployment -> t
+(** Install the protocol's handlers on the deployment. *)
 
 val submit : t -> dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit
 
 val locks_held : t -> int
 (** Total locks currently held across all storage nodes — used by tests to
     demonstrate 2PC's blocking behaviour on coordinator failure. *)
-
-val harness : t -> Harness.t

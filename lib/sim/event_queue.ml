@@ -163,24 +163,3 @@ let rec pop_before t ~limit ~now =
   end
 
 let is_dummy ev = ev == dummy
-
-let rec pop t =
-  if t.len = 0 then None
-  else begin
-    let ev = t.evs.(0) in
-    drop_root t;
-    if ev.cancelled then pop t
-    else begin
-      Prof.count_in t.prof "event_queue.pop";
-      Some ev
-    end
-  end
-
-let rec peek_time t =
-  if t.len = 0 then None
-  else if t.evs.(0).cancelled then begin
-    (* Lazily discard cancelled events sitting at the root. *)
-    drop_root t;
-    peek_time t
-  end
-  else Some t.ats.(0)

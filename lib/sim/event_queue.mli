@@ -54,9 +54,3 @@ val pop_before : t -> limit:float -> now:fcell -> event
 
 val is_dummy : event -> bool
 (** [true] exactly for the sentinel {!pop_before} returns on exhaustion. *)
-
-val pop : t -> event option
-(** Remove and return the earliest non-cancelled event, if any. *)
-
-val peek_time : t -> float option
-(** Timestamp of the earliest non-cancelled event, if any. *)

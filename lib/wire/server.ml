@@ -1,6 +1,8 @@
 open Mdcc_storage
 module Loop = Mdcc_runtime_unix.Loop
 module Runtime = Mdcc_core.Runtime
+module Cluster = Mdcc_core.Cluster
+module Layout = Cluster.Layout
 module Config = Mdcc_core.Config
 module Coordinator = Mdcc_core.Coordinator
 module Storage_node = Mdcc_core.Storage_node
@@ -69,61 +71,29 @@ let stats t () =
 
 let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "127.0.0.1")
     ?(port = 11311) () =
-  (* The same node-id layout the simulated cluster uses: storage node
-     [dc * partitions + p] is data center [dc]'s replica of hash partition
-     [p]; the coordinator (node id [nodes * partitions]) lives in DC 0 and
-     reads its partition stores locally. *)
-  let storage_n = nodes * partitions in
-  let lp =
-    Loop.create ~seed ~dc_of:(fun id -> if id < storage_n then id / partitions else 0) ()
-  in
+  (* The simulated cluster's layout with one app server per data center:
+     [nodes * partitions] storage nodes, and the coordinator is DC 0's app
+     server, reading its partition stores locally. *)
+  let layout = Layout.make (Cluster.Spec.make ~partitions ()) ~dcs:nodes in
+  let storage_n = Layout.num_storage_nodes layout in
+  let lp = Loop.create ~seed ~dc_of:(Layout.dc_of layout) () in
   let runtime = Loop.runtime lp in
   let config = Config.make ~replication:nodes () in
   let schema = Mdcc_storage.Schema.create [ { name = table; bounds = []; master_dc = 0 } ] in
   let observ = Obs.create () in
-  let ctx = Ctx.make ~obs:observ ~local_nodes:(List.init partitions Fun.id) () in
-  (* Key routing: the key's partition replica in every DC — the exact hash
-     the simulated cluster's coordinator routes by. *)
-  let partition_of key = Key.hash key mod partitions in
-  let replicas key =
-    let p = partition_of key in
-    List.init nodes (fun dc -> (dc * partitions) + p)
-  in
-  let master_of key =
-    let master_dc = Hashtbl.hash (Key.to_string key ^ "#master") mod nodes in
-    (master_dc * partitions) + partition_of key
-  in
+  let ctx = Ctx.make ~obs:observ ~local_nodes:(Layout.local_nodes layout ~dc:0) () in
+  let replicas = Layout.replicas layout and master_of = Layout.master_node layout in
   let storage =
-    List.init storage_n (fun i ->
+    Array.init storage_n (fun i ->
         Storage_node.create ~runtime ~config ~node_id:i ~schema ~replicas ~master_of ~ctx ())
   in
-  List.iter Storage_node.start_maintenance storage;
-  (* Snapshot source: direct handles on DC 0's partition stores (they are
-     in-process), powering the wire protocol's [read <key> snapshot]. *)
-  let snapshot =
-    {
-      Coordinator.snap_read =
-        (fun key ->
-          Mdcc_storage.Store.read
-            (Storage_node.store (List.nth storage (partition_of key)))
-            key);
-      snap_scan =
-        (fun ~table ->
-          let rows = ref [] in
-          for p = partitions - 1 downto 0 do
-            Mdcc_storage.Store.iter (Storage_node.store (List.nth storage p))
-              (fun key row ->
-                if row.Mdcc_storage.Store.exists && String.equal key.Key.table table then
-                  rows :=
-                    (key, row.Mdcc_storage.Store.value, row.Mdcc_storage.Store.version)
-                    :: !rows)
-          done;
-          !rows);
-    }
-  in
+  Array.iter Storage_node.start_maintenance storage;
+  (* The stores are in-process: DC 0's partition stores power the wire
+     protocol's [read <key> snapshot]. *)
+  let snapshot = Layout.snapshot layout ~dc:0 (fun node -> Storage_node.store storage.(node)) in
   let coord =
-    Coordinator.create ~runtime ~config ~node_id:storage_n ~replicas ~master_of ~snapshot
-      ~ctx ()
+    Coordinator.create ~runtime ~config ~node_id:(Layout.app_node layout ~dc:0 ~rank:0) ~replicas
+      ~master_of ~snapshot ~ctx ()
   in
   let w_on_send, w_on_deliver = Obs.traffic_meter observ ~nodes:(storage_n + 1) in
   Loop.set_meter lp { Loop.w_size = Messages.size_of; w_on_send; w_on_deliver };
@@ -144,7 +114,7 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
         let session = Session.create coord in
         let backend =
           Backend.of_session ~table:t.sv_table ~stats:(stats t)
-            ~partition_of:(fun id -> partition_of (Key.make ~table:t.sv_table ~id))
+            ~partition_of:(fun id -> Layout.partition layout (Key.make ~table:t.sv_table ~id))
             ~obs:observ ~next_txid:(next_txid t) session
         in
         let handler =

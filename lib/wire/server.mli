@@ -29,8 +29,8 @@ val create :
   t
 (** [nodes] (default 5, minimum 3) is the replication factor (simulated
     data centers); [partitions] (default 1) hash-partitions the keyspace —
-    the deployment runs [nodes * partitions] storage nodes laid out exactly
-    like the simulated cluster ([dc * partitions + p]), keys route to their
+    the deployment runs [nodes * partitions] storage nodes laid out by the
+    simulated cluster's {!Mdcc_core.Cluster.Layout}, keys route to their
     partition's replica group by the coordinator's hash, and [stats detail]
     carries per-partition request counters.  [port] (default 11311) may be
     0 to bind an ephemeral port — read it back with {!port}.  The value

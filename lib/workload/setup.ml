@@ -1,7 +1,12 @@
 module Engine = Mdcc_sim.Engine
+module Net = Mdcc_sim.Network
 module Cluster = Mdcc_core.Cluster
 module Config = Mdcc_core.Config
+module Runtime = Mdcc_core.Runtime
 module Harness = Mdcc_protocols.Harness
+module Quorum_writes = Mdcc_protocols.Quorum_writes
+module Two_phase_commit = Mdcc_protocols.Two_phase_commit
+module Megastore = Mdcc_protocols.Megastore
 
 type protocol = Mdcc | Fast | Multi | Qw of int | Two_pc | Megastore
 
@@ -20,6 +25,19 @@ let commutative = function
 let make protocol ~seed ~schema ?(partitions = 1) ?(app_servers_per_dc = 1) ?(gamma = 100)
     ?master_dc_of ?obs ~rows () =
   let engine = Engine.create ~seed in
+  (* The baselines run unmetered on MDCC's scaffold; of the deployment
+     options they take only [partitions] and [app_servers_per_dc]. *)
+  let baseline ?(partitions = partitions) install =
+    let spec = Cluster.Spec.make ~partitions ~app_servers_per_dc () in
+    let layout, net = Cluster.scaffold ~engine ~spec in
+    let d = Harness.deploy ~runtime:(Runtime.of_network net) ~layout ~schema in
+    let harness =
+      Harness.of_deployment d ~name:(name protocol) ~engine ~fail_dc:(Net.fail_dc net)
+        ~recover_dc:(Net.recover_dc net) (install d)
+    in
+    harness.Harness.load rows;
+    harness
+  in
   match protocol with
   | Mdcc | Fast | Multi ->
     let mode =
@@ -36,22 +54,8 @@ let make protocol ~seed ~schema ?(partitions = 1) ?(app_servers_per_dc = 1) ?(ga
     Cluster.load cluster rows;
     Cluster.start_maintenance cluster;
     Harness.of_mdcc cluster ~name:(name protocol)
-  | Qw k ->
-    let fabric = Mdcc_protocols.Fabric.create ~engine ~partitions ~app_servers_per_dc ~schema () in
-    let qw = Mdcc_protocols.Quorum_writes.create ~fabric ~w:k in
-    let harness = Mdcc_protocols.Quorum_writes.harness qw in
-    harness.Harness.load rows;
-    harness
-  | Two_pc ->
-    let fabric = Mdcc_protocols.Fabric.create ~engine ~partitions ~app_servers_per_dc ~schema () in
-    let tpc = Mdcc_protocols.Two_phase_commit.create ~fabric in
-    let harness = Mdcc_protocols.Two_phase_commit.harness tpc in
-    harness.Harness.load rows;
-    harness
+  | Qw w -> baseline (fun d -> Quorum_writes.submit (Quorum_writes.create d ~w))
+  | Two_pc -> baseline (fun d -> Two_phase_commit.submit (Two_phase_commit.create d))
   | Megastore ->
     (* One entity group: a single partition regardless of the request. *)
-    let fabric = Mdcc_protocols.Fabric.create ~engine ~partitions:1 ~app_servers_per_dc ~schema () in
-    let ms = Mdcc_protocols.Megastore.create ~fabric () in
-    let harness = Mdcc_protocols.Megastore.harness ms in
-    harness.Harness.load rows;
-    harness
+    baseline ~partitions:1 (fun d -> Megastore.submit (Megastore.create d ()))

@@ -3,7 +3,8 @@
     Maps the protocol names of the evaluation section onto concrete
     deployments sharing the same topology, schema and initial data:
     MDCC / Fast / Multi are {!Mdcc_core} configurations; QW-k, 2PC and
-    Megastore* come from {!Mdcc_protocols}. *)
+    Megastore* are {!Mdcc_protocols} baselines on the same
+    {!Mdcc_core.Cluster.scaffold}, with unmetered traffic. *)
 
 open Mdcc_storage
 

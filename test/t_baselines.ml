@@ -2,12 +2,16 @@
 
 open Mdcc_storage
 module Engine = Mdcc_sim.Engine
-module Fabric = Mdcc_protocols.Fabric
-module Qw = Mdcc_protocols.Quorum_writes
+module Net = Mdcc_sim.Network
+module Cluster = Mdcc_core.Cluster
+module Layout = Cluster.Layout
+module Runtime = Mdcc_core.Runtime
 module Tpc = Mdcc_protocols.Two_phase_commit
 module Ms = Mdcc_protocols.Megastore
 module Harness = Mdcc_protocols.Harness
-module Net = Mdcc_sim.Network
+module Loop = Mdcc_runtime_unix.Loop
+module Setup = Mdcc_workload.Setup
+module Baseline = Mdcc_chaos.Baseline
 
 let item i = Key.make ~table:"item" ~id:(string_of_int i)
 
@@ -32,15 +36,23 @@ let submit_sync (h : Harness.t) ~dc txn =
 
 let is_committed = function Txn.Committed -> true | Txn.Aborted _ -> false
 
+(* [Setup.make]'s deployment of a baseline on the paper's five DCs, keeping
+   the protocol's own handle for the tests that inspect it. *)
+let deploy ~seed ~rows create =
+  let engine = Engine.create ~seed in
+  let layout, net = Cluster.scaffold ~engine ~spec:Cluster.Spec.default in
+  let d = Harness.deploy ~runtime:(Runtime.of_network net) ~layout ~schema in
+  let proto, submit = create d in
+  let h =
+    Harness.of_deployment d ~name:"baseline" ~engine ~fail_dc:(Net.fail_dc net)
+      ~recover_dc:(Net.recover_dc net) submit
+  in
+  h.Harness.load rows;
+  (proto, h)
+
 (* --- quorum writes ----------------------------------------------------- *)
 
-let make_qw ?(w = 3) () =
-  let engine = Engine.create ~seed:5 in
-  let fabric = Fabric.create ~engine ~schema () in
-  let qw = Qw.create ~fabric ~w in
-  let h = Qw.harness qw in
-  h.Harness.load (rows 5 100);
-  h
+let make_qw ?(w = 3) () = Setup.make (Setup.Qw w) ~seed:5 ~schema ~rows:(rows 5 100) ()
 
 let test_qw_commits_and_applies () =
   let h = make_qw () in
@@ -106,12 +118,9 @@ let test_qw4_slower_than_qw3 () =
 (* --- 2PC ---------------------------------------------------------------- *)
 
 let make_2pc () =
-  let engine = Engine.create ~seed:6 in
-  let fabric = Fabric.create ~engine ~schema () in
-  let tpc = Tpc.create ~fabric in
-  let h = Tpc.harness tpc in
-  h.Harness.load (rows 5 100);
-  (tpc, h)
+  deploy ~seed:6 ~rows:(rows 5 100) (fun d ->
+      let tpc = Tpc.create d in
+      (tpc, Tpc.submit tpc))
 
 let test_2pc_commit () =
   let tpc, h = make_2pc () in
@@ -173,15 +182,39 @@ let suite_2pc_blocking () =
   Alcotest.(check bool) "never decided" false !decided;
   Alcotest.(check bool) "locks still held (2PC blocks)" true (Tpc.locks_held tpc > 0)
 
+(* The same 2PC code on the socket runtime: its messages go through the
+   loop's run queue instead of the simulated WAN.  No socket is opened;
+   polling the loop delivers every message. *)
+let test_2pc_on_socket_runtime () =
+  let layout = Layout.make Cluster.Spec.default ~dcs:5 in
+  let lp = Loop.create ~seed:1 ~dc_of:(Layout.dc_of layout) () in
+  let d = Harness.deploy ~runtime:(Loop.runtime lp) ~layout ~schema in
+  let tpc = Tpc.create d in
+  let outcome = ref None in
+  Tpc.submit tpc ~dc:2
+    (Txn.make ~id:"s1"
+       ~updates:[ (item 0, Update.Insert (Value.of_list [ ("stock", Value.Int 5) ])) ])
+    (fun o -> outcome := Some o);
+  let polls = ref 0 in
+  while Option.is_none !outcome && !polls < 1_000 do
+    Loop.poll lp ~max_wait_ms:0.0;
+    incr polls
+  done;
+  Alcotest.(check bool) "committed" true (Option.fold ~none:false ~some:is_committed !outcome);
+  Alcotest.(check int) "locks released" 0 (Tpc.locks_held tpc);
+  for dc = 0 to 4 do
+    let node = Layout.local_node layout ~dc (item 0) in
+    match Store.read (Harness.store d node) (item 0) with
+    | Some (v, _) -> Alcotest.(check int) "applied everywhere" 5 (Value.get_int v "stock")
+    | None -> Alcotest.fail "row"
+  done
+
 (* --- Megastore* --------------------------------------------------------- *)
 
 let make_ms () =
-  let engine = Engine.create ~seed:7 in
-  let fabric = Fabric.create ~engine ~schema () in
-  let ms = Ms.create ~fabric () in
-  let h = Ms.harness ms in
-  h.Harness.load (rows 10 100);
-  (ms, h)
+  deploy ~seed:7 ~rows:(rows 10 100) (fun d ->
+      let ms = Ms.create d () in
+      (ms, Ms.submit ms))
 
 let test_ms_commit_and_replication () =
   let ms, h = make_ms () in
@@ -246,6 +279,102 @@ let test_ms_serialization_queueing () =
   let fastest = List.hd sorted and slowest = List.nth sorted 9 in
   Alcotest.(check bool) "strong queueing (10x spread)" true (slowest > 5.0 *. fastest)
 
+(* --- behaviour pins ------------------------------------------------------ *)
+
+(* The baselines' observable behaviour, byte for byte: a change to their
+   node layout, message order or RNG draws moves one of these. *)
+
+let pinned_reports =
+  [
+    "seed    1  qw-3         40 txns:  40 committed   0 aborted 0 undecided  ok (expected: \
+     lost-update,read-committed,serializability)";
+    "seed    1  2pc          40 txns:  12 committed  28 aborted 0 undecided  ok (clean)";
+    "seed    1  megastore    40 txns:  26 committed  14 aborted 0 undecided  ok (clean)";
+    "seed    2  qw-3         40 txns:  40 committed   0 aborted 0 undecided  ok (expected: \
+     lost-update,read-committed,serializability)";
+    "seed    2  2pc          40 txns:  12 committed  28 aborted 0 undecided  ok (clean)";
+    "seed    2  megastore    40 txns:  28 committed  12 aborted 0 undecided  ok (clean)";
+    "seed    3  qw-3         40 txns:  40 committed   0 aborted 0 undecided  ok (expected: \
+     convergence,lost-update,read-committed,serializability)";
+    "seed    3  2pc          40 txns:   9 committed  31 aborted 0 undecided  ok (clean)";
+    "seed    3  megastore    40 txns:  26 committed  14 aborted 0 undecided  ok (clean)";
+  ]
+
+let test_pinned_reports () =
+  let got =
+    List.concat_map
+      (fun seed ->
+        List.map (fun p -> Baseline.report_to_string (Baseline.run ~seed p)) Baseline.protocols)
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list string)) "chaos baseline reports" pinned_reports got
+
+(* Nine clients, 250 ms apart, on two partitions with two app servers per
+   DC: client [i] reads [item (i mod 6)] locally from DC [i mod 5] and
+   submits a transaction — read-only, a two-key delta or a one-key
+   read-modify-write, in turn.  One line per callback, in callback order:
+   read or commit, client, latency, result. *)
+let setup_log protocol =
+  let h =
+    Setup.make protocol ~seed:3 ~schema ~partitions:2 ~app_servers_per_dc:2 ~rows:(rows 6 100) ()
+  in
+  let e = h.Harness.engine in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  for i = 0 to 8 do
+    let dc = i mod h.Harness.num_dcs and key = item (i mod 6) in
+    let updates =
+      match i mod 3 with
+      | 0 -> []
+      | 1 ->
+        [
+          (key, Update.Delta [ ("stock", -1) ]);
+          (item ((i + 1) mod 6), Update.Delta [ ("stock", -2) ]);
+        ]
+      | _ ->
+        [ (key, Update.Physical { vread = 1; value = Value.of_list [ ("stock", Value.Int i) ] }) ]
+    in
+    ignore
+      (Engine.schedule e ~after:(250.0 *. float_of_int i) (fun () ->
+           let start = Engine.now e in
+           h.Harness.read_local ~dc key (fun r ->
+               note "r%d %.3f %s" i (Engine.now e -. start)
+                 (match r with Some (_, v) -> string_of_int v | None -> "-"));
+           h.Harness.submit ~dc (Txn.make ~id:(Printf.sprintf "t%d" i) ~updates) (fun o ->
+               note "c%d %.3f %s" i (Engine.now e -. start)
+                 (Format.asprintf "%a" Txn.pp_outcome o))))
+  done;
+  Engine.run ~until:120_000.0 e;
+  List.rev !log
+
+let pinned_setup_logs =
+  [
+    ( Setup.Qw 3,
+      [ "c0 0.000 committed"; "r0 1.491 1"; "r1 1.486 1"; "c1 93.018 committed"; "r2 1.530 2";
+        "c2 172.366 committed"; "c3 0.000 committed"; "r3 1.463 1"; "r4 1.513 1";
+        "c4 122.941 committed"; "r5 1.440 3"; "c5 124.399 committed"; "c6 0.000 committed";
+        "r6 1.526 1"; "r7 1.480 2"; "c7 167.982 committed"; "r8 1.478 5";
+        "c8 222.162 committed" ] );
+    ( Setup.Two_pc,
+      [ "c0 0.000 committed"; "r0 1.491 1"; "r1 1.486 1"; "r2 1.508 1"; "c3 0.000 committed";
+        "r3 1.497 1"; "c1 510.584 committed"; "r4 1.475 1"; "c2 559.928 aborted(conflict)";
+        "r5 1.490 1"; "c6 0.000 committed"; "r6 1.547 1"; "c4 559.355 committed";
+        "c5 459.699 aborted(conflict)"; "r7 1.518 2"; "r8 1.463 2"; "c7 594.987 committed";
+        "c8 569.863 aborted(conflict)" ] );
+    ( Setup.Megastore,
+      [ "c0 0.000 committed"; "r0 1.491 1"; "r1 1.481 1"; "c1 204.506 committed"; "r2 1.490 2";
+        "c2 172.934 aborted(conflict)"; "c3 0.000 committed"; "r3 1.510 1"; "r4 1.520 1";
+        "c4 245.715 committed"; "r5 1.487 2"; "c5 1.561 aborted(conflict)"; "c6 0.000 committed";
+        "r6 1.463 1"; "r7 1.458 2"; "r8 1.526 3"; "c7 305.475 committed";
+        "c8 235.702 aborted(conflict)" ] );
+  ]
+
+let test_pinned_setup_logs () =
+  List.iter
+    (fun (protocol, want) ->
+      Alcotest.(check (list string)) (Setup.name protocol) want (setup_log protocol))
+    pinned_setup_logs
+
 let suite =
   [
     Alcotest.test_case "QW commits and applies everywhere" `Quick test_qw_commits_and_applies;
@@ -256,7 +385,10 @@ let suite =
     Alcotest.test_case "2PC conflict aborts" `Quick test_2pc_conflict_aborts;
     Alcotest.test_case "2PC enforces constraints" `Quick test_2pc_constraint_aborts;
     Alcotest.test_case "2PC blocks on coordinator failure" `Quick suite_2pc_blocking;
+    Alcotest.test_case "2PC on the socket runtime" `Quick test_2pc_on_socket_runtime;
     Alcotest.test_case "Megastore* commit & replication" `Quick test_ms_commit_and_replication;
     Alcotest.test_case "Megastore* conflict aborts" `Quick test_ms_conflict_aborts_without_position;
     Alcotest.test_case "Megastore* serializes (queueing)" `Quick test_ms_serialization_queueing;
+    Alcotest.test_case "pinned chaos reports (seeds 1-3)" `Quick test_pinned_reports;
+    Alcotest.test_case "pinned Setup.make latencies" `Quick test_pinned_setup_logs;
   ]

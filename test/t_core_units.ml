@@ -6,6 +6,7 @@ module Config = Mdcc_core.Config
 module Woption = Mdcc_core.Woption
 module Messages = Mdcc_core.Messages
 module Cluster = Mdcc_core.Cluster
+module Layout = Cluster.Layout
 module Engine = Mdcc_sim.Engine
 module Topology = Mdcc_sim.Topology
 module Trace = Mdcc_sim.Trace
@@ -202,7 +203,7 @@ let test_cluster_replica_groups () =
   let cluster = make_cluster ~partitions:4 in
   let topo = Cluster.topology cluster in
   for i = 0 to 99 do
-    let replicas = Cluster.replicas cluster (item i) in
+    let replicas = Layout.replicas (Cluster.layout cluster) (item i) in
     Alcotest.(check int) "five replicas" 5 (List.length replicas);
     (* One replica per data center, all on the same partition index. *)
     let dcs = List.map (Topology.dc_of topo) replicas |> List.sort_uniq Int.compare in
@@ -211,15 +212,15 @@ let test_cluster_replica_groups () =
     Alcotest.(check int) "same partition" 1 (List.length parts);
     (* The master is one of the replicas. *)
     Alcotest.(check bool) "master in group" true
-      (List.mem (Cluster.master_node cluster (item i)) replicas)
+      (List.mem (Layout.master_node (Cluster.layout cluster) (item i)) replicas)
   done
 
 let test_cluster_deterministic_mapping () =
   let c1 = make_cluster ~partitions:4 and c2 = make_cluster ~partitions:4 in
   for i = 0 to 49 do
     Alcotest.(check (list int)) "stable replica mapping"
-      (Cluster.replicas c1 (item i))
-      (Cluster.replicas c2 (item i))
+      (Layout.replicas (Cluster.layout c1) (item i))
+      (Layout.replicas (Cluster.layout c2) (item i))
   done
 
 let test_cluster_coordinators () =

@@ -124,7 +124,7 @@ let test_dangling_txn_never_proposed_key_aborts () =
     (fun replica ->
       Mdcc_sim.Network.send net ~src:dead_app ~dst:replica
         (Mdcc_core.Messages.Propose { woption = w; route = `Fast }))
-    (Cluster.replicas cluster (item 0));
+    (Cluster.Layout.replicas (Cluster.layout cluster) (item 0));
   Mdcc_sim.Network.fail_node net dead_app;
   Engine.run ~until:30_000.0 engine;
   (* The transaction aborted: neither item changed and nothing is pending. *)

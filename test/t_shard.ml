@@ -7,6 +7,7 @@ open Mdcc_storage
 open Helpers
 module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
+module Layout = Cluster.Layout
 module Coordinator = Mdcc_core.Coordinator
 module History = Mdcc_core.History
 module Checker = Mdcc_chaos.Checker
@@ -38,10 +39,10 @@ let test_spec_constructor () =
    groups must be disjoint node sets for the cross-partition tests to mean
    anything. *)
 let cross_pair cluster items =
-  let p0 = Cluster.partition_of cluster (item 0) in
+  let p0 = Layout.partition (Cluster.layout cluster) (item 0) in
   let rec find i =
     if i >= items then Alcotest.fail "no item in a second partition"
-    else if Cluster.partition_of cluster (item i) <> p0 then i
+    else if Layout.partition (Cluster.layout cluster) (item i) <> p0 then i
     else find (i + 1)
   in
   (0, find 1)
@@ -52,7 +53,8 @@ let test_cross_partition_commit () =
   let engine, cluster = make_cluster ~partitions:4 ~items:16 () in
   let a, b = cross_pair cluster 16 in
   Alcotest.(check bool) "replica groups differ" true
-    (Cluster.replicas cluster (item a) <> Cluster.replicas cluster (item b));
+    (Layout.replicas (Cluster.layout cluster) (item a)
+     <> Layout.replicas (Cluster.layout cluster) (item b));
   let updates =
     [
       (item a, Update.Physical { vread = 1; value = item_row 7 });

@@ -13,12 +13,13 @@ let test_heap_ordering () =
   push 1.0 2;
   push 3.0 3;
   push 1.0 4;
+  let now = { Event_queue.f = 0.0 } in
   let rec drain () =
-    match Event_queue.pop q with
-    | Some e ->
+    let e = Event_queue.pop_before q ~limit:Float.infinity ~now in
+    if not (Event_queue.is_dummy e) then begin
       e.Event_queue.run ();
       drain ()
-    | None -> ()
+    end
   in
   drain ();
   Alcotest.(check (list (pair (float 0.0) int)))
@@ -31,7 +32,9 @@ let test_heap_cancel () =
   let fired = ref false in
   let e = Event_queue.push q ~at:1.0 ~seq:1 (fun () -> fired := true) in
   Event_queue.cancel q e;
-  Alcotest.(check bool) "cancelled popped as none" true (Event_queue.pop q = None);
+  let now = { Event_queue.f = 0.0 } in
+  Alcotest.(check bool) "cancelled popped as none" true
+    (Event_queue.is_dummy (Event_queue.pop_before q ~limit:Float.infinity ~now));
   Alcotest.(check bool) "never fired" false !fired
 
 (* Cancel-heavy churn (every pushed event is cancelled, as when every
@@ -55,13 +58,14 @@ let test_heap_bounded_under_churn () =
     true (!max_size <= 128);
   (* Cancellation is idempotent and the live bed survives intact. *)
   let count = ref 0 in
+  let now = { Event_queue.f = 0.0 } in
   let rec drain () =
-    match Event_queue.pop q with
-    | Some ev ->
+    let ev = Event_queue.pop_before q ~limit:Float.infinity ~now in
+    if not (Event_queue.is_dummy ev) then begin
       Alcotest.(check bool) "only live events pop" false ev.Event_queue.cancelled;
       incr count;
       drain ()
-    | None -> ()
+    end
   in
   drain ();
   Alcotest.(check int) "all live events survived compaction" 32 !count

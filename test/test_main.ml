@@ -16,7 +16,6 @@ let () =
       ("core-units", T_core_units.suite);
       ("alloc", T_alloc.suite);
       ("stats", T_stats.suite);
-      ("sql", T_sql.suite);
       ("edge", T_edge.suite);
       ("baselines", T_baselines.suite);
       ("workload", T_workload.suite);
