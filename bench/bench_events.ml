@@ -5,7 +5,7 @@
      dune exec bench/bench_events.exe -- --ops 300000
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Six sections, each timed in isolation:
+   Eight sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -20,6 +20,12 @@
    - dangling_scan_idle: 100 dangling-transaction scans over 10,000
                        records, each with one pending option younger than
                        the transaction timeout (one op = one scan)
+   - fast_path_commit: 1,000 TPC-W-style transactions (three commutative
+                       stock decrements) committed one after another through
+                       Cluster.create on the simulated five-region network:
+                       proposals, fast votes, decision and visibility, with
+                       the traffic meter on (one op = one commit)
+   - rng_lognormal:    N latency-jitter draws (one op = one draw)
 
    Wall-clock throughput (ops/s) is machine-dependent and noisy on a
    shared container; the per-op minor-allocation figure (minor_words/op,
@@ -38,7 +44,10 @@ module Key = Mdcc_storage.Key
 module Schema = Mdcc_storage.Schema
 module Update = Mdcc_storage.Update
 module Value = Mdcc_storage.Value
+module Cluster = Mdcc_core.Cluster
 module Config = Mdcc_core.Config
+module Coordinator = Mdcc_core.Coordinator
+module Txn = Mdcc_storage.Txn
 module Messages = Mdcc_core.Messages
 module Runtime = Mdcc_core.Runtime
 module Storage_node = Mdcc_core.Storage_node
@@ -210,6 +219,54 @@ let dangling_scan_idle () =
         (Queue.pop timers) ()
       done)
 
+let fast_path_commit () =
+  let commits = 1_000 and items = 300 in
+  let engine = Engine.create ~seed:13 in
+  let schema =
+    Schema.create
+      [
+        {
+          Schema.name = "item";
+          bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
+          master_dc = 0;
+        };
+      ]
+  in
+  let cluster =
+    Cluster.create ~engine ~spec:Cluster.Spec.default ~config:(Config.make ~replication:5 ())
+      ~schema ()
+  in
+  let item i = Key.make ~table:"item" ~id:(string_of_int i) in
+  Cluster.load cluster
+    (List.init items (fun i -> (item i, Value.of_list [ ("stock", Value.Int 1_000_000) ])));
+  let coord = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let txns =
+    Array.init commits (fun i ->
+        Txn.make ~id:(Printf.sprintf "t%05d" i)
+          ~updates:
+            (List.init 3 (fun j -> (item (((3 * i) + j) mod items), Update.Delta [ ("stock", -1) ]))))
+  in
+  let committed = ref 0 in
+  let on_outcome = function Txn.Committed -> incr committed | Txn.Aborted _ -> () in
+  let section =
+    time_section "fast_path_commit" commits (fun () ->
+        Array.iter
+          (fun txn ->
+            Coordinator.submit coord txn on_outcome;
+            Engine.run engine)
+          txns)
+  in
+  if !committed <> commits then
+    failwith (Printf.sprintf "fast_path_commit: %d of %d committed" !committed commits);
+  section
+
+let rng_lognormal ~ops =
+  let rng = Rng.create 17 in
+  time_section "rng_lognormal" ops (fun () ->
+      for _ = 1 to ops do
+        ignore (Sys.opaque_identity (Rng.lognormal rng ~mu:0.0 ~sigma:0.05))
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -242,6 +299,8 @@ let bench ~ops ~out =
       network_send ~ops;
       visibility_hot_key ();
       dangling_scan_idle ();
+      fast_path_commit ();
+      rng_lognormal ~ops;
     ]
   in
   List.iter
@@ -273,8 +332,9 @@ let out_arg =
 
 let () =
   let doc =
-    "micro-benchmark of the DES hot loop (event queue, dispatch, network send) and of the \
-     storage node's visibility and dangling-scan paths"
+    "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
+     storage node's visibility and dangling-scan paths, of one fast-path commit and of a \
+     latency-jitter draw"
   in
   let cmd =
     Cmd.v

@@ -53,7 +53,12 @@ module Layout = struct
     partitions : int;
     app_per_dc : int;
     master_dc_of : Key.t -> int;
+    groups : int list array;  (* per partition, built once: [replicas] runs per message *)
   }
+
+  (* The one formula of the storage-node layout: partition [p]'s node in
+     data center [dc]. *)
+  let node_of ~partitions ~dc p = (dc * partitions) + p
 
   let make spec ~dcs =
     let master_dc_of =
@@ -63,14 +68,16 @@ module Layout = struct
         (* Decorrelated from the partition hash so masters spread evenly. *)
         fun key -> Hashtbl.hash (Key.to_string key ^ "#master") mod dcs
     in
-    { dcs; partitions = spec.Spec.partitions; app_per_dc = spec.Spec.app_servers_per_dc;
-      master_dc_of }
+    let partitions = spec.Spec.partitions in
+    { dcs; partitions; app_per_dc = spec.Spec.app_servers_per_dc; master_dc_of;
+      groups =
+        Array.init partitions (fun p -> List.init dcs (fun dc -> node_of ~partitions ~dc p)) }
 
   let num_dcs t = t.dcs
   let partitions t = t.partitions
   let app_servers_per_dc t = t.app_per_dc
   let num_storage_nodes t = t.dcs * t.partitions
-  let storage_node t ~dc p = (dc * t.partitions) + p
+  let storage_node t ~dc p = node_of ~partitions:t.partitions ~dc p
   let app_node t ~dc ~rank = num_storage_nodes t + (dc * t.app_per_dc) + rank
 
   let dc_of t node =
@@ -78,7 +85,7 @@ module Layout = struct
     if node < base then node / t.partitions else (node - base) / t.app_per_dc
 
   let partition t key = Key.hash key mod t.partitions
-  let group t p = List.init t.dcs (fun dc -> storage_node t ~dc p)
+  let group t p = t.groups.(p)
   let replicas t key = group t (partition t key)
   let master_node t key = storage_node t ~dc:(t.master_dc_of key) (partition t key)
   let local_node t ~dc key = storage_node t ~dc (partition t key)

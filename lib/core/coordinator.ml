@@ -9,7 +9,10 @@ module Obs = Mdcc_obs.Obs
 
 type key_state = {
   woption : Woption.t;
-  mutable votes : (int * Woption.decision) list;
+  replicas : int list;  (* the key's replica group; a vote's bit is its position here *)
+  mutable voted : int;  (* bitmask of the replica positions whose fast vote arrived *)
+  mutable acks : int;
+  mutable rejects : int;
   mutable learned : Woption.decision option;
   mutable collided : bool;  (** Start_recovery already sent for this window *)
   mutable collided_at : Engine.sim_time option;
@@ -75,6 +78,8 @@ type t = {
   history : History.t option;  (* chaos-testing execution recorder *)
   obs : Obs.t;
   trace_tag : string;  (* "app<id>", rendered once — not per trace point *)
+  txn_submitted : Obs.counter;  (* the per-transaction counters, resolved once *)
+  fast_commit : Obs.counter;
 }
 
 (* How long a collision keeps steering this coordinator to the master before
@@ -115,49 +120,71 @@ let set_hint t key = Hashtbl.replace t.hints key (now t +. hint_ttl)
 
 let route_classic t key = t.config.Config.mode = Config.Multi || hint_active t key
 
-(* Send per-destination, folding into Batch messages when configured.
-   [send_all] sits on the propose/learn hot path, so the common shapes —
-   batching off, an empty or singleton list, or every payload bound for
-   one destination — skip the per-call Hashtbl and sorted iteration. *)
-let send_all t pairs =
-  if not t.config.Config.batching then List.iter (fun (dst, p) -> send t dst p) pairs
+(* Fold a broadcast into per-destination Batch messages.  The common
+   shapes — an empty or singleton list, or every payload bound for one
+   destination — skip the Hashtbl and sorted iteration. *)
+let send_batched t pairs =
+  match pairs with
+  | [] -> ()
+  | [ (dst, p) ] -> send t dst p
+  | (dst0, p0) :: rest when List.for_all (fun (dst, _) -> dst = dst0) rest ->
+    send t dst0 (Messages.Batch (p0 :: List.map snd rest))
+  | pairs ->
+    let by_dst = Hashtbl.create 8 in
+    List.iter
+      (fun (dst, p) ->
+        let existing = Option.value (Hashtbl.find_opt by_dst dst) ~default:[] in
+        Hashtbl.replace by_dst dst (p :: existing))
+      pairs;
+    Table.sorted_iter ~compare:Int.compare
+      (fun dst ps ->
+        match ps with
+        | [ p ] -> send t dst p
+        | ps -> send t dst (Messages.Batch (List.rev ps)))
+      by_dst
+
+(* Run [each], which hands every message of a broadcast to its argument in
+   send order.  Unbatched, the messages go out as they come — no list of
+   (destination, payload) pairs is built; batched, they are collected and
+   folded per destination. *)
+let send_each t each =
+  if not t.config.Config.batching then each (send t)
   else begin
-    match pairs with
-    | [] -> ()
-    | [ (dst, p) ] -> send t dst p
-    | (dst0, p0) :: rest when List.for_all (fun (dst, _) -> dst = dst0) rest ->
-      send t dst0 (Messages.Batch (p0 :: List.map snd rest))
-    | pairs ->
-      let by_dst = Hashtbl.create 8 in
-      List.iter
-        (fun (dst, p) ->
-          let existing = Option.value (Hashtbl.find_opt by_dst dst) ~default:[] in
-          Hashtbl.replace by_dst dst (p :: existing))
-        pairs;
-      Table.sorted_iter ~compare:Int.compare
-        (fun dst ps ->
-          match ps with
-          | [ p ] -> send t dst p
-          | ps -> send t dst (Messages.Batch (List.rev ps)))
-        by_dst
+    let pairs = ref [] in
+    each (fun dst p -> pairs := (dst, p) :: !pairs);
+    send_batched t (List.rev !pairs)
   end
 
-let propose_payloads t (ks : key_state) =
+(* One payload record to every replica, in list order or reversed: the
+   payloads are immutable, so the replicas share it. *)
+let rec to_each send_one p = function
+  | [] -> ()
+  | dst :: rest ->
+    send_one dst p;
+    to_each send_one p rest
+
+let rec to_each_rev send_one p = function
+  | [] -> ()
+  | dst :: rest ->
+    to_each_rev send_one p rest;
+    send_one dst p
+
+(* Settle a key's route — fast to every replica, or classic through the
+   master while a collision hint is live — and record its span. *)
+let route_proposal t (ks : key_state) =
   let w = ks.woption in
   let classic = route_classic t w.Woption.key in
   if spans_on t then
     span t ~txid:w.Woption.txid ~name:"propose" ~key:(Key.to_string w.Woption.key)
       ~detail:(if classic then "classic" else "fast")
       ();
-  if classic then begin
-    ks.redirected <- true;
-    [ (t.master_of w.Woption.key, Messages.Propose { woption = w; route = `Classic }) ]
-  end
-  else begin
-    List.map
-      (fun replica -> (replica, Messages.Propose { woption = w; route = `Fast }))
-      (t.replicas w.Woption.key)
-  end
+  if classic then ks.redirected <- true
+
+let propose send_one t (ks : key_state) =
+  let w = ks.woption in
+  if ks.redirected then
+    send_one (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
+  else to_each send_one (Messages.Propose { woption = w; route = `Fast }) ks.replicas
 
 let decide t (ts : txn_state) =
   (match ts.timeout with Some h -> Runtime.cancel_timer t.runtime h | None -> ());
@@ -184,7 +211,7 @@ let decide t (ts : txn_state) =
     in
     if pure_fast && t.config.Config.mode <> Config.Multi then begin
       t.stats.fast_commits <- t.stats.fast_commits + 1;
-      Obs.incr t.obs "fast_commit"
+      Obs.bump t.fast_commit
     end
     else begin
       t.stats.assisted_commits <- t.stats.assisted_commits + 1;
@@ -205,20 +232,22 @@ let decide t (ts : txn_state) =
   | Some h -> History.record h (History.Decided { time = now t; txid = ts.txn.Txn.id; outcome })
   | None -> ());
   (* Asynchronous Learned/Visibility notification: execute or void every
-     option; correctness does not depend on its timing (§3.2.1). *)
-  let pairs =
-    Key.Map.fold
-      (fun key ks acc ->
-        List.fold_left
-          (fun acc replica ->
-            ( replica,
-              Messages.Visibility
-                { txid = ts.txn.Txn.id; key; update = ks.woption.Woption.update; committed } )
-            :: acc)
-          acc (t.replicas key))
-      ts.keys []
-  in
-  send_all t pairs;
+     option; correctness does not depend on its timing (§3.2.1).  Keys go
+     out in descending order, each key's replicas in reverse. *)
+  let descending = Key.Map.fold (fun _ ks acc -> ks :: acc) ts.keys [] in
+  send_each t (fun send_one ->
+      List.iter
+        (fun ks ->
+          to_each_rev send_one
+            (Messages.Visibility
+               {
+                 txid = ts.txn.Txn.id;
+                 key = ks.woption.Woption.key;
+                 update = ks.woption.Woption.update;
+                 committed;
+               })
+            ks.replicas)
+        descending);
   ts.callback outcome
 
 let learn t (ts : txn_state) (ks : key_state) decision =
@@ -270,21 +299,26 @@ let start_recovery_for t (ks : key_state) =
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
       send t target (Messages.Start_recovery { key; woption = Some w }))
 
+let rec position acceptor i = function
+  | [] -> -1
+  | r :: rest -> if r = acceptor then i else position acceptor (i + 1) rest
+
+(* [find] with its exception rather than [find_opt]: a vote allocates no
+   option to find its transaction and key. *)
 let on_vote t txid key acceptor decision =
-  match Hashtbl.find_opt t.txns txid with
-  | None -> ()
-  | Some ts -> (
-    match Key.Map.find_opt key ts.keys with
-    | None -> ()
-    | Some ks ->
-      if ks.learned = None && not (List.mem_assoc acceptor ks.votes) then begin
-        ks.votes <- (acceptor, decision) :: ks.votes;
-        let acks =
-          List.length (List.filter (fun (_, d) -> d = Woption.Accepted) ks.votes)
-        in
-        let rejects =
-          List.length (List.filter (fun (_, d) -> d = Woption.Rejected) ks.votes)
-        in
+  match Hashtbl.find t.txns txid with
+  | exception Not_found -> ()
+  | ts -> (
+    match Key.Map.find key ts.keys with
+    | exception Not_found -> ()
+    | ks ->
+      let pos = position acceptor 0 ks.replicas in
+      if ks.learned = None && pos >= 0 && ks.voted land (1 lsl pos) = 0 then begin
+        ks.voted <- ks.voted lor (1 lsl pos);
+        (match decision with
+        | Woption.Accepted -> ks.acks <- ks.acks + 1
+        | Woption.Rejected -> ks.rejects <- ks.rejects + 1);
+        let acks = ks.acks and rejects = ks.rejects in
         let qf = Config.fast_quorum t.config in
         if acks >= qf then learn t ts ks Woption.Accepted
         else if rejects >= qf then learn t ts ks Woption.Rejected
@@ -355,8 +389,9 @@ let submit t txn callback =
       List.fold_left
         (fun m (w : Woption.t) ->
           Key.Map.add w.Woption.key
-            { woption = w; votes = []; learned = None; collided = false;
-              collided_at = None; redirected = false; attempts = 0 }
+            { woption = w; replicas = t.replicas w.Woption.key; voted = 0; acks = 0;
+              rejects = 0; learned = None; collided = false; collided_at = None;
+              redirected = false; attempts = 0 }
             m)
         Key.Map.empty options
     in
@@ -366,7 +401,7 @@ let submit t txn callback =
     (match t.history with
     | Some h -> History.record h (History.Submitted { time = now t; coordinator = t.id; txn })
     | None -> ());
-    Obs.incr t.obs "txn_submitted";
+    Obs.bump t.txn_submitted;
     Obs.begin_txn t.obs ~txid:txn.Txn.id ~at:(now t);
     if spans_on t then
       span t ~txid:txn.Txn.id ~name:"submit"
@@ -375,7 +410,10 @@ let submit t txn callback =
     (* Establish the causal trace context: every Propose (and every message
        it triggers in turn) is attributed to this transaction's span. *)
     Net.with_trace_context (Some txn.Txn.id) (fun () ->
-        send_all t (Key.Map.fold (fun _ ks acc -> propose_payloads t ks @ acc) keys []));
+        (* Routes and their spans are settled in key order; the proposals
+           then go out in descending key order. *)
+        let descending = Key.Map.fold (fun _ ks acc -> route_proposal t ks; ks :: acc) keys [] in
+        send_each t (fun send_one -> List.iter (propose send_one t) descending));
     arm_timeout t ts
   end
 
@@ -591,6 +629,8 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       history;
       obs;
       trace_tag = Printf.sprintf "app%d" node_id;
+      txn_submitted = Obs.counter obs "txn_submitted";
+      fast_commit = Obs.counter obs "fast_commit";
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

@@ -48,21 +48,49 @@ let applied_merge mine theirs = Txn.Map.union (fun _ m _ -> Some m) mine theirs
 
 let mark_applied t txid update = t.applied <- applied_add t.applied txid update
 
-let find_pending t txid =
-  List.find_opt (fun p -> String.equal p.woption.Woption.txid txid) t.pending
+(* The pending list is short and walked per proposal: these helpers take
+   the txid as an argument instead of capturing it in a predicate closure,
+   and copy the list only when it changes. *)
+let same_txid txid p = String.equal p.woption.Woption.txid txid
+
+let rec find_txid txid = function
+  | [] -> None
+  | p :: rest -> if same_txid txid p then Some p else find_txid txid rest
+
+let rec has_txid txid = function [] -> false | p :: rest -> same_txid txid p || has_txid txid rest
+
+let rec without_txid txid = function
+  | [] -> []
+  | p :: rest -> if same_txid txid p then without_txid txid rest else p :: without_txid txid rest
+
+let rec append pending p = match pending with [] -> [ p ] | q :: rest -> q :: append rest p
+
+let find_pending t txid = find_txid txid t.pending
 
 let remove_pending t txid =
-  t.pending <- List.filter (fun p -> not (String.equal p.woption.Woption.txid txid)) t.pending
+  if has_txid txid t.pending then t.pending <- without_txid txid t.pending
 
 let add_pending t p =
   remove_pending t p.woption.Woption.txid;
-  t.pending <- t.pending @ [ p ]
+  t.pending <- append t.pending p
 
-let accepted t = List.filter (fun p -> p.decision = Woption.Accepted) t.pending
+let rec all_accepted = function
+  | [] -> true
+  | p :: rest -> p.decision = Woption.Accepted && all_accepted rest
+
+(* Usually every pending vote is an accept: then the list itself is the
+   answer and nothing is copied. *)
+let accepted t =
+  if all_accepted t.pending then t.pending
+  else List.filter (fun p -> p.decision = Woption.Accepted) t.pending
 
 let in_classic_era t ~version = version < t.classic_until
 
-type valuation = { value : Value.t; version : int; exists : bool }
+type valuation = Store.row = {
+  mutable value : Value.t;
+  mutable version : int;
+  mutable exists : bool;
+}
 
 type demarcation = [ `Quorum of int * int | `Escrow ]
 
@@ -74,49 +102,66 @@ let demarcation_lower_ok ~n ~qf ~base ~lower ~pending_neg ~delta_neg =
 let demarcation_upper_ok ~n ~qf ~base ~upper ~pending_pos ~delta_pos =
   n * (base + pending_pos + delta_pos) <= (n * upper) - ((n - qf) * (upper - base))
 
-let attr_delta deltas attr =
-  List.fold_left (fun acc (a, d) -> if String.equal a attr then acc + d else acc) 0 deltas
+(* The decision runs on every proposal, so the helpers below recurse with
+   their arguments rather than fold with closures or pair accumulators:
+   evaluating an option allocates nothing. *)
+let rec attr_delta deltas attr =
+  match deltas with
+  | [] -> 0
+  | (a, d) :: rest -> (if String.equal a attr then d else 0) + attr_delta rest attr
 
 (* Worst-case sums of outstanding accepted deltas for one attribute: the
    permutation of commit/abort outcomes that drives the value lowest keeps
    only the negative deltas; highest keeps only the positive ones. *)
-let pending_sums accepted_pendings attr =
-  List.fold_left
-    (fun (neg, pos) p ->
-      let d = attr_delta (Update.deltas p.woption.Woption.update) attr in
-      (neg + Stdlib.min 0 d, pos + Stdlib.max 0 d))
-    (0, 0) accepted_pendings
+let rec pending_neg accepted attr =
+  match accepted with
+  | [] -> 0
+  | p :: rest ->
+    Stdlib.min 0 (attr_delta (Update.deltas p.woption.Woption.update) attr)
+    + pending_neg rest attr
 
-let delta_ok ~bounds ~demarcation valuation ~accepted deltas =
-  let check (b : Schema.bound) =
-    let base = Value.get_int valuation.value b.Schema.attr in
-    let pending_neg, pending_pos = pending_sums accepted b.Schema.attr in
-    let d = attr_delta deltas b.Schema.attr in
-    let delta_neg = Stdlib.min 0 d and delta_pos = Stdlib.max 0 d in
-    let lower_ok =
-      match b.Schema.lower with
-      | None -> true
-      | Some lower -> (
-        match demarcation with
-        | `Quorum (n, qf) -> demarcation_lower_ok ~n ~qf ~base ~lower ~pending_neg ~delta_neg
-        | `Escrow -> base + pending_neg + delta_neg >= lower)
-    in
-    let upper_ok =
-      match b.Schema.upper with
-      | None -> true
-      | Some upper -> (
-        match demarcation with
-        | `Quorum (n, qf) -> demarcation_upper_ok ~n ~qf ~base ~upper ~pending_pos ~delta_pos
-        | `Escrow -> base + pending_pos + delta_pos <= upper)
-    in
-    lower_ok && upper_ok
+let rec pending_pos accepted attr =
+  match accepted with
+  | [] -> 0
+  | p :: rest ->
+    Stdlib.max 0 (attr_delta (Update.deltas p.woption.Woption.update) attr)
+    + pending_pos rest attr
+
+let bound_ok (b : Schema.bound) ~demarcation valuation ~accepted deltas =
+  let base = Value.get_int valuation.value b.Schema.attr in
+  let d = attr_delta deltas b.Schema.attr in
+  let lower_ok =
+    match b.Schema.lower with
+    | None -> true
+    | Some lower -> (
+      let pending_neg = pending_neg accepted b.Schema.attr and delta_neg = Stdlib.min 0 d in
+      match demarcation with
+      | `Quorum (n, qf) -> demarcation_lower_ok ~n ~qf ~base ~lower ~pending_neg ~delta_neg
+      | `Escrow -> base + pending_neg + delta_neg >= lower)
   in
-  List.for_all check bounds
+  let upper_ok =
+    match b.Schema.upper with
+    | None -> true
+    | Some upper -> (
+      let pending_pos = pending_pos accepted b.Schema.attr and delta_pos = Stdlib.max 0 d in
+      match demarcation with
+      | `Quorum (n, qf) -> demarcation_upper_ok ~n ~qf ~base ~upper ~pending_pos ~delta_pos
+      | `Escrow -> base + pending_pos + delta_pos <= upper)
+  in
+  lower_ok && upper_ok
 
-let value_in_bounds ~bounds value =
-  List.for_all
-    (fun (b : Schema.bound) -> Schema.check_bound b (Value.get_int value b.Schema.attr))
-    bounds
+let rec delta_ok ~bounds ~demarcation valuation ~accepted deltas =
+  match bounds with
+  | [] -> true
+  | b :: rest ->
+    bound_ok b ~demarcation valuation ~accepted deltas
+    && delta_ok ~bounds:rest ~demarcation valuation ~accepted deltas
+
+let rec value_in_bounds ~bounds value =
+  match bounds with
+  | [] -> true
+  | (b : Schema.bound) :: rest ->
+    Schema.check_bound b (Value.get_int value b.Schema.attr) && value_in_bounds ~bounds:rest value
 
 type reject_reason = Version_validation | Outstanding_option | Demarcation
 
@@ -163,10 +208,7 @@ let classify ~bounds ~demarcation valuation ~accepted (up : Update.t) =
     then Some Outstanding_option
     else None
 
-let evaluate_why ~bounds ~demarcation valuation ~accepted up =
-  match classify ~bounds ~demarcation valuation ~accepted up with
-  | None -> (Woption.Accepted, None)
-  | Some reason -> (Woption.Rejected, Some reason)
+let decision_of = function None -> Woption.Accepted | Some (_ : reject_reason) -> Woption.Rejected
 
 let evaluate ~bounds ~demarcation valuation ~accepted up =
-  fst (evaluate_why ~bounds ~demarcation valuation ~accepted up)
+  decision_of (classify ~bounds ~demarcation valuation ~accepted up)

@@ -99,8 +99,13 @@ val accepted : t -> pending list
 val in_classic_era : t -> version:int -> bool
 (** Must proposals for the next instance go through the master? *)
 
-type valuation = { value : Value.t; version : int; exists : bool }
-(** The committed state a decision is evaluated against. *)
+type valuation = Store.row = {
+  mutable value : Value.t;
+  mutable version : int;
+  mutable exists : bool;
+}
+(** The committed state a decision is evaluated against: a store row,
+    passed as it is.  The decision functions only read it. *)
 
 type demarcation = [ `Quorum of int * int  (** (n, fast-quorum size) *) | `Escrow ]
 
@@ -122,17 +127,20 @@ val evaluate :
     the already-accepted outstanding options.  Deterministic; safe to run
     at any replica that has the same inputs. *)
 
-val evaluate_why :
+val classify :
   bounds:Schema.bound list ->
   demarcation:demarcation ->
   valuation ->
   accepted:pending list ->
   Update.t ->
-  Woption.decision * reject_reason option
-(** [evaluate] plus the first failing clause on rejection (checked in the
+  reject_reason option
+(** {!evaluate}'s decision as the reason it rejects: [None] exactly when the
+    option is accepted, otherwise the first failing clause (checked in the
     fixed order version validation → outstanding option → demarcation, so
-    the reason is deterministic even for multiply-invalid options).  The
-    decision is identical to {!evaluate}'s. *)
+    the reason is deterministic even for multiply-invalid options). *)
+
+val decision_of : reject_reason option -> Woption.decision
+(** [Accepted] for [None], [Rejected] otherwise. *)
 
 val demarcation_lower_ok :
   n:int -> qf:int -> base:int -> lower:int -> pending_neg:int -> delta_neg:int -> bool

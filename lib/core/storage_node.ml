@@ -44,12 +44,16 @@ type txrec = {
 }
 
 (* Visibility outcomes keyed by (txid, key) as they arrive, so a lookup
-   renders neither. *)
-module Visible = Hashtbl.Make (struct
-  type t = Txn.id * Key.t
+   renders neither.  A lookup goes through the node's one [probe] key,
+   overwritten in place, so only an insert allocates a key.  A key has the
+   pair's block shape, so it hashes as the pair [(txid, key)] did. *)
+type vkey = { mutable v_txid : Txn.id; mutable v_key : Key.t }
 
-  let equal (t1, k1) (t2, k2) = String.equal t1 t2 && Key.equal k1 k2
-  let hash = Hashtbl.hash
+module Visible = Hashtbl.Make (struct
+  type t = vkey
+
+  let equal a b = String.equal a.v_txid b.v_txid && Key.equal a.v_key b.v_key
+  let hash (k : t) = Hashtbl.hash k
 end)
 
 type t = {
@@ -62,6 +66,8 @@ type t = {
   store : Store.t;
   records : Rstate.t Key.Tbl.t;
   visible : bool Visible.t;  (* (txid, key) -> txn committed? *)
+  probe : vkey;  (* the lookup key of [visible]; never stored in it *)
+  fast_demarcation : Rstate.demarcation;  (* [`Quorum (n, qf)], built once *)
   masters : mstate Key.Tbl.t;
   recoveries : (Txn.id, txrec) Hashtbl.t;
   rng : Rng.t;
@@ -71,6 +77,8 @@ type t = {
       (* "src#key" pairs currently known diverged at equal version (applied
          anti-entropy digests differ); drives the diverged_replicas gauge *)
   trace_tag : string;  (* "node<id>", rendered once — not per trace point *)
+  option_accept : Obs.counter;  (* the per-message counters, resolved once *)
+  visibility_exec : Obs.counter;
 }
 
 (* History events are built only when a recorder is attached. *)
@@ -97,25 +105,30 @@ let default_classic_until config =
   match config.Config.mode with Config.Multi -> max_int | Config.Full | Config.Fast_only -> 0
 
 let rstate t key =
-  match Key.Tbl.find_opt t.records key with
-  | Some rs -> rs
-  | None ->
+  match Key.Tbl.find t.records key with
+  | rs -> rs
+  | exception Not_found ->
     let rs = Rstate.create ~classic_until:(default_classic_until t.config) key in
     Key.Tbl.add t.records key rs;
     rs
 
-let visible_outcome t txid key = Visible.find_opt t.visible (txid, key)
+let probe t txid key =
+  t.probe.v_txid <- txid;
+  t.probe.v_key <- key;
+  t.probe
 
-let is_visible t txid key = Visible.mem t.visible (txid, key)
+let visible_outcome t txid key = Visible.find_opt t.visible (probe t txid key)
+
+let is_visible t txid key = Visible.mem t.visible (probe t txid key)
 
 (* Record a final visibility outcome.  [visible] doubles as the index of the
    record's decided log, so a (txid, key) enters the log once, when first
-   seen, however often its outcome is re-asserted later. *)
+   seen, however often its outcome is re-asserted later.  [replace] stores
+   the key it is given, so it gets a fresh one, never the probe. *)
 let set_visible t (rs : Rstate.t) txid key committed =
-  let vk = (txid, key) in
-  if not (Visible.mem t.visible vk) then
+  if not (is_visible t txid key) then
     rs.Rstate.decided <- (txid, committed) :: rs.Rstate.decided;
-  Visible.replace t.visible vk committed
+  Visible.replace t.visible { v_txid = txid; v_key = key } committed
 
 (* The applied set lives on the record's Rstate — the authoritative list of
    committed updates folded into our copy of [key], which is what the
@@ -154,10 +167,6 @@ let mstate t key =
     Key.Tbl.add t.masters key ms;
     ms
 
-let valuation t key =
-  let row = Store.ensure t.store key in
-  { Rstate.value = row.Store.value; version = row.Store.version; exists = row.Store.exists }
-
 let bounds t key = Schema.bounds_of t.schema key
 
 let n_qf t = (t.config.Config.replication, Config.fast_quorum t.config)
@@ -185,33 +194,33 @@ let reject_counter = function
   | Rstate.Outstanding_option -> "option_reject_outstanding"
   | Rstate.Demarcation -> "option_reject_demarcation"
 
-let count_verdict t decision reason =
-  match (decision, reason) with
-  | Woption.Accepted, _ -> Obs.incr t.obs "option_accept"
-  | Woption.Rejected, Some r -> Obs.incr t.obs (reject_counter r)
-  | Woption.Rejected, None -> ()
+let count_verdict t reason =
+  match reason with
+  | None -> Obs.bump t.option_accept
+  | Some r -> Obs.incr t.obs (reject_counter r)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor role                                                       *)
 (* ------------------------------------------------------------------ *)
+
+let fast_reply t (w : Woption.t) decision =
+  send t w.Woption.coordinator
+    (Messages.Phase2b_fast
+       { key = w.Woption.key; txid = w.Woption.txid; decision; acceptor = t.id })
 
 (* Answer a fast (master-bypassing) proposal: SetCompatible + promise to the
    first proposer, or a redirect while the record runs classic ballots. *)
 let fast_propose t (w : Woption.t) =
   let key = w.Woption.key in
   let rs = rstate t key in
-  let reply decision =
-    send t w.Woption.coordinator
-      (Messages.Phase2b_fast { key; txid = w.Woption.txid; decision; acceptor = t.id })
-  in
   match visible_outcome t w.Woption.txid key with
-  | Some committed -> reply (if committed then Woption.Accepted else Woption.Rejected)
+  | Some committed -> fast_reply t w (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
     match Rstate.find_pending rs w.Woption.txid with
-    | Some p -> reply p.Rstate.decision
+    | Some p -> fast_reply t w p.Rstate.decision
     | None ->
-      let row = valuation t key in
-      let era_classic = Rstate.in_classic_era rs ~version:row.Rstate.version in
+      let row = Store.ensure t.store key in
+      let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
       if (not era_classic) && not (Ballot.is_fast rs.Rstate.promised) then
         (* The γ window ended: lazily fall back to the implicit fast ballot. *)
         rs.Rstate.promised <- Ballot.initial_fast;
@@ -229,15 +238,15 @@ let fast_propose t (w : Woption.t) =
            update: ask the master for the committed state (anti-entropy). *)
         (match w.Woption.update with
         | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } ->
-          if vread > row.Rstate.version && t.master_of key <> t.id then
+          if vread > row.Store.version && t.master_of key <> t.id then
             send t (t.master_of key) (Messages.Catchup_request { key })
         | Update.Insert _ | Update.Delta _ -> ());
-        let n, qf = n_qf t in
-        let decision, reason =
-          Rstate.evaluate_why ~bounds:(bounds t key) ~demarcation:(`Quorum (n, qf)) row
+        let reason =
+          Rstate.classify ~bounds:(bounds t key) ~demarcation:t.fast_demarcation row
             ~accepted:(Rstate.accepted rs) w.Woption.update
         in
-        count_verdict t decision reason;
+        let decision = Rstate.decision_of reason in
+        count_verdict t reason;
         Rstate.add_pending rs
           {
             Rstate.woption = w;
@@ -247,19 +256,18 @@ let fast_propose t (w : Woption.t) =
           };
         if observed t then begin
           let verdict_str =
-            match (decision, reason) with
-            | Woption.Accepted, _ -> "acc"
-            | Woption.Rejected, Some Rstate.Version_validation -> "rej:version"
-            | Woption.Rejected, Some Rstate.Outstanding_option -> "rej:outstanding"
-            | Woption.Rejected, Some Rstate.Demarcation -> "rej:demarcation"
-            | Woption.Rejected, None -> "rej"
+            match reason with
+            | None -> "acc"
+            | Some Rstate.Version_validation -> "rej:version"
+            | Some Rstate.Outstanding_option -> "rej:outstanding"
+            | Some Rstate.Demarcation -> "rej:demarcation"
           in
           let key_str = Key.to_string key in
           trace t "fast vote %s %s %s" w.Woption.txid key_str verdict_str;
           span t ~txid:w.Woption.txid ~name:"vote" ~key:key_str
             ~detail:("fast " ^ verdict_str) ()
         end;
-        reply decision
+        fast_reply t w decision
       end)
 
 (* Phase1b contents, as a tuple so the master can be invoked synchronously
@@ -377,7 +385,7 @@ let visibility t txid key (update : Update.t) committed =
       match t.history with
       | Some h -> History.record h (History.Voided { time = now t; node = t.id; txid; key })
       | None -> ());
-    Obs.incr t.obs (if committed then "visibility_exec" else "visibility_void");
+    if committed then Obs.bump t.visibility_exec else Obs.incr t.obs "visibility_void";
     if observed t then begin
       let key_str = Key.to_string key and verdict = if committed then "exec" else "void" in
       span t ~txid ~name:"visible" ~key:key_str ~detail:verdict ();
@@ -461,12 +469,13 @@ and start_round t key (w : Woption.t) ~notify =
   | None -> start_recovery t key ~extras:[ w ] ~notify
   | Some ballot ->
     let rs = rstate t key in
-    let row = valuation t key in
-    let decision, reason =
-      Rstate.evaluate_why ~bounds:(bounds t key) ~demarcation:`Escrow row
+    let row = Store.ensure t.store key in
+    let reason =
+      Rstate.classify ~bounds:(bounds t key) ~demarcation:`Escrow row
         ~accepted:(Rstate.accepted rs) w.Woption.update
     in
-    count_verdict t decision reason;
+    let decision = Rstate.decision_of reason in
+    count_verdict t reason;
     let r = { r_opt = w; r_dec = decision; r_ballot = ballot; r_acks = []; r_notify = notify } in
     ms.m_rounds <- r :: ms.m_rounds;
     broadcast_phase2a t key ballot w decision ~classic_until:rs.Rstate.classic_until ~rebase:None
@@ -523,8 +532,8 @@ and master_propose t (w : Woption.t) ~notify =
              and classifies the vote correctly. *)
           start_recovery t key ~extras:[ w ] ~notify
         | None ->
-          let row = valuation t key in
-          let era_classic = Rstate.in_classic_era rs ~version:row.Rstate.version in
+          let row = Store.ensure t.store key in
+          let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
           if ms.m_led <> None && era_classic then begin
             if ms.m_queue = [] && can_run_now t key w then start_round t key w ~notify
             else ms.m_queue <- ms.m_queue @ [ (w, notify) ]
@@ -1229,6 +1238,8 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       store = Store.create schema;
       records = Key.Tbl.create 1024;
       visible = Visible.create 4096;
+      probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" };
+      fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);
       masters = Key.Tbl.create 256;
       recoveries = Hashtbl.create 64;
       rng = Rng.split (Runtime.rng runtime);
@@ -1236,6 +1247,8 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       obs;
       diverged = Hashtbl.create 16;
       trace_tag = Printf.sprintf "node%d" node_id;
+      option_accept = Obs.counter obs "option_accept";
+      visibility_exec = Obs.counter obs "visibility_exec";
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

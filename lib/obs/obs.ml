@@ -14,25 +14,37 @@ let set_gauge t name v = Registry.set_gauge t.registry name v
 let add_gauge t name d = Registry.add_gauge t.registry name d
 let observe t name sample = Registry.observe t.registry name sample
 
-type node_counters = { sent : string; sent_bytes : string; recv : string; recv_bytes : string }
+type counter = Registry.counter
+
+let counter t name = Registry.counter_handle t.registry name
+let bump c = Registry.add c 1
+
+type node_counters = {
+  sent : counter;
+  sent_bytes : counter;
+  recv : counter;
+  recv_bytes : counter;
+}
 
 let traffic_meter t ~nodes =
-  let names =
+  let cells =
     Array.init nodes (fun n ->
         {
-          sent = Printf.sprintf "net.sent.node%02d" n;
-          sent_bytes = Printf.sprintf "net.sent_bytes.node%02d" n;
-          recv = Printf.sprintf "net.recv.node%02d" n;
-          recv_bytes = Printf.sprintf "net.recv_bytes.node%02d" n;
+          sent = counter t (Printf.sprintf "net.sent.node%02d" n);
+          sent_bytes = counter t (Printf.sprintf "net.sent_bytes.node%02d" n);
+          recv = counter t (Printf.sprintf "net.recv.node%02d" n);
+          recv_bytes = counter t (Printf.sprintf "net.recv_bytes.node%02d" n);
         })
   in
   let on_send ~src ~dst:_ ~bytes =
-    incr t names.(src).sent;
-    incr t ~by:bytes names.(src).sent_bytes
+    let c = cells.(src) in
+    bump c.sent;
+    Registry.add c.sent_bytes bytes
   in
   let on_deliver ~src:_ ~dst ~bytes =
-    incr t names.(dst).recv;
-    incr t ~by:bytes names.(dst).recv_bytes
+    let c = cells.(dst) in
+    bump c.recv;
+    Registry.add c.recv_bytes bytes
   in
   (on_send, on_deliver)
 

@@ -24,6 +24,16 @@ val add_gauge : t -> string -> int -> unit
 val observe : t -> string -> float -> unit
 (** Registry pass-throughs. *)
 
+type counter = Registry.counter
+
+val counter : t -> string -> counter
+(** A {!Registry.counter_handle} on this handle's registry, for counters
+    bumped on every message: resolve it once where the component is built. *)
+
+val bump : counter -> unit
+(** [bump c] is [incr t name] for [c]'s handle and name, without the name
+    lookup; allocates nothing. *)
+
 val traffic_meter :
   t ->
   nodes:int ->
@@ -32,7 +42,8 @@ val traffic_meter :
     [0 .. nodes-1]: [on_send] counts a message and its bytes on the
     sender's [net.sent.nodeNN] and [net.sent_bytes.nodeNN], [on_deliver] on
     the receiver's [net.recv.nodeNN] and [net.recv_bytes.nodeNN].  The
-    counter names are rendered once here, not per message. *)
+    four counters of each node are resolved here ({!counter}), so a
+    message costs no name lookup and allocates nothing. *)
 
 val begin_txn : t -> txid:string -> at:float -> unit
 

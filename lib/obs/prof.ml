@@ -87,8 +87,10 @@ let span_in t name f =
 
 (* Exception-style lookup: counting happens inside measured phases, so a
    [Some] allocated per count would inflate the very minor-words numbers
-   the profiler reports. *)
-let count_in t ?(by = 1) name =
+   the profiler reports.  [add_in] takes the amount positionally: a hot
+   caller passing [~by] to the optional form would build that [Some]
+   itself, on every call, profiling on or off. *)
+let add_in t name by =
   if t.p_enabled then begin
     let r =
       match Hashtbl.find t.p_counters name with
@@ -100,6 +102,8 @@ let count_in t ?(by = 1) name =
     in
     r := !r + by
   end
+
+let count_in t ?(by = 1) name = add_in t name by
 
 (* One ambient handle per domain, like [Obs.ambient]: a worker domain
    starts from a fresh disabled handle, never the spawner's. *)

@@ -29,6 +29,11 @@ val span_in : t -> string -> (unit -> 'a) -> 'a
 
 val count_in : t -> ?by:int -> string -> unit
 
+val add_in : t -> string -> int -> unit
+(** [add_in t name n] is [count_in t ~by:n name] for per-message callers:
+    it allocates nothing when [t] is disabled, where passing [~by] would
+    build an option at the call site. *)
+
 val ambient : unit -> t
 (** The calling domain's handle.  Fresh (disabled) per domain. *)
 

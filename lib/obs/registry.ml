@@ -4,6 +4,7 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   hists : (string, float list ref) Hashtbl.t;
+  mutable generation : int;  (* bumped by [clear]: resolved handles re-resolve *)
 }
 
 let create () =
@@ -11,6 +12,7 @@ let create () =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 16;
+    generation = 0;
   }
 
 (* Exception-style lookup: [find_opt] allocates a [Some] per call, and
@@ -27,6 +29,26 @@ let cell tbl name =
 let incr t ?(by = 1) name =
   let r = cell t.counters name in
   r := !r + by
+
+(* A counter handle caches the counter's [int ref] so a bump skips the
+   string hash and table probe.  It resolves on first use — a handle that
+   is never bumped leaves the registry untouched, exactly as an [incr] that
+   never runs — and again after [clear] dropped the table it pointed into. *)
+type counter = {
+  c_reg : t;
+  c_name : string;
+  mutable c_ref : int ref;
+  mutable c_generation : int;
+}
+
+let counter_handle t name = { c_reg = t; c_name = name; c_ref = ref 0; c_generation = -1 }
+
+let add h by =
+  if h.c_generation <> h.c_reg.generation then begin
+    h.c_ref <- cell h.c_reg.counters h.c_name;
+    h.c_generation <- h.c_reg.generation
+  end;
+  h.c_ref := !(h.c_ref) + by
 
 let set_gauge t name v = cell t.gauges name := v
 
@@ -93,6 +115,7 @@ let merge ~into src =
     (sorted src.hists)
 
 let clear t =
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists

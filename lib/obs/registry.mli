@@ -11,6 +11,18 @@ val create : unit -> t
 val incr : t -> ?by:int -> string -> unit
 (** Add [by] (default 1) to a counter, creating it at zero first. *)
 
+type counter
+(** A handle on one named counter for call sites that bump it per message:
+    the name is looked up once, not on every bump. *)
+
+val counter_handle : t -> string -> counter
+(** [counter_handle t name] creates no counter: the registry's contents
+    are as if the handle's bumps were {!incr} calls on [name]. *)
+
+val add : counter -> int -> unit
+(** [add h n] is [incr t ~by:n name] for [h]'s registry and name.  Allocates
+    nothing once the counter exists, including across {!clear}. *)
+
 val set_gauge : t -> string -> int -> unit
 
 val add_gauge : t -> string -> int -> unit

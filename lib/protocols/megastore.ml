@@ -46,11 +46,8 @@ let validate t (updates : (Key.t * Update.t) list) =
   List.for_all
     (fun (key, update) ->
       let row = Store.ensure store key in
-      let valuation =
-        { Rstate.value = row.Store.value; version = row.Store.version; exists = row.Store.exists }
-      in
       let bounds = Schema.bounds_of (Harness.schema t.d) key in
-      Rstate.evaluate ~bounds ~demarcation:`Escrow valuation ~accepted:[] update
+      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~accepted:[] update
       = Mdcc_core.Woption.Accepted)
     updates
 

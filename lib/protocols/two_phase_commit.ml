@@ -35,12 +35,9 @@ let prepare t node key txid update =
   | None ->
     let store = Harness.store t.d node in
     let row = Store.ensure store key in
-    let valuation =
-      { Rstate.value = row.Store.value; version = row.Store.version; exists = row.Store.exists }
-    in
     let bounds = Schema.bounds_of (Harness.schema t.d) key in
     let ok =
-      Rstate.evaluate ~bounds ~demarcation:`Escrow valuation ~accepted:[] update
+      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~accepted:[] update
       = Mdcc_core.Woption.Accepted
     in
     if ok then Key.Tbl.replace locks key (txid, update);

@@ -8,6 +8,7 @@ type sim_time = float
    every advance, i.e. once per dispatched event. *)
 type t = {
   now : Event_queue.fcell;
+  at : Event_queue.fcell;  (* the time being pushed, handed to the queue unboxed *)
   mutable seq : int;
   queue : Event_queue.t;
   rng : Rng.t;
@@ -19,6 +20,7 @@ type handle = Event_queue.event
 let create ~seed =
   {
     now = { Event_queue.f = 0.0 };
+    at = { Event_queue.f = 0.0 };
     seq = 0;
     queue = Event_queue.create ();
     rng = Rng.create seed;
@@ -29,14 +31,22 @@ let now t = t.now.Event_queue.f
 
 let rng t = t.rng
 
-let schedule_at t ~at f =
+let[@inline] enqueue t at f =
   let now = t.now.Event_queue.f in
-  let at = if at < now then now else at in
+  t.at.Event_queue.f <- (if at < now then now else at);
   t.seq <- t.seq + 1;
-  Event_queue.push t.queue ~at ~seq:t.seq f
+  Event_queue.push_cell t.queue ~at:t.at ~seq:t.seq f
 
-let schedule t ~after f =
-  schedule_at t ~at:(t.now.Event_queue.f +. Float.max 0.0 after) f
+(* [Float.max 0.0 after], spelled out so it stays unboxed: a negative
+   delay clamps to 0 and a NaN passes through. *)
+let[@inline] after_time t after =
+  t.now.Event_queue.f +. if after > 0.0 || after <> after then after else 0.0
+
+let schedule_at t ~at f = enqueue t at f
+
+let schedule t ~after f = enqueue t (after_time t after) f
+
+let schedule_in t delay f = enqueue t (after_time t delay.Event_queue.f) f
 
 let cancel t h = Event_queue.cancel t.queue h
 

@@ -34,6 +34,11 @@ val schedule : t -> after:float -> (unit -> unit) -> handle
 val schedule_at : t -> at:float -> (unit -> unit) -> handle
 (** Absolute-time variant of {!schedule}. *)
 
+val schedule_in : t -> Event_queue.fcell -> (unit -> unit) -> handle
+(** [schedule_in t delay f] is [schedule t ~after:delay.f f] for callers
+    that schedule per message: the delay is read from a caller-owned cell,
+    so no boxed float crosses into the engine. *)
+
 val cancel : t -> handle -> unit
 (** Cancel a pending event; a no-op if it already fired or was already
     cancelled.  Cancel-heavy runs stay compact: the queue drops dead

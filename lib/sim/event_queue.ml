@@ -97,7 +97,14 @@ let compact t =
     sift_down t i
   done
 
-let push t ~at ~seq run =
+(* A single-field float record is stored flat, so writing [c.f] is a raw
+   float store.  The engine's clock lives in one of these and advances
+   without a box per event, and [push_cell] reads a new event's time from
+   one: a [float] argument crossing into this module would be boxed on
+   every push. *)
+type fcell = { mutable f : float }
+
+let[@inline] insert t at seq run =
   Prof.count_in t.prof "event_queue.push";
   if t.len = Array.length t.evs then begin
     (* Reclaim dead entries before paying for a bigger array. *)
@@ -110,6 +117,10 @@ let push t ~at ~seq run =
   t.len <- t.len + 1;
   sift_up t (t.len - 1);
   ev
+
+let push t ~at ~seq run = insert t at seq run
+
+let push_cell t ~at ~seq run = insert t at.f seq run
 
 (* Cancellation is lazy (the entry stays until popped), but a cancel-heavy
    run — every committed transaction cancels its timeout — would otherwise
@@ -133,11 +144,6 @@ let drop_root t =
   t.evs.(t.len) <- dummy;
   if t.len > 0 then sift_down t 0;
   if ev.cancelled && t.dead > 0 then t.dead <- t.dead - 1
-
-(* A single-field float record is stored flat, so writing [c.f] is a raw
-   float store — the engine's clock lives in one of these and advances
-   without a box per event. *)
-type fcell = { mutable f : float }
 
 (* The engine's dispatch primitive: remove and return the earliest live
    event whose time is <= [limit], discarding cancelled roots on the way;

@@ -24,7 +24,8 @@ type t
 
 type fcell = { mutable f : float }
 (** A single-field float record: stored flat, so writes are raw float
-    stores.  The engine's virtual clock is one of these. *)
+    stores.  The engine's virtual clock is one of these, and so is the
+    cell {!push_cell} reads a time from. *)
 
 val create : unit -> t
 (** Fresh empty heap.  The profiler handle is resolved from the ambient
@@ -39,6 +40,10 @@ val is_empty : t -> bool
 
 val push : t -> at:float -> seq:int -> (unit -> unit) -> event
 (** Insert an event; the returned handle can be cancelled. *)
+
+val push_cell : t -> at:fcell -> seq:int -> (unit -> unit) -> event
+(** [push] with the time read from [at.f]: the engine's path, on which no
+    boxed float crosses into this module. *)
 
 val cancel : t -> event -> unit
 (** Mark the event dead; it is skipped (and dropped) when popped.  When

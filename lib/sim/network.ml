@@ -50,6 +50,10 @@ let with_trace_context ctx f =
 type t = {
   engine : Engine.t;
   topo : Topology.t;
+  node_dc : int array;  (* node -> data center *)
+  dcs : int;
+  dc_latency : float array;  (* flat dcs x dcs base one-way latencies *)
+  delay : Event_queue.fcell;  (* the send's latency, handed to the engine unboxed *)
   base_drop_probability : float;
   mutable drop_probability : float;
   mutable latency_factor : float;
@@ -65,9 +69,15 @@ type t = {
 }
 
 let create engine topo ?(drop_probability = 0.0) ?(jitter_sigma = 0.05) () =
+  let dcs = Topology.num_dcs topo in
   {
     engine;
     topo;
+    node_dc = Array.init (Topology.num_nodes topo) (Topology.dc_of topo);
+    dcs;
+    dc_latency =
+      Array.init (dcs * dcs) (fun i -> Topology.dc_one_way topo (i / dcs) (i mod dcs));
+    delay = { Event_queue.f = 0.0 };
     base_drop_probability = drop_probability;
     drop_probability;
     latency_factor = 1.0;
@@ -92,8 +102,13 @@ let topology t = t.topo
 
 let register t node handler = t.handlers.(node) <- Some handler
 
-let latency_sample t ~src ~dst =
-  let base = Topology.one_way t.topo src dst in
+(* [Topology.one_way] from the tables built at [create], so the base
+   latency is never a boxed float returned from another module; inlined
+   into [send], the whole sample stays unboxed. *)
+let[@inline] latency_sample t ~src ~dst =
+  let base =
+    if src = dst then 0.0 else t.dc_latency.((t.node_dc.(src) * t.dcs) + t.node_dc.(dst))
+  in
   (* Minimum processing/stack delay so even loopback costs one event tick. *)
   let floor_latency = 0.25 in
   let jitter =
@@ -104,7 +119,10 @@ let latency_sample t ~src ~dst =
 
 let link_cut t ~src ~dst = Hashtbl.mem t.cut (src, dst)
 
-let blocked t ~src ~dst = t.failed.(src) || t.failed.(dst) || link_cut t ~src ~dst
+(* The length test skips building the [(src, dst)] key while no link is
+   cut, which is every message of a fault-free run. *)
+let blocked t ~src ~dst =
+  t.failed.(src) || t.failed.(dst) || (Hashtbl.length t.cut > 0 && link_cut t ~src ~dst)
 
 let send t ~src ~dst payload =
   t.stats.sent <- t.stats.sent + 1;
@@ -117,7 +135,7 @@ let send t ~src ~dst payload =
     | Some m ->
       let bytes = m.m_size payload in
       m.m_on_send ~src ~dst ~bytes;
-      Prof.count_in t.prof ~by:bytes "network.sized_bytes";
+      Prof.add_in t.prof "network.sized_bytes" bytes;
       bytes
     | None -> 0
   in
@@ -125,10 +143,10 @@ let send t ~src ~dst payload =
   else if t.drop_probability > 0.0 && Rng.bernoulli t.rng t.drop_probability then
     t.stats.dropped <- t.stats.dropped + 1
   else begin
-    let delay = latency_sample t ~src ~dst in
+    t.delay.Event_queue.f <- latency_sample t ~src ~dst;
     let ctx = t.ctx_cell.ctx in
     ignore
-      (Engine.schedule t.engine ~after:delay (fun () ->
+      (Engine.schedule_in t.engine t.delay (fun () ->
            (* Failures and link cuts that happened while the message was in
               flight also kill it: a dead data center receives nothing. *)
            if blocked t ~src ~dst then t.stats.dropped <- t.stats.dropped + 1

@@ -52,12 +52,9 @@ let nodes_in_dc t dc =
 
 let all_nodes t = List.init (num_nodes t) Fun.id
 
-let one_way t a b =
-  if a = b then 0.0
-  else begin
-    let da = dc_of t a and db = dc_of t b in
-    if da = db then t.intra_rtt /. 2.0 else t.rtt.(da).(db) /. 2.0
-  end
+let dc_one_way t da db = if da = db then t.intra_rtt /. 2.0 else t.rtt.(da).(db) /. 2.0
+
+let one_way t a b = if a = b then 0.0 else dc_one_way t (dc_of t a) (dc_of t b)
 
 let add_nodes t ~per_dc =
   if per_dc < 0 then invalid_arg "Topology.add_nodes: negative per_dc";

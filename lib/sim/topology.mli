@@ -50,6 +50,10 @@ val one_way : t -> node_id -> node_id -> float
 (** Base one-way latency between two nodes (half the RTT; 0 for a node to
     itself). *)
 
+val dc_one_way : t -> int -> int -> float
+(** Base one-way latency between two distinct nodes in data centers [da]
+    and [db] (half the intra-DC RTT when [da = db]). *)
+
 val add_nodes : t -> per_dc:int -> t
 (** A copy of the topology with [per_dc] extra nodes appended to every data
     center (their ids follow the existing ones).  Used to add app-server /

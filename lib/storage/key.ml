@@ -7,7 +7,10 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash t = Hashtbl.hash (t.table, t.id)
+(* The record has the pair [(table, id)]'s block shape (tag 0, two
+   fields), so this is [Hashtbl.hash (t.table, t.id)] — the value that
+   places keys in partitions — without building the pair per lookup. *)
+let hash (t : t) = Hashtbl.hash t
 
 let to_string t = t.table ^ "/" ^ t.id
 

@@ -14,8 +14,7 @@ let create tables =
     tables;
   t
 
-let table t name =
-  match Hashtbl.find_opt t name with Some tbl -> tbl | None -> raise Not_found
+let table t name = Hashtbl.find t name
 
 let tables t = List.map snd (Mdcc_util.Table.sorted_bindings ~compare:String.compare t)
 

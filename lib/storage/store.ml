@@ -12,10 +12,12 @@ let schema t = t.schema
 
 let find t key = Key.Tbl.find_opt t.rows key
 
+(* Runs on every protocol message: [find] with its exception rather than
+   [find_opt], whose [Some] would be allocated per call. *)
 let ensure t key =
-  match Key.Tbl.find_opt t.rows key with
-  | Some row -> row
-  | None ->
+  match Key.Tbl.find t.rows key with
+  | row -> row
+  | exception Not_found ->
     let row = { value = Value.empty; version = 0; exists = false } in
     Key.Tbl.add t.rows key row;
     row

@@ -14,11 +14,13 @@ let fold f t init = Smap.fold f t init
 
 let get t attr = Smap.find_opt attr t
 
+(* [find] and its exception: acceptors read bounded attributes on every
+   proposal, and [find_opt] would allocate a [Some] per read. *)
 let get_int t attr =
-  match Smap.find_opt attr t with
-  | None -> 0
-  | Some (Int i) -> i
-  | Some (Str _) -> invalid_arg ("Value.get_int: attribute " ^ attr ^ " is a string")
+  match Smap.find attr t with
+  | Int i -> i
+  | Str _ -> invalid_arg ("Value.get_int: attribute " ^ attr ^ " is a string")
+  | exception Not_found -> 0
 
 let set t attr v = Smap.add attr v t
 

@@ -114,8 +114,109 @@ let test_idle_scan_constant () =
   if w > 200.0 then Alcotest.failf "idle scan of 5000 records allocated %.0f words" w;
   Alcotest.(check int) "nothing recovered" 5_000 (Storage_node.pending_options node)
 
+(* Words per draw over [n] draws.  A cross-module call returns an [int64]
+   or a [float] boxed (3 and 2 words); everything else a draw computes —
+   the state update, the output mix, Box–Muller's intermediates — must stay
+   unboxed. *)
+let per_draw f =
+  let n = 1_000 in
+  words (fun () ->
+      for _ = 1 to n do
+        f ()
+      done)
+  /. Float.of_int n
+
+let test_rng_draws () =
+  let r = Mdcc_util.Rng.create 3 in
+  let check name ceiling f =
+    let w = per_draw f in
+    if w > ceiling then Alcotest.failf "%s allocated %.2f words per draw (ceiling %.0f)" name w ceiling
+  in
+  check "Rng.int" 0.0 (fun () -> ignore (Sys.opaque_identity (Mdcc_util.Rng.int r 1000)));
+  check "Rng.bool" 0.0 (fun () -> ignore (Sys.opaque_identity (Mdcc_util.Rng.bool r)));
+  check "Rng.bernoulli" 0.0 (fun () ->
+      ignore (Sys.opaque_identity (Mdcc_util.Rng.bernoulli r 0.5)));
+  check "Rng.int64 (its boxed return only)" 3.0 (fun () ->
+      ignore (Sys.opaque_identity (Mdcc_util.Rng.int64 r)));
+  check "Rng.float (its boxed return only)" 2.0 (fun () ->
+      ignore (Sys.opaque_identity (Mdcc_util.Rng.float r 1.0)));
+  check "Rng.lognormal (its boxed return only)" 2.0 (fun () ->
+      ignore (Sys.opaque_identity (Mdcc_util.Rng.lognormal r ~mu:0.0 ~sigma:0.05)))
+
+(* The traffic meter resolves each node's counters once, so metering a
+   message is four counter bumps and no name lookup. *)
+let test_traffic_meter () =
+  let obs = Mdcc_obs.Obs.create () in
+  let on_send, on_deliver = Mdcc_obs.Obs.traffic_meter obs ~nodes:4 in
+  (* The first bump of each counter creates it. *)
+  on_send ~src:1 ~dst:2 ~bytes:64;
+  on_deliver ~src:1 ~dst:2 ~bytes:64;
+  let w =
+    words (fun () ->
+        for _ = 1 to 1_000 do
+          on_send ~src:1 ~dst:2 ~bytes:64;
+          on_deliver ~src:1 ~dst:2 ~bytes:64
+        done)
+  in
+  Alcotest.(check (float 0.0)) "meter allocates nothing" 0.0 w;
+  let r = Mdcc_obs.Obs.registry obs in
+  Alcotest.(check int) "sent" 1_001 (Mdcc_obs.Registry.counter r "net.sent.node01");
+  Alcotest.(check int) "recv bytes" (1_001 * 64)
+    (Mdcc_obs.Registry.counter r "net.recv_bytes.node02")
+
+(* A coordinator on a runtime whose sends go nowhere; returns it and its
+   message handler. *)
+let bare_coordinator () =
+  let handler = ref (fun ~src:_ _ -> ()) in
+  let runtime =
+    Runtime.make
+      ~now:(fun () -> 0.0)
+      ~send:(fun ~src:_ ~dst:_ _ -> ())
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let config = Config.make ~replication:5 () in
+  let coord =
+    Mdcc_core.Coordinator.create ~runtime ~config ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  (coord, !handler)
+
+(* Fast votes that do not yet decide their key — the common arrival — are
+   counted in place: no vote list, no copies. *)
+let test_fast_vote_arrival () =
+  let coord, deliver = bare_coordinator () in
+  let txns = 100 in
+  let votes = ref [] in
+  for i = 0 to txns - 1 do
+    let txid = Printf.sprintf "v%03d" i in
+    Mdcc_core.Coordinator.submit coord
+      (Txn.make ~id:txid ~updates:[ (key, Update.Delta [ ("stock", -1) ]) ])
+      ignore;
+    (* Three of five: below the fast quorum of four. *)
+    for acceptor = 0 to 2 do
+      votes :=
+        Messages.Phase2b_fast { key; txid; decision = Woption.Accepted; acceptor } :: !votes
+    done
+  done;
+  let votes = Array.of_list (List.rev !votes) in
+  let w = words (fun () -> Array.iter (fun v -> deliver ~src:0 v) votes) in
+  let per_vote = w /. Float.of_int (Array.length votes) in
+  if per_vote > 2.0 then Alcotest.failf "a fast vote allocated %.2f words" per_vote;
+  Alcotest.(check int) "nothing decided" txns (Mdcc_core.Coordinator.inflight coord)
+
 let suite =
   [
+    Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;
+    Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
+    Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;
     Alcotest.test_case "idle maintenance scan is constant" `Quick test_idle_scan_constant;

@@ -245,8 +245,9 @@ let test_cluster_load_and_peek () =
   Alcotest.(check bool) "absent key" true (Cluster.peek cluster ~dc:0 (item 1) = None)
 
 (* Pinned network message counts on a seeded run, with and without
-   batching.  [Coordinator.send_all]'s single-destination fast path (which
-   skips the per-call Hashtbl) must not change what goes on the wire: any
+   batching.  The coordinator's broadcast paths (no pair list unbatched,
+   [send_batched]'s single-destination fast path batched) must not change
+   what goes on the wire: any
    drift in these counts means the optimization changed behavior. *)
 let send_all_counts ~batching =
   let engine = Engine.create ~seed:13 in

@@ -104,6 +104,26 @@ let test_registry_counters_gauges () =
   let ia = index_of ~needle:"\"a\":" s and ic = index_of ~needle:"\"c\":" s in
   Alcotest.(check bool) "a before c in render" true (ia >= 0 && ic >= 0 && ia < ic)
 
+(* A counter handle behaves like [incr] by name: it creates nothing until
+   its first bump, shares the named counter with [incr], and survives a
+   [clear] (the next bump recreates the counter from zero). *)
+let test_registry_counter_handle () =
+  let r = Registry.create () in
+  let h = Registry.counter_handle r "msgs" and idle = Registry.counter_handle r "idle" in
+  Alcotest.(check (list (pair string int))) "handles create nothing" []
+    (Registry.counter_bindings r);
+  Registry.add h 2;
+  Registry.incr r "msgs";
+  Registry.add h 3;
+  Alcotest.(check int) "handle and name share the counter" 6 (Registry.counter r "msgs");
+  ignore idle;
+  Alcotest.(check (list (pair string int))) "only bumped counters exist" [ ("msgs", 6) ]
+    (Registry.counter_bindings r);
+  Registry.clear r;
+  Registry.add h 1;
+  Alcotest.(check (list (pair string int))) "re-resolved after clear" [ ("msgs", 1) ]
+    (Registry.counter_bindings r)
+
 let test_registry_json_shape () =
   let r = Registry.create () in
   Registry.incr r "n";
@@ -427,6 +447,7 @@ let test_chaos_obs_determinism () =
 
 let suite =
   [
+    Alcotest.test_case "registry counter handle" `Quick test_registry_counter_handle;
     Alcotest.test_case "json render" `Quick test_json_render;
     Alcotest.test_case "json float forms" `Quick test_json_float_forms;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;

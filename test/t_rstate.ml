@@ -149,6 +149,73 @@ let test_pending_state_helpers () =
   Rstate.remove_pending rs "a";
   Alcotest.(check int) "one left" 1 (List.length rs.Rstate.pending)
 
+(* Property: the pending list's operations, which walk it without copying
+   unless it changes, keep the list exactly as the filter-and-append
+   definition would: arrival order, one entry per txid, [accepted] the
+   accepted entries in order. *)
+let prop_pending_ops_match_list_model =
+  QCheck.Test.make ~name:"pending ops match the filter/append model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 40) (triple (int_range 0 2) (int_range 0 4) bool))
+    (fun ops ->
+      let rs = Rstate.create key in
+      let model = ref [] in
+      let view l = List.map (fun p -> (p.Rstate.woption.Woption.txid, p.Rstate.decision)) l in
+      List.for_all
+        (fun (op, i, acc) ->
+          let txid = Printf.sprintf "t%d" i in
+          let without l = List.filter (fun p -> p.Rstate.woption.Woption.txid <> txid) l in
+          (match op with
+          | 0 | 1 ->
+            let p =
+              pend ~txid
+                ~decision:(if acc then Woption.Accepted else Woption.Rejected)
+                (Update.Delta [ ("stock", -1) ])
+            in
+            Rstate.add_pending rs p;
+            model := without !model @ [ p ]
+          | _ ->
+            Rstate.remove_pending rs txid;
+            model := without !model);
+          view rs.Rstate.pending = view !model
+          && view (Rstate.accepted rs)
+             = view (List.filter (fun p -> p.Rstate.decision = Woption.Accepted) !model)
+          && Option.map (fun p -> p.Rstate.woption.Woption.txid) (Rstate.find_pending rs txid)
+             = Option.map
+                 (fun p -> p.Rstate.woption.Woption.txid)
+                 (List.find_opt (fun p -> p.Rstate.woption.Woption.txid = txid) !model))
+        ops)
+
+(* Property: [evaluate] on deltas agrees with the bound test written as
+   folds over the accepted options (worst-case negative and positive sums),
+   for lower and upper limits under both demarcation modes. *)
+let prop_delta_decision_matches_fold_model =
+  QCheck.Test.make ~name:"delta decision matches the fold model" ~count:500
+    QCheck.(
+      quad (int_range 0 30)
+        (list_of_size Gen.(int_range 0 5) (int_range (-6) 6))
+        (int_range (-8) 8) bool)
+    (fun (base, pending, d, quorum) ->
+      let bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = Some 40 } ] in
+      let accepted =
+        List.mapi
+          (fun i x -> pend ~txid:(Printf.sprintf "p%d" i) (Update.Delta [ ("stock", x) ]))
+          pending
+      in
+      let neg = List.fold_left (fun acc x -> acc + min 0 x) 0 pending
+      and pos = List.fold_left (fun acc x -> acc + max 0 x) 0 pending in
+      let n, qf = (5, 4) in
+      let model =
+        if quorum then
+          Rstate.demarcation_lower_ok ~n ~qf ~base ~lower:0 ~pending_neg:neg ~delta_neg:(min 0 d)
+          && Rstate.demarcation_upper_ok ~n ~qf ~base ~upper:40 ~pending_pos:pos
+               ~delta_pos:(max 0 d)
+        else base + neg + min 0 d >= 0 && base + pos + max 0 d <= 40
+      in
+      let demarcation = if quorum then `Quorum (n, qf) else `Escrow in
+      Rstate.evaluate ~bounds ~demarcation (valuation base) ~accepted
+        (Update.Delta [ ("stock", d) ])
+      = if model then Woption.Accepted else Woption.Rejected)
+
 (* Property: the demarcation acceptance rule is safe — for ANY subset of the
    accepted pending decrements committing, a single acceptor's accepted set
    never drives the replicated value below  L = lower + (n-qf)/n*(base-lower),
@@ -221,4 +288,6 @@ let suite =
     Alcotest.test_case "pending state helpers" `Quick test_pending_state_helpers;
     QCheck_alcotest.to_alcotest prop_demarcation_local_safety;
     QCheck_alcotest.to_alcotest prop_escrow_safety;
+    QCheck_alcotest.to_alcotest prop_pending_ops_match_list_model;
+    QCheck_alcotest.to_alcotest prop_delta_decision_matches_fold_model;
   ]

@@ -311,6 +311,42 @@ let test_network_jitter_positive () =
     Alcotest.(check bool) "latency positive and near base" true (l > 20.0 && l < 100.0)
   done
 
+(* Without jitter a latency is the floor plus the topology's one-way
+   latency, for every pair: same node, same DC and across DCs. *)
+let test_network_latency_table () =
+  let e = Engine.create ~seed:4 in
+  let topo = Topology.ec2_five ~nodes_per_dc:2 () in
+  let net = Net.create e topo ~jitter_sigma:0.0 () in
+  for src = 0 to Topology.num_nodes topo - 1 do
+    for dst = 0 to Topology.num_nodes topo - 1 do
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d -> %d" src dst)
+        (0.25 +. Topology.one_way topo src dst)
+        (Net.latency_sample net ~src ~dst)
+    done
+  done
+
+(* [schedule_in] reads its delay from a cell but clamps and orders exactly
+   like [schedule]. *)
+let test_engine_schedule_in () =
+  let delays = [ 5.0; -3.0; 0.0; 2.5; 5.0; -0.0; 7.25 ] in
+  let run schedule =
+    let e = Engine.create ~seed:1 in
+    ignore (Engine.schedule e ~after:1.0 ignore);
+    Engine.run e;
+    let log = ref [] in
+    List.iteri (fun i d -> schedule e d (fun () -> log := (i, Engine.now e) :: !log)) delays;
+    Engine.run e;
+    List.rev !log
+  in
+  let cell = { Mdcc_sim.Event_queue.f = 0.0 } in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "same times, same order"
+    (run (fun e d f -> ignore (Engine.schedule e ~after:d f)))
+    (run (fun e d f ->
+         cell.Mdcc_sim.Event_queue.f <- d;
+         ignore (Engine.schedule_in e cell f)))
+
 let test_network_determinism () =
   let run seed =
     let e = Engine.create ~seed in
@@ -382,4 +418,6 @@ let suite =
     Alcotest.test_case "network jitter" `Quick test_network_jitter_positive;
     Alcotest.test_case "network determinism" `Quick test_network_determinism;
     Alcotest.test_case "network meter sizes once" `Quick test_network_meter_size_once;
+    Alcotest.test_case "network latency table" `Quick test_network_latency_table;
+    Alcotest.test_case "engine schedule_in" `Quick test_engine_schedule_in;
   ]

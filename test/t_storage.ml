@@ -283,6 +283,25 @@ let prop_sorted_filter_map =
       Key.Tbl.sorted_filter_map f tbl
       = List.filter_map (fun (k, v) -> f k v) (Key.Tbl.sorted_bindings tbl))
 
+(* [Key.hash] hashes the record itself; it must equal the pair hash that
+   partition assignment and [Key.Tbl] layout were built on. *)
+let prop_key_hash_is_pair_hash =
+  QCheck.Test.make ~name:"Key.hash equals Hashtbl.hash of the (table, id) pair" ~count:500
+    QCheck.(pair (string_gen_of_size Gen.(int_range 0 12) Gen.printable) string)
+    (fun (table, id) -> Key.hash (Key.make ~table ~id) = Hashtbl.hash (table, id))
+
+let test_key_hash_pinned () =
+  List.iter
+    (fun (table, id, h) ->
+      Alcotest.(check int) (table ^ "/" ^ id) h (Key.hash (Key.make ~table ~id)))
+    [
+      ("item", "42", 638177789);
+      ("item", "0", 68900204);
+      ("order", "7", 574807583);
+      ("customer", "c-1001", 780719834);
+      ("", "", 980550003);
+    ]
+
 let suite =
   [
     Alcotest.test_case "value basics" `Quick test_value_basics;
@@ -307,4 +326,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_versions;
     QCheck_alcotest.to_alcotest prop_digest_matches_sorted_list;
     QCheck_alcotest.to_alcotest prop_sorted_filter_map;
+    Alcotest.test_case "key hash pinned values" `Quick test_key_hash_pinned;
+    QCheck_alcotest.to_alcotest prop_key_hash_is_pair_hash;
   ]
