@@ -3,9 +3,11 @@
    Runs a small deterministic chaos run (spans enabled), renders its metrics
    snapshot and span trees, parses both back with Mdcc_obs.Json, and
    validates the documented shapes plus the protocol-level invariants the
-   schemas promise: counters are non-negative integers, every span's events
-   are in nondecreasing sim-time order, and the fast-commutative workload
-   actually exercised both the fast path and collision resolution.  Attached
+   schemas promise: counters are non-negative integers, every span event is
+   named from the event stream's span-name list (Mdcc_core.Event.span_names),
+   every span's events are in nondecreasing sim-time order, and the
+   fast-commutative workload actually exercised both the fast path and
+   collision resolution.  Attached
    to the @obs alias (and through it @runtest) so schema drift fails the
    build. *)
 
@@ -73,8 +75,9 @@ let check_event ~txid ~prev_at ev =
   in
   (match get ~label "node" ev with Json.Int _ -> () | _ -> fail "%s \"node\" not int" label);
   (match get ~label "name" ev with
-  | Json.Str s when s <> "" -> ()
-  | _ -> fail "%s \"name\" not a non-empty string" label);
+  | Json.Str s when List.mem s Mdcc_core.Event.span_names -> ()
+  | Json.Str s -> fail "%s name %S is not one of Event.span_names" label s
+  | _ -> fail "%s \"name\" not a string" label);
   (match get ~label "detail" ev with Json.Str _ -> () | _ -> fail "%s \"detail\" not str" label);
   if at < prev_at then
     fail "span %s events out of sim-time order (%.2f after %.2f)" txid at prev_at;

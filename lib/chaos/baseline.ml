@@ -106,11 +106,10 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
   let submitted = ref 0 and decided = ref [] in
   let submit ~dc txn =
     incr submitted;
-    History.record history
-      (History.Submitted { time = Engine.now engine; coordinator = dc; txn });
+    History.record history ~at:(Engine.now engine) ~node:dc (Event.Submitted txn);
     h.Harness.submit ~dc txn (fun outcome ->
-        History.record history
-          (History.Decided { time = Engine.now engine; txid = txn.Txn.id; outcome });
+        History.record history ~at:(Engine.now engine) ~node:dc
+          (Event.Decided { txid = txn.Txn.id; outcome });
         decided := (txn, outcome) :: !decided)
   in
   h.Harness.load (List.init items (fun i -> (item i, item_row stock)));

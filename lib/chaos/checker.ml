@@ -1,5 +1,6 @@
 open Mdcc_storage
 module History = Mdcc_core.History
+module Event = Mdcc_core.Event
 module Table = Mdcc_util.Table
 
 type violation = { invariant : string; detail : string }
@@ -26,20 +27,21 @@ let gather history =
       i
   in
   List.iter
-    (fun ev ->
-      match ev with
-      | History.Submitted { txn; _ } -> (get txn.Txn.id).txn <- Some txn
-      | History.Decided { txid; outcome; _ } ->
+    (fun { History.node; event; _ } ->
+      match event with
+      | Event.Submitted txn -> (get txn.Txn.id).txn <- Some txn
+      | Event.Decided { txid; outcome } ->
         let i = get txid in
         i.decisions <- i.decisions @ [ outcome ];
         if i.decided = None then i.decided <- Some outcome
-      | History.Applied { node; txid; key; version; value; _ } ->
+      | Event.Applied { txid; key; version; value; wrote = true }
+      | Event.Repaired { txid; key; version; value; _ } ->
         let i = get txid in
         i.applied <- (node, key, version, value) :: i.applied
-      | History.Voided { node; txid; key; _ } ->
+      | Event.Voided { txid; key } ->
         let i = get txid in
         i.voided <- (node, key) :: i.voided
-      | History.Fault _ -> ())
+      | _ -> (* faults, and steps the history does not keep ([Event.in_history]) *) ())
     (History.events history);
   tbl
 

@@ -65,15 +65,13 @@ let apply cluster fault =
 
 type schedule = (float * fault) list
 
-let install ?history cluster schedule =
-  let engine = Cluster.engine cluster in
+let install cluster schedule =
+  let engine = Cluster.engine cluster and stream = Cluster.stream cluster in
   List.iter
     (fun (time, fault) ->
       ignore
         (Engine.schedule_at engine ~at:time (fun () ->
-             (match history with
-             | Some h -> History.record h (History.Fault { time = Engine.now engine; label = label fault })
-             | None -> ());
+             if Ctx.live stream then Ctx.emit stream (Event.Fault (label fault));
              apply cluster fault)))
     schedule
 

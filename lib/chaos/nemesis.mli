@@ -35,9 +35,10 @@ val apply : Cluster.t -> fault -> unit
 
 type schedule = (float * fault) list
 
-val install : ?history:History.t -> Cluster.t -> schedule -> unit
-(** Schedule every fault on the cluster's engine.  When [history] is given,
-    each fault is recorded as a {!History.Fault} event at injection time. *)
+val install : Cluster.t -> schedule -> unit
+(** Schedule every fault on the cluster's engine.  Each fault is emitted as
+    an {!Event.Fault} on the cluster's stream ({!Cluster.stream}) at
+    injection time, so a history attached to the cluster records it. *)
 
 val schedule_to_string : schedule -> string
 

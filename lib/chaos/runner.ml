@@ -140,7 +140,7 @@ let run s =
     s.scenario.Nemesis.sc_build ~rng:sched_rng ~cluster ~horizon:s.horizon
     @ [ (s.horizon, Nemesis.Heal_all) ]
   in
-  Nemesis.install ~history cluster schedule;
+  Nemesis.install cluster schedule;
   (* After healing, two peer-directed anti-entropy sweeps (spaced so the
      first round's catchups land before the second probes). *)
   ignore (Engine.schedule_at engine ~at:(s.horizon +. 4_000.0) (fun () -> Cluster.sync_all cluster));
@@ -153,12 +153,11 @@ let run s =
     Trace.enable ()
   end;
   (* Tagged invariant violations (Util.Invariant) land in the recorded
-     history before the exception unwinds, so a replay shows *where* a
-     protocol invariant died instead of an anonymous process teardown. *)
-  Invariant.set_sink (fun v ->
-      History.record history
-        (History.Fault { time = Engine.now engine; label = Invariant.to_string v });
-      Trace.emit engine ~tag:"invariant" "%s" (Invariant.to_string v));
+     history and the trace before the exception unwinds, so a replay shows
+     *where* a protocol invariant died instead of an anonymous process
+     teardown. *)
+  let stream = Cluster.stream cluster in
+  Invariant.set_sink (fun v -> if Ctx.live stream then Ctx.emit stream (Event.Violation v));
   (* Scripted clients: [txns] transactions at random times from random DCs. *)
   let crng = Rng.create ((s.seed * 31) + 7) in
   let dcs = Cluster.num_dcs cluster in

@@ -131,6 +131,7 @@ type t = {
   nodes : Storage_node.t array;  (* indexed by node id *)
   coords : Coordinator.t array;  (* indexed by dc * app_servers_per_dc + rank *)
   obs : Obs.t;
+  stream : Ctx.stream;  (* events from outside any node: faults *)
 }
 
 let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
@@ -162,7 +163,7 @@ let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
           ~replicas ~master_of ~snapshot:(Layout.snapshot layout ~dc store)
           ~ctx:(Ctx.with_local_nodes ctx (Layout.local_nodes layout ~dc)) ())
   in
-  { engine; net; config; layout; nodes; coords; obs }
+  { engine; net; config; layout; nodes; coords; obs; stream = Ctx.stream ctx runtime ~node:(-1) }
 
 let engine t = t.engine
 
@@ -177,6 +178,8 @@ let layout t = t.layout
 let num_dcs t = Layout.num_dcs t.layout
 
 let obs t = t.obs
+
+let stream t = t.stream
 
 let coordinator t ~dc ~rank =
   let per_dc = Layout.app_servers_per_dc t.layout in

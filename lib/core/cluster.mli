@@ -156,6 +156,10 @@ val layout : t -> Layout.t
 val obs : t -> Mdcc_obs.Obs.t
 (** The observability handle every component of this cluster reports to. *)
 
+val stream : t -> Ctx.stream
+(** The cluster's own event stream (node [-1]), for events from outside
+    any node: injected faults and invariant violations. *)
+
 val coordinator : t -> dc:int -> rank:int -> Coordinator.t
 (** The [rank]-th app-server of a data center
     ([0 <= rank < app_servers_per_dc]). *)

@@ -29,15 +29,6 @@ type txn_state = {
   mutable timeout : Runtime.timer option;
 }
 
-type stats = {
-  mutable fast_commits : int;
-  mutable assisted_commits : int;
-  mutable aborts : int;
-  mutable collisions : int;
-  mutable redirects : int;
-  mutable timeout_recoveries : int;
-}
-
 type read_state = {
   r_key : Key.t;
   r_need : int;
@@ -73,11 +64,9 @@ type t = {
   reads : (int, read_state) Hashtbl.t;
   scans : (int, scan_state) Hashtbl.t;
   mutable next_rid : int;
-  stats : stats;
   rng : Rng.t;
-  history : History.t option;  (* chaos-testing execution recorder *)
   obs : Obs.t;
-  trace_tag : string;  (* "app<id>", rendered once — not per trace point *)
+  stream : Ctx.stream;  (* this node's protocol events *)
   txn_submitted : Obs.counter;  (* the per-transaction counters, resolved once *)
   fast_commit : Obs.counter;
 }
@@ -92,19 +81,10 @@ let now t = Runtime.now t.runtime
 
 let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
 
-let trace t fmt = Runtime.trace t.runtime ~tag:t.trace_tag fmt
+(* An event is built only when a consumer is live: [if live t then emit t ...]. *)
+let live t = Ctx.live t.stream
 
-(* Guard for trace points whose arguments allocate (key renderings,
-   pretty-printed outcomes): [trace] itself skips formatting when nobody
-   listens, but argument evaluation happens at the call site. *)
-let tracing t = Runtime.tracing t.runtime
-
-let span t ~txid ~name ?key ~detail () =
-  Obs.span_event t.obs ~txid ~at:(now t) ~node:t.id ~name ?key ~detail ()
-
-(* Span arguments (rendered keys, formatted details) are built only when
-   spans are recorded. *)
-let spans_on t = Obs.spans_on t.obs
+let emit t ev = Ctx.emit t.stream ev
 
 let n t = t.config.Config.replication
 
@@ -170,14 +150,14 @@ let rec to_each_rev send_one p = function
     send_one dst p
 
 (* Settle a key's route — fast to every replica, or classic through the
-   master while a collision hint is live — and record its span. *)
+   master while a collision hint is live. *)
 let route_proposal t (ks : key_state) =
   let w = ks.woption in
   let classic = route_classic t w.Woption.key in
-  if spans_on t then
-    span t ~txid:w.Woption.txid ~name:"propose" ~key:(Key.to_string w.Woption.key)
-      ~detail:(if classic then "classic" else "fast")
-      ();
+  if live t then begin
+    let route = if classic then `Classic else `Fast in
+    emit t (Event.Proposed { txid = w.Woption.txid; key = w.Woption.key; route })
+  end;
   if classic then ks.redirected <- true
 
 let propose send_one t (ks : key_state) =
@@ -209,28 +189,11 @@ let decide t (ts : txn_state) =
         (fun _ ks -> not (ks.collided || ks.redirected || ks.attempts > 0))
         ts.keys
     in
-    if pure_fast && t.config.Config.mode <> Config.Multi then begin
-      t.stats.fast_commits <- t.stats.fast_commits + 1;
-      Obs.bump t.fast_commit
-    end
-    else begin
-      t.stats.assisted_commits <- t.stats.assisted_commits + 1;
-      Obs.incr t.obs "assisted_commit"
-    end
-  | Txn.Aborted Txn.Constraint_violation ->
-    t.stats.aborts <- t.stats.aborts + 1;
-    Obs.incr t.obs "abort_constraint"
-  | Txn.Aborted _ ->
-    t.stats.aborts <- t.stats.aborts + 1;
-    Obs.incr t.obs "abort_conflict");
-  if spans_on t || tracing t then begin
-    let outcome_str = Format.asprintf "%a" Txn.pp_outcome outcome in
-    span t ~txid:ts.txn.Txn.id ~name:"decide" ~detail:outcome_str ();
-    trace t "decide %s %s" ts.txn.Txn.id outcome_str
-  end;
-  (match t.history with
-  | Some h -> History.record h (History.Decided { time = now t; txid = ts.txn.Txn.id; outcome })
-  | None -> ());
+    if pure_fast && t.config.Config.mode <> Config.Multi then Obs.bump t.fast_commit
+    else Obs.incr t.obs "assisted_commit"
+  | Txn.Aborted Txn.Constraint_violation -> Obs.incr t.obs "abort_constraint"
+  | Txn.Aborted _ -> Obs.incr t.obs "abort_conflict");
+  if live t then emit t (Event.Decided { txid = ts.txn.Txn.id; outcome });
   (* Asynchronous Learned/Visibility notification: execute or void every
      option; correctness does not depend on its timing (§3.2.1).  Keys go
      out in descending order, each key's replicas in reverse. *)
@@ -256,19 +219,15 @@ let learn t (ts : txn_state) (ks : key_state) decision =
   | None ->
     ks.learned <- Some decision;
     ts.undecided <- ts.undecided - 1;
-    if spans_on t then
-      span t ~txid:ts.txn.Txn.id ~name:"learn" ~key:(Key.to_string ks.woption.Woption.key)
-        ~detail:(match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
-        ();
+    let txid = ts.txn.Txn.id and key = ks.woption.Woption.key in
+    if live t then emit t (Event.Learned { txid; key; decision });
     (match ks.collided_at with
     | Some at ->
       (* The collision on this key has now been resolved (either way). *)
       ks.collided_at <- None;
       Obs.incr t.obs "collision_resolved";
       Obs.observe t.obs "collision_resolve_ms" (now t -. at);
-      if spans_on t then
-        span t ~txid:ts.txn.Txn.id ~name:"collision_resolved"
-          ~key:(Key.to_string ks.woption.Woption.key) ~detail:"" ()
+      if live t then emit t (Event.Collision_resolved { txid; key })
     | None -> ());
     if ts.undecided = 0 then decide t ts
 
@@ -288,12 +247,7 @@ let start_recovery_for t (ks : key_state) =
     end
   in
   ks.attempts <- ks.attempts + 1;
-  if tracing t then
-    trace t "start_recovery %s %s via node %d" w.Woption.txid (Key.to_string key) target;
-  if spans_on t then
-    span t ~txid:w.Woption.txid ~name:"start_recovery" ~key:(Key.to_string key)
-      ~detail:(Printf.sprintf "via node %d" target)
-      ();
+  if live t then emit t (Event.Recovery_started { txid = w.Woption.txid; key; target });
   (* Timeout-driven recoveries run outside any delivery, so re-establish the
      causal context explicitly for the recovery cascade. *)
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
@@ -326,12 +280,8 @@ let on_vote t txid key acceptor decision =
           (* Fast Paxos collision: no outcome can reach a fast quorum. *)
           ks.collided <- true;
           ks.collided_at <- Some (now t);
-          t.stats.collisions <- t.stats.collisions + 1;
           Obs.incr t.obs "collision";
-          if spans_on t then
-            span t ~txid ~name:"collision" ~key:(Key.to_string key)
-              ~detail:(Printf.sprintf "acks=%d rejects=%d" acks rejects)
-              ();
+          if live t then emit t (Event.Collided { txid; key; acks; rejects });
           start_recovery_for t ks
         end
       end)
@@ -354,12 +304,8 @@ let on_redirect t txid key master =
       set_hint t key;
       if ks.learned = None && not ks.redirected then begin
         ks.redirected <- true;
-        t.stats.redirects <- t.stats.redirects + 1;
         Obs.incr t.obs "redirect";
-        if spans_on t then
-          span t ~txid ~name:"redirect" ~key:(Key.to_string key)
-            ~detail:(Printf.sprintf "to master %d" master)
-            ();
+        if live t then emit t (Event.Redirected { txid; key; master });
         send t master (Messages.Propose { woption = ks.woption; route = `Classic })
       end)
 
@@ -372,7 +318,6 @@ let rec arm_timeout t (ts : txn_state) =
              Key.Map.iter
                (fun _ ks ->
                  if ks.learned = None then begin
-                   t.stats.timeout_recoveries <- t.stats.timeout_recoveries + 1;
                    Obs.incr t.obs "timeout_recovery";
                    start_recovery_for t ks
                  end)
@@ -397,18 +342,11 @@ let submit t txn callback =
     in
     let ts = { txn; callback; keys; undecided = Key.Map.cardinal keys; timeout = None } in
     Hashtbl.replace t.txns txn.Txn.id ts;
-    (* History events are built only when a recorder is attached. *)
-    (match t.history with
-    | Some h -> History.record h (History.Submitted { time = now t; coordinator = t.id; txn })
-    | None -> ());
     Obs.bump t.txn_submitted;
-    Obs.begin_txn t.obs ~txid:txn.Txn.id ~at:(now t);
-    if spans_on t then
-      span t ~txid:txn.Txn.id ~name:"submit"
-        ~detail:(Printf.sprintf "%d keys" (Key.Map.cardinal keys))
-        ();
+    if live t then emit t (Event.Submitted txn);
     (* Establish the causal trace context: every Propose (and every message
-       it triggers in turn) is attributed to this transaction's span. *)
+       it triggers in turn) carries this transaction's id, which both
+       runtimes propagate and the bench tracer attributes time to. *)
     Net.with_trace_context (Some txn.Txn.id) (fun () ->
         (* Routes and their spans are settled in key order; the proposals
            then go out in descending key order. *)
@@ -598,8 +536,7 @@ let rec handle t ~src payload =
 
 let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.default ())
     () =
-  let history = ctx.Ctx.history
-  and obs = ctx.Ctx.obs
+  let obs = ctx.Ctx.obs
   and local_nodes = ctx.Ctx.local_nodes in
   let t =
     {
@@ -616,19 +553,9 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       reads = Hashtbl.create 64;
       scans = Hashtbl.create 16;
       next_rid = 0;
-      stats =
-        {
-          fast_commits = 0;
-          assisted_commits = 0;
-          aborts = 0;
-          collisions = 0;
-          redirects = 0;
-          timeout_recoveries = 0;
-        };
       rng = Rng.split (Runtime.rng runtime);
-      history;
       obs;
-      trace_tag = Printf.sprintf "app%d" node_id;
+      stream = Ctx.stream ctx runtime ~node:node_id;
       txn_submitted = Obs.counter obs "txn_submitted";
       fast_commit = Obs.counter obs "fast_commit";
     }
@@ -637,7 +564,5 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
   t
 
 let inflight t = Hashtbl.length t.txns
-
-let stats t = t.stats
 
 let obs t = t.obs

@@ -51,10 +51,11 @@ val create :
     [`Snapshot] read fast path (without it, [`Snapshot] degrades to
     [`Local]).  [ctx] (default {!Ctx.default}) bundles the cross-cutting
     dependencies: [ctx.local_nodes] are the storage nodes of this
-    app-server's data center (needed only for local {!scan}s); when
-    [ctx.history] is set, every submission and decision is recorded into it
-    (chaos testing); [ctx.obs] receives protocol-path counters and, at
-    submit/propose/learn/decide, the transaction's span events. *)
+    app-server's data center (needed only for local {!scan}s); [ctx.obs]
+    receives the protocol-path counters ({!obs}); every protocol step —
+    submit, propose, collision, redirect, recovery, learn, decide — is an
+    {!Event.t} on the node's stream ({!Ctx.stream}), built only while
+    [ctx.history], [ctx.obs]'s spans or the runtime's tracing consume it. *)
 
 val node_id : t -> int
 
@@ -100,22 +101,10 @@ val scan :
 val inflight : t -> int
 (** Transactions submitted but not yet decided (diagnostics). *)
 
-type stats = {
-  mutable fast_commits : int;
-      (** committed with every option learned on the pure fast path: one
-          wide-area round trip, no master involved — the paper's headline
-          common case *)
-  mutable assisted_commits : int;
-      (** committed, but some option needed a redirect, collision recovery
-          or timeout assistance (or the mode is Multi) *)
-  mutable aborts : int;
-  mutable collisions : int;  (** fast-quorum collisions detected *)
-  mutable redirects : int;  (** classic-window redirects followed *)
-  mutable timeout_recoveries : int;  (** learn timeouts that escalated *)
-}
-
-val stats : t -> stats
-(** Protocol-path counters for this app-server (live; not reset). *)
-
 val obs : t -> Mdcc_obs.Obs.t
-(** The observability handle this coordinator reports into. *)
+(** The observability handle this coordinator reports into.  Its registry
+    counts the protocol paths: [fast_commit] (every option learned on the
+    pure fast path — the paper's one-round-trip common case),
+    [assisted_commit] (a redirect, collision recovery or timeout helped, or
+    the mode is Multi), [abort_conflict], [abort_constraint], [collision],
+    [redirect] and [timeout_recovery]. *)

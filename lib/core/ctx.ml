@@ -23,4 +23,26 @@ let default () = make ()
 
 let with_local_nodes t local_nodes = { t with local_nodes }
 
-let record t ev = match t.history with None -> () | Some h -> History.record h ev
+(* One node's emitter.  The history and the span store are fixed when the
+   node is built; tracing is switched at run time, so it is asked per
+   event. *)
+type stream = {
+  s_history : History.t option;
+  s_spans : Mdcc_obs.Span.t option;
+  s_runtime : Runtime.t;
+  s_node : int;
+  s_collecting : bool;  (* a history or a span store is attached *)
+}
+
+let stream t runtime ~node =
+  let spans = Mdcc_obs.Obs.spans t.obs in
+  { s_history = t.history; s_spans = spans; s_runtime = runtime; s_node = node;
+    s_collecting = Option.is_some t.history || Option.is_some spans }
+
+let live s = s.s_collecting || Runtime.tracing s.s_runtime
+
+let emit s ev =
+  let at = Runtime.now s.s_runtime and node = s.s_node in
+  (match s.s_history with Some h -> History.record h ~at ~node ev | None -> ());
+  (match s.s_spans with Some sp -> Event.record_span sp ~at ~node ev | None -> ());
+  if Runtime.tracing s.s_runtime then Event.trace s.s_runtime ~node ev

@@ -27,5 +27,23 @@ val default : unit -> t
 val with_local_nodes : t -> int list -> t
 (** A copy of [t] scoped to one coordinator's co-located storage nodes. *)
 
-val record : t -> History.event -> unit
-(** Record into the context's history, if one is attached. *)
+(** {1 The event stream} *)
+
+type stream
+(** One node's emitter of {!Event.t}s: the context's history and span
+    store, and the runtime's clock and trace-line sink. *)
+
+val stream : t -> Runtime.t -> node:int -> stream
+(** The emitter of node [node] (use [-1] outside any node). *)
+
+val live : stream -> bool
+(** Whether an event would reach a consumer: a history is attached, spans
+    are on, or the runtime is tracing.  Allocates nothing.  Call sites
+    build an event only when this holds:
+    [if Ctx.live s then Ctx.emit s (Event.Decided { txid; outcome })]. *)
+
+val emit : stream -> Event.t -> unit
+(** Feed the event, stamped with the runtime's clock and the stream's node,
+    to every live consumer: the history ({!History.record}), the span
+    store ({!Event.record_span}) and, while tracing, the trace-line sink
+    ({!Event.trace}). *)

@@ -1,0 +1,117 @@
+open Mdcc_storage
+module Span = Mdcc_obs.Span
+module Invariant = Mdcc_util.Invariant
+
+type vote = Fast of Rstate.reject_reason option | Classic of Woption.decision
+
+type t =
+  | Submitted of Txn.t
+  | Proposed of { txid : Txn.id; key : Key.t; route : [ `Fast | `Classic ] }
+  | Voted of { txid : Txn.id; key : Key.t; vote : vote }
+  | Collided of { txid : Txn.id; key : Key.t; acks : int; rejects : int }
+  | Collision_resolved of { txid : Txn.id; key : Key.t }
+  | Redirected of { txid : Txn.id; key : Key.t; master : int }
+  | Recovery_started of { txid : Txn.id; key : Key.t; target : int }
+  | Learned of { txid : Txn.id; key : Key.t; decision : Woption.decision }
+  | Decided of { txid : Txn.id; outcome : Txn.outcome }
+  | Applied of { txid : Txn.id; key : Key.t; version : int; value : Value.t; wrote : bool }
+  | Voided of { txid : Txn.id; key : Key.t }
+  | Repaired of { txid : Txn.id; key : Key.t; src : int; version : int; value : Value.t }
+  | Classic_learned of { txid : Txn.id; key : Key.t; decision : Woption.decision }
+  | Master_recovery_started of { key : Key.t; ballot : int }
+  | Master_recovery_resolved of { key : Key.t; options : int; forced : int; free : int }
+  | Txn_recovery_started of { txid : Txn.id; keys : int }
+  | Txn_recovery_finished of { txid : Txn.id; committed : bool }
+  | Diverged of { peer : int; key : Key.t; version : int }
+  | Unknown_update of { txid : Txn.id; key : Key.t }
+  | Fault of string
+  | Violation of Invariant.t
+
+let in_history = function
+  | Submitted _ | Decided _ | Voided _ | Repaired _ | Fault _ | Violation _ -> true
+  | Applied { wrote; _ } -> wrote
+  | Proposed _ | Voted _ | Collided _ | Collision_resolved _ | Redirected _
+  | Recovery_started _ | Learned _ | Classic_learned _ | Master_recovery_started _
+  | Master_recovery_resolved _ | Txn_recovery_started _ | Txn_recovery_finished _
+  | Diverged _ | Unknown_update _ ->
+    false
+
+let outcome_string outcome = Format.asprintf "%a" Txn.pp_outcome outcome
+
+let short = function Woption.Accepted -> "acc" | Woption.Rejected -> "rej"
+
+let fast_verdict = function
+  | None -> "acc"
+  | Some Rstate.Version_validation -> "rej:version"
+  | Some Rstate.Outstanding_option -> "rej:outstanding"
+  | Some Rstate.Demarcation -> "rej:demarcation"
+
+let span_names =
+  [ "submit"; "propose"; "vote"; "collision"; "collision_resolved"; "redirect";
+    "start_recovery"; "learn"; "decide"; "visible"; "repair" ]
+
+let record_span sp ~at ~node ev =
+  let span ~txid ~name ?key detail =
+    Span.event sp ~txid ~at ~node ~name ?key:(Option.map Key.to_string key) ~detail ()
+  in
+  match ev with
+  | Submitted txn ->
+    Span.begin_txn sp ~txid:txn.Txn.id ~at;
+    span ~txid:txn.Txn.id ~name:"submit"
+      (Printf.sprintf "%d keys" (List.length txn.Txn.updates))
+  | Proposed { txid; key; route } ->
+    span ~txid ~name:"propose" ~key (match route with `Classic -> "classic" | `Fast -> "fast")
+  | Voted { txid; key; vote = Fast reason } ->
+    span ~txid ~name:"vote" ~key ("fast " ^ fast_verdict reason)
+  | Voted { txid; key; vote = Classic decision } ->
+    span ~txid ~name:"vote" ~key ("classic " ^ short decision)
+  | Collided { txid; key; acks; rejects } ->
+    span ~txid ~name:"collision" ~key (Printf.sprintf "acks=%d rejects=%d" acks rejects)
+  | Collision_resolved { txid; key } -> span ~txid ~name:"collision_resolved" ~key ""
+  | Redirected { txid; key; master } ->
+    span ~txid ~name:"redirect" ~key (Printf.sprintf "to master %d" master)
+  | Recovery_started { txid; key; target } ->
+    span ~txid ~name:"start_recovery" ~key (Printf.sprintf "via node %d" target)
+  | Learned { txid; key; decision } ->
+    span ~txid ~name:"learn" ~key
+      (match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
+  | Decided { txid; outcome } -> span ~txid ~name:"decide" (outcome_string outcome)
+  | Applied { txid; key; _ } -> span ~txid ~name:"visible" ~key "exec"
+  | Voided { txid; key } -> span ~txid ~name:"visible" ~key "void"
+  | Repaired { txid; key; _ } -> span ~txid ~name:"repair" ~key "replay delta"
+  | Classic_learned _ | Master_recovery_started _ | Master_recovery_resolved _
+  | Txn_recovery_started _ | Txn_recovery_finished _ | Diverged _ | Unknown_update _
+  | Fault _ | Violation _ ->
+    ()
+
+let trace rt ~node ev =
+  let app fmt = Runtime.trace rt ~tag:(Printf.sprintf "app%d" node) fmt
+  and acceptor fmt = Runtime.trace rt ~tag:(Printf.sprintf "node%d" node) fmt
+  and key = Key.to_string in
+  match ev with
+  | Decided { txid; outcome } -> app "decide %s %s" txid (outcome_string outcome)
+  | Recovery_started { txid; key = k; target } ->
+    app "start_recovery %s %s via node %d" txid (key k) target
+  | Voted { txid; key = k; vote = Fast reason } ->
+    acceptor "fast vote %s %s %s" txid (key k) (fast_verdict reason)
+  | Applied { txid; key = k; _ } -> acceptor "visibility %s %s -> exec" txid (key k)
+  | Voided { txid; key = k } -> acceptor "visibility %s %s -> void" txid (key k)
+  | Unknown_update { txid; key = k } ->
+    acceptor "visibility %s %s unknown update: catching up" txid (key k)
+  | Repaired { txid; key = k; src; _ } ->
+    acceptor "repair %s %s: replayed delta from node %d" txid (key k) src
+  | Classic_learned { txid; key = k; decision } ->
+    acceptor "classic learned %s %s %s" txid (key k) (short decision)
+  | Master_recovery_started { key = k; ballot } ->
+    acceptor "recovery start %s ballot=%d" (key k) ballot
+  | Master_recovery_resolved { key = k; options; forced; free } ->
+    acceptor "recovery resolved %s: %d options (%d forced, %d free)" (key k) options forced free
+  | Txn_recovery_started { txid; keys } -> acceptor "txn recovery start %s (%d keys)" txid keys
+  | Txn_recovery_finished { txid; committed } ->
+    acceptor "txn recovery %s -> %s" txid (if committed then "commit" else "abort")
+  | Diverged { peer; key = k; version } ->
+    acceptor "anti-entropy divergence with node %d on %s at v%d" peer (key k) version
+  | Violation v -> Runtime.trace rt ~tag:"invariant" "%s" (Invariant.to_string v)
+  | Submitted _ | Proposed _ | Voted { vote = Classic _; _ } | Collided _
+  | Collision_resolved _ | Redirected _ | Learned _ | Fault _ ->
+    ()

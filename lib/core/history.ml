@@ -1,43 +1,15 @@
-open Mdcc_storage
+type entry = { at : float; node : int; event : Event.t }
 
-type event =
-  | Submitted of { time : float; coordinator : int; txn : Txn.t }
-  | Decided of { time : float; txid : Txn.id; outcome : Txn.outcome }
-  | Applied of {
-      time : float;
-      node : int;
-      txid : Txn.id;
-      key : Key.t;
-      version : int;
-      value : Value.t;
-    }
-  | Voided of { time : float; node : int; txid : Txn.id; key : Key.t }
-  | Fault of { time : float; label : string }
-
-type t = { mutable rev : event list; mutable count : int }
+type t = { mutable rev : entry list; mutable count : int }
 
 let create () = { rev = []; count = 0 }
 
-let record t ev =
-  t.rev <- ev :: t.rev;
-  t.count <- t.count + 1
+let record t ~at ~node event =
+  if Event.in_history event then begin
+    t.rev <- { at; node; event } :: t.rev;
+    t.count <- t.count + 1
+  end
 
 let events t = List.rev t.rev
 
 let length t = t.count
-
-let clear t =
-  t.rev <- [];
-  t.count <- 0
-
-let pp_event ppf = function
-  | Submitted { time; coordinator; txn } ->
-    Format.fprintf ppf "[%10.2f] submit  %s by app%d %a" time txn.Txn.id coordinator Txn.pp txn
-  | Decided { time; txid; outcome } ->
-    Format.fprintf ppf "[%10.2f] decide  %s -> %a" time txid Txn.pp_outcome outcome
-  | Applied { time; node; txid; key; version; value } ->
-    Format.fprintf ppf "[%10.2f] apply   %s %s@%d = %a (node%d)" time txid (Key.to_string key)
-      version Value.pp value node
-  | Voided { time; node; txid; key } ->
-    Format.fprintf ppf "[%10.2f] void    %s %s (node%d)" time txid (Key.to_string key) node
-  | Fault { time; label } -> Format.fprintf ppf "[%10.2f] FAULT   %s" time label

@@ -1,48 +1,33 @@
-(** Execution-history recording for chaos testing.
+(** Execution-history recording for chaos testing: the checker's fold over
+    the event stream.
 
     A history is a flat, chronological log of everything the safety checker
     needs to decide whether an execution was correct: what each transaction
     proposed (its write-set carries the read versions as the [vread] of every
     physical/guard update), what the coordinator decided, which replicas
     executed or voided each option (and the committed value/version that
-    resulted), and which faults the nemesis injected along the way.
+    resulted), and which faults the nemesis injected along the way — the
+    events {!Event.in_history} selects.
 
     Recording is entirely passive — it never draws randomness or schedules
     events — so wiring a recorder into a cluster does not perturb the
     simulated execution: a run with a recorder is event-for-event identical
     to the same seed without one. *)
 
-open Mdcc_storage
-
-type event =
-  | Submitted of { time : float; coordinator : int; txn : Txn.t }
-      (** the commit protocol started for this transaction *)
-  | Decided of { time : float; txid : Txn.id; outcome : Txn.outcome }
-      (** the coordinator's decision callback fired *)
-  | Applied of {
-      time : float;
-      node : int;
-      txid : Txn.id;
-      key : Key.t;
-      version : int;  (** committed version after executing the option *)
-      value : Value.t;  (** committed value after executing the option *)
-    }  (** a replica executed a committed option (Visibility, committed) *)
-  | Voided of { time : float; node : int; txid : Txn.id; key : Key.t }
-      (** a replica voided an aborted option (Visibility, aborted) *)
-  | Fault of { time : float; label : string }
-      (** a nemesis fault was injected (for violation reports) *)
+type entry = {
+  at : float;  (** when the event was emitted *)
+  node : int;  (** the emitting node; [-1] outside any node *)
+  event : Event.t;
+}
 
 type t
 
 val create : unit -> t
 
-val record : t -> event -> unit
+val record : t -> at:float -> node:int -> Event.t -> unit
+(** Append the event if {!Event.in_history} keeps it; otherwise a no-op. *)
 
-val events : t -> event list
-(** All recorded events, in recording (chronological) order. *)
+val events : t -> entry list
+(** All recorded entries, in recording (chronological) order. *)
 
 val length : t -> int
-
-val clear : t -> unit
-
-val pp_event : Format.formatter -> event -> unit

@@ -78,10 +78,11 @@ val dc_of : t -> int -> int
 (** Data center of a node id (replica locality for local reads). *)
 
 val tracing : t -> bool
-(** Whether any trace consumer is listening.  Guard trace points whose
-    {e arguments} are expensive to build (key renderings, pretty-printed
-    outcomes) with this — {!val-trace} skips the formatting itself when
-    disabled, but OCaml evaluates arguments at the call site regardless. *)
+(** Whether any trace consumer is listening.  The protocol nodes do not
+    call {!val-trace} themselves: their steps are {!Event.t}s, and
+    {!Ctx.live} asks this (among the other consumers) before an event is
+    built, so a key rendering or formatted outcome costs nothing while
+    nobody listens. *)
 
 val trace : t -> tag:string -> ('a, unit, string, unit) format4 -> 'a
 (** Emit a protocol trace line attributed to [tag] at the runtime's

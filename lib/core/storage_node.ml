@@ -71,31 +71,14 @@ type t = {
   masters : mstate Key.Tbl.t;
   recoveries : (Txn.id, txrec) Hashtbl.t;
   rng : Rng.t;
-  history : History.t option;  (* chaos-testing execution recorder *)
   obs : Obs.t;
   diverged : (string, unit) Hashtbl.t;
       (* "src#key" pairs currently known diverged at equal version (applied
          anti-entropy digests differ); drives the diverged_replicas gauge *)
-  trace_tag : string;  (* "node<id>", rendered once — not per trace point *)
+  stream : Ctx.stream;  (* this node's protocol events *)
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
   visibility_exec : Obs.counter;
 }
-
-(* History events are built only when a recorder is attached. *)
-let record_applied t txid key (row : Store.row) =
-  match t.history with
-  | Some h ->
-    History.record h
-      (History.Applied
-         {
-           time = Runtime.now t.runtime;
-           node = t.id;
-           txid;
-           key;
-           version = row.Store.version;
-           value = row.Store.value;
-         })
-  | None -> ()
 
 let node_id t = t.id
 
@@ -175,19 +158,10 @@ let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
 
 let now t = Runtime.now t.runtime
 
-let trace t fmt = Runtime.trace t.runtime ~tag:t.trace_tag fmt
+(* An event is built only when a consumer is live: [if live t then emit t ...]. *)
+let live t = Ctx.live t.stream
 
-(* Guard for trace points whose arguments allocate (key renderings,
-   verdict strings): [trace] itself skips formatting when nobody listens,
-   but argument evaluation happens at the call site. *)
-let tracing t = Runtime.tracing t.runtime
-
-(* Trace lines and span events share their rendered arguments: render them
-   only when one of the two has a consumer. *)
-let observed t = tracing t || Obs.spans_on t.obs
-
-let span t ~txid ~name ?key ~detail () =
-  Obs.span_event t.obs ~txid ~at:(now t) ~node:t.id ~name ?key ~detail ()
+let emit t ev = Ctx.emit t.stream ev
 
 let reject_counter = function
   | Rstate.Version_validation -> "option_reject_version"
@@ -254,19 +228,8 @@ let fast_propose t (w : Woption.t) =
             ballot = Ballot.initial_fast;
             proposed_at = now t;
           };
-        if observed t then begin
-          let verdict_str =
-            match reason with
-            | None -> "acc"
-            | Some Rstate.Version_validation -> "rej:version"
-            | Some Rstate.Outstanding_option -> "rej:outstanding"
-            | Some Rstate.Demarcation -> "rej:demarcation"
-          in
-          let key_str = Key.to_string key in
-          trace t "fast vote %s %s %s" w.Woption.txid key_str verdict_str;
-          span t ~txid:w.Woption.txid ~name:"vote" ~key:key_str
-            ~detail:("fast " ^ verdict_str) ()
-        end;
+        if live t then
+          emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Fast reason });
         fast_reply t w decision
       end)
 
@@ -323,12 +286,8 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
       (true, ballot, if committed then Woption.Accepted else Woption.Rejected)
     | None ->
       Rstate.add_pending rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
-      if Obs.spans_on t.obs then
-        span t ~txid:w.Woption.txid ~name:"vote" ~key:(Key.to_string key)
-          ~detail:
-            ("classic "
-            ^ match decision with Woption.Accepted -> "acc" | Woption.Rejected -> "rej")
-          ();
+      if live t then
+        emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
       (true, ballot, decision)
   end
   else (false, rs.Rstate.promised, decision)
@@ -346,8 +305,7 @@ let visibility t txid key (update : Update.t) committed =
        stale row) and the master's committed state — whose rebase watermark
        settles this transaction — repairs us instead. *)
     if not (is_visible t txid key) then begin
-      if tracing t then
-        trace t "visibility %s %s unknown update: catching up" txid (Key.to_string key);
+      if live t then emit t (Event.Unknown_update { txid; key });
       if t.master_of key <> t.id then
         send t (t.master_of key) (Messages.Catchup_request { key })
     end
@@ -376,20 +334,16 @@ let visibility t txid key (update : Update.t) committed =
       | Update.Read_guard _ -> ()
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Delta _ ->
         Rstate.mark_applied rs txid update);
-      if apply_it then begin
-        Store.apply t.store key update;
-        record_applied t txid key row
-      end
+      if apply_it then Store.apply t.store key update;
+      Obs.bump t.visibility_exec;
+      if live t then
+        emit t
+          (Event.Applied
+             { txid; key; version = row.Store.version; value = row.Store.value; wrote = apply_it })
     end
-    else (
-      match t.history with
-      | Some h -> History.record h (History.Voided { time = now t; node = t.id; txid; key })
-      | None -> ());
-    if committed then Obs.bump t.visibility_exec else Obs.incr t.obs "visibility_void";
-    if observed t then begin
-      let key_str = Key.to_string key and verdict = if committed then "exec" else "void" in
-      span t ~txid ~name:"visible" ~key:key_str ~detail:verdict ();
-      trace t "visibility %s %s -> %s" txid key_str verdict
+    else begin
+      Obs.incr t.obs "visibility_void";
+      if live t then emit t (Event.Voided { txid; key })
     end
   end
 
@@ -433,9 +387,7 @@ let rec master_phase2b t ~src key txid ballot ok _decision =
             else send t dst (Messages.Learned { key; txid; decision = r.r_dec }))
           targets;
         Obs.incr t.obs "classic_learned";
-        if tracing t then
-          trace t "classic learned %s %s %s" txid (Key.to_string key)
-            (match r.r_dec with Woption.Accepted -> "acc" | Woption.Rejected -> "rej");
+        if live t then emit t (Event.Classic_learned { txid; key; decision = r.r_dec });
         process_queue t key
       end
     end
@@ -576,7 +528,7 @@ and start_recovery t key ~extras ~notify =
     in
     ms.m_recovery <- Some rc;
     Obs.incr t.obs "recovery_start";
-    if tracing t then trace t "recovery start %s ballot=%d" (Key.to_string key) ms.m_highest;
+    if live t then emit t (Event.Master_recovery_started { key; ballot = ms.m_highest });
     broadcast_phase1a t key rc;
     watch_recovery t key rc
 
@@ -833,11 +785,15 @@ and resolve_recovery t key rc =
     (fun ((w : Woption.t), d) ->
       broadcast_phase2a t key rc.rc_ballot w d ~classic_until ~rebase:(Some rebase))
     outcomes;
-  if tracing t then
-    trace t "recovery resolved %s: %d options (%d forced, %d free)" (Key.to_string key)
-      (List.length outcomes)
-      (List.length classic_checked + List.length fast_checked)
-      (List.length decided_free)
+  if live t then
+    emit t
+      (Event.Master_recovery_resolved
+         {
+           key;
+           options = List.length outcomes;
+           forced = List.length classic_checked + List.length fast_checked;
+           free = List.length decided_free;
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Dangling-transaction recovery (app-server failure, §3.2.3)          *)
@@ -954,8 +910,7 @@ and evaluate_txn_recovery t tr =
 
 and finish_txn_recovery t tr committed =
   tr.tx_done <- true;
-  if tracing t then
-    trace t "txn recovery %s -> %s" tr.tx_id (if committed then "commit" else "abort");
+  if live t then emit t (Event.Txn_recovery_finished { txid = tr.tx_id; committed });
   List.iter
     (fun key ->
       let update =
@@ -985,8 +940,8 @@ let start_txn_recovery t (w : Woption.t) =
       }
     in
     Hashtbl.replace t.recoveries w.Woption.txid tr;
-    if tracing t then
-      trace t "txn recovery start %s (%d keys)" w.Woption.txid (List.length tr.tx_keys);
+    if live t then
+      emit t (Event.Txn_recovery_started { txid = w.Woption.txid; keys = List.length tr.tx_keys });
     List.iter
       (fun key ->
         List.iter
@@ -1076,12 +1031,10 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
         Rstate.mark_applied rs txid update;
         incr merged;
         Obs.incr t.obs "antientropy_repair";
-        record_applied t txid key row;
-        if observed t then begin
-          let key_str = Key.to_string key in
-          span t ~txid ~name:"repair" ~key:key_str ~detail:"replay delta" ();
-          trace t "repair %s %s: replayed delta from node %d" txid key_str src
-        end
+        if live t then
+          emit t
+            (Event.Repaired
+               { txid; key; src; version = row.Store.version; value = row.Store.value })
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Read_guard _ ->
         stale := true)
     missing;
@@ -1137,9 +1090,7 @@ let rec handle t ~src payload =
               Hashtbl.replace t.diverged dkey ();
               Obs.incr t.obs "antientropy_divergence";
               Obs.add_gauge t.obs "diverged_replicas" 1;
-              if tracing t then
-                trace t "anti-entropy divergence with node %d on %s at v%d" src
-                  (Key.to_string key) version
+              if live t then emit t (Event.Diverged { peer = src; key; version })
             end;
             send t src
               (Messages.Sync_reply
@@ -1226,7 +1177,7 @@ let rec handle t ~src payload =
   | _ -> ()
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.default ()) () =
-  let history = ctx.Ctx.history and obs = ctx.Ctx.obs in
+  let obs = ctx.Ctx.obs in
   let t =
     {
       runtime;
@@ -1243,10 +1194,9 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       masters = Key.Tbl.create 256;
       recoveries = Hashtbl.create 64;
       rng = Rng.split (Runtime.rng runtime);
-      history;
       obs;
       diverged = Hashtbl.create 16;
-      trace_tag = Printf.sprintf "node%d" node_id;
+      stream = Ctx.stream ctx runtime ~node:node_id;
       option_accept = Obs.counter obs "option_accept";
       visibility_exec = Obs.counter obs "visibility_exec";
     }

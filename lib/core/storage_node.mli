@@ -45,12 +45,13 @@ val create :
     [replicas key] must list the full replica group of [key] (including this
     node when it replicates [key]); [master_of key] is the node currently
     responsible for classic ballots on [key].  [ctx] (default {!Ctx.default})
-    bundles the cross-cutting dependencies: when its [history] is set, every
-    option execution/void is recorded into it (chaos testing); its [obs]
-    receives acceptor/master counters — option verdicts with reject reasons,
-    Phase 1 rounds, recoveries, anti-entropy repairs and divergence — and
-    vote/visibility/repair span events.  [ctx.local_nodes] is ignored here
-    (it is a coordinator concern). *)
+    bundles the cross-cutting dependencies: its [obs] receives
+    acceptor/master counters — option verdicts with reject reasons, Phase 1
+    rounds, recoveries, anti-entropy repairs and divergence; every protocol
+    step — vote, visibility, repair, classic learn, recovery, divergence —
+    is an {!Event.t} on the node's stream ({!Ctx.stream}), built only while
+    [ctx.history], [ctx.obs]'s spans or the runtime's tracing consume it.
+    [ctx.local_nodes] is ignored here (it is a coordinator concern). *)
 
 val node_id : t -> int
 

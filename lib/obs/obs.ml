@@ -8,7 +8,6 @@ let create ?(spans = false) () =
 
 let registry t = t.registry
 let spans t = t.spans
-let spans_on t = Option.is_some t.spans
 let incr t ?by name = Registry.incr t.registry ?by name
 let set_gauge t name v = Registry.set_gauge t.registry name v
 let add_gauge t name d = Registry.add_gauge t.registry name d
@@ -47,14 +46,6 @@ let traffic_meter t ~nodes =
     Registry.add c.recv_bytes bytes
   in
   (on_send, on_deliver)
-
-let begin_txn t ~txid ~at =
-  match t.spans with Some sp -> Span.begin_txn sp ~txid ~at | None -> ()
-
-let span_event t ~txid ~at ~node ~name ?key ~detail () =
-  match t.spans with
-  | Some sp -> Span.event sp ~txid ~at ~node ~name ?key ~detail ()
-  | None -> ()
 
 let metrics_json t = Registry.to_json t.registry
 

@@ -13,11 +13,6 @@ val create : ?spans:bool -> unit -> t
 val registry : t -> Registry.t
 val spans : t -> Span.t option
 
-val spans_on : t -> bool
-(** Whether span events are recorded.  Call sites whose span arguments
-    allocate (rendered keys, formatted details) build them only when this,
-    or tracing, is true. *)
-
 val incr : t -> ?by:int -> string -> unit
 val set_gauge : t -> string -> int -> unit
 val add_gauge : t -> string -> int -> unit
@@ -44,20 +39,6 @@ val traffic_meter :
     the receiver's [net.recv.nodeNN] and [net.recv_bytes.nodeNN].  The
     four counters of each node are resolved here ({!counter}), so a
     message costs no name lookup and allocates nothing. *)
-
-val begin_txn : t -> txid:string -> at:float -> unit
-
-val span_event :
-  t ->
-  txid:string ->
-  at:float ->
-  node:int ->
-  name:string ->
-  ?key:string ->
-  detail:string ->
-  unit ->
-  unit
-(** No-ops when the span store is disabled. *)
 
 val metrics_json : t -> Json.t
 val spans_json : t -> Json.t

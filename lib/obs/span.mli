@@ -1,10 +1,12 @@
 (** Per-transaction causal spans.  A span is opened when a transaction is
     submitted ({!begin_txn}) and accumulates timestamped events from every
     protocol layer that handles the transaction — coordinator propose,
-    acceptor vote, learn, visibility — attributed via the trace context the
-    network carries on each envelope.  Events are stored in append order;
-    because the simulator delivers events in nondecreasing sim time, that is
-    also sim-time order, which the acceptance tests verify. *)
+    acceptor vote, learn, visibility.  Each event names its transaction
+    explicitly: the MDCC nodes append them as a fold over their protocol
+    event stream ([Mdcc_core.Event.record_span]), which carries the txid in
+    the event itself.  Events are stored in append order; because the
+    simulator delivers events in nondecreasing sim time, that is also
+    sim-time order, which the acceptance tests verify. *)
 
 type t
 

@@ -76,7 +76,10 @@ let astate t node =
 (* ------------------------------------------------------------------ *)
 
 let span t ~pid ~node ~name ~detail =
-  Obs.span_event t.obs ~txid:(span_id pid) ~at:(Engine.now t.engine) ~node ~name ~detail ()
+  match Obs.spans t.obs with
+  | Some sp ->
+    Mdcc_obs.Span.event sp ~txid:(span_id pid) ~at:(Engine.now t.engine) ~node ~name ~detail ()
+  | None -> ()
 
 let acceptor_handle t node ~src payload =
   let s = astate t node in

@@ -32,13 +32,14 @@ let next_txid t () =
   Printf.sprintf "wire%06d" t.sv_txid
 
 (* The memcached-compatible field set, backed by the live registry the
-   handlers write into, followed by the MDCC-specific coordinator stats.
+   handlers write into, followed by the MDCC-specific protocol-path
+   counters the coordinator bumps in the same registry.
    Field names track memcached's ("uptime", "cmd_get", "get_hits", …) so
    existing dashboards/clients can point at this server unchanged. *)
 let stats t () =
   let reg = Obs.registry t.sv_obs in
-  let c name = string_of_int (Mdcc_obs.Registry.counter reg name) in
-  let s = Coordinator.stats t.sv_coord in
+  let n = Mdcc_obs.Registry.counter reg in
+  let c name = string_of_int (n name) in
   [
     ("uptime", string_of_int (int_of_float (Loop.now t.sv_loop /. 1000.0)));
     ("partitions", string_of_int t.sv_partitions);
@@ -60,12 +61,12 @@ let stats t () =
     ("delete_misses", c "wire.delete_misses");
     ("parser_errors", c "wire.parser_errors");
     ("parser_resyncs", c "wire.parser_resyncs");
-    ("fast_commits", string_of_int s.Coordinator.fast_commits);
-    ("assisted_commits", string_of_int s.Coordinator.assisted_commits);
-    ("aborts", string_of_int s.Coordinator.aborts);
-    ("collisions", string_of_int s.Coordinator.collisions);
-    ("redirects", string_of_int s.Coordinator.redirects);
-    ("timeout_recoveries", string_of_int s.Coordinator.timeout_recoveries);
+    ("fast_commits", c "fast_commit");
+    ("assisted_commits", c "assisted_commit");
+    ("aborts", string_of_int (n "abort_conflict" + n "abort_constraint"));
+    ("collisions", c "collision");
+    ("redirects", c "redirect");
+    ("timeout_recoveries", c "timeout_recovery");
     ("inflight", string_of_int (Coordinator.inflight t.sv_coord));
   ]
 

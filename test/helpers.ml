@@ -21,10 +21,25 @@ let stock_schema =
 
 let item_row stock = Value.of_list [ ("stock", Value.Int stock) ]
 
+(* A runtime at time 0 whose sends go nowhere, whose timers never fire and
+   whose trace lines fail the test: with tracing off, nothing may format
+   one.  [handler] receives the registered message handler. *)
+let silent_runtime handler =
+  Mdcc_core.Runtime.make
+    ~now:(fun () -> 0.0)
+    ~send:(fun ~src:_ ~dst:_ _ -> ())
+    ~register:(fun _ h -> handler := h)
+    ~set_timer:(fun ~after:_ _ -> ignore)
+    ~spawn:(fun f -> f ())
+    ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+    ~trace:(fun ~tag _ -> Alcotest.failf "trace line from %s with tracing off" tag)
+    ~tracing:(fun () -> false)
+    ()
+
 (* A 5-DC cluster with [items] stock rows pre-loaded. *)
 let make_cluster ?(seed = 42) ?(mode = Config.Full) ?(gamma = 100) ?learn_timeout ?txn_timeout
     ?dangling_scan_every ?(maintenance = false) ?master_dc_of ?(partitions = 1) ?(items = 0)
-    ?(stock = 100) ?drop_probability () =
+    ?(stock = 100) ?drop_probability ?ctx () =
   let engine = Engine.create ~seed in
   let config =
     Config.make ~mode ~gamma ?learn_timeout ?txn_timeout ?dangling_scan_every ~replication:5 ()
@@ -32,7 +47,7 @@ let make_cluster ?(seed = 42) ?(mode = Config.Full) ?(gamma = 100) ?learn_timeou
   let cluster =
     Cluster.create ~engine
       ~spec:(Cluster.Spec.make ?master_dc_of ?drop_probability ~partitions ())
-      ~config ~schema:stock_schema ()
+      ?ctx ~config ~schema:stock_schema ()
   in
   if items > 0 then
     Cluster.load cluster (List.init items (fun i -> (item i, item_row stock)));

@@ -164,28 +164,25 @@ let test_traffic_meter () =
   Alcotest.(check int) "recv bytes" (1_001 * 64)
     (Mdcc_obs.Registry.counter r "net.recv_bytes.node02")
 
-(* A coordinator on a runtime whose sends go nowhere; returns it and its
+(* The event consumers a node is built with (tracing is always off). *)
+let ctx_of = function
+  | `None -> Mdcc_core.Ctx.make ~obs:(Mdcc_obs.Obs.create ()) ()
+  | `History ->
+    Mdcc_core.Ctx.make ~history:(Mdcc_core.History.create ()) ~obs:(Mdcc_obs.Obs.create ()) ()
+  | `Spans -> Mdcc_core.Ctx.make ~obs:(Mdcc_obs.Obs.create ~spans:true ()) ()
+
+let replicas = [ 0; 1; 2; 3; 4 ]
+
+(* A coordinator of five replicas on a silent runtime; returns it and its
    message handler. *)
-let bare_coordinator () =
+let bare_coordinator ?(consumer = `None) () =
   let handler = ref (fun ~src:_ _ -> ()) in
-  let runtime =
-    Runtime.make
-      ~now:(fun () -> 0.0)
-      ~send:(fun ~src:_ ~dst:_ _ -> ())
-      ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ _ -> ignore)
-      ~spawn:(fun f -> f ())
-      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-      ~trace:(fun ~tag:_ _ -> ())
-      ~tracing:(fun () -> false)
-      ()
-  in
-  let config = Config.make ~replication:5 () in
   let coord =
-    Mdcc_core.Coordinator.create ~runtime ~config ~node_id:9
-      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+    Mdcc_core.Coordinator.create ~runtime:(Helpers.silent_runtime handler)
+      ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> replicas)
       ~master_of:(fun _ -> 0)
-      ()
+      ~ctx:(ctx_of consumer) ()
   in
   (coord, !handler)
 
@@ -212,8 +209,114 @@ let test_fast_vote_arrival () =
   if per_vote > 2.0 then Alcotest.failf "a fast vote allocated %.2f words" per_vote;
   Alcotest.(check int) "nothing decided" txns (Mdcc_core.Coordinator.inflight coord)
 
+(* ---- the event stream's liveness check ---- *)
+
+(* Words per transaction of the vote that decides it: the coordinator's
+   learn, decide, Visibility broadcast and callback. *)
+let decide_words ?(txid = fun i -> Printf.sprintf "d%03d" i) consumer =
+  let coord, deliver = bare_coordinator ~consumer () in
+  let txns = 50 in
+  let deciding =
+    Array.init txns (fun i ->
+        let txid = txid i in
+        Mdcc_core.Coordinator.submit coord
+          (Txn.make ~id:txid ~updates:[ (key, Update.Delta [ ("stock", -1) ]) ])
+          ignore;
+        for acceptor = 0 to 2 do
+          deliver ~src:acceptor
+            (Messages.Phase2b_fast { key; txid; decision = Woption.Accepted; acceptor })
+        done;
+        Messages.Phase2b_fast { key; txid; decision = Woption.Accepted; acceptor = 3 })
+  in
+  let w = words (fun () -> Array.iter (fun v -> deliver ~src:3 v) deciding) in
+  Alcotest.(check int) "all decided" 0 (Mdcc_core.Coordinator.inflight coord);
+  w /. Float.of_int txns
+
+(* Words per message at a storage node: a fast proposal of each of [n]
+   transactions on its own record, then the committed Visibility of each. *)
+let node_words ?(txid = fun i -> Printf.sprintf "n%03d" i) ?(id = string_of_int) consumer =
+  let handler = ref (fun ~src:_ _ -> ()) in
+  let _node =
+    Storage_node.create ~runtime:(Helpers.silent_runtime handler)
+      ~config:(Config.make ~replication:5 ())
+      ~node_id:0
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 1)
+      ~ctx:(ctx_of consumer) ()
+  in
+  let n = 50 in
+  let update = Update.Delta [ ("stock", -1) ] in
+  let opts =
+    Array.init n (fun i ->
+        let k = Key.make ~table:"item" ~id:(id i) in
+        { Woption.txid = txid i; key = k; update; write_set = [ k ]; coordinator = 9 })
+  in
+  let proposals = Array.map (fun w -> Messages.Propose { woption = w; route = `Fast }) opts in
+  let visibilities =
+    Array.map
+      (fun (w : Woption.t) ->
+        Messages.Visibility
+          { txid = w.Woption.txid; key = w.Woption.key; update; committed = true })
+      opts
+  in
+  (* The first message to a record creates its state; warm every record
+     with another transaction's proposal so the measured ones pay only
+     the vote. *)
+  Array.iteri
+    (fun i (w : Woption.t) ->
+      let warm = { w with Woption.txid = Printf.sprintf "warm%d" i } in
+      !handler ~src:9 (Messages.Propose { woption = warm; route = `Fast }))
+    opts;
+  let per_msg msgs =
+    words (fun () -> Array.iter (fun m -> !handler ~src:9 m) msgs) /. Float.of_int n
+  in
+  let vote = per_msg proposals in
+  let vis = per_msg visibilities in
+  (vote, vis)
+
+(* With no consumer — tracing off, spans off, no history — the protocol
+   steps allocate no more than they did before the event stream existed
+   (figures measured on the build that preceded it). *)
+let test_no_consumer () =
+  let ceiling name limit w =
+    if w > limit then Alcotest.failf "%s allocated %.2f words (ceiling %.2f)" name w limit
+  in
+  let vote, vis = node_words `None in
+  ceiling "coordinator decide" 29.2 (decide_words `None);
+  ceiling "storage-node fast vote" 17.08 vote;
+  ceiling "storage-node visibility" 30.2 vis
+
+let huge = 16_000
+
+(* With only a history attached, no key or outcome string is rendered: the
+   keys and txids here are [huge] bytes, so one rendering would cost over
+   2,000 words. *)
+let test_history_renders_nothing () =
+  let long i = Printf.sprintf "%0*d" huge i in
+  let vote, vis = node_words ~txid:long ~id:long `History in
+  let decide = decide_words ~txid:long `History in
+  List.iter
+    (fun (name, w) ->
+      if w > 200.0 then Alcotest.failf "%s with a history allocated %.0f words" name w)
+    [ ("decide", decide); ("fast vote", vote); ("visibility", vis) ]
+
+(* With only spans on, no trace line is formatted: a line would copy the
+   [huge]-byte txid, which a span event only references. *)
+let test_spans_format_no_line () =
+  let long i = Printf.sprintf "%0*d" huge i in
+  let vote, vis = node_words ~txid:long `Spans in
+  let decide = decide_words ~txid:long `Spans in
+  List.iter
+    (fun (name, w) ->
+      if w > 1000.0 then Alcotest.failf "%s with spans on allocated %.0f words" name w)
+    [ ("decide", decide); ("fast vote", vote); ("visibility", vis) ]
+
 let suite =
   [
+    Alcotest.test_case "no consumer: decide, vote, visibility" `Quick test_no_consumer;
+    Alcotest.test_case "history only renders no strings" `Quick test_history_renders_nothing;
+    Alcotest.test_case "spans only format no trace line" `Quick test_spans_format_no_line;
     Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;

@@ -181,13 +181,15 @@ let test_messages_size_of_pinned () =
     (size_pins ())
 
 let test_trace_toggle () =
-  let engine = Engine.create ~seed:1 in
+  let h = Trace.handle () in
   Trace.disable ();
   Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
-  (* Emission with tracing off must still consume its arguments safely. *)
-  Trace.emit engine ~tag:"test" "hello %d" 42;
+  Alcotest.(check bool) "handle inactive" false (Trace.active h);
+  (* Recording with tracing off is a no-op. *)
+  Trace.record_at h ~at:0.0 ~tag:"test" "hello 42";
   Trace.enable ();
   Alcotest.(check bool) "enabled" true (Trace.enabled ());
+  Alcotest.(check bool) "handle active" true (Trace.active h);
   Trace.disable ()
 
 let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ]

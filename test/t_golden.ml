@@ -1,0 +1,112 @@
+(* Golden digests of the protocol's pinned outputs.  The byte-identity
+   checks elsewhere compare a run with a second run of the same code, so a
+   change that shifts both runs alike passes them; these compare against
+   digests captured from a known-good build.  Covered: a chaos run with its
+   trace captured — the trace lines, the metrics and span documents, the
+   history length and the verbose report — on two scenarios at two seeds
+   each, and the trace of the single-transaction demo
+   ([experiments_cli demo --trace]). *)
+
+open Mdcc_storage
+module Runner = Mdcc_chaos.Runner
+module Nemesis = Mdcc_chaos.Nemesis
+module Obs = Mdcc_obs.Obs
+module Json = Mdcc_obs.Json
+module Engine = Mdcc_sim.Engine
+module Trace = Mdcc_sim.Trace
+module Cluster = Mdcc_core.Cluster
+module Config = Mdcc_core.Config
+module Coordinator = Mdcc_core.Coordinator
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let lines l = String.concat "\n" l
+
+(* (scenario, seed, history events, trace digest, metrics ^ spans digest,
+   verbose report digest) *)
+let pinned_runs =
+  [
+    ( "torn_broadcast", 1, 313, "930cbee7154338a2e7afee53f2ed96a3",
+      "b24f8a79eadf4c26e948f31102b73643", "7a5d4af24eb6b206a7e0abe1a21cb3c9" );
+    ( "torn_broadcast", 2, 334, "bb0fe0a81ca02b280cc3778504a40fb7",
+      "1381ee4271023911812da9711c1e0e08", "ca585a5ad260003a45c5ff078b15bced" );
+    ( "master_failover", 1, 287, "f5ea88ee6ce169c9b24323568efa8409",
+      "7f7c2119f798a8c998fc05005627286a", "401605971135fcd47b2ea192a578e270" );
+    ( "master_failover", 2, 322, "2c4754b08c9a86e6dd3570d8654aa6f6",
+      "0a93c5bda9a748c5d817059b2db32278", "ada91fcc2e156b277242975e13fe2a05" );
+  ]
+
+let test_chaos_runs () =
+  List.iter
+    (fun (name, seed, events, trace_d, obs_d, report_d) ->
+      let scenario = Option.get (Nemesis.scenario_named name) in
+      let r = Runner.run (Runner.spec ~capture_trace:true ~seed ~scenario ()) in
+      let label what = Printf.sprintf "%s seed %d: %s" name seed what in
+      let obs = r.Runner.r_obs in
+      Alcotest.(check int) (label "history events") events r.Runner.r_events;
+      Alcotest.(check string) (label "trace lines") trace_d (digest (lines r.Runner.r_trace));
+      Alcotest.(check string)
+        (label "metrics and spans")
+        obs_d
+        (digest (Json.to_string (Obs.metrics_json obs) ^ Json.to_string (Obs.spans_json obs)));
+      Alcotest.(check string)
+        (label "verbose report")
+        report_d
+        (digest (Runner.report_to_string ~verbose:true r)))
+    pinned_runs
+
+(* The demo transaction of [experiments_cli demo]: a delta and a physical
+   update submitted from DC 2 of the default 5-DC cluster. *)
+let demo_trace () =
+  let schema =
+    Schema.create
+      [
+        {
+          Schema.name = "item";
+          bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
+          master_dc = 0;
+        };
+      ]
+  in
+  let engine = Engine.create ~seed:1 in
+  let config = Config.make ~mode:Config.Full ~replication:5 () in
+  let cluster = Cluster.create ~engine ~spec:Cluster.Spec.default ~config ~schema () in
+  let key i = Key.make ~table:"item" ~id:(string_of_int i) in
+  Cluster.load cluster
+    [
+      (key 0, Value.of_list [ ("stock", Value.Int 10) ]);
+      (key 1, Value.of_list [ ("stock", Value.Int 10) ]);
+    ];
+  let buf = ref [] in
+  let was = Trace.enabled () in
+  Trace.set_sink (fun l -> buf := l :: !buf);
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.reset_sink ();
+      if not was then Trace.disable ())
+    (fun () ->
+      Coordinator.submit
+        (Cluster.coordinator cluster ~dc:2 ~rank:0)
+        (Txn.make ~id:"demo"
+           ~updates:
+             [
+               (key 0, Update.Delta [ ("stock", -2) ]);
+               ( key 1,
+                 Update.Physical { vread = 1; value = Value.of_list [ ("stock", Value.Int 7) ] }
+               );
+             ])
+        ignore;
+      Engine.run ~until:10_000.0 engine);
+  List.rev !buf
+
+let test_demo_trace () =
+  let got = demo_trace () in
+  Alcotest.(check int) "demo trace lines" 21 (List.length got);
+  Alcotest.(check string) "demo trace" "89bb1c45f9095a43c7644c6c08fe5bd0" (digest (lines got))
+
+let suite =
+  [
+    Alcotest.test_case "pinned chaos runs (trace, obs, report)" `Quick test_chaos_runs;
+    Alcotest.test_case "pinned demo trace" `Quick test_demo_trace;
+  ]

@@ -364,36 +364,42 @@ let test_span_json_groups_keys () =
 (* ------------------------------------------------------------------ *)
 
 let test_trace_line_sink () =
-  let engine = Engine.create ~seed:1 in
   let lines = ref [] in
   let was = Trace.enabled () in
   Trace.set_sink (fun l -> lines := l :: !lines);
   Trace.enable ();
-  Trace.emit engine ~tag:"t_obs" "hello %d" 42;
+  Trace.record_at (Trace.handle ()) ~at:1.5 ~tag:"t_obs" "hello 42";
   Trace.reset_sink ();
   if not was then Trace.disable ();
-  match !lines with
-  | [ line ] ->
-    Alcotest.(check bool) "rendered line carries the body" true
-      (contains ~needle:"hello 42" line)
-  | ls -> Alcotest.failf "expected 1 line, got %d" (List.length ls)
+  Alcotest.(check (list string)) "one rendered line" [ "[      1.50] t_obs        hello 42" ] !lines
 
-let test_trace_event_sink_without_enable () =
-  (* The structured sink must receive events even while line tracing is
-     off — collectors must not force verbose logging on. *)
-  let engine = Engine.create ~seed:1 in
-  let events = ref [] in
-  Alcotest.(check bool) "tracing disabled" false (Trace.enabled ());
-  Trace.set_event_sink (fun ev -> events := ev :: !events);
-  Trace.emit engine ~tag:"t_obs" "structured %s" "path";
-  Trace.reset_event_sink ();
-  Trace.emit engine ~tag:"t_obs" "dropped after reset";
-  match !events with
-  | [ ev ] ->
-    Alcotest.(check string) "source tag" "t_obs" ev.Trace.source;
-    Alcotest.(check string) "body" "structured path" ev.Trace.body;
-    Alcotest.(check (float 1e-9)) "virtual timestamp" 0.0 ev.Trace.at
-  | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
+(* The event stream feeds the history and the span store while line
+   tracing is off — collectors must not force verbose logging on — and a
+   stream with no consumer is not live. *)
+let test_event_stream_without_tracing () =
+  let module Ctx = Mdcc_core.Ctx in
+  let module Event = Mdcc_core.Event in
+  let module History = Mdcc_core.History in
+  let runtime = Helpers.silent_runtime (ref (fun ~src:_ _ -> ())) in
+  let quiet = Ctx.stream (Ctx.make ~obs:(Obs.create ()) ()) runtime ~node:3 in
+  Alcotest.(check bool) "no consumer, not live" false (Ctx.live quiet);
+  let history = History.create () and obs = Obs.create ~spans:true () in
+  let s = Ctx.stream (Ctx.make ~history ~obs ()) runtime ~node:3 in
+  Alcotest.(check bool) "live" true (Ctx.live s);
+  let key = Mdcc_storage.Key.make ~table:"item" ~id:"1" in
+  Ctx.emit s (Event.Voted { txid = "t1"; key; vote = Event.Fast None });
+  Ctx.emit s (Event.Decided { txid = "t1"; outcome = Mdcc_storage.Txn.Committed });
+  (match History.events history with
+  | [ { History.at; node; event = Event.Decided { txid; _ } } ] ->
+    Alcotest.(check (float 0.0)) "stamped with the runtime clock" 0.0 at;
+    Alcotest.(check int) "stamped with the node" 3 node;
+    Alcotest.(check string) "decided txid" "t1" txid
+  | es -> Alcotest.failf "expected the decision alone in the history, got %d" (List.length es));
+  let sp = Option.get (Obs.spans obs) in
+  Alcotest.(check (list (pair string string)))
+    "span events"
+    [ ("vote", "fast acc"); ("decide", "committed") ]
+    (List.map (fun e -> (e.Span.ev_name, e.Span.ev_detail)) (Span.events sp ~txid:"t1"))
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: the chaos run contract                                  *)
@@ -466,7 +472,7 @@ let suite =
     Alcotest.test_case "span basics" `Quick test_span_basics;
     Alcotest.test_case "span json key groups" `Quick test_span_json_groups_keys;
     Alcotest.test_case "trace line sink" `Quick test_trace_line_sink;
-    Alcotest.test_case "trace event sink without enable" `Quick test_trace_event_sink_without_enable;
+    Alcotest.test_case "event stream without tracing" `Quick test_event_stream_without_tracing;
     Alcotest.test_case "chaos run counters" `Quick test_chaos_counters;
     Alcotest.test_case "chaos span ordering" `Quick test_chaos_span_ordering;
     Alcotest.test_case "chaos obs determinism" `Quick test_chaos_obs_determinism;

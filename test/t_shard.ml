@@ -10,6 +10,7 @@ module Cluster = Mdcc_core.Cluster
 module Layout = Cluster.Layout
 module Coordinator = Mdcc_core.Coordinator
 module History = Mdcc_core.History
+module Event = Mdcc_core.Event
 module Checker = Mdcc_chaos.Checker
 module Nemesis = Mdcc_chaos.Nemesis
 module Runner = Mdcc_chaos.Runner
@@ -133,21 +134,24 @@ let test_snapshot_fast_path () =
 let key id = Key.make ~table:"item" ~id
 let stock n = Value.of_list [ ("stock", Value.Int n) ]
 
-let history evs =
+let history entries =
   let h = History.create () in
-  List.iter (History.record h) evs;
+  List.iter (fun { History.at; node; event } -> History.record h ~at ~node event) entries;
   h
 
 let invariants vs =
   List.sort_uniq String.compare (List.map (fun v -> v.Checker.invariant) vs)
 
-let submitted ?(time = 0.0) txn = History.Submitted { time; coordinator = 0; txn }
-let decided ?(time = 10.0) txid outcome = History.Decided { time; txid; outcome }
+let submitted ?(time = 0.0) txn = { History.at = time; node = 0; event = Event.Submitted txn }
+
+let decided ?(time = 10.0) txid outcome =
+  { History.at = time; node = 0; event = Event.Decided { txid; outcome } }
 
 let applied ?(time = 20.0) ?(node = 0) txid k version value =
-  History.Applied { time; node; txid; key = k; version; value }
+  { History.at = time; node; event = Event.Applied { txid; key = k; version; value; wrote = true } }
 
-let voided ?(time = 20.0) ?(node = 0) txid k = History.Voided { time; node; txid; key = k }
+let voided ?(time = 20.0) ?(node = 0) txid k =
+  { History.at = time; node; event = Event.Voided { txid; key = k } }
 let write ?(value = stock 9) k vread = (k, Update.Physical { vread; value })
 
 let test_decision_agreement_flagged () =

@@ -7,20 +7,25 @@ module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
 module Config = Mdcc_core.Config
 module Coordinator = Mdcc_core.Coordinator
+module Ctx = Mdcc_core.Ctx
+module Obs = Mdcc_obs.Obs
 module Rng = Mdcc_util.Rng
 
-let total_stats cluster =
-  List.fold_left
-    (fun (f, a, ab, coll) c ->
-      let s = Coordinator.stats c in
-      ( f + s.Coordinator.fast_commits,
-        a + s.Coordinator.assisted_commits,
-        ab + s.Coordinator.aborts,
-        coll + s.Coordinator.collisions ))
-    (0, 0, 0, 0) (Cluster.coordinators cluster)
+(* A cluster reporting into its own registry: the ambient one accumulates
+   across tests. *)
+let counted_cluster ~mode ~items =
+  let obs = Obs.create () in
+  let engine, cluster = make_cluster ~ctx:(Ctx.make ~obs ()) ~mode ~items () in
+  (engine, cluster, obs)
+
+(* Fast commits, assisted commits, aborts and collisions, from the
+   coordinators' registry counters. *)
+let total_stats obs =
+  let n = Mdcc_obs.Registry.counter (Obs.registry obs) in
+  (n "fast_commit", n "assisted_commit", n "abort_conflict" + n "abort_constraint", n "collision")
 
 let run_uncontended mode =
-  let engine, cluster = make_cluster ~mode ~items:200 () in
+  let engine, cluster, obs = counted_cluster ~mode ~items:200 in
   let rng = Rng.create 9 in
   let submitted = ref 0 in
   for i = 0 to 99 do
@@ -36,21 +41,21 @@ let run_uncontended mode =
              (fun _ -> ())))
   done;
   Engine.run ~until:60_000.0 engine;
-  (cluster, !submitted)
+  (obs, !submitted)
 
 let test_uncontended_is_pure_fast_path () =
   (* The headline: in the common case (no conflicts), every MDCC commit is
      one wide-area round trip on the fast path. *)
-  let cluster, submitted = run_uncontended Config.Full in
-  let fast, assisted, aborts, collisions = total_stats cluster in
+  let obs, submitted = run_uncontended Config.Full in
+  let fast, assisted, aborts, collisions = total_stats obs in
   Alcotest.(check int) "all committed" submitted (fast + assisted);
   Alcotest.(check int) "no aborts" 0 aborts;
   Alcotest.(check int) "no collisions" 0 collisions;
   Alcotest.(check int) "every commit pure fast-path" submitted fast
 
 let test_multi_never_uses_fast_path () =
-  let cluster, submitted = run_uncontended Config.Multi in
-  let fast, assisted, _, _ = total_stats cluster in
+  let obs, submitted = run_uncontended Config.Multi in
+  let fast, assisted, _, _ = total_stats obs in
   Alcotest.(check int) "no fast commits in Multi" 0 fast;
   Alcotest.(check int) "all assisted (master) commits" submitted assisted
 
@@ -60,7 +65,7 @@ let test_contention_produces_collisions () =
      Fast Paxos collision path must fire.  (Many-way races instead tend to
      reach four *rejects* quickly — a decisive learned rejection, not a
      collision.) *)
-  let engine, cluster = make_cluster ~mode:Config.Fast_only ~items:1 () in
+  let engine, cluster, obs = counted_cluster ~mode:Config.Fast_only ~items:1 in
   for i = 0 to 1 do
     Coordinator.submit
       (Cluster.coordinator cluster ~dc:(4 * i) ~rank:0)
@@ -70,7 +75,7 @@ let test_contention_produces_collisions () =
       (fun _ -> ())
   done;
   Engine.run ~until:60_000.0 engine;
-  let fast, assisted, aborts, collisions = total_stats cluster in
+  let fast, assisted, aborts, collisions = total_stats obs in
   Alcotest.(check bool) "collisions detected" true (collisions > 0);
   Alcotest.(check bool) "at least one txn aborted" true (aborts >= 1);
   Alcotest.(check bool) "decisions add up" true (fast + assisted + aborts = 2)
