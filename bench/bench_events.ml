@@ -2,7 +2,6 @@
    Engine.run dispatch, Network.send delivery throughput) and of two
    storage-node paths whose cost grows with the node's state.
 
-     dune exec bench/bench_events.exe -- --ops 300000
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
    Eight sections, each timed in isolation:
@@ -30,9 +29,9 @@
    Wall-clock throughput (ops/s) is machine-dependent and noisy on a
    shared container; the per-op minor-allocation figure (minor_words/op,
    from Gc.minor_words) is deterministic for a given build and is the
-   number the hot-loop allocation-purge work is judged by.  Output schema
-   mdcc.bench_events.v1; CI uploads the artifact so sequential hot-loop
-   regressions are visible independently of the parallel-sweep story. *)
+   number the hot-loop allocation-purge work is judged by.  The --out
+   document is an Envelope (bench "events", one section per row above);
+   CI gates it with bench_check against BENCH_events.json. *)
 
 module Engine = Mdcc_sim.Engine
 module Event_queue = Mdcc_sim.Event_queue
@@ -40,6 +39,7 @@ module Network = Mdcc_sim.Network
 module Topology = Mdcc_sim.Topology
 module Rng = Mdcc_util.Rng
 module Json = Mdcc_obs.Json
+module Envelope = Mdcc_bench.Envelope
 module Key = Mdcc_storage.Key
 module Schema = Mdcc_storage.Schema
 module Update = Mdcc_storage.Update
@@ -271,25 +271,9 @@ let rng_lognormal ~ops =
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let section_json s =
-  ( s.s_name,
-    Json.Obj
-      [
-        ("ops", Json.Int s.s_ops);
-        ("wall_s", Json.Float s.s_wall_s);
-        ("ops_per_s", Json.Float s.s_ops_per_s);
-        ("minor_words_per_op", Json.Float s.s_minor_words_per_op);
-      ] )
+let ops = 300_000
 
-let doc ~ops sections =
-  Json.Obj
-    [
-      ("schema", Json.Str "mdcc.bench_events.v1");
-      ("config", Json.Obj [ ("ops", Json.Int ops) ]);
-      ("sections", Json.Obj (List.map section_json sections));
-    ]
-
-let bench ~ops ~out =
+let bench ~out =
   Printf.printf "bench-events: %d ops per section\n%!" ops;
   let sections =
     [
@@ -310,25 +294,29 @@ let bench ~ops ~out =
     sections;
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (doc ~ops sections));
-      output_char oc '\n';
-      close_out oc;
+      Envelope.write path ~bench:"events"
+        ~config:[ ("ops", Json.Int ops) ]
+        (List.map
+           (fun s ->
+             ( s.s_name,
+               [
+                 ("ops", Float.of_int s.s_ops);
+                 ("wall_s", s.s_wall_s);
+                 ("ops_per_s", s.s_ops_per_s);
+                 ("minor_words_per_op", s.s_minor_words_per_op);
+               ] ))
+           sections);
       Printf.printf "  written: %s\n" path)
     out
 
 open Cmdliner
-
-let ops_arg =
-  Arg.(value & opt int 300_000 & info [ "ops" ] ~docv:"N"
-        ~doc:"Operations per simulator section (the storage-node sections have fixed sizes).")
 
 let out_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE"
-        ~doc:"Write the measurement as JSON (schema mdcc.bench_events.v1).")
+        ~doc:"Write the measurement as a bench document (schema mdcc.bench.v2).")
 
 let () =
   let doc =
@@ -339,6 +327,6 @@ let () =
   let cmd =
     Cmd.v
       (Cmd.info "bench-events" ~doc)
-      Term.(const (fun ops out -> bench ~ops ~out) $ ops_arg $ out_arg)
+      Term.(const (fun out -> bench ~out) $ out_arg)
   in
   exit (Cmd.eval cmd)

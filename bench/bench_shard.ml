@@ -11,20 +11,16 @@
    point.  This is Figure 4's methodology at a 10x larger keyspace than
    the quick experiment tier (800 items), with the keyspace hash-sharded
    across per-partition replica groups instead of one group holding
-   everything.
+   everything.  Each point is Experiments.tpcw_point.
 
-   The optional JSON artifact (schema mdcc.bench_shard.v1) is the CI
-   hand-off: bench-smoke uploads it so a scale-out regression is visible
-   per commit. *)
+   The --out document is an Envelope (bench "shard", one section per
+   point: p2, p4, p8, ...); BENCH_shard.json is the checked-in series. *)
 
 module Stats = Mdcc_util.Stats
-module Rng = Mdcc_util.Rng
-module Obs = Mdcc_obs.Obs
 module Json = Mdcc_obs.Json
-module Setup = Mdcc_workload.Setup
-module Tpcw = Mdcc_workload.Tpcw
-module Runner = Mdcc_workload.Runner
+module Experiments = Mdcc_workload.Experiments
 module Metrics = Mdcc_workload.Metrics
+module Envelope = Mdcc_bench.Envelope
 
 type point = {
   pt_partitions : int;
@@ -37,22 +33,9 @@ type point = {
   pt_wall_s : float;
 }
 
-let even_spread ~num_dcs clients =
-  let base = clients / num_dcs and extra = clients mod num_dcs in
-  Array.init num_dcs (fun dc -> base + if dc < extra then 1 else 0)
-
-let run_point ~seed ~items ~warmup ~duration ~drain ~partitions ~clients =
+let run_point ~items ~partitions ~clients =
   let t0 = Unix.gettimeofday () in
-  let rng = Rng.create ((seed * 17) + 3) in
-  let p = { Tpcw.default with items; commutative = true } in
-  let rows = Tpcw.rows p ~rng in
-  let harness =
-    Setup.make Setup.Mdcc ~seed ~schema:Tpcw.schema ~partitions ~obs:(Obs.create ()) ~rows ()
-  in
-  let spec =
-    { Runner.clients_per_dc = even_spread ~num_dcs:5 clients; warmup; duration; drain; seed }
-  in
-  let metrics = Runner.run harness (Tpcw.generator p) spec in
+  let metrics, tps = Experiments.tpcw_point ~items ~partitions ~clients in
   let p50, p99 =
     match Metrics.summary metrics with
     | Some s -> (s.Stats.p50, s.Stats.p99)
@@ -61,7 +44,7 @@ let run_point ~seed ~items ~warmup ~duration ~drain ~partitions ~clients =
   {
     pt_partitions = partitions;
     pt_clients = clients;
-    pt_tps = Metrics.throughput metrics ~duration;
+    pt_tps = tps;
     pt_p50 = p50;
     pt_p99 = p99;
     pt_committed = Metrics.commit_count metrics;
@@ -77,44 +60,27 @@ let series ~partitions ~clients =
   let ps = match doublings 1 [] with [ 1 ] -> [ 1 ] | 1 :: rest -> rest | ps -> ps in
   List.map (fun p -> (p, max 1 (clients * p / partitions))) ps
 
-let point_json pt =
-  Json.Obj
+let point_section pt =
+  ( Printf.sprintf "p%d" pt.pt_partitions,
     [
-      ("partitions", Json.Int pt.pt_partitions);
-      ("clients", Json.Int pt.pt_clients);
-      ("txns_per_s", Json.Float pt.pt_tps);
-      ("p50_ms", Json.Float pt.pt_p50);
-      ("p99_ms", Json.Float pt.pt_p99);
-      ("committed", Json.Int pt.pt_committed);
-      ("aborted", Json.Int pt.pt_aborted);
-      ("wall_s", Json.Float pt.pt_wall_s);
-    ]
+      ("partitions", Float.of_int pt.pt_partitions);
+      ("clients", Float.of_int pt.pt_clients);
+      ("txns_per_s", pt.pt_tps);
+      ("p50_ms", pt.pt_p50);
+      ("p99_ms", pt.pt_p99);
+      ("committed", Float.of_int pt.pt_committed);
+      ("aborted", Float.of_int pt.pt_aborted);
+      ("wall_s", pt.pt_wall_s);
+    ] )
 
-let doc ~seed ~items ~warmup ~duration ~partitions ~clients points =
-  Json.Obj
-    [
-      ("schema", Json.Str "mdcc.bench_shard.v1");
-      ( "config",
-        Json.Obj
-          [
-            ("items", Json.Int items);
-            ("clients", Json.Int clients);
-            ("partitions", Json.Int partitions);
-            ("warmup_ms", Json.Float warmup);
-            ("duration_ms", Json.Float duration);
-            ("seed", Json.Int seed);
-          ] );
-      ("points", Json.List (List.map point_json points));
-    ]
-
-let bench ~seed ~items ~warmup ~duration ~drain ~partitions ~clients ~out =
+let bench ~items ~partitions ~clients ~out =
   let pts = series ~partitions ~clients in
   Printf.printf "bench-shard: %d items, %d points up to %d partitions / %d clients\n%!" items
     (List.length pts) partitions clients;
   let points =
     List.map
       (fun (p, c) ->
-        let pt = run_point ~seed ~items ~warmup ~duration ~drain ~partitions:p ~clients:c in
+        let pt = run_point ~items ~partitions:p ~clients:c in
         Printf.printf
           "  partitions=%-3d clients=%-4d  %8.1f txns/s  p50 %6.0f ms  p99 %6.0f ms  (%d c / %d a, %.1f s wall)\n%!"
           p c pt.pt_tps pt.pt_p50 pt.pt_p99 pt.pt_committed pt.pt_aborted pt.pt_wall_s;
@@ -130,17 +96,18 @@ let bench ~seed ~items ~warmup ~duration ~drain ~partitions ~clients ~out =
   | _ -> ());
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      output_string oc
-        (Json.to_string (doc ~seed ~items ~warmup ~duration ~partitions ~clients points));
-      output_char oc '\n';
-      close_out oc;
+      Envelope.write path ~bench:"shard"
+        ~config:
+          [
+            ("items", Json.Int items);
+            ("clients", Json.Int clients);
+            ("partitions", Json.Int partitions);
+          ]
+        (List.map point_section points);
       Printf.printf "  written: %s\n" path)
     out
 
 open Cmdliner
-
-let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
 
 let items_arg =
   Arg.(value & opt int 8_000 & info [ "items" ] ~docv:"N" ~doc:"TPC-W items (the keyspace).")
@@ -155,32 +122,19 @@ let partitions_arg =
     value & opt int 8
     & info [ "partitions" ] ~docv:"N" ~doc:"Largest partition count of the scale-out series.")
 
-let warmup_arg =
-  Arg.(value & opt float 2_000.0 & info [ "warmup" ] ~docv:"MS" ~doc:"Warm-up window (sim ms).")
-
-let duration_arg =
-  Arg.(
-    value & opt float 8_000.0 & info [ "duration" ] ~docv:"MS" ~doc:"Measured window (sim ms).")
-
-let drain_arg =
-  Arg.(value & opt float 20_000.0 & info [ "drain" ] ~docv:"MS" ~doc:"Drain window (sim ms).")
-
 let out_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "out" ] ~docv:"FILE" ~doc:"Write the series as JSON (schema mdcc.bench_shard.v1).")
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:"Write the series as a bench document (schema mdcc.bench.v2).")
 
 let () =
   let doc = "TPC-W throughput scale-out across keyspace partitions (Figure-4 style)" in
-  let run seed items clients partitions warmup duration drain out =
-    bench ~seed ~items ~warmup ~duration ~drain ~partitions ~clients ~out
-  in
+  let run items clients partitions out = bench ~items ~partitions ~clients ~out in
   let cmd =
     Cmd.v
       (Cmd.info "bench-shard" ~doc)
-      Term.(
-        const run $ seed_arg $ items_arg $ clients_arg $ partitions_arg $ warmup_arg
-        $ duration_arg $ drain_arg $ out_arg)
+      Term.(const run $ items_arg $ clients_arg $ partitions_arg $ out_arg)
   in
   exit (Cmd.eval cmd)

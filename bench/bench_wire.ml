@@ -13,11 +13,14 @@
    not a benchmark artifact.
 
    The measurement (req/s, latency p50/p99/p999, error counts) is written
-   as one JSON document (--out, default BENCH_wire.json).  Exit status 1
-   if any protocol or consistency error was observed — the CI smoke job
-   relies on that. *)
+   as an Envelope (--out, default BENCH_wire.json; bench "wire", one
+   section "load").  The self-hosted server has 5 replicas and values
+   are 64 bytes.  Exit status 1 if any protocol or consistency error was
+   observed — the CI smoke job relies on that. *)
 
 module Json = Mdcc_obs.Json
+module Stats = Mdcc_util.Stats
+module Envelope = Mdcc_bench.Envelope
 module Server = Mdcc_wire.Server
 module Loop = Mdcc_runtime_unix.Loop
 
@@ -76,9 +79,11 @@ let read_store_reply ic errors =
 
 type op = Op_set of { key : string; data : string } | Op_get of { key : string }
 
-let value_pad = String.make 4096 '.'
+let nodes = 5
+let value_bytes = 64
+let value_pad = String.make value_bytes '.'
 
-let run_conn ~addr ~port ~ops ~depth ~keys ~value_bytes conn_id =
+let run_conn ~addr ~port ~ops ~depth ~keys conn_id =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.connect fd (ADDR_INET (Unix.inet_addr_of_string addr, port));
   (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -149,32 +154,7 @@ let run_conn ~addr ~port ~ops ~depth ~keys ~value_bytes conn_id =
 
 (* ---------------- aggregation ---------------- *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(Stdlib.min (n - 1) (int_of_float (Float.of_int n *. p)))
-
-let doc ~params ~req_s ~wall_s ~requests ~sorted ~protocol_errors ~consistency_errors =
-  let ms s = Json.Float (s *. 1000.0) in
-  Json.Obj
-    [
-      ("schema", Json.Str "mdcc.bench_wire.v1");
-      ("params", Json.Obj params);
-      ("requests", Json.Int requests);
-      ("wall_s", Json.Float wall_s);
-      ("req_s", Json.Float req_s);
-      ("latency_ms",
-       Json.Obj
-         [
-           ("p50", ms (percentile sorted 0.50));
-           ("p99", ms (percentile sorted 0.99));
-           ("p999", ms (percentile sorted 0.999));
-         ]);
-      ("protocol_errors", Json.Int protocol_errors);
-      ("consistency_errors", Json.Int consistency_errors);
-    ]
-
-let bench ~addr ~port ~self_host ~nodes ~partitions ~conns ~depth ~ops ~keys ~value_bytes ~out =
+let bench ~addr ~port ~self_host ~partitions ~conns ~depth ~ops ~keys ~out =
   let server =
     if not self_host then None
     else begin
@@ -192,7 +172,7 @@ let bench ~addr ~port ~self_host ~nodes ~partitions ~conns ~depth ~ops ~keys ~va
   let t0 = Unix.gettimeofday () in
   let domains =
     List.init conns (fun i ->
-        Domain.spawn (fun () -> run_conn ~addr ~port ~ops ~depth ~keys ~value_bytes i))
+        Domain.spawn (fun () -> run_conn ~addr ~port ~ops ~depth ~keys i))
   in
   let results = List.map Domain.join domains in
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -210,31 +190,35 @@ let bench ~addr ~port ~self_host ~nodes ~partitions ~conns ~depth ~ops ~keys ~va
   let sorted = Array.concat (List.map (fun r -> r.latencies) results) in
   Array.sort Float.compare sorted;
   let req_s = Float.of_int requests /. wall_s in
-  let params =
+  let ms p = Stats.percentile sorted p *. 1000.0 in
+  Envelope.write out ~bench:"wire"
+    ~config:
+      [
+        ("conns", Json.Int conns);
+        ("depth", Json.Int depth);
+        ("ops_per_conn", Json.Int ops);
+        ("keys_per_conn", Json.Int keys);
+        ("value_bytes", Json.Int value_bytes);
+        ("self_host", Json.Bool self_host);
+        ("nodes", Json.Int nodes);
+        ("partitions", Json.Int partitions);
+      ]
     [
-      ("conns", Json.Int conns);
-      ("depth", Json.Int depth);
-      ("ops_per_conn", Json.Int ops);
-      ("keys_per_conn", Json.Int keys);
-      ("value_bytes", Json.Int value_bytes);
-      ("self_host", Json.Bool self_host);
-      ("nodes", Json.Int nodes);
-      ("partitions", Json.Int partitions);
-    ]
-  in
-  let json =
-    doc ~params ~req_s ~wall_s ~requests ~sorted ~protocol_errors ~consistency_errors
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
+      ( "load",
+        [
+          ("requests", Float.of_int requests);
+          ("wall_s", wall_s);
+          ("req_s", req_s);
+          ("p50_ms", ms 50.0);
+          ("p99_ms", ms 99.0);
+          ("p999_ms", ms 99.9);
+          ("protocol_errors", Float.of_int protocol_errors);
+          ("consistency_errors", Float.of_int consistency_errors);
+        ] );
+    ];
   Printf.printf
     "  %d requests in %.2fs = %.0f req/s  p50 %.2fms  p99 %.2fms  p99.9 %.2fms\n"
-    requests wall_s req_s
-    (percentile sorted 0.50 *. 1000.0)
-    (percentile sorted 0.99 *. 1000.0)
-    (percentile sorted 0.999 *. 1000.0);
+    requests wall_s req_s (ms 50.0) (ms 99.0) (ms 99.9);
   Printf.printf "  protocol errors: %d, readback mismatches: %d -> %s\n%!" protocol_errors
     consistency_errors out;
   if protocol_errors > 0 || consistency_errors > 0 then begin
@@ -251,8 +235,6 @@ let port_arg = Arg.(value & opt int 11311 & info [ "port" ] ~docv:"PORT")
 let self_host_arg =
   Arg.(value & flag & info [ "self-host" ] ~doc:"Boot an in-process server on an ephemeral port.")
 
-let nodes_arg = Arg.(value & opt int 5 & info [ "nodes" ] ~docv:"N")
-
 let partitions_arg =
   Arg.(
     value & opt int 1
@@ -261,17 +243,16 @@ let conns_arg = Arg.(value & opt int 4 & info [ "conns" ] ~docv:"C")
 let depth_arg = Arg.(value & opt int 8 & info [ "depth" ] ~docv:"D" ~doc:"Pipeline depth.")
 let ops_arg = Arg.(value & opt int 2000 & info [ "ops" ] ~docv:"OPS" ~doc:"Ops per connection.")
 let keys_arg = Arg.(value & opt int 64 & info [ "keys" ] ~docv:"K" ~doc:"Key-slice size per connection.")
-let value_arg = Arg.(value & opt int 64 & info [ "value-bytes" ] ~docv:"B")
 let out_arg = Arg.(value & opt string "BENCH_wire.json" & info [ "out" ] ~docv:"FILE")
 
 let cmd =
-  let run addr port self_host nodes partitions conns depth ops keys value_bytes out =
-    bench ~addr ~port ~self_host ~nodes ~partitions ~conns ~depth ~ops ~keys ~value_bytes ~out
+  let run addr port self_host partitions conns depth ops keys out =
+    bench ~addr ~port ~self_host ~partitions ~conns ~depth ~ops ~keys ~out
   in
   Cmd.v
     (Cmd.info "bench_wire" ~doc:"Pipelined load generator for the MDCC wire front-end")
     Term.(
-      const run $ addr_arg $ port_arg $ self_host_arg $ nodes_arg $ partitions_arg $ conns_arg
-      $ depth_arg $ ops_arg $ keys_arg $ value_arg $ out_arg)
+      const run $ addr_arg $ port_arg $ self_host_arg $ partitions_arg $ conns_arg $ depth_arg
+      $ ops_arg $ keys_arg $ out_arg)
 
 let () = exit (Cmd.eval' cmd)

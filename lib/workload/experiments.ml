@@ -162,6 +162,11 @@ let run_tpcw protocol scale ~all_in_dc ~obs =
   in
   Runner.run harness (Tpcw.generator p) (spec_of scale ~clients_per_dc)
 
+let tpcw_point ~items ~partitions ~clients =
+  let scale = { quick_scale with items; partitions; clients } in
+  let metrics = run_tpcw Setup.Mdcc scale ~all_in_dc:None ~obs:(Obs.create ()) in
+  (metrics, Metrics.throughput metrics ~duration:scale.duration)
+
 let fig3_protocols = [ Setup.Qw 3; Setup.Qw 4; Setup.Mdcc; Setup.Two_pc; Setup.Megastore ]
 
 let fig3_paper_medians =

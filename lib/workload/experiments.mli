@@ -34,6 +34,13 @@ type latency_row = {
   aborts : int;
 }
 
+val tpcw_point : items:int -> partitions:int -> clients:int -> Metrics.t * float
+(** One MDCC TPC-W run with [clients] spread evenly over the five data
+    centers and [items] hash-sharded over [partitions] replica groups, at
+    the quick tier's seed and windows: the run's metrics and its
+    committed transactions per second.  The sharded scale-out bench
+    ([bench/bench_shard.exe]) is a series of these. *)
+
 val fig3 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> latency_row list
 
 val fig4 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (string * (int * float) list) list

@@ -99,3 +99,8 @@ let stock_at cluster ~dc i =
   match Cluster.peek cluster ~dc (item i) with
   | Some (v, _) -> Value.get_int v "stock"
   | None -> Alcotest.fail "item missing"
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  nl = 0 || go 0

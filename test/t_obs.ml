@@ -17,10 +17,7 @@ module Runner = Mdcc_chaos.Runner
 module Nemesis = Mdcc_chaos.Nemesis
 module Sweep = Mdcc_chaos.Sweep
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
+let contains = Helpers.contains
 
 let index_of ~needle hay =
   let nl = String.length needle and hl = String.length hay in

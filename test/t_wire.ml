@@ -264,10 +264,7 @@ let test_handler_conversation () =
   feed "quit\r\n";
   Alcotest.(check bool) "quit closes" true !closed
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
+let contains = Helpers.contains
 
 (* Live exposition over the handler: the same registry feeds [metrics]
    (Prometheus text), [stats detail] (the verbatim-name firehose), and

@@ -26,4 +26,5 @@ let () =
       ("pool", T_pool.suite);
       ("lint", T_lint.suite);
       ("wire", T_wire.suite);
+      ("bench", T_bench.suite);
     ]
