@@ -428,21 +428,6 @@ let on_read_reply t rid acceptor value version exists =
       end
     end
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-let order_rows ?order_by ~limit rows =
-  let merged =
-    match order_by with
-    | None -> rows
-    | Some attr ->
-      List.sort
-        (fun (_, v1, _) (_, v2, _) -> Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
-        rows
-  in
-  take limit merged
 
 let scan_local t ~table ?order_by ~limit cb =
   match t.local_nodes with
@@ -465,7 +450,7 @@ let on_scan_reply t rid rows =
     ss.s_missing <- ss.s_missing - 1;
     if ss.s_missing = 0 then begin
       Hashtbl.remove t.scans rid;
-      ss.s_cb (order_rows ?order_by:ss.s_order_by ~limit:ss.s_limit ss.s_rows)
+      ss.s_cb (Store.order_rows ?order_by:ss.s_order_by ~limit:ss.s_limit ss.s_rows)
     end
 
 let scan_snapshot t ~table ?order_by ~limit cb =
@@ -473,7 +458,7 @@ let scan_snapshot t ~table ?order_by ~limit cb =
   | Some s ->
     Obs.incr t.obs "snapshot_fast_path";
     Runtime.spawn t.runtime (fun () ->
-        cb (order_rows ?order_by ~limit (s.snap_scan ~table)))
+        cb (Store.order_rows ?order_by ~limit (s.snap_scan ~table)))
   | None ->
     Obs.incr t.obs "snapshot_fallback";
     scan_local t ~table ?order_by ~limit cb
@@ -501,7 +486,7 @@ let scan ?(level = `Local) t ~table ?order_by ~limit cb =
                   | Some None | None -> None)
                 rows
             in
-            cb (order_rows ?order_by ~limit upgraded)
+            cb (Store.order_rows ?order_by ~limit upgraded)
           in
           List.iter
             (fun (key, _, _) ->

@@ -60,23 +60,6 @@ let read ?(level = `Session) t key callback =
             Coordinator.read ~level:`Majority t.coordinator key deliver
           end)
 
-(* Same descending-sort-then-truncate the coordinator applies to scans, so
-   session-level row upgrades do not change the result shape. *)
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-let order_rows ?order_by ~limit rows =
-  let merged =
-    match order_by with
-    | None -> rows
-    | Some attr ->
-      List.sort
-        (fun (_, v1, _) (_, v2, _) -> Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
-        rows
-  in
-  take limit merged
 
 let scan ?(level = `Session) t ~table ?order_by ~limit cb =
   let obs = Coordinator.obs t.coordinator in
@@ -100,7 +83,7 @@ let scan ?(level = `Session) t ~table ?order_by ~limit cb =
         let to_upgrade = List.filter stale rows in
         if to_upgrade = [] then begin
           observe_rows rows;
-          cb (order_rows ?order_by ~limit rows)
+          cb (Store.order_rows ?order_by ~limit rows)
         end
         else begin
           Obs.incr obs "session_scan_stale_upgrade";
@@ -118,7 +101,7 @@ let scan ?(level = `Session) t ~table ?order_by ~limit cb =
                 rows
             in
             observe_rows upgraded;
-            cb (order_rows ?order_by ~limit upgraded)
+            cb (Store.order_rows ?order_by ~limit upgraded)
           in
           List.iter
             (fun (key, _, _) ->

@@ -72,8 +72,8 @@ type t = {
   recoveries : (Txn.id, txrec) Hashtbl.t;
   rng : Rng.t;
   obs : Obs.t;
-  diverged : (string, unit) Hashtbl.t;
-      (* "src#key" pairs currently known diverged at equal version (applied
+  diverged : (int * Key.t, unit) Hashtbl.t;
+      (* (src, key) pairs currently known diverged at equal version (applied
          anti-entropy digests differ); drives the diverged_replicas gauge *)
   stream : Ctx.stream;  (* this node's protocol events *)
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
@@ -152,9 +152,15 @@ let mstate t key =
 
 let bounds t key = Schema.bounds_of t.schema key
 
-let n_qf t = (t.config.Config.replication, Config.fast_quorum t.config)
-
 let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
+
+(* Send [payload] to every replica in the list, in order, except that this
+   node runs [local] in its own place instead of messaging itself. *)
+let rec fan_out t payload local = function
+  | [] -> ()
+  | replica :: rest ->
+    if replica = t.id then local () else send t replica payload;
+    fan_out t payload local rest
 
 let now t = Runtime.now t.runtime
 
@@ -370,7 +376,20 @@ let dedup_add x xs = if List.mem x xs then xs else x :: xs
 
 let union a b = List.fold_left (fun acc x -> dedup_add x acc) a b
 
-let rec master_phase2b t ~src key txid ballot ok _decision =
+(* The decision that at least [threshold] of [votes] agree on, acceptance
+   first. *)
+let tally threshold votes =
+  let rec count acc rej = function
+    | [] ->
+      if acc >= threshold then Some Woption.Accepted
+      else if rej >= threshold then Some Woption.Rejected
+      else None
+    | Woption.Accepted :: tl -> count (acc + 1) rej tl
+    | Woption.Rejected :: tl -> count acc (rej + 1) tl
+  in
+  count 0 0 votes
+
+let rec master_phase2b t ~src key txid ballot ok =
   let ms = mstate t key in
   match List.find_opt (fun r -> String.equal r.r_opt.Woption.txid txid) ms.m_rounds with
   | None -> ()
@@ -380,12 +399,7 @@ let rec master_phase2b t ~src key txid ballot ok _decision =
       r.r_acks <- dedup_add src r.r_acks;
       if List.length r.r_acks >= qc t then begin
         ms.m_rounds <- List.filter (fun r' -> r' != r) ms.m_rounds;
-        let targets = union [ r.r_opt.Woption.coordinator ] r.r_notify in
-        List.iter
-          (fun dst ->
-            if dst = t.id then txn_recovery_learned t txid key r.r_dec
-            else send t dst (Messages.Learned { key; txid; decision = r.r_dec }))
-          targets;
+        announce t key r.r_opt r.r_notify r.r_dec;
         Obs.incr t.obs "classic_learned";
         if live t then emit t (Event.Classic_learned { txid; key; decision = r.r_dec });
         process_queue t key
@@ -400,16 +414,22 @@ let rec master_phase2b t ~src key txid ballot ok _decision =
       start_recovery t key ~extras:[ r.r_opt ] ~notify:r.r_notify
     end
 
-and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~rebase =
+(* Tell the option's coordinator and everyone in [notify] the decision;
+   this node learns it directly. *)
+and announce t key (w : Woption.t) notify decision =
+  let txid = w.Woption.txid in
   List.iter
-    (fun replica ->
-      if replica = t.id then begin
-        let ok, b, d = acceptor_phase2a t key ballot w decision classic_until rebase in
-        master_phase2b t ~src:t.id key w.Woption.txid b ok d
-      end
-      else
-        send t replica
-          (Messages.Phase2a { key; ballot; woption = w; decision; classic_until; rebase }))
+    (fun dst ->
+      if dst = t.id then txn_recovery_learned t txid key decision
+      else send t dst (Messages.Learned { key; txid; decision }))
+    (union [ w.Woption.coordinator ] notify)
+
+and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~rebase =
+  fan_out t
+    (Messages.Phase2a { key; ballot; woption = w; decision; classic_until; rebase })
+    (fun () ->
+      let ok, b, _ = acceptor_phase2a t key ballot w decision classic_until rebase in
+      master_phase2b t ~src:t.id key w.Woption.txid b ok)
     (t.replicas key)
 
 (* Stable-master classic round: validate with escrow against our own state
@@ -455,42 +475,31 @@ and master_propose t (w : Woption.t) ~notify =
   let txid = w.Woption.txid in
   let ms = mstate t key in
   let rs = rstate t key in
-  let tell decision =
-    List.iter
-      (fun dst ->
-        if dst = t.id then txn_recovery_learned t txid key decision
-        else send t dst (Messages.Learned { key; txid; decision }))
-      (union [ w.Woption.coordinator ] notify)
-  in
   match visible_outcome t txid key with
-  | Some committed -> tell (if committed then Woption.Accepted else Woption.Rejected)
+  | Some committed ->
+    announce t key w notify (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
     match List.find_opt (fun r -> String.equal r.r_opt.Woption.txid txid) ms.m_rounds with
     | Some r -> r.r_notify <- union r.r_notify notify
     | None -> (
-      match ms.m_recovery with
-      | Some rc ->
-        if not (List.exists (fun o -> String.equal o.Woption.txid txid) rc.rc_extras) then
-          rc.rc_extras <- w :: rc.rc_extras;
-        rc.rc_notify <- union rc.rc_notify notify
-      | None -> (
-        match Rstate.find_pending rs txid with
-        | Some _ ->
-          (* A local vote for the option exists — fast, or classic from a
-             round we no longer track.  Either way a vote is not a decision
-             (the round may have died short of a quorum), and re-running a
-             fresh round against our own state would have the option
-             conflicting with its own pending vote.  Recovery reads a quorum
-             and classifies the vote correctly. *)
-          start_recovery t key ~extras:[ w ] ~notify
-        | None ->
-          let row = Store.ensure t.store key in
-          let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
-          if ms.m_led <> None && era_classic then begin
-            if ms.m_queue = [] && can_run_now t key w then start_round t key w ~notify
-            else ms.m_queue <- ms.m_queue @ [ (w, notify) ]
-          end
-          else start_recovery t key ~extras:[ w ] ~notify)))
+      match (ms.m_recovery, Rstate.find_pending rs txid) with
+      | Some _, _ | None, Some _ ->
+        (* Join the recovery in progress.  Or a local vote for the option
+           exists — fast, or classic from a round we no longer track.
+           Either way a vote is not a decision (the round may have died
+           short of a quorum), and re-running a fresh round against our own
+           state would have the option conflicting with its own pending
+           vote.  Recovery reads a quorum and classifies the vote
+           correctly. *)
+        start_recovery t key ~extras:[ w ] ~notify
+      | None, None ->
+        let row = Store.ensure t.store key in
+        let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
+        if ms.m_led <> None && era_classic then begin
+          if ms.m_queue = [] && can_run_now t key w then start_round t key w ~notify
+          else ms.m_queue <- ms.m_queue @ [ (w, notify) ]
+        end
+        else start_recovery t key ~extras:[ w ] ~notify))
 
 (* Collision recovery: Phase 1 to everybody, then decide every pending
    option safely and re-propose at a classic ballot. *)
@@ -535,13 +544,10 @@ and start_recovery t key ~extras ~notify =
 and broadcast_phase1a t key rc =
   Obs.incr t.obs "phase1_round";
   let ballot = rc.rc_ballot in
-  List.iter
-    (fun replica ->
-      if replica = t.id then begin
-        let ok, promised, votes, rb, decided = acceptor_phase1a t key ballot in
-        master_phase1b t ~src:t.id key ballot ok promised votes rb decided
-      end
-      else send t replica (Messages.Phase1a { key; ballot }))
+  fan_out t (Messages.Phase1a { key; ballot })
+    (fun () ->
+      let ok, promised, votes, rb, decided = acceptor_phase1a t key ballot in
+      master_phase1b t ~src:t.id key ballot ok promised votes rb decided)
     (t.replicas key)
 
 (* Re-drive Phase 1 if the recovery stalls (lost messages, failed DC). *)
@@ -585,8 +591,6 @@ and master_phase1b t ~src key ballot ok promised votes rebase decided =
 
 and resolve_recovery t key rc =
   let ms = mstate t key in
-  let n, qf = n_qf t in
-  let quorum_size = List.length rc.rc_resp in
   (* Re-base: the freshest committed state any responder reported. *)
   let rebase =
     List.fold_left
@@ -629,8 +633,12 @@ and resolve_recovery t key rc =
   (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
      some classic round — for each option only its highest-ballot vote
      matters), fast-threshold ("might have been chosen" at the fast
-     ballot), and free. *)
-  let threshold = qf - (n - quorum_size) in
+     ballot), and free.  Every undecided option is paired with the decision
+     its votes force, if any. *)
+  let threshold =
+    Quorum.anchor_threshold ~n:t.config.Config.replication ~f:(Config.fast_quorum t.config)
+      ~responded:(List.length rc.rc_resp)
+  in
   let already_visible = ref [] and classic_voted = ref [] and fast_forced = ref [] in
   let free = ref [] in
   (* Sorted by txid: the order candidates are classified (and therefore the
@@ -647,13 +655,11 @@ and resolve_recovery t key rc =
           |> List.sort (fun (_, b1) (_, b2) -> Ballot.compare b2 b1)
         in
         match classic_votes with
-        | (d, b) :: _ -> classic_voted := (w, d, b) :: !classic_voted
-        | [] ->
-          let acc = List.length (List.filter (fun (d, _) -> d = Woption.Accepted) votes) in
-          let rej = List.length (List.filter (fun (d, _) -> d = Woption.Rejected) votes) in
-          if acc >= threshold then fast_forced := (w, Woption.Accepted) :: !fast_forced
-          else if rej >= threshold then fast_forced := (w, Woption.Rejected) :: !fast_forced
-          else free := w :: !free))
+        | (d, b) :: _ -> classic_voted := (b, (w, Some d)) :: !classic_voted
+        | [] -> (
+          match tally threshold (List.map fst votes) with
+          | Some _ as forced -> fast_forced := (w, forced) :: !fast_forced
+          | None -> free := (w, None) :: !free)))
     candidates;
   let base_val =
     {
@@ -662,10 +668,6 @@ and resolve_recovery t key rc =
       exists = rebase.Messages.exists;
     }
   in
-  let as_pending w d =
-    { Rstate.woption = w; decision = d; ballot = rc.rc_ballot; proposed_at = now t }
-  in
-  let accepted_so_far = ref [] in
   let instance_of (w : Woption.t) =
     match w.Woption.update with
     | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } ->
@@ -673,85 +675,58 @@ and resolve_recovery t key rc =
     | Update.Insert _ -> 0
     | Update.Delta _ -> max_int
   in
-  let sort_opts =
-    List.sort (fun a b ->
+  let by_instance =
+    List.sort (fun ((a : Woption.t), _) ((b : Woption.t), _) ->
         match Int.compare (instance_of a) (instance_of b) with
         | 0 -> String.compare a.Woption.txid b.Woption.txid
         | c -> c)
   in
-  (* A classic vote proves the option *might* have been chosen in that
+  let classic_forced =
+    List.sort (fun (b1, _) (b2, _) -> Ballot.compare b2 b1) !classic_voted |> List.map snd
+  in
+  let fast_forced = by_instance !fast_forced and free = by_instance !free in
+  (* Validate in one pass — classic-voted by ballot, highest first, then
+     fast-forced, then free, the last two oldest instance first — each
+     option against the re-based state plus every option accepted before
+     it.  A forced reject stands, and so does a forced commutative accept:
+     deltas carry no instance to conflict on.  A forced non-commutative
+     accept is re-validated.
+     A classic vote proves the option *might* have been chosen in that
      round, nothing more: the round may have died short of a quorum, and its
      stale vote can linger in an acceptor's log long after a higher ballot
      chose a conflicting option (whose own votes vanish once visibility
-     executes them).  So accepted non-commutative classic-voted options are
-     re-validated against the re-based state, highest ballot first.  That
-     order is what makes this safe: had the option truly been chosen, a
-     classic quorum voted for it, every later recovery quorum intersects
-     that one, so no conflicting option could have been chosen since —
-     the re-based state still satisfies it and re-validation re-accepts it.
-     An option re-validation rejects provably was never chosen. *)
-  let classic_checked =
-    let sorted =
-      List.sort (fun (_, _, b1) (_, _, b2) -> Ballot.compare b2 b1) !classic_voted
-    in
-    List.map
-      (fun ((w : Woption.t), d, _) ->
-        if d = Woption.Accepted && not (Update.is_commutative w.Woption.update) then begin
-          let d' =
-            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
-              ~accepted:!accepted_so_far w.Woption.update
-          in
-          if d' = Woption.Accepted then accepted_so_far := as_pending w d' :: !accepted_so_far;
-          (w, d')
-        end
-        else begin
-          if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
-          (w, d)
-        end)
-      sorted
-  in
-  (* Fast votes likewise only prove a non-commutative option *might* have
-     been chosen (the rest of the fast quorum is outside this view).  When
-     such an option no longer applies to the re-based state, or conflicts
-     with an option already validated above, it cannot in fact have been
-     chosen — a fast quorum would have had to intersect the classic /
-     rebasing quorum — so it must be rejected, not committed alongside.
-     Commutative deltas keep the threshold decision: they carry no instance
-     to conflict on. *)
-  let fast_checked =
-    let sorted =
-      sort_opts (List.map fst !fast_forced)
-      |> List.map (fun w -> (w, List.assq w !fast_forced))
-    in
-    List.map
-      (fun ((w : Woption.t), d) ->
-        if d = Woption.Accepted && not (Update.is_commutative w.Woption.update) then begin
-          let d' =
-            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
-              ~accepted:!accepted_so_far w.Woption.update
-          in
-          if d' = Woption.Accepted then accepted_so_far := as_pending w d' :: !accepted_so_far;
-          (w, d')
-        end
-        else begin
-          if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
-          (w, d)
-        end)
-      sorted
-  in
-  (* Validate the free options deterministically, oldest instance first,
-     against the re-based state plus everything already forced accepted. *)
-  let decided_free =
-    List.map
-      (fun w ->
+     executes them).  Highest ballot first is what makes re-validation
+     safe: had the option truly been chosen, a classic quorum voted for it,
+     every later recovery quorum intersects that one, so no conflicting
+     option could have been chosen since — the re-based state still
+     satisfies it and re-validation re-accepts it.  An option re-validation
+     rejects provably was never chosen.  Fast votes likewise only prove an
+     option *might* have been chosen (the rest of the fast quorum is
+     outside this view); one that no longer applies to the re-based state,
+     or conflicts with an option validated before it, cannot in fact have
+     been chosen — a fast quorum would have had to intersect the classic /
+     rebasing quorum — so it is rejected, not committed alongside. *)
+  let outcomes, _ =
+    List.fold_left
+      (fun (outcomes, accepted) ((w : Woption.t), forced) ->
         let d =
-          Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
-            ~accepted:!accepted_so_far w.Woption.update
+          match forced with
+          | Some d when d = Woption.Rejected || Update.is_commutative w.Woption.update -> d
+          | Some _ | None ->
+            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val ~accepted
+              w.Woption.update
         in
-        if d = Woption.Accepted then accepted_so_far := as_pending w d :: !accepted_so_far;
-        (w, d))
-      (sort_opts !free)
+        let accepted =
+          if d = Woption.Accepted then
+            { Rstate.woption = w; decision = d; ballot = rc.rc_ballot; proposed_at = now t }
+            :: accepted
+          else accepted
+        in
+        ((w, d) :: outcomes, accepted))
+      ([], [])
+      (classic_forced @ fast_forced @ free)
   in
+  let outcomes = List.rev outcomes in
   (* Install the classic window and become the stable master. *)
   let classic_until =
     match t.config.Config.mode with
@@ -764,16 +739,8 @@ and resolve_recovery t key rc =
   ms.m_recovery <- None;
   ms.m_led <- Some rc.rc_ballot;
   (* Options already executed: just tell everyone who asked. *)
-  List.iter
-    (fun ((w : Woption.t), d) ->
-      List.iter
-        (fun dst ->
-          if dst = t.id then txn_recovery_learned t w.Woption.txid key d
-          else send t dst (Messages.Learned { key; txid = w.Woption.txid; decision = d }))
-        (union [ w.Woption.coordinator ] rc.rc_notify))
-    !already_visible;
+  List.iter (fun (w, d) -> announce t key w rc.rc_notify d) !already_visible;
   (* Re-propose every undecided option at the classic ballot. *)
-  let outcomes = classic_checked @ fast_checked @ decided_free in
   List.iter
     (fun ((w : Woption.t), d) ->
       let r =
@@ -791,8 +758,8 @@ and resolve_recovery t key rc =
          {
            key;
            options = List.length outcomes;
-           forced = List.length classic_checked + List.length fast_checked;
-           free = List.length decided_free;
+           forced = List.length classic_forced + List.length fast_forced;
+           free = List.length free;
          })
 
 (* ------------------------------------------------------------------ *)
@@ -822,8 +789,6 @@ and synthetic_reject_option t txid key keys =
 
 and evaluate_txn_recovery t tr =
   if not tr.tx_done then begin
-    let n, qf = n_qf t in
-    ignore n;
     (* Short-circuit: any replica that already executed a Visibility knows
        the whole transaction's outcome. *)
     let decided_outcome =
@@ -860,19 +825,13 @@ and evaluate_txn_recovery t tr =
         match Key.Map.find_opt key tr.tx_replies with
         | None -> None
         | Some replies ->
-          let votes =
-            List.filter_map
-              (fun (_, st) ->
-                match st with
-                | Messages.Status_pending v -> Some v.Messages.decision
-                | Messages.Status_decided _ | Messages.Status_unknown -> None)
-              replies
-          in
-          let acc = List.length (List.filter (fun d -> d = Woption.Accepted) votes) in
-          let rej = List.length (List.filter (fun d -> d = Woption.Rejected) votes) in
-          if acc >= qf then Some Woption.Accepted
-          else if rej >= qf then Some Woption.Rejected
-          else None)
+          tally (Config.fast_quorum t.config)
+            (List.filter_map
+               (fun (_, st) ->
+                 match st with
+                 | Messages.Status_pending v -> Some v.Messages.decision
+                 | Messages.Status_decided _ | Messages.Status_unknown -> None)
+               replies))
     in
     match decided_outcome with
     | Some committed -> finish_txn_recovery t tr committed
@@ -918,11 +877,9 @@ and finish_txn_recovery t tr committed =
         | Some w -> w.Woption.update
         | None -> Update.Physical { vread = -1; value = Value.empty }
       in
-      List.iter
-        (fun replica ->
-          if replica = t.id then visibility t tr.tx_id key update committed
-          else
-            send t replica (Messages.Visibility { txid = tr.tx_id; key; update; committed }))
+      fan_out t
+        (Messages.Visibility { txid = tr.tx_id; key; update; committed })
+        (fun () -> visibility t tr.tx_id key update committed)
         (t.replicas key))
     tr.tx_keys
 
@@ -944,10 +901,9 @@ let start_txn_recovery t (w : Woption.t) =
       emit t (Event.Txn_recovery_started { txid = w.Woption.txid; keys = List.length tr.tx_keys });
     List.iter
       (fun key ->
-        List.iter
-          (fun replica ->
-            if replica = t.id then status_query t ~src:t.id w.Woption.txid key
-            else send t replica (Messages.Status_query { txid = w.Woption.txid; key }))
+        fan_out t
+          (Messages.Status_query { txid = w.Woption.txid; key })
+          (fun () -> status_query t ~src:t.id w.Woption.txid key)
           (t.replicas key))
       tr.tx_keys;
     (* If recovery stalls (failed replicas), forget it so a later scan can
@@ -1002,6 +958,21 @@ let scan_dangling t =
 (* Anti-entropy repair (Sync_reply reconciliation)                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Flag [key] as diverged from peer [src] at [version], once per pair. *)
+let mark_diverged t ~src key version =
+  if not (Hashtbl.mem t.diverged (src, key)) then begin
+    Hashtbl.replace t.diverged (src, key) ();
+    Obs.incr t.obs "antientropy_divergence";
+    Obs.add_gauge t.obs "diverged_replicas" 1;
+    if live t then emit t (Event.Diverged { peer = src; key; version })
+  end
+
+let clear_diverged t ~src key =
+  if Hashtbl.mem t.diverged (src, key) then begin
+    Hashtbl.remove t.diverged (src, key);
+    Obs.add_gauge t.obs "diverged_replicas" (-1)
+  end
+
 (* Merge a peer's applied set into ours by replaying every committed
    commutative option we are missing.  Deterministic: the missing entries
    arrive (and are replayed) in txid order, and txid membership in the
@@ -1040,11 +1011,7 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
     missing;
   if !stale && t.id <> src then send t src (Messages.Catchup_request { key });
   (* Repaired: this pair is no longer diverged from our point of view. *)
-  let dkey = Printf.sprintf "%d#%s" src (Key.to_string key) in
-  if Hashtbl.mem t.diverged dkey then begin
-    Hashtbl.remove t.diverged dkey;
-    Obs.add_gauge t.obs "diverged_replicas" (-1)
-  end;
+  clear_diverged t ~src key;
   if
     !merged > 0
     && not (Txn.Map.is_empty (Rstate.applied_missing ~mine:theirs ~theirs:rs.Rstate.applied))
@@ -1083,23 +1050,13 @@ let rec handle t ~src payload =
           (* The prober is ahead of us: pull its committed state. *)
           send t src (Messages.Catchup_request { key })
         else if row.Store.version > 0 then begin
-          let dkey = Printf.sprintf "%d#%s" src (Key.to_string key) in
-          let ours = applied_digest_of t key in
-          if ours <> digest then begin
-            if not (Hashtbl.mem t.diverged dkey) then begin
-              Hashtbl.replace t.diverged dkey ();
-              Obs.incr t.obs "antientropy_divergence";
-              Obs.add_gauge t.obs "diverged_replicas" 1;
-              if live t then emit t (Event.Diverged { peer = src; key; version })
-            end;
+          if applied_digest_of t key <> digest then begin
+            mark_diverged t ~src key version;
             send t src
               (Messages.Sync_reply
                  { key; version = row.Store.version; applied = applied_of t key })
           end
-          else if Hashtbl.mem t.diverged dkey then begin
-            Hashtbl.remove t.diverged dkey;
-            Obs.add_gauge t.obs "diverged_replicas" (-1)
-          end
+          else clear_diverged t ~src key
         end)
       entries
   | Messages.Sync_reply { key; version = _; applied } -> sync_repair t ~src key applied
@@ -1130,8 +1087,8 @@ let rec handle t ~src payload =
     let ok, b, d = acceptor_phase2a t key ballot woption decision classic_until rebase in
     send t src
       (Messages.Phase2b_master { key; txid = woption.Woption.txid; ballot = b; ok; decision = d })
-  | Messages.Phase2b_master { key; txid; ballot; ok; decision } ->
-    master_phase2b t ~src key txid ballot ok decision
+  | Messages.Phase2b_master { key; txid; ballot; ok; decision = _ } ->
+    master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
   | Messages.Visibility { txid; key; update; committed } -> visibility t txid key update committed
   | Messages.Start_recovery { key; woption } -> (
@@ -1151,21 +1108,7 @@ let rec handle t ~src payload =
     Store.iter t.store (fun key row ->
         if row.Store.exists && String.equal key.Key.table table then
           rows := (key, row.Store.value, row.Store.version) :: !rows);
-    let rows =
-      match order_by with
-      | None -> !rows
-      | Some attr ->
-        List.sort
-          (fun (_, v1, _) (_, v2, _) ->
-            Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
-          !rows
-    in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
-    in
-    send t src (Messages.Scan_reply { rid; rows = take limit rows })
+    send t src (Messages.Scan_reply { rid; rows = Store.order_rows ?order_by ~limit !rows })
   | Messages.Read_request { rid; key } ->
     let row = Store.ensure t.store key in
     send t src
@@ -1219,42 +1162,35 @@ let pending_options t =
     t.records
   |> List.fold_left ( + ) 0
 
-(* Anti-entropy sweep: probe the master of every key we hold with our
-   version; stale keys come back via Catchup.  The "background process" that
-   brings a recovered data center up to date (§5.3.4). *)
-let sync_with_masters t =
-  let by_master = Hashtbl.create 8 in
+(* Anti-entropy sweep: send every node in [targets key] other than us one
+   Sync_request with our (key, version, digest) for each key we hold that
+   names it.  Targets are probed in node-id order; each entry list is in
+   reverse key order, [Store.iter] being sorted. *)
+let sync t ~targets =
+  let by_target = Hashtbl.create 8 in
   Store.iter t.store (fun key row ->
-      let master = t.master_of key in
-      if master <> t.id then begin
-        let existing = Option.value (Hashtbl.find_opt by_master master) ~default:[] in
-        let digest = applied_digest_of t key in
-        Hashtbl.replace by_master master ((key, row.Store.version, digest) :: existing)
-      end);
-  (* Probe masters in node-id order; entry lists are already in key order
-     because [Store.iter] is sorted. *)
+      List.iter
+        (fun dst ->
+          if dst <> t.id then begin
+            let existing = Option.value (Hashtbl.find_opt by_target dst) ~default:[] in
+            let digest = applied_digest_of t key in
+            Hashtbl.replace by_target dst ((key, row.Store.version, digest) :: existing)
+          end)
+        (targets key));
   Table.sorted_iter ~compare:Int.compare
-    (fun master entries -> send t master (Messages.Sync_request { entries }))
-    by_master
+    (fun dst entries -> send t dst (Messages.Sync_request { entries }))
+    by_target
+
+(* Probe the master of every key we hold with our version; stale keys come
+   back via Catchup.  The "background process" that brings a recovered data
+   center up to date (§5.3.4). *)
+let sync_with_masters t = sync t ~targets:(fun key -> [ t.master_of key ])
 
 (* Stronger anti-entropy for a node restarting after a crash: probe every
    replica of every key we hold, not just the masters.  A crashed node may
    have missed instances of keys it {e masters} — their state is newer at the
-   other replicas, which the master-directed sweep above never asks. *)
-let sync_with_peers t =
-  let by_peer = Hashtbl.create 8 in
-  Store.iter t.store (fun key row ->
-      List.iter
-        (fun peer ->
-          if peer <> t.id then begin
-            let existing = Option.value (Hashtbl.find_opt by_peer peer) ~default:[] in
-            let digest = applied_digest_of t key in
-            Hashtbl.replace by_peer peer ((key, row.Store.version, digest) :: existing)
-          end)
-        (t.replicas key));
-  Table.sorted_iter ~compare:Int.compare
-    (fun peer entries -> send t peer (Messages.Sync_request { entries }))
-    by_peer
+   other replicas, which the master-directed sweep never asks. *)
+let sync_with_peers t = sync t ~targets:t.replicas
 
 let start_maintenance t =
   let period = t.config.Config.dangling_scan_every in

@@ -6,39 +6,7 @@ let fast_size ~n =
   let num = (2 * n) - c + 1 in
   (num + 1) / 2
 
-type 'v vote = { acceptor : int; ballot : Ballot.t; value : 'v }
-
-let safe_value ~n ~quorum_size ~equal votes =
-  match votes with
-  | [] -> None
-  | first :: rest ->
-    let k =
-      List.fold_left
-        (fun acc v -> if Ballot.compare v.ballot acc > 0 then v.ballot else acc)
-        first.ballot rest
-    in
-    let at_k = List.filter (fun v -> Ballot.equal v.ballot k) votes in
-    if not (Ballot.is_fast k) then
-      (* Classic rule: at most one value exists at a classic ballot. *)
-      match at_k with v :: _ -> Some v.value | [] -> None
-    else begin
-      (* Fast rule: v is possibly chosen iff a fast quorum R can exist with
-         (Q inter R) all voting v, i.e. voters(v) can be completed with the
-         n - |Q| acceptors outside Q to a fast quorum. *)
-      let f = fast_size ~n in
-      let threshold = f - (n - quorum_size) in
-      let rec scan = function
-        | [] -> None
-        | v :: tl ->
-          let supporters = List.filter (fun w -> equal w.value v.value) at_k in
-          if List.length supporters >= threshold then Some v.value else scan tl
-      in
-      scan at_k
-    end
-
-let majority_reached ~n k = k >= classic_size ~n
-
-let fast_reached ~n k = k >= fast_size ~n
+let anchor_threshold ~n ~f ~responded = f - (n - responded)
 
 let fast_impossible ~n ~acks ~rejects =
   let f = fast_size ~n in

@@ -71,3 +71,19 @@ let iter t f = Key.Tbl.sorted_iter f t.rows
 
 let fold t ~init ~f =
   List.fold_left (fun acc (k, row) -> f k row acc) init (Key.Tbl.sorted_bindings t.rows)
+
+let rec take n = function
+  | [] -> []
+  | _ when n <= 0 -> []
+  | x :: tl -> x :: take (n - 1) tl
+
+let order_rows ?order_by ~limit rows =
+  let sorted =
+    match order_by with
+    | None -> rows
+    | Some attr ->
+      List.sort
+        (fun (_, v1, _) (_, v2, _) -> Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
+        rows
+  in
+  take limit sorted

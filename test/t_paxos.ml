@@ -1,5 +1,5 @@
-(* Tests for ballots, quorum arithmetic and the Fast Paxos safe-value
-   rule. *)
+(* Tests for ballots and quorum arithmetic, including the fast-anchoring
+   threshold of the Fast Paxos safe-value rule. *)
 
 open Mdcc_paxos
 
@@ -46,37 +46,19 @@ let test_fast_impossible () =
   (* n=5, f=4 *)
   Alcotest.(check bool) "3acc/0rej possible" false (Quorum.fast_impossible ~n:5 ~acks:3 ~rejects:0);
   Alcotest.(check bool) "3acc/2rej collision" true (Quorum.fast_impossible ~n:5 ~acks:3 ~rejects:2);
-  Alcotest.(check bool) "2acc/2rej still open (5th could...)" true
+  Alcotest.(check bool) "2acc/2rej collision certain (5th cannot reach 4)" true
     (Quorum.fast_impossible ~n:5 ~acks:2 ~rejects:2);
   Alcotest.(check bool) "4acc reached not impossible" false
     (Quorum.fast_impossible ~n:5 ~acks:4 ~rejects:1);
   Alcotest.(check bool) "0/0 open" false (Quorum.fast_impossible ~n:5 ~acks:0 ~rejects:0)
 
-let fast0 = Ballot.initial_fast
-
-let vote a v = { Quorum.acceptor = a; ballot = fast0; value = v }
-
-let test_safe_value_classic_wins () =
-  let c2 = Ballot.classic ~number:2 ~proposer:1 in
-  let votes = [ vote 1 "x"; { Quorum.acceptor = 2; ballot = c2; value = "y" }; vote 3 "x" ] in
-  Alcotest.(check (option string)) "classic ballot's value forced" (Some "y")
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes)
-
-let test_safe_value_fast_threshold () =
-  (* Paper's example (§3.3.1): quorum of responses where one value has
-     enough support to have possibly been fast-chosen. *)
-  let votes = [ vote 2 "v1->v2"; vote 3 "v1->v3"; vote 5 "v1->v2" ] in
-  Alcotest.(check (option string)) "v1->v2 must be proposed" (Some "v1->v2")
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes);
-  (* With only one supporter each and quorum 3 of 5, threshold is
-     4 - (5 - 3) = 2: nothing is anchored. *)
-  let votes2 = [ vote 2 "a"; vote 3 "b" ] in
-  Alcotest.(check (option string)) "no anchored value" None
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal votes2)
-
-let test_safe_value_empty () =
-  Alcotest.(check (option string)) "no votes: free" None
-    (Quorum.safe_value ~n:5 ~quorum_size:3 ~equal:String.equal [])
+let test_anchor_threshold_paper_example () =
+  (* Paper's example (§3.3.1): n = 5, f = 4 and a Phase1b quorum of 3, so
+     a fast vote is possibly chosen with 4 - (5 - 3) = 2 supporters. *)
+  let threshold = Quorum.anchor_threshold ~n:5 ~f:4 ~responded:3 in
+  Alcotest.(check int) "threshold" 2 threshold;
+  Alcotest.(check bool) "support 2 is anchored" true (2 >= threshold);
+  Alcotest.(check bool) "support 1 is not" false (1 >= threshold)
 
 let suite =
   [
@@ -84,9 +66,7 @@ let suite =
     Alcotest.test_case "ballot next_classic" `Quick test_ballot_next_classic;
     Alcotest.test_case "quorum sizes" `Quick test_quorum_sizes;
     Alcotest.test_case "fast_impossible" `Quick test_fast_impossible;
-    Alcotest.test_case "safe_value: classic wins" `Quick test_safe_value_classic_wins;
-    Alcotest.test_case "safe_value: fast threshold (paper example)" `Quick
-      test_safe_value_fast_threshold;
-    Alcotest.test_case "safe_value: empty" `Quick test_safe_value_empty;
+    Alcotest.test_case "anchor_threshold: paper example" `Quick
+      test_anchor_threshold_paper_example;
     QCheck_alcotest.to_alcotest prop_quorum_intersection;
   ]

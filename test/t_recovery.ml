@@ -220,6 +220,165 @@ let test_quorum_lost_then_restored () =
   | None -> Alcotest.fail "still undecided after quorum restored");
   Alcotest.(check int) "applied everywhere" 5 (stock_at cluster ~dc:3 0)
 
+(* A storage node on a runtime that records every send and trace line and
+   never fires a timer: the test plays the other replicas by hand.  Returns
+   the node, its message handler and a drain of the sends so far. *)
+let scripted_node ~replicas ~master_of =
+  let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and lines = ref [] in
+  let runtime =
+    Mdcc_core.Runtime.make
+      ~now:(fun () -> 0.0)
+      ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ line -> lines := line :: !lines)
+      ~tracing:(fun () -> true)
+      ()
+  in
+  let node =
+    Storage_node.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:0
+      ~schema:stock_schema ~replicas ~master_of ()
+  in
+  let drain () =
+    let s = List.rev !sent in
+    sent := [];
+    s
+  in
+  (node, (fun ~src payload -> !handler ~src payload), drain, lines)
+
+let test_recovery_fold () =
+  (* n = 5, f = 4: a Phase 1b quorum of 3 anchors a fast value with
+     4 - (5 - 3) = 2 supporters.  Four options reach the master's fold:
+     - d: a commutative delta whose highest classic vote is a reject (a
+       lower classic accept and two fast accepts lose to it);
+     - a: a classic-voted accept of a physical update at a stale version,
+       which re-validation against the re-based state rejects;
+     - b: a fast accept with 2 supporters, anchored and re-validated;
+     - c: a fast accept with 1 supporter, free, conflicting with b. *)
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let module Ballot = Mdcc_paxos.Ballot in
+  let key = item 0 in
+  let node, handle, drain, lines =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 0)
+  in
+  Storage_node.load node [ (key, item_row 100) ];
+  let opt txid update = { Woption.txid; key; update; write_set = [ key ]; coordinator = 9 } in
+  let d = opt "d" (Update.Delta [ ("stock", -1) ])
+  and a = opt "a" (Update.Physical { vread = 0; value = item_row 1 })
+  and b = opt "b" (Update.Physical { vread = 1; value = item_row 2 })
+  and c = opt "c" (Update.Physical { vread = 1; value = item_row 3 }) in
+  handle ~src:9 (Messages.Propose { woption = d; route = `Fast });
+  handle ~src:9 (Messages.Start_recovery { key; woption = None });
+  let ballot = Ballot.classic ~number:2 ~proposer:0 in
+  Alcotest.(check (list int)) "Phase 1a to the other replicas" [ 1; 2; 3; 4 ]
+    (List.filter_map
+       (fun (dst, p) ->
+         match p with
+         | Messages.Phase1a { ballot = b; _ } when Ballot.equal b ballot -> Some dst
+         | _ -> None)
+       (drain ()));
+  let fast = Ballot.initial_fast in
+  let vote woption decision ballot = { Messages.woption; decision; ballot } in
+  let phase1b src votes =
+    handle ~src
+      (Messages.Phase1b
+         {
+           key;
+           ballot;
+           ok = true;
+           promised = ballot;
+           votes;
+           version = 1;
+           value = item_row 100;
+           exists = true;
+           included = [];
+           decided = [];
+         })
+  in
+  phase1b 1
+    [
+      vote d Woption.Rejected (Ballot.classic ~number:1 ~proposer:3);
+      vote a Woption.Accepted (Ballot.classic ~number:1 ~proposer:2);
+      vote b Woption.Accepted fast;
+    ];
+  phase1b 2
+    [
+      vote d Woption.Accepted (Ballot.classic ~number:1 ~proposer:1);
+      vote b Woption.Accepted fast;
+      vote c Woption.Accepted fast;
+    ];
+  let proposals =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Phase2a { woption; decision; ballot = b; _ }
+          when dst = 1 && Ballot.equal b ballot ->
+          Some (woption.Woption.txid, decision)
+        | _ -> None)
+      (drain ())
+  in
+  let decision = Alcotest.testable Woption.pp_decision ( = ) in
+  let expected =
+    [ ("d", Woption.Rejected); ("a", Woption.Rejected); ("b", Woption.Accepted);
+      ("c", Woption.Rejected) ]
+  in
+  Alcotest.(check (list (pair string decision)))
+    "re-proposals: classic by ballot descending, then fast, then free" expected proposals;
+  Alcotest.(check (list string)) "resolved counts"
+    [ "recovery resolved item/0: 4 options (3 forced, 1 free)" ]
+    (List.filter (fun l -> contains ~needle:"recovery resolved" l) !lines);
+  (* Two more acks make a classic quorum with the master's own vote. *)
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (txid, decision) ->
+          handle ~src (Messages.Phase2b_master { key; txid; ballot; ok = true; decision }))
+        proposals)
+    [ 1; 2 ];
+  Alcotest.(check (list (pair string decision)))
+    "learned by the coordinator" expected
+    (List.filter_map
+       (fun (dst, p) ->
+         match p with
+         | Messages.Learned { txid; decision; _ } when dst = 9 -> Some (txid, decision)
+         | _ -> None)
+       (drain ()))
+
+let test_sync_targets () =
+  (* Node 0 masters item 0 (replicas 0, 1, 2) but not item 1 (replicas 3,
+     0, 2; master 1). *)
+  let module Messages = Mdcc_core.Messages in
+  let replicas k = if Key.equal k (item 0) then [ 0; 1; 2 ] else [ 3; 0; 2 ] in
+  let master_of k = if Key.equal k (item 0) then 0 else 1 in
+  let node, _, drain, _ = scripted_node ~replicas ~master_of in
+  Storage_node.load node [ (item 0, item_row 1); (item 1, item_row 2) ];
+  let digest = Messages.applied_digest Mdcc_storage.Txn.Map.empty in
+  let requests () =
+    List.map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Sync_request { entries } ->
+          (dst, List.map (fun (k, v, dg) -> (Key.to_string k, v, dg)) entries)
+        | _ -> Alcotest.fail "not a Sync_request")
+      (drain ())
+  in
+  let entries = Alcotest.(list (pair int (list (triple string int int)))) in
+  Storage_node.sync_with_masters node;
+  Alcotest.check entries "masters: the mastered key is skipped"
+    [ (1, [ ("item/1", 1, digest) ]) ]
+    (requests ());
+  Storage_node.sync_with_peers node;
+  Alcotest.check entries "peers: every other replica of both keys"
+    [
+      (1, [ ("item/0", 1, digest) ]);
+      (2, [ ("item/1", 1, digest); ("item/0", 1, digest) ]);
+      (3, [ ("item/1", 1, digest) ]);
+    ]
+    (requests ())
+
 let suite =
   [
     Alcotest.test_case "commit with failed DC (fast)" `Quick test_commit_with_failed_dc;
@@ -235,4 +394,6 @@ let suite =
       test_collision_resolution_under_contention;
     Alcotest.test_case "fast era resumes after gamma" `Quick test_fast_era_resumes_after_gamma;
     Alcotest.test_case "quorum lost then restored" `Quick test_quorum_lost_then_restored;
+    Alcotest.test_case "master recovery fold" `Quick test_recovery_fold;
+    Alcotest.test_case "sync sweep targets" `Quick test_sync_targets;
   ]
