@@ -19,78 +19,59 @@ module Baseline = Mdcc_chaos.Baseline
 module Pool = Mdcc_util.Pool
 module Json = Mdcc_obs.Json
 
-let workload_of_string = function
-  | "deltas" -> Some Runner.Deltas
-  | "rmw" -> Some Runner.Rmw
-  | "mixed" -> Some Runner.Mixed
-  | _ -> None
+(* Unknown names are usage errors: a message on stderr and exit 2. *)
+let resolve_scenario name =
+  match Nemesis.scenario_named name with
+  | Some s -> s
+  | None ->
+    Printf.eprintf "unknown scenario %S (see `chaos_cli list')\n" name;
+    exit 2
 
-let make_spec ~seed ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~trace =
-  Runner.spec ~seed ~scenario ~workload ~txns ~items ~partitions
-    ?fast_quorum_override:plant_bug ~capture_trace:trace ()
+let resolve_workload = function
+  | "deltas" -> Runner.Deltas
+  | "rmw" -> Runner.Rmw
+  | "mixed" -> Runner.Mixed
+  | w ->
+    Printf.eprintf "unknown workload %S (deltas|rmw|mixed)\n" w;
+    exit 2
 
-(* The sweep's full observability export, one JSON document. *)
-let write_obs_out path runs =
+let write_json path doc =
   let oc = open_out path in
-  output_string oc (Json.to_string (Sweep.obs_doc runs));
+  output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc
 
 (* The profiler snapshot rides its own file — wall-clock durations are
    nondeterministic, so they must never share a channel with the
    byte-pinned report/obs-out outputs. *)
-let write_profile path ~jobs snapshot =
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "mdcc.profile.v1");
-        ("jobs", Json.Int jobs);
-        ("profile", Mdcc_obs.Prof.snapshot_to_json snapshot);
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc
+let profile_doc ~jobs snapshot =
+  Json.Obj
+    [
+      ("schema", Json.Str "mdcc.profile.v1");
+      ("jobs", Json.Int jobs);
+      ("profile", Mdcc_obs.Prof.snapshot_to_json snapshot);
+    ]
 
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
     ~obs_out ~jobs ~chunk ~profile =
   let scenarios =
     match scenario with
     | None -> Nemesis.matrix
-    | Some names ->
-      List.map
-        (fun name ->
-          match Nemesis.scenario_named name with
-          | Some s -> s
-          | None ->
-            Printf.eprintf "unknown scenario %S (see `chaos_cli list')\n" name;
-            exit 2)
-        (String.split_on_char ',' names)
+    | Some names -> List.map resolve_scenario (String.split_on_char ',' names)
   in
-  let workload =
-    match workload_of_string workload with
-    | Some w -> w
-    | None ->
-      Printf.eprintf "unknown workload %S (deltas|rmw|mixed)\n" workload;
-      exit 2
-  in
+  let workload = resolve_workload workload in
   (* Scenario-major, seed-minor spec order; the pool merges reports back
      in that order, so output is byte-identical to a --jobs 1 sweep. *)
   let specs =
-    List.concat_map
-      (fun scenario ->
-        List.init seeds (fun i ->
-            make_spec ~seed:(i + 1) ~scenario ~workload ~txns ~items ~partitions ~plant_bug
-              ~trace))
-      scenarios
+    Sweep.specs ~workload ~txns ~items ~partitions ?fast_quorum_override:plant_bug
+      ~capture_trace:trace ~seeds ~scenarios ()
   in
   let all =
     match profile with
     | None -> Sweep.run ~jobs ?chunk specs
     | Some path ->
       let reports, snapshot = Sweep.run_profiled ~jobs ?chunk specs in
-      write_profile path ~jobs snapshot;
+      write_json path (profile_doc ~jobs snapshot);
       reports
   in
   let total = List.length all in
@@ -99,7 +80,8 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
       if json then print_endline (Runner.report_to_json r)
       else print_endline (Runner.report_to_string ~verbose:(not (Runner.ok r)) r))
     all;
-  Option.iter (fun path -> write_obs_out path all) obs_out;
+  (* The sweep's full observability export, one JSON document. *)
+  Option.iter (fun path -> write_json path (Sweep.obs_doc all)) obs_out;
   let bad = List.filter (fun r -> not (Runner.ok r)) all in
   if not json then begin
     Printf.printf "\n%d runs (%d seeds x %d scenarios): %d with violations\n" total seeds
@@ -116,22 +98,13 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   if bad <> [] then exit 1
 
 let replay ~seed ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace =
-  let scenario =
-    match Nemesis.scenario_named scenario with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "unknown scenario %S (see `chaos_cli list')\n" scenario;
-      exit 2
+  let scenario = resolve_scenario scenario in
+  let workload = resolve_workload workload in
+  let r =
+    Runner.run
+      (Runner.spec ~seed ~scenario ~workload ~txns ~items ~partitions
+         ?fast_quorum_override:plant_bug ~capture_trace:trace ())
   in
-  let workload =
-    match workload_of_string workload with
-    | Some w -> w
-    | None ->
-      Printf.eprintf "unknown workload %S (deltas|rmw|mixed)\n" workload;
-      exit 2
-  in
-  let spec = make_spec ~seed ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~trace in
-  let r = Runner.run spec in
   if json then print_endline (Runner.report_to_json r)
   else begin
     print_endline (Runner.report_to_string ~verbose:true r);

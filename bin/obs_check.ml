@@ -7,9 +7,10 @@
    named from the event stream's span-name list (Mdcc_core.Event.span_names),
    every span's events are in nondecreasing sim-time order, and the
    fast-commutative workload actually exercised both the fast path and
-   collision resolution.  Attached
-   to the @obs alias (and through it @runtest) so schema drift fails the
-   build. *)
+   collision resolution.  The whole run report (Runner.report_to_json) of
+   a faulted, traced run goes through the same round trip, field by field.
+   Attached to the @obs alias (and through it @runtest) so schema drift
+   fails the build. *)
 
 module Runner = Mdcc_chaos.Runner
 module Nemesis = Mdcc_chaos.Nemesis
@@ -103,6 +104,49 @@ let check_span j =
     (Json.to_list (get ~label:"span" "keys" j));
   txid
 
+(* ---- run report schema ---- *)
+
+let report_fields =
+  [ "seed"; "scenario"; "submitted"; "committed"; "aborted"; "undecided"; "events";
+    "schedule"; "violations"; "trace"; "metrics"; "spans" ]
+
+(* [Runner.report_to_json]: the fields in order, each of its documented
+   type, and a parse/render round trip back to the same bytes. *)
+let check_report r =
+  let s = Runner.report_to_json r in
+  let j = parse_or_die ~label:"report" s in
+  let names = List.map fst (obj_or_die ~label:"report" j) in
+  if names <> report_fields then
+    fail "report fields are [%s], expected [%s]" (String.concat "," names)
+      (String.concat "," report_fields);
+  let is_int ~label name j =
+    match get ~label name j with Json.Int _ -> () | _ -> fail "%s %S is not an integer" label name
+  in
+  let is_str ~label name j =
+    match get ~label name j with Json.Str _ -> () | _ -> fail "%s %S is not a string" label name
+  in
+  List.iter (fun name -> is_int ~label:"report" name j)
+    [ "seed"; "submitted"; "committed"; "aborted"; "undecided"; "events" ];
+  is_str ~label:"report" "scenario" j;
+  List.iter
+    (fun f ->
+      (match get ~label:"schedule entry" "at" f with
+      | Json.Float _ -> ()
+      | _ -> fail "schedule entry \"at\" is not a float");
+      is_str ~label:"schedule entry" "fault" f)
+    (Json.to_list (get ~label:"report" "schedule" j));
+  List.iter
+    (fun v ->
+      is_str ~label:"violation" "invariant" v;
+      is_str ~label:"violation" "detail" v)
+    (Json.to_list (get ~label:"report" "violations" j));
+  List.iter
+    (function Json.Str _ -> () | _ -> fail "trace line is not a string")
+    (Json.to_list (get ~label:"report" "trace" j));
+  check_metrics (get ~label:"report" "metrics" j);
+  List.iter (fun span -> ignore (check_span span)) (Json.to_list (get ~label:"report" "spans" j));
+  if Json.to_string j <> s then fail "report render/parse not idempotent"
+
 (* ---- the run ---- *)
 
 let () =
@@ -131,6 +175,19 @@ let () =
      rendered output (the schema has one canonical form). *)
   if Json.to_string metrics <> metrics_str then fail "metrics render/parse not idempotent";
   if Json.to_string spans <> spans_str then fail "spans render/parse not idempotent";
+  (* The run report, on a run with a fault schedule and a captured trace;
+     clean runs report no violations, so one is spliced in (with
+     characters JSON must escape). *)
+  let faulty =
+    Runner.run (Runner.spec ~seed ~scenario:Nemesis.torn_broadcast ~capture_trace:true ())
+  in
+  if faulty.Runner.r_trace = [] then fail "seed %d: no trace captured" seed;
+  check_report
+    {
+      faulty with
+      Runner.r_violations =
+        [ { Mdcc_chaos.Checker.invariant = "liveness"; detail = "\"quoted\"\ttab\nline" } ];
+    };
   Printf.printf
     "obs_check: ok (seed %d: %d committed, fast_commit=%d collision_resolved=%d, %d spans)\n"
     seed r.Runner.r_committed (counter "fast_commit") (counter "collision_resolved")

@@ -84,23 +84,9 @@ let ok r =
   List.for_all (fun i -> List.mem i got) r.b_required
   && List.for_all (fun i -> List.mem i r.b_allowed) got
 
-(* Same fixture as Runner: a stock table with a non-negativity bound. *)
-let item i = Key.make ~table:"item" ~id:(string_of_int i)
-let item_row stock = Value.of_list [ ("stock", Value.Int stock) ]
-
-let stock_schema =
-  Schema.create
-    [
-      {
-        Schema.name = "item";
-        bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
-        master_dc = 0;
-      };
-    ]
-
 let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 60_000.0) ~seed
     proto =
-  let h = Setup.make proto.p_protocol ~seed ~schema:stock_schema ~rows:[] () in
+  let h = Setup.make proto.p_protocol ~seed ~schema:Runner.stock_schema ~rows:[] () in
   let engine = h.Harness.engine in
   let history = History.create () in
   let submitted = ref 0 and decided = ref [] in
@@ -112,7 +98,7 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
           (Event.Decided { txid = txn.Txn.id; outcome });
         decided := (txn, outcome) :: !decided)
   in
-  h.Harness.load (List.init items (fun i -> (item i, item_row stock)));
+  h.Harness.load (List.init items (fun i -> (Runner.item i, Runner.item_row stock)));
   let rng = Rng.create ((seed * 31) + 11) in
   let txid = ref 0 in
   let fresh () =
@@ -136,7 +122,8 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
       incr n;
       ignore
         (Engine.schedule_at engine ~at (fun () ->
-             submit ~dc (Txn.make ~id ~updates:[ (item i, Update.Delta [ ("stock", amount) ]) ])))
+             submit ~dc
+               (Txn.make ~id ~updates:[ (Runner.item i, Update.Delta [ ("stock", amount) ]) ])))
     end
     else begin
       let i = List.nth rmws (Rng.int rng (List.length rmws)) in
@@ -144,12 +131,12 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
       let dc2 = (dc1 + 1 + Rng.int rng (h.Harness.num_dcs - 1)) mod h.Harness.num_dcs in
       let submit_rmw dc id () =
         let vread, value =
-          match h.Harness.peek ~dc (item i) with
+          match h.Harness.peek ~dc (Runner.item i) with
           | Some (v, ver) ->
             (ver, Value.set v "stock" (Value.Int (max 0 (Value.get_int v "stock" - 1))))
-          | None -> (0, item_row 0)
+          | None -> (0, Runner.item_row 0)
         in
-        submit ~dc (Txn.make ~id ~updates:[ (item i, Update.Physical { vread; value }) ])
+        submit ~dc (Txn.make ~id ~updates:[ (Runner.item i, Update.Physical { vread; value }) ])
       in
       let id1 = fresh () and id2 = fresh () in
       n := !n + 2;
@@ -158,69 +145,24 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
     end
   done;
   Engine.run ~until:(horizon +. drain) engine;
-  (* ---- checks (mirrors Runner.run's post-conditions) ---- *)
-  let violations = ref (Checker.check ~bounds:(Schema.bounds_of stock_schema) history) in
-  let add invariant detail = violations := !violations @ [ { Checker.invariant; detail } ] in
-  let undecided = !submitted - List.length !decided in
-  if undecided > 0 then
-    add "liveness" (Printf.sprintf "%d of %d transactions never decided" undecided !submitted);
-  for i = 0 to items - 1 do
-    let reference = h.Harness.peek ~dc:0 (item i) in
-    for dc = 1 to h.Harness.num_dcs - 1 do
-      let got = h.Harness.peek ~dc (item i) in
-      let equal =
-        match (reference, got) with
-        | None, None -> true
-        | Some (v1, ver1), Some (v2, ver2) -> Value.equal v1 v2 && ver1 = ver2
-        | Some _, None | None, Some _ -> false
-      in
-      if not equal then
-        add "convergence"
-          (Printf.sprintf "item %d differs between dc0 and dc%d after drain" i dc)
-    done
-  done;
-  (* Delta accounting on keys only ever written commutatively. *)
-  List.iter
-    (fun i ->
-      let key = item i in
-      let committed_deltas =
-        List.fold_left
-          (fun acc (txn, outcome) ->
-            match outcome with
-            | Txn.Committed ->
-              List.fold_left
-                (fun acc (k, up) ->
-                  match up with
-                  | Update.Delta ds when Key.equal k key ->
-                    acc + List.fold_left (fun a (_, d) -> a + d) 0 ds
-                  | _ -> acc)
-                acc txn.Txn.updates
-            | Txn.Aborted _ -> acc)
-          0 !decided
-      in
-      let want = stock + committed_deltas in
-      match h.Harness.peek ~dc:0 key with
-      | Some (v, _) ->
-        let got = Value.get_int v "stock" in
-        if got <> want then
-          add "accounting"
-            (Printf.sprintf "item %d stock is %d, expected initial %d + committed deltas %d = %d"
-               i got stock committed_deltas want)
-      | None -> add "accounting" (Printf.sprintf "item %d disappeared" i))
-    deltas;
-  let committed =
-    List.length (List.filter (fun (_, o) -> o = Txn.Committed) !decided)
+  (* ---- checks: the history, then Runner's post-drain checks ---- *)
+  let decided = !decided in
+  let violations =
+    Checker.check ~bounds:(Schema.bounds_of Runner.stock_schema) history
+    @ Runner.post_drain_checks ~peek:h.Harness.peek ~dcs:h.Harness.num_dcs ~items
+        ~delta_items:deltas ~stock ~submitted:!submitted decided
   in
+  let committed = List.length (List.filter (fun (_, o) -> o = Txn.Committed) decided) in
   {
     b_protocol = proto.p_name;
     b_seed = seed;
     b_submitted = !submitted;
     b_committed = committed;
-    b_aborted = List.length !decided - committed;
-    b_undecided = undecided;
+    b_aborted = List.length decided - committed;
+    b_undecided = !submitted - List.length decided;
     b_required = proto.p_required;
     b_allowed = proto.p_allowed;
-    b_violations = !violations;
+    b_violations = violations;
   }
 
 let report_to_string r =

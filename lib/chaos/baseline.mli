@@ -55,7 +55,8 @@ val run :
 (** One seeded, fault-free run: even items take commutative decrements,
     odd items take contended read-modify-writes submitted in same-instant
     pairs from two DCs (both writers read the same version — the
-    lost-update crucible).  Ends with the checker plus liveness,
-    cross-DC convergence and delta-accounting checks. *)
+    lost-update crucible), over {!Runner}'s stock fixture.  Ends with the
+    checker plus {!Runner.post_drain_checks} (liveness, cross-DC
+    convergence, delta accounting). *)
 
 val report_to_string : report -> string

@@ -95,6 +95,12 @@ let window rng ~horizon =
   let stop = start +. ((0.2 +. Rng.float rng 0.3) *. horizon) in
   (start, Float.min stop (0.95 *. horizon))
 
+(* Cut every [(src, dst)] link at [start] and heal it at [stop]: all the
+   cuts, then all the heals, each in [links] order. *)
+let cut_links ~start ~stop links =
+  List.map (fun (src, dst) -> (start, Cut_link { src; dst })) links
+  @ List.map (fun (src, dst) -> (stop, Heal_link { src; dst })) links
+
 let storage_node_ids cluster =
   List.map Storage_node.node_id (Cluster.storage_nodes cluster)
 
@@ -213,15 +219,12 @@ let two_distinct_dcs rng cluster =
    divergence — same version, different applied sets — which version
    catch-up cannot see and only the applied-set exchange repairs. *)
 let torn_broadcast_schedule ~start ~stop cluster (d1, d2) =
-  let cuts =
-    List.concat_map
-      (fun (app_dc, dst_dc) ->
-        let a = app_node cluster app_dc in
-        List.map (fun n -> (a, n)) (storage_in_dc cluster dst_dc))
-      [ (d1, d2); (d2, d1) ]
-  in
-  List.map (fun (src, dst) -> (start, Cut_link { src; dst })) cuts
-  @ List.map (fun (src, dst) -> (stop, Heal_link { src; dst })) cuts
+  cut_links ~start ~stop
+    (List.concat_map
+       (fun (app_dc, dst_dc) ->
+         let a = app_node cluster app_dc in
+         List.map (fun n -> (a, n)) (storage_in_dc cluster dst_dc))
+       [ (d1, d2); (d2, d1) ])
 
 let torn_broadcast =
   {
@@ -261,11 +264,8 @@ let partition_heal =
         let topo = Cluster.topology cluster in
         let n1 = Topology.nodes_in_dc topo d1 and n2 = Topology.nodes_in_dc topo d2 in
         let start, stop = window rng ~horizon in
-        let pairs =
-          List.concat_map (fun a -> List.concat_map (fun b -> [ (a, b); (b, a) ]) n2) n1
-        in
-        List.map (fun (src, dst) -> (start, Cut_link { src; dst })) pairs
-        @ List.map (fun (src, dst) -> (stop, Heal_link { src; dst })) pairs);
+        cut_links ~start ~stop
+          (List.concat_map (fun a -> List.concat_map (fun b -> [ (a, b); (b, a) ]) n2) n1));
   }
 
 (* --- shard-scoped scenarios ------------------------------------------ *)
@@ -296,11 +296,8 @@ let shard_partition =
         let dc = Rng.int rng (Cluster.num_dcs cluster) in
         let a = app_node cluster dc in
         let start, stop = window rng ~horizon in
-        let pairs =
-          List.concat_map (fun n -> [ (a, n); (n, a) ]) (Layout.group (Cluster.layout cluster) p)
-        in
-        List.map (fun (src, dst) -> (start, Cut_link { src; dst })) pairs
-        @ List.map (fun (src, dst) -> (stop, Heal_link { src; dst })) pairs);
+        cut_links ~start ~stop
+          (List.concat_map (fun n -> [ (a, n); (n, a) ]) (Layout.group (Cluster.layout cluster) p)));
   }
 
 (* Crash one partition group's replicas in two distinct DCs: that group

@@ -70,27 +70,82 @@ let stock_schema =
 
 let item_row stock = Value.of_list [ ("stock", Value.Int stock) ]
 
-(* Key style under the Mixed workload: even items take commutative deltas,
-   odd items take serializable read-modify-writes.  Keeping the styles on
-   disjoint keys keeps the per-key version order meaningful for the
-   serializability check. *)
-let delta_keys s =
-  match s.workload with
-  | Deltas -> List.init s.items (fun i -> i)
-  | Rmw -> []
-  | Mixed -> List.filter (fun i -> i mod 2 = 0) (List.init s.items (fun i -> i))
+(* The delta ([~delta:true]) or read-modify-write items.  Under Mixed, even
+   items take commutative deltas, odd items take serializable
+   read-modify-writes.  Keeping the styles on disjoint keys keeps the
+   per-key version order meaningful for the serializability check. *)
+let keys s ~delta =
+  let style i =
+    match s.workload with Deltas -> delta | Rmw -> not delta | Mixed -> (i mod 2 = 0) = delta
+  in
+  List.filter style (List.init s.items Fun.id)
 
-let rmw_keys s =
-  match s.workload with
-  | Deltas -> []
-  | Rmw -> List.init s.items (fun i -> i)
-  | Mixed -> List.filter (fun i -> i mod 2 = 1) (List.init s.items (fun i -> i))
+(* ------------------------------------------------------------------ *)
+(* Post-drain checks                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The committed delta sum on [key], or [None] when a committed
+   transaction also wrote [key] non-commutatively (its final stock is then
+   no function of the deltas alone). *)
+let committed_deltas key decided =
+  List.fold_left
+    (fun acc (txn, outcome) ->
+      match outcome with
+      | Txn.Aborted _ -> acc
+      | Txn.Committed ->
+        List.fold_left
+          (fun acc (k, up) ->
+            match (acc, up) with
+            | None, _ -> None
+            | Some _, _ when not (Key.equal k key) -> acc
+            | Some sum, Update.Delta ds -> Some (List.fold_left (fun a (_, d) -> a + d) sum ds)
+            | Some _, (Update.Physical _ | Update.Insert _ | Update.Delete _) -> None
+            | Some _, Update.Read_guard _ -> acc)
+          acc txn.Txn.updates)
+    (Some 0) decided
+
+let post_drain_checks ~peek ~dcs ~items ~delta_items ~stock ~submitted decided =
+  let violations = ref [] in
+  let add invariant detail = violations := { Checker.invariant; detail } :: !violations in
+  (* Liveness: everything submitted must have decided once all faults healed. *)
+  let undecided = submitted - List.length decided in
+  if undecided > 0 then
+    add "liveness" (Printf.sprintf "%d of %d transactions never decided" undecided submitted);
+  (* Convergence: after heal + anti-entropy + drain, every replica agrees. *)
+  let version = function Some (_, v) -> Printf.sprintf "v%d" v | None -> "-" in
+  for i = 0 to items - 1 do
+    let reference = peek ~dc:0 (item i) in
+    for dc = 1 to dcs - 1 do
+      let got = peek ~dc (item i) in
+      let same (v1, ver1) (v2, ver2) = Value.equal v1 v2 && ver1 = ver2 in
+      if not (Option.equal same reference got) then
+        add "convergence"
+          (Printf.sprintf "item %d differs between dc0 (%s) and dc%d (%s)" i (version reference)
+             dc (version got))
+    done
+  done;
+  (* Delta accounting: on keys only ever written commutatively, the final
+     stock must equal the initial stock plus the committed deltas. *)
+  List.iter
+    (fun i ->
+      match committed_deltas (item i) decided with
+      | None -> ()
+      | Some deltas -> (
+        let want = stock + deltas in
+        match peek ~dc:0 (item i) with
+        | Some (v, _) ->
+          let got = Value.get_int v "stock" in
+          if got <> want then
+            add "accounting"
+              (Printf.sprintf "item %d stock is %d, expected initial %d + committed deltas %d = %d"
+                 i got stock deltas want)
+        | None -> add "accounting" (Printf.sprintf "item %d disappeared" i)))
+    delta_items;
+  List.rev !violations
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type decided = { d_txn : Txn.t; d_outcome : Txn.outcome }
 
 let build_delta_txn rng ctx keys =
   let i = List.nth keys (Rng.int rng (List.length keys)) in
@@ -166,7 +221,7 @@ let run s =
   in
   let decided = ref [] in
   let submitted = ref 0 in
-  let deltas = delta_keys s and rmws = rmw_keys s in
+  let deltas = keys s ~delta:true and rmws = keys s ~delta:false in
   for _ = 1 to s.txns do
     let dc = Rng.int crng dcs in
     let at = Rng.float crng s.horizon in
@@ -187,7 +242,7 @@ let run s =
            Coordinator.submit
              (Cluster.coordinator cluster ~dc ~rank:0)
              txn
-             (fun outcome -> decided := { d_txn = txn; d_outcome = outcome } :: !decided)))
+             (fun outcome -> decided := (txn, outcome) :: !decided)))
   done;
   Engine.run ~until:(s.horizon +. s.drain) engine;
   Invariant.reset_sink ();
@@ -196,92 +251,37 @@ let run s =
     if not was_tracing then Trace.disable ()
   end;
   (* ---- checks ---- *)
-  let violations =
-    ref
-      (Checker.check ~bounds:(Schema.bounds_of stock_schema)
-         ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history)
-  in
-  let add invariant detail = violations := !violations @ [ { Checker.invariant; detail } ] in
-  (* Liveness: everything submitted must have decided once all faults healed. *)
-  let undecided = !submitted - List.length !decided in
-  if undecided > 0 then
-    add "liveness" (Printf.sprintf "%d of %d transactions never decided" undecided !submitted);
-  (* Convergence: after heal + anti-entropy + drain, every replica agrees. *)
-  for i = 0 to s.items - 1 do
-    let reference = Cluster.peek cluster ~dc:0 (item i) in
-    for dc = 1 to dcs - 1 do
-      let got = Cluster.peek cluster ~dc (item i) in
-      let equal =
-        match (reference, got) with
-        | None, None -> true
-        | Some (v1, ver1), Some (v2, ver2) -> Value.equal v1 v2 && ver1 = ver2
-        | Some _, None | None, Some _ -> false
-      in
-      if not equal then
-        add "convergence"
-          (Printf.sprintf "item %d differs between dc0 (%s) and dc%d (%s)" i
-             (match reference with Some (_, v) -> Printf.sprintf "v%d" v | None -> "-")
-             dc
-             (match got with Some (_, v) -> Printf.sprintf "v%d" v | None -> "-"))
-    done
-  done;
-  (* Delta accounting: on keys only ever written commutatively, the final
-     stock must equal the initial stock plus the committed deltas. *)
-  let physical_touched = Hashtbl.create 16 in
-  let expected = Hashtbl.create 16 in
-  List.iter
-    (fun { d_txn; d_outcome } ->
-      match d_outcome with
-      | Txn.Committed ->
-        List.iter
-          (fun (key, up) ->
-            match up with
-            | Update.Delta ds ->
-              let sum = List.fold_left (fun a (_, d) -> a + d) 0 ds in
-              let existing = Option.value (Hashtbl.find_opt expected key) ~default:0 in
-              Hashtbl.replace expected key (existing + sum)
-            | Update.Physical _ | Update.Insert _ | Update.Delete _ ->
-              Hashtbl.replace physical_touched key ()
-            | Update.Read_guard _ -> ())
-          d_txn.Txn.updates
-      | Txn.Aborted _ -> ())
-    !decided;
-  List.iter
-    (fun i ->
-      let key = item i in
-      if not (Hashtbl.mem physical_touched key) then begin
-        let committed_deltas = Option.value (Hashtbl.find_opt expected key) ~default:0 in
-        let want = s.stock + committed_deltas in
-        match Cluster.peek cluster ~dc:0 key with
-        | Some (v, _) ->
-          let got = Value.get_int v "stock" in
-          if got <> want then
-            add "accounting"
-              (Printf.sprintf "item %d stock is %d, expected initial %d + committed deltas %d = %d"
-                 i got s.stock committed_deltas want)
-        | None -> add "accounting" (Printf.sprintf "item %d disappeared" i)
-      end)
-    (delta_keys s);
-  (* Repair: every divergence the anti-entropy probes detected must have
-     been driven to resolution before the run ends — a nonzero gauge means
-     some replica pair is still marked diverged after heal + sweeps. *)
+  let decided = !decided in
+  (* Repair (MDCC only): every divergence the anti-entropy probes detected
+     must have been driven to resolution before the run ends — a nonzero
+     gauge means some replica pair is still marked diverged after heal +
+     sweeps. *)
   let diverged = Mdcc_obs.Registry.gauge (Obs.registry obs) "diverged_replicas" in
-  if diverged <> 0 then
-    add "repair"
-      (Printf.sprintf "diverged_replicas gauge still %d after heal + anti-entropy" diverged);
-  let committed =
-    List.length (List.filter (fun d -> d.d_outcome = Txn.Committed) !decided)
+  let repair =
+    if diverged = 0 then []
+    else
+      [ { Checker.invariant = "repair";
+          detail = Printf.sprintf "diverged_replicas gauge still %d after heal + anti-entropy"
+              diverged } ]
   in
+  let violations =
+    Checker.check ~bounds:(Schema.bounds_of stock_schema)
+      ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history
+    @ post_drain_checks ~peek:(Cluster.peek cluster) ~dcs ~items:s.items ~delta_items:deltas
+        ~stock:s.stock ~submitted:!submitted decided
+    @ repair
+  in
+  let committed = List.length (List.filter (fun (_, o) -> o = Txn.Committed) decided) in
   {
     r_seed = s.seed;
     r_scenario = s.scenario.Nemesis.sc_name;
     r_schedule = schedule;
     r_submitted = !submitted;
     r_committed = committed;
-    r_aborted = List.length !decided - committed;
-    r_undecided = undecided;
+    r_aborted = List.length decided - committed;
+    r_undecided = !submitted - List.length decided;
     r_events = History.length history;
-    r_violations = !violations;
+    r_violations = violations;
     r_trace = List.rev !trace_buf;
     r_obs = obs;
   }
@@ -310,38 +310,22 @@ let report_to_string ?(verbose = false) r =
            ]
          else []))
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_to_json r =
-  let strings l = String.concat "," (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l) in
-  Printf.sprintf
-    "{\"seed\":%d,\"scenario\":\"%s\",\"submitted\":%d,\"committed\":%d,\"aborted\":%d,\
-     \"undecided\":%d,\"events\":%d,\"schedule\":[%s],\"violations\":[%s],\"trace\":[%s],\
-     \"metrics\":%s,\"spans\":%s}"
-    r.r_seed (json_escape r.r_scenario) r.r_submitted r.r_committed r.r_aborted r.r_undecided
-    r.r_events
-    (String.concat ","
-       (List.map
-          (fun (t, f) -> Printf.sprintf "{\"at\":%.1f,\"fault\":\"%s\"}" t (json_escape (Nemesis.label f)))
-          r.r_schedule))
-    (String.concat ","
-       (List.map
-          (fun (v : Checker.violation) ->
-            Printf.sprintf "{\"invariant\":\"%s\",\"detail\":\"%s\"}" (json_escape v.Checker.invariant)
-              (json_escape v.Checker.detail))
-          r.r_violations))
-    (strings r.r_trace)
-    (Json.to_string (Obs.metrics_json r.r_obs))
-    (Json.to_string (Obs.spans_json r.r_obs))
+  let int name v = (name, Json.Int v) in
+  let fault (t, f) =
+    (* One decimal, as the text schedule prints it. *)
+    Json.Obj
+      [ ("at", Json.Float (Float.round (t *. 10.) /. 10.)); ("fault", Json.Str (Nemesis.label f)) ]
+  in
+  let violation (v : Checker.violation) =
+    Json.Obj [ ("invariant", Json.Str v.invariant); ("detail", Json.Str v.detail) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ int "seed" r.r_seed; ("scenario", Json.Str r.r_scenario); int "submitted" r.r_submitted;
+         int "committed" r.r_committed; int "aborted" r.r_aborted;
+         int "undecided" r.r_undecided; int "events" r.r_events;
+         ("schedule", Json.List (List.map fault r.r_schedule));
+         ("violations", Json.List (List.map violation r.r_violations));
+         ("trace", Json.List (List.map (fun l -> Json.Str l) r.r_trace));
+         ("metrics", Obs.metrics_json r.r_obs); ("spans", Obs.spans_json r.r_obs) ])

@@ -11,6 +11,7 @@
     derives from [spec.seed], so a violating seed reproduces its violation
     exactly, including with tracing enabled. *)
 
+open Mdcc_storage
 open Mdcc_core
 
 type workload =
@@ -58,6 +59,14 @@ val effective_partitions : spec -> int
 (** [max spec.partitions spec.scenario.sc_partitions] — the partition count
     the run actually deploys. *)
 
+val item : int -> Key.t
+val item_row : int -> Value.t
+
+val stock_schema : Schema.t
+(** The fixture of every chaos run, MDCC's and {!Baseline}'s: [item i]
+    rows holding [item_row stock] in an ["item"] table bounded by
+    [stock >= 0]. *)
+
 type report = {
   r_seed : int;
   r_scenario : string;
@@ -75,6 +84,25 @@ type report = {
 }
 
 val run : spec -> report
+(** The run, then the checks in report order: {!Checker.check} on the
+    history, {!post_drain_checks}, and MDCC's own [repair] check (no replica
+    pair still marked diverged). *)
+
+val post_drain_checks :
+  peek:(dc:int -> Key.t -> (Value.t * int) option) ->
+  dcs:int ->
+  items:int ->
+  delta_items:int list ->
+  stock:int ->
+  submitted:int ->
+  (Txn.t * Txn.outcome) list ->
+  Checker.violation list
+(** The checks on the live final state of any run over the fixture, given
+    the decided transactions: [liveness] (every submitted transaction
+    decided), [convergence] (every DC's [item i] for [i < items] matches
+    DC 0's, value and version) and [accounting] (the stock of each delta
+    item only ever written commutatively is [stock] plus its committed
+    deltas).  Violations come in that order. *)
 
 val ok : report -> bool
 (** No violations. *)

@@ -37,9 +37,6 @@ val run : ?jobs:int -> ?chunk:int -> Runner.spec list -> Runner.report list
     byte-identical for every [chunk] and [jobs] combination; raises
     [Invalid_argument] on [chunk < 1]. *)
 
-val run_on : ?chunk:int -> Mdcc_util.Pool.t -> Runner.spec list -> Runner.report list
-(** {!run} on an existing pool. *)
-
 val run_profiled :
   ?jobs:int ->
   ?chunk:int ->

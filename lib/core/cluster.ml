@@ -34,17 +34,6 @@ module Spec = struct
         master_dc_of }
 
   let default = make ()
-
-  let with_topology topo spec = validate { spec with topology = Some topo }
-  let with_partitions partitions spec = validate { spec with partitions }
-
-  let with_app_servers app_servers_per_dc spec =
-    validate { spec with app_servers_per_dc }
-
-  let with_jitter jitter_sigma spec = validate { spec with jitter_sigma }
-  let with_drop_probability drop_probability spec = validate { spec with drop_probability }
-  let with_master_dc_of f spec = { spec with master_dc_of = Some f }
-  let partitions spec = spec.partitions
 end
 
 module Layout = struct

@@ -13,9 +13,8 @@
     replica in [master_dc_of key] (uniformly hashed by default —
     experiments override it to control master locality, Figure 7).
 
-    A deployment is described by a {!Spec.t} — build one with {!Spec.make}
-    or derive from {!Spec.default} with the [Spec.with_*] functional
-    updates, then hand it to {!create}. *)
+    A deployment is described by a {!Spec.t} — build one with {!Spec.make},
+    then hand it to {!create}. *)
 
 open Mdcc_storage
 
@@ -52,15 +51,6 @@ module Spec : sig
 
   val default : t
   (** [make ()] — the paper's five-DC single-partition deployment. *)
-
-  val with_topology : Mdcc_sim.Topology.t -> t -> t
-  val with_partitions : int -> t -> t
-  val with_app_servers : int -> t -> t
-  val with_jitter : float -> t -> t
-  val with_drop_probability : float -> t -> t
-  val with_master_dc_of : (Key.t -> int) -> t -> t
-
-  val partitions : t -> int
 end
 
 (** Where everything lives in a deployment: the node-id layout, key

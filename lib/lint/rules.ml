@@ -107,10 +107,6 @@ let env_of_entries (entries : (string * type_entry) list list) : env =
       List.fold_left (fun env (k, e) -> Smap.add k e env) env file_entries)
     Smap.empty entries
 
-let build_env (files : (string * structure) list) : env =
-  env_of_entries
-    (List.map (fun (module_, str) -> type_entries ~module_ str) files)
-
 (* ------------------------------------------------------------------ *)
 (* Mutability reachability (R2)                                        *)
 (* ------------------------------------------------------------------ *)

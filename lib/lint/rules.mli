@@ -25,18 +25,14 @@ type type_entry
 
 val type_entries :
   module_:string -> Parsetree.structure -> (string * type_entry) list
-(** The per-file half of {!build_env}: harvest one file's top-level type
-    declarations. Safe to run per-file in parallel; entries are
-    order-independent until folded by {!env_of_entries}. *)
+(** Harvest one file's top-level type declarations. Safe to run per-file
+    in parallel; entries are order-independent until folded by
+    {!env_of_entries}. *)
 
 val env_of_entries : (string * type_entry) list list -> env
 (** Fold per-file entry lists into one environment. Later files win on
     (unlikely) module-name collisions; feed files in sorted order for
     determinism. *)
-
-val build_env : (string * Parsetree.structure) list -> env
-(** [build_env [(module_name, ast); ...]] =
-    [env_of_entries] over [type_entries] of each file. *)
 
 val check : env -> rel:string -> Parsetree.structure -> Finding.t list
 (** Run every rule over one file. [rel] is the repo-relative path; it

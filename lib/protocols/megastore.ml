@@ -176,5 +176,3 @@ let create d ?(master_dc = Mdcc_sim.Topology.us_west) () =
   t
 
 let log_length t = t.next_pos
-
-let queue_length t = Queue.length t.queue

@@ -26,6 +26,3 @@ val submit : t -> dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit
 
 val log_length : t -> int
 (** Number of log positions decided so far. *)
-
-val queue_length : t -> int
-(** Transactions waiting for the log at the master (diagnostics). *)

@@ -138,8 +138,6 @@ let runtime t =
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let conn_buffered c = c.c_buffered
-
 let open_conns t = List.length t.conns
 
 let buffered_bytes t = List.fold_left (fun acc c -> acc + c.c_buffered) 0 t.conns

@@ -69,9 +69,6 @@ val write : conn -> string -> unit
 val close : conn -> unit
 (** Flush the pending write queue, then close. *)
 
-val conn_buffered : conn -> int
-(** Bytes queued but not yet written to the socket. *)
-
 val open_conns : t -> int
 
 val buffered_bytes : t -> int

@@ -94,8 +94,6 @@ let create engine topo ?(drop_probability = 0.0) ?(jitter_sigma = 0.05) () =
 
 let set_meter t m = t.meter <- Some m
 
-let clear_meter t = t.meter <- None
-
 let engine t = t.engine
 
 let topology t = t.topo
@@ -182,8 +180,6 @@ let broadcast t ~src ~dsts payload = List.iter (fun dst -> send t ~src ~dst payl
 let fail_node t node = t.failed.(node) <- true
 
 let recover_node t node = t.failed.(node) <- false
-
-let is_failed t node = t.failed.(node)
 
 let fail_dc t dc = List.iter (fail_node t) (Topology.nodes_in_dc t.topo dc)
 

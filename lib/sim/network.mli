@@ -58,7 +58,6 @@ val broadcast :
 
 val fail_node : t -> Topology.node_id -> unit
 val recover_node : t -> Topology.node_id -> unit
-val is_failed : t -> Topology.node_id -> bool
 
 val fail_dc : t -> int -> unit
 (** Fail every node of a data center. *)
@@ -104,8 +103,6 @@ val stats : t -> stats
 
 val set_meter : t -> meter -> unit
 (** Install the (single) observability meter.  Replaces any previous one. *)
-
-val clear_meter : t -> unit
 
 val with_trace_context : string option -> (unit -> 'a) -> 'a
 (** [with_trace_context (Some txid) f] runs [f] with the causal trace

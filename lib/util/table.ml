@@ -44,5 +44,3 @@ let render ~headers rows =
 let print ~headers rows = print_string (render ~headers rows)
 
 let fms v = Printf.sprintf "%.1f" v
-
-let fpct v = Printf.sprintf "%.1f%%" (v *. 100.0)

@@ -28,6 +28,3 @@ val print : headers:string list -> string list list -> unit
 
 val fms : float -> string
 (** Format a latency in milliseconds with one decimal, e.g. ["277.5"]. *)
-
-val fpct : float -> string
-(** Format a fraction as a percentage with one decimal, e.g. ["12.5%"]. *)

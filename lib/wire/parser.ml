@@ -46,8 +46,6 @@ let create ?(max_key = 250) ?(max_data = 1024 * 1024) ?(max_line = 8192) () =
     max_line;
   }
 
-let pending_bytes t = t.len
-
 let resyncs t = t.resyncs
 
 let resync t mode =

@@ -32,9 +32,6 @@ val feed_string : t -> string -> unit
 val next : t -> item option
 (** The next complete item, or [None] until more bytes arrive. *)
 
-val pending_bytes : t -> int
-(** Buffered bytes not yet parsed into items (diagnostics). *)
-
 val resyncs : t -> int
 (** Times the parser entered a skip-and-resynchronize recovery (bad
     header with a declared data block, mis-terminated chunk, overlong

@@ -11,20 +11,6 @@ type spec = {
   seed : int;
 }
 
-let default_spec ~num_dcs ~clients =
-  let base = clients / num_dcs and extra = clients mod num_dcs in
-  {
-    clients_per_dc = Array.init num_dcs (fun dc -> base + if dc < extra then 1 else 0);
-    warmup = 15_000.0;
-    duration = 60_000.0;
-    drain = 30_000.0;
-    seed = 1;
-  }
-
-let spec_all_in ~dc ~num_dcs ~clients =
-  { (default_spec ~num_dcs ~clients) with
-    clients_per_dc = Array.init num_dcs (fun d -> if d = dc then clients else 0) }
-
 let run ?(events = []) (harness : Harness.t) (gen : Generator.t) spec =
   let engine = harness.Harness.engine in
   let metrics = Metrics.create ~warmup:spec.warmup in

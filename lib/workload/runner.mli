@@ -15,13 +15,6 @@ type spec = {
   seed : int;
 }
 
-val default_spec : num_dcs:int -> clients:int -> spec
-(** [clients] spread evenly over the data centers; 15 s warm-up, 60 s
-    measurement, 30 s drain, seed 1. *)
-
-val spec_all_in : dc:int -> num_dcs:int -> clients:int -> spec
-(** All clients in one data center (the Figure 8 setup). *)
-
 val run :
   ?events:(float * (unit -> unit)) list ->
   Mdcc_protocols.Harness.t ->

@@ -197,6 +197,46 @@ let test_torn_broadcast_repair () =
   Alcotest.(check bool) "repair fired" true (Registry.counter reg "antientropy_repair" > 0);
   Alcotest.(check int) "no replica left diverged" 0 (Registry.gauge reg "diverged_replicas")
 
+(* The post-drain checks on a hand-built final state: one txn never
+   decided, two replicas off DC 0's copy (one missing at DC 0), item 0's
+   stock off its committed deltas (the aborted delta does not count), and
+   item 2's divergent stock excused from accounting by its committed
+   physical write.  Every pinned run is clean, so only this test sees the
+   detail strings. *)
+let test_post_drain_failures () =
+  let delta id n = Txn.make ~id ~updates:[ (Runner.item 0, Update.Delta [ ("stock", n) ]) ] in
+  let decided =
+    [
+      (delta "t1" (-2), Txn.Committed);
+      (delta "t2" (-5), Txn.Aborted Txn.Conflict);
+      ( Txn.make ~id:"t3"
+          ~updates:[ (Runner.item 2, Update.Physical { vread = 1; value = stock 3 }) ],
+        Txn.Committed );
+    ]
+  in
+  let peek ~dc key =
+    match (key.Key.id, dc) with
+    | "0", _ -> Some (stock 7, 3)
+    | "1", 1 -> Some (stock 10, 1)
+    | "1", _ -> None
+    | _, 2 -> Some (stock 3, 1)
+    | _, _ -> Some (stock 3, 2)
+  in
+  let vs =
+    Runner.post_drain_checks ~peek ~dcs:3 ~items:3 ~delta_items:[ 0; 1; 2 ] ~stock:10
+      ~submitted:4 decided
+  in
+  Alcotest.(check (list (pair string string)))
+    "violations, in order"
+    [
+      ("liveness", "1 of 4 transactions never decided");
+      ("convergence", "item 1 differs between dc0 (-) and dc1 (v1)");
+      ("convergence", "item 2 differs between dc0 (v2) and dc2 (v1)");
+      ("accounting", "item 0 stock is 7, expected initial 10 + committed deltas -2 = 8");
+      ("accounting", "item 1 disappeared");
+    ]
+    (List.map (fun v -> (v.Checker.invariant, v.Checker.detail)) vs)
+
 (* The baselines keep the checker honest: quorum writes (blind LWW, cannot
    abort) must trip lost-update on its contended run, while 2PC must come
    back with no violations at all. *)
@@ -222,5 +262,6 @@ let suite =
     Alcotest.test_case "random nemesis smoke sweep" `Slow test_smoke_sweep;
     Alcotest.test_case "planted bug caught" `Slow test_planted_bug_caught;
     Alcotest.test_case "torn broadcast repaired (pinned seed)" `Quick test_torn_broadcast_repair;
+    Alcotest.test_case "post-drain check failure paths" `Quick test_post_drain_failures;
     Alcotest.test_case "baseline canary" `Quick test_baseline_canary;
   ]

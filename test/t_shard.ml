@@ -26,9 +26,7 @@ let rejects f =
   | exception Mdcc_util.Invariant.Violation _ -> true
 
 let test_spec_constructor () =
-  Alcotest.(check int) "default is one partition" 1 Cluster.Spec.(partitions default);
-  Alcotest.(check int) "with_partitions" 4
-    Cluster.Spec.(partitions (with_partitions 4 default));
+  Alcotest.(check int) "default is one partition" 1 Cluster.Spec.default.partitions;
   Alcotest.(check bool) "partitions < 1 rejected" true
     (rejects (fun () -> Cluster.Spec.make ~partitions:0 ()));
   Alcotest.(check bool) "app_servers < 1 rejected" true
