@@ -12,7 +12,10 @@
    - engine_dispatch:  K self-rescheduling timers executing N events total
                        through Engine.run — the sweep's inner loop
    - network_send:     ping-pong handlers over a 2-DC topology delivering
-                       N messages end to end (send + schedule + deliver)
+                       N messages end to end (send + schedule + deliver);
+                       a message in flight is a pooled heap record and the
+                       jitter draw writes into a cell, so the message path
+                       allocates nothing once the pool is warm
    - visibility_hot_key: 2,000 committed visibilities, one at a time, on a
                        record whose applied set already holds 10,000
                        entries (one op = one visibility)

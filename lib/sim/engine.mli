@@ -34,10 +34,36 @@ val schedule : t -> after:float -> (unit -> unit) -> handle
 val schedule_at : t -> at:float -> (unit -> unit) -> handle
 (** Absolute-time variant of {!schedule}. *)
 
-val schedule_in : t -> Event_queue.fcell -> (unit -> unit) -> handle
-(** [schedule_in t delay f] is [schedule t ~after:delay.f f] for callers
-    that schedule per message: the delay is read from a caller-owned cell,
-    so no boxed float crosses into the engine. *)
+type delivery =
+  src:int -> dst:int -> bytes:int -> Event_queue.payload -> string option -> unit
+(** What the engine calls when a message posted with {!post} comes due:
+    its endpoints, its metered size, its payload and the sender's trace
+    context. *)
+
+val set_delivery : t -> delivery -> unit
+(** Register the engine's one delivery function.  {!Network.create} does
+    this, which is why an engine carries at most one network: a second
+    registration raises [Invalid_argument]. *)
+
+val post :
+  t ->
+  Event_queue.fcell ->
+  src:int ->
+  dst:int ->
+  bytes:int ->
+  Event_queue.payload ->
+  string option ->
+  unit
+(** [post t delay ~src ~dst ~bytes payload ctx] delivers a message
+    [delay.f] ms from now (clamped like {!schedule}), ordered against
+    timers by the same [(time, seq)] rule.  The message travels as a
+    pooled {!Event_queue.Msg} record, not a closure: the engine takes one
+    from its free stack, and when the message comes due it copies the
+    fields out, clears the record, returns it to the stack and only then
+    calls the delivery function — so a handler may send (reusing the
+    record) or raise.  Once the pool has grown to the peak number in
+    flight, a post allocates nothing; the delay is read from a cell so no
+    boxed float crosses into the engine.  Messages cannot be cancelled. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event; a no-op if it already fired or was already

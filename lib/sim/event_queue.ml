@@ -1,17 +1,28 @@
 module Prof = Mdcc_obs.Prof
 
-type event = {
-  seq : int;
-  mutable cancelled : bool;
-  run : unit -> unit;
-}
+type payload = ..
+
+type event =
+  | Thunk of {
+      seq : int;
+      mutable cancelled : bool;
+      run : unit -> unit;
+    }
+  | Msg of {
+      mutable seq : int;
+      mutable src : int;
+      mutable dst : int;
+      mutable bytes : int;
+      mutable payload : payload;
+      mutable ctx : string option;
+    }
 
 (* The heap is split into two parallel pre-sized arrays: [ats] holds the
-   event times unboxed ([float array] is flat), [evs] the handles.  A
+   event times unboxed ([float array] is flat), [evs] the events.  A
    mixed record would box its [float] field, costing two words per push
    and a pointer chase per heap comparison; the split layout allocates
-   nothing per operation beyond the handle itself and keeps the compare
-   path inside one cache-friendly float array. *)
+   nothing per operation beyond a thunk's own record and keeps the
+   compare path inside one cache-friendly float array. *)
 type t = {
   mutable ats : float array;
   mutable evs : event array;
@@ -20,7 +31,7 @@ type t = {
   prof : Prof.t;  (* resolved once at create — never a DLS read per op *)
 }
 
-let dummy = { seq = 0; cancelled = true; run = ignore }
+let dummy = Thunk { seq = 0; cancelled = true; run = ignore }
 
 (* Below this size, cancelled entries are cheap enough to leave in place. *)
 let compact_floor = 64
@@ -38,9 +49,14 @@ let size t = t.len
 
 let is_empty t = t.len = 0
 
+let[@inline] seq_of = function Thunk e -> e.seq | Msg m -> m.seq
+
+(* Only a thunk can be cancelled; a message in flight always fires. *)
+let[@inline] is_cancelled = function Thunk e -> e.cancelled | Msg _ -> false
+
 let before t i j =
   let ai = t.ats.(i) and aj = t.ats.(j) in
-  ai < aj || (ai = aj && t.evs.(i).seq < t.evs.(j).seq)
+  ai < aj || (ai = aj && seq_of t.evs.(i) < seq_of t.evs.(j))
 
 let grow t =
   let cap = 2 * Array.length t.evs in
@@ -84,7 +100,7 @@ let compact t =
   let live = ref 0 in
   for i = 0 to t.len - 1 do
     let ev = t.evs.(i) in
-    if not ev.cancelled then begin
+    if not (is_cancelled ev) then begin
       t.ats.(!live) <- t.ats.(i);
       t.evs.(!live) <- ev;
       incr live
@@ -99,40 +115,47 @@ let compact t =
 
 (* A single-field float record is stored flat, so writing [c.f] is a raw
    float store.  The engine's clock lives in one of these and advances
-   without a box per event, and [push_cell] reads a new event's time from
-   one: a [float] argument crossing into this module would be boxed on
-   every push. *)
-type fcell = { mutable f : float }
+   without a box per event, and [push_cell]/[push_msg] read a new event's
+   time from one: a [float] argument crossing into this module would be
+   boxed on every push.  It is [Rng]'s cell, so the network's jitter draw
+   and its delay share one type. *)
+type fcell = Mdcc_util.Rng.fcell = { mutable f : float }
 
-let[@inline] insert t at seq run =
+let[@inline] insert t at ev =
   Prof.count_in t.prof "event_queue.push";
   if t.len = Array.length t.evs then begin
     (* Reclaim dead entries before paying for a bigger array. *)
     if t.dead * 2 > t.len then compact t;
     if t.len = Array.length t.evs then grow t
   end;
-  let ev = { seq; cancelled = false; run } in
   t.ats.(t.len) <- at;
   t.evs.(t.len) <- ev;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1);
+  sift_up t (t.len - 1)
+
+let push t ~at ~seq run =
+  let ev = Thunk { seq; cancelled = false; run } in
+  insert t at ev;
   ev
 
-let push t ~at ~seq run = insert t at seq run
+let push_cell t ~at ~seq run =
+  let ev = Thunk { seq; cancelled = false; run } in
+  insert t at.f ev;
+  ev
 
-let push_cell t ~at ~seq run = insert t at.f seq run
+let push_msg t ~at ev = insert t at.f ev
 
 (* Cancellation is lazy (the entry stays until popped), but a cancel-heavy
    run — every committed transaction cancels its timeout — would otherwise
    bloat the heap with dead entries.  Compact once they outnumber the live
    ones, so heap size stays within a constant factor of the live count. *)
-let cancel t ev =
-  if not ev.cancelled then begin
+let cancel t = function
+  | Thunk e when not e.cancelled ->
     Prof.count_in t.prof "event_queue.cancel";
-    ev.cancelled <- true;
+    e.cancelled <- true;
     t.dead <- t.dead + 1;
     if t.len >= compact_floor && t.dead * 2 > t.len then compact t
-  end
+  | Thunk _ | Msg _ -> ()
 
 (* Remove the root without inspecting it.  [drop_root] is the only place
    an entry leaves the heap. *)
@@ -143,25 +166,29 @@ let drop_root t =
   t.evs.(0) <- t.evs.(t.len);
   t.evs.(t.len) <- dummy;
   if t.len > 0 then sift_down t 0;
-  if ev.cancelled && t.dead > 0 then t.dead <- t.dead - 1
+  if is_cancelled ev && t.dead > 0 then t.dead <- t.dead - 1
 
 (* The engine's dispatch primitive: remove and return the earliest live
    event whose time is <= [limit], discarding cancelled roots on the way;
    [dummy] when none qualifies.  The popped event's time is written into
    [now] (the engine's clock cell).  Everything stays in unboxed floats —
    no option, no float box, no closure — so a simulation's inner loop
-   allocates nothing per dispatched event. *)
+   allocates nothing per dispatched event.  A popped thunk is marked spent
+   (its [cancelled] flag set) once it has left the heap, so cancelling its
+   handle later is the no-op it should be rather than a phantom dead
+   entry that would trigger early compactions. *)
 let rec pop_before t ~limit ~now =
   if t.len = 0 then dummy
   else begin
     let ev = t.evs.(0) in
-    if ev.cancelled then begin
+    if is_cancelled ev then begin
       drop_root t;
       pop_before t ~limit ~now
     end
     else if t.ats.(0) <= limit then begin
       now.f <- t.ats.(0);
       drop_root t;
+      (match ev with Thunk e -> e.cancelled <- true | Msg _ -> ());
       Prof.count_in t.prof "event_queue.pop";
       ev
     end

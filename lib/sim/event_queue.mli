@@ -5,27 +5,53 @@
     in insertion order and every simulation run is fully deterministic.
 
     Storage is two parallel pre-sized arrays — a flat [float array] of times
-    and an array of handles — so heap comparisons never chase a pointer and
-    no per-operation tuple or float box is allocated: a push allocates
-    exactly the returned handle, and the {!pop_before} dispatch path
-    allocates nothing at all. *)
+    and an array of events — so no per-operation tuple or float box is
+    allocated, and the {!pop_before} dispatch path allocates nothing at
+    all.
 
-type event = private {
-  seq : int;  (** insertion tie-breaker *)
-  mutable cancelled : bool;
-  run : unit -> unit;
-}
-(** A scheduled event.  The event's time lives in the heap's flat float
-    array, not here — a [float] field in this mixed record would be boxed
-    on every push. *)
+    The heap holds two kinds of event, ordered by the same [(time, seq)]
+    rule so a message and a timer due at the same instant fire in push
+    order:
+    - a {e thunk} ([Thunk]) is a timer: {!push}/{!push_cell} allocate its
+      4-word record, which is also the handle {!cancel} takes;
+    - a {e message} ([Msg]) is a network message in flight, carried as
+      data rather than as a closure.  Message records are mutable and
+      reused: the engine keeps a free stack of them, fills one per send
+      and pushes it with {!push_msg}, and returns it to the stack when it
+      is popped.  In steady state a message therefore allocates nothing.
+      Messages have no handle and cannot be cancelled. *)
+
+type payload = ..
+(** A message's contents.  Extensible so each protocol library declares its
+    own constructors; {!Network.payload} re-exports it. *)
+
+type event =
+  | Thunk of {
+      seq : int;  (** insertion tie-breaker *)
+      mutable cancelled : bool;
+          (** set by {!cancel}, and by {!pop_before} once the thunk has left
+              the heap — a spent thunk cannot be cancelled *)
+      run : unit -> unit;
+    }
+  | Msg of {
+      mutable seq : int;
+      mutable src : int;
+      mutable dst : int;
+      mutable bytes : int;  (** the size the sender's meter measured *)
+      mutable payload : payload;
+      mutable ctx : string option;  (** the sender's trace context *)
+    }
+(** A scheduled event.  Its time lives in the heap's flat float array, not
+    here — a [float] field in these mixed records would be boxed on every
+    push.  Only the engine builds [Msg] records. *)
 
 type t
 (** The mutable heap. *)
 
-type fcell = { mutable f : float }
+type fcell = Mdcc_util.Rng.fcell = { mutable f : float }
 (** A single-field float record: stored flat, so writes are raw float
     stores.  The engine's virtual clock is one of these, and so is the
-    cell {!push_cell} reads a time from. *)
+    cell {!push_cell} and {!push_msg} read a time from. *)
 
 val create : unit -> t
 (** Fresh empty heap.  The profiler handle is resolved from the ambient
@@ -45,11 +71,17 @@ val push_cell : t -> at:fcell -> seq:int -> (unit -> unit) -> event
 (** [push] with the time read from [at.f]: the engine's path, on which no
     boxed float crosses into this module. *)
 
+val push_msg : t -> at:fcell -> event -> unit
+(** Insert a filled [Msg] record (its [seq] already set) at time [at.f].
+    Allocates nothing: the record comes from the engine's free stack, and
+    must not already be in the heap. *)
+
 val cancel : t -> event -> unit
-(** Mark the event dead; it is skipped (and dropped) when popped.  When
-    cancelled entries exceed half of {!size} the heap is compacted in
+(** Mark a pending thunk dead; it is skipped (and dropped) when popped.
+    When cancelled entries exceed half of {!size} the heap is compacted in
     place, so cancel-heavy runs stay bounded by the live event count.
-    Idempotent. *)
+    Idempotent, and a no-op on a thunk that has already been popped and
+    on a message. *)
 
 val pop_before : t -> limit:float -> now:fcell -> event
 (** Remove and return the earliest live event with time [<= limit],

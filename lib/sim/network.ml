@@ -1,7 +1,7 @@
 module Rng = Mdcc_util.Rng
 module Prof = Mdcc_obs.Prof
 
-type payload = ..
+type payload = Event_queue.payload = ..
 
 type stats = {
   mutable sent : int;
@@ -16,7 +16,7 @@ type meter = {
 }
 
 (* The trace context is the causal envelope: a transaction id set around a
-   send is captured into the delivery closure and restored around the
+   send is captured into the message in flight and restored around the
    receiving handler, so any message the handler sends in turn inherits it.
    Each simulation is single-threaded, which makes this implicit propagation
    exact — no payload constructor needs to change to carry the id.  The
@@ -54,6 +54,7 @@ type t = {
   dcs : int;
   dc_latency : float array;  (* flat dcs x dcs base one-way latencies *)
   delay : Event_queue.fcell;  (* the send's latency, handed to the engine unboxed *)
+  jitter : Rng.fcell;  (* the jitter draw, written in place of a boxed return *)
   base_drop_probability : float;
   mutable drop_probability : float;
   mutable latency_factor : float;
@@ -67,30 +68,6 @@ type t = {
   ctx_cell : ctx_cell;  (* this domain's trace-context cell, resolved once *)
   prof : Prof.t;  (* likewise — never a DLS read per send *)
 }
-
-let create engine topo ?(drop_probability = 0.0) ?(jitter_sigma = 0.05) () =
-  let dcs = Topology.num_dcs topo in
-  {
-    engine;
-    topo;
-    node_dc = Array.init (Topology.num_nodes topo) (Topology.dc_of topo);
-    dcs;
-    dc_latency =
-      Array.init (dcs * dcs) (fun i -> Topology.dc_one_way topo (i / dcs) (i mod dcs));
-    delay = { Event_queue.f = 0.0 };
-    base_drop_probability = drop_probability;
-    drop_probability;
-    latency_factor = 1.0;
-    jitter_sigma;
-    rng = Rng.split (Engine.rng engine);
-    handlers = Array.make (Topology.num_nodes topo) None;
-    failed = Array.make (Topology.num_nodes topo) false;
-    cut = Hashtbl.create 64;
-    stats = { sent = 0; delivered = 0; dropped = 0 };
-    meter = None;
-    ctx_cell = Domain.DLS.get ctx_key;
-    prof = Prof.ambient ();
-  }
 
 let set_meter t m = t.meter <- Some m
 
@@ -111,7 +88,10 @@ let[@inline] latency_sample t ~src ~dst =
   let floor_latency = 0.25 in
   let jitter =
     if t.jitter_sigma <= 0.0 then 1.0
-    else Rng.lognormal t.rng ~mu:0.0 ~sigma:t.jitter_sigma
+    else begin
+      Rng.lognormal_into t.rng ~mu:0.0 ~sigma:t.jitter_sigma t.jitter;
+      t.jitter.Rng.f
+    end
   in
   floor_latency +. (base *. t.latency_factor *. jitter)
 
@@ -122,13 +102,73 @@ let link_cut t ~src ~dst = Hashtbl.mem t.cut (src, dst)
 let blocked t ~src ~dst =
   t.failed.(src) || t.failed.(dst) || (Hashtbl.length t.cut > 0 && link_cut t ~src ~dst)
 
+(* A message that comes due.  Failures and link cuts that happened while
+   it was in flight also kill it: a dead data center receives nothing. *)
+let deliver t ~src ~dst ~bytes payload ctx =
+  if blocked t ~src ~dst then t.stats.dropped <- t.stats.dropped + 1
+  else begin
+    match t.handlers.(dst) with
+    | None -> t.stats.dropped <- t.stats.dropped + 1
+    | Some handler ->
+      t.stats.delivered <- t.stats.delivered + 1;
+      (match t.meter with
+      | Some m ->
+        (* A meter installed after the send was not sized; fall back to
+           sizing at delivery so its counters still move. *)
+        let bytes = if bytes > 0 then bytes else m.m_size payload in
+        m.m_on_deliver ~src ~dst ~bytes
+      | None -> ());
+      (* Inline context save/restore: [with_trace_context] would cost a
+         closure and a [Fun.protect] record per delivery. *)
+      let cell = t.ctx_cell in
+      let saved = cell.ctx in
+      cell.ctx <- ctx;
+      (match handler ~src payload with
+      | () -> cell.ctx <- saved
+      | exception e ->
+        cell.ctx <- saved;
+        raise e)
+  end
+
+let create engine topo ?(drop_probability = 0.0) ?(jitter_sigma = 0.05) () =
+  let dcs = Topology.num_dcs topo in
+  let t =
+    {
+      engine;
+      topo;
+      node_dc = Array.init (Topology.num_nodes topo) (Topology.dc_of topo);
+      dcs;
+      dc_latency =
+        Array.init (dcs * dcs) (fun i -> Topology.dc_one_way topo (i / dcs) (i mod dcs));
+      delay = { Event_queue.f = 0.0 };
+      jitter = { Rng.f = 0.0 };
+      base_drop_probability = drop_probability;
+      drop_probability;
+      latency_factor = 1.0;
+      jitter_sigma;
+      rng = Rng.split (Engine.rng engine);
+      handlers = Array.make (Topology.num_nodes topo) None;
+      failed = Array.make (Topology.num_nodes topo) false;
+      cut = Hashtbl.create 64;
+      stats = { sent = 0; delivered = 0; dropped = 0 };
+      meter = None;
+      ctx_cell = Domain.DLS.get ctx_key;
+      prof = Prof.ambient ();
+    }
+  in
+  (* The engine's one delivery function: the message travels as a pooled
+     record, and this is the only code that turns it back into a call. *)
+  Engine.set_delivery engine (fun ~src ~dst ~bytes payload ctx ->
+      deliver t ~src ~dst ~bytes payload ctx);
+  t
+
 let send t ~src ~dst payload =
   t.stats.sent <- t.stats.sent + 1;
   Prof.count_in t.prof "network.send";
-  (* Size the payload once at send time and carry the byte count into the
-     delivery closure: [m_size] walks the whole message, and computing it
-     again at delivery doubled the metering cost of every message. *)
-  let sized_bytes =
+  (* Size the payload once at send time and carry the byte count with the
+     message: [m_size] walks the whole message, and computing it again at
+     delivery doubled the metering cost of every message. *)
+  let bytes =
     match t.meter with
     | Some m ->
       let bytes = m.m_size payload in
@@ -142,37 +182,7 @@ let send t ~src ~dst payload =
     t.stats.dropped <- t.stats.dropped + 1
   else begin
     t.delay.Event_queue.f <- latency_sample t ~src ~dst;
-    let ctx = t.ctx_cell.ctx in
-    ignore
-      (Engine.schedule_in t.engine t.delay (fun () ->
-           (* Failures and link cuts that happened while the message was in
-              flight also kill it: a dead data center receives nothing. *)
-           if blocked t ~src ~dst then t.stats.dropped <- t.stats.dropped + 1
-           else begin
-             match t.handlers.(dst) with
-             | None -> t.stats.dropped <- t.stats.dropped + 1
-             | Some handler ->
-               t.stats.delivered <- t.stats.delivered + 1;
-               (match t.meter with
-               | Some m ->
-                 (* A meter installed after the send was not sized; fall
-                    back to sizing at delivery so its counters still move. *)
-                 let bytes =
-                   if sized_bytes > 0 then sized_bytes else m.m_size payload
-                 in
-                 m.m_on_deliver ~src ~dst ~bytes
-               | None -> ());
-               (* Inline context save/restore: [with_trace_context] would
-                  cost a closure and a [Fun.protect] record per delivery. *)
-               let cell = t.ctx_cell in
-               let saved = cell.ctx in
-               cell.ctx <- ctx;
-               (match handler ~src payload with
-               | () -> cell.ctx <- saved
-               | exception e ->
-                 cell.ctx <- saved;
-                 raise e)
-           end))
+    Engine.post t.engine t.delay ~src ~dst ~bytes payload t.ctx_cell.ctx
   end
 
 let broadcast t ~src ~dsts payload = List.iter (fun dst -> send t ~src ~dst payload) dsts

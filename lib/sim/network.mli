@@ -10,9 +10,11 @@
     Message payloads use the extensible variant {!payload}, so every protocol
     library declares its own constructors while sharing one network. *)
 
-type payload = ..
+type payload = Event_queue.payload = ..
 (** Extend with your protocol's message type:
-    [type Network.payload += Ping of int]. *)
+    [type Network.payload += Ping of int].  The type is
+    {!Event_queue.payload}, re-exported: a message in flight is a pooled
+    event-heap record that carries its payload as data. *)
 
 type stats = {
   mutable sent : int;
@@ -37,7 +39,14 @@ val create :
 (** [create engine topo] builds a network.  [drop_probability] (default 0)
     applies to every message independently.  [jitter_sigma] (default 0.05)
     is the sigma of the multiplicative lognormal latency jitter; 0 disables
-    jitter entirely. *)
+    jitter entirely.
+
+    The network registers its delivery function with the engine
+    ({!Engine.set_delivery}), and {!send} hands each message to
+    {!Engine.post} as data — its endpoints, metered size, payload and
+    trace context in a pooled heap record, with no closure per message.
+    An engine therefore carries one network: a second [create] on the
+    same engine raises [Invalid_argument]. *)
 
 val engine : t -> Engine.t
 val topology : t -> Topology.t
@@ -49,7 +58,9 @@ val register : t -> Topology.node_id -> (src:Topology.node_id -> payload -> unit
 val send : t -> src:Topology.node_id -> dst:Topology.node_id -> payload -> unit
 (** Queue a message for delivery.  Delivery is skipped silently if either
     endpoint is failed (at send {e or} delivery time), the message is
-    dropped, or [dst] has no handler. *)
+    dropped, or [dst] has no handler.  Once the engine's pool of message
+    records covers the peak number in flight, a send and its delivery
+    allocate nothing (the meter and handler aside). *)
 
 val broadcast :
   t -> src:Topology.node_id -> dsts:Topology.node_id list -> payload -> unit

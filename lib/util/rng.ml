@@ -71,7 +71,15 @@ let[@inline] standard_normal t =
 
 let gaussian t = standard_normal t
 
-let lognormal t ~mu ~sigma = Float.exp (mu +. (sigma *. standard_normal t))
+let[@inline] lognormal t ~mu ~sigma = Float.exp (mu +. (sigma *. standard_normal t))
+
+type fcell = { mutable f : float }
+
+(* [lognormal] inlined: the sample goes into the flat cell unboxed, so a
+   caller that keeps one cell draws without allocating at all.  (The other
+   way round — [lognormal] as a draw into a fresh cell — would allocate
+   that cell on every call.) *)
+let lognormal_into t ~mu ~sigma cell = cell.f <- lognormal t ~mu ~sigma
 
 let pick t arr =
   if Array.length arr = 0 then Invariant.violate ~context:"Rng.pick" "empty array";

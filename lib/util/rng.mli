@@ -45,6 +45,16 @@ val lognormal : t -> mu:float -> sigma:float -> float
 (** Lognormal sample: [exp (mu + sigma * z)] for a standard normal [z].  Used
     for WAN latency jitter, whose empirical distribution is heavy-tailed. *)
 
+type fcell = { mutable f : float }
+(** A single-field float record: stored flat, so writing [c.f] is a raw
+    float store and reading it boxes nothing in the reader's own body. *)
+
+val lognormal_into : t -> mu:float -> sigma:float -> fcell -> unit
+(** [lognormal_into t ~mu ~sigma cell] stores the draw {!lognormal} would
+    return in [cell.f] (same stream, same bits) and allocates nothing: a
+    caller that draws per message keeps one cell instead of receiving a
+    boxed float per draw. *)
+
 val gaussian : t -> float
 (** Standard normal sample (Box–Muller). *)
 

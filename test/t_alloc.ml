@@ -164,6 +164,49 @@ let test_traffic_meter () =
   Alcotest.(check int) "recv bytes" (1_001 * 64)
     (Mdcc_obs.Registry.counter r "net.recv_bytes.node02")
 
+type Mdcc_sim.Network.payload += Ball
+
+(* A message in flight is a pooled heap record: once the pool holds the
+   peak number in flight, sending, metering, the jitter draw and delivery
+   allocate nothing at all. *)
+let test_network_message_path () =
+  let module Net = Mdcc_sim.Network in
+  let module Engine = Mdcc_sim.Engine in
+  let engine = Engine.create ~seed:11 in
+  let topo =
+    Mdcc_sim.Topology.make ~dc_names:[| "a"; "b" |]
+      ~rtt:[| [| 0.0; 20.0 |]; [| 20.0; 0.0 |] |]
+      ~nodes_per_dc:2 ()
+  in
+  let net = Net.create engine topo () in
+  let on_send, on_deliver =
+    Mdcc_obs.Obs.traffic_meter (Mdcc_obs.Obs.create ()) ~nodes:(Mdcc_sim.Topology.num_nodes topo)
+  in
+  Net.set_meter net { Net.m_size = (fun _ -> 64); m_on_send = on_send; m_on_deliver = on_deliver };
+  let delivered = ref 0 and budget = ref 0 in
+  for node = 0 to 3 do
+    Net.register net node (fun ~src payload ->
+        incr delivered;
+        if !delivered < !budget then Net.send net ~src:node ~dst:src payload)
+  done;
+  (* Eight ping-pong chains; [Engine.step] rather than [Engine.run], whose
+     profiler bracket is a closure per call. *)
+  let volley n =
+    budget := !delivered + n;
+    for i = 0 to 7 do
+      Net.send net ~src:(i land 3) ~dst:(i land 3 lxor 2) Ball
+    done;
+    while Engine.step engine do
+      ()
+    done
+  in
+  volley 1_000;
+  let before = !delivered in
+  let w = words (fun () -> volley 10_000) in
+  Alcotest.(check int) "every message delivered" 10_007 (!delivered - before);
+  Alcotest.(check (float 0.0)) "words per delivered message" 0.0
+    (w /. Float.of_int (!delivered - before))
+
 (* The event consumers a node is built with (tracing is always off). *)
 let ctx_of = function
   | `None -> Mdcc_core.Ctx.make ~obs:(Mdcc_obs.Obs.create ()) ()
@@ -318,6 +361,8 @@ let suite =
     Alcotest.test_case "history only renders no strings" `Quick test_history_renders_nothing;
     Alcotest.test_case "spans only format no trace line" `Quick test_spans_format_no_line;
     Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;
+    Alcotest.test_case "network message path allocates nothing" `Quick
+      test_network_message_path;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;

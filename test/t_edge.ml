@@ -7,7 +7,7 @@ module Net = Mdcc_sim.Network
 module Rng = Mdcc_util.Rng
 module Harness = Mdcc_protocols.Harness
 
-let test_engine_schedule_in_past_clamps () =
+let test_engine_schedule_at_past_clamps () =
   let e = Engine.create ~seed:1 in
   ignore (Engine.schedule e ~after:10.0 (fun () -> ()));
   Engine.run e;
@@ -205,7 +205,7 @@ let test_session_watermark_initial () =
 let suite =
   [
     Alcotest.test_case "engine schedule_at in past clamps" `Quick
-      test_engine_schedule_in_past_clamps;
+      test_engine_schedule_at_past_clamps;
     Alcotest.test_case "engine negative delay clamps" `Quick test_engine_negative_after_clamps;
     Alcotest.test_case "rng copy" `Quick test_rng_copy_diverges_from_original;
     Alcotest.test_case "rng golden streams" `Quick test_rng_golden_streams;

@@ -5,6 +5,13 @@ module Engine = Mdcc_sim.Engine
 module Topology = Mdcc_sim.Topology
 module Net = Mdcc_sim.Network
 
+(* A popped event's sequence number, and a popped timer's body. *)
+let seq_of = function Event_queue.Thunk e -> e.seq | Event_queue.Msg m -> m.seq
+
+let run_thunk = function
+  | Event_queue.Thunk e -> e.run ()
+  | Event_queue.Msg _ -> Alcotest.fail "a message in a timer-only heap"
+
 let test_heap_ordering () =
   let q = Event_queue.create () in
   let log = ref [] in
@@ -17,7 +24,7 @@ let test_heap_ordering () =
   let rec drain () =
     let e = Event_queue.pop_before q ~limit:Float.infinity ~now in
     if not (Event_queue.is_dummy e) then begin
-      e.Event_queue.run ();
+      run_thunk e;
       drain ()
     end
   in
@@ -36,6 +43,27 @@ let test_heap_cancel () =
   Alcotest.(check bool) "cancelled popped as none" true
     (Event_queue.is_dummy (Event_queue.pop_before q ~limit:Float.infinity ~now));
   Alcotest.(check bool) "never fired" false !fired
+
+(* Cancelling a handle whose event already fired changes nothing: a fired
+   event is not a dead heap entry, so it cannot bring a compaction forward.
+   Here 60 stale cancels and one real one leave one dead entry of 70, far
+   below the half that triggers a compaction. *)
+let test_heap_cancel_after_pop () =
+  let q = Event_queue.create () in
+  let handles = Array.init 100 (fun i -> Event_queue.push q ~at:(float_of_int i) ~seq:i ignore) in
+  let now = { Event_queue.f = 0.0 } in
+  for _ = 1 to 60 do
+    ignore (Event_queue.pop_before q ~limit:Float.infinity ~now)
+  done;
+  for i = 0 to 59 do
+    Event_queue.cancel q handles.(i)
+  done;
+  for i = 100 to 129 do
+    ignore (Event_queue.push q ~at:(float_of_int i) ~seq:i ignore)
+  done;
+  Alcotest.(check int) "size before" 70 (Event_queue.size q);
+  Event_queue.cancel q handles.(99);
+  Alcotest.(check int) "one cancel does not compact" 70 (Event_queue.size q)
 
 (* Cancel-heavy churn (every pushed event is cancelled, as when every
    committed txn cancels its timeout) must not bloat the heap: cancelled
@@ -62,7 +90,7 @@ let test_heap_bounded_under_churn () =
   let rec drain () =
     let ev = Event_queue.pop_before q ~limit:Float.infinity ~now in
     if not (Event_queue.is_dummy ev) then begin
-      Alcotest.(check bool) "only live events pop" false ev.Event_queue.cancelled;
+      Alcotest.(check bool) "only live events pop" true (seq_of ev <= 32);
       incr count;
       drain ()
     end
@@ -90,7 +118,7 @@ let test_heap_compaction_preserves_order () =
   let rec drain () =
     let ev = Event_queue.pop_before q ~limit:Float.infinity ~now in
     if not (Event_queue.is_dummy ev) then begin
-      popped := (now.Event_queue.f, ev.Event_queue.seq) :: !popped;
+      popped := (now.Event_queue.f, seq_of ev) :: !popped;
       drain ()
     end
   in
@@ -136,7 +164,7 @@ let test_pop_before_limit () =
   (* Limit exactly at the event time: inclusive. *)
   let ev = Event_queue.pop_before q ~limit:5.0 ~now in
   Alcotest.(check bool) "limit is inclusive" false (Event_queue.is_dummy ev);
-  Alcotest.(check int) "seq of popped" 1 ev.Event_queue.seq;
+  Alcotest.(check int) "seq of popped" 1 (seq_of ev);
   Alcotest.(check (float 0.0)) "clock advanced to event time" 5.0 now.Event_queue.f;
   (* Next event is past the limit again. *)
   Alcotest.(check bool) "next beyond limit is dummy" true
@@ -154,7 +182,7 @@ let test_pop_before_skips_cancelled () =
   Event_queue.cancel q e2;
   let now = { Event_queue.f = 0.0 } in
   let ev = Event_queue.pop_before q ~limit:10.0 ~now in
-  Alcotest.(check int) "first live event" 3 ev.Event_queue.seq;
+  Alcotest.(check int) "first live event" 3 (seq_of ev);
   Alcotest.(check (float 0.0)) "clock is the live event's time" 3.0 now.Event_queue.f;
   Alcotest.(check bool) "drained" true
     (Event_queue.is_dummy (Event_queue.pop_before q ~limit:10.0 ~now));
@@ -326,26 +354,124 @@ let test_network_latency_table () =
     done
   done
 
-(* [schedule_in] reads its delay from a cell but clamps and orders exactly
-   like [schedule]. *)
-let test_engine_schedule_in () =
+(* [post] reads its delay from a cell but clamps and orders exactly like
+   [schedule]. *)
+let test_engine_post () =
   let delays = [ 5.0; -3.0; 0.0; 2.5; 5.0; -0.0; 7.25 ] in
   let run schedule =
     let e = Engine.create ~seed:1 in
+    let log = ref [] in
+    Engine.set_delivery e (fun ~src ~dst:_ ~bytes:_ _ _ -> log := (src, Engine.now e) :: !log);
     ignore (Engine.schedule e ~after:1.0 ignore);
     Engine.run e;
-    let log = ref [] in
-    List.iteri (fun i d -> schedule e d (fun () -> log := (i, Engine.now e) :: !log)) delays;
+    List.iteri (fun i d -> schedule e i d (fun () -> log := (i, Engine.now e) :: !log)) delays;
     Engine.run e;
     List.rev !log
   in
-  let cell = { Mdcc_sim.Event_queue.f = 0.0 } in
+  let cell = { Event_queue.f = 0.0 } in
   Alcotest.(check (list (pair int (float 0.0))))
     "same times, same order"
-    (run (fun e d f -> ignore (Engine.schedule e ~after:d f)))
-    (run (fun e d f ->
-         cell.Mdcc_sim.Event_queue.f <- d;
-         ignore (Engine.schedule_in e cell f)))
+    (run (fun e _ d f -> ignore (Engine.schedule e ~after:d f)))
+    (run (fun e i d _ ->
+         cell.Event_queue.f <- d;
+         Engine.post e cell ~src:i ~dst:0 ~bytes:0 (Ping i) None))
+
+(* A message and a timer due at the same instant fire in push order,
+   whichever was pushed first: both kinds share the engine's [seq]. *)
+let test_message_timer_tie () =
+  let order message_first =
+    let e = Engine.create ~seed:1 in
+    let net = Net.create e (Topology.ec2_five ()) ~jitter_sigma:0.0 () in
+    let log = ref [] in
+    let fired name () = log := (name, Engine.now e) :: !log in
+    Net.register net 0 (fun ~src:_ _ -> fired "message" ());
+    (* Loopback costs exactly the 0.25 ms floor without jitter. *)
+    let send () = Net.send net ~src:0 ~dst:0 (Ping 1) in
+    let timer () = ignore (Engine.schedule e ~after:0.25 (fired "timer")) in
+    (* A first message leaves its record in the pool, so the tie below
+       runs on a reused record with a fresh [seq]. *)
+    send ();
+    Engine.run e;
+    log := [];
+    if message_first then (send (); timer ()) else (timer (); send ());
+    Engine.run e;
+    List.rev !log
+  in
+  let check name expected got =
+    Alcotest.(check (list (pair string (float 0.0))))
+      name (List.map (fun n -> (n, 0.5)) expected) got
+  in
+  check "message pushed first fires first" [ "message"; "timer" ] (order true);
+  check "timer pushed first fires first" [ "timer"; "message" ] (order false)
+
+(* A handler that sends during its own delivery reuses the record its
+   message came in: every fan-out message must still arrive with its own
+   payload, endpoints and trace context. *)
+let test_send_during_delivery () =
+  let e = Engine.create ~seed:3 in
+  let net = Net.create e (Topology.ec2_five ()) () in
+  let show ~src ~dst n ctx = Printf.sprintf "%d->%d Ping %d in %s" src dst n ctx in
+  let got = ref [] in
+  let record dst ~src = function
+    | Ping n -> got := show ~src ~dst n (Option.get (Net.trace_context ())) :: !got
+    | _ -> Alcotest.fail "unexpected payload"
+  in
+  List.iter (fun n -> Net.register net n (record n)) [ 0; 2; 3; 4 ];
+  let ctx n dst = Printf.sprintf "t%d.%d" n dst in
+  Net.register net 1 (fun ~src -> function
+    | Ping n ->
+      List.iter
+        (fun dst ->
+          Net.with_trace_context
+            (Some (ctx n dst))
+            (fun () -> Net.send net ~src:1 ~dst (Ping ((10 * n) + dst))))
+        [ src; 2; 3; 4 ]
+    | _ -> Alcotest.fail "unexpected payload");
+  Net.with_trace_context (Some "root") (fun () ->
+      Net.send net ~src:0 ~dst:1 (Ping 1);
+      Net.send net ~src:3 ~dst:1 (Ping 2));
+  Engine.run e;
+  let expected =
+    List.concat_map
+      (fun (n, from) ->
+        List.map (fun dst -> show ~src:1 ~dst ((10 * n) + dst) (ctx n dst)) [ from; 2; 3; 4 ])
+      [ (1, 0); (2, 3) ]
+  in
+  Alcotest.(check (list string))
+    "every fan-out message intact" (List.sort compare expected) (List.sort compare !got)
+
+(* A handler that raises restores the trace context it replaced, and the
+   next queued message is delivered intact once the engine resumes. *)
+let test_handler_raises () =
+  let e = Engine.create ~seed:2 in
+  let net = Net.create e (Topology.ec2_five ()) ~jitter_sigma:0.0 () in
+  let got = ref [] in
+  Net.register net 1 (fun ~src p ->
+      match p with
+      | Ping 1 -> failwith "handler failed"
+      | Ping n -> got := (src, n, Net.trace_context ()) :: !got
+      | _ -> ());
+  Net.with_trace_context (Some "a") (fun () -> Net.send net ~src:0 ~dst:1 (Ping 1));
+  ignore (Engine.schedule e ~after:1.0 (fun () ->
+      Net.with_trace_context (Some "b") (fun () -> Net.send net ~src:0 ~dst:1 (Ping 2))));
+  let after_raise =
+    Net.with_trace_context (Some "outer") (fun () ->
+        (match Engine.run e with
+        | () -> Alcotest.fail "the handler's exception was swallowed"
+        | exception Failure _ -> ());
+        Net.trace_context ())
+  in
+  Alcotest.(check (option string)) "context restored on raise" (Some "outer") after_raise;
+  Engine.run e;
+  Alcotest.(check (list (triple int int (option string))))
+    "next message delivered" [ (0, 2, Some "b") ] !got
+
+let test_one_network_per_engine () =
+  let e = Engine.create ~seed:1 in
+  ignore (Net.create e (Topology.ec2_five ()) ());
+  match Net.create e (Topology.ec2_five ()) () with
+  | _ -> Alcotest.fail "a second network on one engine was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_network_determinism () =
   let run seed =
@@ -419,5 +545,10 @@ let suite =
     Alcotest.test_case "network determinism" `Quick test_network_determinism;
     Alcotest.test_case "network meter sizes once" `Quick test_network_meter_size_once;
     Alcotest.test_case "network latency table" `Quick test_network_latency_table;
-    Alcotest.test_case "engine schedule_in" `Quick test_engine_schedule_in;
+    Alcotest.test_case "engine post" `Quick test_engine_post;
+    Alcotest.test_case "heap cancel after pop is a no-op" `Quick test_heap_cancel_after_pop;
+    Alcotest.test_case "message and timer tie in push order" `Quick test_message_timer_tie;
+    Alcotest.test_case "network send during delivery" `Quick test_send_during_delivery;
+    Alcotest.test_case "network handler raises" `Quick test_handler_raises;
+    Alcotest.test_case "network one per engine" `Quick test_one_network_per_engine;
   ]
