@@ -1,10 +1,11 @@
 (* Micro-benchmark of the simulation hot loop (raw Event_queue ops,
-   Engine.run dispatch, Network.send delivery throughput) and of two
-   storage-node paths whose cost grows with the node's state.
+   Engine.run dispatch, Network.send delivery throughput), of the socket
+   loop's message path, and of two storage-node paths whose cost grows
+   with the node's state.
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Eight sections, each timed in isolation:
+   Nine sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -16,6 +17,10 @@
                        a message in flight is a pooled heap record and the
                        jitter draw writes into a cell, so the message path
                        allocates nothing once the pool is warm
+   - loop_send:        the same ping-pong through the socket runtime:
+                       Runtime.send on Loop.runtime, delivered by
+                       Loop.poll ~max_wait_ms:0.0, with the traffic meter
+                       on (one op = one message)
    - visibility_hot_key: 2,000 committed visibilities, one at a time, on a
                        record whose applied set already holds 10,000
                        entries (one op = one visibility)
@@ -153,6 +158,30 @@ let network_send ~ops =
       done;
       Engine.run engine)
 
+let loop_send ~ops =
+  let lp = Mdcc_runtime_unix.Loop.create ~seed:11 () in
+  let rt = Mdcc_runtime_unix.Loop.runtime lp in
+  let w_on_send, w_on_deliver = Mdcc_obs.Obs.traffic_meter (Mdcc_obs.Obs.create ()) ~nodes:4 in
+  Mdcc_runtime_unix.Loop.set_meter lp
+    { Mdcc_runtime_unix.Loop.w_size = Messages.size_of; w_on_send; w_on_deliver };
+  let ball =
+    Messages.Phase1a
+      { key = Key.make ~table:"item" ~id:"ball"; ballot = Mdcc_paxos.Ballot.initial_fast }
+  in
+  let delivered = ref 0 in
+  for node = 0 to 3 do
+    Runtime.register rt node (fun ~src payload ->
+        incr delivered;
+        if !delivered < ops then Runtime.send rt ~src:node ~dst:src payload)
+  done;
+  time_section "loop_send" ops (fun () ->
+      for i = 0 to 7 do
+        Runtime.send rt ~src:(i land 3) ~dst:(i land 3 lxor 2) ball
+      done;
+      while !delivered < ops do
+        Mdcc_runtime_unix.Loop.poll lp ~max_wait_ms:0.0
+      done)
+
 (* A storage node on a runtime whose sends go nowhere and whose timers are
    queued for the caller to fire, so a section measures the node's own
    handlers and not the simulator.  Returns the node's message handler. *)
@@ -284,6 +313,7 @@ let bench ~out =
       queue_cancel ~ops;
       engine_dispatch ~ops;
       network_send ~ops;
+      loop_send ~ops;
       visibility_hot_key ();
       dangling_scan_idle ();
       fast_path_commit ();
@@ -324,7 +354,7 @@ let out_arg =
 let () =
   let doc =
     "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
-     storage node's visibility and dangling-scan paths, of one fast-path commit and of a \
+     socket loop's message path, of the storage node's visibility and dangling-scan paths, of one fast-path commit and of a \
      latency-jitter draw"
   in
   let cmd =

@@ -14,9 +14,9 @@
 module Loop = Mdcc_runtime_unix.Loop
 module Server = Mdcc_wire.Server
 
-(* Signal handlers only flip this flag: the loop thread may hold the
-   run-queue mutex when the signal lands, so the handler must not touch
-   loop state itself.  The main loop polls the flag; select's EINTR (or
+(* Signal handlers only flip this flag: a handler runs at whatever point
+   the main domain reached, perhaps mid-way through an engine dispatch or
+   holding [Loop.post]'s mutex, so it must not touch loop state itself.  The main loop polls the flag; select's EINTR (or
    the 50 ms poll cap) bounds the reaction latency. *)
 let want_shutdown = Atomic.make false
 
@@ -29,7 +29,14 @@ let serve nodes partitions port addr =
     Printf.eprintf "server_cli: --partitions must be >= 1 (got %d)\n" partitions;
     exit 2
   end;
-  let srv = Server.create ~nodes ~partitions ~addr ~port () in
+  let srv =
+    match Server.create ~nodes ~partitions ~addr ~port () with
+    | srv -> srv
+    | exception Unix.Unix_error (err, _, _) ->
+      Printf.eprintf "server_cli: cannot listen on %s:%d: %s\n" addr port
+        (Unix.error_message err);
+      exit 2
+  in
   let lp = Server.loop srv in
   Printf.printf "LISTENING %d\n%!" (Server.port srv);
   let on_signal _ = Atomic.set want_shutdown true in

@@ -463,39 +463,43 @@ let scan_snapshot t ~table ?order_by ~limit cb =
     Obs.incr t.obs "snapshot_fallback";
     scan_local t ~table ?order_by ~limit cb
 
+(* Replace each row [upgrade] selects by a majority read of its key, keep
+   the rest, then order and limit.  A row the majority holds deleted drops
+   out, so the result can be shorter than [limit]. *)
+let upgrade_rows t ~upgrade ?order_by ~limit rows cb =
+  match List.filter upgrade rows with
+  | [] -> cb (Store.order_rows ?order_by ~limit rows)
+  | stale ->
+    let fresh = Key.Tbl.create (List.length stale) in
+    let remaining = ref (List.length stale) in
+    let finish () =
+      cb
+        (Store.order_rows ?order_by ~limit
+           (List.filter_map
+              (fun ((key, _, _) as row) ->
+                match Key.Tbl.find_opt fresh key with
+                | None -> Some row
+                | Some (Some (v, ver)) -> Some (key, v, ver)
+                | Some None -> None)
+              rows))
+    in
+    List.iter
+      (fun (key, _, _) ->
+        read_majority t key (fun res ->
+            Key.Tbl.replace fresh key res;
+            decr remaining;
+            if !remaining = 0 then finish ()))
+      stale
+
 let scan ?(level = `Local) t ~table ?order_by ~limit cb =
   match level with
   | `Local -> scan_local t ~table ?order_by ~limit cb
   | `Snapshot -> scan_snapshot t ~table ?order_by ~limit cb
   | `Majority ->
-    (* Discover candidate rows with a local scan, then upgrade each one to a
-       majority read so the result reflects the freshest committed state a
-       quorum knows.  Rows that turn out deleted at the majority drop out
-       (the result can be shorter than [limit]). *)
+    (* Discover candidate rows with a local scan, then upgrade every one, so
+       the result reflects the freshest committed state a quorum knows. *)
     scan_local t ~table ?order_by ~limit (fun rows ->
-        if rows = [] then cb []
-        else begin
-          let results = Key.Tbl.create (List.length rows) in
-          let remaining = ref (List.length rows) in
-          let finish () =
-            let upgraded =
-              List.filter_map
-                (fun (key, _, _) ->
-                  match Key.Tbl.find_opt results key with
-                  | Some (Some (v, ver)) -> Some (key, v, ver)
-                  | Some None | None -> None)
-                rows
-            in
-            cb (Store.order_rows ?order_by ~limit upgraded)
-          in
-          List.iter
-            (fun (key, _, _) ->
-              read_majority t key (fun res ->
-                  Key.Tbl.replace results key res;
-                  decr remaining;
-                  if !remaining = 0 then finish ()))
-            rows
-        end)
+        upgrade_rows t ~upgrade:(fun _ -> true) ?order_by ~limit rows cb)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)

@@ -98,6 +98,23 @@ val scan :
     process — the read-only fast path for analytics: no Scan_request
     round-trips, no option machinery. *)
 
+val upgrade_rows :
+  t ->
+  upgrade:(Key.t * Value.t * int -> bool) ->
+  ?order_by:string ->
+  limit:int ->
+  (Key.t * Value.t * int) list ->
+  ((Key.t * Value.t * int) list -> unit) ->
+  unit
+(** [upgrade_rows t ~upgrade rows cb] replaces each of [rows] that
+    [upgrade] selects (asked once per row, up front) by a majority read of
+    its key, keeps the others as they are, then orders and limits the
+    result like {!scan} and passes it to [cb].  A selected row the
+    majority holds deleted drops out.  With nothing selected, [cb] runs at
+    once.  The second half of a [`Majority] scan (every row selected) and
+    of {!Session.scan}'s [`Session] level (the rows the session knows to
+    be stale). *)
+
 val inflight : t -> int
 (** Transactions submitted but not yet decided (diagnostics). *)
 

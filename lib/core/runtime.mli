@@ -11,9 +11,9 @@
        replayable.  This is the {e verification} substrate: every chaos
        run, experiment and pinned test drives the state machines through
        it.}
-    {- [Mdcc_runtime_unix]: real OS sockets, domains and a timer wheel —
-       the {e deployment} substrate the wire front-end serves traffic
-       from.}}
+    {- [Mdcc_runtime_unix]: real OS sockets and domains around the
+       simulator's own engine, whose clock follows the wall clock — the
+       {e deployment} substrate the wire front-end serves traffic from.}}
 
     The determinism contract (R1–R4, docs/LINT.md) is what makes this
     split safe: because the state machines contain no ambient time,

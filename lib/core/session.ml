@@ -77,41 +77,14 @@ let scan ?(level = `Session) t ~table ?order_by ~limit cb =
        write) to majority reads — read-your-writes for scans without paying
        wide-area cost for rows the session never touched. *)
     Coordinator.scan ~level:`Local t.coordinator ~table ?order_by ~limit (fun rows ->
-        let stale (key, _, version) =
-          Key.Tbl.mem t.dirty key || version < watermark t key
-        in
-        let to_upgrade = List.filter stale rows in
-        if to_upgrade = [] then begin
-          observe_rows rows;
-          cb (Store.order_rows ?order_by ~limit rows)
-        end
-        else begin
-          Obs.incr obs "session_scan_stale_upgrade";
-          let results = Key.Tbl.create (List.length to_upgrade) in
-          let remaining = ref (List.length to_upgrade) in
-          let finish () =
-            let upgraded =
-              List.filter_map
-                (fun ((key, _, _) as row) ->
-                  if not (stale row) then Some row
-                  else
-                    match Key.Tbl.find_opt results key with
-                    | Some (Some (v, ver)) -> Some (key, v, ver)
-                    | Some None | None -> None)
-                rows
-            in
+        let stale (key, _, version) = Key.Tbl.mem t.dirty key || version < watermark t key in
+        let dirty = List.filter (fun (key, _, _) -> Key.Tbl.mem t.dirty key) rows in
+        if List.exists stale rows then Obs.incr obs "session_scan_stale_upgrade";
+        Coordinator.upgrade_rows t.coordinator ~upgrade:stale ?order_by ~limit rows
+          (fun upgraded ->
+            List.iter (fun (key, _, _) -> Key.Tbl.remove t.dirty key) dirty;
             observe_rows upgraded;
-            cb (Store.order_rows ?order_by ~limit upgraded)
-          in
-          List.iter
-            (fun (key, _, _) ->
-              Coordinator.read ~level:`Majority t.coordinator key (fun res ->
-                  Key.Tbl.replace results key res;
-                  Key.Tbl.remove t.dirty key;
-                  decr remaining;
-                  if !remaining = 0 then finish ()))
-            to_upgrade
-        end)
+            cb upgraded))
 
 let submit t txn callback =
   Coordinator.submit t.coordinator txn (fun outcome ->

@@ -113,6 +113,11 @@ let span name f = span_in (ambient ()) name f
 let count ?by name = count_in (ambient ()) ?by name
 let enabled_ambient () = (ambient ()).p_enabled
 
+let detached f =
+  let prev = Domain.DLS.get ambient_key in
+  Domain.DLS.set ambient_key (create ());
+  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key prev) f
+
 type phase = {
   ph_path : string;
   ph_count : int;

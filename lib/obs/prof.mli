@@ -45,6 +45,14 @@ val count : ?by:int -> string -> unit
 
 val enabled_ambient : unit -> bool
 
+val detached : (unit -> 'a) -> 'a
+(** [detached f] runs [f] with a fresh disabled handle as the calling
+    domain's ambient, then restores the previous one.  Whatever [f]
+    builds that resolves the ambient once at creation (an engine, an
+    event queue) keeps that private handle, which nobody can enable: such
+    an object may be built on one domain and driven from another without
+    either writing the other's profiler state. *)
+
 (** {2 Snapshots} *)
 
 type phase = {

@@ -1,7 +1,7 @@
 module Runtime = Mdcc_core.Runtime
+module Engine = Mdcc_sim.Engine
 module Net = Mdcc_sim.Network
 module Trace = Mdcc_sim.Trace
-module Rng = Mdcc_util.Rng
 module Prof = Mdcc_obs.Prof
 
 type meter = {
@@ -26,10 +26,13 @@ type conn = {
   mutable c_handlers : conn_handlers option;
 }
 
+(* Timers, spawns and node messages all wait on [engine]'s heap, whose
+   clock [poll] drags along behind the wall clock; only [posted] has its
+   own queue, because other domains fill it. *)
 and t = {
   origin : float;  (* gettimeofday at create, seconds *)
-  wheel : Timer_wheel.t;
-  run_q : (unit -> unit) Queue.t;  (* loop-domain only *)
+  engine : Engine.t;  (* loop-domain only *)
+  no_delay : Mdcc_sim.Event_queue.fcell;  (* a node message's delay: 0 *)
   posted : (unit -> unit) Queue.t;  (* cross-domain, under [posted_mx] *)
   posted_mx : Mutex.t;
   wake_r : Unix.file_descr;
@@ -37,7 +40,6 @@ and t = {
   handlers : (int, src:int -> Net.payload -> unit) Hashtbl.t;
   mutable listeners : (Unix.file_descr * (conn -> conn_handlers)) list;
   mutable conns : conn list;
-  rng : Rng.t;
   dc_of : int -> int;
   stop : bool Atomic.t;
   mutable meter : meter option;
@@ -49,29 +51,49 @@ let clock t = (Unix.gettimeofday () -. t.origin) *. 1000.0
 
 let now = clock
 
+(* A message that comes due: the loop's twin of [Network.deliver], minus
+   the fault model.  The size measured at send rides in the message. *)
+let deliver t ~src ~dst ~bytes payload ctx =
+  match Hashtbl.find t.handlers dst with
+  | exception Not_found -> ()
+  | handler ->
+    (match t.meter with
+    | Some m ->
+      (* A meter installed after the send was not sized; size it now. *)
+      let bytes = if bytes > 0 then bytes else m.w_size payload in
+      m.w_on_deliver ~src ~dst ~bytes
+    | None -> ());
+    Net.call_with_trace_context ctx handler ~src payload
+
 let create ?(seed = 1) ?(dc_of = fun _ -> 0) () =
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  let origin = Unix.gettimeofday () in
-  {
-    origin;
-    wheel = Timer_wheel.create ~now:0.0 ();
-    run_q = Queue.create ();
-    posted = Queue.create ();
-    posted_mx = Mutex.create ();
-    wake_r;
-    wake_w;
-    handlers = Hashtbl.create 32;
-    listeners = [];
-    conns = [];
-    rng = Rng.create seed;
-    dc_of;
-    stop = Atomic.make false;
-    meter = None;
-    rbuf = Bytes.create 65536;
-    rt = None;
-  }
+  let t =
+    {
+      origin = Unix.gettimeofday ();
+      (* The engine resolves its profiler handle here, and [run] may drive
+         it from another domain: a detached handle is never enabled, so
+         neither domain's profiler sees the engine's writes. *)
+      engine = Prof.detached (fun () -> Engine.create ~seed);
+      no_delay = { Mdcc_sim.Event_queue.f = 0.0 };
+      posted = Queue.create ();
+      posted_mx = Mutex.create ();
+      wake_r;
+      wake_w;
+      handlers = Hashtbl.create 32;
+      listeners = [];
+      conns = [];
+      dc_of;
+      stop = Atomic.make false;
+      meter = None;
+      rbuf = Bytes.create 65536;
+      rt = None;
+    }
+  in
+  Engine.set_delivery t.engine (fun ~src ~dst ~bytes payload ctx ->
+      deliver t ~src ~dst ~bytes payload ctx);
+  t
 
 let set_meter t m = t.meter <- Some m
 
@@ -93,23 +115,18 @@ let stop_requested t = Atomic.get t.stop
 (* The Runtime interface                                               *)
 (* ------------------------------------------------------------------ *)
 
-let deliver t ~src ~dst payload =
-  (* Capture the sender's causal context now; restore it around the
-     destination handler — the socket-runtime twin of Network.send. *)
-  let ctx = Net.trace_context () in
-  (match t.meter with
-  | Some m -> m.w_on_send ~src ~dst ~bytes:(m.w_size payload)
-  | None -> ());
-  Queue.add
-    (fun () ->
-      match Hashtbl.find_opt t.handlers dst with
-      | None -> ()
-      | Some handler ->
-        (match t.meter with
-        | Some m -> m.w_on_deliver ~src ~dst ~bytes:(m.w_size payload)
-        | None -> ());
-        Net.with_trace_context ctx (fun () -> handler ~src payload))
-    t.run_q
+(* Size once, capture the sender's causal context, and hand the message to
+   the engine as a pooled record: delivered in order, never reentrantly. *)
+let send t ~src ~dst payload =
+  let bytes =
+    match t.meter with
+    | Some m ->
+      let bytes = m.w_size payload in
+      m.w_on_send ~src ~dst ~bytes;
+      bytes
+    | None -> 0
+  in
+  Engine.post t.engine t.no_delay ~src ~dst ~bytes payload (Net.trace_context ())
 
 let runtime t =
   match t.rt with
@@ -119,13 +136,13 @@ let runtime t =
     let rt =
       Runtime.make
         ~now:(fun () -> clock t)
-        ~send:(fun ~src ~dst payload -> deliver t ~src ~dst payload)
+        ~send:(fun ~src ~dst payload -> send t ~src ~dst payload)
         ~register:(fun node handler -> Hashtbl.replace t.handlers node handler)
         ~set_timer:(fun ~after f ->
-          let timer = Timer_wheel.set t.wheel ~now:(clock t) ~after f in
-          fun () -> Timer_wheel.cancel t.wheel timer)
-        ~spawn:(fun f -> Queue.add f t.run_q)
-        ~rng:t.rng
+          let h = Engine.schedule_at t.engine ~at:(clock t +. after) f in
+          fun () -> Engine.cancel t.engine h)
+        ~spawn:(fun f -> ignore (Engine.schedule t.engine ~after:0.0 f))
+        ~rng:(Engine.rng t.engine)
         ~dc_of:t.dc_of
         ~trace:(fun ~tag msg -> Trace.record_at th ~at:(clock t) ~tag msg)
         ~tracing:(fun () -> Trace.active th)
@@ -145,7 +162,7 @@ let buffered_bytes t = List.fold_left (fun acc c -> acc + c.c_buffered) 0 t.conn
 let max_conn_buffered t =
   List.fold_left (fun acc c -> max acc c.c_buffered) 0 t.conns
 
-let timers_pending t = Timer_wheel.pending t.wheel
+let timers_pending t = Engine.pending t.engine
 
 let teardown c =
   if c.c_open then begin
@@ -192,10 +209,14 @@ let close c =
 
 let listen t ?(backlog = 64) ?(addr = "127.0.0.1") ~port on_conn =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.setsockopt fd SO_REUSEADDR true;
-  Unix.bind fd (ADDR_INET (Unix.inet_addr_of_string addr, port));
-  Unix.listen fd backlog;
-  Unix.set_nonblock fd;
+  (try
+     Unix.setsockopt fd SO_REUSEADDR true;
+     Unix.bind fd (ADDR_INET (Unix.inet_addr_of_string addr, port));
+     Unix.listen fd backlog;
+     Unix.set_nonblock fd
+   with e ->
+     Unix.close fd;
+     raise e);
   t.listeners <- (fd, on_conn) :: t.listeners;
   match Unix.getsockname fd with
   | ADDR_INET (_, bound) -> bound
@@ -241,34 +262,26 @@ let read_ready t c =
 (* The loop                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Other domains' thunks become zero-delay engine events. *)
 let drain_posted t =
   Mutex.lock t.posted_mx;
-  Queue.transfer t.posted t.run_q;
+  while not (Queue.is_empty t.posted) do
+    ignore (Engine.schedule t.engine ~after:0.0 (Queue.pop t.posted))
+  done;
   Mutex.unlock t.posted_mx
-
-let drain_run_q t =
-  while not (Queue.is_empty t.run_q) do
-    (Queue.pop t.run_q) ()
-  done
 
 (* Phase spans cost a DLS read + branch each when profiling is off (the
    default); with [--profile] they attribute the loop's time across
-   drain / timer-wheel / select / socket-I/O. *)
+   drain (every event now due, in (time, seq) order) / timers (the select
+   bound) / select / socket I/O. *)
 let poll t ~max_wait_ms =
   Prof.span "loop.drain" (fun () ->
       drain_posted t;
-      drain_run_q t);
-  Prof.span "loop.timers" (fun () ->
-      Timer_wheel.advance t.wheel ~now:(clock t);
-      drain_run_q t);
+      Engine.run ~until:(clock t) t.engine);
   let timeout =
-    if not (Queue.is_empty t.run_q) then 0.0
-    else begin
-      let cap = Float.max 0.0 max_wait_ms in
-      match Timer_wheel.next_deadline t.wheel with
-      | None -> cap
-      | Some at -> Float.min cap (Float.max 0.0 (at -. clock t))
-    end
+    Prof.span "loop.timers" (fun () ->
+        Float.min (Float.max 0.0 max_wait_ms)
+          (Float.max 0.0 (Engine.next_at t.engine -. clock t)))
   in
   let reads =
     (t.wake_r :: List.map fst t.listeners)

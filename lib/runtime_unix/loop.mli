@@ -7,10 +7,13 @@
     handlers, load-generator threads, a supervising CLI) talk to the loop
     only through {!post} and {!request_stop}, both cross-domain safe.
 
-    Node-to-node messages stay in-process: {!Mdcc_core.Runtime.send}
-    enqueues the delivery on the run queue (asynchronous, never reentrant),
-    with the sender's causal trace context captured and restored exactly as
-    the simulated network does.  The sockets carry {e client} traffic — the
+    The loop schedules with the simulator's own {!Mdcc_sim.Engine}: timers,
+    spawned thunks and node-to-node messages wait on one heap ordered by
+    (time, insertion), whose clock {!poll} advances to the wall clock.
+    Node-to-node messages stay in-process: {!Mdcc_core.Runtime.send} posts
+    a zero-delay engine message (asynchronous, never reentrant), with the
+    sender's causal trace context captured and restored exactly as the
+    simulated network does.  The sockets carry {e client} traffic — the
     memcached-style wire protocol of [Mdcc_wire] — via listeners,
     per-connection read callbacks, and per-connection write queues flushed
     as the peer drains them. *)
@@ -23,9 +26,12 @@ val create : ?seed:int -> ?dc_of:(int -> int) -> unit -> t
     local reads. *)
 
 val runtime : t -> Mdcc_core.Runtime.t
-(** The {!Mdcc_core.Runtime} interface of this loop: [now] is monotonic
-    process time in milliseconds, timers live on a {!Timer_wheel}, sends
-    are run-queue deliveries. *)
+(** The {!Mdcc_core.Runtime} interface of this loop: [now] is process
+    time in milliseconds; a timer is an engine event at its absolute
+    deadline on that clock, cancelled with {!Mdcc_sim.Engine.cancel}; a
+    spawn is a zero-delay engine event; a send is a pooled engine message
+    with no delay.  All of them run from {!poll}, on the loop's domain,
+    never inside the call that scheduled them. *)
 
 val now : t -> float
 (** Milliseconds since {!create} (the runtime's clock). *)
@@ -55,7 +61,9 @@ type conn_handlers = {
 val listen :
   t -> ?backlog:int -> ?addr:string -> port:int -> (conn -> conn_handlers) -> int
 (** Open a listening TCP socket ([addr] defaults to 127.0.0.1) and return
-    the bound port (useful with [port:0] for an ephemeral port). *)
+    the bound port (useful with [port:0] for an ephemeral port).  When
+    the socket cannot be bound or listened on, it is closed and the
+    [Unix.Unix_error] re-raised. *)
 
 val close_listeners : t -> unit
 (** Stop accepting new connections (first step of a graceful drain);
@@ -79,7 +87,9 @@ val max_conn_buffered : t -> int
     [metrics] gauge for per-connection backpressure). *)
 
 val timers_pending : t -> int
-(** Live timers on the wheel (the [metrics] occupancy gauge). *)
+(** Live events on the loop's engine heap (the [metrics] occupancy
+    gauge): timers not yet fired or cancelled, and any spawn or node
+    message not yet run.  A cancelled timer stops counting at once. *)
 
 (** {1 Driving the loop} *)
 
@@ -94,10 +104,12 @@ val request_stop : t -> unit
 val stop_requested : t -> bool
 
 val poll : t -> max_wait_ms:float -> unit
-(** One loop iteration: drain posted/spawned thunks, advance the timer
-    wheel, then select on listeners/connections for at most [max_wait_ms]
-    (clipped to the next timer deadline; 0 returns immediately).  Exposed
-    for tests and custom drivers. *)
+(** One loop iteration: move {!post}ed thunks into the engine as
+    zero-delay events, run every engine event due by the wall clock (a
+    message or spawn an event sends on runs in the same iteration), then
+    select on listeners/connections for at most [max_wait_ms], clipped to
+    the engine's next event time (0 returns immediately).  Exposed for
+    tests and custom drivers. *)
 
 val run : t -> unit
 (** Iterate {!poll} until {!request_stop}. *)

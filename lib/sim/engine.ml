@@ -107,7 +107,9 @@ let release t ev =
 
 let cancel t h = Event_queue.cancel t.queue h
 
-let pending t = Event_queue.size t.queue
+let pending t = Event_queue.live t.queue
+
+let next_at t = Event_queue.next_at t.queue
 
 (* A popped message is copied out and its record returned to the free
    stack before delivery runs, so a handler that sends (and reuses the

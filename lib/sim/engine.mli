@@ -71,7 +71,13 @@ val cancel : t -> handle -> unit
     entries once they outnumber live ones. *)
 
 val pending : t -> int
-(** Number of events still queued (upper bound; includes cancelled ones). *)
+(** Number of live events still queued: timers not yet fired or
+    cancelled, and messages in flight. *)
+
+val next_at : t -> float
+(** When the earliest queued event is due ([infinity] if none), read
+    without dispatching anything.  Right after {!run} it is the time of
+    the next live event; a later {!cancel} can only make it early. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in timestamp order until the heap is empty, or until the

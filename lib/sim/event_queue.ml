@@ -47,7 +47,11 @@ let create () =
 
 let size t = t.len
 
+let live t = t.len - t.dead
+
 let is_empty t = t.len = 0
+
+let next_at t = if t.len = 0 then Float.infinity else t.ats.(0)
 
 let[@inline] seq_of = function Thunk e -> e.seq | Msg m -> m.seq
 

@@ -62,7 +62,17 @@ val size : t -> int
     Cancelled entries never exceed half the heap (plus a small constant
     floor): {!cancel} compacts once they outnumber live entries. *)
 
+val live : t -> int
+(** Entries not cancelled: [size] minus the cancelled ones still in the
+    heap.  Exact, since {!cancel} counts each entry it kills once. *)
+
 val is_empty : t -> bool
+
+val next_at : t -> float
+(** The time of the root entry, [infinity] when the heap is empty.  The
+    root may be a cancelled entry, so this is a lower bound on the next
+    live event; after {!pop_before} has returned {!dummy} it is exact,
+    since [pop_before] discards every cancelled root it meets. *)
 
 val push : t -> at:float -> seq:int -> (unit -> unit) -> event
 (** Insert an event; the returned handle can be cancelled. *)

@@ -47,6 +47,20 @@ let with_trace_context ctx f =
     cell.ctx <- saved;
     raise e
 
+(* [with_trace_context] for a message handler, inline: a closure around
+   the call and a [Fun.protect] record would cost words per delivery. *)
+let[@inline] call_in cell ctx handler ~src payload =
+  let saved = cell.ctx in
+  cell.ctx <- ctx;
+  match handler ~src payload with
+  | () -> cell.ctx <- saved
+  | exception e ->
+    cell.ctx <- saved;
+    raise e
+
+let call_with_trace_context ctx handler ~src payload =
+  call_in (Domain.DLS.get ctx_key) ctx handler ~src payload
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -118,16 +132,7 @@ let deliver t ~src ~dst ~bytes payload ctx =
         let bytes = if bytes > 0 then bytes else m.m_size payload in
         m.m_on_deliver ~src ~dst ~bytes
       | None -> ());
-      (* Inline context save/restore: [with_trace_context] would cost a
-         closure and a [Fun.protect] record per delivery. *)
-      let cell = t.ctx_cell in
-      let saved = cell.ctx in
-      cell.ctx <- ctx;
-      (match handler ~src payload with
-      | () -> cell.ctx <- saved
-      | exception e ->
-        cell.ctx <- saved;
-        raise e)
+      call_in t.ctx_cell ctx handler ~src payload
   end
 
 let create engine topo ?(drop_probability = 0.0) ?(jitter_sigma = 0.05) () =

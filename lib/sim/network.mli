@@ -125,3 +125,14 @@ val with_trace_context : string option -> (unit -> 'a) -> 'a
 
 val trace_context : unit -> string option
 (** The transaction id attributed to the current execution, if any. *)
+
+val call_with_trace_context :
+  string option ->
+  (src:Topology.node_id -> payload -> unit) ->
+  src:Topology.node_id ->
+  payload ->
+  unit
+(** [call_with_trace_context ctx handler ~src payload] is
+    [with_trace_context ctx (fun () -> handler ~src payload)] without the
+    closure: how a runtime delivers a message with its sender's context
+    restored.  The simulated network's own delivery does the same. *)

@@ -133,11 +133,11 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
         })
   in
   t.sv_port <- bound;
-  (* Periodic gauge snapshot on the timer wheel: loop/coordinator state
-     (connection count, write-queue depths, wheel occupancy, inflight) is
-     copied into the registry every quarter second, so a [metrics] scrape
-     only renders already-materialized gauges and never walks the
-     connection list on the request path. *)
+  (* Periodic gauge snapshot, a timer on the loop's engine: loop and
+     coordinator state (connection count, write-queue depths, engine-heap
+     occupancy, inflight) is copied into the registry every quarter
+     second, so a [metrics] scrape only renders already-materialized
+     gauges and never walks the connection list on the request path. *)
   let rec snapshot () =
     Obs.set_gauge observ "wire.curr_connections" (Loop.open_conns lp);
     Obs.set_gauge observ "wire.buffered_bytes" (Loop.buffered_bytes lp);

@@ -207,6 +207,38 @@ let test_network_message_path () =
   Alcotest.(check (float 0.0)) "words per delivered message" 0.0
     (w /. Float.of_int (!delivered - before))
 
+(* The socket loop posts a node message to its engine as the same pooled
+   record: with the traffic meter on, a message through [Loop.runtime]
+   costs under a word, [Loop.poll]'s own per-call lists included. *)
+let test_loop_message_path () =
+  let module Loop = Mdcc_runtime_unix.Loop in
+  let module Runtime = Mdcc_core.Runtime in
+  let lp = Loop.create () in
+  let rt = Loop.runtime lp in
+  let on_send, on_deliver = Mdcc_obs.Obs.traffic_meter (Mdcc_obs.Obs.create ()) ~nodes:4 in
+  Loop.set_meter lp { Loop.w_size = (fun _ -> 64); w_on_send = on_send; w_on_deliver = on_deliver };
+  let delivered = ref 0 and budget = ref 0 in
+  for node = 0 to 3 do
+    Runtime.register rt node (fun ~src payload ->
+        incr delivered;
+        if !delivered < !budget then Runtime.send rt ~src:node ~dst:src payload)
+  done;
+  let volley n =
+    budget := !delivered + n;
+    for i = 0 to 7 do
+      Runtime.send rt ~src:(i land 3) ~dst:(i land 3 lxor 2) Ball
+    done;
+    while !delivered < !budget + 7 do
+      Loop.poll lp ~max_wait_ms:0.0
+    done
+  in
+  volley 1_000;
+  let before = !delivered in
+  let w = words (fun () -> volley 10_000) in
+  Alcotest.(check int) "every message delivered" 10_007 (!delivered - before);
+  let per_msg = w /. Float.of_int (!delivered - before) in
+  if per_msg >= 1.0 then Alcotest.failf "%.2f words per loop message (ceiling 1)" per_msg
+
 (* The event consumers a node is built with (tracing is always off). *)
 let ctx_of = function
   | `None -> Mdcc_core.Ctx.make ~obs:(Mdcc_obs.Obs.create ()) ()
@@ -363,6 +395,7 @@ let suite =
     Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;
     Alcotest.test_case "network message path allocates nothing" `Quick
       test_network_message_path;
+    Alcotest.test_case "loop message path is under a word" `Quick test_loop_message_path;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;

@@ -183,8 +183,8 @@ let suite_2pc_blocking () =
   Alcotest.(check bool) "locks still held (2PC blocks)" true (Tpc.locks_held tpc > 0)
 
 (* The same 2PC code on the socket runtime: its messages go through the
-   loop's run queue instead of the simulated WAN.  No socket is opened;
-   polling the loop delivers every message. *)
+   loop's engine with no delay instead of the simulated WAN.  No socket
+   is opened; polling the loop delivers every message. *)
 let test_2pc_on_socket_runtime () =
   let layout = Layout.make Cluster.Spec.default ~dcs:5 in
   let lp = Loop.create ~seed:1 ~dc_of:(Layout.dc_of layout) () in

@@ -6,6 +6,7 @@ open Helpers
 module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
 module Coordinator = Mdcc_core.Coordinator
+module Session = Mdcc_core.Session
 
 let read_sync ~level engine c key =
   let result = ref None and got = ref false in
@@ -113,6 +114,92 @@ let test_scan_empty_table () =
   Engine.run ~until:10_000.0 engine;
   Alcotest.(check bool) "empty table scans empty" true (!got = Some [])
 
+let scan_sync ?(level = `Local) engine c =
+  let got = ref None in
+  Coordinator.scan ~level c ~table:"item" ~limit:10 (fun rows -> got := Some rows);
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  match !got with Some rows -> rows | None -> Alcotest.fail "scan never answered"
+
+(* (id, stock, version) of each row, in key order. *)
+let summary rows =
+  List.sort compare (List.map (fun (k, v, ver) -> (k.Key.id, Value.get_int v "stock", ver)) rows)
+
+let row_triple = Alcotest.(list (triple string int int))
+
+(* DC 4 misses [updates] (an outage while they commit), so after it
+   recovers its local replica is stale for exactly those rows. *)
+let stale_dc4 ~items updates =
+  let engine, cluster = make_cluster ~items () in
+  Cluster.fail_dc cluster 4;
+  let o = run_txn engine cluster ~dc:0 updates in
+  Alcotest.(check bool) "committed during outage" true (is_committed o);
+  Cluster.recover_dc cluster 4;
+  (engine, cluster, Cluster.coordinator cluster ~dc:4 ~rank:0)
+
+let test_scan_majority_fresh () =
+  let engine, _, c4 =
+    stale_dc4 ~items:2 [ (item 0, Update.Physical { vread = 1; value = item_row 5 }) ]
+  in
+  Alcotest.(check row_triple) "local scan is stale"
+    [ ("0", 100, 1); ("1", 100, 1) ]
+    (summary (scan_sync engine c4));
+  Alcotest.(check row_triple) "majority scan returns the fresh version"
+    [ ("0", 5, 2); ("1", 100, 1) ]
+    (summary (scan_sync ~level:`Majority engine c4))
+
+let test_scan_majority_deleted () =
+  let engine, _, c4 = stale_dc4 ~items:3 [ (item 1, Update.Delete { vread = 1 }) ] in
+  Alcotest.(check int) "the stale replica still has the row" 3
+    (List.length (scan_sync engine c4));
+  Alcotest.(check row_triple) "majority scan drops the deleted row"
+    [ ("0", 100, 1); ("2", 100, 1) ]
+    (summary (scan_sync ~level:`Majority engine c4))
+
+let test_scan_session_upgrades () =
+  let engine, cluster = make_cluster ~items:3 () in
+  let c4 = Cluster.coordinator cluster ~dc:4 ~rank:0 in
+  let session = Session.create c4 in
+  (* DC 4's storage node misses everything below while its app server,
+     and so the session, stays up. *)
+  let net = Cluster.network cluster in
+  let node4 = Cluster.Layout.local_node (Cluster.layout cluster) ~dc:4 (item 0) in
+  Mdcc_sim.Network.fail_node net node4;
+  (* Row 1: the session's own delta write, whose version it cannot know. *)
+  let committed = ref false in
+  Session.submit session
+    (Txn.make ~id:"own-delta" ~updates:[ (item 1, Update.Delta [ ("stock", -1) ]) ])
+    (fun o -> committed := is_committed o);
+  Engine.run ~until:(Engine.now engine +. 60_000.0) engine;
+  Alcotest.(check bool) "delta committed" true !committed;
+  (* Rows 0 and 2 change too; the session learns of row 0 only, through a
+     majority read. *)
+  let o =
+    run_txn engine cluster ~dc:0
+      [
+        (item 0, Update.Physical { vread = 1; value = item_row 5 });
+        (item 2, Update.Physical { vread = 1; value = item_row 7 });
+      ]
+  in
+  Alcotest.(check bool) "committed" true (is_committed o);
+  Mdcc_sim.Network.recover_node net node4;
+  Session.read ~level:`Majority session (item 0) ignore;
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  Alcotest.(check int) "watermark of row 0" 2 (Session.watermark session (item 0));
+  let reg = Mdcc_obs.Obs.registry (Coordinator.obs c4) in
+  let counter = Mdcc_obs.Registry.counter reg in
+  let majority0 = counter "read_majority" and upgrades0 = counter "session_scan_stale_upgrade" in
+  let got = ref None in
+  Session.scan session ~table:"item" ~limit:10 (fun rows -> got := Some rows);
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  let rows = match !got with Some rows -> rows | None -> Alcotest.fail "scan never answered" in
+  Alcotest.(check row_triple)
+    "rows 0 and 1 upgraded; row 2, stale but never observed, served locally"
+    [ ("0", 5, 2); ("1", 99, 2); ("2", 100, 1) ]
+    (summary rows);
+  Alcotest.(check int) "one majority read per upgraded row" 2 (counter "read_majority" - majority0);
+  Alcotest.(check int) "session_scan_stale_upgrade moves once" 1
+    (counter "session_scan_stale_upgrade" - upgrades0)
+
 let suite =
   [
     Alcotest.test_case "local read returns committed" `Quick test_local_read_returns_committed;
@@ -123,4 +210,7 @@ let suite =
     Alcotest.test_case "majority read of deleted row" `Quick test_majority_read_of_deleted;
     Alcotest.test_case "local scan with order/limit" `Quick test_scan_local;
     Alcotest.test_case "scan of empty table" `Quick test_scan_empty_table;
+    Alcotest.test_case "majority scan returns fresh versions" `Quick test_scan_majority_fresh;
+    Alcotest.test_case "majority scan drops deleted rows" `Quick test_scan_majority_deleted;
+    Alcotest.test_case "session scan upgrades only stale rows" `Quick test_scan_session_upgrades;
   ]

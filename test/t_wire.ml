@@ -1,11 +1,10 @@
-(* Wire front-end tests: the timer wheel, the incremental parser under
-   arbitrary chunk boundaries and malformed input, the connection handler
-   over a synchronous fake backend, the full wire stack over the *simulated*
-   runtime (pinning that the protocol layer is runtime-agnostic), the
-   socket loop's Messages.size_of byte metering, and the server binary's
-   SIGTERM graceful drain. *)
+(* Wire front-end tests: the socket loop's engine-backed timers, the
+   incremental parser under arbitrary chunk boundaries and malformed input,
+   the connection handler over a synchronous fake backend, the full wire
+   stack over the *simulated* runtime (pinning that the protocol layer is
+   runtime-agnostic), the socket loop's Messages.size_of byte metering and
+   listen failures, and the server binary's SIGTERM graceful drain. *)
 
-module Wheel = Mdcc_runtime_unix.Timer_wheel
 module Loop = Mdcc_runtime_unix.Loop
 module Runtime = Mdcc_core.Runtime
 module Messages = Mdcc_core.Messages
@@ -13,6 +12,7 @@ module Config = Mdcc_core.Config
 module Cluster = Mdcc_core.Cluster
 module Session = Mdcc_core.Session
 module Engine = Mdcc_sim.Engine
+module Net = Mdcc_sim.Network
 module Rng = Mdcc_util.Rng
 module Protocol = Mdcc_wire.Protocol
 module Parser = Mdcc_wire.Parser
@@ -20,57 +20,79 @@ module Backend = Mdcc_wire.Backend
 module Handler = Mdcc_wire.Handler
 open Mdcc_storage
 
-(* ---------------- timer wheel ---------------- *)
+(* ---------------- loop timers ---------------- *)
 
-let test_wheel_order () =
-  let w = Wheel.create ~now:0.0 () in
+(* Poll until [pred] holds; the deadlines below are tens of milliseconds,
+   so ten seconds of wall time means the loop is stuck. *)
+let poll_until lp pred =
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while not (pred ()) do
+    if Unix.gettimeofday () > give_up then Alcotest.fail "loop never reached the expected state";
+    Loop.poll lp ~max_wait_ms:20.0
+  done
+
+let test_loop_timer_order () =
+  let lp = Loop.create () in
+  let rt = Loop.runtime lp in
   let fired = ref [] in
   let tag name () = fired := name :: !fired in
-  ignore (Wheel.set w ~now:0.0 ~after:5.0 (tag "b5"));
-  ignore (Wheel.set w ~now:0.0 ~after:2.0 (tag "a2"));
-  ignore (Wheel.set w ~now:0.0 ~after:5.0 (tag "c5"));
-  ignore (Wheel.set w ~now:0.0 ~after:900.0 (tag "d900"));
-  Alcotest.(check int) "pending" 4 (Wheel.pending w);
-  Wheel.advance w ~now:10.0;
+  ignore (Runtime.set_timer rt ~after:30.0 (tag "b30"));
+  ignore (Runtime.set_timer rt ~after:10.0 (tag "a10"));
+  ignore (Runtime.set_timer rt ~after:30.0 (tag "c30"));
+  ignore (Runtime.set_timer rt ~after:60.0 (tag "d60"));
+  (* Spawns are zero-delay events: both fall due at the same instant, so
+     only insertion order separates them. *)
+  Runtime.spawn rt (tag "s1");
+  Runtime.spawn rt (tag "s2");
+  Alcotest.(check int) "pending" 6 (Loop.timers_pending lp);
+  Alcotest.(check (list string)) "nothing runs before a poll" [] !fired;
+  poll_until lp (fun () -> List.length !fired = 6);
   Alcotest.(check (list string))
-    "deadline order, insertion-stable within a deadline" [ "a2"; "b5"; "c5" ]
+    "deadline order, insertion order within a deadline"
+    [ "s1"; "s2"; "a10"; "b30"; "c30"; "d60" ]
     (List.rev !fired);
-  Wheel.advance w ~now:1000.0;
-  Alcotest.(check (list string)) "far timer fires" [ "a2"; "b5"; "c5"; "d900" ]
-    (List.rev !fired);
-  Alcotest.(check int) "drained" 0 (Wheel.pending w)
+  Alcotest.(check int) "drained" 0 (Loop.timers_pending lp)
 
-let test_wheel_cancel () =
-  let w = Wheel.create ~now:0.0 () in
+let test_loop_timer_cancel () =
+  let lp = Loop.create () in
+  let rt = Loop.runtime lp in
   let fired = ref 0 in
-  let h = Wheel.set w ~now:0.0 ~after:3.0 (fun () -> incr fired) in
-  ignore (Wheel.set w ~now:0.0 ~after:3.0 (fun () -> incr fired));
-  Wheel.cancel w h;
-  Wheel.cancel w h;
-  Alcotest.(check int) "cancel is lazy but counted once" 1 (Wheel.pending w);
-  Wheel.advance w ~now:10.0;
-  Alcotest.(check int) "only the live timer fired" 1 !fired
+  let h = Runtime.set_timer rt ~after:3.0 (fun () -> incr fired) in
+  let live = Runtime.set_timer rt ~after:3.0 (fun () -> incr fired) in
+  Runtime.cancel_timer rt h;
+  Runtime.cancel_timer rt h;
+  Alcotest.(check int) "a double cancel counts once" 1 (Loop.timers_pending lp);
+  poll_until lp (fun () -> !fired > 0);
+  Alcotest.(check int) "only the live timer fired" 1 !fired;
+  Runtime.cancel_timer rt live;
+  Alcotest.(check int) "cancelling a fired timer is a no-op" 0 (Loop.timers_pending lp);
+  ignore (Runtime.set_timer rt ~after:1000.0 ignore);
+  Alcotest.(check int) "the count stays exact afterwards" 1 (Loop.timers_pending lp)
 
-let test_wheel_clamp () =
-  let w = Wheel.create ~now:100.0 () in
-  let fired = ref false in
-  ignore (Wheel.set w ~now:100.0 ~after:0.0 (fun () -> fired := true));
-  Wheel.advance w ~now:100.0;
-  Alcotest.(check bool) "zero-delay timer never fires at set time" false !fired;
-  Wheel.advance w ~now:102.0;
-  Alcotest.(check bool) "fires on the next tick" true !fired;
-  (* a timer set from inside a callback lands on a later tick, not the
-     one being swept — no infinite same-tick loop *)
-  let again = ref 0 in
+let test_loop_timer_from_callback () =
+  let lp = Loop.create () in
+  let rt = Loop.runtime lp in
+  let inner = ref false and ran_inside = ref true in
+  ignore
+    (Runtime.set_timer rt ~after:1.0 (fun () ->
+         ignore (Runtime.set_timer rt ~after:0.0 (fun () -> inner := true));
+         ran_inside := !inner));
+  poll_until lp (fun () -> !inner);
+  Alcotest.(check bool) "a timer set in a callback never runs inside it" false !ran_inside;
+  (* A zero-delay timer that reschedules itself forever: each poll still
+     returns, and each one moves the chain on. *)
+  let steps = ref 0 and stop = ref false in
   let rec resched () =
-    if !again < 3 then begin
-      incr again;
-      ignore (Wheel.set w ~now:110.0 ~after:0.0 resched)
-    end
+    incr steps;
+    if not !stop then ignore (Runtime.set_timer rt ~after:0.0 resched)
   in
-  ignore (Wheel.set w ~now:105.0 ~after:1.0 resched);
-  Wheel.advance w ~now:120.0;
-  Alcotest.(check int) "reschedule chain progressed across ticks" 3 !again
+  ignore (Runtime.set_timer rt ~after:0.0 resched);
+  for _ = 1 to 5 do
+    Loop.poll lp ~max_wait_ms:0.0
+  done;
+  Alcotest.(check bool) "the chain moved on every poll" true (!steps >= 5);
+  stop := true;
+  poll_until lp (fun () -> Loop.timers_pending lp = 0)
 
 (* ---------------- parser ---------------- *)
 
@@ -366,12 +388,17 @@ let test_wire_over_sim () =
 let test_loop_meter_size_of () =
   let lp = Loop.create ~seed:3 () in
   let rt = Loop.runtime lp in
-  let delivered = ref 0 in
-  Runtime.register rt 1 (fun ~src:_ _payload -> incr delivered);
-  let sent_bytes = ref 0 and recv_bytes = ref 0 in
+  let delivered = ref 0 and seen_ctx = ref [] in
+  Runtime.register rt 1 (fun ~src:_ _payload ->
+      incr delivered;
+      seen_ctx := Net.trace_context () :: !seen_ctx);
+  let sized = ref 0 and sent_bytes = ref 0 and recv_bytes = ref 0 in
   Loop.set_meter lp
     {
-      Loop.w_size = Messages.size_of;
+      Loop.w_size =
+        (fun p ->
+          incr sized;
+          Messages.size_of p);
       w_on_send = (fun ~src:_ ~dst:_ ~bytes -> sent_bytes := !sent_bytes + bytes);
       w_on_deliver = (fun ~src:_ ~dst:_ ~bytes -> recv_bytes := !recv_bytes + bytes);
     };
@@ -379,15 +406,52 @@ let test_loop_meter_size_of () =
     Messages.Phase1a
       { key = Key.make ~table:"kv" ~id:"x"; ballot = Mdcc_paxos.Ballot.initial_fast }
   in
-  Runtime.send rt ~src:0 ~dst:1 payload;
+  Net.with_trace_context (Some "tx-7") (fun () ->
+      for _ = 1 to 3 do
+        Runtime.send rt ~src:0 ~dst:1 payload
+      done);
   Loop.poll lp ~max_wait_ms:0.0;
-  Alcotest.(check int) "delivered" 1 !delivered;
+  Alcotest.(check int) "delivered" 3 !delivered;
+  Alcotest.(check int) "size_of runs once per message" 3 !sized;
+  Alcotest.(check (list (option string)))
+    "the handler runs in the sender's trace context" [ Some "tx-7"; Some "tx-7"; Some "tx-7" ]
+    !seen_ctx;
+  Alcotest.(check (option string)) "and the context is restored after" None
+    (Net.trace_context ());
   let expect = Messages.size_of payload in
   Alcotest.(check bool) "size_of is positive" true (expect > 0);
   (* framing charges Messages.size_of — the single source of truth shared
      with the simulated network's meter *)
-  Alcotest.(check int) "sent bytes = size_of" expect !sent_bytes;
-  Alcotest.(check int) "delivered bytes = size_of" expect !recv_bytes
+  Alcotest.(check int) "sent bytes = size_of" (3 * expect) !sent_bytes;
+  Alcotest.(check int) "delivered bytes = size_of" (3 * expect) !recv_bytes
+
+(* ---------------- socket loop: listen failures ---------------- *)
+
+(* A listening socket on an ephemeral port, which the code under test
+   then finds in use. *)
+let hold_port () =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 1;
+  match Unix.getsockname fd with
+  | ADDR_INET (_, port) -> (fd, port)
+  | ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_loop_listen_failure () =
+  let lp = Loop.create () in
+  let held, port = hold_port () in
+  let fds_before = if Sys.file_exists "/proc/self/fd" then Some (open_fds ()) else None in
+  for _ = 1 to 5 do
+    match Loop.listen lp ~port (fun _ -> Alcotest.fail "accepted on a failed listener") with
+    | _ -> Alcotest.fail "listen on a port in use succeeded"
+    | exception Unix.Unix_error (EADDRINUSE, _, _) -> ()
+  done;
+  Option.iter
+    (fun n -> Alcotest.(check int) "failed listens leave no socket open" n (open_fds ()))
+    fds_before;
+  Unix.close held
 
 (* ---------------- server binary: SIGTERM graceful drain ---------------- *)
 
@@ -592,11 +656,47 @@ let test_server_metrics () =
   | Unix.WSIGNALED s -> Alcotest.failf "server killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "server stopped"
 
+let test_server_port_in_use () =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let held, port = hold_port () in
+  let err_r, err_w = Unix.pipe () in
+  let pid =
+    Unix.create_process server_exe
+      [| server_exe; "--nodes"; "3"; "--port"; string_of_int port |]
+      Unix.stdin Unix.stdout err_w
+  in
+  Unix.close err_w;
+  let buf = Bytes.create 4096 and err = Buffer.create 128 in
+  let rec read_all () =
+    match deadline_read err_r buf ~deadline with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes err buf 0 n;
+      read_all ()
+    | exception e ->
+      Unix.kill pid Sys.sigkill;
+      raise e
+  in
+  read_all ();
+  Unix.close err_r;
+  let _, status = Unix.waitpid [] pid in
+  Unix.close held;
+  Alcotest.(check string) "one line naming the address"
+    (Printf.sprintf "server_cli: cannot listen on 127.0.0.1:%d: %s\n" port
+       (Unix.error_message EADDRINUSE))
+    (Buffer.contents err);
+  match status with
+  | Unix.WEXITED 2 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "server exited %d, wanted 2" n
+  | Unix.WSIGNALED s -> Alcotest.failf "server killed by signal %d" s
+  | Unix.WSTOPPED _ -> Alcotest.fail "server stopped"
+
 let suite =
   [
-    Alcotest.test_case "timer wheel: firing order" `Quick test_wheel_order;
-    Alcotest.test_case "timer wheel: cancellation" `Quick test_wheel_cancel;
-    Alcotest.test_case "timer wheel: next-tick clamp" `Quick test_wheel_clamp;
+    Alcotest.test_case "loop timers: firing order" `Quick test_loop_timer_order;
+    Alcotest.test_case "loop timers: cancellation" `Quick test_loop_timer_cancel;
+    Alcotest.test_case "loop timers: set from a callback" `Quick
+      test_loop_timer_from_callback;
     Alcotest.test_case "parser: pinned stream, any chunking" `Quick test_parser_pinned;
     Alcotest.test_case "parser: seeded random chunk boundaries" `Quick
       test_parser_random_chunks;
@@ -607,6 +707,9 @@ let suite =
     Alcotest.test_case "parser: resync counter" `Quick test_parser_resync_counter;
     Alcotest.test_case "wire stack over the simulated runtime" `Quick test_wire_over_sim;
     Alcotest.test_case "socket loop meters Messages.size_of" `Quick test_loop_meter_size_of;
+    Alcotest.test_case "loop listen failure closes its socket" `Quick
+      test_loop_listen_failure;
+    Alcotest.test_case "server_cli: port in use exits 2" `Quick test_server_port_in_use;
     Alcotest.test_case "server_cli: SIGTERM graceful drain" `Quick test_server_sigterm;
     Alcotest.test_case "server_cli: live metrics over TCP" `Quick test_server_metrics;
   ]
