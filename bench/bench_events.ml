@@ -5,7 +5,7 @@
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Nine sections, each timed in isolation:
+   Ten sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -26,7 +26,12 @@
                        entries (one op = one visibility)
    - dangling_scan_idle: 100 dangling-transaction scans over 10,000
                        records, each with one pending option younger than
-                       the transaction timeout (one op = one scan)
+                       the transaction timeout (one op = one scan): a walk
+                       that finds nothing stale allocates nothing per
+                       record
+   - span_event:       protocol events through Ctx.emit into a span store,
+                       alternately a fast Voted and an Applied, on spans
+                       already open (one op = one event)
    - fast_path_commit: 1,000 TPC-W-style transactions (three commutative
                        stock decrements) committed one after another through
                        Cluster.create on the simulated five-region network:
@@ -60,6 +65,8 @@ module Messages = Mdcc_core.Messages
 module Runtime = Mdcc_core.Runtime
 module Storage_node = Mdcc_core.Storage_node
 module Woption = Mdcc_core.Woption
+module Ctx = Mdcc_core.Ctx
+module Event = Mdcc_core.Event
 
 type section = {
   s_name : string;
@@ -251,6 +258,38 @@ let dangling_scan_idle () =
         (Queue.pop timers) ()
       done)
 
+let span_event () =
+  let ops = 100_000 and txns = 1_000 in
+  let runtime =
+    Runtime.make
+      ~now:(fun () -> 1.0)
+      ~send:(fun ~src:_ ~dst:_ _ -> ())
+      ~register:(fun _ _ -> ())
+      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Rng.create 5) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let obs = Mdcc_obs.Obs.create ~spans:true () in
+  let stream = Ctx.stream (Ctx.make ~obs ()) runtime ~node:3 in
+  let value = Value.of_list [ ("stock", Value.Int 7) ] in
+  let events =
+    Array.init txns (fun i ->
+        let txid = Printf.sprintf "t%05d" i
+        and key = Key.make ~table:"item" ~id:(string_of_int i) in
+        Option.iter (fun sp -> Mdcc_obs.Span.begin_txn sp ~txid ~at:0.0) (Mdcc_obs.Obs.spans obs);
+        ( Event.Voted { txid; key; vote = Event.Fast None },
+          Event.Applied { txid; key; version = 2; value; wrote = true } ))
+  in
+  time_section "span_event" ops (fun () ->
+      for i = 0 to (ops / 2) - 1 do
+        let voted, applied = events.(i mod txns) in
+        Ctx.emit stream voted;
+        Ctx.emit stream applied
+      done)
+
 let fast_path_commit () =
   let commits = 1_000 and items = 300 in
   let engine = Engine.create ~seed:13 in
@@ -316,6 +355,7 @@ let bench ~out =
       loop_send ~ops;
       visibility_hot_key ();
       dangling_scan_idle ();
+      span_event ();
       fast_path_commit ();
       rng_lognormal ~ops;
     ]
@@ -354,8 +394,8 @@ let out_arg =
 let () =
   let doc =
     "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
-     socket loop's message path, of the storage node's visibility and dangling-scan paths, of one fast-path commit and of a \
-     latency-jitter draw"
+     socket loop's message path, of the storage node's visibility and dangling-scan paths, of the \
+     span fold, of one fast-path commit and of a latency-jitter draw"
   in
   let cmd =
     Cmd.v

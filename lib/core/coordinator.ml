@@ -21,20 +21,28 @@ type key_state = {
   mutable attempts : int;  (** timeout-driven recovery attempts *)
 }
 
+(* A transaction in flight.  [keys] holds one slot per update, in
+   ascending [Key.compare] order; its options share one write-set.  A
+   message finds its slot by a linear scan: write-sets are a handful of
+   keys, and [Txn.make] has already ruled out duplicates. *)
 type txn_state = {
   txn : Txn.t;
   callback : Txn.outcome -> unit;
-  mutable keys : key_state Key.Map.t;
+  keys : key_state array;
   mutable undecided : int;
   mutable timeout : Runtime.timer option;
 }
 
+(* A read waiting for [r_missing] more replies.  Replies fold into the
+   freshest one so far: a reply replaces it unless its version is lower,
+   so on equal versions the one that arrived last wins. *)
 type read_state = {
-  r_key : Key.t;
-  r_need : int;
   r_cb : (Value.t * int) option -> unit;
-  mutable r_replies : (int * (Value.t * int * bool)) list;
-  mutable r_done : bool;
+  mutable r_missing : int;
+  mutable r_from : int list;  (* the acceptors that answered *)
+  mutable r_value : Value.t;
+  mutable r_version : int;
+  mutable r_exists : bool;
 }
 
 type scan_state = {
@@ -69,6 +77,7 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   txn_submitted : Obs.counter;  (* the per-transaction counters, resolved once *)
   fast_commit : Obs.counter;
+  mutable outbox : (int * Net.payload) list;  (* a batched broadcast, newest first *)
 }
 
 (* How long a collision keeps steering this coordinator to the master before
@@ -123,31 +132,32 @@ let send_batched t pairs =
         | ps -> send t dst (Messages.Batch (List.rev ps)))
       by_dst
 
-(* Run [each], which hands every message of a broadcast to its argument in
-   send order.  Unbatched, the messages go out as they come — no list of
-   (destination, payload) pairs is built; batched, they are collected and
-   folded per destination. *)
-let send_each t each =
-  if not t.config.Config.batching then each (send t)
-  else begin
-    let pairs = ref [] in
-    each (fun dst p -> pairs := (dst, p) :: !pairs);
-    send_batched t (List.rev !pairs)
+(* One message of a broadcast.  Unbatched, it goes out at once and no
+   list of (destination, payload) pairs is built; batched, it waits in
+   [t.outbox] until [flush] folds the broadcast per destination. *)
+let out t dst p =
+  if t.config.Config.batching then t.outbox <- (dst, p) :: t.outbox else send t dst p
+
+let flush t =
+  if t.config.Config.batching then begin
+    let pairs = List.rev t.outbox in
+    t.outbox <- [];
+    send_batched t pairs
   end
 
 (* One payload record to every replica, in list order or reversed: the
    payloads are immutable, so the replicas share it. *)
-let rec to_each send_one p = function
+let rec out_each t p = function
   | [] -> ()
   | dst :: rest ->
-    send_one dst p;
-    to_each send_one p rest
+    out t dst p;
+    out_each t p rest
 
-let rec to_each_rev send_one p = function
+let rec out_each_rev t p = function
   | [] -> ()
   | dst :: rest ->
-    to_each_rev send_one p rest;
-    send_one dst p
+    out_each_rev t p rest;
+    out t dst p
 
 (* Settle a key's route — fast to every replica, or classic through the
    master while a collision hint is live. *)
@@ -160,36 +170,34 @@ let route_proposal t (ks : key_state) =
   end;
   if classic then ks.redirected <- true
 
-let propose send_one t (ks : key_state) =
+let propose t (ks : key_state) =
   let w = ks.woption in
   if ks.redirected then
-    send_one (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
-  else to_each send_one (Messages.Propose { woption = w; route = `Fast }) ks.replicas
+    out t (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
+  else out_each t (Messages.Propose { woption = w; route = `Fast }) ks.replicas
 
 let decide t (ts : txn_state) =
   (match ts.timeout with Some h -> Runtime.cancel_timer t.runtime h | None -> ());
   Hashtbl.remove t.txns ts.txn.Txn.id;
-  let rejected =
-    Key.Map.fold
-      (fun _ ks acc ->
-        match ks.learned with Some Woption.Rejected -> ks.woption :: acc | Some Woption.Accepted | None -> acc)
-      ts.keys []
-  in
-  let committed = rejected = [] in
+  let committed = ref true and commutative = ref true and pure_fast = ref true in
+  for i = 0 to Array.length ts.keys - 1 do
+    let ks = ts.keys.(i) in
+    (match ks.learned with
+    | Some Woption.Rejected ->
+      committed := false;
+      if not (Woption.is_commutative ks.woption) then commutative := false
+    | Some Woption.Accepted | None -> ());
+    if ks.collided || ks.redirected || ks.attempts > 0 then pure_fast := false
+  done;
+  let committed = !committed in
   let outcome =
     if committed then Txn.Committed
-    else if List.for_all (fun w -> Woption.is_commutative w) rejected then
-      Txn.Aborted Txn.Constraint_violation
+    else if !commutative then Txn.Aborted Txn.Constraint_violation
     else Txn.Aborted Txn.Conflict
   in
   (match outcome with
   | Txn.Committed ->
-    let pure_fast =
-      Key.Map.for_all
-        (fun _ ks -> not (ks.collided || ks.redirected || ks.attempts > 0))
-        ts.keys
-    in
-    if pure_fast && t.config.Config.mode <> Config.Multi then Obs.bump t.fast_commit
+    if !pure_fast && t.config.Config.mode <> Config.Multi then Obs.bump t.fast_commit
     else Obs.incr t.obs "assisted_commit"
   | Txn.Aborted Txn.Constraint_violation -> Obs.incr t.obs "abort_constraint"
   | Txn.Aborted _ -> Obs.incr t.obs "abort_conflict");
@@ -197,27 +205,34 @@ let decide t (ts : txn_state) =
   (* Asynchronous Learned/Visibility notification: execute or void every
      option; correctness does not depend on its timing (§3.2.1).  Keys go
      out in descending order, each key's replicas in reverse. *)
-  let descending = Key.Map.fold (fun _ ks acc -> ks :: acc) ts.keys [] in
-  send_each t (fun send_one ->
-      List.iter
-        (fun ks ->
-          to_each_rev send_one
-            (Messages.Visibility
-               {
-                 txid = ts.txn.Txn.id;
-                 key = ks.woption.Woption.key;
-                 update = ks.woption.Woption.update;
-                 committed;
-               })
-            ks.replicas)
-        descending);
+  for i = Array.length ts.keys - 1 downto 0 do
+    let ks = ts.keys.(i) in
+    out_each_rev t
+      (Messages.Visibility
+         {
+           txid = ts.txn.Txn.id;
+           key = ks.woption.Woption.key;
+           update = ks.woption.Woption.update;
+           committed;
+         })
+      ks.replicas
+  done;
+  flush t;
   ts.callback outcome
+
+(* Learned outcomes, allocated once. *)
+let learned_accepted = Some Woption.Accepted
+
+let learned_rejected = Some Woption.Rejected
 
 let learn t (ts : txn_state) (ks : key_state) decision =
   match ks.learned with
   | Some _ -> ()
   | None ->
-    ks.learned <- Some decision;
+    ks.learned <-
+      (match decision with
+      | Woption.Accepted -> learned_accepted
+      | Woption.Rejected -> learned_rejected);
     ts.undecided <- ts.undecided - 1;
     let txid = ts.txn.Txn.id and key = ks.woption.Woption.key in
     if live t then emit t (Event.Learned { txid; key; decision });
@@ -257,15 +272,22 @@ let rec position acceptor i = function
   | [] -> -1
   | r :: rest -> if r = acceptor then i else position acceptor (i + 1) rest
 
-(* [find] with its exception rather than [find_opt]: a vote allocates no
-   option to find its transaction and key. *)
+(* The index of [key]'s slot, or -1. *)
+let rec slot_index (keys : key_state array) key i =
+  if i = Array.length keys then -1
+  else if Key.equal keys.(i).woption.Woption.key key then i
+  else slot_index keys key (i + 1)
+
+(* [find] with its exception rather than [find_opt], and the slot's
+   index rather than an option: a vote allocates nothing to find its
+   transaction and key. *)
 let on_vote t txid key acceptor decision =
   match Hashtbl.find t.txns txid with
   | exception Not_found -> ()
-  | ts -> (
-    match Key.Map.find key ts.keys with
-    | exception Not_found -> ()
-    | ks ->
+  | ts ->
+    let i = slot_index ts.keys key 0 in
+    if i >= 0 then begin
+      let ks = ts.keys.(i) in
       let pos = position acceptor 0 ks.replicas in
       if ks.learned = None && pos >= 0 && ks.voted land (1 lsl pos) = 0 then begin
         ks.voted <- ks.voted lor (1 lsl pos);
@@ -284,30 +306,31 @@ let on_vote t txid key acceptor decision =
           if live t then emit t (Event.Collided { txid; key; acks; rejects });
           start_recovery_for t ks
         end
-      end)
+      end
+    end
 
 let on_learned t txid key decision =
-  match Hashtbl.find_opt t.txns txid with
-  | None -> ()
-  | Some ts -> (
-    match Key.Map.find_opt key ts.keys with
-    | None -> ()
-    | Some ks -> learn t ts ks decision)
+  match Hashtbl.find t.txns txid with
+  | exception Not_found -> ()
+  | ts ->
+    let i = slot_index ts.keys key 0 in
+    if i >= 0 then learn t ts ts.keys.(i) decision
 
 let on_redirect t txid key master =
-  match Hashtbl.find_opt t.txns txid with
-  | None -> ()
-  | Some ts -> (
-    match Key.Map.find_opt key ts.keys with
-    | None -> ()
-    | Some ks ->
+  match Hashtbl.find t.txns txid with
+  | exception Not_found -> ()
+  | ts ->
+    let i = slot_index ts.keys key 0 in
+    if i >= 0 then begin
+      let ks = ts.keys.(i) in
       set_hint t key;
       if ks.learned = None && not ks.redirected then begin
         ks.redirected <- true;
         Obs.incr t.obs "redirect";
         if live t then emit t (Event.Redirected { txid; key; master });
         send t master (Messages.Propose { woption = ks.woption; route = `Classic })
-      end)
+      end
+    end
 
 let rec arm_timeout t (ts : txn_state) =
   let jitter = Rng.float t.rng 100.0 in
@@ -315,8 +338,8 @@ let rec arm_timeout t (ts : txn_state) =
     Some
       (Runtime.set_timer t.runtime ~after:(t.config.Config.learn_timeout +. jitter) (fun () ->
            if Hashtbl.mem t.txns ts.txn.Txn.id then begin
-             Key.Map.iter
-               (fun _ ks ->
+             Array.iter
+               (fun ks ->
                  if ks.learned = None then begin
                    Obs.incr t.obs "timeout_recovery";
                    start_recovery_for t ks
@@ -325,22 +348,43 @@ let rec arm_timeout t (ts : txn_state) =
              arm_timeout t ts
            end))
 
+let new_slot t (txn : Txn.t) write_set (key, update) =
+  let woption = { Woption.txid = txn.Txn.id; key; update; write_set; coordinator = t.id } in
+  { woption; replicas = t.replicas key; voted = 0; acks = 0; rejects = 0; learned = None;
+    collided = false; collided_at = None; redirected = false; attempts = 0 }
+
+let rec fill t txn write_set keys i = function
+  | [] -> ()
+  | u :: rest ->
+    keys.(i) <- new_slot t txn write_set u;
+    fill t txn write_set keys (i + 1) rest
+
+(* The slots of a non-empty write-set in ascending key order, by an
+   insertion sort: write-sets are a handful of keys. *)
+let slots t (txn : Txn.t) =
+  let write_set = Txn.keys txn in
+  match txn.Txn.updates with
+  | [] -> [||]
+  | first :: rest ->
+    let keys = Array.make (List.length txn.Txn.updates) (new_slot t txn write_set first) in
+    fill t txn write_set keys 1 rest;
+    for i = 1 to Array.length keys - 1 do
+      let ks = keys.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && Key.compare keys.(!j).woption.Woption.key ks.woption.Woption.key > 0 do
+        keys.(!j + 1) <- keys.(!j);
+        decr j
+      done;
+      keys.(!j + 1) <- ks
+    done;
+    keys
+
 let submit t txn callback =
   if Txn.is_read_only txn then
     Runtime.spawn t.runtime (fun () -> callback Txn.Committed)
   else begin
-    let options = Woption.of_txn txn ~coordinator:t.id in
-    let keys =
-      List.fold_left
-        (fun m (w : Woption.t) ->
-          Key.Map.add w.Woption.key
-            { woption = w; replicas = t.replicas w.Woption.key; voted = 0; acks = 0;
-              rejects = 0; learned = None; collided = false; collided_at = None;
-              redirected = false; attempts = 0 }
-            m)
-        Key.Map.empty options
-    in
-    let ts = { txn; callback; keys; undecided = Key.Map.cardinal keys; timeout = None } in
+    let keys = slots t txn in
+    let ts = { txn; callback; keys; undecided = Array.length keys; timeout = None } in
     Hashtbl.replace t.txns txn.Txn.id ts;
     Obs.bump t.txn_submitted;
     if live t then emit t (Event.Submitted txn);
@@ -350,8 +394,13 @@ let submit t txn callback =
     Net.with_trace_context (Some txn.Txn.id) (fun () ->
         (* Routes and their spans are settled in key order; the proposals
            then go out in descending key order. *)
-        let descending = Key.Map.fold (fun _ ks acc -> route_proposal t ks; ks :: acc) keys [] in
-        send_each t (fun send_one -> List.iter (propose send_one t) descending));
+        for i = 0 to Array.length keys - 1 do
+          route_proposal t keys.(i)
+        done;
+        for i = Array.length keys - 1 downto 0 do
+          propose t keys.(i)
+        done;
+        flush t);
     arm_timeout t ts
   end
 
@@ -369,20 +418,22 @@ let local_replica t key =
       Invariant.violate ~node:t.id ~context:"Coordinator.local_replica"
         "key %s has no replicas" (Key.to_string key))
 
-let new_read t key ~need cb =
+let new_read t ~need cb =
   let rid = t.next_rid in
   t.next_rid <- t.next_rid + 1;
-  Hashtbl.replace t.reads rid { r_key = key; r_need = need; r_cb = cb; r_replies = []; r_done = false };
+  Hashtbl.replace t.reads rid
+    { r_cb = cb; r_missing = need; r_from = []; r_value = Value.empty; r_version = min_int;
+      r_exists = false };
   rid
 
 let read_local t key cb =
   Obs.incr t.obs "read_local";
-  let rid = new_read t key ~need:1 cb in
+  let rid = new_read t ~need:1 cb in
   send t (local_replica t key) (Messages.Read_request { rid; key })
 
 let read_majority t key cb =
   Obs.incr t.obs "read_majority";
-  let rid = new_read t key ~need:(Config.classic_quorum t.config) cb in
+  let rid = new_read t ~need:(Config.classic_quorum t.config) cb in
   List.iter (fun r -> send t r (Messages.Read_request { rid; key })) (t.replicas key)
 
 (* Snapshot reads: serve straight from the co-located partition stores,
@@ -406,25 +457,20 @@ let read ?(level = `Local) t key cb =
   | `Snapshot -> read_snapshot t key cb
 
 let on_read_reply t rid acceptor value version exists =
-  match Hashtbl.find_opt t.reads rid with
-  | None -> ()
-  | Some rs ->
-    if (not rs.r_done) && not (List.mem_assoc acceptor rs.r_replies) then begin
-      rs.r_replies <- (acceptor, (value, version, exists)) :: rs.r_replies;
-      if List.length rs.r_replies >= rs.r_need then begin
-        rs.r_done <- true;
+  match Hashtbl.find t.reads rid with
+  | exception Not_found -> ()
+  | rs ->
+    if not (List.mem acceptor rs.r_from) then begin
+      rs.r_from <- acceptor :: rs.r_from;
+      if version >= rs.r_version then begin
+        rs.r_value <- value;
+        rs.r_version <- version;
+        rs.r_exists <- exists
+      end;
+      rs.r_missing <- rs.r_missing - 1;
+      if rs.r_missing = 0 then begin
         Hashtbl.remove t.reads rid;
-        let freshest =
-          List.fold_left
-            (fun best (_, (v, ver, ex)) ->
-              match best with
-              | Some (_, bver, _) when bver >= ver -> best
-              | Some _ | None -> Some (v, ver, ex))
-            None rs.r_replies
-        in
-        match freshest with
-        | Some (v, ver, true) -> rs.r_cb (Some (v, ver))
-        | Some (_, _, false) | None -> rs.r_cb None
+        rs.r_cb (if rs.r_exists then Some (rs.r_value, rs.r_version) else None)
       end
     end
 
@@ -547,6 +593,7 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       stream = Ctx.stream ctx runtime ~node:node_id;
       txn_submitted = Obs.counter obs "txn_submitted";
       fast_commit = Obs.counter obs "fast_commit";
+      outbox = [];
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

@@ -36,7 +36,13 @@ let in_history = function
   | Diverged _ | Unknown_update _ ->
     false
 
-let outcome_string outcome = Format.asprintf "%a" Txn.pp_outcome outcome
+(* [Txn.pp_outcome]'s rendering, as constants. *)
+let outcome_string = function
+  | Txn.Committed -> "committed"
+  | Txn.Aborted Txn.Conflict -> "aborted(conflict)"
+  | Txn.Aborted Txn.Constraint_violation -> "aborted(constraint-violation)"
+  | Txn.Aborted Txn.Node_unreachable -> "aborted(node-unreachable)"
+  | Txn.Aborted Txn.Recovered_abort -> "aborted(recovered-abort)"
 
 let short = function Woption.Accepted -> "acc" | Woption.Rejected -> "rej"
 
@@ -46,39 +52,51 @@ let fast_verdict = function
   | Some Rstate.Outstanding_option -> "rej:outstanding"
   | Some Rstate.Demarcation -> "rej:demarcation"
 
+(* ["fast " ^ fast_verdict] and ["classic " ^ short], as constants. *)
+let vote_detail = function
+  | Fast None -> "fast acc"
+  | Fast (Some Rstate.Version_validation) -> "fast rej:version"
+  | Fast (Some Rstate.Outstanding_option) -> "fast rej:outstanding"
+  | Fast (Some Rstate.Demarcation) -> "fast rej:demarcation"
+  | Classic Woption.Accepted -> "classic acc"
+  | Classic Woption.Rejected -> "classic rej"
+
 let span_names =
   [ "submit"; "propose"; "vote"; "collision"; "collision_resolved"; "redirect";
     "start_recovery"; "learn"; "decide"; "visible"; "repair" ]
 
+(* A span event about one record: the key is rendered here, once. *)
+let keyed sp ~at ~node ~txid ~name key detail =
+  Span.event sp ~txid ~at ~node ~name ~key:(Key.to_string key) ~detail ()
+
 let record_span sp ~at ~node ev =
-  let span ~txid ~name ?key detail =
-    Span.event sp ~txid ~at ~node ~name ?key:(Option.map Key.to_string key) ~detail ()
-  in
   match ev with
   | Submitted txn ->
     Span.begin_txn sp ~txid:txn.Txn.id ~at;
-    span ~txid:txn.Txn.id ~name:"submit"
-      (Printf.sprintf "%d keys" (List.length txn.Txn.updates))
+    Span.event sp ~txid:txn.Txn.id ~at ~node ~name:"submit"
+      ~detail:(Printf.sprintf "%d keys" (List.length txn.Txn.updates))
+      ()
   | Proposed { txid; key; route } ->
-    span ~txid ~name:"propose" ~key (match route with `Classic -> "classic" | `Fast -> "fast")
-  | Voted { txid; key; vote = Fast reason } ->
-    span ~txid ~name:"vote" ~key ("fast " ^ fast_verdict reason)
-  | Voted { txid; key; vote = Classic decision } ->
-    span ~txid ~name:"vote" ~key ("classic " ^ short decision)
+    keyed sp ~at ~node ~txid ~name:"propose" key
+      (match route with `Classic -> "classic" | `Fast -> "fast")
+  | Voted { txid; key; vote } -> keyed sp ~at ~node ~txid ~name:"vote" key (vote_detail vote)
   | Collided { txid; key; acks; rejects } ->
-    span ~txid ~name:"collision" ~key (Printf.sprintf "acks=%d rejects=%d" acks rejects)
-  | Collision_resolved { txid; key } -> span ~txid ~name:"collision_resolved" ~key ""
+    keyed sp ~at ~node ~txid ~name:"collision" key
+      (Printf.sprintf "acks=%d rejects=%d" acks rejects)
+  | Collision_resolved { txid; key } ->
+    keyed sp ~at ~node ~txid ~name:"collision_resolved" key ""
   | Redirected { txid; key; master } ->
-    span ~txid ~name:"redirect" ~key (Printf.sprintf "to master %d" master)
+    keyed sp ~at ~node ~txid ~name:"redirect" key (Printf.sprintf "to master %d" master)
   | Recovery_started { txid; key; target } ->
-    span ~txid ~name:"start_recovery" ~key (Printf.sprintf "via node %d" target)
+    keyed sp ~at ~node ~txid ~name:"start_recovery" key (Printf.sprintf "via node %d" target)
   | Learned { txid; key; decision } ->
-    span ~txid ~name:"learn" ~key
+    keyed sp ~at ~node ~txid ~name:"learn" key
       (match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
-  | Decided { txid; outcome } -> span ~txid ~name:"decide" (outcome_string outcome)
-  | Applied { txid; key; _ } -> span ~txid ~name:"visible" ~key "exec"
-  | Voided { txid; key } -> span ~txid ~name:"visible" ~key "void"
-  | Repaired { txid; key; _ } -> span ~txid ~name:"repair" ~key "replay delta"
+  | Decided { txid; outcome } ->
+    Span.event sp ~txid ~at ~node ~name:"decide" ~detail:(outcome_string outcome) ()
+  | Applied { txid; key; _ } -> keyed sp ~at ~node ~txid ~name:"visible" key "exec"
+  | Voided { txid; key } -> keyed sp ~at ~node ~txid ~name:"visible" key "void"
+  | Repaired { txid; key; _ } -> keyed sp ~at ~node ~txid ~name:"repair" key "replay delta"
   | Classic_learned _ | Master_recovery_started _ | Master_recovery_resolved _
   | Txn_recovery_started _ | Txn_recovery_finished _ | Diverged _ | Unknown_update _
   | Fault _ | Violation _ ->

@@ -69,6 +69,17 @@ val in_history : t -> bool
 val span_names : string list
 (** Every span event name {!record_span} uses. *)
 
+val outcome_string : Txn.outcome -> string
+(** The outcome as {!Txn.pp_outcome} renders it, without formatting:
+    one constant string per outcome. *)
+
+val fast_verdict : Rstate.reject_reason option -> string
+(** A fast vote's verdict: ["acc"] or ["rej:<reason>"]. *)
+
+val vote_detail : vote -> string
+(** A vote's span detail: ["fast "] then {!fast_verdict}, or
+    ["classic acc"]/["classic rej"]; one constant string per vote. *)
+
 val record_span : Mdcc_obs.Span.t -> at:float -> node:int -> t -> unit
 (** The span fold: open the transaction's span on [Submitted], append the
     event's span event (if it has one) attributed to [node]. *)

@@ -78,6 +78,10 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
   visibility_exec : Obs.counter;
+  scan_now : Rng.fcell;  (* the scan's [now], flat so the walk boxes nothing *)
+  stale_walk : Key.t -> Rstate.t -> unit;
+      (* raises [Key.Tbl.Found] on a record with an option past the
+         timeout at [scan_now]; built once in [create] *)
 }
 
 let node_id t = t.id
@@ -926,33 +930,48 @@ let txn_recovery_status t txid key status acceptor =
       evaluate_txn_recovery t tr
     end
 
+(* Whether a pending option is past the transaction timeout: the same
+   expression as [scan_dangling]'s [past_timeout], so both agree to the
+   bit.  The clock comes in a flat cell, not as a float argument, which
+   would be boxed per call. *)
+let rec any_past_timeout (now : Rng.fcell) (config : Config.t) = function
+  | [] -> false
+  | (p : Rstate.pending) :: rest ->
+    now.Rng.f -. p.Rstate.proposed_at > config.Config.txn_timeout
+    || any_past_timeout now config rest
+
 (* Periodic scan for pending options whose coordinator went silent.  The
    record's master reacts after one timeout; other replicas after three, so
-   a single node usually drives each recovery.  Candidates are collected
-   first: starting a recovery mutates [t.records].  Recoveries start in
-   reverse (key, pending) order.  The scan runs over every record at every
-   node, so records with nothing stale cost a visit and no allocation. *)
+   a single node usually drives each recovery.  The scan visits every
+   record at every node and almost always finds nothing, so it first asks
+   [stale_walk] whether any option is past the timeout at all: a walk that
+   allocates nothing.  Only then are candidates collected, all before the
+   first recovery starts, since starting one mutates [t.records].
+   Recoveries start in reverse (key, pending) order. *)
 let scan_dangling t =
-  let now = now t and timeout = t.config.Config.txn_timeout in
-  let older_than limit (p : Rstate.pending) = now -. p.Rstate.proposed_at > limit in
-  let past_timeout p = older_than timeout p in
-  let stale_in key (rs : Rstate.t) =
-    (* The shortest deadline first: it settles almost every record without
-       computing the record's master. *)
-    if not (List.exists past_timeout rs.Rstate.pending) then None
-    else begin
-      let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
-      let is_stale (p : Rstate.pending) =
-        older_than limit p && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
-      in
-      match List.filter is_stale rs.Rstate.pending with
-      | [] -> None
-      | stale -> Some (List.map (fun (p : Rstate.pending) -> p.Rstate.woption) stale)
-    end
-  in
-  Key.Tbl.sorted_filter_map stale_in t.records
-  |> List.concat |> List.rev
-  |> List.iter (start_txn_recovery t)
+  t.scan_now.Rng.f <- now t;
+  if Key.Tbl.any t.stale_walk t.records then begin
+    let now = now t and timeout = t.config.Config.txn_timeout in
+    let older_than limit (p : Rstate.pending) = now -. p.Rstate.proposed_at > limit in
+    let past_timeout p = older_than timeout p in
+    let stale_in key (rs : Rstate.t) =
+      (* The shortest deadline first: it settles almost every record
+         without computing the record's master. *)
+      if not (List.exists past_timeout rs.Rstate.pending) then None
+      else begin
+        let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
+        let is_stale (p : Rstate.pending) =
+          older_than limit p && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
+        in
+        match List.filter is_stale rs.Rstate.pending with
+        | [] -> None
+        | stale -> Some (List.map (fun (p : Rstate.pending) -> p.Rstate.woption) stale)
+      end
+    in
+    Key.Tbl.sorted_filter_map stale_in t.records
+    |> List.concat |> List.rev
+    |> List.iter (start_txn_recovery t)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy repair (Sync_reply reconciliation)                      *)
@@ -1120,7 +1139,7 @@ let rec handle t ~src payload =
   | _ -> ()
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.default ()) () =
-  let obs = ctx.Ctx.obs in
+  let obs = ctx.Ctx.obs and scan_now = { Rng.f = 0.0 } in
   let t =
     {
       runtime;
@@ -1142,6 +1161,10 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       stream = Ctx.stream ctx runtime ~node:node_id;
       option_accept = Obs.counter obs "option_accept";
       visibility_exec = Obs.counter obs "visibility_exec";
+      scan_now;
+      stale_walk =
+        (fun _ (rs : Rstate.t) ->
+          if any_past_timeout scan_now config rs.Rstate.pending then raise_notrace Key.Tbl.Found);
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

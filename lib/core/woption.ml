@@ -10,12 +10,6 @@ type t = {
   coordinator : int;
 }
 
-let of_txn (txn : Txn.t) ~coordinator =
-  let write_set = Txn.keys txn in
-  List.map
-    (fun (key, update) -> { txid = txn.Txn.id; key; update; write_set; coordinator })
-    txn.Txn.updates
-
 let is_commutative t = Update.is_commutative t.update
 
 let decision_equal a b =

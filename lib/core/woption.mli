@@ -19,9 +19,6 @@ type t = {
   coordinator : int;  (** node id of the proposing app-server *)
 }
 
-val of_txn : Txn.t -> coordinator:int -> t list
-(** One option per update of the transaction. *)
-
 val is_commutative : t -> bool
 
 val decision_equal : decision -> decision -> bool

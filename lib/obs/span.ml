@@ -21,11 +21,13 @@ let begin_txn t ~txid ~at =
   | Some sp -> if sp.sp_begin < 0.0 then sp.sp_begin <- at
   | None -> Hashtbl.replace t.spans txid { sp_begin = at; sp_events = [] }
 
+(* [find] with its exception rather than [find_opt]: appending to a known
+   span allocates only the event. *)
 let event t ~txid ~at ~node ~name ?key ~detail () =
   let sp =
-    match find t txid with
-    | Some sp -> sp
-    | None ->
+    match Hashtbl.find t.spans txid with
+    | sp -> sp
+    | exception Not_found ->
         let sp = { sp_begin = -1.0; sp_events = [] } in
         Hashtbl.replace t.spans txid sp;
         sp

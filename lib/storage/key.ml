@@ -12,7 +12,15 @@ let equal a b = compare a b = 0
    places keys in partitions — without building the pair per lookup. *)
 let hash (t : t) = Hashtbl.hash t
 
-let to_string t = t.table ^ "/" ^ t.id
+(* One string built in place: [table ^ "/" ^ id] would build the
+   intermediate [table ^ "/"] first. *)
+let to_string t =
+  let tl = String.length t.table in
+  let b = Bytes.create (tl + 1 + String.length t.id) in
+  Bytes.blit_string t.table 0 b 0 tl;
+  Bytes.set b tl '/';
+  Bytes.blit_string t.id 0 b (tl + 1) (String.length t.id);
+  Bytes.unsafe_to_string b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
@@ -40,6 +48,13 @@ module Tbl = struct
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   let sorted_iter f t = List.iter (fun (k, v) -> f k v) (sorted_bindings t)
+
+  exception Found
+
+  (* The answer does not depend on the walk's order, so hash order is
+     allowed here.  [f] goes to [iter] as is: a caller that builds it
+     once walks the table allocating only [iter]'s bucket closure. *)
+  let any f t = match iter f t with () -> false | exception Found -> true
 
   (* Only the survivors are consed and sorted, so a walk that selects
      nothing allocates nothing per binding. *)

@@ -31,4 +31,14 @@ module Tbl : sig
   (** [sorted_filter_map f t] is [List.filter_map] of [f] over
       {!sorted_bindings}, but only the bindings [f] keeps are collected and
       sorted.  [f] must not mutate [t]. *)
+
+  exception Found
+
+  val any : (key -> 'a -> unit) -> 'a t -> bool
+  (** [any f t] applies [f] to the bindings, in hash order, until one
+      raises {!Found}, and says whether one did.  Only the yes/no answer
+      is observable, so hash order is harmless here, unlike the walks
+      rule R1 sends through the sorted helpers.  [f] must not mutate [t];
+      built once and reused, it leaves [Hashtbl.iter]'s own closure as
+      the walk's only allocation. *)
 end

@@ -19,7 +19,9 @@ type abort_reason =
 
 type outcome = Committed | Aborted of abort_reason
 
-type t = { id : id; updates : (Key.t * Update.t) list }
+type t = private { id : id; updates : (Key.t * Update.t) list }
+(** Private: {!make} and {!serializable} are the only constructors, so
+    every write-set has passed the duplicate-key check. *)
 
 val make : id:id -> updates:(Key.t * Update.t) list -> t
 (** Raises [Invalid_argument] if two updates target the same key (one

@@ -33,22 +33,24 @@ let test_config_mode_names () =
 
 let item i = Key.make ~table:"item" ~id:(string_of_int i)
 
-let test_woption_of_txn () =
-  let txn =
-    Txn.make ~id:"t9"
-      ~updates:
-        [ (item 0, Update.Delta [ ("stock", -1) ]); (item 1, Update.Insert Value.empty) ]
+(* The coordinator keeps one slot per key, so a write-set must not name a
+   key twice: [Txn.t] is private, and both of its constructors check. *)
+let test_txn_rejects_duplicate_key () =
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
   in
-  let options = Woption.of_txn txn ~coordinator:42 in
-  Alcotest.(check int) "one option per update" 2 (List.length options);
-  List.iter
-    (fun (w : Woption.t) ->
-      Alcotest.(check string) "txid" "t9" w.Woption.txid;
-      Alcotest.(check int) "coordinator" 42 w.Woption.coordinator;
-      Alcotest.(check int) "write-set embedded" 2 (List.length w.Woption.write_set))
-    options;
-  Alcotest.(check bool) "commutativity flag" true
-    (Woption.is_commutative (List.hd options))
+  raises "make: one key, two updates" (fun () ->
+      Txn.make ~id:"d"
+        ~updates:[ (item 0, Update.Delta [ ("stock", -1) ]); (item 0, Update.Insert Value.empty) ]);
+  raises "serializable: one key read twice" (fun () ->
+      Txn.serializable ~id:"s" ~reads:[ (item 1, 1); (item 1, 1) ] ~updates:[]);
+  let txn =
+    Txn.serializable ~id:"s" ~reads:[ (item 0, 1); (item 1, 2) ]
+      ~updates:[ (item 0, Update.Delta [ ("stock", -1) ]) ]
+  in
+  Alcotest.(check (list string)) "a written key gets no read guard" [ "0"; "1" ]
+    (List.map (fun (k : Key.t) -> k.Key.id) (Txn.keys txn))
 
 let test_messages_describe () =
   let w =
@@ -293,7 +295,7 @@ let suite =
     Alcotest.test_case "send_all pinned message counts" `Quick
       test_send_all_pinned_counts;
     Alcotest.test_case "config mode names" `Quick test_config_mode_names;
-    Alcotest.test_case "woption of_txn" `Quick test_woption_of_txn;
+    Alcotest.test_case "txn rejects a duplicate key" `Quick test_txn_rejects_duplicate_key;
     Alcotest.test_case "messages describe" `Quick test_messages_describe;
     Alcotest.test_case "messages size_of pinned per constructor" `Quick
       test_messages_size_of_pinned;

@@ -339,6 +339,37 @@ let test_span_basics () =
   Alcotest.(check (list string)) "unknown txid empty" []
     (List.map (fun e -> e.Span.ev_name) (Span.events s ~txid:"zzz"))
 
+(* The span fold's detail strings are constants; each must equal what the
+   renderers they replaced produced, so span documents do not move. *)
+let test_span_strings_match_renderers () =
+  let module Event = Mdcc_core.Event in
+  let module Txn = Mdcc_storage.Txn in
+  let module Rstate = Mdcc_core.Rstate in
+  let module Woption = Mdcc_core.Woption in
+  List.iter
+    (fun o ->
+      let rendered = Format.asprintf "%a" Txn.pp_outcome o in
+      Alcotest.(check string) rendered rendered (Event.outcome_string o))
+    Txn.
+      [
+        Committed;
+        Aborted Conflict;
+        Aborted Constraint_violation;
+        Aborted Node_unreachable;
+        Aborted Recovered_abort;
+      ];
+  List.iter
+    (fun reason ->
+      Alcotest.(check string) "fast vote"
+        ("fast " ^ Event.fast_verdict reason)
+        (Event.vote_detail (Event.Fast reason)))
+    Rstate.[ None; Some Version_validation; Some Outstanding_option; Some Demarcation ];
+  List.iter
+    (fun (decision, short) ->
+      Alcotest.(check string) "classic vote" ("classic " ^ short)
+        (Event.vote_detail (Event.Classic decision)))
+    [ (Woption.Accepted, "acc"); (Woption.Rejected, "rej") ]
+
 let test_span_json_groups_keys () =
   let s = Span.create () in
   Span.begin_txn s ~txid:"t1" ~at:1.0;
@@ -468,6 +499,7 @@ let suite =
     Alcotest.test_case "--profile byte identity" `Quick test_profile_byte_identity;
     Alcotest.test_case "span basics" `Quick test_span_basics;
     Alcotest.test_case "span json key groups" `Quick test_span_json_groups_keys;
+    Alcotest.test_case "span strings match old renderers" `Quick test_span_strings_match_renderers;
     Alcotest.test_case "trace line sink" `Quick test_trace_line_sink;
     Alcotest.test_case "event stream without tracing" `Quick test_event_stream_without_tracing;
     Alcotest.test_case "chaos run counters" `Quick test_chaos_counters;

@@ -5,6 +5,7 @@ open Helpers
 module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
 module Config = Mdcc_core.Config
+module Coordinator = Mdcc_core.Coordinator
 
 let check_commit msg outcome = Alcotest.check outcome_testable msg Txn.Committed outcome
 
@@ -173,9 +174,96 @@ let test_modes_conflict mode =
   check_commit (Config.mode_name mode ^ " first") o1;
   check_abort (Config.mode_name mode ^ " second") o2
 
+(* A 5-key transaction at a bare coordinator: the write-set is listed out
+   of key order, and the fast votes arrive key by key.  Each proposal
+   carries one update's option, naming the transaction, the coordinator
+   and the whole write-set.  It decides only when the last key learns;
+   proposals and Visibility go out in descending key order, each key's
+   Visibility to its replicas in reverse. *)
+let test_five_keys_decide_when_all_learned () =
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] in
+  let runtime =
+    Mdcc_core.Runtime.make
+      ~now:(fun () -> 0.0)
+      ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let replicas = [ 0; 1; 2; 3; 4 ] in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let drain () =
+    let s = List.rev !sent in
+    sent := [];
+    s
+  in
+  let ids = [ 3; 0; 4; 1; 2 ] in
+  let outcome = ref None in
+  Coordinator.submit c
+    (Txn.make ~id:"five"
+       ~updates:(List.map (fun i -> (item i, Update.Delta [ ("stock", -1) ])) ids))
+    (fun o -> outcome := Some o);
+  let write_set = List.map item ids in
+  let proposals =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Propose { woption = w; _ } ->
+          Alcotest.(check string) "txid" "five" w.Woption.txid;
+          Alcotest.(check int) "coordinator" 9 w.Woption.coordinator;
+          Alcotest.(check bool) "whole write-set, in update order" true
+            (List.equal Key.equal write_set w.Woption.write_set);
+          Alcotest.(check bool) "commutative" true (Woption.is_commutative w);
+          Some (w.Woption.key.Key.id, dst)
+        | _ -> None)
+      (drain ())
+  in
+  let descending = [ "4"; "3"; "2"; "1"; "0" ] in
+  Alcotest.(check (list (pair string int)))
+    "proposals: descending keys, replicas in order"
+    (List.concat_map (fun id -> List.map (fun r -> (id, r)) replicas) descending)
+    proposals;
+  List.iteri
+    (fun n i ->
+      Alcotest.(check bool) (Printf.sprintf "undecided after %d learned" n) true (!outcome = None);
+      List.iter
+        (fun acceptor ->
+          !handler ~src:acceptor
+            (Messages.Phase2b_fast
+               { key = item i; txid = "five"; decision = Woption.Accepted; acceptor }))
+        [ 4; 2; 0; 1 ])
+    ids;
+  check_commit "decided when every key learned" (Option.get !outcome);
+  Alcotest.(check int) "no longer in flight" 0 (Coordinator.inflight c);
+  let visibility =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Visibility { key; committed = true; _ } -> Some (key.Key.id, dst)
+        | _ -> None)
+      (drain ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "visibility: descending keys, replicas reversed"
+    (List.concat_map (fun id -> List.map (fun r -> (id, r)) (List.rev replicas)) descending)
+    visibility
+
 let suite =
   [
     Alcotest.test_case "single update commits" `Quick test_single_update_commits;
+    Alcotest.test_case "five keys decide when all learned" `Quick
+      test_five_keys_decide_when_all_learned;
     Alcotest.test_case "multi-record commit" `Quick test_multi_record_commit;
     Alcotest.test_case "stale vread aborts" `Quick test_stale_vread_aborts;
     Alcotest.test_case "insert & duplicate insert" `Quick test_insert_and_conflict;

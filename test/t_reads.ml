@@ -6,6 +6,7 @@ open Helpers
 module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
 module Coordinator = Mdcc_core.Coordinator
+module Config = Mdcc_core.Config
 module Session = Mdcc_core.Session
 
 let read_sync ~level engine c key =
@@ -200,8 +201,86 @@ let test_scan_session_upgrades () =
   Alcotest.(check int) "session_scan_stale_upgrade moves once" 1
     (counter "session_scan_stale_upgrade" - upgrades0)
 
+(* A `Majority read at a coordinator of five replicas whose replies the
+   test delivers by hand: returns a function delivering one acceptor's
+   reply, the answer so far and how often the callback ran. *)
+let majority_read () =
+  let module Messages = Mdcc_core.Messages in
+  let handler = ref (fun ~src:_ _ -> ()) and rid = ref (-1) in
+  let runtime =
+    Mdcc_core.Runtime.make
+      ~now:(fun () -> 0.0)
+      ~send:(fun ~src:_ ~dst:_ payload ->
+        match payload with Messages.Read_request { rid = r; _ } -> rid := r | _ -> ())
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let answer = ref None and calls = ref 0 in
+  Coordinator.read ~level:`Majority c (item 0) (fun r ->
+      answer := r;
+      incr calls);
+  let reply ?(exists = true) ~from version stock =
+    !handler ~src:from
+      (Messages.Read_reply
+         { rid = !rid; key = item 0; value = item_row stock; version; exists })
+  in
+  let got () = Option.map (fun (v, ver) -> (Value.get_int v "stock", ver)) !answer in
+  (reply, got, calls)
+
+let stock_version = Alcotest.(option (pair int int))
+
+let test_majority_returns_highest_version () =
+  let reply, got, calls = majority_read () in
+  reply ~from:0 3 30;
+  reply ~from:1 5 50;
+  Alcotest.(check int) "two of three replies: no answer yet" 0 !calls;
+  reply ~from:2 4 40;
+  Alcotest.(check int) "answered once" 1 !calls;
+  Alcotest.(check stock_version) "the highest version" (Some (50, 5)) (got ())
+
+let test_majority_tie_last_reply_wins () =
+  let reply, got, _ = majority_read () in
+  reply ~from:0 5 1;
+  reply ~from:1 2 2;
+  reply ~from:2 5 3;
+  Alcotest.(check stock_version) "the later of two equal versions" (Some (3, 5)) (got ());
+  let reply, got, calls = majority_read () in
+  reply ~from:0 5 1;
+  reply ~exists:false ~from:1 5 0;
+  reply ~from:2 1 2;
+  Alcotest.(check int) "answered" 1 !calls;
+  Alcotest.(check stock_version) "the later reply is a deletion" None (got ())
+
+let test_majority_duplicate_reply_ignored () =
+  let reply, got, calls = majority_read () in
+  reply ~from:0 1 10;
+  reply ~from:0 9 90;
+  reply ~from:1 2 20;
+  Alcotest.(check int) "a repeated acceptor does not count" 0 !calls;
+  reply ~from:2 3 30;
+  Alcotest.(check int) "answered once" 1 !calls;
+  Alcotest.(check stock_version) "the repeat's version is ignored" (Some (30, 3)) (got ());
+  reply ~from:3 7 70;
+  Alcotest.(check int) "a late reply changes nothing" 1 !calls
+
 let suite =
   [
+    Alcotest.test_case "majority read: highest version" `Quick
+      test_majority_returns_highest_version;
+    Alcotest.test_case "majority read: last of a tie wins" `Quick test_majority_tie_last_reply_wins;
+    Alcotest.test_case "majority read: duplicate ignored" `Quick
+      test_majority_duplicate_reply_ignored;
     Alcotest.test_case "local read returns committed" `Quick test_local_read_returns_committed;
     Alcotest.test_case "local read of missing row" `Quick test_local_read_missing;
     Alcotest.test_case "read-committed: no uncommitted data" `Quick

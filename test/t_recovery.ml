@@ -379,8 +379,98 @@ let test_sync_targets () =
     ]
     (requests ())
 
+(* The dangling scan against a reference model.  One node holds options
+   on six records, proposed at ages that straddle the transaction timeout
+   and three times it, exact boundaries included; even records are
+   mastered by node 0, odd ones by node 1.  The model: an option is stale
+   when its age exceeds one timeout at the record's master and three
+   elsewhere; recoveries start in reverse (key, arrival) order.  Each
+   write-set is the option's own key, so a recovery's one Status_query to
+   the other replica names it. *)
+let prop_dangling_scan_matches_model =
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let timeout = 5000 and scan_at = 100_000 in
+  let age =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0; timeout - 1; timeout; timeout + 1; (3 * timeout) - 1; 3 * timeout;
+                   (3 * timeout) + 1 ];
+          int_range 0 (4 * timeout);
+        ])
+  in
+  QCheck.Test.make ~name:"dangling scan matches its model" ~count:300
+    QCheck.(
+      pair (make Gen.(int_range 0 1))
+        (make
+           ~print:Print.(list (pair int int))
+           Gen.(list_size (int_range 0 30) (pair (int_range 0 5) age))))
+    (fun (node_id, opts) ->
+      let master_of (k : Key.t) = int_of_string k.Key.id mod 2 in
+      let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and timers = ref [] in
+      let clock = ref 0.0 in
+      let runtime =
+        Mdcc_core.Runtime.make
+          ~now:(fun () -> !clock)
+          ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
+          ~register:(fun _ h -> handler := h)
+          ~set_timer:(fun ~after:_ f ->
+            timers := f :: !timers;
+            ignore)
+          ~spawn:(fun f -> f ())
+          ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+          ~trace:(fun ~tag:_ _ -> ())
+          ~tracing:(fun () -> false)
+          ()
+      in
+      let node =
+        Storage_node.create ~runtime
+          ~config:(Config.make ~replication:3 ~txn_timeout:(Float.of_int timeout) ())
+          ~node_id
+          ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+          ~replicas:(fun _ -> [ 0; 1 ])
+          ~master_of ()
+      in
+      let opts = List.mapi (fun i (r, age) -> (Printf.sprintf "x%02d" i, item r, age)) opts in
+      List.iter
+        (fun (txid, key, age) ->
+          clock := Float.of_int (scan_at - age);
+          !handler ~src:9
+            (Messages.Propose
+               {
+                 woption =
+                   { Woption.txid; key; update = Update.Delta [ ("stock", 1) ];
+                     write_set = [ key ]; coordinator = 9 };
+                 route = `Fast;
+               }))
+        opts;
+      clock := Float.of_int scan_at;
+      Storage_node.start_maintenance node;
+      sent := [];
+      (List.hd !timers) ();
+      let started =
+        List.filter_map
+          (fun (dst, p) ->
+            match p with
+            | Messages.Status_query { txid; _ } when dst <> node_id -> Some txid
+            | _ -> None)
+          (List.rev !sent)
+      in
+      let expected =
+        List.init 6 item
+        |> List.concat_map (fun key ->
+               let limit = if master_of key = node_id then timeout else 3 * timeout in
+               List.filter_map
+                 (fun (txid, k, age) -> if Key.equal k key && age > limit then Some txid else None)
+                 opts)
+        |> List.rev
+      in
+      started = expected)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_dangling_scan_matches_model;
     Alcotest.test_case "commit with failed DC (fast)" `Quick test_commit_with_failed_dc;
     Alcotest.test_case "commit with failed DC (multi)" `Quick test_commit_with_failed_dc_multi;
     Alcotest.test_case "master failover" `Quick test_master_failure_failover;

@@ -283,6 +283,18 @@ let prop_sorted_filter_map =
       Key.Tbl.sorted_filter_map f tbl
       = List.filter_map (fun (k, v) -> f k v) (Key.Tbl.sorted_bindings tbl))
 
+let prop_tbl_any =
+  QCheck.Test.make ~name:"Key.Tbl.any is List.exists" ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 0 60) (pair (int_range 0 30) small_nat)) small_nat)
+    (fun (entries, target) ->
+      let tbl = Key.Tbl.create 8 in
+      List.iter
+        (fun (id, v) -> Key.Tbl.replace tbl (Key.make ~table:"item" ~id:(string_of_int id)) v)
+        entries;
+      let hit _ v = if v = target then raise Key.Tbl.Found in
+      Key.Tbl.any hit tbl
+      = List.exists (fun (_, v) -> v = target) (Key.Tbl.sorted_bindings tbl))
+
 (* [Key.hash] hashes the record itself; it must equal the pair hash that
    partition assignment and [Key.Tbl] layout were built on. *)
 let prop_key_hash_is_pair_hash =
@@ -326,6 +338,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_versions;
     QCheck_alcotest.to_alcotest prop_digest_matches_sorted_list;
     QCheck_alcotest.to_alcotest prop_sorted_filter_map;
+    QCheck_alcotest.to_alcotest prop_tbl_any;
     Alcotest.test_case "key hash pinned values" `Quick test_key_hash_pinned;
     QCheck_alcotest.to_alcotest prop_key_hash_is_pair_hash;
   ]
