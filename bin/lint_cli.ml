@@ -13,13 +13,13 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let run allow_file json sarif_file jobs check_allow roots =
+let run allow_file json sarif_file check_allow roots =
   let allow =
     match allow_file with
     | None -> []
     | Some path -> Allowlist.load path
   in
-  match Driver.scan ~allow ~jobs roots with
+  match Driver.scan ~allow roots with
   | exception Driver.Parse_error { file; message } ->
     Printf.eprintf "lint: cannot parse %s: %s\n" file message;
     exit 2
@@ -64,12 +64,6 @@ let sarif_arg =
   let doc = "Write a SARIF 2.1.0 report to $(docv) (for code-scanning upload)." in
   Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Analysis worker domains. Output is byte-identical for every value."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 let check_allow_arg =
   let doc =
     "Fail (exit 1) if any allowlist entry suppresses nothing, so \
@@ -86,7 +80,6 @@ let cmd =
   let info = Cmd.info "mdcc-lint" ~doc in
   Cmd.v info
     Term.(
-      const run $ allow_arg $ json_arg $ sarif_arg $ jobs_arg $ check_allow_arg
-      $ roots_arg)
+      const run $ allow_arg $ json_arg $ sarif_arg $ check_allow_arg $ roots_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -266,7 +266,7 @@ let start_recovery_for t (ks : key_state) =
   (* Timeout-driven recoveries run outside any delivery, so re-establish the
      causal context explicitly for the recovery cascade. *)
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
-      send t target (Messages.Start_recovery { key; woption = Some w }))
+      send t target (Messages.Start_recovery { key; woption = w }))
 
 let rec position acceptor i = function
   | [] -> -1

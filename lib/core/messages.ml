@@ -2,20 +2,22 @@ open Mdcc_storage
 open Mdcc_paxos
 
 (* A committed-state snapshot used by recovery and anti-entropy.  [included]
-   lists every transaction whose effect is folded into [value], with the
-   update it contributed: the receiver marks them visible so a late
-   Visibility delivery cannot re-apply them (commutative deltas carry no
-   version guard, so state transfer without the txid watermark double-counts
-   them), and keeps the updates so it can later offer them to a diverged
-   peer in a [Sync_reply]. *)
+   maps every transaction whose effect is folded into [value] to the update
+   it contributed (the sender's applied set, shipped as is): the receiver
+   marks them visible so a late Visibility delivery cannot re-apply them
+   (commutative deltas carry no version guard, so state transfer without
+   the txid watermark double-counts them), and keeps the updates so it can
+   later offer them to a diverged peer in a [Sync_reply]. *)
 type rebase = {
   value : Value.t;
   version : int;
   exists : bool;
-  included : (Txn.id * Update.t) list;
+  included : Update.t Txn.Map.t;
 }
 
 type vote = { woption : Woption.t; decision : Woption.decision; ballot : Ballot.t }
+
+type promise = { votes : vote list; rebase : rebase; decided : (Txn.id * bool) list }
 
 type status =
   | Status_unknown
@@ -30,12 +32,7 @@ type Mdcc_sim.Network.payload +=
       ballot : Ballot.t;
       ok : bool;
       promised : Ballot.t;
-      votes : vote list;
-      version : int;
-      value : Value.t;
-      exists : bool;
-      included : (Txn.id * Update.t) list;
-      decided : (Txn.id * bool) list;
+      promise : promise;
     }
   | Phase2a of {
       key : Key.t;
@@ -61,7 +58,7 @@ type Mdcc_sim.Network.payload +=
   | Learned of { key : Key.t; txid : Txn.id; decision : Woption.decision }
   | Redirect of { key : Key.t; txid : Txn.id; master : int; classic_until : int }
   | Visibility of { txid : Txn.id; key : Key.t; update : Update.t; committed : bool }
-  | Start_recovery of { key : Key.t; woption : Woption.t option }
+  | Start_recovery of { key : Key.t; woption : Woption.t }
   | Status_query of { txid : Txn.id; key : Key.t }
   | Status_reply of { txid : Txn.id; key : Key.t; status : status; acceptor : int }
   | Catchup_request of { key : Key.t }
@@ -70,11 +67,9 @@ type Mdcc_sim.Network.payload +=
   | Read_reply of { rid : int; key : Key.t; value : Value.t; version : int; exists : bool }
   | Batch of Mdcc_sim.Network.payload list
   | Sync_request of { entries : (Key.t * int * int) list }
-  | Sync_reply of { key : Key.t; version : int; applied : (Txn.id * Update.t) list }
+  | Sync_reply of { key : Key.t; version : int; applied : Update.t Txn.Map.t }
   | Scan_request of { rid : int; table : string; order_by : string option; limit : int }
   | Scan_reply of { rid : int; rows : (Key.t * Value.t * int) list }
-
-let decision_str = function Woption.Accepted -> "acc" | Woption.Rejected -> "rej"
 
 (* Digest of the transaction ids folded into a replica's committed value.
    Two replicas at the same version whose digests differ have applied
@@ -118,11 +113,10 @@ let woption_bytes (w : Woption.t) =
 
 let vote_bytes v = woption_bytes v.woption + 9
 
-let applied_entry_bytes (txid, update) = String.length txid + update_bytes update
+let applied_bytes applied =
+  Txn.Map.fold (fun txid update acc -> acc + String.length txid + update_bytes update) applied 0
 
-let rebase_bytes (r : rebase) =
-  value_bytes r.value + 5
-  + List.fold_left (fun acc e -> acc + applied_entry_bytes e) 0 r.included
+let rebase_bytes (r : rebase) = value_bytes r.value + 5 + applied_bytes r.included
 
 let rec size_of payload =
   header_bytes
@@ -130,10 +124,9 @@ let rec size_of payload =
   match payload with
   | Propose { woption; _ } -> woption_bytes woption + 1
   | Phase1a { key; _ } -> key_bytes key + 8
-  | Phase1b { key; votes; value; included; decided; _ } ->
-    key_bytes key + 17 + value_bytes value
+  | Phase1b { key; promise = { votes; rebase; decided }; _ } ->
+    key_bytes key + 12 + rebase_bytes rebase
     + List.fold_left (fun acc v -> acc + vote_bytes v) 0 votes
-    + List.fold_left (fun acc e -> acc + applied_entry_bytes e) 0 included
     + List.fold_left (fun acc (txid, _) -> acc + String.length txid + 1) 0 decided
   | Phase2a { key; woption; rebase; _ } ->
     key_bytes key + 13 + woption_bytes woption
@@ -144,8 +137,7 @@ let rec size_of payload =
   | Redirect { key; txid; _ } -> key_bytes key + String.length txid + 8
   | Visibility { txid; key; update; _ } ->
     String.length txid + key_bytes key + update_bytes update + 1
-  | Start_recovery { key; woption } ->
-    key_bytes key + (match woption with Some w -> woption_bytes w | None -> 0)
+  | Start_recovery { key; woption } -> key_bytes key + woption_bytes woption
   | Status_query { txid; key } -> String.length txid + key_bytes key
   | Status_reply { txid; key; status; _ } ->
     String.length txid + key_bytes key + 4
@@ -159,9 +151,7 @@ let rec size_of payload =
     List.fold_left (fun acc item -> acc + size_of item) 0 items
   | Sync_request { entries } ->
     List.fold_left (fun acc (key, _, _) -> acc + key_bytes key + 8) 0 entries
-  | Sync_reply { key; applied; _ } ->
-    key_bytes key + 4
-    + List.fold_left (fun acc e -> acc + applied_entry_bytes e) 0 applied
+  | Sync_reply { key; applied; _ } -> key_bytes key + 4 + applied_bytes applied
   | Scan_request { table; order_by; _ } ->
     String.length table + 8
     + (match order_by with Some a -> String.length a | None -> 0)
@@ -171,50 +161,3 @@ let rec size_of payload =
         (fun acc (key, value, _) -> acc + key_bytes key + value_bytes value + 4)
         0 rows
   | _ -> 0
-
-let describe = function
-  | Propose { woption; route } ->
-    Printf.sprintf "propose(%s, %s, %s)"
-      (match route with `Fast -> "fast" | `Classic -> "classic")
-      woption.Woption.txid
-      (Key.to_string woption.Woption.key)
-  | Phase1a { key; ballot } ->
-    Printf.sprintf "phase1a(%s, %s)" (Key.to_string key) (Format.asprintf "%a" Ballot.pp ballot)
-  | Phase1b { key; ok; votes; _ } ->
-    Printf.sprintf "phase1b(%s, ok=%b, votes=%d)" (Key.to_string key) ok (List.length votes)
-  | Phase2a { key; woption; decision; _ } ->
-    Printf.sprintf "phase2a(%s, %s, %s)" (Key.to_string key) woption.Woption.txid
-      (decision_str decision)
-  | Phase2b_master { key; txid; ok; decision; _ } ->
-    Printf.sprintf "phase2b_m(%s, %s, ok=%b, %s)" (Key.to_string key) txid ok
-      (decision_str decision)
-  | Phase2b_fast { key; txid; decision; acceptor } ->
-    Printf.sprintf "phase2b_f(%s, %s, %s, a%d)" (Key.to_string key) txid
-      (decision_str decision) acceptor
-  | Learned { key; txid; decision } ->
-    Printf.sprintf "learned(%s, %s, %s)" (Key.to_string key) txid (decision_str decision)
-  | Redirect { key; txid; master; classic_until } ->
-    Printf.sprintf "redirect(%s, %s, m=%d, until=%d)" (Key.to_string key) txid master
-      classic_until
-  | Visibility { txid; key; committed; _ } ->
-    Printf.sprintf "visibility(%s, %s, %b)" txid (Key.to_string key) committed
-  | Start_recovery { key; woption } ->
-    Printf.sprintf "start_recovery(%s, %s)" (Key.to_string key)
-      (match woption with Some w -> w.Woption.txid | None -> "-")
-  | Status_query { txid; key } -> Printf.sprintf "status?(%s, %s)" txid (Key.to_string key)
-  | Status_reply { txid; key; acceptor; _ } ->
-    Printf.sprintf "status!(%s, %s, a%d)" txid (Key.to_string key) acceptor
-  | Catchup_request { key } -> Printf.sprintf "catchup?(%s)" (Key.to_string key)
-  | Catchup { key; _ } -> Printf.sprintf "catchup!(%s)" (Key.to_string key)
-  | Batch items -> Printf.sprintf "batch(%d)" (List.length items)
-  | Sync_request { entries } -> Printf.sprintf "sync?(%d keys)" (List.length entries)
-  | Sync_reply { key; version; applied } ->
-    Printf.sprintf "sync!(%s, v%d, %d applied)" (Key.to_string key) version
-      (List.length applied)
-  | Read_request { rid; key } -> Printf.sprintf "read?(%d, %s)" rid (Key.to_string key)
-  | Read_reply { rid; key; version; exists; _ } ->
-    Printf.sprintf "read!(%d, %s, v%d, %b)" rid (Key.to_string key) version exists
-  | Scan_request { rid; table; limit; _ } ->
-    Printf.sprintf "scan?(%d, %s, limit=%d)" rid table limit
-  | Scan_reply { rid; rows } -> Printf.sprintf "scan!(%d, %d rows)" rid (List.length rows)
-  | _ -> "<other>"

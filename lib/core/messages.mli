@@ -28,12 +28,12 @@ type rebase = {
   value : Value.t;
   version : int;
   exists : bool;
-  included : (Txn.id * Update.t) list;
+  included : Update.t Txn.Map.t;
 }
 (** Committed state shipped by a master to re-base stragglers / reset the
     commutative base value after a demarcation collision (§3.4.2).
-    [included] is the watermark of transactions folded into [value], each
-    with the update it contributed: the receiver marks them visible so a
+    [included] is the watermark of transactions folded into [value], mapped
+    to the update each contributed (the sender's applied set): the receiver marks them visible so a
     late Visibility delivery cannot re-apply them (commutative deltas carry
     no version guard, so state transfer without the watermark would
     double-count them), and keeps the updates so it can later offer them to
@@ -41,6 +41,17 @@ type rebase = {
 
 type vote = { woption : Woption.t; decision : Woption.decision; ballot : Ballot.t }
 (** One pending acceptance reported in Phase1b or to recovery. *)
+
+type promise = {
+  votes : vote list;  (** every pending option the acceptor holds for the key *)
+  rebase : rebase;  (** its committed state *)
+  decided : (Txn.id * bool) list;
+      (** visibility outcomes it knows for the key: final decisions a
+          recovery must confirm, never contradict (the executed/voided
+          option no longer appears in [votes]) *)
+}
+(** What an acceptor reports in Phase1b: all a recovering master needs to
+    re-base the record and decide every option safely. *)
 
 type status =
   | Status_unknown  (** no trace of the transaction at this replica *)
@@ -55,15 +66,7 @@ type Mdcc_sim.Network.payload +=
       ballot : Ballot.t;
       ok : bool;  (** false: nack, [promised] is higher *)
       promised : Ballot.t;
-      votes : vote list;
-      version : int;
-      value : Value.t;
-      exists : bool;
-      included : (Txn.id * Update.t) list;
-      decided : (Txn.id * bool) list;
-          (** visibility outcomes this acceptor knows for the key: final
-              decisions a recovery must confirm, never contradict (the
-              executed/voided option no longer appears in [votes]) *)
+      promise : promise;
     }
   | Phase2a of {
       key : Key.t;
@@ -94,7 +97,7 @@ type Mdcc_sim.Network.payload +=
       update : Update.t;
       committed : bool;
     }
-  | Start_recovery of { key : Key.t; woption : Woption.t option }
+  | Start_recovery of { key : Key.t; woption : Woption.t }
   | Status_query of { txid : Txn.id; key : Key.t }
   | Status_reply of { txid : Txn.id; key : Key.t; status : status; acceptor : int }
   | Catchup_request of { key : Key.t }
@@ -118,7 +121,7 @@ type Mdcc_sim.Network.payload +=
           equal-version divergence commutative updates can produce — and
           answer with its own applied set in a [Sync_reply] so both sides
           converge on the union *)
-  | Sync_reply of { key : Key.t; version : int; applied : (Txn.id * Update.t) list }
+  | Sync_reply of { key : Key.t; version : int; applied : Update.t Txn.Map.t }
       (** anti-entropy repair: the responder's full applied set for one
           diverged key.  The receiver replays every committed commutative
           option it has not itself applied (txid-membership guarded, so the
@@ -130,9 +133,6 @@ type Mdcc_sim.Network.payload +=
           sorted descending by an integer attribute — the local analytic
           reads TPC-W's browsing interactions (best sellers, search) issue *)
   | Scan_reply of { rid : int; rows : (Key.t * Value.t * int) list }
-
-val describe : Mdcc_sim.Network.payload -> string
-(** Short human-readable form for traces (["propose(fast, t1, item/4)"]). *)
 
 val applied_digest : 'a Txn.Map.t -> int
 (** Digest of the transaction ids of an applied set (the keys of the map;

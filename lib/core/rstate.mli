@@ -35,7 +35,7 @@ type pending = {
 
 type applied = Update.t Txn.Map.t
 (** An applied set: txid -> the update that transaction contributed.  It
-    travels on the wire as [Txn.Map.bindings], the txid-sorted list. *)
+    is immutable, so rebases and [Sync_reply] carry the map itself. *)
 
 type t = {
   key : Key.t;

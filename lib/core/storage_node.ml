@@ -16,7 +16,7 @@ type round = {
 (* Collision recovery / mastership acquisition in progress for one record. *)
 type recovery = {
   mutable rc_ballot : Ballot.t;
-  mutable rc_resp : (int * Messages.vote list * Messages.rebase * (Txn.id * bool) list) list;
+  mutable rc_resp : (int * Messages.promise) list;  (* (acceptor, its Phase 1b promise) *)
   mutable rc_extras : Woption.t list;
   mutable rc_notify : int list;
   mutable rc_done : bool;
@@ -32,14 +32,25 @@ type mstate = {
   mutable m_recovery : recovery option;
 }
 
-(* Dangling-transaction recovery in progress at this node. *)
+(* One write-set key of a dangling-transaction recovery.  Each acceptor's
+   first status reply folds in once: a pending vote counts toward [acks] or
+   [rejects], and the first option reported is kept. *)
+type tslot = {
+  key : Key.t;
+  mutable opt : Woption.t option;  (* the key's option, once any replica reported it *)
+  mutable from : int list;  (* the acceptors that replied *)
+  mutable acks : int;
+  mutable rejects : int;
+  mutable learned : Woption.decision option;  (* the master's decision *)
+  mutable asked : bool;  (* escalated to the key's master *)
+}
+
+(* Dangling-transaction recovery in progress at this node: one slot per
+   write-set key, in write-set order. *)
 type txrec = {
   tx_id : Txn.id;
-  tx_keys : Key.t list;
-  mutable tx_opts : Woption.t Key.Map.t;
-  mutable tx_replies : (int * Messages.status) list Key.Map.t;
-  mutable tx_learned : Woption.decision Key.Map.t;
-  mutable tx_asked : Key.Set.t;  (* keys already escalated to their master *)
+  tx_keys : Key.t list;  (* the write-set *)
+  tx_slots : tslot array;
   mutable tx_done : bool;
 }
 
@@ -117,13 +128,12 @@ let set_visible t (rs : Rstate.t) txid key committed =
     rs.Rstate.decided <- (txid, committed) :: rs.Rstate.decided;
   Visible.replace t.visible { v_txid = txid; v_key = key } committed
 
-(* The applied set lives on the record's Rstate — the authoritative list of
+(* The applied set lives on the record's Rstate — the authoritative map of
    committed updates folded into our copy of [key], which is what the
    anti-entropy digest must summarize.  (The decided log is the wrong
    source: it also remembers committed read guards, which never change the
-   value, and keeps txids whose effect a later rebase clobbered.) *)
-let applied_of t key = Txn.Map.bindings (rstate t key).Rstate.applied
-
+   value, and keeps txids whose effect a later rebase clobbered.)  The map
+   is immutable, so messages carry it as is. *)
 let applied_digest_of t key = Messages.applied_digest (rstate t key).Rstate.applied
 
 (* A snapshot of our committed state, tagged with every transaction folded
@@ -134,7 +144,7 @@ let rebase_of t key =
     Messages.value = row.Store.value;
     version = row.Store.version;
     exists = row.Store.exists;
-    included = applied_of t key;
+    included = (rstate t key).Rstate.applied;
   }
 
 let mstate t key =
@@ -243,9 +253,9 @@ let fast_propose t (w : Woption.t) =
         fast_reply t w decision
       end)
 
-(* Phase1b contents, as a tuple so the master can be invoked synchronously
-   for its own replica. *)
-let acceptor_phase1a t key ballot =
+(* Answer Phase1a: [reply ~ok ~promised promise], so the master can take its
+   own replica's answer synchronously. *)
+let acceptor_phase1a t key ballot reply =
   let rs = rstate t key in
   let ok = Ballot.compare ballot rs.Rstate.promised > 0 in
   if ok then rs.Rstate.promised <- ballot;
@@ -255,7 +265,8 @@ let acceptor_phase1a t key ballot =
         { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot })
       rs.Rstate.pending
   in
-  (ok, rs.Rstate.promised, votes, rebase_of t key, rs.Rstate.decided)
+  reply ~ok ~promised:rs.Rstate.promised
+    { Messages.votes; rebase = rebase_of t key; decided = rs.Rstate.decided }
 
 let apply_rebase t key (rb : Messages.rebase) =
   let row = Store.ensure t.store key in
@@ -273,9 +284,9 @@ let apply_rebase t key (rb : Messages.rebase) =
        rebaser lacked was clobbered with the overwrite and will come back
        through Sync_reply repair from a replica that still holds it. *)
     let rs = rstate t key in
-    rs.Rstate.applied <- Txn.Map.of_list rb.Messages.included;
-    List.iter
-      (fun (txid, _update) ->
+    rs.Rstate.applied <- rb.Messages.included;
+    Txn.Map.iter
+      (fun txid _update ->
         if not (is_visible t txid key) then begin
           set_visible t rs txid key true;
           Rstate.remove_pending rs txid
@@ -392,6 +403,37 @@ let tally threshold votes =
     | Woption.Rejected :: tl -> count acc (rej + 1) tl
   in
   count 0 0 votes
+
+(* The slot of [key] in a dangling-transaction recovery, if [key] is in
+   its write-set. *)
+let slot_of tr key = Array.find_opt (fun s -> Key.equal s.key key) tr.tx_slots
+
+(* A slot's decision: the master's, else the one a fast quorum of reported
+   votes forces, acceptance first. *)
+let slot_decision t s =
+  match s.learned with
+  | Some _ as learned -> learned
+  | None ->
+    let fq = Config.fast_quorum t.config in
+    if s.acks >= fq then Some Woption.Accepted
+    else if s.rejects >= fq then Some Woption.Rejected
+    else None
+
+(* The update of an option no replica has reported.  A physical update
+   with an impossible read version: as a proposal it is deterministically
+   rejected, and a committed Visibility carrying it is refused. *)
+let unknown_update = Update.Physical { vread = -1; value = Value.empty }
+
+(* Seal an instance for an option no replica has ever seen, which makes the
+   abort durable. *)
+let synthetic_reject_option t tr key =
+  {
+    Woption.txid = tr.tx_id;
+    key;
+    update = unknown_update;
+    write_set = tr.tx_keys;
+    coordinator = t.id;
+  }
 
 let rec master_phase2b t ~src key txid ballot ok =
   let ms = mstate t key in
@@ -549,9 +591,7 @@ and broadcast_phase1a t key rc =
   Obs.incr t.obs "phase1_round";
   let ballot = rc.rc_ballot in
   fan_out t (Messages.Phase1a { key; ballot })
-    (fun () ->
-      let ok, promised, votes, rb, decided = acceptor_phase1a t key ballot in
-      master_phase1b t ~src:t.id key ballot ok promised votes rb decided)
+    (fun () -> acceptor_phase1a t key ballot (master_phase1b t ~src:t.id key ballot))
     (t.replicas key)
 
 (* Re-drive Phase 1 if the recovery stalls (lost messages, failed DC). *)
@@ -569,13 +609,12 @@ and watch_recovery t key rc =
            watch_recovery t key rc
          | Some _ | None -> ()))
 
-and master_phase1b t ~src key ballot ok promised votes rebase decided =
+and master_phase1b t ~src key ballot ~ok ~promised promise =
   let ms = mstate t key in
   match ms.m_recovery with
   | Some rc when Ballot.equal ballot rc.rc_ballot && not rc.rc_done ->
     if ok then begin
-      if not (List.exists (fun (a, _, _, _) -> a = src) rc.rc_resp) then
-        rc.rc_resp <- (src, votes, rebase, decided) :: rc.rc_resp;
+      if not (List.mem_assoc src rc.rc_resp) then rc.rc_resp <- (src, promise) :: rc.rc_resp;
       if List.length rc.rc_resp >= qc t then resolve_recovery t key rc
     end
     else begin
@@ -598,8 +637,9 @@ and resolve_recovery t key rc =
   (* Re-base: the freshest committed state any responder reported. *)
   let rebase =
     List.fold_left
-      (fun best (_, _, rb, _) ->
-        if rb.Messages.version > best.Messages.version then rb else best)
+      (fun best (_, (p : Messages.promise)) ->
+        if p.Messages.rebase.Messages.version > best.Messages.version then p.Messages.rebase
+        else best)
       (rebase_of t key) rc.rc_resp
   in
   apply_rebase t key rebase;
@@ -608,7 +648,7 @@ and resolve_recovery t key rc =
     Hashtbl.create 16
   in
   List.iter
-    (fun (_, votes, _, _) ->
+    (fun (_, (p : Messages.promise)) ->
       List.iter
         (fun (v : Messages.vote) ->
           let txid = v.Messages.woption.Woption.txid in
@@ -618,7 +658,7 @@ and resolve_recovery t key rc =
             | None -> (v.Messages.woption, [])
           in
           Hashtbl.replace candidates txid (w, (v.Messages.decision, v.Messages.ballot) :: vs))
-        votes)
+        p.Messages.votes)
     rc.rc_resp;
   List.iter
     (fun (w : Woption.t) ->
@@ -631,8 +671,8 @@ and resolve_recovery t key rc =
   let known_viz : (Txn.id, bool) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) (rstate t key).Rstate.decided;
   List.iter
-    (fun (_, _, _, decided) ->
-      List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided)
+    (fun (_, (p : Messages.promise)) ->
+      List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) p.Messages.decided)
     rc.rc_resp;
   (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
      some classic round — for each option only its highest-ballot vote
@@ -772,131 +812,64 @@ and resolve_recovery t key rc =
 
 and txn_recovery_learned t txid key decision =
   match Hashtbl.find_opt t.recoveries txid with
-  | None -> ()
-  | Some tr ->
-    if not (Key.Map.mem key tr.tx_learned) then begin
-      tr.tx_learned <- Key.Map.add key decision tr.tx_learned;
+  | Some tr when not tr.tx_done -> (
+    match slot_of tr key with
+    | Some s when Option.is_none s.learned ->
+      s.learned <- Some decision;
       evaluate_txn_recovery t tr
-    end
+    | Some _ | None -> ())
+  | Some _ | None -> ()
 
-and synthetic_reject_option t txid key keys =
-  (* Seal an instance for an option no replica has ever seen: a physical
-     update with an impossible read version is deterministically rejected,
-     which makes the abort durable. *)
-  {
-    Woption.txid;
-    key;
-    update = Update.Physical { vread = -1; value = Value.empty };
-    write_set = keys;
-    coordinator = t.id;
-  }
-
+(* The learned-all rule: once every key is decided, the transaction
+   committed iff every key accepted.  Until then, escalate each undecided
+   key to its master, once, after a classic quorum of replies for it. *)
 and evaluate_txn_recovery t tr =
-  if not tr.tx_done then begin
-    (* Short-circuit: any replica that already executed a Visibility knows
-       the whole transaction's outcome. *)
-    let decided_outcome =
-      Key.Map.fold
-        (fun _ replies acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            List.fold_left
-              (fun acc (_, st) ->
-                match (acc, st) with
-                | None, Messages.Status_decided c -> Some c
-                | acc, (Messages.Status_decided _ | Messages.Status_pending _ | Messages.Status_unknown) ->
-                  acc)
-              None replies)
-        tr.tx_replies None
-    in
-    (* Record any options we learned about from pending votes. *)
-    Key.Map.iter
-      (fun key replies ->
-        List.iter
-          (fun (_, st) ->
-            match st with
-            | Messages.Status_pending v ->
-              if not (Key.Map.mem key tr.tx_opts) then
-                tr.tx_opts <- Key.Map.add key v.Messages.woption tr.tx_opts
-            | Messages.Status_decided _ | Messages.Status_unknown -> ())
-          replies)
-      tr.tx_replies;
-    let key_decision key =
-      match Key.Map.find_opt key tr.tx_learned with
-      | Some d -> Some d
-      | None -> (
-        match Key.Map.find_opt key tr.tx_replies with
-        | None -> None
-        | Some replies ->
-          tally (Config.fast_quorum t.config)
-            (List.filter_map
-               (fun (_, st) ->
-                 match st with
-                 | Messages.Status_pending v -> Some v.Messages.decision
-                 | Messages.Status_decided _ | Messages.Status_unknown -> None)
-               replies))
-    in
-    match decided_outcome with
-    | Some committed -> finish_txn_recovery t tr committed
-    | None ->
-      let undecided = List.filter (fun k -> key_decision k = None) tr.tx_keys in
-      if undecided = [] then begin
-        let committed =
-          List.for_all (fun k -> key_decision k = Some Woption.Accepted) tr.tx_keys
-        in
-        finish_txn_recovery t tr committed
-      end
-      else
-        (* Escalate undecided instances to their masters once we have heard
-           from a classic quorum for that key. *)
-        List.iter
-          (fun key ->
-            if not (Key.Set.mem key tr.tx_asked) then begin
-              let replies =
-                match Key.Map.find_opt key tr.tx_replies with Some r -> r | None -> []
-              in
-              if List.length replies >= qc t then begin
-                tr.tx_asked <- Key.Set.add key tr.tx_asked;
-                let w =
-                  match Key.Map.find_opt key tr.tx_opts with
-                  | Some w -> w
-                  | None -> synthetic_reject_option t tr.tx_id key tr.tx_keys
-                in
-                let master = t.master_of key in
-                if master = t.id then master_propose t w ~notify:[ t.id ]
-                else send t master (Messages.Start_recovery { key; woption = Some w })
-              end
-            end)
-          undecided
-  end
+  if Array.for_all (fun s -> Option.is_some (slot_decision t s)) tr.tx_slots then
+    finish_txn_recovery t tr
+      (Array.for_all (fun s -> slot_decision t s = Some Woption.Accepted) tr.tx_slots)
+  else
+    Array.iter
+      (fun s ->
+        if Option.is_none (slot_decision t s) && (not s.asked) && List.length s.from >= qc t
+        then begin
+          s.asked <- true;
+          let w = match s.opt with Some w -> w | None -> synthetic_reject_option t tr s.key in
+          let master = t.master_of s.key in
+          if master = t.id then master_propose t w ~notify:[ t.id ]
+          else send t master (Messages.Start_recovery { key = s.key; woption = w })
+        end)
+      tr.tx_slots
 
 and finish_txn_recovery t tr committed =
   tr.tx_done <- true;
   if live t then emit t (Event.Txn_recovery_finished { txid = tr.tx_id; committed });
-  List.iter
-    (fun key ->
-      let update =
-        match Key.Map.find_opt key tr.tx_opts with
-        | Some w -> w.Woption.update
-        | None -> Update.Physical { vread = -1; value = Value.empty }
-      in
+  Array.iter
+    (fun s ->
+      let update = match s.opt with Some w -> w.Woption.update | None -> unknown_update in
       fan_out t
-        (Messages.Visibility { txid = tr.tx_id; key; update; committed })
-        (fun () -> visibility t tr.tx_id key update committed)
-        (t.replicas key))
-    tr.tx_keys
+        (Messages.Visibility { txid = tr.tx_id; key = s.key; update; committed })
+        (fun () -> visibility t tr.tx_id s.key update committed)
+        (t.replicas s.key))
+    tr.tx_slots
 
 let start_txn_recovery t (w : Woption.t) =
   if not (Hashtbl.mem t.recoveries w.Woption.txid) then begin
+    let slot key =
+      {
+        key;
+        opt = (if Key.equal key w.Woption.key then Some w else None);
+        from = [];
+        acks = 0;
+        rejects = 0;
+        learned = None;
+        asked = false;
+      }
+    in
     let tr =
       {
         tx_id = w.Woption.txid;
         tx_keys = w.Woption.write_set;
-        tx_opts = Key.Map.singleton w.Woption.key w;
-        tx_replies = Key.Map.empty;
-        tx_learned = Key.Map.empty;
-        tx_asked = Key.Set.empty;
+        tx_slots = Array.of_list (List.map slot w.Woption.write_set);
         tx_done = false;
       }
     in
@@ -920,15 +893,25 @@ let start_txn_recovery t (w : Woption.t) =
            | Some _ | None -> ()))
   end
 
+(* Fold an acceptor's status reply into its key's slot, once per acceptor.
+   A decided reply settles the whole transaction at once. *)
 let txn_recovery_status t txid key status acceptor =
   match Hashtbl.find_opt t.recoveries txid with
-  | None -> ()
-  | Some tr ->
-    let replies = match Key.Map.find_opt key tr.tx_replies with Some r -> r | None -> [] in
-    if not (List.exists (fun (a, _) -> a = acceptor) replies) then begin
-      tr.tx_replies <- Key.Map.add key ((acceptor, status) :: replies) tr.tx_replies;
-      evaluate_txn_recovery t tr
-    end
+  | Some tr when not tr.tx_done -> (
+    match slot_of tr key with
+    | Some s when not (List.mem acceptor s.from) -> (
+      s.from <- acceptor :: s.from;
+      match status with
+      | Messages.Status_decided committed -> finish_txn_recovery t tr committed
+      | Messages.Status_pending v ->
+        if Option.is_none s.opt then s.opt <- Some v.Messages.woption;
+        (match v.Messages.decision with
+        | Woption.Accepted -> s.acks <- s.acks + 1
+        | Woption.Rejected -> s.rejects <- s.rejects + 1);
+        evaluate_txn_recovery t tr
+      | Messages.Status_unknown -> evaluate_txn_recovery t tr)
+    | Some _ | None -> ())
+  | Some _ | None -> ()
 
 (* Whether a pending option is past the transaction timeout: the same
    expression as [scan_dangling]'s [past_timeout], so both agree to the
@@ -1004,9 +987,8 @@ let clear_diverged t ~src key =
    Answer with our merged set when the peer is missing entries we hold —
    gated on having learned something new ourselves, so the exchange
    terminates after at most one reply each way. *)
-let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
+let sync_repair t ~src key theirs =
   let rs = rstate t key in
-  let theirs = Txn.Map.of_list theirs in
   let missing = Rstate.applied_missing ~mine:rs.Rstate.applied ~theirs in
   let merged = ref 0 in
   let stale = ref false in
@@ -1040,7 +1022,7 @@ let sync_repair t ~src key (theirs : (Txn.id * Update.t) list) =
          {
            key;
            version = (Store.ensure t.store key).Store.version;
-           applied = Txn.Map.bindings rs.Rstate.applied;
+           applied = rs.Rstate.applied;
          })
 
 (* ------------------------------------------------------------------ *)
@@ -1073,7 +1055,7 @@ let rec handle t ~src payload =
             mark_diverged t ~src key version;
             send t src
               (Messages.Sync_reply
-                 { key; version = row.Store.version; applied = applied_of t key })
+                 { key; version = row.Store.version; applied = (rstate t key).Rstate.applied })
           end
           else clear_diverged t ~src key
         end)
@@ -1082,26 +1064,10 @@ let rec handle t ~src payload =
   | Messages.Propose { woption; route = `Fast } -> fast_propose t woption
   | Messages.Propose { woption; route = `Classic } -> master_propose t woption ~notify:[]
   | Messages.Phase1a { key; ballot } ->
-    let ok, promised, votes, rb, decided = acceptor_phase1a t key ballot in
-    send t src
-      (Messages.Phase1b
-         {
-           key;
-           ballot;
-           ok;
-           promised;
-           votes;
-           version = rb.Messages.version;
-           value = rb.Messages.value;
-           exists = rb.Messages.exists;
-           included = rb.Messages.included;
-           decided;
-         })
-  | Messages.Phase1b { key; ballot; ok; promised; votes; version; value; exists; included; decided }
-    ->
-    master_phase1b t ~src key ballot ok promised votes
-      { Messages.value; version; exists; included }
-      decided
+    acceptor_phase1a t key ballot (fun ~ok ~promised promise ->
+        send t src (Messages.Phase1b { key; ballot; ok; promised; promise }))
+  | Messages.Phase1b { key; ballot; ok; promised; promise } ->
+    master_phase1b t ~src key ballot ~ok ~promised promise
   | Messages.Phase2a { key; ballot; woption; decision; classic_until; rebase } ->
     let ok, b, d = acceptor_phase2a t key ballot woption decision classic_until rebase in
     send t src
@@ -1110,10 +1076,7 @@ let rec handle t ~src payload =
     master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
   | Messages.Visibility { txid; key; update; committed } -> visibility t txid key update committed
-  | Messages.Start_recovery { key; woption } -> (
-    match woption with
-    | Some w -> master_propose t w ~notify:[ src ]
-    | None -> start_recovery t key ~extras:[] ~notify:[ src ])
+  | Messages.Start_recovery { key = _; woption } -> master_propose t woption ~notify:[ src ]
   | Messages.Status_query { txid; key } -> status_query t ~src txid key
   | Messages.Status_reply { txid; key; status; acceptor } ->
     txn_recovery_status t txid key status acceptor

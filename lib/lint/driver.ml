@@ -37,47 +37,34 @@ let collect roots =
   List.fold_left (fun acc root -> walk root acc) [] roots
   |> List.sort (fun a b -> String.compare a.src_rel b.src_rel)
 
-(* Three-phase scan.
-
-   Parse   (sequential): compiler-libs' lexer keeps global mutable state
-                         (its string/comment buffers), so Parse.implementation
-                         is not domain-safe and every file is parsed on the
-                         caller's domain, in sorted order.
-   Harvest (parallel)  : build each file's Summary.file from its AST — a
-                         pure function of one structure.
-   Link    (sequential): fold every summary, in the sorted source order
-                         [collect] pinned, into one Summary.linked.
-   Check   (parallel)  : run every per-file check against the linked
-                         environment; again pure per file.
-
-   Pool.map_list merges results in task order, so the concatenation below
-   is the same list a sequential loop would build; the final sort then
-   makes even that ordering irrelevant.  Together these pin --jobs N
-   output byte-identical to --jobs 1. *)
-let scan_sources ?(allow = []) ?(jobs = 1) sources =
-  let parsed =
-    List.map (fun s -> (s, parse_file ~rel:s.src_rel ~path:s.src_path)) sources
+(* One sequential pass: parse every file (compiler-libs' lexer keeps
+   global mutable state), harvest each file's Summary.file from its AST,
+   link the summaries in the sorted source order [collect] pinned, then
+   run every per-file check against the linked environment.  The final
+   sort makes the findings' order independent of the file order. *)
+let scan_sources ?(allow = []) sources =
+  let harvested =
+    List.map
+      (fun s ->
+        let str = parse_file ~rel:s.src_rel ~path:s.src_path in
+        (s, str, Summary.of_structure ~rel:s.src_rel str))
+      sources
   in
-  Mdcc_util.Pool.with_pool ~jobs (fun pool ->
-      let harvested =
-        Mdcc_util.Pool.map_list pool parsed ~f:(fun (s, str) ->
-            (s, str, Summary.of_structure ~rel:s.src_rel str))
-      in
-      let linked = Summary.link (List.map (fun (_, _, sm) -> sm) harvested) in
-      let all =
-        Mdcc_util.Pool.map_list pool harvested ~f:(fun (s, str, sm) ->
-            Rules.check linked.Summary.l_env ~rel:s.src_rel str
-            @ Purity.check ~rel:s.src_rel str
-            @ Escape.check linked.Summary.l_spawners ~rel:s.src_rel str
-            @ Exhaustive.check linked.Summary.l_families ~rel:s.src_rel
-                sm.Summary.f_exhaustive)
-        |> List.concat
-        |> List.sort Finding.compare
-      in
-      let rp_suppressed, rp_findings = List.partition (Allowlist.permits allow) all in
-      { rp_scanned = List.length sources; rp_findings; rp_suppressed })
+  let linked = Summary.link (List.map (fun (_, _, sm) -> sm) harvested) in
+  let all =
+    List.concat_map
+      (fun (s, str, sm) ->
+        Rules.check linked.Summary.l_env ~rel:s.src_rel str
+        @ Purity.check ~rel:s.src_rel str
+        @ Escape.check linked.Summary.l_spawners ~rel:s.src_rel str
+        @ Exhaustive.check linked.Summary.l_families ~rel:s.src_rel sm.Summary.f_exhaustive)
+      harvested
+    |> List.sort Finding.compare
+  in
+  let rp_suppressed, rp_findings = List.partition (Allowlist.permits allow) all in
+  { rp_scanned = List.length sources; rp_findings; rp_suppressed }
 
-let scan ?allow ?jobs roots = scan_sources ?allow ?jobs (collect roots)
+let scan ?allow roots = scan_sources ?allow (collect roots)
 
 let report_to_json r =
   let arr fs = String.concat "," (List.map Finding.to_json fs) in

@@ -1,13 +1,9 @@
 (** File discovery, parsing, and report assembly for mdcc_lint.
 
-    The scan is a pipeline: a sequential parse (compiler-libs' lexer
-    keeps global mutable state, so [Parse.implementation] is not
-    domain-safe), a parallel per-file harvest ({!Summary.of_structure}),
-    a sequential cross-file link ({!Summary.link} over sources in
-    sorted-path order), and a parallel per-file check phase (R1–R7).
-    Both parallel phases run over [Mdcc_util.Pool], whose task-order
-    result merging — plus the final {!Finding.compare} sort — pins
-    [?jobs:n] output byte-identical to [?jobs:1]. *)
+    The scan is one sequential pass: parse each file, harvest its
+    {!Summary.of_structure}, link the summaries ({!Summary.link} over
+    sources in sorted-path order), then run the per-file checks (R1–R7)
+    and sort the findings with {!Finding.compare}. *)
 
 exception Parse_error of { file : string; message : string }
 
@@ -28,13 +24,12 @@ val collect : string list -> source list
     relative path, so the scan order — and hence the report — is
     deterministic. *)
 
-val scan_sources : ?allow:Allowlist.t -> ?jobs:int -> source list -> report
-(** Parse and check the given sources with [jobs] worker domains (default
-    1, i.e. fully sequential). Raises {!Parse_error} if a file does not
-    parse. Tests use this entry point with fixture files mapped to pretend
-    repo paths. *)
+val scan_sources : ?allow:Allowlist.t -> source list -> report
+(** Parse and check the given sources. Raises {!Parse_error} if a file
+    does not parse. Tests use this entry point with fixture files mapped to
+    pretend repo paths. *)
 
-val scan : ?allow:Allowlist.t -> ?jobs:int -> string list -> report
+val scan : ?allow:Allowlist.t -> string list -> report
 (** [scan roots] = [scan_sources (collect roots)]. *)
 
 val report_to_json : report -> string
@@ -43,4 +38,4 @@ val report_to_json : report -> string
 
 val report_to_sarif : report -> string
 (** One-line SARIF 2.1.0 document (see {!Sarif.render}); byte-identical
-    across runs and across [jobs] values. *)
+    across runs. *)

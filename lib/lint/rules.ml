@@ -90,8 +90,8 @@ let decl_entry ~module_ (td : type_declaration) =
   { e_module = module_; e_mutable = mut; e_types = types }
 
 (* Per-file half of env building, so the driver can harvest declarations
-   from every file in parallel and fold the (order-independent) entries
-   together in a sequential link phase. *)
+   from every file and fold the (order-independent) entries together in a
+   link phase. *)
 let type_entries ~module_ (str : structure) : (string * type_entry) list =
   List.concat_map
     (fun item ->

@@ -9,7 +9,7 @@
    Rendering is by hand, like Finding.to_json: the rules array lists the
    rule ids that actually occur (sorted), results are sorted by
    Finding.compare, and nothing depends on ambient state — the document is
-   byte-identical across runs and across --jobs values. *)
+   byte-identical across runs. *)
 
 let esc = Finding.json_escape
 

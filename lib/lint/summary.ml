@@ -1,14 +1,12 @@
 (* The per-file summary store.
 
-   Phase 1 of the driver runs [of_structure] on every file — in parallel
-   when --jobs > 1 — harvesting everything the cross-file analyses need:
-   type declarations (R2 reachability), payload constructor sets and
-   dispatch sites (R7), and call-graph edges (R5 spawner propagation).
-   [link] then folds the summaries sequentially, in sorted file order, into
-   the one [linked] value phase 2 threads through every per-file check.
-   Keeping the harvest separate from the check is what makes the parallel
-   scan byte-identical to the sequential one: phase 1 is a pure function of
-   one file, the link is a deterministic fold, and phase 2 is again a pure
+   Phase 1 of the driver runs [of_structure] on every file, harvesting
+   everything the cross-file analyses need: type declarations (R2
+   reachability), payload constructor sets and dispatch sites (R7), and
+   call-graph edges (R5 spawner propagation).  [link] then folds the
+   summaries, in sorted file order, into the one [linked] value phase 2
+   threads through every per-file check: phase 1 is a pure function of one
+   file, the link is a deterministic fold, and phase 2 is again a pure
    function of (file, linked). *)
 
 type file = {

@@ -52,31 +52,6 @@ let test_txn_rejects_duplicate_key () =
   Alcotest.(check (list string)) "a written key gets no read guard" [ "0"; "1" ]
     (List.map (fun (k : Key.t) -> k.Key.id) (Txn.keys txn))
 
-let test_messages_describe () =
-  let w =
-    {
-      Woption.txid = "t1";
-      key = item 3;
-      update = Update.Delta [ ("stock", -1) ];
-      write_set = [ item 3 ];
-      coordinator = 9;
-    }
-  in
-  let describe p = Messages.describe p in
-  Alcotest.(check string) "propose"
-    "propose(fast, t1, item/3)"
-    (describe (Messages.Propose { woption = w; route = `Fast }));
-  Alcotest.(check string) "visibility" "visibility(t1, item/3, true)"
-    (describe
-       (Messages.Visibility { txid = "t1"; key = item 3; update = w.Woption.update; committed = true }));
-  Alcotest.(check string) "batch" "batch(2)"
-    (describe
-       (Messages.Batch
-          [
-            Messages.Propose { woption = w; route = `Fast };
-            Messages.Propose { woption = w; route = `Classic };
-          ]))
-
 (* One payload per constructor, with the byte count [Messages.size_of]
    charges for it.  The per-node byte counters are pinned outputs, so the
    size model must not drift when its implementation changes. *)
@@ -90,7 +65,9 @@ let size_pins () =
   let vote =
     { Messages.woption = w delta; decision = Woption.Accepted; ballot = Ballot.initial_fast }
   in
-  let included = [ ("t1", delta); ("t2", Update.Physical { vread = 3; value = row }) ] in
+  let included =
+    Txn.Map.of_list [ ("t1", delta); ("t2", Update.Physical { vread = 3; value = row }) ]
+  in
   let rebase = { Messages.value = row; version = 4; exists = true; included } in
   let b = Ballot.classic ~number:2 ~proposer:1 in
   [
@@ -111,12 +88,8 @@ let size_pins () =
           ballot = b;
           ok = true;
           promised = b;
-          votes = [ vote; vote ];
-          version = 4;
-          value = row;
-          exists = true;
-          included;
-          decided = [ ("t1", true); ("t9", false) ];
+          promise =
+            { votes = [ vote; vote ]; rebase; decided = [ ("t1", true); ("t9", false) ] };
         } );
     ( "phase2a",
       182,
@@ -148,7 +121,7 @@ let size_pins () =
           update = Update.Physical { vread = 3; value = row };
           committed = true;
         } );
-    ("start_recovery", 79, Messages.Start_recovery { key = k; woption = Some (w delta) });
+    ("start_recovery", 79, Messages.Start_recovery { key = k; woption = w delta });
     ("status_query", 28, Messages.Status_query { txid = "txn17"; key = k });
     ( "status_reply",
       97,
@@ -296,7 +269,6 @@ let suite =
       test_send_all_pinned_counts;
     Alcotest.test_case "config mode names" `Quick test_config_mode_names;
     Alcotest.test_case "txn rejects a duplicate key" `Quick test_txn_rejects_duplicate_key;
-    Alcotest.test_case "messages describe" `Quick test_messages_describe;
     Alcotest.test_case "messages size_of pinned per constructor" `Quick
       test_messages_size_of_pinned;
     Alcotest.test_case "trace toggle" `Quick test_trace_toggle;

@@ -383,17 +383,6 @@ let test_json_determinism () =
   Alcotest.(check string) "byte-identical reports" a b;
   Alcotest.(check bool) "report is non-trivial" true (String.length a > 100)
 
-let test_jobs_byte_identity () =
-  (* The whole point of the three-phase driver: a parallel scan is
-     indistinguishable from the sequential one, in both report formats. *)
-  let allow = Allowlist.of_string "R1 lib/util/allowlisted.ml\n" in
-  let seq = Driver.scan_sources ~allow ~jobs:1 all_fixtures in
-  let par = Driver.scan_sources ~allow ~jobs:4 all_fixtures in
-  Alcotest.(check string) "JSON identical under --jobs 4"
-    (Driver.report_to_json seq) (Driver.report_to_json par);
-  Alcotest.(check string) "SARIF identical under --jobs 4"
-    (Driver.report_to_sarif seq) (Driver.report_to_sarif par)
-
 let test_sarif_shape () =
   let allow = Allowlist.of_string "R1 lib/util/allowlisted.ml\n" in
   let r = Driver.scan_sources ~allow all_fixtures in
@@ -442,6 +431,5 @@ let suite =
     Alcotest.test_case "allowlist path normalisation" `Quick test_allowlist_normalisation;
     Alcotest.test_case "allowlist stale-entry detection" `Quick test_allowlist_stale;
     Alcotest.test_case "report JSON determinism" `Quick test_json_determinism;
-    Alcotest.test_case "--jobs byte identity" `Quick test_jobs_byte_identity;
     Alcotest.test_case "SARIF report shape" `Quick test_sarif_shape;
   ]

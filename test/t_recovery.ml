@@ -221,16 +221,29 @@ let test_quorum_lost_then_restored () =
   Alcotest.(check int) "applied everywhere" 5 (stock_at cluster ~dc:3 0)
 
 (* A storage node on a runtime that records every send and trace line and
-   never fires a timer: the test plays the other replicas by hand.  Returns
-   the node, its message handler and a drain of the sends so far. *)
-let scripted_node ~replicas ~master_of =
+   only fires a timer when the test does: the test plays the other
+   replicas by hand.  [clock] is the runtime's time; [timers] holds every
+   armed timer callback, newest first. *)
+type scripted = {
+  node : Storage_node.t;
+  handle : src:int -> Mdcc_sim.Network.payload -> unit;
+  drain : unit -> (int * Mdcc_sim.Network.payload) list;  (* the sends so far, in order *)
+  lines : string list ref;
+  clock : float ref;
+  timers : (unit -> unit) list ref;
+}
+
+let scripted_node ~replicas ~master_of () =
   let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and lines = ref [] in
+  let clock = ref 0.0 and timers = ref [] in
   let runtime =
     Mdcc_core.Runtime.make
-      ~now:(fun () -> 0.0)
+      ~now:(fun () -> !clock)
       ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
       ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~set_timer:(fun ~after:_ f ->
+        timers := f :: !timers;
+        ignore)
       ~spawn:(fun f -> f ())
       ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
       ~trace:(fun ~tag:_ line -> lines := line :: !lines)
@@ -246,7 +259,7 @@ let scripted_node ~replicas ~master_of =
     sent := [];
     s
   in
-  (node, (fun ~src payload -> !handler ~src payload), drain, lines)
+  { node; handle = (fun ~src payload -> !handler ~src payload); drain; lines; clock; timers }
 
 let test_recovery_fold () =
   (* n = 5, f = 4: a Phase 1b quorum of 3 anchors a fast value with
@@ -261,8 +274,8 @@ let test_recovery_fold () =
   let module Woption = Mdcc_core.Woption in
   let module Ballot = Mdcc_paxos.Ballot in
   let key = item 0 in
-  let node, handle, drain, lines =
-    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 0)
+  let { node; handle; drain; lines; _ } =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 0) ()
   in
   Storage_node.load node [ (key, item_row 100) ];
   let opt txid update = { Woption.txid; key; update; write_set = [ key ]; coordinator = 9 } in
@@ -271,7 +284,7 @@ let test_recovery_fold () =
   and b = opt "b" (Update.Physical { vread = 1; value = item_row 2 })
   and c = opt "c" (Update.Physical { vread = 1; value = item_row 3 }) in
   handle ~src:9 (Messages.Propose { woption = d; route = `Fast });
-  handle ~src:9 (Messages.Start_recovery { key; woption = None });
+  handle ~src:9 (Messages.Start_recovery { key; woption = d });
   let ballot = Ballot.classic ~number:2 ~proposer:0 in
   Alcotest.(check (list int)) "Phase 1a to the other replicas" [ 1; 2; 3; 4 ]
     (List.filter_map
@@ -290,12 +303,18 @@ let test_recovery_fold () =
            ballot;
            ok = true;
            promised = ballot;
-           votes;
-           version = 1;
-           value = item_row 100;
-           exists = true;
-           included = [];
-           decided = [];
+           promise =
+             {
+               votes;
+               rebase =
+                 {
+                   value = item_row 100;
+                   version = 1;
+                   exists = true;
+                   included = Mdcc_storage.Txn.Map.empty;
+                 };
+               decided = [];
+             };
          })
   in
   phase1b 1
@@ -347,13 +366,125 @@ let test_recovery_fold () =
          | _ -> None)
        (drain ()))
 
+let test_dangling_recovery_fold () =
+  (* n = 5: a classic quorum is 3 replies, a fast quorum 4 accepts.  Node 0
+     holds the first option of three dangling 2-key transactions whose
+     coordinator (9) is silent; item i is mastered by node 1 + i mod 4.  One
+     scan starts a recovery for each, and the test plays every other
+     replica and master:
+     - a (items 0, 1): accepts from 0, 1 (twice) and 2 are three distinct
+       replies short of a fast quorum, so item 0 escalates to its master
+       with the reported option; item 1, which no replica reported,
+       escalates with the placeholder; a decided reply then ends it;
+     - b (items 2, 3): both learned accepted, so it commits;
+     - c (items 4, 5): one learned rejected, so it aborts. *)
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let master_of (k : Key.t) = 1 + (int_of_string k.Key.id mod 4) in
+  let { node; handle; drain; lines; clock; timers } =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of ()
+  in
+  let opt txid i j =
+    {
+      Woption.txid;
+      key = item i;
+      update = Update.Delta [ ("stock", -1) ];
+      write_set = [ item i; item j ];
+      coordinator = 9;
+    }
+  in
+  let a = opt "a" 0 1 and b = opt "b" 2 3 and c = opt "c" 4 5 in
+  List.iter (fun w -> handle ~src:9 (Messages.Propose { woption = w; route = `Fast })) [ a; b; c ];
+  clock := 1e9;
+  Storage_node.start_maintenance node;
+  (List.hd !timers) ();
+  (* Node 0 answers its own status queries over the network. *)
+  List.iter
+    (fun (dst, p) ->
+      match p with Messages.Status_reply _ when dst = 0 -> handle ~src:0 p | _ -> ())
+    (drain ());
+  let update_str = function
+    | Update.Delta _ -> "delta"
+    | Update.Physical { vread; _ } -> Printf.sprintf "vread=%d" vread
+    | Update.Insert _ | Update.Delete _ | Update.Read_guard _ -> "other"
+  in
+  let starts () =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Start_recovery { key; woption = w } ->
+          Some
+            ( dst,
+              Key.to_string key,
+              Printf.sprintf "%s %s by %d" w.Woption.txid
+                (update_str w.Woption.update) w.Woption.coordinator )
+        | _ -> None)
+      (drain ())
+  in
+  let visibility txid =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Visibility { txid = t; key; update; committed } when String.equal t txid ->
+          Some (dst, Key.to_string key, Printf.sprintf "%s %b" (update_str update) committed)
+        | _ -> None)
+      (drain ())
+  in
+  let reply src i txid status =
+    handle ~src (Messages.Status_reply { txid; key = item i; status; acceptor = src })
+  in
+  let accept =
+    Messages.Status_pending
+      { Messages.woption = a; decision = Woption.Accepted; ballot = Mdcc_paxos.Ballot.initial_fast }
+  in
+  let started = Alcotest.(list (triple int string string)) in
+  reply 1 0 "a" accept;
+  reply 1 0 "a" accept;
+  Alcotest.check started "a duplicate reply does not count" [] (starts ());
+  reply 2 0 "a" accept;
+  reply 3 0 "a" Messages.Status_unknown;
+  Alcotest.check started "three replies, no fast quorum: one escalation with the option"
+    [ (1, "item/0", "a delta by 9") ]
+    (starts ());
+  reply 1 1 "a" Messages.Status_unknown;
+  reply 2 1 "a" Messages.Status_unknown;
+  Alcotest.check started "an unreported key escalates with the placeholder"
+    [ (2, "item/1", "a vread=-1 by 0") ]
+    (starts ());
+  reply 3 1 "a" (Messages.Status_decided true);
+  let everywhere key update = List.map (fun dst -> (dst, key, update)) [ 1; 2; 3; 4 ] in
+  Alcotest.(check (list (triple int string string)))
+    "a decided reply: visibility to every replica, in write-set order"
+    (everywhere "item/0" "delta true" @ everywhere "item/1" "vread=-1 true")
+    (visibility "a");
+  let learned i txid decision =
+    handle ~src:(master_of (item i)) (Messages.Learned { key = item i; txid; decision })
+  in
+  learned 2 "b" Woption.Accepted;
+  Alcotest.(check int) "one key learned: still open" 0 (List.length (visibility "b"));
+  learned 3 "b" Woption.Accepted;
+  Alcotest.(check (list (triple int string string)))
+    "all learned accepted: commit"
+    (everywhere "item/2" "delta true" @ everywhere "item/3" "vread=-1 true")
+    (visibility "b");
+  learned 4 "c" Woption.Accepted;
+  learned 5 "c" Woption.Rejected;
+  Alcotest.(check (list (triple int string string)))
+    "one learned rejected: abort"
+    (everywhere "item/4" "delta false" @ everywhere "item/5" "vread=-1 false")
+    (visibility "c");
+  Alcotest.(check (list string)) "finished once each"
+    [ "txn recovery a -> commit"; "txn recovery b -> commit"; "txn recovery c -> abort" ]
+    (List.rev
+       (List.filter (fun l -> contains ~needle:"txn recovery " l && contains ~needle:"->" l) !lines))
+
 let test_sync_targets () =
   (* Node 0 masters item 0 (replicas 0, 1, 2) but not item 1 (replicas 3,
      0, 2; master 1). *)
   let module Messages = Mdcc_core.Messages in
   let replicas k = if Key.equal k (item 0) then [ 0; 1; 2 ] else [ 3; 0; 2 ] in
   let master_of k = if Key.equal k (item 0) then 0 else 1 in
-  let node, _, drain, _ = scripted_node ~replicas ~master_of in
+  let { node; drain; _ } = scripted_node ~replicas ~master_of () in
   Storage_node.load node [ (item 0, item_row 1); (item 1, item_row 2) ];
   let digest = Messages.applied_digest Mdcc_storage.Txn.Map.empty in
   let requests () =
@@ -485,5 +616,6 @@ let suite =
     Alcotest.test_case "fast era resumes after gamma" `Quick test_fast_era_resumes_after_gamma;
     Alcotest.test_case "quorum lost then restored" `Quick test_quorum_lost_then_restored;
     Alcotest.test_case "master recovery fold" `Quick test_recovery_fold;
+    Alcotest.test_case "dangling recovery fold" `Quick test_dangling_recovery_fold;
     Alcotest.test_case "sync sweep targets" `Quick test_sync_targets;
   ]

@@ -3,7 +3,8 @@
    the connection handler over a synchronous fake backend, the full wire
    stack over the *simulated* runtime (pinning that the protocol layer is
    runtime-agnostic), the socket loop's Messages.size_of byte metering and
-   listen failures, and the server binary's SIGTERM graceful drain. *)
+   listen failures, the in-process server under pipelined load with a
+   read-back, and the server binary's SIGTERM graceful drain. *)
 
 module Loop = Mdcc_runtime_unix.Loop
 module Runtime = Mdcc_core.Runtime
@@ -691,6 +692,94 @@ let test_server_port_in_use () =
   | Unix.WSIGNALED s -> Alcotest.failf "server killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "server stopped"
 
+(* ---------------- in-process server: pipelined load, read-back ---------- *)
+
+(* One client connection: [ops] requests kept [depth] deep in flight,
+   alternating a set and a get of the same key over a private 64-key
+   slice, then a [gets] read-back of every key it wrote.  The connection
+   is one session, so read-your-writes makes any read-back other than the
+   last write a server bug.  Returns (protocol errors, read-back
+   mismatches). *)
+let pipelined_client ~port ~ops ~depth conn =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let errors = ref 0 and last = Array.make 64 None in
+  let reply_line () =
+    let line = input_line ic in
+    let n = String.length line in
+    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+  in
+  (* A get's reply: VALUE blocks up to END.  The first block's data. *)
+  let rec values first =
+    match String.split_on_char ' ' (reply_line ()) with
+    | [ "END" ] -> first
+    | "VALUE" :: _ :: _ :: bytes :: _ ->
+      let data = really_input_string ic (int_of_string bytes) in
+      ignore (really_input_string ic 2);
+      values (if Option.is_none first then Some data else first)
+    | _ ->
+      incr errors;
+      first
+  in
+  let key k = Printf.sprintf "c%d:k%d" conn k in
+  let send i =
+    let k = i / 2 mod 64 in
+    if i mod 2 = 0 then begin
+      let data = Printf.sprintf "v%d.%d" conn i in
+      Printf.fprintf oc "set %s 0 0 %d\r\n%s\r\n" (key k) (String.length data) data;
+      last.(k) <- Some data
+    end
+    else Printf.fprintf oc "get %s\r\n" (key k);
+    flush oc
+  in
+  let complete i =
+    if i mod 2 = 0 then (if not (String.equal (reply_line ()) "STORED") then incr errors)
+    else ignore (values None)
+  in
+  for i = 0 to ops - 1 do
+    if i >= depth then complete (i - depth);
+    send i
+  done;
+  for i = max 0 (ops - depth) to ops - 1 do
+    complete i
+  done;
+  let mismatches = ref 0 in
+  Array.iteri
+    (fun k written ->
+      Option.iter
+        (fun data ->
+          Printf.fprintf oc "gets %s\r\n" (key k);
+          flush oc;
+          if values None <> Some data then incr mismatches)
+        written)
+    last;
+  output_string oc "quit\r\n";
+  flush oc;
+  Unix.close fd;
+  (!errors, !mismatches)
+
+let test_server_pipelined_readback () =
+  let module Server = Mdcc_wire.Server in
+  let srv = Server.create ~partitions:4 ~port:0 () in
+  let server = Domain.spawn (fun () -> Server.run srv) in
+  let port = Server.port srv in
+  let results =
+    Fun.protect
+      ~finally:(fun () ->
+        Loop.post (Server.loop srv) (fun () ->
+            Server.shutdown srv ~on_done:(fun () -> Loop.request_stop (Server.loop srv)));
+        Domain.join server)
+      (fun () ->
+        List.init 4 (fun conn ->
+            Domain.spawn (fun () -> pipelined_client ~port ~ops:400 ~depth:8 conn))
+        |> List.map Domain.join)
+  in
+  Alcotest.(check (list (pair int int)))
+    "4 connections: no protocol errors, no read-back mismatches"
+    [ (0, 0); (0, 0); (0, 0); (0, 0) ]
+    results
+
 let suite =
   [
     Alcotest.test_case "loop timers: firing order" `Quick test_loop_timer_order;
@@ -709,6 +798,8 @@ let suite =
     Alcotest.test_case "socket loop meters Messages.size_of" `Quick test_loop_meter_size_of;
     Alcotest.test_case "loop listen failure closes its socket" `Quick
       test_loop_listen_failure;
+    Alcotest.test_case "server: pipelined load, gets read-back" `Quick
+      test_server_pipelined_readback;
     Alcotest.test_case "server_cli: port in use exits 2" `Quick test_server_port_in_use;
     Alcotest.test_case "server_cli: SIGTERM graceful drain" `Quick test_server_sigterm;
     Alcotest.test_case "server_cli: live metrics over TCP" `Quick test_server_metrics;
