@@ -5,7 +5,7 @@
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Ten sections, each timed in isolation:
+   Eleven sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -24,6 +24,10 @@
    - visibility_hot_key: 2,000 committed visibilities, one at a time, on a
                        record whose applied set already holds 10,000
                        entries (one op = one visibility)
+   - visibility_void_hot_key: 2,000 voided visibilities, one at a time, on
+                       a record that already holds 10,000 voided outcomes
+                       (one op = one visibility): the abort path's cost
+                       must not grow with the record's history
    - dangling_scan_idle: 100 dangling-transaction scans over 10,000
                        records, each with one pending option younger than
                        the transaction timeout (one op = one scan): a walk
@@ -232,6 +236,19 @@ let visibility_hot_key () =
   let msgs = Array.init ops (fun i -> commit (Printf.sprintf "b%06d" i)) in
   time_section "visibility_hot_key" ops (fun () -> Array.iter (deliver ~src:9) msgs)
 
+let visibility_void_hot_key () =
+  let ops = 2_000 in
+  let _, deliver, _, _, _ = bare_node () in
+  let key = Key.make ~table:"item" ~id:"hot" in
+  let void txid =
+    Messages.Visibility { txid; key; update = Update.Delta [ ("stock", -1) ]; committed = false }
+  in
+  for i = 0 to 9_999 do
+    deliver ~src:9 (void (Printf.sprintf "a%06d" i))
+  done;
+  let msgs = Array.init ops (fun i -> void (Printf.sprintf "b%06d" i)) in
+  time_section "visibility_void_hot_key" ops (fun () -> Array.iter (deliver ~src:9) msgs)
+
 let dangling_scan_idle () =
   let scans = 100 and records = 10_000 in
   let node, deliver, clock, timers, config = bare_node () in
@@ -354,6 +371,7 @@ let bench ~out =
       network_send ~ops;
       loop_send ~ops;
       visibility_hot_key ();
+      visibility_void_hot_key ();
       dangling_scan_idle ();
       span_event ();
       fast_path_commit ();
@@ -362,7 +380,7 @@ let bench ~out =
   in
   List.iter
     (fun s ->
-      Printf.printf "  %-18s %8.3f s  %10.0f ops/s  %7.2f minor words/op\n" s.s_name
+      Printf.printf "  %-24s %8.3f s  %10.0f ops/s  %7.2f minor words/op\n" s.s_name
         s.s_wall_s s.s_ops_per_s s.s_minor_words_per_op)
     sections;
   Option.iter

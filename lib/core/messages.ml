@@ -125,8 +125,11 @@ let rec size_of payload =
   | Propose { woption; _ } -> woption_bytes woption + 1
   | Phase1a { key; _ } -> key_bytes key + 8
   | Phase1b { key; promise = { votes; rebase; decided }; _ } ->
+    (* One outcome costs [txid + 1] bytes, whether the applied set or the
+       decided log carries it. *)
     key_bytes key + 12 + rebase_bytes rebase
     + List.fold_left (fun acc v -> acc + vote_bytes v) 0 votes
+    + Txn.Map.fold (fun txid _ acc -> acc + String.length txid + 1) rebase.included 0
     + List.fold_left (fun acc (txid, _) -> acc + String.length txid + 1) 0 decided
   | Phase2a { key; woption; rebase; _ } ->
     key_bytes key + 13 + woption_bytes woption

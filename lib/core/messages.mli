@@ -46,9 +46,11 @@ type promise = {
   votes : vote list;  (** every pending option the acceptor holds for the key *)
   rebase : rebase;  (** its committed state *)
   decided : (Txn.id * bool) list;
-      (** visibility outcomes it knows for the key: final decisions a
-          recovery must confirm, never contradict (the executed/voided
-          option no longer appears in [votes]) *)
+      (** the visibility outcomes it knows for the key beyond
+          [rebase.included], whose every txid is known committed: final
+          decisions a recovery must confirm, never contradict (the
+          executed/voided option no longer appears in [votes]).  The two
+          are disjoint. *)
 }
 (** What an acceptor reports in Phase1b: all a recovering master needs to
     re-base the record and decide every option safely. *)

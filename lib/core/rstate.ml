@@ -36,15 +36,11 @@ let create ?(classic_until = 0) key =
    updated idempotently: membership by txid is the guard that makes replays
    of commutative deltas safe. *)
 
-let applied_mem applied txid = Txn.Map.mem txid applied
-
 let applied_add applied txid update =
   if Txn.Map.mem txid applied then applied else Txn.Map.add txid update applied
 
 let applied_missing ~mine ~theirs =
   Txn.Map.filter (fun txid _ -> not (Txn.Map.mem txid mine)) theirs
-
-let applied_merge mine theirs = Txn.Map.union (fun _ m _ -> Some m) mine theirs
 
 let mark_applied t txid update = t.applied <- applied_add t.applied txid update
 

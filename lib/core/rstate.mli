@@ -49,14 +49,18 @@ type t = {
           record, with the update it contributed.  This is the authoritative
           input to the anti-entropy digest and the set exchanged in
           [Sync_reply] repair; txid membership is what makes replaying a
-          commutative delta idempotent. *)
+          commutative delta idempotent.  It is also the only record of
+          these transactions' visibility outcome: membership means
+          committed. *)
   mutable decided : (Txn.id * bool) list;
-      (** visibility outcomes (committed?) known at this replica, newest
-          first, each txid once.  A visibility is a final decision, yet it
+      (** the other visibility outcomes (committed?) known at this replica —
+          voided transactions, committed read guards, committed
+          transactions a rebase clobbered — newest first, each txid once and
+          none in [applied].  A visibility is a final decision, yet it
           erases the option's pending vote, so later classic ballots cannot
-          re-learn it from votes alone: the log is shipped in Phase1b and
-          recovery must honor it.  The storage node's visibility index
-          guards against duplicates. *)
+          re-learn it from votes alone: the log and the applied set are
+          shipped in Phase1b and recovery must honor both.  The storage
+          node's visibility index guards against duplicates. *)
 }
 
 val create : ?classic_until:int -> Key.t -> t
@@ -69,19 +73,12 @@ val create : ?classic_until:int -> Key.t -> t
     merging the same [Sync_reply] twice — or in either order — yields the
     same set. *)
 
-val applied_mem : applied -> Txn.id -> bool
-
 val applied_add : applied -> Txn.id -> Update.t -> applied
 (** Identity if [txid] is already present; O(log n) otherwise. *)
 
 val applied_missing : mine:applied -> theirs:applied -> applied
 (** The entries of [theirs] absent from [mine] — exactly what a repair has
     to replay. *)
-
-val applied_merge : applied -> applied -> applied
-(** Set union keyed by txid ([mine] wins on duplicates); commutative up to
-    the update payloads and associative, so repair converges regardless of
-    exchange order. *)
 
 val mark_applied : t -> Txn.id -> Update.t -> unit
 (** Record that this replica folded [txid]'s update into its value. *)

@@ -115,26 +115,54 @@ let probe t txid key =
   t.probe.v_key <- key;
   t.probe
 
-let visible_outcome t txid key = Visible.find_opt t.visible (probe t txid key)
+(* Each visibility outcome is stored once.  A committed value-affecting
+   update lives only in its record's applied set; every other outcome — a
+   voided transaction, a committed read guard, a committed transaction a
+   rebase clobbered — lives in [visible] and the record's decided log.
+   [outcome_at] reads both. *)
+let outcome_at t (rs : Rstate.t) txid =
+  if Txn.Map.mem txid rs.Rstate.applied then Some true
+  else Visible.find_opt t.visible (probe t txid rs.Rstate.key)
 
-let is_visible t txid key = Visible.mem t.visible (probe t txid key)
+(* A key with no record has no outcome: the lookup never creates one. *)
+let visible_outcome t txid key =
+  match Key.Tbl.find t.records key with
+  | rs -> outcome_at t rs txid
+  | exception Not_found -> None
 
-(* Record a final visibility outcome.  [visible] doubles as the index of the
-   record's decided log, so a (txid, key) enters the log once, when first
-   seen, however often its outcome is re-asserted later.  [replace] stores
-   the key it is given, so it gets a fresh one, never the probe. *)
+(* Record an outcome that stays out of the applied set.  [visible] doubles
+   as the index of the record's decided log, so a (txid, key) enters the log
+   once, when first seen, however often its outcome is re-asserted later.
+   [replace] stores the key it is given, so it gets a fresh one, never the
+   probe. *)
 let set_visible t (rs : Rstate.t) txid key committed =
-  if not (is_visible t txid key) then
+  if not (Visible.mem t.visible (probe t txid key)) then
     rs.Rstate.decided <- (txid, committed) :: rs.Rstate.decided;
   Visible.replace t.visible { v_txid = txid; v_key = key } committed
 
+(* [txid] is joining the applied set on a rare repair path: its outcome, if
+   logged, leaves [visible] and the decided log.  Answers whether it was
+   logged. *)
+let unlog t (rs : Rstate.t) txid =
+  let k = probe t txid rs.Rstate.key in
+  let logged = Visible.mem t.visible k in
+  if logged then begin
+    Visible.remove t.visible k;
+    rs.Rstate.decided <-
+      List.filter (fun (id, _) -> not (String.equal id txid)) rs.Rstate.decided
+  end;
+  logged
+
 (* The applied set lives on the record's Rstate — the authoritative map of
    committed updates folded into our copy of [key], which is what the
-   anti-entropy digest must summarize.  (The decided log is the wrong
-   source: it also remembers committed read guards, which never change the
-   value, and keeps txids whose effect a later rebase clobbered.)  The map
-   is immutable, so messages carry it as is. *)
-let applied_digest_of t key = Messages.applied_digest (rstate t key).Rstate.applied
+   anti-entropy digest must summarize.  (Read guards never change the
+   value, and a clobbered transaction's effect is gone, so neither is in
+   it.)  The map is immutable, so messages carry it as is.  A key with no
+   record has the empty set. *)
+let applied_of t key =
+  match Key.Tbl.find t.records key with
+  | rs -> rs.Rstate.applied
+  | exception Not_found -> Txn.Map.empty
 
 (* A snapshot of our committed state, tagged with every transaction folded
    into it. *)
@@ -144,7 +172,7 @@ let rebase_of t key =
     Messages.value = row.Store.value;
     version = row.Store.version;
     exists = row.Store.exists;
-    included = (rstate t key).Rstate.applied;
+    included = applied_of t key;
   }
 
 let mstate t key =
@@ -207,7 +235,7 @@ let fast_reply t (w : Woption.t) decision =
 let fast_propose t (w : Woption.t) =
   let key = w.Woption.key in
   let rs = rstate t key in
-  match visible_outcome t w.Woption.txid key with
+  match outcome_at t rs w.Woption.txid with
   | Some committed -> fast_reply t w (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
     match Rstate.find_pending rs w.Woption.txid with
@@ -275,23 +303,35 @@ let apply_rebase t key (rb : Messages.rebase) =
     row.Store.value <- rb.Messages.value;
     row.Store.version <- rb.Messages.version;
     row.Store.exists <- rb.Messages.exists;
-    (* The re-based state already reflects these transactions: mark them
-       visible so a late Visibility cannot re-apply them (deltas carry no
+    (* The re-based state already reflects these transactions, and the
+       applied set becomes exactly [included]: membership makes them
+       visible, so a late Visibility cannot re-apply them (deltas carry no
        version guard, so a commutative update would otherwise be counted
-       twice), and drop any still-pending option they left behind.  The
-       applied set becomes exactly [included] — the value now reflects
-       those transactions and no others; anything we had applied that the
-       rebaser lacked was clobbered with the overwrite and will come back
-       through Sync_reply repair from a replica that still holds it. *)
+       twice).  An included txid logged before moves out of the log; one
+       never seen drops any still-pending option it left behind.  Anything
+       we had applied that the rebaser lacked was clobbered with the
+       overwrite: it stays decided committed, now in the log, and its
+       effect comes back through Sync_reply repair from a replica that
+       still holds it. *)
     let rs = rstate t key in
-    rs.Rstate.applied <- rb.Messages.included;
-    Txn.Map.iter
-      (fun txid _update ->
-        if not (is_visible t txid key) then begin
-          set_visible t rs txid key true;
-          Rstate.remove_pending rs txid
-        end)
-      rb.Messages.included
+    let old = rs.Rstate.applied and included = rb.Messages.included in
+    rs.Rstate.applied <- included;
+    let kept =
+      Txn.Map.fold
+        (fun txid _ kept ->
+          if Txn.Map.mem txid old then kept + 1
+          else begin
+            if not (unlog t rs txid) then Rstate.remove_pending rs txid;
+            kept
+          end)
+        included 0
+    in
+    (* Usually the rebaser holds everything we applied: only a count says
+       so, and the walk for clobbered txids is skipped. *)
+    if kept < Txn.Map.cardinal old then
+      Txn.Map.iter
+        (fun txid _ -> if not (Txn.Map.mem txid included) then set_visible t rs txid key true)
+        old
   end
 
 let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase =
@@ -300,7 +340,7 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
     rs.Rstate.promised <- ballot;
     rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
     (match rebase with Some rb -> apply_rebase t key rb | None -> ());
-    match visible_outcome t w.Woption.txid key with
+    match outcome_at t rs w.Woption.txid with
     | Some committed ->
       (* The option's visibility already executed here: that decision is
          final, answer it instead of the proposer's. *)
@@ -325,15 +365,14 @@ let visibility t txid key (update : Update.t) committed =
        pending vote stays (so conflicting rounds cannot validate against our
        stale row) and the master's committed state — whose rebase watermark
        settles this transaction — repairs us instead. *)
-    if not (is_visible t txid key) then begin
+    if Option.is_none (visible_outcome t txid key) then begin
       if live t then emit t (Event.Unknown_update { txid; key });
       if t.master_of key <> t.id then
         send t (t.master_of key) (Messages.Catchup_request { key })
     end
   end
-  else if not (is_visible t txid key) then begin
+  else if Option.is_none (visible_outcome t txid key) then begin
     let rs = rstate t key in
-    set_visible t rs txid key committed;
     Rstate.remove_pending rs txid;
     if committed then begin
       let row = Store.ensure t.store key in
@@ -346,13 +385,14 @@ let visibility t txid key (update : Update.t) committed =
         | Update.Delta _ -> true
         | Update.Read_guard _ -> false
       in
-      (* Track every committed value-affecting update in the record's
-         applied set (even when the physical apply is skipped — a skip
-         means a rebase already folded the effect in).  Read guards never
-         change the value, so they stay out: the anti-entropy digest must
-         not diverge over no-ops one replica happened to miss. *)
+      (* Every committed value-affecting update joins the record's applied
+         set, its outcome's one record (even when the physical apply is
+         skipped — a skip means a rebase already folded the effect in).
+         Read guards never change the value, so they are logged instead:
+         the anti-entropy digest must not diverge over no-ops one replica
+         happened to miss. *)
       (match update with
-      | Update.Read_guard _ -> ()
+      | Update.Read_guard _ -> set_visible t rs txid key true
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Delta _ ->
         Rstate.mark_applied rs txid update);
       if apply_it then Store.apply t.store key update;
@@ -363,6 +403,7 @@ let visibility t txid key (update : Update.t) committed =
              { txid; key; version = row.Store.version; value = row.Store.value; wrote = apply_it })
     end
     else begin
+      set_visible t rs txid key false;
       Obs.incr t.obs "visibility_void";
       if live t then emit t (Event.Voided { txid; key })
     end
@@ -521,7 +562,7 @@ and master_propose t (w : Woption.t) ~notify =
   let txid = w.Woption.txid in
   let ms = mstate t key in
   let rs = rstate t key in
-  match visible_outcome t txid key with
+  match outcome_at t rs txid with
   | Some committed ->
     announce t key w notify (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
@@ -669,10 +710,15 @@ and resolve_recovery t key rc =
      — a concurrent recovery already executed or voided these options, and
      this ballot must confirm, not contradict, them. *)
   let known_viz : (Txn.id, bool) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) (rstate t key).Rstate.decided;
+  let learn applied decided =
+    Txn.Map.iter (fun txid _ -> Hashtbl.replace known_viz txid true) applied;
+    List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
+  in
+  let own = rstate t key in
+  learn own.Rstate.applied own.Rstate.decided;
   List.iter
     (fun (_, (p : Messages.promise)) ->
-      List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) p.Messages.decided)
+      learn p.Messages.rebase.Messages.included p.Messages.decided)
     rc.rc_resp;
   (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
      some classic round — for each option only its highest-ballot vote
@@ -997,7 +1043,7 @@ let sync_repair t ~src key theirs =
       match update with
       | Update.Delta _ ->
         let row = Store.ensure t.store key in
-        set_visible t rs txid key true;
+        ignore (unlog t rs txid : bool);
         Rstate.remove_pending rs txid;
         Store.apply t.store key update;
         Rstate.mark_applied rs txid update;
@@ -1051,11 +1097,10 @@ let rec handle t ~src payload =
           (* The prober is ahead of us: pull its committed state. *)
           send t src (Messages.Catchup_request { key })
         else if row.Store.version > 0 then begin
-          if applied_digest_of t key <> digest then begin
+          let applied = applied_of t key in
+          if Messages.applied_digest applied <> digest then begin
             mark_diverged t ~src key version;
-            send t src
-              (Messages.Sync_reply
-                 { key; version = row.Store.version; applied = (rstate t key).Rstate.applied })
+            send t src (Messages.Sync_reply { key; version = row.Store.version; applied })
           end
           else clear_diverged t ~src key
         end)
@@ -1150,19 +1195,25 @@ let pending_options t =
 
 (* Anti-entropy sweep: send every node in [targets key] other than us one
    Sync_request with our (key, version, digest) for each key we hold that
-   names it.  Targets are probed in node-id order; each entry list is in
+   names it.  A key's digest is computed once, and only if it has such a
+   target.  Targets are probed in node-id order; each entry list is in
    reverse key order, [Store.iter] being sorted. *)
+let rec names_other id = function [] -> false | dst :: rest -> dst <> id || names_other id rest
+
 let sync t ~targets =
   let by_target = Hashtbl.create 8 in
   Store.iter t.store (fun key row ->
-      List.iter
-        (fun dst ->
-          if dst <> t.id then begin
-            let existing = Option.value (Hashtbl.find_opt by_target dst) ~default:[] in
-            let digest = applied_digest_of t key in
-            Hashtbl.replace by_target dst ((key, row.Store.version, digest) :: existing)
-          end)
-        (targets key));
+      let dsts = targets key in
+      if names_other t.id dsts then begin
+        let entry = (key, row.Store.version, Messages.applied_digest (applied_of t key)) in
+        List.iter
+          (fun dst ->
+            if dst <> t.id then begin
+              let existing = Option.value (Hashtbl.find_opt by_target dst) ~default:[] in
+              Hashtbl.replace by_target dst (entry :: existing)
+            end)
+          dsts
+      end);
   Table.sorted_iter ~compare:Int.compare
     (fun dst entries -> send t dst (Messages.Sync_request { entries }))
     by_target

@@ -40,6 +40,9 @@ and t = {
   handlers : (int, src:int -> Net.payload -> unit) Hashtbl.t;
   mutable listeners : (Unix.file_descr * (conn -> conn_handlers)) list;
   mutable conns : conn list;
+  mutable read_fds : Unix.file_descr list;
+      (* what [poll] selects on for reading: the wake pipe, the listeners
+         and the open connections, rebuilt when one of them changes *)
   dc_of : int -> int;
   stop : bool Atomic.t;
   mutable meter : meter option;
@@ -84,6 +87,7 @@ let create ?(seed = 1) ?(dc_of = fun _ -> 0) () =
       handlers = Hashtbl.create 32;
       listeners = [];
       conns = [];
+      read_fds = [ wake_r ];
       dc_of;
       stop = Atomic.make false;
       meter = None;
@@ -164,10 +168,14 @@ let max_conn_buffered t =
 
 let timers_pending t = Engine.pending t.engine
 
+let refresh_fds t =
+  t.read_fds <- (t.wake_r :: List.map fst t.listeners) @ List.map (fun c -> c.c_fd) t.conns
+
 let teardown c =
   if c.c_open then begin
     c.c_open <- false;
     c.c_loop.conns <- List.filter (fun c' -> c' != c) c.c_loop.conns;
+    refresh_fds c.c_loop;
     (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
     match c.c_handlers with Some h -> h.on_close () | None -> ()
   end
@@ -218,13 +226,15 @@ let listen t ?(backlog = 64) ?(addr = "127.0.0.1") ~port on_conn =
      Unix.close fd;
      raise e);
   t.listeners <- (fd, on_conn) :: t.listeners;
+  refresh_fds t;
   match Unix.getsockname fd with
   | ADDR_INET (_, bound) -> bound
   | ADDR_UNIX _ -> port
 
 let close_listeners t =
   List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
-  t.listeners <- []
+  t.listeners <- [];
+  refresh_fds t
 
 let accept_ready t (lfd, on_conn) =
   let continue = ref true in
@@ -246,6 +256,7 @@ let accept_ready t (lfd, on_conn) =
         }
       in
       t.conns <- c :: t.conns;
+      refresh_fds t;
       c.c_handlers <- Some (on_conn c)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> continue := false
     | exception Unix.Unix_error _ -> continue := false
@@ -270,61 +281,79 @@ let drain_posted t =
   done;
   Mutex.unlock t.posted_mx
 
-(* Phase spans cost a DLS read + branch each when profiling is off (the
-   default); with [--profile] they attribute the loop's time across
-   drain (every event now due, in (time, seq) order) / timers (the select
-   bound) / select / socket I/O. *)
-let poll t ~max_wait_ms =
-  Prof.span "loop.drain" (fun () ->
-      drain_posted t;
-      Engine.run ~until:(clock t) t.engine);
-  let timeout =
-    Prof.span "loop.timers" (fun () ->
-        Float.min (Float.max 0.0 max_wait_ms)
-          (Float.max 0.0 (Engine.next_at t.engine -. clock t)))
-  in
-  let reads =
-    (t.wake_r :: List.map fst t.listeners)
-    @ List.filter_map (fun c -> if c.c_open then Some c.c_fd else None) t.conns
-  in
+let drain t =
+  drain_posted t;
+  Engine.advance t.engine ~until:(clock t)
+
+(* How long select may sleep: [max_wait_ms], clipped to the engine's next
+   event. *)
+let select_timeout t ~max_wait_ms =
+  Float.min (Float.max 0.0 max_wait_ms) (Float.max 0.0 (Engine.next_at t.engine -. clock t))
+
+(* Nothing is ready when select was interrupted or raced a closed
+   descriptor. *)
+let select t timeout_ms =
   let writes =
     List.filter_map
       (fun c -> if c.c_open && not (Queue.is_empty c.c_out) then Some c.c_fd else None)
       t.conns
   in
-  let selected =
-    Prof.span "loop.select" (fun () ->
-        match Unix.select reads writes [] (timeout /. 1000.0) with
-        | exception Unix.Unix_error (EINTR, _, _) -> None
-        | exception Unix.Unix_error (EBADF, _, _) -> None
-        | readable, writable, _ -> Some (readable, writable))
-  in
-  match selected with
-  | None -> ()
-  | Some (readable, writable) ->
-    Prof.span "loop.io" (fun () ->
-        if List.mem t.wake_r readable then begin
-          let continue = ref true in
-          while !continue do
-            match Unix.read t.wake_r t.rbuf 0 64 with
-            | n -> continue := n = 64
-            | exception Unix.Unix_error _ -> continue := false
-          done
-        end;
-        List.iter
-          (fun (lfd, on_conn) ->
-            if List.mem lfd readable then accept_ready t (lfd, on_conn))
-          t.listeners;
-        (* Snapshot: handlers may open/close connections while we iterate. *)
-        let snapshot = t.conns in
-        List.iter
-          (fun c ->
-            if c.c_open && List.mem c.c_fd writable then
-              if flush_out c && c.c_close_after_flush then teardown c)
-          snapshot;
-        List.iter
-          (fun c -> if c.c_open && List.mem c.c_fd readable then read_ready t c)
-          snapshot)
+  try Unix.select t.read_fds writes [] (timeout_ms /. 1000.0)
+  with Unix.Unix_error ((EINTR | EBADF), _, _) -> ([], [], [])
+
+let rec accept_listed t readable = function
+  | [] -> ()
+  | ((lfd, _) as l) :: rest ->
+    if List.mem lfd readable then accept_ready t l;
+    accept_listed t readable rest
+
+let rec flush_listed writable = function
+  | [] -> ()
+  | c :: rest ->
+    if c.c_open && List.mem c.c_fd writable then begin
+      if flush_out c && c.c_close_after_flush then teardown c
+    end;
+    flush_listed writable rest
+
+let rec read_listed t readable = function
+  | [] -> ()
+  | c :: rest ->
+    if c.c_open && List.mem c.c_fd readable then read_ready t c;
+    read_listed t readable rest
+
+let io t readable writable =
+  if List.mem t.wake_r readable then begin
+    let continue = ref true in
+    while !continue do
+      match Unix.read t.wake_r t.rbuf 0 64 with
+      | n -> continue := n = 64
+      | exception Unix.Unix_error _ -> continue := false
+    done
+  end;
+  accept_listed t readable t.listeners;
+  (* Snapshot: handlers may open/close connections while we iterate. *)
+  let snapshot = t.conns in
+  flush_listed writable snapshot;
+  read_listed t readable snapshot
+
+(* An iteration runs drain (every event now due, in (time, seq) order) /
+   timers (the select bound) / select / socket I/O.  Its own cost is the
+   lists select takes and returns, once per iteration however many
+   requests it serves: the read list is kept, not rebuilt, and the phases
+   are plain calls.  With [--profile] each phase runs in a span instead,
+   which attributes the loop's time across them. *)
+let poll t ~max_wait_ms =
+  if not (Prof.enabled_ambient ()) then begin
+    drain t;
+    let readable, writable, _ = select t (select_timeout t ~max_wait_ms) in
+    io t readable writable
+  end
+  else begin
+    Prof.span "loop.drain" (fun () -> drain t);
+    let timeout = Prof.span "loop.timers" (fun () -> select_timeout t ~max_wait_ms) in
+    let readable, writable, _ = Prof.span "loop.select" (fun () -> select t timeout) in
+    Prof.span "loop.io" (fun () -> io t readable writable)
+  end
 
 let run t =
   while not (Atomic.get t.stop) do

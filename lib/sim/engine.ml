@@ -142,10 +142,12 @@ let rec drain t ~limit =
     drain t ~limit
   end
 
+let advance t ~until =
+  drain t ~limit:until;
+  if t.now.Event_queue.f < until then t.now.Event_queue.f <- until
+
 let run ?until t =
   Prof.span_in t.prof "engine.run" (fun () ->
       match until with
       | None -> drain t ~limit:Float.infinity
-      | Some limit ->
-        drain t ~limit;
-        if t.now.Event_queue.f < limit then t.now.Event_queue.f <- limit)
+      | Some until -> advance t ~until)

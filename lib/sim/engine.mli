@@ -84,5 +84,9 @@ val run : ?until:float -> t -> unit
     next event would fire strictly after [until].  The clock is left at the
     time of the last executed event (or at [until] if given). *)
 
+val advance : t -> until:float -> unit
+(** [run ~until] without the profiler span, so a driver that calls it once
+    per iteration allocates no closure or option for it. *)
+
 val step : t -> bool
 (** Execute exactly one event; [false] if the heap was empty. *)

@@ -241,6 +241,53 @@ let test_loop_message_path () =
   let per_msg = w /. Float.of_int (!delivered - before) in
   if per_msg >= 1.0 then Alcotest.failf "%.2f words per loop message (ceiling 1)" per_msg
 
+(* A loop iteration's own cost is the lists select takes and returns, paid
+   once however many requests the iteration serves: with a listener and two
+   connections, an idle poll and one that reads both connections stay a few
+   words, so the wire server's words per request do not follow how many
+   requests an iteration happens to serve. *)
+let test_loop_poll_light () =
+  let module Loop = Mdcc_runtime_unix.Loop in
+  let lp = Loop.create () in
+  let received = ref 0 in
+  let port =
+    Loop.listen lp ~port:0 (fun _ ->
+        { Loop.on_data = (fun _ _ n -> received := !received + n); on_close = ignore })
+  in
+  let clients =
+    Array.init 2 (fun _ ->
+        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+        fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Unix.close clients;
+      Loop.close_listeners lp)
+    (fun () ->
+      while Loop.open_conns lp < 2 do
+        Loop.poll lp ~max_wait_ms:10.0
+      done;
+      let polls = 1_000 in
+      let idle = words (fun () -> for _ = 1 to polls do Loop.poll lp ~max_wait_ms:0.0 done) in
+      let per_idle = idle /. Float.of_int polls in
+      if per_idle > 16.0 then Alcotest.failf "%.1f words per idle poll (ceiling 16)" per_idle;
+      let byte = Bytes.make 1 'x' and reading = ref 0 in
+      let busy =
+        words (fun () ->
+            for _ = 1 to polls do
+              let target = !received + 2 in
+              Array.iter (fun fd -> ignore (Unix.write fd byte 0 1)) clients;
+              while !received < target do
+                Loop.poll lp ~max_wait_ms:10.0;
+                incr reading
+              done
+            done)
+      in
+      Alcotest.(check int) "every byte read" (2 * polls) !received;
+      let per_busy = busy /. Float.of_int !reading in
+      if per_busy > 32.0 then Alcotest.failf "%.1f words per reading poll (ceiling 32)" per_busy)
+
 (* The event consumers a node is built with (tracing is always off). *)
 let ctx_of = function
   | `None -> Mdcc_core.Ctx.make ~obs:(Mdcc_obs.Obs.create ()) ()
@@ -417,6 +464,7 @@ let suite =
     Alcotest.test_case "network message path allocates nothing" `Quick
       test_network_message_path;
     Alcotest.test_case "loop message path is under a word" `Quick test_loop_message_path;
+    Alcotest.test_case "loop poll allocates only select's lists" `Quick test_loop_poll_light;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;

@@ -81,7 +81,7 @@ let size_pins () =
       Messages.Propose { woption = w (Update.Read_guard { vread = 2 }); route = `Fast } );
     ("phase1a", 31, Messages.Phase1a { key = k; ballot = b });
     ( "phase1b",
-      261,
+      264,
       Messages.Phase1b
         {
           key = k;
@@ -89,7 +89,7 @@ let size_pins () =
           ok = true;
           promised = b;
           promise =
-            { votes = [ vote; vote ]; rebase; decided = [ ("t1", true); ("t9", false) ] };
+            { votes = [ vote; vote ]; rebase; decided = [ ("t9", false) ] };
         } );
     ( "phase2a",
       182,

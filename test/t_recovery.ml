@@ -510,6 +510,146 @@ let test_sync_targets () =
     ]
     (requests ())
 
+(* The visibility outcomes node 0 reports for item 0: what a Status_query
+   answers for each txid of [txids], and what a Phase 1b promise carries,
+   as its applied set ([rebase.included], every txid committed) and its
+   decided log. *)
+let reported_outcomes { handle; drain; _ } ~ballot txids =
+  let module Messages = Mdcc_core.Messages in
+  let key = item 0 in
+  ignore (drain ());
+  List.iter (fun txid -> handle ~src:1 (Messages.Status_query { txid; key })) txids;
+  handle ~src:1 (Messages.Phase1a { key; ballot = Mdcc_paxos.Ballot.classic ~number:ballot ~proposer:1 });
+  let status = ref [] and promise = ref None in
+  List.iter
+    (fun (_, p) ->
+      match p with
+      | Messages.Status_reply { txid; status = Messages.Status_decided c; _ } ->
+        status := (txid, c) :: !status
+      | Messages.Phase1b { promise = pr; _ } -> promise := Some pr
+      | _ -> ())
+    (drain ());
+  match !promise with
+  | None -> Alcotest.fail "no Phase1b"
+  | Some pr ->
+    let included = List.map fst (Txn.Map.bindings pr.Messages.rebase.Messages.included) in
+    (List.sort compare !status, included, pr.Messages.decided)
+
+(* The model's outcome map, sorted by txid. *)
+let sorted_outcomes model = List.sort compare (Hashtbl.fold (fun t c acc -> (t, c) :: acc) model [])
+
+(* Whether a promise's two parts are disjoint and, read as a recovering
+   master reads them (the applied set committed, then the decided log, each
+   txid once), report exactly [expected]. *)
+let promise_reports expected (included, decided) =
+  let decided_txids = List.map fst decided in
+  let disjoint = not (List.exists (fun t -> List.mem t included) decided_txids) in
+  let once = List.length (List.sort_uniq compare decided_txids) = List.length decided_txids in
+  let read = Hashtbl.create 16 in
+  List.iter (fun t -> Hashtbl.replace read t true) included;
+  List.iter (fun (t, c) -> Hashtbl.replace read t c) decided;
+  disjoint && once && sorted_outcomes read = expected
+
+type log_event =
+  | Viz of int * int * bool  (* txid, update kind (delta/physical/guard), committed *)
+  | Rebase of int list * int  (* included txids, stock *)
+  | Repair of int list  (* txids of the deltas a Sync_reply offers *)
+
+let prop_outcome_log_matches_model =
+  let module Messages = Mdcc_core.Messages in
+  let txid i = Printf.sprintf "t%d" i in
+  let delta = Update.Delta [ ("stock", -1) ] in
+  let event =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map3 (fun t k c -> Viz (t, k, c)) (int_range 0 9) (int_range 0 2) bool);
+          (2, map2 (fun ts s -> Rebase (ts, s)) (list_size (int_range 0 6) (int_range 0 9))
+                (int_range 0 50));
+          (2, map (fun ts -> Repair ts) (list_size (int_range 0 4) (int_range 0 9)));
+        ])
+  in
+  let print = function
+    | Viz (t, k, c) -> Printf.sprintf "viz t%d kind=%d %b" t k c
+    | Rebase (ts, s) ->
+      Printf.sprintf "rebase [%s] stock=%d" (String.concat ";" (List.map txid ts)) s
+    | Repair ts -> Printf.sprintf "repair [%s]" (String.concat ";" (List.map txid ts))
+  in
+  QCheck.Test.make ~name:"outcome log matches its model" ~count:200
+    QCheck.(make ~print:Print.(list print) Gen.(list_size (int_range 0 30) event))
+    (fun events ->
+      let key = item 0 in
+      let node = scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) () in
+      Storage_node.load node.node [ (key, item_row 100) ];
+      (* txid -> committed?  A rebase or repair only ever names a txid the
+         model does not hold voided: it commits the unknown ones. *)
+      let model = Hashtbl.create 16 in
+      let not_voided t = Hashtbl.find_opt model (txid t) <> Some false in
+      let commit t = if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) true in
+      List.iteri
+        (fun i ev ->
+          match ev with
+          | Viz (t, kind, committed) ->
+            let update =
+              match kind with
+              | 0 -> delta
+              | 1 -> Update.Physical { vread = 1; value = item_row 7 }
+              | _ -> Update.Read_guard { vread = 1 }
+            in
+            node.handle ~src:9 (Messages.Visibility { txid = txid t; key; update; committed });
+            if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) committed
+          | Rebase (ts, stock) ->
+            let ts = List.filter not_voided ts in
+            let included = Txn.Map.of_list (List.map (fun t -> (txid t, delta)) ts) in
+            node.handle ~src:1
+              (Messages.Catchup
+                 {
+                   key;
+                   rebase =
+                     { value = item_row stock; version = 1000 * (i + 1); exists = true; included };
+                 });
+            List.iter commit ts
+          | Repair ts ->
+            let ts = List.filter not_voided ts in
+            let applied = Txn.Map.of_list (List.map (fun t -> (txid t, delta)) ts) in
+            node.handle ~src:1 (Messages.Sync_reply { key; version = 0; applied });
+            List.iter commit ts)
+        events;
+      let expected = sorted_outcomes model in
+      let status, included, decided =
+        reported_outcomes node ~ballot:2 (List.init 10 txid)
+      in
+      status = expected && promise_reports expected (included, decided))
+
+let test_clobbered_then_repaired () =
+  (* A committed delta a rebase clobbers stays decided committed, now in the
+     promise's decided log; a Sync_reply that replays it moves it back to
+     the applied set. *)
+  let module Messages = Mdcc_core.Messages in
+  let key = item 0 in
+  let node = scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) () in
+  Storage_node.load node.node [ (key, item_row 100) ];
+  let delta = Update.Delta [ ("stock", -1) ] in
+  node.handle ~src:9 (Messages.Visibility { txid = "d"; key; update = delta; committed = true });
+  node.handle ~src:9 (Messages.Visibility { txid = "v"; key; update = delta; committed = false });
+  let report = Alcotest.(triple (list (pair string bool)) (list string) (list (pair string bool))) in
+  let outcomes = [ ("d", true); ("v", false) ] in
+  Alcotest.check report "applied" (outcomes, [ "d" ], [ ("v", false) ])
+    (reported_outcomes node ~ballot:2 [ "d"; "v" ]);
+  let rebase =
+    { Messages.value = item_row 50; version = 5; exists = true; included = Txn.Map.empty }
+  in
+  node.handle ~src:1 (Messages.Catchup { key; rebase });
+  Alcotest.check report "clobbered: demoted to the log" (outcomes, [], [ ("d", true); ("v", false) ])
+    (reported_outcomes node ~ballot:3 [ "d"; "v" ]);
+  node.handle ~src:1
+    (Messages.Sync_reply { key; version = 5; applied = Txn.Map.singleton "d" delta });
+  Alcotest.check report "repaired: promoted to the applied set"
+    (outcomes, [ "d" ], [ ("v", false) ])
+    (reported_outcomes node ~ballot:4 [ "d"; "v" ]);
+  Alcotest.(check int) "the delta is replayed once" 49
+    (Value.get_int (Store.ensure (Storage_node.store node.node) key).Store.value "stock")
+
 (* The dangling scan against a reference model.  One node holds options
    on six records, proposed at ages that straddle the transaction timeout
    and three times it, exact boundaries included; even records are
@@ -602,6 +742,9 @@ let prop_dangling_scan_matches_model =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_dangling_scan_matches_model;
+    QCheck_alcotest.to_alcotest prop_outcome_log_matches_model;
+    Alcotest.test_case "clobbered outcome demoted, then promoted" `Quick
+      test_clobbered_then_repaired;
     Alcotest.test_case "commit with failed DC (fast)" `Quick test_commit_with_failed_dc;
     Alcotest.test_case "commit with failed DC (multi)" `Quick test_commit_with_failed_dc_multi;
     Alcotest.test_case "master failover" `Quick test_master_failure_failover;
