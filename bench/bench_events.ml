@@ -5,7 +5,7 @@
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Eleven sections, each timed in isolation:
+   Twelve sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -33,6 +33,12 @@
                        the transaction timeout (one op = one scan): a walk
                        that finds nothing stale allocates nothing per
                        record
+   - maintenance_tick_idle: N maintenance ticks of a storage node on the
+                       simulator's runtime whose 10,000 records each saw
+                       one committed option and hold none pending (one op
+                       = one tick): the tick re-arms its own engine event
+                       and the idle node skips the scan, so it allocates
+                       nothing
    - span_event:       protocol events through Ctx.emit into a span store,
                        alternately a fast Voted and an Applied, on spans
                        already open (one op = one event)
@@ -275,6 +281,41 @@ let dangling_scan_idle () =
         (Queue.pop timers) ()
       done)
 
+let maintenance_tick_idle ~ops =
+  let records = 10_000 in
+  let engine = Engine.create ~seed:19 in
+  let net =
+    Network.create engine
+      (Topology.make ~dc_names:[| "a" |] ~rtt:[| [| 0.0 |] |] ~nodes_per_dc:2 ())
+      ()
+  in
+  let node =
+    Storage_node.create ~runtime:(Runtime.of_network net) ~config:(Config.make ~replication:3 ())
+      ~node_id:0
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ~replicas:(fun _ -> [ 0 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  Network.register net 1 (fun ~src:_ _ -> ());
+  for i = 0 to records - 1 do
+    Network.send net ~src:1 ~dst:0
+      (Messages.Visibility
+         {
+           txid = Printf.sprintf "c%06d" i;
+           key = Key.make ~table:"item" ~id:(string_of_int i);
+           update = Update.Delta [ ("stock", -1) ];
+           committed = true;
+         })
+  done;
+  Engine.run engine;
+  if Storage_node.pending_options node <> 0 then failwith "maintenance_tick_idle: a pending option";
+  Storage_node.start_maintenance node;
+  time_section "maintenance_tick_idle" ops (fun () ->
+      for _ = 1 to ops do
+        ignore (Engine.step engine : bool)
+      done)
+
 let span_event () =
   let ops = 100_000 and txns = 1_000 in
   let runtime =
@@ -373,6 +414,7 @@ let bench ~out =
       visibility_hot_key ();
       visibility_void_hot_key ();
       dangling_scan_idle ();
+      maintenance_tick_idle ~ops;
       span_event ();
       fast_path_commit ();
       rng_lognormal ~ops;
@@ -412,8 +454,9 @@ let out_arg =
 let () =
   let doc =
     "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
-     socket loop's message path, of the storage node's visibility and dangling-scan paths, of the \
-     span fold, of one fast-path commit and of a latency-jitter draw"
+     socket loop's message path, of the storage node's visibility, dangling-scan and idle \
+     maintenance-tick paths, of the span fold, of one fast-path commit and of a latency-jitter \
+     draw"
   in
   let cmd =
     Cmd.v

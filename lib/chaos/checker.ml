@@ -16,6 +16,9 @@ type info = {
   mutable voided : (int * Key.t) list;  (* node, key *)
 }
 
+(* Every transaction id the history names, with what it knows of it, in
+   txid order: each check walks this one list, so reports list violations
+   in txid order without sorting the table again. *)
 let gather history =
   let tbl : (Txn.id, info) Hashtbl.t = Hashtbl.create 256 in
   let get txid =
@@ -43,7 +46,7 @@ let gather history =
         i.voided <- (node, key) :: i.voided
       | _ -> (* faults, and steps the history does not keep ([Event.in_history]) *) ())
     (History.events history);
-  tbl
+  Table.sorted_bindings ~compare:String.compare tbl
 
 (* Did the transaction commit?  Prefer the coordinator's decision; fall back
    to visibility evidence for transactions finished by recovery alone. *)
@@ -68,10 +71,10 @@ let reads_of (txn : Txn.t) =
 (* 1. Atomic visibility                                                *)
 (* ------------------------------------------------------------------ *)
 
-let check_atomic_visibility tbl =
+let check_atomic_visibility txns =
   let out = ref [] in
-  Table.sorted_iter ~compare:String.compare
-    (fun txid info ->
+  List.iter
+    (fun (txid, info) ->
       let add detail = out := { invariant = "atomic-visibility"; detail } :: !out in
       if info.applied <> [] && info.voided <> [] then
         add
@@ -86,7 +89,7 @@ let check_atomic_visibility tbl =
           add (Printf.sprintf "txn %s decided Aborted but executed at a replica" txid)
         | Some _ | None -> ()
       end)
-    tbl;
+    txns;
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -98,10 +101,10 @@ let check_atomic_visibility tbl =
    transaction is allowed to re-announce it), but every announcement must
    agree: a cross-partition transaction whose groups settle on different
    outcomes is exactly the torn commit sharding must never produce. *)
-let check_decision_agreement tbl =
+let check_decision_agreement txns =
   let out = ref [] in
-  Table.sorted_iter ~compare:String.compare
-    (fun txid info ->
+  List.iter
+    (fun (txid, info) ->
       let commits = List.exists (fun o -> o = Txn.Committed) info.decisions in
       let aborts =
         List.exists (function Txn.Aborted _ -> true | Txn.Committed -> false) info.decisions
@@ -116,7 +119,7 @@ let check_decision_agreement tbl =
                    (List.map (Format.asprintf "%a" Txn.pp_outcome) info.decisions));
           }
           :: !out)
-    tbl;
+    txns;
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -131,15 +134,15 @@ let check_decision_agreement tbl =
    groups named so a replay starts at the right replica set.  With one
    partition (the default [partition_of]) the check is inert — the plain
    atomic-visibility invariant already covers single-group mixes. *)
-let check_cross_partition ~partition_of tbl =
+let check_cross_partition ~partition_of txns =
   let out = ref [] in
   let module IS = Set.Make (Int) in
   let groups_of keys = IS.elements (IS.of_list (List.map partition_of keys)) in
   let render ps =
     String.concat "," (List.map (Printf.sprintf "p%02d") ps)
   in
-  Table.sorted_iter ~compare:String.compare
-    (fun txid info ->
+  List.iter
+    (fun (txid, info) ->
       match info.txn with
       | Some txn when List.length (groups_of (List.map fst txn.Txn.updates)) >= 2 ->
         let applied_in = groups_of (List.map (fun (_, k, _, _) -> k) info.applied) in
@@ -157,18 +160,18 @@ let check_cross_partition ~partition_of tbl =
             (Printf.sprintf "aborted txn %s leaked execution into group(s) [%s]" txid
                (render applied_in))
       | Some _ | None -> ())
-    tbl;
+    txns;
   !out
 
 (* ------------------------------------------------------------------ *)
 (* 2. Lost updates                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let check_lost_updates tbl =
+let check_lost_updates txns =
   (* (key, vread) -> committed physical/delete writers *)
   let writers : (Key.t * int, Txn.id list) Hashtbl.t = Hashtbl.create 64 in
-  Table.sorted_iter ~compare:String.compare
-    (fun txid info ->
+  List.iter
+    (fun (txid, info) ->
       match info.txn with
       | Some txn when committed info ->
         List.iter
@@ -181,7 +184,7 @@ let check_lost_updates tbl =
             | Update.Insert _ | Update.Delta _ | Update.Read_guard _ -> ())
           txn.Txn.updates
       | Some _ | None -> ())
-    tbl;
+    txns;
   List.fold_left
     (fun acc ((key, vread), txids) ->
       match txids with
@@ -201,7 +204,7 @@ let check_lost_updates tbl =
 (* 3. Read-committed visibility                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_read_committed tbl =
+let check_read_committed txns =
   (* Versions that ever existed per key: the initial load (<= 1), every
      version a replica committed (Applied events), and the version every
      committed physical/delete installed (vread + 1) — the latter covers
@@ -222,8 +225,8 @@ let check_read_committed tbl =
     v <= 1
     || (match Hashtbl.find_opt valid key with Some s -> Hashtbl.mem s v | None -> false)
   in
-  Table.sorted_iter ~compare:String.compare
-    (fun _ info ->
+  List.iter
+    (fun (_, info) ->
       List.iter (fun (_, key, version, _) -> mark key version) info.applied;
       match info.txn with
       | Some txn when committed info ->
@@ -234,10 +237,10 @@ let check_read_committed tbl =
             | Update.Insert _ | Update.Delta _ | Update.Read_guard _ -> ())
           txn.Txn.updates
       | Some _ | None -> ())
-    tbl;
+    txns;
   let out = ref [] in
-  Table.sorted_iter ~compare:String.compare
-    (fun txid info ->
+  List.iter
+    (fun (txid, info) ->
       match info.txn with
       | Some txn when committed info ->
         List.iter
@@ -253,7 +256,7 @@ let check_read_committed tbl =
                 :: !out)
           (reads_of txn)
       | Some _ | None -> ())
-    tbl;
+    txns;
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -270,7 +273,7 @@ let is_classic (txn : Txn.t) =
       | Update.Delta _ -> false)
     txn.Txn.updates
 
-let check_serializability tbl =
+let check_serializability txns =
   (* Participants: committed classic transactions with known write-sets. *)
   let participants : (Txn.id * Txn.t * info) list =
     List.fold_left
@@ -278,7 +281,7 @@ let check_serializability tbl =
         match info.txn with
         | Some txn when committed info && is_classic txn -> (txid, txn, info) :: acc
         | Some _ | None -> acc)
-      [] (Table.sorted_bindings ~compare:String.compare tbl)
+      [] txns
   in
   (* Writers per key with the version each write installed. *)
   let writers : (Key.t, (Txn.id * int) list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -386,10 +389,10 @@ let check_serializability tbl =
 (* 5. Demarcation: value constraints at every replica-visible state    *)
 (* ------------------------------------------------------------------ *)
 
-let check_demarcation ~bounds tbl =
+let check_demarcation ~bounds txns =
   let out = ref [] in
-  Table.sorted_iter ~compare:String.compare
-    (fun txid info ->
+  List.iter
+    (fun (txid, info) ->
       List.iter
         (fun (node, key, version, value) ->
           List.iter
@@ -411,18 +414,18 @@ let check_demarcation ~bounds tbl =
                   :: !out)
             (bounds key))
         info.applied)
-    tbl;
+    txns;
   !out
 
 let check ?(bounds = fun _ -> []) ?(partition_of = fun _ -> 0) history =
-  let tbl = gather history in
+  let txns = gather history in
   List.concat
     [
-      check_atomic_visibility tbl;
-      check_decision_agreement tbl;
-      check_cross_partition ~partition_of tbl;
-      check_lost_updates tbl;
-      check_read_committed tbl;
-      check_serializability tbl;
-      check_demarcation ~bounds tbl;
+      check_atomic_visibility txns;
+      check_decision_agreement txns;
+      check_cross_partition ~partition_of txns;
+      check_lost_updates txns;
+      check_read_committed txns;
+      check_serializability txns;
+      check_demarcation ~bounds txns;
     ]

@@ -11,6 +11,7 @@ type t = {
   r_send : src:int -> dst:int -> Net.payload -> unit;
   r_register : int -> (src:int -> Net.payload -> unit) -> unit;
   r_set_timer : after:float -> (unit -> unit) -> (unit -> unit);
+  r_every : period:float -> (unit -> unit) -> unit;
   r_spawn : (unit -> unit) -> unit;
   r_rng : Rng.t;
   r_dc_of : int -> int;
@@ -18,12 +19,22 @@ type t = {
   r_tracing : unit -> bool;
 }
 
+(* A periodic timer on a runtime that only has one-shot timers: a thunk
+   that runs [f] and then arms itself again. *)
+let every_of_set_timer set_timer ~period f =
+  let rec loop () =
+    f ();
+    ignore (set_timer ~after:period loop)
+  in
+  ignore (set_timer ~after:period loop)
+
 let make ~now ~send ~register ~set_timer ~spawn ~rng ~dc_of ~trace ~tracing () =
   {
     r_now = now;
     r_send = send;
     r_register = register;
     r_set_timer = set_timer;
+    r_every = every_of_set_timer set_timer;
     r_spawn = spawn;
     r_rng = rng;
     r_dc_of = dc_of;
@@ -38,6 +49,11 @@ let send t ~src ~dst payload = t.r_send ~src ~dst payload
 let register t node handler = t.r_register node handler
 
 let set_timer t ~after f = t.r_set_timer ~after f
+
+let every t ~period f =
+  if not (period > 0.0) then
+    Mdcc_util.Invariant.violate ~context:"Runtime.every" "period %g is not > 0" period;
+  t.r_every ~period f
 
 let cancel_timer _t (cancel : timer) = cancel ()
 
@@ -68,6 +84,7 @@ let of_network net =
       (fun ~after f ->
         let h = Engine.schedule engine ~after f in
         fun () -> Engine.cancel engine h);
+    r_every = (fun ~period f -> Engine.every engine ~period f);
     r_spawn = (fun f -> ignore (Engine.schedule engine ~after:0.0 f));
     r_rng = Engine.rng engine;
     r_dc_of = (fun node -> Topology.dc_of topo node);

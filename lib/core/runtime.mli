@@ -39,6 +39,8 @@ val make :
   t
 (** Assemble a runtime from its primitives.  [set_timer ~after f] must run
     [f] once, [after] milliseconds from now, and return the cancel thunk;
+    the runtime's {!every} is derived from it, as a thunk that runs its
+    callback and then calls [set_timer ~after:period] on itself again;
     [spawn f] must run [f] asynchronously but promptly (the "later, not
     reentrantly" primitive used for completion callbacks); [rng] is the
     runtime's root RNG, split once per component at create time; [trace]
@@ -62,6 +64,17 @@ val register : t -> int -> (src:int -> Mdcc_sim.Network.payload -> unit) -> unit
 
 val set_timer : t -> after:float -> (unit -> unit) -> timer
 (** [set_timer t ~after f] runs [f] once, [after] milliseconds from now. *)
+
+val every : t -> period:float -> (unit -> unit) -> unit
+(** [every t ~period f] runs [f] [period] milliseconds from now and then
+    every [period] ms, for the life of the runtime; it cannot be
+    cancelled.  Each tick runs [f] and then re-arms, so it takes its place
+    among timers due at the same instant exactly as a thunk ending in
+    [set_timer t ~after:period] on itself would.  Under {!of_network} a
+    tick re-inserts one engine event ({!Mdcc_sim.Engine.every}) and
+    allocates nothing of its own; a runtime built with {!make} re-arms
+    through its [set_timer].  A [period] that is not [> 0] (NaN included)
+    raises {!Mdcc_util.Invariant.Violation}. *)
 
 val cancel_timer : t -> timer -> unit
 (** Cancel a pending timer; a no-op if it already fired or was cancelled. *)
@@ -93,4 +106,5 @@ val trace : t -> tag:string -> ('a, unit, string, unit) format4 -> 'a
 val of_network : Mdcc_sim.Network.t -> t
 (** The simulator runtime: timers are engine events, [send] is simulated
     wide-area delivery with latency, jitter, drops and failures, [now] is
-    virtual time, and [spawn] is a zero-delay event. *)
+    virtual time, [spawn] is a zero-delay event and {!every} is
+    {!Mdcc_sim.Engine.every}. *)

@@ -89,6 +89,9 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
   visibility_exec : Obs.counter;
+  mutable pending_records : int;
+      (* records whose pending list is non-empty; kept by [add_pending] and
+         [remove_pending], the only writers of a pending list *)
   scan_now : Rng.fcell;  (* the scan's [now], flat so the walk boxes nothing *)
   stale_walk : Key.t -> Rstate.t -> unit;
       (* raises [Key.Tbl.Found] on a record with an option past the
@@ -109,6 +112,20 @@ let rstate t key =
     let rs = Rstate.create ~classic_until:(default_classic_until t.config) key in
     Key.Tbl.add t.records key rs;
     rs
+
+(* Every change to a record's pending list goes through these two, so
+   [pending_records] stays exact and an idle node's dangling scan can
+   return without looking at a record. *)
+let add_pending t (rs : Rstate.t) p =
+  (match rs.Rstate.pending with [] -> t.pending_records <- t.pending_records + 1 | _ :: _ -> ());
+  Rstate.add_pending rs p
+
+let remove_pending t (rs : Rstate.t) txid =
+  match rs.Rstate.pending with
+  | [] -> ()
+  | _ :: _ -> (
+    Rstate.remove_pending rs txid;
+    match rs.Rstate.pending with [] -> t.pending_records <- t.pending_records - 1 | _ :: _ -> ())
 
 let probe t txid key =
   t.probe.v_txid <- txid;
@@ -269,7 +286,7 @@ let fast_propose t (w : Woption.t) =
         in
         let decision = Rstate.decision_of reason in
         count_verdict t reason;
-        Rstate.add_pending rs
+        add_pending t rs
           {
             Rstate.woption = w;
             decision;
@@ -321,7 +338,7 @@ let apply_rebase t key (rb : Messages.rebase) =
         (fun txid _ kept ->
           if Txn.Map.mem txid old then kept + 1
           else begin
-            if not (unlog t rs txid) then Rstate.remove_pending rs txid;
+            if not (unlog t rs txid) then remove_pending t rs txid;
             kept
           end)
         included 0
@@ -346,7 +363,7 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
          final, answer it instead of the proposer's. *)
       (true, ballot, if committed then Woption.Accepted else Woption.Rejected)
     | None ->
-      Rstate.add_pending rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
+      add_pending t rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
       if live t then
         emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
       (true, ballot, decision)
@@ -373,7 +390,7 @@ let visibility t txid key (update : Update.t) committed =
   end
   else if Option.is_none (visible_outcome t txid key) then begin
     let rs = rstate t key in
-    Rstate.remove_pending rs txid;
+    remove_pending t rs txid;
     if committed then begin
       let row = Store.ensure t.store key in
       let apply_it =
@@ -971,35 +988,39 @@ let rec any_past_timeout (now : Rng.fcell) (config : Config.t) = function
 
 (* Periodic scan for pending options whose coordinator went silent.  The
    record's master reacts after one timeout; other replicas after three, so
-   a single node usually drives each recovery.  The scan visits every
-   record at every node and almost always finds nothing, so it first asks
-   [stale_walk] whether any option is past the timeout at all: a walk that
-   allocates nothing.  Only then are candidates collected, all before the
-   first recovery starts, since starting one mutates [t.records].
-   Recoveries start in reverse (key, pending) order. *)
+   a single node usually drives each recovery.  A node with no pending
+   option at all, as most nodes are at most ticks, returns at once without
+   reading the clock.  Otherwise the scan visits every record and almost
+   always finds nothing, so it first asks [stale_walk] whether any option
+   is past the timeout at all: a walk that allocates nothing.  Only then
+   are candidates collected, all before the first recovery starts, since
+   starting one mutates [t.records].  Recoveries start in reverse (key,
+   pending) order. *)
 let scan_dangling t =
-  t.scan_now.Rng.f <- now t;
-  if Key.Tbl.any t.stale_walk t.records then begin
-    let now = now t and timeout = t.config.Config.txn_timeout in
-    let older_than limit (p : Rstate.pending) = now -. p.Rstate.proposed_at > limit in
-    let past_timeout p = older_than timeout p in
-    let stale_in key (rs : Rstate.t) =
-      (* The shortest deadline first: it settles almost every record
-         without computing the record's master. *)
-      if not (List.exists past_timeout rs.Rstate.pending) then None
-      else begin
-        let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
-        let is_stale (p : Rstate.pending) =
-          older_than limit p && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
-        in
-        match List.filter is_stale rs.Rstate.pending with
-        | [] -> None
-        | stale -> Some (List.map (fun (p : Rstate.pending) -> p.Rstate.woption) stale)
-      end
-    in
-    Key.Tbl.sorted_filter_map stale_in t.records
-    |> List.concat |> List.rev
-    |> List.iter (start_txn_recovery t)
+  if t.pending_records > 0 then begin
+    t.scan_now.Rng.f <- now t;
+    if Key.Tbl.any t.stale_walk t.records then begin
+      let now = now t and timeout = t.config.Config.txn_timeout in
+      let older_than limit (p : Rstate.pending) = now -. p.Rstate.proposed_at > limit in
+      let past_timeout p = older_than timeout p in
+      let stale_in key (rs : Rstate.t) =
+        (* The shortest deadline first: it settles almost every record
+           without computing the record's master. *)
+        if not (List.exists past_timeout rs.Rstate.pending) then None
+        else begin
+          let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
+          let is_stale (p : Rstate.pending) =
+            older_than limit p && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
+          in
+          match List.filter is_stale rs.Rstate.pending with
+          | [] -> None
+          | stale -> Some (List.map (fun (p : Rstate.pending) -> p.Rstate.woption) stale)
+        end
+      in
+      Key.Tbl.sorted_filter_map stale_in t.records
+      |> List.concat |> List.rev
+      |> List.iter (start_txn_recovery t)
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1044,7 +1065,7 @@ let sync_repair t ~src key theirs =
       | Update.Delta _ ->
         let row = Store.ensure t.store key in
         ignore (unlog t rs txid : bool);
-        Rstate.remove_pending rs txid;
+        remove_pending t rs txid;
         Store.apply t.store key update;
         Rstate.mark_applied rs txid update;
         incr merged;
@@ -1169,6 +1190,7 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       stream = Ctx.stream ctx runtime ~node:node_id;
       option_accept = Obs.counter obs "option_accept";
       visibility_exec = Obs.counter obs "visibility_exec";
+      pending_records = 0;
       scan_now;
       stale_walk =
         (fun _ (rs : Rstate.t) ->
@@ -1231,10 +1253,4 @@ let sync_with_peers t = sync t ~targets:t.replicas
 
 let start_maintenance t =
   let period = t.config.Config.dangling_scan_every in
-  if period > 0.0 then begin
-    let rec loop () =
-      scan_dangling t;
-      ignore (Runtime.set_timer t.runtime ~after:period loop)
-    in
-    ignore (Runtime.set_timer t.runtime ~after:period loop)
-  end
+  if period > 0.0 then Runtime.every t.runtime ~period (fun () -> scan_dangling t)

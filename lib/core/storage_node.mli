@@ -81,4 +81,9 @@ val sync_with_peers : t -> unit
 
 val start_maintenance : t -> unit
 (** Arm the periodic dangling-transaction scan (call after setup; scans run
-    every [config.dangling_scan_every] ms forever). *)
+    every [config.dangling_scan_every] ms forever, through
+    {!Runtime.every}, and not at all when that period is not [> 0]).  A
+    node keeps a count of its records with a pending option, so a tick on
+    a node with none returns at once: under {!Runtime.of_network} it
+    allocates nothing.  Every node's tick keeps firing while it is idle, so
+    ticks at one instant always fire in the order the nodes were started. *)

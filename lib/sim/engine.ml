@@ -71,6 +71,24 @@ let schedule_at t ~at f = enqueue t at f
 
 let schedule t ~after f = enqueue t (after_time t after) f
 
+(* One thunk record for the life of the timer: each tick runs [f], then
+   stages [now + period] and takes the next [seq] — exactly what a [loop]
+   that ends with [schedule ~after:period loop] would push — and re-inserts
+   the same record.  A tick therefore orders against every other event as
+   that loop's would, and allocates nothing. *)
+let every t ~period f =
+  if not (period > 0.0) then
+    Mdcc_util.Invariant.violate ~context:"Engine.every" "period %g is not > 0" period;
+  let rec ev = Event_queue.Thunk { seq = 0; cancelled = false; run = tick }
+  and tick () =
+    f ();
+    arm ()
+  and arm () =
+    stage t (t.now.Event_queue.f +. period);
+    Event_queue.repush t.queue ~at:t.at ~seq:t.seq ev
+  in
+  arm ()
+
 (* A message takes a record from the free stack — a new one only while the
    number in flight is at a new high — and is pushed with the next [seq],
    so it orders against timers exactly as a scheduled closure would. *)

@@ -34,6 +34,16 @@ val schedule : t -> after:float -> (unit -> unit) -> handle
 val schedule_at : t -> at:float -> (unit -> unit) -> handle
 (** Absolute-time variant of {!schedule}. *)
 
+val every : t -> period:float -> (unit -> unit) -> unit
+(** [every t ~period f] runs [f] at [now t +. period] and then every
+    [period] ms, for the life of the engine.  Each tick runs [f] and then
+    re-arms, taking its [seq] and time exactly as a thunk ending in
+    [schedule t ~after:period] would, so ties at equal instants order as
+    under that self-re-arming chain.  The tick re-inserts one event record
+    built here, so it allocates nothing of its own.  A [period] that is not
+    [> 0] (NaN included) would fire forever at one instant: it raises
+    {!Mdcc_util.Invariant.Violation}. *)
+
 type delivery =
   src:int -> dst:int -> bytes:int -> Event_queue.payload -> string option -> unit
 (** What the engine calls when a message posted with {!post} comes due:

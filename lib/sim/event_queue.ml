@@ -4,7 +4,7 @@ type payload = ..
 
 type event =
   | Thunk of {
-      seq : int;
+      mutable seq : int;
       mutable cancelled : bool;
       run : unit -> unit;
     }
@@ -148,6 +148,15 @@ let push_cell t ~at ~seq run =
   ev
 
 let push_msg t ~at ev = insert t at.f ev
+
+(* A periodic timer's record goes back into the heap as itself: a fresh
+   [seq], and the spent mark [pop_before] set cleared. *)
+let repush t ~at ~seq = function
+  | Thunk e as ev ->
+    e.seq <- seq;
+    e.cancelled <- false;
+    insert t at.f ev
+  | Msg _ -> invalid_arg "Event_queue.repush: a message is not a timer"
 
 (* Cancellation is lazy (the entry stays until popped), but a cancel-heavy
    run — every committed transaction cancels its timeout — would otherwise

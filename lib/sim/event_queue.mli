@@ -13,7 +13,9 @@
     rule so a message and a timer due at the same instant fire in push
     order:
     - a {e thunk} ([Thunk]) is a timer: {!push}/{!push_cell} allocate its
-      4-word record, which is also the handle {!cancel} takes;
+      4-word record, which is also the handle {!cancel} takes.  A periodic
+      timer's record is pushed again with {!repush} each time it fires, so
+      a tick allocates nothing;
     - a {e message} ([Msg]) is a network message in flight, carried as
       data rather than as a closure.  Message records are mutable and
       reused: the engine keeps a free stack of them, fills one per send
@@ -27,7 +29,7 @@ type payload = ..
 
 type event =
   | Thunk of {
-      seq : int;  (** insertion tie-breaker *)
+      mutable seq : int;  (** insertion tie-breaker; {!repush} renews it *)
       mutable cancelled : bool;
           (** set by {!cancel}, and by {!pop_before} once the thunk has left
               the heap — a spent thunk cannot be cancelled *)
@@ -85,6 +87,13 @@ val push_msg : t -> at:fcell -> event -> unit
 (** Insert a filled [Msg] record (its [seq] already set) at time [at.f].
     Allocates nothing: the record comes from the engine's free stack, and
     must not already be in the heap. *)
+
+val repush : t -> at:fcell -> seq:int -> event -> unit
+(** Re-insert a thunk that is not in the heap — one {!pop_before} has
+    returned, or one the engine built itself — with a new [seq], at time
+    [at.f], and mark it live again.  Allocates nothing: a periodic timer
+    re-arms its own record instead of pushing a new one.  Raises
+    [Invalid_argument] on a message. *)
 
 val cancel : t -> event -> unit
 (** Mark a pending thunk dead; it is skipped (and dropped) when popped.

@@ -138,16 +138,17 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
      occupancy, inflight) is copied into the registry every quarter
      second, so a [metrics] scrape only renders already-materialized
      gauges and never walks the connection list on the request path. *)
-  let rec snapshot () =
+  let snapshot () =
     Obs.set_gauge observ "wire.curr_connections" (Loop.open_conns lp);
     Obs.set_gauge observ "wire.buffered_bytes" (Loop.buffered_bytes lp);
     Obs.set_gauge observ "wire.max_conn_buffered" (Loop.max_conn_buffered lp);
     Obs.set_gauge observ "wire.timers_pending" (Loop.timers_pending lp);
     Obs.set_gauge observ "wire.uptime_ms" (int_of_float (Loop.now lp));
-    Obs.set_gauge observ "coord.inflight" (Coordinator.inflight coord);
-    ignore (Runtime.set_timer runtime ~after:250.0 snapshot)
+    Obs.set_gauge observ "coord.inflight" (Coordinator.inflight coord)
   in
-  Runtime.spawn runtime snapshot;
+  Runtime.spawn runtime (fun () ->
+      snapshot ();
+      Runtime.every runtime ~period:250.0 snapshot);
   t
 
 let run t = Loop.run t.sv_loop

@@ -111,10 +111,40 @@ let test_idle_scan_constant () =
   Alcotest.(check int) "every record pending" 5_000 (Storage_node.pending_options node);
   fire ();
   let w = words fire in
-  (* The clock read, [Hashtbl.iter]'s bucket closure and the re-armed
-     timer: nothing per record. *)
+  (* Every record holds a young pending option, so the node is not idle
+     and the scan still walks them all.  It pays the clock read,
+     [Hashtbl.iter]'s bucket closure and the re-armed timer: nothing per
+     record. *)
   if w > 8.0 then Alcotest.failf "idle scan of 5000 records allocated %.0f words" w;
   Alcotest.(check int) "nothing recovered" 5_000 (Storage_node.pending_options node)
+
+(* Under the simulator a maintenance tick is one engine event re-armed in
+   place, and a node with no pending option returns before it reads the
+   clock: on a cluster whose records saw only settled transactions, an
+   idle tick allocates nothing. *)
+let test_idle_tick_allocates_nothing () =
+  let module Engine = Mdcc_sim.Engine in
+  let module Cluster = Mdcc_core.Cluster in
+  let engine, cluster = Helpers.make_cluster ~items:6 () in
+  for i = 0 to 5 do
+    match Helpers.run_txn engine cluster ~dc:0 [ (Helpers.item i, Update.Delta [ ("stock", -1) ]) ] with
+    | Txn.Committed -> ()
+    | Txn.Aborted _ -> Alcotest.fail "a setup transaction aborted"
+  done;
+  Engine.run engine;
+  let nodes = Cluster.storage_nodes cluster in
+  Alcotest.(check int) "no pending option" 0
+    (List.fold_left (fun n node -> n + Storage_node.pending_options node) 0 nodes);
+  Cluster.start_maintenance cluster;
+  Alcotest.(check int) "one tick per node armed" (List.length nodes) (Engine.pending engine);
+  let ticks = 100 * List.length nodes in
+  let w =
+    words (fun () ->
+        for _ = 1 to ticks do
+          ignore (Engine.step engine : bool)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words per idle tick" 0.0 (w /. Float.of_int ticks)
 
 (* Words per draw over [n] draws.  A cross-module call returns an [int64]
    or a [float] boxed (3 and 2 words); everything else a draw computes —
@@ -470,4 +500,6 @@ let suite =
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;
     Alcotest.test_case "idle maintenance scan is constant" `Quick test_idle_scan_constant;
+    Alcotest.test_case "idle maintenance tick allocates nothing" `Quick
+      test_idle_tick_allocates_nothing;
   ]

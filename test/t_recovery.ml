@@ -551,6 +551,7 @@ let promise_reports expected (included, decided) =
   disjoint && once && sorted_outcomes read = expected
 
 type log_event =
+  | Prop of int * bool  (* txid, classic (a Phase2a) rather than fast *)
   | Viz of int * int * bool  (* txid, update kind (delta/physical/guard), committed *)
   | Rebase of int list * int  (* included txids, stock *)
   | Repair of int list  (* txids of the deltas a Sync_reply offers *)
@@ -563,6 +564,7 @@ let prop_outcome_log_matches_model =
     QCheck.Gen.(
       frequency
         [
+          (4, map2 (fun t c -> Prop (t, c)) (int_range 0 9) bool);
           (6, map3 (fun t k c -> Viz (t, k, c)) (int_range 0 9) (int_range 0 2) bool);
           (2, map2 (fun ts s -> Rebase (ts, s)) (list_size (int_range 0 6) (int_range 0 9))
                 (int_range 0 50));
@@ -570,6 +572,7 @@ let prop_outcome_log_matches_model =
         ])
   in
   let print = function
+    | Prop (t, c) -> Printf.sprintf "propose t%d %s" t (if c then "classic" else "fast")
     | Viz (t, k, c) -> Printf.sprintf "viz t%d kind=%d %b" t k c
     | Rebase (ts, s) ->
       Printf.sprintf "rebase [%s] stock=%d" (String.concat ";" (List.map txid ts)) s
@@ -582,13 +585,37 @@ let prop_outcome_log_matches_model =
       let node = scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) () in
       Storage_node.load node.node [ (key, item_row 100) ];
       (* txid -> committed?  A rebase or repair only ever names a txid the
-         model does not hold voided: it commits the unknown ones. *)
-      let model = Hashtbl.create 16 in
+         model does not hold voided: it commits the unknown ones.  An
+         option is pending from its proposal until its txid has an
+         outcome; one proposed after that never becomes pending. *)
+      let model = Hashtbl.create 16 and pending = Hashtbl.create 16 in
       let not_voided t = Hashtbl.find_opt model (txid t) <> Some false in
-      let commit t = if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) true in
+      let settle t = Hashtbl.remove pending (txid t) in
+      let commit t =
+        settle t;
+        if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) true
+      in
       List.iteri
         (fun i ev ->
           match ev with
+          | Prop (t, classic) ->
+            let woption =
+              { Mdcc_core.Woption.txid = txid t; key; update = delta; write_set = [ key ];
+                coordinator = 9 }
+            in
+            if classic then
+              node.handle ~src:1
+                (Messages.Phase2a
+                   {
+                     key;
+                     ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:1;
+                     woption;
+                     decision = Mdcc_core.Woption.Accepted;
+                     classic_until = 0;
+                     rebase = None;
+                   })
+            else node.handle ~src:9 (Messages.Propose { woption; route = `Fast });
+            if not (Hashtbl.mem model (txid t)) then Hashtbl.replace pending (txid t) ()
           | Viz (t, kind, committed) ->
             let update =
               match kind with
@@ -597,6 +624,7 @@ let prop_outcome_log_matches_model =
               | _ -> Update.Read_guard { vread = 1 }
             in
             node.handle ~src:9 (Messages.Visibility { txid = txid t; key; update; committed });
+            settle t;
             if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) committed
           | Rebase (ts, stock) ->
             let ts = List.filter not_voided ts in
@@ -619,7 +647,22 @@ let prop_outcome_log_matches_model =
       let status, included, decided =
         reported_outcomes node ~ballot:2 (List.init 10 txid)
       in
-      status = expected && promise_reports expected (included, decided))
+      (* A maintenance tick past three timeouts starts a recovery for every
+         option still pending, each with its Status_query fan-out. *)
+      node.clock := (3.0 *. (Config.make ~replication:5 ()).Config.txn_timeout) +. 1.0;
+      Storage_node.start_maintenance node.node;
+      (List.hd !(node.timers)) ();
+      let queried =
+        List.sort_uniq compare
+          (List.filter_map
+             (function _, Messages.Status_query { txid; _ } -> Some txid | _ -> None)
+             (node.drain ()))
+      in
+      let still_pending = List.sort compare (Hashtbl.fold (fun t () acc -> t :: acc) pending []) in
+      status = expected
+      && promise_reports expected (included, decided)
+      && queried = still_pending
+      && List.length queried = Storage_node.pending_options node.node)
 
 let test_clobbered_then_repaired () =
   (* A committed delta a rebase clobbers stays decided committed, now in the
@@ -653,11 +696,13 @@ let test_clobbered_then_repaired () =
 (* The dangling scan against a reference model.  One node holds options
    on six records, proposed at ages that straddle the transaction timeout
    and three times it, exact boundaries included; even records are
-   mastered by node 0, odd ones by node 1.  The model: an option is stale
-   when its age exceeds one timeout at the record's master and three
-   elsewhere; recoveries start in reverse (key, arrival) order.  Each
-   write-set is the option's own key, so a recovery's one Status_query to
-   the other replica names it. *)
+   mastered by node 0, odd ones by node 1.  Some options are settled
+   before the scan — right after their proposal or a few proposals later,
+   by a committed or voided Visibility — so records empty and refill.  The
+   model: an option still pending is stale when its age exceeds one
+   timeout at the record's master and three elsewhere; recoveries start in
+   reverse (key, arrival) order.  Each write-set is the option's own key,
+   so a recovery's one Status_query to the other replica names it. *)
 let prop_dangling_scan_matches_model =
   let module Messages = Mdcc_core.Messages in
   let module Woption = Mdcc_core.Woption in
@@ -675,8 +720,12 @@ let prop_dangling_scan_matches_model =
     QCheck.(
       pair (make Gen.(int_range 0 1))
         (make
-           ~print:Print.(list (pair int int))
-           Gen.(list_size (int_range 0 30) (pair (int_range 0 5) age))))
+           ~print:Print.(list (triple int int (option (pair int bool))))
+           Gen.(
+             list_size (int_range 0 30)
+               (triple (int_range 0 5) age
+                  (frequency
+                     [ (3, pure None); (1, map Option.some (pair (int_range 0 3) bool)) ])))))
     (fun (node_id, opts) ->
       let master_of (k : Key.t) = int_of_string k.Key.id mod 2 in
       let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and timers = ref [] in
@@ -703,18 +752,28 @@ let prop_dangling_scan_matches_model =
           ~replicas:(fun _ -> [ 0; 1 ])
           ~master_of ()
       in
-      let opts = List.mapi (fun i (r, age) -> (Printf.sprintf "x%02d" i, item r, age)) opts in
-      List.iter
-        (fun (txid, key, age) ->
+      let update = Update.Delta [ ("stock", 1) ] in
+      let settled = Hashtbl.create 8 in
+      let opts =
+        List.mapi (fun i (r, age, settle) -> (Printf.sprintf "x%02d" i, item r, age, settle)) opts
+      in
+      let arr = Array.of_list opts in
+      List.iteri
+        (fun i (txid, key, age, settle) ->
           clock := Float.of_int (scan_at - age);
           !handler ~src:9
             (Messages.Propose
                {
-                 woption =
-                   { Woption.txid; key; update = Update.Delta [ ("stock", 1) ];
-                     write_set = [ key ]; coordinator = 9 };
+                 woption = { Woption.txid; key; update; write_set = [ key ]; coordinator = 9 };
                  route = `Fast;
-               }))
+               });
+          (* Settle the option proposed [back] steps ago. *)
+          match settle with
+          | Some (back, committed) when back <= i ->
+            let txid, key, _, _ = arr.(i - back) in
+            !handler ~src:9 (Messages.Visibility { txid; key; update; committed });
+            Hashtbl.replace settled txid ()
+          | Some _ | None -> ())
         opts;
       clock := Float.of_int scan_at;
       Storage_node.start_maintenance node;
@@ -733,7 +792,10 @@ let prop_dangling_scan_matches_model =
         |> List.concat_map (fun key ->
                let limit = if master_of key = node_id then timeout else 3 * timeout in
                List.filter_map
-                 (fun (txid, k, age) -> if Key.equal k key && age > limit then Some txid else None)
+                 (fun (txid, k, age, _) ->
+                   if Key.equal k key && age > limit && not (Hashtbl.mem settled txid) then
+                     Some txid
+                   else None)
                  opts)
         |> List.rev
       in

@@ -236,6 +236,79 @@ let test_engine_cancel () =
   Engine.run e;
   Alcotest.(check int) "cancelled" 0 !hits
 
+(* The (time, name) log of a script run with its periodic timers built by
+   [Engine.every] or, when [periodic] is false, as the self-re-arming
+   chain [every] replaces: a thunk that runs the tick and then schedules
+   itself [period] ahead.  The script has timers of periods 2 and 3, and a
+   third of period 6 started from inside a tick; fixed-time events on tick
+   instants, pushed before and after the timers start; and ticks that
+   schedule events for their own next instant, for a later one, and at
+   zero delay. *)
+let periodic_log ~periodic =
+  let e = Engine.create ~seed:1 in
+  let log = ref [] in
+  let note name = log := (Engine.now e, name) :: !log in
+  let every period f =
+    if periodic then Engine.every e ~period f
+    else begin
+      let rec loop () =
+        f ();
+        ignore (Engine.schedule e ~after:period loop)
+      in
+      ignore (Engine.schedule e ~after:period loop)
+    end
+  in
+  let at t name = ignore (Engine.schedule_at e ~at:t (fun () -> note name)) in
+  at 2.0 "fixed 2";
+  at 6.0 "fixed 6";
+  let a = ref 0 in
+  every 2.0 (fun () ->
+      incr a;
+      note (Printf.sprintf "a%d" !a);
+      if !a mod 2 = 1 then at (Engine.now e +. 2.0) "a: next tick";
+      if !a = 2 then every 6.0 (fun () -> note "c");
+      if !a mod 3 = 0 then ignore (Engine.schedule e ~after:0.0 (fun () -> note "a: now")));
+  at 6.0 "fixed 6 after a";
+  every 3.0 (fun () ->
+      note "b";
+      at (Engine.now e +. 6.0) "b: two ticks on");
+  at 12.0 "fixed 12";
+  Engine.run ~until:30.0 e;
+  List.rev !log
+
+let test_every_matches_rearming_chain () =
+  let chain = periodic_log ~periodic:false in
+  Alcotest.(check int) "the chain's log" 53 (List.length chain);
+  Alcotest.(check (list (pair (float 0.0) string))) "same firing log" chain
+    (periodic_log ~periodic:true)
+
+(* A period that is not positive would tick forever at one instant. *)
+let test_every_rejects_bad_period () =
+  let e = Engine.create ~seed:1 in
+  let net =
+    Net.create e
+      (Topology.make ~dc_names:[| "a" |] ~rtt:[| [| 0.0 |] |] ~nodes_per_dc:1 ())
+      ()
+  in
+  let runtimes =
+    [
+      ("Engine.every", Engine.every e);
+      ("Runtime.every (of_network)", Mdcc_core.Runtime.every (Mdcc_core.Runtime.of_network net));
+      ( "Runtime.every (make)",
+        Mdcc_core.Runtime.every (Helpers.silent_runtime (ref (fun ~src:_ _ -> ()))) );
+    ]
+  in
+  List.iter
+    (fun (name, every) ->
+      List.iter
+        (fun period ->
+          match every ~period ignore with
+          | () -> Alcotest.failf "%s accepted period %g" name period
+          | exception Mdcc_util.Invariant.Violation _ -> ())
+        [ 0.0; -1.0; Float.nan; Float.neg_infinity ])
+    runtimes;
+  Alcotest.(check int) "nothing armed" 0 (Engine.pending e)
+
 let test_topology_ec2 () =
   let topo = Topology.ec2_five () in
   Alcotest.(check int) "5 DCs" 5 (Topology.num_dcs topo);
@@ -533,6 +606,8 @@ let suite =
     Alcotest.test_case "engine nested schedule" `Quick test_engine_nested_schedule;
     Alcotest.test_case "engine run until" `Quick test_engine_until;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
+    Alcotest.test_case "every fires as a re-arming chain" `Quick test_every_matches_rearming_chain;
+    Alcotest.test_case "every rejects a period not > 0" `Quick test_every_rejects_bad_period;
     Alcotest.test_case "topology ec2" `Quick test_topology_ec2;
     Alcotest.test_case "topology partitioned" `Quick test_topology_partitioned;
     Alcotest.test_case "topology add_nodes" `Quick test_topology_add_nodes;
