@@ -5,7 +5,7 @@
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Twelve sections, each timed in isolation:
+   Thirteen sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -48,6 +48,11 @@
                        proposals, fast votes, decision and visibility, with
                        the traffic meter on (one op = one commit)
    - rng_lognormal:    N latency-jitter draws (one op = one draw)
+   - wire_parse:       100,000 wire requests, 80 % [get] and 20 % [set]
+                       of 64-byte values over 500 keys, fed to one
+                       Parser in the socket loop's 64 KiB read chunks and
+                       drained (one op = one request): a request costs
+                       the key, data and request values it hands on
 
    Wall-clock throughput (ops/s) is machine-dependent and noisy on a
    shared container; the per-op minor-allocation figure (minor_words/op,
@@ -396,6 +401,28 @@ let rng_lognormal ~ops =
         ignore (Sys.opaque_identity (Rng.lognormal rng ~mu:0.0 ~sigma:0.05))
       done)
 
+let rec drain_parser p =
+  match Mdcc_wire.Parser.next p with Some _ -> drain_parser p | None -> ()
+
+let wire_parse () =
+  let requests = 100_000 and chunk = 65_536 in
+  let rng = Rng.create 29 and b = Buffer.create (requests * 32) in
+  let value = String.make 64 'v' in
+  for _ = 1 to requests do
+    let key = Printf.sprintf "k%06d" (Rng.int rng 500) in
+    if Rng.int rng 5 = 0 then Printf.bprintf b "set %s 0 0 64\r\n%s\r\n" key value
+    else Printf.bprintf b "get %s\r\n" key
+  done;
+  let stream = Buffer.to_bytes b and p = Mdcc_wire.Parser.create () in
+  time_section "wire_parse" requests (fun () ->
+      let off = ref 0 in
+      while !off < Bytes.length stream do
+        let n = Stdlib.min chunk (Bytes.length stream - !off) in
+        Mdcc_wire.Parser.feed p stream !off n;
+        drain_parser p;
+        off := !off + n
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -418,6 +445,7 @@ let bench ~out =
       span_event ();
       fast_path_commit ();
       rng_lognormal ~ops;
+      wire_parse ();
     ]
   in
   List.iter
@@ -455,8 +483,8 @@ let () =
   let doc =
     "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
      socket loop's message path, of the storage node's visibility, dangling-scan and idle \
-     maintenance-tick paths, of the span fold, of one fast-path commit and of a latency-jitter \
-     draw"
+     maintenance-tick paths, of the span fold, of one fast-path commit, of a latency-jitter \
+     draw and of the wire parser's request stream"
   in
   let cmd =
     Cmd.v

@@ -408,15 +408,18 @@ let submit t txn callback =
 (* Reads                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The first of [rs] in the coordinator's data center, else [first]:
+   top-level, so a read builds no closure and no [Some]. *)
+let rec first_in_dc t first = function
+  | [] -> first
+  | r :: rest -> if Runtime.dc_of t.runtime r = t.dc then r else first_in_dc t first rest
+
 let local_replica t key =
-  match List.find_opt (fun r -> Runtime.dc_of t.runtime r = t.dc) (t.replicas key) with
-  | Some r -> r
-  | None -> (
-    match t.replicas key with
-    | r :: _ -> r
-    | [] ->
-      Invariant.violate ~node:t.id ~context:"Coordinator.local_replica"
-        "key %s has no replicas" (Key.to_string key))
+  match t.replicas key with
+  | r :: _ as rs -> first_in_dc t r rs
+  | [] ->
+    Invariant.violate ~node:t.id ~context:"Coordinator.local_replica"
+      "key %s has no replicas" (Key.to_string key)
 
 let new_read t ~need cb =
   let rid = t.next_rid in

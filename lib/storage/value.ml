@@ -14,6 +14,8 @@ let fold f t init = Smap.fold f t init
 
 let get t attr = Smap.find_opt attr t
 
+let find t attr = Smap.find attr t
+
 (* [find] and its exception: acceptors read bounded attributes on every
    proposal, and [find_opt] would allocate a [Some] per read. *)
 let get_int t attr =

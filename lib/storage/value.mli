@@ -23,6 +23,10 @@ val fold : (string -> scalar -> 'a -> 'a) -> t -> 'a -> 'a
 
 val get : t -> string -> scalar option
 
+val find : t -> string -> scalar
+(** [get] without the option box, for per-request reads.  Raises
+    [Not_found] when the attribute is absent. *)
+
 val get_int : t -> string -> int
 (** Integer attribute, defaulting to 0 when absent (delta updates may touch
     attributes before any absolute write). Raises [Invalid_argument] if the

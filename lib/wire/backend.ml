@@ -21,12 +21,12 @@ let encode ~flags ~data = Value.of_list [ ("data", Str data); ("flags", Int flag
 
 let decode key (value, version) =
   let data =
-    match Value.get value "data" with
-    | Some (Str s) -> s
-    | Some (Int i) -> string_of_int i
-    | None -> ""
+    match Value.find value "data" with
+    | Str s -> s
+    | Int i -> string_of_int i
+    | exception Not_found -> ""
   in
-  let flags = match Value.get value "flags" with Some (Int f) -> f | _ -> 0 in
+  let flags = match Value.find value "flags" with Int f -> f | Str _ | (exception Not_found) -> 0 in
   { Protocol.h_key = key; h_flags = flags; h_data = data; h_cas = version }
 
 let reason_of = function
@@ -62,26 +62,30 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
     | _, _ -> ignore
   in
   let tally_read = tally "reads" and tally_write = tally "writes" in
+  (* Each request builds its [Key.t] once, for its reads and its
+     submission alike. *)
   let get id level k =
     tally_read id;
-    Session.read ~level session (key_of id) (fun found -> k (Option.map (decode id) found))
+    Session.read ~level session (key_of id) (function
+      | Some found -> k (Some (decode id found))
+      | None -> k None)
   in
   let submit1 key update k =
     Session.submit session (Txn.make ~id:(next_txid ()) ~updates:[ (key, update) ]) k
   in
   (* Read-modify-write with bounded conflict retries: each retry re-reads at
      [`Session] level, so it observes the version that beat it. *)
-  let set ~key ~flags ~data k =
-    tally_write key;
-    let value = encode ~flags ~data in
+  let set ~key:id ~flags ~data k =
+    tally_write id;
+    let key = key_of id and value = encode ~flags ~data in
     let rec attempt budget =
-      Session.read ~level:`Session session (key_of key) (fun cur ->
+      Session.read ~level:`Session session key (fun cur ->
           let update =
             match cur with
             | Some (_, vread) -> Update.Physical { vread; value }
             | None -> Update.Insert value
           in
-          submit1 (key_of key) update (function
+          submit1 key update (function
             | Txn.Committed -> k Stored
             | Txn.Aborted Txn.Constraint_violation -> k Not_stored
             | Txn.Aborted (Txn.Conflict | Txn.Recovered_abort) when budget > 0 ->
@@ -90,26 +94,28 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition
     in
     attempt retries
   in
-  let cas ~key ~flags ~data ~cas k =
-    tally_write key;
-    Session.read ~level:`Session session (key_of key) (function
+  let cas ~key:id ~flags ~data ~cas k =
+    tally_write id;
+    let key = key_of id in
+    Session.read ~level:`Session session key (function
       | None -> k Not_found
       | Some (_, version) when version <> cas -> k Exists
       | Some _ ->
-        submit1 (key_of key) (Update.Physical { vread = cas; value = encode ~flags ~data })
+        submit1 key (Update.Physical { vread = cas; value = encode ~flags ~data })
           (function
           | Txn.Committed -> k Stored
           | Txn.Aborted Txn.Conflict -> k Exists
           | Txn.Aborted Txn.Constraint_violation -> k Not_stored
           | Txn.Aborted reason -> k (Server_busy (reason_of reason))))
   in
-  let delete key k =
-    tally_write key;
+  let delete id k =
+    tally_write id;
+    let key = key_of id in
     let rec attempt budget =
-      Session.read ~level:`Session session (key_of key) (function
+      Session.read ~level:`Session session key (function
         | None -> k Not_found
         | Some (_, vread) ->
-          submit1 (key_of key) (Update.Delete { vread }) (function
+          submit1 key (Update.Delete { vread }) (function
             | Txn.Committed -> k Stored
             | Txn.Aborted (Txn.Conflict | Txn.Recovered_abort) when budget > 0 ->
               attempt (budget - 1)

@@ -74,9 +74,9 @@ let verb_counter = function
   | Version -> "wire.cmd.version"
   | Quit -> "wire.cmd.quit"
 
-let count_hit t prefix = function
-  | Some _ -> Obs.incr t.obs (prefix ^ "_hits")
-  | None -> Obs.incr t.obs (prefix ^ "_misses")
+let count_get t = function
+  | Some _ -> Obs.incr t.obs "wire.get_hits"
+  | None -> Obs.incr t.obs "wire.get_misses"
 
 let rec pump t =
   if (not t.busy) && not t.closed then
@@ -142,23 +142,11 @@ and request t r =
   (* ---- reads: allowed in either mode, never joined to the write-set ---- *)
   | _, Get { keys; with_cas } ->
     t.busy <- true;
-    let rec loop = function
-      | [] ->
-        emit t Protocol.end_line;
-        finish t
-      | key :: rest ->
-        t.backend.b_get key `Session (fun hit ->
-            count_hit t "wire.get" hit;
-            (match hit with
-            | Some h -> Protocol.render_hit t.out ~with_cas h
-            | None -> ());
-            loop rest)
-    in
-    loop keys
+    get_keys t ~with_cas keys
   | _, Read { key; level } ->
     t.busy <- true;
     t.backend.b_get key level (fun hit ->
-        count_hit t "wire.get" hit;
+        count_get t hit;
         (match hit with
         | Some h -> Protocol.render_hit t.out ~with_cas:true h
         | None -> ());
@@ -239,6 +227,20 @@ and request t r =
     t.closed <- true;
     flush t;
     t.close ()
+
+(* The keys of one [get], one backend read after another: one closure
+   per key. *)
+and get_keys t ~with_cas = function
+  | [] ->
+    emit t Protocol.end_line;
+    finish t
+  | key :: rest ->
+    t.backend.b_get key `Session (fun hit ->
+        count_get t hit;
+        (match hit with
+        | Some h -> Protocol.render_hit t.out ~with_cas h
+        | None -> ());
+        get_keys t ~with_cas rest)
 
 let on_data t buf off len =
   if not t.closed then begin

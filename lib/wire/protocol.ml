@@ -39,16 +39,31 @@ let level_name = function
   | `Majority -> "majority"
   | `Snapshot -> "snapshot"
 
+(* The digits of [m <= 0], most significant first: negated, so [min_int]
+   does not overflow. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+(* [Buffer.add_string buf (string_of_int n)] without building the
+   string. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
 let render_hit buf ~with_cas h =
   Buffer.add_string buf "VALUE ";
   Buffer.add_string buf h.h_key;
   Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int h.h_flags);
+  add_int buf h.h_flags;
   Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int (String.length h.h_data));
+  add_int buf (String.length h.h_data);
   if with_cas then begin
     Buffer.add_char buf ' ';
-    Buffer.add_string buf (string_of_int h.h_cas)
+    add_int buf h.h_cas
   end;
   Buffer.add_string buf "\r\n";
   Buffer.add_string buf h.h_data;

@@ -36,6 +36,11 @@ val create :
     0 to bind an ephemeral port — read it back with {!port}.  The value
     table [table] (default ["kv"]) holds records shaped [{data; flags}]. *)
 
+val txid_of_int : int -> string
+(** The id of the server's [n]th transaction, [n >= 0]: exactly
+    [Printf.sprintf "wire%06d" n], built without the format
+    interpreter. *)
+
 val loop : t -> Mdcc_runtime_unix.Loop.t
 val port : t -> int
 val obs : t -> Mdcc_obs.Obs.t

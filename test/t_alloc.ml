@@ -485,6 +485,67 @@ let test_spans_format_no_line () =
       if w > 1000.0 then Alcotest.failf "%s with spans on allocated %.0f words" name w)
     [ ("decide", decide); ("fast vote", vote); ("visibility", vis) ]
 
+(* The wire parser tokenises in place: a request costs what it hands on
+   (its key and data strings, the request value, the queue cell and
+   [next]'s [Some]), not a line string and token lists. *)
+let rec drain_parser p = match Mdcc_wire.Parser.next p with Some _ -> drain_parser p | None -> ()
+
+let words_per_request line =
+  let p = Mdcc_wire.Parser.create () and b = Bytes.of_string line and n = 1_000 in
+  let feed () =
+    Mdcc_wire.Parser.feed p b 0 (Bytes.length b);
+    drain_parser p
+  in
+  feed ();
+  words (fun () ->
+      for _ = 1 to n do
+        feed ()
+      done)
+  /. Float.of_int n
+
+let test_parser_words () =
+  let check name ceiling line =
+    let w = words_per_request line in
+    if w > ceiling then Alcotest.failf "%s allocated %.1f words (ceiling %.0f)" name w ceiling
+  in
+  check "a get line" 24.0 "get k000123\r\n";
+  check "a set of 64 bytes" 48.0 ("set k000123 0 0 64\r\n" ^ String.make 64 'v' ^ "\r\n")
+
+(* Txids and [VALUE] lines write their numbers digit by digit; the
+   strings must be [Printf]'s, and a rendered hit allocates nothing. *)
+let test_number_formatting () =
+  let check_txid n =
+    Alcotest.(check string) (string_of_int n) (Printf.sprintf "wire%06d" n)
+      (Mdcc_wire.Server.txid_of_int n)
+  in
+  let hit flags cas =
+    { Mdcc_wire.Protocol.h_key = "k"; h_flags = flags; h_data = "ab"; h_cas = cas }
+  in
+  let check_hit flags cas =
+    let b = Buffer.create 64 in
+    Mdcc_wire.Protocol.render_hit b ~with_cas:true (hit flags cas);
+    Alcotest.(check string) "VALUE line" (Printf.sprintf "VALUE k %d 2 %d\r\nab\r\n" flags cas)
+      (Buffer.contents b)
+  in
+  List.iter check_txid [ 0; 9; 10; 99_999; 100_000; 999_999; 1_000_000; max_int ];
+  List.iter (fun n -> check_hit n (-n)) [ 0; 9; 10; -1; -10; max_int; min_int ];
+  let r = Mdcc_util.Rng.create 27 in
+  for _ = 1 to 1_000 do
+    check_txid (Mdcc_util.Rng.int r 10_000_000);
+    check_txid (Mdcc_util.Rng.int r max_int);
+    let n = Mdcc_util.Rng.int r max_int in
+    check_hit n (-n)
+  done;
+  let b = Buffer.create 4096 and h = hit 17 123_456 in
+  let w =
+    words (fun () ->
+        for _ = 1 to 100 do
+          Buffer.clear b;
+          Mdcc_wire.Protocol.render_hit b ~with_cas:true h
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words per rendered hit" 0.0 w
+
 let suite =
   [
     Alcotest.test_case "no consumer: decide, vote, visibility" `Quick test_no_consumer;
@@ -502,4 +563,7 @@ let suite =
     Alcotest.test_case "idle maintenance scan is constant" `Quick test_idle_scan_constant;
     Alcotest.test_case "idle maintenance tick allocates nothing" `Quick
       test_idle_tick_allocates_nothing;
+    Alcotest.test_case "wire parser: get and set lines" `Quick test_parser_words;
+    Alcotest.test_case "txids and VALUE lines format like Printf" `Quick
+      test_number_formatting;
   ]

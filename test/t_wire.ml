@@ -185,7 +185,27 @@ let test_parser_malformed () =
     [ "BAD:bad data chunk"; "get k" ];
   check_items "unknown command" "frobnicate now\r\nversion\r\n" [ "JUNK"; "version" ];
   check_items "empty line" "\r\nversion\r\n" [ "JUNK"; "version" ];
-  check_items "missing keys" "get\r\nversion\r\n" [ "BAD:no keys"; "version" ]
+  check_items "missing keys" "get\r\nversion\r\n" [ "BAD:no keys"; "version" ];
+  (* Numeric fields are decimal digits only, not OCaml integer literals:
+     a bad byte count skips nothing, so the payload line reads as junk. *)
+  check_items "hex byte count" "set k 0 0 0x4\r\nabcd\r\nversion\r\n"
+    [ "BAD:bad command line format"; "JUNK"; "version" ];
+  check_items "underscored flags" "set k 1_0 0 4\r\nabcd\r\nversion\r\n"
+    [ "BAD:bad command line format"; "version" ];
+  check_items "binary cas token" "cas k 0 0 4 0b11\r\nabcd\r\nversion\r\n"
+    [ "BAD:bad cas token"; "version" ];
+  check_items "minus zero flags" "set k -0 0 4\r\nabcd\r\nversion\r\n"
+    [ "BAD:bad command line format"; "version" ];
+  check_items "plus-signed exptime" "set k 0 +5 4\r\nabcd\r\nversion\r\n"
+    [ "BAD:bad command line format"; "version" ];
+  check_items "minus zero byte count" "set k 0 0 -0\r\nversion\r\n"
+    [ "BAD:bad command line format"; "version" ];
+  check_items "byte count past max_int" "set k 0 0 9999999999999999999999\r\nversion\r\n"
+    [ "BAD:bad command line format"; "version" ];
+  (* the block plus its \r\n would pass max_int: no count, nothing skipped *)
+  check_items "byte count of max_int"
+    (Printf.sprintf "set k 0 0 %d\r\nversion\r\n" max_int)
+    [ "BAD:bad command line format"; "version" ]
 
 let test_parser_limits () =
   (* oversized value: rejected up front, payload skipped byte-for-byte *)
@@ -213,6 +233,271 @@ let test_parser_limits () =
   (* 10 bytes arrived but the terminator bytes were "\rX" -> error *)
   Alcotest.(check (list string)) "mis-terminated once complete" [ "BAD:bad data chunk" ]
     (List.map render_item (drain p))
+
+(* ---------------- parser against a split-based model ---------------- *)
+
+(* The reference model: the tokeniser the in-place parser replaced —
+   each line copied out and split on spaces — with numeric fields
+   restricted to decimal digits and the byte count to [max_int - 2], over
+   a string buffer.  It mirrors the
+   parser's driver, so an overlong line is caught at the same chunk
+   boundary in both. *)
+module Model = struct
+  type header = {
+    key : string;
+    flags : int;
+    exptime : int;
+    bytes : int;
+    noreply : bool;
+    cas : int option;
+  }
+
+  type mode = Line | Data of header | Skip_data of int | Skip_line
+
+  type t = {
+    mutable pending : string;
+    mutable mode : mode;
+    mutable resyncs : int;
+    mutable out : Parser.item list;  (* newest first *)
+    max_key : int;
+    max_data : int;
+    max_line : int;
+  }
+
+  let create ~max_key ~max_data ~max_line =
+    { pending = ""; mode = Line; resyncs = 0; out = []; max_key; max_data; max_line }
+
+  let emit t item = t.out <- item :: t.out
+
+  let resync t mode =
+    t.resyncs <- t.resyncs + 1;
+    t.mode <- mode
+
+  let drop t n = t.pending <- String.sub t.pending n (String.length t.pending - n)
+
+  let key_ok t k =
+    let n = String.length k in
+    n > 0 && n <= t.max_key && String.for_all (fun ch -> ch > ' ' && ch <> '\x7f') k
+
+  let nonneg_int s =
+    if s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s then
+      int_of_string_opt s
+    else None
+
+  let parse_store t ~cas tokens =
+    let fail ?bytes msg =
+      emit t (Parser.Bad msg);
+      match bytes with Some b when b > 0 -> resync t (Skip_data (b + 2)) | Some _ | None -> ()
+    in
+    match tokens with
+    | key :: flags :: exptime :: bytes :: rest -> (
+      let bytes_opt =
+        match nonneg_int bytes with Some b when b <= max_int - 2 -> Some b | Some _ | None -> None
+      in
+      let cas_tok, rest =
+        if cas then match rest with tok :: more -> (Some tok, more) | [] -> (None, [])
+        else (None, rest)
+      in
+      let noreply, junk =
+        match rest with [] -> (false, false) | [ "noreply" ] -> (true, false) | _ -> (false, true)
+      in
+      if junk then fail ?bytes:bytes_opt "bad command line format"
+      else if not (key_ok t key) then fail ?bytes:bytes_opt "bad key"
+      else
+        match (nonneg_int flags, nonneg_int exptime, bytes_opt) with
+        | _, _, None -> fail "bad command line format"
+        | _, _, Some b when b > t.max_data -> fail ~bytes:b "object too large"
+        | Some f, Some e, Some b -> (
+          let data cas = t.mode <- Data { key; flags = f; exptime = e; bytes = b; noreply; cas } in
+          match (cas, cas_tok) with
+          | false, _ -> data None
+          | true, Some tok -> (
+            match nonneg_int tok with Some c -> data (Some c) | None -> fail ~bytes:b "bad cas token")
+          | true, None -> fail ~bytes:b "bad command line format")
+        | _, _, Some b -> fail ~bytes:b "bad command line format")
+    | _ -> fail "bad command line format"
+
+  let parse_get t keys ~with_cas =
+    if keys = [] then emit t (Parser.Bad "no keys")
+    else if List.for_all (key_ok t) keys then emit t (Parser.Req (Get { keys; with_cas }))
+    else emit t (Parser.Bad "bad key")
+
+  let parse_line t line =
+    let req r = emit t (Parser.Req r) in
+    match List.filter (fun s -> s <> "") (String.split_on_char ' ' line) with
+    | [] -> emit t Parser.Junk
+    | "get" :: keys -> parse_get t keys ~with_cas:false
+    | "gets" :: keys -> parse_get t keys ~with_cas:true
+    | "set" :: rest -> parse_store t ~cas:false rest
+    | "cas" :: rest -> parse_store t ~cas:true rest
+    | [ "delete"; key ] when key_ok t key -> req (Delete { key; noreply = false })
+    | [ "delete"; key; "noreply" ] when key_ok t key -> req (Delete { key; noreply = true })
+    | "delete" :: _ -> emit t (Parser.Bad "bad key")
+    | [ "read"; key ] when key_ok t key -> req (Read { key; level = `Session })
+    | [ "read"; key; lvl ] when key_ok t key -> (
+      match Protocol.level_of_string lvl with
+      | Some level -> req (Read { key; level })
+      | None -> emit t (Parser.Bad "bad read level"))
+    | "read" :: _ -> emit t (Parser.Bad "bad key")
+    | [ "txn" ] -> req Txn
+    | [ "commit" ] -> req Commit
+    | [ "abort" ] -> req Abort
+    | [ "stats" ] -> req Stats
+    | [ "stats"; "detail" ] -> req Stats_detail
+    | [ "metrics" ] -> req Metrics
+    | [ "GET"; path; version ]
+      when String.length version >= 5 && String.sub version 0 5 = "HTTP/" ->
+      req (Http_get path)
+    | [ "version" ] -> req Version
+    | [ "quit" ] -> req Quit
+    | _ -> emit t Parser.Junk
+
+  let rec advance t =
+    let len = String.length t.pending in
+    match t.mode with
+    | Line -> (
+      match String.index_opt t.pending '\n' with
+      | Some nl ->
+        let n = if nl > 0 && t.pending.[nl - 1] = '\r' then nl - 1 else nl in
+        let line = String.sub t.pending 0 n in
+        drop t (nl + 1);
+        parse_line t line;
+        advance t
+      | None ->
+        if len > t.max_line then begin
+          emit t (Parser.Bad "line too long");
+          t.pending <- "";
+          resync t Skip_line
+        end)
+    | Data hd ->
+      if len >= hd.bytes + 2 then
+        if t.pending.[hd.bytes] = '\r' && t.pending.[hd.bytes + 1] = '\n' then begin
+          let store =
+            { Protocol.s_key = hd.key; s_flags = hd.flags; s_exptime = hd.exptime;
+              s_data = String.sub t.pending 0 hd.bytes; s_noreply = hd.noreply }
+          in
+          drop t (hd.bytes + 2);
+          t.mode <- Line;
+          emit t
+            (Parser.Req
+               (match hd.cas with None -> Set store | Some cas -> Cas { store; cas }));
+          advance t
+        end
+        else begin
+          drop t hd.bytes;
+          emit t (Parser.Bad "bad data chunk");
+          resync t Skip_line;
+          advance t
+        end
+    | Skip_data remaining ->
+      let take = Stdlib.min len remaining in
+      drop t take;
+      if take = remaining then begin
+        t.mode <- Line;
+        advance t
+      end
+      else t.mode <- Skip_data (remaining - take)
+    | Skip_line -> (
+      match String.index_opt t.pending '\n' with
+      | Some nl ->
+        drop t (nl + 1);
+        t.mode <- Line;
+        advance t
+      | None -> t.pending <- "")
+
+  let feed t chunk =
+    if chunk <> "" then begin
+      t.pending <- t.pending ^ chunk;
+      advance t
+    end
+end
+
+(* Small limits, so that overlong keys, lines and blocks are cheap to
+   generate. *)
+let max_key = 8 and max_data = 16 and max_line = 48
+
+let tokens =
+  [| "get"; "gets"; "set"; "cas"; "delete"; "read"; "txn"; "commit"; "abort"; "stats";
+     "detail"; "metrics"; "version"; "quit"; "GET"; "/metrics"; "HTTP/1.1"; "HTTP/"; "HTTP";
+     "noreply"; "local"; "session"; "majority"; "bogus"; "k"; "key1"; "a\tb"; "x\x7f";
+     "kkkkkkkkk"; "0"; "1"; "4"; "5"; "16"; "17"; "007"; "0x4"; "0b11"; "0o7"; "0u5"; "1_0";
+     "-0"; "-1"; "+5"; "99999999999999999999"; "4611686018427387903"; "4611686018427387904" |]
+
+let gen_line =
+  let open QCheck.Gen in
+  let* lead = oneofl [ ""; ""; " "; "   " ] in
+  let* toks = list_size (int_range 0 6) (pair (oneofa tokens) (oneofl [ " "; " "; "  "; "    " ])) in
+  let* trail = oneofl [ ""; ""; " " ] in
+  let* term = oneofl [ "\r\n"; "\r\n"; "\n"; "\r\r\n" ] in
+  let body = String.concat "" (List.mapi (fun i (tok, sep) -> if i = 0 then tok else sep ^ tok) toks) in
+  return (lead ^ body ^ trail ^ term)
+
+(* A [set]/[cas] whose declared count, data length and terminator each
+   may be off. *)
+let gen_store =
+  let open QCheck.Gen in
+  let* verb = oneofl [ "set"; "cas" ] in
+  let* key = oneofl [ "k"; "key1"; "kkkkkkkkk" ] in
+  let* flags = oneofl [ "0"; "7"; "0x4"; "-0" ] in
+  let* declared = int_range 0 20 in
+  let* len = frequency [ (4, return declared); (1, int_range 0 20) ] in
+  let* cas = oneofl [ " 3"; " 0b11"; ""; " 12" ] in
+  let* noreply = oneofl [ ""; ""; " noreply"; " noreply extra" ] in
+  let* term = oneofl [ "\r\n"; "\r\n"; "\n"; "XY" ] in
+  let cas = if verb = "cas" then cas else "" in
+  return
+    (Printf.sprintf "%s %s %s 0 %d%s%s\r\n%s%s" verb key flags declared cas noreply
+       (String.make len 'd') term)
+
+let gen_fragment =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, gen_line);
+      (4, gen_store);
+      (1, oneofl [ "\r\n"; "\n" ]);
+      (1, map (fun n -> "get " ^ String.make (max_line + n) 'a' ^ "\r\n") (int_range (-8) 40));
+      (1, map (fun ks -> "get " ^ String.concat " " ks ^ "\r\n") (list_size (int_range 1 5) (oneofl [ "k"; "a"; "key1" ])));
+      (1, return "GET /metrics HTTP/1.1\r\n");
+    ]
+
+(* A stream and the lengths of the chunks it arrives in. *)
+let gen_feed =
+  QCheck.Gen.(pair (map (String.concat "") (list_size (int_range 1 30) gen_fragment))
+                (list_size (int_range 1 200) (int_range 1 24)))
+
+let chunks stream cuts =
+  let rec go off cuts acc =
+    if off >= String.length stream then List.rev acc
+    else
+      let n, cuts = match cuts with n :: rest -> (n, rest) | [] -> (String.length stream - off, []) in
+      let n = Stdlib.min n (String.length stream - off) in
+      go (off + n) cuts (String.sub stream off n :: acc)
+  in
+  go 0 cuts []
+
+let prop_parser_matches_model =
+  QCheck.Test.make ~name:"parser: same items and resyncs as the split model" ~count:500
+    (QCheck.make ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut %s" s (String.concat "," (List.map string_of_int cuts)))
+       gen_feed)
+    (fun (stream, cuts) ->
+      let p = Parser.create ~max_key ~max_data ~max_line () in
+      let m = Model.create ~max_key ~max_data ~max_line in
+      let got =
+        List.concat_map
+          (fun c ->
+            Parser.feed_string p c;
+            Model.feed m c;
+            drain p)
+          (chunks stream cuts)
+      in
+      let want = List.rev m.Model.out in
+      if got = want && Parser.resyncs p = m.Model.resyncs then true
+      else
+        QCheck.Test.fail_reportf "parser [%s] resyncs %d@.model  [%s] resyncs %d"
+          (String.concat "; " (List.map render_item got)) (Parser.resyncs p)
+          (String.concat "; " (List.map render_item want)) m.Model.resyncs)
 
 (* ---------------- handler over a synchronous fake backend ---------------- *)
 
@@ -791,6 +1076,7 @@ let suite =
       test_parser_random_chunks;
     Alcotest.test_case "parser: malformed input" `Quick test_parser_malformed;
     Alcotest.test_case "parser: limits and truncation" `Quick test_parser_limits;
+    QCheck_alcotest.to_alcotest prop_parser_matches_model;
     Alcotest.test_case "handler: pinned conversation" `Quick test_handler_conversation;
     Alcotest.test_case "handler: live metrics exposition" `Quick test_handler_metrics;
     Alcotest.test_case "parser: resync counter" `Quick test_parser_resync_counter;
