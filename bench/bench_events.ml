@@ -5,7 +5,7 @@
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Thirteen sections, each timed in isolation:
+   Fourteen sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -47,6 +47,11 @@
                        Cluster.create on the simulated five-region network:
                        proposals, fast votes, decision and visibility, with
                        the traffic meter on (one op = one commit)
+   - classic_commit:   the same 1,000 transactions through stable masters
+                       (Config.Multi): a classic proposal to each key's
+                       master, its Phase2a round with the master's own
+                       vote, the acks, Learned and visibility (one op =
+                       one commit)
    - rng_lognormal:    N latency-jitter draws (one op = one draw)
    - wire_parse:       100,000 wire requests, 80 % [get] and 20 % [set]
                        of 64-byte values over 500 keys, fed to one
@@ -353,7 +358,8 @@ let span_event () =
         Ctx.emit stream applied
       done)
 
-let fast_path_commit () =
+(* 1,000 three-key delta commits, one after another, in [mode]. *)
+let commit_section name ~mode =
   let commits = 1_000 and items = 300 in
   let engine = Engine.create ~seed:13 in
   let schema =
@@ -367,7 +373,8 @@ let fast_path_commit () =
       ]
   in
   let cluster =
-    Cluster.create ~engine ~spec:Cluster.Spec.default ~config:(Config.make ~replication:5 ())
+    Cluster.create ~engine ~spec:Cluster.Spec.default
+      ~config:(Config.make ~mode ~replication:5 ())
       ~schema ()
   in
   let item i = Key.make ~table:"item" ~id:(string_of_int i) in
@@ -383,7 +390,7 @@ let fast_path_commit () =
   let committed = ref 0 in
   let on_outcome = function Txn.Committed -> incr committed | Txn.Aborted _ -> () in
   let section =
-    time_section "fast_path_commit" commits (fun () ->
+    time_section name commits (fun () ->
         Array.iter
           (fun txn ->
             Coordinator.submit coord txn on_outcome;
@@ -391,8 +398,12 @@ let fast_path_commit () =
           txns)
   in
   if !committed <> commits then
-    failwith (Printf.sprintf "fast_path_commit: %d of %d committed" !committed commits);
+    failwith (Printf.sprintf "%s: %d of %d committed" name !committed commits);
   section
+
+let fast_path_commit () = commit_section "fast_path_commit" ~mode:Config.Full
+
+let classic_commit () = commit_section "classic_commit" ~mode:Config.Multi
 
 let rng_lognormal ~ops =
   let rng = Rng.create 17 in
@@ -444,6 +455,7 @@ let bench ~out =
       maintenance_tick_idle ~ops;
       span_event ();
       fast_path_commit ();
+      classic_commit ();
       rng_lognormal ~ops;
       wire_parse ();
     ]
@@ -483,8 +495,8 @@ let () =
   let doc =
     "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
      socket loop's message path, of the storage node's visibility, dangling-scan and idle \
-     maintenance-tick paths, of the span fold, of one fast-path commit, of a latency-jitter \
-     draw and of the wire parser's request stream"
+     maintenance-tick paths, of the span fold, of one fast-path and one classic commit, of a \
+     latency-jitter draw and of the wire parser's request stream"
   in
   let cmd =
     Cmd.v

@@ -268,10 +268,6 @@ let start_recovery_for t (ks : key_state) =
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
       send t target (Messages.Start_recovery { key; woption = w }))
 
-let rec position acceptor i = function
-  | [] -> -1
-  | r :: rest -> if r = acceptor then i else position acceptor (i + 1) rest
-
 (* The index of [key]'s slot, or -1. *)
 let rec slot_index (keys : key_state array) key i =
   if i = Array.length keys then -1
@@ -288,7 +284,7 @@ let on_vote t txid key acceptor decision =
     let i = slot_index ts.keys key 0 in
     if i >= 0 then begin
       let ks = ts.keys.(i) in
-      let pos = position acceptor 0 ks.replicas in
+      let pos = Quorum.position acceptor ks.replicas in
       if ks.learned = None && pos >= 0 && ks.voted land (1 lsl pos) = 0 then begin
         ks.voted <- ks.voted lor (1 lsl pos);
         (match decision with

@@ -9,9 +9,13 @@ type round = {
   r_opt : Woption.t;
   r_dec : Woption.decision;
   r_ballot : Ballot.t;
-  mutable r_acks : int list;
+  mutable r_voted : int;  (* bitmask of the replica positions whose ack arrived *)
+  mutable r_acks : int;  (* the bits set in [r_voted] *)
   mutable r_notify : int list;
 }
+
+(* An option waiting for the master's earlier rounds to finish. *)
+type queued = { q_opt : Woption.t; mutable q_notify : int list }
 
 (* Collision recovery / mastership acquisition in progress for one record. *)
 type recovery = {
@@ -28,7 +32,7 @@ type mstate = {
   mutable m_led : Ballot.t option;
   mutable m_highest : int;
   mutable m_rounds : round list;
-  mutable m_queue : (Woption.t * int list) list;
+  mutable m_queue : queued list;
   mutable m_recovery : recovery option;
 }
 
@@ -193,9 +197,9 @@ let rebase_of t key =
   }
 
 let mstate t key =
-  match Key.Tbl.find_opt t.masters key with
-  | Some ms -> ms
-  | None ->
+  match Key.Tbl.find t.masters key with
+  | ms -> ms
+  | exception Not_found ->
     let led =
       (* In Multi mode the statically-assigned master owns an implicit
          classic ballot from the start (stable master, Phase 1 skipped). *)
@@ -351,9 +355,13 @@ let apply_rebase t key (rb : Messages.rebase) =
         old
   end
 
-let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase =
-  let rs = rstate t key in
+(* Vote on a Phase2a for [rs]'s record and answer the decision to report.
+   The vote took exactly when [rs.promised] equals [ballot] afterwards: a
+   refused ballot is below the promise, and the answer is then [decision]
+   unchanged. *)
+let acceptor_phase2a t (rs : Rstate.t) ballot (w : Woption.t) decision classic_until rebase =
   if Ballot.compare ballot rs.Rstate.promised >= 0 then begin
+    let key = rs.Rstate.key in
     rs.Rstate.promised <- ballot;
     rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
     (match rebase with Some rb -> apply_rebase t key rb | None -> ());
@@ -361,14 +369,14 @@ let acceptor_phase2a t key ballot (w : Woption.t) decision classic_until rebase 
     | Some committed ->
       (* The option's visibility already executed here: that decision is
          final, answer it instead of the proposer's. *)
-      (true, ballot, if committed then Woption.Accepted else Woption.Rejected)
+      if committed then Woption.Accepted else Woption.Rejected
     | None ->
       add_pending t rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
       if live t then
         emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
-      (true, ballot, decision)
+      decision
   end
-  else (false, rs.Rstate.promised, decision)
+  else decision
 
 (* Execute or void an option (Algorithm 3, ApplyVisibility). *)
 let visibility t txid key (update : Update.t) committed =
@@ -445,9 +453,32 @@ let status_query t ~src txid key =
 
 let qc t = Config.classic_quorum t.config
 
-let dedup_add x xs = if List.mem x xs then xs else x :: xs
+(* [a] with each member of [b] it lacks consed onto its front, one at a
+   time in [b]'s order. *)
+let union a b = List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) a b
 
-let union a b = List.fold_left (fun acc x -> dedup_add x acc) a b
+let new_round w dec ballot notify =
+  { r_opt = w; r_dec = dec; r_ballot = ballot; r_voted = 0; r_acks = 0; r_notify = notify }
+
+(* The round running for [txid], first in the list; raises [Not_found].
+   This and the scanners below are top-level so that finding, joining or
+   dropping a round allocates no closure and no option. *)
+let rec find_round txid = function
+  | [] -> raise_notrace Not_found
+  | r :: rest -> if String.equal r.r_opt.Woption.txid txid then r else find_round txid rest
+
+let rec find_queued txid = function
+  | [] -> raise_notrace Not_found
+  | q :: rest -> if String.equal q.q_opt.Woption.txid txid then q else find_queued txid rest
+
+(* The list without [r]: only the cells before it are copied. *)
+let rec without r = function
+  | [] -> []
+  | r' :: rest -> if r' == r then rest else r' :: without r rest
+
+(* Whether [dst] occurs in [all] before its cell [here]. *)
+let rec occurs_before dst all here =
+  all != here && match all with [] -> false | x :: rest -> x = dst || occurs_before dst rest here
 
 (* The decision that at least [threshold] of [votes] agree on, acceptance
    first. *)
@@ -495,18 +526,22 @@ let synthetic_reject_option t tr key =
 
 let rec master_phase2b t ~src key txid ballot ok =
   let ms = mstate t key in
-  match List.find_opt (fun r -> String.equal r.r_opt.Woption.txid txid) ms.m_rounds with
-  | None -> ()
-  | Some r ->
+  match find_round txid ms.m_rounds with
+  | exception Not_found -> ()
+  | r ->
     if not (Ballot.equal r.r_ballot ballot) then ()
     else if ok then begin
-      r.r_acks <- dedup_add src r.r_acks;
-      if List.length r.r_acks >= qc t then begin
-        ms.m_rounds <- List.filter (fun r' -> r' != r) ms.m_rounds;
-        announce t key r.r_opt r.r_notify r.r_dec;
-        Obs.incr t.obs "classic_learned";
-        if live t then emit t (Event.Classic_learned { txid; key; decision = r.r_dec });
-        process_queue t key
+      let pos = Quorum.position src (t.replicas key) in
+      if pos >= 0 && r.r_voted land (1 lsl pos) = 0 then begin
+        r.r_voted <- r.r_voted lor (1 lsl pos);
+        r.r_acks <- r.r_acks + 1;
+        if r.r_acks >= qc t then begin
+          ms.m_rounds <- without r ms.m_rounds;
+          announce t key r.r_opt r.r_notify r.r_dec;
+          Obs.incr t.obs "classic_learned";
+          if live t then emit t (Event.Classic_learned { txid; key; decision = r.r_dec });
+          process_queue t key
+        end
       end
     end
     else begin
@@ -514,27 +549,48 @@ let rec master_phase2b t ~src key txid ballot ok =
          through full recovery. *)
       ms.m_highest <- Stdlib.max ms.m_highest ballot.Ballot.number;
       ms.m_led <- None;
-      ms.m_rounds <- List.filter (fun r' -> r' != r) ms.m_rounds;
+      ms.m_rounds <- without r ms.m_rounds;
       start_recovery t key ~extras:[ r.r_opt ] ~notify:r.r_notify
     end
 
-(* Tell the option's coordinator and everyone in [notify] the decision;
-   this node learns it directly. *)
+(* Tell everyone in [notify] and then the option's coordinator the
+   decision, each once and in the order of [union [coordinator] notify]:
+   [notify]'s first occurrences last to first, the coordinator last.  This
+   node learns it directly; the others share one message. *)
 and announce t key (w : Woption.t) notify decision =
-  let txid = w.Woption.txid in
-  List.iter
-    (fun dst ->
-      if dst = t.id then txn_recovery_learned t txid key decision
-      else send t dst (Messages.Learned { key; txid; decision }))
-    (union [ w.Woption.coordinator ] notify)
+  let txid = w.Woption.txid and coordinator = w.Woption.coordinator in
+  let payload = Messages.Learned { key; txid; decision } in
+  announce_notify t key txid decision payload coordinator notify notify;
+  learn_at t key txid decision payload coordinator
 
+and announce_notify t key txid decision payload coordinator all = function
+  | [] -> ()
+  | dst :: rest as here ->
+    announce_notify t key txid decision payload coordinator all rest;
+    if dst <> coordinator && not (occurs_before dst all here) then
+      learn_at t key txid decision payload dst
+
+and learn_at t key txid decision payload dst =
+  if dst = t.id then txn_recovery_learned t txid key decision else send t dst payload
+
+(* Phase2a to every replica of [key] in order; this node votes in its own
+   place and acks its own vote. *)
 and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~rebase =
-  fan_out t
+  phase2a_to t key ballot w decision classic_until rebase
     (Messages.Phase2a { key; ballot; woption = w; decision; classic_until; rebase })
-    (fun () ->
-      let ok, b, _ = acceptor_phase2a t key ballot w decision classic_until rebase in
-      master_phase2b t ~src:t.id key w.Woption.txid b ok)
     (t.replicas key)
+
+and phase2a_to t key ballot (w : Woption.t) decision classic_until rebase payload = function
+  | [] -> ()
+  | replica :: rest ->
+    if replica = t.id then begin
+      let rs = rstate t key in
+      ignore (acceptor_phase2a t rs ballot w decision classic_until rebase : Woption.decision);
+      let promised = rs.Rstate.promised in
+      master_phase2b t ~src:t.id key w.Woption.txid promised (Ballot.equal promised ballot)
+    end
+    else send t replica payload;
+    phase2a_to t key ballot w decision classic_until rebase payload rest
 
 (* Stable-master classic round: validate with escrow against our own state
    (our own pendings mirror every in-flight classic option) and replicate the
@@ -552,8 +608,7 @@ and start_round t key (w : Woption.t) ~notify =
     in
     let decision = Rstate.decision_of reason in
     count_verdict t reason;
-    let r = { r_opt = w; r_dec = decision; r_ballot = ballot; r_acks = []; r_notify = notify } in
-    ms.m_rounds <- r :: ms.m_rounds;
+    ms.m_rounds <- new_round w decision ballot notify :: ms.m_rounds;
     broadcast_phase2a t key ballot w decision ~classic_until:rs.Rstate.classic_until ~rebase:None
 
 and can_run_now t key (w : Woption.t) =
@@ -567,10 +622,10 @@ and process_queue t key =
   let ms = mstate t key in
   match ms.m_queue with
   | [] -> ()
-  | (w, notify) :: rest ->
-    if ms.m_recovery = None && ms.m_led <> None && can_run_now t key w then begin
+  | q :: rest ->
+    if ms.m_recovery = None && ms.m_led <> None && can_run_now t key q.q_opt then begin
       ms.m_queue <- rest;
-      start_round t key w ~notify;
+      start_round t key q.q_opt ~notify:q.q_notify;
       process_queue t key
     end
 
@@ -583,9 +638,9 @@ and master_propose t (w : Woption.t) ~notify =
   | Some committed ->
     announce t key w notify (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
-    match List.find_opt (fun r -> String.equal r.r_opt.Woption.txid txid) ms.m_rounds with
-    | Some r -> r.r_notify <- union r.r_notify notify
-    | None -> (
+    match find_round txid ms.m_rounds with
+    | r -> r.r_notify <- union r.r_notify notify
+    | exception Not_found -> (
       match (ms.m_recovery, Rstate.find_pending rs txid) with
       | Some _, _ | None, Some _ ->
         (* Join the recovery in progress.  Or a local vote for the option
@@ -601,7 +656,14 @@ and master_propose t (w : Woption.t) ~notify =
         let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
         if ms.m_led <> None && era_classic then begin
           if ms.m_queue = [] && can_run_now t key w then start_round t key w ~notify
-          else ms.m_queue <- ms.m_queue @ [ (w, notify) ]
+          else
+            (* A re-proposal of a queued option joins its entry, as one of
+               a running round joins the round: queued twice, it would run
+               two rounds at one ballot. *)
+            match find_queued txid ms.m_queue with
+            | q -> q.q_notify <- union q.q_notify notify
+            | exception Not_found ->
+              ms.m_queue <- ms.m_queue @ [ { q_opt = w; q_notify = notify } ]
         end
         else start_recovery t key ~extras:[ w ] ~notify))
 
@@ -623,10 +685,10 @@ and start_recovery t key ~extras ~notify =
     let extras =
       extras
       @ List.map (fun r -> r.r_opt) ms.m_rounds
-      @ List.map fst ms.m_queue
+      @ List.map (fun q -> q.q_opt) ms.m_queue
     in
     let notify = union notify (List.concat_map (fun r -> r.r_notify) ms.m_rounds) in
-    let notify = union notify (List.concat_map snd ms.m_queue) in
+    let notify = union notify (List.concat_map (fun q -> q.q_notify) ms.m_queue) in
     ms.m_rounds <- [];
     ms.m_queue <- [];
     ms.m_highest <- ms.m_highest + 1;
@@ -849,11 +911,7 @@ and resolve_recovery t key rc =
   List.iter (fun (w, d) -> announce t key w rc.rc_notify d) !already_visible;
   (* Re-propose every undecided option at the classic ballot. *)
   List.iter
-    (fun ((w : Woption.t), d) ->
-      let r =
-        { r_opt = w; r_dec = d; r_ballot = rc.rc_ballot; r_acks = []; r_notify = rc.rc_notify }
-      in
-      ms.m_rounds <- r :: ms.m_rounds)
+    (fun (w, d) -> ms.m_rounds <- new_round w d rc.rc_ballot rc.rc_notify :: ms.m_rounds)
     outcomes;
   List.iter
     (fun ((w : Woption.t), d) ->
@@ -1135,9 +1193,13 @@ let rec handle t ~src payload =
   | Messages.Phase1b { key; ballot; ok; promised; promise } ->
     master_phase1b t ~src key ballot ~ok ~promised promise
   | Messages.Phase2a { key; ballot; woption; decision; classic_until; rebase } ->
-    let ok, b, d = acceptor_phase2a t key ballot woption decision classic_until rebase in
+    let rs = rstate t key in
+    let decision = acceptor_phase2a t rs ballot woption decision classic_until rebase in
+    let promised = rs.Rstate.promised in
     send t src
-      (Messages.Phase2b_master { key; txid = woption.Woption.txid; ballot = b; ok; decision = d })
+      (Messages.Phase2b_master
+         { key; txid = woption.Woption.txid; ballot = promised; ok = Ballot.equal promised ballot;
+           decision })
   | Messages.Phase2b_master { key; txid; ballot; ok; decision = _ } ->
     master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision

@@ -8,6 +8,12 @@ let fast_size ~n =
 
 let anchor_threshold ~n ~f ~responded = f - (n - responded)
 
+let rec position_from acceptor i = function
+  | [] -> -1
+  | r :: rest -> if r = acceptor then i else position_from acceptor (i + 1) rest
+
+let position acceptor replicas = position_from acceptor 0 replicas
+
 let fast_impossible ~n ~acks ~rejects =
   let f = fast_size ~n in
   n - rejects < f && n - acks < f

@@ -25,6 +25,11 @@ val anchor_threshold : n:int -> f:int -> responded:int -> int
     in rather than taken from {!fast_size}, so a configured fast quorum
     ([Config.fast_quorum]) applies. *)
 
+val position : int -> int list -> int
+(** [position acceptor replicas]: [acceptor]'s index in its replica
+    group, or -1 when it is not a member.  Votes are counted in a bitmask
+    of these positions, so a repeated vote counts once. *)
+
 val fast_impossible : n:int -> acks:int -> rejects:int -> bool
 (** With [acks] positive and [rejects] negative responses so far out of [n],
     can a fast quorum still be reached for {e either} outcome?  [true] means

@@ -460,6 +460,45 @@ let test_no_consumer () =
   ceiling "storage-node fast vote" 17.08 vote;
   ceiling "storage-node visibility" 30.2 vis
 
+(* A classic round at a stable master: the [Propose], its Phase2a fan-out
+   with the master's own vote and ack, two remote acks and the [Learned]
+   to the coordinator.  The round's state, the master's own pending vote
+   and the two messages are 34 words; finding the round, counting its
+   acks and announcing the decision allocate nothing more (108 words a
+   round when they used closures, options and ack lists). *)
+let test_classic_round () =
+  let module Ballot = Mdcc_paxos.Ballot in
+  let handler = ref (fun ~src:_ _ -> ()) and obs = Mdcc_obs.Obs.create () in
+  let _node =
+    Storage_node.create ~runtime:(Helpers.silent_runtime handler)
+      ~config:(Config.make ~mode:Config.Multi ~replication:5 ())
+      ~node_id:0
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 0)
+      ~ctx:(Mdcc_core.Ctx.make ~obs ()) ()
+  in
+  let ballot = Ballot.classic ~number:1 ~proposer:0 in
+  let n = 50 in
+  let update = Update.Delta [ ("stock", -1) ] in
+  let round prefix i =
+    let k = Key.make ~table:"item" ~id:(string_of_int i) in
+    let txid = Printf.sprintf "%s%03d" prefix i in
+    let w = { Woption.txid; key = k; update; write_set = [ k ]; coordinator = 9 } in
+    let ack =
+      Messages.Phase2b_master { key = k; txid; ballot; ok = true; decision = Woption.Accepted }
+    in
+    [| (9, Messages.Propose { woption = w; route = `Classic }); (1, ack); (2, ack) |]
+  in
+  let run msgs = Array.iter (Array.iter (fun (src, m) -> !handler ~src m)) msgs in
+  (* The first round on a record creates its acceptor and master state. *)
+  run (Array.init n (round "warm"));
+  let rounds = Array.init n (round "c") in
+  let per_round = words (fun () -> run rounds) /. Float.of_int n in
+  Alcotest.(check int) "every round learned" (2 * n)
+    (Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "classic_learned");
+  if per_round > 48.0 then Alcotest.failf "a classic round allocated %.1f words" per_round
+
 let huge = 16_000
 
 (* With only a history attached, no key or outcome string is rendered: the
@@ -557,6 +596,7 @@ let suite =
     Alcotest.test_case "loop message path is under a word" `Quick test_loop_message_path;
     Alcotest.test_case "loop poll allocates only select's lists" `Quick test_loop_poll_light;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
+    Alcotest.test_case "classic round allocates only its messages" `Quick test_classic_round;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;

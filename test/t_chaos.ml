@@ -197,6 +197,17 @@ let test_torn_broadcast_repair () =
   Alcotest.(check bool) "repair fired" true (Registry.counter reg "antientropy_repair" > 0);
   Alcotest.(check int) "no replica left diverged" 0 (Registry.gauge reg "diverged_replicas")
 
+(* Seed 266 of the random nemesis: during a latency surge, item/3's
+   master queued one option twice (its coordinator's classic proposal
+   and a retry) and ran two rounds for it at one ballot.  The second,
+   validated against the first's pending vote, decided the other way, and
+   the checker saw a lost update and a conflict cycle.  A re-proposal of
+   a queued option now joins its entry. *)
+let test_requeued_option_pinned () =
+  let r = Runner.run (Runner.spec ~seed:266 ~scenario:Nemesis.random_faults ()) in
+  if not (Runner.ok r) then
+    Alcotest.failf "random seed 266: %s" (Runner.report_to_string ~verbose:true r)
+
 (* The post-drain checks on a hand-built final state: one txn never
    decided, two replicas off DC 0's copy (one missing at DC 0), item 0's
    stock off its committed deltas (the aborted delta does not count), and
@@ -262,6 +273,8 @@ let suite =
     Alcotest.test_case "random nemesis smoke sweep" `Slow test_smoke_sweep;
     Alcotest.test_case "planted bug caught" `Slow test_planted_bug_caught;
     Alcotest.test_case "torn broadcast repaired (pinned seed)" `Quick test_torn_broadcast_repair;
+    Alcotest.test_case "re-proposed queued option (pinned seed)" `Quick
+      test_requeued_option_pinned;
     Alcotest.test_case "post-drain check failure paths" `Quick test_post_drain_failures;
     Alcotest.test_case "baseline canary" `Quick test_baseline_canary;
   ]

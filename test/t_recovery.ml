@@ -233,7 +233,7 @@ type scripted = {
   timers : (unit -> unit) list ref;
 }
 
-let scripted_node ~replicas ~master_of () =
+let scripted_node ?mode ~replicas ~master_of () =
   let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and lines = ref [] in
   let clock = ref 0.0 and timers = ref [] in
   let runtime =
@@ -251,7 +251,7 @@ let scripted_node ~replicas ~master_of () =
       ()
   in
   let node =
-    Storage_node.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:0
+    Storage_node.create ~runtime ~config:(Config.make ?mode ~replication:5 ()) ~node_id:0
       ~schema:stock_schema ~replicas ~master_of ()
   in
   let drain () =
@@ -477,6 +477,114 @@ let test_dangling_recovery_fold () =
     [ "txn recovery a -> commit"; "txn recovery b -> commit"; "txn recovery c -> abort" ]
     (List.rev
        (List.filter (fun l -> contains ~needle:"txn recovery " l && contains ~needle:"->" l) !lines))
+
+(* A stable master (Multi mode) of item 0 at its implicit classic ballot,
+   replicas 0-4: node 0 is scripted, every other replica is played by the
+   test.  [propose] sends a classic proposal from coordinator 9 of
+   [update] on item 0. *)
+let stable_master () =
+  let s =
+    scripted_node ~mode:Config.Multi ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0) ()
+  in
+  Storage_node.load s.node [ (item 0, item_row 10) ];
+  let propose txid update =
+    let w =
+      { Mdcc_core.Woption.txid; key = item 0; update; write_set = [ item 0 ]; coordinator = 9 }
+    in
+    s.handle ~src:9 (Mdcc_core.Messages.Propose { woption = w; route = `Classic });
+    w
+  in
+  (s, propose)
+
+let round_ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:0
+
+let ack ?(ballot = round_ballot) ?(ok = true) (s : scripted) src txid =
+  s.handle ~src
+    (Mdcc_core.Messages.Phase2b_master
+       { key = item 0; txid; ballot; ok; decision = Mdcc_core.Woption.Accepted })
+
+let decision_str = function Mdcc_core.Woption.Accepted -> "acc" | Rejected -> "rej"
+
+(* (destination, txid, decision) of every Phase2a, or every Learned, in
+   [sent]. *)
+let phase2as sent =
+  List.filter_map
+    (fun (dst, p) ->
+      match p with
+      | Mdcc_core.Messages.Phase2a { woption; decision; _ } ->
+        Some (dst, woption.Mdcc_core.Woption.txid, decision_str decision)
+      | _ -> None)
+    sent
+
+let learned sent =
+  List.filter_map
+    (fun (dst, p) ->
+      match p with
+      | Mdcc_core.Messages.Learned { txid; decision; _ } ->
+        Some (dst, txid, decision_str decision)
+      | _ -> None)
+    sent
+
+let sends = Alcotest.(list (triple int string string))
+
+let test_requeued_option_one_round () =
+  (* Stock 10, bounded below by 0.  T1, a physical update at a stale
+     version, holds the record; T2's delta of -6 queues behind it, and a
+     Start_recovery from node 8 re-proposes T2 while it waits.  When T1 is
+     learned rejected, T2 must run one round and be learned once, by its
+     coordinator and by node 8.  Queued twice, it ran two rounds at one
+     ballot: the second counted the first's -6 and was rejected, so every
+     acceptor saw T2 accepted and then rejected. *)
+  let s, propose = stable_master () in
+  let _t1 = propose "T1" (Update.Physical { vread = 0; value = item_row 3 }) in
+  let t2 = propose "T2" (Update.Delta [ ("stock", -6) ]) in
+  s.handle ~src:8 (Mdcc_core.Messages.Start_recovery { key = item 0; woption = t2 });
+  Alcotest.check sends "T1 runs alone"
+    (List.map (fun dst -> (dst, "T1", "rej")) [ 1; 2; 3; 4 ])
+    (phase2as (s.drain ()));
+  ack s 1 "T1";
+  ack s 2 "T1";
+  let sent = s.drain () in
+  Alcotest.check sends "T1 learned" [ (9, "T1", "rej") ] (learned sent);
+  let t2_round = phase2as sent in
+  Alcotest.check sends "T2 runs one round"
+    (List.map (fun dst -> (dst, "T2", "acc")) [ 1; 2; 3; 4 ])
+    t2_round;
+  List.iter (fun (dst, txid, _) -> if dst <= 2 then ack s dst txid) t2_round;
+  Alcotest.check sends "T2 learned once, by node 8 and its coordinator"
+    [ (8, "T2", "acc"); (9, "T2", "acc") ]
+    (learned (s.drain ()))
+
+let test_classic_round_acks () =
+  (* A classic quorum is 3: the master's own ack and two more. *)
+  let s, propose = stable_master () in
+  let _ = propose "a" (Update.Delta [ ("stock", -1) ]) in
+  ignore (s.drain ());
+  ack s 1 "a";
+  ack s 1 "a";
+  Alcotest.check sends "a repeated ack counts once" [] (learned (s.drain ()));
+  ack s ~ballot:Mdcc_paxos.Ballot.initial_fast 2 "a";
+  ack s ~ballot:(Mdcc_paxos.Ballot.classic ~number:1 ~proposer:3) 2 "a";
+  Alcotest.check sends "an ack at another ballot is ignored" [] (learned (s.drain ()));
+  ack s 2 "a";
+  Alcotest.check sends "a third distinct ack decides" [ (9, "a", "acc") ] (learned (s.drain ()));
+  let _ = propose "b" (Update.Delta [ ("stock", -1) ]) in
+  ignore (s.drain ());
+  ack s ~ok:false 3 "b";
+  let phase1a =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Mdcc_core.Messages.Phase1a { ballot; _ } ->
+          Some (dst, Format.asprintf "%a" Mdcc_paxos.Ballot.pp ballot)
+        | _ -> None)
+      (s.drain ())
+  in
+  Alcotest.(check (list (pair int string)))
+    "a nack at the round's ballot steps down into recovery, one ballot higher"
+    (List.map (fun dst -> (dst, "2.c.0")) [ 1; 2; 3; 4 ])
+    phase1a
 
 let test_sync_targets () =
   (* Node 0 masters item 0 (replicas 0, 1, 2) but not item 1 (replicas 3,
@@ -822,5 +930,8 @@ let suite =
     Alcotest.test_case "quorum lost then restored" `Quick test_quorum_lost_then_restored;
     Alcotest.test_case "master recovery fold" `Quick test_recovery_fold;
     Alcotest.test_case "dangling recovery fold" `Quick test_dangling_recovery_fold;
+    Alcotest.test_case "re-proposed queued option runs one round" `Quick
+      test_requeued_option_one_round;
+    Alcotest.test_case "classic round acks" `Quick test_classic_round_acks;
     Alcotest.test_case "sync sweep targets" `Quick test_sync_targets;
   ]
