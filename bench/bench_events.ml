@@ -5,7 +5,7 @@
 
      dune exec bench/bench_events.exe -- --out BENCH_events.json
 
-   Fourteen sections, each timed in isolation:
+   Fifteen sections, each timed in isolation:
 
    - queue_push_pop:   push N events at pseudo-random times, pop them all
    - queue_cancel:     push N, cancel every other handle (exercising the
@@ -39,6 +39,12 @@
                        = one tick): the tick re-arms its own engine event
                        and the idle node skips the scan, so it allocates
                        nothing
+   - fast_vote:        20,000 fast proposals, each followed by its
+                       committed Visibility, on 1,000 warm records of one
+                       storage node over Runtime.of_network (one op = one
+                       vote): a vote reuses a pooled record and stamps its
+                       time in place, so it costs its reply and the
+                       visibility's applied-set insert
    - span_event:       protocol events through Ctx.emit into a span store,
                        alternately a fast Voted and an Applied, on spans
                        already open (one op = one event)
@@ -326,6 +332,50 @@ let maintenance_tick_idle ~ops =
         ignore (Engine.step engine : bool)
       done)
 
+let fast_vote () =
+  let votes = 20_000 and records = 1_000 in
+  let engine = Engine.create ~seed:23 in
+  let net =
+    Network.create engine
+      (Topology.make ~dc_names:[| "a" |] ~rtt:[| [| 0.0 |] |] ~nodes_per_dc:2 ())
+      ()
+  in
+  let _node =
+    Storage_node.create ~runtime:(Runtime.of_network net) ~config:(Config.make ~replication:5 ())
+      ~node_id:0
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ~replicas:(fun _ -> [ 0 ])
+      ~master_of:(fun _ -> 1)
+      ()
+  in
+  Network.register net 1 (fun ~src:_ _ -> ());
+  let update = Update.Delta [ ("stock", -1) ] in
+  let keys = Array.init records (fun i -> Key.make ~table:"item" ~id:(string_of_int i)) in
+  let vote i =
+    let key = keys.(i mod records) and txid = Printf.sprintf "v%06d" i in
+    ( Messages.Propose
+        {
+          woption = { Woption.txid; key; update; write_set = [ key ]; coordinator = 1 };
+          route = `Fast;
+        },
+      Messages.Visibility { txid; key; update; committed = true } )
+  in
+  let deliver msg =
+    Network.send net ~src:1 ~dst:0 msg;
+    while Engine.step engine do
+      ()
+    done
+  in
+  let run =
+    Array.iter (fun (propose, visibility) ->
+        deliver propose;
+        deliver visibility)
+  in
+  (* Every record's first vote creates its state. *)
+  run (Array.init records (fun i -> vote (votes + i)));
+  let msgs = Array.init votes vote in
+  time_section "fast_vote" votes (fun () -> run msgs)
+
 let span_event () =
   let ops = 100_000 and txns = 1_000 in
   let runtime =
@@ -453,6 +503,7 @@ let bench ~out =
       visibility_void_hot_key ();
       dangling_scan_idle ();
       maintenance_tick_idle ~ops;
+      fast_vote ();
       span_event ();
       fast_path_commit ();
       classic_commit ();
@@ -495,8 +546,8 @@ let () =
   let doc =
     "micro-benchmark of the DES hot loop (event queue, dispatch, network send), of the \
      socket loop's message path, of the storage node's visibility, dangling-scan and idle \
-     maintenance-tick paths, of the span fold, of one fast-path and one classic commit, of a \
-     latency-jitter draw and of the wire parser's request stream"
+     maintenance-tick paths, of a fast vote, of the span fold, of one fast-path and one classic \
+     commit, of a latency-jitter draw and of the wire parser's request stream"
   in
   let cmd =
     Cmd.v

@@ -97,13 +97,15 @@ let emit t ev = Ctx.emit t.stream ev
 
 let n t = t.config.Config.replication
 
+(* [find] with its exception, not [find_opt]: no [Some] per routed key
+   while a hint is live. *)
 let hint_active t key =
-  match Hashtbl.find_opt t.hints key with
-  | Some expiry when now t < expiry -> true
-  | Some _ ->
+  match Hashtbl.find t.hints key with
+  | expiry when now t < expiry -> true
+  | (_ : float) ->
     Hashtbl.remove t.hints key;
     false
-  | None -> false
+  | exception Not_found -> false
 
 let set_hint t key = Hashtbl.replace t.hints key (now t +. hint_ttl)
 

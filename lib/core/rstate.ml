@@ -2,11 +2,12 @@ open Mdcc_storage
 open Mdcc_paxos
 module Engine = Mdcc_sim.Engine
 
-type pending = {
-  woption : Woption.t;
+type vote = {
+  mutable woption : Woption.t;
   mutable decision : Woption.decision;
   mutable ballot : Ballot.t;
-  mutable proposed_at : Engine.sim_time;
+  proposed_at : Engine.stamp;
+  mutable next : vote;
 }
 
 type applied = Update.t Txn.Map.t
@@ -15,17 +16,35 @@ type t = {
   key : Key.t;
   mutable promised : Ballot.t;
   mutable classic_until : int;
-  mutable pending : pending list;
+  mutable pending : vote;
   mutable applied : applied;
   mutable decided : (Txn.id * bool) list;
 }
+
+(* What the sentinel and every released vote hold: no option of a live
+   transaction, so a vote on the free stack keeps nothing alive. *)
+let no_option =
+  let key = Key.make ~table:"" ~id:"" in
+  { Woption.txid = ""; key; update = Update.Delta []; write_set = []; coordinator = -1 }
+
+let rec none =
+  {
+    woption = no_option;
+    decision = Woption.Rejected;
+    ballot = Ballot.initial_fast;
+    proposed_at = { Engine.time = 0.0 };
+    next = none;
+  }
+
+let vote ?(next = none) woption decision ballot =
+  { woption; decision; ballot; proposed_at = { Engine.time = 0.0 }; next }
 
 let create ?(classic_until = 0) key =
   {
     key;
     promised = Ballot.initial_fast;
     classic_until;
-    pending = [];
+    pending = none;
     applied = Txn.Map.empty;
     decided = [];
   }
@@ -44,41 +63,102 @@ let applied_missing ~mine ~theirs =
 
 let mark_applied t txid update = t.applied <- applied_add t.applied txid update
 
-(* The pending list is short and walked per proposal: these helpers take
-   the txid as an argument instead of capturing it in a predicate closure,
-   and copy the list only when it changes. *)
-let same_txid txid p = String.equal p.woption.Woption.txid txid
+(* The pending chain is short and walked per proposal.  Every walk below is
+   a top-level recursion that takes its arguments instead of capturing
+   them in a closure, so walking, linking and unlinking allocate nothing. *)
+let same_txid txid v = String.equal v.woption.Woption.txid txid
 
-let rec find_txid txid = function
-  | [] -> None
-  | p :: rest -> if same_txid txid p then Some p else find_txid txid rest
+let rec find_from txid v =
+  if v == none then raise_notrace Not_found
+  else if same_txid txid v then v
+  else find_from txid v.next
 
-let rec has_txid txid = function [] -> false | p :: rest -> same_txid txid p || has_txid txid rest
+let find_pending t txid = find_from txid t.pending
 
-let rec without_txid txid = function
-  | [] -> []
-  | p :: rest -> if same_txid txid p then without_txid txid rest else p :: without_txid txid rest
+let mem_pending t txid =
+  match find_from txid t.pending with (_ : vote) -> true | exception Not_found -> false
 
-let rec append pending p = match pending with [] -> [ p ] | q :: rest -> q :: append rest p
+let rec count_from n v = if v == none then n else count_from (n + 1) v.next
 
-let find_pending t txid = find_txid txid t.pending
+let pending_count t = count_from 0 t.pending
 
-let remove_pending t txid =
-  if has_txid txid t.pending then t.pending <- without_txid txid t.pending
+(* A stack of released votes, linked through [next]. *)
+type pool = { mutable free : vote }
 
-let add_pending t p =
-  remove_pending t p.woption.Woption.txid;
-  t.pending <- append t.pending p
+let pool () = { free = none }
 
-let rec all_accepted = function
-  | [] -> true
-  | p :: rest -> p.decision = Woption.Accepted && all_accepted rest
+let take p =
+  let v = p.free in
+  if v == none then vote no_option Woption.Rejected Ballot.initial_fast
+  else begin
+    p.free <- v.next;
+    v
+  end
 
-(* Usually every pending vote is an accept: then the list itself is the
-   answer and nothing is copied. *)
-let accepted t =
-  if all_accepted t.pending then t.pending
-  else List.filter (fun p -> p.decision = Woption.Accepted) t.pending
+let release p v =
+  v.woption <- no_option;
+  v.next <- p.free;
+  p.free <- v
+
+(* Unlink [txid]'s vote from the chain after [prev] and answer it, or
+   [none] when the chain has no such vote. *)
+let rec unlink_after prev txid v =
+  if v == none then none
+  else if same_txid txid v then begin
+    prev.next <- v.next;
+    v
+  end
+  else unlink_after v txid v.next
+
+let unlink t txid =
+  let head = t.pending in
+  if head == none then none
+  else if same_txid txid head then begin
+    t.pending <- head.next;
+    head
+  end
+  else unlink_after head txid head.next
+
+let remove_pending p t txid =
+  let v = unlink t txid in
+  if v != none then release p v
+
+let rec last v = if v.next == none then v else last v.next
+
+let add_pending p t (w : Woption.t) decision ballot =
+  let v = unlink t w.Woption.txid in
+  let v = if v == none then take p else v in
+  v.woption <- w;
+  v.decision <- decision;
+  v.ballot <- ballot;
+  v.next <- none;
+  if t.pending == none then t.pending <- v else (last t.pending).next <- v;
+  v
+
+let rec votes_from v =
+  if v == none then []
+  else
+    { Messages.woption = v.woption; decision = v.decision; ballot = v.ballot }
+    :: votes_from v.next
+
+let votes t = votes_from t.pending
+
+(* [now -. proposed_at > limit]: the clock arrives in a flat cell and
+   [limit] as the caller's float, so the walk boxes nothing. *)
+let[@inline] older (now : Engine.stamp) limit v =
+  now.Engine.time -. v.proposed_at.Engine.time > limit
+
+let rec any_older_from now limit v =
+  v != none && (older now limit v || any_older_from now limit v.next)
+
+let any_older t ~now limit = any_older_from now limit t.pending
+
+let rec older_from now limit v =
+  if v == none then []
+  else if older now limit v then v.woption :: older_from now limit v.next
+  else older_from now limit v.next
+
+let older_than t ~now limit = older_from now limit t.pending
 
 let in_classic_era t ~version = version < t.classic_until
 
@@ -108,29 +188,27 @@ let rec attr_delta deltas attr =
 
 (* Worst-case sums of outstanding accepted deltas for one attribute: the
    permutation of commit/abort outcomes that drives the value lowest keeps
-   only the negative deltas; highest keeps only the positive ones. *)
-let rec pending_neg accepted attr =
-  match accepted with
-  | [] -> 0
-  | p :: rest ->
-    Stdlib.min 0 (attr_delta (Update.deltas p.woption.Woption.update) attr)
-    + pending_neg rest attr
+   only the negative deltas; highest keeps only the positive ones.  A vote
+   to reject counts for nothing. *)
+let accepted_delta v attr =
+  match v.decision with
+  | Woption.Accepted -> attr_delta (Update.deltas v.woption.Woption.update) attr
+  | Woption.Rejected -> 0
 
-let rec pending_pos accepted attr =
-  match accepted with
-  | [] -> 0
-  | p :: rest ->
-    Stdlib.max 0 (attr_delta (Update.deltas p.woption.Woption.update) attr)
-    + pending_pos rest attr
+let rec pending_neg v attr =
+  if v == none then 0 else Stdlib.min 0 (accepted_delta v attr) + pending_neg v.next attr
 
-let bound_ok (b : Schema.bound) ~demarcation valuation ~accepted deltas =
+let rec pending_pos v attr =
+  if v == none then 0 else Stdlib.max 0 (accepted_delta v attr) + pending_pos v.next attr
+
+let bound_ok (b : Schema.bound) ~demarcation valuation ~pending deltas =
   let base = Value.get_int valuation.value b.Schema.attr in
   let d = attr_delta deltas b.Schema.attr in
   let lower_ok =
     match b.Schema.lower with
     | None -> true
     | Some lower -> (
-      let pending_neg = pending_neg accepted b.Schema.attr and delta_neg = Stdlib.min 0 d in
+      let pending_neg = pending_neg pending b.Schema.attr and delta_neg = Stdlib.min 0 d in
       match demarcation with
       | `Quorum (n, qf) -> demarcation_lower_ok ~n ~qf ~base ~lower ~pending_neg ~delta_neg
       | `Escrow -> base + pending_neg + delta_neg >= lower)
@@ -139,19 +217,19 @@ let bound_ok (b : Schema.bound) ~demarcation valuation ~accepted deltas =
     match b.Schema.upper with
     | None -> true
     | Some upper -> (
-      let pending_pos = pending_pos accepted b.Schema.attr and delta_pos = Stdlib.max 0 d in
+      let pending_pos = pending_pos pending b.Schema.attr and delta_pos = Stdlib.max 0 d in
       match demarcation with
       | `Quorum (n, qf) -> demarcation_upper_ok ~n ~qf ~base ~upper ~pending_pos ~delta_pos
       | `Escrow -> base + pending_pos + delta_pos <= upper)
   in
   lower_ok && upper_ok
 
-let rec delta_ok ~bounds ~demarcation valuation ~accepted deltas =
+let rec delta_ok ~bounds ~demarcation valuation ~pending deltas =
   match bounds with
   | [] -> true
   | b :: rest ->
-    bound_ok b ~demarcation valuation ~accepted deltas
-    && delta_ok ~bounds:rest ~demarcation valuation ~accepted deltas
+    bound_ok b ~demarcation valuation ~pending deltas
+    && delta_ok ~bounds:rest ~demarcation valuation ~pending deltas
 
 let rec value_in_bounds ~bounds value =
   match bounds with
@@ -161,50 +239,57 @@ let rec value_in_bounds ~bounds value =
 
 type reject_reason = Version_validation | Outstanding_option | Demarcation
 
-(* The same conjunctions as the original single-expression [evaluate], but
-   evaluated in a fixed order so a rejection names its {e first} failing
-   clause: committed-state/version validation, then the one-outstanding-
-   option rule, then value bounds / quorum demarcation.  The ordering
-   cannot change the decision — only which reason a multiply-invalid
-   option reports. *)
-let classify ~bounds ~demarcation valuation ~accepted (up : Update.t) =
-  let no_outstanding = accepted = [] in
-  let no_outstanding_physical =
-    List.for_all (fun p -> Update.is_commutative p.woption.Woption.update) accepted
-  in
+(* The one-outstanding-option checks: is every accepted vote of the chain
+   of the allowed kind?  [no_accepted] allows none at all. *)
+let rec no_accepted v =
+  v == none
+  || match v.decision with Woption.Accepted -> false | Woption.Rejected -> no_accepted v.next
+
+let rec accepted_commutative v =
+  v == none
+  ||
+  match v.decision with
+  | Woption.Accepted ->
+    Update.is_commutative v.woption.Woption.update && accepted_commutative v.next
+  | Woption.Rejected -> accepted_commutative v.next
+
+let rec accepted_read_guards v =
+  v == none
+  ||
+  match v.decision with
+  | Woption.Accepted -> Update.is_read_guard v.woption.Woption.update && accepted_read_guards v.next
+  | Woption.Rejected -> accepted_read_guards v.next
+
+let classify ~bounds ~demarcation valuation ~pending (up : Update.t) =
   match up with
   | Update.Insert v ->
     if valuation.exists then Some Version_validation
-    else if not no_outstanding then Some Outstanding_option
+    else if not (no_accepted pending) then Some Outstanding_option
     else if not (value_in_bounds ~bounds v) then Some Demarcation
     else None
   | Update.Physical { vread; value } ->
     if not (valuation.exists && valuation.version = vread) then Some Version_validation
-    else if not no_outstanding then Some Outstanding_option
+    else if not (no_accepted pending) then Some Outstanding_option
     else if not (value_in_bounds ~bounds value) then Some Demarcation
     else None
   | Update.Delete { vread } ->
     if not (valuation.exists && valuation.version = vread) then Some Version_validation
-    else if not no_outstanding then Some Outstanding_option
+    else if not (no_accepted pending) then Some Outstanding_option
     else None
   | Update.Delta deltas ->
     if not valuation.exists then Some Version_validation
-    else if not no_outstanding_physical then Some Outstanding_option
-    else if not (delta_ok ~bounds ~demarcation valuation ~accepted deltas) then
-      Some Demarcation
+    else if not (accepted_commutative pending) then Some Outstanding_option
+    else if not (delta_ok ~bounds ~demarcation valuation ~pending deltas) then Some Demarcation
     else None
   | Update.Read_guard { vread } ->
     (* Serializable reads (§4.4): valid while the read version is current
        and no write is outstanding; outstanding guards are fine (shared
        "locks" commute with each other). *)
     if valuation.version <> vread then Some Version_validation
-    else if
-      not
-        (List.for_all (fun p -> Update.is_read_guard p.woption.Woption.update) accepted)
-    then Some Outstanding_option
+    else if not (accepted_read_guards pending) then Some Outstanding_option
     else None
 
 let decision_of = function None -> Woption.Accepted | Some (_ : reject_reason) -> Woption.Rejected
 
-let evaluate ~bounds ~demarcation valuation ~accepted up =
-  decision_of (classify ~bounds ~demarcation valuation ~accepted up)
+let evaluate ~bounds ~demarcation valuation ~pending up =
+  decision_of (classify ~bounds ~demarcation valuation ~pending up)

@@ -1,7 +1,7 @@
 (** Per-record Paxos/option state kept by every replica.
 
     This module holds the state one storage node keeps for one record —
-    promised ballot, the fast-policy window, the list of pending options —
+    promised ballot, the fast-policy window, the chain of pending votes —
     and the {e pure} decision logic shared by all three places the paper
     makes an accept/reject decision: the acceptor's fast path
     (SetCompatible, Algorithm 3 lines 83–99), the master's classic
@@ -22,16 +22,35 @@
 open Mdcc_storage
 open Mdcc_paxos
 
-type pending = {
-  woption : Woption.t;
+type vote = private {
+  mutable woption : Woption.t;
   mutable decision : Woption.decision;  (** this replica's current vote *)
   mutable ballot : Ballot.t;  (** ballot the vote was cast at *)
-  mutable proposed_at : Mdcc_sim.Engine.sim_time;
-      (** {e simulated} time, for dangling detection.  The [sim_time]
-          type (not bare [float]) is how lint rule R1 asserts the field
-          is fed from the engine clock, never the wall clock: the only
-          writers are [Storage_node]'s [now t] call sites. *)
+  proposed_at : Mdcc_sim.Engine.stamp;
+      (** {e simulated} time of the vote, for dangling detection, in a flat
+          cell the vote owns, so stamping it allocates nothing.  The cell's
+          one field is a [sim_time], not a bare [float], as lint rule R1
+          requires of protocol timestamps: it is fed from the engine clock,
+          never the wall clock.  The only writers are [Storage_node]'s
+          [Runtime.now_into] call sites. *)
+  mutable next : vote;  (** the next vote in arrival order, or {!none} *)
 }
+(** One outstanding option this replica voted on: an element of a
+    record's pending chain.  A storage node takes its votes from a
+    {!pool} and returns them there when the option settles, so a vote
+    allocates nothing once the pool holds as many as the node has
+    outstanding.  Never keep a vote past the call that found it: once
+    released it is reused for another option.  Copy its fields instead, as
+    Phase 1b and a status reply do. *)
+
+val none : vote
+(** The end of every chain and the "no vote" answer.  A released vote
+    holds the same [woption] as [none], so it pins no transaction. *)
+
+val vote : ?next:vote -> Woption.t -> Woption.decision -> Ballot.t -> vote
+(** A fresh vote, outside any pool, linked in front of [next] (default
+    {!none}): how a recovery builds the accepted set it validates
+    against, and how tests build chains. *)
 
 type applied = Update.t Txn.Map.t
 (** An applied set: txid -> the update that transaction contributed.  It
@@ -43,7 +62,9 @@ type t = {
   mutable classic_until : int;
       (** record versions below this must use classic ballots (γ window);
           [max_int] in Multi mode *)
-  mutable pending : pending list;  (** outstanding options, arrival order *)
+  mutable pending : vote;
+      (** outstanding votes, a chain in arrival order ({!none} when there
+          are none); one vote per transaction *)
   mutable applied : applied;
       (** every committed transaction folded into this replica's copy of the
           record, with the update it contributed.  This is the authoritative
@@ -83,15 +104,42 @@ val applied_missing : mine:applied -> theirs:applied -> applied
 val mark_applied : t -> Txn.id -> Update.t -> unit
 (** Record that this replica folded [txid]'s update into its value. *)
 
-val find_pending : t -> Txn.id -> pending option
+(** {2 The pending chain}
 
-val remove_pending : t -> Txn.id -> unit
+    Only {!add_pending} and {!remove_pending} change a chain.  Every walk
+    is a top-level recursion, so none allocates beyond what it returns. *)
 
-val add_pending : t -> pending -> unit
-(** Appends; replaces an existing entry with the same transaction id. *)
+type pool
+(** A storage node's stack of released votes, linked through [next]. *)
 
-val accepted : t -> pending list
-(** Pending options currently voted [Accepted]. *)
+val pool : unit -> pool
+
+val add_pending : pool -> t -> Woption.t -> Woption.decision -> Ballot.t -> vote
+(** Append a vote for the option at the end of the chain and answer it;
+    the caller stamps its [proposed_at].  An existing vote for the same
+    transaction is moved to the end and overwritten; otherwise the vote
+    comes from the pool, or is allocated when the pool is empty. *)
+
+val remove_pending : pool -> t -> Txn.id -> unit
+(** Unlink the transaction's vote, if any, and return it to the pool. *)
+
+val find_pending : t -> Txn.id -> vote
+(** The transaction's vote.  Raises [Not_found] when there is none. *)
+
+val mem_pending : t -> Txn.id -> bool
+
+val pending_count : t -> int
+
+val votes : t -> Messages.vote list
+(** Copies of the chain's votes, in arrival order: a Phase 1b promise. *)
+
+val any_older : t -> now:Mdcc_sim.Engine.stamp -> float -> bool
+(** [any_older t ~now limit]: is [now -. proposed_at > limit] for some
+    vote?  Allocates nothing, so an idle dangling scan can ask it of
+    every record. *)
+
+val older_than : t -> now:Mdcc_sim.Engine.stamp -> float -> Woption.t list
+(** The options of the votes {!any_older} would find, in arrival order. *)
 
 val in_classic_era : t -> version:int -> bool
 (** Must proposals for the next instance go through the master? *)
@@ -117,18 +165,19 @@ val evaluate :
   bounds:Schema.bound list ->
   demarcation:demarcation ->
   valuation ->
-  accepted:pending list ->
+  pending:vote ->
   Update.t ->
   Woption.decision
 (** The accept/reject decision for a new option given committed state and
-    the already-accepted outstanding options.  Deterministic; safe to run
-    at any replica that has the same inputs. *)
+    the outstanding votes, a chain of which only the [Accepted] votes
+    count.  Deterministic; safe to run at any replica that has the same
+    inputs. *)
 
 val classify :
   bounds:Schema.bound list ->
   demarcation:demarcation ->
   valuation ->
-  accepted:pending list ->
+  pending:vote ->
   Update.t ->
   reject_reason option
 (** {!evaluate}'s decision as the reason it rejects: [None] exactly when the

@@ -8,6 +8,7 @@ type timer = unit -> unit
 
 type t = {
   r_now : unit -> float;
+  r_now_into : Engine.stamp -> unit;
   r_send : src:int -> dst:int -> Net.payload -> unit;
   r_register : int -> (src:int -> Net.payload -> unit) -> unit;
   r_set_timer : after:float -> (unit -> unit) -> (unit -> unit);
@@ -31,6 +32,7 @@ let every_of_set_timer set_timer ~period f =
 let make ~now ~send ~register ~set_timer ~spawn ~rng ~dc_of ~trace ~tracing () =
   {
     r_now = now;
+    r_now_into = (fun c -> c.Engine.time <- now ());
     r_send = send;
     r_register = register;
     r_set_timer = set_timer;
@@ -43,6 +45,8 @@ let make ~now ~send ~register ~set_timer ~spawn ~rng ~dc_of ~trace ~tracing () =
   }
 
 let now t = t.r_now ()
+
+let now_into t c = t.r_now_into c
 
 let send t ~src ~dst payload = t.r_send ~src ~dst payload
 
@@ -78,6 +82,7 @@ let of_network net =
   let th = Trace.handle () in
   {
     r_now = (fun () -> Engine.now engine);
+    r_now_into = (fun c -> Engine.now_into engine c);
     r_send = (fun ~src ~dst payload -> Net.send net ~src ~dst payload);
     r_register = (fun node handler -> Net.register net node handler);
     r_set_timer =

@@ -40,7 +40,8 @@ val make :
 (** Assemble a runtime from its primitives.  [set_timer ~after f] must run
     [f] once, [after] milliseconds from now, and return the cancel thunk;
     the runtime's {!every} is derived from it, as a thunk that runs its
-    callback and then calls [set_timer ~after:period] on itself again;
+    callback and then calls [set_timer ~after:period] on itself again,
+    and its {!now_into} from [now], as a store of [now ()];
     [spawn f] must run [f] asynchronously but promptly (the "later, not
     reentrantly" primitive used for completion callbacks); [rng] is the
     runtime's root RNG, split once per component at create time; [trace]
@@ -52,6 +53,12 @@ val now : t -> float
 (** The runtime's clock, in milliseconds.  Virtual under the simulator,
     monotonic-process time under the socket runtime — never the wall
     clock of rule R1. *)
+
+val now_into : t -> Mdcc_sim.Engine.stamp -> unit
+(** [now_into t c] stores {!now} in [c].  Under {!of_network} it copies
+    the engine's clock cell ({!Mdcc_sim.Engine.now_into}), so it
+    allocates nothing where {!now}'s result is a boxed float; a runtime
+    built with {!make} stores its [now ()]. *)
 
 val send : t -> src:int -> dst:int -> Mdcc_sim.Network.payload -> unit
 (** Queue a message for asynchronous delivery to node [dst].  Delivery (if

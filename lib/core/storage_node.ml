@@ -93,10 +93,11 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
   visibility_exec : Obs.counter;
+  votes : Rstate.pool;  (* released votes, reused by [add_pending] *)
   mutable pending_records : int;
-      (* records whose pending list is non-empty; kept by [add_pending] and
-         [remove_pending], the only writers of a pending list *)
-  scan_now : Rng.fcell;  (* the scan's [now], flat so the walk boxes nothing *)
+      (* records with a pending vote; kept by [add_pending] and
+         [remove_pending], the only writers of a pending chain *)
+  scan_now : Mdcc_sim.Engine.stamp;  (* the scan's [now], flat so the walk boxes nothing *)
   stale_walk : Key.t -> Rstate.t -> unit;
       (* raises [Key.Tbl.Found] on a record with an option past the
          timeout at [scan_now]; built once in [create] *)
@@ -117,19 +118,21 @@ let rstate t key =
     Key.Tbl.add t.records key rs;
     rs
 
-(* Every change to a record's pending list goes through these two, so
+(* Every change to a record's pending chain goes through these two, so
    [pending_records] stays exact and an idle node's dangling scan can
-   return without looking at a record. *)
-let add_pending t (rs : Rstate.t) p =
-  (match rs.Rstate.pending with [] -> t.pending_records <- t.pending_records + 1 | _ :: _ -> ());
-  Rstate.add_pending rs p
+   return without looking at a record.  A vote comes from the node's pool
+   and goes back to it, and its time is stamped in place: once the pool is
+   warm, voting allocates nothing here. *)
+let add_pending t (rs : Rstate.t) (w : Woption.t) decision ballot =
+  if rs.Rstate.pending == Rstate.none then t.pending_records <- t.pending_records + 1;
+  let v = Rstate.add_pending t.votes rs w decision ballot in
+  Runtime.now_into t.runtime v.Rstate.proposed_at
 
 let remove_pending t (rs : Rstate.t) txid =
-  match rs.Rstate.pending with
-  | [] -> ()
-  | _ :: _ -> (
-    Rstate.remove_pending rs txid;
-    match rs.Rstate.pending with [] -> t.pending_records <- t.pending_records - 1 | _ :: _ -> ())
+  if rs.Rstate.pending != Rstate.none then begin
+    Rstate.remove_pending t.votes rs txid;
+    if rs.Rstate.pending == Rstate.none then t.pending_records <- t.pending_records - 1
+  end
 
 let probe t txid key =
   t.probe.v_txid <- txid;
@@ -225,8 +228,6 @@ let rec fan_out t payload local = function
     if replica = t.id then local () else send t replica payload;
     fan_out t payload local rest
 
-let now t = Runtime.now t.runtime
-
 (* An event is built only when a consumer is live: [if live t then emit t ...]. *)
 let live t = Ctx.live t.stream
 
@@ -260,8 +261,8 @@ let fast_propose t (w : Woption.t) =
   | Some committed -> fast_reply t w (if committed then Woption.Accepted else Woption.Rejected)
   | None -> (
     match Rstate.find_pending rs w.Woption.txid with
-    | Some p -> fast_reply t w p.Rstate.decision
-    | None ->
+    | v -> fast_reply t w v.Rstate.decision
+    | exception Not_found ->
       let row = Store.ensure t.store key in
       let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
       if (not era_classic) && not (Ballot.is_fast rs.Rstate.promised) then
@@ -286,17 +287,11 @@ let fast_propose t (w : Woption.t) =
         | Update.Insert _ | Update.Delta _ -> ());
         let reason =
           Rstate.classify ~bounds:(bounds t key) ~demarcation:t.fast_demarcation row
-            ~accepted:(Rstate.accepted rs) w.Woption.update
+            ~pending:rs.Rstate.pending w.Woption.update
         in
         let decision = Rstate.decision_of reason in
         count_verdict t reason;
-        add_pending t rs
-          {
-            Rstate.woption = w;
-            decision;
-            ballot = Ballot.initial_fast;
-            proposed_at = now t;
-          };
+        add_pending t rs w decision Ballot.initial_fast;
         if live t then
           emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Fast reason });
         fast_reply t w decision
@@ -308,14 +303,8 @@ let acceptor_phase1a t key ballot reply =
   let rs = rstate t key in
   let ok = Ballot.compare ballot rs.Rstate.promised > 0 in
   if ok then rs.Rstate.promised <- ballot;
-  let votes =
-    List.map
-      (fun (p : Rstate.pending) ->
-        { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot })
-      rs.Rstate.pending
-  in
   reply ~ok ~promised:rs.Rstate.promised
-    { Messages.votes; rebase = rebase_of t key; decided = rs.Rstate.decided }
+    { Messages.votes = Rstate.votes rs; rebase = rebase_of t key; decided = rs.Rstate.decided }
 
 let apply_rebase t key (rb : Messages.rebase) =
   let row = Store.ensure t.store key in
@@ -371,7 +360,7 @@ let acceptor_phase2a t (rs : Rstate.t) ballot (w : Woption.t) decision classic_u
          final, answer it instead of the proposer's. *)
       if committed then Woption.Accepted else Woption.Rejected
     | None ->
-      add_pending t rs { Rstate.woption = w; decision; ballot; proposed_at = now t };
+      add_pending t rs w decision ballot;
       if live t then
         emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
       decision
@@ -434,16 +423,25 @@ let visibility t txid key (update : Update.t) committed =
     end
   end
 
+(* Like [visible_outcome], the lookup never creates a record: a key this
+   node never held has no trace of the transaction. *)
 let status_query t ~src txid key =
   let status =
-    match visible_outcome t txid key with
-    | Some committed -> Messages.Status_decided committed
-    | None -> (
-      match Rstate.find_pending (rstate t key) txid with
-      | Some p ->
-        Messages.Status_pending
-          { Messages.woption = p.Rstate.woption; decision = p.Rstate.decision; ballot = p.Rstate.ballot }
-      | None -> Messages.Status_unknown)
+    match Key.Tbl.find t.records key with
+    | exception Not_found -> Messages.Status_unknown
+    | rs -> (
+      match outcome_at t rs txid with
+      | Some committed -> Messages.Status_decided committed
+      | None -> (
+        match Rstate.find_pending rs txid with
+        | v ->
+          Messages.Status_pending
+            {
+              Messages.woption = v.Rstate.woption;
+              decision = v.Rstate.decision;
+              ballot = v.Rstate.ballot;
+            }
+        | exception Not_found -> Messages.Status_unknown))
   in
   send t src (Messages.Status_reply { txid; key; status; acceptor = t.id })
 
@@ -604,7 +602,7 @@ and start_round t key (w : Woption.t) ~notify =
     let row = Store.ensure t.store key in
     let reason =
       Rstate.classify ~bounds:(bounds t key) ~demarcation:`Escrow row
-        ~accepted:(Rstate.accepted rs) w.Woption.update
+        ~pending:rs.Rstate.pending w.Woption.update
     in
     let decision = Rstate.decision_of reason in
     count_verdict t reason;
@@ -641,8 +639,8 @@ and master_propose t (w : Woption.t) ~notify =
     match find_round txid ms.m_rounds with
     | r -> r.r_notify <- union r.r_notify notify
     | exception Not_found -> (
-      match (ms.m_recovery, Rstate.find_pending rs txid) with
-      | Some _, _ | None, Some _ ->
+      match (ms.m_recovery, Rstate.mem_pending rs txid) with
+      | Some _, _ | None, true ->
         (* Join the recovery in progress.  Or a local vote for the option
            exists — fast, or classic from a round we no longer track.
            Either way a vote is not a decision (the round may have died
@@ -651,7 +649,7 @@ and master_propose t (w : Woption.t) ~notify =
            vote.  Recovery reads a quorum and classifies the vote
            correctly. *)
         start_recovery t key ~extras:[ w ] ~notify
-      | None, None ->
+      | None, false ->
         let row = Store.ensure t.store key in
         let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
         if ms.m_led <> None && era_classic then begin
@@ -882,17 +880,14 @@ and resolve_recovery t key rc =
           match forced with
           | Some d when d = Woption.Rejected || Update.is_commutative w.Woption.update -> d
           | Some _ | None ->
-            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val ~accepted
-              w.Woption.update
+            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
+              ~pending:accepted w.Woption.update
         in
         let accepted =
-          if d = Woption.Accepted then
-            { Rstate.woption = w; decision = d; ballot = rc.rc_ballot; proposed_at = now t }
-            :: accepted
-          else accepted
+          if d = Woption.Accepted then Rstate.vote ~next:accepted w d rc.rc_ballot else accepted
         in
         ((w, d) :: outcomes, accepted))
-      ([], [])
+      ([], Rstate.none)
       (classic_forced @ fast_forced @ free)
   in
   let outcomes = List.rev outcomes in
@@ -1034,16 +1029,6 @@ let txn_recovery_status t txid key status acceptor =
     | Some _ | None -> ())
   | Some _ | None -> ()
 
-(* Whether a pending option is past the transaction timeout: the same
-   expression as [scan_dangling]'s [past_timeout], so both agree to the
-   bit.  The clock comes in a flat cell, not as a float argument, which
-   would be boxed per call. *)
-let rec any_past_timeout (now : Rng.fcell) (config : Config.t) = function
-  | [] -> false
-  | (p : Rstate.pending) :: rest ->
-    now.Rng.f -. p.Rstate.proposed_at > config.Config.txn_timeout
-    || any_past_timeout now config rest
-
 (* Periodic scan for pending options whose coordinator went silent.  The
    record's master reacts after one timeout; other replicas after three, so
    a single node usually drives each recovery.  A node with no pending
@@ -1056,23 +1041,19 @@ let rec any_past_timeout (now : Rng.fcell) (config : Config.t) = function
    pending) order. *)
 let scan_dangling t =
   if t.pending_records > 0 then begin
-    t.scan_now.Rng.f <- now t;
+    Runtime.now_into t.runtime t.scan_now;
     if Key.Tbl.any t.stale_walk t.records then begin
-      let now = now t and timeout = t.config.Config.txn_timeout in
-      let older_than limit (p : Rstate.pending) = now -. p.Rstate.proposed_at > limit in
-      let past_timeout p = older_than timeout p in
+      let now = t.scan_now and timeout = t.config.Config.txn_timeout in
+      let recovering (w : Woption.t) = Hashtbl.mem t.recoveries w.Woption.txid in
       let stale_in key (rs : Rstate.t) =
         (* The shortest deadline first: it settles almost every record
            without computing the record's master. *)
-        if not (List.exists past_timeout rs.Rstate.pending) then None
+        if not (Rstate.any_older rs ~now timeout) then None
         else begin
           let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
-          let is_stale (p : Rstate.pending) =
-            older_than limit p && not (Hashtbl.mem t.recoveries p.Rstate.woption.Woption.txid)
-          in
-          match List.filter is_stale rs.Rstate.pending with
+          match List.filter (fun w -> not (recovering w)) (Rstate.older_than rs ~now limit) with
           | [] -> None
-          | stale -> Some (List.map (fun (p : Rstate.pending) -> p.Rstate.woption) stale)
+          | stale -> Some stale
         end
       in
       Key.Tbl.sorted_filter_map stale_in t.records
@@ -1230,7 +1211,7 @@ let rec handle t ~src payload =
   | _ -> ()
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.default ()) () =
-  let obs = ctx.Ctx.obs and scan_now = { Rng.f = 0.0 } in
+  let obs = ctx.Ctx.obs and scan_now = { Mdcc_sim.Engine.time = 0.0 } in
   let t =
     {
       runtime;
@@ -1252,11 +1233,13 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.de
       stream = Ctx.stream ctx runtime ~node:node_id;
       option_accept = Obs.counter obs "option_accept";
       visibility_exec = Obs.counter obs "visibility_exec";
+      votes = Rstate.pool ();
       pending_records = 0;
       scan_now;
       stale_walk =
         (fun _ (rs : Rstate.t) ->
-          if any_past_timeout scan_now config rs.Rstate.pending then raise_notrace Key.Tbl.Found);
+          if Rstate.any_older rs ~now:scan_now config.Config.txn_timeout then
+            raise_notrace Key.Tbl.Found);
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);
@@ -1273,7 +1256,7 @@ let load t rows =
 
 let pending_options t =
   Key.Tbl.sorted_filter_map
-    (fun _ rs -> match rs.Rstate.pending with [] -> None | ps -> Some (List.length ps))
+    (fun _ rs -> match Rstate.pending_count rs with 0 -> None | n -> Some n)
     t.records
   |> List.fold_left ( + ) 0
 

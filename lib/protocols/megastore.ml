@@ -47,7 +47,7 @@ let validate t (updates : (Key.t * Update.t) list) =
     (fun (key, update) ->
       let row = Store.ensure store key in
       let bounds = Schema.bounds_of (Harness.schema t.d) key in
-      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~accepted:[] update
+      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~pending:Rstate.none update
       = Mdcc_core.Woption.Accepted)
     updates
 

@@ -37,7 +37,7 @@ let prepare t node key txid update =
     let row = Store.ensure store key in
     let bounds = Schema.bounds_of (Harness.schema t.d) key in
     let ok =
-      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~accepted:[] update
+      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~pending:Rstate.none update
       = Mdcc_core.Woption.Accepted
     in
     if ok then Key.Tbl.replace locks key (txid, update);

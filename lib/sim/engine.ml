@@ -50,6 +50,10 @@ let set_delivery t f =
 
 let now t = t.now.Event_queue.f
 
+type stamp = { mutable time : sim_time }
+
+let now_into t c = c.time <- t.now.Event_queue.f
+
 let rng t = t.rng
 
 (* Stage [at] (clamped to now) in the push cell and take the next [seq]. *)

@@ -24,6 +24,15 @@ val create : seed:int -> t
 val now : t -> sim_time
 (** Current virtual time in milliseconds. *)
 
+type stamp = { mutable time : sim_time }
+(** A cell holding one simulated instant.  Its only field is a float, so
+    the cell is flat: writing or reading it boxes nothing, where a [float]
+    returned from another module, {!now}'s included, is boxed. *)
+
+val now_into : t -> stamp -> unit
+(** [now_into t c] stores {!now} in [c], copying the clock cell to [c]
+    without a box. *)
+
 val rng : t -> Mdcc_util.Rng.t
 (** The engine's root RNG.  Components should [Rng.split] it at set-up time
     so their streams are independent of scheduling order. *)

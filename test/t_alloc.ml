@@ -499,6 +499,79 @@ let test_classic_round () =
     (Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "classic_learned");
   if per_round > 48.0 then Alcotest.failf "a classic round allocated %.1f words" per_round
 
+(* A storage node over the simulator's runtime, whose clock is the
+   engine's flat cell, beside a silent coordinator at node 1 that masters
+   every key.  [deliver msgs] has node 1 send each message to the node and
+   runs the engine until every message and reply is delivered; once the
+   network's pool is warm, delivery allocates nothing. *)
+let sim_node () =
+  let module Net = Mdcc_sim.Network in
+  let module Engine = Mdcc_sim.Engine in
+  let engine = Engine.create ~seed:23 in
+  let net =
+    Net.create engine
+      (Mdcc_sim.Topology.make ~dc_names:[| "a" |] ~rtt:[| [| 0.0 |] |] ~nodes_per_dc:2 ())
+      ()
+  in
+  let _node =
+    Storage_node.create ~runtime:(Runtime.of_network net)
+      ~config:(Config.make ~replication:5 ())
+      ~node_id:0
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 1)
+      ()
+  in
+  Net.register net 1 (fun ~src:_ _ -> ());
+  fun msgs ->
+    Array.iter (fun m -> Net.send net ~src:1 ~dst:0 m) msgs;
+    while Engine.step engine do
+      ()
+    done
+
+let delta = Update.Delta [ ("stock", -1) ]
+
+let option_on i txid =
+  let k = Key.make ~table:"item" ~id:(string_of_int i) in
+  { Woption.txid = Printf.sprintf "%s%03d" txid i; key = k; update = delta; write_set = [ k ];
+    coordinator = 1 }
+
+let propose (w : Woption.t) = Messages.Propose { woption = w; route = `Fast }
+
+let phase2a (w : Woption.t) =
+  Messages.Phase2a
+    { key = w.Woption.key; ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:1; woption = w;
+      decision = Woption.Accepted; classic_until = 0; rebase = None }
+
+let commit (w : Woption.t) =
+  Messages.Visibility
+    { txid = w.Woption.txid; key = w.Woption.key; update = delta; committed = true }
+
+(* A vote takes a released vote from the node's pool and stamps its time
+   into the vote's own cell: once the records are warm and an earlier
+   vote settled, a fast vote allocates only its [Phase2b_fast] and a
+   classic one only its [Phase2b_master] (6 and 7 words: an extension
+   constructor's block also holds the constructor).  A Visibility that
+   settles a record's only pending vote allocates nothing for the chain:
+   exactly what the same Visibility costs on a record that has no vote. *)
+let test_settled_votes () =
+  let n = 50 in
+  let deliver = sim_node () in
+  let on ?(first = 0) prefix = Array.init n (fun i -> option_on (first + i) prefix) in
+  let warm = Array.append (on "warm") (on ~first:n "warm") in
+  deliver (Array.map propose warm);
+  deliver (Array.map commit warm);
+  let per_msg msgs = words (fun () -> deliver msgs) /. Float.of_int (Array.length msgs) in
+  let fast = on "f" and classic = on "c" in
+  let vote = per_msg (Array.map propose fast) in
+  let settle = per_msg (Array.map commit fast) in
+  let classic_vote = per_msg (Array.map phase2a classic) in
+  deliver (Array.map commit classic);
+  let unvoted = per_msg (Array.map commit (on ~first:n "c")) in
+  if vote > 6.5 then Alcotest.failf "a settled fast vote allocated %.2f words" vote;
+  if classic_vote > 7.5 then Alcotest.failf "a classic vote allocated %.2f words" classic_vote;
+  Alcotest.(check (float 0.0)) "settling the only vote costs what no vote does" unvoted settle
+
 let huge = 16_000
 
 (* With only a history attached, no key or outcome string is rendered: the
@@ -597,6 +670,7 @@ let suite =
     Alcotest.test_case "loop poll allocates only select's lists" `Quick test_loop_poll_light;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "classic round allocates only its messages" `Quick test_classic_round;
+    Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;

@@ -17,17 +17,27 @@ let woption ?(txid = "t") update =
   { Woption.txid; key; update; write_set = [ key ]; coordinator = 99 }
 
 let pend ?(txid = "t") ?(decision = Woption.Accepted) update =
-  {
-    Rstate.woption = woption ~txid update;
-    decision;
-    ballot = Ballot.initial_fast;
-    proposed_at = 0.0;
-  }
+  Rstate.vote (woption ~txid update) decision Ballot.initial_fast
+
+(* A chain of fresh votes with the list's options, in the list's order. *)
+let chain l =
+  List.fold_right
+    (fun (p : Rstate.vote) next ->
+      Rstate.vote ~next p.Rstate.woption p.Rstate.decision p.Rstate.ballot)
+    l Rstate.none
+
+let rec to_list (v : Rstate.vote) = if v == Rstate.none then [] else v :: to_list v.Rstate.next
+
+let accepted_votes (rs : Rstate.t) =
+  List.filter
+    (fun (v : Rstate.vote) -> v.Rstate.decision = Woption.Accepted)
+    (to_list rs.Rstate.pending)
 
 let accepted = Alcotest.testable Woption.pp_decision Woption.decision_equal
 
 let check_eval msg expected ~demarcation v ~accepted:acc up =
-  Alcotest.check accepted msg expected (Rstate.evaluate ~bounds ~demarcation v ~accepted:acc up)
+  Alcotest.check accepted msg expected
+    (Rstate.evaluate ~bounds ~demarcation v ~pending:(chain acc) up)
 
 let esc = `Escrow
 
@@ -132,57 +142,125 @@ let test_demarcation_formulas () =
     (Rstate.demarcation_upper_ok ~n:5 ~qf:4 ~base:90 ~upper:100 ~pending_pos:0 ~delta_pos:9)
 
 let test_pending_state_helpers () =
-  let rs = Rstate.create key in
+  let rs = Rstate.create key and pool = Rstate.pool () in
   Alcotest.(check bool) "fast era by default" false (Rstate.in_classic_era rs ~version:0);
   let rs2 = Rstate.create ~classic_until:5 key in
   Alcotest.(check bool) "classic below" true (Rstate.in_classic_era rs2 ~version:4);
   Alcotest.(check bool) "fast at" false (Rstate.in_classic_era rs2 ~version:5);
-  Rstate.add_pending rs (pend ~txid:"a" (Update.Delta [ ("stock", -1) ]));
-  Rstate.add_pending rs (pend ~txid:"b" ~decision:Woption.Rejected (Update.Delta [ ("stock", -1) ]));
-  Alcotest.(check int) "two pending" 2 (List.length rs.Rstate.pending);
-  Alcotest.(check int) "one accepted" 1 (List.length (Rstate.accepted rs));
-  Alcotest.(check bool) "find" true (Rstate.find_pending rs "a" <> None);
+  let add ?(decision = Woption.Accepted) txid =
+    ignore
+      (Rstate.add_pending pool rs (woption ~txid (Update.Delta [ ("stock", -1) ])) decision
+         Ballot.initial_fast
+        : Rstate.vote)
+  in
+  add "a";
+  add ~decision:Woption.Rejected "b";
+  Alcotest.(check int) "two pending" 2 (List.length (to_list rs.Rstate.pending));
+  Alcotest.(check int) "one accepted" 1 (List.length (accepted_votes rs));
+  Alcotest.(check bool) "find" true (Rstate.mem_pending rs "a");
   (* add_pending replaces same txid *)
-  Rstate.add_pending rs (pend ~txid:"a" ~decision:Woption.Rejected (Update.Delta [ ("stock", -1) ]));
-  Alcotest.(check int) "still two" 2 (List.length rs.Rstate.pending);
-  Alcotest.(check int) "none accepted now" 0 (List.length (Rstate.accepted rs));
-  Rstate.remove_pending rs "a";
-  Alcotest.(check int) "one left" 1 (List.length rs.Rstate.pending)
+  add ~decision:Woption.Rejected "a";
+  Alcotest.(check int) "still two" 2 (List.length (to_list rs.Rstate.pending));
+  Alcotest.(check int) "none accepted now" 0 (List.length (accepted_votes rs));
+  Rstate.remove_pending pool rs "a";
+  Alcotest.(check int) "one left" 1 (List.length (to_list rs.Rstate.pending))
 
-(* Property: the pending list's operations, which walk it without copying
-   unless it changes, keep the list exactly as the filter-and-append
-   definition would: arrival order, one entry per txid, [accepted] the
-   accepted entries in order. *)
+(* One entry of the list model: a txid's vote and the stock delta of its
+   option, [0] standing for a physical write. *)
+type entry = { m_txid : string; m_decision : Woption.decision; m_delta : int }
+
+let update_of d =
+  if d = 0 then Update.Physical { vread = 1; value = Value.empty }
+  else Update.Delta [ ("stock", d) ]
+
+(* The decision on a delta of [d] against the model's accepted entries,
+   written with list folds: any accepted physical write is outstanding;
+   otherwise the worst-case sums must stay within [0, 40] under the
+   quorum-demarcation limit. *)
+let model_delta_decision entries d =
+  let acc = List.filter (fun e -> e.m_decision = Woption.Accepted) entries in
+  if List.exists (fun e -> e.m_delta = 0) acc then Woption.Rejected
+  else
+    let neg = List.fold_left (fun n e -> n + min 0 e.m_delta) 0 acc
+    and pos = List.fold_left (fun n e -> n + max 0 e.m_delta) 0 acc in
+    if
+      Rstate.demarcation_lower_ok ~n:5 ~qf:4 ~base:20 ~lower:0 ~pending_neg:neg ~delta_neg:(min 0 d)
+      && Rstate.demarcation_upper_ok ~n:5 ~qf:4 ~base:20 ~upper:40 ~pending_pos:pos
+           ~delta_pos:(max 0 d)
+    then Woption.Accepted
+    else Woption.Rejected
+
+(* Property: the pending chains of three records sharing one pool behave
+   as the filter-and-append list model of a pending list: arrival order,
+   one vote per txid, a re-added txid replaced at the end, a removed one
+   gone; [find_pending], [mem_pending] and [pending_count] answer as the
+   list would, and a delta's decision — the accepted-only outstanding
+   check and the demarcation sums — is the model's.  Release poisons a
+   vote with [none]'s option, so every vote ever handed out is either
+   live, on exactly one chain, or poisoned and on none: no chain reaches
+   a released vote. *)
 let prop_pending_ops_match_list_model =
   QCheck.Test.make ~name:"pending ops match the filter/append model" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 40) (triple (int_range 0 2) (int_range 0 4) bool))
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 60)
+        (quad (int_range 0 3) (int_range 0 2) (int_range 0 4) (pair bool (int_range (-4) 4))))
     (fun ops ->
-      let rs = Rstate.create key in
-      let model = ref [] in
-      let view l = List.map (fun p -> (p.Rstate.woption.Woption.txid, p.Rstate.decision)) l in
+      let pool = Rstate.pool () in
+      let records =
+        Array.init 3 (fun i -> Rstate.create (Key.make ~table:"item" ~id:(string_of_int i)))
+      in
+      let models = Array.make 3 [] and seen = ref [] in
+      let bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = Some 40 } ] in
+      let view (v : Rstate.vote) =
+        {
+          m_txid = v.Rstate.woption.Woption.txid;
+          m_decision = v.Rstate.decision;
+          m_delta =
+            (match Update.deltas v.Rstate.woption.Woption.update with [ (_, d) ] -> d | _ -> 0);
+        }
+      in
+      let consistent () =
+        let chains = Array.to_list (Array.map (fun rs -> to_list rs.Rstate.pending) records) in
+        let on_chains = List.concat chains in
+        let times v = List.length (List.filter (fun u -> u == v) on_chains) in
+        let released (v : Rstate.vote) = v.Rstate.woption == Rstate.none.Rstate.woption in
+        List.for_all2 (fun votes model -> List.map view votes = model) chains (Array.to_list models)
+        && List.for_all (fun v -> times v = if released v then 0 else 1) !seen
+      in
       List.for_all
-        (fun (op, i, acc) ->
-          let txid = Printf.sprintf "t%d" i in
-          let without l = List.filter (fun p -> p.Rstate.woption.Woption.txid <> txid) l in
-          (match op with
-          | 0 | 1 ->
-            let p =
-              pend ~txid
-                ~decision:(if acc then Woption.Accepted else Woption.Rejected)
-                (Update.Delta [ ("stock", -1) ])
-            in
-            Rstate.add_pending rs p;
-            model := without !model @ [ p ]
-          | _ ->
-            Rstate.remove_pending rs txid;
-            model := without !model);
-          view rs.Rstate.pending = view !model
-          && view (Rstate.accepted rs)
-             = view (List.filter (fun p -> p.Rstate.decision = Woption.Accepted) !model)
-          && Option.map (fun p -> p.Rstate.woption.Woption.txid) (Rstate.find_pending rs txid)
-             = Option.map
-                 (fun p -> p.Rstate.woption.Woption.txid)
-                 (List.find_opt (fun p -> p.Rstate.woption.Woption.txid = txid) !model))
+        (fun (op, r, i, (acc, d)) ->
+          let rs = records.(r) and txid = Printf.sprintf "t%d" i in
+          let without = List.filter (fun e -> e.m_txid <> txid) models.(r) in
+          let step_ok =
+            match op with
+            | 0 ->
+              let decision = if acc then Woption.Accepted else Woption.Rejected in
+              let w = woption ~txid (update_of d) in
+              let v = Rstate.add_pending pool rs w decision Ballot.initial_fast in
+              if not (List.memq v !seen) then seen := v :: !seen;
+              models.(r) <- without @ [ { m_txid = txid; m_decision = decision; m_delta = d } ];
+              true
+            | 1 ->
+              Rstate.remove_pending pool rs txid;
+              models.(r) <- without;
+              true
+            | 2 ->
+              let found =
+                match Rstate.find_pending rs txid with
+                | v -> Some (view v)
+                | exception Not_found -> None
+              in
+              found = List.find_opt (fun e -> e.m_txid = txid) models.(r)
+              && Rstate.mem_pending rs txid = (found <> None)
+              && Rstate.pending_count rs = List.length models.(r)
+            | _ ->
+              let d = if d = 0 then 1 else d in
+              Rstate.evaluate ~bounds ~demarcation:(`Quorum (5, 4)) (valuation 20)
+                ~pending:rs.Rstate.pending (Update.Delta [ ("stock", d) ])
+              = model_delta_decision models.(r) d
+          in
+          step_ok && consistent ())
         ops)
 
 (* Property: [evaluate] on deltas agrees with the bound test written as
@@ -212,7 +290,7 @@ let prop_delta_decision_matches_fold_model =
         else base + neg + min 0 d >= 0 && base + pos + max 0 d <= 40
       in
       let demarcation = if quorum then `Quorum (n, qf) else `Escrow in
-      Rstate.evaluate ~bounds ~demarcation (valuation base) ~accepted
+      Rstate.evaluate ~bounds ~demarcation (valuation base) ~pending:(chain accepted)
         (Update.Delta [ ("stock", d) ])
       = if model then Woption.Accepted else Woption.Rejected)
 
@@ -235,7 +313,7 @@ let prop_demarcation_local_safety =
         (fun i d ->
           let up = Update.Delta [ ("stock", -d) ] in
           let dec =
-            Rstate.evaluate ~bounds ~demarcation:q54 v ~accepted:!accepted up
+            Rstate.evaluate ~bounds ~demarcation:q54 v ~pending:(chain !accepted) up
           in
           if dec = Woption.Accepted then
             accepted := pend ~txid:(string_of_int i) up :: !accepted)
@@ -261,7 +339,9 @@ let prop_escrow_safety =
         (fun i d ->
           QCheck.assume (d <> 0);
           let up = Update.Delta [ ("stock", d) ] in
-          if Rstate.evaluate ~bounds ~demarcation:esc v ~accepted:!accepted up = Woption.Accepted
+          if
+            Rstate.evaluate ~bounds ~demarcation:esc v ~pending:(chain !accepted) up
+            = Woption.Accepted
           then accepted := pend ~txid:(string_of_int i) up :: !accepted)
         deltas;
       let neg =
