@@ -1,4 +1,4 @@
-type mode = Full | Fast_only | Multi
+type mode = Full | Multi
 
 type t = {
   mode : mode;
@@ -31,4 +31,4 @@ let fast_quorum t =
   | Some q -> q
   | None -> Mdcc_paxos.Quorum.fast_size ~n:t.replication
 
-let mode_name = function Full -> "MDCC" | Fast_only -> "Fast" | Multi -> "Multi"
+let mode_name = function Full -> "MDCC" | Multi -> "Multi"

@@ -1,16 +1,15 @@
 (** Protocol configuration: the knobs the paper's evaluation turns.
 
-    The three configurations benchmarked in §5.3 are all instances of the
-    same code base:
+    The protocol runs in one of two modes:
     {ul
-    {- [Full] — "MDCC": fast ballots plus commutative options with quorum
+    {- [Full] — fast ballots plus commutative options with quorum
        demarcation;}
-    {- [Fast_only] — "Fast": fast ballots, but every update is treated as a
-       physical (version-checked) update;}
-    {- [Multi] — "Multi": every instance is classic, owned by a per-record
-       master (Multi-Paxos; a stable master skips Phase 1).}} *)
+    {- [Multi] — every instance is classic, owned by a per-record master
+       (Multi-Paxos; a stable master skips Phase 1).}}
+    The paper's "Fast" configuration is [Full] fed physical updates only
+    (see [Mdcc_workload.Setup]). *)
 
-type mode = Full | Fast_only | Multi
+type mode = Full | Multi
 
 type t = {
   mode : mode;

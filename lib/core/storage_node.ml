@@ -108,7 +108,7 @@ let node_id t = t.id
 let store t = t.store
 
 let default_classic_until config =
-  match config.Config.mode with Config.Multi -> max_int | Config.Full | Config.Fast_only -> 0
+  match config.Config.mode with Config.Multi -> max_int | Config.Full -> 0
 
 let rstate t key =
   match Key.Tbl.find t.records key with
@@ -895,7 +895,7 @@ and resolve_recovery t key rc =
   let classic_until =
     match t.config.Config.mode with
     | Config.Multi -> max_int
-    | Config.Full | Config.Fast_only -> rebase.Messages.version + t.config.Config.gamma
+    | Config.Full -> rebase.Messages.version + t.config.Config.gamma
   in
   let rs = rstate t key in
   rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;

@@ -26,7 +26,7 @@ let parse_path tok =
    are (norm_rel) and with any trailing '/' stripped, so "lib/runtime_unix"
    and "lib/runtime_unix/" denote the same directory scope. *)
 let norm_path path =
-  let path = Rules.norm_rel path in
+  let path = Scope.norm_rel path in
   let n = String.length path in
   if n > 1 && path.[n - 1] = '/' then String.sub path 0 (n - 1) else path
 
@@ -63,7 +63,7 @@ let rule_matches entry_rule finding_rule =
    Directory-ness needs no trailing slash; normalisation stripped it. *)
 let path_matches entry_path file =
   String.equal entry_path file
-  || Rules.starts_with ~prefix:(entry_path ^ "/") file
+  || Scope.starts_with ~prefix:(entry_path ^ "/") file
 
 let entry_permits (e : entry) (f : Finding.t) =
   rule_matches e.a_rule f.Finding.rule

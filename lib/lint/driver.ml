@@ -29,7 +29,7 @@ let rec walk dir acc =
         let full = Filename.concat dir name in
         if Sys.is_directory full then walk full acc
         else if Filename.check_suffix name ".ml" then
-          { src_rel = Rules.norm_rel full; src_path = full } :: acc
+          { src_rel = Scope.norm_rel full; src_path = full } :: acc
         else acc)
     acc entries
 
@@ -46,18 +46,18 @@ let scan_sources ?(allow = []) sources =
   let harvested =
     List.map
       (fun s ->
-        let str = parse_file ~rel:s.src_rel ~path:s.src_path in
-        (s, str, Summary.of_structure ~rel:s.src_rel str))
+        let rel = Scope.norm_rel s.src_rel in
+        let str = parse_file ~rel ~path:s.src_path in
+        (rel, str, Summary.of_structure ~rel str))
       sources
   in
   let linked = Summary.link (List.map (fun (_, _, sm) -> sm) harvested) in
   let all =
     List.concat_map
-      (fun (s, str, sm) ->
-        Rules.check linked.Summary.l_env ~rel:s.src_rel str
-        @ Purity.check ~rel:s.src_rel str
-        @ Escape.check linked.Summary.l_spawners ~rel:s.src_rel str
-        @ Exhaustive.check linked.Summary.l_families ~rel:s.src_rel sm.Summary.f_exhaustive)
+      (fun (rel, str, sm) ->
+        Rules.check linked.Summary.l_env ~rel str
+        @ Escape.check linked.Summary.l_spawners ~rel str
+        @ Exhaustive.check linked.Summary.l_families ~rel sm.Summary.f_exhaustive)
       harvested
     |> List.sort Finding.compare
   in
@@ -67,9 +67,17 @@ let scan_sources ?(allow = []) sources =
 let scan ?allow roots = scan_sources ?allow (collect roots)
 
 let report_to_json r =
-  let arr fs = String.concat "," (List.map Finding.to_json fs) in
-  Printf.sprintf "{\"version\":2,\"scanned\":%d,\"violations\":%d,\"findings\":[%s],\"allowlisted\":[%s]}"
-    r.rp_scanned (List.length r.rp_findings) (arr r.rp_findings) (arr r.rp_suppressed)
+  let findings fs = Mdcc_obs.Json.List (List.map Finding.to_json fs) in
+  Mdcc_obs.Json.(
+    to_string
+      (Obj
+         [
+           ("version", Int 2);
+           ("scanned", Int r.rp_scanned);
+           ("violations", Int (List.length r.rp_findings));
+           ("findings", findings r.rp_findings);
+           ("allowlisted", findings r.rp_suppressed);
+         ]))
 
 let report_to_sarif r =
   Sarif.render ~findings:r.rp_findings ~suppressed:r.rp_suppressed

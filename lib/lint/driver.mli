@@ -18,19 +18,15 @@ type report = {
   rp_suppressed : Finding.t list;  (** violations matched by the allowlist *)
 }
 
-val collect : string list -> source list
-(** Recursively gather every [.ml] under the given roots, children in byte
-    order, skipping dot-entries and [_build]. The result is sorted by
-    relative path, so the scan order — and hence the report — is
-    deterministic. *)
-
 val scan_sources : ?allow:Allowlist.t -> source list -> report
 (** Parse and check the given sources. Raises {!Parse_error} if a file
     does not parse. Tests use this entry point with fixture files mapped to
     pretend repo paths. *)
 
 val scan : ?allow:Allowlist.t -> string list -> report
-(** [scan roots] = [scan_sources (collect roots)]. *)
+(** Scan every [.ml] under the given roots, skipping dot-entries and
+    [_build], in sorted relative-path order, so the report is
+    deterministic. *)
 
 val report_to_json : report -> string
 (** One-line JSON document; byte-identical across runs for identical

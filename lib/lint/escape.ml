@@ -48,33 +48,11 @@ module Smap = Map.Make (String)
 (* Shared helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rec strip e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> strip e
-  | _ -> e
-
-(* A visibly mutable allocation.  [Atomic.make] is deliberately absent. *)
-let mutable_ctor e =
-  match (strip e).pexp_desc with
-  | Pexp_array _ -> Some "array literal"
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-    let comps = Longident.flatten txt in
-    match List.rev comps with
-    | "ref" :: _ -> Some "ref"
-    | "create" :: ("Hashtbl" | "Buffer" | "Queue" | "Stack" | "Tbl") :: _
-    | ("make" | "init") :: "Array" :: _
-    | ("create" | "make" | "of_string") :: "Bytes" :: _ ->
-      Some (String.concat "." comps)
-    | _ -> None)
-  | _ -> None
-
 (* Names bound by a pattern. *)
 let rec pat_names p =
   match p.ppat_desc with
-  | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> (
-    match p.ppat_desc with
-    | Ppat_alias (inner, _) -> txt :: pat_names inner
-    | _ -> [ txt ])
+  | Ppat_var { txt; _ } -> [ txt ]
+  | Ppat_alias (inner, { txt; _ }) -> txt :: pat_names inner
   | Ppat_tuple ps | Ppat_array ps -> List.concat_map pat_names ps
   | Ppat_construct (_, Some (_, p)) | Ppat_variant (_, Some p) -> pat_names p
   | Ppat_record (fields, _) -> List.concat_map (fun (_, p) -> pat_names p) fields
@@ -94,33 +72,7 @@ let callee ~current_module txt =
 
 (* Unqualified identifiers mentioned anywhere in [e]. *)
 let free_idents e =
-  let acc = ref Sset.empty in
-  let super = Ast_iterator.default_iterator in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident x; _ } -> acc := Sset.add x !acc
-    | _ -> ());
-    super.expr it e
-  in
-  let it = { super with expr } in
-  it.expr it e;
-  !acc
-
-let mentions_mutex e =
-  let found = ref false in
-  let super = Ast_iterator.default_iterator in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> (
-      match List.rev (Longident.flatten txt) with
-      | _ :: "Mutex" :: _ -> found := true
-      | _ -> ())
-    | _ -> ());
-    super.expr it e
-  in
-  let it = { super with expr } in
-  it.expr it e;
-  !found
+  Sset.of_list (List.filter_map (function [ x ] -> Some x | _ -> None) (Syntax.idents e))
 
 (* ------------------------------------------------------------------ *)
 (* Per-file summary: call-graph edges for the spawner fixpoint          *)
@@ -134,13 +86,13 @@ type edge = {
 type summary = { su_edges : edge list }
 
 let rec fun_params e =
-  match (strip e).pexp_desc with
+  match (Syntax.strip e).pexp_desc with
   | Pexp_fun (_, _, pat, body) -> pat_names pat @ fun_params body
   | Pexp_newtype (_, body) -> fun_params body
   | _ -> []
 
 let rec fun_body e =
-  match (strip e).pexp_desc with
+  match (Syntax.strip e).pexp_desc with
   | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> fun_body body
   | _ -> e
 
@@ -177,8 +129,7 @@ let arg_flow locals arg =
     direct direct
 
 let edges ~rel (str : structure) : summary =
-  let rel = Rules.norm_rel rel in
-  let module_ = Rules.module_name_of_rel rel in
+  let module_ = Scope.module_name rel in
   let out = ref [] in
   let scan_fn fname expr0 =
     let params = Sset.of_list (fun_params expr0) in
@@ -204,28 +155,12 @@ let edges ~rel (str : structure) : summary =
       it.expr it body
     end
   in
-  let rec scan_structure items =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> scan_fn txt vb.pvb_expr
-              | _ -> ())
-            vbs
-        | Pstr_module mb -> scan_module_expr mb.pmb_expr
-        | Pstr_recmodule mbs -> List.iter (fun mb -> scan_module_expr mb.pmb_expr) mbs
-        | _ -> ())
-      items
-  and scan_module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure items -> scan_structure items
-    | Pmod_constraint (inner, _) -> scan_module_expr inner
-    | _ -> ()
-  in
-  scan_structure str;
+  Syntax.iter_top_bindings
+    (fun vb ->
+      match vb.pvb_pat.ppat_desc with
+      | Ppat_var { txt; _ } -> scan_fn txt vb.pvb_expr
+      | _ -> ())
+    str;
   { su_edges = List.rev !out }
 
 (* ------------------------------------------------------------------ *)
@@ -269,7 +204,7 @@ let mutator_target comps args =
       (fun (lbl, a) ->
         match lbl with
         | Asttypes.Nolabel -> (
-          match (strip a).pexp_desc with
+          match (Syntax.strip a).pexp_desc with
           | Pexp_ident { txt = Longident.Lident x; _ } -> Some x
           | _ -> None)
         | _ -> None)
@@ -280,7 +215,7 @@ let mutator_target comps args =
   | "set" :: ("Array" | "Bytes") :: _ -> first_pos ()
   | ("replace" | "add" | "remove" | "reset" | "clear") :: ("Hashtbl" | "Tbl") :: _ ->
     first_pos ()
-  | fn :: "Buffer" :: _ when Rules.starts_with ~prefix:"add_" fn -> first_pos ()
+  | fn :: "Buffer" :: _ when Scope.starts_with ~prefix:"add_" fn -> first_pos ()
   | ("clear" | "reset" | "truncate") :: "Buffer" :: _ -> first_pos ()
   | ("push" | "add" | "pop" | "take" | "clear" | "transfer") :: ("Queue" | "Stack") :: _ ->
     first_pos ()
@@ -292,7 +227,8 @@ let mutator_target comps args =
    closure (task-local); [mutables] maps enclosing-scope locals to the
    mutable constructor they were bound to. *)
 let check_closure ~add ~mutables closure =
-  if not (mentions_mutex closure) then begin
+  let mutex = function _ :: "Mutex" :: _ -> true | _ -> false in
+  if not (List.exists (fun path -> mutex (List.rev path)) (Syntax.idents closure)) then begin
     let reported = ref Sset.empty in
     let report ~loc rule name what =
       if not (Sset.mem name !reported) then begin
@@ -322,7 +258,7 @@ let check_closure ~add ~mutables closure =
         walk bound scrut;
         walk_cases bound cases
       | Pexp_setfield (target, _, value) ->
-        (match (strip target).pexp_desc with
+        (match (Syntax.strip target).pexp_desc with
         | Pexp_ident { txt = Longident.Lident x; loc } when not (Sset.mem x bound) ->
           report ~loc "R5-mutate" x "mutable field assignment"
         | _ -> walk bound target);
@@ -334,7 +270,7 @@ let check_closure ~add ~mutables closure =
             (* anchor on the mutated identifier if we can find it *)
             List.fold_left
               (fun acc (_, a) ->
-                match (strip a).pexp_desc with
+                match (Syntax.strip a).pexp_desc with
                 | Pexp_ident { txt = Longident.Lident y; loc } when String.equal y x ->
                   Some loc
                 | _ -> acc)
@@ -365,34 +301,23 @@ let check_closure ~add ~mutables closure =
       let it = { super with expr } in
       super.expr it e
     in
-    match (strip closure).pexp_desc with
-    | Pexp_fun _ | Pexp_function _ -> walk Sset.empty (strip closure)
+    match (Syntax.strip closure).pexp_desc with
+    | Pexp_fun _ | Pexp_function _ -> walk Sset.empty (Syntax.strip closure)
     | _ -> ()
   end
 
 let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
-  let rel = Rules.norm_rel rel in
-  let module_ = Rules.module_name_of_rel rel in
+  let module_ = Scope.module_name rel in
   let out = ref [] in
   let add ~loc rule name what =
-    let p = loc.Location.loc_start in
-    out :=
-      {
-        Finding.rule;
-        file = rel;
-        line = p.Lexing.pos_lnum;
-        col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-        ident = name;
-        message =
-          Printf.sprintf
-            "%s '%s' (%s) is shared with other domains by this task closure; make it \
-             Atomic.t, guard it with a mutex, or allocate it inside the task"
-            (match rule with
-            | "R5-capture" -> "captured mutable local"
-            | _ -> "captured variable")
-            name what;
-      }
-      :: !out
+    let message =
+      Printf.sprintf
+        "%s '%s' (%s) is shared with other domains by this task closure; make it Atomic.t, \
+         guard it with a mutex, or allocate it inside the task"
+        (match rule with "R5-capture" -> "captured mutable local" | _ -> "captured variable")
+        name what
+    in
+    out := Finding.at ~file:rel ~loc ~rule ~ident:name message :: !out
   in
   (* Walk with an environment of visibly-mutable locals in scope. *)
   let rec walk mutables e =
@@ -402,7 +327,9 @@ let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
       let mutables' =
         List.fold_left
           (fun acc vb ->
-            match (vb.pvb_pat.ppat_desc, mutable_ctor vb.pvb_expr) with
+            match
+              (vb.pvb_pat.ppat_desc, Syntax.allocation ~atomic:false (Syntax.strip vb.pvb_expr))
+            with
             | Ppat_var { txt; _ }, Some what -> Smap.add txt what acc
             | _ -> acc)
           mutables vbs
@@ -413,7 +340,7 @@ let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
       | Some target when Sset.mem (key target) spawners ->
         List.iter
           (fun (_, a) ->
-            match (strip a).pexp_desc with
+            match (Syntax.strip a).pexp_desc with
             | Pexp_fun _ | Pexp_function _ -> check_closure ~add ~mutables a
             | _ -> ())
           args
@@ -445,20 +372,5 @@ let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
       let it = { super with expr } in
       super.expr it e
   in
-  let rec walk_structure items =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) -> List.iter (fun vb -> walk Smap.empty vb.pvb_expr) vbs
-        | Pstr_module mb -> walk_module_expr mb.pmb_expr
-        | Pstr_recmodule mbs -> List.iter (fun mb -> walk_module_expr mb.pmb_expr) mbs
-        | _ -> ())
-      items
-  and walk_module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure items -> walk_structure items
-    | Pmod_constraint (inner, _) -> walk_module_expr inner
-    | _ -> ()
-  in
-  walk_structure str;
-  List.sort Finding.compare !out
+  Syntax.iter_top_bindings (fun vb -> walk Smap.empty vb.pvb_expr) str;
+  List.rev !out

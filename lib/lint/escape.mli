@@ -27,4 +27,4 @@ val edges : rel:string -> Parsetree.structure -> summary
 val link : edges:summary list -> spawners
 
 val check : spawners -> rel:string -> Parsetree.structure -> Finding.t list
-(** [R5-*] findings for one file, sorted by {!Finding.compare}. *)
+(** [R5-*] findings for one file. *)

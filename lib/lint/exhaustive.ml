@@ -27,18 +27,12 @@
 
 open Parsetree
 
-let in_scope rel =
-  List.exists
-    (fun p -> Rules.starts_with ~prefix:p rel)
-    [ "lib/core/"; "lib/paxos/"; "lib/protocols/" ]
-
 type decl = { dc_module : string; dc_ctor : string }
 
 type site = {
   st_module : string;  (* family owner the named constructors resolve to *)
   st_named : string list;  (* constructors matched explicitly, sorted, deduped *)
-  st_line : int;  (* wildcard arm position *)
-  st_col : int;
+  st_loc : Location.t;  (* wildcard arm position *)
 }
 
 type summary = { sm_decls : decl list; sm_sites : site list }
@@ -68,39 +62,17 @@ let rec is_wildcard_pattern p =
 (* Does [e] mention the identifier [name] (unqualified)?  Used to detect
    delegation: a wildcard arm that re-forwards the scrutinee is not a
    silent drop. *)
-let mentions name e =
-  let found = ref false in
-  let super = Ast_iterator.default_iterator in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident x; _ } when String.equal x name -> found := true
-    | _ -> ());
-    super.expr it e
-  in
-  let it = { super with expr } in
-  it.expr it e;
-  !found
+let mentions name e = List.mem [ name ] (Syntax.idents e)
 
 let summarize ~rel (str : structure) : summary =
-  let rel = Rules.norm_rel rel in
-  let module_ = Rules.module_name_of_rel rel in
+  let module_ = Scope.module_name rel in
   let decls = ref [] in
   let sites = ref [] in
 
-  let collect_typext (te : type_extension) =
-    let is_payload =
-      match List.rev (Longident.flatten te.ptyext_path.txt) with
-      | "payload" :: _ -> true
-      | _ -> false
-    in
-    if is_payload then
-      List.iter
-        (fun ec ->
-          match ec.pext_kind with
-          | Pext_decl _ ->
-            decls := { dc_module = module_; dc_ctor = ec.pext_name.txt } :: !decls
-          | Pext_rebind _ -> ())
-        te.ptyext_constructors
+  let collect_typext te =
+    List.iter
+      (fun (ec, _) -> decls := { dc_module = module_; dc_ctor = ec.pext_name.txt } :: !decls)
+      (Syntax.payload_ctors te)
   in
 
   let collect_match scrut cases =
@@ -135,7 +107,6 @@ let summarize ~rel (str : structure) : summary =
         | _ -> false
       in
       if not delegates then begin
-        let p = c.pc_lhs.ppat_loc.Location.loc_start in
         (* One site per owner module named in the match; the link phase
            keeps only owners that actually declare a payload family. *)
         let owners =
@@ -153,8 +124,7 @@ let summarize ~rel (str : structure) : summary =
               {
                 st_module = owner;
                 st_named = ctors;
-                st_line = p.Lexing.pos_lnum;
-                st_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+                st_loc = c.pc_lhs.ppat_loc;
               }
               :: !sites)
           owners
@@ -193,8 +163,7 @@ let link ~(decls : summary list) : families =
   |> Smap.map (List.sort_uniq String.compare)
 
 let check (fams : families) ~rel (sm : summary) : Finding.t list =
-  let rel = Rules.norm_rel rel in
-  if not (in_scope rel) then []
+  if not (Scope.applies ~rule:"R7-unhandled" rel) then []
   else
     List.filter_map
       (fun st ->
@@ -211,19 +180,11 @@ let check (fams : families) ~rel (sm : summary) : Finding.t list =
           if (not names_family) || missing = [] then None
           else
             Some
-              {
-                Finding.rule = "R7-unhandled";
-                file = rel;
-                line = st.st_line;
-                col = st.st_col;
-                ident = st.st_module;
-                message =
-                  Printf.sprintf
+              (Finding.at ~file:rel ~loc:st.st_loc ~rule:"R7-unhandled" ~ident:st.st_module
+                 (Printf.sprintf
                     "wildcard arm silently drops %d %s payload constructor(s): %s; name every \
                      constructor explicitly (an explicit ignore arm is fine) so new message \
                      types cannot vanish here"
                     (List.length missing) st.st_module
-                    (String.concat ", " missing);
-              })
+                    (String.concat ", " missing))))
       sm.sm_sites
-    |> List.sort Finding.compare

@@ -20,4 +20,4 @@ val link : decls:summary list -> families
 (** Join every file's constructor declarations into family sets. *)
 
 val check : families -> rel:string -> summary -> Finding.t list
-(** [R7-unhandled] findings for this file's dispatch sites, sorted. *)
+(** [R7-unhandled] findings for this file's dispatch sites. *)

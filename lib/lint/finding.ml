@@ -7,6 +7,10 @@ type t = {
   message : string;
 }
 
+let at ~file ~loc ~rule ~ident message =
+  let p = loc.Location.loc_start in
+  { rule; file; line = p.Lexing.pos_lnum; col = p.Lexing.pos_cnum - p.Lexing.pos_bol; ident; message }
+
 let family rule =
   match String.index_opt rule '-' with
   | Some i -> String.sub rule 0 i
@@ -29,21 +33,14 @@ let compare a b =
 let to_string f =
   Printf.sprintf "%s:%d:%d: [%s] %s (%s)" f.file f.line f.col f.rule f.message f.ident
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
-  Printf.sprintf "{\"rule\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"ident\":\"%s\",\"message\":\"%s\"}"
-    (json_escape f.rule) (json_escape f.file) f.line f.col (json_escape f.ident)
-    (json_escape f.message)
+  Mdcc_obs.Json.(
+    Obj
+      [
+        ("rule", Str f.rule);
+        ("file", Str f.file);
+        ("line", Int f.line);
+        ("col", Int f.col);
+        ("ident", Str f.ident);
+        ("message", Str f.message);
+      ])

@@ -10,6 +10,10 @@ type t = {
   message : string;
 }
 
+val at : file:string -> loc:Location.t -> rule:string -> ident:string -> string -> t
+(** The finding for [rule] at the start of [loc]: every rule family builds
+    its findings through this one constructor. *)
+
 val family : string -> string
 (** ["R1-hash-iter"] -> ["R1"]. *)
 
@@ -19,6 +23,4 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** [file:line:col: [rule] message (ident)] — the human-readable line. *)
 
-val to_json : t -> string
-
-val json_escape : string -> string
+val to_json : t -> Mdcc_obs.Json.t

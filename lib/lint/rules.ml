@@ -1,4 +1,4 @@
-(* The three rule families, implemented as a purely syntactic pass over the
+(* The per-file syntactic rules R1-R4 and R6, as one pass over the
    Parsetree. The linter lints its own source tree, so this module must obey
    its own rules: no hash-order iteration, no wall clock, no bare partiality.
    The type environment is therefore a [Map], and every traversal is over
@@ -6,40 +6,9 @@
 
 open Parsetree
 
-(* ------------------------------------------------------------------ *)
-(* Scopes                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 let ends_with ~suffix s =
   let ls = String.length suffix and l = String.length s in
   l >= ls && String.equal (String.sub s (l - ls) ls) suffix
-
-let norm_rel rel =
-  let rel = if starts_with ~prefix:"./" rel then String.sub rel 2 (String.length rel - 2) else rel in
-  String.map (fun c -> if c = '\\' then '/' else c) rel
-
-(* R3 applies only where an anonymous failure can kill a protocol step. *)
-let in_protocol_core rel =
-  starts_with ~prefix:"lib/core/" rel || starts_with ~prefix:"lib/paxos/" rel
-
-(* R3 additionally covers the shared utility layer: a bare [invalid_arg] in
-   Stats or Rng surfaces as an anonymous crash in whatever protocol path
-   called it, so those must route through Invariant.violate too. *)
-let in_r3_scope rel = in_protocol_core rel || starts_with ~prefix:"lib/util/" rel
-
-(* R1-simtime applies wherever timestamps feed replay / checking. *)
-let in_simtime_scope rel = in_protocol_core rel || starts_with ~prefix:"lib/chaos/" rel
-
-(* R4 covers the whole library tree: worker domains assume every module is
-   either pure or routes its ambient state through Domain.DLS. *)
-let in_r4_scope rel = starts_with ~prefix:"lib/" rel
-
-let module_name_of_rel rel =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename rel))
 
 (* ------------------------------------------------------------------ *)
 (* Type environment (for R2 reachability)                              *)
@@ -166,61 +135,131 @@ let rec type_mutability (env : env) ~current_module visited (ct : core_type) : s
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* The per-file pass                                                   *)
+(* Identifier rules (R1, R3, R6)                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* R6 keeps OS ambience out of the deterministic core: clocks, timers,
+   sends and traces all arrive through [Mdcc_core.Runtime.t], which is what
+   lets the same state machines run under the simulator and the socket
+   loop.  A direct [Unix.*] call, a [Sys.*] read, channel I/O or a process
+   [exit] there is an effect the replayer cannot see.  The sanctioned homes
+   for OS ambience are lib/runtime_unix and bin/; lib/obs's one clock,
+   [Mdcc_obs.Clock], is carved out by a file-scoped lint_allow.conf entry. *)
+
+type ident_rule = {
+  id : string;
+  hit : string list -> bool;  (* on the reversed path *)
+  shadowable : bool;  (* a bare name the file binds itself is not a hit *)
+  message : string;
+}
 
 let hash_order_fns = [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values"; "randomize" ]
 
-let check (env : env) ~rel (str : structure) : Finding.t list =
-  let rel = norm_rel rel in
-  let module_ = module_name_of_rel rel in
-  let out = ref [] in
-  let add ~loc rule ident message =
-    let p = loc.Location.loc_start in
-    out :=
-      {
-        Finding.rule;
-        file = rel;
-        line = p.Lexing.pos_lnum;
-        col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-        ident;
-        message;
-      }
-      :: !out
-  in
+(* [Sys] members that are pure compile-time-ish constants; everything else
+   in [Sys] is an environment read or an OS effect. *)
+let benign_sys =
+  [ "max_string_length"; "max_array_length"; "max_floatarray_length"; "int_size"; "word_size";
+    "big_endian"; "ocaml_version"; "backend_type"; "opaque_identity" ]
 
-  (* R1 + R3: identifier uses. *)
-  let check_ident ~loc comps =
-    let rcomps = List.rev comps in
-    let dotted = String.concat "." comps in
-    let mods = match rcomps with _ :: mods -> mods | [] -> [] in
-    if List.exists (String.equal "Random") mods then
-      add ~loc "R1-random" dotted "nondeterministic PRNG; use the seeded Mdcc_util.Rng";
-    (match rcomps with
-    | "time" :: "Sys" :: _ | "time" :: "Unix" :: _ | "gettimeofday" :: "Unix" :: _ ->
-      add ~loc "R1-wallclock" dotted
-        "wall-clock read; use Mdcc_sim.Engine.now (profiler code: Mdcc_obs.Clock)"
-    | fn :: "Hashtbl" :: _ when List.mem fn hash_order_fns ->
-      add ~loc "R1-hash-iter" dotted
-        "hash-order iteration; use Mdcc_util.Table.sorted_* (or Key.Tbl.sorted_*)"
-    | fn :: "Tbl" :: _ when List.mem fn hash_order_fns ->
-      add ~loc "R1-hash-iter" dotted "hash-order iteration; use the sorted_* helpers"
+(* Stdlib console/channel primitives that reach the process's file
+   descriptors when used bare or via [Stdlib.]. *)
+let channel_prims =
+  [ "print_string"; "print_bytes"; "print_char"; "print_int"; "print_float"; "print_endline";
+    "print_newline"; "prerr_string"; "prerr_bytes"; "prerr_char"; "prerr_int"; "prerr_float";
+    "prerr_endline"; "prerr_newline"; "read_line"; "read_int"; "read_int_opt"; "read_float";
+    "read_float_opt"; "open_in"; "open_in_bin"; "open_in_gen"; "open_out"; "open_out_bin";
+    "open_out_gen"; "input_line"; "input_char"; "input_byte"; "input_binary_int";
+    "really_input"; "really_input_string"; "output_string"; "output_bytes"; "output_char";
+    "output_byte"; "output_binary_int"; "close_in"; "close_in_noerr"; "close_out";
+    "close_out_noerr"; "flush"; "flush_all"; "stdin"; "stdout"; "stderr" ]
+
+(* A Stdlib value named in [names], used bare or through [Stdlib.]. *)
+let stdlib names = function [ x ] | x :: "Stdlib" :: _ -> List.mem x names | _ -> false
+
+let failure = "anonymous failure in a protocol path; use Mdcc_util.Invariant.violate"
+let channel_io = "channel I/O in the deterministic core; route the effect through Runtime.t"
+
+(* Every entry whose test holds reports the identifier. *)
+let ident_rules =
+  let rule ?(shadowable = false) id message hit = { id; hit; shadowable; message } in
+  [
+    rule "R1-random" "nondeterministic PRNG; use the seeded Mdcc_util.Rng" (function
+      | _ :: mods -> List.mem "Random" mods
+      | [] -> false);
+    rule "R1-wallclock" "wall-clock read; use Mdcc_sim.Engine.now (profiler code: Mdcc_obs.Clock)"
+      (function
+      | "time" :: ("Sys" | "Unix") :: _ | "gettimeofday" :: "Unix" :: _ -> true
+      | _ -> false);
+    rule "R1-hash-iter" "hash-order iteration; use Mdcc_util.Table.sorted_* (or Key.Tbl.sorted_*)"
+      (function fn :: "Hashtbl" :: _ -> List.mem fn hash_order_fns | _ -> false);
+    rule "R1-hash-iter" "hash-order iteration; use the sorted_* helpers" (function
+      | fn :: "Tbl" :: _ -> List.mem fn hash_order_fns
+      | _ -> false);
+    rule "R3-failwith" failure (stdlib [ "failwith" ]);
+    rule "R3-invalid-arg" failure (stdlib [ "invalid_arg" ]);
+    rule "R3-option-get"
+      "partial Option.get; match explicitly and Invariant.violate on the impossible arm"
+      (function "get" :: "Option" :: _ -> true | _ -> false);
+    rule "R3-list-hd" "partial List.hd; match explicitly and Invariant.violate on the impossible arm"
+      (function "hd" :: "List" :: _ -> true | _ -> false);
+    rule "R6-unix" "direct OS call in the deterministic core; route the effect through Runtime.t"
+      (function _ :: "Unix" :: _ -> true | _ -> false);
+    rule "R6-sys" "ambient process state read in the deterministic core; route it through Runtime.t"
+      (function fn :: "Sys" :: _ -> not (List.mem fn benign_sys) | _ -> false);
+    rule "R6-channel" channel_io (function
+      | _ :: ("In_channel" | "Out_channel") :: _ -> true
+      | _ -> false);
+    rule "R6-print"
+      "console output in the deterministic core; use Runtime.trace (or return the string)"
+      (function
+      | ("printf" | "eprintf" | "fprintf") :: "Printf" :: _
+      | ("printf" | "eprintf" | "std_formatter" | "err_formatter") :: "Format" :: _ -> true
+      | _ -> false);
+    rule ~shadowable:true "R6-exit"
+      "process exit in the deterministic core; raise a structured error instead" (stdlib [ "exit" ]);
+    rule ~shadowable:true "R6-channel" channel_io (stdlib channel_prims);
+  ]
+
+module Sset = Set.Make (String)
+
+(* Every name the file binds itself (top-level lets, local lets, function
+   parameters).  A bare identifier carrying one of those names resolves to
+   the local binding, not to Stdlib — wire/handler.ml's own [flush] must
+   not read as [Stdlib.flush].  Qualified uses are unaffected. *)
+let bound_names (str : structure) =
+  let acc = ref Sset.empty in
+  let super = Ast_iterator.default_iterator in
+  let pat it p =
+    (match p.ppat_desc with
+    | Ppat_var { txt; _ } -> acc := Sset.add txt !acc
     | _ -> ());
-    if in_r3_scope rel then
-      match rcomps with
-      | [ "failwith" ] | "failwith" :: "Stdlib" :: _ ->
-        add ~loc "R3-failwith" dotted
-          "anonymous failure in a protocol path; use Mdcc_util.Invariant.violate"
-      | [ "invalid_arg" ] | "invalid_arg" :: "Stdlib" :: _ ->
-        add ~loc "R3-invalid-arg" dotted
-          "anonymous failure in a protocol path; use Mdcc_util.Invariant.violate"
-      | "get" :: "Option" :: _ ->
-        add ~loc "R3-option-get" dotted
-          "partial Option.get; match explicitly and Invariant.violate on the impossible arm"
-      | "hd" :: "List" :: _ ->
-        add ~loc "R3-list-hd" dotted
-          "partial List.hd; match explicitly and Invariant.violate on the impossible arm"
-      | _ -> ()
+    super.pat it p
+  in
+  let it = { super with pat } in
+  it.structure it str;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* The per-file pass                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let check (env : env) ~rel (str : structure) : Finding.t list =
+  let module_ = Scope.module_name rel in
+  let in_scope rule = Scope.applies ~rule rel in
+  let out = ref [] in
+  let add ~loc rule ident message = out := Finding.at ~file:rel ~loc ~rule ~ident message :: !out in
+
+  (* R1, R3, R6: identifier uses, through the rule table. *)
+  let ident_rules = List.filter (fun r -> in_scope r.id) ident_rules in
+  let bound_names = lazy (bound_names str) in
+  let bound = function [ x ] -> Sset.mem x (Lazy.force bound_names) | _ -> false in
+  let check_ident ~loc comps =
+    let path = List.rev comps in
+    List.iter
+      (fun r ->
+        if r.hit path && not (r.shadowable && bound path) then
+          add ~loc r.id (String.concat "." comps) r.message)
+      ident_rules
   in
 
   (* R2-send: mutable values constructed directly at a network send site. *)
@@ -231,61 +270,34 @@ let check (env : env) ~rel (str : structure) : Finding.t list =
       || String.equal owner "Runtime"
     | _ -> false
   in
-  let rec mutable_literal e =
-    match e.pexp_desc with
-    | Pexp_array _ -> Some (e.pexp_loc, "array literal")
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-      let comps = Longident.flatten txt in
-      match List.rev comps with
-      | "ref" :: _ -> Some (e.pexp_loc, "ref cell")
-      | "create" :: ("Hashtbl" | "Buffer" | "Queue" | "Stack") :: _
-      | ("of_string" | "create" | "make") :: "Bytes" :: _ ->
-        Some (e.pexp_loc, String.concat "." comps)
-      | _ -> List.find_map (fun (_, a) -> mutable_literal a) args)
-    | Pexp_tuple es -> List.find_map mutable_literal es
-    | Pexp_construct (_, Some e) | Pexp_variant (_, Some e) -> mutable_literal e
-    | Pexp_record (fields, base) -> (
-      match List.find_map (fun (_, fe) -> mutable_literal fe) fields with
-      | Some hit -> Some hit
-      | None -> Option.bind base mutable_literal)
-    | _ -> None
-  in
 
   (* R2-payload: mutable state reachable from an extension of [payload]. *)
   let check_payload_extension (te : type_extension) =
-    let path = Longident.flatten te.ptyext_path.txt in
-    let is_payload =
-      match List.rev path with "payload" :: _ -> true | _ -> false
-    in
-    if is_payload then
-      List.iter
-        (fun ec ->
-          match ec.pext_kind with
-          | Pext_decl (_, args, _) ->
-            let types =
-              match args with
-              | Pcstr_tuple cts -> cts
-              | Pcstr_record lds ->
-                List.iter
-                  (fun ld ->
-                    if ld.pld_mutable = Asttypes.Mutable then
-                      add ~loc:ld.pld_loc "R2-payload" ec.pext_name.txt
-                        ("payload constructor has mutable field " ^ ld.pld_name.txt
-                       ^ "; receivers would alias sender state across data centers"))
-                  lds;
-                List.map (fun ld -> ld.pld_type) lds
-            in
+    List.iter
+      (fun (ec, args) ->
+        let types =
+          match args with
+          | Pcstr_tuple cts -> cts
+          | Pcstr_record lds ->
             List.iter
-              (fun ct ->
-                match type_mutability env ~current_module:module_ [] ct with
-                | Some trail ->
-                  add ~loc:ec.pext_loc "R2-payload" ec.pext_name.txt
-                    ("payload constructor carries mutable state: " ^ trail
-                   ^ "; messages must be deep-immutable")
-                | None -> ())
-              types
-          | Pext_rebind _ -> ())
-        te.ptyext_constructors
+              (fun ld ->
+                if ld.pld_mutable = Asttypes.Mutable then
+                  add ~loc:ld.pld_loc "R2-payload" ec.pext_name.txt
+                    ("payload constructor has mutable field " ^ ld.pld_name.txt
+                   ^ "; receivers would alias sender state across data centers"))
+              lds;
+            List.map (fun ld -> ld.pld_type) lds
+        in
+        List.iter
+          (fun ct ->
+            match type_mutability env ~current_module:module_ [] ct with
+            | Some trail ->
+              add ~loc:ec.pext_loc "R2-payload" ec.pext_name.txt
+                ("payload constructor carries mutable state: " ^ trail
+               ^ "; messages must be deep-immutable")
+            | None -> ())
+          types)
+      (Syntax.payload_ctors te)
   in
 
   (* R4-ambient: mutable values bound at module top level.  A top-level ref
@@ -294,89 +306,29 @@ let check (env : env) ~rel (str : structure) : Finding.t list =
      function and lazy boundaries — [let f () = ref 0] allocates per call,
      and a [Domain.DLS.new_key (fun () -> ...)] default allocates per
      domain, so both are fine. *)
-  let rec r4_mutable e =
-    match e.pexp_desc with
-    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> None
-    | Pexp_newtype (_, body) -> r4_mutable body
-    | Pexp_array _ -> Some (e.pexp_loc, "array literal")
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-      let comps = Longident.flatten txt in
-      match List.rev comps with
-      | "ref" :: _ -> Some (e.pexp_loc, "ref")
-      | "create" :: ("Hashtbl" | "Buffer" | "Queue" | "Stack" | "Tbl") :: _
-      | ("make" | "init") :: "Array" :: _
-      | ("create" | "make" | "of_string") :: "Bytes" :: _
-      | "make" :: "Atomic" :: _ ->
-        Some (e.pexp_loc, String.concat "." comps)
-      | _ -> List.find_map (fun (_, a) -> r4_mutable a) args)
-    | Pexp_let (_, vbs, body) -> (
-      match List.find_map (fun vb -> r4_mutable vb.pvb_expr) vbs with
-      | Some hit -> Some hit
-      | None -> r4_mutable body)
-    | Pexp_sequence (a, b) -> (
-      match r4_mutable a with Some hit -> Some hit | None -> r4_mutable b)
-    | Pexp_ifthenelse (c, t, e_opt) -> (
-      match r4_mutable c with
-      | Some hit -> Some hit
-      | None -> (
-        match r4_mutable t with
-        | Some hit -> Some hit
-        | None -> Option.bind e_opt r4_mutable))
-    | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) -> (
-      match r4_mutable scrut with
-      | Some hit -> Some hit
-      | None -> List.find_map (fun c -> r4_mutable c.pc_rhs) cases)
-    | Pexp_constraint (body, _) | Pexp_coerce (body, _, _) | Pexp_open (_, body) ->
-      r4_mutable body
-    | Pexp_tuple es -> List.find_map r4_mutable es
-    | Pexp_construct (_, Some body) | Pexp_variant (_, Some body) -> r4_mutable body
-    | Pexp_record (fields, base) -> (
-      match List.find_map (fun (_, fe) -> r4_mutable fe) fields with
-      | Some hit -> Some hit
-      | None -> Option.bind base r4_mutable)
-    | _ -> None
-  in
-  let r4_check_bindings vbs =
-    List.iter
+  if in_scope "R4-ambient" then
+    Syntax.iter_top_bindings
       (fun vb ->
-        match r4_mutable vb.pvb_expr with
+        match Syntax.first_allocation ~deep:true vb.pvb_expr with
         | Some (loc, what) ->
           add ~loc "R4-ambient" what
             "top-level mutable state is shared across worker domains; allocate per call or \
              route it through Domain.DLS"
         | None -> ())
-      vbs
-  in
-  let rec r4_structure items =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) -> r4_check_bindings vbs
-        | Pstr_module mb -> r4_module_expr mb.pmb_expr
-        | Pstr_recmodule mbs -> List.iter (fun mb -> r4_module_expr mb.pmb_expr) mbs
-        | _ -> ())
-      items
-  and r4_module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure items -> r4_structure items
-    | Pmod_constraint (inner, _) -> r4_module_expr inner
-    | _ -> () (* functor bodies allocate per application *)
-  in
-  if in_r4_scope rel then r4_structure str;
+      str;
 
   let super = Ast_iterator.default_iterator in
   let expr it e =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_ident ~loc (Longident.flatten txt)
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
-      when in_r3_scope rel ->
-      add ~loc:e.pexp_loc "R3-assert-false" "assert false"
-        "anonymous failure in a protocol path; use Mdcc_util.Invariant.violate"
+      when in_scope "R3-assert-false" ->
+      add ~loc:e.pexp_loc "R3-assert-false" "assert false" failure
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
       when is_send_fn (Longident.flatten txt) ->
       List.iter
         (fun (_, a) ->
-          match mutable_literal a with
+          match Syntax.first_allocation ~deep:false ~ref_name:"ref cell" a with
           | Some (loc, what) ->
             add ~loc "R2-send" what
               "mutable value constructed at a network send site; build an immutable payload"
@@ -386,7 +338,7 @@ let check (env : env) ~rel (str : structure) : Finding.t list =
     super.expr it e
   in
   let type_declaration it td =
-    (if in_simtime_scope rel then
+    (if in_scope "R1-simtime" then
        match td.ptype_kind with
        | Ptype_record lds ->
          List.iter

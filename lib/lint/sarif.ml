@@ -6,12 +6,10 @@
    hide them but keep the escape surface auditable, mirroring what the
    in-house JSON report does with its "allowlisted" array.
 
-   Rendering is by hand, like Finding.to_json: the rules array lists the
-   rule ids that actually occur (sorted), results are sorted by
+   The document is a Mdcc_obs.Json tree: the rules array lists the rule
+   ids that actually occur (sorted), results are sorted by
    Finding.compare, and nothing depends on ambient state — the document is
    byte-identical across runs. *)
-
-let esc = Finding.json_escape
 
 (* Static metadata for the known rule ids; unknown ids fall back to their
    family so a new rule is never unrepresentable. *)
@@ -34,15 +32,29 @@ let rule_help rule =
     "Payload dispatch wildcard silently drops constructors of its own message family."
   | r -> Printf.sprintf "mdcc_lint rule family %s." (Finding.family r)
 
-let result_json ~rule_index ~suppressed (f : Finding.t) =
-  Printf.sprintf
-    "{\"ruleId\":\"%s\",\"ruleIndex\":%d,\"level\":\"error\",\"message\":{\"text\":\"%s\"},\
-     \"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\",\
-     \"uriBaseId\":\"SRCROOT\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]%s}"
-    (esc f.Finding.rule) rule_index
-    (esc (Printf.sprintf "%s (%s)" f.Finding.message f.Finding.ident))
-    (esc f.Finding.file) f.Finding.line (f.Finding.col + 1)
-    (if suppressed then ",\"suppressions\":[{\"kind\":\"external\"}]" else "")
+open Mdcc_obs.Json
+
+let result ~rule_index ~suppressed (f : Finding.t) =
+  let location =
+    Obj
+      [
+        ( "physicalLocation",
+          Obj
+            [
+              ("artifactLocation", Obj [ ("uri", Str f.file); ("uriBaseId", Str "SRCROOT") ]);
+              ("region", Obj [ ("startLine", Int f.line); ("startColumn", Int (f.col + 1)) ]);
+            ] );
+      ]
+  in
+  Obj
+    ([
+       ("ruleId", Str f.rule);
+       ("ruleIndex", Int rule_index);
+       ("level", Str "error");
+       ("message", Obj [ ("text", Str (Printf.sprintf "%s (%s)" f.message f.ident)) ]);
+       ("locations", List [ location ]);
+     ]
+    @ if suppressed then [ ("suppressions", List [ Obj [ ("kind", Str "external") ] ]) ] else [])
 
 let render ~findings ~suppressed =
   let tagged =
@@ -51,7 +63,7 @@ let render ~findings ~suppressed =
   in
   let tagged = List.sort (fun (a, _) (b, _) -> Finding.compare a b) tagged in
   let rule_ids =
-    List.sort_uniq String.compare (List.map (fun (f, _) -> f.Finding.rule) tagged)
+    List.sort_uniq String.compare (List.map (fun ((f : Finding.t), _) -> f.rule) tagged)
   in
   let index_of rule =
     let rec go i = function
@@ -61,27 +73,41 @@ let render ~findings ~suppressed =
     in
     go 0 rule_ids
   in
-  let rules =
-    String.concat ","
-      (List.map
-         (fun id ->
-           Printf.sprintf
-             "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\
-              \"defaultConfiguration\":{\"level\":\"error\"}}"
-             (esc id) (esc (rule_help id)))
-         rule_ids)
+  let rule id =
+    Obj
+      [
+        ("id", Str id);
+        ("shortDescription", Obj [ ("text", Str (rule_help id)) ]);
+        ("defaultConfiguration", Obj [ ("level", Str "error") ]);
+      ]
   in
-  let results =
-    String.concat ","
-      (List.map
-         (fun (f, supp) ->
-           result_json ~rule_index:(index_of f.Finding.rule) ~suppressed:supp f)
-         tagged)
+  let driver =
+    Obj
+      [
+        ("name", Str "mdcc_lint");
+        ("version", Str "2.0.0");
+        ("informationUri", Str "https://github.com/mdcc/mdcc/blob/main/docs/LINT.md");
+        ("rules", List (List.map rule rule_ids));
+      ]
   in
-  Printf.sprintf
-    "{\"version\":\"2.1.0\",\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-     \"runs\":[{\"tool\":{\"driver\":{\"name\":\"mdcc_lint\",\"version\":\"2.0.0\",\
-     \"informationUri\":\"https://github.com/mdcc/mdcc/blob/main/docs/LINT.md\",\
-     \"rules\":[%s]}},\"columnKind\":\"utf16CodeUnits\",\
-     \"originalUriBaseIds\":{\"SRCROOT\":{\"uri\":\"file:///./\"}},\"results\":[%s]}]}"
-    rules results
+  let run =
+    Obj
+      [
+        ("tool", Obj [ ("driver", driver) ]);
+        ("columnKind", Str "utf16CodeUnits");
+        ("originalUriBaseIds", Obj [ ("SRCROOT", Obj [ ("uri", Str "file:///./") ]) ]);
+        ( "results",
+          List
+            (List.map
+               (fun ((f : Finding.t), supp) ->
+                 result ~rule_index:(index_of f.rule) ~suppressed:supp f)
+               tagged) );
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("version", Str "2.1.0");
+         ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("runs", List [ run ]);
+       ])

@@ -10,7 +10,6 @@
    function of (file, linked). *)
 
 type file = {
-  f_module : string;
   f_types : (string * Rules.type_entry) list;
   f_exhaustive : Exhaustive.summary;
   f_escape : Escape.summary;
@@ -23,10 +22,8 @@ type linked = {
 }
 
 let of_structure ~rel (str : Parsetree.structure) : file =
-  let rel = Rules.norm_rel rel in
-  let module_ = Rules.module_name_of_rel rel in
+  let module_ = Scope.module_name rel in
   {
-    f_module = module_;
     f_types = Rules.type_entries ~module_ str;
     f_exhaustive = Exhaustive.summarize ~rel str;
     f_escape = Escape.edges ~rel str;

@@ -8,7 +8,6 @@
     what pins --jobs N output byte-identical to --jobs 1. *)
 
 type file = {
-  f_module : string;
   f_types : (string * Rules.type_entry) list;
   f_exhaustive : Exhaustive.summary;
   f_escape : Escape.summary;

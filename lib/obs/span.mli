@@ -46,11 +46,9 @@ val txids : t -> string list
 
 val clear : t -> unit
 
-val txn_to_json : t -> txid:string -> Json.t
-(** One span tree: [{"txid":..,"begin":..,"events":[..],"keys":[{"key":..,
-    "events":[..]}]}].  Root ["events"] lists events with no key; ["keys"]
-    groups the rest under their record key, keys sorted, events in append
-    order within each group. *)
-
 val to_json : t -> Json.t
-(** All span trees as a list, txids sorted. *)
+(** All span trees as a list, txids sorted.  Each tree is
+    [{"txid":..,"begin":..,"events":[..],"keys":[{"key":..,"events":[..]}]}]:
+    root ["events"] lists events with no key; ["keys"] groups the rest under
+    their record key, keys sorted, events in append order within each
+    group. *)

@@ -216,7 +216,6 @@ let set_latency_factor t f =
   if f <= 0.0 then invalid_arg "Network.set_latency_factor";
   t.latency_factor <- f
 
-let latency_factor t = t.latency_factor
 
 let heal_all t =
   Array.fill t.failed 0 (Array.length t.failed) false;

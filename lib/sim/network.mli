@@ -83,8 +83,6 @@ val cut_link : t -> src:Topology.node_id -> dst:Topology.node_id -> unit
 
 val heal_link : t -> src:Topology.node_id -> dst:Topology.node_id -> unit
 
-val link_cut : t -> src:Topology.node_id -> dst:Topology.node_id -> bool
-
 val set_drop_probability : t -> float -> unit
 (** Change the random-drop probability of a {e live} network (the chaos
     nemesis' drop-probability spike).  Raises [Invalid_argument] outside
@@ -98,8 +96,6 @@ val base_drop_probability : t -> float
 val set_latency_factor : t -> float -> unit
 (** Multiply every subsequent latency draw by this factor (default 1.0) —
     the nemesis' latency surge.  Raises [Invalid_argument] if [<= 0]. *)
-
-val latency_factor : t -> float
 
 val heal_all : t -> unit
 (** Recover every node, heal every cut link, and restore the create-time

@@ -28,8 +28,3 @@ let fire v =
 
 let violate ?node ~context fmt =
   Printf.ksprintf (fun message -> fire { node; context; message }) fmt
-
-let require ?node ~context cond fmt =
-  Printf.ksprintf
-    (fun message -> if not cond then fire { node; context; message })
-    fmt

@@ -18,10 +18,6 @@ val to_string : t -> string
 val violate : ?node:int -> context:string -> ('a, unit, string, 'b) format4 -> 'a
 (** Report the violation to the current sink, then raise {!Violation}. *)
 
-val require : ?node:int -> context:string -> bool -> ('a, unit, string, unit) format4 -> 'a
-(** [require cond ...] is a no-op when [cond] holds and [violate]
-    otherwise. *)
-
 val set_sink : (t -> unit) -> unit
 (** Install a hook that observes every violation just before it is
     raised.  The chaos runner points this at its history recorder. *)

@@ -69,8 +69,6 @@ let[@inline] standard_normal t =
   let u2 = uniform t 1.0 in
   Float.sqrt (-2.0 *. Float.log !u1) *. Float.cos (2.0 *. Float.pi *. u2)
 
-let gaussian t = standard_normal t
-
 let[@inline] lognormal t ~mu ~sigma = Float.exp (mu +. (sigma *. standard_normal t))
 
 type fcell = { mutable f : float }
@@ -85,21 +83,3 @@ let pick t arr =
   if Array.length arr = 0 then Invariant.violate ~context:"Rng.pick" "empty array";
   arr.(int t (Array.length arr))
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let sample_distinct t k bound =
-  if k > bound then Invariant.violate ~context:"Rng.sample_distinct" "k (%d) > bound (%d)" k bound;
-  (* For the small k used by workloads a rejection loop is cheapest. *)
-  let rec draw acc n =
-    if n = 0 then acc
-    else
-      let x = int t bound in
-      if List.mem x acc then draw acc n else draw (x :: acc) (n - 1)
-  in
-  draw [] k

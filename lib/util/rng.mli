@@ -55,15 +55,5 @@ val lognormal_into : t -> mu:float -> sigma:float -> fcell -> unit
     caller that draws per message keeps one cell instead of receiving a
     boxed float per draw. *)
 
-val gaussian : t -> float
-(** Standard normal sample (Box–Muller). *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val sample_distinct : t -> int -> int -> int list
-(** [sample_distinct t k bound] draws [k] distinct integers uniformly from
-    [\[0, bound)].  Requires [k <= bound]. *)

@@ -42,8 +42,7 @@ let make protocol ~seed ~schema ?(partitions = 1) ?(app_servers_per_dc = 1) ?(ga
   | Mdcc | Fast | Multi ->
     let mode =
       match protocol with
-      | Mdcc -> Config.Full
-      | Fast -> Config.Fast_only
+      | Mdcc | Fast -> Config.Full
       | Multi | Qw _ | Two_pc | Megastore -> Config.Multi
     in
     let config = Config.make ~mode ~gamma ~replication:5 () in

@@ -2,7 +2,9 @@
 
     Maps the protocol names of the evaluation section onto concrete
     deployments sharing the same topology, schema and initial data:
-    MDCC / Fast / Multi are {!Mdcc_core} configurations; QW-k, 2PC and
+    MDCC / Fast / Multi are {!Mdcc_core} configurations (Fast runs the
+    [Full] mode, where every update is treated as a physical,
+    version-checked one because {!commutative} is false); QW-k, 2PC and
     Megastore* are {!Mdcc_protocols} baselines on the same
     {!Mdcc_core.Cluster.scaffold}, with unmetered traffic. *)
 

@@ -28,7 +28,6 @@ let test_config_quorums () =
 
 let test_config_mode_names () =
   Alcotest.(check string) "full" "MDCC" (Config.mode_name Config.Full);
-  Alcotest.(check string) "fast" "Fast" (Config.mode_name Config.Fast_only);
   Alcotest.(check string) "multi" "Multi" (Config.mode_name Config.Multi)
 
 let item i = Key.make ~table:"item" ~id:(string_of_int i)

@@ -45,8 +45,6 @@ let golden_streams =
       [ 651883; 588925; 886419; 135611; 523686; 790522; 76728; 86735 ],
       [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1;
         0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
-      [ -0x1.cf9fb99cfab92p-2; 0x1.53470d1ebc1f5p+1; -0x1.fa2a51dfe785dp-1; 0x1.0285969ebe6b7p-2;
-        0x1.99992ecac5d52p+0; 0x1.81fae2d6ddccbp-4; -0x1.11c125d48b7fep+0; -0x1.a66ed714dc55fp-1 ],
       [ 0x1.f48a23ee81861p-1; 0x1.244757a8127ep+0; 0x1.e74e9ae12b51ep-1; 0x1.0340836545e33p+0;
         0x1.15524756d65d9p+0; 0x1.0135833a3825dp+0; 0x1.e557f1ad6e84ap-1; 0x1.eb4edefaf7903p-1 ]
     );
@@ -56,8 +54,6 @@ let golden_streams =
       [ 205616; 607129; 722647; 445058; 742190; 132512; 966761; 15133 ],
       [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1; 0x1.c7061a43b90b2p-2;
         0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1; 0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1 ],
-      [ -0x1.ced805e687297p-6; -0x1.d2c77886b0fb7p-3; 0x1.a642b2a00f6f6p-4; -0x1.032d2e3241913p-1;
-        0x1.ba83c1fa099cfp-2; -0x1.0fbab16413b8ap+0; -0x1.3b936297a099ap+0; 0x1.488c4b399a312p-1 ],
       [ 0x1.ff46fe3f622dcp-1; 0x1.fa32c9118166fp-1; 0x1.0152ae38bab3ap+0; 0x1.f3342bfa866bap-1;
         0x1.059774c51692fp+0; 0x1.e5891999ec454p-1; 0x1.e16531bbed907p-1; 0x1.0858cdafc01b6p+0 ]
     );
@@ -67,8 +63,6 @@ let golden_streams =
       [ 818853; 723072; 690964; 563941; 490812; 747265; 406231; 943977 ],
       [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
         0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ],
-      [ 0x1.a8ac4b546f509p-2; -0x1.c8a54f4e91a7cp-1; 0x1.bac69cd4142bfp+0; 0x1.175b8fd2de8bap-1;
-        -0x1.1495f183d321dp+0; -0x1.c76296a7a60e6p+0; -0x1.25473fd96d151p+0; 0x1.0ab38bced1168p-2 ],
       [ 0x1.055d242569323p+0; 0x1.e9ab58d1b3678p-1; 0x1.171fd03b87735p+0; 0x1.07148003f0adap+0;
         0x1.e51341cbb899ep-1; 0x1.d46d8ba78bd84p-1; 0x1.e37f0ed2aecbbp-1; 0x1.035b068904ab8p+0 ]
     );
@@ -81,14 +75,12 @@ let test_rng_golden_streams () =
   in
   let bits = List.map Int64.bits_of_float in
   List.iter
-    (fun (seed, i64, ints, floats, gaussians, lognormals) ->
+    (fun (seed, i64, ints, floats, lognormals) ->
       let name what = Printf.sprintf "seed %d %s" seed what in
       Alcotest.(check (list int64)) (name "int64") i64 (draw8 seed Rng.int64);
       Alcotest.(check (list int)) (name "int") ints (draw8 seed (fun r -> Rng.int r 1_000_000));
       Alcotest.(check (list int64)) (name "float") (bits floats)
         (bits (draw8 seed (fun r -> Rng.float r 1.0)));
-      Alcotest.(check (list int64)) (name "gaussian") (bits gaussians)
-        (bits (draw8 seed Rng.gaussian));
       Alcotest.(check (list int64)) (name "lognormal") (bits lognormals)
         (bits (draw8 seed (fun r -> Rng.lognormal r ~mu:0.0 ~sigma:0.05))))
     golden_streams;

@@ -86,6 +86,17 @@ let test_r2_aliasing () =
      in
      contains ~sub:"mutable field hits" msg)
 
+let test_r2_send_reach () =
+  let r = scan ~rel:"lib/core/r2_send.ml" "r2_send.ml" in
+  Alcotest.(check (list hit))
+    "r2-send rule ids and lines"
+    [ ("R2-send", 4); ("R2-send", 6); ("R2-send", 8) ]
+    (hits r);
+  Alcotest.(check (list string))
+    "r2-send allocations"
+    [ "Key.Tbl.create"; "Array.make"; "Atomic.make" ]
+    (List.map (fun f -> f.Finding.ident) r.Driver.rp_findings)
+
 let test_r3_partiality () =
   let r = scan ~rel:"lib/core/r3_partiality.ml" "r3_partiality.ml" in
   Alcotest.(check (list hit))
@@ -356,6 +367,39 @@ let test_allowlist_stale () =
     [ "R4 lib/never/matches.ml"; "R1 lib/util/allowlisted.ml:99" ]
     (List.map Allowlist.entry_to_string stale)
 
+(* The repository itself, as the @lint alias scans it.  Besides "no
+   unsuppressed finding", the suppressed (rule, file, ident) multiset is
+   pinned without lines or columns: a family entry such as
+   [R1 lib/runtime_unix] keeps --check-allow quiet while it matches any one
+   detection, so only this pin notices a change that drops another. *)
+let test_whole_tree () =
+  let root = if Sys.file_exists "lint_fixtures" then Filename.parent_dir_name else "." in
+  let cwd = Sys.getcwd () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () ->
+        Sys.chdir root;
+        Driver.scan ~allow:(Allowlist.load "lint_allow.conf") [ "lib"; "bin" ])
+  in
+  Alcotest.(check (list string))
+    "no unsuppressed finding" []
+    (List.map Finding.to_string r.Driver.rp_findings);
+  Alcotest.(check (list (triple string string string)))
+    "suppressed findings"
+    [
+      ("R1-hash-iter", "lib/util/table.ml", "Hashtbl.fold");
+      ("R1-wallclock", "lib/obs/clock.ml", "Unix.gettimeofday");
+      ("R1-wallclock", "lib/runtime_unix/loop.ml", "Unix.gettimeofday");
+      ("R1-wallclock", "lib/runtime_unix/loop.ml", "Unix.gettimeofday");
+      ("R5-mutate", "lib/util/pool.ml", "slots");
+      ("R6-unix", "lib/obs/clock.ml", "Unix.gettimeofday");
+    ]
+    (List.sort compare
+       (List.map
+          (fun f -> (f.Finding.rule, f.Finding.file, f.Finding.ident))
+          r.Driver.rp_suppressed))
+
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -410,6 +454,7 @@ let suite =
     Alcotest.test_case "R1 determinism fixture" `Quick test_r1_determinism;
     Alcotest.test_case "R1-simtime scope" `Quick test_r1_simtime_scope;
     Alcotest.test_case "R2 aliasing fixture" `Quick test_r2_aliasing;
+    Alcotest.test_case "R2-send allocation reach" `Quick test_r2_send_reach;
     Alcotest.test_case "R3 partiality fixture" `Quick test_r3_partiality;
     Alcotest.test_case "R3 scope" `Quick test_r3_scope;
     Alcotest.test_case "R4 ambient-state fixture" `Quick test_r4_ambient;
@@ -430,6 +475,7 @@ let suite =
     Alcotest.test_case "allowlist directory scoping" `Quick test_allowlist_dir_scope;
     Alcotest.test_case "allowlist path normalisation" `Quick test_allowlist_normalisation;
     Alcotest.test_case "allowlist stale-entry detection" `Quick test_allowlist_stale;
+    Alcotest.test_case "whole tree under lint_allow.conf" `Quick test_whole_tree;
     Alcotest.test_case "report JSON determinism" `Quick test_json_determinism;
     Alcotest.test_case "SARIF report shape" `Quick test_sarif_shape;
   ]

@@ -149,7 +149,7 @@ let test_atomicity_cross_record () =
   Alcotest.(check int) "item1 untouched" 100 (stock_at cluster ~dc:0 1)
 
 let run_mode_matrix test () =
-  List.iter (fun mode -> test mode) [ Config.Full; Config.Fast_only; Config.Multi ]
+  List.iter (fun mode -> test mode) [ Config.Full; Config.Multi ]
 
 let test_modes_basic_commit mode =
   let engine, cluster = make_cluster ~mode ~items:4 () in

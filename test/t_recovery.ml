@@ -142,7 +142,7 @@ let test_collision_resolution_under_contention () =
   (* Many clients race on one record with physical updates: fast ballots
      collide, the master resolves with classic ballots, and exactly the
      serializable number of transactions commits. *)
-  let engine, cluster = make_cluster ~mode:Config.Fast_only ~items:1 () in
+  let engine, cluster = make_cluster ~mode:Config.Full ~items:1 () in
   let results = ref [] in
   for i = 0 to 9 do
     let c = Cluster.coordinator cluster ~dc:(i mod 5) ~rank:0 in
@@ -169,7 +169,7 @@ let test_collision_resolution_under_contention () =
 let test_fast_era_resumes_after_gamma () =
   (* After a collision the record runs classic for gamma instances, then
      fast proposals are accepted again. *)
-  let engine, cluster = make_cluster ~mode:Config.Fast_only ~gamma:2 ~items:1 () in
+  let engine, cluster = make_cluster ~mode:Config.Full ~gamma:2 ~items:1 () in
   (* Trigger a collision. *)
   let r1 = ref None and r2 = ref None in
   let c0 = Cluster.coordinator cluster ~dc:0 ~rank:0 in

@@ -65,7 +65,7 @@ let test_contention_produces_collisions () =
      Fast Paxos collision path must fire.  (Many-way races instead tend to
      reach four *rejects* quickly — a decisive learned rejection, not a
      collision.) *)
-  let engine, cluster, obs = counted_cluster ~mode:Config.Fast_only ~items:1 in
+  let engine, cluster, obs = counted_cluster ~mode:Config.Full ~items:1 in
   for i = 0 to 1 do
     Coordinator.submit
       (Cluster.coordinator cluster ~dc:(4 * i) ~rank:0)

@@ -241,7 +241,7 @@ let suite =
             (stress_mixed Config.Full seed))
         seeds;
       [
-        Alcotest.test_case "mixed stress Fast (seed 5)" `Quick (stress_mixed Config.Fast_only 5);
+        Alcotest.test_case "mixed stress Fast (seed 5)" `Quick (stress_mixed Config.Full 5);
         Alcotest.test_case "mixed stress Multi (seed 5)" `Quick (stress_mixed Config.Multi 5);
       ];
       List.map

@@ -65,23 +65,6 @@ let test_rng_exponential_mean () =
   let mean = !sum /. Float.of_int n in
   Alcotest.(check bool) "exponential mean ~ 10" true (mean > 9.0 && mean < 11.0)
 
-let test_rng_sample_distinct () =
-  let r = Rng.create 8 in
-  for _ = 1 to 100 do
-    let xs = Rng.sample_distinct r 5 20 in
-    Alcotest.(check int) "5 samples" 5 (List.length xs);
-    Alcotest.(check int) "distinct" 5 (List.length (List.sort_uniq Int.compare xs));
-    List.iter (fun x -> Alcotest.(check bool) "in range" true (x >= 0 && x < 20)) xs
-  done
-
-let test_rng_shuffle_permutation () =
-  let r = Rng.create 9 in
-  let arr = Array.init 50 Fun.id in
-  Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
 let feq msg a b = Alcotest.(check (float 1e-9)) msg a b
 
 let test_stats_mean_stddev () =
@@ -197,15 +180,6 @@ let test_invariant_violate () =
       String.length s > 0
     | _ -> false)
 
-let test_invariant_require () =
-  (* A true condition is free; a false one fires. *)
-  Mdcc_util.Invariant.require ~context:"T_util.require" true "unused %s" "arg";
-  Alcotest.(check bool) "false condition raises" true
-    (try
-       Mdcc_util.Invariant.require ~context:"T_util.require" false "boom";
-       false
-     with Mdcc_util.Invariant.Violation _ -> true)
-
 (* Property: percentile is monotone in p. *)
 let prop_percentile_monotone =
   QCheck.Test.make ~name:"percentile monotone in p" ~count:200
@@ -238,8 +212,6 @@ let suite =
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "rng bernoulli frequency" `Quick test_rng_bernoulli_frequency;
     Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential_mean;
-    Alcotest.test_case "rng sample_distinct" `Quick test_rng_sample_distinct;
-    Alcotest.test_case "rng shuffle is a permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "stats mean/stddev" `Quick test_stats_mean_stddev;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats summary" `Quick test_stats_summary;
@@ -251,7 +223,6 @@ let suite =
     Alcotest.test_case "stats time series" `Quick test_stats_time_series;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "invariant violate" `Quick test_invariant_violate;
-    Alcotest.test_case "invariant require" `Quick test_invariant_require;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_mean_bounded;
   ]
