@@ -11,31 +11,6 @@ module Obs = Mdcc_obs.Obs
 module Json = Mdcc_obs.Json
 module Pool = Mdcc_util.Pool
 
-let experiments =
-  [
-    ("fig3", "TPC-W write response-time CDF: QW-3/QW-4/MDCC/2PC/Megastore*");
-    ("fig4", "TPC-W throughput scale-out: 50/100/200 clients");
-    ("fig5", "micro-benchmark response-time CDF: MDCC/Fast/Multi/2PC");
-    ("fig6", "commits/aborts vs. hot-spot size");
-    ("fig7", "response-time boxplots vs. master locality");
-    ("fig8", "latency time-series across a data-center outage");
-    ("gamma", "ablation: sensitivity to the fast-policy window gamma");
-    ("batching", "ablation: message batching overhead reduction");
-    ("replication", "ablation: replication factor / quorum sizes");
-  ]
-
-let run_one ~quick ~pool = function
-  | "fig3" -> ignore (Experiments.fig3 ~quick ~pool ())
-  | "fig4" -> ignore (Experiments.fig4 ~quick ~pool ())
-  | "fig5" -> ignore (Experiments.fig5 ~quick ~pool ())
-  | "fig6" -> ignore (Experiments.fig6 ~quick ~pool ())
-  | "fig7" -> ignore (Experiments.fig7 ~quick ~pool ())
-  | "fig8" -> ignore (Experiments.fig8 ~quick ~pool ())
-  | "gamma" -> ignore (Experiments.ablation_gamma ~quick ~pool ())
-  | "batching" -> ignore (Experiments.ablation_batching ~quick ~pool ())
-  | "replication" -> ignore (Experiments.ablation_replication ~quick ~pool ())
-  | other -> Printf.eprintf "unknown experiment %S\n" other
-
 open Cmdliner
 
 let quick_flag =
@@ -44,7 +19,9 @@ let quick_flag =
 let list_cmd =
   let doc = "List the available experiments." in
   let run () =
-    List.iter (fun (id, what) -> Printf.printf "  %-6s %s\n" id what) experiments
+    List.iter
+      (fun (e : Experiments.experiment) -> Printf.printf "  %-6s %s\n" e.id e.doc)
+      Experiments.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -80,7 +57,12 @@ let profile_arg =
 let run_cmd =
   let doc = "Reproduce one or more of the paper's figures (default: all)." in
   let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"fig3..fig8, gamma")
+    let ids = List.map (fun (e : Experiments.experiment) -> (e.id, e)) Experiments.all in
+    Arg.(
+      value
+      & pos_all (enum ids) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:(Printf.sprintf "An experiment to run, %s." (Arg.doc_alts_enum ids)))
   in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Run every experiment.") in
   let run quick all ids metrics_out jobs profile =
@@ -88,9 +70,8 @@ let run_cmd =
     if metrics_out <> None then Obs.reset_ambient ();
     let body () =
       Pool.with_pool ~jobs (fun pool ->
-          match (all, ids) with
-          | true, _ | false, [] -> Experiments.run_all ~quick ~pool ()
-          | false, ids -> List.iter (run_one ~quick ~pool) ids)
+          let ids = if all || ids = [] then Experiments.all else ids in
+          List.iter (fun (e : Experiments.experiment) -> e.run ~quick ~pool ()) ids)
     in
     (match profile with
     | None -> body ()

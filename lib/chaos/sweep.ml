@@ -40,16 +40,6 @@ let run_on ?chunk pool specs =
 let run ?jobs ?chunk specs =
   Pool.with_pool ?jobs (fun pool -> run_on ?chunk pool specs)
 
-(* Split [xs] into groups of [chunk] consecutive elements, in order. *)
-let chunk_list ~chunk xs =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if n = chunk then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (n + 1) rest
-  in
-  match xs with [] -> [] | x :: rest -> go [] [ x ] 1 rest
-
 (* Profiled variant: each {e chunk} of consecutive runs executes under one
    [Prof.with_task] (a fresh enabled per-domain profiler handle), and the
    per-chunk snapshots fold together in chunk order — exactly the
@@ -67,7 +57,7 @@ let run_profiled ?jobs ?chunk specs =
           resolve_chunk ?chunk ~jobs:(Pool.jobs pool)
             ~count:(List.length specs) ()
         in
-        let groups = chunk_list ~chunk specs in
+        let groups = Pool.chunks chunk specs in
         let before = Pool.stats pool in
         let pairs =
           Pool.map_list pool groups ~f:(fun group ->

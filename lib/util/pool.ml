@@ -206,6 +206,15 @@ let map_list t ?chunk xs ~f =
   let arr = Array.of_list xs in
   Array.to_list (map t ?chunk (Array.length arr) (fun i -> f arr.(i)))
 
+let chunks n xs =
+  if n < 1 then Invariant.violate ~context:"Pool.chunks" "n %d < 1" n;
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+      if k = n then go (List.rev cur :: acc) [ x ] 1 rest else go acc (x :: cur) (k + 1) rest
+  in
+  match xs with [] -> [] | x :: rest -> go [] [ x ] 1 rest
+
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -41,6 +41,11 @@ val map : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 val map_list : t -> ?chunk:int -> 'a list -> f:('a -> 'b) -> 'b list
 (** {!map} over a list, preserving order. *)
 
+val chunks : int -> 'a list -> 'a list list
+(** [chunks n xs] splits [xs] into consecutive groups of [n], in order;
+    the last may be shorter.  Regroups a flattened (outer x inner) task
+    list by outer key, or batches tasks.  Violates on [n < 1]. *)
+
 val shutdown : t -> unit
 (** Park and join the worker domains.  The pool is unusable afterwards. *)
 

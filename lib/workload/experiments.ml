@@ -81,20 +81,6 @@ let par_map ?pool xs ~f =
   List.iter (fun (_, obs) -> Obs.merge ~into:ambient obs) tasks;
   results
 
-(* Split [xs] into consecutive groups of [n] (the last may be shorter) —
-   used to regroup a flattened (outer x inner) task list by outer key. *)
-let rec chunks n = function
-  | [] -> []
-  | xs ->
-    let rec take k acc rest =
-      match rest with
-      | _ when k = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: tl -> take (k - 1) (x :: acc) tl
-    in
-    let group, rest = take n [] xs in
-    group :: chunks n rest
-
 let row_of_metrics proto metrics =
   {
     proto;
@@ -218,7 +204,7 @@ let fig4 ?(quick = false) ?pool () =
     List.map2
       (fun protocol series -> (Setup.name protocol, series))
       fig3_protocols
-      (chunks (List.length points) flat)
+      (Pool.chunks (List.length points) flat)
   in
   Printf.printf "\n== Figure 4: TPC-W committed transactions per second (scale-out) ==\n";
   let headers =
@@ -304,7 +290,7 @@ let fig6 ?(quick = false) ?pool () =
     List.map2
       (fun h per_proto -> (h, per_proto))
       hotspots
-      (chunks (List.length fig6_protocols) flat)
+      (Pool.chunks (List.length fig6_protocols) flat)
   in
   Printf.printf "\n== Figure 6: commits/aborts for varying hot-spot sizes ==\n";
   Table.print
@@ -356,7 +342,7 @@ let fig7 ?(quick = false) ?pool () =
     List.map2
       (fun l per_proto -> (l, per_proto))
       localities
-      (chunks (List.length fig7_protocols) flat)
+      (Pool.chunks (List.length fig7_protocols) flat)
   in
   Printf.printf "\n== Figure 7: response times for varying master locality (boxplots) ==\n";
   Table.print
@@ -571,13 +557,23 @@ let ablation_batching ?(quick = false) ?pool () =
        results);
   results
 
-let run_all ?(quick = false) ?pool () =
-  ignore (fig3 ~quick ?pool ());
-  ignore (fig4 ~quick ?pool ());
-  ignore (fig5 ~quick ?pool ());
-  ignore (fig6 ~quick ?pool ());
-  ignore (fig7 ~quick ?pool ());
-  ignore (fig8 ~quick ?pool ());
-  ignore (ablation_gamma ~quick ?pool ());
-  ignore (ablation_batching ~quick ?pool ());
-  ignore (ablation_replication ~quick ?pool ())
+type experiment = {
+  id : string;
+  doc : string;
+  run : ?quick:bool -> ?pool:Pool.t -> unit -> unit;
+}
+
+let experiment id doc f = { id; doc; run = (fun ?quick ?pool () -> ignore (f ?quick ?pool ())) }
+
+let all =
+  [
+    experiment "fig3" "TPC-W write response-time CDF: QW-3/QW-4/MDCC/2PC/Megastore*" fig3;
+    experiment "fig4" "TPC-W throughput scale-out: 50/100/200 clients" fig4;
+    experiment "fig5" "micro-benchmark response-time CDF: MDCC/Fast/Multi/2PC" fig5;
+    experiment "fig6" "commits/aborts vs. hot-spot size" fig6;
+    experiment "fig7" "response-time boxplots vs. master locality" fig7;
+    experiment "fig8" "latency time-series across a data-center outage" fig8;
+    experiment "gamma" "ablation: sensitivity to the fast-policy window gamma" ablation_gamma;
+    experiment "batching" "ablation: message batching overhead reduction" ablation_batching;
+    experiment "replication" "ablation: replication factor / quorum sizes" ablation_replication;
+  ]

@@ -73,5 +73,13 @@ val ablation_replication : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (int
     latency).  DESIGN.md's quorum-size ablation: with n=3 the fast quorum
     is all three replicas, so the fast path has no slack. *)
 
-val run_all : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> unit
-(** Every experiment in sequence (the benchmark harness entry point). *)
+type experiment = {
+  id : string;  (** the name [experiments_cli run] takes *)
+  doc : string;  (** one line for [experiments_cli list] *)
+  run : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> unit;
+      (** the driver above, its result dropped *)
+}
+
+val all : experiment list
+(** Every experiment above, in the order [experiments_cli run --all]
+    runs them. *)

@@ -6,8 +6,8 @@
 open Mdcc_storage
 module Messages = Mdcc_core.Messages
 module Rstate = Mdcc_core.Rstate
-module Runtime = Mdcc_core.Runtime
 module Config = Mdcc_core.Config
+module Probe = Mdcc_bench.Probe
 module Storage_node = Mdcc_core.Storage_node
 module Woption = Mdcc_core.Woption
 
@@ -15,6 +15,9 @@ let words f =
   let w0 = Gc.minor_words () in
   f ();
   Gc.minor_words () -. w0
+
+(* Minor words per op of a probe's measured run. *)
+let per_op p = (Probe.run p).Probe.minor_words_per_op
 
 let key = Key.make ~table:"item" ~id:"42"
 
@@ -59,92 +62,21 @@ let test_size_of_allocates_nothing () =
         Messages.Visibility { txid = "txn17"; key; update = w.Woption.update; committed = true } );
     ]
 
-(* A storage node on a runtime that only records timers: the test drives
-   the maintenance timer by hand. *)
-let idle_node ~records =
-  let handler = ref (fun ~src:_ _ -> ()) and timers = Queue.create () and clock = ref 0.0 in
-  let runtime =
-    Runtime.make
-      ~now:(fun () -> !clock)
-      ~send:(fun ~src:_ ~dst:_ _ -> ())
-      ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ f ->
-        Queue.push f timers;
-        ignore)
-      ~spawn:(fun f -> f ())
-      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-      ~trace:(fun ~tag:_ _ -> ())
-      ~tracing:(fun () -> false)
-      ()
-  in
-  let config = Config.make ~replication:3 () in
-  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
-  let node =
-    Storage_node.create ~runtime ~config ~node_id:0 ~schema
-      ~replicas:(fun _ -> [ 0 ])
-      ~master_of:(fun _ -> 0)
-      ()
-  in
-  (* Every record gets one pending fast vote, still young at scan time. *)
-  for i = 0 to records - 1 do
-    let k = Key.make ~table:"item" ~id:(string_of_int i) in
-    !handler ~src:9
-      (Messages.Propose
-         {
-           woption =
-             {
-               Woption.txid = Printf.sprintf "p%d" i;
-               key = k;
-               update = Update.Insert Value.empty;
-               write_set = [ k ];
-               coordinator = 9;
-             };
-           route = `Fast;
-         })
-  done;
-  clock := config.Config.txn_timeout /. 2.0;
-  Storage_node.start_maintenance node;
-  (node, fun () -> (Queue.pop timers) ())
-
+(* Every record holds a young pending option, so the node is not idle
+   and the scan still walks them all.  It pays the clock read,
+   [Hashtbl.iter]'s bucket closure and the re-armed timer: nothing per
+   record.  The probe checks that the scan recovers nothing. *)
 let test_idle_scan_constant () =
-  let node, fire = idle_node ~records:5_000 in
-  Alcotest.(check int) "every record pending" 5_000 (Storage_node.pending_options node);
-  fire ();
-  let w = words fire in
-  (* Every record holds a young pending option, so the node is not idle
-     and the scan still walks them all.  It pays the clock read,
-     [Hashtbl.iter]'s bucket closure and the re-armed timer: nothing per
-     record. *)
-  if w > 8.0 then Alcotest.failf "idle scan of 5000 records allocated %.0f words" w;
-  Alcotest.(check int) "nothing recovered" 5_000 (Storage_node.pending_options node)
+  let w = per_op (Probe.dangling_scan_idle ~scans:10) in
+  if w > 8.0 then Alcotest.failf "idle scan of 10000 records allocated %.0f words" w
 
 (* Under the simulator a maintenance tick is one engine event re-armed in
    place, and a node with no pending option returns before it reads the
-   clock: on a cluster whose records saw only settled transactions, an
-   idle tick allocates nothing. *)
+   clock: on a node whose records saw only settled transactions, an idle
+   tick allocates nothing. *)
 let test_idle_tick_allocates_nothing () =
-  let module Engine = Mdcc_sim.Engine in
-  let module Cluster = Mdcc_core.Cluster in
-  let engine, cluster = Helpers.make_cluster ~items:6 () in
-  for i = 0 to 5 do
-    match Helpers.run_txn engine cluster ~dc:0 [ (Helpers.item i, Update.Delta [ ("stock", -1) ]) ] with
-    | Txn.Committed -> ()
-    | Txn.Aborted _ -> Alcotest.fail "a setup transaction aborted"
-  done;
-  Engine.run engine;
-  let nodes = Cluster.storage_nodes cluster in
-  Alcotest.(check int) "no pending option" 0
-    (List.fold_left (fun n node -> n + Storage_node.pending_options node) 0 nodes);
-  Cluster.start_maintenance cluster;
-  Alcotest.(check int) "one tick per node armed" (List.length nodes) (Engine.pending engine);
-  let ticks = 100 * List.length nodes in
-  let w =
-    words (fun () ->
-        for _ = 1 to ticks do
-          ignore (Engine.step engine : bool)
-        done)
-  in
-  Alcotest.(check (float 0.0)) "words per idle tick" 0.0 (w /. Float.of_int ticks)
+  Alcotest.(check (float 0.0)) "words per idle tick" 0.0
+    (per_op (Probe.maintenance_tick_idle ~ops:1_000))
 
 (* Words per draw over [n] draws.  A cross-module call returns an [int64]
    or a [float] boxed (3 and 2 words); everything else a draw computes —
@@ -196,79 +128,18 @@ let test_traffic_meter () =
   Alcotest.(check int) "recv bytes" (1_001 * 64)
     (Mdcc_obs.Registry.counter r "net.recv_bytes.node02")
 
-type Mdcc_sim.Network.payload += Ball
-
 (* A message in flight is a pooled heap record: once the pool holds the
-   peak number in flight, sending, metering, the jitter draw and delivery
-   allocate nothing at all. *)
+   peak number in flight, sending, the jitter draw and delivery allocate
+   nothing at all.  The probe checks that every message is delivered. *)
 let test_network_message_path () =
-  let module Net = Mdcc_sim.Network in
-  let module Engine = Mdcc_sim.Engine in
-  let engine = Engine.create ~seed:11 in
-  let topo =
-    Mdcc_sim.Topology.make ~dc_names:[| "a"; "b" |]
-      ~rtt:[| [| 0.0; 20.0 |]; [| 20.0; 0.0 |] |]
-      ~nodes_per_dc:2 ()
-  in
-  let net = Net.create engine topo () in
-  let on_send, on_deliver =
-    Mdcc_obs.Obs.traffic_meter (Mdcc_obs.Obs.create ()) ~nodes:(Mdcc_sim.Topology.num_nodes topo)
-  in
-  Net.set_meter net { Net.m_size = (fun _ -> 64); m_on_send = on_send; m_on_deliver = on_deliver };
-  let delivered = ref 0 and budget = ref 0 in
-  for node = 0 to 3 do
-    Net.register net node (fun ~src payload ->
-        incr delivered;
-        if !delivered < !budget then Net.send net ~src:node ~dst:src payload)
-  done;
-  (* Eight ping-pong chains; [Engine.step] rather than [Engine.run], whose
-     profiler bracket is a closure per call. *)
-  let volley n =
-    budget := !delivered + n;
-    for i = 0 to 7 do
-      Net.send net ~src:(i land 3) ~dst:(i land 3 lxor 2) Ball
-    done;
-    while Engine.step engine do
-      ()
-    done
-  in
-  volley 1_000;
-  let before = !delivered in
-  let w = words (fun () -> volley 10_000) in
-  Alcotest.(check int) "every message delivered" 10_007 (!delivered - before);
   Alcotest.(check (float 0.0)) "words per delivered message" 0.0
-    (w /. Float.of_int (!delivered - before))
+    (per_op (Probe.network_send ~ops:10_000))
 
 (* The socket loop posts a node message to its engine as the same pooled
    record: with the traffic meter on, a message through [Loop.runtime]
    costs under a word, [Loop.poll]'s own per-call lists included. *)
 let test_loop_message_path () =
-  let module Loop = Mdcc_runtime_unix.Loop in
-  let module Runtime = Mdcc_core.Runtime in
-  let lp = Loop.create () in
-  let rt = Loop.runtime lp in
-  let on_send, on_deliver = Mdcc_obs.Obs.traffic_meter (Mdcc_obs.Obs.create ()) ~nodes:4 in
-  Loop.set_meter lp { Loop.w_size = (fun _ -> 64); w_on_send = on_send; w_on_deliver = on_deliver };
-  let delivered = ref 0 and budget = ref 0 in
-  for node = 0 to 3 do
-    Runtime.register rt node (fun ~src payload ->
-        incr delivered;
-        if !delivered < !budget then Runtime.send rt ~src:node ~dst:src payload)
-  done;
-  let volley n =
-    budget := !delivered + n;
-    for i = 0 to 7 do
-      Runtime.send rt ~src:(i land 3) ~dst:(i land 3 lxor 2) Ball
-    done;
-    while !delivered < !budget + 7 do
-      Loop.poll lp ~max_wait_ms:0.0
-    done
-  in
-  volley 1_000;
-  let before = !delivered in
-  let w = words (fun () -> volley 10_000) in
-  Alcotest.(check int) "every message delivered" 10_007 (!delivered - before);
-  let per_msg = w /. Float.of_int (!delivered - before) in
+  let per_msg = per_op (Probe.loop_send ~ops:10_000) in
   if per_msg >= 1.0 then Alcotest.failf "%.2f words per loop message (ceiling 1)" per_msg
 
 (* A loop iteration's own cost is the lists select takes and returns, paid
@@ -499,36 +370,6 @@ let test_classic_round () =
     (Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "classic_learned");
   if per_round > 48.0 then Alcotest.failf "a classic round allocated %.1f words" per_round
 
-(* A storage node over the simulator's runtime, whose clock is the
-   engine's flat cell, beside a silent coordinator at node 1 that masters
-   every key.  [deliver msgs] has node 1 send each message to the node and
-   runs the engine until every message and reply is delivered; once the
-   network's pool is warm, delivery allocates nothing. *)
-let sim_node () =
-  let module Net = Mdcc_sim.Network in
-  let module Engine = Mdcc_sim.Engine in
-  let engine = Engine.create ~seed:23 in
-  let net =
-    Net.create engine
-      (Mdcc_sim.Topology.make ~dc_names:[| "a" |] ~rtt:[| [| 0.0 |] |] ~nodes_per_dc:2 ())
-      ()
-  in
-  let _node =
-    Storage_node.create ~runtime:(Runtime.of_network net)
-      ~config:(Config.make ~replication:5 ())
-      ~node_id:0
-      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
-      ~replicas:(fun _ -> replicas)
-      ~master_of:(fun _ -> 1)
-      ()
-  in
-  Net.register net 1 (fun ~src:_ _ -> ());
-  fun msgs ->
-    Array.iter (fun m -> Net.send net ~src:1 ~dst:0 m) msgs;
-    while Engine.step engine do
-      ()
-    done
-
 let delta = Update.Delta [ ("stock", -1) ]
 
 let option_on i txid =
@@ -556,7 +397,7 @@ let commit (w : Woption.t) =
    exactly what the same Visibility costs on a record that has no vote. *)
 let test_settled_votes () =
   let n = 50 in
-  let deliver = sim_node () in
+  let deliver = Probe.sim_node () in
   let on ?(first = 0) prefix = Array.init n (fun i -> option_on (first + i) prefix) in
   let warm = Array.append (on "warm") (on ~first:n "warm") in
   deliver (Array.map propose warm);
@@ -600,24 +441,11 @@ let test_spans_format_no_line () =
 (* The wire parser tokenises in place: a request costs what it hands on
    (its key and data strings, the request value, the queue cell and
    [next]'s [Some]), not a line string and token lists. *)
-let rec drain_parser p = match Mdcc_wire.Parser.next p with Some _ -> drain_parser p | None -> ()
-
-let words_per_request line =
-  let p = Mdcc_wire.Parser.create () and b = Bytes.of_string line and n = 1_000 in
-  let feed () =
-    Mdcc_wire.Parser.feed p b 0 (Bytes.length b);
-    drain_parser p
-  in
-  feed ();
-  words (fun () ->
-      for _ = 1 to n do
-        feed ()
-      done)
-  /. Float.of_int n
-
 let test_parser_words () =
   let check name ceiling line =
-    let w = words_per_request line in
+    let n = 1_000 in
+    let stream = Bytes.of_string (String.concat "" (List.init n (fun _ -> line))) in
+    let w = words (Probe.parse_in_chunks stream) /. Float.of_int n in
     if w > ceiling then Alcotest.failf "%s allocated %.1f words (ceiling %.0f)" name w ceiling
   in
   check "a get line" 24.0 "get k000123\r\n";

@@ -1,7 +1,7 @@
 (* The bench document format (mdcc.bench.v2) and bench_check's rules:
    round trip, gate directions at the tolerance edge, missing sections
-   and metrics on either side, the jobs > cores skip, and the foreign
-   documents that exit 2. *)
+   and metrics on either side, the jobs > cores skip, the foreign
+   documents that exit 2, and the events ledger's sections. *)
 
 module Envelope = Mdcc_bench.Envelope
 module Json = Mdcc_obs.Json
@@ -112,6 +112,17 @@ let test_foreign () =
   Alcotest.(check int) "other bench" 2 (fst (check base (write ~bench:"sweep" base_sections)));
   Alcotest.(check int) "no file" 2 (fst (check base (Filename.concat (Filename.dirname base) "absent.json")))
 
+(* The checked-in ledger has one section per probe, in probe order: a
+   probe added or renamed without regenerating BENCH_events.json fails
+   here, not only in CI's bench step. *)
+let test_ledger_matches_probes () =
+  match Envelope.read "../BENCH_events.json" with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+    Alcotest.(check (list string))
+      "sections" (List.map (fun (p : Mdcc_bench.Probe.t) -> p.name) Mdcc_bench.Probe.all)
+      (List.map fst doc.Envelope.sections)
+
 let suite =
   [
     Alcotest.test_case "v2 round trip" `Quick test_round_trip;
@@ -121,4 +132,5 @@ let suite =
     Alcotest.test_case "gated metric missing from baseline fails" `Quick test_missing_in_baseline;
     Alcotest.test_case "jobs > cores skips" `Quick test_starved_cores;
     Alcotest.test_case "foreign document exits 2" `Quick test_foreign;
+    Alcotest.test_case "BENCH_events.json lists the probes" `Quick test_ledger_matches_probes;
   ]

@@ -121,6 +121,94 @@ let test_registry_counter_handle () =
   Alcotest.(check (list (pair string int))) "re-resolved after clear" [ ("msgs", 1) ]
     (Registry.counter_bindings r)
 
+(* ---- the documented JSON shapes ---- *)
+
+let histogram_fields = [ "count"; "mean"; "min"; "max"; "p50"; "p95"; "p99" ]
+
+let field ~label name j =
+  match Json.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "%s is missing field %S" label name
+
+let parse ~label s =
+  match Json.parse s with Ok t -> t | Error e -> Alcotest.failf "%s does not parse: %s" label e
+
+(* A metrics object: exactly its three sections, counters non-negative
+   integers in sorted name order, gauges integers, and every histogram
+   field numeric. *)
+let check_metrics_json j =
+  (match j with
+  | Json.Obj top -> Alcotest.(check int) "metrics sections" 3 (List.length top)
+  | _ -> Alcotest.fail "metrics is not a JSON object");
+  (match field ~label:"metrics" "counters" j with
+  | Json.Obj cs ->
+    List.iter
+      (function
+        | _, Json.Int n when n >= 0 -> ()
+        | name, _ -> Alcotest.failf "counter %S is not a non-negative integer" name)
+      cs;
+    let names = List.map fst cs in
+    Alcotest.(check (list string)) "counters sorted" (List.sort String.compare names) names
+  | _ -> Alcotest.fail "\"counters\" is not an object");
+  (match field ~label:"metrics" "gauges" j with
+  | Json.Obj gs ->
+    List.iter (function _, Json.Int _ -> () | name, _ -> Alcotest.failf "gauge %S not int" name) gs
+  | _ -> Alcotest.fail "\"gauges\" is not an object");
+  match field ~label:"metrics" "histograms" j with
+  | Json.Obj hs ->
+    List.iter
+      (fun (name, h) ->
+        List.iter
+          (fun f ->
+            match field ~label:(Printf.sprintf "histogram %S" name) f h with
+            | Json.Int _ | Json.Float _ -> ()
+            | _ -> Alcotest.failf "histogram %S field %S is not numeric" name f)
+          histogram_fields)
+      hs
+  | _ -> Alcotest.fail "\"histograms\" is not an object"
+
+(* A span tree: root events and each key group's events are in
+   nondecreasing sim time, every event is named from
+   [Event.span_names], and every key group has a key.  Returns the txid. *)
+let check_span_json j =
+  let txid =
+    match field ~label:"span" "txid" j with
+    | Json.Str s -> s
+    | _ -> Alcotest.fail "span \"txid\" is not a string"
+  in
+  let label = Printf.sprintf "span %s event" txid in
+  let event prev ev =
+    let at =
+      match field ~label "at" ev with
+      | Json.Float f -> f
+      | Json.Int i -> Float.of_int i
+      | _ -> Alcotest.failf "%s \"at\" is not numeric" label
+    in
+    (match field ~label "node" ev with
+    | Json.Int _ -> ()
+    | _ -> Alcotest.failf "%s \"node\" not int" label);
+    (match field ~label "name" ev with
+    | Json.Str s when List.mem s Mdcc_core.Event.span_names -> ()
+    | Json.Str s -> Alcotest.failf "%s name %S is not one of Event.span_names" label s
+    | _ -> Alcotest.failf "%s \"name\" not a string" label);
+    (match field ~label "detail" ev with
+    | Json.Str _ -> ()
+    | _ -> Alcotest.failf "%s \"detail\" not a string" label);
+    if at < prev then
+      Alcotest.failf "span %s events out of sim-time order (%.2f after %.2f)" txid at prev;
+    at
+  in
+  let stream evs = ignore (List.fold_left event Float.neg_infinity (Json.to_list evs)) in
+  stream (field ~label:"span" "events" j);
+  List.iter
+    (fun kg ->
+      (match field ~label:"key group" "key" kg with
+      | Json.Str _ -> ()
+      | _ -> Alcotest.failf "span %s key group has no key" txid);
+      stream (field ~label:"key group" "events" kg))
+    (Json.to_list (field ~label:"span" "keys" j));
+  txid
+
 let test_registry_json_shape () =
   let r = Registry.create () in
   Registry.incr r "n";
@@ -140,8 +228,9 @@ let test_registry_json_shape () =
       List.iter
         (fun f ->
           Alcotest.(check bool) ("histogram has " ^ f) true (Json.member f hist <> None))
-        [ "count"; "mean"; "min"; "max"; "p50"; "p95"; "p99" ]
-    | None -> Alcotest.fail "histogram \"lat\" missing")
+        histogram_fields
+    | None -> Alcotest.fail "histogram \"lat\" missing");
+    check_metrics_json t
 
 (* Registry.merge edge cases: histogram-name union on empty histograms,
    and gauge last-writer determinism under task-order folding. *)
@@ -435,19 +524,28 @@ let test_event_stream_without_tracing () =
 
 let acceptance_spec = Runner.spec ~seed:1 ~scenario:Nemesis.clean ~workload:Runner.Mixed ()
 
+let acceptance = lazy (Runner.run acceptance_spec)
+
 let counter_of report name =
   match Json.member "counters" (Obs.metrics_json report.Runner.r_obs) with
   | Some cs -> ( match Json.member name cs with Some (Json.Int n) -> n | _ -> 0)
   | None -> 0
 
+(* The run's metrics render to the documented shape, and parsing then
+   rendering them gives back the same bytes: the schema has one canonical
+   form. *)
 let test_chaos_counters () =
-  let r = Runner.run acceptance_spec in
+  let r = Lazy.force acceptance in
   Alcotest.(check bool) "run is clean" true (Runner.ok r);
   Alcotest.(check bool) "fast commits happened" true (counter_of r "fast_commit" > 0);
-  Alcotest.(check bool) "collisions were resolved" true (counter_of r "collision_resolved" > 0)
+  Alcotest.(check bool) "collisions were resolved" true (counter_of r "collision_resolved" > 0);
+  let rendered = Json.to_string (Obs.metrics_json r.Runner.r_obs) in
+  let metrics = parse ~label:"metrics" rendered in
+  check_metrics_json metrics;
+  Alcotest.(check string) "metrics render(parse(s)) = s" rendered (Json.to_string metrics)
 
 let test_chaos_span_ordering () =
-  let r = Runner.run acceptance_spec in
+  let r = Lazy.force acceptance in
   let spans =
     match Obs.spans r.Runner.r_obs with
     | Some s -> s
@@ -468,7 +566,70 @@ let test_chaos_span_ordering () =
                  ev.Span.ev_at prev;
              ev.Span.ev_at)
            Float.neg_infinity evs))
-    txids
+    txids;
+  let rendered = Json.to_string (Obs.spans_json r.Runner.r_obs) in
+  let spans = parse ~label:"spans" rendered in
+  let trees = List.map check_span_json (Json.to_list spans) in
+  Alcotest.(check bool) "span trees rendered" true (trees <> []);
+  Alcotest.(check string) "spans render(parse(s)) = s" rendered (Json.to_string spans)
+
+let report_fields =
+  [ "seed"; "scenario"; "submitted"; "committed"; "aborted"; "undecided"; "events";
+    "schedule"; "violations"; "trace"; "metrics"; "spans" ]
+
+(* [Runner.report_to_json] of a run with a fault schedule and a captured
+   trace: the fields in order, each of its documented type, and a parse
+   and render back to the same bytes.  Clean runs report no violation, so
+   one is spliced in, with characters JSON must escape. *)
+let test_report_json () =
+  let faulty =
+    Runner.run (Runner.spec ~seed:1 ~scenario:Nemesis.torn_broadcast ~capture_trace:true ())
+  in
+  Alcotest.(check bool) "trace captured" true (faulty.Runner.r_trace <> []);
+  let rendered =
+    Runner.report_to_json
+      {
+        faulty with
+        Runner.r_violations =
+          [ { Mdcc_chaos.Checker.invariant = "liveness"; detail = "\"quoted\"\ttab\nline" } ];
+      }
+  in
+  let j = parse ~label:"report" rendered in
+  let names = match j with Json.Obj fields -> List.map fst fields | _ -> [] in
+  Alcotest.(check (list string)) "report fields" report_fields names;
+  let is_int ~label name j =
+    match field ~label name j with
+    | Json.Int _ -> ()
+    | _ -> Alcotest.failf "%s %S is not an integer" label name
+  in
+  let is_str ~label name j =
+    match field ~label name j with
+    | Json.Str _ -> ()
+    | _ -> Alcotest.failf "%s %S is not a string" label name
+  in
+  List.iter (fun name -> is_int ~label:"report" name j)
+    [ "seed"; "submitted"; "committed"; "aborted"; "undecided"; "events" ];
+  is_str ~label:"report" "scenario" j;
+  List.iter
+    (fun f ->
+      (match field ~label:"schedule entry" "at" f with
+      | Json.Float _ -> ()
+      | _ -> Alcotest.fail "schedule entry \"at\" is not a float");
+      is_str ~label:"schedule entry" "fault" f)
+    (Json.to_list (field ~label:"report" "schedule" j));
+  List.iter
+    (fun v ->
+      is_str ~label:"violation" "invariant" v;
+      is_str ~label:"violation" "detail" v)
+    (Json.to_list (field ~label:"report" "violations" j));
+  List.iter
+    (function Json.Str _ -> () | _ -> Alcotest.fail "trace line is not a string")
+    (Json.to_list (field ~label:"report" "trace" j));
+  check_metrics_json (field ~label:"report" "metrics" j);
+  List.iter
+    (fun span -> ignore (check_span_json span))
+    (Json.to_list (field ~label:"report" "spans" j));
+  Alcotest.(check string) "report render(parse(s)) = s" rendered (Json.to_string j)
 
 let test_chaos_obs_determinism () =
   let render () =
@@ -505,4 +666,5 @@ let suite =
     Alcotest.test_case "chaos run counters" `Quick test_chaos_counters;
     Alcotest.test_case "chaos span ordering" `Quick test_chaos_span_ordering;
     Alcotest.test_case "chaos obs determinism" `Quick test_chaos_obs_determinism;
+    Alcotest.test_case "run report json shape" `Quick test_report_json;
   ]

@@ -117,6 +117,20 @@ let test_chunk_invalid () =
            })
         (fun () -> ignore (Pool.map pool ~chunk:0 4 (fun i -> i))))
 
+(* [Pool.chunks] regroups a flattened task list: consecutive groups of
+   [n], the last shorter, nothing for an empty list. *)
+let test_chunks () =
+  let ints = Alcotest.(list (list int)) in
+  Alcotest.check ints "groups of 3" [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 7 ] ]
+    (Pool.chunks 3 [ 1; 2; 3; 4; 5; 6; 7 ]);
+  Alcotest.check ints "n divides the length" [ [ 1; 2 ]; [ 3; 4 ] ] (Pool.chunks 2 [ 1; 2; 3; 4 ]);
+  Alcotest.check ints "n past the length" [ [ 1; 2 ] ] (Pool.chunks 5 [ 1; 2 ]);
+  Alcotest.check ints "empty" [] (Pool.chunks 4 []);
+  Alcotest.check_raises "n 0 violates"
+    (Mdcc_util.Invariant.Violation
+       { Mdcc_util.Invariant.node = None; context = "Pool.chunks"; message = "n 0 < 1" })
+    (fun () -> ignore (Pool.chunks 0 [ 1 ]))
+
 let test_chunk_stats_count_tasks () =
   (* Chunked claims must still account every task once in the stats. *)
   Pool.with_pool ~jobs:4 (fun pool ->
@@ -276,4 +290,5 @@ let suite =
     Alcotest.test_case "trace capture identity under domains" `Quick
       test_sweep_trace_capture_identity;
     Alcotest.test_case "obs merge" `Quick test_obs_merge;
+    Alcotest.test_case "chunks groups a list in order" `Quick test_chunks;
   ]

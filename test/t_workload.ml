@@ -189,6 +189,19 @@ let test_quick_experiment_fig5_ordering () =
   Alcotest.(check bool) "MDCC < 2PC" true (median "MDCC" < median "2PC");
   Alcotest.(check bool) "Multi < 2PC" true (median "Multi" < median "2PC")
 
+(* [experiments_cli run] takes only the ids of [Experiments.all]: an
+   unknown one is a usage error, not a silent success. *)
+let test_cli_unknown_experiment () =
+  let exe =
+    if Sys.file_exists "../bin/experiments_cli.exe" then "../bin/experiments_cli.exe"
+    else "_build/default/bin/experiments_cli.exe"
+  in
+  let code =
+    Sys.command
+      (Filename.quote_command exe [ "run"; "fig9" ] ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  if code = 0 then Alcotest.fail "experiments_cli run fig9 exited 0"
+
 let suite =
   [
     Alcotest.test_case "metrics warmup filter" `Quick test_metrics_warmup_filter;
@@ -207,4 +220,6 @@ let suite =
     Alcotest.test_case "mini TPC-W on Megastore*" `Quick (test_mini_tpcw Setup.Megastore);
     Alcotest.test_case "runner determinism" `Quick test_runner_determinism;
     Alcotest.test_case "fig5 ordering at test scale" `Slow test_quick_experiment_fig5_ordering;
+    Alcotest.test_case "experiments_cli: unknown id exits nonzero" `Quick
+      test_cli_unknown_experiment;
   ]
