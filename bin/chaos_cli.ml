@@ -20,20 +20,27 @@ module Pool = Mdcc_util.Pool
 module Json = Mdcc_obs.Json
 
 (* Unknown names are usage errors: a message on stderr and exit 2. *)
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
 let resolve_scenario name =
   match Nemesis.scenario_named name with
   | Some s -> s
-  | None ->
-    Printf.eprintf "unknown scenario %S (see `chaos_cli list')\n" name;
-    exit 2
+  | None -> usage_error "unknown scenario %S (see `chaos_cli list')" name
 
 let resolve_workload = function
   | "deltas" -> Runner.Deltas
   | "rmw" -> Runner.Rmw
   | "mixed" -> Runner.Mixed
-  | w ->
-    Printf.eprintf "unknown workload %S (deltas|rmw|mixed)\n" w;
-    exit 2
+  | w -> usage_error "unknown workload %S (deltas|rmw|mixed)" w
+
+(* Out-of-range knobs are usage errors too, rejected before any run
+   starts: a run would trip an invariant on them ([Rng.int] with bound 0,
+   [Config.make]'s fast-quorum range over the runner's five replicas). *)
+let check_items items = if items < 1 then usage_error "--items must be at least 1 (got %d)" items
+
+let check_plant_bug = function
+  | Some q when q < 1 || q > 5 -> usage_error "--plant-bug must be in [1, 5] (got %d)" q
+  | Some _ | None -> ()
 
 let write_json path doc =
   let oc = open_out path in
@@ -54,6 +61,8 @@ let profile_doc ~jobs snapshot =
 
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
     ~obs_out ~jobs ~chunk ~profile =
+  check_items items;
+  check_plant_bug plant_bug;
   let scenarios =
     match scenario with
     | None -> Nemesis.matrix
@@ -98,6 +107,8 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   if bad <> [] then exit 1
 
 let replay ~seed ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace =
+  check_items items;
+  check_plant_bug plant_bug;
   let scenario = resolve_scenario scenario in
   let workload = resolve_workload workload in
   let r =
@@ -225,15 +236,14 @@ let replay_cmd =
       $ partitions_arg $ plant_bug_arg $ json_flag $ trace_flag)
 
 let baselines ~seeds ~protocol ~txns ~items ~jobs =
+  check_items items;
   let protos =
     match protocol with
     | None -> Baseline.protocols
     | Some name -> (
       match Baseline.protocol_named name with
       | Some p -> [ p ]
-      | None ->
-        Printf.eprintf "unknown baseline %S (see `chaos_cli list')\n" name;
-        exit 2)
+      | None -> usage_error "unknown baseline %S (see `chaos_cli list')" name)
   in
   let tasks =
     List.concat_map (fun p -> List.init seeds (fun i -> (p, i + 1))) protos

@@ -109,45 +109,13 @@ let demo_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print every protocol decision with timestamps.")
   in
   let run trace =
-    if trace then Mdcc_sim.Trace.enable ();
-    let open Mdcc_storage in
-    let module Engine = Mdcc_sim.Engine in
-    let module Cluster = Mdcc_core.Cluster in
-    let module Config = Mdcc_core.Config in
-    let schema =
-      Schema.create
-        [
-          {
-            Schema.name = "item";
-            bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
-            master_dc = 0;
-          };
-        ]
-    in
-    let engine = Engine.create ~seed:1 in
-    let config = Config.make ~mode:Config.Full ~replication:5 () in
-    let cluster = Cluster.create ~engine ~spec:Cluster.Spec.default ~config ~schema () in
-    let key i = Key.make ~table:"item" ~id:(string_of_int i) in
-    Cluster.load cluster
-      [
-        (key 0, Value.of_list [ ("stock", Value.Int 10) ]);
-        (key 1, Value.of_list [ ("stock", Value.Int 10) ]);
-      ];
-    let c = Cluster.coordinator cluster ~dc:2 ~rank:0 in
-    Mdcc_core.Coordinator.submit c
-      (Txn.make ~id:"demo"
-         ~updates:
-           [
-             (key 0, Update.Delta [ ("stock", -2) ]);
-             ( key 1,
-               Update.Physical { vread = 1; value = Value.of_list [ ("stock", Value.Int 7) ] }
-             );
-           ])
-      (fun outcome ->
+    Experiments.demo
+      ?trace:(if trace then Some print_endline else None)
+      ~on_decided:(fun outcome at ->
         Printf.printf "demo transaction: %s after %.0f ms\n"
-          (Format.asprintf "%a" Txn.pp_outcome outcome)
-          (Engine.now engine));
-    Engine.run ~until:10_000.0 engine
+          (Format.asprintf "%a" Mdcc_storage.Txn.pp_outcome outcome)
+          at)
+      ()
   in
   Cmd.v (Cmd.info "demo" ~doc) Term.(const run $ trace)
 

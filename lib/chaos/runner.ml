@@ -1,7 +1,6 @@
 open Mdcc_storage
 open Mdcc_core
 module Engine = Mdcc_sim.Engine
-module Trace = Mdcc_sim.Trace
 module Rng = Mdcc_util.Rng
 module Invariant = Mdcc_util.Invariant
 module Generator = Mdcc_workload.Generator
@@ -182,10 +181,15 @@ let run s =
   (* Fresh per-run handle (spans on): two same-seed runs must render
      byte-identical metrics and span JSON, so no shared ambient state. *)
   let obs = Obs.create ~spans:true () in
+  (* Trace capture (the violating-seed replay path). *)
+  let trace_buf = ref [] in
+  let trace =
+    if s.capture_trace then Some (fun line -> trace_buf := line :: !trace_buf) else None
+  in
   let cluster =
     Cluster.create ~engine
       ~spec:(Cluster.Spec.make ~partitions:(effective_partitions s) ())
-      ~ctx:(Ctx.make ~history ~obs ()) ~config ~schema:stock_schema ()
+      ~ctx:(Ctx.make ~history ~obs ?trace ()) ~config ~schema:stock_schema ()
   in
   Cluster.load cluster (List.init s.items (fun i -> (item i, item_row s.stock)));
   Cluster.start_maintenance cluster;
@@ -200,19 +204,6 @@ let run s =
      first round's catchups land before the second probes). *)
   ignore (Engine.schedule_at engine ~at:(s.horizon +. 4_000.0) (fun () -> Cluster.sync_all cluster));
   ignore (Engine.schedule_at engine ~at:(s.horizon +. 12_000.0) (fun () -> Cluster.sync_all cluster));
-  (* Trace capture (the violating-seed replay path). *)
-  let trace_buf = ref [] in
-  let was_tracing = Trace.enabled () in
-  if s.capture_trace then begin
-    Trace.set_sink (fun line -> trace_buf := line :: !trace_buf);
-    Trace.enable ()
-  end;
-  (* Tagged invariant violations (Util.Invariant) land in the recorded
-     history and the trace before the exception unwinds, so a replay shows
-     *where* a protocol invariant died instead of an anonymous process
-     teardown. *)
-  let stream = Cluster.stream cluster in
-  Invariant.set_sink (fun v -> if Ctx.live stream then Ctx.emit stream (Event.Violation v));
   (* Scripted clients: [txns] transactions at random times from random DCs. *)
   let crng = Rng.create ((s.seed * 31) + 7) in
   let dcs = Cluster.num_dcs cluster in
@@ -244,12 +235,17 @@ let run s =
              txn
              (fun outcome -> decided := (txn, outcome) :: !decided)))
   done;
-  Engine.run ~until:(s.horizon +. s.drain) engine;
-  Invariant.reset_sink ();
-  if s.capture_trace then begin
-    Trace.reset_sink ();
-    if not was_tracing then Trace.disable ()
-  end;
+  (* A tagged invariant violation (Util.Invariant) ends the run where it
+     fires: it lands in the history and the trace at that instant, so a
+     replay shows *where* a protocol invariant died, and it is the run's
+     one violation — the checks would only describe a run cut short. *)
+  let died =
+    match Engine.run ~until:(s.horizon +. s.drain) engine with
+    | () -> None
+    | exception Invariant.Violation v ->
+      Ctx.emit (Cluster.stream cluster) (Event.Violation v);
+      Some { Checker.invariant = "invariant"; detail = Invariant.to_string v }
+  in
   (* ---- checks ---- *)
   let decided = !decided in
   (* Repair (MDCC only): every divergence the anti-entropy probes detected
@@ -265,11 +261,14 @@ let run s =
               diverged } ]
   in
   let violations =
-    Checker.check ~bounds:(Schema.bounds_of stock_schema)
-      ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history
-    @ post_drain_checks ~peek:(Cluster.peek cluster) ~dcs ~items:s.items ~delta_items:deltas
-        ~stock:s.stock ~submitted:!submitted decided
-    @ repair
+    match died with
+    | Some v -> [ v ]
+    | None ->
+      Checker.check ~bounds:(Schema.bounds_of stock_schema)
+        ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history
+      @ post_drain_checks ~peek:(Cluster.peek cluster) ~dcs ~items:s.items ~delta_items:deltas
+          ~stock:s.stock ~submitted:!submitted decided
+      @ repair
   in
   let committed = List.length (List.filter (fun (_, o) -> o = Txn.Committed) decided) in
   {

@@ -86,7 +86,11 @@ type report = {
 val run : spec -> report
 (** The run, then the checks in report order: {!Checker.check} on the
     history, {!post_drain_checks}, and MDCC's own [repair] check (no replica
-    pair still marked diverged). *)
+    pair still marked diverged).  A {!Mdcc_util.Invariant.Violation} raised
+    inside the run ends it instead: it is emitted as an [Event.Violation] on
+    the cluster's stream at that instant (history entry and [invariant]
+    trace line), and the report's only violation is [invariant], with the
+    checks skipped. *)
 
 val post_drain_checks :
   peek:(dc:int -> Key.t -> (Value.t * int) option) ->

@@ -5,9 +5,12 @@
     spec order} ([Pool.map] merges by task index), so every downstream
     rendering — per-run report lines, the [--obs-out] document — is
     byte-identical to a sequential [--jobs 1] sweep.  Each run is
-    single-threaded on its domain; all per-run ambient state (trace
-    context, trace/invariant sinks, ambient obs) is domain-local, so runs
-    cannot cross-contaminate. *)
+    single-threaded on its domain; the ambient state a run touches (the
+    network trace context, the ambient obs, the profiler) is domain-local,
+    and its trace sink and history are its own [Ctx] values, so runs
+    cannot cross-contaminate.  An invariant that fires inside a run is
+    that run's [invariant] violation ({!Runner.run}), not the sweep's
+    end. *)
 
 val specs :
   ?workload:Runner.workload ->
@@ -26,7 +29,8 @@ val specs :
 val run_one : Runner.spec -> Runner.report
 (** One run; on a violation the same spec is re-run with trace capture so
     the report carries the full protocol interleaving.  Deterministic — the
-    re-run reproduces the violation exactly. *)
+    re-run reproduces the violation exactly; for an [invariant] violation
+    its trace ends on the line where the run died. *)
 
 val run : ?jobs:int -> ?chunk:int -> Runner.spec list -> Runner.report list
 (** [run ~jobs specs] maps {!run_one} over [specs] on a fresh pool of

@@ -120,7 +120,7 @@ type t = {
   nodes : Storage_node.t array;  (* indexed by node id *)
   coords : Coordinator.t array;  (* indexed by dc * app_servers_per_dc + rank *)
   obs : Obs.t;
-  stream : Ctx.stream;  (* events from outside any node: faults *)
+  stream : Ctx.stream;  (* events from outside any node: faults, violations *)
 }
 
 let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
@@ -138,7 +138,7 @@ let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
   in
   Net.set_meter net { Net.m_size = Messages.size_of; m_on_send; m_on_deliver };
   let replicas = Layout.replicas layout and master_of = Layout.master_node layout in
-  let runtime = Runtime.of_network net in
+  let runtime = Runtime.of_network ?trace:ctx.Ctx.trace net in
   let nodes =
     Array.init (Layout.num_storage_nodes layout) (fun node_id ->
         Storage_node.create ~runtime ~config ~node_id ~schema ~replicas ~master_of ~ctx ())

@@ -128,8 +128,10 @@ val create :
     [config.replication] must equal the number of data centers.  [ctx]
     (default {!Ctx.default}) is threaded into every coordinator and storage
     node: when its [history] is set they all record into it (chaos testing;
-    see {!Mdcc_chaos.Runner}), and its [obs] is fed per-node message/byte
-    counters through a network meter installed at create time.
+    see {!Mdcc_chaos.Runner}), its [trace] sink receives their trace lines
+    (the cluster's one runtime is {!Runtime.of_network}[ ?trace]), and its
+    [obs] is fed per-node message/byte counters through a network meter
+    installed at create time.
     [ctx.local_nodes] is overridden per coordinator with the storage nodes
     of its data center, and every coordinator is wired a
     {!Layout.snapshot} over its DC's partition stores (the [`Snapshot]

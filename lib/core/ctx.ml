@@ -10,21 +10,23 @@ type t = {
   history : History.t option;
       (* passive execution recorder for the chaos checker, if any *)
   obs : Mdcc_obs.Obs.t;  (* metrics registry + span collector *)
+  trace : (string -> unit) option;
+      (* trace-line sink, handed to the runtime that renders the lines *)
   local_nodes : int list;
       (* storage nodes co-located with a coordinator (one per partition);
          only coordinators consume this — other nodes ignore it *)
 }
 
-let make ?history ?obs ?(local_nodes = []) () =
+let make ?history ?obs ?trace ?(local_nodes = []) () =
   let obs = match obs with Some o -> o | None -> Mdcc_obs.Obs.ambient () in
-  { history; obs; local_nodes }
+  { history; obs; trace; local_nodes }
 
 let default () = make ()
 
 let with_local_nodes t local_nodes = { t with local_nodes }
 
 (* One node's emitter.  The history and the span store are fixed when the
-   node is built; tracing is switched at run time, so it is asked per
+   node is built; trace lines belong to the runtime, which is asked per
    event. *)
 type stream = {
   s_history : History.t option;

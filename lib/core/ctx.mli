@@ -1,9 +1,10 @@
 (** Shared construction context for protocol nodes.
 
     Bundles the cross-cutting optional dependencies — history recorder,
-    observability handle, co-located storage nodes — that [Coordinator.create],
-    [Storage_node.create] and [Cluster.create] all need, so they are threaded
-    as one value instead of parallel optional-argument tails.  Build one at
+    observability handle, trace-line sink, co-located storage nodes — that
+    [Coordinator.create], [Storage_node.create] and [Cluster.create] all
+    need, so they are threaded as one value instead of parallel
+    optional-argument tails.  Build one at
     the edge with {!make} and pass it everywhere; omitting [?ctx] on any
     constructor is equivalent to passing {!default}[ ()]. *)
 
@@ -11,15 +12,24 @@ type t = {
   history : History.t option;
       (** passive execution recorder for the chaos checker, if any *)
   obs : Mdcc_obs.Obs.t;  (** metrics registry + span collector *)
+  trace : (string -> unit) option;
+      (** trace-line sink, if any.  Lines are rendered by the runtime, so
+          the sink takes effect where the runtime is built from it:
+          {!Cluster.create} hands it to {!Runtime.of_network}. *)
   local_nodes : int list;
       (** storage nodes co-located with a coordinator (one per partition);
           only coordinators consume this — other nodes ignore it *)
 }
 
 val make :
-  ?history:History.t -> ?obs:Mdcc_obs.Obs.t -> ?local_nodes:int list -> unit -> t
-(** [obs] defaults to {!Mdcc_obs.Obs.ambient}[ ()]; [history] to none;
-    [local_nodes] to the empty list. *)
+  ?history:History.t ->
+  ?obs:Mdcc_obs.Obs.t ->
+  ?trace:(string -> unit) ->
+  ?local_nodes:int list ->
+  unit ->
+  t
+(** [obs] defaults to {!Mdcc_obs.Obs.ambient}[ ()]; [history] and [trace]
+    to none; [local_nodes] to the empty list. *)
 
 val default : unit -> t
 (** [default () = make ()] — ambient observability, no recorder. *)

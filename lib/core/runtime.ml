@@ -1,7 +1,6 @@
 module Net = Mdcc_sim.Network
 module Engine = Mdcc_sim.Engine
 module Topology = Mdcc_sim.Topology
-module Trace = Mdcc_sim.Trace
 module Rng = Mdcc_util.Rng
 
 type timer = unit -> unit
@@ -76,10 +75,17 @@ let trace t ~tag fmt =
   if t.r_tracing () then Printf.ksprintf (fun msg -> t.r_trace ~tag msg) fmt
   else Printf.ikfprintf ignore () fmt
 
-let of_network net =
+let of_network ?trace net =
   let engine = Net.engine net in
   let topo = Net.topology net in
-  let th = Trace.handle () in
+  let r_trace, tracing =
+    match trace with
+    | Some sink ->
+      ( (fun ~tag msg ->
+          sink (Printf.sprintf "[%10.2f] %-12s %s" (Engine.now engine) tag msg)),
+        true )
+    | None -> ((fun ~tag:_ _ -> ()), false)
+  in
   {
     r_now = (fun () -> Engine.now engine);
     r_now_into = (fun c -> Engine.now_into engine c);
@@ -93,6 +99,6 @@ let of_network net =
     r_spawn = (fun f -> ignore (Engine.schedule engine ~after:0.0 f));
     r_rng = Engine.rng engine;
     r_dc_of = (fun node -> Topology.dc_of topo node);
-    r_trace = (fun ~tag msg -> Trace.record_at th ~at:(Engine.now engine) ~tag msg);
-    r_tracing = (fun () -> Trace.active th);
+    r_trace;
+    r_tracing = (fun () -> tracing);
   }

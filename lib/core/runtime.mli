@@ -110,8 +110,11 @@ val trace : t -> tag:string -> ('a, unit, string, unit) format4 -> 'a
     consumed without formatting ({!Printf.ikfprintf}), so a disabled
     trace point allocates nothing. *)
 
-val of_network : Mdcc_sim.Network.t -> t
+val of_network : ?trace:(string -> unit) -> Mdcc_sim.Network.t -> t
 (** The simulator runtime: timers are engine events, [send] is simulated
     wide-area delivery with latency, jitter, drops and failures, [now] is
     virtual time, [spawn] is a zero-delay event and {!every} is
-    {!Mdcc_sim.Engine.every}. *)
+    {!Mdcc_sim.Engine.every}.  With [trace], {!tracing} is [true] and every
+    trace line reaches the sink rendered as [[%10.2f] %-12s %s] (engine
+    clock, tag, message); without it, {!tracing} is [false] for the
+    runtime's life. *)

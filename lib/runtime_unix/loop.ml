@@ -1,7 +1,6 @@
 module Runtime = Mdcc_core.Runtime
 module Engine = Mdcc_sim.Engine
 module Net = Mdcc_sim.Network
-module Trace = Mdcc_sim.Trace
 module Prof = Mdcc_obs.Prof
 
 type meter = {
@@ -136,7 +135,6 @@ let runtime t =
   match t.rt with
   | Some rt -> rt
   | None ->
-    let th = Trace.handle () in
     let rt =
       Runtime.make
         ~now:(fun () -> clock t)
@@ -148,8 +146,8 @@ let runtime t =
         ~spawn:(fun f -> ignore (Engine.schedule t.engine ~after:0.0 f))
         ~rng:(Engine.rng t.engine)
         ~dc_of:t.dc_of
-        ~trace:(fun ~tag msg -> Trace.record_at th ~at:(clock t) ~tag msg)
-        ~tracing:(fun () -> Trace.active th)
+        ~trace:(fun ~tag:_ _ -> ())
+        ~tracing:(fun () -> false)
         ()
     in
     t.rt <- Some rt;

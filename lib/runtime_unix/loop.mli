@@ -31,7 +31,8 @@ val runtime : t -> Mdcc_core.Runtime.t
     deadline on that clock, cancelled with {!Mdcc_sim.Engine.cancel}; a
     spawn is a zero-delay engine event; a send is a pooled engine message
     with no delay.  All of them run from {!poll}, on the loop's domain,
-    never inside the call that scheduled them. *)
+    never inside the call that scheduled them.  It never traces:
+    [Runtime.tracing] is [false]. *)
 
 val now : t -> float
 (** Milliseconds since {!create} (the runtime's clock). *)

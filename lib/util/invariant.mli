@@ -5,9 +5,9 @@
     {e which node's} invariant died, or in what context.  `mdcc_lint`
     rule R3 forbids the bare forms in [lib/core] and [lib/paxos]; this
     module is the replacement.  [violate] raises {!Violation} carrying the
-    node id and a context tag, and first hands the violation to an
-    optional sink so a chaos run records it in its trace/history before
-    the exception unwinds. *)
+    node id and a context tag.  A chaos run catches it around the engine
+    loop and records it as an [Event.Violation] in its history and trace
+    ([Mdcc_chaos.Runner.run]). *)
 
 type t = { node : int option; context : string; message : string }
 
@@ -16,10 +16,4 @@ exception Violation of t
 val to_string : t -> string
 
 val violate : ?node:int -> context:string -> ('a, unit, string, 'b) format4 -> 'a
-(** Report the violation to the current sink, then raise {!Violation}. *)
-
-val set_sink : (t -> unit) -> unit
-(** Install a hook that observes every violation just before it is
-    raised.  The chaos runner points this at its history recorder. *)
-
-val reset_sink : unit -> unit
+(** Raise {!Violation} with the formatted message. *)

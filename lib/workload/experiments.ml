@@ -577,3 +577,26 @@ let all =
     experiment "batching" "ablation: message batching overhead reduction" ablation_batching;
     experiment "replication" "ablation: replication factor / quorum sizes" ablation_replication;
   ]
+
+let demo ?trace ~on_decided () =
+  let open Mdcc_storage in
+  let module Cluster = Mdcc_core.Cluster in
+  let module Engine = Mdcc_sim.Engine in
+  let engine = Engine.create ~seed:1 in
+  let config = Mdcc_core.Config.make ~mode:Mdcc_core.Config.Full ~replication:5 () in
+  let cluster =
+    Cluster.create ~engine ~spec:Cluster.Spec.default ~ctx:(Mdcc_core.Ctx.make ?trace ())
+      ~config ~schema:Micro.schema ()
+  in
+  let stock n = Value.of_list [ ("stock", Value.Int n) ] in
+  Cluster.load cluster [ (Micro.item_key 0, stock 10); (Micro.item_key 1, stock 10) ];
+  Mdcc_core.Coordinator.submit
+    (Cluster.coordinator cluster ~dc:2 ~rank:0)
+    (Txn.make ~id:"demo"
+       ~updates:
+         [
+           (Micro.item_key 0, Update.Delta [ ("stock", -2) ]);
+           (Micro.item_key 1, Update.Physical { vread = 1; value = stock 7 });
+         ])
+    (fun outcome -> on_decided outcome (Engine.now engine));
+  Engine.run ~until:10_000.0 engine

@@ -83,3 +83,12 @@ type experiment = {
 val all : experiment list
 (** Every experiment above, in the order [experiments_cli run --all]
     runs them. *)
+
+val demo :
+  ?trace:(string -> unit) -> on_decided:(Mdcc_storage.Txn.outcome -> float -> unit) -> unit -> unit
+(** The single transaction of [experiments_cli demo]: a delta on [item/0]
+    and a physical update of [item/1], submitted from DC 2 of the default
+    five-DC cluster (engine seed 1) and run for 10 s of virtual time.
+    [trace] receives every protocol trace line as it happens (the cluster's
+    {!Mdcc_core.Ctx.make}[ ?trace]); [on_decided] gets the outcome and the
+    virtual time, in ms, at which the coordinator decided it. *)

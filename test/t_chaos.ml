@@ -8,6 +8,7 @@ module Event = Mdcc_core.Event
 module Checker = Mdcc_chaos.Checker
 module Nemesis = Mdcc_chaos.Nemesis
 module Runner = Mdcc_chaos.Runner
+module Sweep = Mdcc_chaos.Sweep
 module Baseline = Mdcc_chaos.Baseline
 module Obs = Mdcc_obs.Obs
 module Registry = Mdcc_obs.Registry
@@ -180,6 +181,52 @@ let test_planted_bug_caught () =
   done;
   Alcotest.(check bool) "planted fast-quorum bug caught" true !caught
 
+(* An invariant that fires inside a run ends that run, not the sweep: the
+   report's one violation is [invariant], and the traced re-run's capture
+   ends on the line the violation was emitted as, at the instant it fired. *)
+let test_invariant_violation_reported () =
+  let dies_at_2s =
+    {
+      Nemesis.sc_name = "dies_at_2s";
+      sc_partitions = 1;
+      sc_build =
+        (fun ~rng:_ ~cluster ~horizon:_ ->
+          ignore
+            (Mdcc_sim.Engine.schedule_at (Mdcc_core.Cluster.engine cluster) ~at:2_000.0
+               (fun () -> Mdcc_util.Invariant.violate ~node:2 ~context:"t_chaos" "planted"));
+          []);
+    }
+  in
+  match Sweep.run ~jobs:1 [ Runner.spec ~seed:1 ~scenario:dies_at_2s () ] with
+  | [ r ] ->
+    Alcotest.(check (list string)) "only violation" [ "invariant" ]
+      (List.map (fun v -> v.Checker.invariant) r.Runner.r_violations);
+    Alcotest.(check (option string))
+      "trace ends on the violation"
+      (Some "[   2000.00] invariant    invariant violation at node2 in t_chaos: planted")
+      (List.nth_opt (List.rev r.Runner.r_trace) 0)
+  | rs -> Alcotest.failf "%d reports for one spec" (List.length rs)
+
+(* Knobs a run would trip an invariant on are usage errors: exit 2 before
+   any run starts, as for an unknown scenario. *)
+let test_cli_rejects_bad_knobs () =
+  let exe =
+    if Sys.file_exists "../bin/chaos_cli.exe" then "../bin/chaos_cli.exe"
+    else "_build/default/bin/chaos_cli.exe"
+  in
+  List.iter
+    (fun args ->
+      let code =
+        Sys.command (Filename.quote_command exe args ~stdout:Filename.null ~stderr:Filename.null)
+      in
+      Alcotest.(check int) (String.concat " " args) 2 code)
+    [
+      [ "sweep"; "--seeds"; "1"; "--plant-bug"; "0" ];
+      [ "sweep"; "--seeds"; "1"; "--plant-bug"; "6" ];
+      [ "sweep"; "--seeds"; "1"; "--items"; "0" ];
+      [ "replay"; "--items"; "0" ];
+    ]
+
 (* Anti-entropy regression at a pinned seed: torn_broadcast cuts the
    app->remote-storage links between two DCs in both pairings, so a
    replica reaches the same version as its peers with a different applied
@@ -272,6 +319,8 @@ let suite =
     Alcotest.test_case "sweep JSON determinism" `Quick test_sweep_json_determinism;
     Alcotest.test_case "random nemesis smoke sweep" `Slow test_smoke_sweep;
     Alcotest.test_case "planted bug caught" `Slow test_planted_bug_caught;
+    Alcotest.test_case "invariant violation reported" `Quick test_invariant_violation_reported;
+    Alcotest.test_case "chaos_cli rejects bad knobs" `Quick test_cli_rejects_bad_knobs;
     Alcotest.test_case "torn broadcast repaired (pinned seed)" `Quick test_torn_broadcast_repair;
     Alcotest.test_case "re-proposed queued option (pinned seed)" `Quick
       test_requeued_option_pinned;

@@ -9,7 +9,6 @@ module Cluster = Mdcc_core.Cluster
 module Layout = Cluster.Layout
 module Engine = Mdcc_sim.Engine
 module Topology = Mdcc_sim.Topology
-module Trace = Mdcc_sim.Trace
 module Ballot = Mdcc_paxos.Ballot
 
 let test_config_quorums () =
@@ -154,18 +153,6 @@ let test_messages_size_of_pinned () =
     (fun (name, bytes, payload) -> Alcotest.(check int) name bytes (Messages.size_of payload))
     (size_pins ())
 
-let test_trace_toggle () =
-  let h = Trace.handle () in
-  Trace.disable ();
-  Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
-  Alcotest.(check bool) "handle inactive" false (Trace.active h);
-  (* Recording with tracing off is a no-op. *)
-  Trace.record_at h ~at:0.0 ~tag:"test" "hello 42";
-  Trace.enable ();
-  Alcotest.(check bool) "enabled" true (Trace.enabled ());
-  Alcotest.(check bool) "handle active" true (Trace.active h);
-  Trace.disable ()
-
 let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ]
 
 let make_cluster ~partitions =
@@ -270,7 +257,6 @@ let suite =
     Alcotest.test_case "txn rejects a duplicate key" `Quick test_txn_rejects_duplicate_key;
     Alcotest.test_case "messages size_of pinned per constructor" `Quick
       test_messages_size_of_pinned;
-    Alcotest.test_case "trace toggle" `Quick test_trace_toggle;
     Alcotest.test_case "cluster replica groups" `Quick test_cluster_replica_groups;
     Alcotest.test_case "cluster deterministic mapping" `Quick test_cluster_deterministic_mapping;
     Alcotest.test_case "cluster coordinators" `Quick test_cluster_coordinators;

@@ -7,16 +7,10 @@
    each, and the trace of the single-transaction demo
    ([experiments_cli demo --trace]). *)
 
-open Mdcc_storage
 module Runner = Mdcc_chaos.Runner
 module Nemesis = Mdcc_chaos.Nemesis
 module Obs = Mdcc_obs.Obs
 module Json = Mdcc_obs.Json
-module Engine = Mdcc_sim.Engine
-module Trace = Mdcc_sim.Trace
-module Cluster = Mdcc_core.Cluster
-module Config = Mdcc_core.Config
-module Coordinator = Mdcc_core.Coordinator
 
 let digest s = Digest.to_hex (Digest.string s)
 
@@ -55,49 +49,10 @@ let test_chaos_runs () =
         (digest (Runner.report_to_string ~verbose:true r)))
     pinned_runs
 
-(* The demo transaction of [experiments_cli demo]: a delta and a physical
-   update submitted from DC 2 of the default 5-DC cluster. *)
+(* The trace of [experiments_cli demo --trace]. *)
 let demo_trace () =
-  let schema =
-    Schema.create
-      [
-        {
-          Schema.name = "item";
-          bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
-          master_dc = 0;
-        };
-      ]
-  in
-  let engine = Engine.create ~seed:1 in
-  let config = Config.make ~mode:Config.Full ~replication:5 () in
-  let cluster = Cluster.create ~engine ~spec:Cluster.Spec.default ~config ~schema () in
-  let key i = Key.make ~table:"item" ~id:(string_of_int i) in
-  Cluster.load cluster
-    [
-      (key 0, Value.of_list [ ("stock", Value.Int 10) ]);
-      (key 1, Value.of_list [ ("stock", Value.Int 10) ]);
-    ];
   let buf = ref [] in
-  let was = Trace.enabled () in
-  Trace.set_sink (fun l -> buf := l :: !buf);
-  Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.reset_sink ();
-      if not was then Trace.disable ())
-    (fun () ->
-      Coordinator.submit
-        (Cluster.coordinator cluster ~dc:2 ~rank:0)
-        (Txn.make ~id:"demo"
-           ~updates:
-             [
-               (key 0, Update.Delta [ ("stock", -2) ]);
-               ( key 1,
-                 Update.Physical { vread = 1; value = Value.of_list [ ("stock", Value.Int 7) ] }
-               );
-             ])
-        ignore;
-      Engine.run ~until:10_000.0 engine);
+  Mdcc_workload.Experiments.demo ~trace:(fun l -> buf := l :: !buf) ~on_decided:(fun _ _ -> ()) ();
   List.rev !buf
 
 let test_demo_trace () =

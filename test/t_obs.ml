@@ -1,5 +1,5 @@
 (* The observability subsystem: JSON tree render/parse, the metrics
-   registry, per-transaction spans, the structured trace sinks, and the
+   registry, per-transaction spans, the context's trace-line sink, and the
    end-to-end acceptance contract — a chaos run over the fast-commutative
    workload exercises the fast path and collision resolution, every
    committed transaction has a sim-time-ordered span tree, and two
@@ -11,7 +11,6 @@ module Span = Mdcc_obs.Span
 module Obs = Mdcc_obs.Obs
 module Prof = Mdcc_obs.Prof
 module Prometheus = Mdcc_obs.Prometheus
-module Trace = Mdcc_sim.Trace
 module Engine = Mdcc_sim.Engine
 module Runner = Mdcc_chaos.Runner
 module Nemesis = Mdcc_chaos.Nemesis
@@ -480,15 +479,45 @@ let test_span_json_groups_keys () =
 (* Trace sinks                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A trace sink is a [Ctx] value: a context holding nothing but a sink is
+   live, and through [Cluster.create] its lines carry the engine clock. *)
 let test_trace_line_sink () =
+  let module Ctx = Mdcc_core.Ctx in
+  let module Cluster = Mdcc_core.Cluster in
   let lines = ref [] in
-  let was = Trace.enabled () in
-  Trace.set_sink (fun l -> lines := l :: !lines);
-  Trace.enable ();
-  Trace.record_at (Trace.handle ()) ~at:1.5 ~tag:"t_obs" "hello 42";
-  Trace.reset_sink ();
-  if not was then Trace.disable ();
-  Alcotest.(check (list string)) "one rendered line" [ "[      1.50] t_obs        hello 42" ] !lines
+  let engine = Engine.create ~seed:1 in
+  let cluster =
+    Cluster.create ~engine ~spec:Cluster.Spec.default
+      ~ctx:(Ctx.make ~obs:(Obs.create ()) ~trace:(fun l -> lines := l :: !lines) ())
+      ~config:(Mdcc_core.Config.make ~replication:5 ())
+      ~schema:(Mdcc_storage.Schema.create []) ()
+  in
+  let s = Cluster.stream cluster in
+  Alcotest.(check bool) "a trace sink alone is live" true (Ctx.live s);
+  let v = { Mdcc_util.Invariant.node = Some 3; context = "t_obs"; message = "hello 42" } in
+  ignore (Engine.schedule_at engine ~at:1.5 (fun () -> Ctx.emit s (Mdcc_core.Event.Violation v)));
+  Engine.run ~until:10.0 engine;
+  Alcotest.(check (list string))
+    "one line at the engine clock"
+    [ "[      1.50] invariant    invariant violation at node3 in t_obs: hello 42" ]
+    !lines
+
+(* Without a sink nothing traces: the runtime says so, and a cluster
+   whose context has no consumer at all has a stream that is not live. *)
+let test_untraced_runtime () =
+  let module Cluster = Mdcc_core.Cluster in
+  let engine = Engine.create ~seed:1 in
+  let _, net = Cluster.scaffold ~engine ~spec:Cluster.Spec.default in
+  Alcotest.(check bool) "of_network without a sink" false
+    (Mdcc_core.Runtime.tracing (Mdcc_core.Runtime.of_network net));
+  let cluster =
+    Cluster.create ~engine:(Engine.create ~seed:1) ~spec:Cluster.Spec.default
+      ~ctx:(Mdcc_core.Ctx.make ~obs:(Obs.create ()) ())
+      ~config:(Mdcc_core.Config.make ~replication:5 ())
+      ~schema:(Mdcc_storage.Schema.create []) ()
+  in
+  Alcotest.(check bool) "cluster stream not live" false
+    (Mdcc_core.Ctx.live (Cluster.stream cluster))
 
 (* The event stream feeds the history and the span store while line
    tracing is off — collectors must not force verbose logging on — and a
@@ -662,6 +691,7 @@ let suite =
     Alcotest.test_case "span json key groups" `Quick test_span_json_groups_keys;
     Alcotest.test_case "span strings match old renderers" `Quick test_span_strings_match_renderers;
     Alcotest.test_case "trace line sink" `Quick test_trace_line_sink;
+    Alcotest.test_case "runtime without a sink does not trace" `Quick test_untraced_runtime;
     Alcotest.test_case "event stream without tracing" `Quick test_event_stream_without_tracing;
     Alcotest.test_case "chaos run counters" `Quick test_chaos_counters;
     Alcotest.test_case "chaos span ordering" `Quick test_chaos_span_ordering;

@@ -158,27 +158,15 @@ let test_table_render () =
   Alcotest.(check int) "4 lines + trailing" 5 (List.length lines)
 
 let test_invariant_violate () =
-  let seen = ref [] in
-  Mdcc_util.Invariant.set_sink (fun v -> seen := v :: !seen);
-  let raised =
-    try
-      Mdcc_util.Invariant.violate ~node:3 ~context:"T_util.test" "bad value %d" 42
-    with Mdcc_util.Invariant.Violation v ->
-      Alcotest.(check string) "context" "T_util.test" v.Mdcc_util.Invariant.context;
-      Alcotest.(check (option int)) "node" (Some 3) v.Mdcc_util.Invariant.node;
-      Alcotest.(check string) "message" "bad value 42" v.Mdcc_util.Invariant.message;
-      true
-  in
-  Mdcc_util.Invariant.reset_sink ();
-  Alcotest.(check bool) "violation raised" true raised;
-  Alcotest.(check int) "sink observed it" 1 (List.length !seen);
-  Alcotest.(check bool) "to_string names the node and context" true
-    (match !seen with
-    | [ v ] ->
-      let s = Mdcc_util.Invariant.to_string v in
-      Alcotest.(check string) "printable" s s;
-      String.length s > 0
-    | _ -> false)
+  match Mdcc_util.Invariant.violate ~node:3 ~context:"T_util.test" "bad value %d" 42 with
+  | () -> Alcotest.fail "violation not raised"
+  | exception Mdcc_util.Invariant.Violation v ->
+    Alcotest.(check string) "context" "T_util.test" v.Mdcc_util.Invariant.context;
+    Alcotest.(check (option int)) "node" (Some 3) v.Mdcc_util.Invariant.node;
+    Alcotest.(check string) "message" "bad value 42" v.Mdcc_util.Invariant.message;
+    Alcotest.(check string) "to_string names the node and context"
+      "invariant violation at node3 in T_util.test: bad value 42"
+      (Mdcc_util.Invariant.to_string v)
 
 (* Property: percentile is monotone in p. *)
 let prop_percentile_monotone =
