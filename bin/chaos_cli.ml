@@ -42,8 +42,18 @@ let check_plant_bug = function
   | Some q when q < 1 || q > 5 -> usage_error "--plant-bug must be in [1, 5] (got %d)" q
   | Some _ | None -> ()
 
-let write_json path doc =
-  let oc = open_out path in
+let check_jobs jobs = if jobs < 1 then usage_error "--jobs must be at least 1 (got %d)" jobs
+
+let check_chunk = function
+  | Some c when c < 1 -> usage_error "--chunk must be at least 1 (got %d)" c
+  | Some _ | None -> ()
+
+(* Output files are opened before any run, so an unwritable path fails
+   fast instead of after the whole sweep. *)
+let open_output flag path =
+  try open_out path with Sys_error msg -> usage_error "%s: cannot write (%s)" flag msg
+
+let write_json oc doc =
   output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc
@@ -63,12 +73,16 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
     ~obs_out ~jobs ~chunk ~profile =
   check_items items;
   check_plant_bug plant_bug;
+  check_jobs jobs;
+  check_chunk chunk;
   let scenarios =
     match scenario with
     | None -> Nemesis.matrix
     | Some names -> List.map resolve_scenario (String.split_on_char ',' names)
   in
   let workload = resolve_workload workload in
+  let obs_out = Option.map (open_output "--obs-out") obs_out in
+  let profile = Option.map (open_output "--profile") profile in
   (* Scenario-major, seed-minor spec order; the pool merges reports back
      in that order, so output is byte-identical to a --jobs 1 sweep. *)
   let specs =
@@ -78,9 +92,9 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   let all =
     match profile with
     | None -> Sweep.run ~jobs ?chunk specs
-    | Some path ->
+    | Some oc ->
       let reports, snapshot = Sweep.run_profiled ~jobs ?chunk specs in
-      write_json path (profile_doc ~jobs snapshot);
+      write_json oc (profile_doc ~jobs snapshot);
       reports
   in
   let total = List.length all in
@@ -90,7 +104,7 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
       else print_endline (Runner.report_to_string ~verbose:(not (Runner.ok r)) r))
     all;
   (* The sweep's full observability export, one JSON document. *)
-  Option.iter (fun path -> write_json path (Sweep.obs_doc all)) obs_out;
+  Option.iter (fun oc -> write_json oc (Sweep.obs_doc all)) obs_out;
   let bad = List.filter (fun r -> not (Runner.ok r)) all in
   if not json then begin
     Printf.printf "\n%d runs (%d seeds x %d scenarios): %d with violations\n" total seeds
@@ -237,6 +251,7 @@ let replay_cmd =
 
 let baselines ~seeds ~protocol ~txns ~items ~jobs =
   check_items items;
+  check_jobs jobs;
   let protos =
     match protocol with
     | None -> Baseline.protocols

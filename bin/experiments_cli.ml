@@ -11,6 +11,22 @@ module Obs = Mdcc_obs.Obs
 module Json = Mdcc_obs.Json
 module Pool = Mdcc_util.Pool
 
+(* Bad knobs are usage errors: a message on stderr and exit 2, before any
+   run starts. *)
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+(* Output files are opened before the run, so an unwritable path fails
+   fast instead of after the whole run. *)
+let open_output flag path =
+  match open_out path with
+  | oc -> (path, oc)
+  | exception Sys_error msg -> usage_error "%s: cannot write (%s)" flag msg
+
+let write_json oc doc =
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc
+
 open Cmdliner
 
 let quick_flag =
@@ -31,8 +47,8 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
-          "Write the run's aggregate protocol metrics (the ambient registry snapshot) to \
-           $(docv) as JSON.")
+          "Write the run's aggregate protocol metrics (the snapshot of the one registry \
+           every experiment of the run reports to) to $(docv) as JSON.")
 
 let jobs_arg =
   Arg.(
@@ -66,36 +82,31 @@ let run_cmd =
   in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Run every experiment.") in
   let run quick all ids metrics_out jobs profile =
-    (* A fresh baseline, so the exported snapshot covers exactly this run. *)
-    if metrics_out <> None then Obs.reset_ambient ();
+    if jobs < 1 then usage_error "--jobs must be at least 1 (got %d)" jobs;
+    let metrics_out = Option.map (open_output "--metrics-out") metrics_out in
+    let profile = Option.map (open_output "--profile") profile in
+    (* The export handle: every experiment of this run reports into it. *)
+    let obs = Obs.create () in
     let body () =
       Pool.with_pool ~jobs (fun pool ->
           let ids = if all || ids = [] then Experiments.all else ids in
-          List.iter (fun (e : Experiments.experiment) -> e.run ~quick ~pool ()) ids)
+          List.iter (fun (e : Experiments.experiment) -> e.run ~quick ~pool ~obs ()) ids)
     in
     (match profile with
     | None -> body ()
-    | Some path ->
+    | Some (path, oc) ->
       let (), snapshot = Mdcc_obs.Prof.with_task body in
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.Str "mdcc.profile.v1");
-            ("jobs", Json.Int jobs);
-            ("profile", Mdcc_obs.Prof.snapshot_to_json snapshot);
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
+      write_json oc
+        (Json.Obj
+           [
+             ("schema", Json.Str "mdcc.profile.v1");
+             ("jobs", Json.Int jobs);
+             ("profile", Mdcc_obs.Prof.snapshot_to_json snapshot);
+           ]);
       Printf.printf "profile written to %s\n" path);
     Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Json.to_string (Obs.metrics_json (Obs.ambient ())));
-        output_char oc '\n';
-        close_out oc;
+      (fun (path, oc) ->
+        write_json oc (Obs.metrics_json obs);
         Printf.printf "metrics written to %s\n" path)
       metrics_out
   in

@@ -179,7 +179,7 @@ let run s =
   in
   let history = History.create () in
   (* Fresh per-run handle (spans on): two same-seed runs must render
-     byte-identical metrics and span JSON, so no shared ambient state. *)
+     byte-identical metrics and span JSON, so no registry is shared. *)
   let obs = Obs.create ~spans:true () in
   (* Trace capture (the violating-seed replay path). *)
   let trace_buf = ref [] in

@@ -6,9 +6,9 @@
     rendering — per-run report lines, the [--obs-out] document — is
     byte-identical to a sequential [--jobs 1] sweep.  Each run is
     single-threaded on its domain; the ambient state a run touches (the
-    network trace context, the ambient obs, the profiler) is domain-local,
-    and its trace sink and history are its own [Ctx] values, so runs
-    cannot cross-contaminate.  An invariant that fires inside a run is
+    network trace context, the profiler) is domain-local, and its trace
+    sink, history and obs handle are its own [Ctx] values, so runs cannot
+    cross-contaminate.  An invariant that fires inside a run is
     that run's [invariant] violation ({!Runner.run}), not the sweep's
     end. *)
 

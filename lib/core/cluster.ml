@@ -123,7 +123,7 @@ type t = {
   stream : Ctx.stream;  (* events from outside any node: faults, violations *)
 }
 
-let create ~engine ~spec ?(ctx = Ctx.default ()) ~config ~schema () =
+let create ~engine ~spec ?(ctx = Ctx.make ()) ~config ~schema () =
   let obs = ctx.Ctx.obs in
   let layout, net = scaffold ~engine ~spec in
   let dcs = Layout.num_dcs layout and app_per_dc = Layout.app_servers_per_dc layout in

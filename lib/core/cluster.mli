@@ -126,7 +126,8 @@ val create :
   t
 (** Builds the deployment [spec] describes on {!scaffold}.
     [config.replication] must equal the number of data centers.  [ctx]
-    (default {!Ctx.default}) is threaded into every coordinator and storage
+    (default {!Ctx.make}[ ()], so a cluster built without one owns a
+    private registry, {!obs}) is threaded into every coordinator and storage
     node: when its [history] is set they all record into it (chaos testing;
     see {!Mdcc_chaos.Runner}), its [trace] sink receives their trace lines
     (the cluster's one runtime is {!Runtime.of_network}[ ?trace]), and its

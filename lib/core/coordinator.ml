@@ -570,7 +570,7 @@ let rec handle t ~src payload =
   | Messages.Read_request _ | Messages.Scan_request _ -> ()
   | _ -> ()
 
-let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.default ())
+let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.make ())
     () =
   let obs = ctx.Ctx.obs
   and local_nodes = ctx.Ctx.local_nodes in

@@ -49,7 +49,7 @@ val create :
     the simulator and the real socket runtime.  [snapshot], when the
     deployment co-locates storage with the app-server, enables the
     [`Snapshot] read fast path (without it, [`Snapshot] degrades to
-    [`Local]).  [ctx] (default {!Ctx.default}) bundles the cross-cutting
+    [`Local]).  [ctx] (default {!Ctx.make}[ ()]) bundles the cross-cutting
     dependencies: [ctx.local_nodes] are the storage nodes of this
     app-server's data center (needed only for local {!scan}s); [ctx.obs]
     receives the protocol-path counters ({!obs}); every protocol step —

@@ -17,11 +17,8 @@ type t = {
          only coordinators consume this — other nodes ignore it *)
 }
 
-let make ?history ?obs ?trace ?(local_nodes = []) () =
-  let obs = match obs with Some o -> o | None -> Mdcc_obs.Obs.ambient () in
+let make ?history ?(obs = Mdcc_obs.Obs.create ()) ?trace ?(local_nodes = []) () =
   { history; obs; trace; local_nodes }
-
-let default () = make ()
 
 let with_local_nodes t local_nodes = { t with local_nodes }
 

@@ -6,7 +6,7 @@
     need, so they are threaded as one value instead of parallel
     optional-argument tails.  Build one at
     the edge with {!make} and pass it everywhere; omitting [?ctx] on any
-    constructor is equivalent to passing {!default}[ ()]. *)
+    constructor is equivalent to passing {!make}[ ()]. *)
 
 type t = {
   history : History.t option;
@@ -28,11 +28,9 @@ val make :
   ?local_nodes:int list ->
   unit ->
   t
-(** [obs] defaults to {!Mdcc_obs.Obs.ambient}[ ()]; [history] and [trace]
-    to none; [local_nodes] to the empty list. *)
-
-val default : unit -> t
-(** [default () = make ()] — ambient observability, no recorder. *)
+(** [obs] defaults to a fresh private {!Mdcc_obs.Obs.create}[ ()], so a
+    context built without one shares its registry with nothing; [history]
+    and [trace] to none; [local_nodes] to the empty list. *)
 
 val with_local_nodes : t -> int list -> t
 (** A copy of [t] scoped to one coordinator's co-located storage nodes. *)

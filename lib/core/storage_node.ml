@@ -1210,7 +1210,7 @@ let rec handle t ~src payload =
   | Messages.Scan_reply _ -> ()
   | _ -> ()
 
-let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.default ()) () =
+let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.make ()) () =
   let obs = ctx.Ctx.obs and scan_now = { Mdcc_sim.Engine.time = 0.0 } in
   let t =
     {

@@ -44,8 +44,8 @@ val create :
     tell ({!Runtime}).
     [replicas key] must list the full replica group of [key] (including this
     node when it replicates [key]); [master_of key] is the node currently
-    responsible for classic ballots on [key].  [ctx] (default {!Ctx.default})
-    bundles the cross-cutting dependencies: its [obs] receives
+    responsible for classic ballots on [key].  [ctx] (default
+    {!Ctx.make}[ ()]) bundles the cross-cutting dependencies: its [obs] receives
     acceptor/master counters — option verdicts with reject reasons, Phase 1
     rounds, recoveries, anti-entropy repairs and divergence; every protocol
     step — vote, visibility, repair, classic learn, recovery, divergence —

@@ -53,15 +53,3 @@ let spans_json t =
   match t.spans with Some sp -> Span.to_json sp | None -> Json.List []
 
 let merge ~into src = Registry.merge ~into:into.registry src.registry
-
-(* One ambient handle per domain: a worker domain gets a fresh, empty
-   default instead of scribbling into the main domain's registry.  Code
-   that wants cross-domain aggregation runs with an explicit fresh handle
-   per task and [merge]s the results in task order. *)
-let ambient_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
-let ambient () = Domain.DLS.get ambient_key
-
-let reset_ambient () =
-  let h = ambient () in
-  Registry.clear h.registry;
-  match h.spans with Some sp -> Span.clear sp | None -> ()

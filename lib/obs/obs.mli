@@ -1,9 +1,11 @@
 (** The observability handle threaded through the protocol: a metrics
     {!Registry.t} plus an optional per-transaction {!Span.t} store.  Every
-    protocol component takes [?obs] (defaulting to the domain-local
-    {!ambient} handle, whose span store is disabled so long-running drivers
-    don't accumulate unbounded state); the chaos runner creates a fresh
-    handle per run with spans enabled. *)
+    handle has an owner: protocol components read theirs from their
+    [Ctx.t] (a context built without one gets a fresh private handle), and
+    a driver that exports metrics creates the handle it exports and passes
+    it down.  There is no shared default, so two deployments never count
+    into one registry unless they are given the same handle.  The chaos
+    runner creates a fresh handle per run with spans enabled. *)
 
 type t
 
@@ -47,14 +49,3 @@ val spans_json : t -> Json.t
 val merge : into:t -> t -> unit
 (** Fold [src]'s registry into [into]'s ({!Registry.merge}).  Span stores
     are not merged — aggregate runs keep spans per-handle. *)
-
-val ambient : unit -> t
-(** The {e domain-local} default handle (spans disabled).  Drivers that
-    export metrics — [experiments_cli --metrics-out], [bench] — snapshot
-    this.  Each domain sees its own handle: parallel tasks that should feed
-    one export run against explicit fresh handles and {!merge} them in task
-    order on the calling domain. *)
-
-val reset_ambient : unit -> unit
-(** Clear the calling domain's ambient registry (fresh baseline before a
-    driver run). *)

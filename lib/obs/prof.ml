@@ -105,8 +105,8 @@ let add_in t name by =
 
 let count_in t ?(by = 1) name = add_in t name by
 
-(* One ambient handle per domain, like [Obs.ambient]: a worker domain
-   starts from a fresh disabled handle, never the spawner's. *)
+(* One ambient handle per domain: a worker domain starts from a fresh
+   disabled handle, never the spawner's. *)
 let ambient_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
 let ambient () = Domain.DLS.get ambient_key
 let span name f = span_in (ambient ()) name f

@@ -4,7 +4,6 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   hists : (string, float list ref) Hashtbl.t;
-  mutable generation : int;  (* bumped by [clear]: resolved handles re-resolve *)
 }
 
 let create () =
@@ -12,7 +11,6 @@ let create () =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 16;
-    generation = 0;
   }
 
 (* Exception-style lookup: [find_opt] allocates a [Some] per call, and
@@ -33,20 +31,20 @@ let incr t ?(by = 1) name =
 (* A counter handle caches the counter's [int ref] so a bump skips the
    string hash and table probe.  It resolves on first use — a handle that
    is never bumped leaves the registry untouched, exactly as an [incr] that
-   never runs — and again after [clear] dropped the table it pointed into. *)
+   never runs. *)
 type counter = {
   c_reg : t;
   c_name : string;
   mutable c_ref : int ref;
-  mutable c_generation : int;
+  mutable c_resolved : bool;
 }
 
-let counter_handle t name = { c_reg = t; c_name = name; c_ref = ref 0; c_generation = -1 }
+let counter_handle t name = { c_reg = t; c_name = name; c_ref = ref 0; c_resolved = false }
 
 let add h by =
-  if h.c_generation <> h.c_reg.generation then begin
+  if not h.c_resolved then begin
     h.c_ref <- cell h.c_reg.counters h.c_name;
-    h.c_generation <- h.c_reg.generation
+    h.c_resolved <- true
   end;
   h.c_ref := !(h.c_ref) + by
 
@@ -113,12 +111,6 @@ let merge ~into src =
       ensure_hist into name;
       List.iter (fun sample -> observe into name sample) (List.rev !r))
     (sorted src.hists)
-
-let clear t =
-  t.generation <- t.generation + 1;
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.hists
 
 let hist_json samples =
   let arr = Array.of_list samples in

@@ -21,7 +21,7 @@ val counter_handle : t -> string -> counter
 
 val add : counter -> int -> unit
 (** [add h n] is [incr t ~by:n name] for [h]'s registry and name.  Allocates
-    nothing once the counter exists, including across {!clear}. *)
+    nothing once the counter exists. *)
 
 val set_gauge : t -> string -> int -> unit
 
@@ -58,8 +58,6 @@ val merge : into:t -> t -> unit
     even when [src] recorded no samples.  Iteration is in sorted name
     order, so merging the same sources in the same order is
     deterministic.  [src] is unchanged. *)
-
-val clear : t -> unit
 
 val to_json : t -> Json.t
 (** [{"counters":{..},"gauges":{..},"histograms":{name:{"count":..,"mean":..,

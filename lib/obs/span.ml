@@ -41,8 +41,6 @@ let events t ~txid =
 
 let txids t = Table.sorted_keys ~compare:String.compare t.spans
 
-let clear t = Hashtbl.reset t.spans
-
 let event_json ev =
   Json.Obj
     [

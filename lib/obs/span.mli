@@ -44,8 +44,6 @@ val events : t -> txid:string -> event list
 val txids : t -> string list
 (** All txids with a span, sorted. *)
 
-val clear : t -> unit
-
 val to_json : t -> Json.t
 (** All span trees as a list, txids sorted.  Each tree is
     [{"txid":..,"begin":..,"events":[..],"keys":[{"key":..,"events":[..]}]}]:

@@ -9,11 +9,11 @@
 
     Each seeded simulation is an independent single-threaded run; domain
     safety only requires that runs not share ambient state.  All ambient
-    state in this repo (the [Network] trace context, the [Obs] ambient
-    handle, the [Prof] profiler and its clock) lives in [Domain.DLS], so a
-    fresh worker domain starts from the same defaults a fresh process
-    would.  Lint rule R4 keeps it that way.  A run's trace-line sink and
-    history are not ambient: they are values in its [Ctx]. *)
+    state in this repo (the [Network] trace context, the [Prof] profiler
+    and its clock) lives in [Domain.DLS], so a fresh worker domain starts
+    from the same defaults a fresh process would.  Lint rule R4 keeps it
+    that way.  A run's trace-line sink, history and observability handle
+    are not ambient: they are values in its [Ctx]. *)
 
 type t
 

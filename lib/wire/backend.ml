@@ -35,31 +35,27 @@ let reason_of = function
   | Txn.Node_unreachable -> "replicas unreachable"
   | Txn.Recovered_abort -> "recovered as aborted"
 
-let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ?partition_of ?obs
+let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ~partition_of ~obs
     ~next_txid session =
   let key_of id = Key.make ~table ~id in
-  (* Per-partition request accounting, when the deployment is partitioned:
-     [partition_of] is the server's key hash — the same routing the
-     coordinator applies — so [stats detail] shows where the keyspace load
-     actually lands ([wire.partition.p00.reads], [.writes], ...).  Each
-     name is rendered the first time its partition is hit, not per
-     request. *)
+  (* Per-partition request accounting: [partition_of] is the server's key
+     hash — the same routing the coordinator applies — so [stats detail]
+     shows where the keyspace load actually lands
+     ([wire.partition.p00.reads], [.writes], ...).  Each name is rendered
+     the first time its partition is hit, not per request. *)
   let tally verb =
-    match (partition_of, obs) with
-    | Some pf, Some o ->
-      let names = Hashtbl.create 8 in
-      fun id ->
-        let p = pf id in
-        let name =
-          match Hashtbl.find names p with
-          | name -> name
-          | exception Stdlib.Not_found ->
-            let name = Printf.sprintf "wire.partition.p%02d.%s" p verb in
-            Hashtbl.replace names p name;
-            name
-        in
-        Obs.incr o name
-    | _, _ -> ignore
+    let names = Hashtbl.create 8 in
+    fun id ->
+      let p = partition_of id in
+      let name =
+        match Hashtbl.find names p with
+        | name -> name
+        | exception Stdlib.Not_found ->
+          let name = Printf.sprintf "wire.partition.p%02d.%s" p verb in
+          Hashtbl.replace names p name;
+          name
+      in
+      Obs.incr obs name
   in
   let tally_read = tally "reads" and tally_write = tally "writes" in
   (* Each request builds its [Key.t] once, for its reads and its

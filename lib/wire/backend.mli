@@ -41,15 +41,15 @@ val of_session :
   ?table:string ->
   ?retries:int ->
   ?stats:(unit -> (string * string) list) ->
-  ?partition_of:(string -> int) ->
-  ?obs:Mdcc_obs.Obs.t ->
+  partition_of:(string -> int) ->
+  obs:Mdcc_obs.Obs.t ->
   next_txid:(unit -> Mdcc_storage.Txn.id) ->
   Mdcc_core.Session.t ->
   t
 (** [table] (default ["kv"]) must be declared in the cluster's schema;
     [retries] (default 8) bounds conflict retries of the single-key verbs;
-    [next_txid] must yield server-unique transaction ids.  When both
-    [partition_of] (the server's key-to-partition hash — the same routing
-    the coordinator applies) and [obs] are given, every verb is also
-    tallied per partition ([wire.partition.pNN.reads] / [.writes]), which
-    [stats detail] then exposes. *)
+    [next_txid] must yield server-unique transaction ids.  Every verb is
+    tallied into [obs] per partition ([wire.partition.pNN.reads] /
+    [.writes]), by [partition_of] — the server's key-to-partition hash,
+    the same routing the coordinator applies — which [stats detail] then
+    exposes. *)

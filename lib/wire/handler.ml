@@ -15,13 +15,13 @@ type t = {
   mutable seen_resyncs : int;  (* parser resyncs already counted *)
 }
 
-let create ~backend ~write ~close ?obs () =
+let create ~backend ~write ~close ~obs () =
   {
     parser = Parser.create ();
     backend;
     write;
     close;
-    obs = (match obs with Some o -> o | None -> Obs.ambient ());
+    obs;
     out = Buffer.create 256;
     busy = false;
     txn = None;

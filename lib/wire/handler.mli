@@ -18,12 +18,12 @@ val create :
   backend:Backend.t ->
   write:(string -> unit) ->
   close:(unit -> unit) ->
-  ?obs:Mdcc_obs.Obs.t ->
+  obs:Mdcc_obs.Obs.t ->
   unit ->
   t
 (** [write] receives ready response bytes; [close] is called after [quit]
     (and after the farewell bytes were handed to [write]).  [obs]
-    (default: the domain's ambient handle) receives the live wire
+    receives the live wire
     counters — per-verb requests ([wire.cmd.*]), get/cas/delete
     hits+misses, [wire.bytes_read]/[wire.bytes_written],
     [wire.parser_errors]/[wire.parser_resyncs], commit outcomes — and is

@@ -64,12 +64,11 @@ let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
 (* Run [f ~obs] once per list element, each against a fresh obs handle,
    across the pool (sequential when [pool] is absent).  Afterwards every
-   handle is folded into the calling domain's ambient obs {e in task
-   order}, so the ambient metrics export ([--metrics-out],
-   [bench_metrics.json]) is identical whether the tasks ran on one domain
-   or eight.  Tasks must not print; drivers print from the merged results
+   handle is folded into [into] {e in task order}, so the metrics export
+   ([--metrics-out]) is identical whether the tasks ran on one domain or
+   eight.  Tasks must not print; drivers print from the merged results
    after the batch. *)
-let par_map ?pool xs ~f =
+let par_map ?pool ~into xs ~f =
   let tasks = List.map (fun x -> (x, Obs.create ())) xs in
   let run (x, obs) = f ~obs x in
   let results =
@@ -77,8 +76,7 @@ let par_map ?pool xs ~f =
     | Some pool -> Pool.map_list pool tasks ~f:run
     | None -> List.map run tasks
   in
-  let ambient = Obs.ambient () in
-  List.iter (fun (_, obs) -> Obs.merge ~into:ambient obs) tasks;
+  List.iter (fun (_, obs) -> Obs.merge ~into obs) tasks;
   results
 
 let row_of_metrics proto metrics =
@@ -164,11 +162,11 @@ let tpcw_all_in_dc = function
   | Setup.Megastore -> Some Topology.us_west
   | Setup.Mdcc | Setup.Fast | Setup.Multi | Setup.Qw _ | Setup.Two_pc -> None
 
-let fig3 ?(quick = false) ?pool () =
+let fig3 ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   progress "[fig3] running %d protocols..." (List.length fig3_protocols);
   let rows =
-    par_map ?pool fig3_protocols ~f:(fun ~obs protocol ->
+    par_map ?pool ~into:obs fig3_protocols ~f:(fun ~obs protocol ->
         let metrics = run_tpcw protocol scale ~all_in_dc:(tpcw_all_in_dc protocol) ~obs in
         row_of_metrics (Setup.name protocol) metrics)
   in
@@ -180,7 +178,7 @@ let fig3 ?(quick = false) ?pool () =
 (* Figure 4: TPC-W throughput scale-out                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fig4 ?(quick = false) ?pool () =
+let fig4 ?(quick = false) ?pool ~obs () =
   let base = scale_of quick in
   let points =
     if quick then [ (10, 400, 1); (20, 800, 2) ]
@@ -195,7 +193,7 @@ let fig4 ?(quick = false) ?pool () =
   in
   progress "[fig4] running %d protocol/scale points..." (List.length tasks);
   let flat =
-    par_map ?pool tasks ~f:(fun ~obs (protocol, (clients, items, partitions)) ->
+    par_map ?pool ~into:obs tasks ~f:(fun ~obs (protocol, (clients, items, partitions)) ->
         let scale = { base with clients; items; partitions } in
         let metrics = run_tpcw protocol scale ~all_in_dc:(tpcw_all_in_dc protocol) ~obs in
         (clients, Metrics.throughput metrics ~duration:scale.duration))
@@ -243,11 +241,11 @@ let micro_params protocol scale =
     commutative = Setup.commutative protocol;
   }
 
-let fig5 ?(quick = false) ?pool () =
+let fig5 ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   progress "[fig5] running %d protocols..." (List.length fig5_protocols);
   let rows =
-    par_map ?pool fig5_protocols ~f:(fun ~obs protocol ->
+    par_map ?pool ~into:obs fig5_protocols ~f:(fun ~obs protocol ->
         let params = micro_params protocol scale in
         let metrics =
           run_micro protocol scale ~params ~master_dc_of:None ~gamma:100
@@ -265,7 +263,7 @@ let fig5 ?(quick = false) ?pool () =
 
 let fig6_protocols = [ Setup.Two_pc; Setup.Multi; Setup.Fast; Setup.Mdcc ]
 
-let fig6 ?(quick = false) ?pool () =
+let fig6 ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   let hotspots = if quick then [ 0.02; 0.90 ] else [ 0.02; 0.05; 0.10; 0.20; 0.50; 0.90 ] in
   let tasks =
@@ -273,7 +271,7 @@ let fig6 ?(quick = false) ?pool () =
   in
   progress "[fig6] running %d hotspot/protocol points..." (List.length tasks);
   let flat =
-    par_map ?pool tasks ~f:(fun ~obs (hotspot, protocol) ->
+    par_map ?pool ~into:obs tasks ~f:(fun ~obs (hotspot, protocol) ->
         (* Finite stock matters here: with a small hot spot the hot items
            approach the demarcation limit, which is what makes the
            commutative path collide and degrade at 2% in the paper. *)
@@ -312,7 +310,7 @@ let fig6 ?(quick = false) ?pool () =
 
 let fig7_protocols = [ Setup.Multi; Setup.Mdcc ]
 
-let fig7 ?(quick = false) ?pool () =
+let fig7 ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   let localities = if quick then [ 1.0; 0.2 ] else [ 1.0; 0.8; 0.6; 0.4; 0.2 ] in
   let master_dc_of = Some (Micro.master_dc_of ~num_dcs:5) in
@@ -321,7 +319,7 @@ let fig7 ?(quick = false) ?pool () =
   in
   progress "[fig7] running %d locality/protocol points..." (List.length tasks);
   let flat =
-    par_map ?pool tasks ~f:(fun ~obs (locality, protocol) ->
+    par_map ?pool ~into:obs tasks ~f:(fun ~obs (locality, protocol) ->
         let params =
           { (micro_params protocol scale) with Micro.locality = Some locality }
         in
@@ -369,35 +367,28 @@ let fig7 ?(quick = false) ?pool () =
 (* Figure 8: data-center failure                                        *)
 (* ------------------------------------------------------------------ *)
 
-let fig8 ?(quick = false) ?pool () =
+let fig8 ?(quick = false) ?pool:_ ~obs () =
   let scale = scale_of quick in
   (* All clients in US-West; kill US-East (the closest DC) mid-run. *)
   let total = if quick then 30_000.0 else 240_000.0 in
   let fail_at = total /. 2.0 in
   let scale = { scale with warmup = 0.0; duration = total } in
   progress "[fig8] running the outage timeline...";
-  (* One simulation; par_map still threads the fresh-obs-and-merge path so
-     the ambient export matches the other figures' accounting. *)
+  let params = micro_params Setup.Mdcc scale in
+  let rng = Rng.create ((scale.seed * 23) + 5) in
+  let rows = Micro.rows params ~rng in
+  let harness =
+    Setup.make Setup.Mdcc ~seed:scale.seed ~schema:Micro.schema ~partitions:scale.partitions
+      ~obs ~rows ()
+  in
+  let clients_per_dc =
+    Array.init 5 (fun d -> if d = Topology.us_west then scale.clients else 0)
+  in
+  let events =
+    [ (fail_at, fun () -> harness.Mdcc_protocols.Harness.fail_dc Topology.us_east) ]
+  in
   let metrics =
-    match
-      par_map ?pool [ () ] ~f:(fun ~obs () ->
-          let params = micro_params Setup.Mdcc scale in
-          let rng = Rng.create ((scale.seed * 23) + 5) in
-          let rows = Micro.rows params ~rng in
-          let harness =
-            Setup.make Setup.Mdcc ~seed:scale.seed ~schema:Micro.schema
-              ~partitions:scale.partitions ~obs ~rows ()
-          in
-          let clients_per_dc =
-            Array.init 5 (fun d -> if d = Topology.us_west then scale.clients else 0)
-          in
-          let events =
-            [ (fail_at, fun () -> harness.Mdcc_protocols.Harness.fail_dc Topology.us_east) ]
-          in
-          Runner.run ~events harness (Micro.generator params) (spec_of scale ~clients_per_dc))
-    with
-    | [ m ] -> m
-    | _ -> Mdcc_util.Invariant.violate ~context:"Experiments.fig8" "single task returned none"
+    Runner.run ~events harness (Micro.generator params) (spec_of scale ~clients_per_dc)
   in
   let series = Metrics.latency_series metrics in
   let before = List.filter_map (fun (t, l) -> if t < fail_at then Some l else None) series in
@@ -427,12 +418,12 @@ let fig8 ?(quick = false) ?pool () =
 (* Ablation: fast-policy γ                                              *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_gamma ?(quick = false) ?pool () =
+let ablation_gamma ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   let gammas = if quick then [ 0; 100 ] else [ 0; 10; 100; 1000 ] in
   progress "[ablation-gamma] running %d gamma settings..." (List.length gammas);
   let results =
-    par_map ?pool gammas ~f:(fun ~obs gamma ->
+    par_map ?pool ~into:obs gammas ~f:(fun ~obs gamma ->
         let params =
           { (micro_params Setup.Mdcc scale) with
             Micro.hotspot = Some (0.05, 0.9);
@@ -455,19 +446,32 @@ let ablation_gamma ?(quick = false) ?pool () =
        results);
   results
 
+(* One MDCC deployment of the micro workload built by hand rather than
+   through [Setup.make], for the ablations that vary its topology or its
+   config: the cluster (for its network counters) and the run's metrics. *)
+let run_mdcc_micro scale ~params ~spec ~config ~clients_per_dc ~obs =
+  let rng = Rng.create ((scale.seed * 23) + 5) in
+  let rows = Micro.rows params ~rng in
+  let engine = Mdcc_sim.Engine.create ~seed:scale.seed in
+  let cluster =
+    Mdcc_core.Cluster.create ~engine ~spec ~config ~schema:Micro.schema
+      ~ctx:(Mdcc_core.Ctx.make ~obs ()) ()
+  in
+  Mdcc_core.Cluster.load cluster rows;
+  Mdcc_core.Cluster.start_maintenance cluster;
+  let harness = Mdcc_protocols.Harness.of_mdcc cluster ~name:"MDCC" in
+  (cluster, Runner.run harness (Micro.generator params) (spec_of scale ~clients_per_dc))
+
 (* ------------------------------------------------------------------ *)
 (* Ablation: replication factor (quorum sizes)                          *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_replication ?(quick = false) ?pool () =
+let ablation_replication ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   progress "[ablation-replication] running 2 replication factors...";
   let results =
-    par_map ?pool [ 3; 5 ] ~f:(fun ~obs dcs ->
+    par_map ?pool ~into:obs [ 3; 5 ] ~f:(fun ~obs dcs ->
         let params = { (micro_params Setup.Mdcc scale) with Micro.num_dcs = dcs } in
-        let rng = Rng.create ((scale.seed * 23) + 5) in
-        let rows = Micro.rows params ~rng in
-        let engine = Mdcc_sim.Engine.create ~seed:scale.seed in
         let config = Mdcc_core.Config.make ~mode:Mdcc_core.Config.Full ~replication:dcs () in
         (* First [dcs] EC2 regions. *)
         let base = Topology.ec2_five ~nodes_per_dc:scale.partitions () in
@@ -477,17 +481,10 @@ let ablation_replication ?(quick = false) ?pool () =
             ~rtt:(Array.init dcs (fun i -> Array.sub base.Topology.rtt.(i) 0 dcs))
             ~nodes_per_dc:scale.partitions ()
         in
-        let cluster =
-          Mdcc_core.Cluster.create ~engine
+        let _, metrics =
+          run_mdcc_micro scale ~params
             ~spec:(Mdcc_core.Cluster.Spec.make ~topology ~partitions:scale.partitions ())
-            ~config ~schema:Micro.schema ~ctx:(Mdcc_core.Ctx.make ~obs ()) ()
-        in
-        Mdcc_core.Cluster.load cluster rows;
-        Mdcc_core.Cluster.start_maintenance cluster;
-        let harness = Mdcc_protocols.Harness.of_mdcc cluster ~name:"MDCC" in
-        let metrics =
-          Runner.run harness (Micro.generator params)
-            (spec_of scale ~clients_per_dc:(even_spread ~num_dcs:dcs scale.clients))
+            ~config ~clients_per_dc:(even_spread ~num_dcs:dcs scale.clients) ~obs
         in
         let median = match Metrics.summary metrics with Some s -> s.Stats.p50 | None -> 0.0 in
         (dcs, Metrics.commit_count metrics, median))
@@ -513,29 +510,18 @@ let ablation_replication ?(quick = false) ?pool () =
 (* Ablation: message batching                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_batching ?(quick = false) ?pool () =
+let ablation_batching ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   progress "[ablation-batching] running batching on/off...";
   let results =
-    par_map ?pool [ false; true ] ~f:(fun ~obs batching ->
-        let params = micro_params Setup.Mdcc scale in
-        let rng = Rng.create ((scale.seed * 23) + 5) in
-        let rows = Micro.rows params ~rng in
-        let engine = Mdcc_sim.Engine.create ~seed:scale.seed in
+    par_map ?pool ~into:obs [ false; true ] ~f:(fun ~obs batching ->
         let config =
           Mdcc_core.Config.make ~mode:Mdcc_core.Config.Full ~batching ~replication:5 ()
         in
-        let cluster =
-          Mdcc_core.Cluster.create ~engine
+        let cluster, metrics =
+          run_mdcc_micro scale ~params:(micro_params Setup.Mdcc scale)
             ~spec:(Mdcc_core.Cluster.Spec.make ~partitions:scale.partitions ())
-            ~config ~schema:Micro.schema ~ctx:(Mdcc_core.Ctx.make ~obs ()) ()
-        in
-        Mdcc_core.Cluster.load cluster rows;
-        Mdcc_core.Cluster.start_maintenance cluster;
-        let harness = Mdcc_protocols.Harness.of_mdcc cluster ~name:"MDCC" in
-        let metrics =
-          Runner.run harness (Micro.generator params)
-            (spec_of scale ~clients_per_dc:(even_spread ~num_dcs:5 scale.clients))
+            ~config ~clients_per_dc:(even_spread ~num_dcs:5 scale.clients) ~obs
         in
         let sent = (Mdcc_sim.Network.stats (Mdcc_core.Cluster.network cluster)).Mdcc_sim.Network.sent in
         let commits = Metrics.commit_count metrics in
@@ -557,13 +543,12 @@ let ablation_batching ?(quick = false) ?pool () =
        results);
   results
 
-type experiment = {
-  id : string;
-  doc : string;
-  run : ?quick:bool -> ?pool:Pool.t -> unit -> unit;
-}
+type 'a driver = ?quick:bool -> ?pool:Pool.t -> obs:Obs.t -> unit -> 'a
 
-let experiment id doc f = { id; doc; run = (fun ?quick ?pool () -> ignore (f ?quick ?pool ())) }
+type experiment = { id : string; doc : string; run : unit driver }
+
+let experiment id doc f =
+  { id; doc; run = (fun ?quick ?pool ~obs () -> ignore (f ?quick ?pool ~obs ())) }
 
 let all =
   [

@@ -6,12 +6,14 @@
     checks.  [quick:true] shrinks clients/duration for use in tests; the
     default scale is the benchmark scale recorded in EXPERIMENTS.md.
 
-    Every driver takes an optional worker [pool] ({!Mdcc_util.Pool.t}) and
-    fans its independent simulations out across it.  Each simulation gets a
-    fresh {!Mdcc_obs.Obs.t}; the handles are merged into the caller's
-    ambient registry in task order once the batch completes, so metric
-    exports are byte-identical with and without a pool.  Omitting [pool]
-    runs sequentially through the same code path.
+    Every driver takes [obs], the handle its protocol metrics are exported
+    into, and an optional worker [pool] ({!Mdcc_util.Pool.t}) across which
+    it fans out its independent simulations.  Each simulation gets a fresh
+    {!Mdcc_obs.Obs.t}; the handles are merged into [obs] in task order once
+    the batch completes, so metric exports are byte-identical with and
+    without a pool.  Omitting [pool] runs sequentially through the same
+    code path.  {!fig8} is one simulation: it runs directly against [obs]
+    and leaves the pool idle.
 
     Correspondence:
     {ul
@@ -34,6 +36,9 @@ type latency_row = {
   aborts : int;
 }
 
+type 'a driver = ?quick:bool -> ?pool:Mdcc_util.Pool.t -> obs:Mdcc_obs.Obs.t -> unit -> 'a
+(** A figure or ablation: it runs, prints its table and returns its data. *)
+
 val tpcw_point : items:int -> partitions:int -> clients:int -> Metrics.t * float
 (** One MDCC TPC-W run with [clients] spread evenly over the five data
     centers and [items] hash-sharded over [partitions] replica groups, at
@@ -41,34 +46,34 @@ val tpcw_point : items:int -> partitions:int -> clients:int -> Metrics.t * float
     committed transactions per second.  The sharded scale-out bench
     ([bench/bench_shard.exe]) is a series of these. *)
 
-val fig3 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> latency_row list
+val fig3 : latency_row list driver
 
-val fig4 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (string * (int * float) list) list
+val fig4 : (string * (int * float) list) list driver
 (** Per protocol: [(concurrent clients, committed txn/s)] at each scale
     point. *)
 
-val fig5 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> latency_row list
+val fig5 : latency_row list driver
 
-val fig6 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (float * (string * int * int) list) list
+val fig6 : (float * (string * int * int) list) list driver
 (** Per hot-spot size: [(protocol, commits, aborts)]. *)
 
-val fig7 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (float * (string * Mdcc_util.Stats.boxplot) list) list
+val fig7 : (float * (string * Mdcc_util.Stats.boxplot) list) list driver
 (** Per locality fraction: [(protocol, latency box plot)]. *)
 
-val fig8 : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> float * float * Mdcc_util.Stats.series_bucket list
+val fig8 : (float * float * Mdcc_util.Stats.series_bucket list) driver
 (** Mean commit latency before / after the US-East outage, plus the 10 s
     time-series buckets. *)
 
-val ablation_gamma : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (int * (int * int * float)) list
+val ablation_gamma : (int * (int * int * float)) list driver
 (** Per γ: (commits, aborts, median latency) on the contended micro
     workload. *)
 
-val ablation_batching : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (bool * int * int * float) list
+val ablation_batching : (bool * int * int * float) list driver
 (** Per batching setting: (messages sent, commits, median latency) on the
     uniform micro workload — the message-overhead optimization from the
     paper's conclusion. *)
 
-val ablation_replication : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (int * int * float) list
+val ablation_replication : (int * int * float) list driver
 (** Per replication factor (3 vs. 5 data centers): (commits, median
     latency).  DESIGN.md's quorum-size ablation: with n=3 the fast quorum
     is all three replicas, so the fast path has no slack. *)
@@ -76,8 +81,7 @@ val ablation_replication : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> (int
 type experiment = {
   id : string;  (** the name [experiments_cli run] takes *)
   doc : string;  (** one line for [experiments_cli list] *)
-  run : ?quick:bool -> ?pool:Mdcc_util.Pool.t -> unit -> unit;
-      (** the driver above, its result dropped *)
+  run : unit driver;  (** the driver above, its result dropped *)
 }
 
 val all : experiment list

@@ -40,6 +40,6 @@ val make :
   Mdcc_protocols.Harness.t
 (** Fresh engine + deployment, pre-loaded with [rows].  Megastore* forces a
     single partition (one entity group).  [obs] (MDCC-family protocols
-    only) defaults to the calling domain's ambient handle; experiment
+    only) defaults to a fresh handle private to the deployment; experiment
     drivers running protocols in parallel pass a fresh handle per run and
     merge afterwards. *)

@@ -207,8 +207,9 @@ let test_invariant_violation_reported () =
       (List.nth_opt (List.rev r.Runner.r_trace) 0)
   | rs -> Alcotest.failf "%d reports for one spec" (List.length rs)
 
-(* Knobs a run would trip an invariant on are usage errors: exit 2 before
-   any run starts, as for an unknown scenario. *)
+(* Knobs a run would trip an invariant on, and output files that cannot be
+   written, are usage errors: exit 2 before any run starts, as for an
+   unknown scenario. *)
 let test_cli_rejects_bad_knobs () =
   let exe =
     if Sys.file_exists "../bin/chaos_cli.exe" then "../bin/chaos_cli.exe"
@@ -225,6 +226,11 @@ let test_cli_rejects_bad_knobs () =
       [ "sweep"; "--seeds"; "1"; "--plant-bug"; "6" ];
       [ "sweep"; "--seeds"; "1"; "--items"; "0" ];
       [ "replay"; "--items"; "0" ];
+      [ "sweep"; "--seeds"; "1"; "--jobs"; "0" ];
+      [ "sweep"; "--seeds"; "1"; "--chunk"; "0" ];
+      [ "sweep"; "--seeds"; "1"; "--obs-out"; "no-such-dir/obs.json" ];
+      [ "sweep"; "--seeds"; "1"; "--profile"; "no-such-dir/profile.json" ];
+      [ "baselines"; "--seeds"; "1"; "--jobs"; "0" ];
     ]
 
 (* Anti-entropy regression at a pinned seed: torn_broadcast cuts the

@@ -101,8 +101,7 @@ let test_registry_counters_gauges () =
   Alcotest.(check bool) "a before c in render" true (ia >= 0 && ic >= 0 && ia < ic)
 
 (* A counter handle behaves like [incr] by name: it creates nothing until
-   its first bump, shares the named counter with [incr], and survives a
-   [clear] (the next bump recreates the counter from zero). *)
+   its first bump and shares the named counter with [incr]. *)
 let test_registry_counter_handle () =
   let r = Registry.create () in
   let h = Registry.counter_handle r "msgs" and idle = Registry.counter_handle r "idle" in
@@ -114,10 +113,6 @@ let test_registry_counter_handle () =
   Alcotest.(check int) "handle and name share the counter" 6 (Registry.counter r "msgs");
   ignore idle;
   Alcotest.(check (list (pair string int))) "only bumped counters exist" [ ("msgs", 6) ]
-    (Registry.counter_bindings r);
-  Registry.clear r;
-  Registry.add h 1;
-  Alcotest.(check (list (pair string int))) "re-resolved after clear" [ ("msgs", 1) ]
     (Registry.counter_bindings r)
 
 (* ---- the documented JSON shapes ---- *)
@@ -502,6 +497,22 @@ let test_trace_line_sink () =
     [ "[      1.50] invariant    invariant violation at node3 in t_obs: hello 42" ]
     !lines
 
+(* A cluster built without a context owns a private registry: two on one
+   domain count apart. *)
+let test_default_cluster_owns_registry () =
+  let module Cluster = Mdcc_core.Cluster in
+  let engine, first = Helpers.make_cluster ~items:1 () in
+  let _, second = Helpers.make_cluster ~items:1 () in
+  Alcotest.(check bool) "distinct handles" false (Cluster.obs first == Cluster.obs second);
+  let outcome =
+    Helpers.run_txn engine first ~dc:0
+      [ (Helpers.item 0, Mdcc_storage.Update.Delta [ ("stock", -1) ]) ]
+  in
+  Alcotest.(check bool) "committed" true (Helpers.is_committed outcome);
+  let fast c = Registry.counter (Obs.registry (Cluster.obs c)) "fast_commit" in
+  Alcotest.(check int) "the first counts its commit" 1 (fast first);
+  Alcotest.(check int) "the second counts nothing" 0 (fast second)
+
 (* Without a sink nothing traces: the runtime says so, and a cluster
    whose context has no consumer at all has a stream that is not live. *)
 let test_untraced_runtime () =
@@ -692,6 +703,8 @@ let suite =
     Alcotest.test_case "span strings match old renderers" `Quick test_span_strings_match_renderers;
     Alcotest.test_case "trace line sink" `Quick test_trace_line_sink;
     Alcotest.test_case "runtime without a sink does not trace" `Quick test_untraced_runtime;
+    Alcotest.test_case "default-built clusters own their registries" `Quick
+      test_default_cluster_owns_registry;
     Alcotest.test_case "event stream without tracing" `Quick test_event_stream_without_tracing;
     Alcotest.test_case "chaos run counters" `Quick test_chaos_counters;
     Alcotest.test_case "chaos span ordering" `Quick test_chaos_span_ordering;

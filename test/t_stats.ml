@@ -7,16 +7,12 @@ module Engine = Mdcc_sim.Engine
 module Cluster = Mdcc_core.Cluster
 module Config = Mdcc_core.Config
 module Coordinator = Mdcc_core.Coordinator
-module Ctx = Mdcc_core.Ctx
 module Obs = Mdcc_obs.Obs
 module Rng = Mdcc_util.Rng
 
-(* A cluster reporting into its own registry: the ambient one accumulates
-   across tests. *)
 let counted_cluster ~mode ~items =
-  let obs = Obs.create () in
-  let engine, cluster = make_cluster ~ctx:(Ctx.make ~obs ()) ~mode ~items () in
-  (engine, cluster, obs)
+  let engine, cluster = make_cluster ~mode ~items () in
+  (engine, cluster, Cluster.obs cluster)
 
 (* Fast commits, assisted commits, aborts and collisions, from the
    coordinators' registry counters. *)

@@ -549,7 +549,7 @@ let test_handler_conversation () =
     Handler.create ~backend:(fake_backend ())
       ~write:(Buffer.add_string out)
       ~close:(fun () -> closed := true)
-      ()
+      ~obs:(Mdcc_obs.Obs.create ()) ()
   in
   let feed s = Handler.on_data h (Bytes.of_string s) 0 (String.length s) in
   feed "version\r\n";
@@ -647,10 +647,16 @@ let test_wire_over_sim () =
   let session = Session.create (Cluster.coordinator cluster ~dc:0 ~rank:0) in
   let counter = ref 0 in
   let next_txid () = incr counter; Printf.sprintf "w%d" !counter in
-  let backend = Backend.of_session ~table:"kv" ~next_txid session in
+  let obs = Cluster.obs cluster in
+  let backend =
+    let partition_of id =
+      Cluster.Layout.partition (Cluster.layout cluster) (Key.make ~table:"kv" ~id)
+    in
+    Backend.of_session ~table:"kv" ~partition_of ~obs ~next_txid session
+  in
   let out = Buffer.create 256 in
   let h =
-    Handler.create ~backend ~write:(Buffer.add_string out) ~close:(fun () -> ()) ()
+    Handler.create ~backend ~write:(Buffer.add_string out) ~close:(fun () -> ()) ~obs ()
   in
   let feed s = Handler.on_data h (Bytes.of_string s) 0 (String.length s) in
   (* one pipelined burst; every reply is produced by real MDCC commits

@@ -179,7 +179,7 @@ let test_runner_determinism () =
 let test_quick_experiment_fig5_ordering () =
   (* The headline result at test scale: MDCC commits with lower median
      latency than Multi and 2PC on the micro-benchmark. *)
-  let rows = Mdcc_workload.Experiments.fig5 ~quick:true () in
+  let rows = Mdcc_workload.Experiments.fig5 ~quick:true ~obs:(Mdcc_obs.Obs.create ()) () in
   let median name =
     match List.find_opt (fun (r : Mdcc_workload.Experiments.latency_row) -> r.proto = name) rows with
     | Some { summary = Some s; _ } -> s.Mdcc_util.Stats.p50
@@ -202,6 +202,27 @@ let test_cli_unknown_experiment () =
   in
   if code = 0 then Alcotest.fail "experiments_cli run fig9 exited 0"
 
+(* Bad knobs and unwritable output files are usage errors: one stderr
+   line and exit 2 before any experiment runs. *)
+let test_cli_bad_knobs () =
+  let exe =
+    if Sys.file_exists "../bin/experiments_cli.exe" then "../bin/experiments_cli.exe"
+    else "_build/default/bin/experiments_cli.exe"
+  in
+  List.iter
+    (fun args ->
+      let code =
+        Sys.command
+          (Filename.quote_command exe ("run" :: "fig8" :: "--quick" :: args)
+             ~stdout:Filename.null ~stderr:Filename.null)
+      in
+      Alcotest.(check int) (String.concat " " args) 2 code)
+    [
+      [ "--jobs"; "0" ];
+      [ "--metrics-out"; "no-such-dir/metrics.json" ];
+      [ "--profile"; "no-such-dir/profile.json" ];
+    ]
+
 let suite =
   [
     Alcotest.test_case "metrics warmup filter" `Quick test_metrics_warmup_filter;
@@ -222,4 +243,5 @@ let suite =
     Alcotest.test_case "fig5 ordering at test scale" `Slow test_quick_experiment_fig5_ordering;
     Alcotest.test_case "experiments_cli: unknown id exits nonzero" `Quick
       test_cli_unknown_experiment;
+    Alcotest.test_case "experiments_cli: bad knobs exit 2" `Quick test_cli_bad_knobs;
   ]
