@@ -62,33 +62,6 @@ let profile_side ~jobs specs =
   let wall_s = Unix.gettimeofday () -. t0 in
   (wall_s, snapshot)
 
-(* One leg of the profile document: the leg's totals under [leg], one
-   section per phase path under [leg:path], and its counters under
-   [leg.counters]. *)
-let profile_sections leg (wall_s, snapshot) =
-  let attributed_ms = Prof.attributed_ms snapshot in
-  ( leg,
-    [
-      ("wall_s", wall_s);
-      ("attributed_ms", attributed_ms);
-      (* For the sequential leg this is the share of the leg's wall time
-         the named phases explain (the >= 0.95 acceptance bar); for a
-         parallel leg phase time sums across domains, so the "fraction"
-         is effectively worker-domain utilization and may exceed 1. *)
-      ("attributed_fraction", attributed_ms /. (wall_s *. 1000.0));
-    ] )
-  :: List.map
-       (fun ph ->
-         ( leg ^ ":" ^ ph.Prof.ph_path,
-           [
-             ("count", Float.of_int ph.Prof.ph_count);
-             ("wall_ms", ph.Prof.ph_wall_ms);
-             ("self_ms", ph.Prof.ph_self_ms);
-             ("minor_words", ph.Prof.ph_minor_words);
-           ] ))
-       snapshot.Prof.sn_phases
-  @ [ (leg ^ ".counters", List.map (fun (n, v) -> (n, Float.of_int v)) snapshot.Prof.sn_counters) ]
-
 let bench ~seeds ~jobs ~out ~min_speedup ~profile =
   let scenarios = Nemesis.matrix in
   let specs = Sweep.specs ~seeds ~scenarios () in
@@ -140,8 +113,14 @@ let bench ~seeds ~jobs ~out ~min_speedup ~profile =
       let seq_side = profile_side ~jobs:1 specs in
       Printf.printf "  profiling jobs=%d leg...\n%!" jobs;
       let par_side = profile_side ~jobs specs in
+      (* For the sequential leg attributed_fraction is the share of the
+         leg's wall time the named phases explain (the >= 0.95 acceptance
+         bar); for a parallel leg phase time sums across domains, so the
+         "fraction" is effectively worker-domain utilization and may
+         exceed 1. *)
+      let sections leg (wall_s, snap) = Prof.sections ~leg ~wall_s snap in
       Envelope.write path ~bench:"sweep_profile" ~config
-        (profile_sections "sequential" seq_side @ profile_sections "parallel" par_side);
+        (sections "sequential" seq_side @ sections "parallel" par_side);
       let frac (wall_s, snap) = Prof.attributed_ms snap /. (wall_s *. 1000.0) in
       Printf.printf "  profile: attributed %.0f%% (seq) / %.0f%% (jobs=%d) of wall; %s\n"
         (100.0 *. frac seq_side) (100.0 *. frac par_side) jobs path)

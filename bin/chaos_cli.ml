@@ -18,6 +18,8 @@ module Sweep = Mdcc_chaos.Sweep
 module Baseline = Mdcc_chaos.Baseline
 module Pool = Mdcc_util.Pool
 module Json = Mdcc_obs.Json
+module Prof = Mdcc_obs.Prof
+module Envelope = Mdcc_bench.Envelope
 
 (* Unknown names are usage errors: a message on stderr and exit 2. *)
 let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
@@ -35,14 +37,14 @@ let resolve_workload = function
 
 (* Out-of-range knobs are usage errors too, rejected before any run
    starts: a run would trip an invariant on them ([Rng.int] with bound 0,
-   [Config.make]'s fast-quorum range over the runner's five replicas). *)
-let check_items items = if items < 1 then usage_error "--items must be at least 1 (got %d)" items
+   [Config.make]'s fast-quorum range over the runner's five replicas),
+   or quietly do something else (no runs at all, no transactions, one
+   partition). *)
+let at_least_one flag n = if n < 1 then usage_error "%s must be at least 1 (got %d)" flag n
 
 let check_plant_bug = function
   | Some q when q < 1 || q > 5 -> usage_error "--plant-bug must be in [1, 5] (got %d)" q
   | Some _ | None -> ()
-
-let check_jobs jobs = if jobs < 1 then usage_error "--jobs must be at least 1 (got %d)" jobs
 
 let check_chunk = function
   | Some c when c < 1 -> usage_error "--chunk must be at least 1 (got %d)" c
@@ -58,22 +60,14 @@ let write_json oc doc =
   output_char oc '\n';
   close_out oc
 
-(* The profiler snapshot rides its own file — wall-clock durations are
-   nondeterministic, so they must never share a channel with the
-   byte-pinned report/obs-out outputs. *)
-let profile_doc ~jobs snapshot =
-  Json.Obj
-    [
-      ("schema", Json.Str "mdcc.profile.v1");
-      ("jobs", Json.Int jobs);
-      ("profile", Mdcc_obs.Prof.snapshot_to_json snapshot);
-    ]
-
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
     ~obs_out ~jobs ~chunk ~profile =
-  check_items items;
+  at_least_one "--seeds" seeds;
+  at_least_one "--txns" txns;
+  at_least_one "--partitions" partitions;
+  at_least_one "--items" items;
   check_plant_bug plant_bug;
-  check_jobs jobs;
+  at_least_one "--jobs" jobs;
   check_chunk chunk;
   let scenarios =
     match scenario with
@@ -82,7 +76,7 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   in
   let workload = resolve_workload workload in
   let obs_out = Option.map (open_output "--obs-out") obs_out in
-  let profile = Option.map (open_output "--profile") profile in
+  Option.iter (fun path -> close_out (open_output "--profile" path)) profile;
   (* Scenario-major, seed-minor spec order; the pool merges reports back
      in that order, so output is byte-identical to a --jobs 1 sweep. *)
   let specs =
@@ -92,9 +86,14 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   let all =
     match profile with
     | None -> Sweep.run ~jobs ?chunk specs
-    | Some oc ->
+    | Some path ->
+      (* The profile rides its own file, a bench document: wall-clock
+         durations are nondeterministic, so they must never share a
+         channel with the byte-pinned report/obs-out outputs. *)
       let reports, snapshot = Sweep.run_profiled ~jobs ?chunk specs in
-      write_json oc (profile_doc ~jobs snapshot);
+      Envelope.write path ~bench:"profile"
+        ~config:[ ("command", Json.Str "chaos_cli sweep"); ("jobs", Json.Int jobs) ]
+        (Prof.sections ~leg:"run" snapshot);
       reports
   in
   let total = List.length all in
@@ -121,7 +120,9 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   if bad <> [] then exit 1
 
 let replay ~seed ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace =
-  check_items items;
+  at_least_one "--txns" txns;
+  at_least_one "--partitions" partitions;
+  at_least_one "--items" items;
   check_plant_bug plant_bug;
   let scenario = resolve_scenario scenario in
   let workload = resolve_workload workload in
@@ -221,8 +222,9 @@ let profile_arg =
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
           "Profile the sweep (per-phase wall/alloc breakdown, merged across worker domains \
-           in task order) and write the snapshot to $(docv).  Reports and $(b,--obs-out) \
-           bytes are unchanged — the profile is a separate channel.")
+           in task order) and write it to $(docv) as a bench document (schema \
+           mdcc.bench.v2, bench profile).  Reports and $(b,--obs-out) bytes are unchanged — \
+           the profile is a separate channel.")
 
 let sweep_cmd =
   let doc = "Sweep seeds across the scenario matrix and check every history." in
@@ -250,8 +252,10 @@ let replay_cmd =
       $ partitions_arg $ plant_bug_arg $ json_flag $ trace_flag)
 
 let baselines ~seeds ~protocol ~txns ~items ~jobs =
-  check_items items;
-  check_jobs jobs;
+  at_least_one "--seeds" seeds;
+  at_least_one "--txns" txns;
+  at_least_one "--items" items;
+  at_least_one "--jobs" jobs;
   let protos =
     match protocol with
     | None -> Baseline.protocols

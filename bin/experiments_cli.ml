@@ -9,6 +9,8 @@
 module Experiments = Mdcc_workload.Experiments
 module Obs = Mdcc_obs.Obs
 module Json = Mdcc_obs.Json
+module Prof = Mdcc_obs.Prof
+module Envelope = Mdcc_bench.Envelope
 module Pool = Mdcc_util.Pool
 
 (* Bad knobs are usage errors: a message on stderr and exit 2, before any
@@ -66,8 +68,9 @@ let profile_arg =
     & opt (some string) None
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
-          "Profile the whole run (per-phase wall/alloc breakdown on the driving domain) and \
-           write the snapshot to $(docv).  Figure outputs and $(b,--metrics-out) bytes are \
+          "Profile the whole run (per-phase wall/alloc breakdown, merged across worker \
+           domains in task order) and write it to $(docv) as a bench document (schema \
+           mdcc.bench.v2, bench profile).  Figure outputs and $(b,--metrics-out) bytes are \
            unchanged — the profile is a separate channel.")
 
 let run_cmd =
@@ -95,14 +98,11 @@ let run_cmd =
     (match profile with
     | None -> body ()
     | Some (path, oc) ->
-      let (), snapshot = Mdcc_obs.Prof.with_task body in
-      write_json oc
-        (Json.Obj
-           [
-             ("schema", Json.Str "mdcc.profile.v1");
-             ("jobs", Json.Int jobs);
-             ("profile", Mdcc_obs.Prof.snapshot_to_json snapshot);
-           ]);
+      close_out oc;
+      let (), snapshot = Prof.with_task body in
+      Envelope.write path ~bench:"profile"
+        ~config:[ ("command", Json.Str "experiments_cli run"); ("jobs", Json.Int jobs) ]
+        (Prof.sections ~leg:"run" snapshot);
       Printf.printf "profile written to %s\n" path);
     Option.iter
       (fun (path, oc) ->

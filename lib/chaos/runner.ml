@@ -16,19 +16,20 @@ type spec = {
   txns : int;
   items : int;
   partitions : int;
-  stock : int;
-  horizon : float;
-  drain : float;
-  mode : Config.mode;
   fast_quorum_override : int option;
   capture_trace : bool;
 }
 
-let spec ?(workload = Mixed) ?(txns = 40) ?(items = 4) ?(partitions = 1) ?(stock = 60)
-    ?(horizon = 10_000.0) ?(drain = 60_000.0) ?(mode = Config.Full) ?fast_quorum_override
+let spec ?(workload = Mixed) ?(txns = 40) ?(items = 4) ?(partitions = 1) ?fast_quorum_override
     ?(capture_trace = false) ~seed ~scenario () =
-  { seed; scenario; workload; txns; items; partitions; stock; horizon; drain; mode;
-    fast_quorum_override; capture_trace }
+  { seed; scenario; workload; txns; items; partitions; fast_quorum_override; capture_trace }
+
+(* Every run: initial stock per item; the submission and fault window
+   (ms), after which healing starts; and the time after it for recovery
+   to quiesce. *)
+let stock = 60
+let horizon = 10_000.0
+let drain = 60_000.0
 
 (* The deployment is at least as wide as the scenario demands: shard
    scenarios ask for a multi-partition keyspace even when the spec left
@@ -174,7 +175,7 @@ let build_rmw_txn rng ctx cluster ~dc keys =
 let run s =
   let engine = Engine.create ~seed:s.seed in
   let config =
-    Config.make ~mode:s.mode ~learn_timeout:600.0 ~txn_timeout:1500.0 ~dangling_scan_every:500.0
+    Config.make ~learn_timeout:600.0 ~txn_timeout:1500.0 ~dangling_scan_every:500.0
       ?fast_quorum_override:s.fast_quorum_override ~replication:5 ()
   in
   let history = History.create () in
@@ -191,19 +192,19 @@ let run s =
       ~spec:(Cluster.Spec.make ~partitions:(effective_partitions s) ())
       ~ctx:(Ctx.make ~history ~obs ?trace ()) ~config ~schema:stock_schema ()
   in
-  Cluster.load cluster (List.init s.items (fun i -> (item i, item_row s.stock)));
+  Cluster.load cluster (List.init s.items (fun i -> (item i, item_row stock)));
   Cluster.start_maintenance cluster;
   (* The fault schedule derives from the seed alone: same seed, same runs. *)
   let sched_rng = Rng.create ((s.seed * 2654435761) lxor 0x6e656d) in
   let schedule =
-    s.scenario.Nemesis.sc_build ~rng:sched_rng ~cluster ~horizon:s.horizon
-    @ [ (s.horizon, Nemesis.Heal_all) ]
+    s.scenario.Nemesis.sc_build ~rng:sched_rng ~cluster ~horizon
+    @ [ (horizon, Nemesis.Heal_all) ]
   in
   Nemesis.install cluster schedule;
   (* After healing, two peer-directed anti-entropy sweeps (spaced so the
      first round's catchups land before the second probes). *)
-  ignore (Engine.schedule_at engine ~at:(s.horizon +. 4_000.0) (fun () -> Cluster.sync_all cluster));
-  ignore (Engine.schedule_at engine ~at:(s.horizon +. 12_000.0) (fun () -> Cluster.sync_all cluster));
+  ignore (Engine.schedule_at engine ~at:(horizon +. 4_000.0) (fun () -> Cluster.sync_all cluster));
+  ignore (Engine.schedule_at engine ~at:(horizon +. 12_000.0) (fun () -> Cluster.sync_all cluster));
   (* Scripted clients: [txns] transactions at random times from random DCs. *)
   let crng = Rng.create ((s.seed * 31) + 7) in
   let dcs = Cluster.num_dcs cluster in
@@ -215,7 +216,7 @@ let run s =
   let deltas = keys s ~delta:true and rmws = keys s ~delta:false in
   for _ = 1 to s.txns do
     let dc = Rng.int crng dcs in
-    let at = Rng.float crng s.horizon in
+    let at = Rng.float crng horizon in
     let style_delta =
       match (deltas, rmws) with
       | [], _ -> false
@@ -240,7 +241,7 @@ let run s =
      replay shows *where* a protocol invariant died, and it is the run's
      one violation — the checks would only describe a run cut short. *)
   let died =
-    match Engine.run ~until:(s.horizon +. s.drain) engine with
+    match Engine.run ~until:(horizon +. drain) engine with
     | () -> None
     | exception Invariant.Violation v ->
       Ctx.emit (Cluster.stream cluster) (Event.Violation v);
@@ -267,7 +268,7 @@ let run s =
       Checker.check ~bounds:(Schema.bounds_of stock_schema)
         ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history
       @ post_drain_checks ~peek:(Cluster.peek cluster) ~dcs ~items:s.items ~delta_items:deltas
-          ~stock:s.stock ~submitted:!submitted decided
+          ~stock ~submitted:!submitted decided
       @ repair
   in
   let committed = List.length (List.filter (fun (_, o) -> o = Txn.Committed) decided) in

@@ -12,7 +12,6 @@
     exactly, including with tracing enabled. *)
 
 open Mdcc_storage
-open Mdcc_core
 
 type workload =
   | Deltas  (** commutative decrements against [stock >= 0] (demarcation) *)
@@ -29,10 +28,6 @@ type spec = {
       (** keyspace hash partitions; the run uses
           [max partitions scenario.sc_partitions], so shard scenarios get a
           multi-partition cluster even at the default *)
-  stock : int;  (** initial stock per item *)
-  horizon : float;  (** ms: submission + fault window; healing starts here *)
-  drain : float;  (** ms after the horizon for recovery to quiesce *)
-  mode : Config.mode;
   fast_quorum_override : int option;  (** plant a protocol bug (see Config) *)
   capture_trace : bool;  (** record the interleaved protocol trace *)
 }
@@ -42,18 +37,16 @@ val spec :
   ?txns:int ->
   ?items:int ->
   ?partitions:int ->
-  ?stock:int ->
-  ?horizon:float ->
-  ?drain:float ->
-  ?mode:Config.mode ->
   ?fast_quorum_override:int ->
   ?capture_trace:bool ->
   seed:int ->
   scenario:Nemesis.scenario ->
   unit ->
   spec
-(** Defaults: [Mixed] workload, 40 txns, 4 items, 1 partition, stock 60,
-    10 s horizon, 60 s drain, [Full] mode, no override, no trace. *)
+(** Defaults: [Mixed] workload, 40 txns, 4 items, 1 partition, no
+    override, no trace.  Every run starts each item at stock 60, submits
+    and injects faults over a 10 s horizon, heals, and drains for 60 s in
+    [Full] mode. *)
 
 val effective_partitions : spec -> int
 (** [max spec.partitions spec.scenario.sc_partitions] — the partition count

@@ -22,78 +22,19 @@ let run_one spec =
    domain), fine enough that the domains stay load-balanced when run
    costs vary.  Chunking never changes output: tasks keep their indices,
    so results merge in spec order whatever the granularity. *)
-let default_chunk ~jobs ~count = max 1 (count / (max 1 jobs * 8))
-
-let resolve_chunk ?chunk ~jobs ~count () =
-  match chunk with
-  | Some c ->
-    if c < 1 then invalid_arg "Sweep: chunk < 1";
-    c
-  | None -> default_chunk ~jobs ~count
-
-let run_on ?chunk pool specs =
-  let chunk =
-    resolve_chunk ?chunk ~jobs:(Pool.jobs pool) ~count:(List.length specs) ()
-  in
-  Pool.map_list pool ~chunk specs ~f:run_one
-
 let run ?jobs ?chunk specs =
-  Pool.with_pool ?jobs (fun pool -> run_on ?chunk pool specs)
+  Pool.with_pool ?jobs (fun pool ->
+      let chunk =
+        match chunk with
+        | Some c ->
+          if c < 1 then invalid_arg "Sweep: chunk < 1";
+          c
+        | None -> max 1 (List.length specs / (Pool.jobs pool * 8))
+      in
+      Prof.map_list pool ~chunk specs ~f:(fun spec ->
+          Prof.span "sweep.run_one" (fun () -> run_one spec)))
 
-(* Profiled variant: each {e chunk} of consecutive runs executes under one
-   [Prof.with_task] (a fresh enabled per-domain profiler handle), and the
-   per-chunk snapshots fold together in chunk order — exactly the
-   [Registry.merge] discipline, so the aggregate is independent of which
-   domain ran what.  Bracketing the chunk rather than every run amortizes
-   the handle/snapshot/merge cost across the chunk; the per-run
-   ["sweep.run_one"] span inside is unchanged, so phase paths and counts
-   are those of a per-run profile.  The reports are the same values [run]
-   returns; only the extra snapshot channel differs, keeping
-   report/obs-out bytes identical with or without profiling. *)
-let run_profiled ?jobs ?chunk specs =
-  let pairs, pool_stats =
-    Pool.with_pool ?jobs (fun pool ->
-        let chunk =
-          resolve_chunk ?chunk ~jobs:(Pool.jobs pool)
-            ~count:(List.length specs) ()
-        in
-        let groups = Pool.chunks chunk specs in
-        let before = Pool.stats pool in
-        let pairs =
-          Pool.map_list pool groups ~f:(fun group ->
-              Prof.with_task (fun () ->
-                  List.map
-                    (fun spec -> Prof.span "sweep.run_one" (fun () -> run_one spec))
-                    group))
-        in
-        let after = Pool.stats pool in
-        ( pairs,
-          Pool.
-            {
-              batches = after.batches - before.batches;
-              tasks = after.tasks - before.tasks;
-              stolen = after.stolen - before.stolen;
-            } ))
-  in
-  let reports = List.concat_map fst pairs in
-  let profile =
-    List.fold_left
-      (fun acc (_, snap) -> Prof.merge acc snap)
-      Prof.empty_snapshot pairs
-  in
-  let profile =
-    Prof.merge profile
-      {
-        Prof.sn_phases = [];
-        sn_counters =
-          [
-            ("pool.batches", pool_stats.Pool.batches);
-            ("pool.stolen", pool_stats.Pool.stolen);
-            ("pool.tasks", pool_stats.Pool.tasks);
-          ];
-      }
-  in
-  (reports, profile)
+let run_profiled ?jobs ?chunk specs = Prof.with_task (fun () -> run ?jobs ?chunk specs)
 
 let obs_doc reports =
   Json.Obj

@@ -8,9 +8,10 @@
     single-threaded on its domain; the ambient state a run touches (the
     network trace context, the profiler) is domain-local, and its trace
     sink, history and obs handle are its own [Ctx] values, so runs cannot
-    cross-contaminate.  An invariant that fires inside a run is
-    that run's [invariant] violation ({!Runner.run}), not the sweep's
-    end. *)
+    cross-contaminate.  The runs map through {!Mdcc_obs.Prof.map_list},
+    so a profiled sweep sees every domain's work.  An invariant that
+    fires inside a run is that run's [invariant] violation
+    ({!Runner.run}), not the sweep's end. *)
 
 val specs :
   ?workload:Runner.workload ->
@@ -39,20 +40,18 @@ val run : ?jobs:int -> ?chunk:int -> Runner.spec list -> Runner.report list
     consecutive specs one work-stealing claim takes (default: about eight
     claims per domain, [max 1 (count / (jobs * 8))]).  Output is
     byte-identical for every [chunk] and [jobs] combination; raises
-    [Invalid_argument] on [chunk < 1]. *)
+    [Invalid_argument] on [chunk < 1].  Each run is one ["sweep.run_one"]
+    profiler span. *)
 
 val run_profiled :
   ?jobs:int ->
   ?chunk:int ->
   Runner.spec list ->
   Runner.report list * Mdcc_obs.Prof.snapshot
-(** {!run} with every {e chunk} of consecutive specs bracketed by one
-    {!Mdcc_obs.Prof.with_task} (so handle/snapshot overhead is amortized
-    across the chunk — a pool task is a chunk here, which is what the
-    [pool.tasks] counter counts); per-chunk snapshots merge in chunk
-    order, plus [pool.batches] / [pool.tasks] / [pool.stolen] counters
-    from the pool.  Per-run ["sweep.run_one"] spans inside the chunk keep
-    phase paths and counts identical to a per-run profile.  The reports
+(** [Mdcc_obs.Prof.with_task (fun () -> run ?jobs ?chunk specs)]: {!run}
+    maps through {!Mdcc_obs.Prof.map_list}, so each chunk of [chunk]
+    specs is one profiled pool task and the snapshot holds one
+    ["sweep.run_one"] span per run whichever domain ran it.  The reports
     are identical to {!run}'s — the profile rides a separate channel so
     the byte-pinned sweep outputs are untouched by [--profile]. *)
 

@@ -41,8 +41,6 @@ let outcome_string = function
   | Txn.Committed -> "committed"
   | Txn.Aborted Txn.Conflict -> "aborted(conflict)"
   | Txn.Aborted Txn.Constraint_violation -> "aborted(constraint-violation)"
-  | Txn.Aborted Txn.Node_unreachable -> "aborted(node-unreachable)"
-  | Txn.Aborted Txn.Recovered_abort -> "aborted(recovered-abort)"
 
 let short = function Woption.Accepted -> "acc" | Woption.Rejected -> "rej"
 

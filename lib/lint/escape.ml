@@ -14,8 +14,8 @@
      of its own parameters into a call of a (potential) spawner — the
      call-graph edges along which "runs things on another domain" is
      contagious.  [Experiments.par_map] is the canonical case: its [~f]
-     lands in [Pool.map_list], so every [par_map] call site is a spawn
-     site too.
+     lands in [Prof.map_list] and from there in [Pool.map_list], so every
+     [par_map] call site is a spawn site too.
    - [link]: fixpoint over all files' edges from the base spawner set
      ([Domain.spawn], [Pool.map]/[map_list]/[run_batch], [Loop.post]).
    - [check]: at every application of a spawner, analyse each closure

@@ -9,14 +9,18 @@
    charges [Gc.minor_words] deltas to a node keyed by the {e hierarchical}
    path of enclosing spans ("sweep/run/engine"), so self time = inclusive
    − children attributes every measured millisecond to exactly one phase.
-   [with_task] brackets a unit of parallel work with a fresh enabled
-   handle and returns an immutable {!snapshot}; snapshots merge
-   associatively in task order, mirroring [Registry.merge], so a
-   [--jobs N] profile aggregates exactly like the metrics registry does.
+   [with_task] brackets a unit of work with a fresh enabled handle and
+   returns an immutable {!snapshot}.  [map_list] is the one way work
+   crosses domains while profiling: each pool chunk runs under its own
+   bracket on whichever domain claims it, and the chunk snapshots fold
+   into the caller's handle in task order, mirroring [Registry.merge], so
+   a [--jobs N] profile counts what a [--jobs 1] profile counts.
 
    Profiler output always rides a separate channel (BENCH_profile.json,
    [--profile FILE]) — never the byte-pinned sweep/obs/metrics reports —
    because wall-clock durations are not deterministic. *)
+
+module Pool = Mdcc_util.Pool
 
 type node = {
   n_path : string;
@@ -183,52 +187,99 @@ let merge a b =
         a.sn_counters b.sn_counters;
   }
 
-let with_task f =
+(* Fold [s] into [t] under [t]'s innermost open span: phase paths gain
+   that span's path as prefix, and the wall time of [s]'s top-level
+   phases counts as its children, so a snapshot taken on another domain
+   lands where the same work run inline would have. *)
+let absorb t s =
+  let parent = t.p_cur in
+  List.iter
+    (fun ph ->
+      let path = if parent = "" then ph.ph_path else parent ^ "/" ^ ph.ph_path in
+      let n = node t path in
+      n.n_count <- n.n_count + ph.ph_count;
+      n.n_wall_ms <- n.n_wall_ms +. ph.ph_wall_ms;
+      n.n_child_ms <- n.n_child_ms +. (ph.ph_wall_ms -. ph.ph_self_ms);
+      n.n_minor_words <- n.n_minor_words +. ph.ph_minor_words;
+      if parent <> "" && not (String.contains ph.ph_path '/') then begin
+        let pn = node t parent in
+        pn.n_child_ms <- pn.n_child_ms +. ph.ph_wall_ms
+      end)
+    s.sn_phases;
+  List.iter (fun (name, v) -> add_in t name v) s.sn_counters
+
+(* [Gc.quick_stat] counts for the whole process, not the calling domain,
+   so only the outermost bracket takes it: a pool chunk's bracket runs
+   inside one and never does. *)
+let bracket ~gc f =
   let prev = Domain.DLS.get ambient_key in
   let h = create () in
   h.p_enabled <- true;
   Domain.DLS.set ambient_key h;
   let restore () = Domain.DLS.set ambient_key prev in
-  let g0 = Gc.quick_stat () in
+  let g0 = if gc then Some (Gc.quick_stat ()) else None in
   match f () with
   | v ->
-      let g1 = Gc.quick_stat () in
+      (match g0 with
+       | None -> ()
+       | Some g0 ->
+           let g1 = Gc.quick_stat () in
+           add_in h "gc.major_collections"
+             (g1.Gc.major_collections - g0.Gc.major_collections);
+           add_in h "gc.minor_collections"
+             (g1.Gc.minor_collections - g0.Gc.minor_collections);
+           add_in h "gc.promoted_words"
+             (int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words)));
       let snap = capture h in
       restore ();
-      let gc =
-        [
-          ("gc.major_collections",
-           g1.Gc.major_collections - g0.Gc.major_collections);
-          ("gc.minor_collections",
-           g1.Gc.minor_collections - g0.Gc.minor_collections);
-          ("gc.promoted_words",
-           int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words));
-        ]
-      in
-      (v, merge snap { sn_phases = []; sn_counters = gc })
+      (v, snap)
   | exception e ->
       restore ();
       raise e
 
-let snapshot_to_json s =
-  let phases =
-    Json.List
-      (List.map
-         (fun p ->
-           Json.Obj
-             [
-               ("path", Json.Str p.ph_path);
-               ("count", Json.Int p.ph_count);
-               ("wall_ms", Json.Float p.ph_wall_ms);
-               ("self_ms", Json.Float p.ph_self_ms);
-               ("minor_words", Json.Float p.ph_minor_words);
-             ])
-         s.sn_phases)
-  in
-  let counters =
-    Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.sn_counters)
-  in
-  Json.Obj [ ("phases", phases); ("counters", counters) ]
+let with_task f = bracket ~gc:(not (Domain.DLS.get ambient_key).p_enabled) f
+
+let map_list pool ?(chunk = 1) xs ~f =
+  let t = ambient () in
+  if not t.p_enabled then Pool.map_list pool ~chunk xs ~f
+  else begin
+    let before = Pool.stats pool in
+    let done_ =
+      Pool.map_list pool (Pool.chunks chunk xs) ~f:(fun group ->
+          bracket ~gc:false (fun () -> List.map f group))
+    in
+    let after = Pool.stats pool in
+    absorb t (List.fold_left (fun acc (_, snap) -> merge acc snap) empty_snapshot done_);
+    add_in t "pool.batches" (after.Pool.batches - before.Pool.batches);
+    add_in t "pool.tasks" (after.Pool.tasks - before.Pool.tasks);
+    add_in t "pool.stolen" (after.Pool.stolen - before.Pool.stolen);
+    List.concat_map fst done_
+  end
 
 let attributed_ms s =
   List.fold_left (fun acc p -> acc +. p.ph_self_ms) 0.0 s.sn_phases
+
+let sections ~leg ?wall_s s =
+  let attributed_ms = attributed_ms s in
+  let totals =
+    match wall_s with
+    | None -> [ ("attributed_ms", attributed_ms) ]
+    | Some wall_s ->
+        [
+          ("wall_s", wall_s);
+          ("attributed_ms", attributed_ms);
+          ("attributed_fraction", attributed_ms /. (wall_s *. 1000.0));
+        ]
+  in
+  ((leg, totals)
+   :: List.map
+        (fun p ->
+          ( leg ^ ":" ^ p.ph_path,
+            [
+              ("count", Float.of_int p.ph_count);
+              ("wall_ms", p.ph_wall_ms);
+              ("self_ms", p.ph_self_ms);
+              ("minor_words", p.ph_minor_words);
+            ] ))
+        s.sn_phases)
+  @ [ (leg ^ ".counters", List.map (fun (k, v) -> (k, Float.of_int v)) s.sn_counters) ]

@@ -8,11 +8,13 @@
     (the sanctioned clock — R1 still bans every other wall-clock read)
     and charge [Gc.minor_words] deltas per hierarchical span path.
 
-    Parallel aggregation mirrors [Registry.merge]: wrap each task in
-    {!with_task} and fold the returned snapshots in task order with
-    {!merge}.  Profiler output must ride its own channel ([--profile
-    FILE], BENCH_profile.json) — wall time is not deterministic, so it
-    must never leak into byte-pinned reports. *)
+    A worker domain starts from a fresh disabled handle, so work fanned
+    out over a {!Mdcc_util.Pool.t} reaches the caller's profile only
+    through {!map_list}, which every pool map in the repository goes
+    through.  Profiler output rides its own channel ([--profile FILE],
+    a bench document whose sections {!sections} renders): wall time is
+    not deterministic, so it must never leak into byte-pinned
+    reports. *)
 
 type t
 
@@ -76,11 +78,23 @@ val capture : t -> snapshot
 val with_task : (unit -> 'a) -> 'a * snapshot
 (** Install a fresh {e enabled} handle as the calling domain's ambient,
     run [f], capture, and restore the previous handle (also on
-    exceptions, though the snapshot is then lost).  The snapshot gains
+    exceptions, though the snapshot is then lost).  When the previous
+    handle was disabled (the outermost bracket) the snapshot gains
     [gc.minor_collections] / [gc.major_collections] /
     [gc.promoted_words] counters from a [Gc.quick_stat] bracket — taken
-    only at this coarse boundary because [quick_stat] itself
-    allocates. *)
+    only at this coarse boundary because [quick_stat] itself allocates,
+    and only once because it counts for the whole process. *)
+
+val map_list :
+  Mdcc_util.Pool.t -> ?chunk:int -> 'a list -> f:('a -> 'b) -> 'b list
+(** [map_list pool ?chunk xs ~f] is [Pool.map_list pool ?chunk xs ~f]
+    while the calling domain's profiler is off.  While it is on, each
+    group of [chunk] (default 1) consecutive elements is one pool task
+    that runs under its own bracket on whichever domain claims it; the
+    groups' snapshots fold into the caller's handle in task order, under
+    its innermost open span, with [pool.batches] / [pool.tasks] /
+    [pool.stolen] counters (a task is a group).  Results are the same
+    either way, in list order. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise sum by phase path / counter name.  Associative; fold in
@@ -90,4 +104,10 @@ val attributed_ms : snapshot -> float
 (** Sum of self time over all phases — the numerator of the
     "≥ 95 % of measured wall time attributed" acceptance check. *)
 
-val snapshot_to_json : snapshot -> Json.t
+val sections :
+  leg:string -> ?wall_s:float -> snapshot -> (string * (string * float) list) list
+(** The snapshot as bench-document sections ([Mdcc_bench.Envelope]): a
+    totals section [leg] holding [attributed_ms] (and, given the
+    measured [wall_s], [wall_s] and [attributed_fraction]), one section
+    [leg:path] per phase holding [count], [wall_ms], [self_ms] and
+    [minor_words], and [leg.counters] holding every counter. *)

@@ -33,18 +33,6 @@ let escape_help s =
     s;
   Buffer.contents buf
 
-let escape_label_value s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '"' -> Buffer.add_string buf "\\\""
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Histogram buckets in milliseconds — registry histograms record
    latencies in ms throughout the repo.  Fixed so scrapes are comparable
    across runs; +Inf is implicit in [render_hist]. *)

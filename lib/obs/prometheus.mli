@@ -19,6 +19,3 @@ val metric_name : string -> string
 
 val escape_help : string -> string
 (** Escape [\ ] and newline for HELP lines. *)
-
-val escape_label_value : string -> string
-(** Escape backslash, newline, and double quote for label values. *)

@@ -154,14 +154,14 @@ let submit t ~dc (txn : Txn.t) cb =
       (Ms_submit { txid = txn.Txn.id; updates = txn.Txn.updates; client = app })
   end
 
-let create d ?(master_dc = Mdcc_sim.Topology.us_west) () =
+let create d =
   let layout = Harness.layout d in
   if Layout.partitions layout <> 1 then
     invalid_arg "Megastore.create: the deployment must have a single partition (one entity group)";
   let t =
     {
       d;
-      master_node = Layout.storage_node layout ~dc:master_dc 0;
+      master_node = Layout.storage_node layout ~dc:Mdcc_sim.Topology.us_west 0;
       queue = Queue.create ();
       inflight = None;
       next_pos = 0;

@@ -18,9 +18,9 @@ open Mdcc_storage
 
 type t
 
-val create : Harness.deployment -> ?master_dc:int -> unit -> t
+val create : Harness.deployment -> t
 (** Install the protocol's handlers on the deployment, which must have one
-    partition (a single entity group).  [master_dc] defaults to US-West. *)
+    partition (a single entity group), mastered in US-West. *)
 
 val submit : t -> dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit
 

@@ -213,12 +213,12 @@ let close c =
   if c.c_open then
     if Queue.is_empty c.c_out then teardown c else c.c_close_after_flush <- true
 
-let listen t ?(backlog = 64) ?(addr = "127.0.0.1") ~port on_conn =
+let listen t ?(addr = "127.0.0.1") ~port on_conn =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd SO_REUSEADDR true;
      Unix.bind fd (ADDR_INET (Unix.inet_addr_of_string addr, port));
-     Unix.listen fd backlog;
+     Unix.listen fd 64;
      Unix.set_nonblock fd
    with e ->
      Unix.close fd;

@@ -60,11 +60,11 @@ type conn_handlers = {
 }
 
 val listen :
-  t -> ?backlog:int -> ?addr:string -> port:int -> (conn -> conn_handlers) -> int
-(** Open a listening TCP socket ([addr] defaults to 127.0.0.1) and return
-    the bound port (useful with [port:0] for an ephemeral port).  When
-    the socket cannot be bound or listened on, it is closed and the
-    [Unix.Unix_error] re-raised. *)
+  t -> ?addr:string -> port:int -> (conn -> conn_handlers) -> int
+(** Open a listening TCP socket ([addr] defaults to 127.0.0.1, backlog
+    64) and return the bound port (useful with [port:0] for an ephemeral
+    port).  When the socket cannot be bound or listened on, it is closed
+    and the [Unix.Unix_error] re-raised. *)
 
 val close_listeners : t -> unit
 (** Stop accepting new connections (first step of a graceful drain);

@@ -190,8 +190,6 @@ let send t ~src ~dst payload =
     Engine.post t.engine t.delay ~src ~dst ~bytes payload t.ctx_cell.ctx
   end
 
-let broadcast t ~src ~dsts payload = List.iter (fun dst -> send t ~src ~dst payload) dsts
-
 let fail_node t node = t.failed.(node) <- true
 
 let recover_node t node = t.failed.(node) <- false

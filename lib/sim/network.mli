@@ -62,11 +62,6 @@ val send : t -> src:Topology.node_id -> dst:Topology.node_id -> payload -> unit
     records covers the peak number in flight, a send and its delivery
     allocate nothing (the meter and handler aside). *)
 
-val broadcast :
-  t -> src:Topology.node_id -> dsts:Topology.node_id list -> payload -> unit
-(** [send] to every destination (including [src] itself if listed: loopback
-    delivery still costs the intra-node latency of one event). *)
-
 val fail_node : t -> Topology.node_id -> unit
 val recover_node : t -> Topology.node_id -> unit
 

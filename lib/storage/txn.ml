@@ -2,7 +2,7 @@ type id = string
 
 module Map = Map.Make (String)
 
-type abort_reason = Conflict | Constraint_violation | Node_unreachable | Recovered_abort
+type abort_reason = Conflict | Constraint_violation
 
 type outcome = Committed | Aborted of abort_reason
 
@@ -35,8 +35,6 @@ let commutative_only t = List.for_all (fun (_, up) -> Update.is_commutative up) 
 let reason_to_string = function
   | Conflict -> "conflict"
   | Constraint_violation -> "constraint-violation"
-  | Node_unreachable -> "node-unreachable"
-  | Recovered_abort -> "recovered-abort"
 
 let pp_outcome ppf = function
   | Committed -> Format.pp_print_string ppf "committed"

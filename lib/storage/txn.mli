@@ -14,8 +14,6 @@ module Map : Map.S with type key = id
 type abort_reason =
   | Conflict  (** a write-write conflict: some option was learned rejected *)
   | Constraint_violation  (** a value constraint (demarcation) rejection *)
-  | Node_unreachable  (** not enough live replicas for any quorum *)
-  | Recovered_abort  (** finished as aborted by the recovery path *)
 
 type outcome = Committed | Aborted of abort_reason
 

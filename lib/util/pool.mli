@@ -13,7 +13,10 @@
     and its clock) lives in [Domain.DLS], so a fresh worker domain starts
     from the same defaults a fresh process would.  Lint rule R4 keeps it
     that way.  A run's trace-line sink, history and observability handle
-    are not ambient: they are values in its [Ctx]. *)
+    are not ambient: they are values in its [Ctx].  Since a worker's
+    profiler starts off, callers map through [Mdcc_obs.Prof.map_list],
+    which is {!map_list} while profiling is off and otherwise carries
+    each chunk's profile home to the caller. *)
 
 type t
 
@@ -59,6 +62,6 @@ type stats = { batches : int; tasks : int; stolen : int }
     domain ([stolen = 0] when [jobs = 1]). *)
 
 val stats : t -> stats
-(** Snapshot of the pool's counters.  Read by the profiling layer
+(** Snapshot of the pool's counters.  Read by [Mdcc_obs.Prof.map_list]
     ([lib/obs] depends on this library, so the pool cannot call the
     profiler itself); values only ever increase. *)

@@ -32,10 +32,8 @@ let decode key (value, version) =
 let reason_of = function
   | Txn.Conflict -> "conflict"
   | Txn.Constraint_violation -> "constraint violation"
-  | Txn.Node_unreachable -> "replicas unreachable"
-  | Txn.Recovered_abort -> "recovered as aborted"
 
-let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ~partition_of ~obs
+let of_session ?(table = "kv") ?(stats = fun () -> []) ~partition_of ~obs
     ~next_txid session =
   let key_of id = Key.make ~table ~id in
   (* Per-partition request accounting: [partition_of] is the server's key
@@ -84,11 +82,11 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ~partition
           submit1 key update (function
             | Txn.Committed -> k Stored
             | Txn.Aborted Txn.Constraint_violation -> k Not_stored
-            | Txn.Aborted (Txn.Conflict | Txn.Recovered_abort) when budget > 0 ->
+            | Txn.Aborted Txn.Conflict when budget > 0 ->
               attempt (budget - 1)
             | Txn.Aborted reason -> k (Server_busy (reason_of reason))))
     in
-    attempt retries
+    attempt 8
   in
   let cas ~key:id ~flags ~data ~cas k =
     tally_write id;
@@ -101,8 +99,7 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ~partition
           (function
           | Txn.Committed -> k Stored
           | Txn.Aborted Txn.Conflict -> k Exists
-          | Txn.Aborted Txn.Constraint_violation -> k Not_stored
-          | Txn.Aborted reason -> k (Server_busy (reason_of reason))))
+          | Txn.Aborted Txn.Constraint_violation -> k Not_stored))
   in
   let delete id k =
     tally_write id;
@@ -113,11 +110,11 @@ let of_session ?(table = "kv") ?(retries = 8) ?(stats = fun () -> []) ~partition
         | Some (_, vread) ->
           submit1 key (Update.Delete { vread }) (function
             | Txn.Committed -> k Stored
-            | Txn.Aborted (Txn.Conflict | Txn.Recovered_abort) when budget > 0 ->
+            | Txn.Aborted Txn.Conflict when budget > 0 ->
               attempt (budget - 1)
             | Txn.Aborted reason -> k (Server_busy (reason_of reason))))
     in
-    attempt retries
+    attempt 8
   in
   (* One multi-record transaction.  [Txn.make] rejects duplicate keys, so
      collapse the buffered ops to the last write per key first; reads then

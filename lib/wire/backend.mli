@@ -22,7 +22,7 @@ type status =
   | Not_stored  (** rejected by a value constraint *)
   | Exists  (** cas token stale — someone else wrote first *)
   | Not_found
-  | Server_busy of string  (** retries exhausted / replicas unreachable *)
+  | Server_busy of string  (** conflict retries exhausted *)
 
 type txn_op =
   | T_set of { key : string; flags : int; data : string }
@@ -39,7 +39,6 @@ type t = {
 
 val of_session :
   ?table:string ->
-  ?retries:int ->
   ?stats:(unit -> (string * string) list) ->
   partition_of:(string -> int) ->
   obs:Mdcc_obs.Obs.t ->
@@ -47,7 +46,7 @@ val of_session :
   Mdcc_core.Session.t ->
   t
 (** [table] (default ["kv"]) must be declared in the cluster's schema;
-    [retries] (default 8) bounds conflict retries of the single-key verbs;
+    the single-key verbs retry a conflict up to 8 times;
     [next_txid] must yield server-unique transaction ids.  Every verb is
     tallied into [obs] per partition ([wire.partition.pNN.reads] /
     [.writes]), by [partition_of] — the server's key-to-partition hash,

@@ -3,6 +3,7 @@ module Table = Mdcc_util.Table
 module Rng = Mdcc_util.Rng
 module Pool = Mdcc_util.Pool
 module Obs = Mdcc_obs.Obs
+module Prof = Mdcc_obs.Prof
 module Topology = Mdcc_sim.Topology
 
 type latency_row = {
@@ -66,14 +67,15 @@ let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
    across the pool (sequential when [pool] is absent).  Afterwards every
    handle is folded into [into] {e in task order}, so the metrics export
    ([--metrics-out]) is identical whether the tasks ran on one domain or
-   eight.  Tasks must not print; drivers print from the merged results
-   after the batch. *)
+   eight; the pool map is [Prof.map_list], so a profile is too.  Tasks
+   must not print; drivers print from the merged results after the
+   batch. *)
 let par_map ?pool ~into xs ~f =
   let tasks = List.map (fun x -> (x, Obs.create ())) xs in
   let run (x, obs) = f ~obs x in
   let results =
     match pool with
-    | Some pool -> Pool.map_list pool tasks ~f:run
+    | Some pool -> Prof.map_list pool tasks ~f:run
     | None -> List.map run tasks
   in
   List.iter (fun (_, obs) -> Obs.merge ~into obs) tasks;

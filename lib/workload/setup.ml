@@ -57,4 +57,4 @@ let make protocol ~seed ~schema ?(partitions = 1) ?(app_servers_per_dc = 1) ?(ga
   | Two_pc -> baseline (fun d -> Two_phase_commit.submit (Two_phase_commit.create d))
   | Megastore ->
     (* One entity group: a single partition regardless of the request. *)
-    baseline ~partitions:1 (fun d -> Megastore.submit (Megastore.create d ()))
+    baseline ~partitions:1 (fun d -> Megastore.submit (Megastore.create d))

@@ -213,7 +213,7 @@ let test_2pc_on_socket_runtime () =
 
 let make_ms () =
   deploy ~seed:7 ~rows:(rows 10 100) (fun d ->
-      let ms = Ms.create d () in
+      let ms = Ms.create d in
       (ms, Ms.submit ms))
 
 let test_ms_commit_and_replication () =

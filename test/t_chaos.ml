@@ -231,6 +231,14 @@ let test_cli_rejects_bad_knobs () =
       [ "sweep"; "--seeds"; "1"; "--obs-out"; "no-such-dir/obs.json" ];
       [ "sweep"; "--seeds"; "1"; "--profile"; "no-such-dir/profile.json" ];
       [ "baselines"; "--seeds"; "1"; "--jobs"; "0" ];
+      [ "sweep"; "--seeds=-1" ];
+      [ "sweep"; "--seeds"; "0" ];
+      [ "baselines"; "--seeds"; "0" ];
+      [ "sweep"; "--seeds"; "1"; "--txns=-5" ];
+      [ "replay"; "--txns"; "0" ];
+      [ "baselines"; "--seeds"; "1"; "--txns"; "0" ];
+      [ "sweep"; "--seeds"; "1"; "--partitions"; "0" ];
+      [ "replay"; "--partitions"; "0" ];
     ]
 
 (* Anti-entropy regression at a pinned seed: torn_broadcast cuts the

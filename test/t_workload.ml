@@ -223,6 +223,45 @@ let test_cli_bad_knobs () =
       [ "--profile"; "no-such-dir/profile.json" ];
     ]
 
+(* A profiled run counts the work of every domain: the figure fan-outs
+   map through Prof.map_list, so --jobs 2 records the engine runs and
+   queue pops that --jobs 1 records, and both profiles are bench
+   documents bench_check can diff. *)
+let test_cli_profile_counts_worker_domains () =
+  let exe name =
+    if Sys.file_exists ("../" ^ name) then "../" ^ name else "_build/default/" ^ name
+  in
+  let profile jobs =
+    let path = Filename.temp_file "profile" ".json" in
+    let code =
+      Sys.command
+        (Filename.quote_command (exe "bin/experiments_cli.exe")
+           [ "run"; "fig5"; "--quick"; "--jobs"; string_of_int jobs; "--profile"; path ]
+           ~stdout:Filename.null ~stderr:Filename.null)
+    in
+    Alcotest.(check int) (Printf.sprintf "--jobs %d exit" jobs) 0 code;
+    match Mdcc_bench.Envelope.read path with
+    | Error e -> Alcotest.failf "--jobs %d profile: %s" jobs e
+    | Ok doc -> (path, doc.Mdcc_bench.Envelope.sections)
+  in
+  let metric sections section name =
+    match List.assoc_opt section sections with
+    | Some metrics -> Option.value (List.assoc_opt name metrics) ~default:0.0
+    | None -> 0.0
+  in
+  let p1, s1 = profile 1 and p2, s2 = profile 2 in
+  let engine_runs s = metric s "run:engine.run" "count" in
+  let pops s = metric s "run.counters" "event_queue.pop" in
+  Alcotest.(check bool) "engine runs recorded" true (engine_runs s1 > 0.0);
+  Alcotest.(check (float 0.0)) "engine.run spans" (engine_runs s1) (engine_runs s2);
+  Alcotest.(check (float 0.0)) "event_queue.pop" (pops s1) (pops s2);
+  let code =
+    Sys.command
+      (Filename.quote_command (exe "bench/bench_check.exe") [ p1; p2 ] ~stdout:Filename.null)
+  in
+  Alcotest.(check int) "bench_check exit" 0 code;
+  List.iter Sys.remove [ p1; p2 ]
+
 let suite =
   [
     Alcotest.test_case "metrics warmup filter" `Quick test_metrics_warmup_filter;
@@ -244,4 +283,6 @@ let suite =
     Alcotest.test_case "experiments_cli: unknown id exits nonzero" `Quick
       test_cli_unknown_experiment;
     Alcotest.test_case "experiments_cli: bad knobs exit 2" `Quick test_cli_bad_knobs;
+    Alcotest.test_case "experiments_cli: --profile counts worker domains" `Quick
+      test_cli_profile_counts_worker_domains;
   ]
