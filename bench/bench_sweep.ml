@@ -62,7 +62,17 @@ let profile_side ~jobs specs =
   let wall_s = Unix.gettimeofday () -. t0 in
   (wall_s, snapshot)
 
+(* Bad knobs are usage errors, exit 2 before any run: --jobs 0 would
+   trip the pool's invariant and --seeds 0 would time two empty sweeps. *)
+let at_least_one flag n =
+  if n < 1 then begin
+    Printf.eprintf "bench-sweep: %s must be at least 1 (got %d)\n" flag n;
+    exit 2
+  end
+
 let bench ~seeds ~jobs ~out ~min_speedup ~profile =
+  at_least_one "--seeds" seeds;
+  at_least_one "--jobs" jobs;
   let scenarios = Nemesis.matrix in
   let specs = Sweep.specs ~seeds ~scenarios () in
   let runs = List.length specs in

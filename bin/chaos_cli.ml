@@ -46,10 +46,6 @@ let check_plant_bug = function
   | Some q when q < 1 || q > 5 -> usage_error "--plant-bug must be in [1, 5] (got %d)" q
   | Some _ | None -> ()
 
-let check_chunk = function
-  | Some c when c < 1 -> usage_error "--chunk must be at least 1 (got %d)" c
-  | Some _ | None -> ()
-
 (* Output files are opened before any run, so an unwritable path fails
    fast instead of after the whole sweep. *)
 let open_output flag path =
@@ -61,14 +57,13 @@ let write_json oc doc =
   close_out oc
 
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
-    ~obs_out ~jobs ~chunk ~profile =
+    ~obs_out ~jobs ~profile =
   at_least_one "--seeds" seeds;
   at_least_one "--txns" txns;
   at_least_one "--partitions" partitions;
   at_least_one "--items" items;
   check_plant_bug plant_bug;
   at_least_one "--jobs" jobs;
-  check_chunk chunk;
   let scenarios =
     match scenario with
     | None -> Nemesis.matrix
@@ -85,12 +80,12 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   in
   let all =
     match profile with
-    | None -> Sweep.run ~jobs ?chunk specs
+    | None -> Sweep.run ~jobs specs
     | Some path ->
       (* The profile rides its own file, a bench document: wall-clock
          durations are nondeterministic, so they must never share a
          channel with the byte-pinned report/obs-out outputs. *)
-      let reports, snapshot = Sweep.run_profiled ~jobs ?chunk specs in
+      let reports, snapshot = Sweep.run_profiled ~jobs specs in
       Envelope.write path ~bench:"profile"
         ~config:[ ("command", Json.Str "chaos_cli sweep"); ("jobs", Json.Int jobs) ]
         (Prof.sections ~leg:"run" snapshot);
@@ -197,15 +192,6 @@ let jobs_arg =
           "Worker domains for the sweep (default: cores - 1, at least 1).  Reports are \
            merged in seed order, so output is byte-identical to $(b,--jobs 1).")
 
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Runs claimed per work-stealing cursor bump (default: about eight claims per \
-           domain).  Purely a scheduling knob — output is byte-identical for every value.")
-
 let obs_out_arg =
   Arg.(
     value
@@ -229,16 +215,16 @@ let profile_arg =
 let sweep_cmd =
   let doc = "Sweep seeds across the scenario matrix and check every history." in
   let run seeds scenario workload txns items partitions plant_bug json trace obs_out jobs
-      chunk profile =
+      profile =
     sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
-      ~obs_out ~jobs ~chunk ~profile
+      ~obs_out ~jobs ~profile
   in
   Cmd.v
     (Cmd.info "sweep" ~doc)
     Term.(
       const run $ seeds_arg $ scenario_opt $ workload_arg $ txns_arg $ items_arg
       $ partitions_arg $ plant_bug_arg $ json_flag $ trace_flag $ obs_out_arg $ jobs_arg
-      $ chunk_arg $ profile_arg)
+      $ profile_arg)
 
 let replay_cmd =
   let doc = "Re-run a single (seed, scenario) pair, verbosely." in
@@ -269,7 +255,7 @@ let baselines ~seeds ~protocol ~txns ~items ~jobs =
   in
   let reports =
     Pool.with_pool ~jobs (fun pool ->
-        Pool.map_list pool tasks ~f:(fun (p, seed) -> Baseline.run ~txns ~items ~seed p))
+        Prof.map_list pool tasks ~f:(fun (p, seed) -> Baseline.run ~txns ~items ~seed p))
   in
   List.iter (fun r -> print_endline (Baseline.report_to_string r)) reports;
   let bad = List.filter (fun r -> not (Baseline.ok r)) reports in

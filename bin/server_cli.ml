@@ -29,6 +29,10 @@ let serve nodes partitions port addr =
     Printf.eprintf "server_cli: --partitions must be >= 1 (got %d)\n" partitions;
     exit 2
   end;
+  if port < 0 || port > 65535 then begin
+    Printf.eprintf "server_cli: --port must be in [0, 65535] (got %d)\n" port;
+    exit 2
+  end;
   let srv =
     match Server.create ~nodes ~partitions ~addr ~port () with
     | srv -> srv
@@ -71,7 +75,7 @@ let partitions_arg =
 let port_arg =
   Arg.(
     value & opt int 11311
-    & info [ "port" ] ~docv:"PORT" ~doc:"TCP port; 0 binds an ephemeral port.")
+    & info [ "port" ] ~docv:"PORT" ~doc:"TCP port in [0, 65535]; 0 binds an ephemeral port.")
 
 let addr_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "addr" ] ~docv:"ADDR" ~doc:"Bind address.")

@@ -84,8 +84,7 @@ let ok r =
   List.for_all (fun i -> List.mem i got) r.b_required
   && List.for_all (fun i -> List.mem i r.b_allowed) got
 
-let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 60_000.0) ~seed
-    proto =
+let run ?(txns = 40) ?(items = 4) ~seed proto =
   let h = Setup.make proto.p_protocol ~seed ~schema:Runner.stock_schema ~rows:[] () in
   let engine = h.Harness.engine in
   let history = History.create () in
@@ -98,7 +97,7 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
           (Event.Decided { txid = txn.Txn.id; outcome });
         decided := (txn, outcome) :: !decided)
   in
-  h.Harness.load (List.init items (fun i -> (Runner.item i, Runner.item_row stock)));
+  h.Harness.load (List.init items (fun i -> (Runner.item i, Runner.item_row Runner.stock)));
   let rng = Rng.create ((seed * 31) + 11) in
   let txid = ref 0 in
   let fresh () =
@@ -113,7 +112,7 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
   let rmws = List.filter (fun i -> i mod 2 = 1) (List.init items Fun.id) in
   let n = ref 0 in
   while !n < txns do
-    let at = Rng.float rng horizon in
+    let at = Rng.float rng Runner.horizon in
     if deltas <> [] && (rmws = [] || Rng.bool rng) then begin
       let i = List.nth deltas (Rng.int rng (List.length deltas)) in
       let dc = Rng.int rng h.Harness.num_dcs in
@@ -144,13 +143,13 @@ let run ?(txns = 40) ?(items = 4) ?(stock = 60) ?(horizon = 10_000.0) ?(drain = 
       ignore (Engine.schedule_at engine ~at (submit_rmw dc2 id2))
     end
   done;
-  Engine.run ~until:(horizon +. drain) engine;
+  Engine.run ~until:(Runner.horizon +. Runner.drain) engine;
   (* ---- checks: the history, then Runner's post-drain checks ---- *)
   let decided = !decided in
   let violations =
     Checker.check ~bounds:(Schema.bounds_of Runner.stock_schema) history
     @ Runner.post_drain_checks ~peek:h.Harness.peek ~dcs:h.Harness.num_dcs ~items
-        ~delta_items:deltas ~stock ~submitted:!submitted decided
+        ~delta_items:deltas ~stock:Runner.stock ~submitted:!submitted decided
   in
   let committed = List.length (List.filter (fun (_, o) -> o = Txn.Committed) decided) in
   {

@@ -46,17 +46,14 @@ val ok : report -> bool
 val run :
   ?txns:int ->
   ?items:int ->
-  ?stock:int ->
-  ?horizon:float ->
-  ?drain:float ->
   seed:int ->
   proto ->
   report
 (** One seeded, fault-free run: even items take commutative decrements,
     odd items take contended read-modify-writes submitted in same-instant
     pairs from two DCs (both writers read the same version — the
-    lost-update crucible), over {!Runner}'s stock fixture.  Ends with the
-    checker plus {!Runner.post_drain_checks} (liveness, cross-DC
-    convergence, delta accounting). *)
+    lost-update crucible), over {!Runner}'s stock fixture, horizon and
+    drain.  Ends with the checker plus {!Runner.post_drain_checks}
+    (liveness, cross-DC convergence, delta accounting). *)
 
 val report_to_string : report -> string

@@ -48,6 +48,15 @@ val spec :
     and injects faults over a 10 s horizon, heals, and drains for 60 s in
     [Full] mode. *)
 
+val stock : int
+(** Every item's initial stock, 60. *)
+
+val horizon : float
+(** The submission and fault window, 10,000 ms; healing starts after it. *)
+
+val drain : float
+(** The time after [horizon] for recovery to quiesce, 60,000 ms. *)
+
 val effective_partitions : spec -> int
 (** [max spec.partitions spec.scenario.sc_partitions] — the partition count
     the run actually deploys. *)

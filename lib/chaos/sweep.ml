@@ -17,24 +17,12 @@ let run_one spec =
   if Runner.ok r || spec.Runner.capture_trace then r
   else Runner.run { spec with Runner.capture_trace = true }
 
-(* Default claim granularity: coarse enough that cursor traffic and
-   per-task bookkeeping are a rounding error (about eight claims per
-   domain), fine enough that the domains stay load-balanced when run
-   costs vary.  Chunking never changes output: tasks keep their indices,
-   so results merge in spec order whatever the granularity. *)
-let run ?jobs ?chunk specs =
+let run ?jobs specs =
   Pool.with_pool ?jobs (fun pool ->
-      let chunk =
-        match chunk with
-        | Some c ->
-          if c < 1 then invalid_arg "Sweep: chunk < 1";
-          c
-        | None -> max 1 (List.length specs / (Pool.jobs pool * 8))
-      in
-      Prof.map_list pool ~chunk specs ~f:(fun spec ->
+      Prof.map_list pool specs ~f:(fun spec ->
           Prof.span "sweep.run_one" (fun () -> run_one spec)))
 
-let run_profiled ?jobs ?chunk specs = Prof.with_task (fun () -> run ?jobs ?chunk specs)
+let run_profiled ?jobs specs = Prof.with_task (fun () -> run ?jobs specs)
 
 let obs_doc reports =
   Json.Obj

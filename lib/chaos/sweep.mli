@@ -2,7 +2,7 @@
 
     A sweep is an embarrassingly parallel list of independent seeded runs.
     {!run} farms the specs across worker domains and returns reports {e in
-    spec order} ([Pool.map] merges by task index), so every downstream
+    spec order} (the pool merges by task index), so every downstream
     rendering — per-run report lines, the [--obs-out] document — is
     byte-identical to a sequential [--jobs 1] sweep.  Each run is
     single-threaded on its domain; the ambient state a run touches (the
@@ -33,27 +33,20 @@ val run_one : Runner.spec -> Runner.report
     re-run reproduces the violation exactly; for an [invariant] violation
     its trace ends on the line where the run died. *)
 
-val run : ?jobs:int -> ?chunk:int -> Runner.spec list -> Runner.report list
+val run : ?jobs:int -> Runner.spec list -> Runner.report list
 (** [run ~jobs specs] maps {!run_one} over [specs] on a fresh pool of
     [jobs] domains (default {!Mdcc_util.Pool.default_jobs}); reports come
-    back in spec order.  [chunk] is the claim granularity — how many
-    consecutive specs one work-stealing claim takes (default: about eight
-    claims per domain, [max 1 (count / (jobs * 8))]).  Output is
-    byte-identical for every [chunk] and [jobs] combination; raises
-    [Invalid_argument] on [chunk < 1].  Each run is one ["sweep.run_one"]
-    profiler span. *)
+    back in spec order, byte-identical for every [jobs].  Each run is one
+    ["sweep.run_one"] profiler span. *)
 
 val run_profiled :
-  ?jobs:int ->
-  ?chunk:int ->
-  Runner.spec list ->
-  Runner.report list * Mdcc_obs.Prof.snapshot
-(** [Mdcc_obs.Prof.with_task (fun () -> run ?jobs ?chunk specs)]: {!run}
-    maps through {!Mdcc_obs.Prof.map_list}, so each chunk of [chunk]
-    specs is one profiled pool task and the snapshot holds one
-    ["sweep.run_one"] span per run whichever domain ran it.  The reports
-    are identical to {!run}'s — the profile rides a separate channel so
-    the byte-pinned sweep outputs are untouched by [--profile]. *)
+  ?jobs:int -> Runner.spec list -> Runner.report list * Mdcc_obs.Prof.snapshot
+(** [Mdcc_obs.Prof.with_task (fun () -> run ?jobs specs)]: {!run} maps
+    through {!Mdcc_obs.Prof.map_list}, so each group of specs is one
+    profiled pool task and the snapshot holds one ["sweep.run_one"] span
+    per run whichever domain ran it.  The reports are identical to
+    {!run}'s — the profile rides a separate channel so the byte-pinned
+    sweep outputs are untouched by [--profile]. *)
 
 val obs_doc : Runner.report list -> Mdcc_obs.Json.t
 (** The sweep's observability export:

@@ -11,10 +11,11 @@
    − children attributes every measured millisecond to exactly one phase.
    [with_task] brackets a unit of work with a fresh enabled handle and
    returns an immutable {!snapshot}.  [map_list] is the one way work
-   crosses domains while profiling: each pool chunk runs under its own
-   bracket on whichever domain claims it, and the chunk snapshots fold
-   into the caller's handle in task order, mirroring [Registry.merge], so
-   a [--jobs N] profile counts what a [--jobs 1] profile counts.
+   crosses domains while profiling: each group of elements runs under its
+   own bracket on whichever domain claims it, and the group snapshots
+   fold into the caller's handle in task order, mirroring
+   [Registry.merge], so a [--jobs N] profile counts what a [--jobs 1]
+   profile counts.
 
    Profiler output always rides a separate channel (BENCH_profile.json,
    [--profile FILE]) — never the byte-pinned sweep/obs/metrics reports —
@@ -209,7 +210,7 @@ let absorb t s =
   List.iter (fun (name, v) -> add_in t name v) s.sn_counters
 
 (* [Gc.quick_stat] counts for the whole process, not the calling domain,
-   so only the outermost bracket takes it: a pool chunk's bracket runs
+   so only the outermost bracket takes it: a pool group's bracket runs
    inside one and never does. *)
 let bracket ~gc f =
   let prev = Domain.DLS.get ambient_key in
@@ -239,13 +240,18 @@ let bracket ~gc f =
 
 let with_task f = bracket ~gc:(not (Domain.DLS.get ambient_key).p_enabled) f
 
-let map_list pool ?(chunk = 1) xs ~f =
+(* A bracket per element would cost more than a short task, so while
+   profiling the elements go out in groups: about eight per domain, few
+   enough that bracket and snapshot costs are a rounding error, enough
+   that the domains stay balanced when task costs vary. *)
+let map_list pool xs ~f =
   let t = ambient () in
-  if not t.p_enabled then Pool.map_list pool ~chunk xs ~f
+  if not t.p_enabled then Pool.map_list pool xs ~f
   else begin
+    let size = max 1 (List.length xs / (Pool.jobs pool * 8)) in
     let before = Pool.stats pool in
     let done_ =
-      Pool.map_list pool (Pool.chunks chunk xs) ~f:(fun group ->
+      Pool.map_list pool (Pool.chunks size xs) ~f:(fun group ->
           bracket ~gc:false (fun () -> List.map f group))
     in
     let after = Pool.stats pool in

@@ -85,16 +85,15 @@ val with_task : (unit -> 'a) -> 'a * snapshot
     only at this coarse boundary because [quick_stat] itself allocates,
     and only once because it counts for the whole process. *)
 
-val map_list :
-  Mdcc_util.Pool.t -> ?chunk:int -> 'a list -> f:('a -> 'b) -> 'b list
-(** [map_list pool ?chunk xs ~f] is [Pool.map_list pool ?chunk xs ~f]
-    while the calling domain's profiler is off.  While it is on, each
-    group of [chunk] (default 1) consecutive elements is one pool task
-    that runs under its own bracket on whichever domain claims it; the
-    groups' snapshots fold into the caller's handle in task order, under
-    its innermost open span, with [pool.batches] / [pool.tasks] /
-    [pool.stolen] counters (a task is a group).  Results are the same
-    either way, in list order. *)
+val map_list : Mdcc_util.Pool.t -> 'a list -> f:('a -> 'b) -> 'b list
+(** [map_list pool xs ~f] is [Pool.map_list pool xs ~f] while the
+    calling domain's profiler is off.  While it is on, the elements go
+    out in groups of [max 1 (n / (jobs * 8))] consecutive elements, about
+    eight per domain: each group is one pool task that runs under its own
+    bracket on whichever domain claims it, and the groups' snapshots fold
+    into the caller's handle in task order, under its innermost open
+    span, with [pool.batches] / [pool.tasks] / [pool.stolen] counters (a
+    task is a group).  Results are the same either way, in list order. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise sum by phase path / counter name.  Associative; fold in

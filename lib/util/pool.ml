@@ -5,17 +5,16 @@
    steals the next unclaimed index with an atomic fetch-and-add until the
    batch is drained.  Results are written to a slot keyed by task index, so
    the merged output is in task order no matter which domain ran what: a
-   parallel [map] returns exactly what the sequential loop would.
+   parallel [map_list] returns exactly what the sequential loop would.
 
    The pool is persistent: domains are spawned once at [create] and parked
    on a condition variable between batches, so per-batch overhead is a
    broadcast, not a spawn.  With [jobs = 1] no domains are spawned at all
-   and [map] degenerates to a plain sequential loop. *)
+   and [map_list] degenerates to a plain sequential loop. *)
 
 type batch = {
   b_run : int -> unit;  (* never raises; exceptions are captured in slots *)
   b_count : int;
-  b_chunk : int;  (* indices claimed per cursor bump; >= 1 *)
   b_next : int Atomic.t;
   b_completed : int Atomic.t;
 }
@@ -50,23 +49,17 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let jobs t = t.jobs
 
-(* Claim-and-run until the batch cursor runs past the end: each cursor bump
-   claims a contiguous run of [b_chunk] indices, so a coarse chunk turns N
-   contended fetch-and-adds into N/chunk.  Whoever completes the last task
-   retires the batch and wakes the caller. *)
+(* Claim-and-run until the batch cursor runs past the end, one index per
+   cursor bump.  Whoever completes the last task retires the batch and
+   wakes the caller. *)
 let drain ?(stolen = false) t b =
   let rec claim () =
-    let i0 = Atomic.fetch_and_add b.b_next b.b_chunk in
-    if i0 < b.b_count then begin
-      let hi = min (i0 + b.b_chunk) b.b_count in
-      let claimed = hi - i0 in
-      Atomic.fetch_and_add t.st_tasks claimed |> ignore;
-      if stolen then Atomic.fetch_and_add t.st_stolen claimed |> ignore;
-      for i = i0 to hi - 1 do
-        b.b_run i
-      done;
-      let completed = claimed + Atomic.fetch_and_add b.b_completed claimed in
-      if completed = b.b_count then begin
+    let i = Atomic.fetch_and_add b.b_next 1 in
+    if i < b.b_count then begin
+      Atomic.incr t.st_tasks;
+      if stolen then Atomic.incr t.st_stolen;
+      b.b_run i;
+      if 1 + Atomic.fetch_and_add b.b_completed 1 = b.b_count then begin
         Mutex.lock t.mutex;
         t.batch <- None;
         Condition.broadcast t.all_done;
@@ -132,9 +125,7 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let run_batch t ~count ?(chunk = 1) ~run () =
-  if chunk < 1 then
-    Invariant.violate ~context:"Pool.run_batch" "chunk %d < 1" chunk;
+let run_batch t ~count ~run =
   if count > 0 then begin
     Atomic.incr t.st_batches;
     if t.jobs = 1 || count = 1 then begin
@@ -148,7 +139,6 @@ let run_batch t ~count ?(chunk = 1) ~run () =
         {
           b_run = run;
           b_count = count;
-          b_chunk = chunk;
           b_next = Atomic.make 0;
           b_completed = Atomic.make 0;
         }
@@ -156,11 +146,11 @@ let run_batch t ~count ?(chunk = 1) ~run () =
       Mutex.lock t.mutex;
       if t.stop then begin
         Mutex.unlock t.mutex;
-        Invariant.violate ~context:"Pool.map" "pool already shut down"
+        Invariant.violate ~context:"Pool.run_batch" "pool already shut down"
       end;
       if Option.is_some t.batch then begin
         Mutex.unlock t.mutex;
-        Invariant.violate ~context:"Pool.map" "concurrent map on the same pool"
+        Invariant.violate ~context:"Pool.run_batch" "concurrent map on the same pool"
       end;
       t.batch <- Some b;
       t.generation <- t.generation + 1;
@@ -178,16 +168,14 @@ let run_batch t ~count ?(chunk = 1) ~run () =
 
 type 'a slot = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
-let map t ?chunk n f =
-  if n < 0 then Invariant.violate ~context:"Pool.map" "negative count %d" n;
-  let slots = Array.make n Pending in
-  run_batch t ~count:n ?chunk
-    ~run:(fun i ->
+let map_list t xs ~f =
+  let arr = Array.of_list xs in
+  let slots = Array.make (Array.length arr) Pending in
+  run_batch t ~count:(Array.length arr) ~run:(fun i ->
       slots.(i) <-
-        (match f i with
+        (match f arr.(i) with
         | v -> Done v
-        | exception e -> Failed (e, Printexc.get_raw_backtrace ())))
-    ();
+        | exception e -> Failed (e, Printexc.get_raw_backtrace ())));
   (* Re-raise deterministically: the lowest-index failure wins, matching
      what a sequential loop would have raised first. *)
   Array.iter
@@ -195,16 +183,13 @@ let map t ?chunk n f =
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
       | Pending | Done _ -> ())
     slots;
-  Array.map
-    (function
-      | Done v -> v
-      | Pending | Failed _ ->
-        Invariant.violate ~context:"Pool.map" "task slot left unfilled")
-    slots
-
-let map_list t ?chunk xs ~f =
-  let arr = Array.of_list xs in
-  Array.to_list (map t ?chunk (Array.length arr) (fun i -> f arr.(i)))
+  Array.to_list
+    (Array.map
+       (function
+         | Done v -> v
+         | Pending | Failed _ ->
+           Invariant.violate ~context:"Pool.run_batch" "task slot left unfilled")
+       slots)
 
 let chunks n xs =
   if n < 1 then Invariant.violate ~context:"Pool.chunks" "n %d < 1" n;

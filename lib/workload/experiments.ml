@@ -81,6 +81,14 @@ let par_map ?pool ~into xs ~f =
   List.iter (fun (_, obs) -> Obs.merge ~into obs) tasks;
   results
 
+(* [par_map] over an outer x inner grid: one task per pair, outer-major,
+   so every simulation is scheduled on its own and the handles still merge
+   in that order; the results come back as one row per outer element. *)
+let par_grid ?pool ~into outer inner ~f =
+  let tasks = List.concat_map (fun o -> List.map (fun i -> (o, i)) inner) outer in
+  let flat = par_map ?pool ~into tasks ~f:(fun ~obs (o, i) -> f ~obs o i) in
+  List.combine outer (Pool.chunks (List.length inner) flat)
+
 let row_of_metrics proto metrics =
   {
     proto;
@@ -186,25 +194,15 @@ let fig4 ?(quick = false) ?pool ~obs () =
     if quick then [ (10, 400, 1); (20, 800, 2) ]
     else [ (50, 5_000, 2); (100, 10_000, 4); (200, 20_000, 8); (400, 40_000, 16) ]
   in
-  (* Flatten protocol x scale-point into one task list so the pool can
-     schedule every simulation independently, then regroup per protocol. *)
-  let tasks =
-    List.concat_map
-      (fun protocol -> List.map (fun pt -> (protocol, pt)) points)
-      fig3_protocols
-  in
-  progress "[fig4] running %d protocol/scale points..." (List.length tasks);
-  let flat =
-    par_map ?pool ~into:obs tasks ~f:(fun ~obs (protocol, (clients, items, partitions)) ->
+  progress "[fig4] running %d protocol/scale points..."
+    (List.length fig3_protocols * List.length points);
+  let results =
+    par_grid ?pool ~into:obs fig3_protocols points
+      ~f:(fun ~obs protocol (clients, items, partitions) ->
         let scale = { base with clients; items; partitions } in
         let metrics = run_tpcw protocol scale ~all_in_dc:(tpcw_all_in_dc protocol) ~obs in
         (clients, Metrics.throughput metrics ~duration:scale.duration))
-  in
-  let results =
-    List.map2
-      (fun protocol series -> (Setup.name protocol, series))
-      fig3_protocols
-      (Pool.chunks (List.length points) flat)
+    |> List.map (fun (protocol, series) -> (Setup.name protocol, series))
   in
   Printf.printf "\n== Figure 4: TPC-W committed transactions per second (scale-out) ==\n";
   let headers =
@@ -222,14 +220,18 @@ let fig4 ?(quick = false) ?pool ~obs () =
 (* Figure 5: micro-benchmark response-time CDF                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_micro protocol scale ~params ~master_dc_of ~gamma ~clients_per_dc ~obs ?events () =
+(* [events] schedules faults on the deployment it is given, such as
+   fig8's data-center outage. *)
+let run_micro protocol scale ~params ~master_dc_of ~gamma ~clients_per_dc ~obs
+    ?(events = fun _ -> []) () =
   let rng = Rng.create ((scale.seed * 23) + 5) in
   let rows = Micro.rows params ~rng in
   let harness =
     Setup.make protocol ~seed:scale.seed ~schema:Micro.schema ~partitions:scale.partitions
       ~gamma ?master_dc_of ~obs ~rows ()
   in
-  Runner.run ?events harness (Micro.generator params) (spec_of scale ~clients_per_dc)
+  Runner.run ~events:(events harness) harness (Micro.generator params)
+    (spec_of scale ~clients_per_dc)
 
 let fig5_protocols = [ Setup.Mdcc; Setup.Fast; Setup.Multi; Setup.Two_pc ]
 
@@ -268,12 +270,10 @@ let fig6_protocols = [ Setup.Two_pc; Setup.Multi; Setup.Fast; Setup.Mdcc ]
 let fig6 ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   let hotspots = if quick then [ 0.02; 0.90 ] else [ 0.02; 0.05; 0.10; 0.20; 0.50; 0.90 ] in
-  let tasks =
-    List.concat_map (fun h -> List.map (fun p -> (h, p)) fig6_protocols) hotspots
-  in
-  progress "[fig6] running %d hotspot/protocol points..." (List.length tasks);
-  let flat =
-    par_map ?pool ~into:obs tasks ~f:(fun ~obs (hotspot, protocol) ->
+  progress "[fig6] running %d hotspot/protocol points..."
+    (List.length hotspots * List.length fig6_protocols);
+  let results =
+    par_grid ?pool ~into:obs hotspots fig6_protocols ~f:(fun ~obs hotspot protocol ->
         (* Finite stock matters here: with a small hot spot the hot items
            approach the demarcation limit, which is what makes the
            commutative path collide and degrade at 2% in the paper. *)
@@ -285,12 +285,6 @@ let fig6 ?(quick = false) ?pool ~obs () =
             ~clients_per_dc:(even_spread ~num_dcs:5 scale.clients) ~obs ()
         in
         (Setup.name protocol, Metrics.commit_count metrics, Metrics.abort_count metrics))
-  in
-  let results =
-    List.map2
-      (fun h per_proto -> (h, per_proto))
-      hotspots
-      (Pool.chunks (List.length fig6_protocols) flat)
   in
   Printf.printf "\n== Figure 6: commits/aborts for varying hot-spot sizes ==\n";
   Table.print
@@ -316,12 +310,10 @@ let fig7 ?(quick = false) ?pool ~obs () =
   let scale = scale_of quick in
   let localities = if quick then [ 1.0; 0.2 ] else [ 1.0; 0.8; 0.6; 0.4; 0.2 ] in
   let master_dc_of = Some (Micro.master_dc_of ~num_dcs:5) in
-  let tasks =
-    List.concat_map (fun l -> List.map (fun p -> (l, p)) fig7_protocols) localities
-  in
-  progress "[fig7] running %d locality/protocol points..." (List.length tasks);
-  let flat =
-    par_map ?pool ~into:obs tasks ~f:(fun ~obs (locality, protocol) ->
+  progress "[fig7] running %d locality/protocol points..."
+    (List.length localities * List.length fig7_protocols);
+  let results =
+    par_grid ?pool ~into:obs localities fig7_protocols ~f:(fun ~obs locality protocol ->
         let params =
           { (micro_params protocol scale) with Micro.locality = Some locality }
         in
@@ -337,12 +329,6 @@ let fig7 ?(quick = false) ?pool ~obs () =
             { Stats.whisker_lo = 0.; q1 = 0.; median = 0.; q3 = 0.; whisker_hi = 0.; outliers = 0 }
         in
         (Setup.name protocol, box))
-  in
-  let results =
-    List.map2
-      (fun l per_proto -> (l, per_proto))
-      localities
-      (Pool.chunks (List.length fig7_protocols) flat)
   in
   Printf.printf "\n== Figure 7: response times for varying master locality (boxplots) ==\n";
   Table.print
@@ -376,21 +362,14 @@ let fig8 ?(quick = false) ?pool:_ ~obs () =
   let fail_at = total /. 2.0 in
   let scale = { scale with warmup = 0.0; duration = total } in
   progress "[fig8] running the outage timeline...";
-  let params = micro_params Setup.Mdcc scale in
-  let rng = Rng.create ((scale.seed * 23) + 5) in
-  let rows = Micro.rows params ~rng in
-  let harness =
-    Setup.make Setup.Mdcc ~seed:scale.seed ~schema:Micro.schema ~partitions:scale.partitions
-      ~obs ~rows ()
-  in
-  let clients_per_dc =
-    Array.init 5 (fun d -> if d = Topology.us_west then scale.clients else 0)
-  in
-  let events =
-    [ (fail_at, fun () -> harness.Mdcc_protocols.Harness.fail_dc Topology.us_east) ]
-  in
   let metrics =
-    Runner.run ~events harness (Micro.generator params) (spec_of scale ~clients_per_dc)
+    run_micro Setup.Mdcc scale ~params:(micro_params Setup.Mdcc scale) ~master_dc_of:None
+      ~gamma:100
+      ~clients_per_dc:(Array.init 5 (fun d -> if d = Topology.us_west then scale.clients else 0))
+      ~obs
+      ~events:(fun harness ->
+        [ (fail_at, fun () -> harness.Mdcc_protocols.Harness.fail_dc Topology.us_east) ])
+      ()
   in
   let series = Metrics.latency_series metrics in
   let before = List.filter_map (fun (t, l) -> if t < fail_at then Some l else None) series in

@@ -123,6 +123,25 @@ let test_ledger_matches_probes () =
       "sections" (List.map (fun (p : Mdcc_bench.Probe.t) -> p.name) Mdcc_bench.Probe.all)
       (List.map fst doc.Envelope.sections)
 
+(* bench_sweep's bad knobs are usage errors: one stderr line and exit 2
+   before any sweep runs. *)
+let test_sweep_rejects_bad_knobs () =
+  let exe =
+    if Sys.file_exists "../bench/bench_sweep.exe" then "../bench/bench_sweep.exe"
+    else "_build/default/bench/bench_sweep.exe"
+  in
+  List.iter
+    (fun (args, line) ->
+      let err = tmp () in
+      let code = Sys.command (Filename.quote_command exe args ~stdout:Filename.null ~stderr:err) in
+      Alcotest.(check int) (String.concat " " args) 2 code;
+      Alcotest.(check string) "one stderr line" (line ^ "\n")
+        (In_channel.with_open_bin err In_channel.input_all))
+    [
+      ([ "--seeds"; "0" ], "bench-sweep: --seeds must be at least 1 (got 0)");
+      ([ "--seeds"; "1"; "--jobs"; "0" ], "bench-sweep: --jobs must be at least 1 (got 0)");
+    ]
+
 let suite =
   [
     Alcotest.test_case "v2 round trip" `Quick test_round_trip;
@@ -133,4 +152,5 @@ let suite =
     Alcotest.test_case "jobs > cores skips" `Quick test_starved_cores;
     Alcotest.test_case "foreign document exits 2" `Quick test_foreign;
     Alcotest.test_case "BENCH_events.json lists the probes" `Quick test_ledger_matches_probes;
+    Alcotest.test_case "bench_sweep rejects bad knobs" `Quick test_sweep_rejects_bad_knobs;
   ]

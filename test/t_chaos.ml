@@ -227,7 +227,6 @@ let test_cli_rejects_bad_knobs () =
       [ "sweep"; "--seeds"; "1"; "--items"; "0" ];
       [ "replay"; "--items"; "0" ];
       [ "sweep"; "--seeds"; "1"; "--jobs"; "0" ];
-      [ "sweep"; "--seeds"; "1"; "--chunk"; "0" ];
       [ "sweep"; "--seeds"; "1"; "--obs-out"; "no-such-dir/obs.json" ];
       [ "sweep"; "--seeds"; "1"; "--profile"; "no-such-dir/profile.json" ];
       [ "baselines"; "--seeds"; "1"; "--jobs"; "0" ];

@@ -380,22 +380,25 @@ let test_prof_with_task_and_merge () =
   Alcotest.(check bool) "attributed time is the self-time sum" true
     (Prof.attributed_ms merged >= Prof.attributed_ms a)
 
-(* A profiled pool map brings every domain's work home: the chunks'
+(* A profiled pool map brings every domain's work home: the groups'
    spans land under the caller's open span, counters sum, the pool
-   counts one task per chunk, and gc.* is the outer bracket's alone.
-   With the profiler off it records nothing. *)
+   counts one task per group of [max 1 (n / (jobs * 8))] elements, and
+   gc.* is the outer bracket's alone.  With the profiler off it records
+   nothing. *)
 let test_prof_map_list () =
   let work x =
     Prof.span "item" (fun () -> Prof.count ~by:x "items");
     x * 2
   in
-  let xs = List.init 10 Fun.id in
-  Mdcc_util.Pool.with_pool ~jobs:2 (fun pool ->
+  let n = 40 and jobs = 2 in
+  let xs = List.init n Fun.id in
+  let group = max 1 (n / (jobs * 8)) in
+  Mdcc_util.Pool.with_pool ~jobs (fun pool ->
       Alcotest.(check (list int)) "off: plain map" (List.map (fun x -> x * 2) xs)
-        (Prof.map_list pool ~chunk:3 xs ~f:work);
+        (Prof.map_list pool xs ~f:work);
       let ys, s =
         Prof.with_task (fun () ->
-            Prof.span "outer" (fun () -> Prof.map_list pool ~chunk:3 xs ~f:work))
+            Prof.span "outer" (fun () -> Prof.map_list pool xs ~f:work))
       in
       Alcotest.(check (list int)) "on: same results" (List.map (fun x -> x * 2) xs) ys;
       let count path =
@@ -403,10 +406,11 @@ let test_prof_map_list () =
         | Some ph -> ph.Prof.ph_count
         | None -> 0
       in
-      Alcotest.(check int) "one span per item, under the caller's span" 10 (count "outer/item");
+      Alcotest.(check int) "one span per item, under the caller's span" n (count "outer/item");
       Alcotest.(check int) "no span outside it" 0 (count "item");
-      Alcotest.(check int) "counters sum" 45 (List.assoc "items" s.Prof.sn_counters);
-      Alcotest.(check int) "one pool task per chunk" 4 (List.assoc "pool.tasks" s.Prof.sn_counters);
+      Alcotest.(check int) "counters sum" (n * (n - 1) / 2) (List.assoc "items" s.Prof.sn_counters);
+      Alcotest.(check int) "one pool task per group" ((n + group - 1) / group)
+        (List.assoc "pool.tasks" s.Prof.sn_counters);
       Alcotest.(check int) "gc counted once" 1
         (List.length
            (List.filter (fun (k, _) -> String.equal k "gc.minor_collections") s.Prof.sn_counters)));

@@ -8,12 +8,13 @@ module Nemesis = Mdcc_chaos.Nemesis
 module Runner = Mdcc_chaos.Runner
 module Json = Mdcc_obs.Json
 module Obs = Mdcc_obs.Obs
+module Prof = Mdcc_obs.Prof
 
 let test_map_in_order () =
   Pool.with_pool ~jobs:4 (fun pool ->
-      let r = Pool.map pool 100 (fun i -> i * i) in
-      Alcotest.(check int) "length" 100 (Array.length r);
-      Array.iteri (fun i x -> Alcotest.(check int) "slot" (i * i) x) r)
+      let r = Pool.map_list pool (List.init 100 Fun.id) ~f:(fun i -> i * i) in
+      Alcotest.(check int) "length" 100 (List.length r);
+      List.iteri (fun i x -> Alcotest.(check int) "slot" (i * i) x) r)
 
 let test_map_list_order () =
   Pool.with_pool ~jobs:3 (fun pool ->
@@ -30,92 +31,84 @@ let test_jobs1_runs_on_caller () =
   (* jobs = 1 must not spawn domains: every task sees the caller's domain. *)
   Pool.with_pool ~jobs:1 (fun pool ->
       let self = Domain.self () in
-      let domains = Pool.map pool 8 (fun _ -> Domain.self ()) in
-      Array.iter
-        (fun d -> Alcotest.(check bool) "caller domain" true (d = self))
-        domains)
+      let domains = Pool.map_list pool (List.init 8 Fun.id) ~f:(fun _ -> Domain.self ()) in
+      List.iter (fun d -> Alcotest.(check bool) "caller domain" true (d = self)) domains)
+
+(* Multiple failing tasks: the surfaced exception must be the lowest
+   failing index — exactly what a sequential loop raises first. *)
+let lowest_failure map =
+  try
+    ignore
+      (map (List.init 200 Fun.id) ~f:(fun i ->
+           if i mod 7 = 3 then failwith (string_of_int i) else i));
+    None
+  with Failure msg -> Some msg
 
 let test_exception_lowest_index () =
-  (* Multiple failing tasks: the surfaced exception must be the lowest
-     failing index — exactly what a sequential loop raises first. *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      let raised =
-        try
-          ignore
-            (Pool.map pool 50 (fun i ->
-                 if i mod 7 = 3 then failwith (string_of_int i) else i));
-          None
-        with Failure msg -> Some msg
-      in
-      Alcotest.(check (option string)) "lowest failing index" (Some "3") raised)
+      Alcotest.(check (option string)) "lowest failing index" (Some "3")
+        (lowest_failure (Pool.map_list pool)))
 
 let test_pool_reuse () =
   Pool.with_pool ~jobs:3 (fun pool ->
       for round = 1 to 5 do
-        let r = Pool.map pool (10 * round) (fun i -> i + round) in
-        Alcotest.(check int) "round length" (10 * round) (Array.length r);
-        Alcotest.(check int) "round content" (round + 3) r.(3)
+        let r = Pool.map_list pool (List.init (10 * round) Fun.id) ~f:(fun i -> i + round) in
+        Alcotest.(check int) "round length" (10 * round) (List.length r);
+        Alcotest.(check int) "round content" (round + 3) (List.nth r 3)
       done)
 
 let test_default_jobs_floor () =
   Alcotest.(check bool) "at least 1" true (Pool.default_jobs () >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Chunked claiming: a scheduling knob, never a semantics knob         *)
+(* Profiled groups: a profiling detail, never a semantics change        *)
 (* ------------------------------------------------------------------ *)
+
+(* While profiling, [Prof.map_list] sends [max 1 (n / (jobs * 8))]
+   consecutive elements out as one pool task; the lists below are long
+   enough to form several groups, most of them larger than one element. *)
 
 let test_map_chunked_order () =
   Pool.with_pool ~jobs:4 (fun pool ->
-      let expected = Array.init 101 (fun i -> i * 3) in
       List.iter
-        (fun chunk ->
-          let r = Pool.map pool ~chunk 101 (fun i -> i * 3) in
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk %d same result" chunk)
-            true (r = expected))
-        [ 1; 3; 7; 50; 101; 1000 ])
+        (fun n ->
+          let xs = List.init n Fun.id in
+          let r, _ = Prof.with_task (fun () -> Prof.map_list pool xs ~f:(fun i -> i * 3)) in
+          Alcotest.(check (list int)) (Printf.sprintf "%d elements same result" n)
+            (List.map (fun i -> i * 3) xs) r)
+        [ 1; 31; 101; 1000 ])
 
 let test_map_chunked_covers_all () =
-  (* Chunk larger than count, chunk not dividing count, chunk = count:
-     every index must run exactly once. *)
+  (* Groups that divide the list and groups that leave a shorter tail:
+     every element must run exactly once. *)
   Pool.with_pool ~jobs:3 (fun pool ->
       List.iter
-        (fun (count, chunk) ->
-          let hits = Array.make count (Atomic.make 0) in
-          Array.iteri (fun i _ -> hits.(i) <- Atomic.make 0) hits;
-          ignore (Pool.map pool ~chunk count (fun i -> Atomic.incr hits.(i)));
+        (fun count ->
+          let hits = Array.init count (fun _ -> Atomic.make 0) in
+          ignore
+            (Prof.with_task (fun () ->
+                 Prof.map_list pool (List.init count Fun.id) ~f:(fun i -> Atomic.incr hits.(i))));
           Array.iteri
             (fun i a ->
-              Alcotest.(check int)
-                (Printf.sprintf "count %d chunk %d index %d" count chunk i)
-                1 (Atomic.get a))
+              Alcotest.(check int) (Printf.sprintf "count %d index %d" count i) 1 (Atomic.get a))
             hits)
-        [ (10, 3); (10, 10); (3, 10); (64, 16) ])
+        [ 10; 48; 64; 200 ])
 
 let test_chunked_exception_lowest_index () =
-  (* Coarse chunks must not change which exception surfaces: still the
-     lowest failing index, as a sequential loop would raise first. *)
+  (* Groups must not change which exception surfaces: still the lowest
+     failing index, as a sequential loop would raise first. *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      let raised =
-        try
-          ignore
-            (Pool.map pool ~chunk:8 50 (fun i ->
-                 if i mod 7 = 3 then failwith (string_of_int i) else i));
-          None
-        with Failure msg -> Some msg
-      in
-      Alcotest.(check (option string)) "lowest failing index" (Some "3") raised)
+      Alcotest.(check (option string)) "lowest failing index" (Some "3")
+        (fst (Prof.with_task (fun () -> lowest_failure (Prof.map_list pool)))))
 
-let test_chunk_invalid () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.check_raises "chunk 0 violates"
-        (Mdcc_util.Invariant.Violation
-           {
-             Mdcc_util.Invariant.node = None;
-             context = "Pool.run_batch";
-             message = "chunk 0 < 1";
-           })
-        (fun () -> ignore (Pool.map pool ~chunk:0 4 (fun i -> i))))
+let test_unprofiled_one_task_per_element () =
+  (* With the profiler off nothing is grouped: one claim per element. *)
+  Pool.with_pool ~jobs:4 (fun pool ->
+      let before = Pool.stats pool in
+      ignore (Prof.map_list pool (List.init 100 Fun.id) ~f:Fun.id);
+      let after = Pool.stats pool in
+      Alcotest.(check int) "one task per element" 100 Pool.(after.tasks - before.tasks);
+      Alcotest.(check int) "one batch" 1 Pool.(after.batches - before.batches))
 
 (* [Pool.chunks] regroups a flattened task list: consecutive groups of
    [n], the last shorter, nothing for an empty list. *)
@@ -132,13 +125,24 @@ let test_chunks () =
     (fun () -> ignore (Pool.chunks 0 [ 1 ]))
 
 let test_chunk_stats_count_tasks () =
-  (* Chunked claims must still account every task once in the stats. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let before = Pool.stats pool in
-      ignore (Pool.map pool ~chunk:5 33 (fun i -> i));
-      let after = Pool.stats pool in
-      Alcotest.(check int) "tasks counted" 33 Pool.(after.tasks - before.tasks);
-      Alcotest.(check int) "one batch" 1 Pool.(after.batches - before.batches))
+  (* A profiled map counts one pool task per group, in the pool and in
+     the profile alike. *)
+  List.iter
+    (fun (jobs, n) ->
+      Pool.with_pool ~jobs (fun pool ->
+          let size = max 1 (n / (jobs * 8)) in
+          let before = Pool.stats pool in
+          let _, snap =
+            Prof.with_task (fun () -> Prof.map_list pool (List.init n Fun.id) ~f:Fun.id)
+          in
+          let after = Pool.stats pool in
+          let label = Printf.sprintf "jobs %d, %d elements" jobs n in
+          let groups = (n + size - 1) / size in
+          Alcotest.(check int) (label ^ ": tasks") groups Pool.(after.tasks - before.tasks);
+          Alcotest.(check int) (label ^ ": pool.tasks") groups
+            (List.assoc "pool.tasks" snap.Prof.sn_counters);
+          Alcotest.(check int) (label ^ ": one batch") 1 Pool.(after.batches - before.batches)))
+    [ (1, 33); (2, 33); (2, 100); (4, 100) ]
 
 (* ------------------------------------------------------------------ *)
 (* The determinism contract, end to end                                *)
@@ -171,51 +175,32 @@ let test_sweep_trace_capture_identity () =
   Alcotest.(check bool) "captured traces byte-identical" true
     (String.equal (render seq) (render par))
 
-let test_sweep_chunk_byte_identity () =
-  (* The full grid: chunk (explicit fine, explicit coarse, derived default)
-     x jobs (1, 2, 4) must render one byte-identical document. *)
+let test_sweep_jobs_byte_identity () =
+  (* jobs (1, 2, 4) must render one byte-identical document. *)
   let scenarios = List.filteri (fun i _ -> i < 2) Nemesis.matrix in
   let specs = Sweep.specs ~seeds:3 ~scenarios () in
-  let reference = render (Sweep.run ~jobs:1 ~chunk:1 specs) in
+  let reference = render (Sweep.run ~jobs:1 specs) in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun chunk ->
-          let got = render (Sweep.run ~jobs ?chunk specs) in
-          let label =
-            Printf.sprintf "jobs %d chunk %s" jobs
-              (match chunk with Some c -> string_of_int c | None -> "default")
-          in
-          Alcotest.(check bool) label true (String.equal reference got))
-        [ Some 1; Some 4; None ])
-    [ 1; 2; 4 ];
+      Alcotest.(check bool) (Printf.sprintf "jobs %d" jobs) true
+        (String.equal reference (render (Sweep.run ~jobs specs))))
+    [ 2; 4 ];
   Alcotest.(check bool) "output non-trivial" true (String.length reference > 1000)
 
 let test_run_profiled_chunked () =
-  (* Chunked profiling amortizes Prof.with_task across runs but must not
-     change the reports, and the merged profile still counts one
-     sweep.run_one span per run. *)
+  (* Profiling groups the runs but must not change the reports, and the
+     merged profile still counts one sweep.run_one span per run. *)
   let scenarios = List.filteri (fun i _ -> i < 2) Nemesis.matrix in
   let specs = Sweep.specs ~seeds:3 ~scenarios () in
-  let runs = List.length specs in
-  let plain = render (Sweep.run ~jobs:2 specs) in
-  List.iter
-    (fun chunk ->
-      let reports, snapshot = Sweep.run_profiled ~jobs:2 ?chunk specs in
-      let label =
-        match chunk with Some c -> Printf.sprintf "chunk %d" c | None -> "chunk default"
-      in
-      Alcotest.(check bool) (label ^ ": reports unchanged") true
-        (String.equal plain (render reports));
-      let run_one_count =
-        List.fold_left
-          (fun acc p ->
-            if p.Mdcc_obs.Prof.ph_path = "sweep.run_one" then acc + p.Mdcc_obs.Prof.ph_count
-            else acc)
-          0 snapshot.Mdcc_obs.Prof.sn_phases
-      in
-      Alcotest.(check int) (label ^ ": one span per run") runs run_one_count)
-    [ Some 1; Some 4; None ]
+  let reports, snapshot = Sweep.run_profiled ~jobs:2 specs in
+  Alcotest.(check bool) "reports unchanged" true
+    (String.equal (render (Sweep.run ~jobs:2 specs)) (render reports));
+  let run_one_count =
+    List.fold_left
+      (fun acc p -> if p.Prof.ph_path = "sweep.run_one" then acc + p.Prof.ph_count else acc)
+      0 snapshot.Prof.sn_phases
+  in
+  Alcotest.(check int) "one span per run" (List.length specs) run_one_count
 
 let test_registry_chunked_merge () =
   (* Folding per-chunk merged registries in chunk order must equal folding
@@ -279,11 +264,11 @@ let suite =
     Alcotest.test_case "chunked map covers every index" `Quick test_map_chunked_covers_all;
     Alcotest.test_case "chunked lowest-index exception wins" `Quick
       test_chunked_exception_lowest_index;
-    Alcotest.test_case "chunk < 1 violates" `Quick test_chunk_invalid;
+    Alcotest.test_case "unprofiled map claims each element alone" `Quick
+      test_unprofiled_one_task_per_element;
     Alcotest.test_case "chunked stats count tasks" `Quick test_chunk_stats_count_tasks;
     Alcotest.test_case "sweep byte-identity jobs 1 vs 4" `Quick test_sweep_byte_identity;
-    Alcotest.test_case "sweep byte-identity across chunk x jobs grid" `Quick
-      test_sweep_chunk_byte_identity;
+    Alcotest.test_case "sweep byte-identity across jobs" `Quick test_sweep_jobs_byte_identity;
     Alcotest.test_case "profiled sweep chunking" `Quick test_run_profiled_chunked;
     Alcotest.test_case "registry chunked merge associativity" `Quick
       test_registry_chunked_merge;

@@ -948,14 +948,14 @@ let test_server_metrics () =
   | Unix.WSIGNALED s -> Alcotest.failf "server killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "server stopped"
 
-let test_server_port_in_use () =
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let held, port = hold_port () in
+(* Run the server with [args], expecting it to exit by itself: its
+   stderr up to the exit and its exit status.  A server still running at
+   [deadline] is killed and the test fails. *)
+let server_stderr_and_exit ~deadline args =
   let err_r, err_w = Unix.pipe () in
   let pid =
-    Unix.create_process server_exe
-      [| server_exe; "--nodes"; "3"; "--port"; string_of_int port |]
-      Unix.stdin Unix.stdout err_w
+    Unix.create_process server_exe (Array.of_list (server_exe :: args)) Unix.stdin
+      Unix.stdout err_w
   in
   Unix.close err_w;
   let buf = Bytes.create 4096 and err = Buffer.create 128 in
@@ -967,21 +967,48 @@ let test_server_port_in_use () =
       read_all ()
     | exception e ->
       Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Unix.close err_r;
       raise e
   in
   read_all ();
   Unix.close err_r;
   let _, status = Unix.waitpid [] pid in
-  Unix.close held;
-  Alcotest.(check string) "one line naming the address"
-    (Printf.sprintf "server_cli: cannot listen on 127.0.0.1:%d: %s\n" port
-       (Unix.error_message EADDRINUSE))
-    (Buffer.contents err);
-  match status with
+  (Buffer.contents err, status)
+
+let check_exit_2 = function
   | Unix.WEXITED 2 -> ()
   | Unix.WEXITED n -> Alcotest.failf "server exited %d, wanted 2" n
   | Unix.WSIGNALED s -> Alcotest.failf "server killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "server stopped"
+
+let test_server_port_in_use () =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let held, port = hold_port () in
+  let err, status =
+    server_stderr_and_exit ~deadline [ "--nodes"; "3"; "--port"; string_of_int port ]
+  in
+  Unix.close held;
+  Alcotest.(check string) "one line naming the address"
+    (Printf.sprintf "server_cli: cannot listen on 127.0.0.1:%d: %s\n" port
+       (Unix.error_message EADDRINUSE))
+    err;
+  check_exit_2 status
+
+(* A port outside [0, 65535] is a bad knob, not a port modulo 65,536:
+   one stderr line and exit 2, before anything listens. *)
+let test_server_port_out_of_range () =
+  List.iter
+    (fun port ->
+      let err, status =
+        server_stderr_and_exit ~deadline:(Unix.gettimeofday () +. 10.0)
+          [ "--nodes"; "3"; Printf.sprintf "--port=%d" port ]
+      in
+      Alcotest.(check string) (Printf.sprintf "port %d: one line" port)
+        (Printf.sprintf "server_cli: --port must be in [0, 65535] (got %d)\n" port)
+        err;
+      check_exit_2 status)
+    [ -5; 65536; 70000 ]
 
 (* ---------------- in-process server: pipelined load, read-back ---------- *)
 
@@ -1095,4 +1122,6 @@ let suite =
     Alcotest.test_case "server_cli: port in use exits 2" `Quick test_server_port_in_use;
     Alcotest.test_case "server_cli: SIGTERM graceful drain" `Quick test_server_sigterm;
     Alcotest.test_case "server_cli: live metrics over TCP" `Quick test_server_metrics;
+    Alcotest.test_case "server_cli: port out of range exits 2" `Quick
+      test_server_port_out_of_range;
   ]
