@@ -5,7 +5,7 @@
      dune exec bench/bench_check.exe -- BENCH_sweep.json fresh.json --gate speedup:higher --tolerance 0.2
 
    Runs the full scenario-matrix sweep twice — sequentially (--jobs 1) and
-   on a worker pool (--jobs N) — on identical spec lists, then:
+   on N domains (--jobs N) — on identical spec lists, then:
 
    - verifies the two runs' report JSON and obs documents are byte-identical
      (the determinism contract; exit 2 on any divergence),

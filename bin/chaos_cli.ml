@@ -254,8 +254,7 @@ let baselines ~seeds ~protocol ~txns ~items ~jobs =
     List.concat_map (fun p -> List.init seeds (fun i -> (p, i + 1))) protos
   in
   let reports =
-    Pool.with_pool ~jobs (fun pool ->
-        Prof.map_list pool tasks ~f:(fun (p, seed) -> Baseline.run ~txns ~items ~seed p))
+    Prof.map_list ~jobs tasks ~f:(fun (p, seed) -> Baseline.run ~txns ~items ~seed p)
   in
   List.iter (fun r -> print_endline (Baseline.report_to_string r)) reports;
   let bad = List.filter (fun r -> not (Baseline.ok r)) reports in

@@ -91,9 +91,8 @@ let run_cmd =
     (* The export handle: every experiment of this run reports into it. *)
     let obs = Obs.create () in
     let body () =
-      Pool.with_pool ~jobs (fun pool ->
-          let ids = if all || ids = [] then Experiments.all else ids in
-          List.iter (fun (e : Experiments.experiment) -> e.run ~quick ~pool ~obs ()) ids)
+      let ids = if all || ids = [] then Experiments.all else ids in
+      List.iter (fun (e : Experiments.experiment) -> e.run ~quick ~jobs ~obs ()) ids
     in
     (match profile with
     | None -> body ()

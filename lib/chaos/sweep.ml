@@ -17,10 +17,8 @@ let run_one spec =
   if Runner.ok r || spec.Runner.capture_trace then r
   else Runner.run { spec with Runner.capture_trace = true }
 
-let run ?jobs specs =
-  Pool.with_pool ?jobs (fun pool ->
-      Prof.map_list pool specs ~f:(fun spec ->
-          Prof.span "sweep.run_one" (fun () -> run_one spec)))
+let run ?(jobs = Pool.default_jobs ()) specs =
+  Prof.map_list ~jobs specs ~f:(fun spec -> Prof.span "sweep.run_one" (fun () -> run_one spec))
 
 let run_profiled ?jobs specs = Prof.with_task (fun () -> run ?jobs specs)
 

@@ -1,8 +1,8 @@
-(** Parallel seed sweeps over a {!Pool.t} of domains.
+(** Parallel seed sweeps: one fork-join map over OCaml 5 domains.
 
     A sweep is an embarrassingly parallel list of independent seeded runs.
-    {!run} farms the specs across worker domains and returns reports {e in
-    spec order} (the pool merges by task index), so every downstream
+    {!run} farms the specs across domains and returns reports {e in
+    spec order} (the map merges by list index), so every downstream
     rendering — per-run report lines, the [--obs-out] document — is
     byte-identical to a sequential [--jobs 1] sweep.  Each run is
     single-threaded on its domain; the ambient state a run touches (the
@@ -34,16 +34,17 @@ val run_one : Runner.spec -> Runner.report
     its trace ends on the line where the run died. *)
 
 val run : ?jobs:int -> Runner.spec list -> Runner.report list
-(** [run ~jobs specs] maps {!run_one} over [specs] on a fresh pool of
-    [jobs] domains (default {!Mdcc_util.Pool.default_jobs}); reports come
-    back in spec order, byte-identical for every [jobs].  Each run is one
+(** [run ~jobs specs] maps {!run_one} over [specs] on [jobs] domains
+    (default {!Mdcc_util.Pool.default_jobs}), spawned for this map and
+    joined before it returns; [jobs = 1] runs inline.  Reports come back
+    in spec order, byte-identical for every [jobs].  Each run is one
     ["sweep.run_one"] profiler span. *)
 
 val run_profiled :
   ?jobs:int -> Runner.spec list -> Runner.report list * Mdcc_obs.Prof.snapshot
 (** [Mdcc_obs.Prof.with_task (fun () -> run ?jobs specs)]: {!run} maps
     through {!Mdcc_obs.Prof.map_list}, so each group of specs is one
-    profiled pool task and the snapshot holds one ["sweep.run_one"] span
+    profiled task and the snapshot holds one ["sweep.run_one"] span
     per run whichever domain ran it.  The reports are identical to
     {!run}'s — the profile rides a separate channel so the byte-pinned
     sweep outputs are untouched by [--profile]. *)

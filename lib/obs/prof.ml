@@ -244,22 +244,23 @@ let with_task f = bracket ~gc:(not (Domain.DLS.get ambient_key).p_enabled) f
    profiling the elements go out in groups: about eight per domain, few
    enough that bracket and snapshot costs are a rounding error, enough
    that the domains stay balanced when task costs vary. *)
-let map_list pool xs ~f =
+let map_list ~jobs xs ~f =
   let t = ambient () in
-  if not t.p_enabled then Pool.map_list pool xs ~f
+  if not t.p_enabled then Pool.map_list ~jobs xs ~f
   else begin
-    let size = max 1 (List.length xs / (Pool.jobs pool * 8)) in
-    let before = Pool.stats pool in
+    (* [max 1 jobs] leaves a bad [jobs] to [Pool.map_list]'s violation. *)
+    let groups = Pool.chunks (max 1 (List.length xs / (max 1 jobs * 8))) xs in
+    let caller = Domain.self () in
     let done_ =
-      Pool.map_list pool (Pool.chunks size xs) ~f:(fun group ->
-          bracket ~gc:false (fun () -> List.map f group))
+      Pool.map_list ~jobs groups ~f:(fun group ->
+          let v, snap = bracket ~gc:false (fun () -> List.map f group) in
+          (v, snap, Domain.self () <> caller))
     in
-    let after = Pool.stats pool in
-    absorb t (List.fold_left (fun acc (_, snap) -> merge acc snap) empty_snapshot done_);
-    add_in t "pool.batches" (after.Pool.batches - before.Pool.batches);
-    add_in t "pool.tasks" (after.Pool.tasks - before.Pool.tasks);
-    add_in t "pool.stolen" (after.Pool.stolen - before.Pool.stolen);
-    List.concat_map fst done_
+    absorb t (List.fold_left (fun acc (_, snap, _) -> merge acc snap) empty_snapshot done_);
+    add_in t "pool.batches" (if groups = [] then 0 else 1);
+    add_in t "pool.tasks" (List.length groups);
+    add_in t "pool.stolen" (List.length (List.filter (fun (_, _, stolen) -> stolen) done_));
+    List.concat_map (fun (v, _, _) -> v) done_
   end
 
 let attributed_ms s =

@@ -8,8 +8,8 @@
     (the sanctioned clock — R1 still bans every other wall-clock read)
     and charge [Gc.minor_words] deltas per hierarchical span path.
 
-    A worker domain starts from a fresh disabled handle, so work fanned
-    out over a {!Mdcc_util.Pool.t} reaches the caller's profile only
+    A helper domain starts from a fresh disabled handle, so work fanned
+    out by {!Mdcc_util.Pool.map_list} reaches the caller's profile only
     through {!map_list}, which every pool map in the repository goes
     through.  Profiler output rides its own channel ([--profile FILE],
     a bench document whose sections {!sections} renders): wall time is
@@ -85,15 +85,17 @@ val with_task : (unit -> 'a) -> 'a * snapshot
     only at this coarse boundary because [quick_stat] itself allocates,
     and only once because it counts for the whole process. *)
 
-val map_list : Mdcc_util.Pool.t -> 'a list -> f:('a -> 'b) -> 'b list
-(** [map_list pool xs ~f] is [Pool.map_list pool xs ~f] while the
+val map_list : jobs:int -> 'a list -> f:('a -> 'b) -> 'b list
+(** [map_list ~jobs xs ~f] is [Pool.map_list ~jobs xs ~f] while the
     calling domain's profiler is off.  While it is on, the elements go
     out in groups of [max 1 (n / (jobs * 8))] consecutive elements, about
     eight per domain: each group is one pool task that runs under its own
     bracket on whichever domain claims it, and the groups' snapshots fold
     into the caller's handle in task order, under its innermost open
-    span, with [pool.batches] / [pool.tasks] / [pool.stolen] counters (a
-    task is a group).  Results are the same either way, in list order. *)
+    span.  The map adds three counters: [pool.batches] (1, or 0 for an
+    empty list), [pool.tasks] (the groups) and [pool.stolen] (the groups
+    whose bracket ran on a domain other than the caller's).  Results are
+    the same either way, in list order. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise sum by phase path / counter name.  Associative; fold in

@@ -64,29 +64,23 @@ let even_spread ~num_dcs clients =
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
 (* Run [f ~obs] once per list element, each against a fresh obs handle,
-   across the pool (sequential when [pool] is absent).  Afterwards every
-   handle is folded into [into] {e in task order}, so the metrics export
-   ([--metrics-out]) is identical whether the tasks ran on one domain or
-   eight; the pool map is [Prof.map_list], so a profile is too.  Tasks
-   must not print; drivers print from the merged results after the
-   batch. *)
-let par_map ?pool ~into xs ~f =
+   on [jobs] domains.  Afterwards every handle is folded into [into] {e in
+   task order}, so the metrics export ([--metrics-out]) is identical
+   whether the tasks ran on one domain or eight; the map is
+   [Prof.map_list], so a profile is too.  Tasks must not print; drivers
+   print from the merged results after the map. *)
+let par_map ~jobs ~into xs ~f =
   let tasks = List.map (fun x -> (x, Obs.create ())) xs in
-  let run (x, obs) = f ~obs x in
-  let results =
-    match pool with
-    | Some pool -> Prof.map_list pool tasks ~f:run
-    | None -> List.map run tasks
-  in
+  let results = Prof.map_list ~jobs tasks ~f:(fun (x, obs) -> f ~obs x) in
   List.iter (fun (_, obs) -> Obs.merge ~into obs) tasks;
   results
 
 (* [par_map] over an outer x inner grid: one task per pair, outer-major,
    so every simulation is scheduled on its own and the handles still merge
    in that order; the results come back as one row per outer element. *)
-let par_grid ?pool ~into outer inner ~f =
+let par_grid ~jobs ~into outer inner ~f =
   let tasks = List.concat_map (fun o -> List.map (fun i -> (o, i)) inner) outer in
-  let flat = par_map ?pool ~into tasks ~f:(fun ~obs (o, i) -> f ~obs o i) in
+  let flat = par_map ~jobs ~into tasks ~f:(fun ~obs (o, i) -> f ~obs o i) in
   List.combine outer (Pool.chunks (List.length inner) flat)
 
 let row_of_metrics proto metrics =
@@ -172,11 +166,11 @@ let tpcw_all_in_dc = function
   | Setup.Megastore -> Some Topology.us_west
   | Setup.Mdcc | Setup.Fast | Setup.Multi | Setup.Qw _ | Setup.Two_pc -> None
 
-let fig3 ?(quick = false) ?pool ~obs () =
+let fig3 ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   progress "[fig3] running %d protocols..." (List.length fig3_protocols);
   let rows =
-    par_map ?pool ~into:obs fig3_protocols ~f:(fun ~obs protocol ->
+    par_map ~jobs ~into:obs fig3_protocols ~f:(fun ~obs protocol ->
         let metrics = run_tpcw protocol scale ~all_in_dc:(tpcw_all_in_dc protocol) ~obs in
         row_of_metrics (Setup.name protocol) metrics)
   in
@@ -188,7 +182,7 @@ let fig3 ?(quick = false) ?pool ~obs () =
 (* Figure 4: TPC-W throughput scale-out                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fig4 ?(quick = false) ?pool ~obs () =
+let fig4 ?(quick = false) ?(jobs = 1) ~obs () =
   let base = scale_of quick in
   let points =
     if quick then [ (10, 400, 1); (20, 800, 2) ]
@@ -197,7 +191,7 @@ let fig4 ?(quick = false) ?pool ~obs () =
   progress "[fig4] running %d protocol/scale points..."
     (List.length fig3_protocols * List.length points);
   let results =
-    par_grid ?pool ~into:obs fig3_protocols points
+    par_grid ~jobs ~into:obs fig3_protocols points
       ~f:(fun ~obs protocol (clients, items, partitions) ->
         let scale = { base with clients; items; partitions } in
         let metrics = run_tpcw protocol scale ~all_in_dc:(tpcw_all_in_dc protocol) ~obs in
@@ -245,11 +239,11 @@ let micro_params protocol scale =
     commutative = Setup.commutative protocol;
   }
 
-let fig5 ?(quick = false) ?pool ~obs () =
+let fig5 ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   progress "[fig5] running %d protocols..." (List.length fig5_protocols);
   let rows =
-    par_map ?pool ~into:obs fig5_protocols ~f:(fun ~obs protocol ->
+    par_map ~jobs ~into:obs fig5_protocols ~f:(fun ~obs protocol ->
         let params = micro_params protocol scale in
         let metrics =
           run_micro protocol scale ~params ~master_dc_of:None ~gamma:100
@@ -267,13 +261,13 @@ let fig5 ?(quick = false) ?pool ~obs () =
 
 let fig6_protocols = [ Setup.Two_pc; Setup.Multi; Setup.Fast; Setup.Mdcc ]
 
-let fig6 ?(quick = false) ?pool ~obs () =
+let fig6 ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   let hotspots = if quick then [ 0.02; 0.90 ] else [ 0.02; 0.05; 0.10; 0.20; 0.50; 0.90 ] in
   progress "[fig6] running %d hotspot/protocol points..."
     (List.length hotspots * List.length fig6_protocols);
   let results =
-    par_grid ?pool ~into:obs hotspots fig6_protocols ~f:(fun ~obs hotspot protocol ->
+    par_grid ~jobs ~into:obs hotspots fig6_protocols ~f:(fun ~obs hotspot protocol ->
         (* Finite stock matters here: with a small hot spot the hot items
            approach the demarcation limit, which is what makes the
            commutative path collide and degrade at 2% in the paper. *)
@@ -306,14 +300,14 @@ let fig6 ?(quick = false) ?pool ~obs () =
 
 let fig7_protocols = [ Setup.Multi; Setup.Mdcc ]
 
-let fig7 ?(quick = false) ?pool ~obs () =
+let fig7 ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   let localities = if quick then [ 1.0; 0.2 ] else [ 1.0; 0.8; 0.6; 0.4; 0.2 ] in
   let master_dc_of = Some (Micro.master_dc_of ~num_dcs:5) in
   progress "[fig7] running %d locality/protocol points..."
     (List.length localities * List.length fig7_protocols);
   let results =
-    par_grid ?pool ~into:obs localities fig7_protocols ~f:(fun ~obs locality protocol ->
+    par_grid ~jobs ~into:obs localities fig7_protocols ~f:(fun ~obs locality protocol ->
         let params =
           { (micro_params protocol scale) with Micro.locality = Some locality }
         in
@@ -355,7 +349,7 @@ let fig7 ?(quick = false) ?pool ~obs () =
 (* Figure 8: data-center failure                                        *)
 (* ------------------------------------------------------------------ *)
 
-let fig8 ?(quick = false) ?pool:_ ~obs () =
+let fig8 ?(quick = false) ?jobs:_ ~obs () =
   let scale = scale_of quick in
   (* All clients in US-West; kill US-East (the closest DC) mid-run. *)
   let total = if quick then 30_000.0 else 240_000.0 in
@@ -399,12 +393,12 @@ let fig8 ?(quick = false) ?pool:_ ~obs () =
 (* Ablation: fast-policy γ                                              *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_gamma ?(quick = false) ?pool ~obs () =
+let ablation_gamma ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   let gammas = if quick then [ 0; 100 ] else [ 0; 10; 100; 1000 ] in
   progress "[ablation-gamma] running %d gamma settings..." (List.length gammas);
   let results =
-    par_map ?pool ~into:obs gammas ~f:(fun ~obs gamma ->
+    par_map ~jobs ~into:obs gammas ~f:(fun ~obs gamma ->
         let params =
           { (micro_params Setup.Mdcc scale) with
             Micro.hotspot = Some (0.05, 0.9);
@@ -447,11 +441,11 @@ let run_mdcc_micro scale ~params ~spec ~config ~clients_per_dc ~obs =
 (* Ablation: replication factor (quorum sizes)                          *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_replication ?(quick = false) ?pool ~obs () =
+let ablation_replication ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   progress "[ablation-replication] running 2 replication factors...";
   let results =
-    par_map ?pool ~into:obs [ 3; 5 ] ~f:(fun ~obs dcs ->
+    par_map ~jobs ~into:obs [ 3; 5 ] ~f:(fun ~obs dcs ->
         let params = { (micro_params Setup.Mdcc scale) with Micro.num_dcs = dcs } in
         let config = Mdcc_core.Config.make ~mode:Mdcc_core.Config.Full ~replication:dcs () in
         (* First [dcs] EC2 regions. *)
@@ -491,11 +485,11 @@ let ablation_replication ?(quick = false) ?pool ~obs () =
 (* Ablation: message batching                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_batching ?(quick = false) ?pool ~obs () =
+let ablation_batching ?(quick = false) ?(jobs = 1) ~obs () =
   let scale = scale_of quick in
   progress "[ablation-batching] running batching on/off...";
   let results =
-    par_map ?pool ~into:obs [ false; true ] ~f:(fun ~obs batching ->
+    par_map ~jobs ~into:obs [ false; true ] ~f:(fun ~obs batching ->
         let config =
           Mdcc_core.Config.make ~mode:Mdcc_core.Config.Full ~batching ~replication:5 ()
         in
@@ -524,12 +518,12 @@ let ablation_batching ?(quick = false) ?pool ~obs () =
        results);
   results
 
-type 'a driver = ?quick:bool -> ?pool:Pool.t -> obs:Obs.t -> unit -> 'a
+type 'a driver = ?quick:bool -> ?jobs:int -> obs:Obs.t -> unit -> 'a
 
 type experiment = { id : string; doc : string; run : unit driver }
 
 let experiment id doc f =
-  { id; doc; run = (fun ?quick ?pool ~obs () -> ignore (f ?quick ?pool ~obs ())) }
+  { id; doc; run = (fun ?quick ?jobs ~obs () -> ignore (f ?quick ?jobs ~obs ())) }
 
 let all =
   [

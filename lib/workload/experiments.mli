@@ -7,13 +7,12 @@
     default scale is the benchmark scale recorded in EXPERIMENTS.md.
 
     Every driver takes [obs], the handle its protocol metrics are exported
-    into, and an optional worker [pool] ({!Mdcc_util.Pool.t}) across which
-    it fans out its independent simulations.  Each simulation gets a fresh
-    {!Mdcc_obs.Obs.t}; the handles are merged into [obs] in task order once
-    the batch completes, so metric exports are byte-identical with and
-    without a pool.  Omitting [pool] runs sequentially through the same
-    code path.  {!fig8} is one simulation: it runs directly against [obs]
-    and leaves the pool idle.
+    into, and [jobs] (default 1), the domains its independent simulations
+    fan out over in one {!Mdcc_obs.Prof.map_list}.  Each simulation gets a
+    fresh {!Mdcc_obs.Obs.t}; the handles are merged into [obs] in task
+    order once the map returns, so metric exports are byte-identical for
+    every [jobs].  {!fig8} is one simulation: it runs directly against
+    [obs] and ignores [jobs].
 
     Correspondence:
     {ul
@@ -36,7 +35,7 @@ type latency_row = {
   aborts : int;
 }
 
-type 'a driver = ?quick:bool -> ?pool:Mdcc_util.Pool.t -> obs:Mdcc_obs.Obs.t -> unit -> 'a
+type 'a driver = ?quick:bool -> ?jobs:int -> obs:Mdcc_obs.Obs.t -> unit -> 'a
 (** A figure or ablation: it runs, prints its table and returns its data. *)
 
 val tpcw_point : items:int -> partitions:int -> clients:int -> Metrics.t * float

@@ -21,20 +21,54 @@ let stock_schema =
 
 let item_row stock = Value.of_list [ ("stock", Value.Int stock) ]
 
-(* A runtime at time 0 whose sends go nowhere, whose timers never fire and
-   whose trace lines fail the test: with tracing off, nothing may format
-   one.  [handler] receives the registered message handler. *)
-let silent_runtime handler =
-  Mdcc_core.Runtime.make
-    ~now:(fun () -> 0.0)
-    ~send:(fun ~src:_ ~dst:_ _ -> ())
-    ~register:(fun _ h -> handler := h)
-    ~set_timer:(fun ~after:_ _ -> ignore)
-    ~spawn:(fun f -> f ())
-    ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-    ~trace:(fun ~tag _ -> Alcotest.failf "trace line from %s with tracing off" tag)
-    ~tracing:(fun () -> false)
-    ()
+(* A runtime the test drives by hand, for a protocol component built on
+   it alone.  [deliver] hands a message to the handler the component
+   registered; [drain] returns the (destination, payload) sends since the
+   last drain, in order; [clock] is the runtime's time, 0 until the test
+   sets it; [timers] holds every armed timer callback, newest first, and
+   none fires unless the test calls it; [spawn] runs its thunk at once.
+   With [trace], tracing is on and every rendered line goes to the sink;
+   without it tracing is off and any line that reaches the runtime fails
+   the test.  [~record:false] drops sends and timers unseen, so an
+   allocation probe measures the component and not the double. *)
+type scripted = {
+  runtime : Mdcc_core.Runtime.t;
+  deliver : src:int -> Mdcc_sim.Network.payload -> unit;
+  drain : unit -> (int * Mdcc_sim.Network.payload) list;
+  clock : float ref;
+  timers : (unit -> unit) list ref;
+}
+
+let scripted_runtime ?(record = true) ?trace () =
+  let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] in
+  let clock = ref 0.0 and timers = ref [] in
+  let runtime =
+    Mdcc_core.Runtime.make
+      ~now:(fun () -> !clock)
+      ~send:(fun ~src:_ ~dst payload -> if record then sent := (dst, payload) :: !sent)
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ f ->
+        if record then timers := f :: !timers;
+        ignore)
+      ~spawn:(fun f -> f ())
+      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+      ~trace:
+        (match trace with
+        | Some sink -> sink
+        | None -> fun ~tag _ -> Alcotest.failf "trace line from %s with tracing off" tag)
+      ~tracing:(fun () -> Option.is_some trace)
+      ()
+  in
+  let drain () =
+    let s = List.rev !sent in
+    sent := [];
+    s
+  in
+  { runtime; deliver = (fun ~src payload -> !handler ~src payload); drain; clock; timers }
+
+(* The strict form: nothing recorded, no tracing, and a trace line fails
+   the test. *)
+let silent_runtime () = scripted_runtime ~record:false ()
 
 (* A 5-DC cluster with [items] stock rows pre-loaded. *)
 let make_cluster ?(seed = 42) ?(mode = Config.Full) ?(gamma = 100) ?learn_timeout ?txn_timeout

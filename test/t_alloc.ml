@@ -201,15 +201,15 @@ let replicas = [ 0; 1; 2; 3; 4 ]
 (* A coordinator of five replicas on a silent runtime; returns it and its
    message handler. *)
 let bare_coordinator ?(consumer = `None) () =
-  let handler = ref (fun ~src:_ _ -> ()) in
+  let s = Helpers.silent_runtime () in
   let coord =
-    Mdcc_core.Coordinator.create ~runtime:(Helpers.silent_runtime handler)
+    Mdcc_core.Coordinator.create ~runtime:s.Helpers.runtime
       ~config:(Config.make ~replication:5 ()) ~node_id:9
       ~replicas:(fun _ -> replicas)
       ~master_of:(fun _ -> 0)
       ~ctx:(ctx_of consumer) ()
   in
-  (coord, !handler)
+  (coord, s.Helpers.deliver)
 
 (* Fast votes that do not yet decide their key — the common arrival — are
    counted in place: no vote list, no copies. *)
@@ -277,9 +277,9 @@ let submit_words consumer =
 (* Words per message at a storage node: a fast proposal of each of [n]
    transactions on its own record, then the committed Visibility of each. *)
 let node_words ?(txid = fun i -> Printf.sprintf "n%03d" i) ?(id = string_of_int) consumer =
-  let handler = ref (fun ~src:_ _ -> ()) in
+  let s = Helpers.silent_runtime () in
   let _node =
-    Storage_node.create ~runtime:(Helpers.silent_runtime handler)
+    Storage_node.create ~runtime:s.Helpers.runtime
       ~config:(Config.make ~replication:5 ())
       ~node_id:0
       ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
@@ -308,10 +308,10 @@ let node_words ?(txid = fun i -> Printf.sprintf "n%03d" i) ?(id = string_of_int)
   Array.iteri
     (fun i (w : Woption.t) ->
       let warm = { w with Woption.txid = Printf.sprintf "warm%d" i } in
-      !handler ~src:9 (Messages.Propose { woption = warm; route = `Fast }))
+      s.Helpers.deliver ~src:9 (Messages.Propose { woption = warm; route = `Fast }))
     opts;
   let per_msg msgs =
-    words (fun () -> Array.iter (fun m -> !handler ~src:9 m) msgs) /. Float.of_int n
+    words (fun () -> Array.iter (fun m -> s.Helpers.deliver ~src:9 m) msgs) /. Float.of_int n
   in
   let vote = per_msg proposals in
   let vis = per_msg visibilities in
@@ -339,9 +339,9 @@ let test_no_consumer () =
    round when they used closures, options and ack lists). *)
 let test_classic_round () =
   let module Ballot = Mdcc_paxos.Ballot in
-  let handler = ref (fun ~src:_ _ -> ()) and obs = Mdcc_obs.Obs.create () in
+  let s = Helpers.silent_runtime () and obs = Mdcc_obs.Obs.create () in
   let _node =
-    Storage_node.create ~runtime:(Helpers.silent_runtime handler)
+    Storage_node.create ~runtime:s.Helpers.runtime
       ~config:(Config.make ~mode:Config.Multi ~replication:5 ())
       ~node_id:0
       ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
@@ -361,7 +361,7 @@ let test_classic_round () =
     in
     [| (9, Messages.Propose { woption = w; route = `Classic }); (1, ack); (2, ack) |]
   in
-  let run msgs = Array.iter (Array.iter (fun (src, m) -> !handler ~src m)) msgs in
+  let run msgs = Array.iter (Array.iter (fun (src, m) -> s.Helpers.deliver ~src m)) msgs in
   (* The first round on a record creates its acceptor and master state. *)
   run (Array.init n (round "warm"));
   let rounds = Array.init n (round "c") in

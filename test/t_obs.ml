@@ -393,27 +393,27 @@ let test_prof_map_list () =
   let n = 40 and jobs = 2 in
   let xs = List.init n Fun.id in
   let group = max 1 (n / (jobs * 8)) in
-  Mdcc_util.Pool.with_pool ~jobs (fun pool ->
-      Alcotest.(check (list int)) "off: plain map" (List.map (fun x -> x * 2) xs)
-        (Prof.map_list pool xs ~f:work);
-      let ys, s =
-        Prof.with_task (fun () ->
-            Prof.span "outer" (fun () -> Prof.map_list pool xs ~f:work))
-      in
-      Alcotest.(check (list int)) "on: same results" (List.map (fun x -> x * 2) xs) ys;
-      let count path =
-        match List.find_opt (fun ph -> String.equal ph.Prof.ph_path path) s.Prof.sn_phases with
-        | Some ph -> ph.Prof.ph_count
-        | None -> 0
-      in
-      Alcotest.(check int) "one span per item, under the caller's span" n (count "outer/item");
-      Alcotest.(check int) "no span outside it" 0 (count "item");
-      Alcotest.(check int) "counters sum" (n * (n - 1) / 2) (List.assoc "items" s.Prof.sn_counters);
-      Alcotest.(check int) "one pool task per group" ((n + group - 1) / group)
-        (List.assoc "pool.tasks" s.Prof.sn_counters);
-      Alcotest.(check int) "gc counted once" 1
-        (List.length
-           (List.filter (fun (k, _) -> String.equal k "gc.minor_collections") s.Prof.sn_counters)));
+  Alcotest.(check (list int)) "off: plain map" (List.map (fun x -> x * 2) xs)
+    (Prof.map_list ~jobs xs ~f:work);
+  let ys, s =
+    Prof.with_task (fun () ->
+        Prof.span "outer" (fun () -> Prof.map_list ~jobs xs ~f:work))
+  in
+  Alcotest.(check (list int)) "on: same results" (List.map (fun x -> x * 2) xs) ys;
+  let count path =
+    match List.find_opt (fun ph -> String.equal ph.Prof.ph_path path) s.Prof.sn_phases with
+    | Some ph -> ph.Prof.ph_count
+    | None -> 0
+  in
+  Alcotest.(check int) "one span per item, under the caller's span" n (count "outer/item");
+  Alcotest.(check int) "no span outside it" 0 (count "item");
+  Alcotest.(check int) "counters sum" (n * (n - 1) / 2) (List.assoc "items" s.Prof.sn_counters);
+  Alcotest.(check int) "one pool task per group" ((n + group - 1) / group)
+    (List.assoc "pool.tasks" s.Prof.sn_counters);
+  Alcotest.(check int) "one pool batch" 1 (List.assoc "pool.batches" s.Prof.sn_counters);
+  Alcotest.(check int) "gc counted once" 1
+    (List.length
+       (List.filter (fun (k, _) -> String.equal k "gc.minor_collections") s.Prof.sn_counters));
   Alcotest.(check bool) "ambient restored to disabled" false (Prof.enabled_ambient ())
 
 (* --profile must be a pure side channel: the profiled sweep's reports and
@@ -569,7 +569,7 @@ let test_event_stream_without_tracing () =
   let module Ctx = Mdcc_core.Ctx in
   let module Event = Mdcc_core.Event in
   let module History = Mdcc_core.History in
-  let runtime = Helpers.silent_runtime (ref (fun ~src:_ _ -> ())) in
+  let runtime = (Helpers.silent_runtime ()).Helpers.runtime in
   let quiet = Ctx.stream (Ctx.make ~obs:(Obs.create ()) ()) runtime ~node:3 in
   Alcotest.(check bool) "no consumer, not live" false (Ctx.live quiet);
   let history = History.create () and obs = Obs.create ~spans:true () in

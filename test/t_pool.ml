@@ -1,4 +1,4 @@
-(* Tests for the work-stealing pool and the parallel-sweep determinism
+(* Tests for the fork-join pool map and the parallel-sweep determinism
    contract: a --jobs N sweep must render byte-for-byte what --jobs 1
    renders, reports AND observability export alike. *)
 
@@ -11,28 +11,24 @@ module Obs = Mdcc_obs.Obs
 module Prof = Mdcc_obs.Prof
 
 let test_map_in_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let r = Pool.map_list pool (List.init 100 Fun.id) ~f:(fun i -> i * i) in
-      Alcotest.(check int) "length" 100 (List.length r);
-      List.iteri (fun i x -> Alcotest.(check int) "slot" (i * i) x) r)
+  let r = Pool.map_list ~jobs:4 (List.init 100 Fun.id) ~f:(fun i -> i * i) in
+  Alcotest.(check int) "length" 100 (List.length r);
+  List.iteri (fun i x -> Alcotest.(check int) "slot" (i * i) x) r
 
 let test_map_list_order () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = List.init 37 (fun i -> 37 - i) in
-      let r = Pool.map_list pool xs ~f:(fun x -> x * 2) in
-      Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * 2) xs) r)
+  let xs = List.init 37 (fun i -> 37 - i) in
+  let r = Pool.map_list ~jobs:3 xs ~f:(fun x -> x * 2) in
+  Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * 2) xs) r
 
 let test_empty_and_single () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Pool.map_list pool [] ~f:(fun x -> x));
-      Alcotest.(check (list int)) "single" [ 7 ] (Pool.map_list pool [ 7 ] ~f:(fun x -> x)))
+  Alcotest.(check (list int)) "empty" [] (Pool.map_list ~jobs:4 [] ~f:(fun x -> x));
+  Alcotest.(check (list int)) "single" [ 7 ] (Pool.map_list ~jobs:4 [ 7 ] ~f:(fun x -> x))
 
 let test_jobs1_runs_on_caller () =
   (* jobs = 1 must not spawn domains: every task sees the caller's domain. *)
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let self = Domain.self () in
-      let domains = Pool.map_list pool (List.init 8 Fun.id) ~f:(fun _ -> Domain.self ()) in
-      List.iter (fun d -> Alcotest.(check bool) "caller domain" true (d = self)) domains)
+  let self = Domain.self () in
+  let domains = Pool.map_list ~jobs:1 (List.init 8 Fun.id) ~f:(fun _ -> Domain.self ()) in
+  List.iter (fun d -> Alcotest.(check bool) "caller domain" true (d = self)) domains
 
 (* Multiple failing tasks: the surfaced exception must be the lowest
    failing index — exactly what a sequential loop raises first. *)
@@ -45,17 +41,25 @@ let lowest_failure map =
   with Failure msg -> Some msg
 
 let test_exception_lowest_index () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check (option string)) "lowest failing index" (Some "3")
-        (lowest_failure (Pool.map_list pool)))
+  Alcotest.(check (option string)) "lowest failing index" (Some "3")
+    (lowest_failure (Pool.map_list ~jobs:4))
 
-let test_pool_reuse () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      for round = 1 to 5 do
-        let r = Pool.map_list pool (List.init (10 * round) Fun.id) ~f:(fun i -> i + round) in
-        Alcotest.(check int) "round length" (10 * round) (List.length r);
-        Alcotest.(check int) "round content" (round + 3) (List.nth r 3)
-      done)
+(* Every map joins its helpers before it returns, also when an element
+   raises.  OCaml 5.1 allows at most 128 live domains, so 200 maps that
+   each left a helper behind would fail to spawn long before the end. *)
+let test_consecutive_maps_join () =
+  for round = 0 to 199 do
+    let raises = round mod 10 = 9 in
+    match
+      Pool.map_list ~jobs:2 [ 0; 1 ] ~f:(fun i ->
+          if raises && i = 1 then failwith "planted" else i + round)
+    with
+    | r ->
+      Alcotest.(check bool) (Printf.sprintf "map %d should raise" round) false raises;
+      Alcotest.(check (list int)) (Printf.sprintf "map %d" round) [ round; round + 1 ] r
+    | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "map %d raised %s" round msg) true raises
+  done
 
 let test_default_jobs_floor () =
   Alcotest.(check bool) "at least 1" true (Pool.default_jobs () >= 1)
@@ -69,46 +73,54 @@ let test_default_jobs_floor () =
    enough to form several groups, most of them larger than one element. *)
 
 let test_map_chunked_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun n ->
-          let xs = List.init n Fun.id in
-          let r, _ = Prof.with_task (fun () -> Prof.map_list pool xs ~f:(fun i -> i * 3)) in
-          Alcotest.(check (list int)) (Printf.sprintf "%d elements same result" n)
-            (List.map (fun i -> i * 3) xs) r)
-        [ 1; 31; 101; 1000 ])
+  List.iter
+    (fun n ->
+      let xs = List.init n Fun.id in
+      let r, _ = Prof.with_task (fun () -> Prof.map_list ~jobs:4 xs ~f:(fun i -> i * 3)) in
+      Alcotest.(check (list int)) (Printf.sprintf "%d elements same result" n)
+        (List.map (fun i -> i * 3) xs) r)
+    [ 1; 31; 101; 1000 ]
 
 let test_map_chunked_covers_all () =
   (* Groups that divide the list and groups that leave a shorter tail:
      every element must run exactly once. *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      List.iter
-        (fun count ->
-          let hits = Array.init count (fun _ -> Atomic.make 0) in
-          ignore
-            (Prof.with_task (fun () ->
-                 Prof.map_list pool (List.init count Fun.id) ~f:(fun i -> Atomic.incr hits.(i))));
-          Array.iteri
-            (fun i a ->
-              Alcotest.(check int) (Printf.sprintf "count %d index %d" count i) 1 (Atomic.get a))
-            hits)
-        [ 10; 48; 64; 200 ])
+  List.iter
+    (fun count ->
+      let hits = Array.init count (fun _ -> Atomic.make 0) in
+      ignore
+        (Prof.with_task (fun () ->
+             Prof.map_list ~jobs:3 (List.init count Fun.id) ~f:(fun i -> Atomic.incr hits.(i))));
+      Array.iteri
+        (fun i a ->
+          Alcotest.(check int) (Printf.sprintf "count %d index %d" count i) 1 (Atomic.get a))
+        hits)
+    [ 10; 48; 64; 200 ]
 
 let test_chunked_exception_lowest_index () =
   (* Groups must not change which exception surfaces: still the lowest
      failing index, as a sequential loop would raise first. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check (option string)) "lowest failing index" (Some "3")
-        (fst (Prof.with_task (fun () -> lowest_failure (Prof.map_list pool)))))
+  Alcotest.(check (option string)) "lowest failing index" (Some "3")
+    (fst (Prof.with_task (fun () -> lowest_failure (Prof.map_list ~jobs:4))))
 
 let test_unprofiled_one_task_per_element () =
-  (* With the profiler off nothing is grouped: one claim per element. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let before = Pool.stats pool in
-      ignore (Prof.map_list pool (List.init 100 Fun.id) ~f:Fun.id);
-      let after = Pool.stats pool in
-      Alcotest.(check int) "one task per element" 100 Pool.(after.tasks - before.tasks);
-      Alcotest.(check int) "one batch" 1 Pool.(after.batches - before.batches))
+  (* With the profiler off nothing is grouped: one claim per element.
+     Element 0 waits until element 1 has started, which only another
+     domain's claim can do; had both been claimed together, the wait
+     would run out its 10 s bound. *)
+  let started = Atomic.make false in
+  let deadline = Mdcc_obs.Clock.monotonic_ms () +. 10_000.0 in
+  let r =
+    Prof.map_list ~jobs:2 [ 0; 1 ] ~f:(fun i ->
+        if i = 1 then Atomic.set started true
+        else
+          while not (Atomic.get started) do
+            if Mdcc_obs.Clock.monotonic_ms () > deadline then
+              failwith "element 1 never started while element 0 ran";
+            Domain.cpu_relax ()
+          done;
+        i)
+  in
+  Alcotest.(check (list int)) "results" [ 0; 1 ] r
 
 (* [Pool.chunks] regroups a flattened task list: consecutive groups of
    [n], the last shorter, nothing for an empty list. *)
@@ -125,23 +137,19 @@ let test_chunks () =
     (fun () -> ignore (Pool.chunks 0 [ 1 ]))
 
 let test_chunk_stats_count_tasks () =
-  (* A profiled map counts one pool task per group, in the pool and in
-     the profile alike. *)
+  (* A profiled map counts one pool task per group, and one batch. *)
   List.iter
     (fun (jobs, n) ->
-      Pool.with_pool ~jobs (fun pool ->
-          let size = max 1 (n / (jobs * 8)) in
-          let before = Pool.stats pool in
-          let _, snap =
-            Prof.with_task (fun () -> Prof.map_list pool (List.init n Fun.id) ~f:Fun.id)
-          in
-          let after = Pool.stats pool in
-          let label = Printf.sprintf "jobs %d, %d elements" jobs n in
-          let groups = (n + size - 1) / size in
-          Alcotest.(check int) (label ^ ": tasks") groups Pool.(after.tasks - before.tasks);
-          Alcotest.(check int) (label ^ ": pool.tasks") groups
-            (List.assoc "pool.tasks" snap.Prof.sn_counters);
-          Alcotest.(check int) (label ^ ": one batch") 1 Pool.(after.batches - before.batches)))
+      let size = max 1 (n / (jobs * 8)) in
+      let _, snap =
+        Prof.with_task (fun () -> Prof.map_list ~jobs (List.init n Fun.id) ~f:Fun.id)
+      in
+      let label = Printf.sprintf "jobs %d, %d elements" jobs n in
+      let groups = (n + size - 1) / size in
+      Alcotest.(check int) (label ^ ": pool.tasks") groups
+        (List.assoc "pool.tasks" snap.Prof.sn_counters);
+      Alcotest.(check int) (label ^ ": one batch") 1
+        (List.assoc "pool.batches" snap.Prof.sn_counters))
     [ (1, 33); (2, 33); (2, 100); (4, 100) ]
 
 (* ------------------------------------------------------------------ *)
@@ -258,7 +266,7 @@ let suite =
     Alcotest.test_case "empty and single batches" `Quick test_empty_and_single;
     Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_runs_on_caller;
     Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
-    Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
+    Alcotest.test_case "consecutive maps join their domains" `Quick test_consecutive_maps_join;
     Alcotest.test_case "default_jobs floor" `Quick test_default_jobs_floor;
     Alcotest.test_case "chunked map keeps order" `Quick test_map_chunked_order;
     Alcotest.test_case "chunked map covers every index" `Quick test_map_chunked_covers_all;

@@ -183,30 +183,13 @@ let test_modes_conflict mode =
 let test_five_keys_decide_when_all_learned () =
   let module Messages = Mdcc_core.Messages in
   let module Woption = Mdcc_core.Woption in
-  let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] in
-  let runtime =
-    Mdcc_core.Runtime.make
-      ~now:(fun () -> 0.0)
-      ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
-      ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ _ -> ignore)
-      ~spawn:(fun f -> f ())
-      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-      ~trace:(fun ~tag:_ _ -> ())
-      ~tracing:(fun () -> false)
-      ()
-  in
+  let { Helpers.runtime; deliver; drain; _ } = Helpers.scripted_runtime () in
   let replicas = [ 0; 1; 2; 3; 4 ] in
   let c =
     Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
       ~replicas:(fun _ -> replicas)
       ~master_of:(fun _ -> 0)
       ()
-  in
-  let drain () =
-    let s = List.rev !sent in
-    sent := [];
-    s
   in
   let ids = [ 3; 0; 4; 1; 2 ] in
   let outcome = ref None in
@@ -239,7 +222,7 @@ let test_five_keys_decide_when_all_learned () =
       Alcotest.(check bool) (Printf.sprintf "undecided after %d learned" n) true (!outcome = None);
       List.iter
         (fun acceptor ->
-          !handler ~src:acceptor
+          deliver ~src:acceptor
             (Messages.Phase2b_fast
                { key = item i; txid = "five"; decision = Woption.Accepted; acceptor }))
         [ 4; 2; 0; 1 ])

@@ -206,20 +206,7 @@ let test_scan_session_upgrades () =
    reply, the answer so far and how often the callback ran. *)
 let majority_read () =
   let module Messages = Mdcc_core.Messages in
-  let handler = ref (fun ~src:_ _ -> ()) and rid = ref (-1) in
-  let runtime =
-    Mdcc_core.Runtime.make
-      ~now:(fun () -> 0.0)
-      ~send:(fun ~src:_ ~dst:_ payload ->
-        match payload with Messages.Read_request { rid = r; _ } -> rid := r | _ -> ())
-      ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ _ -> ignore)
-      ~spawn:(fun f -> f ())
-      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-      ~trace:(fun ~tag:_ _ -> ())
-      ~tracing:(fun () -> false)
-      ()
-  in
+  let { Helpers.runtime; deliver; drain; _ } = Helpers.scripted_runtime () in
   let c =
     Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
       ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
@@ -230,10 +217,14 @@ let majority_read () =
   Coordinator.read ~level:`Majority c (item 0) (fun r ->
       answer := r;
       incr calls);
+  let rid =
+    List.fold_left
+      (fun rid (_, p) -> match p with Messages.Read_request { rid; _ } -> rid | _ -> rid)
+      (-1) (drain ())
+  in
   let reply ?(exists = true) ~from version stock =
-    !handler ~src:from
-      (Messages.Read_reply
-         { rid = !rid; key = item 0; value = item_row stock; version; exists })
+    deliver ~src:from
+      (Messages.Read_reply { rid; key = item 0; value = item_row stock; version; exists })
   in
   let got () = Option.map (fun (v, ver) -> (Value.get_int v "stock", ver)) !answer in
   (reply, got, calls)

@@ -234,32 +234,15 @@ type scripted = {
 }
 
 let scripted_node ?mode ~replicas ~master_of () =
-  let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and lines = ref [] in
-  let clock = ref 0.0 and timers = ref [] in
-  let runtime =
-    Mdcc_core.Runtime.make
-      ~now:(fun () -> !clock)
-      ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
-      ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ f ->
-        timers := f :: !timers;
-        ignore)
-      ~spawn:(fun f -> f ())
-      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-      ~trace:(fun ~tag:_ line -> lines := line :: !lines)
-      ~tracing:(fun () -> true)
-      ()
+  let lines = ref [] in
+  let { Helpers.runtime; deliver; drain; clock; timers } =
+    Helpers.scripted_runtime ~trace:(fun ~tag:_ line -> lines := line :: !lines) ()
   in
   let node =
     Storage_node.create ~runtime ~config:(Config.make ?mode ~replication:5 ()) ~node_id:0
       ~schema:stock_schema ~replicas ~master_of ()
   in
-  let drain () =
-    let s = List.rev !sent in
-    sent := [];
-    s
-  in
-  { node; handle = (fun ~src payload -> !handler ~src payload); drain; lines; clock; timers }
+  { node; handle = deliver; drain; lines; clock; timers }
 
 let test_recovery_fold () =
   (* n = 5, f = 4: a Phase 1b quorum of 3 anchors a fast value with
@@ -836,22 +819,7 @@ let prop_dangling_scan_matches_model =
                      [ (3, pure None); (1, map Option.some (pair (int_range 0 3) bool)) ])))))
     (fun (node_id, opts) ->
       let master_of (k : Key.t) = int_of_string k.Key.id mod 2 in
-      let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] and timers = ref [] in
-      let clock = ref 0.0 in
-      let runtime =
-        Mdcc_core.Runtime.make
-          ~now:(fun () -> !clock)
-          ~send:(fun ~src:_ ~dst payload -> sent := (dst, payload) :: !sent)
-          ~register:(fun _ h -> handler := h)
-          ~set_timer:(fun ~after:_ f ->
-            timers := f :: !timers;
-            ignore)
-          ~spawn:(fun f -> f ())
-          ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
-          ~trace:(fun ~tag:_ _ -> ())
-          ~tracing:(fun () -> false)
-          ()
-      in
+      let { Helpers.runtime; deliver; drain; clock; timers } = Helpers.scripted_runtime () in
       let node =
         Storage_node.create ~runtime
           ~config:(Config.make ~replication:3 ~txn_timeout:(Float.of_int timeout) ())
@@ -869,7 +837,7 @@ let prop_dangling_scan_matches_model =
       List.iteri
         (fun i (txid, key, age, settle) ->
           clock := Float.of_int (scan_at - age);
-          !handler ~src:9
+          deliver ~src:9
             (Messages.Propose
                {
                  woption = { Woption.txid; key; update; write_set = [ key ]; coordinator = 9 };
@@ -879,13 +847,13 @@ let prop_dangling_scan_matches_model =
           match settle with
           | Some (back, committed) when back <= i ->
             let txid, key, _, _ = arr.(i - back) in
-            !handler ~src:9 (Messages.Visibility { txid; key; update; committed });
+            deliver ~src:9 (Messages.Visibility { txid; key; update; committed });
             Hashtbl.replace settled txid ()
           | Some _ | None -> ())
         opts;
       clock := Float.of_int scan_at;
       Storage_node.start_maintenance node;
-      sent := [];
+      ignore (drain ());
       (List.hd !timers) ();
       let started =
         List.filter_map
@@ -893,7 +861,7 @@ let prop_dangling_scan_matches_model =
             match p with
             | Messages.Status_query { txid; _ } when dst <> node_id -> Some txid
             | _ -> None)
-          (List.rev !sent)
+          (drain ())
       in
       let expected =
         List.init 6 item

@@ -295,7 +295,7 @@ let test_every_rejects_bad_period () =
       ("Engine.every", Engine.every e);
       ("Runtime.every (of_network)", Mdcc_core.Runtime.every (Mdcc_core.Runtime.of_network net));
       ( "Runtime.every (make)",
-        Mdcc_core.Runtime.every (Helpers.silent_runtime (ref (fun ~src:_ _ -> ()))) );
+        Mdcc_core.Runtime.every (Helpers.silent_runtime ()).Helpers.runtime );
     ]
   in
   List.iter
