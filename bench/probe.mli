@@ -74,6 +74,10 @@ val loop_send : ops:int -> t
 val dangling_scan_idle : scans:int -> t
 val maintenance_tick_idle : ops:int -> t
 
+(** {1 Probes the allocation ceilings run as they are} *)
+
+val visibility_hot_key : t
+
 (** {1 Fixtures the ceilings measure in parts} *)
 
 val sim_node : unit -> Mdcc_sim.Network.payload array -> unit

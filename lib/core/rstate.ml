@@ -1,6 +1,8 @@
 open Mdcc_storage
 open Mdcc_paxos
 module Engine = Mdcc_sim.Engine
+module Invariant = Mdcc_util.Invariant
+module Table = Mdcc_util.Table
 
 type vote = {
   mutable woption : Woption.t;
@@ -61,7 +63,100 @@ let applied_add applied txid update =
 let applied_missing ~mine ~theirs =
   Txn.Map.filter (fun txid _ -> not (Txn.Map.mem txid mine)) theirs
 
-let mark_applied t txid update = t.applied <- applied_add t.applied txid update
+(* The [applied] field of every promoted record: a marker known by its
+   address, like [none], whose set lives in its node's [Applied.store]. *)
+let promoted : applied = Txn.Map.singleton "" (Update.Delta [])
+
+let mark_applied t txid update =
+  if t.applied == promoted then
+    Invariant.violate ~context:"Rstate.mark_applied" "record %s is promoted" (Key.to_string t.key);
+  t.applied <- applied_add t.applied txid update
+
+(* Small sets stay maps: a snapshot of one is free, and tpcw gives every
+   new row a record of its own, so a singleton must cost one map node.  A
+   promoted set is a txid table plus a cached snapshot; the table is
+   never iterated in hash order (lint R1), only through [Table]. *)
+module Applied = struct
+  let promote_at = 32
+
+  (* [snap] is the snapshot of [entries] unless [stale]; then it is the
+     snapshot as it stood before the latest inserts, a subset of
+     [entries], since a table only grows between replacements. *)
+  type set = {
+    entries : (Txn.id, Update.t) Hashtbl.t;
+    mutable snap : applied;
+    mutable stale : bool;
+  }
+
+  (* Built on the first promotion: most nodes of a short run never need one. *)
+  type store = { mutable sets : set Key.Tbl.t option }
+
+  let store () = { sets = None }
+
+  let set_of store t =
+    match store.sets with
+    | Some sets -> Key.Tbl.find sets t.key
+    | None ->
+      Invariant.violate ~context:"Rstate.Applied" "record %s is promoted in no store"
+        (Key.to_string t.key)
+
+  let mem store t txid =
+    if t.applied == promoted then Hashtbl.mem (set_of store t).entries txid
+    else Txn.Map.mem txid t.applied
+
+  let promote store t snap =
+    let entries = Hashtbl.create (2 * promote_at) in
+    Txn.Map.iter (Hashtbl.replace entries) snap;
+    let sets =
+      match store.sets with
+      | Some sets -> sets
+      | None ->
+        let sets = Key.Tbl.create 16 in
+        store.sets <- Some sets;
+        sets
+    in
+    Key.Tbl.replace sets t.key { entries; snap; stale = false };
+    t.applied <- promoted
+
+  let add store t txid update =
+    if t.applied == promoted then begin
+      let s = set_of store t in
+      if not (Hashtbl.mem s.entries txid) then begin
+        Hashtbl.add s.entries txid update;
+        s.stale <- true
+      end
+    end
+    else begin
+      let small = t.applied in
+      mark_applied t txid update;
+      if t.applied != small && Txn.Map.cardinal t.applied >= promote_at then
+        promote store t t.applied
+    end
+
+  let catch_up snap (txid, update) =
+    if Txn.Map.mem txid snap then snap else Txn.Map.add txid update snap
+
+  let snapshot store t =
+    if t.applied != promoted then t.applied
+    else begin
+      let s = set_of store t in
+      if s.stale then begin
+        s.snap <-
+          List.fold_left catch_up s.snap (Table.sorted_bindings ~compare:String.compare s.entries);
+        s.stale <- false
+      end;
+      s.snap
+    end
+
+  let replace store t applied =
+    if Txn.Map.cardinal applied >= promote_at then promote store t applied
+    else begin
+      (match store.sets with
+      | Some sets when t.applied == promoted -> Key.Tbl.remove sets t.key
+      | Some _ | None -> ());
+      t.applied <- applied
+    end
+end
 
 (* The pending chain is short and walked per proposal.  Every walk below is
    a top-level recursion that takes its arguments instead of capturing

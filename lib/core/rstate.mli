@@ -53,8 +53,10 @@ val vote : ?next:vote -> Woption.t -> Woption.decision -> Ballot.t -> vote
     against, and how tests build chains. *)
 
 type applied = Update.t Txn.Map.t
-(** An applied set: txid -> the update that transaction contributed.  It
-    is immutable, so rebases and [Sync_reply] carry the map itself. *)
+(** An applied set: txid -> the update that transaction contributed.  A
+    record's set is this map while it is small and a table in its node's
+    {!Applied.store} once it is hot; rebases and [Sync_reply] carry an
+    immutable map either way, the record's own or an {!Applied.snapshot}. *)
 
 type t = {
   key : Key.t;
@@ -72,7 +74,9 @@ type t = {
           [Sync_reply] repair; txid membership is what makes replaying a
           commutative delta idempotent.  It is also the only record of
           these transactions' visibility outcome: membership means
-          committed. *)
+          committed.  Read it through {!Applied}: once the set reaches 32
+          entries the field holds a shared marker and the set lives in the
+          node's {!Applied.store}. *)
   mutable decided : (Txn.id * bool) list;
       (** the other visibility outcomes (committed?) known at this replica —
           voided transactions, committed read guards, committed
@@ -102,7 +106,43 @@ val applied_missing : mine:applied -> theirs:applied -> applied
     to replay. *)
 
 val mark_applied : t -> Txn.id -> Update.t -> unit
-(** Record that this replica folded [txid]'s update into its value. *)
+(** Record that this replica folded [txid]'s update into its value, on a
+    record whose set is still a map: O(log n), the small representation's
+    insert.  {!Applied.add} calls it below the promotion size; on a
+    promoted record it violates an invariant. *)
+
+(** {2 Hot records}
+
+    A record's applied set gains one entry per committed transaction, so as
+    a map it would path-copy O(log n) nodes on every visibility, with n
+    growing with run length.  A set that reaches 32 entries moves into a
+    mutable txid table kept by its node, where insert
+    and membership are O(1).  A {!Applied.snapshot} of a promoted set is
+    built in txid order on demand and cached until the next insert.  Every
+    function answers exactly what the set as one map would; only the
+    allocation differs. *)
+module Applied : sig
+  type store
+  (** A storage node's promoted sets, by record key.  Its table is built on
+      the first promotion. *)
+
+  val store : unit -> store
+
+  val mem : store -> t -> Txn.id -> bool
+
+  val add : store -> t -> Txn.id -> Update.t -> unit
+  (** {!applied_add} in place: a no-op when [txid] is a member.  O(1) on a
+      promoted record. *)
+
+  val snapshot : store -> t -> applied
+  (** The set as an immutable map.  Free for a small set; for a promoted
+      one, the cached map, caught up with the entries added since it was
+      taken. *)
+
+  val replace : store -> t -> applied -> unit
+  (** Make the set exactly the given map, promoting or demoting the record
+      by the map's size (a rebase installs the rebaser's set this way). *)
+end
 
 (** {2 The pending chain}
 

@@ -94,6 +94,7 @@ type t = {
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
   visibility_exec : Obs.counter;
   votes : Rstate.pool;  (* released votes, reused by [add_pending] *)
+  hot : Rstate.Applied.store;  (* the applied sets of records past the promotion size *)
   mutable pending_records : int;
       (* records with a pending vote; kept by [add_pending] and
          [remove_pending], the only writers of a pending chain *)
@@ -145,7 +146,7 @@ let probe t txid key =
    rebase clobbered — lives in [visible] and the record's decided log.
    [outcome_at] reads both. *)
 let outcome_at t (rs : Rstate.t) txid =
-  if Txn.Map.mem txid rs.Rstate.applied then Some true
+  if Rstate.Applied.mem t.hot rs txid then Some true
   else Visible.find_opt t.visible (probe t txid rs.Rstate.key)
 
 (* A key with no record has no outcome: the lookup never creates one. *)
@@ -177,15 +178,16 @@ let unlog t (rs : Rstate.t) txid =
   end;
   logged
 
-(* The applied set lives on the record's Rstate — the authoritative map of
+(* The applied set of the record's Rstate — the authoritative set of
    committed updates folded into our copy of [key], which is what the
    anti-entropy digest must summarize.  (Read guards never change the
    value, and a clobbered transaction's effect is gone, so neither is in
-   it.)  The map is immutable, so messages carry it as is.  A key with no
-   record has the empty set. *)
+   it.)  Messages carry it as an immutable snapshot, cached for a hot
+   record until its next insert.  A key with no record has the empty
+   set. *)
 let applied_of t key =
   match Key.Tbl.find t.records key with
-  | rs -> rs.Rstate.applied
+  | rs -> Rstate.Applied.snapshot t.hot rs
   | exception Not_found -> Txn.Map.empty
 
 (* A snapshot of our committed state, tagged with every transaction folded
@@ -324,8 +326,8 @@ let apply_rebase t key (rb : Messages.rebase) =
        effect comes back through Sync_reply repair from a replica that
        still holds it. *)
     let rs = rstate t key in
-    let old = rs.Rstate.applied and included = rb.Messages.included in
-    rs.Rstate.applied <- included;
+    let old = Rstate.Applied.snapshot t.hot rs and included = rb.Messages.included in
+    Rstate.Applied.replace t.hot rs included;
     let kept =
       Txn.Map.fold
         (fun txid _ kept ->
@@ -408,7 +410,7 @@ let visibility t txid key (update : Update.t) committed =
       (match update with
       | Update.Read_guard _ -> set_visible t rs txid key true
       | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Delta _ ->
-        Rstate.mark_applied rs txid update);
+        Rstate.Applied.add t.hot rs txid update);
       if apply_it then Store.apply t.store key update;
       Obs.bump t.visibility_exec;
       if live t then
@@ -792,7 +794,7 @@ and resolve_recovery t key rc =
     List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
   in
   let own = rstate t key in
-  learn own.Rstate.applied own.Rstate.decided;
+  learn (Rstate.Applied.snapshot t.hot own) own.Rstate.decided;
   List.iter
     (fun (_, (p : Messages.promise)) ->
       learn p.Messages.rebase.Messages.included p.Messages.decided)
@@ -1095,7 +1097,7 @@ let clear_diverged t ~src key =
    terminates after at most one reply each way. *)
 let sync_repair t ~src key theirs =
   let rs = rstate t key in
-  let missing = Rstate.applied_missing ~mine:rs.Rstate.applied ~theirs in
+  let missing = Rstate.applied_missing ~mine:(Rstate.Applied.snapshot t.hot rs) ~theirs in
   let merged = ref 0 in
   let stale = ref false in
   Txn.Map.iter
@@ -1106,7 +1108,7 @@ let sync_repair t ~src key theirs =
         ignore (unlog t rs txid : bool);
         remove_pending t rs txid;
         Store.apply t.store key update;
-        Rstate.mark_applied rs txid update;
+        Rstate.Applied.add t.hot rs txid update;
         incr merged;
         Obs.incr t.obs "antientropy_repair";
         if live t then
@@ -1119,17 +1121,13 @@ let sync_repair t ~src key theirs =
   if !stale && t.id <> src then send t src (Messages.Catchup_request { key });
   (* Repaired: this pair is no longer diverged from our point of view. *)
   clear_diverged t ~src key;
-  if
-    !merged > 0
-    && not (Txn.Map.is_empty (Rstate.applied_missing ~mine:theirs ~theirs:rs.Rstate.applied))
-  then
-    send t src
-      (Messages.Sync_reply
-         {
-           key;
-           version = (Store.ensure t.store key).Store.version;
-           applied = rs.Rstate.applied;
-         })
+  if !merged > 0 then begin
+    let applied = Rstate.Applied.snapshot t.hot rs in
+    if not (Txn.Map.is_empty (Rstate.applied_missing ~mine:theirs ~theirs:applied)) then
+      send t src
+        (Messages.Sync_reply
+           { key; version = (Store.ensure t.store key).Store.version; applied })
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
@@ -1234,6 +1232,7 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
       option_accept = Obs.counter obs "option_accept";
       visibility_exec = Obs.counter obs "visibility_exec";
       votes = Rstate.pool ();
+      hot = Rstate.Applied.store ();
       pending_records = 0;
       scan_now;
       stale_walk =

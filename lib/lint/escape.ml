@@ -17,9 +17,10 @@
      lands in [Prof.map_list] and from there in [Pool.map_list], so every
      [par_map] call site is a spawn site too.
    - [link]: fixpoint over all files' edges from the base spawner set
-     ([Domain.spawn], [Pool.map]/[map_list]/[run_batch], [Loop.post]).
+     ([Domain.spawn], [Pool.map_list], [Loop.post]).
    - [check]: at every application of a spawner, analyse each closure
-     literal argument (and local [let]-bound functions passed by name):
+     literal argument, and each local [let]-bound function passed by name
+     (against the mutable locals in scope where it was defined):
      - [R5-capture]: the closure captures a local that was visibly bound
        to a mutable constructor ([ref], [Hashtbl.create], [Buffer.create],
        [Array.make], an array literal, ...).  [Atomic.make] is exempt —
@@ -174,9 +175,7 @@ let key (m, f) = m ^ "." ^ f
 let base_spawners =
   [
     ("Domain", "spawn");
-    ("Pool", "map");
     ("Pool", "map_list");
-    ("Pool", "run_batch");
     ("Loop", "post");
   ]
 
@@ -319,11 +318,13 @@ let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
     in
     out := Finding.at ~file:rel ~loc ~rule ~ident:name message :: !out
   in
-  (* Walk with an environment of visibly-mutable locals in scope. *)
-  let rec walk mutables e =
+  (* Walk with an environment of visibly-mutable locals in scope, and of
+     the local functions in scope, each with the mutable locals its body
+     can see. *)
+  let rec walk mutables funs e =
     match e.pexp_desc with
     | Pexp_let (_, vbs, body) ->
-      List.iter (fun vb -> walk mutables vb.pvb_expr) vbs;
+      List.iter (fun vb -> walk mutables funs vb.pvb_expr) vbs;
       let mutables' =
         List.fold_left
           (fun acc vb ->
@@ -334,7 +335,17 @@ let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
             | _ -> acc)
           mutables vbs
       in
-      walk mutables' body
+      let funs' =
+        List.fold_left
+          (fun acc vb ->
+            match (vb.pvb_pat.ppat_desc, (Syntax.strip vb.pvb_expr).pexp_desc) with
+            | Ppat_var { txt; _ }, (Pexp_fun _ | Pexp_function _) ->
+              Smap.add txt (vb.pvb_expr, mutables) acc
+            | Ppat_var { txt; _ }, _ -> Smap.remove txt acc
+            | _ -> acc)
+          funs vbs
+      in
+      walk mutables' funs' body
     | Pexp_apply (({ pexp_desc = Pexp_ident { txt; _ }; _ } as f), args) ->
       (match callee ~current_module:module_ txt with
       | Some target when Sset.mem (key target) spawners ->
@@ -342,35 +353,39 @@ let check (spawners : spawners) ~rel (str : structure) : Finding.t list =
           (fun (_, a) ->
             match (Syntax.strip a).pexp_desc with
             | Pexp_fun _ | Pexp_function _ -> check_closure ~add ~mutables a
+            | Pexp_ident { txt = Longident.Lident x; _ } -> (
+              match Smap.find_opt x funs with
+              | Some (def, seen) -> check_closure ~add ~mutables:seen def
+              | None -> ())
             | _ -> ())
           args
       | _ -> ());
-      walk mutables f;
-      List.iter (fun (_, a) -> walk mutables a) args
+      walk mutables funs f;
+      List.iter (fun (_, a) -> walk mutables funs a) args
     | Pexp_fun (_, default, _, body) ->
-      Option.iter (walk mutables) default;
-      walk mutables body
+      Option.iter (walk mutables funs) default;
+      walk mutables funs body
     | Pexp_function cases | Pexp_match (_, cases) | Pexp_try (_, cases) ->
       (match e.pexp_desc with
-      | Pexp_match (scrut, _) | Pexp_try (scrut, _) -> walk mutables scrut
+      | Pexp_match (scrut, _) | Pexp_try (scrut, _) -> walk mutables funs scrut
       | _ -> ());
       List.iter
         (fun c ->
-          Option.iter (walk mutables) c.pc_guard;
-          walk mutables c.pc_rhs)
+          Option.iter (walk mutables funs) c.pc_guard;
+          walk mutables funs c.pc_rhs)
         cases
     | Pexp_sequence (a, b) ->
-      walk mutables a;
-      walk mutables b
+      walk mutables funs a;
+      walk mutables funs b
     | Pexp_ifthenelse (c, t, e_opt) ->
-      walk mutables c;
-      walk mutables t;
-      Option.iter (walk mutables) e_opt
+      walk mutables funs c;
+      walk mutables funs t;
+      Option.iter (walk mutables funs) e_opt
     | _ ->
       let super = Ast_iterator.default_iterator in
-      let expr _it child = walk mutables child in
+      let expr _it child = walk mutables funs child in
       let it = { super with expr } in
       super.expr it e
   in
-  Syntax.iter_top_bindings (fun vb -> walk Smap.empty vb.pvb_expr) str;
+  Syntax.iter_top_bindings (fun vb -> walk Smap.empty Smap.empty vb.pvb_expr) str;
   List.rev !out

@@ -1,19 +1,19 @@
 (* R5 fixture: mutable enclosing-scope state escaping into task closures. *)
-let bad_capture pool xs =
+let bad_capture ~jobs xs =
   let hits = Hashtbl.create 8 in
-  Pool.map_list pool xs ~f:(fun x -> Hashtbl.length hits + x)
+  Pool.map_list ~jobs xs ~f:(fun x -> Hashtbl.length hits + x)
 
-let bad_mutate pool n =
+let bad_mutate ~jobs xs =
   let total = ref 0 in
-  Pool.map pool n (fun i -> total := !total + i)
+  Pool.map_list ~jobs xs ~f:(fun i -> total := !total + i)
 
-let bad_setfield pool row =
-  Pool.map pool 4 (fun i -> row.version <- i)
+let bad_setfield ~jobs row =
+  Pool.map_list ~jobs [ 1; 2; 3; 4 ] ~f:(fun i -> row.version <- i)
 
 (* Forwards its [~f] into the pool: a derived spawner the link fixpoint
    must discover, making the call below a spawn site too. *)
-let derived pool xs ~f = Pool.map_list pool xs ~f
+let derived ~jobs xs ~f = Pool.map_list ~jobs xs ~f
 
-let bad_via_derived pool xs =
+let bad_via_derived ~jobs xs =
   let acc = ref 0 in
-  derived pool xs ~f:(fun x -> acc := !acc + x)
+  derived ~jobs xs ~f:(fun x -> acc := !acc + x)

@@ -1,24 +1,24 @@
 (* R5 negative fixture: every closure below is domain-safe. *)
-let ok_atomic pool n =
+let ok_atomic ~jobs xs =
   let total = Atomic.make 0 in
-  Pool.map pool n (fun i -> Atomic.fetch_and_add total i)
+  Pool.map_list ~jobs xs ~f:(fun i -> Atomic.fetch_and_add total i)
 
-let ok_task_local pool xs =
-  Pool.map_list pool xs ~f:(fun x ->
+let ok_task_local ~jobs xs =
+  Pool.map_list ~jobs xs ~f:(fun x ->
       let buf = Buffer.create 16 in
       Buffer.add_string buf (string_of_int x);
       Buffer.contents buf)
 
-let ok_mutex pool n lock =
+let ok_mutex ~jobs xs lock =
   let total = ref 0 in
-  Pool.map pool n (fun i ->
+  Pool.map_list ~jobs xs ~f:(fun i ->
       Mutex.lock lock;
       total := !total + i;
       Mutex.unlock lock)
 
-let ok_immutable pool xs =
+let ok_immutable ~jobs xs =
   let base = 10 in
-  Pool.map_list pool xs ~f:(fun x -> base + x)
+  Pool.map_list ~jobs xs ~f:(fun x -> base + x)
 
 (* Not a spawner: same-domain iteration may touch local mutables freely. *)
 let ok_sequential xs =

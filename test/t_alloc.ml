@@ -36,6 +36,15 @@ let test_mark_applied_log_n () =
   let again = words (fun () -> Rstate.mark_applied rs fresh.(0) up) in
   Alcotest.(check (float 0.0)) "re-marking allocates nothing" 0.0 again
 
+(* The same insert through a storage node, on a record whose set holds
+   10,000 entries and so lives in a txid table: a committed visibility
+   costs a bucket and the delta's store apply, however long the record's
+   history.  As a map the set path-copied a branch per visibility, 110
+   words in all. *)
+let test_hot_visibility_constant () =
+  let w = per_op Probe.visibility_hot_key in
+  if w > 16.0 then Alcotest.failf "a hot-record visibility allocated %.2f words" w
+
 let test_size_of_allocates_nothing () =
   let row = Value.of_list [ ("stock", Value.Int 9); ("name", Value.Str "widget") ] in
   let w =
@@ -501,6 +510,7 @@ let suite =
     Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
+    Alcotest.test_case "hot-record visibility is O(1)" `Quick test_hot_visibility_constant;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;
     Alcotest.test_case "idle maintenance scan is constant" `Quick test_idle_scan_constant;
     Alcotest.test_case "idle maintenance tick allocates nothing" `Quick

@@ -201,6 +201,20 @@ let test_r5_ok () =
   let r = scan ~rel:"lib/workload/r5_domain_ok.ml" "r5_domain_ok.ml" in
   Alcotest.(check (list hit)) "no findings" [] (hits r)
 
+let test_r5_by_name () =
+  (* A function passed by name is analysed where it is defined: the
+     mutation sits in its body, not at the spawn site. *)
+  let r = scan ~rel:"lib/workload/r5_by_name.ml" "r5_by_name.ml" in
+  Alcotest.(check (list hit))
+    "r5 by-name rule ids and lines" [ ("R5-mutate", 5); ("R5-mutate", 10) ] (hits r);
+  Alcotest.(check (list string))
+    "r5 by-name captured variables" [ "seen"; "slots" ]
+    (List.map (fun f -> f.Finding.ident) r.Driver.rp_findings)
+
+let test_r5_by_name_ok () =
+  let r = scan ~rel:"lib/workload/r5_by_name_ok.ml" "r5_by_name_ok.ml" in
+  Alcotest.(check (list hit)) "no findings" [] (hits r)
+
 (* ------------------------------------------------------------------ *)
 (* R6 — runtime purity                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +406,7 @@ let test_whole_tree () =
       ("R1-wallclock", "lib/obs/clock.ml", "Unix.gettimeofday");
       ("R1-wallclock", "lib/runtime_unix/loop.ml", "Unix.gettimeofday");
       ("R1-wallclock", "lib/runtime_unix/loop.ml", "Unix.gettimeofday");
+      ("R5-mutate", "lib/util/pool.ml", "slots");
       ("R6-unix", "lib/obs/clock.ml", "Unix.gettimeofday");
     ]
     (List.sort compare
@@ -411,6 +426,8 @@ let all_fixtures =
     source ~rel:"lib/sim/r4_ambient.ml" "r4_ambient.ml";
     source ~rel:"lib/workload/r5_domain.ml" "r5_domain.ml";
     source ~rel:"lib/workload/r5_domain_ok.ml" "r5_domain_ok.ml";
+    source ~rel:"lib/workload/r5_by_name.ml" "r5_by_name.ml";
+    source ~rel:"lib/workload/r5_by_name_ok.ml" "r5_by_name_ok.ml";
     source ~rel:"lib/core/r6_purity.ml" "r6_purity.ml";
     source ~rel:"lib/core/r6_purity_ok.ml" "r6_purity_ok.ml";
     source ~rel:"lib/core/r7_exhaustive.ml" "r7_exhaustive.ml";
@@ -461,6 +478,8 @@ let suite =
     Alcotest.test_case "clean fixture" `Quick test_clean;
     Alcotest.test_case "R5 domain-safety fixture" `Quick test_r5_domain;
     Alcotest.test_case "R5 negative fixture" `Quick test_r5_ok;
+    Alcotest.test_case "R5 function passed by name" `Quick test_r5_by_name;
+    Alcotest.test_case "R5 by-name negative fixture" `Quick test_r5_by_name_ok;
     Alcotest.test_case "R6 purity fixture" `Quick test_r6_purity;
     Alcotest.test_case "R6 scope" `Quick test_r6_scope;
     Alcotest.test_case "R6 negative fixture" `Quick test_r6_ok;

@@ -319,6 +319,73 @@ let test_key_hash_pinned () =
       ("", "", 980550003);
     ]
 
+(* --- hot records: a promoted applied set against a plain map ---------- *)
+
+type applied_op =
+  | Add of int * Txn.id * int  (* record, txid, delta *)
+  | Replace of int * (Txn.id * int) list
+  | Snapshot of int
+  | Mem of int * Txn.id
+
+(* Seventy txids: sequences repeat them, and a set crosses the promotion
+   size both ways, by inserts and by replacements. *)
+let txid_gen = QCheck.Gen.map (Printf.sprintf "t%02d") (QCheck.Gen.int_range 0 69)
+
+let applied_op_gen =
+  let open QCheck.Gen in
+  let record = int_range 0 1 and delta = int_range 1 9 in
+  frequency
+    [
+      (12, map3 (fun r txid d -> Add (r, txid, d)) record txid_gen delta);
+      (1, map2 (fun r entries -> Replace (r, entries)) record
+            (list_size (int_range 0 60) (pair txid_gen delta)));
+      (2, map (fun r -> Snapshot r) record);
+      (3, map2 (fun r txid -> Mem (r, txid)) record txid_gen);
+    ]
+
+let show_applied_op = function
+  | Add (r, txid, d) -> Printf.sprintf "add %d %s %d" r txid d
+  | Replace (r, entries) -> Printf.sprintf "replace %d (%d entries)" r (List.length entries)
+  | Snapshot r -> Printf.sprintf "snapshot %d" r
+  | Mem (r, txid) -> Printf.sprintf "mem %d %s" r txid
+
+(* Two records share one store, as a storage node's do.  Each op runs on
+   both the record and a map model built with [applied_add]; membership,
+   snapshot bindings and the anti-entropy digest must agree throughout. *)
+let prop_promoted_set_is_a_map =
+  QCheck.Test.make ~name:"a promoted applied set answers as a plain map" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_applied_op)
+       QCheck.Gen.(list_size (int_range 0 400) applied_op_gen))
+    (fun ops ->
+      let store = Rstate.Applied.store () in
+      let records = Array.init 2 (fun i -> Rstate.create (Key.make ~table:"item" ~id:(string_of_int i))) in
+      let models = Array.make 2 Txn.Map.empty in
+      let agrees r =
+        let snap = Rstate.Applied.snapshot store records.(r) in
+        Txn.Map.bindings snap = Txn.Map.bindings models.(r)
+        && Messages.applied_digest snap = Messages.applied_digest models.(r)
+      in
+      let mem_agrees r txid =
+        Rstate.Applied.mem store records.(r) txid = Txn.Map.mem txid models.(r)
+      in
+      let step = function
+        | Add (r, txid, d) ->
+          Rstate.Applied.add store records.(r) txid (up d);
+          models.(r) <- Rstate.applied_add models.(r) txid (up d);
+          mem_agrees r txid
+        | Replace (r, entries) ->
+          let m = applied (List.map (fun (txid, d) -> (txid, up d)) entries) in
+          Rstate.Applied.replace store records.(r) m;
+          models.(r) <- m;
+          agrees r
+        | Snapshot r -> agrees r
+        | Mem (r, txid) -> mem_agrees r txid
+      in
+      let all_txids = List.init 70 (Printf.sprintf "t%02d") in
+      List.for_all step ops
+      && List.for_all (fun r -> agrees r && List.for_all (mem_agrees r) all_txids) [ 0; 1 ])
+
 let suite =
   [
     Alcotest.test_case "value basics" `Quick test_value_basics;
@@ -344,6 +411,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_digest_matches_sorted_list;
     QCheck_alcotest.to_alcotest prop_sorted_filter_map;
     QCheck_alcotest.to_alcotest prop_tbl_any;
+    QCheck_alcotest.to_alcotest prop_promoted_set_is_a_map;
     Alcotest.test_case "key hash pinned values" `Quick test_key_hash_pinned;
     QCheck_alcotest.to_alcotest prop_key_hash_is_pair_hash;
   ]
