@@ -19,6 +19,9 @@ module Messages = Mdcc_core.Messages
 module Runtime = Mdcc_core.Runtime
 module Storage_node = Mdcc_core.Storage_node
 module Woption = Mdcc_core.Woption
+module History = Mdcc_core.History
+module Nemesis = Mdcc_chaos.Nemesis
+module Runner = Mdcc_chaos.Runner
 
 type t = { name : string; ops : int; setup : unit -> unit -> unit }
 
@@ -416,6 +419,55 @@ let fast_path_commit = commit_section "fast_path_commit" ~mode:Config.Full
 let classic_commit = commit_section "classic_commit" ~mode:Config.Multi
 
 (* ------------------------------------------------------------------ *)
+(* The chaos run                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let chaos_spec = Runner.spec ~seed:1 ~scenario:Nemesis.clean ()
+
+let chaos_run =
+  let runs = 20 and name = "chaos_run" in
+  probe name runs (fun () ->
+      let run () =
+        let r = Runner.run chaos_spec in
+        if not (Runner.ok r) then failwith (name ^ ": the clean run reported a violation");
+        check name "transactions decided" ~got:(r.Runner.r_committed + r.Runner.r_aborted)
+          ~want:chaos_spec.Runner.txns
+      in
+      run ();
+      fun () ->
+        for _ = 1 to runs do
+          run ()
+        done)
+
+let chaos_history () =
+  let engine = Engine.create ~seed:1 and history = History.create () in
+  let cluster =
+    Runner.deploy chaos_spec ~engine ~ctx:(Ctx.make ~history ~obs:(Obs.create ~spans:true ()) ())
+  in
+  let items = chaos_spec.Runner.items in
+  Cluster.load cluster (List.init items (fun i -> (Runner.item i, Runner.item_row Runner.stock)));
+  let committed = ref 0 in
+  let on_outcome = function Txn.Committed -> incr committed | Txn.Aborted _ -> () in
+  for i = 0 to chaos_spec.Runner.txns - 1 do
+    let dc = i mod 5 and id = Printf.sprintf "t%02d" i in
+    let key = Runner.item (i mod items) and other = Runner.item ((i + 1) mod items) in
+    let txn =
+      if i land 1 = 0 then Txn.make ~id ~updates:[ (key, Update.Delta [ ("stock", -1) ]) ]
+      else begin
+        let read k = Option.get (Cluster.peek cluster ~dc k) in
+        let value, version = read key in
+        Txn.serializable ~id
+          ~reads:[ (key, version); (other, snd (read other)) ]
+          ~updates:[ (key, Update.Physical { vread = version; value }) ]
+      end
+    in
+    Coordinator.submit (Cluster.coordinator cluster ~dc ~rank:0) txn on_outcome;
+    Engine.run engine
+  done;
+  check "chaos_history" "commits" ~got:!committed ~want:chaos_spec.Runner.txns;
+  history
+
+(* ------------------------------------------------------------------ *)
 (* The wire parser                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -463,4 +515,5 @@ let all =
     classic_commit;
     rng_lognormal ~ops;
     wire_parse;
+    chaos_run;
   ]

@@ -51,7 +51,10 @@
     - [rng_lognormal]: [ops] latency-jitter draws.
     - [wire_parse]: 100,000 wire requests, 80 % [get] and 20 % [set] of
       64-byte values over 500 keys, through {!parse_in_chunks} (one op =
-      one request). *)
+      one request).
+    - [chaos_run]: 20 chaos runs of {!chaos_spec}, each [Runner.run]
+      whole: deployment, run, history, spans and checks (one op = one
+      run). *)
 
 type t = { name : string; ops : int; setup : unit -> unit -> unit }
 
@@ -65,7 +68,7 @@ val ops : int
 (** 300,000: the op count {!all} gives every probe that takes one. *)
 
 val all : t list
-(** The fifteen sections above, in ledger order. *)
+(** The sixteen sections above, in ledger order. *)
 
 (** {1 Probes the allocation ceilings run at a smaller count} *)
 
@@ -85,6 +88,16 @@ val sim_node : unit -> Mdcc_sim.Network.payload array -> unit
     beside a silent node 1 that coordinates and masters every key.  The
     returned function has node 1 send each message to node 0 in order,
     then runs the engine until every message and reply is delivered. *)
+
+val chaos_spec : Mdcc_chaos.Runner.spec
+(** The default chaos run: seed 1, the [clean] scenario, 40 transactions
+    on 4 items. *)
+
+val chaos_history : unit -> Mdcc_core.History.t
+(** The history of {!chaos_spec}'s deployment ([Runner.deploy]) after its
+    40 transactions, submitted one at a time from DC [i mod 5] and each
+    run to its end: even ones decrement a stock, odd ones rewrite one
+    item after reading it and the next. *)
 
 val parse_in_chunks : bytes -> unit -> unit
 (** A fresh wire parser and the thunk that feeds it the whole stream in

@@ -1,96 +1,101 @@
 open Mdcc_storage
 module History = Mdcc_core.History
 module Event = Mdcc_core.Event
-module Table = Mdcc_util.Table
 
 type violation = { invariant : string; detail : string }
 
 let violation_to_string v = Printf.sprintf "[%s] %s" v.invariant v.detail
 
-(* Everything the checker knows about one transaction id. *)
+(* Everything the checker knows about one transaction id.  [applied] and
+   [voided] hold the history's own entries, in event order: [applied] the
+   [Applied] entries that wrote and the [Repaired] ones, [voided] the
+   [Voided] ones.  [succs] and [color] are the serializability check's
+   conflict-graph node. *)
 type info = {
-  mutable txn : Txn.t option;  (* from Submitted *)
-  mutable decided : Txn.outcome option;  (* first Decided *)
+  txid : Txn.id;
+  mutable txn : Txn.t option;  (* the last Submitted *)
   mutable decisions : Txn.outcome list;  (* every Decided, event order *)
-  mutable applied : (int * Key.t * int * Value.t) list;  (* node, key, version, value *)
-  mutable voided : (int * Key.t) list;  (* node, key *)
+  mutable applied : History.entry list;
+  mutable voided : History.entry list;
+  mutable succs : info list;
+  mutable color : int;  (* 0 unvisited, 1 on the DFS path, 2 done *)
 }
 
 (* Every transaction id the history names, with what it knows of it, in
-   txid order: each check walks this one list, so reports list violations
-   in txid order without sorting the table again. *)
+   txid order.  The history is walked once, newest entry first, so consing
+   leaves every list in event order; each check then walks this one list,
+   and builds its violations by consing too, so each check reports in
+   descending txid order. *)
 let gather history =
-  let tbl : (Txn.id, info) Hashtbl.t = Hashtbl.create 256 in
+  let tbl : (Txn.id, info) Hashtbl.t = Hashtbl.create 16 in
+  let all = ref [] in
   let get txid =
-    match Hashtbl.find_opt tbl txid with
-    | Some i -> i
-    | None ->
-      let i = { txn = None; decided = None; decisions = []; applied = []; voided = [] } in
+    match Hashtbl.find tbl txid with
+    | i -> i
+    | exception Not_found ->
+      let i =
+        { txid; txn = None; decisions = []; applied = []; voided = []; succs = []; color = 0 }
+      in
       Hashtbl.add tbl txid i;
+      all := i :: !all;
       i
   in
-  List.iter
-    (fun { History.node; event; _ } ->
+  History.iter_newest_first
+    (fun ({ History.event; _ } as e) ->
       match event with
-      | Event.Submitted txn -> (get txn.Txn.id).txn <- Some txn
+      | Event.Submitted txn -> (
+        let i = get txn.Txn.id in
+        match i.txn with None -> i.txn <- Some txn | Some _ -> ())
       | Event.Decided { txid; outcome } ->
         let i = get txid in
-        i.decisions <- i.decisions @ [ outcome ];
-        if i.decided = None then i.decided <- Some outcome
-      | Event.Applied { txid; key; version; value; wrote = true }
-      | Event.Repaired { txid; key; version; value; _ } ->
+        i.decisions <- outcome :: i.decisions
+      | Event.Applied { txid; wrote = true; _ } | Event.Repaired { txid; _ } ->
         let i = get txid in
-        i.applied <- (node, key, version, value) :: i.applied
-      | Event.Voided { txid; key } ->
+        i.applied <- e :: i.applied
+      | Event.Voided { txid; _ } ->
         let i = get txid in
-        i.voided <- (node, key) :: i.voided
+        i.voided <- e :: i.voided
       | _ -> (* faults, and steps the history does not keep ([Event.in_history]) *) ())
-    (History.events history);
-  Table.sorted_bindings ~compare:String.compare tbl
+    history;
+  List.sort (fun a b -> String.compare a.txid b.txid) !all
 
-(* Did the transaction commit?  Prefer the coordinator's decision; fall back
-   to visibility evidence for transactions finished by recovery alone. *)
-let committed info =
-  match info.decided with
-  | Some Txn.Committed -> true
-  | Some (Txn.Aborted _) -> false
-  | None -> info.applied <> []
-
-(* The read-set of a submitted transaction: (key, version) pairs carried as
-   the vread of its physical / delete / read-guard updates. *)
-let reads_of (txn : Txn.t) =
-  List.filter_map
-    (fun (key, up) ->
-      match up with
-      | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } ->
-        Some (key, vread)
-      | Update.Insert _ | Update.Delta _ -> None)
-    txn.Txn.updates
+(* Did the transaction commit?  Prefer the coordinator's (first) decision;
+   fall back to visibility evidence for transactions finished by recovery
+   alone. *)
+let committed i =
+  match i.decisions with
+  | Txn.Committed :: _ -> true
+  | Txn.Aborted _ :: _ -> false
+  | [] -> i.applied <> []
 
 (* ------------------------------------------------------------------ *)
 (* 1. Atomic visibility                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The nodes of some entries, newest first. *)
+let nodes entries =
+  String.concat ","
+    (List.rev_map (fun (e : History.entry) -> Printf.sprintf "node%d" e.History.node) entries)
+
+let atomic_visibility i =
+  match (i.applied, i.voided, i.decisions) with
+  | _ :: _, _ :: _, _ ->
+    Some
+      (Printf.sprintf "txn %s executed at %s but voided at %s" i.txid (nodes i.applied)
+         (nodes i.voided))
+  | [], _ :: _, Txn.Committed :: _ ->
+    Some (Printf.sprintf "txn %s decided Committed but voided at a replica" i.txid)
+  | _ :: _, [], Txn.Aborted _ :: _ ->
+    Some (Printf.sprintf "txn %s decided Aborted but executed at a replica" i.txid)
+  | _ -> None
+
 let check_atomic_visibility txns =
-  let out = ref [] in
-  List.iter
-    (fun (txid, info) ->
-      let add detail = out := { invariant = "atomic-visibility"; detail } :: !out in
-      if info.applied <> [] && info.voided <> [] then
-        add
-          (Printf.sprintf "txn %s executed at %s but voided at %s" txid
-             (String.concat "," (List.map (fun (n, _, _, _) -> Printf.sprintf "node%d" n) info.applied))
-             (String.concat "," (List.map (fun (n, _) -> Printf.sprintf "node%d" n) info.voided)))
-      else begin
-        match info.decided with
-        | Some Txn.Committed when info.voided <> [] ->
-          add (Printf.sprintf "txn %s decided Committed but voided at a replica" txid)
-        | Some (Txn.Aborted _) when info.applied <> [] ->
-          add (Printf.sprintf "txn %s decided Aborted but executed at a replica" txid)
-        | Some _ | None -> ()
-      end)
-    txns;
-  !out
+  List.fold_left
+    (fun out i ->
+      match atomic_visibility i with
+      | Some detail -> { invariant = "atomic-visibility"; detail } :: out
+      | None -> out)
+    [] txns
 
 (* ------------------------------------------------------------------ *)
 (* 1b. Decision agreement                                              *)
@@ -102,25 +107,21 @@ let check_atomic_visibility txns =
    agree: a cross-partition transaction whose groups settle on different
    outcomes is exactly the torn commit sharding must never produce. *)
 let check_decision_agreement txns =
-  let out = ref [] in
-  List.iter
-    (fun (txid, info) ->
-      let commits = List.exists (fun o -> o = Txn.Committed) info.decisions in
-      let aborts =
-        List.exists (function Txn.Aborted _ -> true | Txn.Committed -> false) info.decisions
-      in
-      if commits && aborts then
-        out :=
-          {
-            invariant = "decision-agreement";
-            detail =
-              Printf.sprintf "txn %s decided both Committed and Aborted (%s)" txid
-                (String.concat ", "
-                   (List.map (Format.asprintf "%a" Txn.pp_outcome) info.decisions));
-          }
-          :: !out)
-    txns;
-  !out
+  List.fold_left
+    (fun out i ->
+      if
+        List.mem Txn.Committed i.decisions
+        && List.exists (function Txn.Aborted _ -> true | Txn.Committed -> false) i.decisions
+      then
+        {
+          invariant = "decision-agreement";
+          detail =
+            Printf.sprintf "txn %s decided both Committed and Aborted (%s)" i.txid
+              (String.concat ", " (List.map Event.outcome_string i.decisions));
+        }
+        :: out
+      else out)
+    [] txns
 
 (* ------------------------------------------------------------------ *)
 (* 1c. Cross-partition atomicity                                       *)
@@ -135,129 +136,152 @@ let check_decision_agreement txns =
    partition (the default [partition_of]) the check is inert — the plain
    atomic-visibility invariant already covers single-group mixes. *)
 let check_cross_partition ~partition_of txns =
-  let out = ref [] in
-  let module IS = Set.Make (Int) in
-  let groups_of keys = IS.elements (IS.of_list (List.map partition_of keys)) in
-  let render ps =
-    String.concat "," (List.map (Printf.sprintf "p%02d") ps)
+  (* Does a write-set reach beyond partition [p]?  Asked of the keys after
+     the first, so a single-key write-set is answered at once. *)
+  let rec beyond p = function
+    | [] -> false
+    | (key, _) :: rest -> partition_of key <> p || beyond p rest
   in
-  List.iter
-    (fun (txid, info) ->
-      match info.txn with
-      | Some txn when List.length (groups_of (List.map fst txn.Txn.updates)) >= 2 ->
-        let applied_in = groups_of (List.map (fun (_, k, _, _) -> k) info.applied) in
-        let voided_in = groups_of (List.map snd info.voided) in
-        let add detail =
-          out := { invariant = "cross-partition-atomicity"; detail } :: !out
-        in
-        if committed info && voided_in <> [] then
-          add
-            (Printf.sprintf
-               "committed txn %s torn across groups: applied in [%s], voided in [%s]" txid
-               (render applied_in) (render voided_in))
-        else if (not (committed info)) && applied_in <> [] then
-          add
-            (Printf.sprintf "aborted txn %s leaked execution into group(s) [%s]" txid
-               (render applied_in))
-      | Some _ | None -> ())
-    txns;
-  !out
+  let groups entries =
+    List.filter_map
+      (fun (e : History.entry) ->
+        match e.History.event with
+        | Event.Applied { key; _ } | Event.Repaired { key; _ } | Event.Voided { key; _ } ->
+          Some (partition_of key)
+        | _ -> None)
+      entries
+    |> List.sort_uniq Int.compare
+    |> List.map (Printf.sprintf "p%02d")
+    |> String.concat ","
+  in
+  let torn i =
+    match i.txn with
+    | Some { Txn.updates = (first, _) :: rest; _ } when beyond (partition_of first) rest ->
+      if committed i && i.voided <> [] then
+        Some
+          (Printf.sprintf "committed txn %s torn across groups: applied in [%s], voided in [%s]"
+             i.txid (groups i.applied) (groups i.voided))
+      else if (not (committed i)) && i.applied <> [] then
+        Some
+          (Printf.sprintf "aborted txn %s leaked execution into group(s) [%s]" i.txid
+             (groups i.applied))
+      else None
+    | Some _ | None -> None
+  in
+  List.fold_left
+    (fun out i ->
+      match torn i with
+      | Some detail -> { invariant = "cross-partition-atomicity"; detail } :: out
+      | None -> out)
+    [] txns
 
 (* ------------------------------------------------------------------ *)
 (* 2. Lost updates                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let check_lost_updates txns =
-  (* (key, vread) -> committed physical/delete writers *)
-  let writers : (Key.t * int, Txn.id list) Hashtbl.t = Hashtbl.create 64 in
+(* Per key, the committed physical/delete writers as (vread, txid), for
+   the lost-update and read-committed checks. *)
+let committed_writers txns =
+  let writers : (int * Txn.id) list Key.Tbl.t = Key.Tbl.create 16 in
   List.iter
-    (fun (txid, info) ->
-      match info.txn with
-      | Some txn when committed info ->
+    (fun i ->
+      match i.txn with
+      | Some txn when committed i ->
         List.iter
           (fun (key, up) ->
             match up with
             | Update.Physical { vread; _ } | Update.Delete { vread } ->
-              let k = (key, vread) in
-              let existing = Option.value (Hashtbl.find_opt writers k) ~default:[] in
-              Hashtbl.replace writers k (txid :: existing)
+              let existing = try Key.Tbl.find writers key with Not_found -> [] in
+              Key.Tbl.replace writers key ((vread, i.txid) :: existing)
             | Update.Insert _ | Update.Delta _ | Update.Read_guard _ -> ())
           txn.Txn.updates
       | Some _ | None -> ())
     txns;
+  writers
+
+(* A writer from version [vread]. *)
+let rec has_vread vread = function
+  | [] -> false
+  | (v, _) :: rest -> v = vread || has_vread vread rest
+
+(* Two writers of one key from one version.  Checked pairwise: a key has
+   few writers, and a clean key is then never sorted. *)
+let rec shares_vread = function
+  | [] -> false
+  | (vread, _) :: rest -> has_vread vread rest || shares_vread rest
+
+(* In descending (key, vread) order, each run's txids ascending. *)
+let check_lost_updates writers =
+  let rec runs key out = function
+    | (vread, _) :: _ as ws ->
+      let same, rest = List.partition (fun (v, _) -> v = vread) ws in
+      let out =
+        match same with
+        | [] | [ _ ] -> out
+        | _ ->
+          {
+            invariant = "lost-update";
+            detail =
+              Printf.sprintf "%d committed writers of %s from version %d: %s" (List.length same)
+                (Key.to_string key) vread
+                (String.concat ", " (List.map snd same));
+          }
+          :: out
+      in
+      runs key out rest
+    | [] -> out
+  in
   List.fold_left
-    (fun acc ((key, vread), txids) ->
-      match txids with
-      | [] | [ _ ] -> acc
-      | _ ->
-        {
-          invariant = "lost-update";
-          detail =
-            Printf.sprintf "%d committed writers of %s from version %d: %s" (List.length txids)
-              (Key.to_string key) vread
-              (String.concat ", " (List.sort String.compare txids));
-        }
-        :: acc)
-    [] (Table.sorted_bindings writers)
+    (fun out (key, ws) -> if shares_vread ws then runs key out (List.sort compare ws) else out)
+    [] (Key.Tbl.sorted_bindings writers)
 
 (* ------------------------------------------------------------------ *)
 (* 3. Read-committed visibility                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_read_committed txns =
+let check_read_committed ~writers txns =
   (* Versions that ever existed per key: the initial load (<= 1), every
      version a replica committed (Applied events), and the version every
      committed physical/delete installed (vread + 1) — the latter covers
      replicas whose execution was subsumed by a re-base. *)
-  let valid : (Key.t, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let mark key v =
-    let set =
-      match Hashtbl.find_opt valid key with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 16 in
-        Hashtbl.add valid key s;
-        s
-    in
-    Hashtbl.replace set v ()
-  in
-  let is_valid key v =
+  let applied : int list Key.Tbl.t = Key.Tbl.create 16 in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun (e : History.entry) ->
+          match e.History.event with
+          | Event.Applied { key; version; _ } | Event.Repaired { key; version; _ } -> (
+            match Key.Tbl.find applied key with
+            | vs -> if not (List.mem version vs) then Key.Tbl.replace applied key (version :: vs)
+            | exception Not_found -> Key.Tbl.add applied key [ version ])
+          | _ -> ())
+        i.applied)
+    txns;
+  let existed key v =
     v <= 1
-    || (match Hashtbl.find_opt valid key with Some s -> Hashtbl.mem s v | None -> false)
+    || (match Key.Tbl.find applied key with vs -> List.mem v vs | exception Not_found -> false)
+    || match Key.Tbl.find writers key with ws -> has_vread (v - 1) ws | exception Not_found -> false
   in
-  List.iter
-    (fun (_, info) ->
-      List.iter (fun (_, key, version, _) -> mark key version) info.applied;
-      match info.txn with
-      | Some txn when committed info ->
-        List.iter
-          (fun (key, up) ->
-            match up with
-            | Update.Physical { vread; _ } | Update.Delete { vread } -> mark key (vread + 1)
-            | Update.Insert _ | Update.Delta _ | Update.Read_guard _ -> ())
-          txn.Txn.updates
-      | Some _ | None -> ())
-    txns;
-  let out = ref [] in
-  List.iter
-    (fun (txid, info) ->
-      match info.txn with
-      | Some txn when committed info ->
-        List.iter
-          (fun (key, vread) ->
-            if not (is_valid key vread) then
-              out :=
-                {
-                  invariant = "read-committed";
-                  detail =
-                    Printf.sprintf "txn %s read %s at version %d, which never existed" txid
-                      (Key.to_string key) vread;
-                }
-                :: !out)
-          (reads_of txn)
-      | Some _ | None -> ())
-    txns;
-  !out
+  (* The reads of [i]: the [vread] of its physical, delete and read-guard
+     updates. *)
+  let rec reads i out = function
+    | [] -> out
+    | (key, (Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread }))
+      :: rest
+      when not (existed key vread) ->
+      let detail =
+        Printf.sprintf "txn %s read %s at version %d, which never existed" i.txid
+          (Key.to_string key) vread
+      in
+      reads i ({ invariant = "read-committed"; detail } :: out) rest
+    | _ :: rest -> reads i out rest
+  in
+  List.fold_left
+    (fun out i ->
+      match i.txn with
+      | Some txn when committed i -> reads i out txn.Txn.updates
+      | Some _ | None -> out)
+    [] txns
 
 (* ------------------------------------------------------------------ *)
 (* 4. Serializability: conflict-graph acyclicity                       *)
@@ -273,106 +297,112 @@ let is_classic (txn : Txn.t) =
       | Update.Delta _ -> false)
     txn.Txn.updates
 
+(* The version an insert of [key] installed: the lowest one a replica
+   committed it at, or 1. *)
+let insert_version i key =
+  List.fold_left
+    (fun acc (e : History.entry) ->
+      match e.History.event with
+      | (Event.Applied { key = k; version; _ } | Event.Repaired { key = k; version; _ })
+        when Key.equal k key ->
+        Some (match acc with Some v -> min v version | None -> version)
+      | _ -> acc)
+    None i.applied
+  |> Option.value ~default:1
+
+(* The write-set of a participant. *)
+let updates i = match i.txn with Some txn -> txn.Txn.updates | None -> []
+
+(* A conflict-graph edge: [a] serializes before [b]. *)
+let edge a b = if a != b && not (List.memq b a.succs) then a.succs <- b :: a.succs
+
+let add_writer writers key i wver =
+  let existing = try Key.Tbl.find writers key with Not_found -> [] in
+  Key.Tbl.replace writers key ((i, wver) :: existing)
+
+(* [i]'s writes onto their keys' writer lists, with the version each
+   installed. *)
+let rec add_writes writers i = function
+  | [] -> ()
+  | (key, up) :: rest ->
+    (match up with
+    | Update.Physical { vread; _ } | Update.Delete { vread } -> add_writer writers key i (vread + 1)
+    | Update.Insert _ -> add_writer writers key i (insert_version i key)
+    | Update.Delta _ | Update.Read_guard _ -> ());
+    add_writes writers i rest
+
+(* WR and RW: a reader of (key, v) comes after every writer that installed
+   a version <= v and before every writer that installed a version > v. *)
+let rec order_reader i v = function
+  | [] -> ()
+  | (w, wver) :: rest ->
+    if wver <= v then edge w i else edge i w;
+    order_reader i v rest
+
+let rec order_reads writers i = function
+  | [] -> ()
+  | (key, (Update.Physical { vread = v; _ } | Update.Delete { vread = v } | Update.Read_guard { vread = v }))
+    :: rest ->
+    (match Key.Tbl.find writers key with
+    | ws -> order_reader i v ws
+    | exception Not_found -> ());
+    order_reads writers i rest
+  | (_, (Update.Insert _ | Update.Delta _)) :: rest -> order_reads writers i rest
+
+(* WW: consecutive writers in the version order. *)
+let rec link = function
+  | (a, _) :: ((b, _) :: _ as tl) ->
+    edge a b;
+    link tl
+  | [ _ ] | [] -> ()
+
 let check_serializability txns =
-  (* Participants: committed classic transactions with known write-sets. *)
-  let participants : (Txn.id * Txn.t * info) list =
+  (* Participants: committed classic transactions with known write-sets,
+     in descending txid order. *)
+  let participants =
     List.fold_left
-      (fun acc (txid, info) ->
-        match info.txn with
-        | Some txn when committed info && is_classic txn -> (txid, txn, info) :: acc
+      (fun acc i ->
+        match i.txn with
+        | Some txn when committed i && is_classic txn -> i :: acc
         | Some _ | None -> acc)
       [] txns
   in
   (* Writers per key with the version each write installed. *)
-  let writers : (Key.t, (Txn.id * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let add_writer key txid wver =
-    match Hashtbl.find_opt writers key with
-    | Some l -> l := (txid, wver) :: !l
-    | None -> Hashtbl.add writers key (ref [ (txid, wver) ])
-  in
-  List.iter
-    (fun (txid, txn, info) ->
-      List.iter
-        (fun (key, up) ->
-          match up with
-          | Update.Physical { vread; _ } | Update.Delete { vread } -> add_writer key txid (vread + 1)
-          | Update.Insert _ ->
-            (* Position an insert by the version a replica committed it at. *)
-            let versions =
-              List.filter_map
-                (fun (_, k, v, _) -> if Key.equal k key then Some v else None)
-                info.applied
-            in
-            let wver = match versions with [] -> 1 | vs -> List.fold_left min max_int vs in
-            add_writer key txid wver
-          | Update.Delta _ | Update.Read_guard _ -> ())
-        txn.Txn.updates)
-    participants;
-  (* Conflict-graph edges from the version order. *)
-  let edges : (Txn.id, Txn.id list ref) Hashtbl.t = Hashtbl.create 64 in
-  let edge a b =
-    if not (String.equal a b) then begin
-      match Hashtbl.find_opt edges a with
-      | Some l -> if not (List.mem b !l) then l := b :: !l
-      | None -> Hashtbl.add edges a (ref [ b ])
-    end
-  in
-  List.iter (fun (txid, _, _) -> if not (Hashtbl.mem edges txid) then Hashtbl.add edges txid (ref [])) participants;
-  (* WW: per-key version order. *)
-  Table.sorted_iter
-    (fun _ l ->
-      let sorted = List.sort (fun (_, a) (_, b) -> Int.compare a b) !l in
-      let rec link = function
-        | (a, _) :: ((b, _) :: _ as tl) ->
-          edge a b;
-          link tl
-        | [ _ ] | [] -> ()
-      in
-      link sorted)
+  let writers : (info * int) list Key.Tbl.t = Key.Tbl.create 16 in
+  List.iter (fun i -> add_writes writers i (updates i)) participants;
+  Key.Tbl.sorted_iter
+    (fun _ l -> link (List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) l))
     writers;
-  (* WR and RW: a reader of (key, v) comes after every writer that installed
-     a version <= v and before every writer that installed a version > v. *)
-  List.iter
-    (fun (txid, txn, _) ->
-      List.iter
-        (fun (key, v) ->
-          match Hashtbl.find_opt writers key with
-          | None -> ()
-          | Some l ->
-            List.iter
-              (fun (w, wver) -> if wver <= v then edge w txid else edge txid w)
-              !l)
-        (reads_of txn))
-    participants;
+  List.iter (fun i -> order_reads writers i (updates i)) participants;
   (* Cycle detection (iterative-enough DFS; histories are small). *)
-  let color : (Txn.id, int) Hashtbl.t = Hashtbl.create 64 in
   let cycle = ref None in
   let rec dfs path node =
-    if !cycle = None then begin
-      match Hashtbl.find_opt color node with
-      | Some 1 ->
+    if Option.is_none !cycle then begin
+      match node.color with
+      | 1 ->
         (* Back edge: the segment of the path (recent-first) from the caller
            back to [node] is the cycle. *)
         let rec seg = function
-          | x :: _ when String.equal x node -> [ x ]
+          | x :: _ when x == node -> [ x ]
           | x :: tl -> x :: seg tl
           | [] -> []
         in
-        cycle := Some ((List.rev (seg path) @ [ node ]))
-      | Some _ -> ()
-      | None ->
-        Hashtbl.replace color node 1;
-        (match Hashtbl.find_opt edges node with
-        | Some l -> List.iter (dfs (node :: path)) !l
-        | None -> ());
-        Hashtbl.replace color node 2
+        cycle := Some (List.rev (seg path) @ [ node ])
+      | 0 ->
+        node.color <- 1;
+        visit (node :: path) node.succs;
+        node.color <- 2
+      | _ -> ()
     end
+  and visit path = function
+    | [] -> ()
+    | next :: rest ->
+      dfs path next;
+      visit path rest
   in
-  (* DFS roots in sorted order: *which* cycle gets reported must be a pure
-     function of the history, not of hash-table layout. *)
-  List.iter
-    (fun (node, _) -> if !cycle = None then dfs [] node)
-    (Table.sorted_bindings ~compare:String.compare edges);
+  (* DFS roots in txid order: *which* cycle gets reported must be a pure
+     function of the history. *)
+  List.iter (fun i -> if Option.is_none !cycle then dfs [] i) (List.rev participants);
   match !cycle with
   | None -> []
   | Some path ->
@@ -381,7 +411,7 @@ let check_serializability txns =
         invariant = "serializability";
         detail =
           Printf.sprintf "conflict cycle among committed transactions: %s"
-            (String.concat " -> " path);
+            (String.concat " -> " (List.map (fun i -> i.txid) path));
       };
     ]
 
@@ -389,43 +419,56 @@ let check_serializability txns =
 (* 5. Demarcation: value constraints at every replica-visible state    *)
 (* ------------------------------------------------------------------ *)
 
+let bound_to_string (b : Schema.bound) =
+  match (b.Schema.lower, b.Schema.upper) with
+  | Some lo, Some hi -> Printf.sprintf "%d <= %s <= %d" lo b.Schema.attr hi
+  | Some lo, None -> Printf.sprintf "%s >= %d" b.Schema.attr lo
+  | None, Some hi -> Printf.sprintf "%s <= %d" b.Schema.attr hi
+  | None, None -> "(no bound)"
+
+(* The bounds a replica's write of [key] at [version] breaks, consed onto
+   [out] in bound order. *)
+let rec breaches i (e : History.entry) key version value out = function
+  | [] -> out
+  | (b : Schema.bound) :: rest ->
+    let v = Value.get_int value b.Schema.attr in
+    let out =
+      if Schema.check_bound b v then out
+      else
+        {
+          invariant = "demarcation";
+          detail =
+            Printf.sprintf "node%d committed %s@%d with %s = %d (txn %s), violating %s"
+              e.History.node (Key.to_string key) version b.Schema.attr v i.txid
+              (bound_to_string b);
+        }
+        :: out
+    in
+    breaches i e key version value out rest
+
 let check_demarcation ~bounds txns =
-  let out = ref [] in
-  List.iter
-    (fun (txid, info) ->
-      List.iter
-        (fun (node, key, version, value) ->
-          List.iter
-            (fun (b : Schema.bound) ->
-              let v = Value.get_int value b.Schema.attr in
-              if not (Schema.check_bound b v) then
-                out :=
-                  {
-                    invariant = "demarcation";
-                    detail =
-                      Printf.sprintf "node%d committed %s@%d with %s = %d (txn %s), violating %s"
-                        node (Key.to_string key) version b.Schema.attr v txid
-                        (match (b.Schema.lower, b.Schema.upper) with
-                        | Some lo, Some hi -> Printf.sprintf "%d <= %s <= %d" lo b.Schema.attr hi
-                        | Some lo, None -> Printf.sprintf "%s >= %d" b.Schema.attr lo
-                        | None, Some hi -> Printf.sprintf "%s <= %d" b.Schema.attr hi
-                        | None, None -> "(no bound)");
-                  }
-                  :: !out)
-            (bounds key))
-        info.applied)
-    txns;
-  !out
+  (* A transaction's writes newest first, as the reports have them. *)
+  let rec newest_first i out = function
+    | [] -> out
+    | (e : History.entry) :: newer -> (
+      let out = newest_first i out newer in
+      match e.History.event with
+      | Event.Applied { key; version; value; _ } | Event.Repaired { key; version; value; _ } ->
+        breaches i e key version value out (bounds key)
+      | _ -> out)
+  in
+  List.fold_left (fun out i -> newest_first i out i.applied) [] txns
 
 let check ?(bounds = fun _ -> []) ?(partition_of = fun _ -> 0) history =
   let txns = gather history in
+  let writers = committed_writers txns in
   List.concat
     [
       check_atomic_visibility txns;
       check_decision_agreement txns;
       check_cross_partition ~partition_of txns;
-      check_lost_updates txns;
-      check_read_committed txns;
+      check_lost_updates writers;
+      check_read_committed ~writers txns;
       check_serializability txns;
       check_demarcation ~bounds txns;
     ]

@@ -6,6 +6,7 @@ module Invariant = Mdcc_util.Invariant
 module Generator = Mdcc_workload.Generator
 module Obs = Mdcc_obs.Obs
 module Json = Mdcc_obs.Json
+module Prof = Mdcc_obs.Prof
 
 type workload = Deltas | Rmw | Mixed
 
@@ -172,12 +173,32 @@ let build_rmw_txn rng ctx cluster ~dc keys =
   Txn.serializable ~id:(Generator.fresh_txid ctx) ~reads
     ~updates:[ (item i, Update.Physical { vread = ver_i; value }) ]
 
-let run s =
-  let engine = Engine.create ~seed:s.seed in
+(* A run is three profiler phases: [runner.setup] builds the cluster, the
+   fault schedule and the clients, [engine.run] (the engine's own span)
+   executes them, and [runner.checks] judges the result. *)
+type live = {
+  engine : Engine.t;
+  cluster : Cluster.t;
+  history : History.t;
+  obs : Obs.t;
+  trace_buf : string list ref;
+  schedule : Nemesis.schedule;
+  decided : (Txn.t * Txn.outcome) list ref;
+  submitted : int;
+  delta_items : int list;
+}
+
+let deploy s ~engine ~ctx =
   let config =
     Config.make ~learn_timeout:600.0 ~txn_timeout:1500.0 ~dangling_scan_every:500.0
       ?fast_quorum_override:s.fast_quorum_override ~replication:5 ()
   in
+  Cluster.create ~engine
+    ~spec:(Cluster.Spec.make ~partitions:(effective_partitions s) ())
+    ~ctx ~config ~schema:stock_schema ()
+
+let setup s =
+  let engine = Engine.create ~seed:s.seed in
   let history = History.create () in
   (* Fresh per-run handle (spans on): two same-seed runs must render
      byte-identical metrics and span JSON, so no registry is shared. *)
@@ -187,11 +208,7 @@ let run s =
   let trace =
     if s.capture_trace then Some (fun line -> trace_buf := line :: !trace_buf) else None
   in
-  let cluster =
-    Cluster.create ~engine
-      ~spec:(Cluster.Spec.make ~partitions:(effective_partitions s) ())
-      ~ctx:(Ctx.make ~history ~obs ?trace ()) ~config ~schema:stock_schema ()
-  in
+  let cluster = deploy s ~engine ~ctx:(Ctx.make ~history ~obs ?trace ()) in
   Cluster.load cluster (List.init s.items (fun i -> (item i, item_row stock)));
   Cluster.start_maintenance cluster;
   (* The fault schedule derives from the seed alone: same seed, same runs. *)
@@ -236,24 +253,15 @@ let run s =
              txn
              (fun outcome -> decided := (txn, outcome) :: !decided)))
   done;
-  (* A tagged invariant violation (Util.Invariant) ends the run where it
-     fires: it lands in the history and the trace at that instant, so a
-     replay shows *where* a protocol invariant died, and it is the run's
-     one violation — the checks would only describe a run cut short. *)
-  let died =
-    match Engine.run ~until:(horizon +. drain) engine with
-    | () -> None
-    | exception Invariant.Violation v ->
-      Ctx.emit (Cluster.stream cluster) (Event.Violation v);
-      Some { Checker.invariant = "invariant"; detail = Invariant.to_string v }
-  in
-  (* ---- checks ---- *)
-  let decided = !decided in
+  { engine; cluster; history; obs; trace_buf; schedule; decided; submitted = !submitted;
+    delta_items = deltas }
+
+let checks l ~items ~died decided =
   (* Repair (MDCC only): every divergence the anti-entropy probes detected
      must have been driven to resolution before the run ends — a nonzero
      gauge means some replica pair is still marked diverged after heal +
      sweeps. *)
-  let diverged = Mdcc_obs.Registry.gauge (Obs.registry obs) "diverged_replicas" in
+  let diverged = Mdcc_obs.Registry.gauge (Obs.registry l.obs) "diverged_replicas" in
   let repair =
     if diverged = 0 then []
     else
@@ -261,29 +269,45 @@ let run s =
           detail = Printf.sprintf "diverged_replicas gauge still %d after heal + anti-entropy"
               diverged } ]
   in
+  match died with
+  | Some v -> [ v ]
+  | None ->
+    Checker.check ~bounds:(Schema.bounds_of stock_schema)
+      ~partition_of:(Cluster.Layout.partition (Cluster.layout l.cluster)) l.history
+    @ post_drain_checks ~peek:(Cluster.peek l.cluster) ~dcs:(Cluster.num_dcs l.cluster) ~items
+        ~delta_items:l.delta_items ~stock ~submitted:l.submitted decided
+    @ repair
+
+let run s =
+  let l = Prof.span "runner.setup" (fun () -> setup s) in
+  (* A tagged invariant violation (Util.Invariant) ends the run where it
+     fires: it lands in the history and the trace at that instant, so a
+     replay shows *where* a protocol invariant died, and it is the run's
+     one violation — the checks would only describe a run cut short. *)
+  let died =
+    match Engine.run ~until:(horizon +. drain) l.engine with
+    | () -> None
+    | exception Invariant.Violation v ->
+      Ctx.emit (Cluster.stream l.cluster) (Event.Violation v);
+      Some { Checker.invariant = "invariant"; detail = Invariant.to_string v }
+  in
+  let decided = !(l.decided) in
   let violations =
-    match died with
-    | Some v -> [ v ]
-    | None ->
-      Checker.check ~bounds:(Schema.bounds_of stock_schema)
-        ~partition_of:(Cluster.Layout.partition (Cluster.layout cluster)) history
-      @ post_drain_checks ~peek:(Cluster.peek cluster) ~dcs ~items:s.items ~delta_items:deltas
-          ~stock ~submitted:!submitted decided
-      @ repair
+    Prof.span "runner.checks" (fun () -> checks l ~items:s.items ~died decided)
   in
   let committed = List.length (List.filter (fun (_, o) -> o = Txn.Committed) decided) in
   {
     r_seed = s.seed;
     r_scenario = s.scenario.Nemesis.sc_name;
-    r_schedule = schedule;
-    r_submitted = !submitted;
+    r_schedule = l.schedule;
+    r_submitted = l.submitted;
     r_committed = committed;
     r_aborted = List.length decided - committed;
-    r_undecided = !submitted - List.length decided;
-    r_events = History.length history;
+    r_undecided = l.submitted - List.length decided;
+    r_events = History.length l.history;
     r_violations = violations;
-    r_trace = List.rev !trace_buf;
-    r_obs = obs;
+    r_trace = List.rev !(l.trace_buf);
+    r_obs = l.obs;
   }
 
 (* ------------------------------------------------------------------ *)

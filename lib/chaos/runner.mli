@@ -69,6 +69,12 @@ val stock_schema : Schema.t
     rows holding [item_row stock] in an ["item"] table bounded by
     [stock >= 0]. *)
 
+val deploy : spec -> engine:Mdcc_sim.Engine.t -> ctx:Mdcc_core.Ctx.t -> Mdcc_core.Cluster.t
+(** The deployment of a run, built as {!run} builds it: the five-DC
+    cluster of {!effective_partitions} partitions over {!stock_schema},
+    with the run's timeouts and the spec's fast-quorum override, not yet
+    loaded. *)
+
 type report = {
   r_seed : int;
   r_scenario : string;
@@ -92,7 +98,9 @@ val run : spec -> report
     inside the run ends it instead: it is emitted as an [Event.Violation] on
     the cluster's stream at that instant (history entry and [invariant]
     trace line), and the report's only violation is [invariant], with the
-    checks skipped. *)
+    checks skipped.  The profiler sees a run as three phases:
+    [runner.setup] (deployment, fault schedule and clients), the engine's
+    [engine.run], and [runner.checks]. *)
 
 val post_drain_checks :
   peek:(dc:int -> Key.t -> (Value.t * int) option) ->

@@ -584,9 +584,9 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       master_of;
       local_nodes;
       snapshot;
-      txns = Hashtbl.create 256;
-      hints = Hashtbl.create 256;
-      reads = Hashtbl.create 64;
+      txns = Hashtbl.create 16;
+      hints = Hashtbl.create 16;
+      reads = Hashtbl.create 16;
       scans = Hashtbl.create 16;
       next_rid = 0;
       rng = Rng.split (Runtime.rng runtime);

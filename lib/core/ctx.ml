@@ -15,10 +15,13 @@ type t = {
   local_nodes : int list;
       (* storage nodes co-located with a coordinator (one per partition);
          only coordinators consume this — other nodes ignore it *)
+  spans : Event.span_sink option;
+      (* [obs]'s span store, shared by every node the context builds *)
 }
 
 let make ?history ?(obs = Mdcc_obs.Obs.create ()) ?trace ?(local_nodes = []) () =
-  { history; obs; trace; local_nodes }
+  let spans = Option.map Event.span_sink (Mdcc_obs.Obs.spans obs) in
+  { history; obs; trace; local_nodes; spans }
 
 let with_local_nodes t local_nodes = { t with local_nodes }
 
@@ -27,16 +30,15 @@ let with_local_nodes t local_nodes = { t with local_nodes }
    event. *)
 type stream = {
   s_history : History.t option;
-  s_spans : Mdcc_obs.Span.t option;
+  s_spans : Event.span_sink option;
   s_runtime : Runtime.t;
   s_node : int;
   s_collecting : bool;  (* a history or a span store is attached *)
 }
 
 let stream t runtime ~node =
-  let spans = Mdcc_obs.Obs.spans t.obs in
-  { s_history = t.history; s_spans = spans; s_runtime = runtime; s_node = node;
-    s_collecting = Option.is_some t.history || Option.is_some spans }
+  { s_history = t.history; s_spans = t.spans; s_runtime = runtime; s_node = node;
+    s_collecting = Option.is_some t.history || Option.is_some t.spans }
 
 let live s = s.s_collecting || Runtime.tracing s.s_runtime
 

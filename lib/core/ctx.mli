@@ -19,6 +19,9 @@ type t = {
   local_nodes : int list;
       (** storage nodes co-located with a coordinator (one per partition);
           only coordinators consume this — other nodes ignore it *)
+  spans : Event.span_sink option;
+      (** [obs]'s span store, if spans are on, wrapped by {!make} once so
+          that every node built from the context shares its key labels *)
 }
 
 val make :

@@ -63,38 +63,52 @@ let span_names =
   [ "submit"; "propose"; "vote"; "collision"; "collision_resolved"; "redirect";
     "start_recovery"; "learn"; "decide"; "visible"; "repair" ]
 
-(* A span event about one record: the key is rendered here, once. *)
-let keyed sp ~at ~node ~txid ~name key detail =
-  Span.event sp ~txid ~at ~node ~name ~key:(Key.to_string key) ~detail ()
+type span_sink = { sp : Span.t; labels : string option Key.Tbl.t }
 
-let record_span sp ~at ~node ev =
+let span_sink sp = { sp; labels = Key.Tbl.create 16 }
+
+(* A span event about one record.  A store sees few keys and many events
+   per key, so each key's label, [Some] and all, is rendered once. *)
+let keyed { sp; labels } ~at ~node ~txid ~name key detail =
+  let key =
+    match Key.Tbl.find labels key with
+    | label -> label
+    | exception Not_found ->
+      let label = Some (Key.to_string key) in
+      Key.Tbl.add labels key label;
+      label
+  in
+  Span.event sp ~txid ~at ~node ~name ?key ~detail ()
+
+let record_span sink ~at ~node ev =
+  let sp = sink.sp in
   match ev with
   | Submitted txn ->
     Span.begin_txn sp ~txid:txn.Txn.id ~at;
     Span.event sp ~txid:txn.Txn.id ~at ~node ~name:"submit"
-      ~detail:(Printf.sprintf "%d keys" (List.length txn.Txn.updates))
+      ~detail:(string_of_int (List.length txn.Txn.updates) ^ " keys")
       ()
   | Proposed { txid; key; route } ->
-    keyed sp ~at ~node ~txid ~name:"propose" key
+    keyed sink ~at ~node ~txid ~name:"propose" key
       (match route with `Classic -> "classic" | `Fast -> "fast")
-  | Voted { txid; key; vote } -> keyed sp ~at ~node ~txid ~name:"vote" key (vote_detail vote)
+  | Voted { txid; key; vote } -> keyed sink ~at ~node ~txid ~name:"vote" key (vote_detail vote)
   | Collided { txid; key; acks; rejects } ->
-    keyed sp ~at ~node ~txid ~name:"collision" key
+    keyed sink ~at ~node ~txid ~name:"collision" key
       (Printf.sprintf "acks=%d rejects=%d" acks rejects)
   | Collision_resolved { txid; key } ->
-    keyed sp ~at ~node ~txid ~name:"collision_resolved" key ""
+    keyed sink ~at ~node ~txid ~name:"collision_resolved" key ""
   | Redirected { txid; key; master } ->
-    keyed sp ~at ~node ~txid ~name:"redirect" key (Printf.sprintf "to master %d" master)
+    keyed sink ~at ~node ~txid ~name:"redirect" key (Printf.sprintf "to master %d" master)
   | Recovery_started { txid; key; target } ->
-    keyed sp ~at ~node ~txid ~name:"start_recovery" key (Printf.sprintf "via node %d" target)
+    keyed sink ~at ~node ~txid ~name:"start_recovery" key (Printf.sprintf "via node %d" target)
   | Learned { txid; key; decision } ->
-    keyed sp ~at ~node ~txid ~name:"learn" key
+    keyed sink ~at ~node ~txid ~name:"learn" key
       (match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")
   | Decided { txid; outcome } ->
     Span.event sp ~txid ~at ~node ~name:"decide" ~detail:(outcome_string outcome) ()
-  | Applied { txid; key; _ } -> keyed sp ~at ~node ~txid ~name:"visible" key "exec"
-  | Voided { txid; key } -> keyed sp ~at ~node ~txid ~name:"visible" key "void"
-  | Repaired { txid; key; _ } -> keyed sp ~at ~node ~txid ~name:"repair" key "replay delta"
+  | Applied { txid; key; _ } -> keyed sink ~at ~node ~txid ~name:"visible" key "exec"
+  | Voided { txid; key } -> keyed sink ~at ~node ~txid ~name:"visible" key "void"
+  | Repaired { txid; key; _ } -> keyed sink ~at ~node ~txid ~name:"repair" key "replay delta"
   | Classic_learned _ | Master_recovery_started _ | Master_recovery_resolved _
   | Txn_recovery_started _ | Txn_recovery_finished _ | Diverged _ | Unknown_update _
   | Fault _ | Violation _ ->

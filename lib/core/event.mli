@@ -80,7 +80,13 @@ val vote_detail : vote -> string
 (** A vote's span detail: ["fast "] then {!fast_verdict}, or
     ["classic acc"]/["classic rej"]; one constant string per vote. *)
 
-val record_span : Mdcc_obs.Span.t -> at:float -> node:int -> t -> unit
+type span_sink
+(** A span store and the label of every key it has seen: a key's string
+    is rendered on its first span event and shared by the rest. *)
+
+val span_sink : Mdcc_obs.Span.t -> span_sink
+
+val record_span : span_sink -> at:float -> node:int -> t -> unit
 (** The span fold: open the transaction's span on [Submitted], append the
     event's span event (if it has one) attributed to [node]. *)
 

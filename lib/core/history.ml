@@ -12,4 +12,6 @@ let record t ~at ~node event =
 
 let events t = List.rev t.rev
 
+let iter_newest_first f t = List.iter f t.rev
+
 let length t = t.count

@@ -30,4 +30,8 @@ val record : t -> at:float -> node:int -> Event.t -> unit
 val events : t -> entry list
 (** All recorded entries, in recording (chronological) order. *)
 
+val iter_newest_first : (entry -> unit) -> t -> unit
+(** [f] on every recorded entry, newest first; unlike {!events}, builds no
+    list. *)
+
 val length : t -> int

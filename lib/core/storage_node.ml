@@ -1219,12 +1219,17 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
       replicas;
       master_of;
       store = Store.create schema;
+      (* [records] and [visible] keep their large initial sizes: arrays
+         this long go straight to the major heap and cost no minor words,
+         and a loaded deployment would only regrow them.  The node's other
+         tables start small and grow with the keys and transactions it
+         sees. *)
       records = Key.Tbl.create 1024;
       visible = Visible.create 4096;
       probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" };
       fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);
-      masters = Key.Tbl.create 256;
-      recoveries = Hashtbl.create 64;
+      masters = Key.Tbl.create 16;
+      recoveries = Hashtbl.create 16;
       rng = Rng.split (Runtime.rng runtime);
       obs;
       diverged = Hashtbl.create 16;

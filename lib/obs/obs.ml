@@ -25,14 +25,19 @@ type node_counters = {
   recv_bytes : counter;
 }
 
+(* ["node%02d"], built without a format: every cluster names its four
+   counters per node once, and a format costs several times the string. *)
+let node_label n = (if n < 10 then "node0" else "node") ^ string_of_int n
+
 let traffic_meter t ~nodes =
   let cells =
     Array.init nodes (fun n ->
+        let node = node_label n in
         {
-          sent = counter t (Printf.sprintf "net.sent.node%02d" n);
-          sent_bytes = counter t (Printf.sprintf "net.sent_bytes.node%02d" n);
-          recv = counter t (Printf.sprintf "net.recv.node%02d" n);
-          recv_bytes = counter t (Printf.sprintf "net.recv_bytes.node%02d" n);
+          sent = counter t ("net.sent." ^ node);
+          sent_bytes = counter t ("net.sent_bytes." ^ node);
+          recv = counter t ("net.recv." ^ node);
+          recv_bytes = counter t ("net.recv_bytes." ^ node);
         })
   in
   let on_send ~src ~dst:_ ~bytes =

@@ -137,6 +137,39 @@ let test_traffic_meter () =
   Alcotest.(check int) "recv bytes" (1_001 * 64)
     (Mdcc_obs.Registry.counter r "net.recv_bytes.node02")
 
+(* The chaos run's deployment, built as every run builds it: five
+   coordinators, five storage nodes, the traffic meter's counters and the
+   streams.  The small protocol tables start at 16 buckets and the
+   counter names are built without formats: 2,785 words.  Coordinator
+   tables of 256 buckets and formatted names cost 8,491. *)
+let test_chaos_deploy () =
+  let spec = Probe.chaos_spec in
+  let engine = Mdcc_sim.Engine.create ~seed:1 in
+  let ctx =
+    Mdcc_core.Ctx.make ~history:(Mdcc_core.History.create ())
+      ~obs:(Mdcc_obs.Obs.create ~spans:true ()) ()
+  in
+  let w = words (fun () -> ignore (Mdcc_chaos.Runner.deploy spec ~engine ~ctx)) in
+  if w > 3_000.0 then Alcotest.failf "the chaos deployment allocated %.0f words" w
+
+(* The checker reads the history in place: per history event it conses
+   at most one list cell, and per transaction it keeps one record.  On
+   this 280-event history it allocates 14.3 words an event; copying the
+   history, a tuple per write and a 64-bucket table per check cost 50.4. *)
+let test_checker_per_event () =
+  let h = Probe.chaos_history () in
+  let layout = Mdcc_core.Cluster.Layout.make (Mdcc_core.Cluster.Spec.make ()) ~dcs:5 in
+  let w =
+    words (fun () ->
+        ignore
+          (Mdcc_chaos.Checker.check
+             ~bounds:(Schema.bounds_of Mdcc_chaos.Runner.stock_schema)
+             ~partition_of:(Mdcc_core.Cluster.Layout.partition layout) h))
+  in
+  let per_event = w /. Float.of_int (Mdcc_core.History.length h) in
+  if per_event > 16.0 then
+    Alcotest.failf "the checker allocated %.2f words per history event" per_event
+
 (* A message in flight is a pooled heap record: once the pool holds the
    peak number in flight, sending, the jitter draw and delivery allocate
    nothing at all.  The probe checks that every message is delivered. *)
@@ -501,6 +534,8 @@ let suite =
     Alcotest.test_case "history only renders no strings" `Quick test_history_renders_nothing;
     Alcotest.test_case "spans only format no trace line" `Quick test_spans_format_no_line;
     Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;
+    Alcotest.test_case "chaos deployment set-up" `Quick test_chaos_deploy;
+    Alcotest.test_case "checker words per history event" `Quick test_checker_per_event;
     Alcotest.test_case "network message path allocates nothing" `Quick
       test_network_message_path;
     Alcotest.test_case "loop message path is under a word" `Quick test_loop_message_path;

@@ -126,6 +126,82 @@ let test_read_committed_flagged () =
     [ submitted t1; decided "t1" Txn.Committed; applied "t1" k 8 (stock 9) ]
     "read-committed"
 
+(* Every invariant's text, pinned: 500 small random histories from fixed
+   seeds, each checked with one and with two partitions, and one digest of
+   all the reports.  The histories mix every event the checker reads
+   (submissions, single and double decisions, executions, voids, repairs)
+   with ones it skips, over every update kind and few keys and versions,
+   so that every invariant fires and the order of its violations shows. *)
+let random_history seed =
+  let rng = Mdcc_util.Rng.create seed in
+  let int n = Mdcc_util.Rng.int rng n in
+  let value () = stock (Mdcc_util.Rng.int_in rng (-2) 5) in
+  let txid i = "t" ^ string_of_int i in
+  let ntx = 2 + int 4 in
+  let update () =
+    match int 5 with
+    | 0 -> Update.Delta [ ("stock", Mdcc_util.Rng.int_in rng (-3) 2) ]
+    | 1 -> Update.Physical { vread = int 4; value = value () }
+    | 2 -> Update.Insert (value ())
+    | 3 -> Update.Delete { vread = int 4 }
+    | _ -> Update.Read_guard { vread = int 4 }
+  in
+  let txn i =
+    let first = int 3 in
+    Txn.make ~id:(txid i)
+      ~updates:(List.init (1 + int 3) (fun j -> (key (string_of_int ((first + j) mod 3)), update ())))
+  in
+  let outcome () =
+    match int 3 with
+    | 0 -> Txn.Committed
+    | 1 -> Txn.Aborted Txn.Conflict
+    | _ -> Txn.Aborted Txn.Constraint_violation
+  in
+  List.init (4 + int 16) (fun step ->
+      let txid = txid (int (ntx + 1)) and k = key (string_of_int (int 3)) in
+      let event =
+        match int 8 with
+        | 0 | 1 -> Event.Submitted (txn (int ntx))
+        | 2 -> Event.Decided { txid; outcome = outcome () }
+        | 3 | 4 -> Event.Applied { txid; key = k; version = 1 + int 4; value = value (); wrote = true }
+        | 5 -> Event.Voided { txid; key = k }
+        | 6 -> Event.Repaired { txid; key = k; src = int 5; version = 1 + int 4; value = value () }
+        | _ ->
+          if int 2 = 0 then Event.Fault "drop"
+          else Event.Applied { txid; key = k; version = 2; value = value (); wrote = false }
+      in
+      { History.at = Float.of_int step; node = int 5; event })
+
+let random_bounds (k : Key.t) =
+  match k.Key.id with
+  | "0" -> [ { Schema.attr = "stock"; lower = Some 0; upper = None } ]
+  | "1" -> [ { Schema.attr = "stock"; lower = Some 0; upper = Some 4 } ]
+  | _ -> [ { Schema.attr = "stock"; lower = None; upper = Some 3 } ]
+
+let random_reports () =
+  List.init 500 (fun seed ->
+      let h = history (random_history (seed + 1)) in
+      List.map
+        (fun partition_of ->
+          Checker.check ~bounds:random_bounds ~partition_of h
+          |> List.map Checker.violation_to_string
+          |> String.concat "\n")
+        [ (fun _ -> 0); (fun (k : Key.t) -> int_of_string k.Key.id mod 2) ])
+  |> List.concat
+
+let test_random_histories_pinned () =
+  let reports = random_reports () in
+  let all = String.concat "\n--\n" reports in
+  List.iter
+    (fun inv ->
+      Alcotest.(check bool) (inv ^ " fires") true
+        (Helpers.contains ~needle:("[" ^ inv ^ "]") all))
+    [ "atomic-visibility"; "decision-agreement"; "cross-partition-atomicity"; "lost-update";
+      "read-committed"; "serializability"; "demarcation" ];
+  Alcotest.(check string)
+    "checker reports" "23107c59c5f6ffb70b4e862e485b70ec"
+    (Digest.to_hex (Digest.string all))
+
 (* The same seed must reproduce the same fault schedule and history. *)
 let test_runner_determinism () =
   let spec = Runner.spec ~seed:7 ~scenario:Nemesis.random_faults () in
@@ -328,6 +404,8 @@ let suite =
     Alcotest.test_case "demarcation breach flagged" `Quick test_demarcation_flagged;
     Alcotest.test_case "atomic visibility flagged" `Quick test_atomic_visibility_flagged;
     Alcotest.test_case "read committed flagged" `Quick test_read_committed_flagged;
+    Alcotest.test_case "random histories: every invariant's text pinned" `Quick
+      test_random_histories_pinned;
     Alcotest.test_case "chaos runner determinism" `Quick test_runner_determinism;
     Alcotest.test_case "sweep JSON determinism" `Quick test_sweep_json_determinism;
     Alcotest.test_case "random nemesis smoke sweep" `Slow test_smoke_sweep;
