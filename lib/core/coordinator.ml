@@ -9,10 +9,8 @@ module Obs = Mdcc_obs.Obs
 
 type key_state = {
   woption : Woption.t;
-  replicas : int list;  (* the key's replica group; a vote's bit is its position here *)
-  mutable voted : int;  (* bitmask of the replica positions whose fast vote arrived *)
-  mutable acks : int;
-  mutable rejects : int;
+  replicas : int list;  (* the key's replica group; a vote counts by its position here *)
+  mutable votes : Quorum.tally;  (* the fast votes that arrived *)
   mutable learned : Woption.decision option;
   mutable collided : bool;  (** Start_recovery already sent for this window *)
   mutable collided_at : Engine.sim_time option;
@@ -33,13 +31,13 @@ type txn_state = {
   mutable timeout : Runtime.timer option;
 }
 
-(* A read waiting for [r_missing] more replies.  Replies fold into the
-   freshest one so far: a reply replaces it unless its version is lower,
-   so on equal versions the one that arrived last wins. *)
+(* A read waiting for [r_need] replies from distinct replicas.  Replies
+   fold into the freshest one so far: a reply replaces it unless its
+   version is lower, so on equal versions the one that arrived last wins. *)
 type read_state = {
   r_cb : (Value.t * int) option -> unit;
-  mutable r_missing : int;
-  mutable r_from : int list;  (* the acceptors that answered *)
+  r_need : int;
+  mutable r_heard : Quorum.tally;  (* the replicas that answered *)
   mutable r_value : Value.t;
   mutable r_version : int;
   mutable r_exists : bool;
@@ -287,23 +285,21 @@ let on_vote t txid key acceptor decision =
     if i >= 0 then begin
       let ks = ts.keys.(i) in
       let pos = Quorum.position acceptor ks.replicas in
-      if ks.learned = None && pos >= 0 && ks.voted land (1 lsl pos) = 0 then begin
-        ks.voted <- ks.voted lor (1 lsl pos);
-        (match decision with
-        | Woption.Accepted -> ks.acks <- ks.acks + 1
-        | Woption.Rejected -> ks.rejects <- ks.rejects + 1);
-        let acks = ks.acks and rejects = ks.rejects in
-        let qf = Config.fast_quorum t.config in
-        if acks >= qf then learn t ts ks Woption.Accepted
-        else if rejects >= qf then learn t ts ks Woption.Rejected
-        else if Quorum.fast_impossible ~n:(n t) ~acks ~rejects && not ks.collided then begin
-          (* Fast Paxos collision: no outcome can reach a fast quorum. *)
-          ks.collided <- true;
-          ks.collided_at <- Some (now t);
-          Obs.incr t.obs "collision";
-          if live t then emit t (Event.Collided { txid; key; acks; rejects });
-          start_recovery_for t ks
-        end
+      let votes = Quorum.Tally.vote ks.votes ~pos ~ok:(decision = Woption.Accepted) in
+      if ks.learned = None && votes <> ks.votes then begin
+        ks.votes <- votes;
+        match Quorum.Tally.decided votes ~quorum:(Config.fast_quorum t.config) with
+        | Some ok -> learn t ts ks (Woption.of_ok ok)
+        | None ->
+          if Quorum.Tally.fast_impossible votes ~n:(n t) && not ks.collided then begin
+            (* Fast Paxos collision: no outcome can reach a fast quorum. *)
+            ks.collided <- true;
+            ks.collided_at <- Some (now t);
+            Obs.incr t.obs "collision";
+            let acks = Quorum.Tally.acks votes and rejects = Quorum.Tally.rejects votes in
+            if live t then emit t (Event.Collided { txid; key; acks; rejects });
+            start_recovery_for t ks
+          end
       end
     end
 
@@ -348,7 +344,7 @@ let rec arm_timeout t (ts : txn_state) =
 
 let new_slot t (txn : Txn.t) write_set (key, update) =
   let woption = { Woption.txid = txn.Txn.id; key; update; write_set; coordinator = t.id } in
-  { woption; replicas = t.replicas key; voted = 0; acks = 0; rejects = 0; learned = None;
+  { woption; replicas = t.replicas key; votes = Quorum.Tally.empty; learned = None;
     collided = false; collided_at = None; redirected = false; attempts = 0 }
 
 let rec fill t txn write_set keys i = function
@@ -423,8 +419,8 @@ let new_read t ~need cb =
   let rid = t.next_rid in
   t.next_rid <- t.next_rid + 1;
   Hashtbl.replace t.reads rid
-    { r_cb = cb; r_missing = need; r_from = []; r_value = Value.empty; r_version = min_int;
-      r_exists = false };
+    { r_cb = cb; r_need = need; r_heard = Quorum.Tally.empty; r_value = Value.empty;
+      r_version = min_int; r_exists = false };
   rid
 
 let read_local t key cb =
@@ -457,19 +453,19 @@ let read ?(level = `Local) t key cb =
   | `Majority -> read_majority t key cb
   | `Snapshot -> read_snapshot t key cb
 
-let on_read_reply t rid acceptor value version exists =
+let on_read_reply t rid acceptor key value version exists =
   match Hashtbl.find t.reads rid with
   | exception Not_found -> ()
   | rs ->
-    if not (List.mem acceptor rs.r_from) then begin
-      rs.r_from <- acceptor :: rs.r_from;
+    let heard = Quorum.Tally.reply rs.r_heard ~pos:(Quorum.position acceptor (t.replicas key)) in
+    if heard <> rs.r_heard then begin
+      rs.r_heard <- heard;
       if version >= rs.r_version then begin
         rs.r_value <- value;
         rs.r_version <- version;
         rs.r_exists <- exists
       end;
-      rs.r_missing <- rs.r_missing - 1;
-      if rs.r_missing = 0 then begin
+      if Quorum.Tally.replies heard = rs.r_need then begin
         Hashtbl.remove t.reads rid;
         rs.r_cb (if rs.r_exists then Some (rs.r_value, rs.r_version) else None)
       end
@@ -558,8 +554,8 @@ let rec handle t ~src payload =
   | Messages.Phase2b_fast { key; txid; decision; acceptor } -> on_vote t txid key acceptor decision
   | Messages.Learned { key; txid; decision } -> on_learned t txid key decision
   | Messages.Redirect { key; txid; master; classic_until = _ } -> on_redirect t txid key master
-  | Messages.Read_reply { rid; key = _; value; version; exists } ->
-    on_read_reply t rid src value version exists
+  | Messages.Read_reply { rid; key; value; version; exists } ->
+    on_read_reply t rid src key value version exists
   | Messages.Scan_reply { rid; rows } -> on_scan_reply t rid rows
   (* Acceptor- and storage-bound traffic; a coordinator is never their
      destination, so receiving one is a routing mistake we ignore. *)

@@ -47,7 +47,6 @@ type Mdcc_sim.Network.payload +=
       txid : Txn.id;
       ballot : Ballot.t;
       ok : bool;
-      decision : Woption.decision;
     }
   | Phase2b_fast of {
       key : Key.t;

@@ -9,8 +9,7 @@ type round = {
   r_opt : Woption.t;
   r_dec : Woption.decision;
   r_ballot : Ballot.t;
-  mutable r_voted : int;  (* bitmask of the replica positions whose ack arrived *)
-  mutable r_acks : int;  (* the bits set in [r_voted] *)
+  mutable r_votes : Quorum.tally;  (* the acks that arrived at [r_ballot] *)
   mutable r_notify : int list;
 }
 
@@ -36,16 +35,15 @@ type mstate = {
   mutable m_recovery : recovery option;
 }
 
-(* One write-set key of a dangling-transaction recovery.  Each acceptor's
-   first status reply folds in once: a pending vote counts toward [acks] or
-   [rejects], and the first option reported is kept. *)
+(* One write-set key of a dangling-transaction recovery.  Each replica's
+   first status reply folds into [heard] once: a pending vote as a vote,
+   any other status as a reply that casts none.  The first option reported
+   is kept. *)
 type tslot = {
   key : Key.t;
   mutable opt : Woption.t option;  (* the key's option, once any replica reported it *)
-  mutable from : int list;  (* the acceptors that replied *)
-  mutable acks : int;
-  mutable rejects : int;
-  mutable learned : Woption.decision option;  (* the master's decision *)
+  mutable heard : Quorum.tally;
+  mutable learned : bool option;  (* the master's decision, [Some true] if accepted *)
   mutable asked : bool;  (* escalated to the key's master *)
 }
 
@@ -260,7 +258,7 @@ let fast_propose t (w : Woption.t) =
   let key = w.Woption.key in
   let rs = rstate t key in
   match outcome_at t rs w.Woption.txid with
-  | Some committed -> fast_reply t w (if committed then Woption.Accepted else Woption.Rejected)
+  | Some committed -> fast_reply t w (Woption.of_ok committed)
   | None -> (
     match Rstate.find_pending rs w.Woption.txid with
     | v -> fast_reply t w v.Rstate.decision
@@ -346,28 +344,23 @@ let apply_rebase t key (rb : Messages.rebase) =
         old
   end
 
-(* Vote on a Phase2a for [rs]'s record and answer the decision to report.
-   The vote took exactly when [rs.promised] equals [ballot] afterwards: a
-   refused ballot is below the promise, and the answer is then [decision]
-   unchanged. *)
+(* Vote on a Phase2a for [rs]'s record.  The vote took exactly when
+   [rs.promised] equals [ballot] afterwards: a refused ballot is below the
+   promise.  An option whose visibility already executed here gets no
+   vote; a recovering master learns that outcome from Phase 1b's applied
+   set and decided log. *)
 let acceptor_phase2a t (rs : Rstate.t) ballot (w : Woption.t) decision classic_until rebase =
   if Ballot.compare ballot rs.Rstate.promised >= 0 then begin
     let key = rs.Rstate.key in
     rs.Rstate.promised <- ballot;
     rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
     (match rebase with Some rb -> apply_rebase t key rb | None -> ());
-    match outcome_at t rs w.Woption.txid with
-    | Some committed ->
-      (* The option's visibility already executed here: that decision is
-         final, answer it instead of the proposer's. *)
-      if committed then Woption.Accepted else Woption.Rejected
-    | None ->
+    if Option.is_none (outcome_at t rs w.Woption.txid) then begin
       add_pending t rs w decision ballot;
       if live t then
-        emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
-      decision
+        emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision })
+    end
   end
-  else decision
 
 (* Execute or void an option (Algorithm 3, ApplyVisibility). *)
 let visibility t txid key (update : Update.t) committed =
@@ -458,7 +451,7 @@ let qc t = Config.classic_quorum t.config
 let union a b = List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) a b
 
 let new_round w dec ballot notify =
-  { r_opt = w; r_dec = dec; r_ballot = ballot; r_voted = 0; r_acks = 0; r_notify = notify }
+  { r_opt = w; r_dec = dec; r_ballot = ballot; r_votes = Quorum.Tally.empty; r_notify = notify }
 
 (* The round running for [txid], first in the list; raises [Not_found].
    This and the scanners below are top-level so that finding, joining or
@@ -480,33 +473,9 @@ let rec without r = function
 let rec occurs_before dst all here =
   all != here && match all with [] -> false | x :: rest -> x = dst || occurs_before dst rest here
 
-(* The decision that at least [threshold] of [votes] agree on, acceptance
-   first. *)
-let tally threshold votes =
-  let rec count acc rej = function
-    | [] ->
-      if acc >= threshold then Some Woption.Accepted
-      else if rej >= threshold then Some Woption.Rejected
-      else None
-    | Woption.Accepted :: tl -> count (acc + 1) rej tl
-    | Woption.Rejected :: tl -> count acc (rej + 1) tl
-  in
-  count 0 0 votes
-
 (* The slot of [key] in a dangling-transaction recovery, if [key] is in
    its write-set. *)
 let slot_of tr key = Array.find_opt (fun s -> Key.equal s.key key) tr.tx_slots
-
-(* A slot's decision: the master's, else the one a fast quorum of reported
-   votes forces, acceptance first. *)
-let slot_decision t s =
-  match s.learned with
-  | Some _ as learned -> learned
-  | None ->
-    let fq = Config.fast_quorum t.config in
-    if s.acks >= fq then Some Woption.Accepted
-    else if s.rejects >= fq then Some Woption.Rejected
-    else None
 
 (* The update of an option no replica has reported.  A physical update
    with an impossible read version: as a proposal it is deterministically
@@ -532,10 +501,10 @@ let rec master_phase2b t ~src key txid ballot ok =
     if not (Ballot.equal r.r_ballot ballot) then ()
     else if ok then begin
       let pos = Quorum.position src (t.replicas key) in
-      if pos >= 0 && r.r_voted land (1 lsl pos) = 0 then begin
-        r.r_voted <- r.r_voted lor (1 lsl pos);
-        r.r_acks <- r.r_acks + 1;
-        if r.r_acks >= qc t then begin
+      let votes = Quorum.Tally.vote r.r_votes ~pos ~ok:true in
+      if votes <> r.r_votes then begin
+        r.r_votes <- votes;
+        if Quorum.Tally.acks votes >= qc t then begin
           ms.m_rounds <- without r ms.m_rounds;
           announce t key r.r_opt r.r_notify r.r_dec;
           Obs.incr t.obs "classic_learned";
@@ -585,7 +554,7 @@ and phase2a_to t key ballot (w : Woption.t) decision classic_until rebase payloa
   | replica :: rest ->
     if replica = t.id then begin
       let rs = rstate t key in
-      ignore (acceptor_phase2a t rs ballot w decision classic_until rebase : Woption.decision);
+      acceptor_phase2a t rs ballot w decision classic_until rebase;
       let promised = rs.Rstate.promised in
       master_phase2b t ~src:t.id key w.Woption.txid promised (Ballot.equal promised ballot)
     end
@@ -636,7 +605,7 @@ and master_propose t (w : Woption.t) ~notify =
   let rs = rstate t key in
   match outcome_at t rs txid with
   | Some committed ->
-    announce t key w notify (if committed then Woption.Accepted else Woption.Rejected)
+    announce t key w notify (Woption.of_ok committed)
   | None -> (
     match find_round txid ms.m_rounds with
     | r -> r.r_notify <- union r.r_notify notify
@@ -763,27 +732,38 @@ and resolve_recovery t key rc =
       (rebase_of t key) rc.rc_resp
   in
   apply_rebase t key rebase;
-  (* Candidate options: every pending vote reported, plus escalated extras. *)
-  let candidates : (string, Woption.t * (Woption.decision * Ballot.t) list) Hashtbl.t =
+  (* Candidate options: every pending vote reported, plus escalated extras.
+     Of an option's classic votes only the highest-ballot one matters, the
+     last reported among equals; its fast votes count by their reporter's
+     position in the key's replica group. *)
+  let candidates :
+      (string, Woption.t * (Woption.decision * Ballot.t) option * Quorum.tally) Hashtbl.t =
     Hashtbl.create 16
   in
+  let replicas = t.replicas key in
   List.iter
-    (fun (_, (p : Messages.promise)) ->
+    (fun (src, (p : Messages.promise)) ->
+      let pos = Quorum.position src replicas in
       List.iter
-        (fun (v : Messages.vote) ->
-          let txid = v.Messages.woption.Woption.txid in
-          let w, vs =
+        (fun { Messages.woption; decision; ballot } ->
+          let txid = woption.Woption.txid in
+          let w, classic, fast =
             match Hashtbl.find_opt candidates txid with
-            | Some (w, vs) -> (w, vs)
-            | None -> (v.Messages.woption, [])
+            | Some c -> c
+            | None -> (woption, None, Quorum.Tally.empty)
           in
-          Hashtbl.replace candidates txid (w, (v.Messages.decision, v.Messages.ballot) :: vs))
+          Hashtbl.replace candidates txid
+            (match classic with
+            | _ when Ballot.is_fast ballot ->
+              (w, classic, Quorum.Tally.vote fast ~pos ~ok:(decision = Woption.Accepted))
+            | Some (_, b) when Ballot.compare ballot b < 0 -> (w, classic, fast)
+            | Some _ | None -> (w, Some (decision, ballot), fast)))
         p.Messages.votes)
     rc.rc_resp;
   List.iter
     (fun (w : Woption.t) ->
       if not (Hashtbl.mem candidates w.Woption.txid) then
-        Hashtbl.replace candidates w.Woption.txid (w, []))
+        Hashtbl.replace candidates w.Woption.txid (w, None, Quorum.Tally.empty))
     rc.rc_extras;
   (* Visibility outcomes known anywhere in the quorum (or locally) are final
      — a concurrent recovery already executed or voided these options, and
@@ -813,21 +793,15 @@ and resolve_recovery t key rc =
   (* Sorted by txid: the order candidates are classified (and therefore the
      order recovered options re-propose) must not depend on hash order. *)
   Table.sorted_iter ~compare:String.compare
-    (fun txid (w, votes) ->
+    (fun txid (w, classic, fast) ->
       match Hashtbl.find_opt known_viz txid with
-      | Some committed ->
-        already_visible :=
-          (w, if committed then Woption.Accepted else Woption.Rejected) :: !already_visible
+      | Some committed -> already_visible := (w, Woption.of_ok committed) :: !already_visible
       | None -> (
-        let classic_votes =
-          List.filter (fun (_, b) -> not (Ballot.is_fast b)) votes
-          |> List.sort (fun (_, b1) (_, b2) -> Ballot.compare b2 b1)
-        in
-        match classic_votes with
-        | (d, b) :: _ -> classic_voted := (b, (w, Some d)) :: !classic_voted
-        | [] -> (
-          match tally threshold (List.map fst votes) with
-          | Some _ as forced -> fast_forced := (w, forced) :: !fast_forced
+        match classic with
+        | Some (d, b) -> classic_voted := (b, (w, Some d)) :: !classic_voted
+        | None -> (
+          match Quorum.Tally.decided fast ~quorum:threshold with
+          | Some ok -> fast_forced := (w, Some (Woption.of_ok ok)) :: !fast_forced
           | None -> free := (w, None) :: !free)))
     candidates;
   let base_val =
@@ -933,22 +907,25 @@ and txn_recovery_learned t txid key decision =
   | Some tr when not tr.tx_done -> (
     match slot_of tr key with
     | Some s when Option.is_none s.learned ->
-      s.learned <- Some decision;
+      s.learned <- Some (decision = Woption.Accepted);
       evaluate_txn_recovery t tr
     | Some _ | None -> ())
   | Some _ | None -> ()
 
-(* The learned-all rule: once every key is decided, the transaction
-   committed iff every key accepted.  Until then, escalate each undecided
-   key to its master, once, after a classic quorum of replies for it. *)
+(* The learned-all rule: once every key is decided, by its master or else
+   by a fast quorum of reported votes, the transaction committed iff every
+   key accepted.  Until then, escalate each undecided key to its master,
+   once, after a classic quorum of replies for it. *)
 and evaluate_txn_recovery t tr =
-  if Array.for_all (fun s -> Option.is_some (slot_decision t s)) tr.tx_slots then
-    finish_txn_recovery t tr
-      (Array.for_all (fun s -> slot_decision t s = Some Woption.Accepted) tr.tx_slots)
+  let fq = Config.fast_quorum t.config in
+  let decision s = match s.learned with None -> Quorum.Tally.decided s.heard ~quorum:fq | d -> d in
+  if Array.for_all (fun s -> Option.is_some (decision s)) tr.tx_slots then
+    finish_txn_recovery t tr (Array.for_all (fun s -> decision s = Some true) tr.tx_slots)
   else
     Array.iter
       (fun s ->
-        if Option.is_none (slot_decision t s) && (not s.asked) && List.length s.from >= qc t
+        if Option.is_none (decision s) && (not s.asked)
+           && Quorum.Tally.replies s.heard >= qc t
         then begin
           s.asked <- true;
           let w = match s.opt with Some w -> w | None -> synthetic_reject_option t tr s.key in
@@ -973,15 +950,8 @@ and finish_txn_recovery t tr committed =
 let start_txn_recovery t (w : Woption.t) =
   if not (Hashtbl.mem t.recoveries w.Woption.txid) then begin
     let slot key =
-      {
-        key;
-        opt = (if Key.equal key w.Woption.key then Some w else None);
-        from = [];
-        acks = 0;
-        rejects = 0;
-        learned = None;
-        asked = false;
-      }
+      { key; opt = (if Key.equal key w.Woption.key then Some w else None);
+        heard = Quorum.Tally.empty; learned = None; asked = false }
     in
     let tr =
       {
@@ -1011,24 +981,30 @@ let start_txn_recovery t (w : Woption.t) =
            | Some _ | None -> ()))
   end
 
-(* Fold an acceptor's status reply into its key's slot, once per acceptor.
+(* Fold a replica's status reply into its key's slot, once per replica.
    A decided reply settles the whole transaction at once. *)
 let txn_recovery_status t txid key status acceptor =
   match Hashtbl.find_opt t.recoveries txid with
   | Some tr when not tr.tx_done -> (
     match slot_of tr key with
-    | Some s when not (List.mem acceptor s.from) -> (
-      s.from <- acceptor :: s.from;
-      match status with
-      | Messages.Status_decided committed -> finish_txn_recovery t tr committed
-      | Messages.Status_pending v ->
-        if Option.is_none s.opt then s.opt <- Some v.Messages.woption;
-        (match v.Messages.decision with
-        | Woption.Accepted -> s.acks <- s.acks + 1
-        | Woption.Rejected -> s.rejects <- s.rejects + 1);
-        evaluate_txn_recovery t tr
-      | Messages.Status_unknown -> evaluate_txn_recovery t tr)
-    | Some _ | None -> ())
+    | Some s ->
+      let pos = Quorum.position acceptor (t.replicas key) in
+      let heard =
+        match status with
+        | Messages.Status_pending v ->
+          Quorum.Tally.vote s.heard ~pos ~ok:(v.Messages.decision = Woption.Accepted)
+        | Messages.Status_decided _ | Messages.Status_unknown -> Quorum.Tally.reply s.heard ~pos
+      in
+      if heard <> s.heard then begin
+        s.heard <- heard;
+        match status with
+        | Messages.Status_decided committed -> finish_txn_recovery t tr committed
+        | Messages.Status_pending v ->
+          if Option.is_none s.opt then s.opt <- Some v.Messages.woption;
+          evaluate_txn_recovery t tr
+        | Messages.Status_unknown -> evaluate_txn_recovery t tr
+      end
+    | None -> ())
   | Some _ | None -> ()
 
 (* Periodic scan for pending options whose coordinator went silent.  The
@@ -1173,13 +1149,12 @@ let rec handle t ~src payload =
     master_phase1b t ~src key ballot ~ok ~promised promise
   | Messages.Phase2a { key; ballot; woption; decision; classic_until; rebase } ->
     let rs = rstate t key in
-    let decision = acceptor_phase2a t rs ballot woption decision classic_until rebase in
+    acceptor_phase2a t rs ballot woption decision classic_until rebase;
     let promised = rs.Rstate.promised in
     send t src
       (Messages.Phase2b_master
-         { key; txid = woption.Woption.txid; ballot = promised; ok = Ballot.equal promised ballot;
-           decision })
-  | Messages.Phase2b_master { key; txid; ballot; ok; decision = _ } ->
+         { key; txid = woption.Woption.txid; ballot = promised; ok = Ballot.equal promised ballot })
+  | Messages.Phase2b_master { key; txid; ballot; ok } ->
     master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
   | Messages.Visibility { txid; key; update; committed } -> visibility t txid key update committed

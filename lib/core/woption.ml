@@ -12,6 +12,8 @@ type t = {
 
 let is_commutative t = Update.is_commutative t.update
 
+let of_ok ok = if ok then Accepted else Rejected
+
 let decision_equal a b =
   match (a, b) with
   | Accepted, Accepted | Rejected, Rejected -> true

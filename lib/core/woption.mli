@@ -21,6 +21,9 @@ type t = {
 
 val is_commutative : t -> bool
 
+val of_ok : bool -> decision
+(** [Accepted] when [ok], else [Rejected]. *)
+
 val decision_equal : decision -> decision -> bool
 
 val pp_decision : Format.formatter -> decision -> unit

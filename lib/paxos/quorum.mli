@@ -27,10 +27,34 @@ val anchor_threshold : n:int -> f:int -> responded:int -> int
 
 val position : int -> int list -> int
 (** [position acceptor replicas]: [acceptor]'s index in its replica
-    group, or -1 when it is not a member.  Votes are counted in a bitmask
-    of these positions, so a repeated vote counts once. *)
+    group, or -1 when it is not a member.  A {!tally} counts replies by
+    these positions, so a repeated reply counts once. *)
 
 val fast_impossible : n:int -> acks:int -> rejects:int -> bool
 (** With [acks] positive and [rejects] negative responses so far out of [n],
     can a fast quorum still be reached for {e either} outcome?  [true] means
     a Fast Paxos collision is certain and recovery should start. *)
+
+type tally = private int
+(** The replies one quorum has counted, in one immediate [int]: the
+    replica positions ({!position}) heard from, and how many of them voted
+    to accept and to reject.  A reply from [pos < 0] or from a position
+    already counted leaves the tally unchanged, so a caller tells a
+    counted reply from an ignored one by comparing tallies.  A position of
+    [Sys.int_size - 13] or more is an invariant violation. *)
+
+(** [vote ~ok] counts a vote to accept when [ok], else to reject; [reply]
+    counts a reply that casts none.  [replies] counts both.  [decided
+    ~quorum] is [Some ok] once [quorum] votes agree on [ok], acceptance
+    tested first.  [fast_impossible ~n] is {!Quorum.fast_impossible} of the
+    tally's votes. *)
+module Tally : sig
+  val empty : tally
+  val vote : tally -> pos:int -> ok:bool -> tally
+  val reply : tally -> pos:int -> tally
+  val replies : tally -> int
+  val acks : tally -> int
+  val rejects : tally -> int
+  val decided : tally -> quorum:int -> bool option
+  val fast_impossible : tally -> n:int -> bool
+end

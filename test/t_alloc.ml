@@ -398,9 +398,7 @@ let test_classic_round () =
     let k = Key.make ~table:"item" ~id:(string_of_int i) in
     let txid = Printf.sprintf "%s%03d" prefix i in
     let w = { Woption.txid; key = k; update; write_set = [ k ]; coordinator = 9 } in
-    let ack =
-      Messages.Phase2b_master { key = k; txid; ballot; ok = true; decision = Woption.Accepted }
-    in
+    let ack = Messages.Phase2b_master { key = k; txid; ballot; ok = true } in
     [| (9, Messages.Propose { woption = w; route = `Classic }); (1, ack); (2, ack) |]
   in
   let run msgs = Array.iter (Array.iter (fun (src, m) -> s.Helpers.deliver ~src m)) msgs in
@@ -433,7 +431,7 @@ let commit (w : Woption.t) =
 (* A vote takes a released vote from the node's pool and stamps its time
    into the vote's own cell: once the records are warm and an earlier
    vote settled, a fast vote allocates only its [Phase2b_fast] and a
-   classic one only its [Phase2b_master] (6 and 7 words: an extension
+   classic one only its [Phase2b_master] (6 words each: an extension
    constructor's block also holds the constructor).  A Visibility that
    settles a record's only pending vote allocates nothing for the chain:
    exactly what the same Visibility costs on a record that has no vote. *)
@@ -452,7 +450,7 @@ let test_settled_votes () =
   deliver (Array.map commit classic);
   let unvoted = per_msg (Array.map commit (on ~first:n "c")) in
   if vote > 6.5 then Alcotest.failf "a settled fast vote allocated %.2f words" vote;
-  if classic_vote > 7.5 then Alcotest.failf "a classic vote allocated %.2f words" classic_vote;
+  if classic_vote > 6.5 then Alcotest.failf "a classic vote allocated %.2f words" classic_vote;
   Alcotest.(check (float 0.0)) "settling the only vote costs what no vote does" unvoted settle
 
 let huge = 16_000

@@ -103,7 +103,7 @@ let size_pins () =
     ( "phase2b master",
       38,
       Messages.Phase2b_master
-        { key = k; txid = "txn17"; ballot = b; ok = true; decision = Woption.Rejected } );
+        { key = k; txid = "txn17"; ballot = b; ok = true } );
     ( "phase2b fast",
       33,
       Messages.Phase2b_fast { key = k; txid = "txn17"; decision = Woption.Accepted; acceptor = 3 }

@@ -60,6 +60,48 @@ let test_anchor_threshold_paper_example () =
   Alcotest.(check bool) "support 2 is anchored" true (2 >= threshold);
   Alcotest.(check bool) "support 1 is not" false (1 >= threshold)
 
+(* Random replies over 3-7 replicas, repeats and non-members ([pos = -1])
+   included, against a list model that keeps each member's first reply.
+   Kind 0 is a reply that casts no vote, 1 an accept, 2 a reject.  After
+   every reply, the tally's counts, its decision at every quorum size and
+   its fast-collision test agree with the model, and the tally is unchanged
+   exactly when the model ignored the reply. *)
+let prop_tally_matches_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 3 7 >>= fun n ->
+      pair (return n) (list_size (int_range 0 24) (pair (int_range (-1) (n - 1)) (int_range 0 2))))
+  in
+  QCheck.Test.make ~name:"tally matches a list model" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair int (list (pair int int))) gen)
+    (fun (n, replies) ->
+      let f = Quorum.fast_size ~n in
+      let step (ok, tally, model) (pos, kind) =
+        let tally' =
+          if kind = 0 then Quorum.Tally.reply tally ~pos
+          else Quorum.Tally.vote tally ~pos ~ok:(kind = 1)
+        in
+        let model' = if pos < 0 || List.mem_assoc pos model then model else (pos, kind) :: model in
+        let count k = List.length (List.filter (fun (_, k') -> k' = k) model') in
+        let acks = count 1 and rejects = count 2 in
+        let decided quorum =
+          if acks >= quorum then Some true else if rejects >= quorum then Some false else None
+        in
+        let agrees =
+          Quorum.Tally.replies tally' = List.length model'
+          && Quorum.Tally.acks tally' = acks
+          && Quorum.Tally.rejects tally' = rejects
+          && List.for_all
+               (fun quorum -> Quorum.Tally.decided tally' ~quorum = decided quorum)
+               (List.init (n + 2) Fun.id)
+          && Quorum.Tally.fast_impossible tally' ~n = (n - rejects < f && n - acks < f)
+          && ((tally' :> int) = (tally :> int)) = (model' == model)
+        in
+        (ok && agrees, tally', model')
+      in
+      let ok, _, _ = List.fold_left step (true, Quorum.Tally.empty, []) replies in
+      ok)
+
 let suite =
   [
     Alcotest.test_case "ballot ordering" `Quick test_ballot_ordering;
@@ -69,4 +111,5 @@ let suite =
     Alcotest.test_case "anchor_threshold: paper example" `Quick
       test_anchor_threshold_paper_example;
     QCheck_alcotest.to_alcotest prop_quorum_intersection;
+    QCheck_alcotest.to_alcotest prop_tally_matches_model;
   ]

@@ -242,11 +242,49 @@ let test_five_keys_decide_when_all_learned () =
     (List.concat_map (fun id -> List.map (fun r -> (id, r)) (List.rev replicas)) descending)
     visibility
 
+(* A fast quorum is 4 of 5.  Votes count by replica position, so a
+   repeated vote and a vote from a node outside the key's replica group
+   neither complete the quorum nor, as rejects, make it look impossible. *)
+let test_fast_votes_count_once () =
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let { Helpers.runtime; deliver; drain; _ } = Helpers.scripted_runtime () in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let outcome = ref None in
+  Coordinator.submit c
+    (Txn.make ~id:"dup" ~updates:[ (item 0, Update.Delta [ ("stock", -1) ]) ])
+    (fun o -> outcome := Some o);
+  ignore (drain ());
+  let vote acceptor decision =
+    deliver ~src:acceptor
+      (Messages.Phase2b_fast { key = item 0; txid = "dup"; decision; acceptor })
+  in
+  let recoveries () =
+    List.length
+      (List.filter
+         (fun (_, p) -> match p with Messages.Start_recovery _ -> true | _ -> false)
+         (drain ()))
+  in
+  List.iter (fun a -> vote a Woption.Accepted) [ 0; 0; 0; 0; 7; 1; 1; 2 ];
+  Alcotest.(check bool) "three replicas accepted: undecided" true (!outcome = None);
+  List.iter (fun a -> vote a Woption.Rejected) [ 3; 3; 7; 8 ];
+  Alcotest.(check bool) "one replica rejected: undecided" true (!outcome = None);
+  Alcotest.(check int) "no collision" 0 (recoveries ());
+  vote 4 Woption.Accepted;
+  check_commit "the fourth distinct accept decides" (Option.get !outcome)
+
 let suite =
   [
     Alcotest.test_case "single update commits" `Quick test_single_update_commits;
     Alcotest.test_case "five keys decide when all learned" `Quick
       test_five_keys_decide_when_all_learned;
+    Alcotest.test_case "repeated and foreign fast votes count once" `Quick
+      test_fast_votes_count_once;
     Alcotest.test_case "multi-record commit" `Quick test_multi_record_commit;
     Alcotest.test_case "stale vread aborts" `Quick test_stale_vread_aborts;
     Alcotest.test_case "insert & duplicate insert" `Quick test_insert_and_conflict;

@@ -336,8 +336,7 @@ let test_recovery_fold () =
   List.iter
     (fun src ->
       List.iter
-        (fun (txid, decision) ->
-          handle ~src (Messages.Phase2b_master { key; txid; ballot; ok = true; decision }))
+        (fun (txid, _) -> handle ~src (Messages.Phase2b_master { key; txid; ballot; ok = true }))
         proposals)
     [ 1; 2 ];
   Alcotest.(check (list (pair string decision)))
@@ -484,8 +483,7 @@ let round_ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:0
 
 let ack ?(ballot = round_ballot) ?(ok = true) (s : scripted) src txid =
   s.handle ~src
-    (Mdcc_core.Messages.Phase2b_master
-       { key = item 0; txid; ballot; ok; decision = Mdcc_core.Woption.Accepted })
+    (Mdcc_core.Messages.Phase2b_master { key = item 0; txid; ballot; ok })
 
 let decision_str = function Mdcc_core.Woption.Accepted -> "acc" | Rejected -> "rej"
 
@@ -568,6 +566,64 @@ let test_classic_round_acks () =
     "a nack at the round's ballot steps down into recovery, one ballot higher"
     (List.map (fun dst -> (dst, "2.c.0")) [ 1; 2; 3; 4 ])
     phase1a
+
+let test_phase1b_repeat_counts_once () =
+  (* A classic quorum is 3: the recovering master's own promise and two
+     more.  A Phase 1b that one acceptor repeats counts once. *)
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let module Ballot = Mdcc_paxos.Ballot in
+  let key = item 0 in
+  let { node; handle; drain; _ } =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 0) ()
+  in
+  Storage_node.load node [ (key, item_row 100) ];
+  let d =
+    { Woption.txid = "d"; key; update = Update.Delta [ ("stock", -1) ]; write_set = [ key ];
+      coordinator = 9 }
+  in
+  handle ~src:9 (Messages.Start_recovery { key; woption = d });
+  ignore (drain ());
+  let ballot = Ballot.classic ~number:2 ~proposer:0 in
+  let phase1b src =
+    handle ~src
+      (Messages.Phase1b
+         {
+           key;
+           ballot;
+           ok = true;
+           promised = ballot;
+           promise =
+             {
+               votes = [];
+               rebase =
+                 {
+                   value = item_row 100;
+                   version = 1;
+                   exists = true;
+                   included = Mdcc_storage.Txn.Map.empty;
+                 };
+               decided = [];
+             };
+         })
+  in
+  let phase2as () =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Phase2a { woption; ballot = b; _ } when Ballot.equal b ballot ->
+          Some (dst, woption.Woption.txid)
+        | _ -> None)
+      (drain ())
+  in
+  phase1b 1;
+  phase1b 1;
+  Alcotest.(check (list (pair int string))) "a repeated promise counts once" [] (phase2as ());
+  phase1b 2;
+  Alcotest.(check (list (pair int string)))
+    "a third distinct promise resolves the recovery"
+    [ (1, "d"); (2, "d"); (3, "d"); (4, "d") ]
+    (phase2as ())
 
 let test_sync_targets () =
   (* Node 0 masters item 0 (replicas 0, 1, 2) but not item 1 (replicas 3,
@@ -901,5 +957,6 @@ let suite =
     Alcotest.test_case "re-proposed queued option runs one round" `Quick
       test_requeued_option_one_round;
     Alcotest.test_case "classic round acks" `Quick test_classic_round_acks;
+    Alcotest.test_case "a repeated Phase 1b counts once" `Quick test_phase1b_repeat_counts_once;
     Alcotest.test_case "sync sweep targets" `Quick test_sync_targets;
   ]
