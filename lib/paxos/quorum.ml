@@ -46,7 +46,7 @@ module Tally = struct
   (* Sized by [fast_size ~n], not by the configured fast quorum that
      learning uses: under a [fast_quorum_override] the coordinator learns
      at the override but detects collisions at the default size.  The
-     benchmark's set-up canary and t_golden's Q = 3 pins depend on this,
-     so aligning the two waits for a change to the benchmark. *)
+     benchmark's set-up canary and the quick pins' Q = 3 report depend on
+     this, so aligning the two waits for a change to the benchmark. *)
   let fast_impossible t ~n = fast_impossible ~n ~acks:(acks t) ~rejects:(rejects t)
 end

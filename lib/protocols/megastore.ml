@@ -3,6 +3,7 @@ module Net = Mdcc_sim.Network
 module Rstate = Mdcc_core.Rstate
 module Runtime = Mdcc_core.Runtime
 module Layout = Mdcc_core.Cluster.Layout
+module Quorum = Mdcc_paxos.Quorum
 
 type Net.payload +=
   | Ms_submit of { txid : Txn.id; updates : (Key.t * Update.t) list; client : int }
@@ -15,7 +16,7 @@ type inflight = {
   i_txid : Txn.id;
   i_updates : (Key.t * Update.t) list;
   i_client : int;
-  mutable i_acks : int list;
+  mutable i_acks : Quorum.tally;  (* by position in group_replicas *)
 }
 
 type replica_state = {
@@ -86,7 +87,10 @@ let rec master_pump t =
       else begin
         let pos = t.next_pos in
         t.next_pos <- t.next_pos + 1;
-        let inf = { i_pos = pos; i_txid = txid; i_updates = updates; i_client = client; i_acks = [] } in
+        let inf =
+          { i_pos = pos; i_txid = txid; i_updates = updates; i_client = client;
+            i_acks = Quorum.Tally.empty }
+        in
         t.inflight <- Some inf;
         List.iter
           (fun replica ->
@@ -102,9 +106,12 @@ let rec master_pump t =
 and master_ack t ~src pos =
   match t.inflight with
   | Some inf when inf.i_pos = pos ->
-    if not (List.mem src inf.i_acks) then begin
-      inf.i_acks <- src :: inf.i_acks;
-      if List.length inf.i_acks >= qc t then begin
+    let acks =
+      Quorum.Tally.vote inf.i_acks ~pos:(Quorum.position src t.group_replicas) ~ok:true
+    in
+    if acks <> inf.i_acks then begin
+      inf.i_acks <- acks;
+      if Quorum.Tally.acks acks >= qc t then begin
         t.inflight <- None;
         send t ~src:t.master_node ~dst:inf.i_client
           (Ms_result { txid = inf.i_txid; committed = true });

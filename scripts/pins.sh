@@ -1,27 +1,31 @@
 #!/bin/sh
-# Byte-identity pins: build once, run every canonical command and print one
-# line per output,
+# Byte-identity pins: run one tier's canonical commands and print one line
+# per output,
 #
 #   <sha256 of the output>  <exit code>  <label>
 #
-# A refactor that must keep behaviour compares this output at two trees:
+# Usage: scripts/pins.sh quick|full CHAOS_CLI EXPERIMENTS_CLI
 #
-#   scripts/pins.sh > new.txt
-#   (cd ../parent && scripts/pins.sh) > old.txt
-#   diff old.txt new.txt
+# test/pins/dune runs it with the built executables and diffs the result
+# with the checked-in test/pins/<tier>.pins: `dune runtest` checks the
+# quick tier (under a second), `dune build @pins` the full one (about a
+# minute on 2 cores), and `dune promote` rewrites either file after an
+# intended change.
 #
-# Exit codes are recorded, not judged: the 300-seed sweep, the planted-bug
-# sweeps and the deltas sweep exit 1 on their known violations.  Commands
-# that also write a file get a second line for it.  Every command runs in a
-# scratch directory with relative output names, so stdout that echoes a
-# path is the same in any checkout.  The script itself fails (exit 2) only
-# when the build does.
+# Exit codes are recorded, not judged: the violating replays and sweeps
+# exit 1.  Commands that also write a file get a second line for it.
+# Every command runs in a scratch directory with relative output names, so
+# stdout that echoes a path is the same in any checkout.  The script
+# itself fails (exit 2) only on bad arguments.
 set -u
-root=$(cd "$(dirname "$0")/.." && pwd)
-cd "$root"
-dune build bin/chaos_cli.exe bin/experiments_cli.exe >&2 || exit 2
-chaos=$root/_build/default/bin/chaos_cli.exe
-experiments=$root/_build/default/bin/experiments_cli.exe
+usage() {
+  echo "usage: $0 quick|full CHAOS_CLI EXPERIMENTS_CLI" >&2
+  exit 2
+}
+[ $# -eq 3 ] && [ -x "$2" ] && [ -x "$3" ] || usage
+tier=$1
+chaos=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
+experiments=$(cd "$(dirname "$3")" && pwd)/$(basename "$3")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -51,18 +55,54 @@ pin() {
   fi
 }
 
-pin "sweep 300 seeds" obs.json -- "$chaos" sweep --seeds 300 --json --obs-out obs.json
-pin "sweep 4 partitions" -- "$chaos" sweep --seeds 40 --partitions 4 --jobs 2 --json
-pin "baselines" -- "$chaos" baselines --seeds 20 --txns 30
-pin "figures quick" metrics.json -- "$experiments" run --quick --metrics-out metrics.json
-pin "demo trace" -- "$experiments" demo --trace
-pin "sweep 2 items" obs.json -- \
-  "$chaos" sweep --seeds 30 --items 2 --txns 120 --jobs 2 --json --obs-out obs.json
-pin "replay latency_surge 106" -- \
-  "$chaos" replay --seed 106 --scenario latency_surge --trace
-pin "planted bug 3, jobs 1" -- \
-  "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 1
-pin "planted bug 3, jobs 2" -- \
-  "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 2
-pin "deltas demarcation" -- \
-  "$chaos" sweep --seeds 200 --items 1 --txns 100 --workload deltas --scenario clean --json
+case $tier in
+quick)
+  # Four clean runs, each replay printing its verbose report (event
+  # count, metrics and spans) and its trace, then one sweep over the same
+  # runs for the obs document.
+  for scenario in torn_broadcast master_failover; do
+    for seed in 1 2; do
+      pin "replay $scenario $seed, trace" -- \
+        "$chaos" replay --scenario $scenario --seed $seed --trace
+    done
+  done
+  pin "sweep of those 4 runs" obs.json -- \
+    "$chaos" sweep --seeds 2 --scenario torn_broadcast,master_failover --trace --obs-out obs.json
+  # The checker's verdict on every run known to violate.  Fixing the
+  # promise bug, the liveness case and the demarcation breach (ROADMAP
+  # items 1, 3 and 4) moves these.
+  pin "report latency_surge 106" -- "$chaos" replay --seed 106 --scenario latency_surge
+  pin "report random 61" -- "$chaos" replay --seed 61 --scenario random
+  pin "report random 291 (liveness)" -- "$chaos" replay --seed 291 --scenario random
+  pin "report clean 10, plant-bug 3" -- \
+    "$chaos" replay --seed 10 --scenario clean --plant-bug 3
+  pin "report deltas, 1 item, 100 txns, seed 21 (demarcation)" -- \
+    "$chaos" replay --seed 21 --scenario clean --workload deltas --items 1 --txns 100
+  pin "demo trace" -- "$experiments" demo --trace
+  ;;
+full)
+  pin "sweep 300 seeds" obs.json -- "$chaos" sweep --seeds 300 --json --obs-out obs.json
+  pin "sweep 4 partitions" -- "$chaos" sweep --seeds 40 --partitions 4 --jobs 2 --json
+  pin "baselines" -- "$chaos" baselines --seeds 20 --txns 30
+  pin "figures quick" metrics.json -- "$experiments" run --quick --metrics-out metrics.json
+  pin "demo trace" -- "$experiments" demo --trace
+  pin "sweep 2 items" obs.json -- \
+    "$chaos" sweep --seeds 30 --items 2 --txns 120 --jobs 2 --json --obs-out obs.json
+  pin "replay latency_surge 106" -- \
+    "$chaos" replay --seed 106 --scenario latency_surge --trace
+  pin "planted bug 3, jobs 1" -- \
+    "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 1
+  pin "planted bug 3, jobs 2" -- \
+    "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 2
+  pin "deltas demarcation" -- \
+    "$chaos" sweep --seeds 200 --items 1 --txns 100 --workload deltas --scenario clean --json
+  pin "deltas demarcation, 2 items" -- \
+    "$chaos" sweep --seeds 30 --items 2 --txns 120 --workload deltas --jobs 2 --json
+  pin "repair sweep" -- \
+    "$chaos" sweep --seeds 50 --scenario torn_broadcast,torn_broadcast_crash,partition_heal \
+    --jobs 2 --json
+  pin "shard sweep" -- \
+    "$chaos" sweep --seeds 50 --scenario shard_partition,shard_outage,shard_flap --jobs 2 --json
+  ;;
+*) usage ;;
+esac

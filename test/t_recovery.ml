@@ -354,10 +354,12 @@ let test_dangling_recovery_fold () =
      coordinator (9) is silent; item i is mastered by node 1 + i mod 4.  One
      scan starts a recovery for each, and the test plays every other
      replica and master:
-     - a (items 0, 1): accepts from 0, 1 (twice) and 2 are three distinct
-       replies short of a fast quorum, so item 0 escalates to its master
-       with the reported option; item 1, which no replica reported,
-       escalates with the placeholder; a decided reply then ends it;
+     - a (items 0, 1): node 0 has stock for item 0, so accepts from 0, 1
+       (twice) and 2 are three distinct accepts, one short of a fast
+       quorum that counting the repeat would reach, so item 0 escalates to
+       its master with the reported option; item 1, which no replica
+       reported, escalates with the placeholder; a decided reply then ends
+       it;
      - b (items 2, 3): both learned accepted, so it commits;
      - c (items 4, 5): one learned rejected, so it aborts. *)
   let module Messages = Mdcc_core.Messages in
@@ -366,6 +368,7 @@ let test_dangling_recovery_fold () =
   let { node; handle; drain; lines; clock; timers } =
     scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of ()
   in
+  Storage_node.load node [ (item 0, item_row 10) ];
   let opt txid i j =
     {
       Woption.txid;
@@ -425,7 +428,7 @@ let test_dangling_recovery_fold () =
   Alcotest.check started "a duplicate reply does not count" [] (starts ());
   reply 2 0 "a" accept;
   reply 3 0 "a" Messages.Status_unknown;
-  Alcotest.check started "three replies, no fast quorum: one escalation with the option"
+  Alcotest.check started "three distinct accepts, no fast quorum: one escalation with the option"
     [ (1, "item/0", "a delta by 9") ]
     (starts ());
   reply 1 1 "a" Messages.Status_unknown;

@@ -19,7 +19,6 @@ let () =
       ("baselines", T_baselines.suite);
       ("workload", T_workload.suite);
       ("chaos", T_chaos.suite);
-      ("golden", T_golden.suite);
       ("shard", T_shard.suite);
       ("obs", T_obs.suite);
       ("pool", T_pool.suite);
