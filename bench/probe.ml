@@ -17,6 +17,7 @@ module Ctx = Mdcc_core.Ctx
 module Event = Mdcc_core.Event
 module Messages = Mdcc_core.Messages
 module Runtime = Mdcc_core.Runtime
+module Session = Mdcc_core.Session
 module Storage_node = Mdcc_core.Storage_node
 module Woption = Mdcc_core.Woption
 module History = Mdcc_core.History
@@ -419,6 +420,50 @@ let fast_path_commit = commit_section "fast_path_commit" ~mode:Config.Full
 let classic_commit = commit_section "classic_commit" ~mode:Config.Multi
 
 (* ------------------------------------------------------------------ *)
+(* Session reads                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Session reads of 1,000 loaded rows at DC 0's app server, in rounds of
+   one read per row, each round run to its end.  A warm-up round sets
+   every watermark to the row's version, so each measured read finds its
+   co-located row fresh and sends nothing. *)
+let session_read_fresh ~reads =
+  let name = "session_read_fresh" and items = 1_000 in
+  probe name reads (fun () ->
+      let engine = Engine.create ~seed:31 in
+      let obs = Obs.create () in
+      let cluster =
+        Cluster.create ~engine ~spec:Cluster.Spec.default
+          ~config:(Config.make ~replication:5 ())
+          ~ctx:(Ctx.make ~obs ()) ~schema:(item_schema ()) ()
+      in
+      Cluster.load cluster
+        (List.init items (fun i -> (item i, Value.of_list [ ("stock", Value.Int 7) ])));
+      let session = Session.create (Cluster.coordinator cluster ~dc:0 ~rank:0) in
+      let keys = Array.init items item and answered = ref 0 in
+      let on_row = function Some (_, 1) -> incr answered | Some _ | None -> () in
+      let round n =
+        for i = 0 to n - 1 do
+          Session.read session keys.(i) on_row
+        done;
+        Engine.run engine
+      in
+      round items;
+      check name "warm-up answers" ~got:!answered ~want:items;
+      let stats = Network.stats (Cluster.network cluster) in
+      let colocated () = Mdcc_obs.Registry.counter (Obs.registry obs) "session_read_colocated" in
+      let sent = stats.Network.sent and colocated0 = colocated () in
+      answered := 0;
+      fun () ->
+        for _ = 1 to reads / items do
+          round items
+        done;
+        round (reads mod items);
+        check name "answers" ~got:!answered ~want:reads;
+        check name "co-located answers" ~got:(colocated () - colocated0) ~want:reads;
+        check name "messages sent" ~got:(stats.Network.sent - sent) ~want:0)
+
+(* ------------------------------------------------------------------ *)
 (* The chaos run                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,6 +558,7 @@ let all =
     span_event;
     fast_path_commit;
     classic_commit;
+    session_read_fresh ~reads:ops;
     rng_lognormal ~ops;
     wire_parse;
     chaos_run;

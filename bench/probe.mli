@@ -48,6 +48,10 @@
       committed one after another on the simulated five-region cluster
       with the traffic meter on (one op = one commit).
     - [classic_commit]: the same through stable masters ([Config.Multi]).
+    - [session_read_fresh]: [ops] {!Mdcc_core.Session} reads at DC 0's
+      app server of the simulated five-region cluster, over 1,000 rows
+      whose co-located replica already meets the session's watermark
+      (one op = one read, answered in process with no message).
     - [rng_lognormal]: [ops] latency-jitter draws.
     - [wire_parse]: 100,000 wire requests, 80 % [get] and 20 % [set] of
       64-byte values over 500 keys, through {!parse_in_chunks} (one op =
@@ -68,7 +72,7 @@ val ops : int
 (** 300,000: the op count {!all} gives every probe that takes one. *)
 
 val all : t list
-(** The sixteen sections above, in ledger order. *)
+(** The seventeen sections above, in ledger order. *)
 
 (** {1 Probes the allocation ceilings run at a smaller count} *)
 
@@ -76,6 +80,7 @@ val network_send : ops:int -> t
 val loop_send : ops:int -> t
 val dangling_scan_idle : scans:int -> t
 val maintenance_tick_idle : ops:int -> t
+val session_read_fresh : reads:int -> t
 
 (** {1 Probes the allocation ceilings run as they are} *)
 

@@ -56,6 +56,15 @@ let write_json oc doc =
   output_char oc '\n';
   close_out oc
 
+(* A report in text mode, followed by its captured trace, if any was asked
+   for. *)
+let print_report ~verbose ~trace r =
+  print_endline (Runner.report_to_string ~verbose r);
+  if trace then begin
+    print_endline "--- trace ---";
+    List.iter print_endline r.Runner.r_trace
+  end
+
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
     ~obs_out ~jobs ~profile =
   at_least_one "--seeds" seeds;
@@ -95,7 +104,7 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
   List.iter
     (fun r ->
       if json then print_endline (Runner.report_to_json r)
-      else print_endline (Runner.report_to_string ~verbose:(not (Runner.ok r)) r))
+      else print_report ~verbose:(not (Runner.ok r)) ~trace r)
     all;
   (* The sweep's full observability export, one JSON document. *)
   Option.iter (fun oc -> write_json oc (Sweep.obs_doc all)) obs_out;
@@ -126,14 +135,7 @@ let replay ~seed ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
       (Runner.spec ~seed ~scenario ~workload ~txns ~items ~partitions
          ?fast_quorum_override:plant_bug ~capture_trace:trace ())
   in
-  if json then print_endline (Runner.report_to_json r)
-  else begin
-    print_endline (Runner.report_to_string ~verbose:true r);
-    if trace then begin
-      print_endline "--- trace ---";
-      List.iter print_endline r.Runner.r_trace
-    end
-  end;
+  if json then print_endline (Runner.report_to_json r) else print_report ~verbose:true ~trace r;
   if not (Runner.ok r) then exit 1
 
 open Cmdliner

@@ -447,6 +447,20 @@ let read_snapshot t key cb =
     Obs.incr t.obs "snapshot_fallback";
     read_local t key cb
 
+(* Decided synchronously, so a caller that gets [false] sends exactly the
+   messages it would have sent without asking. *)
+let read_colocated t key ~min_version cb =
+  match t.snapshot with
+  | None -> false
+  | Some s ->
+    let row = s.snap_read key in
+    let version = match row with Some (_, version) -> version | None -> 0 in
+    version >= min_version
+    && begin
+      Runtime.spawn t.runtime (fun () -> cb row);
+      true
+    end
+
 let read ?(level = `Local) t key cb =
   match level with
   | `Local -> read_local t key cb

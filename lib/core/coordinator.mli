@@ -80,6 +80,18 @@ val read :
     it behaves as [`Local]).  (Session-consistent reads live one layer up:
     {!Session.read} with its [`Session] level.) *)
 
+val read_colocated :
+  t -> Key.t -> min_version:int -> ((Value.t * int) option -> unit) -> bool
+(** [read_colocated t key ~min_version cb] answers a [`Local] read without
+    its message when it can: if the co-located store holds [key]'s row at
+    version [min_version] or above (an absent row counts as version 0), it
+    returns [true] and [cb] gets that row later, through the runtime, as a
+    [`Snapshot] read does.  Otherwise, and always on a coordinator without
+    a {!snapshot_source}, it returns [false] and does nothing: the caller
+    reads by message.  The store is the one a [`Local] read would message
+    (this data center's replica of the key), so the answer is the row that
+    read would find.  {!Session.read}'s [`Session] level is its user. *)
+
 val scan :
   ?level:[ `Local | `Majority | `Snapshot ] ->
   t ->

@@ -14,7 +14,8 @@ type t = {
 let create coordinator =
   { coordinator; watermarks = Key.Tbl.create 64; dirty = Key.Tbl.create 16 }
 
-let watermark t key = Option.value (Key.Tbl.find_opt t.watermarks key) ~default:0
+(* [find] with its exception: no [Some] per read. *)
+let watermark t key = match Key.Tbl.find t.watermarks key with v -> v | exception Not_found -> 0
 
 let observe t key version =
   if version > watermark t key then Key.Tbl.replace t.watermarks key version
@@ -44,7 +45,14 @@ let read ?(level = `Session) t key callback =
       Obs.incr obs "session_read_dirty_upgrade";
       Coordinator.read ~level:`Majority t.coordinator key deliver
     end
+    else if Coordinator.read_colocated t.coordinator key ~min_version:(watermark t key) deliver
+    then
+      (* The co-located replica already meets the watermark: no message. *)
+      Obs.incr obs "session_read_colocated"
     else
+      (* A stale co-located row (or none wired) still takes the local
+         round trip: a Visibility one hop behind the decision lands
+         before the reply is judged. *)
       Coordinator.read ~level:`Local t.coordinator key (fun result ->
           let fresh_enough =
             match result with

@@ -44,7 +44,22 @@ val read :
   ?level:level -> t -> Key.t -> ((Value.t * int) option -> unit) -> unit
 (** Read one key at the given [level] (default [`Session]: monotonic,
     read-your-writes — never returns a version below the session's
-    watermark for the key). *)
+    watermark for the key).
+
+    What a [`Session] read costs, decided before anything is sent:
+    {ul
+    {- {b no message} when the key is not dirty and the coordinator's
+       co-located replica (its {!Coordinator.snapshot_source}) already
+       holds the key at or above the watermark, or holds no row while the
+       watermark is 0 ({!Coordinator.read_colocated}; counted as
+       [session_read_colocated]);}
+    {- otherwise a local round trip to that replica, and a majority read
+       after it if its answer is below the watermark
+       ([session_read_fresh] or [session_read_stale_upgrade]) — also the
+       whole path of a coordinator with no co-located stores;}
+    {- a majority read straight away for a dirty key
+       ([session_read_dirty_upgrade]).}}
+    Every answer arrives later, through the runtime, never reentrantly. *)
 
 val scan :
   ?level:level ->

@@ -8,11 +8,19 @@ type outcome = Committed | Aborted of abort_reason
 
 type t = { id : id; updates : (Key.t * Update.t) list }
 
+let rec mem_key key = function
+  | [] -> false
+  | (k, _) :: rest -> Key.equal key k || mem_key key rest
+
+(* Pairwise, so the check allocates nothing.  It is quadratic in the
+   write-set's length: generated write-sets are a handful of keys, and
+   the wire handler caps a [txn] at [Handler.max_txn_ops] writes. *)
+let rec has_duplicate = function
+  | [] -> false
+  | (key, _) :: rest -> mem_key key rest || has_duplicate rest
+
 let make ~id ~updates =
-  let keys = List.map fst updates in
-  let distinct = Key.Set.of_list keys in
-  if Key.Set.cardinal distinct <> List.length keys then
-    invalid_arg "Txn.make: duplicate key in write-set";
+  if has_duplicate updates then invalid_arg "Txn.make: duplicate key in write-set";
   { id; updates }
 
 let serializable ~id ~reads ~updates =

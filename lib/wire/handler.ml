@@ -11,9 +11,14 @@ type t = {
   out : Buffer.t;  (* replies of the current pump, flushed as one write *)
   mutable busy : bool;  (* an async operation owns the connection *)
   mutable txn : Backend.txn_op list option;  (* buffered ops, newest first *)
+  mutable txn_ops : int;  (* ops queued; past [max_txn_ops], the txn is void *)
   mutable closed : bool;
   mutable seen_resyncs : int;  (* parser resyncs already counted *)
 }
+
+(* [Txn.make]'s duplicate-key check is pairwise, so a write-set's length
+   is bounded here, where it comes in from outside. *)
+let max_txn_ops = 1024
 
 let create ~backend ~write ~close ~obs () =
   {
@@ -25,6 +30,7 @@ let create ~backend ~write ~close ~obs () =
     out = Buffer.create 256;
     busy = false;
     txn = None;
+    txn_ops = 0;
     closed = false;
     seen_resyncs = 0;
   }
@@ -102,19 +108,18 @@ and request t r =
   match (t.txn, r) with
   (* ---- transaction mode: buffer writes, answer QUEUED ---- *)
   | Some ops, Protocol.Set s ->
-    t.txn <- Some (Backend.T_set { key = s.s_key; flags = s.s_flags; data = s.s_data } :: ops);
-    emit t Protocol.queued;
-    pump t
-  | Some ops, Delete { key; _ } ->
-    t.txn <- Some (Backend.T_delete key :: ops);
-    emit t Protocol.queued;
-    pump t
+    queue t ops (Backend.T_set { key = s.s_key; flags = s.s_flags; data = s.s_data })
+  | Some ops, Delete { key; _ } -> queue t ops (Backend.T_delete key)
   | Some _, Cas _ ->
     (* the commit-time read chooses vread; a client cas token has no slot *)
     emit t (Protocol.client_error "cas not allowed inside txn");
     pump t
   | Some _, Txn ->
     emit t (Protocol.client_error "txn already open");
+    pump t
+  | Some _, Commit when t.txn_ops > max_txn_ops ->
+    t.txn <- None;
+    emit t (Protocol.aborted "txn too long");
     pump t
   | Some ops, Commit ->
     t.txn <- None;
@@ -137,6 +142,7 @@ and request t r =
     pump t
   | None, Txn ->
     t.txn <- Some [];
+    t.txn_ops <- 0;
     emit t Protocol.started;
     pump t
   (* ---- reads: allowed in either mode, never joined to the write-set ---- *)
@@ -227,6 +233,22 @@ and request t r =
     t.closed <- true;
     flush t;
     t.close ()
+
+(* One write into the open txn.  Past [max_txn_ops] the buffered ops
+   are dropped and the txn stays open but void: later writes are refused
+   too, and [commit] aborts, so no write of it lands on its own. *)
+and queue t ops op =
+  if t.txn_ops >= max_txn_ops then begin
+    t.txn <- Some [];
+    t.txn_ops <- max_txn_ops + 1;
+    emit t (Protocol.client_error "txn too long")
+  end
+  else begin
+    t.txn <- Some (op :: ops);
+    t.txn_ops <- t.txn_ops + 1;
+    emit t Protocol.queued
+  end;
+  pump t
 
 (* The keys of one [get], one backend read after another: one closure
    per key. *)

@@ -12,6 +12,11 @@
     of submitted, and [commit] hands the whole write-set to
     {!Backend.t.b_commit} as one MDCC transaction. *)
 
+val max_txn_ops : int
+(** Writes one txn may queue (1024).  The next one is answered
+    [CLIENT_ERROR txn too long], drops the buffered writes, and the txn's
+    [commit] answers [ABORTED txn too long]. *)
+
 type t
 
 val create :

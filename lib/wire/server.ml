@@ -27,20 +27,13 @@ let port t = t.sv_port
 let obs t = t.sv_obs
 let coordinator t = t.sv_coord
 
-(* [n]'s decimal digits into [b], right to left, ending at [i]. *)
-let rec put_digits b n i =
-  Bytes.set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
-  if n >= 10 then put_digits b (n / 10) (i - 1)
-
-let rec digits n w = if n >= 10 then digits (n / 10) (w + 1) else w
-
 (* [Printf.sprintf "wire%06d" n] without the format interpreter: one
    string, zero-padded to six digits. *)
 let txid_of_int n =
-  let len = 4 + Stdlib.max 6 (digits n 1) in
+  let len = 4 + Stdlib.max 6 (Mdcc_util.Decimal.width n) in
   let b = Bytes.make len '0' in
   Bytes.blit_string "wire" 0 b 0 4;
-  put_digits b n (len - 1);
+  Mdcc_util.Decimal.blit n b ~last:(len - 1);
   Bytes.unsafe_to_string b
 
 let next_txid t () =

@@ -16,7 +16,7 @@ let make_ctx ~rng ~dc ~client_id = { rng; dc; client_id; seq = 0 }
 
 let fresh_txid ctx =
   ctx.seq <- ctx.seq + 1;
-  Printf.sprintf "c%d-%d" ctx.client_id ctx.seq
+  Mdcc_util.Decimal.append2 "c" ctx.client_id "-" ctx.seq
 
 let read_many (harness : Mdcc_protocols.Harness.t) ~dc keys k =
   match keys with

@@ -63,10 +63,11 @@ let buy_confirm p (ctx : Generator.ctx) harness k =
   let cart = pick_items p ctx.rng (Rng.int_in ctx.rng 1 p.max_cart) in
   let quantities = List.map (fun i -> (i, Rng.int_in ctx.rng 1 3)) cart in
   let order = (Key.make ~table:"order" ~id:txid, Update.Insert (Value.of_list [ ("total", Value.Int 0) ])) in
+  let line_prefix = txid ^ "-" in
   let lines =
     List.mapi
       (fun n (i, q) ->
-        ( Key.make ~table:"order_line" ~id:(Printf.sprintf "%s-%d" txid n),
+        ( Key.make ~table:"order_line" ~id:(Mdcc_util.Decimal.append line_prefix n),
           Update.Insert (Value.of_list [ ("item", Value.Int i); ("qty", Value.Int q) ]) ))
       quantities
   in

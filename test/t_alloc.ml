@@ -87,6 +87,14 @@ let test_idle_tick_allocates_nothing () =
   Alcotest.(check (float 0.0)) "words per idle tick" 0.0
     (per_op (Probe.maintenance_tick_idle ~ops:1_000))
 
+(* A session read whose co-located row already meets the watermark is
+   answered in process: the probe fails if any message is sent, and what
+   is left is the read's two closures, the engine event that answers it
+   and the store lookup.  Ceiling: the ledger's 22.01 plus 5 %. *)
+let test_session_read_fresh () =
+  let w = per_op (Probe.session_read_fresh ~reads:10_000) in
+  if w > 23.1 then Alcotest.failf "a fresh session read allocated %.2f words (ceiling 23.1)" w
+
 (* Words per draw over [n] draws.  A cross-module call returns an [int64]
    or a [float] boxed (3 and 2 words); everything else a draw computes —
    the state update, the output mix, Box–Muller's intermediates — must stay
@@ -548,6 +556,7 @@ let suite =
     Alcotest.test_case "idle maintenance scan is constant" `Quick test_idle_scan_constant;
     Alcotest.test_case "idle maintenance tick allocates nothing" `Quick
       test_idle_tick_allocates_nothing;
+    Alcotest.test_case "a fresh session read sends nothing" `Quick test_session_read_fresh;
     Alcotest.test_case "wire parser: get and set lines" `Quick test_parser_words;
     Alcotest.test_case "txids and VALUE lines format like Printf" `Quick
       test_number_formatting;

@@ -201,6 +201,80 @@ let test_scan_session_upgrades () =
   Alcotest.(check int) "session_scan_stale_upgrade moves once" 1
     (counter "session_scan_stale_upgrade" - upgrades0)
 
+(* Installs a meter on the cluster's network; the returned function
+   lists the (src, dst) of every send since, oldest first. *)
+let record_sends cluster =
+  let sends = ref [] in
+  Mdcc_sim.Network.set_meter (Cluster.network cluster)
+    {
+      Mdcc_sim.Network.m_size = Mdcc_core.Messages.size_of;
+      m_on_send = (fun ~src ~dst ~bytes:_ -> sends := (src, dst) :: !sends);
+      m_on_deliver = (fun ~src:_ ~dst:_ ~bytes:_ -> ());
+    };
+  fun () -> List.rev !sends
+
+let session_read_sync engine session key =
+  let result = ref None and got = ref false in
+  Session.read session key (fun r ->
+      result := r;
+      got := true);
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  Alcotest.(check bool) "read answered" true !got;
+  Option.map (fun (v, ver) -> (Value.get_int v "stock", ver)) !result
+
+let test_session_read_colocated () =
+  let engine, cluster = make_cluster ~items:1 () in
+  let c = Cluster.coordinator cluster ~dc:2 ~rank:0 in
+  let session = Session.create c in
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  let sent = record_sends cluster in
+  Alcotest.(check (option (pair int int))) "the loaded row, watermark 0" (Some (100, 1))
+    (session_read_sync engine session (item 0));
+  Alcotest.(check (list (pair int int))) "no message for the first read" [] (sent ());
+  (* The session's own write moves the watermark to 2; once DC 2's
+     replica has applied it, the co-located row meets it again. *)
+  let committed = ref false in
+  Session.submit session
+    (Txn.make ~id:"own" ~updates:[ (item 0, Update.Physical { vread = 1; value = item_row 5 }) ])
+    (fun o -> committed := is_committed o);
+  Engine.run ~until:(Engine.now engine +. 60_000.0) engine;
+  Alcotest.(check bool) "own write committed" true !committed;
+  Alcotest.(check int) "watermark" 2 (Session.watermark session (item 0));
+  let sent = record_sends cluster in
+  Alcotest.(check (option (pair int int))) "the own write" (Some (5, 2))
+    (session_read_sync engine session (item 0));
+  Alcotest.(check (list (pair int int))) "no message for the second read" [] (sent ());
+  Alcotest.(check int) "both answered co-located" 2 (counter "session_read_colocated");
+  Alcotest.(check int) "no local read by message" 0 (counter "read_local")
+
+let test_session_read_stale_by_message () =
+  (* DC 4's replica misses version 2; the session learns of it through a
+     majority read, so DC 4's co-located row (version 1) is below the
+     watermark. *)
+  let engine, cluster, c4 =
+    stale_dc4 ~items:1 [ (item 0, Update.Physical { vread = 1; value = item_row 5 }) ]
+  in
+  let session = Session.create c4 in
+  Session.read ~level:`Majority session (item 0) ignore;
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  Alcotest.(check int) "watermark" 2 (Session.watermark session (item 0));
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c4)) in
+  let local0 = counter "read_local" and majority0 = counter "read_majority" in
+  let sent = record_sends cluster in
+  Alcotest.(check (option (pair int int))) "the fresh version" (Some (5, 2))
+    (session_read_sync engine session (item 0));
+  let app = Coordinator.node_id c4 in
+  let node4 = Cluster.Layout.local_node (Cluster.layout cluster) ~dc:4 (item 0) in
+  let replicas = Cluster.Layout.replicas (Cluster.layout cluster) (item 0) in
+  Alcotest.(check (list (pair int int)))
+    "the local round trip, then the majority read to every replica"
+    ([ (app, node4); (node4, app) ] @ List.map (fun r -> (app, r)) replicas)
+    (List.filteri (fun i _ -> i < 2 + List.length replicas) (sent ()));
+  Alcotest.(check int) "one local read" 1 (counter "read_local" - local0);
+  Alcotest.(check int) "one majority read" 1 (counter "read_majority" - majority0);
+  Alcotest.(check int) "one stale upgrade" 1 (counter "session_read_stale_upgrade");
+  Alcotest.(check int) "nothing answered co-located" 0 (counter "session_read_colocated")
+
 (* A `Majority read at a coordinator of five replicas whose replies the
    test delivers by hand: returns a function delivering one acceptor's
    reply, the answer so far and how often the callback ran. *)
@@ -283,4 +357,8 @@ let suite =
     Alcotest.test_case "majority scan returns fresh versions" `Quick test_scan_majority_fresh;
     Alcotest.test_case "majority scan drops deleted rows" `Quick test_scan_majority_deleted;
     Alcotest.test_case "session scan upgrades only stale rows" `Quick test_scan_session_upgrades;
+    Alcotest.test_case "fresh session read: co-located, no message" `Quick
+      test_session_read_colocated;
+    Alcotest.test_case "stale session read: local message, then majority" `Quick
+      test_session_read_stale_by_message;
   ]

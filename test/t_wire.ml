@@ -572,6 +572,32 @@ let test_handler_conversation () =
   feed "quit\r\n";
   Alcotest.(check bool) "quit closes" true !closed
 
+let test_handler_txn_cap () =
+  let out = Buffer.create 256 in
+  let h =
+    Handler.create ~backend:(fake_backend ())
+      ~write:(Buffer.add_string out)
+      ~close:ignore
+      ~obs:(Mdcc_obs.Obs.create ()) ()
+  in
+  let feed s = Handler.on_data h (Bytes.of_string s) 0 (String.length s) in
+  let n = Handler.max_txn_ops in
+  feed "txn\r\n";
+  for i = 1 to n do
+    feed (Printf.sprintf "set k%d 0 0 1\r\nx\r\n" i)
+  done;
+  feed "set over 0 0 1\r\nx\r\ndelete k1\r\ncommit\r\nget k1 over\r\n";
+  let queued = String.concat "" (List.init n (fun _ -> "QUEUED\r\n")) in
+  Alcotest.(check string) "the write past the cap voids the txn"
+    ("STARTED\r\n" ^ queued ^ "CLIENT_ERROR txn too long\r\n"
+   ^ "CLIENT_ERROR txn too long\r\n" ^ "ABORTED txn too long\r\n" ^ "END\r\n")
+    (Buffer.contents out);
+  Buffer.clear out;
+  feed "txn\r\nset a 0 0 1\r\ny\r\ncommit\r\nget a\r\n";
+  Alcotest.(check string) "the next txn starts from zero"
+    "STARTED\r\nQUEUED\r\nCOMMITTED\r\nVALUE a 0 1\r\ny\r\nEND\r\n"
+    (Buffer.contents out)
+
 let contains = Helpers.contains
 
 (* Live exposition over the handler: the same registry feeds [metrics]
@@ -1111,6 +1137,7 @@ let suite =
     Alcotest.test_case "parser: limits and truncation" `Quick test_parser_limits;
     QCheck_alcotest.to_alcotest prop_parser_matches_model;
     Alcotest.test_case "handler: pinned conversation" `Quick test_handler_conversation;
+    Alcotest.test_case "handler: a txn past its cap aborts" `Quick test_handler_txn_cap;
     Alcotest.test_case "handler: live metrics exposition" `Quick test_handler_metrics;
     Alcotest.test_case "parser: resync counter" `Quick test_parser_resync_counter;
     Alcotest.test_case "wire stack over the simulated runtime" `Quick test_wire_over_sim;

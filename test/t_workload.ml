@@ -35,26 +35,53 @@ let test_metrics_throughput () =
 
 let micro_ctx seed = { Generator.rng = Rng.create seed; dc = 2; client_id = 7; seq = 0 }
 
+(* A harness that cannot submit and finds no row, at once. *)
+let dummy_harness ~read_local : Harness.t =
+  {
+    Harness.name = "dummy";
+    engine = Engine.create ~seed:0;
+    num_dcs = 5;
+    submit = (fun ~dc:_ _ _ -> assert false);
+    read_local;
+    peek = (fun ~dc:_ _ -> None);
+    load = (fun _ -> ());
+    fail_dc = ignore;
+    recover_dc = ignore;
+  }
+
 (* A generator driven without any harness reads (commutative micro). *)
 let gen_txn params seed =
   let gen = Micro.generator params in
   let result = ref None in
   (* commutative micro never touches the harness, so a dummy works *)
-  let dummy : Harness.t =
-    {
-      Harness.name = "dummy";
-      engine = Engine.create ~seed:0;
-      num_dcs = 5;
-      submit = (fun ~dc:_ _ _ -> assert false);
-      read_local = (fun ~dc:_ _ _ -> assert false);
-      peek = (fun ~dc:_ _ -> None);
-      load = (fun _ -> ());
-      fail_dc = ignore;
-      recover_dc = ignore;
-    }
-  in
+  let dummy = dummy_harness ~read_local:(fun ~dc:_ _ _ -> assert false) in
   gen.Generator.prepare (micro_ctx seed) dummy (fun txn -> result := Some txn);
   match !result with Some t -> t | None -> Alcotest.fail "generator did not yield"
+
+(* Transaction ids and TPC-W's order-line ids are built digit by digit;
+   each must be the string [Printf] made, or every pinned output moves. *)
+let prop_ids_like_printf =
+  let any_int = QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; -10; -1; 0; 9; 10 ] ]) in
+  QCheck.Test.make ~name:"txids and order-line ids format like Printf" ~count:300
+    (QCheck.make QCheck.Gen.(triple any_int any_int (int_bound 1_000)))
+    (fun (client_id, seq, seed) ->
+      let ctx = { Generator.rng = Rng.create seed; dc = 0; client_id; seq } in
+      let txid i = Printf.sprintf "c%d-%d" client_id (seq + i) in
+      let harness = dummy_harness ~read_local:(fun ~dc:_ _ k -> k None) in
+      let txns = ref [] in
+      for _ = 1 to 20 do
+        (Tpcw.generator Tpcw.default).Generator.prepare ctx harness (fun txn ->
+            txns := txn :: !txns)
+      done;
+      let txns = List.rev !txns in
+      let lines_like_printf txn =
+        List.filter (fun (key, _) -> String.equal key.Key.table "order_line") txn.Txn.updates
+        |> List.mapi (fun n (key, _) ->
+               String.equal key.Key.id (Printf.sprintf "%s-%d" txn.Txn.id n))
+        |> List.for_all Fun.id
+      in
+      List.map (fun txn -> txn.Txn.id) txns = List.init 20 (fun i -> txid (i + 1))
+      && List.for_all lines_like_printf txns)
 
 let test_micro_generator_shape () =
   let params = { Micro.default with num_items = 100 } in
@@ -267,6 +294,7 @@ let suite =
     Alcotest.test_case "metrics warmup filter" `Quick test_metrics_warmup_filter;
     Alcotest.test_case "metrics throughput" `Quick test_metrics_throughput;
     Alcotest.test_case "micro generator shape" `Quick test_micro_generator_shape;
+    QCheck_alcotest.to_alcotest prop_ids_like_printf;
     Alcotest.test_case "micro hotspot skew" `Quick test_micro_hotspot_skew;
     Alcotest.test_case "micro locality pins masters" `Quick test_micro_locality_pins_masters;
     Alcotest.test_case "micro master_dc_of" `Quick test_micro_master_dc_of;
