@@ -85,13 +85,8 @@ module Layout = struct
       Coordinator.snap_read = (fun key -> Store.read (store (local_node t ~dc key)) key);
       snap_scan =
         (fun ~table ->
-          let rows = ref [] in
-          for p = t.partitions - 1 downto 0 do
-            Store.iter (store (storage_node t ~dc p)) (fun key row ->
-                if row.Store.exists && String.equal key.Key.table table then
-                  rows := (key, row.Store.value, row.Store.version) :: !rows)
-          done;
-          !rows);
+          Invariant.violate ~context:"Cluster.Layout.snapshot" "scan of table %s: no range reads"
+            table);
     }
 end
 
@@ -149,8 +144,7 @@ let create ~engine ~spec ?(ctx = Ctx.make ()) ~config ~schema () =
         let dc = i / app_per_dc in
         Coordinator.create ~runtime ~config
           ~node_id:(Layout.app_node layout ~dc ~rank:(i mod app_per_dc))
-          ~replicas ~master_of ~snapshot:(Layout.snapshot layout ~dc store)
-          ~ctx:(Ctx.with_local_nodes ctx (Layout.local_nodes layout ~dc)) ())
+          ~replicas ~master_of ~snapshot:(Layout.snapshot layout ~dc store) ~ctx ())
   in
   { engine; net; config; layout; nodes; coords; obs; stream = Ctx.stream ctx runtime ~node:(-1) }
 

@@ -104,8 +104,9 @@ module Layout : sig
   (** Every storage node of [dc], one per partition. *)
 
   val snapshot : t -> dc:int -> (int -> Store.t) -> Coordinator.snapshot_source
-  (** The [`Snapshot] read source of an app-server in [dc], over the
-      committed store of each storage node id. *)
+  (** The co-located read source of an app-server in [dc], over the
+      committed store of each storage node id.  Its [snap_scan] fails
+      with {!Mdcc_util.Invariant.Violation}: there are no range reads. *)
 end
 
 val scaffold : engine:Mdcc_sim.Engine.t -> spec:Spec.t -> Layout.t * Mdcc_sim.Network.t
@@ -133,10 +134,8 @@ val create :
     (the cluster's one runtime is {!Runtime.of_network}[ ?trace]), and its
     [obs] is fed per-node message/byte counters through a network meter
     installed at create time.
-    [ctx.local_nodes] is overridden per coordinator with the storage nodes
-    of its data center, and every coordinator is wired a
-    {!Layout.snapshot} over its DC's partition stores (the [`Snapshot]
-    read fast path). *)
+    Every coordinator is wired a {!Layout.snapshot} over its DC's
+    partition stores (the co-located reads). *)
 
 val engine : t -> Mdcc_sim.Engine.t
 val network : t -> Mdcc_sim.Network.t

@@ -31,11 +31,18 @@ type txn_state = {
   mutable timeout : Runtime.timer option;
 }
 
+(* Who waits on a read: a [read] caller takes the row as an option, a
+   [read_row] caller the row as it stands, an absent row's version
+   included. *)
+type answer =
+  | As_option of ((Value.t * int) option -> unit)
+  | As_row of (Value.t -> int -> bool -> unit)
+
 (* A read waiting for [r_need] replies from distinct replicas.  Replies
    fold into the freshest one so far: a reply replaces it unless its
    version is lower, so on equal versions the one that arrived last wins. *)
 type read_state = {
-  r_cb : (Value.t * int) option -> unit;
+  r_answer : answer;
   r_need : int;
   mutable r_heard : Quorum.tally;  (* the replicas that answered *)
   mutable r_value : Value.t;
@@ -43,17 +50,9 @@ type read_state = {
   mutable r_exists : bool;
 }
 
-type scan_state = {
-  s_order_by : string option;
-  s_limit : int;
-  s_cb : (Key.t * Value.t * int) list -> unit;
-  mutable s_missing : int;
-  mutable s_rows : (Key.t * Value.t * int) list;
-}
-
 type snapshot_source = {
   snap_read : Key.t -> (Value.t * int) option;
-  snap_scan : table:string -> (Key.t * Value.t * int) list;
+  snap_scan : table:string -> (Key.t * Value.t * int) list;  (* read by nothing; see the .mli *)
 }
 
 type t = {
@@ -63,12 +62,10 @@ type t = {
   dc : int;
   replicas : Key.t -> int list;
   master_of : Key.t -> int;
-  local_nodes : int list;  (* storage nodes of this app-server's DC *)
-  snapshot : snapshot_source option;  (* co-located stores, for `Snapshot reads *)
+  snapshot : snapshot_source option;  (* co-located stores, for reads without a message *)
   txns : (Txn.id, txn_state) Hashtbl.t;
   hints : (Key.t, float) Hashtbl.t;  (** classic-routing hint -> expiry time *)
   reads : (int, read_state) Hashtbl.t;
-  scans : (int, scan_state) Hashtbl.t;
   mutable next_rid : int;
   rng : Rng.t;
   obs : Obs.t;
@@ -109,28 +106,21 @@ let set_hint t key = Hashtbl.replace t.hints key (now t +. hint_ttl)
 
 let route_classic t key = t.config.Config.mode = Config.Multi || hint_active t key
 
-(* Fold a broadcast into per-destination Batch messages.  The common
-   shapes — an empty or singleton list, or every payload bound for one
-   destination — skip the Hashtbl and sorted iteration. *)
+(* Fold a broadcast into per-destination Batch messages, in ascending
+   destination order; a destination with one payload gets it bare. *)
 let send_batched t pairs =
-  match pairs with
-  | [] -> ()
-  | [ (dst, p) ] -> send t dst p
-  | (dst0, p0) :: rest when List.for_all (fun (dst, _) -> dst = dst0) rest ->
-    send t dst0 (Messages.Batch (p0 :: List.map snd rest))
-  | pairs ->
-    let by_dst = Hashtbl.create 8 in
-    List.iter
-      (fun (dst, p) ->
-        let existing = Option.value (Hashtbl.find_opt by_dst dst) ~default:[] in
-        Hashtbl.replace by_dst dst (p :: existing))
-      pairs;
-    Table.sorted_iter ~compare:Int.compare
-      (fun dst ps ->
-        match ps with
-        | [ p ] -> send t dst p
-        | ps -> send t dst (Messages.Batch (List.rev ps)))
-      by_dst
+  let by_dst = Hashtbl.create 8 in
+  List.iter
+    (fun (dst, p) ->
+      let existing = Option.value (Hashtbl.find_opt by_dst dst) ~default:[] in
+      Hashtbl.replace by_dst dst (p :: existing))
+    pairs;
+  Table.sorted_iter ~compare:Int.compare
+    (fun dst ps ->
+      match ps with
+      | [ p ] -> send t dst p
+      | ps -> send t dst (Messages.Batch (List.rev ps)))
+    by_dst
 
 (* One message of a broadcast.  Unbatched, it goes out at once and no
    list of (destination, payload) pairs is built; batched, it waits in
@@ -415,57 +405,60 @@ let local_replica t key =
     Invariant.violate ~node:t.id ~context:"Coordinator.local_replica"
       "key %s has no replicas" (Key.to_string key)
 
-let new_read t ~need cb =
+let new_read t ~need answer =
   let rid = t.next_rid in
   t.next_rid <- t.next_rid + 1;
   Hashtbl.replace t.reads rid
-    { r_cb = cb; r_need = need; r_heard = Quorum.Tally.empty; r_value = Value.empty;
+    { r_answer = answer; r_need = need; r_heard = Quorum.Tally.empty; r_value = Value.empty;
       r_version = min_int; r_exists = false };
   rid
 
-let read_local t key cb =
+let read_local t key answer =
   Obs.incr t.obs "read_local";
-  let rid = new_read t ~need:1 cb in
+  let rid = new_read t ~need:1 answer in
   send t (local_replica t key) (Messages.Read_request { rid; key })
 
-let read_majority t key cb =
+let read_majority t key answer =
   Obs.incr t.obs "read_majority";
-  let rid = new_read t ~need:(Config.classic_quorum t.config) cb in
+  let rid = new_read t ~need:(Config.classic_quorum t.config) answer in
   List.iter (fun r -> send t r (Messages.Read_request { rid; key })) (t.replicas key)
 
-(* Snapshot reads: serve straight from the co-located partition stores,
-   skipping the option machinery and the network entirely.  The callback is
-   still deferred through the runtime so `Snapshot keeps the same
-   callback-asynchrony contract as every other level.  An app-server wired
-   without co-located stores (no [snapshot] source) degrades to [`Local]. *)
-let read_snapshot t key cb =
-  match t.snapshot with
-  | Some s ->
-    Obs.incr t.obs "snapshot_fast_path";
-    Runtime.spawn t.runtime (fun () -> cb (s.snap_read key))
-  | None ->
-    Obs.incr t.obs "snapshot_fallback";
-    read_local t key cb
-
-(* Decided synchronously, so a caller that gets [false] sends exactly the
-   messages it would have sent without asking. *)
-let read_colocated t key ~min_version cb =
+(* Answer from the co-located store when it can: decided synchronously,
+   so a caller that gets [false] sends exactly the messages it would have
+   sent without asking.  The callback is still deferred through the
+   runtime, so every level keeps the same callback-asynchrony contract. *)
+let read_colocated t key ~fresh cb =
   match t.snapshot with
   | None -> false
   | Some s ->
     let row = s.snap_read key in
-    let version = match row with Some (_, version) -> version | None -> 0 in
-    version >= min_version
+    fresh key row
     && begin
       Runtime.spawn t.runtime (fun () -> cb row);
       true
     end
 
+let any_row (_ : Key.t) (_ : (Value.t * int) option) = true
+
+(* [`Snapshot] is a co-located read with no version floor; an app-server
+   wired without co-located stores degrades to [`Local]. *)
+let read_snapshot t key cb =
+  if read_colocated t key ~fresh:any_row cb then Obs.incr t.obs "snapshot_fast_path"
+  else begin
+    Obs.incr t.obs "snapshot_fallback";
+    read_local t key (As_option cb)
+  end
+
 let read ?(level = `Local) t key cb =
   match level with
-  | `Local -> read_local t key cb
-  | `Majority -> read_majority t key cb
+  | `Local -> read_local t key (As_option cb)
+  | `Majority -> read_majority t key (As_option cb)
   | `Snapshot -> read_snapshot t key cb
+
+let read_row ~level t key cb =
+  match level with
+  | `Local -> read_local t key (As_row cb)
+  | `Majority -> read_majority t key (As_row cb)
 
 let on_read_reply t rid acceptor key value version exists =
   match Hashtbl.find t.reads rid with
@@ -481,82 +474,11 @@ let on_read_reply t rid acceptor key value version exists =
       end;
       if Quorum.Tally.replies heard = rs.r_need then begin
         Hashtbl.remove t.reads rid;
-        rs.r_cb (if rs.r_exists then Some (rs.r_value, rs.r_version) else None)
+        match rs.r_answer with
+        | As_row cb -> cb rs.r_value rs.r_version rs.r_exists
+        | As_option cb -> cb (if rs.r_exists then Some (rs.r_value, rs.r_version) else None)
       end
     end
-
-
-let scan_local t ~table ?order_by ~limit cb =
-  match t.local_nodes with
-  | [] -> cb []
-  | nodes ->
-    let rid = t.next_rid in
-    t.next_rid <- t.next_rid + 1;
-    Hashtbl.replace t.scans rid
-      { s_order_by = order_by; s_limit = limit; s_cb = cb; s_missing = List.length nodes;
-        s_rows = [] };
-    List.iter
-      (fun node -> send t node (Messages.Scan_request { rid; table; order_by; limit }))
-      nodes
-
-let on_scan_reply t rid rows =
-  match Hashtbl.find_opt t.scans rid with
-  | None -> ()
-  | Some ss ->
-    ss.s_rows <- rows @ ss.s_rows;
-    ss.s_missing <- ss.s_missing - 1;
-    if ss.s_missing = 0 then begin
-      Hashtbl.remove t.scans rid;
-      ss.s_cb (Store.order_rows ?order_by:ss.s_order_by ~limit:ss.s_limit ss.s_rows)
-    end
-
-let scan_snapshot t ~table ?order_by ~limit cb =
-  match t.snapshot with
-  | Some s ->
-    Obs.incr t.obs "snapshot_fast_path";
-    Runtime.spawn t.runtime (fun () ->
-        cb (Store.order_rows ?order_by ~limit (s.snap_scan ~table)))
-  | None ->
-    Obs.incr t.obs "snapshot_fallback";
-    scan_local t ~table ?order_by ~limit cb
-
-(* Replace each row [upgrade] selects by a majority read of its key, keep
-   the rest, then order and limit.  A row the majority holds deleted drops
-   out, so the result can be shorter than [limit]. *)
-let upgrade_rows t ~upgrade ?order_by ~limit rows cb =
-  match List.filter upgrade rows with
-  | [] -> cb (Store.order_rows ?order_by ~limit rows)
-  | stale ->
-    let fresh = Key.Tbl.create (List.length stale) in
-    let remaining = ref (List.length stale) in
-    let finish () =
-      cb
-        (Store.order_rows ?order_by ~limit
-           (List.filter_map
-              (fun ((key, _, _) as row) ->
-                match Key.Tbl.find_opt fresh key with
-                | None -> Some row
-                | Some (Some (v, ver)) -> Some (key, v, ver)
-                | Some None -> None)
-              rows))
-    in
-    List.iter
-      (fun (key, _, _) ->
-        read_majority t key (fun res ->
-            Key.Tbl.replace fresh key res;
-            decr remaining;
-            if !remaining = 0 then finish ()))
-      stale
-
-let scan ?(level = `Local) t ~table ?order_by ~limit cb =
-  match level with
-  | `Local -> scan_local t ~table ?order_by ~limit cb
-  | `Snapshot -> scan_snapshot t ~table ?order_by ~limit cb
-  | `Majority ->
-    (* Discover candidate rows with a local scan, then upgrade every one, so
-       the result reflects the freshest committed state a quorum knows. *)
-    scan_local t ~table ?order_by ~limit (fun rows ->
-        upgrade_rows t ~upgrade:(fun _ -> true) ?order_by ~limit rows cb)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
@@ -570,20 +492,19 @@ let rec handle t ~src payload =
   | Messages.Redirect { key; txid; master; classic_until = _ } -> on_redirect t txid key master
   | Messages.Read_reply { rid; key; value; version; exists } ->
     on_read_reply t rid src key value version exists
-  | Messages.Scan_reply { rid; rows } -> on_scan_reply t rid rows
   (* Acceptor- and storage-bound traffic; a coordinator is never their
-     destination, so receiving one is a routing mistake we ignore. *)
+     destination, so receiving one is a routing mistake we ignore.  Nothing
+     sends the scan pair. *)
   | Messages.Propose _ | Messages.Phase1a _ | Messages.Phase1b _ | Messages.Phase2a _
   | Messages.Phase2b_master _ | Messages.Visibility _ | Messages.Start_recovery _
   | Messages.Status_query _ | Messages.Status_reply _ | Messages.Catchup_request _
   | Messages.Catchup _ | Messages.Sync_request _ | Messages.Sync_reply _
-  | Messages.Read_request _ | Messages.Scan_request _ -> ()
+  | Messages.Read_request _ | Messages.Scan_request _ | Messages.Scan_reply _ -> ()
   | _ -> ()
 
 let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.make ())
     () =
-  let obs = ctx.Ctx.obs
-  and local_nodes = ctx.Ctx.local_nodes in
+  let obs = ctx.Ctx.obs in
   let t =
     {
       runtime;
@@ -592,12 +513,10 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       dc = Runtime.dc_of runtime node_id;
       replicas;
       master_of;
-      local_nodes;
       snapshot;
       txns = Hashtbl.create 16;
       hints = Hashtbl.create 16;
       reads = Hashtbl.create 16;
-      scans = Hashtbl.create 16;
       next_rid = 0;
       rng = Rng.split (Runtime.rng runtime);
       obs;
@@ -613,3 +532,5 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
 let inflight t = Hashtbl.length t.txns
 
 let obs t = t.obs
+
+let runtime t = t.runtime

@@ -24,14 +24,16 @@ type snapshot_source = {
   snap_read : Key.t -> (Value.t * int) option;
       (** committed value+version of the key at this DC's replica *)
   snap_scan : table:string -> (Key.t * Value.t * int) list;
-      (** all live rows of a table across this DC's partition stores *)
+      (** Nothing in [lib/] reads this field: it stays only because
+          [bench/e2e] still builds it, and ROADMAP item 12 deletes it.
+          {!Cluster.Layout.snapshot} fills it with a stub that fails. *)
 }
 (** Direct handles on the storage-node stores co-located with the
     app-server, one per partition of its data center.  They power the
-    [`Snapshot] read level: a point-in-time read-committed view served with
-    {e zero} protocol messages.  Only deployments that actually co-locate
-    app-servers with storage (the simulated cluster, the wire server's
-    in-process replica group) can provide one. *)
+    [`Snapshot] read level and {!read_colocated}: a read-committed view
+    served with {e zero} protocol messages.  Only deployments that
+    actually co-locate app-servers with storage (the simulated cluster,
+    the wire server's in-process replica group) can provide one. *)
 
 val create :
   runtime:Runtime.t ->
@@ -50,12 +52,11 @@ val create :
     deployment co-locates storage with the app-server, enables the
     [`Snapshot] read fast path (without it, [`Snapshot] degrades to
     [`Local]).  [ctx] (default {!Ctx.make}[ ()]) bundles the cross-cutting
-    dependencies: [ctx.local_nodes] are the storage nodes of this
-    app-server's data center (needed only for local {!scan}s); [ctx.obs]
-    receives the protocol-path counters ({!obs}); every protocol step —
-    submit, propose, collision, redirect, recovery, learn, decide — is an
-    {!Event.t} on the node's stream ({!Ctx.stream}), built only while
-    [ctx.history], [ctx.obs]'s spans or the runtime's tracing consume it. *)
+    dependencies: [ctx.obs] receives the protocol-path counters ({!obs});
+    every protocol step — submit, propose, collision, redirect, recovery,
+    learn, decide — is an {!Event.t} on the node's stream ({!Ctx.stream}),
+    built only while [ctx.history], [ctx.obs]'s spans or the runtime's
+    tracing consume it. *)
 
 val node_id : t -> int
 
@@ -80,55 +81,42 @@ val read :
     it behaves as [`Local]).  (Session-consistent reads live one layer up:
     {!Session.read} with its [`Session] level.) *)
 
+val read_row :
+  level:[ `Local | `Majority ] ->
+  t ->
+  Key.t ->
+  (Value.t -> int -> bool -> unit) ->
+  unit
+(** {!read} at [`Local] or [`Majority], answering the freshest reply's
+    row as it stands: its value, its version, and whether it exists.  An
+    absent row carries the version of its tombstone (0 for a key never
+    written), which {!read}'s [None] drops: {!Session.read} compares it
+    with the session's watermark. *)
+
 val read_colocated :
-  t -> Key.t -> min_version:int -> ((Value.t * int) option -> unit) -> bool
-(** [read_colocated t key ~min_version cb] answers a [`Local] read without
-    its message when it can: if the co-located store holds [key]'s row at
-    version [min_version] or above (an absent row counts as version 0), it
-    returns [true] and [cb] gets that row later, through the runtime, as a
-    [`Snapshot] read does.  Otherwise, and always on a coordinator without
+  t ->
+  Key.t ->
+  fresh:(Key.t -> (Value.t * int) option -> bool) ->
+  ((Value.t * int) option -> unit) ->
+  bool
+(** [read_colocated t key ~fresh cb] answers a [`Local] read without its
+    message when it can: it looks [key] up in the co-located store and,
+    if [fresh key row] holds, returns [true] and [cb] gets that row later,
+    through the runtime.  Otherwise, and always on a coordinator without
     a {!snapshot_source}, it returns [false] and does nothing: the caller
     reads by message.  The store is the one a [`Local] read would message
     (this data center's replica of the key), so the answer is the row that
-    read would find.  {!Session.read}'s [`Session] level is its user. *)
-
-val scan :
-  ?level:[ `Local | `Majority | `Snapshot ] ->
-  t ->
-  table:string ->
-  ?order_by:string ->
-  limit:int ->
-  ((Key.t * Value.t * int) list -> unit) ->
-  unit
-(** Scan of a whole table, optionally sorted descending by an integer
-    attribute and truncated to [limit] rows — what TPC-W's best-sellers /
-    search interactions run.  [`Local] (the default) is a read-committed
-    scan of the local data center's replicas, possibly stale.  [`Majority]
-    discovers candidate rows locally, then upgrades each to a majority read
-    (rows deleted at the majority drop out, so the result may be shorter
-    than [limit]).  [`Snapshot] merges the co-located partition stores in
-    process — the read-only fast path for analytics: no Scan_request
-    round-trips, no option machinery. *)
-
-val upgrade_rows :
-  t ->
-  upgrade:(Key.t * Value.t * int -> bool) ->
-  ?order_by:string ->
-  limit:int ->
-  (Key.t * Value.t * int) list ->
-  ((Key.t * Value.t * int) list -> unit) ->
-  unit
-(** [upgrade_rows t ~upgrade rows cb] replaces each of [rows] that
-    [upgrade] selects (asked once per row, up front) by a majority read of
-    its key, keeps the others as they are, then orders and limits the
-    result like {!scan} and passes it to [cb].  A selected row the
-    majority holds deleted drops out.  With nothing selected, [cb] runs at
-    once.  The second half of a [`Majority] scan (every row selected) and
-    of {!Session.scan}'s [`Session] level (the rows the session knows to
-    be stale). *)
+    read would find.  [fresh] gets [key] back so that a caller can pass
+    one closure built once, not one per read.  [`Snapshot] is this read
+    with every row fresh; {!Session.read}'s [`Session] level passes its
+    watermark test. *)
 
 val inflight : t -> int
 (** Transactions submitted but not yet decided (diagnostics). *)
+
+val runtime : t -> Runtime.t
+(** The runtime the coordinator was created on: its clock, timers and
+    transport. *)
 
 val obs : t -> Mdcc_obs.Obs.t
 (** The observability handle this coordinator reports into.  Its registry

@@ -12,9 +12,7 @@ type t = {
   obs : Mdcc_obs.Obs.t;  (* metrics registry + span collector *)
   trace : (string -> unit) option;
       (* trace-line sink, handed to the runtime that renders the lines *)
-  local_nodes : int list;
-      (* storage nodes co-located with a coordinator (one per partition);
-         only coordinators consume this — other nodes ignore it *)
+  local_nodes : int list;  (* read by nothing; see the .mli *)
   spans : Event.span_sink option;
       (* [obs]'s span store, shared by every node the context builds *)
 }

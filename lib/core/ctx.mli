@@ -1,7 +1,7 @@
 (** Shared construction context for protocol nodes.
 
     Bundles the cross-cutting optional dependencies — history recorder,
-    observability handle, trace-line sink, co-located storage nodes — that
+    observability handle, trace-line sink — that
     [Coordinator.create], [Storage_node.create] and [Cluster.create] all
     need, so they are threaded as one value instead of parallel
     optional-argument tails.  Build one at
@@ -17,8 +17,8 @@ type t = {
           the sink takes effect where the runtime is built from it:
           {!Cluster.create} hands it to {!Runtime.of_network}. *)
   local_nodes : int list;
-      (** storage nodes co-located with a coordinator (one per partition);
-          only coordinators consume this — other nodes ignore it *)
+      (** Nothing in [lib/] reads this field: it stays only because
+          [bench/e2e] still sets it, and ROADMAP item 12 deletes it. *)
   spans : Event.span_sink option;
       (** [obs]'s span store, if spans are on, wrapped by {!make} once so
           that every node built from the context shares its key labels *)
@@ -33,10 +33,13 @@ val make :
   t
 (** [obs] defaults to a fresh private {!Mdcc_obs.Obs.create}[ ()], so a
     context built without one shares its registry with nothing; [history]
-    and [trace] to none; [local_nodes] to the empty list. *)
+    and [trace] to none; [local_nodes] (read by nothing, see the field;
+    ROADMAP item 12 deletes the argument) to the empty list. *)
 
 val with_local_nodes : t -> int list -> t
-(** A copy of [t] scoped to one coordinator's co-located storage nodes. *)
+(** A copy of [t] with [local_nodes] replaced.  Nothing in [lib/] calls
+    it: it stays only because [bench/e2e] still does, and ROADMAP item 12
+    deletes it. *)
 
 (** {1 The event stream} *)
 

@@ -67,6 +67,7 @@ type Mdcc_sim.Network.payload +=
   | Batch of Mdcc_sim.Network.payload list
   | Sync_request of { entries : (Key.t * int * int) list }
   | Sync_reply of { key : Key.t; version : int; applied : Update.t Txn.Map.t }
+  (* Sent and read by nothing; see the .mli. *)
   | Scan_request of { rid : int; table : string; order_by : string option; limit : int }
   | Scan_reply of { rid : int; rows : (Key.t * Value.t * int) list }
 
@@ -154,12 +155,5 @@ let rec size_of payload =
   | Sync_request { entries } ->
     List.fold_left (fun acc (key, _, _) -> acc + key_bytes key + 8) 0 entries
   | Sync_reply { key; applied; _ } -> key_bytes key + 4 + applied_bytes applied
-  | Scan_request { table; order_by; _ } ->
-    String.length table + 8
-    + (match order_by with Some a -> String.length a | None -> 0)
-  | Scan_reply { rows; _ } ->
-    4
-    + List.fold_left
-        (fun acc (key, value, _) -> acc + key_bytes key + value_bytes value + 4)
-        0 rows
+  | Scan_request _ | Scan_reply _ -> 0  (* never sent *)
   | _ -> 0

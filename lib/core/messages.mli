@@ -130,10 +130,12 @@ type Mdcc_sim.Network.payload +=
           sender is still missing entries — after at most one reply each
           way both replicas hold the union *)
   | Scan_request of { rid : int; table : string; order_by : string option; limit : int }
-      (** read-committed scan of one replica's rows of a table, optionally
-          sorted descending by an integer attribute — the local analytic
-          reads TPC-W's browsing interactions (best sellers, search) issue *)
+      (** Nothing in [lib/] sends or reads this message, and receivers
+          ignore it: it stays only because [bench/e2e]'s per-layer table
+          still names it, and ROADMAP item 12 deletes it. *)
   | Scan_reply of { rid : int; rows : (Key.t * Value.t * int) list }
+      (** Like [Scan_request]: unused in [lib/], kept for [bench/e2e]
+          until ROADMAP item 12 deletes it. *)
 
 val applied_digest : 'a Txn.Map.t -> int
 (** Digest of the transaction ids of an applied set (the keys of the map;

@@ -8,8 +8,7 @@
     observed.
 
     A session tracks, per key, the highest version it has read or written
-    (its {e watermark}).  Both {!read} and {!scan} take the unified
-    [?level] parameter:
+    (its {e watermark}).  {!read} takes the unified [?level] parameter:
 
     {ul
     {- [`Local] — raw read-committed read of the local replica, bypassing
@@ -46,41 +45,38 @@ val read :
     read-your-writes — never returns a version below the session's
     watermark for the key).
 
+    Every [`Session] answer meets the watermark.  An answer by message
+    carries the row's version even when the row is absent (its
+    tombstone's, or 0 for a key never written), and must reach the
+    watermark with it ({!Coordinator.read_row}).  The co-located store
+    answers an absent row with no version: it meets the watermark when
+    that is 0, or when the newest row the session knows of the key is
+    absent too — the session's own delete ({!submit}), or a tombstone it
+    read at or above the watermark.  A present row must always reach it.
+
     What a [`Session] read costs, decided before anything is sent:
     {ul
     {- {b no message} when the key is not dirty and the coordinator's
        co-located replica (its {!Coordinator.snapshot_source}) already
-       holds the key at or above the watermark, or holds no row while the
-       watermark is 0 ({!Coordinator.read_colocated}; counted as
+       holds a fresh row ({!Coordinator.read_colocated}; counted as
        [session_read_colocated]);}
     {- otherwise a local round trip to that replica, and a majority read
-       after it if its answer is below the watermark
-       ([session_read_fresh] or [session_read_stale_upgrade]) — also the
-       whole path of a coordinator with no co-located stores;}
+       after it if its answer is not fresh ([session_read_fresh] or
+       [session_read_stale_upgrade]) — also the whole path of a
+       coordinator with no co-located stores;}
     {- a majority read straight away for a dirty key
        ([session_read_dirty_upgrade]).}}
+    A majority answer that is not fresh is never delivered: the majority
+    read is re-issued after a wait of 100 ms that doubles each round,
+    each re-issue counted as [session_read_stale_upgrade].  After 8
+    majority reads below the watermark (12.7 s of waiting) the read is
+    dropped ([session_read_dropped]) and its callback never runs.
     Every answer arrives later, through the runtime, never reentrantly. *)
-
-val scan :
-  ?level:level ->
-  t ->
-  table:string ->
-  ?order_by:string ->
-  limit:int ->
-  ((Key.t * Value.t * int) list -> unit) ->
-  unit
-(** Table scan at the given [level] (default [`Session]).  A [`Session]
-    scan runs locally and upgrades only the rows the session knows to be
-    stale (below-watermark version, or dirtied by the session's own delta
-    write) to majority reads; [`Local] is the raw analytic scan that may
-    miss the session's writes; [`Majority] upgrades every row; [`Snapshot]
-    is the in-process merge of the co-located partition stores (zero
-    messages, no watermark interaction).  Scanned versions feed the
-    watermarks at [`Session] and [`Majority]. *)
 
 val submit : t -> Txn.t -> (Txn.outcome -> unit) -> unit
 (** {!Coordinator.submit}, additionally advancing the watermarks of the
-    written keys when the transaction commits. *)
+    written keys when the transaction commits, and recording which of
+    them it deleted. *)
 
 val watermark : t -> Key.t -> int
 (** The session's current lower bound for the key's version (0 if never

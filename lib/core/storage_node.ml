@@ -1167,20 +1167,14 @@ let rec handle t ~src payload =
     if row.Store.version > 0 then
       send t src (Messages.Catchup { key; rebase = rebase_of t key })
   | Messages.Catchup { key; rebase } -> apply_rebase t key rebase
-  | Messages.Scan_request { rid; table; order_by; limit } ->
-    let rows = ref [] in
-    Store.iter t.store (fun key row ->
-        if row.Store.exists && String.equal key.Key.table table then
-          rows := (key, row.Store.value, row.Store.version) :: !rows);
-    send t src (Messages.Scan_reply { rid; rows = Store.order_rows ?order_by ~limit !rows })
   | Messages.Read_request { rid; key } ->
     let row = Store.ensure t.store key in
     send t src
       (Messages.Read_reply
          { rid; key; value = row.Store.value; version = row.Store.version; exists = row.Store.exists })
-  (* Coordinator-bound replies; a storage node never consumes them. *)
+  (* Coordinator-bound replies, and the scan pair nothing sends. *)
   | Messages.Phase2b_fast _ | Messages.Redirect _ | Messages.Read_reply _
-  | Messages.Scan_reply _ -> ()
+  | Messages.Scan_request _ | Messages.Scan_reply _ -> ()
   | _ -> ()
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.make ()) () =

@@ -50,8 +50,7 @@ val create :
     rounds, recoveries, anti-entropy repairs and divergence; every protocol
     step — vote, visibility, repair, classic learn, recovery, divergence —
     is an {!Event.t} on the node's stream ({!Ctx.stream}), built only while
-    [ctx.history], [ctx.obs]'s spans or the runtime's tracing consume it.
-    [ctx.local_nodes] is ignored here (it is a coordinator concern). *)
+    [ctx.history], [ctx.obs]'s spans or the runtime's tracing consume it. *)
 
 val node_id : t -> int
 

@@ -64,26 +64,10 @@ let apply t key (up : Update.t) =
 
 let size t = Key.Tbl.length t.rows
 
-(* Iteration is in key order, not hash order: anti-entropy sweeps and scans
-   walk the store, and their message order must be a pure function of the
-   store's contents for chaos seeds to replay (mdcc_lint R1). *)
+(* Iteration is in key order, not hash order: anti-entropy sweeps walk the
+   store, and their message order must be a pure function of the store's
+   contents for chaos seeds to replay (mdcc_lint R1). *)
 let iter t f = Key.Tbl.sorted_iter f t.rows
 
 let fold t ~init ~f =
   List.fold_left (fun acc (k, row) -> f k row acc) init (Key.Tbl.sorted_bindings t.rows)
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-let order_rows ?order_by ~limit rows =
-  let sorted =
-    match order_by with
-    | None -> rows
-    | Some attr ->
-      List.sort
-        (fun (_, v1, _) (_, v2, _) -> Int.compare (Value.get_int v2 attr) (Value.get_int v1 attr))
-        rows
-  in
-  take limit sorted

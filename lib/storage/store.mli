@@ -47,9 +47,3 @@ val size : t -> int
 val iter : t -> (Key.t -> row -> unit) -> unit
 
 val fold : t -> init:'a -> f:(Key.t -> row -> 'a -> 'a) -> 'a
-
-val order_rows :
-  ?order_by:string -> limit:int -> (Key.t * Value.t * int) list -> (Key.t * Value.t * int) list
-(** A scan's result shape, shared by every layer that scans: the
-    (key, value, version) rows sorted by integer attribute [order_by]
-    descending (stable; unsorted without it), then the first [limit]. *)

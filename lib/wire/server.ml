@@ -91,15 +91,16 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
   let config = Config.make ~replication:nodes () in
   let schema = Mdcc_storage.Schema.create [ { name = table; bounds = []; master_dc = 0 } ] in
   let observ = Obs.create () in
-  let ctx = Ctx.make ~obs:observ ~local_nodes:(Layout.local_nodes layout ~dc:0) () in
+  let ctx = Ctx.make ~obs:observ () in
   let replicas = Layout.replicas layout and master_of = Layout.master_node layout in
   let storage =
     Array.init storage_n (fun i ->
         Storage_node.create ~runtime ~config ~node_id:i ~schema ~replicas ~master_of ~ctx ())
   in
   Array.iter Storage_node.start_maintenance storage;
-  (* The stores are in-process: DC 0's partition stores power the wire
-     protocol's [read <key> snapshot]. *)
+  (* The stores are in-process: DC 0's partition stores answer every
+     session read they hold fresh, and the wire protocol's
+     [read <key> snapshot]. *)
   let snapshot = Layout.snapshot layout ~dc:0 (fun node -> Storage_node.store storage.(node)) in
   let coord =
     Coordinator.create ~runtime ~config ~node_id:(Layout.app_node layout ~dc:0 ~rank:0) ~replicas

@@ -140,12 +140,6 @@ let size_pins () =
         ] );
     ("sync_request", 46, Messages.Sync_request { entries = [ (k, 4, 77); (k2, 1, 5) ] });
     ("sync_reply", 87, Messages.Sync_reply { key = k; version = 4; applied = included });
-    ( "scan_request",
-      33,
-      Messages.Scan_request { rid = 2; table = "item"; order_by = Some "stock"; limit = 10 } );
-    ( "scan_reply",
-      67,
-      Messages.Scan_reply { rid = 2; rows = [ (k, row, 4); (k2, Value.empty, 1) ] } );
   ]
 
 let test_messages_size_of_pinned () =

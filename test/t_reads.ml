@@ -87,46 +87,6 @@ let test_majority_read_of_deleted () =
   Alcotest.(check bool) "majority read sees tombstone" true
     (read_majority_sync engine c (item 0) = None)
 
-let test_scan_local () =
-  let engine, cluster = make_cluster ~items:20 ~partitions:2 () in
-  (* Make item 7 the best seller. *)
-  let o =
-    run_txn engine cluster ~dc:0
-      [ (item 7, Update.Physical { vread = 1; value = Value.of_list [ ("stock", Value.Int 999) ] }) ]
-  in
-  Alcotest.(check bool) "setup committed" true (is_committed o);
-  let c = Cluster.coordinator cluster ~dc:2 ~rank:0 in
-  let got = ref None in
-  Coordinator.scan c ~table:"item" ~order_by:"stock" ~limit:3 (fun rows -> got := Some rows);
-  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
-  match !got with
-  | Some ((top_key, top_value, _) :: _ as rows) ->
-    Alcotest.(check int) "limit respected" 3 (List.length rows);
-    Alcotest.(check string) "best seller first" "7" top_key.Key.id;
-    Alcotest.(check int) "value" 999 (Value.get_int top_value "stock")
-  | Some [] -> Alcotest.fail "no rows"
-  | None -> Alcotest.fail "scan never answered"
-
-let test_scan_empty_table () =
-  let engine, cluster = make_cluster ~items:2 () in
-  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 in
-  let got = ref None in
-  Coordinator.scan c ~table:"order" ~limit:10 (fun rows -> got := Some rows);
-  Engine.run ~until:10_000.0 engine;
-  Alcotest.(check bool) "empty table scans empty" true (!got = Some [])
-
-let scan_sync ?(level = `Local) engine c =
-  let got = ref None in
-  Coordinator.scan ~level c ~table:"item" ~limit:10 (fun rows -> got := Some rows);
-  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
-  match !got with Some rows -> rows | None -> Alcotest.fail "scan never answered"
-
-(* (id, stock, version) of each row, in key order. *)
-let summary rows =
-  List.sort compare (List.map (fun (k, v, ver) -> (k.Key.id, Value.get_int v "stock", ver)) rows)
-
-let row_triple = Alcotest.(list (triple string int int))
-
 (* DC 4 misses [updates] (an outage while they commit), so after it
    recovers its local replica is stale for exactly those rows. *)
 let stale_dc4 ~items updates =
@@ -136,70 +96,6 @@ let stale_dc4 ~items updates =
   Alcotest.(check bool) "committed during outage" true (is_committed o);
   Cluster.recover_dc cluster 4;
   (engine, cluster, Cluster.coordinator cluster ~dc:4 ~rank:0)
-
-let test_scan_majority_fresh () =
-  let engine, _, c4 =
-    stale_dc4 ~items:2 [ (item 0, Update.Physical { vread = 1; value = item_row 5 }) ]
-  in
-  Alcotest.(check row_triple) "local scan is stale"
-    [ ("0", 100, 1); ("1", 100, 1) ]
-    (summary (scan_sync engine c4));
-  Alcotest.(check row_triple) "majority scan returns the fresh version"
-    [ ("0", 5, 2); ("1", 100, 1) ]
-    (summary (scan_sync ~level:`Majority engine c4))
-
-let test_scan_majority_deleted () =
-  let engine, _, c4 = stale_dc4 ~items:3 [ (item 1, Update.Delete { vread = 1 }) ] in
-  Alcotest.(check int) "the stale replica still has the row" 3
-    (List.length (scan_sync engine c4));
-  Alcotest.(check row_triple) "majority scan drops the deleted row"
-    [ ("0", 100, 1); ("2", 100, 1) ]
-    (summary (scan_sync ~level:`Majority engine c4))
-
-let test_scan_session_upgrades () =
-  let engine, cluster = make_cluster ~items:3 () in
-  let c4 = Cluster.coordinator cluster ~dc:4 ~rank:0 in
-  let session = Session.create c4 in
-  (* DC 4's storage node misses everything below while its app server,
-     and so the session, stays up. *)
-  let net = Cluster.network cluster in
-  let node4 = Cluster.Layout.local_node (Cluster.layout cluster) ~dc:4 (item 0) in
-  Mdcc_sim.Network.fail_node net node4;
-  (* Row 1: the session's own delta write, whose version it cannot know. *)
-  let committed = ref false in
-  Session.submit session
-    (Txn.make ~id:"own-delta" ~updates:[ (item 1, Update.Delta [ ("stock", -1) ]) ])
-    (fun o -> committed := is_committed o);
-  Engine.run ~until:(Engine.now engine +. 60_000.0) engine;
-  Alcotest.(check bool) "delta committed" true !committed;
-  (* Rows 0 and 2 change too; the session learns of row 0 only, through a
-     majority read. *)
-  let o =
-    run_txn engine cluster ~dc:0
-      [
-        (item 0, Update.Physical { vread = 1; value = item_row 5 });
-        (item 2, Update.Physical { vread = 1; value = item_row 7 });
-      ]
-  in
-  Alcotest.(check bool) "committed" true (is_committed o);
-  Mdcc_sim.Network.recover_node net node4;
-  Session.read ~level:`Majority session (item 0) ignore;
-  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
-  Alcotest.(check int) "watermark of row 0" 2 (Session.watermark session (item 0));
-  let reg = Mdcc_obs.Obs.registry (Coordinator.obs c4) in
-  let counter = Mdcc_obs.Registry.counter reg in
-  let majority0 = counter "read_majority" and upgrades0 = counter "session_scan_stale_upgrade" in
-  let got = ref None in
-  Session.scan session ~table:"item" ~limit:10 (fun rows -> got := Some rows);
-  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
-  let rows = match !got with Some rows -> rows | None -> Alcotest.fail "scan never answered" in
-  Alcotest.(check row_triple)
-    "rows 0 and 1 upgraded; row 2, stale but never observed, served locally"
-    [ ("0", 5, 2); ("1", 99, 2); ("2", 100, 1) ]
-    (summary rows);
-  Alcotest.(check int) "one majority read per upgraded row" 2 (counter "read_majority" - majority0);
-  Alcotest.(check int) "session_scan_stale_upgrade moves once" 1
-    (counter "session_scan_stale_upgrade" - upgrades0)
 
 (* Installs a meter on the cluster's network; the returned function
    lists the (src, dst) of every send since, oldest first. *)
@@ -274,6 +170,142 @@ let test_session_read_stale_by_message () =
   Alcotest.(check int) "one majority read" 1 (counter "read_majority" - majority0);
   Alcotest.(check int) "one stale upgrade" 1 (counter "session_read_stale_upgrade");
   Alcotest.(check int) "nothing answered co-located" 0 (counter "session_read_colocated")
+
+(* DC 0's app server over a runtime that holds back every Visibility bound
+   for DC 0's replica of [item 0] and its two nearest peers (DC 1 and
+   DC 4) by [delay] ms ([infinity]: never delivered).  Those three are the
+   first classic quorum to answer DC 0's majority read. *)
+let late_visibility_deployment ~delay =
+  let module Runtime = Mdcc_core.Runtime in
+  let module Layout = Cluster.Layout in
+  let module Storage_node = Mdcc_core.Storage_node in
+  let engine = Engine.create ~seed:42 in
+  let layout, net = Cluster.scaffold ~engine ~spec:Cluster.Spec.default in
+  let late = List.map (fun dc -> Layout.local_node layout ~dc (item 0)) [ 0; 1; 4 ] in
+  let base = Runtime.of_network net in
+  let send ~src ~dst payload =
+    match payload with
+    | Mdcc_core.Messages.Visibility _ when List.mem dst late ->
+      if delay < infinity then
+        ignore (Engine.schedule engine ~after:delay (fun () -> Runtime.send base ~src ~dst payload))
+    | _ -> Runtime.send base ~src ~dst payload
+  in
+  let runtime =
+    Runtime.make ~now:(fun () -> Runtime.now base) ~send ~register:(Runtime.register base)
+      ~set_timer:(fun ~after f ->
+        let timer = Runtime.set_timer base ~after f in
+        fun () -> Runtime.cancel_timer base timer)
+      ~spawn:(Runtime.spawn base) ~rng:(Runtime.rng base) ~dc_of:(Runtime.dc_of base)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let config = Config.make ~replication:5 ()
+  and replicas = Layout.replicas layout
+  and master_of = Layout.master_node layout in
+  let nodes =
+    Array.init (Layout.num_storage_nodes layout) (fun node_id ->
+        Storage_node.create ~runtime ~config ~node_id ~schema:stock_schema ~replicas ~master_of ())
+  in
+  List.iter (fun r -> Storage_node.load nodes.(r) [ (item 0, item_row 100) ]) (replicas (item 0));
+  let store node = Storage_node.store nodes.(node) in
+  let c =
+    Coordinator.create ~runtime ~config ~node_id:(Layout.app_node layout ~dc:0 ~rank:0) ~replicas
+      ~master_of ~snapshot:(Layout.snapshot layout ~dc:0 store) ()
+  in
+  let session = Session.create c in
+  (* The session's own write commits on the fast path (about 170 ms)
+     well before the held-back Visibilities land. *)
+  let committed = ref false in
+  Session.submit session
+    (Txn.make ~id:"own" ~updates:[ (item 0, Update.Physical { vread = 1; value = item_row 5 }) ])
+    (fun o -> committed := is_committed o);
+  Engine.run ~until:1_000.0 engine;
+  Alcotest.(check bool) "own write committed" true !committed;
+  Alcotest.(check int) "watermark" 2 (Session.watermark session (item 0));
+  Alcotest.(check (option int)) "DC 0's replica still at version 1" (Some 1)
+    (Option.map snd (Store.read (store (List.hd late)) (item 0)));
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  (engine, session, counter)
+
+let test_session_read_late_visibility () =
+  let engine, session, counter = late_visibility_deployment ~delay:2_000.0 in
+  Alcotest.(check (option (pair int int))) "the own write, not the version below it" (Some (5, 2))
+    (session_read_sync engine session (item 0));
+  Alcotest.(check bool) "the stale majority answers were re-issued" true
+    (counter "read_majority" > 1);
+  Alcotest.(check int) "one upgrade per majority read" (counter "read_majority")
+    (counter "session_read_stale_upgrade");
+  Alcotest.(check int) "nothing dropped" 0 (counter "session_read_dropped")
+
+let test_session_read_never_fresh () =
+  let engine, session, counter = late_visibility_deployment ~delay:infinity in
+  let answered = ref false in
+  Session.read session (item 0) (fun _ -> answered := true);
+  (* No [~until]: the run must end on its own. *)
+  Engine.run engine;
+  Alcotest.(check bool) "a stale answer is never delivered" false !answered;
+  Alcotest.(check int) "eight majority reads" 8 (counter "read_majority");
+  Alcotest.(check int) "each counted as an upgrade" 8 (counter "session_read_stale_upgrade");
+  Alcotest.(check int) "then dropped" 1 (counter "session_read_dropped");
+  (* The re-issues wait 100, 200, ..., 6400 ms: the drop comes after
+     12.7 s of waiting, not after eight back-to-back rounds. *)
+  Alcotest.(check bool) "the waits were spent" true (Engine.now engine > 1_000.0 +. 12_700.0)
+
+let test_session_read_after_own_delete () =
+  let engine, cluster = make_cluster ~items:1 () in
+  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let session = Session.create c in
+  let submit id update =
+    let committed = ref false in
+    Session.submit session
+      (Txn.make ~id ~updates:[ (item 0, update) ])
+      (fun o -> committed := is_committed o);
+    Engine.run ~until:(Engine.now engine +. 60_000.0) engine;
+    Alcotest.(check bool) (id ^ " committed") true !committed
+  in
+  submit "own-set" (Update.Physical { vread = 1; value = item_row 5 });
+  submit "own-delete" (Update.Delete { vread = 2 });
+  Alcotest.(check int) "watermark" 3 (Session.watermark session (item 0));
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  let majority0 = counter "read_majority" and colocated0 = counter "session_read_colocated" in
+  let sent = record_sends cluster in
+  Alcotest.(check (option (pair int int))) "first read: the own delete" None
+    (session_read_sync engine session (item 0));
+  Alcotest.(check (option (pair int int))) "second read: the own delete" None
+    (session_read_sync engine session (item 0));
+  Alcotest.(check int) "no majority read" 0 (counter "read_majority" - majority0);
+  Alcotest.(check int) "both answered co-located" 2 (counter "session_read_colocated" - colocated0);
+  Alcotest.(check (list (pair int int))) "no message" [] (sent ())
+
+let test_session_read_after_other_delete () =
+  let engine, cluster = make_cluster ~items:1 () in
+  let c0 = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let reader = Session.create c0 and deleter = Session.create (Cluster.coordinator cluster ~dc:1 ~rank:0) in
+  Alcotest.(check (option (pair int int))) "the reader sees the loaded row" (Some (100, 1))
+    (session_read_sync engine reader (item 0));
+  Alcotest.(check int) "watermark" 1 (Session.watermark reader (item 0));
+  let committed = ref false in
+  Session.submit deleter
+    (Txn.make ~id:"other-delete" ~updates:[ (item 0, Update.Delete { vread = 1 }) ])
+    (fun o -> committed := is_committed o);
+  Engine.run ~until:(Engine.now engine +. 60_000.0) engine;
+  Alcotest.(check bool) "delete committed" true !committed;
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c0)) in
+  let majority0 = counter "read_majority" and local0 = counter "read_local"
+  and colocated0 = counter "session_read_colocated" in
+  (* The tombstone (version 2) meets the watermark: the local reply
+     answers, and the second read needs no message at all. *)
+  Alcotest.(check (option (pair int int))) "first read: the other session's delete" None
+    (session_read_sync engine reader (item 0));
+  Alcotest.(check (option (pair int int))) "second read: the other session's delete" None
+    (session_read_sync engine reader (item 0));
+  Alcotest.(check int) "one local read" 1 (counter "read_local" - local0);
+  Alcotest.(check int) "no majority read" 0 (counter "read_majority" - majority0);
+  Alcotest.(check int) "the second answered co-located" 1
+    (counter "session_read_colocated" - colocated0);
+  Alcotest.(check int) "watermark at the tombstone" 2 (Session.watermark reader (item 0));
+  Alcotest.(check int) "nothing dropped" 0 (counter "session_read_dropped")
 
 (* A `Majority read at a coordinator of five replicas whose replies the
    test delivers by hand: returns a function delivering one acceptor's
@@ -352,13 +384,16 @@ let suite =
       test_local_read_never_sees_uncommitted;
     Alcotest.test_case "stale local vs fresh majority read" `Quick test_stale_local_vs_majority;
     Alcotest.test_case "majority read of deleted row" `Quick test_majority_read_of_deleted;
-    Alcotest.test_case "local scan with order/limit" `Quick test_scan_local;
-    Alcotest.test_case "scan of empty table" `Quick test_scan_empty_table;
-    Alcotest.test_case "majority scan returns fresh versions" `Quick test_scan_majority_fresh;
-    Alcotest.test_case "majority scan drops deleted rows" `Quick test_scan_majority_deleted;
-    Alcotest.test_case "session scan upgrades only stale rows" `Quick test_scan_session_upgrades;
     Alcotest.test_case "fresh session read: co-located, no message" `Quick
       test_session_read_colocated;
     Alcotest.test_case "stale session read: local message, then majority" `Quick
       test_session_read_stale_by_message;
+    Alcotest.test_case "session read waits out a late Visibility" `Quick
+      test_session_read_late_visibility;
+    Alcotest.test_case "session read never fresh: dropped, engine stops" `Quick
+      test_session_read_never_fresh;
+    Alcotest.test_case "session reads after own delete: no majority read" `Quick
+      test_session_read_after_own_delete;
+    Alcotest.test_case "session reads after another's delete: no majority read" `Quick
+      test_session_read_after_other_delete;
   ]

@@ -701,6 +701,45 @@ let test_wire_over_sim () =
     (Buffer.contents out);
   Alcotest.(check bool) "handler drained" true (Handler.idle h)
 
+(* Two connections to DC 0's app server, each with its own session, as the
+   server gives them.  Connection A has read [k] when connection B deletes
+   it: A's next requests still answer, by the tombstone, with no majority
+   read. *)
+let test_wire_other_connection_delete () =
+  let engine = Engine.create ~seed:7 in
+  let config = Config.make ~replication:5 () in
+  let cluster = Cluster.create ~engine ~spec:Cluster.Spec.default ~config ~schema:kv_schema () in
+  let coord = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let counter = ref 0 in
+  let next_txid () = incr counter; Printf.sprintf "w%d" !counter in
+  let obs = Cluster.obs cluster in
+  let partition_of id = Cluster.Layout.partition (Cluster.layout cluster) (Key.make ~table:"kv" ~id) in
+  let connection () =
+    let backend = Backend.of_session ~table:"kv" ~partition_of ~obs ~next_txid (Session.create coord) in
+    let out = Buffer.create 64 in
+    let h = Handler.create ~backend ~write:(Buffer.add_string out) ~close:(fun () -> ()) ~obs () in
+    let feed s =
+      Buffer.clear out;
+      Handler.on_data h (Bytes.of_string s) 0 (String.length s);
+      Engine.run ~until:(Engine.now engine +. 60_000.0) engine;
+      Buffer.contents out
+    in
+    (h, feed)
+  in
+  let a, feed_a = connection () and b, feed_b = connection () in
+  Alcotest.(check string) "A writes and reads k" "STORED\r\nVALUE k 0 5\r\nhello\r\nEND\r\n"
+    (feed_a "set k 0 0 5\r\nhello\r\nget k\r\n");
+  Alcotest.(check string) "B deletes k" "DELETED\r\n" (feed_b "delete k\r\n");
+  let majority0 = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "read_majority" in
+  Alcotest.(check string) "A sees the delete, then writes k again"
+    "END\r\nEND\r\nSTORED\r\nVALUE k 0 3\r\nabc\r\nEND\r\n"
+    (feed_a "get k\r\nget k\r\nset k 0 0 3\r\nabc\r\nget k\r\n");
+  Alcotest.(check int) "no majority read" majority0
+    (Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "read_majority");
+  Alcotest.(check int) "nothing dropped" 0
+    (Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "session_read_dropped");
+  Alcotest.(check bool) "both handlers drained" true (Handler.idle a && Handler.idle b)
+
 (* ---------------- socket loop byte metering ---------------- *)
 
 let test_loop_meter_size_of () =
@@ -1141,6 +1180,8 @@ let suite =
     Alcotest.test_case "handler: live metrics exposition" `Quick test_handler_metrics;
     Alcotest.test_case "parser: resync counter" `Quick test_parser_resync_counter;
     Alcotest.test_case "wire stack over the simulated runtime" `Quick test_wire_over_sim;
+    Alcotest.test_case "wire: a delete by another connection" `Quick
+      test_wire_other_connection_delete;
     Alcotest.test_case "socket loop meters Messages.size_of" `Quick test_loop_meter_size_of;
     Alcotest.test_case "loop listen failure closes its socket" `Quick
       test_loop_listen_failure;
