@@ -46,6 +46,10 @@ let item_schema () = Schema.create [ { Schema.name = "item"; bounds = []; master
 
 let item i = Key.make ~table:"item" ~id:(string_of_int i)
 
+(* The option a Visibility names: transaction [txid]'s [update] of [key]. *)
+let option_of ~txid ~key update =
+  { Woption.txid; key; update; write_set = [ key ]; coordinator = 1 }
+
 (* ------------------------------------------------------------------ *)
 (* The simulator                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -220,7 +224,8 @@ let visibility_section name ~committed =
       let b = bare_node () in
       let key = Key.make ~table:"item" ~id:"hot" in
       let visibility txid =
-        Messages.Visibility { txid; key; update = Update.Delta [ ("stock", -1) ]; committed }
+        Messages.Visibility
+          { woption = option_of ~txid ~key (Update.Delta [ ("stock", -1) ]); committed }
       in
       for i = 0 to 9_999 do
         b.deliver ~src:9 (visibility (Printf.sprintf "a%06d" i))
@@ -284,9 +289,9 @@ let maintenance_tick_idle ~ops =
         Network.send net ~src:1 ~dst:0
           (Messages.Visibility
              {
-               txid = Printf.sprintf "c%06d" i;
-               key = item i;
-               update = Update.Delta [ ("stock", -1) ];
+               woption =
+                 option_of ~txid:(Printf.sprintf "c%06d" i) ~key:(item i)
+                   (Update.Delta [ ("stock", -1) ]);
                committed = true;
              })
       done;
@@ -331,15 +336,10 @@ let fast_vote =
       let keys = Array.init records item in
       let vote i =
         let key = keys.(i mod records) and txid = Printf.sprintf "v%06d" i in
+        let woption = option_of ~txid ~key update in
         [|
-          [|
-            Messages.Propose
-              {
-                woption = { Woption.txid; key; update; write_set = [ key ]; coordinator = 1 };
-                route = `Fast;
-              };
-          |];
-          [| Messages.Visibility { txid; key; update; committed = true } |];
+          [| Messages.Propose { woption; route = `Fast } |];
+          [| Messages.Visibility { woption; committed = true } |];
         |]
       in
       let run = Array.iter (Array.iter deliver) in
@@ -372,10 +372,10 @@ let span_event =
           Ctx.emit stream applied
         done)
 
-(* 1,000 three-key delta commits, one after another, in [mode].  The
+(* 1,000 [keys]-key delta commits, one after another, in [mode].  The
    cluster reports to its own registry, so the counters it creates on
    first use are its own whatever ran before it. *)
-let commit_section name ~mode =
+let commit_section ?(keys = 3) name ~mode =
   let commits = 1_000 and items = 300 in
   probe name commits (fun () ->
       let engine = Engine.create ~seed:13 in
@@ -402,8 +402,8 @@ let commit_section name ~mode =
         Array.init commits (fun i ->
             Txn.make ~id:(Printf.sprintf "t%05d" i)
               ~updates:
-                (List.init 3 (fun j ->
-                     (item (((3 * i) + j) mod items), Update.Delta [ ("stock", -1) ]))))
+                (List.init keys (fun j ->
+                     (item (((keys * i) + j) mod items), Update.Delta [ ("stock", -1) ]))))
       in
       let committed = ref 0 in
       let on_outcome = function Txn.Committed -> incr committed | Txn.Aborted _ -> () in
@@ -416,6 +416,8 @@ let commit_section name ~mode =
         check name "commits" ~got:!committed ~want:commits)
 
 let fast_path_commit = commit_section "fast_path_commit" ~mode:Config.Full
+
+let fast_commit_one_key = commit_section ~keys:1 "fast_commit_one_key" ~mode:Config.Full
 
 let classic_commit = commit_section "classic_commit" ~mode:Config.Multi
 

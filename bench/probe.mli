@@ -86,6 +86,11 @@ val session_read_fresh : reads:int -> t
 
 val visibility_hot_key : t
 
+val fast_commit_one_key : t
+(** [fast_path_commit] with one key per transaction: every step sends at
+    most one message per destination, so nothing is folded into a
+    Batch.  Not a ledger section. *)
+
 (** {1 Fixtures the ceilings measure in parts} *)
 
 val sim_node : unit -> Mdcc_sim.Network.payload array -> unit

@@ -7,12 +7,11 @@ type t = {
   learn_timeout : float;
   txn_timeout : float;
   dangling_scan_every : float;
-  batching : bool;
   fast_quorum_override : int option;
 }
 
 let make ?(mode = Full) ?(gamma = 100) ?(learn_timeout = 1200.0) ?(txn_timeout = 5000.0)
-    ?(dangling_scan_every = 1000.0) ?(batching = false) ?fast_quorum_override ~replication () =
+    ?(dangling_scan_every = 1000.0) ?fast_quorum_override ~replication () =
   let module Invariant = Mdcc_util.Invariant in
   if replication < 3 then
     Invariant.violate ~context:"Config.make" "replication must be >= 3, got %d" replication;
@@ -21,7 +20,7 @@ let make ?(mode = Full) ?(gamma = 100) ?(learn_timeout = 1200.0) ?(txn_timeout =
     Invariant.violate ~context:"Config.make" "fast_quorum_override %d out of range [1, %d]" q
       replication
   | Some _ | None -> ());
-  { mode; replication; gamma; learn_timeout; txn_timeout; dangling_scan_every; batching;
+  { mode; replication; gamma; learn_timeout; txn_timeout; dangling_scan_every;
     fast_quorum_override }
 
 let classic_quorum t = Mdcc_paxos.Quorum.classic_size ~n:t.replication

@@ -24,10 +24,6 @@ type t = {
       (** ms after which a storage node treats an undecided pending option as
           a dangling transaction and starts recovery (§3.2.3) *)
   dangling_scan_every : float;  (** period of the dangling-transaction scan *)
-  batching : bool;
-      (** fold messages for the same destination node into one network
-          message (proposals and visibility notifications) — the batching
-          optimization of the paper's conclusion *)
   fast_quorum_override : int option;
       (** {b testing only}: force {!fast_quorum} to this size instead of the
           safe [ceil(3n/4)].  Exists so the chaos checker can demonstrate it
@@ -42,7 +38,6 @@ val make :
   ?learn_timeout:float ->
   ?txn_timeout:float ->
   ?dangling_scan_every:float ->
-  ?batching:bool ->
   ?fast_quorum_override:int ->
   replication:int ->
   unit ->

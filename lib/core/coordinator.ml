@@ -3,7 +3,6 @@ open Mdcc_paxos
 module Net = Mdcc_sim.Network
 module Engine = Mdcc_sim.Engine
 module Rng = Mdcc_util.Rng
-module Table = Mdcc_util.Table
 module Invariant = Mdcc_util.Invariant
 module Obs = Mdcc_obs.Obs
 
@@ -28,7 +27,7 @@ type txn_state = {
   callback : Txn.outcome -> unit;
   keys : key_state array;
   mutable undecided : int;
-  mutable timeout : Runtime.timer option;
+  mutable timeout : Runtime.timer;  (* [Runtime.no_timer] until armed *)
 }
 
 (* Who waits on a read: a [read] caller takes the row as an option, a
@@ -72,7 +71,7 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   txn_submitted : Obs.counter;  (* the per-transaction counters, resolved once *)
   fast_commit : Obs.counter;
-  mutable outbox : (int * Net.payload) list;  (* a batched broadcast, newest first *)
+  outbox : Outbox.t;  (* submit's proposals and decide's Visibilities fold here *)
 }
 
 (* How long a collision keeps steering this coordinator to the master before
@@ -83,7 +82,7 @@ let node_id t = t.id
 
 let now t = Runtime.now t.runtime
 
-let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
+let send t dst payload = Outbox.send t.outbox dst payload
 
 (* An event is built only when a consumer is live: [if live t then emit t ...]. *)
 let live t = Ctx.live t.stream
@@ -106,48 +105,19 @@ let set_hint t key = Hashtbl.replace t.hints key (now t +. hint_ttl)
 
 let route_classic t key = t.config.Config.mode = Config.Multi || hint_active t key
 
-(* Fold a broadcast into per-destination Batch messages, in ascending
-   destination order; a destination with one payload gets it bare. *)
-let send_batched t pairs =
-  let by_dst = Hashtbl.create 8 in
-  List.iter
-    (fun (dst, p) ->
-      let existing = Option.value (Hashtbl.find_opt by_dst dst) ~default:[] in
-      Hashtbl.replace by_dst dst (p :: existing))
-    pairs;
-  Table.sorted_iter ~compare:Int.compare
-    (fun dst ps ->
-      match ps with
-      | [ p ] -> send t dst p
-      | ps -> send t dst (Messages.Batch (List.rev ps)))
-    by_dst
-
-(* One message of a broadcast.  Unbatched, it goes out at once and no
-   list of (destination, payload) pairs is built; batched, it waits in
-   [t.outbox] until [flush] folds the broadcast per destination. *)
-let out t dst p =
-  if t.config.Config.batching then t.outbox <- (dst, p) :: t.outbox else send t dst p
-
-let flush t =
-  if t.config.Config.batching then begin
-    let pairs = List.rev t.outbox in
-    t.outbox <- [];
-    send_batched t pairs
-  end
-
 (* One payload record to every replica, in list order or reversed: the
    payloads are immutable, so the replicas share it. *)
-let rec out_each t p = function
+let rec send_each t p = function
   | [] -> ()
   | dst :: rest ->
-    out t dst p;
-    out_each t p rest
+    send t dst p;
+    send_each t p rest
 
-let rec out_each_rev t p = function
+let rec send_each_rev t p = function
   | [] -> ()
   | dst :: rest ->
-    out_each_rev t p rest;
-    out t dst p
+    send_each_rev t p rest;
+    send t dst p
 
 (* Settle a key's route — fast to every replica, or classic through the
    master while a collision hint is live. *)
@@ -163,11 +133,11 @@ let route_proposal t (ks : key_state) =
 let propose t (ks : key_state) =
   let w = ks.woption in
   if ks.redirected then
-    out t (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
-  else out_each t (Messages.Propose { woption = w; route = `Fast }) ks.replicas
+    send t (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
+  else send_each t (Messages.Propose { woption = w; route = `Fast }) ks.replicas
 
 let decide t (ts : txn_state) =
-  (match ts.timeout with Some h -> Runtime.cancel_timer t.runtime h | None -> ());
+  Runtime.cancel_timer t.runtime ts.timeout;
   Hashtbl.remove t.txns ts.txn.Txn.id;
   let committed = ref true and commutative = ref true and pure_fast = ref true in
   for i = 0 to Array.length ts.keys - 1 do
@@ -193,21 +163,15 @@ let decide t (ts : txn_state) =
   | Txn.Aborted _ -> Obs.incr t.obs "abort_conflict");
   if live t then emit t (Event.Decided { txid = ts.txn.Txn.id; outcome });
   (* Asynchronous Learned/Visibility notification: execute or void every
-     option; correctness does not depend on its timing (§3.2.1).  Keys go
-     out in descending order, each key's replicas in reverse. *)
+     option; correctness does not depend on its timing (§3.2.1).  Keys are
+     queued in descending order, each key's replicas in reverse, and fold
+     into one message per replica. *)
+  Outbox.enter t.outbox;
   for i = Array.length ts.keys - 1 downto 0 do
     let ks = ts.keys.(i) in
-    out_each_rev t
-      (Messages.Visibility
-         {
-           txid = ts.txn.Txn.id;
-           key = ks.woption.Woption.key;
-           update = ks.woption.Woption.update;
-           committed;
-         })
-      ks.replicas
+    send_each_rev t (Messages.Visibility { woption = ks.woption; committed }) ks.replicas
   done;
-  flush t;
+  Outbox.leave t.outbox;
   ts.callback outcome
 
 (* Learned outcomes, allocated once. *)
@@ -319,18 +283,17 @@ let on_redirect t txid key master =
 let rec arm_timeout t (ts : txn_state) =
   let jitter = Rng.float t.rng 100.0 in
   ts.timeout <-
-    Some
-      (Runtime.set_timer t.runtime ~after:(t.config.Config.learn_timeout +. jitter) (fun () ->
-           if Hashtbl.mem t.txns ts.txn.Txn.id then begin
-             Array.iter
-               (fun ks ->
-                 if ks.learned = None then begin
-                   Obs.incr t.obs "timeout_recovery";
-                   start_recovery_for t ks
-                 end)
-               ts.keys;
-             arm_timeout t ts
-           end))
+    Runtime.set_timer t.runtime ~after:(t.config.Config.learn_timeout +. jitter) (fun () ->
+        if Hashtbl.mem t.txns ts.txn.Txn.id then begin
+          Array.iter
+            (fun ks ->
+              if ks.learned = None then begin
+                Obs.incr t.obs "timeout_recovery";
+                start_recovery_for t ks
+              end)
+            ts.keys;
+          arm_timeout t ts
+        end)
 
 let new_slot t (txn : Txn.t) write_set (key, update) =
   let woption = { Woption.txid = txn.Txn.id; key; update; write_set; coordinator = t.id } in
@@ -368,23 +331,24 @@ let submit t txn callback =
     Runtime.spawn t.runtime (fun () -> callback Txn.Committed)
   else begin
     let keys = slots t txn in
-    let ts = { txn; callback; keys; undecided = Array.length keys; timeout = None } in
+    let ts = { txn; callback; keys; undecided = Array.length keys; timeout = Runtime.no_timer } in
     Hashtbl.replace t.txns txn.Txn.id ts;
     Obs.bump t.txn_submitted;
     if live t then emit t (Event.Submitted txn);
-    (* Establish the causal trace context: every Propose (and every message
-       it triggers in turn) carries this transaction's id, which both
-       runtimes propagate and the bench tracer attributes time to. *)
-    Net.with_trace_context (Some txn.Txn.id) (fun () ->
-        (* Routes and their spans are settled in key order; the proposals
-           then go out in descending key order. *)
-        for i = 0 to Array.length keys - 1 do
-          route_proposal t keys.(i)
-        done;
-        for i = Array.length keys - 1 downto 0 do
-          propose t keys.(i)
-        done;
-        flush t);
+    (* Routes and their spans are settled in key order; the proposals
+       are then queued in descending key order and leave folded into one
+       message per destination under the transaction's trace context:
+       every Propose (and every message it triggers in turn) carries its
+       id, which both runtimes propagate and the bench tracer attributes
+       time to. *)
+    for i = 0 to Array.length keys - 1 do
+      route_proposal t keys.(i)
+    done;
+    Outbox.enter t.outbox;
+    for i = Array.length keys - 1 downto 0 do
+      propose t keys.(i)
+    done;
+    Net.apply_with_trace_context (Some txn.Txn.id) Outbox.leave t.outbox;
     arm_timeout t ts
   end
 
@@ -486,8 +450,13 @@ let on_read_reply t rid acceptor key value version exists =
 
 let rec handle t ~src payload =
   match payload with
-  | Messages.Batch items -> List.iter (handle t ~src) items
-  | Messages.Phase2b_fast { key; txid; decision; acceptor } -> on_vote t txid key acceptor decision
+  | Messages.Batch items ->
+    (* Not one step: a decide among the items runs its callback, which
+       may submit the next transaction, and that submit's proposals must
+       leave under its own trace context, not wait for this Batch. *)
+    handle_each t ~src items
+  | Messages.Phase2b_fast { woption; decision } ->
+    on_vote t woption.Woption.txid woption.Woption.key src decision
   | Messages.Learned { key; txid; decision } -> on_learned t txid key decision
   | Messages.Redirect { key; txid; master; classic_until = _ } -> on_redirect t txid key master
   | Messages.Read_reply { rid; key; value; version; exists } ->
@@ -501,6 +470,12 @@ let rec handle t ~src payload =
   | Messages.Catchup _ | Messages.Sync_request _ | Messages.Sync_reply _
   | Messages.Read_request _ | Messages.Scan_request _ | Messages.Scan_reply _ -> ()
   | _ -> ()
+
+and handle_each t ~src = function
+  | [] -> ()
+  | item :: rest ->
+    handle t ~src item;
+    handle_each t ~src rest
 
 let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.make ())
     () =
@@ -523,7 +498,7 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       stream = Ctx.stream ctx runtime ~node:node_id;
       txn_submitted = Obs.counter obs "txn_submitted";
       fast_commit = Obs.counter obs "fast_commit";
-      outbox = [];
+      outbox = Outbox.create runtime ~src:node_id;
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

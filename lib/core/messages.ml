@@ -48,15 +48,10 @@ type Mdcc_sim.Network.payload +=
       ballot : Ballot.t;
       ok : bool;
     }
-  | Phase2b_fast of {
-      key : Key.t;
-      txid : Txn.id;
-      decision : Woption.decision;
-      acceptor : int;
-    }
+  | Phase2b_fast of { woption : Woption.t; decision : Woption.decision }
   | Learned of { key : Key.t; txid : Txn.id; decision : Woption.decision }
   | Redirect of { key : Key.t; txid : Txn.id; master : int; classic_until : int }
-  | Visibility of { txid : Txn.id; key : Key.t; update : Update.t; committed : bool }
+  | Visibility of { woption : Woption.t; committed : bool }
   | Start_recovery of { key : Key.t; woption : Woption.t }
   | Status_query of { txid : Txn.id; key : Key.t }
   | Status_reply of { txid : Txn.id; key : Key.t; status : status; acceptor : int }
@@ -135,11 +130,12 @@ let rec size_of payload =
     key_bytes key + 13 + woption_bytes woption
     + (match rebase with Some r -> rebase_bytes r | None -> 0)
   | Phase2b_master { key; txid; _ } -> key_bytes key + String.length txid + 10
-  | Phase2b_fast { key; txid; _ } -> key_bytes key + String.length txid + 5
+  | Phase2b_fast { woption; _ } ->
+    key_bytes woption.Woption.key + String.length woption.Woption.txid + 1
   | Learned { key; txid; _ } -> key_bytes key + String.length txid + 1
   | Redirect { key; txid; _ } -> key_bytes key + String.length txid + 8
-  | Visibility { txid; key; update; _ } ->
-    String.length txid + key_bytes key + update_bytes update + 1
+  | Visibility { woption = w; _ } ->
+    String.length w.Woption.txid + key_bytes w.Woption.key + update_bytes w.Woption.update + 1
   | Start_recovery { key; woption } -> key_bytes key + woption_bytes woption
   | Status_query { txid; key } -> String.length txid + key_bytes key
   | Status_reply { txid; key; status; _ } ->

@@ -11,11 +11,16 @@
     {- [Phase1a]/[Phase1b] — master establishing a classic ballot;}
     {- [Phase2a]/[Phase2b_master] — master-ordered classic acceptance;}
     {- [Phase2b_fast] — acceptor's direct answer to a fast proposal, sent
-       straight to the learning app-server (master bypass);}
+       straight to the learning app-server (master bypass).  It names the
+       option voted on, whose transaction id and key identify it (only they
+       count towards its size), and the vote counts for the message's
+       sender;}
     {- [Learned] — master informing the app-server of a classic outcome;}
     {- [Redirect] — acceptor telling a fast proposer the record currently
        runs classic ballots (fast-policy γ window) and who the master is;}
-    {- [Visibility] — app-server executing / voiding learned options;}
+    {- [Visibility] — app-server executing / voiding a learned option; it
+       names the option, of which its transaction id, key and update count
+       towards its size;}
     {- [Start_recovery] — anybody asking a master to resolve a collision;}
     {- [Status_query]/[Status_reply] — dangling-transaction recovery reading
        a quorum of option logs;}
@@ -84,20 +89,10 @@ type Mdcc_sim.Network.payload +=
       ballot : Ballot.t;
       ok : bool;
     }
-  | Phase2b_fast of {
-      key : Key.t;
-      txid : Txn.id;
-      decision : Woption.decision;
-      acceptor : int;
-    }
+  | Phase2b_fast of { woption : Woption.t; decision : Woption.decision }
   | Learned of { key : Key.t; txid : Txn.id; decision : Woption.decision }
   | Redirect of { key : Key.t; txid : Txn.id; master : int; classic_until : int }
-  | Visibility of {
-      txid : Txn.id;
-      key : Key.t;
-      update : Update.t;
-      committed : bool;
-    }
+  | Visibility of { woption : Woption.t; committed : bool }
   | Start_recovery of { key : Key.t; woption : Woption.t }
   | Status_query of { txid : Txn.id; key : Key.t }
   | Status_reply of { txid : Txn.id; key : Key.t; status : status; acceptor : int }
@@ -110,8 +105,9 @@ type Mdcc_sim.Network.payload +=
   | Read_reply of { rid : int; key : Key.t; value : Value.t; version : int; exists : bool }
   | Batch of Mdcc_sim.Network.payload list
       (** several protocol messages for the same destination folded into one
-          network message — the batching optimization the paper's
-          conclusion proposes to reduce message overhead *)
+          network message, handled in list order — the batching
+          optimization the paper's conclusion proposes to reduce message
+          overhead.  {!Outbox} builds them. *)
   | Sync_request of { entries : (Key.t * int * int) list }
       (** anti-entropy probe: "here are my (version, applied-set digest)
           pairs for these keys; send me a [Catchup] for any you know to be

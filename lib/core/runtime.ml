@@ -58,6 +58,8 @@ let every t ~period f =
     Mdcc_util.Invariant.violate ~context:"Runtime.every" "period %g is not > 0" period;
   t.r_every ~period f
 
+let no_timer : timer = ignore
+
 let cancel_timer _t (cancel : timer) = cancel ()
 
 let spawn t f = t.r_spawn f

@@ -23,6 +23,10 @@
 type timer
 (** A cancellable pending timer (a protocol timeout). *)
 
+val no_timer : timer
+(** A timer never armed: cancelling it does nothing.  It stands for a
+    timeout not set yet, so a holder needs no option. *)
+
 type t
 
 val make :

@@ -124,7 +124,24 @@ let read ?(level = `Session) t key callback =
             read_majority_fresh t key callback ~sent:1
           end)
 
+(* The version floor of each Insert of [updates]: an Insert lands on a
+   row absent when it applies, so above every version of the key the
+   session knew of before submitting.  A transaction with no Insert
+   allocates nothing here. *)
+let rec insert_floors t = function
+  | [] -> []
+  | (key, Update.Insert _) :: rest -> (key, watermark t key + 1) :: insert_floors t rest
+  | (_, (Update.Physical _ | Update.Delete _ | Update.Read_guard _ | Update.Delta _)) :: rest ->
+    insert_floors t rest
+
+let rec observe_floors t = function
+  | [] -> ()
+  | (key, floor) :: rest ->
+    observe t key floor;
+    observe_floors t rest
+
 let submit t txn callback =
+  let floors = insert_floors t txn.Txn.updates in
   Coordinator.submit t.coordinator txn (fun outcome ->
       (match outcome with
       | Txn.Committed ->
@@ -137,13 +154,12 @@ let submit t txn callback =
             | Update.Delete { vread } ->
               observe t key (vread + 1);
               Key.Tbl.replace t.absent key ()
-            | Update.Insert _ ->
-              observe t key 1;
-              Key.Tbl.remove t.absent key
+            | Update.Insert _ -> Key.Tbl.remove t.absent key
             | Update.Read_guard { vread } -> observe t key vread
             | Update.Delta _ ->
               Key.Tbl.replace t.dirty key ();
               Key.Tbl.remove t.absent key)
-          txn.Txn.updates
+          txn.Txn.updates;
+        observe_floors t floors
       | Txn.Aborted _ -> ());
       callback outcome)

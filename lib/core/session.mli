@@ -76,7 +76,19 @@ val read :
 val submit : t -> Txn.t -> (Txn.outcome -> unit) -> unit
 (** {!Coordinator.submit}, additionally advancing the watermarks of the
     written keys when the transaction commits, and recording which of
-    them it deleted. *)
+    them it deleted.
+
+    A physical write or a delete sets the key's watermark to its read
+    version + 1, the version it writes.  An [Insert] carries no read
+    version: it lands on whatever row is absent when it applies, a
+    tombstone's version + 1.  The session raises the watermark to one
+    above the watermark it held at submission, so a later [`Session]
+    read never answers a row the session had already seen, nor the
+    tombstone of its own delete.  An [Insert] on a key the session never
+    read nor wrote is only known to reach version 1: if another session
+    had deleted the key, a replica still holding that tombstone meets the
+    watermark and is answered.  Read the key before inserting to close
+    that gap. *)
 
 val watermark : t -> Key.t -> int
 (** The session's current lower bound for the key's version (0 if never

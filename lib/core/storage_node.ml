@@ -100,6 +100,7 @@ type t = {
   stale_walk : Key.t -> Rstate.t -> unit;
       (* raises [Key.Tbl.Found] on a record with an option past the
          timeout at [scan_now]; built once in [create] *)
+  outbox : Outbox.t;  (* the sends of a Batch's items fold here *)
 }
 
 let node_id t = t.id
@@ -218,7 +219,7 @@ let mstate t key =
 
 let bounds t key = Schema.bounds_of t.schema key
 
-let send t dst payload = Runtime.send t.runtime ~src:t.id ~dst payload
+let send t dst payload = Outbox.send t.outbox dst payload
 
 (* Send [payload] to every replica in the list, in order, except that this
    node runs [local] in its own place instead of messaging itself. *)
@@ -248,9 +249,7 @@ let count_verdict t reason =
 (* ------------------------------------------------------------------ *)
 
 let fast_reply t (w : Woption.t) decision =
-  send t w.Woption.coordinator
-    (Messages.Phase2b_fast
-       { key = w.Woption.key; txid = w.Woption.txid; decision; acceptor = t.id })
+  send t w.Woption.coordinator (Messages.Phase2b_fast { woption = w; decision })
 
 (* Answer a fast (master-bypassing) proposal: SetCompatible + promise to the
    first proposer, or a redirect while the record runs classic ballots. *)
@@ -482,9 +481,10 @@ let slot_of tr key = Array.find_opt (fun s -> Key.equal s.key key) tr.tx_slots
    rejected, and a committed Visibility carrying it is refused. *)
 let unknown_update = Update.Physical { vread = -1; value = Value.empty }
 
-(* Seal an instance for an option no replica has ever seen, which makes the
-   abort durable. *)
-let synthetic_reject_option t tr key =
+(* The option of [key] when no replica has ever reported it: proposed, it
+   seals the instance and makes the abort durable; in a Visibility, it
+   voids the key or, committed, is refused. *)
+let unknown_option t tr key =
   {
     Woption.txid = tr.tx_id;
     key;
@@ -928,7 +928,7 @@ and evaluate_txn_recovery t tr =
            && Quorum.Tally.replies s.heard >= qc t
         then begin
           s.asked <- true;
-          let w = match s.opt with Some w -> w | None -> synthetic_reject_option t tr s.key in
+          let w = match s.opt with Some w -> w | None -> unknown_option t tr s.key in
           let master = t.master_of s.key in
           if master = t.id then master_propose t w ~notify:[ t.id ]
           else send t master (Messages.Start_recovery { key = s.key; woption = w })
@@ -940,10 +940,10 @@ and finish_txn_recovery t tr committed =
   if live t then emit t (Event.Txn_recovery_finished { txid = tr.tx_id; committed });
   Array.iter
     (fun s ->
-      let update = match s.opt with Some w -> w.Woption.update | None -> unknown_update in
+      let w = match s.opt with Some w -> w | None -> unknown_option t tr s.key in
       fan_out t
-        (Messages.Visibility { txid = tr.tx_id; key = s.key; update; committed })
-        (fun () -> visibility t tr.tx_id s.key update committed)
+        (Messages.Visibility { woption = w; committed })
+        (fun () -> visibility t tr.tx_id s.key w.Woption.update committed)
         (t.replicas s.key))
     tr.tx_slots
 
@@ -1111,7 +1111,16 @@ let sync_repair t ~src key theirs =
 
 let rec handle t ~src payload =
   match payload with
-  | Messages.Batch items -> List.iter (handle t ~src) items
+  | Messages.Batch items -> (
+    (* One step: what the items send goes out folded per destination, so
+       the votes on a batch of proposals return as one message.  Sends
+       made before an exception still leave, as they would unfolded. *)
+    Outbox.enter t.outbox;
+    match handle_each t ~src items with
+    | () -> Outbox.leave t.outbox
+    | exception e ->
+      Outbox.leave t.outbox;
+      raise e)
   | Messages.Sync_request { entries } ->
     (* Anti-entropy: answer with the committed state of any key where we are
        ahead of the prober, and ask for theirs where we are behind.  At
@@ -1157,7 +1166,8 @@ let rec handle t ~src payload =
   | Messages.Phase2b_master { key; txid; ballot; ok } ->
     master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
-  | Messages.Visibility { txid; key; update; committed } -> visibility t txid key update committed
+  | Messages.Visibility { woption = w; committed } ->
+    visibility t w.Woption.txid w.Woption.key w.Woption.update committed
   | Messages.Start_recovery { key = _; woption } -> master_propose t woption ~notify:[ src ]
   | Messages.Status_query { txid; key } -> status_query t ~src txid key
   | Messages.Status_reply { txid; key; status; acceptor } ->
@@ -1176,6 +1186,12 @@ let rec handle t ~src payload =
   | Messages.Phase2b_fast _ | Messages.Redirect _ | Messages.Read_reply _
   | Messages.Scan_request _ | Messages.Scan_reply _ -> ()
   | _ -> ()
+
+and handle_each t ~src = function
+  | [] -> ()
+  | item :: rest ->
+    handle t ~src item;
+    handle_each t ~src rest
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.make ()) () =
   let obs = ctx.Ctx.obs and scan_now = { Mdcc_sim.Engine.time = 0.0 } in
@@ -1213,6 +1229,7 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
         (fun _ (rs : Rstate.t) ->
           if Rstate.any_older rs ~now:scan_now config.Config.txn_timeout then
             raise_notrace Key.Tbl.Found);
+      outbox = Outbox.create runtime ~src:node_id;
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

@@ -35,17 +35,19 @@ let ctx_key : ctx_cell Domain.DLS.key =
 
 let trace_context () = (Domain.DLS.get ctx_key).ctx
 
-let with_trace_context ctx f =
+let apply_with_trace_context ctx f x =
   let cell = Domain.DLS.get ctx_key in
   let saved = cell.ctx in
   cell.ctx <- ctx;
-  match f () with
+  match f x with
   | v ->
     cell.ctx <- saved;
     v
   | exception e ->
     cell.ctx <- saved;
     raise e
+
+let with_trace_context ctx f = apply_with_trace_context ctx f ()
 
 (* [with_trace_context] for a message handler, inline: a closure around
    the call and a [Fun.protect] record would cost words per delivery. *)

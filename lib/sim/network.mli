@@ -114,6 +114,10 @@ val with_trace_context : string option -> (unit -> 'a) -> 'a
     payload change.  The previous context is restored when [f] returns or
     raises.  Exact in the single-threaded simulator. *)
 
+val apply_with_trace_context : string option -> ('a -> 'b) -> 'a -> 'b
+(** [apply_with_trace_context ctx f x] is [with_trace_context ctx (fun ()
+    -> f x)] without the closure. *)
+
 val trace_context : unit -> string option
 (** The transaction id attributed to the current execution, if any. *)
 

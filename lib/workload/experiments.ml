@@ -481,43 +481,6 @@ let ablation_replication ?(quick = false) ?(jobs = 1) ~obs () =
     "  n=3 needs ALL replicas for a fast quorum (no fast-path slack); n=5 tolerates one slow/failed DC.\n";
   results
 
-(* ------------------------------------------------------------------ *)
-(* Ablation: message batching                                           *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_batching ?(quick = false) ?(jobs = 1) ~obs () =
-  let scale = scale_of quick in
-  progress "[ablation-batching] running batching on/off...";
-  let results =
-    par_map ~jobs ~into:obs [ false; true ] ~f:(fun ~obs batching ->
-        let config =
-          Mdcc_core.Config.make ~mode:Mdcc_core.Config.Full ~batching ~replication:5 ()
-        in
-        let cluster, metrics =
-          run_mdcc_micro scale ~params:(micro_params Setup.Mdcc scale)
-            ~spec:(Mdcc_core.Cluster.Spec.make ~partitions:scale.partitions ())
-            ~config ~clients_per_dc:(even_spread ~num_dcs:5 scale.clients) ~obs
-        in
-        let sent = (Mdcc_sim.Network.stats (Mdcc_core.Cluster.network cluster)).Mdcc_sim.Network.sent in
-        let commits = Metrics.commit_count metrics in
-        let median = match Metrics.summary metrics with Some s -> s.Stats.p50 | None -> 0.0 in
-        (batching, sent, commits, median))
-  in
-  Printf.printf "\n== Ablation: message batching (micro, MDCC) ==\n";
-  Table.print
-    ~headers:[ "batching"; "messages"; "commits"; "msgs/commit"; "median(ms)" ]
-    (List.map
-       (fun (b, sent, commits, median) ->
-         [
-           string_of_bool b;
-           string_of_int sent;
-           string_of_int commits;
-           Table.fms (Float.of_int sent /. Float.of_int (Stdlib.max 1 commits));
-           Table.fms median;
-         ])
-       results);
-  results
-
 type 'a driver = ?quick:bool -> ?jobs:int -> obs:Obs.t -> unit -> 'a
 
 type experiment = { id : string; doc : string; run : unit driver }
@@ -534,7 +497,6 @@ let all =
     experiment "fig7" "response-time boxplots vs. master locality" fig7;
     experiment "fig8" "latency time-series across a data-center outage" fig8;
     experiment "gamma" "ablation: sensitivity to the fast-policy window gamma" ablation_gamma;
-    experiment "batching" "ablation: message batching overhead reduction" ablation_batching;
     experiment "replication" "ablation: replication factor / quorum sizes" ablation_replication;
   ]
 

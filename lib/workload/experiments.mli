@@ -67,11 +67,6 @@ val ablation_gamma : (int * (int * int * float)) list driver
 (** Per γ: (commits, aborts, median latency) on the contended micro
     workload. *)
 
-val ablation_batching : (bool * int * int * float) list driver
-(** Per batching setting: (messages sent, commits, median latency) on the
-    uniform micro workload — the message-overhead optimization from the
-    paper's conclusion. *)
-
 val ablation_replication : (int * int * float) list driver
 (** Per replication factor (3 vs. 5 data centers): (commits, median
     latency).  DESIGN.md's quorum-size ablation: with n=3 the fast quorum

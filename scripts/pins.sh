@@ -71,9 +71,9 @@ quick)
   # The checker's verdict on every run known to violate.  Fixing the
   # promise bug, the liveness case and the demarcation breach (ROADMAP
   # items 1, 3 and 4) moves these.
-  pin "report latency_surge 106" -- "$chaos" replay --seed 106 --scenario latency_surge
+  pin "report latency_surge 119" -- "$chaos" replay --seed 119 --scenario latency_surge
   pin "report random 61" -- "$chaos" replay --seed 61 --scenario random
-  pin "report random 291 (liveness)" -- "$chaos" replay --seed 291 --scenario random
+  pin "report random 462 (liveness)" -- "$chaos" replay --seed 462 --scenario random
   pin "report clean 10, plant-bug 3" -- \
     "$chaos" replay --seed 10 --scenario clean --plant-bug 3
   pin "report deltas, 1 item, 100 txns, seed 21 (demarcation)" -- \
@@ -88,8 +88,8 @@ full)
   pin "demo trace" -- "$experiments" demo --trace
   pin "sweep 2 items" obs.json -- \
     "$chaos" sweep --seeds 30 --items 2 --txns 120 --jobs 2 --json --obs-out obs.json
-  pin "replay latency_surge 106" -- \
-    "$chaos" replay --seed 106 --scenario latency_surge --trace
+  pin "replay latency_surge 119" -- \
+    "$chaos" replay --seed 119 --scenario latency_surge --trace
   pin "planted bug 3, jobs 1" -- \
     "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 1
   pin "planted bug 3, jobs 2" -- \

@@ -66,6 +66,19 @@ let scripted_runtime ?(record = true) ?trace () =
   in
   { runtime; deliver = (fun ~src payload -> !handler ~src payload); drain; clock; timers }
 
+(* Transaction [txid]'s option of [key], standing alone in its write-set. *)
+let option_of ?(update = Update.Delta []) ~txid key =
+  { Mdcc_core.Woption.txid; key; update; write_set = [ key ]; coordinator = 9 }
+
+(* A fast vote on [txid]'s option for [key], as a coordinator receives
+   it: only the option's transaction id and key are read. *)
+let fast_vote ~key ~txid decision =
+  Mdcc_core.Messages.Phase2b_fast { woption = option_of ~txid key; decision }
+
+(* [txid]'s Visibility of [update] on [key]. *)
+let visibility ~txid ~key update committed =
+  Mdcc_core.Messages.Visibility { woption = option_of ~update ~txid key; committed }
+
 (* The strict form: nothing recorded, no tracing, and a trace line fails
    the test. *)
 let silent_runtime () = scripted_runtime ~record:false ()

@@ -45,6 +45,16 @@ let test_hot_visibility_constant () =
   let w = per_op Probe.visibility_hot_key in
   if w > 16.0 then Alcotest.failf "a hot-record visibility allocated %.2f words" w
 
+(* A single-key fast commit on the simulated cluster: every step sends at
+   most one message per destination, so the outbox folds nothing and adds
+   nothing.  212.8 words a commit; 231.8 before the votes and Visibilities
+   named their option instead of copying its key and transaction id, and
+   before the learn timeout and the proposals' trace context stopped
+   allocating an option and a closure. *)
+let test_single_key_commit () =
+  let w = per_op Probe.fast_commit_one_key in
+  if w > 213.0 then Alcotest.failf "a single-key fast commit allocated %.2f words" w
+
 let test_size_of_allocates_nothing () =
   let row = Value.of_list [ ("stock", Value.Int 9); ("name", Value.Str "widget") ] in
   let w =
@@ -68,7 +78,7 @@ let test_size_of_allocates_nothing () =
     [
       ("propose", Messages.Propose { woption = w; route = `Fast });
       ( "visibility",
-        Messages.Visibility { txid = "txn17"; key; update = w.Woption.update; committed = true } );
+        Messages.Visibility { woption = w; committed = true } );
     ]
 
 (* Every record holds a young pending option, so the node is not idle
@@ -274,12 +284,11 @@ let test_fast_vote_arrival () =
       ignore;
     (* Three of five: below the fast quorum of four. *)
     for acceptor = 0 to 2 do
-      votes :=
-        Messages.Phase2b_fast { key; txid; decision = Woption.Accepted; acceptor } :: !votes
+      votes := (acceptor, Helpers.fast_vote ~key ~txid Woption.Accepted) :: !votes
     done
   done;
   let votes = Array.of_list (List.rev !votes) in
-  let w = words (fun () -> Array.iter (fun v -> deliver ~src:0 v) votes) in
+  let w = words (fun () -> Array.iter (fun (src, v) -> deliver ~src v) votes) in
   let per_vote = w /. Float.of_int (Array.length votes) in
   if per_vote > 2.0 then Alcotest.failf "a fast vote allocated %.2f words" per_vote;
   Alcotest.(check int) "nothing decided" txns (Mdcc_core.Coordinator.inflight coord)
@@ -298,10 +307,9 @@ let decide_words ?(txid = fun i -> Printf.sprintf "d%03d" i) consumer =
           (Txn.make ~id:txid ~updates:[ (key, Update.Delta [ ("stock", -1) ]) ])
           ignore;
         for acceptor = 0 to 2 do
-          deliver ~src:acceptor
-            (Messages.Phase2b_fast { key; txid; decision = Woption.Accepted; acceptor })
+          deliver ~src:acceptor (Helpers.fast_vote ~key ~txid Woption.Accepted)
         done;
-        Messages.Phase2b_fast { key; txid; decision = Woption.Accepted; acceptor = 3 })
+        Helpers.fast_vote ~key ~txid Woption.Accepted)
   in
   let w = words (fun () -> Array.iter (fun v -> deliver ~src:3 v) deciding) in
   Alcotest.(check int) "all decided" 0 (Mdcc_core.Coordinator.inflight coord);
@@ -348,8 +356,7 @@ let node_words ?(txid = fun i -> Printf.sprintf "n%03d" i) ?(id = string_of_int)
   let visibilities =
     Array.map
       (fun (w : Woption.t) ->
-        Messages.Visibility
-          { txid = w.Woption.txid; key = w.Woption.key; update; committed = true })
+        Messages.Visibility { woption = { w with Woption.update }; committed = true })
       opts
   in
   (* The first message to a record creates its state; warm every record
@@ -370,14 +377,17 @@ let node_words ?(txid = fun i -> Printf.sprintf "n%03d" i) ?(id = string_of_int)
 (* With no consumer — tracing off, spans off, no history — the protocol
    steps allocate no more than they did before the event stream existed
    (the storage node's figures), or within 5 % of their measured cost
-   (the coordinator's decide, 6.2 words, and 3-key submit, 117.0). *)
+   (the coordinator's decide, 4.2 words, and 3-key submit, 106.8: the
+   three keys share their five replicas, so the proposals leave as one
+   Batch record, a 3-word block over three list cells, that all five
+   replicas receive). *)
 let test_no_consumer () =
   let ceiling name limit w =
     if w > limit then Alcotest.failf "%s allocated %.2f words (ceiling %.2f)" name w limit
   in
   let vote, vis = node_words `None in
-  ceiling "coordinator decide" 6.5 (decide_words `None);
-  ceiling "coordinator submit of 3 keys" 122.0 (submit_words `None);
+  ceiling "coordinator decide" 4.5 (decide_words `None);
+  ceiling "coordinator submit of 3 keys" 112.0 (submit_words `None);
   ceiling "storage-node fast vote" 17.08 vote;
   ceiling "storage-node visibility" 30.2 vis
 
@@ -433,8 +443,7 @@ let phase2a (w : Woption.t) =
       decision = Woption.Accepted; classic_until = 0; rebase = None }
 
 let commit (w : Woption.t) =
-  Messages.Visibility
-    { txid = w.Woption.txid; key = w.Woption.key; update = delta; committed = true }
+  Messages.Visibility { woption = { w with Woption.update = delta }; committed = true }
 
 (* A vote takes a released vote from the node's pool and stamps its time
    into the vote's own cell: once the records are warm and an earlier
@@ -552,6 +561,7 @@ let suite =
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
     Alcotest.test_case "hot-record visibility is O(1)" `Quick test_hot_visibility_constant;
+    Alcotest.test_case "a single-key fast commit folds nothing" `Quick test_single_key_commit;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;
     Alcotest.test_case "idle maintenance scan is constant" `Quick test_idle_scan_constant;
     Alcotest.test_case "idle maintenance tick allocates nothing" `Quick

@@ -177,9 +177,10 @@ let test_modes_conflict mode =
 (* A 5-key transaction at a bare coordinator: the write-set is listed out
    of key order, and the fast votes arrive key by key.  Each proposal
    carries one update's option, naming the transaction, the coordinator
-   and the whole write-set.  It decides only when the last key learns;
-   proposals and Visibility go out in descending key order, each key's
-   Visibility to its replicas in reverse. *)
+   and the whole write-set.  It decides only when the last key learns.
+   The keys share their replicas, so proposals and Visibilities each go
+   out as one Batch per replica, its items in descending key order:
+   proposals to the replicas in order, Visibilities in reverse. *)
 let test_five_keys_decide_when_all_learned () =
   let module Messages = Mdcc_core.Messages in
   let module Woption = Mdcc_core.Woption in
@@ -198,24 +199,30 @@ let test_five_keys_decide_when_all_learned () =
        ~updates:(List.map (fun i -> (item i, Update.Delta [ ("stock", -1) ])) ids))
     (fun o -> outcome := Some o);
   let write_set = List.map item ids in
-  let proposals =
-    List.filter_map
+  (* Each send as its destination and the key ids of its Batch. *)
+  let batches f =
+    List.map
       (fun (dst, p) ->
         match p with
-        | Messages.Propose { woption = w; _ } ->
-          Alcotest.(check string) "txid" "five" w.Woption.txid;
-          Alcotest.(check int) "coordinator" 9 w.Woption.coordinator;
-          Alcotest.(check bool) "whole write-set, in update order" true
-            (List.equal Key.equal write_set w.Woption.write_set);
-          Alcotest.(check bool) "commutative" true (Woption.is_commutative w);
-          Some (w.Woption.key.Key.id, dst)
-        | _ -> None)
+        | Messages.Batch items -> (dst, List.map f items)
+        | _ -> Alcotest.fail "a bare payload where a Batch was due")
       (drain ())
   in
+  let proposals =
+    batches (function
+      | Messages.Propose { woption = w; _ } ->
+        Alcotest.(check string) "txid" "five" w.Woption.txid;
+        Alcotest.(check int) "coordinator" 9 w.Woption.coordinator;
+        Alcotest.(check bool) "whole write-set, in update order" true
+          (List.equal Key.equal write_set w.Woption.write_set);
+        Alcotest.(check bool) "commutative" true (Woption.is_commutative w);
+        w.Woption.key.Key.id
+      | _ -> Alcotest.fail "not a proposal")
+  in
   let descending = [ "4"; "3"; "2"; "1"; "0" ] in
-  Alcotest.(check (list (pair string int)))
-    "proposals: descending keys, replicas in order"
-    (List.concat_map (fun id -> List.map (fun r -> (id, r)) replicas) descending)
+  Alcotest.(check (list (pair int (list string))))
+    "proposals: one Batch per replica in order, keys descending"
+    (List.map (fun r -> (r, descending)) replicas)
     proposals;
   List.iteri
     (fun n i ->
@@ -223,23 +230,19 @@ let test_five_keys_decide_when_all_learned () =
       List.iter
         (fun acceptor ->
           deliver ~src:acceptor
-            (Messages.Phase2b_fast
-               { key = item i; txid = "five"; decision = Woption.Accepted; acceptor }))
+            (Helpers.fast_vote ~key:(item i) ~txid:"five" Woption.Accepted))
         [ 4; 2; 0; 1 ])
     ids;
   check_commit "decided when every key learned" (Option.get !outcome);
   Alcotest.(check int) "no longer in flight" 0 (Coordinator.inflight c);
   let visibility =
-    List.filter_map
-      (fun (dst, p) ->
-        match p with
-        | Messages.Visibility { key; committed = true; _ } -> Some (key.Key.id, dst)
-        | _ -> None)
-      (drain ())
+    batches (function
+      | Messages.Visibility { woption = w; committed = true } -> w.Woption.key.Key.id
+      | _ -> Alcotest.fail "not a committed Visibility")
   in
-  Alcotest.(check (list (pair string int)))
-    "visibility: descending keys, replicas reversed"
-    (List.concat_map (fun id -> List.map (fun r -> (id, r)) (List.rev replicas)) descending)
+  Alcotest.(check (list (pair int (list string))))
+    "visibility: one Batch per replica reversed, keys descending"
+    (List.map (fun r -> (r, descending)) (List.rev replicas))
     visibility
 
 (* A fast quorum is 4 of 5.  Votes count by replica position, so a
@@ -261,8 +264,7 @@ let test_fast_votes_count_once () =
     (fun o -> outcome := Some o);
   ignore (drain ());
   let vote acceptor decision =
-    deliver ~src:acceptor
-      (Messages.Phase2b_fast { key = item 0; txid = "dup"; decision; acceptor })
+    deliver ~src:acceptor (Helpers.fast_vote ~key:(item 0) ~txid:"dup" decision)
   in
   let recoveries () =
     List.length

@@ -171,21 +171,24 @@ let test_session_read_stale_by_message () =
   Alcotest.(check int) "one stale upgrade" 1 (counter "session_read_stale_upgrade");
   Alcotest.(check int) "nothing answered co-located" 0 (counter "session_read_colocated")
 
-(* DC 0's app server over a runtime that holds back every Visibility bound
-   for DC 0's replica of [item 0] and its two nearest peers (DC 1 and
-   DC 4) by [delay] ms ([infinity]: never delivered).  Those three are the
-   first classic quorum to answer DC 0's majority read. *)
-let late_visibility_deployment ~delay =
+(* DC 0's app server and a session on it, over a runtime that, while
+   [held] is set, holds back every Visibility bound for DC 0's replica of
+   [item 0] and its two nearest peers (DC 1 and DC 4) by [delay] ms
+   ([infinity]: never delivered).  Those three are the first classic
+   quorum to answer DC 0's majority read.  Returns the session, a
+   function reading DC 0's replica of [item 0], [held] (initially unset)
+   and the coordinator's counters. *)
+let held_visibility_deployment ~delay =
   let module Runtime = Mdcc_core.Runtime in
   let module Layout = Cluster.Layout in
   let module Storage_node = Mdcc_core.Storage_node in
   let engine = Engine.create ~seed:42 in
   let layout, net = Cluster.scaffold ~engine ~spec:Cluster.Spec.default in
   let late = List.map (fun dc -> Layout.local_node layout ~dc (item 0)) [ 0; 1; 4 ] in
-  let base = Runtime.of_network net in
+  let base = Runtime.of_network net and held = ref false in
   let send ~src ~dst payload =
     match payload with
-    | Mdcc_core.Messages.Visibility _ when List.mem dst late ->
+    | Mdcc_core.Messages.Visibility _ when !held && List.mem dst late ->
       if delay < infinity then
         ignore (Engine.schedule engine ~after:delay (fun () -> Runtime.send base ~src ~dst payload))
     | _ -> Runtime.send base ~src ~dst payload
@@ -213,19 +216,30 @@ let late_visibility_deployment ~delay =
     Coordinator.create ~runtime ~config ~node_id:(Layout.app_node layout ~dc:0 ~rank:0) ~replicas
       ~master_of ~snapshot:(Layout.snapshot layout ~dc:0 store) ()
   in
-  let session = Session.create c in
-  (* The session's own write commits on the fast path (about 170 ms)
-     well before the held-back Visibilities land. *)
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  let dc0_row () = Store.read (store (List.hd late)) (item 0) in
+  (engine, Session.create c, dc0_row, held, counter)
+
+(* The session commits [update] on [item 0] as [id], on the fast path
+   (about 170 ms), and the engine runs [for_ms] more. *)
+let commit_own engine session ~id ~for_ms update =
   let committed = ref false in
   Session.submit session
-    (Txn.make ~id:"own" ~updates:[ (item 0, Update.Physical { vread = 1; value = item_row 5 }) ])
+    (Txn.make ~id ~updates:[ (item 0, update) ])
     (fun o -> committed := is_committed o);
-  Engine.run ~until:1_000.0 engine;
-  Alcotest.(check bool) "own write committed" true !committed;
+  Engine.run ~until:(Engine.now engine +. for_ms) engine;
+  Alcotest.(check bool) (id ^ " committed") true !committed
+
+(* The deployment above with the hold set before the session's own write
+   to [item 0] commits, well before the held-back Visibilities land. *)
+let late_visibility_deployment ~delay =
+  let engine, session, dc0_row, held, counter = held_visibility_deployment ~delay in
+  held := true;
+  commit_own engine session ~id:"own" ~for_ms:1_000.0
+    (Update.Physical { vread = 1; value = item_row 5 });
   Alcotest.(check int) "watermark" 2 (Session.watermark session (item 0));
   Alcotest.(check (option int)) "DC 0's replica still at version 1" (Some 1)
-    (Option.map snd (Store.read (store (List.hd late)) (item 0)));
-  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+    (Option.map snd (dc0_row ()));
   (engine, session, counter)
 
 let test_session_read_late_visibility () =
@@ -251,6 +265,23 @@ let test_session_read_never_fresh () =
   (* The re-issues wait 100, 200, ..., 6400 ms: the drop comes after
      12.7 s of waiting, not after eight back-to-back rounds. *)
   Alcotest.(check bool) "the waits were spent" true (Engine.now engine > 1_000.0 +. 12_700.0)
+
+(* The session deletes [item 0] and every replica applies it (version 2);
+   then its Insert commits while the Visibility to DC 0, 1 and 4 is late.
+   The Insert lands on the tombstone, at version 3, so DC 0's replica
+   still answers the tombstone at version 2: the session must not take
+   it for its own Insert. *)
+let test_session_read_insert_over_tombstone () =
+  let engine, session, dc0_row, held, counter = held_visibility_deployment ~delay:2_000.0 in
+  commit_own engine session ~id:"own-delete" ~for_ms:10_000.0 (Update.Delete { vread = 1 });
+  Alcotest.(check (option (pair int int))) "the tombstone everywhere" None
+    (Option.map (fun (v, ver) -> (Value.get_int v "stock", ver)) (dc0_row ()));
+  held := true;
+  commit_own engine session ~id:"own-insert" ~for_ms:300.0 (Update.Insert (item_row 7));
+  Alcotest.(check int) "watermark above the tombstone" 3 (Session.watermark session (item 0));
+  Alcotest.(check (option (pair int int))) "the own Insert, not the tombstone" (Some (7, 3))
+    (session_read_sync engine session (item 0));
+  Alcotest.(check int) "nothing dropped" 0 (counter "session_read_dropped")
 
 let test_session_read_after_own_delete () =
   let engine, cluster = make_cluster ~items:1 () in
@@ -392,6 +423,8 @@ let suite =
       test_session_read_late_visibility;
     Alcotest.test_case "session read never fresh: dropped, engine stops" `Quick
       test_session_read_never_fresh;
+    Alcotest.test_case "session read after own Insert over a tombstone" `Quick
+      test_session_read_insert_over_tombstone;
     Alcotest.test_case "session reads after own delete: no majority read" `Quick
       test_session_read_after_own_delete;
     Alcotest.test_case "session reads after another's delete: no majority read" `Quick

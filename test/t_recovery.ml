@@ -410,8 +410,11 @@ let test_dangling_recovery_fold () =
     List.filter_map
       (fun (dst, p) ->
         match p with
-        | Messages.Visibility { txid = t; key; update; committed } when String.equal t txid ->
-          Some (dst, Key.to_string key, Printf.sprintf "%s %b" (update_str update) committed)
+        | Messages.Visibility { woption = w; committed } when String.equal w.Woption.txid txid ->
+          Some
+            ( dst,
+              Key.to_string w.Woption.key,
+              Printf.sprintf "%s %b" (update_str w.Woption.update) committed )
         | _ -> None)
       (drain ())
   in
@@ -773,7 +776,7 @@ let prop_outcome_log_matches_model =
               | 1 -> Update.Physical { vread = 1; value = item_row 7 }
               | _ -> Update.Read_guard { vread = 1 }
             in
-            node.handle ~src:9 (Messages.Visibility { txid = txid t; key; update; committed });
+            node.handle ~src:9 (Helpers.visibility ~txid:(txid t) ~key update committed);
             settle t;
             if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) committed
           | Rebase (ts, stock) ->
@@ -823,8 +826,8 @@ let test_clobbered_then_repaired () =
   let node = scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) () in
   Storage_node.load node.node [ (key, item_row 100) ];
   let delta = Update.Delta [ ("stock", -1) ] in
-  node.handle ~src:9 (Messages.Visibility { txid = "d"; key; update = delta; committed = true });
-  node.handle ~src:9 (Messages.Visibility { txid = "v"; key; update = delta; committed = false });
+  node.handle ~src:9 (Helpers.visibility ~txid:"d" ~key delta true);
+  node.handle ~src:9 (Helpers.visibility ~txid:"v" ~key delta false);
   let report = Alcotest.(triple (list (pair string bool)) (list string) (list (pair string bool))) in
   let outcomes = [ ("d", true); ("v", false) ] in
   Alcotest.check report "applied" (outcomes, [ "d" ], [ ("v", false) ])
@@ -906,7 +909,7 @@ let prop_dangling_scan_matches_model =
           match settle with
           | Some (back, committed) when back <= i ->
             let txid, key, _, _ = arr.(i - back) in
-            deliver ~src:9 (Messages.Visibility { txid; key; update; committed });
+            deliver ~src:9 (Helpers.visibility ~txid ~key update committed);
             Hashtbl.replace settled txid ()
           | Some _ | None -> ())
         opts;
