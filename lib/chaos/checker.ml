@@ -124,6 +124,38 @@ let check_decision_agreement txns =
     [] txns
 
 (* ------------------------------------------------------------------ *)
+(* 1b'. Option agreement                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* One option, one learned value (Paxos Commit runs one consensus instance
+   per option): a learn that contradicts the option's first learn means two
+   quorums chose different values for one record instance.  The history
+   noted each contradiction as it was recorded. *)
+let check_option_agreement history =
+  let learn (e : History.entry) =
+    let said role decision =
+      Printf.sprintf "%s by %s node%d at %.1f"
+        (match decision with
+        | Mdcc_core.Woption.Accepted -> "accepted"
+        | Mdcc_core.Woption.Rejected -> "rejected")
+        role e.History.node e.History.at
+    in
+    match e.History.event with
+    | Event.Learned { decision; _ } -> said "coordinator" decision
+    | Event.Classic_learned { decision; _ } -> said "master" decision
+    | _ -> "?"
+  in
+  List.map
+    (fun (c : History.contradiction) ->
+      {
+        invariant = "option-agreement";
+        detail =
+          Printf.sprintf "option %s %s learned %s, then %s" c.History.c_txid
+            (Key.to_string c.History.c_key) (learn c.History.c_first) (learn c.History.c_second);
+      })
+    (History.contradictions history)
+
+(* ------------------------------------------------------------------ *)
 (* 1c. Cross-partition atomicity                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -466,6 +498,7 @@ let check ?(bounds = fun _ -> []) ?(partition_of = fun _ -> 0) history =
     [
       check_atomic_visibility txns;
       check_decision_agreement txns;
+      check_option_agreement history;
       check_cross_partition ~partition_of txns;
       check_lost_updates writers;
       check_read_committed ~writers txns;

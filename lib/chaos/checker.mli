@@ -15,6 +15,10 @@
        is decided the {e same} way every time: a cross-partition
        transaction whose groups settle on different outcomes is a torn
        commit;}
+    {- {b option-agreement} — an option is never learned both Accepted
+       and Rejected: every coordinator [Learned] and master
+       [Classic_learned] of a (key, txid) agrees with its first learn
+       ({!Mdcc_core.History.contradictions});}
     {- {b cross-partition-atomicity} — atomic visibility attributed to
        hash-partition groups: a transaction whose write-set spans two or
        more partitions must not commit in one group while voided in

@@ -11,9 +11,9 @@ type key_state = {
   replicas : int list;  (* the key's replica group; a vote counts by its position here *)
   mutable votes : Quorum.tally;  (* the fast votes that arrived *)
   mutable learned : Woption.decision option;
-  mutable collided : bool;  (** Start_recovery already sent for this window *)
   mutable collided_at : Engine.sim_time option;
-      (** when the collision was detected, for resolution-latency metrics *)
+      (** when a collision was detected and recovery started, until the key
+          is learned; for resolution-latency metrics *)
   mutable redirected : bool;  (** already re-routed to the master *)
   mutable attempts : int;  (** timeout-driven recovery attempts *)
 }
@@ -26,7 +26,6 @@ type txn_state = {
   txn : Txn.t;
   callback : Txn.outcome -> unit;
   keys : key_state array;
-  mutable undecided : int;
   mutable timeout : Runtime.timer;  (* [Runtime.no_timer] until armed *)
 }
 
@@ -136,10 +135,13 @@ let propose t (ks : key_state) =
     send t (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
   else send_each t (Messages.Propose { woption = w; route = `Fast }) ks.replicas
 
-let decide t (ts : txn_state) =
+(* [aborted]: a replica reported the transaction already aborted, so it
+   aborts whatever its keys learned. *)
+let decide ?(aborted = false) t (ts : txn_state) =
   Runtime.cancel_timer t.runtime ts.timeout;
   Hashtbl.remove t.txns ts.txn.Txn.id;
-  let committed = ref true and commutative = ref true and pure_fast = ref true in
+  let committed = ref (not aborted) and commutative = ref (not aborted) in
+  let pure_fast = ref true in
   for i = 0 to Array.length ts.keys - 1 do
     let ks = ts.keys.(i) in
     (match ks.learned with
@@ -147,7 +149,8 @@ let decide t (ts : txn_state) =
       committed := false;
       if not (Woption.is_commutative ks.woption) then commutative := false
     | Some Woption.Accepted | None -> ());
-    if ks.collided || ks.redirected || ks.attempts > 0 then pure_fast := false
+    (* A collision started a recovery, so it counts among [attempts]. *)
+    if ks.redirected || ks.attempts > 0 then pure_fast := false
   done;
   let committed = !committed in
   let outcome =
@@ -179,6 +182,9 @@ let learned_accepted = Some Woption.Accepted
 
 let learned_rejected = Some Woption.Rejected
 
+let rec all_learned (keys : key_state array) i =
+  i < 0 || (Option.is_some keys.(i).learned && all_learned keys (i - 1))
+
 let learn t (ts : txn_state) (ks : key_state) decision =
   match ks.learned with
   | Some _ -> ()
@@ -187,7 +193,6 @@ let learn t (ts : txn_state) (ks : key_state) decision =
       (match decision with
       | Woption.Accepted -> learned_accepted
       | Woption.Rejected -> learned_rejected);
-    ts.undecided <- ts.undecided - 1;
     let txid = ts.txn.Txn.id and key = ks.woption.Woption.key in
     if live t then emit t (Event.Learned { txid; key; decision });
     (match ks.collided_at with
@@ -198,7 +203,7 @@ let learn t (ts : txn_state) (ks : key_state) decision =
       Obs.observe t.obs "collision_resolve_ms" (now t -. at);
       if live t then emit t (Event.Collision_resolved { txid; key })
     | None -> ());
-    if ts.undecided = 0 then decide t ts
+    if all_learned ts.keys (Array.length ts.keys - 1) then decide t ts
 
 let start_recovery_for t (ks : key_state) =
   let w = ks.woption in
@@ -245,9 +250,9 @@ let on_vote t txid key acceptor decision =
         match Quorum.Tally.decided votes ~quorum:(Config.fast_quorum t.config) with
         | Some ok -> learn t ts ks (Woption.of_ok ok)
         | None ->
-          if Quorum.Tally.fast_impossible votes ~n:(n t) && not ks.collided then begin
+          if Quorum.Tally.fast_impossible votes ~n:(n t) && Option.is_none ks.collided_at
+          then begin
             (* Fast Paxos collision: no outcome can reach a fast quorum. *)
-            ks.collided <- true;
             ks.collided_at <- Some (now t);
             Obs.incr t.obs "collision";
             let acks = Quorum.Tally.acks votes and rejects = Quorum.Tally.rejects votes in
@@ -263,6 +268,17 @@ let on_learned t txid key decision =
   | ts ->
     let i = slot_index ts.keys key 0 in
     if i >= 0 then learn t ts ts.keys.(i) decision
+
+(* A replica found the transaction already decided.  A commit means
+   every option was accepted; an abort says nothing of this option's own
+   value, so the transaction aborts without learning it. *)
+let on_outcome t (w : Woption.t) committed =
+  match Hashtbl.find t.txns w.Woption.txid with
+  | exception Not_found -> ()
+  | ts ->
+    let i = slot_index ts.keys w.Woption.key 0 in
+    if i >= 0 then
+      if committed then learn t ts ts.keys.(i) Woption.Accepted else decide ~aborted:true t ts
 
 let on_redirect t txid key master =
   match Hashtbl.find t.txns txid with
@@ -298,7 +314,7 @@ let rec arm_timeout t (ts : txn_state) =
 let new_slot t (txn : Txn.t) write_set (key, update) =
   let woption = { Woption.txid = txn.Txn.id; key; update; write_set; coordinator = t.id } in
   { woption; replicas = t.replicas key; votes = Quorum.Tally.empty; learned = None;
-    collided = false; collided_at = None; redirected = false; attempts = 0 }
+    collided_at = None; redirected = false; attempts = 0 }
 
 let rec fill t txn write_set keys i = function
   | [] -> ()
@@ -331,7 +347,7 @@ let submit t txn callback =
     Runtime.spawn t.runtime (fun () -> callback Txn.Committed)
   else begin
     let keys = slots t txn in
-    let ts = { txn; callback; keys; undecided = Array.length keys; timeout = Runtime.no_timer } in
+    let ts = { txn; callback; keys; timeout = Runtime.no_timer } in
     Hashtbl.replace t.txns txn.Txn.id ts;
     Obs.bump t.txn_submitted;
     if live t then emit t (Event.Submitted txn);
@@ -459,13 +475,14 @@ let rec handle t ~src payload =
     on_vote t woption.Woption.txid woption.Woption.key src decision
   | Messages.Learned { key; txid; decision } -> on_learned t txid key decision
   | Messages.Redirect { key; txid; master; classic_until = _ } -> on_redirect t txid key master
+  | Messages.Visibility { woption; committed } -> on_outcome t woption committed
   | Messages.Read_reply { rid; key; value; version; exists } ->
     on_read_reply t rid src key value version exists
   (* Acceptor- and storage-bound traffic; a coordinator is never their
      destination, so receiving one is a routing mistake we ignore.  Nothing
      sends the scan pair. *)
   | Messages.Propose _ | Messages.Phase1a _ | Messages.Phase1b _ | Messages.Phase2a _
-  | Messages.Phase2b_master _ | Messages.Visibility _ | Messages.Start_recovery _
+  | Messages.Phase2b_master _ | Messages.Start_recovery _
   | Messages.Status_query _ | Messages.Status_reply _ | Messages.Catchup_request _
   | Messages.Catchup _ | Messages.Sync_request _ | Messages.Sync_reply _
   | Messages.Read_request _ | Messages.Scan_request _ | Messages.Scan_reply _ -> ()

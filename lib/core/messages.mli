@@ -20,7 +20,9 @@
        runs classic ballots (fast-policy γ window) and who the master is;}
     {- [Visibility] — app-server executing / voiding a learned option; it
        names the option, of which its transaction id, key and update count
-       towards its size;}
+       towards its size.  Sent back to the app-server by a replica asked
+       about an option whose transaction it already saw decided, it
+       reports that outcome instead of a vote;}
     {- [Start_recovery] — anybody asking a master to resolve a collision;}
     {- [Status_query]/[Status_reply] — dangling-transaction recovery reading
        a quorum of option logs;}

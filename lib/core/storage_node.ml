@@ -78,6 +78,10 @@ type t = {
   master_of : Key.t -> int;
   store : Store.t;
   records : Rstate.t Key.Tbl.t;
+  promising : unit Key.Tbl.t;
+      (* records whose classic promise ([Rstate.promised]) has seen no
+         Phase2a at or above it yet.  Phase 1 runs only in a recovery, so
+         the mark is kept here rather than as a field on every record. *)
   visible : bool Visible.t;  (* (txid, key) -> txn committed? *)
   probe : vkey;  (* the lookup key of [visible]; never stored in it *)
   fast_demarcation : Rstate.demarcation;  (* [`Quorum (n, qf)], built once *)
@@ -251,19 +255,33 @@ let count_verdict t reason =
 let fast_reply t (w : Woption.t) decision =
   send t w.Woption.coordinator (Messages.Phase2b_fast { woption = w; decision })
 
+(* An option whose transaction is already decided here is answered with
+   the transaction's outcome, never as a vote: an aborted transaction's
+   option may well have been accepted, and a Rejected would contradict the
+   value its quorum learned.  The coordinator takes the Visibility as the
+   transaction's fate. *)
+let report_outcome t (w : Woption.t) committed =
+  send t w.Woption.coordinator (Messages.Visibility { woption = w; committed })
+
 (* Answer a fast (master-bypassing) proposal: SetCompatible + promise to the
    first proposer, or a redirect while the record runs classic ballots. *)
 let fast_propose t (w : Woption.t) =
   let key = w.Woption.key in
   let rs = rstate t key in
   match outcome_at t rs w.Woption.txid with
-  | Some committed -> fast_reply t w (Woption.of_ok committed)
+  | Some committed -> report_outcome t w committed
   | None -> (
     match Rstate.find_pending rs w.Woption.txid with
     | v -> fast_reply t w v.Rstate.decision
     | exception Not_found ->
       let row = Store.ensure t.store key in
-      let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
+      (* A promise no Phase2a has followed belongs to a master's Phase 1
+         still under way: its Phase1b reported no fast vote here, so none
+         may be cast until that round proposes. *)
+      let era_classic =
+        Rstate.in_classic_era rs ~version:row.Store.version
+        || ((not (Ballot.is_fast rs.Rstate.promised)) && Key.Tbl.mem t.promising key)
+      in
       if (not era_classic) && not (Ballot.is_fast rs.Rstate.promised) then
         (* The γ window ended: lazily fall back to the implicit fast ballot. *)
         rs.Rstate.promised <- Ballot.initial_fast;
@@ -301,7 +319,10 @@ let fast_propose t (w : Woption.t) =
 let acceptor_phase1a t key ballot reply =
   let rs = rstate t key in
   let ok = Ballot.compare ballot rs.Rstate.promised > 0 in
-  if ok then rs.Rstate.promised <- ballot;
+  if ok then begin
+    rs.Rstate.promised <- ballot;
+    Key.Tbl.replace t.promising key ()
+  end;
   reply ~ok ~promised:rs.Rstate.promised
     { Messages.votes = Rstate.votes rs; rebase = rebase_of t key; decided = rs.Rstate.decided }
 
@@ -352,6 +373,7 @@ let acceptor_phase2a t (rs : Rstate.t) ballot (w : Woption.t) decision classic_u
   if Ballot.compare ballot rs.Rstate.promised >= 0 then begin
     let key = rs.Rstate.key in
     rs.Rstate.promised <- ballot;
+    if Key.Tbl.length t.promising > 0 then Key.Tbl.remove t.promising key;
     rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
     (match rebase with Some rb -> apply_rebase t key rb | None -> ());
     if Option.is_none (outcome_at t rs w.Woption.txid) then begin
@@ -532,6 +554,17 @@ and announce t key (w : Woption.t) notify decision =
   announce_notify t key txid decision payload coordinator notify notify;
   learn_at t key txid decision payload coordinator
 
+(* [announce] for an option whose transaction is already decided: the
+   coordinator hears the transaction's outcome ([report_outcome]); a node
+   recovering the transaction learns it as the option's decision. *)
+and announce_outcome t key (w : Woption.t) notify committed =
+  let txid = w.Woption.txid and coordinator = w.Woption.coordinator in
+  let decision = Woption.of_ok committed in
+  let payload = Messages.Learned { key; txid; decision } in
+  announce_notify t key txid decision payload coordinator notify notify;
+  if coordinator = t.id then txn_recovery_learned t txid key decision
+  else report_outcome t w committed
+
 and announce_notify t key txid decision payload coordinator all = function
   | [] -> ()
   | dst :: rest as here ->
@@ -604,8 +637,7 @@ and master_propose t (w : Woption.t) ~notify =
   let ms = mstate t key in
   let rs = rstate t key in
   match outcome_at t rs txid with
-  | Some committed ->
-    announce t key w notify (Woption.of_ok committed)
+  | Some committed -> announce_outcome t key w notify committed
   | None -> (
     match find_round txid ms.m_rounds with
     | r -> r.r_notify <- union r.r_notify notify
@@ -795,7 +827,7 @@ and resolve_recovery t key rc =
   Table.sorted_iter ~compare:String.compare
     (fun txid (w, classic, fast) ->
       match Hashtbl.find_opt known_viz txid with
-      | Some committed -> already_visible := (w, Woption.of_ok committed) :: !already_visible
+      | Some committed -> already_visible := (w, committed) :: !already_visible
       | None -> (
         match classic with
         | Some (d, b) -> classic_voted := (b, (w, Some d)) :: !classic_voted
@@ -879,7 +911,7 @@ and resolve_recovery t key rc =
   ms.m_recovery <- None;
   ms.m_led <- Some rc.rc_ballot;
   (* Options already executed: just tell everyone who asked. *)
-  List.iter (fun (w, d) -> announce t key w rc.rc_notify d) !already_visible;
+  List.iter (fun (w, c) -> announce_outcome t key w rc.rc_notify c) !already_visible;
   (* Re-propose every undecided option at the classic ballot. *)
   List.iter
     (fun (w, d) -> ms.m_rounds <- new_round w d rc.rc_ballot rc.rc_notify :: ms.m_rounds)
@@ -1111,16 +1143,12 @@ let sync_repair t ~src key theirs =
 
 let rec handle t ~src payload =
   match payload with
-  | Messages.Batch items -> (
+  | Messages.Batch items ->
     (* One step: what the items send goes out folded per destination, so
-       the votes on a batch of proposals return as one message.  Sends
-       made before an exception still leave, as they would unfolded. *)
+       the votes on a batch of proposals return as one message. *)
     Outbox.enter t.outbox;
-    match handle_each t ~src items with
-    | () -> Outbox.leave t.outbox
-    | exception e ->
-      Outbox.leave t.outbox;
-      raise e)
+    handle_each t ~src items;
+    Outbox.leave t.outbox
   | Messages.Sync_request { entries } ->
     (* Anti-entropy: answer with the committed state of any key where we are
        ahead of the prober, and ask for theirs where we are behind.  At
@@ -1210,6 +1238,7 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
          tables start small and grow with the keys and transactions it
          sees. *)
       records = Key.Tbl.create 1024;
+      promising = Key.Tbl.create 16;
       visible = Visible.create 4096;
       probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" };
       fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);

@@ -68,16 +68,20 @@ quick)
   done
   pin "sweep of those 4 runs" obs.json -- \
     "$chaos" sweep --seeds 2 --scenario torn_broadcast,master_failover --trace --obs-out obs.json
-  # The checker's verdict on every run known to violate.  Fixing the
-  # promise bug, the liveness case and the demarcation breach (ROADMAP
-  # items 1, 3 and 4) moves these.
-  pin "report latency_surge 119" -- "$chaos" replay --seed 119 --scenario latency_surge
-  pin "report random 61" -- "$chaos" replay --seed 61 --scenario random
-  pin "report random 462 (liveness)" -- "$chaos" replay --seed 462 --scenario random
-  pin "report clean 10, plant-bug 3" -- \
-    "$chaos" replay --seed 10 --scenario clean --plant-bug 3
-  pin "report deltas, 1 item, 100 txns, seed 21 (demarcation)" -- \
-    "$chaos" replay --seed 21 --scenario clean --workload deltas --items 1 --txns 100
+  # Two runs that lost an update until acceptors kept their Phase 1
+  # promises (ROADMAP item 1): both must stay clean.
+  pin "report latency_surge 119 (lost update, fixed)" -- \
+    "$chaos" replay --seed 119 --scenario latency_surge
+  pin "report random 61 (lost update, fixed)" -- "$chaos" replay --seed 61 --scenario random
+  # The checker's verdict on one run of every class known to violate.
+  # Fixing the re-decided option, the liveness case and the demarcation
+  # breach (ROADMAP items 2, 3 and 4) moves these.
+  pin "report drop_spike 299 (option agreement)" -- "$chaos" replay --seed 299 --scenario drop_spike
+  pin "report random 1473 (liveness)" -- "$chaos" replay --seed 1473 --scenario random
+  pin "report clean 4, plant-bug 3" -- \
+    "$chaos" replay --seed 4 --scenario clean --plant-bug 3
+  pin "report deltas, 2 items, 120 txns, drop_spike 2 (demarcation)" -- \
+    "$chaos" replay --seed 2 --scenario drop_spike --workload deltas --items 2 --txns 120
   pin "demo trace" -- "$experiments" demo --trace
   ;;
 full)
@@ -88,8 +92,8 @@ full)
   pin "demo trace" -- "$experiments" demo --trace
   pin "sweep 2 items" obs.json -- \
     "$chaos" sweep --seeds 30 --items 2 --txns 120 --jobs 2 --json --obs-out obs.json
-  pin "replay latency_surge 119" -- \
-    "$chaos" replay --seed 119 --scenario latency_surge --trace
+  pin "replay drop_spike 299" -- \
+    "$chaos" replay --seed 299 --scenario drop_spike --trace
   pin "planted bug 3, jobs 1" -- \
     "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 1
   pin "planted bug 3, jobs 2" -- \

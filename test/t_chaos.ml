@@ -61,6 +61,41 @@ let test_clean_history () =
   in
   Alcotest.(check (list string)) "no violations" [] (invariants vs)
 
+(* One option, one learned value: a master's classic round may confirm
+   what the coordinator learned, never reverse it. *)
+let test_option_agreement_flagged () =
+  let k = key "1" in
+  let learned ?(node = 5) time decision =
+    { History.at = time; node; event = Event.Learned { txid = "t1"; key = k; decision } }
+  and classic time decision =
+    {
+      History.at = time;
+      node = 0;
+      event = Event.Classic_learned { txid = "t1"; key = k; decision };
+    }
+  in
+  let h = history [ learned 1.0 Mdcc_core.Woption.Accepted; classic 2.0 Mdcc_core.Woption.Accepted ] in
+  Alcotest.(check (list string)) "agreeing learns pass" [] (invariants (Checker.check h));
+  Alcotest.(check int) "learns stay out of the log" 0 (History.length h);
+  check_has "a reversed learn"
+    [ learned 1.0 Mdcc_core.Woption.Accepted; classic 2.0 Mdcc_core.Woption.Rejected ]
+    "option-agreement";
+  let vs =
+    Checker.check
+      (history
+         [
+           classic 1.0 Mdcc_core.Woption.Rejected;
+           learned ~node:6 2.0 Mdcc_core.Woption.Accepted;
+         ])
+  in
+  Alcotest.(check (list string))
+    "the first learn and its contradiction, each with its learner"
+    [
+      "[option-agreement] option t1 item/1 learned rejected by master node0 at 1.0, then \
+       accepted by coordinator node6 at 2.0";
+    ]
+    (List.map Checker.violation_to_string vs)
+
 (* Two committed writers from the same read version overwrote each other. *)
 let test_lost_update_flagged () =
   let k = key "1" in
@@ -240,6 +275,24 @@ let test_smoke_sweep () =
       0 r.Runner.r_undecided
   done
 
+(* Runs that lost an update while an acceptor could cast a fast vote its
+   Phase 1b promise had not reported (ROADMAP item 1): with the promise
+   kept, every one of them is clean. *)
+let test_promise_seeds_clean () =
+  List.iter
+    (fun (scenario, seed) ->
+      let r = Runner.run (Runner.spec ~seed ~scenario ()) in
+      if not (Runner.ok r) then
+        Alcotest.failf "%s seed %d: %s" scenario.Nemesis.sc_name seed
+          (Runner.report_to_string ~verbose:true r))
+    [
+      (Nemesis.latency_surge, 119);
+      (Nemesis.latency_surge, 283);
+      (Nemesis.random_faults, 61);
+      (Nemesis.torn_broadcast, 42);
+      (Nemesis.torn_broadcast_crash, 34);
+    ]
+
 (* Shrinking the fast quorum to 3 of 5 breaks quorum intersection; the
    checker must catch the resulting violations within a small sweep.
    (Seed 10 under the clean scenario is a known catching run; sweeping a
@@ -401,6 +454,7 @@ let suite =
     Alcotest.test_case "clean history passes" `Quick test_clean_history;
     Alcotest.test_case "lost update flagged" `Quick test_lost_update_flagged;
     Alcotest.test_case "conflict cycle flagged" `Quick test_conflict_cycle_flagged;
+    Alcotest.test_case "option agreement flagged" `Quick test_option_agreement_flagged;
     Alcotest.test_case "demarcation breach flagged" `Quick test_demarcation_flagged;
     Alcotest.test_case "atomic visibility flagged" `Quick test_atomic_visibility_flagged;
     Alcotest.test_case "read committed flagged" `Quick test_read_committed_flagged;
@@ -410,6 +464,7 @@ let suite =
     Alcotest.test_case "sweep JSON determinism" `Quick test_sweep_json_determinism;
     Alcotest.test_case "random nemesis smoke sweep" `Slow test_smoke_sweep;
     Alcotest.test_case "planted bug caught" `Slow test_planted_bug_caught;
+    Alcotest.test_case "former lost-update seeds are clean" `Slow test_promise_seeds_clean;
     Alcotest.test_case "invariant violation reported" `Quick test_invariant_violation_reported;
     Alcotest.test_case "chaos_cli rejects bad knobs" `Quick test_cli_rejects_bad_knobs;
     Alcotest.test_case "torn broadcast repaired (pinned seed)" `Quick test_torn_broadcast_repair;

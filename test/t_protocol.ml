@@ -280,6 +280,49 @@ let test_fast_votes_count_once () =
   vote 4 Woption.Accepted;
   check_commit "the fourth distinct accept decides" (Option.get !outcome)
 
+(* A replica that already executed or voided a transaction answers its
+   option with the transaction's outcome, a Visibility.  A commit counts
+   as that key's accept; an abort decides the transaction aborted at once,
+   and no key is learned Rejected on the strength of it. *)
+let test_reported_outcome () =
+  let module Span = Mdcc_obs.Span in
+  let run ~committed =
+    let { Helpers.runtime; deliver; drain; _ } = Helpers.scripted_runtime () in
+    let obs = Mdcc_obs.Obs.create ~spans:true () in
+    let c =
+      Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+        ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+        ~master_of:(fun _ -> 0)
+        ~ctx:(Mdcc_core.Ctx.make ~obs ())
+        ()
+    in
+    let outcome = ref None in
+    Coordinator.submit c
+      (Txn.make ~id:"told"
+         ~updates:
+           [ (item 0, Update.Delta [ ("stock", -1) ]); (item 1, Update.Delta [ ("stock", -1) ]) ])
+      (fun o -> outcome := Some o);
+    ignore (drain ());
+    deliver ~src:2 (Helpers.visibility ~txid:"told" ~key:(item 0) (Update.Delta []) committed);
+    let learns =
+      match Mdcc_obs.Obs.spans obs with
+      | None -> Alcotest.fail "spans are off"
+      | Some sp ->
+        List.filter_map
+          (fun e ->
+            if String.equal e.Span.ev_name "learn" then Some e.Span.ev_detail else None)
+          (Span.events sp ~txid:"told")
+    in
+    (!outcome, learns, Coordinator.inflight c)
+  in
+  let outcome, learns, inflight = run ~committed:false in
+  Alcotest.(check bool) "an abort decides at once" true (outcome = Some (Txn.Aborted Txn.Conflict));
+  Alcotest.(check (list string)) "and learns nothing" [] learns;
+  Alcotest.(check int) "no longer in flight" 0 inflight;
+  let outcome, learns, _ = run ~committed:true in
+  Alcotest.(check bool) "a commit waits for the other key" true (outcome = None);
+  Alcotest.(check (list string)) "and learns its key accepted" [ "accepted" ] learns
+
 let suite =
   [
     Alcotest.test_case "single update commits" `Quick test_single_update_commits;
@@ -287,6 +330,7 @@ let suite =
       test_five_keys_decide_when_all_learned;
     Alcotest.test_case "repeated and foreign fast votes count once" `Quick
       test_fast_votes_count_once;
+    Alcotest.test_case "a reported outcome is the transaction's" `Quick test_reported_outcome;
     Alcotest.test_case "multi-record commit" `Quick test_multi_record_commit;
     Alcotest.test_case "stale vread aborts" `Quick test_stale_vread_aborts;
     Alcotest.test_case "insert & duplicate insert" `Quick test_insert_and_conflict;

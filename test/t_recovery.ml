@@ -631,6 +631,67 @@ let test_phase1b_repeat_counts_once () =
     [ (1, "d"); (2, "d"); (3, "d"); (4, "d") ]
     (phase2as ())
 
+(* A Phase 1 promise reports this replica's votes, so until the master's
+   round proposes (a Phase2a at or above the promise) the replica casts no
+   fast vote: it redirects.  Afterwards, outside the classic window, it
+   votes fast again. *)
+let test_promise_blocks_fast_votes () =
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let key = item 0 in
+  let { node; handle; drain; _ } =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) ()
+  in
+  Storage_node.load node [ (key, item_row 100) ];
+  let opt txid =
+    { Woption.txid; key; update = Update.Delta [ ("stock", -1) ]; write_set = [ key ];
+      coordinator = 9 }
+  in
+  let ballot = Mdcc_paxos.Ballot.classic ~number:2 ~proposer:1 in
+  let replies () =
+    List.map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Phase1b { ok; _ } -> (dst, if ok then "promise" else "nack")
+        | Messages.Redirect _ -> (dst, "redirect")
+        | Messages.Phase2b_fast _ -> (dst, "fast vote")
+        | Messages.Phase2b_master { ok; _ } -> (dst, if ok then "classic vote" else "refused")
+        | _ -> (dst, "other"))
+      (drain ())
+  in
+  let fast txid = handle ~src:9 (Messages.Propose { woption = opt txid; route = `Fast }) in
+  handle ~src:1 (Messages.Phase1a { key; ballot });
+  fast "a";
+  Alcotest.(check (list (pair int string)))
+    "promised: a fast proposal is redirected" [ (1, "promise"); (9, "redirect") ] (replies ());
+  handle ~src:1
+    (Messages.Phase2a
+       { key; ballot; woption = opt "b"; decision = Woption.Accepted; classic_until = 0;
+         rebase = None });
+  fast "c";
+  Alcotest.(check (list (pair int string)))
+    "proposed at the promise: fast votes resume" [ (1, "classic vote"); (9, "fast vote") ]
+    (replies ())
+
+(* A replica that voided an option answers a later proposal of it with the
+   transaction's outcome, not with a vote. *)
+let test_decided_option_reports_outcome () =
+  let module Messages = Mdcc_core.Messages in
+  let key = item 0 in
+  let { node; handle; drain; _ } =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) ()
+  in
+  Storage_node.load node [ (key, item_row 100) ];
+  let delta = Update.Delta [ ("stock", -1) ] in
+  handle ~src:9 (Helpers.visibility ~txid:"gone" ~key delta false);
+  ignore (drain ());
+  handle ~src:9
+    (Messages.Propose { woption = Helpers.option_of ~update:delta ~txid:"gone" key; route = `Fast });
+  match drain () with
+  | [ (9, Messages.Visibility { woption; committed = false }) ] ->
+    Alcotest.(check string) "the option's transaction" "gone" woption.Mdcc_core.Woption.txid
+  | _ -> Alcotest.fail "expected one aborted Visibility to the coordinator"
+
 let test_sync_targets () =
   (* Node 0 masters item 0 (replicas 0, 1, 2) but not item 1 (replicas 3,
      0, 2; master 1). *)
@@ -964,5 +1025,9 @@ let suite =
       test_requeued_option_one_round;
     Alcotest.test_case "classic round acks" `Quick test_classic_round_acks;
     Alcotest.test_case "a repeated Phase 1b counts once" `Quick test_phase1b_repeat_counts_once;
+    Alcotest.test_case "a promise blocks fast votes until proposed" `Quick
+      test_promise_blocks_fast_votes;
+    Alcotest.test_case "a decided option reports its outcome" `Quick
+      test_decided_option_reports_outcome;
     Alcotest.test_case "sync sweep targets" `Quick test_sync_targets;
   ]
