@@ -62,7 +62,7 @@ type t = {
   master_of : Key.t -> int;
   snapshot : snapshot_source option;  (* co-located stores, for reads without a message *)
   txns : (Txn.id, txn_state) Hashtbl.t;
-  hints : (Key.t, float) Hashtbl.t;  (** classic-routing hint -> expiry time *)
+  windows : (Key.t, int) Hashtbl.t;  (* key -> the end of its classic window, as last reported *)
   reads : (int, read_state) Hashtbl.t;
   mutable next_rid : int;
   rng : Rng.t;
@@ -72,10 +72,6 @@ type t = {
   fast_commit : Obs.counter;
   outbox : Outbox.t;  (* submit's proposals and decide's Visibilities fold here *)
 }
-
-(* How long a collision keeps steering this coordinator to the master before
-   it probes fast ballots again (client-side half of the γ policy). *)
-let hint_ttl = 2000.0
 
 let node_id t = t.id
 
@@ -90,19 +86,37 @@ let emit t ev = Ctx.emit t.stream ev
 
 let n t = t.config.Config.replication
 
-(* [find] with its exception, not [find_opt]: no [Some] per routed key
-   while a hint is live. *)
-let hint_active t key =
-  match Hashtbl.find t.hints key with
-  | expiry when now t < expiry -> true
-  | (_ : float) ->
-    Hashtbl.remove t.hints key;
+(* The version this coordinator knows an option's record at: the
+   option's [vread], or the co-located row's version for an insert or a
+   delta.  [max_int] when it knows none: no co-located store, or no row. *)
+let known_version t (w : Woption.t) =
+  match w.Woption.update with
+  | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } -> vread
+  | Update.Insert _ | Update.Delta _ -> (
+    match t.snapshot with
+    | None -> max_int
+    | Some s -> ( match s.snap_read w.Woption.key with Some (_, v) -> v | None -> max_int))
+
+(* Keep the furthest classic window reported for [key]. *)
+let note_window t key until =
+  match Hashtbl.find t.windows key with
+  | known when known >= until -> ()
+  | (_ : int) | (exception Not_found) -> Hashtbl.replace t.windows key until
+
+(* The client half of the γ policy: an option goes classic while the
+   version known for its record is below the record's classic window, as
+   the replicas enforce it; an unknown version goes fast, and a
+   [Redirect] corrects it.  A window the record has reached is dropped.
+   [find] with its exception, not [find_opt]: no [Some] per routed key. *)
+let in_window t (w : Woption.t) =
+  match Hashtbl.find t.windows w.Woption.key with
+  | until when known_version t w < until -> true
+  | (_ : int) ->
+    Hashtbl.remove t.windows w.Woption.key;
     false
   | exception Not_found -> false
 
-let set_hint t key = Hashtbl.replace t.hints key (now t +. hint_ttl)
-
-let route_classic t key = t.config.Config.mode = Config.Multi || hint_active t key
+let route_classic t w = t.config.Config.mode = Config.Multi || in_window t w
 
 (* One payload record to every replica, in list order or reversed: the
    payloads are immutable, so the replicas share it. *)
@@ -119,10 +133,10 @@ let rec send_each_rev t p = function
     send t dst p
 
 (* Settle a key's route — fast to every replica, or classic through the
-   master while a collision hint is live. *)
+   master inside the record's classic window. *)
 let route_proposal t (ks : key_state) =
   let w = ks.woption in
-  let classic = route_classic t w.Woption.key in
+  let classic = route_classic t w in
   if live t then begin
     let route = if classic then `Classic else `Fast in
     emit t (Event.Proposed { txid = w.Woption.txid; key = w.Woption.key; route })
@@ -208,7 +222,10 @@ let learn t (ts : txn_state) (ks : key_state) decision =
 let start_recovery_for t (ks : key_state) =
   let w = ks.woption in
   let key = w.Woption.key in
-  set_hint t key;
+  (* The master's recovery opens a window of γ versions from a version no
+     lower than the one known here. *)
+  let known = known_version t w in
+  if known <> max_int then note_window t key (known + t.config.Config.gamma);
   (* Rotate through replicas on repeated attempts so a failed master does
      not block the transaction forever. *)
   let master = t.master_of key in
@@ -280,14 +297,16 @@ let on_outcome t (w : Woption.t) committed =
     if i >= 0 then
       if committed then learn t ts ts.keys.(i) Woption.Accepted else decide ~aborted:true t ts
 
-let on_redirect t txid key master =
+(* A Redirect reports its record's classic window; like every reply, it
+   counts only for an option still open. *)
+let on_redirect t txid key master classic_until =
   match Hashtbl.find t.txns txid with
   | exception Not_found -> ()
   | ts ->
     let i = slot_index ts.keys key 0 in
     if i >= 0 then begin
       let ks = ts.keys.(i) in
-      set_hint t key;
+      note_window t key classic_until;
       if ks.learned = None && not ks.redirected then begin
         ks.redirected <- true;
         Obs.incr t.obs "redirect";
@@ -474,7 +493,8 @@ let rec handle t ~src payload =
   | Messages.Phase2b_fast { woption; decision } ->
     on_vote t woption.Woption.txid woption.Woption.key src decision
   | Messages.Learned { key; txid; decision } -> on_learned t txid key decision
-  | Messages.Redirect { key; txid; master; classic_until = _ } -> on_redirect t txid key master
+  | Messages.Redirect { key; txid; master; classic_until } ->
+    on_redirect t txid key master classic_until
   | Messages.Visibility { woption; committed } -> on_outcome t woption committed
   | Messages.Read_reply { rid; key; value; version; exists } ->
     on_read_reply t rid src key value version exists
@@ -507,7 +527,7 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       master_of;
       snapshot;
       txns = Hashtbl.create 16;
-      hints = Hashtbl.create 16;
+      windows = Hashtbl.create 16;
       reads = Hashtbl.create 16;
       next_rid = 0;
       rng = Rng.split (Runtime.rng runtime);

@@ -10,8 +10,13 @@
 
     Routing implements the fast-policy from the client side: fast
     (master-bypassing) proposals by default, classic proposals through the
-    record's master in Multi mode or while a collision hint for the record
-    is fresh; [Redirect] answers from acceptors install such hints.
+    record's master in Multi mode or while the version known for the
+    record is below its classic window.  The known version is the
+    option's [vread], or the co-located row's version for an insert or a
+    delta; a record whose version is unknown routes fast.  The window is
+    the furthest [classic_until] a [Redirect] reported, or, after a
+    collision or timeout recovery, the known version + γ; it is dropped
+    once the known version reaches it.
     Collisions (no fast quorum possible for either outcome) and learn
     timeouts escalate to [Start_recovery] at the master — rotating through
     replicas on repeated timeouts so a dead master is bypassed. *)

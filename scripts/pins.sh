@@ -107,6 +107,8 @@ full)
     --jobs 2 --json
   pin "shard sweep" -- \
     "$chaos" sweep --seeds 50 --scenario shard_partition,shard_outage,shard_flap --jobs 2 --json
+  # The option-agreement and liveness seeds of ROADMAP items 2 and 3.
+  pin "random sweep 2000 seeds" -- "$chaos" sweep --seeds 2000 --scenario random --jobs 2
   ;;
 *) usage ;;
 esac

@@ -391,6 +391,55 @@ let test_no_consumer () =
   ceiling "storage-node fast vote" 17.08 vote;
   ceiling "storage-node visibility" 30.2 vis
 
+(* Routing an option inside its record's classic window allocates
+   nothing: a submit of a [Physical] option whose key has a live window
+   allocates exactly what the same submit allocates in Multi mode, where
+   every option goes classic without a lookup.  Sends are recorded, so a
+   fast route would cost more and fail the check too. *)
+let test_window_route () =
+  let n = 50 in
+  let keys = Array.init n (fun i -> Key.make ~table:"item" ~id:(string_of_int i)) in
+  let submit_words mode =
+    let s = Helpers.scripted_runtime () in
+    let coord =
+      Mdcc_core.Coordinator.create ~runtime:s.Helpers.runtime
+        ~config:(Config.make ~mode ~replication:5 ())
+        ~node_id:9
+        ~replicas:(fun _ -> replicas)
+        ~master_of:(fun _ -> 0)
+        ~ctx:(ctx_of `None) ()
+    in
+    let txns prefix =
+      Array.mapi
+        (fun i k ->
+          Txn.make ~id:(Printf.sprintf "%s%03d" prefix i)
+            ~updates:[ (k, Update.Physical { vread = 5; value = Value.empty }) ])
+        keys
+    in
+    (* Each key's window, from a Redirect of an open transaction. *)
+    Array.iter
+      (fun txn ->
+        Mdcc_core.Coordinator.submit coord txn ignore;
+        s.Helpers.deliver ~src:1
+          (Messages.Redirect
+             { key = fst (List.hd txn.Txn.updates); txid = txn.Txn.id; master = 0;
+               classic_until = 100 }))
+      (txns "r");
+    ignore (s.Helpers.drain ());
+    let measured = txns "w" in
+    let w =
+      words (fun () ->
+          Array.iter (fun txn -> Mdcc_core.Coordinator.submit coord txn ignore) measured)
+    in
+    Alcotest.(check (list int)) "one classic proposal each, to the master"
+      (List.init n (fun _ -> 0))
+      (List.map fst (s.Helpers.drain ()));
+    w
+  in
+  let multi = submit_words Config.Multi in
+  Alcotest.(check (float 0.0)) "words beyond Multi's submits" 0.0
+    ((submit_words Config.Full -. multi) /. Float.of_int n)
+
 (* A classic round at a stable master: the [Propose], its Phase2a fan-out
    with the master's own vote and ack, two remote acks and the [Learned]
    to the coordinator.  The round's state, the master's own pending vote
@@ -557,6 +606,8 @@ let suite =
     Alcotest.test_case "loop poll allocates only select's lists" `Quick test_loop_poll_light;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "classic round allocates only its messages" `Quick test_classic_round;
+    Alcotest.test_case "routing inside a classic window allocates nothing" `Quick
+      test_window_route;
     Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;

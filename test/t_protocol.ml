@@ -323,6 +323,119 @@ let test_reported_outcome () =
   Alcotest.(check bool) "a commit waits for the other key" true (outcome = None);
   Alcotest.(check (list string)) "and learns its key accepted" [ "accepted" ] learns
 
+(* The classic window (§3.3.2's γ policy) at a bare coordinator of five
+   replicas, master 0.  [submit txid update] proposes a one-key
+   transaction on item 0 and returns where its proposals went and by
+   which route; [row] is the version of the co-located row, when [row]
+   is given a store at all. *)
+let window_coordinator ?(gamma = 100) ?row () =
+  let module Messages = Mdcc_core.Messages in
+  let { Helpers.runtime; deliver; drain; clock; _ } = Helpers.scripted_runtime () in
+  let snapshot =
+    Option.map
+      (fun version ->
+        { Coordinator.snap_read = (fun _ -> Some (item_row 100, !version));
+          snap_scan = (fun ~table:_ -> []) })
+      row
+  in
+  let c =
+    Coordinator.create ~runtime
+      ~config:(Config.make ~gamma ~replication:5 ())
+      ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ?snapshot ()
+  in
+  let routes () =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Propose { route = `Fast; _ } -> Some (dst, "fast")
+        | Messages.Propose { route = `Classic; _ } -> Some (dst, "classic")
+        | _ -> None)
+      (drain ())
+  in
+  let submit txid update =
+    Coordinator.submit c (Txn.make ~id:txid ~updates:[ (item 0, update) ]) ignore;
+    routes ()
+  in
+  let redirect txid classic_until =
+    deliver ~src:1 (Messages.Redirect { key = item 0; txid; master = 0; classic_until });
+    routes ()
+  in
+  (submit, redirect, deliver, clock)
+
+let physical vread = Update.Physical { vread; value = item_row 1 }
+
+let fast = List.map (fun r -> (r, "fast")) [ 0; 1; 2; 3; 4 ]
+
+let classic = [ (0, "classic") ]
+
+let routes = Alcotest.(list (pair int string))
+
+(* A Redirect names the end of the record's classic window; until the
+   version known for the record reaches it, this coordinator proposes
+   through the master, however much time has passed.  With no fast
+   Propose, no replica has a proposal to redirect. *)
+let test_window_outlasts_time () =
+  let submit, redirect, _, clock = window_coordinator () in
+  Alcotest.check routes "no window: fast" fast (submit "a" (physical 5));
+  Alcotest.check routes "redirected: classic" classic (redirect "a" 105);
+  clock := 2_500.0;
+  Alcotest.check routes "2.5 s later, vread 6 < 105: classic" classic (submit "b" (physical 6));
+  clock := 60_000.0;
+  Alcotest.check routes "a minute later, vread 104: classic" classic
+    (submit "c" (Update.Read_guard { vread = 104 }))
+
+(* An option whose vread reached the window goes fast and drops it: a
+   later option with an older vread goes fast too. *)
+let test_window_reached_goes_fast () =
+  let submit, redirect, _, _ = window_coordinator () in
+  ignore (submit "a" (physical 5));
+  ignore (redirect "a" 105);
+  Alcotest.check routes "vread 105 >= 105: fast" fast (submit "b" (Update.Delete { vread = 105 }));
+  Alcotest.check routes "the window is gone" fast (submit "c" (physical 7));
+  (* A window reported below the one known does not shrink it. *)
+  ignore (redirect "c" 110);
+  ignore (redirect "c" 50);
+  Alcotest.check routes "the furthest window holds" classic (submit "d" (physical 60))
+
+(* An insert or a delta has no vread: it routes by the co-located row's
+   version, and without a store it goes fast. *)
+let test_window_by_colocated_row () =
+  let delta = Update.Delta [ ("stock", -1) ] in
+  let version = ref 7 in
+  let submit, redirect, _, _ = window_coordinator ~row:version () in
+  ignore (submit "a" delta);
+  ignore (redirect "a" 10);
+  Alcotest.check routes "row at 7 < 10: classic" classic (submit "b" delta);
+  version := 10;
+  Alcotest.check routes "row at 10: fast" fast (submit "c" delta);
+  let submit, redirect, _, _ = window_coordinator () in
+  ignore (submit "a" delta);
+  ignore (redirect "a" 10);
+  Alcotest.check routes "no store: fast" fast (submit "b" delta)
+
+(* A collision sends the option to the master's recovery, which opens a
+   window of γ versions: the next proposal goes classic for γ > 0 and
+   fast for γ = 0, as the replicas will vote. *)
+let test_collision_opens_gamma_window () =
+  let module Woption = Mdcc_core.Woption in
+  let collide gamma =
+    let submit, _, deliver, _ = window_coordinator ~gamma () in
+    ignore (submit "a" (physical 5));
+    List.iter
+      (fun (src, d) -> deliver ~src (Helpers.fast_vote ~key:(item 0) ~txid:"a" d))
+      [ (0, Woption.Accepted); (1, Woption.Accepted); (2, Woption.Rejected);
+        (3, Woption.Rejected) ];
+    submit
+  in
+  let submit = collide 0 in
+  Alcotest.check routes "gamma 0: fast" fast (submit "b" (physical 5));
+  let submit = collide 100 in
+  Alcotest.check routes "gamma 100, vread 6: classic" classic (submit "b" (physical 6));
+  Alcotest.check routes "gamma 100, vread 105: fast" fast (submit "c" (physical 105))
+
 let suite =
   [
     Alcotest.test_case "single update commits" `Quick test_single_update_commits;
@@ -331,6 +444,13 @@ let suite =
     Alcotest.test_case "repeated and foreign fast votes count once" `Quick
       test_fast_votes_count_once;
     Alcotest.test_case "a reported outcome is the transaction's" `Quick test_reported_outcome;
+    Alcotest.test_case "a classic window outlasts time" `Quick test_window_outlasts_time;
+    Alcotest.test_case "a reached window goes fast and goes" `Quick
+      test_window_reached_goes_fast;
+    Alcotest.test_case "a delta routes by the co-located row" `Quick
+      test_window_by_colocated_row;
+    Alcotest.test_case "a collision opens a gamma window" `Quick
+      test_collision_opens_gamma_window;
     Alcotest.test_case "multi-record commit" `Quick test_multi_record_commit;
     Alcotest.test_case "stale vread aborts" `Quick test_stale_vread_aborts;
     Alcotest.test_case "insert & duplicate insert" `Quick test_insert_and_conflict;
