@@ -1,13 +1,27 @@
-(** Per-record Paxos/option state kept by every replica.
+(** The acceptor: the state a storage node keeps in its acceptor role,
+    per record and per node, and one transition per input.
 
-    This module holds the state one storage node keeps for one record —
-    promised ballot, the fast-policy window, the chain of pending votes —
-    and the {e pure} decision logic shared by all three places the paper
-    makes an accept/reject decision: the acceptor's fast path
+    A record's state ({!t}) is the paper's per-record Paxos state: the
+    promised ballot, the fast-policy window, the chain of pending votes,
+    the applied set and the decided log.  A node's state ({!node}) holds
+    its records and the tables around them: the promise marks, the
+    visibility index, the vote pool and the hot applied sets.
+
+    Five transitions change them, one per input: a fast proposal
+    ({!fast_propose}), Phase 1a ({!phase1a}), Phase 2a ({!phase2a}), a
+    Visibility ({!visibility}) and a status query ({!status}).  Each takes
+    its inputs, and the current time where it may vote, and answers with a
+    verdict that is a constant constructor or a structured constant, so a
+    step allocates only what it stores.  The module has no runtime, sends
+    nothing, counts nothing and emits nothing: {!Storage_node} drives it.
+    It finds the record, steps it, and sends, counts and emits from the
+    verdict.  Lint rule [R6-runtime] keeps [Runtime], [Outbox], [Ctx],
+    [Obs] and [Event] out of this file.
+
+    The {e pure} decision logic here is shared by all three places the
+    paper makes an accept/reject decision: the acceptor's fast path
     (SetCompatible, Algorithm 3 lines 83–99), the master's classic
-    validation, and collision/dangling recovery.
-
-    The decision logic implements:
+    validation, and collision/dangling recovery.  It implements:
     {ul
     {- write-write conflict detection via version preconditions
        ([vread] must equal the current version);}
@@ -31,8 +45,8 @@ type vote = private {
           cell the vote owns, so stamping it allocates nothing.  The cell's
           one field is a [sim_time], not a bare [float], as lint rule R1
           requires of protocol timestamps: it is fed from the engine clock,
-          never the wall clock.  The only writers are [Storage_node]'s
-          [Runtime.now_into] call sites. *)
+          never the wall clock.  The only writer is a transition that
+          votes, which copies the stamp its driver filled. *)
   mutable next : vote;  (** the next vote in arrival order, or {!none} *)
 }
 (** One outstanding option this replica voted on: an element of a
@@ -84,8 +98,8 @@ type t = {
           none in [applied].  A visibility is a final decision, yet it
           erases the option's pending vote, so later classic ballots cannot
           re-learn it from votes alone: the log and the applied set are
-          shipped in Phase1b and recovery must honor both.  The storage
-          node's visibility index guards against duplicates. *)
+          shipped in Phase1b and recovery must honor both.  The node's
+          visibility index guards against duplicates. *)
 }
 
 val create : ?classic_until:int -> Key.t -> t
@@ -237,3 +251,134 @@ val demarcation_lower_ok :
 
 val demarcation_upper_ok :
   n:int -> qf:int -> base:int -> upper:int -> pending_pos:int -> delta_pos:int -> bool
+
+(** {1 A node's acceptor} *)
+
+type node
+(** One storage node's acceptor: its records, by key, and the tables
+    around them. *)
+
+val create_node : config:Config.t -> Store.t -> node
+(** An acceptor with no records over the node's committed state, which it
+    reads and writes in place; the bounds are those of the store's
+    schema. *)
+
+val record : node -> Key.t -> t
+(** The key's record, created (fast era in Full mode, classic forever in
+    Multi mode) on first use. *)
+
+val bounds : node -> Key.t -> Schema.bound list
+(** The value constraints of the key's table. *)
+
+val outcome : node -> t -> Txn.id -> bool option
+(** The transaction's visibility outcome at this record, if known:
+    [Some true] when it committed. *)
+
+val applied : node -> Key.t -> applied
+(** The key's applied set as an immutable snapshot: the empty set for a
+    key with no record, which the lookup does not create. *)
+
+val rebase_of : node -> Key.t -> Messages.rebase
+(** The key's committed state, tagged with every transaction folded into
+    it. *)
+
+val rebase : node -> Key.t -> Messages.rebase -> bool
+(** Install a re-based state when it is newer than the row, and answer
+    whether it was.  The applied set becomes exactly [included]; a txid in
+    it drops its pending vote or leaves the decided log, and one we had
+    applied that the rebaser lacks moves to the log, still committed. *)
+
+val repair : node -> t -> Txn.id -> Update.t -> unit
+(** Replay a committed delta a peer's applied set holds and ours lacks
+    (anti-entropy): its vote and logged outcome go, and it joins the row
+    and the applied set. *)
+
+val pending_records : node -> int
+(** Records with a pending vote, kept exact on every change to a chain. *)
+
+val pending_options : node -> int
+(** Pending votes across every record. *)
+
+val any_record : (Key.t -> t -> unit) -> node -> bool
+(** [Key.Tbl.any] over the records: does [f] raise [Key.Tbl.Found] on
+    one?  [f] must not change the records. *)
+
+val filter_records : (Key.t -> t -> 'a option) -> node -> 'a list
+(** [Key.Tbl.sorted_filter_map] over the records, in key order. *)
+
+(** {2 The transitions} *)
+
+type fast =
+  | Outcome of bool
+      (** the transaction is decided here, committed or not: the proposer
+          hears that outcome, never a vote *)
+  | Standing of Woption.decision  (** the option already has this vote: answer it again *)
+  | Redirect  (** the record runs classic ballots: send the proposer to the master *)
+  | Vote of reject_reason option  (** a new vote, [Accepted] exactly for [None] *)
+  | Behind
+      (** a new vote rejecting on [Version_validation], whose read version
+          is ahead of this replica's: it missed an update and should catch
+          up from the master *)
+
+val fast_propose : node -> t -> now:Mdcc_sim.Engine.stamp -> Woption.t -> fast
+(** SetCompatible (Algorithm 3): vote on a fast proposal of the record's
+    option.  No vote is cast inside the record's classic window, nor while
+    its classic promise awaits the Phase 2a of the Phase 1 that made it;
+    once the window has ended, the record falls back to the fast ballot.
+    A vote is stamped with [now]. *)
+
+val phase1a : node -> t -> Ballot.t -> bool
+(** Promise the ballot if it is above the record's promise, and answer
+    whether it did.  A promise marks the record: no fast vote is cast
+    until a Phase 2a at or above it arrives.  The Phase 1b reply carries
+    the record's [promised] and {!promise}. *)
+
+val promise : node -> t -> Messages.promise
+(** What Phase 1b reports: the record's pending votes, committed state and
+    decided log. *)
+
+type phase2a =
+  | Refused  (** the ballot is below the promise: no vote *)
+  | Voted  (** the ballot took and the option has this replica's vote *)
+  | Known  (** the ballot took, but the option's outcome is known here: no vote *)
+  | Voted_rebased | Known_rebased
+      (** as [Voted] and [Known], and the ballot's re-based state repaired the row *)
+
+val phase2a :
+  node ->
+  t ->
+  now:Mdcc_sim.Engine.stamp ->
+  Ballot.t ->
+  Woption.t ->
+  Woption.decision ->
+  classic_until:int ->
+  rebase:Messages.rebase option ->
+  phase2a
+(** Vote on a classic Phase 2a.  A ballot at or above the promise becomes
+    the promise, clears the promise mark, widens the classic window to
+    [classic_until] and installs the re-based state ({!rebase}); the
+    option then gets the master's decision as its vote, stamped with
+    [now], unless its outcome is known.  The Phase 2b carries the record's
+    [promised], acknowledging exactly when the verdict is not [Refused]. *)
+
+type visibility =
+  | Ignored  (** the outcome was already known here *)
+  | Unknown
+      (** a committed placeholder for an option this replica never saw:
+          refused, its vote kept, until the master's state repairs it *)
+  | Wrote  (** committed and written to the row *)
+  | Skipped
+      (** committed without a write: a read guard, or an update a rebase
+          already folded in *)
+  | Voided  (** aborted *)
+
+val visibility : node -> Txn.id -> Key.t -> Update.t -> bool -> visibility
+(** ApplyVisibility (Algorithm 3): execute or void the transaction's
+    option on the key.  The outcome is stored once: a committed
+    value-affecting update in the applied set, anything else in the
+    decided log.  A key with no record gets one unless the verdict is
+    [Ignored] or [Unknown]. *)
+
+val status : node -> Txn.id -> Key.t -> Messages.status
+(** What the replica knows of the transaction on the key, for a dangling
+    transaction's recovery.  The lookup never creates a record. *)

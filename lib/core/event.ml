@@ -2,7 +2,7 @@ open Mdcc_storage
 module Span = Mdcc_obs.Span
 module Invariant = Mdcc_util.Invariant
 
-type vote = Fast of Rstate.reject_reason option | Classic of Woption.decision
+type vote = Fast of Acceptor.reject_reason option | Classic of Woption.decision
 
 type t =
   | Submitted of Txn.t
@@ -46,16 +46,16 @@ let short = function Woption.Accepted -> "acc" | Woption.Rejected -> "rej"
 
 let fast_verdict = function
   | None -> "acc"
-  | Some Rstate.Version_validation -> "rej:version"
-  | Some Rstate.Outstanding_option -> "rej:outstanding"
-  | Some Rstate.Demarcation -> "rej:demarcation"
+  | Some Acceptor.Version_validation -> "rej:version"
+  | Some Acceptor.Outstanding_option -> "rej:outstanding"
+  | Some Acceptor.Demarcation -> "rej:demarcation"
 
 (* ["fast " ^ fast_verdict] and ["classic " ^ short], as constants. *)
 let vote_detail = function
   | Fast None -> "fast acc"
-  | Fast (Some Rstate.Version_validation) -> "fast rej:version"
-  | Fast (Some Rstate.Outstanding_option) -> "fast rej:outstanding"
-  | Fast (Some Rstate.Demarcation) -> "fast rej:demarcation"
+  | Fast (Some Acceptor.Version_validation) -> "fast rej:version"
+  | Fast (Some Acceptor.Outstanding_option) -> "fast rej:outstanding"
+  | Fast (Some Acceptor.Demarcation) -> "fast rej:demarcation"
   | Classic Woption.Accepted -> "classic acc"
   | Classic Woption.Rejected -> "classic rej"
 

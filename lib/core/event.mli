@@ -13,7 +13,7 @@ open Mdcc_storage
 
 (** An acceptor's vote on an option. *)
 type vote =
-  | Fast of Rstate.reject_reason option
+  | Fast of Acceptor.reject_reason option
       (** on the fast ballot, with the reason it rejected, if it did *)
   | Classic of Woption.decision  (** in a classic round, the master's decision *)
 
@@ -73,7 +73,7 @@ val outcome_string : Txn.outcome -> string
 (** The outcome as {!Txn.pp_outcome} renders it, without formatting:
     one constant string per outcome. *)
 
-val fast_verdict : Rstate.reject_reason option -> string
+val fast_verdict : Acceptor.reject_reason option -> string
 (** A fast vote's verdict: ["acc"] or ["rej:<reason>"]. *)
 
 val vote_detail : vote -> string

@@ -56,35 +56,14 @@ type txrec = {
   mutable tx_done : bool;
 }
 
-(* Visibility outcomes keyed by (txid, key) as they arrive, so a lookup
-   renders neither.  A lookup goes through the node's one [probe] key,
-   overwritten in place, so only an insert allocates a key.  A key has the
-   pair's block shape, so it hashes as the pair [(txid, key)] did. *)
-type vkey = { mutable v_txid : Txn.id; mutable v_key : Key.t }
-
-module Visible = Hashtbl.Make (struct
-  type t = vkey
-
-  let equal a b = String.equal a.v_txid b.v_txid && Key.equal a.v_key b.v_key
-  let hash (k : t) = Hashtbl.hash k
-end)
-
 type t = {
   runtime : Runtime.t;
   config : Config.t;
   id : int;
-  schema : Schema.t;
   replicas : Key.t -> int list;
   master_of : Key.t -> int;
   store : Store.t;
-  records : Rstate.t Key.Tbl.t;
-  promising : unit Key.Tbl.t;
-      (* records whose classic promise ([Rstate.promised]) has seen no
-         Phase2a at or above it yet.  Phase 1 runs only in a recovery, so
-         the mark is kept here rather than as a field on every record. *)
-  visible : bool Visible.t;  (* (txid, key) -> txn committed? *)
-  probe : vkey;  (* the lookup key of [visible]; never stored in it *)
-  fast_demarcation : Rstate.demarcation;  (* [`Quorum (n, qf)], built once *)
+  acceptor : Acceptor.node;  (* every record's acceptor state *)
   masters : mstate Key.Tbl.t;
   recoveries : (Txn.id, txrec) Hashtbl.t;
   rng : Rng.t;
@@ -95,15 +74,12 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   option_accept : Obs.counter;  (* the per-message counters, resolved once *)
   visibility_exec : Obs.counter;
-  votes : Rstate.pool;  (* released votes, reused by [add_pending] *)
-  hot : Rstate.Applied.store;  (* the applied sets of records past the promotion size *)
-  mutable pending_records : int;
-      (* records with a pending vote; kept by [add_pending] and
-         [remove_pending], the only writers of a pending chain *)
-  scan_now : Mdcc_sim.Engine.stamp;  (* the scan's [now], flat so the walk boxes nothing *)
-  stale_walk : Key.t -> Rstate.t -> unit;
+  now : Mdcc_sim.Engine.stamp;
+      (* the clock, filled before an acceptor step or a dangling scan;
+         flat, so neither boxes it *)
+  stale_walk : Key.t -> Acceptor.t -> unit;
       (* raises [Key.Tbl.Found] on a record with an option past the
-         timeout at [scan_now]; built once in [create] *)
+         timeout at [now]; built once in [create] *)
   outbox : Outbox.t;  (* the sends of a Batch's items fold here *)
 }
 
@@ -111,98 +87,7 @@ let node_id t = t.id
 
 let store t = t.store
 
-let default_classic_until config =
-  match config.Config.mode with Config.Multi -> max_int | Config.Full -> 0
-
-let rstate t key =
-  match Key.Tbl.find t.records key with
-  | rs -> rs
-  | exception Not_found ->
-    let rs = Rstate.create ~classic_until:(default_classic_until t.config) key in
-    Key.Tbl.add t.records key rs;
-    rs
-
-(* Every change to a record's pending chain goes through these two, so
-   [pending_records] stays exact and an idle node's dangling scan can
-   return without looking at a record.  A vote comes from the node's pool
-   and goes back to it, and its time is stamped in place: once the pool is
-   warm, voting allocates nothing here. *)
-let add_pending t (rs : Rstate.t) (w : Woption.t) decision ballot =
-  if rs.Rstate.pending == Rstate.none then t.pending_records <- t.pending_records + 1;
-  let v = Rstate.add_pending t.votes rs w decision ballot in
-  Runtime.now_into t.runtime v.Rstate.proposed_at
-
-let remove_pending t (rs : Rstate.t) txid =
-  if rs.Rstate.pending != Rstate.none then begin
-    Rstate.remove_pending t.votes rs txid;
-    if rs.Rstate.pending == Rstate.none then t.pending_records <- t.pending_records - 1
-  end
-
-let probe t txid key =
-  t.probe.v_txid <- txid;
-  t.probe.v_key <- key;
-  t.probe
-
-(* Each visibility outcome is stored once.  A committed value-affecting
-   update lives only in its record's applied set; every other outcome — a
-   voided transaction, a committed read guard, a committed transaction a
-   rebase clobbered — lives in [visible] and the record's decided log.
-   [outcome_at] reads both. *)
-let outcome_at t (rs : Rstate.t) txid =
-  if Rstate.Applied.mem t.hot rs txid then Some true
-  else Visible.find_opt t.visible (probe t txid rs.Rstate.key)
-
-(* A key with no record has no outcome: the lookup never creates one. *)
-let visible_outcome t txid key =
-  match Key.Tbl.find t.records key with
-  | rs -> outcome_at t rs txid
-  | exception Not_found -> None
-
-(* Record an outcome that stays out of the applied set.  [visible] doubles
-   as the index of the record's decided log, so a (txid, key) enters the log
-   once, when first seen, however often its outcome is re-asserted later.
-   [replace] stores the key it is given, so it gets a fresh one, never the
-   probe. *)
-let set_visible t (rs : Rstate.t) txid key committed =
-  if not (Visible.mem t.visible (probe t txid key)) then
-    rs.Rstate.decided <- (txid, committed) :: rs.Rstate.decided;
-  Visible.replace t.visible { v_txid = txid; v_key = key } committed
-
-(* [txid] is joining the applied set on a rare repair path: its outcome, if
-   logged, leaves [visible] and the decided log.  Answers whether it was
-   logged. *)
-let unlog t (rs : Rstate.t) txid =
-  let k = probe t txid rs.Rstate.key in
-  let logged = Visible.mem t.visible k in
-  if logged then begin
-    Visible.remove t.visible k;
-    rs.Rstate.decided <-
-      List.filter (fun (id, _) -> not (String.equal id txid)) rs.Rstate.decided
-  end;
-  logged
-
-(* The applied set of the record's Rstate — the authoritative set of
-   committed updates folded into our copy of [key], which is what the
-   anti-entropy digest must summarize.  (Read guards never change the
-   value, and a clobbered transaction's effect is gone, so neither is in
-   it.)  Messages carry it as an immutable snapshot, cached for a hot
-   record until its next insert.  A key with no record has the empty
-   set. *)
-let applied_of t key =
-  match Key.Tbl.find t.records key with
-  | rs -> Rstate.Applied.snapshot t.hot rs
-  | exception Not_found -> Txn.Map.empty
-
-(* A snapshot of our committed state, tagged with every transaction folded
-   into it. *)
-let rebase_of t key =
-  let row = Store.ensure t.store key in
-  {
-    Messages.value = row.Store.value;
-    version = row.Store.version;
-    exists = row.Store.exists;
-    included = applied_of t key;
-  }
+let record t key = Acceptor.record t.acceptor key
 
 let mstate t key =
   match Key.Tbl.find t.masters key with
@@ -221,8 +106,6 @@ let mstate t key =
     Key.Tbl.add t.masters key ms;
     ms
 
-let bounds t key = Schema.bounds_of t.schema key
-
 let send t dst payload = Outbox.send t.outbox dst payload
 
 (* Send [payload] to every replica in the list, in order, except that this
@@ -233,232 +116,85 @@ let rec fan_out t payload local = function
     if replica = t.id then local () else send t replica payload;
     fan_out t payload local rest
 
+(* Ask [key]'s master for its committed state, unless this node is it. *)
+let catch_up t key =
+  let master = t.master_of key in
+  if master <> t.id then send t master (Messages.Catchup_request { key })
+
 (* An event is built only when a consumer is live: [if live t then emit t ...]. *)
 let live t = Ctx.live t.stream
 
 let emit t ev = Ctx.emit t.stream ev
 
 let reject_counter = function
-  | Rstate.Version_validation -> "option_reject_version"
-  | Rstate.Outstanding_option -> "option_reject_outstanding"
-  | Rstate.Demarcation -> "option_reject_demarcation"
+  | Acceptor.Version_validation -> "option_reject_version"
+  | Acceptor.Outstanding_option -> "option_reject_outstanding"
+  | Acceptor.Demarcation -> "option_reject_demarcation"
 
 let count_verdict t reason =
   match reason with
   | None -> Obs.bump t.option_accept
   | Some r -> Obs.incr t.obs (reject_counter r)
 
+let install_rebase t key rb =
+  if Acceptor.rebase t.acceptor key rb then Obs.incr t.obs "antientropy_repair"
+
 (* ------------------------------------------------------------------ *)
-(* Acceptor role                                                       *)
+(* Acceptor role: step the record's acceptor, then send, count and emit *)
 (* ------------------------------------------------------------------ *)
 
-let fast_reply t (w : Woption.t) decision =
-  send t w.Woption.coordinator (Messages.Phase2b_fast { woption = w; decision })
+let fast_vote t (w : Woption.t) reason =
+  count_verdict t reason;
+  if live t then
+    emit t (Event.Voted { txid = w.Woption.txid; key = w.Woption.key; vote = Event.Fast reason });
+  send t w.Woption.coordinator
+    (Messages.Phase2b_fast { woption = w; decision = Acceptor.decision_of reason })
 
-(* An option whose transaction is already decided here is answered with
-   the transaction's outcome, never as a vote: an aborted transaction's
-   option may well have been accepted, and a Rejected would contradict the
-   value its quorum learned.  The coordinator takes the Visibility as the
-   transaction's fate. *)
-let report_outcome t (w : Woption.t) committed =
-  send t w.Woption.coordinator (Messages.Visibility { woption = w; committed })
-
-(* Answer a fast (master-bypassing) proposal: SetCompatible + promise to the
-   first proposer, or a redirect while the record runs classic ballots. *)
+(* Answer a fast (master-bypassing) proposal.  An option whose transaction
+   is already decided here is answered with the transaction's outcome,
+   never as a vote: an aborted transaction's option may well have been
+   accepted, and a Rejected would contradict the value its quorum learned.
+   The coordinator takes the Visibility as the transaction's fate. *)
 let fast_propose t (w : Woption.t) =
-  let key = w.Woption.key in
-  let rs = rstate t key in
-  match outcome_at t rs w.Woption.txid with
-  | Some committed -> report_outcome t w committed
-  | None -> (
-    match Rstate.find_pending rs w.Woption.txid with
-    | v -> fast_reply t w v.Rstate.decision
-    | exception Not_found ->
-      let row = Store.ensure t.store key in
-      (* A promise no Phase2a has followed belongs to a master's Phase 1
-         still under way: its Phase1b reported no fast vote here, so none
-         may be cast until that round proposes. *)
-      let era_classic =
-        Rstate.in_classic_era rs ~version:row.Store.version
-        || ((not (Ballot.is_fast rs.Rstate.promised)) && Key.Tbl.mem t.promising key)
-      in
-      if (not era_classic) && not (Ballot.is_fast rs.Rstate.promised) then
-        (* The γ window ended: lazily fall back to the implicit fast ballot. *)
-        rs.Rstate.promised <- Ballot.initial_fast;
-      if era_classic then
-        send t w.Woption.coordinator
-          (Messages.Redirect
-             {
-               key;
-               txid = w.Woption.txid;
-               master = t.master_of key;
-               classic_until = rs.Rstate.classic_until;
-             })
-      else begin
-        (* A physical update whose vread is ahead of us means we missed an
-           update: ask the master for the committed state (anti-entropy). *)
-        (match w.Woption.update with
-        | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } ->
-          if vread > row.Store.version && t.master_of key <> t.id then
-            send t (t.master_of key) (Messages.Catchup_request { key })
-        | Update.Insert _ | Update.Delta _ -> ());
-        let reason =
-          Rstate.classify ~bounds:(bounds t key) ~demarcation:t.fast_demarcation row
-            ~pending:rs.Rstate.pending w.Woption.update
-        in
-        let decision = Rstate.decision_of reason in
-        count_verdict t reason;
-        add_pending t rs w decision Ballot.initial_fast;
-        if live t then
-          emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Fast reason });
-        fast_reply t w decision
-      end)
+  let key = w.Woption.key and coordinator = w.Woption.coordinator in
+  let rs = record t key in
+  Runtime.now_into t.runtime t.now;
+  match Acceptor.fast_propose t.acceptor rs ~now:t.now w with
+  | Acceptor.Outcome committed ->
+    send t coordinator (Messages.Visibility { woption = w; committed })
+  | Acceptor.Standing decision ->
+    send t coordinator (Messages.Phase2b_fast { woption = w; decision })
+  | Acceptor.Redirect ->
+    let master = t.master_of key and classic_until = rs.Acceptor.classic_until in
+    send t coordinator (Messages.Redirect { key; txid = w.Woption.txid; master; classic_until })
+  | Acceptor.Vote reason -> fast_vote t w reason
+  | Acceptor.Behind ->
+    catch_up t key;
+    fast_vote t w (Some Acceptor.Version_validation)
 
-(* Answer Phase1a: [reply ~ok ~promised promise], so the master can take its
-   own replica's answer synchronously. *)
-let acceptor_phase1a t key ballot reply =
-  let rs = rstate t key in
-  let ok = Ballot.compare ballot rs.Rstate.promised > 0 in
-  if ok then begin
-    rs.Rstate.promised <- ballot;
-    Key.Tbl.replace t.promising key ()
-  end;
-  reply ~ok ~promised:rs.Rstate.promised
-    { Messages.votes = Rstate.votes rs; rebase = rebase_of t key; decided = rs.Rstate.decided }
-
-let apply_rebase t key (rb : Messages.rebase) =
-  let row = Store.ensure t.store key in
-  if rb.Messages.version > row.Store.version then begin
-    Obs.incr t.obs "antientropy_repair";
-    row.Store.value <- rb.Messages.value;
-    row.Store.version <- rb.Messages.version;
-    row.Store.exists <- rb.Messages.exists;
-    (* The re-based state already reflects these transactions, and the
-       applied set becomes exactly [included]: membership makes them
-       visible, so a late Visibility cannot re-apply them (deltas carry no
-       version guard, so a commutative update would otherwise be counted
-       twice).  An included txid logged before moves out of the log; one
-       never seen drops any still-pending option it left behind.  Anything
-       we had applied that the rebaser lacked was clobbered with the
-       overwrite: it stays decided committed, now in the log, and its
-       effect comes back through Sync_reply repair from a replica that
-       still holds it. *)
-    let rs = rstate t key in
-    let old = Rstate.Applied.snapshot t.hot rs and included = rb.Messages.included in
-    Rstate.Applied.replace t.hot rs included;
-    let kept =
-      Txn.Map.fold
-        (fun txid _ kept ->
-          if Txn.Map.mem txid old then kept + 1
-          else begin
-            if not (unlog t rs txid) then remove_pending t rs txid;
-            kept
-          end)
-        included 0
-    in
-    (* Usually the rebaser holds everything we applied: only a count says
-       so, and the walk for clobbered txids is skipped. *)
-    if kept < Txn.Map.cardinal old then
-      Txn.Map.iter
-        (fun txid _ -> if not (Txn.Map.mem txid included) then set_visible t rs txid key true)
-        old
-  end
-
-(* Vote on a Phase2a for [rs]'s record.  The vote took exactly when
-   [rs.promised] equals [ballot] afterwards: a refused ballot is below the
-   promise.  An option whose visibility already executed here gets no
-   vote; a recovering master learns that outcome from Phase 1b's applied
-   set and decided log. *)
-let acceptor_phase2a t (rs : Rstate.t) ballot (w : Woption.t) decision classic_until rebase =
-  if Ballot.compare ballot rs.Rstate.promised >= 0 then begin
-    let key = rs.Rstate.key in
-    rs.Rstate.promised <- ballot;
-    if Key.Tbl.length t.promising > 0 then Key.Tbl.remove t.promising key;
-    rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
-    (match rebase with Some rb -> apply_rebase t key rb | None -> ());
-    if Option.is_none (outcome_at t rs w.Woption.txid) then begin
-      add_pending t rs w decision ballot;
-      if live t then
-        emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision })
-    end
+let applied t txid key wrote =
+  Obs.bump t.visibility_exec;
+  if live t then begin
+    let row = Store.ensure t.store key in
+    emit t
+      (Event.Applied { txid; key; version = row.Store.version; value = row.Store.value; wrote })
   end
 
 (* Execute or void an option (Algorithm 3, ApplyVisibility). *)
-let visibility t txid key (update : Update.t) committed =
-  let unknown_update =
-    (* A recovery that learned the transaction committed without ever seeing
-       this key's real option ships a placeholder update (vread = -1). *)
-    committed && match update with Update.Physical { vread; _ } -> vread < 0 | _ -> false
-  in
-  if unknown_update then begin
-    (* We cannot execute what we do not know.  Refuse the message: the
-       pending vote stays (so conflicting rounds cannot validate against our
-       stale row) and the master's committed state — whose rebase watermark
-       settles this transaction — repairs us instead. *)
-    if Option.is_none (visible_outcome t txid key) then begin
-      if live t then emit t (Event.Unknown_update { txid; key });
-      if t.master_of key <> t.id then
-        send t (t.master_of key) (Messages.Catchup_request { key })
-    end
-  end
-  else if Option.is_none (visible_outcome t txid key) then begin
-    let rs = rstate t key in
-    remove_pending t rs txid;
-    if committed then begin
-      let row = Store.ensure t.store key in
-      let apply_it =
-        match update with
-        | Update.Physical { vread; _ } | Update.Delete { vread } ->
-          (* Skip if a rebase already moved us past this instance. *)
-          row.Store.version <= vread
-        | Update.Insert _ -> not row.Store.exists
-        | Update.Delta _ -> true
-        | Update.Read_guard _ -> false
-      in
-      (* Every committed value-affecting update joins the record's applied
-         set, its outcome's one record (even when the physical apply is
-         skipped — a skip means a rebase already folded the effect in).
-         Read guards never change the value, so they are logged instead:
-         the anti-entropy digest must not diverge over no-ops one replica
-         happened to miss. *)
-      (match update with
-      | Update.Read_guard _ -> set_visible t rs txid key true
-      | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Delta _ ->
-        Rstate.Applied.add t.hot rs txid update);
-      if apply_it then Store.apply t.store key update;
-      Obs.bump t.visibility_exec;
-      if live t then
-        emit t
-          (Event.Applied
-             { txid; key; version = row.Store.version; value = row.Store.value; wrote = apply_it })
-    end
-    else begin
-      set_visible t rs txid key false;
-      Obs.incr t.obs "visibility_void";
-      if live t then emit t (Event.Voided { txid; key })
-    end
-  end
+let visibility t txid key update committed =
+  match Acceptor.visibility t.acceptor txid key update committed with
+  | Acceptor.Ignored -> ()
+  | Acceptor.Unknown ->
+    if live t then emit t (Event.Unknown_update { txid; key });
+    catch_up t key
+  | Acceptor.Wrote -> applied t txid key true
+  | Acceptor.Skipped -> applied t txid key false
+  | Acceptor.Voided ->
+    Obs.incr t.obs "visibility_void";
+    if live t then emit t (Event.Voided { txid; key })
 
-(* Like [visible_outcome], the lookup never creates a record: a key this
-   node never held has no trace of the transaction. *)
 let status_query t ~src txid key =
-  let status =
-    match Key.Tbl.find t.records key with
-    | exception Not_found -> Messages.Status_unknown
-    | rs -> (
-      match outcome_at t rs txid with
-      | Some committed -> Messages.Status_decided committed
-      | None -> (
-        match Rstate.find_pending rs txid with
-        | v ->
-          Messages.Status_pending
-            {
-              Messages.woption = v.Rstate.woption;
-              decision = v.Rstate.decision;
-              ballot = v.Rstate.ballot;
-            }
-        | exception Not_found -> Messages.Status_unknown))
-  in
+  let status = Acceptor.status t.acceptor txid key in
   send t src (Messages.Status_reply { txid; key; status; acceptor = t.id })
 
 (* ------------------------------------------------------------------ *)
@@ -507,13 +243,8 @@ let unknown_update = Update.Physical { vread = -1; value = Value.empty }
    seals the instance and makes the abort durable; in a Visibility, it
    voids the key or, committed, is refused. *)
 let unknown_option t tr key =
-  {
-    Woption.txid = tr.tx_id;
-    key;
-    update = unknown_update;
-    write_set = tr.tx_keys;
-    coordinator = t.id;
-  }
+  { Woption.txid = tr.tx_id; key; update = unknown_update; write_set = tr.tx_keys;
+    coordinator = t.id }
 
 let rec master_phase2b t ~src key txid ballot ok =
   let ms = mstate t key in
@@ -555,7 +286,7 @@ and announce t key (w : Woption.t) notify decision =
   learn_at t key txid decision payload coordinator
 
 (* [announce] for an option whose transaction is already decided: the
-   coordinator hears the transaction's outcome ([report_outcome]); a node
+   coordinator hears the transaction's outcome as a Visibility; a node
    recovering the transaction learns it as the option's decision. *)
 and announce_outcome t key (w : Woption.t) notify committed =
   let txid = w.Woption.txid and coordinator = w.Woption.coordinator in
@@ -563,7 +294,7 @@ and announce_outcome t key (w : Woption.t) notify committed =
   let payload = Messages.Learned { key; txid; decision } in
   announce_notify t key txid decision payload coordinator notify notify;
   if coordinator = t.id then txn_recovery_learned t txid key decision
-  else report_outcome t w committed
+  else send t coordinator (Messages.Visibility { woption = w; committed })
 
 and announce_notify t key txid decision payload coordinator all = function
   | [] -> ()
@@ -585,14 +316,28 @@ and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~reba
 and phase2a_to t key ballot (w : Woption.t) decision classic_until rebase payload = function
   | [] -> ()
   | replica :: rest ->
-    if replica = t.id then begin
-      let rs = rstate t key in
-      acceptor_phase2a t rs ballot w decision classic_until rebase;
-      let promised = rs.Rstate.promised in
-      master_phase2b t ~src:t.id key w.Woption.txid promised (Ballot.equal promised ballot)
-    end
+    if replica = t.id then
+      acceptor_phase2a t ~master:t.id key ballot w decision classic_until rebase
     else send t replica payload;
     phase2a_to t key ballot w decision classic_until rebase payload rest
+
+(* Step the acceptor on a Phase2a from [master] and answer with its
+   Phase2b: a message, or a direct call when this node is the master. *)
+and acceptor_phase2a t ~master key ballot (w : Woption.t) decision classic_until rebase =
+  let rs = record t key in
+  Runtime.now_into t.runtime t.now;
+  let verdict =
+    Acceptor.phase2a t.acceptor rs ~now:t.now ballot w decision ~classic_until ~rebase
+  in
+  (match verdict with
+  | Acceptor.Voted_rebased | Acceptor.Known_rebased -> Obs.incr t.obs "antientropy_repair"
+  | Acceptor.Refused | Acceptor.Voted | Acceptor.Known -> ());
+  if (verdict = Acceptor.Voted || verdict = Acceptor.Voted_rebased) && live t then
+    emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
+  let txid = w.Woption.txid and promised = rs.Acceptor.promised in
+  let ok = verdict <> Acceptor.Refused in
+  if master = t.id then master_phase2b t ~src:t.id key txid promised ok
+  else send t master (Messages.Phase2b_master { key; txid; ballot = promised; ok })
 
 (* Stable-master classic round: validate with escrow against our own state
    (our own pendings mirror every in-flight classic option) and replicate the
@@ -602,16 +347,16 @@ and start_round t key (w : Woption.t) ~notify =
   match ms.m_led with
   | None -> start_recovery t key ~extras:[ w ] ~notify
   | Some ballot ->
-    let rs = rstate t key in
+    let rs = record t key in
     let row = Store.ensure t.store key in
     let reason =
-      Rstate.classify ~bounds:(bounds t key) ~demarcation:`Escrow row
-        ~pending:rs.Rstate.pending w.Woption.update
+      Acceptor.classify ~bounds:(Acceptor.bounds t.acceptor key) ~demarcation:`Escrow row
+        ~pending:rs.Acceptor.pending w.Woption.update
     in
-    let decision = Rstate.decision_of reason in
+    let decision = Acceptor.decision_of reason in
     count_verdict t reason;
     ms.m_rounds <- new_round w decision ballot notify :: ms.m_rounds;
-    broadcast_phase2a t key ballot w decision ~classic_until:rs.Rstate.classic_until ~rebase:None
+    broadcast_phase2a t key ballot w decision ~classic_until:rs.Acceptor.classic_until ~rebase:None
 
 and can_run_now t key (w : Woption.t) =
   let ms = mstate t key in
@@ -635,14 +380,14 @@ and master_propose t (w : Woption.t) ~notify =
   let key = w.Woption.key in
   let txid = w.Woption.txid in
   let ms = mstate t key in
-  let rs = rstate t key in
-  match outcome_at t rs txid with
+  let rs = record t key in
+  match Acceptor.outcome t.acceptor rs txid with
   | Some committed -> announce_outcome t key w notify committed
   | None -> (
     match find_round txid ms.m_rounds with
     | r -> r.r_notify <- union r.r_notify notify
     | exception Not_found -> (
-      match (ms.m_recovery, Rstate.mem_pending rs txid) with
+      match (ms.m_recovery, Acceptor.mem_pending rs txid) with
       | Some _, _ | None, true ->
         (* Join the recovery in progress.  Or a local vote for the option
            exists — fast, or classic from a round we no longer track.
@@ -654,7 +399,7 @@ and master_propose t (w : Woption.t) ~notify =
         start_recovery t key ~extras:[ w ] ~notify
       | None, false ->
         let row = Store.ensure t.store key in
-        let era_classic = Rstate.in_classic_era rs ~version:row.Store.version in
+        let era_classic = Acceptor.in_classic_era rs ~version:row.Store.version in
         if ms.m_led <> None && era_classic then begin
           if ms.m_queue = [] && can_run_now t key w then start_round t key w ~notify
           else
@@ -712,8 +457,17 @@ and broadcast_phase1a t key rc =
   Obs.incr t.obs "phase1_round";
   let ballot = rc.rc_ballot in
   fan_out t (Messages.Phase1a { key; ballot })
-    (fun () -> acceptor_phase1a t key ballot (master_phase1b t ~src:t.id key ballot))
+    (fun () -> acceptor_phase1a t ~master:t.id key ballot)
     (t.replicas key)
+
+(* Step the acceptor on a Phase1a from [master] and answer with its
+   Phase1b: a message, or a direct call when this node is the master. *)
+and acceptor_phase1a t ~master key ballot =
+  let rs = record t key in
+  let ok = Acceptor.phase1a t.acceptor rs ballot in
+  let promised = rs.Acceptor.promised and promise = Acceptor.promise t.acceptor rs in
+  if master = t.id then master_phase1b t ~src:t.id key ballot ~ok ~promised promise
+  else send t master (Messages.Phase1b { key; ballot; ok; promised; promise })
 
 (* Re-drive Phase 1 if the recovery stalls (lost messages, failed DC). *)
 and watch_recovery t key rc =
@@ -761,9 +515,9 @@ and resolve_recovery t key rc =
       (fun best (_, (p : Messages.promise)) ->
         if p.Messages.rebase.Messages.version > best.Messages.version then p.Messages.rebase
         else best)
-      (rebase_of t key) rc.rc_resp
+      (Acceptor.rebase_of t.acceptor key) rc.rc_resp
   in
-  apply_rebase t key rebase;
+  install_rebase t key rebase;
   (* Candidate options: every pending vote reported, plus escalated extras.
      Of an option's classic votes only the highest-ballot one matters, the
      last reported among equals; its fast votes count by their reporter's
@@ -805,8 +559,7 @@ and resolve_recovery t key rc =
     Txn.Map.iter (fun txid _ -> Hashtbl.replace known_viz txid true) applied;
     List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
   in
-  let own = rstate t key in
-  learn (Rstate.Applied.snapshot t.hot own) own.Rstate.decided;
+  learn (Acceptor.applied t.acceptor key) (record t key).Acceptor.decided;
   List.iter
     (fun (_, (p : Messages.promise)) ->
       learn p.Messages.rebase.Messages.included p.Messages.decided)
@@ -838,7 +591,7 @@ and resolve_recovery t key rc =
     candidates;
   let base_val =
     {
-      Rstate.value = rebase.Messages.value;
+      Acceptor.value = rebase.Messages.value;
       version = rebase.Messages.version;
       exists = rebase.Messages.exists;
     }
@@ -888,14 +641,14 @@ and resolve_recovery t key rc =
           match forced with
           | Some d when d = Woption.Rejected || Update.is_commutative w.Woption.update -> d
           | Some _ | None ->
-            Rstate.evaluate ~bounds:(bounds t key) ~demarcation:`Escrow base_val
+            Acceptor.evaluate ~bounds:(Acceptor.bounds t.acceptor key) ~demarcation:`Escrow base_val
               ~pending:accepted w.Woption.update
         in
         let accepted =
-          if d = Woption.Accepted then Rstate.vote ~next:accepted w d rc.rc_ballot else accepted
+          if d = Woption.Accepted then Acceptor.vote ~next:accepted w d rc.rc_ballot else accepted
         in
         ((w, d) :: outcomes, accepted))
-      ([], Rstate.none)
+      ([], Acceptor.none)
       (classic_forced @ fast_forced @ free)
   in
   let outcomes = List.rev outcomes in
@@ -905,8 +658,8 @@ and resolve_recovery t key rc =
     | Config.Multi -> max_int
     | Config.Full -> rebase.Messages.version + t.config.Config.gamma
   in
-  let rs = rstate t key in
-  rs.Rstate.classic_until <- Stdlib.max rs.Rstate.classic_until classic_until;
+  let rs = record t key in
+  rs.Acceptor.classic_until <- Stdlib.max rs.Acceptor.classic_until classic_until;
   rc.rc_done <- true;
   ms.m_recovery <- None;
   ms.m_led <- Some rc.rc_ballot;
@@ -1047,26 +800,26 @@ let txn_recovery_status t txid key status acceptor =
    always finds nothing, so it first asks [stale_walk] whether any option
    is past the timeout at all: a walk that allocates nothing.  Only then
    are candidates collected, all before the first recovery starts, since
-   starting one mutates [t.records].  Recoveries start in reverse (key,
+   starting one mutates the acceptor's records.  Recoveries start in reverse (key,
    pending) order. *)
 let scan_dangling t =
-  if t.pending_records > 0 then begin
-    Runtime.now_into t.runtime t.scan_now;
-    if Key.Tbl.any t.stale_walk t.records then begin
-      let now = t.scan_now and timeout = t.config.Config.txn_timeout in
+  if Acceptor.pending_records t.acceptor > 0 then begin
+    Runtime.now_into t.runtime t.now;
+    if Acceptor.any_record t.stale_walk t.acceptor then begin
+      let now = t.now and timeout = t.config.Config.txn_timeout in
       let recovering (w : Woption.t) = Hashtbl.mem t.recoveries w.Woption.txid in
-      let stale_in key (rs : Rstate.t) =
+      let stale_in key (rs : Acceptor.t) =
         (* The shortest deadline first: it settles almost every record
            without computing the record's master. *)
-        if not (Rstate.any_older rs ~now timeout) then None
+        if not (Acceptor.any_older rs ~now timeout) then None
         else begin
           let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
-          match List.filter (fun w -> not (recovering w)) (Rstate.older_than rs ~now limit) with
+          match List.filter (fun w -> not (recovering w)) (Acceptor.older_than rs ~now limit) with
           | [] -> None
           | stale -> Some stale
         end
       in
-      Key.Tbl.sorted_filter_map stale_in t.records
+      Acceptor.filter_records stale_in t.acceptor
       |> List.concat |> List.rev
       |> List.iter (start_txn_recovery t)
     end
@@ -1104,8 +857,8 @@ let clear_diverged t ~src key =
    gated on having learned something new ourselves, so the exchange
    terminates after at most one reply each way. *)
 let sync_repair t ~src key theirs =
-  let rs = rstate t key in
-  let missing = Rstate.applied_missing ~mine:(Rstate.Applied.snapshot t.hot rs) ~theirs in
+  let rs = record t key in
+  let missing = Acceptor.applied_missing ~mine:(Acceptor.applied t.acceptor key) ~theirs in
   let merged = ref 0 in
   let stale = ref false in
   Txn.Map.iter
@@ -1113,10 +866,7 @@ let sync_repair t ~src key theirs =
       match update with
       | Update.Delta _ ->
         let row = Store.ensure t.store key in
-        ignore (unlog t rs txid : bool);
-        remove_pending t rs txid;
-        Store.apply t.store key update;
-        Rstate.Applied.add t.hot rs txid update;
+        Acceptor.repair t.acceptor rs txid update;
         incr merged;
         Obs.incr t.obs "antientropy_repair";
         if live t then
@@ -1130,8 +880,8 @@ let sync_repair t ~src key theirs =
   (* Repaired: this pair is no longer diverged from our point of view. *)
   clear_diverged t ~src key;
   if !merged > 0 then begin
-    let applied = Rstate.Applied.snapshot t.hot rs in
-    if not (Txn.Map.is_empty (Rstate.applied_missing ~mine:theirs ~theirs:applied)) then
+    let applied = Acceptor.applied t.acceptor key in
+    if not (Txn.Map.is_empty (Acceptor.applied_missing ~mine:theirs ~theirs:applied)) then
       send t src
         (Messages.Sync_reply
            { key; version = (Store.ensure t.store key).Store.version; applied })
@@ -1163,12 +913,12 @@ let rec handle t ~src payload =
       (fun (key, version, digest) ->
         let row = Store.ensure t.store key in
         if row.Store.version > version then
-          send t src (Messages.Catchup { key; rebase = rebase_of t key })
+          send t src (Messages.Catchup { key; rebase = Acceptor.rebase_of t.acceptor key })
         else if row.Store.version < version then
           (* The prober is ahead of us: pull its committed state. *)
           send t src (Messages.Catchup_request { key })
         else if row.Store.version > 0 then begin
-          let applied = applied_of t key in
+          let applied = Acceptor.applied t.acceptor key in
           if Messages.applied_digest applied <> digest then begin
             mark_diverged t ~src key version;
             send t src (Messages.Sync_reply { key; version = row.Store.version; applied })
@@ -1179,18 +929,11 @@ let rec handle t ~src payload =
   | Messages.Sync_reply { key; version = _; applied } -> sync_repair t ~src key applied
   | Messages.Propose { woption; route = `Fast } -> fast_propose t woption
   | Messages.Propose { woption; route = `Classic } -> master_propose t woption ~notify:[]
-  | Messages.Phase1a { key; ballot } ->
-    acceptor_phase1a t key ballot (fun ~ok ~promised promise ->
-        send t src (Messages.Phase1b { key; ballot; ok; promised; promise }))
+  | Messages.Phase1a { key; ballot } -> acceptor_phase1a t ~master:src key ballot
   | Messages.Phase1b { key; ballot; ok; promised; promise } ->
     master_phase1b t ~src key ballot ~ok ~promised promise
   | Messages.Phase2a { key; ballot; woption; decision; classic_until; rebase } ->
-    let rs = rstate t key in
-    acceptor_phase2a t rs ballot woption decision classic_until rebase;
-    let promised = rs.Rstate.promised in
-    send t src
-      (Messages.Phase2b_master
-         { key; txid = woption.Woption.txid; ballot = promised; ok = Ballot.equal promised ballot })
+    acceptor_phase2a t ~master:src key ballot woption decision classic_until rebase
   | Messages.Phase2b_master { key; txid; ballot; ok } ->
     master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
@@ -1203,8 +946,8 @@ let rec handle t ~src payload =
   | Messages.Catchup_request { key } ->
     let row = Store.ensure t.store key in
     if row.Store.version > 0 then
-      send t src (Messages.Catchup { key; rebase = rebase_of t key })
-  | Messages.Catchup { key; rebase } -> apply_rebase t key rebase
+      send t src (Messages.Catchup { key; rebase = Acceptor.rebase_of t.acceptor key })
+  | Messages.Catchup { key; rebase } -> install_rebase t key rebase
   | Messages.Read_request { rid; key } ->
     let row = Store.ensure t.store key in
     send t src
@@ -1222,26 +965,17 @@ and handle_each t ~src = function
     handle_each t ~src rest
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.make ()) () =
-  let obs = ctx.Ctx.obs and scan_now = { Mdcc_sim.Engine.time = 0.0 } in
+  let obs = ctx.Ctx.obs and now = { Mdcc_sim.Engine.time = 0.0 } in
+  let store = Store.create schema in
   let t =
     {
       runtime;
       config;
       id = node_id;
-      schema;
       replicas;
       master_of;
-      store = Store.create schema;
-      (* [records] and [visible] keep their large initial sizes: arrays
-         this long go straight to the major heap and cost no minor words,
-         and a loaded deployment would only regrow them.  The node's other
-         tables start small and grow with the keys and transactions it
-         sees. *)
-      records = Key.Tbl.create 1024;
-      promising = Key.Tbl.create 16;
-      visible = Visible.create 4096;
-      probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" };
-      fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);
+      store;
+      acceptor = Acceptor.create_node ~config store;
       masters = Key.Tbl.create 16;
       recoveries = Hashtbl.create 16;
       rng = Rng.split (Runtime.rng runtime);
@@ -1250,13 +984,10 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
       stream = Ctx.stream ctx runtime ~node:node_id;
       option_accept = Obs.counter obs "option_accept";
       visibility_exec = Obs.counter obs "visibility_exec";
-      votes = Rstate.pool ();
-      hot = Rstate.Applied.store ();
-      pending_records = 0;
-      scan_now;
+      now;
       stale_walk =
-        (fun _ (rs : Rstate.t) ->
-          if Rstate.any_older rs ~now:scan_now config.Config.txn_timeout then
+        (fun _ rs ->
+          if Acceptor.any_older rs ~now config.Config.txn_timeout then
             raise_notrace Key.Tbl.Found);
       outbox = Outbox.create runtime ~src:node_id;
     }
@@ -1273,11 +1004,7 @@ let load t rows =
       row.Store.exists <- true)
     rows
 
-let pending_options t =
-  Key.Tbl.sorted_filter_map
-    (fun _ rs -> match Rstate.pending_count rs with 0 -> None | n -> Some n)
-    t.records
-  |> List.fold_left ( + ) 0
+let pending_options t = Acceptor.pending_options t.acceptor
 
 (* Anti-entropy sweep: send every node in [targets key] other than us one
    Sync_request with our (key, version, digest) for each key we hold that
@@ -1291,7 +1018,8 @@ let sync t ~targets =
   Store.iter t.store (fun key row ->
       let dsts = targets key in
       if names_other t.id dsts then begin
-        let entry = (key, row.Store.version, Messages.applied_digest (applied_of t key)) in
+        let digest = Messages.applied_digest (Acceptor.applied t.acceptor key) in
+        let entry = (key, row.Store.version, digest) in
         List.iter
           (fun dst ->
             if dst <> t.id then begin

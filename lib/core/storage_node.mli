@@ -1,4 +1,5 @@
-(** A storage node: Paxos acceptor, per-record master, and recovery agent.
+(** A storage node: it drives its Paxos acceptor, and plays per-record
+    master and recovery agent.
 
     The paper maps Paxos roles onto the architecture as: clients are
     app-servers, proposers are masters, acceptors are storage nodes, and all
@@ -6,11 +7,15 @@
     [Storage_node.t] therefore plays three roles:
 
     {ol
-    {- {b Acceptor} — votes on fast proposals (SetCompatible: version
-       validation, one-outstanding-option, quorum demarcation), answers
-       Phase1a/Phase2a, executes options on Visibility, and redirects fast
-       proposers to the master while a record is inside its classic (γ)
-       window;}
+    {- {b Acceptor} — the node's {!Acceptor.node}, stepped once per
+       input: a fast proposal (SetCompatible: version validation,
+       one-outstanding-option, quorum demarcation, or a redirect to the
+       master while a record is inside its classic (γ) window), Phase1a,
+       Phase2a, Visibility and a status query.  The node finds the record,
+       fills the clock stamp a vote records, steps the acceptor, and then
+       sends, counts and emits from its verdict.  A Phase1a or Phase2a
+       from the node's own master is answered by a direct call, not a
+       message;}
     {- {b Master} — for records whose mastership maps here: the stable
        classic path (Multi-Paxos, Phase 1 skipped) serializing physical
        options and pipelining commutative ones with escrow validation, and
@@ -23,7 +28,10 @@
        died, §3.2.3), reconstructs the write-set from the option itself,
        quorum-reads every key's status, forces undecided instances through
        the master, and issues the final Visibility on the dead coordinator's
-       behalf.}} *)
+       behalf.}}
+
+    The master, the recovery agent and anti-entropy read and change the
+    acceptor's state only through {!Acceptor}'s queries. *)
 
 open Mdcc_storage
 

@@ -144,7 +144,10 @@ let rec type_mutability (env : env) ~current_module visited (ct : core_type) : s
    loop.  A direct [Unix.*] call, a [Sys.*] read, channel I/O or a process
    [exit] there is an effect the replayer cannot see.  The sanctioned homes
    for OS ambience are lib/runtime_unix and bin/; lib/obs's one clock,
-   [Mdcc_obs.Clock], is carved out by a file-scoped lint_allow.conf entry. *)
+   [Mdcc_obs.Clock], is carved out by a file-scoped lint_allow.conf entry.
+   [R6-runtime] goes one step further in lib/core/acceptor.ml, which takes
+   the time as an argument and answers verdicts: no runtime, outbox,
+   context, counter or event there, so a test can step it alone. *)
 
 type ident_rule = {
   id : string;
@@ -218,6 +221,11 @@ let ident_rules =
     rule ~shadowable:true "R6-exit"
       "process exit in the deterministic core; raise a structured error instead" (stdlib [ "exit" ]);
     rule ~shadowable:true "R6-channel" channel_io (stdlib channel_prims);
+    rule "R6-runtime"
+      "runtime, send, count or emit in the acceptor; answer a verdict its driver acts on"
+      (function
+      | _ :: ("Runtime" | "Outbox" | "Ctx" | "Obs" | "Event") :: _ -> true
+      | _ -> false);
   ]
 
 module Sset = Set.Make (String)
@@ -321,6 +329,8 @@ let check (env : env) ~rel (str : structure) : Finding.t list =
   let expr it e =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_ident ~loc (Longident.flatten txt)
+    | Pexp_construct ({ txt = Longident.Ldot _ as txt; loc }, _) ->
+      check_ident ~loc (Longident.flatten txt)
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
       when in_scope "R3-assert-false" ->
       add ~loc:e.pexp_loc "R3-assert-false" "assert false" failure

@@ -18,7 +18,10 @@
       or console I/O ([R6-channel]: [open_in], [print_endline], [stdout],
       [In_channel.*], ...), no [Printf.printf]/[Format.eprintf]-style
       console formatting ([R6-print]), and no [exit] ([R6-exit]).  A bare
-      name the file binds itself is its own, not Stdlib's.
+      name the file binds itself is its own, not Stdlib's.  [R6-runtime]
+      bans [Runtime.*], [Outbox.*], [Ctx.*], [Obs.*] and [Event.*] in the
+      acceptor.  An identifier rule reads module-qualified constructors
+      too.
 
     The identifier rules of R1, R3 and R6 are one table read by the one
     walk; {!Scope.applies} says where each rule runs.  The pass is untyped:

@@ -2,9 +2,9 @@
 
     The scoped rules are [R1-simtime] (lib/core, lib/paxos, lib/chaos),
     [R3] (lib/core, lib/paxos, lib/util), [R4] (lib/), [R6] (lib/core,
-    lib/obs, lib/paxos, lib/protocols, lib/storage, lib/wire) and [R7]
-    (lib/core, lib/paxos, lib/protocols); every other rule applies to every
-    scanned file. *)
+    lib/obs, lib/paxos, lib/protocols, lib/storage, lib/wire), [R6-runtime]
+    (lib/core/acceptor.ml) and [R7] (lib/core, lib/paxos, lib/protocols);
+    every other rule applies to every scanned file. *)
 
 val norm_rel : string -> string
 (** Normalise a repo-relative path: strip a leading ["./"], forward

@@ -1,6 +1,6 @@
 open Mdcc_storage
 module Net = Mdcc_sim.Network
-module Rstate = Mdcc_core.Rstate
+module Acceptor = Mdcc_core.Acceptor
 module Runtime = Mdcc_core.Runtime
 module Layout = Mdcc_core.Cluster.Layout
 module Quorum = Mdcc_paxos.Quorum
@@ -48,7 +48,7 @@ let validate t (updates : (Key.t * Update.t) list) =
     (fun (key, update) ->
       let row = Store.ensure store key in
       let bounds = Schema.bounds_of (Harness.schema t.d) key in
-      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~pending:Rstate.none update
+      Acceptor.evaluate ~bounds ~demarcation:`Escrow row ~pending:Acceptor.none update
       = Mdcc_core.Woption.Accepted)
     updates
 

@@ -1,6 +1,6 @@
 open Mdcc_storage
 module Net = Mdcc_sim.Network
-module Rstate = Mdcc_core.Rstate
+module Acceptor = Mdcc_core.Acceptor
 module Runtime = Mdcc_core.Runtime
 module Layout = Mdcc_core.Cluster.Layout
 
@@ -37,7 +37,7 @@ let prepare t node key txid update =
     let row = Store.ensure store key in
     let bounds = Schema.bounds_of (Harness.schema t.d) key in
     let ok =
-      Rstate.evaluate ~bounds ~demarcation:`Escrow row ~pending:Rstate.none update
+      Acceptor.evaluate ~bounds ~demarcation:`Escrow row ~pending:Acceptor.none update
       = Mdcc_core.Woption.Accepted
     in
     if ok then Key.Tbl.replace locks key (txid, update);

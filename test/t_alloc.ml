@@ -5,7 +5,7 @@
 
 open Mdcc_storage
 module Messages = Mdcc_core.Messages
-module Rstate = Mdcc_core.Rstate
+module Acceptor = Mdcc_core.Acceptor
 module Config = Mdcc_core.Config
 module Probe = Mdcc_bench.Probe
 module Storage_node = Mdcc_core.Storage_node
@@ -22,18 +22,18 @@ let per_op p = (Probe.run p).Probe.minor_words_per_op
 let key = Key.make ~table:"item" ~id:"42"
 
 let test_mark_applied_log_n () =
-  let rs = Rstate.create key in
+  let rs = Acceptor.create key in
   for i = 0 to 9_999 do
-    Rstate.mark_applied rs (Printf.sprintf "t%05d" i) (Update.Delta [ ("stock", -1) ])
+    Acceptor.mark_applied rs (Printf.sprintf "t%05d" i) (Update.Delta [ ("stock", -1) ])
   done;
   let fresh = Array.init 100 (fun i -> Printf.sprintf "u%05d" i) in
   let up = Update.Delta [ ("stock", -1) ] in
-  let w = words (fun () -> Array.iter (fun txid -> Rstate.mark_applied rs txid up) fresh) in
+  let w = words (fun () -> Array.iter (fun txid -> Acceptor.mark_applied rs txid up) fresh) in
   (* A balanced-tree insert copies one path: about log2(10_100) = 14 nodes
      of 6 words.  Copying the set would cost tens of thousands. *)
   let per_call = w /. 100.0 in
   if per_call > 200.0 then Alcotest.failf "mark_applied allocated %.0f words per call" per_call;
-  let again = words (fun () -> Rstate.mark_applied rs fresh.(0) up) in
+  let again = words (fun () -> Acceptor.mark_applied rs fresh.(0) up) in
   Alcotest.(check (float 0.0)) "re-marking allocates nothing" 0.0 again
 
 (* The same insert through a storage node, on a record whose set holds
@@ -519,6 +519,52 @@ let test_settled_votes () =
   if classic_vote > 6.5 then Alcotest.failf "a classic vote allocated %.2f words" classic_vote;
   Alcotest.(check (float 0.0)) "settling the only vote costs what no vote does" unvoted settle
 
+(* Each acceptor step alone, with no runtime, on warm records and a warm
+   vote pool: ROADMAP item 5's acceptor line.  A fast vote and a classic
+   Phase 2a vote allocate nothing (the verdicts are constants and the
+   votes come from the pool); a committed Visibility allocates its
+   applied-set insert and the delta's new row value, 20 words. *)
+let test_acceptor_steps () =
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let store = Store.create schema in
+  let n = Acceptor.create_node ~config:(Config.make ~replication:5 ()) store in
+  let now = { Mdcc_sim.Engine.time = 0.0 } and count = 50 in
+  let ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:1 in
+  let on prefix = Array.init count (fun i -> option_on i prefix) in
+  let fast (w : Woption.t) =
+    ignore (Acceptor.fast_propose n (Acceptor.record n w.Woption.key) ~now w : Acceptor.fast)
+  in
+  let commit (w : Woption.t) =
+    ignore (Acceptor.visibility n w.Woption.txid w.Woption.key delta true : Acceptor.visibility)
+  in
+  let classic (w : Woption.t) =
+    ignore
+      (Acceptor.phase2a n (Acceptor.record n w.Woption.key) ~now ballot w Woption.Accepted
+         ~classic_until:0 ~rebase:None
+        : Acceptor.phase2a)
+  in
+  (* All warm votes are out at once, so the pool ends up holding [count]. *)
+  let warm = on "warm" in
+  Array.iter
+    (fun (w : Woption.t) ->
+      let row = Store.ensure store w.Woption.key in
+      row.Store.value <- Value.of_list [ ("stock", Value.Int 1_000) ];
+      row.Store.exists <- true;
+      fast w)
+    warm;
+  Array.iter commit warm;
+  let per_step step opts =
+    words (fun () -> Array.iter step opts) /. Float.of_int (Array.length opts)
+  in
+  let opts = on "f" in
+  let vote = per_step fast opts in
+  let visibility = per_step commit opts in
+  let classic_vote = per_step classic (on "c") in
+  Alcotest.(check (float 0.0)) "words per fast vote" 0.0 vote;
+  Alcotest.(check (float 0.0)) "words per classic vote" 0.0 classic_vote;
+  if visibility > 20.0 then
+    Alcotest.failf "a committed visibility allocated %.2f words (ceiling 20)" visibility
+
 let huge = 16_000
 
 (* With only a history attached, no key or outcome string is rendered: the
@@ -609,6 +655,7 @@ let suite =
     Alcotest.test_case "routing inside a classic window allocates nothing" `Quick
       test_window_route;
     Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;
+    Alcotest.test_case "acceptor steps alone, in words per step" `Quick test_acceptor_steps;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
     Alcotest.test_case "hot-record visibility is O(1)" `Quick test_hot_visibility_constant;

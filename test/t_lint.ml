@@ -259,6 +259,26 @@ let test_r6_ok () =
   let r = scan ~rel:"lib/core/r6_purity_ok.ml" "r6_purity_ok.ml" in
   Alcotest.(check (list hit)) "sprintf/asprintf/constants are pure" [] (hits r)
 
+(* R6-runtime: the acceptor reaches no runtime, outbox, context, counter or
+   event, constructors included; the same file elsewhere in lib/core is
+   R6-runtime's business no more. *)
+let test_r6_runtime () =
+  let r = scan ~rel:"lib/core/acceptor.ml" "r6_runtime.ml" in
+  Alcotest.(check (list hit))
+    "r6-runtime rule ids and lines"
+    [ ("R6-runtime", 2); ("R6-runtime", 4); ("R6-runtime", 6); ("R6-runtime", 8);
+      ("R6-runtime", 8); ("R6-runtime", 10) ]
+    (hits r);
+  Alcotest.(check (list string))
+    "r6-runtime offending idents"
+    [ "Runtime.now_into"; "Outbox.send"; "Mdcc_obs.Obs.incr"; "Ctx.live"; "Ctx.emit";
+      "Event.Voided" ]
+    (List.map (fun f -> f.Finding.ident) r.Driver.rp_findings);
+  let elsewhere = scan ~rel:"lib/core/storage_node.ml" "r6_runtime.ml" in
+  Alcotest.(check (list hit)) "no findings outside the acceptor" [] (hits elsewhere);
+  let ok = scan ~rel:"lib/core/acceptor.ml" "r6_runtime_ok.ml" in
+  Alcotest.(check (list hit)) "verdicts and a filled clock cell are pure" [] (hits ok)
+
 (* The lib/obs carve-out: the observability layer is inside R6's scope (a
    stray wall-clock read there would leak into byte-pinned exports), with
    exactly one sanctioned escape — Obs.Clock, covered by file-scoped R1/R6
@@ -485,6 +505,7 @@ let suite =
     Alcotest.test_case "R6 negative fixture" `Quick test_r6_ok;
     Alcotest.test_case "R6 lib/obs scope" `Quick test_r6_obs_scope;
     Alcotest.test_case "R6 Obs.Clock carve-out" `Quick test_r6_obs_clock_allow;
+    Alcotest.test_case "R6-runtime acceptor purity" `Quick test_r6_runtime;
     Alcotest.test_case "R7 exhaustiveness fixture" `Quick test_r7_exhaustive;
     Alcotest.test_case "R7 negative fixture" `Quick test_r7_ok;
     Alcotest.test_case "R7 cross-file link" `Quick test_r7_cross_file;

@@ -461,7 +461,7 @@ let test_span_basics () =
 let test_span_strings_match_renderers () =
   let module Event = Mdcc_core.Event in
   let module Txn = Mdcc_storage.Txn in
-  let module Rstate = Mdcc_core.Rstate in
+  let module Acceptor = Mdcc_core.Acceptor in
   let module Woption = Mdcc_core.Woption in
   List.iter
     (fun o ->
@@ -478,7 +478,7 @@ let test_span_strings_match_renderers () =
       Alcotest.(check string) "fast vote"
         ("fast " ^ Event.fast_verdict reason)
         (Event.vote_detail (Event.Fast reason)))
-    Rstate.[ None; Some Version_validation; Some Outstanding_option; Some Demarcation ];
+    Acceptor.[ None; Some Version_validation; Some Outstanding_option; Some Demarcation ];
   List.iter
     (fun (decision, short) ->
       Alcotest.(check string) "classic vote" ("classic " ^ short)

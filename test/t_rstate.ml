@@ -1,8 +1,9 @@
-(* Unit and property tests of the per-record decision logic: SetCompatible,
-   the one-outstanding-option rule, and quorum demarcation (§3.4.2). *)
+(* Unit and property tests of the acceptor: the per-record decision logic
+   (SetCompatible, the one-outstanding-option rule, quorum demarcation,
+   §3.4.2) and its transitions, stepped with no engine or runtime. *)
 
 open Mdcc_storage
-module Rstate = Mdcc_core.Rstate
+module Acceptor = Mdcc_core.Acceptor
 module Woption = Mdcc_core.Woption
 module Ballot = Mdcc_paxos.Ballot
 
@@ -11,33 +12,33 @@ let key = Key.make ~table:"item" ~id:"k"
 let bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ]
 
 let valuation ?(exists = true) ?(version = 1) stock =
-  { Rstate.value = Value.of_list [ ("stock", Value.Int stock) ]; version; exists }
+  { Acceptor.value = Value.of_list [ ("stock", Value.Int stock) ]; version; exists }
 
 let woption ?(txid = "t") update =
   { Woption.txid; key; update; write_set = [ key ]; coordinator = 99 }
 
 let pend ?(txid = "t") ?(decision = Woption.Accepted) update =
-  Rstate.vote (woption ~txid update) decision Ballot.initial_fast
+  Acceptor.vote (woption ~txid update) decision Ballot.initial_fast
 
 (* A chain of fresh votes with the list's options, in the list's order. *)
 let chain l =
   List.fold_right
-    (fun (p : Rstate.vote) next ->
-      Rstate.vote ~next p.Rstate.woption p.Rstate.decision p.Rstate.ballot)
-    l Rstate.none
+    (fun (p : Acceptor.vote) next ->
+      Acceptor.vote ~next p.Acceptor.woption p.Acceptor.decision p.Acceptor.ballot)
+    l Acceptor.none
 
-let rec to_list (v : Rstate.vote) = if v == Rstate.none then [] else v :: to_list v.Rstate.next
+let rec to_list (v : Acceptor.vote) = if v == Acceptor.none then [] else v :: to_list v.Acceptor.next
 
-let accepted_votes (rs : Rstate.t) =
+let accepted_votes (rs : Acceptor.t) =
   List.filter
-    (fun (v : Rstate.vote) -> v.Rstate.decision = Woption.Accepted)
-    (to_list rs.Rstate.pending)
+    (fun (v : Acceptor.vote) -> v.Acceptor.decision = Woption.Accepted)
+    (to_list rs.Acceptor.pending)
 
 let accepted = Alcotest.testable Woption.pp_decision Woption.decision_equal
 
 let check_eval msg expected ~demarcation v ~accepted:acc up =
   Alcotest.check accepted msg expected
-    (Rstate.evaluate ~bounds ~demarcation v ~pending:(chain acc) up)
+    (Acceptor.evaluate ~bounds ~demarcation v ~pending:(chain acc) up)
 
 let esc = `Escrow
 
@@ -131,39 +132,61 @@ let test_quorum_demarcation_limit () =
 let test_demarcation_formulas () =
   (* Exact integer checks of the §3.4.2 limit. *)
   Alcotest.(check bool) "10 - 8 >= 2" true
-    (Rstate.demarcation_lower_ok ~n:5 ~qf:4 ~base:10 ~lower:0 ~pending_neg:0 ~delta_neg:(-8));
+    (Acceptor.demarcation_lower_ok ~n:5 ~qf:4 ~base:10 ~lower:0 ~pending_neg:0 ~delta_neg:(-8));
   Alcotest.(check bool) "10 - 9 < 2" false
-    (Rstate.demarcation_lower_ok ~n:5 ~qf:4 ~base:10 ~lower:0 ~pending_neg:0 ~delta_neg:(-9));
+    (Acceptor.demarcation_lower_ok ~n:5 ~qf:4 ~base:10 ~lower:0 ~pending_neg:0 ~delta_neg:(-9));
   Alcotest.(check bool) "nonzero lower bound shifts limit" true
-    (Rstate.demarcation_lower_ok ~n:5 ~qf:4 ~base:15 ~lower:5 ~pending_neg:0 ~delta_neg:(-8));
+    (Acceptor.demarcation_lower_ok ~n:5 ~qf:4 ~base:15 ~lower:5 ~pending_neg:0 ~delta_neg:(-8));
   Alcotest.(check bool) "upper symmetric" true
-    (Rstate.demarcation_upper_ok ~n:5 ~qf:4 ~base:90 ~upper:100 ~pending_pos:0 ~delta_pos:8);
+    (Acceptor.demarcation_upper_ok ~n:5 ~qf:4 ~base:90 ~upper:100 ~pending_pos:0 ~delta_pos:8);
   Alcotest.(check bool) "upper violated" false
-    (Rstate.demarcation_upper_ok ~n:5 ~qf:4 ~base:90 ~upper:100 ~pending_pos:0 ~delta_pos:9)
+    (Acceptor.demarcation_upper_ok ~n:5 ~qf:4 ~base:90 ~upper:100 ~pending_pos:0 ~delta_pos:9)
 
 let test_pending_state_helpers () =
-  let rs = Rstate.create key and pool = Rstate.pool () in
-  Alcotest.(check bool) "fast era by default" false (Rstate.in_classic_era rs ~version:0);
-  let rs2 = Rstate.create ~classic_until:5 key in
-  Alcotest.(check bool) "classic below" true (Rstate.in_classic_era rs2 ~version:4);
-  Alcotest.(check bool) "fast at" false (Rstate.in_classic_era rs2 ~version:5);
+  let rs = Acceptor.create key and pool = Acceptor.pool () in
+  Alcotest.(check bool) "fast era by default" false (Acceptor.in_classic_era rs ~version:0);
+  let rs2 = Acceptor.create ~classic_until:5 key in
+  Alcotest.(check bool) "classic below" true (Acceptor.in_classic_era rs2 ~version:4);
+  Alcotest.(check bool) "fast at" false (Acceptor.in_classic_era rs2 ~version:5);
   let add ?(decision = Woption.Accepted) txid =
     ignore
-      (Rstate.add_pending pool rs (woption ~txid (Update.Delta [ ("stock", -1) ])) decision
+      (Acceptor.add_pending pool rs (woption ~txid (Update.Delta [ ("stock", -1) ])) decision
          Ballot.initial_fast
-        : Rstate.vote)
+        : Acceptor.vote)
   in
   add "a";
   add ~decision:Woption.Rejected "b";
-  Alcotest.(check int) "two pending" 2 (List.length (to_list rs.Rstate.pending));
+  Alcotest.(check int) "two pending" 2 (List.length (to_list rs.Acceptor.pending));
   Alcotest.(check int) "one accepted" 1 (List.length (accepted_votes rs));
-  Alcotest.(check bool) "find" true (Rstate.mem_pending rs "a");
+  Alcotest.(check bool) "find" true (Acceptor.mem_pending rs "a");
   (* add_pending replaces same txid *)
   add ~decision:Woption.Rejected "a";
-  Alcotest.(check int) "still two" 2 (List.length (to_list rs.Rstate.pending));
+  Alcotest.(check int) "still two" 2 (List.length (to_list rs.Acceptor.pending));
   Alcotest.(check int) "none accepted now" 0 (List.length (accepted_votes rs));
-  Rstate.remove_pending pool rs "a";
-  Alcotest.(check int) "one left" 1 (List.length (to_list rs.Rstate.pending))
+  Acceptor.remove_pending pool rs "a";
+  Alcotest.(check int) "one left" 1 (List.length (to_list rs.Acceptor.pending))
+
+(* A Phase 1a promise holds fast votes back until its round proposes,
+   stepped on the acceptor alone: no engine, no runtime. *)
+let test_promise_holds_fast_votes () =
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let store = Store.create schema in
+  let n = Acceptor.create_node ~config:(Mdcc_core.Config.make ~replication:5 ()) store in
+  let row = Store.ensure store key in
+  row.Store.value <- Value.of_list [ ("stock", Value.Int 100) ];
+  row.Store.version <- 1;
+  row.Store.exists <- true;
+  let rs = Acceptor.record n key and now = { Mdcc_sim.Engine.time = 0.0 } in
+  let ballot = Ballot.classic ~number:2 ~proposer:1 and delta = Update.Delta [ ("stock", -1) ] in
+  let fast txid = Acceptor.fast_propose n rs ~now (woption ~txid delta) in
+  Alcotest.(check bool) "Phase 1a promises (2, 1)" true (Acceptor.phase1a n rs ballot);
+  Alcotest.(check bool) "a fast proposal is redirected" true (fast "a" = Acceptor.Redirect);
+  Alcotest.(check bool) "the promise stays" true (Ballot.equal rs.Acceptor.promised ballot);
+  Alcotest.(check bool) "Phase 2a at (2, 1) votes" true
+    (Acceptor.phase2a n rs ~now ballot (woption ~txid:"b" delta) Woption.Accepted ~classic_until:0
+       ~rebase:None
+    = Acceptor.Voted);
+  Alcotest.(check bool) "the next fast proposal votes fast" true (fast "c" = Acceptor.Vote None)
 
 (* One entry of the list model: a txid's vote and the stock delta of its
    option, [0] standing for a physical write. *)
@@ -184,8 +207,8 @@ let model_delta_decision entries d =
     let neg = List.fold_left (fun n e -> n + min 0 e.m_delta) 0 acc
     and pos = List.fold_left (fun n e -> n + max 0 e.m_delta) 0 acc in
     if
-      Rstate.demarcation_lower_ok ~n:5 ~qf:4 ~base:20 ~lower:0 ~pending_neg:neg ~delta_neg:(min 0 d)
-      && Rstate.demarcation_upper_ok ~n:5 ~qf:4 ~base:20 ~upper:40 ~pending_pos:pos
+      Acceptor.demarcation_lower_ok ~n:5 ~qf:4 ~base:20 ~lower:0 ~pending_neg:neg ~delta_neg:(min 0 d)
+      && Acceptor.demarcation_upper_ok ~n:5 ~qf:4 ~base:20 ~upper:40 ~pending_pos:pos
            ~delta_pos:(max 0 d)
     then Woption.Accepted
     else Woption.Rejected
@@ -206,25 +229,25 @@ let prop_pending_ops_match_list_model =
         Gen.(int_range 0 60)
         (quad (int_range 0 3) (int_range 0 2) (int_range 0 4) (pair bool (int_range (-4) 4))))
     (fun ops ->
-      let pool = Rstate.pool () in
+      let pool = Acceptor.pool () in
       let records =
-        Array.init 3 (fun i -> Rstate.create (Key.make ~table:"item" ~id:(string_of_int i)))
+        Array.init 3 (fun i -> Acceptor.create (Key.make ~table:"item" ~id:(string_of_int i)))
       in
       let models = Array.make 3 [] and seen = ref [] in
       let bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = Some 40 } ] in
-      let view (v : Rstate.vote) =
+      let view (v : Acceptor.vote) =
         {
-          m_txid = v.Rstate.woption.Woption.txid;
-          m_decision = v.Rstate.decision;
+          m_txid = v.Acceptor.woption.Woption.txid;
+          m_decision = v.Acceptor.decision;
           m_delta =
-            (match Update.deltas v.Rstate.woption.Woption.update with [ (_, d) ] -> d | _ -> 0);
+            (match Update.deltas v.Acceptor.woption.Woption.update with [ (_, d) ] -> d | _ -> 0);
         }
       in
       let consistent () =
-        let chains = Array.to_list (Array.map (fun rs -> to_list rs.Rstate.pending) records) in
+        let chains = Array.to_list (Array.map (fun rs -> to_list rs.Acceptor.pending) records) in
         let on_chains = List.concat chains in
         let times v = List.length (List.filter (fun u -> u == v) on_chains) in
-        let released (v : Rstate.vote) = v.Rstate.woption == Rstate.none.Rstate.woption in
+        let released (v : Acceptor.vote) = v.Acceptor.woption == Acceptor.none.Acceptor.woption in
         List.for_all2 (fun votes model -> List.map view votes = model) chains (Array.to_list models)
         && List.for_all (fun v -> times v = if released v then 0 else 1) !seen
       in
@@ -237,27 +260,27 @@ let prop_pending_ops_match_list_model =
             | 0 ->
               let decision = if acc then Woption.Accepted else Woption.Rejected in
               let w = woption ~txid (update_of d) in
-              let v = Rstate.add_pending pool rs w decision Ballot.initial_fast in
+              let v = Acceptor.add_pending pool rs w decision Ballot.initial_fast in
               if not (List.memq v !seen) then seen := v :: !seen;
               models.(r) <- without @ [ { m_txid = txid; m_decision = decision; m_delta = d } ];
               true
             | 1 ->
-              Rstate.remove_pending pool rs txid;
+              Acceptor.remove_pending pool rs txid;
               models.(r) <- without;
               true
             | 2 ->
               let found =
-                match Rstate.find_pending rs txid with
+                match Acceptor.find_pending rs txid with
                 | v -> Some (view v)
                 | exception Not_found -> None
               in
               found = List.find_opt (fun e -> e.m_txid = txid) models.(r)
-              && Rstate.mem_pending rs txid = (found <> None)
-              && Rstate.pending_count rs = List.length models.(r)
+              && Acceptor.mem_pending rs txid = (found <> None)
+              && Acceptor.pending_count rs = List.length models.(r)
             | _ ->
               let d = if d = 0 then 1 else d in
-              Rstate.evaluate ~bounds ~demarcation:(`Quorum (5, 4)) (valuation 20)
-                ~pending:rs.Rstate.pending (Update.Delta [ ("stock", d) ])
+              Acceptor.evaluate ~bounds ~demarcation:(`Quorum (5, 4)) (valuation 20)
+                ~pending:rs.Acceptor.pending (Update.Delta [ ("stock", d) ])
               = model_delta_decision models.(r) d
           in
           step_ok && consistent ())
@@ -284,13 +307,13 @@ let prop_delta_decision_matches_fold_model =
       let n, qf = (5, 4) in
       let model =
         if quorum then
-          Rstate.demarcation_lower_ok ~n ~qf ~base ~lower:0 ~pending_neg:neg ~delta_neg:(min 0 d)
-          && Rstate.demarcation_upper_ok ~n ~qf ~base ~upper:40 ~pending_pos:pos
+          Acceptor.demarcation_lower_ok ~n ~qf ~base ~lower:0 ~pending_neg:neg ~delta_neg:(min 0 d)
+          && Acceptor.demarcation_upper_ok ~n ~qf ~base ~upper:40 ~pending_pos:pos
                ~delta_pos:(max 0 d)
         else base + neg + min 0 d >= 0 && base + pos + max 0 d <= 40
       in
       let demarcation = if quorum then `Quorum (n, qf) else `Escrow in
-      Rstate.evaluate ~bounds ~demarcation (valuation base) ~pending:(chain accepted)
+      Acceptor.evaluate ~bounds ~demarcation (valuation base) ~pending:(chain accepted)
         (Update.Delta [ ("stock", d) ])
       = if model then Woption.Accepted else Woption.Rejected)
 
@@ -313,7 +336,7 @@ let prop_demarcation_local_safety =
         (fun i d ->
           let up = Update.Delta [ ("stock", -d) ] in
           let dec =
-            Rstate.evaluate ~bounds ~demarcation:q54 v ~pending:(chain !accepted) up
+            Acceptor.evaluate ~bounds ~demarcation:q54 v ~pending:(chain !accepted) up
           in
           if dec = Woption.Accepted then
             accepted := pend ~txid:(string_of_int i) up :: !accepted)
@@ -322,7 +345,7 @@ let prop_demarcation_local_safety =
         List.fold_left
           (fun acc p ->
             acc
-            + List.fold_left (fun a (_, d) -> a + d) 0 (Update.deltas p.Rstate.woption.Woption.update))
+            + List.fold_left (fun a (_, d) -> a + d) 0 (Update.deltas p.Acceptor.woption.Woption.update))
           0 !accepted
       in
       (* All accepted committing leaves the local view at or above L. *)
@@ -340,7 +363,7 @@ let prop_escrow_safety =
           QCheck.assume (d <> 0);
           let up = Update.Delta [ ("stock", d) ] in
           if
-            Rstate.evaluate ~bounds ~demarcation:esc v ~pending:(chain !accepted) up
+            Acceptor.evaluate ~bounds ~demarcation:esc v ~pending:(chain !accepted) up
             = Woption.Accepted
           then accepted := pend ~txid:(string_of_int i) up :: !accepted)
         deltas;
@@ -349,7 +372,7 @@ let prop_escrow_safety =
           (fun acc p ->
             acc
             + Stdlib.min 0
-                (List.fold_left (fun a (_, d) -> a + d) 0 (Update.deltas p.Rstate.woption.Woption.update)))
+                (List.fold_left (fun a (_, d) -> a + d) 0 (Update.deltas p.Acceptor.woption.Woption.update)))
           0 !accepted
       in
       base + neg >= 0)
@@ -366,6 +389,7 @@ let suite =
     Alcotest.test_case "quorum demarcation limit" `Quick test_quorum_demarcation_limit;
     Alcotest.test_case "demarcation formulas" `Quick test_demarcation_formulas;
     Alcotest.test_case "pending state helpers" `Quick test_pending_state_helpers;
+    Alcotest.test_case "a promise holds fast votes back" `Quick test_promise_holds_fast_votes;
     QCheck_alcotest.to_alcotest prop_demarcation_local_safety;
     QCheck_alcotest.to_alcotest prop_escrow_safety;
     QCheck_alcotest.to_alcotest prop_pending_ops_match_list_model;

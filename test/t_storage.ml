@@ -189,14 +189,14 @@ let prop_delta_versions =
 
 (* --- applied-set merging (anti-entropy repair substrate) --------------- *)
 
-module Rstate = Mdcc_core.Rstate
+module Acceptor = Mdcc_core.Acceptor
 module Messages = Mdcc_core.Messages
 
 let up i = Update.Delta [ ("stock", -i) ]
 
 (* An applied set built by adding entries in the given order. *)
 let applied entries =
-  List.fold_left (fun s (txid, u) -> Rstate.applied_add s txid u) Txn.Map.empty entries
+  List.fold_left (fun s (txid, u) -> Acceptor.applied_add s txid u) Txn.Map.empty entries
 
 let txids s = List.map fst (Txn.Map.bindings s)
 
@@ -206,15 +206,15 @@ let same_set a b = Txn.Map.bindings a = Txn.Map.bindings b
    is missing. *)
 let merge mine theirs =
   Txn.Map.fold
-    (fun txid u s -> Rstate.applied_add s txid u)
-    (Rstate.applied_missing ~mine ~theirs)
+    (fun txid u s -> Acceptor.applied_add s txid u)
+    (Acceptor.applied_missing ~mine ~theirs)
     mine
 
 let test_applied_set_idempotent () =
   let a = applied [ ("t1", up 1); ("t2", up 2) ] in
-  Alcotest.(check int) "re-add is a no-op" 2 (Txn.Map.cardinal (Rstate.applied_add a "t1" (up 1)));
+  Alcotest.(check int) "re-add is a no-op" 2 (Txn.Map.cardinal (Acceptor.applied_add a "t1" (up 1)));
   Alcotest.(check bool) "re-add keeps the first update" true
-    (Txn.Map.find "t1" (Rstate.applied_add a "t1" (up 9)) = up 1);
+    (Txn.Map.find "t1" (Acceptor.applied_add a "t1" (up 9)) = up 1);
   Alcotest.(check bool) "merge with itself is identity" true (same_set (merge a a) a)
 
 let test_applied_set_commutative () =
@@ -229,11 +229,11 @@ let test_applied_set_merge_union () =
   let mine = applied [ ("t1", up 1); ("t2", up 2) ] in
   let theirs = applied [ ("t3", up 3); ("t1", up 1) ] in
   Alcotest.(check (list string)) "missing = theirs minus mine" [ "t3" ]
-    (txids (Rstate.applied_missing ~mine ~theirs));
+    (txids (Acceptor.applied_missing ~mine ~theirs));
   let merged = merge mine theirs in
   Alcotest.(check (list string)) "union, sorted" [ "t1"; "t2"; "t3" ] (txids merged);
   Alcotest.(check bool) "nothing missing after merge" true
-    (Txn.Map.is_empty (Rstate.applied_missing ~mine:merged ~theirs))
+    (Txn.Map.is_empty (Acceptor.applied_missing ~mine:merged ~theirs))
 
 let txid_set l = List.fold_left (fun s txid -> Txn.Map.add txid () s) Txn.Map.empty l
 
@@ -358,25 +358,25 @@ let prop_promoted_set_is_a_map =
        ~print:QCheck.Print.(list show_applied_op)
        QCheck.Gen.(list_size (int_range 0 400) applied_op_gen))
     (fun ops ->
-      let store = Rstate.Applied.store () in
-      let records = Array.init 2 (fun i -> Rstate.create (Key.make ~table:"item" ~id:(string_of_int i))) in
+      let store = Acceptor.Applied.store () in
+      let records = Array.init 2 (fun i -> Acceptor.create (Key.make ~table:"item" ~id:(string_of_int i))) in
       let models = Array.make 2 Txn.Map.empty in
       let agrees r =
-        let snap = Rstate.Applied.snapshot store records.(r) in
+        let snap = Acceptor.Applied.snapshot store records.(r) in
         Txn.Map.bindings snap = Txn.Map.bindings models.(r)
         && Messages.applied_digest snap = Messages.applied_digest models.(r)
       in
       let mem_agrees r txid =
-        Rstate.Applied.mem store records.(r) txid = Txn.Map.mem txid models.(r)
+        Acceptor.Applied.mem store records.(r) txid = Txn.Map.mem txid models.(r)
       in
       let step = function
         | Add (r, txid, d) ->
-          Rstate.Applied.add store records.(r) txid (up d);
-          models.(r) <- Rstate.applied_add models.(r) txid (up d);
+          Acceptor.Applied.add store records.(r) txid (up d);
+          models.(r) <- Acceptor.applied_add models.(r) txid (up d);
           mem_agrees r txid
         | Replace (r, entries) ->
           let m = applied (List.map (fun (txid, d) -> (txid, up d)) entries) in
-          Rstate.Applied.replace store records.(r) m;
+          Acceptor.Applied.replace store records.(r) m;
           models.(r) <- m;
           agrees r
         | Snapshot r -> agrees r
