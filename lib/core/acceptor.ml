@@ -36,28 +36,15 @@ let rec none =
 let vote ?(next = none) woption decision ballot =
   { woption; decision; ballot; proposed_at = { Engine.time = 0.0 }; next }
 
-let create ?(classic_until = 0) key =
-  { key; promised = Ballot.initial_fast; classic_until; pending = none; applied = Txn.Map.empty;
-    decided = [] }
-
 (* An applied set is a txid-ordered map, so iteration order, digests and
    merges are deterministic (lint R1), and txid membership is the guard
    that makes replays of commutative deltas safe. *)
-let applied_add applied txid update =
-  if Txn.Map.mem txid applied then applied else Txn.Map.add txid update applied
-
 let applied_missing ~mine ~theirs =
   Txn.Map.filter (fun txid _ -> not (Txn.Map.mem txid mine)) theirs
 
 (* The [applied] field of every promoted record: a marker known by its
    address, like [none], whose set lives in its node's [Applied.store]. *)
 let promoted : applied = Txn.Map.singleton "" (Update.Delta [])
-
-let mark_applied t txid update =
-  if t.applied == promoted then
-    Invariant.violate ~context:"Acceptor.mark_applied" "record %s is promoted"
-      (Key.to_string t.key);
-  t.applied <- applied_add t.applied txid update
 
 (* Small sets stay maps: a snapshot of one is free, and tpcw gives every
    new row a record of its own, so a singleton must cost one map node.  A
@@ -113,11 +100,10 @@ module Applied = struct
         s.stale <- true
       end
     end
-    else begin
-      let small = t.applied in
-      mark_applied t txid update;
-      if t.applied != small && Txn.Map.cardinal t.applied >= promote_at then
-        promote store t t.applied
+    else if not (Txn.Map.mem txid t.applied) then begin
+      let applied = Txn.Map.add txid update t.applied in
+      if Txn.Map.cardinal applied >= promote_at then promote store t applied
+      else t.applied <- applied
     end
 
   let catch_up snap (txid, update) =
@@ -145,9 +131,10 @@ module Applied = struct
     end
 end
 
-(* The pending chain is short and walked per proposal.  Every walk below is
-   a top-level recursion that takes its arguments instead of capturing
-   them in a closure, so walking, linking and unlinking allocate nothing. *)
+(* The pending chain is short and walked per proposal.  Only [cast] and
+   [settle], below, change a chain.  Every walk is a top-level recursion
+   that takes its arguments instead of capturing them in a closure, so
+   walking, linking and unlinking allocate nothing. *)
 let same_txid txid v = String.equal v.woption.Woption.txid txid
 
 let rec find_from txid v =
@@ -155,32 +142,10 @@ let rec find_from txid v =
   else if same_txid txid v then v
   else find_from txid v.next
 
-let find_pending t txid = find_from txid t.pending
-
 let mem_pending t txid =
   match find_from txid t.pending with (_ : vote) -> true | exception Not_found -> false
 
 let rec count_from n v = if v == none then n else count_from (n + 1) v.next
-
-let pending_count t = count_from 0 t.pending
-
-(* A stack of released votes, linked through [next]. *)
-type pool = { mutable free : vote }
-
-let pool () = { free = none }
-
-let take p =
-  let v = p.free in
-  if v == none then vote no_option Woption.Rejected Ballot.initial_fast
-  else begin
-    p.free <- v.next;
-    v
-  end
-
-let release p v =
-  v.woption <- no_option;
-  v.next <- p.free;
-  p.free <- v
 
 (* Unlink [txid]'s vote from the chain after [prev] and answer it, or
    [none] when the chain has no such vote. *)
@@ -201,29 +166,13 @@ let unlink t txid =
   end
   else unlink_after head txid head.next
 
-let remove_pending p t txid =
-  let v = unlink t txid in
-  if v != none then release p v
-
 let rec last v = if v.next == none then v else last v.next
-
-let add_pending p t (w : Woption.t) decision ballot =
-  let v = unlink t w.Woption.txid in
-  let v = if v == none then take p else v in
-  v.woption <- w;
-  v.decision <- decision;
-  v.ballot <- ballot;
-  v.next <- none;
-  if t.pending == none then t.pending <- v else (last t.pending).next <- v;
-  v
 
 let rec votes_from v =
   if v == none then []
   else
     { Messages.woption = v.woption; decision = v.decision; ballot = v.ballot }
     :: votes_from v.next
-
-let votes t = votes_from t.pending
 
 (* [now -. proposed_at > limit]: the clock arrives in a flat cell and
    [limit] as the caller's float, so the walk boxes nothing. *)
@@ -397,7 +346,7 @@ type node = {
          yet: sparse, since Phase 1 runs only in a recovery *)
   visible : bool Visible.t;  (* (txid, key) -> txn committed? *)
   probe : vkey;  (* the lookup key of [visible]; never stored in it *)
-  votes : pool;  (* released votes, reused by [cast] *)
+  mutable free : vote;  (* released votes, linked through [next]; reused by [cast] *)
   hot : Applied.store;  (* the applied sets of records past the promotion size *)
   mutable pending_records : int;  (* records with a pending vote *)
 }
@@ -411,14 +360,17 @@ let create_node ~config store =
   { store; default_classic_until;
     fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);
     records = Key.Tbl.create 1024; promising = Key.Tbl.create 16; visible = Visible.create 4096;
-    probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" }; votes = pool ();
+    probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" }; free = none;
     hot = Applied.store (); pending_records = 0 }
 
 let record n key =
   match Key.Tbl.find n.records key with
   | rs -> rs
   | exception Not_found ->
-    let rs = create ~classic_until:n.default_classic_until key in
+    let rs =
+      { key; promised = Ballot.initial_fast; classic_until = n.default_classic_until;
+        pending = none; applied = Txn.Map.empty; decided = [] }
+    in
     Key.Tbl.add n.records key rs;
     rs
 
@@ -432,20 +384,58 @@ let filter_records f n = Key.Tbl.sorted_filter_map f n.records
 
 let pending_options n =
   List.fold_left ( + ) 0
-    (filter_records (fun _ rs -> match pending_count rs with 0 -> None | k -> Some k) n)
+    (filter_records (fun _ rs -> match count_from 0 rs.pending with 0 -> None | k -> Some k) n)
+
+(* The queries a driver answers a step with; none changes the record. *)
+let classic_until rs = rs.classic_until
+
+let promised rs = rs.promised
+
+let decided rs = rs.decided
+
+let escrow n rs up =
+  classify ~bounds:(bounds n rs.key) ~demarcation:`Escrow (Store.ensure n.store rs.key)
+    ~pending:rs.pending up
 
 (* Every change to a pending chain goes through these two, so
-   [pending_records] stays exact.  A vote comes from the node's pool and
-   goes back to it, and the driver's clock is copied into its cell: once
-   the pool is warm, voting allocates nothing here. *)
-let cast n rs ~(now : Engine.stamp) w decision ballot =
+   [pending_records] stays exact.  [cast] appends the option's vote at the
+   end of the chain: an existing vote of the same transaction is moved
+   there and overwritten, otherwise one comes from the node's free list,
+   or is allocated when the list is empty.  The driver's clock is copied
+   into the vote's cell, so once the free list is warm, voting allocates
+   nothing here.  No vote is cast below the record's promise. *)
+let cast n rs ~(now : Engine.stamp) (w : Woption.t) decision ballot =
+  if Ballot.compare ballot rs.promised < 0 then
+    Invariant.violate ~context:"Acceptor.cast" "%s: a vote below the promise"
+      (Key.to_string rs.key);
   if rs.pending == none then n.pending_records <- n.pending_records + 1;
-  let v = add_pending n.votes rs w decision ballot in
-  v.proposed_at.Engine.time <- now.Engine.time
+  let v = unlink rs w.Woption.txid in
+  let v =
+    if v != none then v
+    else if n.free == none then vote no_option Woption.Rejected Ballot.initial_fast
+    else begin
+      let v = n.free in
+      n.free <- v.next;
+      v
+    end
+  in
+  v.woption <- w;
+  v.decision <- decision;
+  v.ballot <- ballot;
+  v.next <- none;
+  v.proposed_at.Engine.time <- now.Engine.time;
+  if rs.pending == none then rs.pending <- v else (last rs.pending).next <- v
 
+(* Unlink the transaction's vote, if any, and return it to the free list,
+   holding [none]'s option so that it pins no transaction. *)
 let settle n rs txid =
   if rs.pending != none then begin
-    remove_pending n.votes rs txid;
+    let v = unlink rs txid in
+    if v != none then begin
+      v.woption <- no_option;
+      v.next <- n.free;
+      n.free <- v
+    end;
     if rs.pending == none then n.pending_records <- n.pending_records - 1
   end
 
@@ -544,7 +534,7 @@ let fast_propose n rs ~now (w : Woption.t) =
   match outcome n rs w.Woption.txid with
   | Some committed -> if committed then Outcome true else Outcome false
   | None -> (
-    match find_pending rs w.Woption.txid with
+    match find_from w.Woption.txid rs.pending with
     | v ->
       if v.decision = Woption.Accepted then Standing Woption.Accepted else Standing Woption.Rejected
     | exception Not_found ->
@@ -581,7 +571,11 @@ let phase1a n rs ballot =
   end;
   ok
 
-let promise n rs = { Messages.votes = votes rs; rebase = rebase_of n rs.key; decided = rs.decided }
+let promise n rs =
+  { Messages.votes = votes_from rs.pending; rebase = rebase_of n rs.key; decided = rs.decided }
+
+let recovered_window rs ~classic_until =
+  rs.classic_until <- Stdlib.max rs.classic_until classic_until
 
 type phase2a = Refused | Voted | Known | Voted_rebased | Known_rebased
 
@@ -590,7 +584,7 @@ let phase2a n rs ~now ballot (w : Woption.t) decision ~classic_until ~rebase:rb 
   else begin
     rs.promised <- ballot;
     if Key.Tbl.length n.promising > 0 then Key.Tbl.remove n.promising rs.key;
-    rs.classic_until <- Stdlib.max rs.classic_until classic_until;
+    recovered_window rs ~classic_until;
     let rebased = match rb with Some rb -> rebase n rs.key rb | None -> false in
     if Option.is_some (outcome n rs w.Woption.txid) then if rebased then Known_rebased else Known
     else begin
@@ -655,7 +649,7 @@ let status n txid key =
     match outcome n rs txid with
     | Some committed -> Messages.Status_decided committed
     | None -> (
-      match find_pending rs txid with
+      match find_from txid rs.pending with
       | v ->
         Messages.Status_pending
           { Messages.woption = v.woption; decision = v.decision; ballot = v.ballot }

@@ -2,21 +2,35 @@
     per record and per node, and one transition per input.
 
     A record's state ({!t}) is the paper's per-record Paxos state: the
-    promised ballot, the fast-policy window, the chain of pending votes,
+    promised ballot, the classic (γ) window, the chain of pending votes,
     the applied set and the decided log.  A node's state ({!node}) holds
     its records and the tables around them: the promise marks, the
-    visibility index, the vote pool and the hot applied sets.
+    visibility index, the free votes and the hot applied sets.  Both types
+    are abstract: a driver reads a record only through the queries below,
+    and only this module's functions change either.
 
-    Five transitions change them, one per input: a fast proposal
-    ({!fast_propose}), Phase 1a ({!phase1a}), Phase 2a ({!phase2a}), a
-    Visibility ({!visibility}) and a status query ({!status}).  Each takes
-    its inputs, and the current time where it may vote, and answers with a
-    verdict that is a constant constructor or a structured constant, so a
-    step allocates only what it stores.  The module has no runtime, sends
-    nothing, counts nothing and emits nothing: {!Storage_node} drives it.
-    It finds the record, steps it, and sends, counts and emits from the
-    verdict.  Lint rule [R6-runtime] keeps [Runtime], [Outbox], [Ctx],
-    [Obs] and [Event] out of this file.
+    There are six steps, one per input: a fast proposal
+    ({!fast_propose}), Phase 1a ({!phase1a}), Phase 2a ({!phase2a}), the
+    master's recovered window ({!recovered_window}), a Visibility
+    ({!visibility}) and a status query ({!status}).  Five of them change
+    state; {!status} only reads.
+    Anti-entropy installs a re-based state ({!rebase}) and replays a
+    committed delta ({!repair}).  Each step takes its inputs, and the
+    current time where it may vote, and answers with a verdict that is a
+    constant constructor or a structured constant, so a step allocates
+    only what it stores.  The module has no runtime, sends nothing, counts
+    nothing and emits nothing: {!Storage_node} drives it.  It finds the
+    record, steps it, and sends, counts and emits from the verdict.  Lint
+    rule [R6-runtime] keeps [Runtime], [Outbox], [Ctx], [Obs] and [Event]
+    out of this file.
+
+    No vote is cast below the record's promise: the one function that
+    casts votes raises an [Invariant] violation otherwise.  A promise does
+    {e not} only grow: once a record's classic window has ended, a fast
+    proposal lowers a classic promise back to the implicit fast ballot
+    before it votes (the γ fallback).  "A promise never decreases" waits
+    for ballot ranges that only grow (ROADMAP item 6, "Ballot ranges as
+    the paper keeps them").
 
     The {e pure} decision logic here is shared by all three places the
     paper makes an accept/reject decision: the acceptor's fast path
@@ -36,156 +50,47 @@
 open Mdcc_storage
 open Mdcc_paxos
 
-type vote = private {
-  mutable woption : Woption.t;
-  mutable decision : Woption.decision;  (** this replica's current vote *)
-  mutable ballot : Ballot.t;  (** ballot the vote was cast at *)
-  proposed_at : Mdcc_sim.Engine.stamp;
-      (** {e simulated} time of the vote, for dangling detection, in a flat
-          cell the vote owns, so stamping it allocates nothing.  The cell's
-          one field is a [sim_time], not a bare [float], as lint rule R1
-          requires of protocol timestamps: it is fed from the engine clock,
-          never the wall clock.  The only writer is a transition that
-          votes, which copies the stamp its driver filled. *)
-  mutable next : vote;  (** the next vote in arrival order, or {!none} *)
-}
-(** One outstanding option this replica voted on: an element of a
-    record's pending chain.  A storage node takes its votes from a
-    {!pool} and returns them there when the option settles, so a vote
-    allocates nothing once the pool holds as many as the node has
-    outstanding.  Never keep a vote past the call that found it: once
-    released it is reused for another option.  Copy its fields instead, as
-    Phase 1b and a status reply do. *)
+type vote
+(** One option this replica voted on: its option, the decision and the
+    ballot the vote was cast at, and the simulated time it was cast.  A
+    record's outstanding votes form its pending chain, one vote per
+    transaction in arrival order; a node reuses the votes of settled
+    options, so a vote allocates nothing once the node holds as many as it
+    has outstanding.  {!promise} and {!status} report copies of a record's
+    votes. *)
 
 val none : vote
-(** The end of every chain and the "no vote" answer.  A released vote
-    holds the same [woption] as [none], so it pins no transaction. *)
+(** The empty chain and the "no vote" answer. *)
 
 val vote : ?next:vote -> Woption.t -> Woption.decision -> Ballot.t -> vote
-(** A fresh vote, outside any pool, linked in front of [next] (default
-    {!none}): how a recovery builds the accepted set it validates
-    against, and how tests build chains. *)
+(** A fresh vote, outside every record, linked in front of [next]
+    (default {!none}): how a recovery builds the accepted set it
+    validates against, and how tests build chains for {!evaluate}. *)
 
 type applied = Update.t Txn.Map.t
 (** An applied set: txid -> the update that transaction contributed.  A
-    record's set is this map while it is small and a table in its node's
-    {!Applied.store} once it is hot; rebases and [Sync_reply] carry an
-    immutable map either way, the record's own or an {!Applied.snapshot}. *)
+    record keeps every committed transaction folded into its copy of the
+    row, with the update it contributed: the input to the anti-entropy
+    digest and the set exchanged in [Sync_reply] repair.  Membership is
+    what makes replaying a commutative delta idempotent, and it is the
+    only record of these transactions' outcome: membership means
+    committed.  Rebases and [Sync_reply] carry an immutable map; a
+    record's own set moves into a txid table once it reaches 32 entries,
+    so an insert stays O(1) however long the record's history. *)
 
-type t = {
-  key : Key.t;
-  mutable promised : Ballot.t;  (** highest Phase1a answered (mbal_a) *)
-  mutable classic_until : int;
-      (** record versions below this must use classic ballots (γ window);
-          [max_int] in Multi mode *)
-  mutable pending : vote;
-      (** outstanding votes, a chain in arrival order ({!none} when there
-          are none); one vote per transaction *)
-  mutable applied : applied;
-      (** every committed transaction folded into this replica's copy of the
-          record, with the update it contributed.  This is the authoritative
-          input to the anti-entropy digest and the set exchanged in
-          [Sync_reply] repair; txid membership is what makes replaying a
-          commutative delta idempotent.  It is also the only record of
-          these transactions' visibility outcome: membership means
-          committed.  Read it through {!Applied}: once the set reaches 32
-          entries the field holds a shared marker and the set lives in the
-          node's {!Applied.store}. *)
-  mutable decided : (Txn.id * bool) list;
-      (** the other visibility outcomes (committed?) known at this replica —
-          voided transactions, committed read guards, committed
-          transactions a rebase clobbered — newest first, each txid once and
-          none in [applied].  A visibility is a final decision, yet it
-          erases the option's pending vote, so later classic ballots cannot
-          re-learn it from votes alone: the log and the applied set are
-          shipped in Phase1b and recovery must honor both.  The node's
-          visibility index guards against duplicates. *)
-}
-
-val create : ?classic_until:int -> Key.t -> t
-
-(** {2 Applied-set operations}
-
-    Pure functions over applied sets, plus the one mutator
-    ({!mark_applied}).  All are deterministic and idempotent:
-    [applied_add s txid up] is a no-op when [txid] is already a member, so
-    merging the same [Sync_reply] twice — or in either order — yields the
-    same set. *)
-
-val applied_add : applied -> Txn.id -> Update.t -> applied
-(** Identity if [txid] is already present; O(log n) otherwise. *)
+type t
+(** One record's acceptor state, the paper's per-record Paxos state: the
+    promised ballot, the classic (γ) window, the pending chain, the
+    applied set and the decided log (the outcomes a visibility erased from
+    the chain that the applied set does not hold: voided transactions,
+    committed read guards, committed transactions a rebase clobbered).
+    Only the steps below, {!rebase} and {!repair} change it. *)
 
 val applied_missing : mine:applied -> theirs:applied -> applied
 (** The entries of [theirs] absent from [mine] — exactly what a repair has
     to replay. *)
 
-val mark_applied : t -> Txn.id -> Update.t -> unit
-(** Record that this replica folded [txid]'s update into its value, on a
-    record whose set is still a map: O(log n), the small representation's
-    insert.  {!Applied.add} calls it below the promotion size; on a
-    promoted record it violates an invariant. *)
-
-(** {2 Hot records}
-
-    A record's applied set gains one entry per committed transaction, so as
-    a map it would path-copy O(log n) nodes on every visibility, with n
-    growing with run length.  A set that reaches 32 entries moves into a
-    mutable txid table kept by its node, where insert
-    and membership are O(1).  A {!Applied.snapshot} of a promoted set is
-    built in txid order on demand and cached until the next insert.  Every
-    function answers exactly what the set as one map would; only the
-    allocation differs. *)
-module Applied : sig
-  type store
-  (** A storage node's promoted sets, by record key.  Its table is built on
-      the first promotion. *)
-
-  val store : unit -> store
-
-  val mem : store -> t -> Txn.id -> bool
-
-  val add : store -> t -> Txn.id -> Update.t -> unit
-  (** {!applied_add} in place: a no-op when [txid] is a member.  O(1) on a
-      promoted record. *)
-
-  val snapshot : store -> t -> applied
-  (** The set as an immutable map.  Free for a small set; for a promoted
-      one, the cached map, caught up with the entries added since it was
-      taken. *)
-
-  val replace : store -> t -> applied -> unit
-  (** Make the set exactly the given map, promoting or demoting the record
-      by the map's size (a rebase installs the rebaser's set this way). *)
-end
-
-(** {2 The pending chain}
-
-    Only {!add_pending} and {!remove_pending} change a chain.  Every walk
-    is a top-level recursion, so none allocates beyond what it returns. *)
-
-type pool
-(** A storage node's stack of released votes, linked through [next]. *)
-
-val pool : unit -> pool
-
-val add_pending : pool -> t -> Woption.t -> Woption.decision -> Ballot.t -> vote
-(** Append a vote for the option at the end of the chain and answer it;
-    the caller stamps its [proposed_at].  An existing vote for the same
-    transaction is moved to the end and overwritten; otherwise the vote
-    comes from the pool, or is allocated when the pool is empty. *)
-
-val remove_pending : pool -> t -> Txn.id -> unit
-(** Unlink the transaction's vote, if any, and return it to the pool. *)
-
-val find_pending : t -> Txn.id -> vote
-(** The transaction's vote.  Raises [Not_found] when there is none. *)
-
 val mem_pending : t -> Txn.id -> bool
-
-val pending_count : t -> int
-
-val votes : t -> Messages.vote list
-(** Copies of the chain's votes, in arrival order: a Phase 1b promise. *)
 
 val any_older : t -> now:Mdcc_sim.Engine.stamp -> float -> bool
 (** [any_older t ~now limit]: is [now -. proposed_at > limit] for some
@@ -214,6 +119,9 @@ type reject_reason =
   | Outstanding_option
       (** an accepted, unexecuted option blocks this one (§3.2.2) *)
   | Demarcation  (** value bounds / quorum-demarcation limit exceeded *)
+(** Why an option is rejected: the first failing clause, checked in the
+    fixed order version validation → outstanding option → demarcation, so
+    the reason is deterministic even for multiply-invalid options. *)
 
 val evaluate :
   bounds:Schema.bound list ->
@@ -227,30 +135,8 @@ val evaluate :
     count.  Deterministic; safe to run at any replica that has the same
     inputs. *)
 
-val classify :
-  bounds:Schema.bound list ->
-  demarcation:demarcation ->
-  valuation ->
-  pending:vote ->
-  Update.t ->
-  reject_reason option
-(** {!evaluate}'s decision as the reason it rejects: [None] exactly when the
-    option is accepted, otherwise the first failing clause (checked in the
-    fixed order version validation → outstanding option → demarcation, so
-    the reason is deterministic even for multiply-invalid options). *)
-
 val decision_of : reject_reason option -> Woption.decision
 (** [Accepted] for [None], [Rejected] otherwise. *)
-
-val demarcation_lower_ok :
-  n:int -> qf:int -> base:int -> lower:int -> pending_neg:int -> delta_neg:int -> bool
-(** Exact integer form of the lower-limit test
-    [base + pending_neg + delta_neg >= L],
-    [L = lower + (n-qf)/n * (base - lower)] — exposed for direct unit and
-    property testing of the §3.4.2 formula. *)
-
-val demarcation_upper_ok :
-  n:int -> qf:int -> base:int -> upper:int -> pending_pos:int -> delta_pos:int -> bool
 
 (** {1 A node's acceptor} *)
 
@@ -306,6 +192,30 @@ val any_record : (Key.t -> t -> unit) -> node -> bool
 val filter_records : (Key.t -> t -> 'a option) -> node -> 'a list
 (** [Key.Tbl.sorted_filter_map] over the records, in key order. *)
 
+(** {2 Queries}
+
+    What a driver reads of a record to answer a step.  None changes it. *)
+
+val classic_until : t -> int
+(** The end of the record's classic (γ) window: versions below it must
+    use classic ballots; [max_int] in Multi mode.  A [Redirect] reports
+    it, and a master's Phase 2a carries it. *)
+
+val promised : t -> Ballot.t
+(** The highest ballot the record promised or voted at: the ballot a
+    Phase 1b or Phase 2b answers with. *)
+
+val decided : t -> (Txn.id * bool) list
+(** The record's decided log, newest first, each txid once and none in
+    the applied set: what a master's recovery must honor beside the
+    applied set. *)
+
+val escrow : node -> t -> Update.t -> reject_reason option
+(** The master's verdict on a classic proposal, as the reason it rejects
+    ([None]: accepted): the decision {!evaluate} makes with plain escrow
+    against the record's committed row and every pending vote.  A stable
+    master's own votes mirror every classic option in flight. *)
+
 (** {2 The transitions} *)
 
 type fast =
@@ -336,6 +246,11 @@ val phase1a : node -> t -> Ballot.t -> bool
 val promise : node -> t -> Messages.promise
 (** What Phase 1b reports: the record's pending votes, committed state and
     decided log. *)
+
+val recovered_window : t -> classic_until:int -> unit
+(** The master's recovered window: the master that won Phase 1 on the
+    record widens its own classic window to [classic_until] before its
+    first Phase 2a goes out.  A window only widens. *)
 
 type phase2a =
   | Refused  (** the ballot is below the promise: no vote *)

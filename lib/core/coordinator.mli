@@ -30,7 +30,8 @@ type snapshot_source = {
       (** committed value+version of the key at this DC's replica *)
   snap_scan : table:string -> (Key.t * Value.t * int) list;
       (** Nothing in [lib/] reads this field: it stays only because
-          [bench/e2e] still builds it, and ROADMAP item 12 deletes it.
+          [bench/e2e] still builds it, and the next change to the benchmark
+          deletes it.
           {!Cluster.Layout.snapshot} fills it with a stub that fails. *)
 }
 (** Direct handles on the storage-node stores co-located with the

@@ -18,7 +18,8 @@ type t = {
           {!Cluster.create} hands it to {!Runtime.of_network}. *)
   local_nodes : int list;
       (** Nothing in [lib/] reads this field: it stays only because
-          [bench/e2e] still sets it, and ROADMAP item 12 deletes it. *)
+          [bench/e2e] still sets it, and the next change to the benchmark
+          deletes it. *)
   spans : Event.span_sink option;
       (** [obs]'s span store, if spans are on, wrapped by {!make} once so
           that every node built from the context shares its key labels *)
@@ -34,12 +35,13 @@ val make :
 (** [obs] defaults to a fresh private {!Mdcc_obs.Obs.create}[ ()], so a
     context built without one shares its registry with nothing; [history]
     and [trace] to none; [local_nodes] (read by nothing, see the field;
-    ROADMAP item 12 deletes the argument) to the empty list. *)
+    the next change to the benchmark deletes the argument) to the empty
+    list. *)
 
 val with_local_nodes : t -> int list -> t
 (** A copy of [t] with [local_nodes] replaced.  Nothing in [lib/] calls
-    it: it stays only because [bench/e2e] still does, and ROADMAP item 12
-    deletes it. *)
+    it: it stays only because [bench/e2e] still does, and the next change
+    to the benchmark deletes it. *)
 
 (** {1 The event stream} *)
 

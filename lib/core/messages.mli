@@ -130,10 +130,10 @@ type Mdcc_sim.Network.payload +=
   | Scan_request of { rid : int; table : string; order_by : string option; limit : int }
       (** Nothing in [lib/] sends or reads this message, and receivers
           ignore it: it stays only because [bench/e2e]'s per-layer table
-          still names it, and ROADMAP item 12 deletes it. *)
+          still names it, and the next change to the benchmark deletes it. *)
   | Scan_reply of { rid : int; rows : (Key.t * Value.t * int) list }
       (** Like [Scan_request]: unused in [lib/], kept for [bench/e2e]
-          until ROADMAP item 12 deletes it. *)
+          until the next change to the benchmark deletes it. *)
 
 val applied_digest : 'a Txn.Map.t -> int
 (** Digest of the transaction ids of an applied set (the keys of the map;

@@ -22,7 +22,6 @@ type recovery = {
   mutable rc_resp : (int * Messages.promise) list;  (* (acceptor, its Phase 1b promise) *)
   mutable rc_extras : Woption.t list;
   mutable rc_notify : int list;
-  mutable rc_done : bool;
 }
 
 (* Master-role state for one record. *)
@@ -165,7 +164,7 @@ let fast_propose t (w : Woption.t) =
   | Acceptor.Standing decision ->
     send t coordinator (Messages.Phase2b_fast { woption = w; decision })
   | Acceptor.Redirect ->
-    let master = t.master_of key and classic_until = rs.Acceptor.classic_until in
+    let master = t.master_of key and classic_until = Acceptor.classic_until rs in
     send t coordinator (Messages.Redirect { key; txid = w.Woption.txid; master; classic_until })
   | Acceptor.Vote reason -> fast_vote t w reason
   | Acceptor.Behind ->
@@ -334,7 +333,7 @@ and acceptor_phase2a t ~master key ballot (w : Woption.t) decision classic_until
   | Acceptor.Refused | Acceptor.Voted | Acceptor.Known -> ());
   if (verdict = Acceptor.Voted || verdict = Acceptor.Voted_rebased) && live t then
     emit t (Event.Voted { txid = w.Woption.txid; key; vote = Event.Classic decision });
-  let txid = w.Woption.txid and promised = rs.Acceptor.promised in
+  let txid = w.Woption.txid and promised = Acceptor.promised rs in
   let ok = verdict <> Acceptor.Refused in
   if master = t.id then master_phase2b t ~src:t.id key txid promised ok
   else send t master (Messages.Phase2b_master { key; txid; ballot = promised; ok })
@@ -348,15 +347,12 @@ and start_round t key (w : Woption.t) ~notify =
   | None -> start_recovery t key ~extras:[ w ] ~notify
   | Some ballot ->
     let rs = record t key in
-    let row = Store.ensure t.store key in
-    let reason =
-      Acceptor.classify ~bounds:(Acceptor.bounds t.acceptor key) ~demarcation:`Escrow row
-        ~pending:rs.Acceptor.pending w.Woption.update
-    in
+    let reason = Acceptor.escrow t.acceptor rs w.Woption.update in
     let decision = Acceptor.decision_of reason in
     count_verdict t reason;
     ms.m_rounds <- new_round w decision ballot notify :: ms.m_rounds;
-    broadcast_phase2a t key ballot w decision ~classic_until:rs.Acceptor.classic_until ~rebase:None
+    broadcast_phase2a t key ballot w decision ~classic_until:(Acceptor.classic_until rs)
+      ~rebase:None
 
 and can_run_now t key (w : Woption.t) =
   let ms = mstate t key in
@@ -444,7 +440,6 @@ and start_recovery t key ~extras ~notify =
         rc_resp = [];
         rc_extras = extras;
         rc_notify = notify;
-        rc_done = false;
       }
     in
     ms.m_recovery <- Some rc;
@@ -465,7 +460,7 @@ and broadcast_phase1a t key rc =
 and acceptor_phase1a t ~master key ballot =
   let rs = record t key in
   let ok = Acceptor.phase1a t.acceptor rs ballot in
-  let promised = rs.Acceptor.promised and promise = Acceptor.promise t.acceptor rs in
+  let promised = Acceptor.promised rs and promise = Acceptor.promise t.acceptor rs in
   if master = t.id then master_phase1b t ~src:t.id key ballot ~ok ~promised promise
   else send t master (Messages.Phase1b { key; ballot; ok; promised; promise })
 
@@ -476,7 +471,7 @@ and watch_recovery t key rc =
     (Runtime.set_timer t.runtime ~after:timeout (fun () ->
          let ms = mstate t key in
          match ms.m_recovery with
-         | Some rc' when rc' == rc && not rc.rc_done ->
+         | Some rc' when rc' == rc ->
            ms.m_highest <- ms.m_highest + 1;
            rc.rc_ballot <- Ballot.classic ~number:ms.m_highest ~proposer:t.id;
            rc.rc_resp <- [];
@@ -487,7 +482,7 @@ and watch_recovery t key rc =
 and master_phase1b t ~src key ballot ~ok ~promised promise =
   let ms = mstate t key in
   match ms.m_recovery with
-  | Some rc when Ballot.equal ballot rc.rc_ballot && not rc.rc_done ->
+  | Some rc when Ballot.equal ballot rc.rc_ballot ->
     if ok then begin
       if not (List.mem_assoc src rc.rc_resp) then rc.rc_resp <- (src, promise) :: rc.rc_resp;
       if List.length rc.rc_resp >= qc t then resolve_recovery t key rc
@@ -502,7 +497,7 @@ and master_phase1b t ~src key ballot ~ok ~promised promise =
       ignore
         (Runtime.set_timer t.runtime ~after:backoff (fun () ->
              match ms.m_recovery with
-             | Some rc' when rc' == rc && not rc.rc_done -> broadcast_phase1a t key rc
+             | Some rc' when rc' == rc -> broadcast_phase1a t key rc
              | Some _ | None -> ()))
     end
   | Some _ | None -> ()
@@ -559,7 +554,7 @@ and resolve_recovery t key rc =
     Txn.Map.iter (fun txid _ -> Hashtbl.replace known_viz txid true) applied;
     List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
   in
-  learn (Acceptor.applied t.acceptor key) (record t key).Acceptor.decided;
+  learn (Acceptor.applied t.acceptor key) (Acceptor.decided (record t key));
   List.iter
     (fun (_, (p : Messages.promise)) ->
       learn p.Messages.rebase.Messages.included p.Messages.decided)
@@ -658,9 +653,7 @@ and resolve_recovery t key rc =
     | Config.Multi -> max_int
     | Config.Full -> rebase.Messages.version + t.config.Config.gamma
   in
-  let rs = record t key in
-  rs.Acceptor.classic_until <- Stdlib.max rs.Acceptor.classic_until classic_until;
-  rc.rc_done <- true;
+  Acceptor.recovered_window (record t key) ~classic_until;
   ms.m_recovery <- None;
   ms.m_led <- Some rc.rc_ballot;
   (* Options already executed: just tell everyone who asked. *)

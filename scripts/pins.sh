@@ -69,13 +69,13 @@ quick)
   pin "sweep of those 4 runs" obs.json -- \
     "$chaos" sweep --seeds 2 --scenario torn_broadcast,master_failover --trace --obs-out obs.json
   # Two runs that lost an update until acceptors kept their Phase 1
-  # promises (ROADMAP item 1): both must stay clean.
+  # promises (the promise fix): both must stay clean.
   pin "report latency_surge 119 (lost update, fixed)" -- \
     "$chaos" replay --seed 119 --scenario latency_surge
   pin "report random 61 (lost update, fixed)" -- "$chaos" replay --seed 61 --scenario random
   # The checker's verdict on one run of every class known to violate.
-  # Fixing the re-decided option, the liveness case and the demarcation
-  # breach (ROADMAP items 2, 3 and 4) moves these.
+  # Fixing the re-decided option, the recovery duels behind the liveness
+  # case and the demarcation breach under faults moves these.
   pin "report drop_spike 299 (option agreement)" -- "$chaos" replay --seed 299 --scenario drop_spike
   pin "report random 1473 (liveness)" -- "$chaos" replay --seed 1473 --scenario random
   pin "report clean 4, plant-bug 3" -- \
@@ -107,7 +107,8 @@ full)
     --jobs 2 --json
   pin "shard sweep" -- \
     "$chaos" sweep --seeds 50 --scenario shard_partition,shard_outage,shard_flap --jobs 2 --json
-  # The option-agreement and liveness seeds of ROADMAP items 2 and 3.
+  # The option-agreement seeds of the re-decided option, and the liveness
+  # seed of the recovery duels.
   pin "random sweep 2000 seeds" -- "$chaos" sweep --seeds 2000 --scenario random --jobs 2
   ;;
 *) usage ;;

@@ -22,18 +22,27 @@ let per_op p = (Probe.run p).Probe.minor_words_per_op
 let key = Key.make ~table:"item" ~id:"42"
 
 let test_mark_applied_log_n () =
-  let rs = Acceptor.create key in
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let store = Store.create schema in
+  let n = Acceptor.create_node ~config:(Config.make ~replication:5 ()) store in
+  let row = Store.ensure store key in
+  row.Store.value <- Value.of_list [ ("stock", Value.Int 1_000_000) ];
+  row.Store.exists <- true;
+  let up = Update.Delta [ ("stock", -1) ] in
+  let commit txid = ignore (Acceptor.visibility n txid key up true : Acceptor.visibility) in
   for i = 0 to 9_999 do
-    Acceptor.mark_applied rs (Printf.sprintf "t%05d" i) (Update.Delta [ ("stock", -1) ])
+    commit (Printf.sprintf "t%05d" i)
   done;
   let fresh = Array.init 100 (fun i -> Printf.sprintf "u%05d" i) in
-  let up = Update.Delta [ ("stock", -1) ] in
-  let w = words (fun () -> Array.iter (fun txid -> Acceptor.mark_applied rs txid up) fresh) in
-  (* A balanced-tree insert copies one path: about log2(10_100) = 14 nodes
-     of 6 words.  Copying the set would cost tens of thousands. *)
+  let w = words (fun () -> Array.iter commit fresh) in
+  (* The set marks a committed transaction in a txid table once it holds
+     32 entries, so the insert costs a bucket and the delta's new row
+     value, not the O(log n) path a balanced-tree insert copies (about
+     log2(10_100) = 14 nodes of 6 words).  Copying the set would cost
+     tens of thousands. *)
   let per_call = w /. 100.0 in
-  if per_call > 200.0 then Alcotest.failf "mark_applied allocated %.0f words per call" per_call;
-  let again = words (fun () -> Acceptor.mark_applied rs fresh.(0) up) in
+  if per_call > 200.0 then Alcotest.failf "a committed visibility allocated %.0f words" per_call;
+  let again = words (fun () -> commit fresh.(0)) in
   Alcotest.(check (float 0.0)) "re-marking allocates nothing" 0.0 again
 
 (* The same insert through a storage node, on a record whose set holds
@@ -523,7 +532,10 @@ let test_settled_votes () =
    vote pool: ROADMAP item 5's acceptor line.  A fast vote and a classic
    Phase 2a vote allocate nothing (the verdicts are constants and the
    votes come from the pool); a committed Visibility allocates its
-   applied-set insert and the delta's new row value, 20 words. *)
+   applied-set insert and the delta's new row value, 20 words.  A Phase
+   1a promise allocates the bucket of its promise mark, 4 words, in a
+   table a first promise on every record has grown; the master's
+   recovered window allocates nothing. *)
 let test_acceptor_steps () =
   let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
   let store = Store.create schema in
@@ -556,14 +568,29 @@ let test_acceptor_steps () =
   let per_step step opts =
     words (fun () -> Array.iter step opts) /. Float.of_int (Array.length opts)
   in
-  let opts = on "f" in
+  let promise ballot (w : Woption.t) =
+    ignore (Acceptor.phase1a n (Acceptor.record n w.Woption.key) ballot : bool)
+  in
+  let window (w : Woption.t) =
+    Acceptor.recovered_window (Acceptor.record n w.Woption.key) ~classic_until:5
+  in
+  (* A classic Phase 2a clears each warm promise mark, keeping the marks'
+     grown table. *)
+  Array.iter (promise ballot) warm;
+  Array.iter classic warm;
+  let opts = on "f" and classic_opts = on "c" in
   let vote = per_step fast opts in
   let visibility = per_step commit opts in
-  let classic_vote = per_step classic (on "c") in
+  let classic_vote = per_step classic classic_opts in
+  let phase1a = per_step (promise (Mdcc_paxos.Ballot.classic ~number:2 ~proposer:1)) classic_opts in
+  let recovered_window = per_step window classic_opts in
   Alcotest.(check (float 0.0)) "words per fast vote" 0.0 vote;
   Alcotest.(check (float 0.0)) "words per classic vote" 0.0 classic_vote;
   if visibility > 20.0 then
-    Alcotest.failf "a committed visibility allocated %.2f words (ceiling 20)" visibility
+    Alcotest.failf "a committed visibility allocated %.2f words (ceiling 20)" visibility;
+  if phase1a > 4.0 then
+    Alcotest.failf "a Phase 1a promise allocated %.2f words (ceiling 4)" phase1a;
+  Alcotest.(check (float 0.0)) "words per recovered window" 0.0 recovered_window
 
 let huge = 16_000
 

@@ -276,7 +276,7 @@ let test_smoke_sweep () =
   done
 
 (* Runs that lost an update while an acceptor could cast a fast vote its
-   Phase 1b promise had not reported (ROADMAP item 1): with the promise
+   Phase 1b promise had not reported (the promise fix): with the promise
    kept, every one of them is clean. *)
 let test_promise_seeds_clean () =
   List.iter

@@ -194,27 +194,51 @@ module Messages = Mdcc_core.Messages
 
 let up i = Update.Delta [ ("stock", -i) ]
 
-(* An applied set built by adding entries in the given order. *)
-let applied entries =
-  List.fold_left (fun s (txid, u) -> Acceptor.applied_add s txid u) Txn.Map.empty entries
+let item = Key.make ~table:"item" ~id:"k"
+
+(* A fresh acceptor, its store holding a live row for [item]. *)
+let acceptor () =
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let store = Store.create schema in
+  let row = Store.ensure store item in
+  row.Store.exists <- true;
+  Acceptor.create_node ~config:(Mdcc_core.Config.make ~replication:3 ()) store
+
+(* Commit [txid]'s update on [key] at the acceptor: a committed Visibility. *)
+let commit ?(key = item) n (txid, u) = Acceptor.visibility n txid key u true
+
+(* An acceptor whose record of [item] committed the entries in the given order. *)
+let committed entries =
+  let n = acceptor () in
+  List.iter (fun e -> ignore (commit n e : Acceptor.visibility)) entries;
+  n
+
+(* The applied set of a record that committed the entries in the given order. *)
+let applied entries = Acceptor.applied (committed entries) item
 
 let txids s = List.map fst (Txn.Map.bindings s)
 
 let same_set a b = Txn.Map.bindings a = Txn.Map.bindings b
 
-(* Merge as Sync_reply repair does: add every entry of [theirs] that [mine]
-   is missing. *)
+(* Merge as Sync_reply repair does: a record holding [mine] replays every
+   entry of [theirs] it is missing. *)
 let merge mine theirs =
-  Txn.Map.fold
-    (fun txid u s -> Acceptor.applied_add s txid u)
-    (Acceptor.applied_missing ~mine ~theirs)
-    mine
+  let n = committed (Txn.Map.bindings mine) in
+  let rs = Acceptor.record n item in
+  Txn.Map.iter
+    (fun txid u -> Acceptor.repair n rs txid u)
+    (Acceptor.applied_missing ~mine:(Acceptor.applied n item) ~theirs);
+  Acceptor.applied n item
 
 let test_applied_set_idempotent () =
-  let a = applied [ ("t1", up 1); ("t2", up 2) ] in
-  Alcotest.(check int) "re-add is a no-op" 2 (Txn.Map.cardinal (Acceptor.applied_add a "t1" (up 1)));
+  let n = committed [ ("t1", up 1); ("t2", up 2) ] in
+  let a = Acceptor.applied n item in
+  Alcotest.(check bool) "a second commit is ignored" true
+    (commit n ("t1", up 1) = Acceptor.Ignored);
+  Alcotest.(check int) "re-add is a no-op" 2 (Txn.Map.cardinal (Acceptor.applied n item));
+  ignore (commit n ("t1", up 9) : Acceptor.visibility);
   Alcotest.(check bool) "re-add keeps the first update" true
-    (Txn.Map.find "t1" (Acceptor.applied_add a "t1" (up 9)) = up 1);
+    (Txn.Map.find "t1" (Acceptor.applied n item) = up 1);
   Alcotest.(check bool) "merge with itself is identity" true (same_set (merge a a) a)
 
 let test_applied_set_commutative () =
@@ -349,36 +373,56 @@ let show_applied_op = function
   | Snapshot r -> Printf.sprintf "snapshot %d" r
   | Mem (r, txid) -> Printf.sprintf "mem %d %s" r txid
 
-(* Two records share one store, as a storage node's do.  Each op runs on
-   both the record and a map model built with [applied_add]; membership,
-   snapshot bindings and the anti-entropy digest must agree throughout. *)
+(* Two records of one acceptor node, stepped through its inputs: a
+   committed Visibility adds an entry, a rebase replaces the set.  Each op
+   also runs on a model: the record's applied set as a plain map, and the
+   txids a rebase clobbered, which stay committed in the decided log.  The
+   verdicts, membership, snapshot bindings, the anti-entropy digest and
+   the decided log must agree throughout. *)
 let prop_promoted_set_is_a_map =
   QCheck.Test.make ~name:"a promoted applied set answers as a plain map" ~count:300
     (QCheck.make
        ~print:QCheck.Print.(list show_applied_op)
        QCheck.Gen.(list_size (int_range 0 400) applied_op_gen))
     (fun ops ->
-      let store = Acceptor.Applied.store () in
-      let records = Array.init 2 (fun i -> Acceptor.create (Key.make ~table:"item" ~id:(string_of_int i))) in
-      let models = Array.make 2 Txn.Map.empty in
+      let n = acceptor () in
+      let keys = Array.init 2 (fun i -> Key.make ~table:"item" ~id:(string_of_int i)) in
+      let records = Array.map (Acceptor.record n) keys in
+      let models = Array.make 2 Txn.Map.empty and logged = Array.make 2 Txn.Map.empty in
+      let known r txid = Txn.Map.mem txid models.(r) || Txn.Map.mem txid logged.(r) in
       let agrees r =
-        let snap = Acceptor.Applied.snapshot store records.(r) in
+        let snap = Acceptor.applied n keys.(r) in
         Txn.Map.bindings snap = Txn.Map.bindings models.(r)
         && Messages.applied_digest snap = Messages.applied_digest models.(r)
+        && List.sort compare (Acceptor.decided records.(r))
+           = List.map (fun (txid, ()) -> (txid, true)) (Txn.Map.bindings logged.(r))
       in
       let mem_agrees r txid =
-        Acceptor.Applied.mem store records.(r) txid = Txn.Map.mem txid models.(r)
+        Acceptor.outcome n records.(r) txid = if known r txid then Some true else None
       in
       let step = function
         | Add (r, txid, d) ->
-          Acceptor.Applied.add store records.(r) txid (up d);
-          models.(r) <- Acceptor.applied_add models.(r) txid (up d);
-          mem_agrees r txid
+          let expected = if known r txid then Acceptor.Ignored else Acceptor.Wrote in
+          if expected = Acceptor.Wrote then models.(r) <- Txn.Map.add txid (up d) models.(r);
+          commit ~key:keys.(r) n (txid, up d) = expected && mem_agrees r txid
         | Replace (r, entries) ->
-          let m = applied (List.map (fun (txid, d) -> (txid, up d)) entries) in
-          Acceptor.Applied.replace store records.(r) m;
+          let m =
+            List.fold_left
+              (fun m (txid, d) -> if Txn.Map.mem txid m then m else Txn.Map.add txid (up d) m)
+              Txn.Map.empty entries
+          in
+          let version = (Acceptor.rebase_of n keys.(r)).Messages.version + 1 in
+          let rebased =
+            Acceptor.rebase n keys.(r)
+              { Messages.value = Value.empty; version; exists = true; included = m }
+          in
+          Txn.Map.iter
+            (fun txid _ ->
+              if not (Txn.Map.mem txid m) then logged.(r) <- Txn.Map.add txid () logged.(r))
+            models.(r);
+          logged.(r) <- Txn.Map.filter (fun txid () -> not (Txn.Map.mem txid m)) logged.(r);
           models.(r) <- m;
-          agrees r
+          rebased && agrees r
         | Snapshot r -> agrees r
         | Mem (r, txid) -> mem_agrees r txid
       in
