@@ -33,7 +33,7 @@ let rec none =
   { woption = no_option; decision = Woption.Rejected; ballot = Ballot.initial_fast;
     proposed_at = { Engine.time = 0.0 }; next = none }
 
-let vote ?(next = none) woption decision ballot =
+let vote woption decision ballot next =
   { woption; decision; ballot; proposed_at = { Engine.time = 0.0 }; next }
 
 (* An applied set is a txid-ordered map, so iteration order, digests and
@@ -317,8 +317,7 @@ let classify ~bounds ~demarcation valuation ~pending (up : Update.t) =
 
 let decision_of = function None -> Woption.Accepted | Some (_ : reject_reason) -> Woption.Rejected
 
-let evaluate ~bounds ~demarcation valuation ~pending up =
-  decision_of (classify ~bounds ~demarcation valuation ~pending up)
+let valid ~bounds row up = Option.is_none (classify ~bounds ~demarcation:`Escrow row ~pending:none up)
 
 (* ------------------------------------------------------------------ *)
 (* A node's acceptor: its tables and one transition per input          *)
@@ -338,7 +337,7 @@ end)
 
 type node = {
   store : Store.t;
-  default_classic_until : int;  (* a new record's window: [max_int] in Multi mode *)
+  config : Config.t;  (* the mode, γ and the quorum sizes *)
   fast_demarcation : demarcation;  (* [`Quorum (n, qf)], built once *)
   records : t Key.Tbl.t;
   promising : unit Key.Tbl.t;
@@ -352,12 +351,9 @@ type node = {
 }
 
 let create_node ~config store =
-  let default_classic_until =
-    match config.Config.mode with Config.Multi -> max_int | Config.Full -> 0
-  in
   (* [records] and [visible] start large: arrays this long go straight to
      the major heap, costing no minor words, and a loaded node regrows. *)
-  { store; default_classic_until;
+  { store; config;
     fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);
     records = Key.Tbl.create 1024; promising = Key.Tbl.create 16; visible = Visible.create 4096;
     probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" }; free = none;
@@ -367,9 +363,11 @@ let record n key =
   match Key.Tbl.find n.records key with
   | rs -> rs
   | exception Not_found ->
+    (* A new record's window: none in Full mode, forever in Multi mode. *)
+    let classic_until = match n.config.Config.mode with Config.Multi -> max_int | Config.Full -> 0 in
     let rs =
-      { key; promised = Ballot.initial_fast; classic_until = n.default_classic_until;
-        pending = none; applied = Txn.Map.empty; decided = [] }
+      { key; promised = Ballot.initial_fast; classic_until; pending = none;
+        applied = Txn.Map.empty; decided = [] }
     in
     Key.Tbl.add n.records key rs;
     rs
@@ -391,8 +389,6 @@ let classic_until rs = rs.classic_until
 
 let promised rs = rs.promised
 
-let decided rs = rs.decided
-
 let escrow n rs up =
   classify ~bounds:(bounds n rs.key) ~demarcation:`Escrow (Store.ensure n.store rs.key)
     ~pending:rs.pending up
@@ -412,7 +408,7 @@ let cast n rs ~(now : Engine.stamp) (w : Woption.t) decision ballot =
   let v = unlink rs w.Woption.txid in
   let v =
     if v != none then v
-    else if n.free == none then vote no_option Woption.Rejected Ballot.initial_fast
+    else if n.free == none then vote no_option Woption.Rejected Ballot.initial_fast none
     else begin
       let v = n.free in
       n.free <- v.next;
@@ -574,8 +570,170 @@ let phase1a n rs ballot =
 let promise n rs =
   { Messages.votes = votes_from rs.pending; rebase = rebase_of n rs.key; decided = rs.decided }
 
-let recovered_window rs ~classic_until =
-  rs.classic_until <- Stdlib.max rs.classic_until classic_until
+let widen rs ~classic_until = rs.classic_until <- Stdlib.max rs.classic_until classic_until
+
+type resolution = {
+  rebased : bool;
+  rebase : Messages.rebase;
+  window : int;
+  known : (Woption.t * bool) list;
+  outcomes : (Woption.t * Woption.decision) list;
+  forced : int;
+  free : int;
+}
+
+(* The instance an option writes: its read version, [0] for an insert,
+   and last for a delta, which conflicts on none. *)
+let instance_of (w : Woption.t) =
+  match w.Woption.update with
+  | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } -> vread
+  | Update.Insert _ -> 0
+  | Update.Delta _ -> max_int
+
+let by_instance l =
+  List.sort
+    (fun ((a : Woption.t), _) ((b : Woption.t), _) ->
+      match Int.compare (instance_of a) (instance_of b) with
+      | 0 -> String.compare a.Woption.txid b.Woption.txid
+      | c -> c)
+    l
+
+let resolve n rs ~promises ~extras ~replicas =
+  (* Re-base: the freshest committed state any responder reported. *)
+  let fresh =
+    List.fold_left
+      (fun best (_, (p : Messages.promise)) ->
+        if p.Messages.rebase.Messages.version > best.Messages.version then p.Messages.rebase
+        else best)
+      (rebase_of n rs.key) promises
+  in
+  let rebased = rebase n rs.key fresh in
+  (* Candidate options: every pending vote reported, plus escalated extras.
+     Of an option's classic votes only the highest-ballot one matters, the
+     last reported among equals; its fast votes count by their reporter's
+     position in the key's replica group. *)
+  let candidates :
+      (string, Woption.t * (Woption.decision * Ballot.t) option * Quorum.tally) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  List.iter
+    (fun (src, (p : Messages.promise)) ->
+      let pos = Quorum.position src replicas in
+      List.iter
+        (fun { Messages.woption; decision; ballot } ->
+          let txid = woption.Woption.txid in
+          let w, classic, fast =
+            match Hashtbl.find_opt candidates txid with
+            | Some c -> c
+            | None -> (woption, None, Quorum.Tally.empty)
+          in
+          Hashtbl.replace candidates txid
+            (match classic with
+            | _ when Ballot.is_fast ballot ->
+              (w, classic, Quorum.Tally.vote fast ~pos ~ok:(decision = Woption.Accepted))
+            | Some (_, b) when Ballot.compare ballot b < 0 -> (w, classic, fast)
+            | Some _ | None -> (w, Some (decision, ballot), fast)))
+        p.Messages.votes)
+    promises;
+  List.iter
+    (fun (w : Woption.t) ->
+      if not (Hashtbl.mem candidates w.Woption.txid) then
+        Hashtbl.replace candidates w.Woption.txid (w, None, Quorum.Tally.empty))
+    extras;
+  (* Visibility outcomes known anywhere in the quorum (or locally) are final
+     — a concurrent recovery already executed or voided these options, and
+     this ballot must confirm, not contradict, them. *)
+  let known_viz : (Txn.id, bool) Hashtbl.t = Hashtbl.create 16 in
+  let learn applied decided =
+    Txn.Map.iter (fun txid _ -> Hashtbl.replace known_viz txid true) applied;
+    List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
+  in
+  learn (Applied.snapshot n.hot rs) rs.decided;
+  List.iter
+    (fun (_, (p : Messages.promise)) ->
+      learn p.Messages.rebase.Messages.included p.Messages.decided)
+    promises;
+  (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
+     some classic round — for each option only its highest-ballot vote
+     matters), fast-threshold ("might have been chosen" at the fast
+     ballot), and free.  Every undecided option is paired with the decision
+     its votes force, if any. *)
+  let threshold =
+    Quorum.anchor_threshold ~n:n.config.Config.replication ~f:(Config.fast_quorum n.config)
+      ~responded:(List.length promises)
+  in
+  let already_visible = ref [] and classic_voted = ref [] and fast_forced = ref [] in
+  let free = ref [] in
+  (* Sorted by txid: the order candidates are classified (and therefore the
+     order recovered options re-propose) must not depend on hash order. *)
+  Table.sorted_iter ~compare:String.compare
+    (fun txid (w, classic, fast) ->
+      match Hashtbl.find_opt known_viz txid with
+      | Some committed -> already_visible := (w, committed) :: !already_visible
+      | None -> (
+        match classic with
+        | Some (d, b) -> classic_voted := (b, (w, Some d)) :: !classic_voted
+        | None -> (
+          match Quorum.Tally.decided fast ~quorum:threshold with
+          | Some ok -> fast_forced := (w, Some (Woption.of_ok ok)) :: !fast_forced
+          | None -> free := (w, None) :: !free)))
+    candidates;
+  let base_val =
+    { value = fresh.Messages.value; version = fresh.Messages.version;
+      exists = fresh.Messages.exists }
+  in
+  let classic_forced =
+    List.sort (fun (b1, _) (b2, _) -> Ballot.compare b2 b1) !classic_voted |> List.map snd
+  in
+  let fast_forced = by_instance !fast_forced and free = by_instance !free in
+  (* Validate in one pass — classic-voted by ballot, highest first, then
+     fast-forced, then free, the last two oldest instance first — each
+     option against the re-based state plus every option accepted before
+     it.  A forced reject stands, and so does a forced commutative accept:
+     deltas carry no instance to conflict on.  A forced non-commutative
+     accept is re-validated.
+     A classic vote proves the option *might* have been chosen in that
+     round, nothing more: the round may have died short of a quorum, and its
+     stale vote can linger in an acceptor's log long after a higher ballot
+     chose a conflicting option (whose own votes vanish once visibility
+     executes them).  Highest ballot first is what makes re-validation
+     safe: had the option truly been chosen, a classic quorum voted for it,
+     every later recovery quorum intersects that one, so no conflicting
+     option could have been chosen since — the re-based state still
+     satisfies it and re-validation re-accepts it.  An option re-validation
+     rejects provably was never chosen.  Fast votes likewise only prove an
+     option *might* have been chosen (the rest of the fast quorum is
+     outside this view); one that no longer applies to the re-based state,
+     or conflicts with an option validated before it, cannot in fact have
+     been chosen — a fast quorum would have had to intersect the classic /
+     rebasing quorum — so it is rejected, not committed alongside.  The
+     accepted options form a chain of fresh votes outside every record,
+     whose ballots nothing reads. *)
+  let outcomes, _ =
+    List.fold_left
+      (fun (outcomes, accepted) ((w : Woption.t), forced) ->
+        let d =
+          match forced with
+          | Some d when d = Woption.Rejected || Update.is_commutative w.Woption.update -> d
+          | Some _ | None ->
+            decision_of
+              (classify ~bounds:(bounds n rs.key) ~demarcation:`Escrow base_val ~pending:accepted
+                 w.Woption.update)
+        in
+        let accepted = if d = Woption.Accepted then vote w d rs.promised accepted else accepted in
+        ((w, d) :: outcomes, accepted))
+      ([], none)
+      (classic_forced @ fast_forced @ free)
+  in
+  (* The recovered window: the master imposes γ more classic instances. *)
+  let window =
+    match n.config.Config.mode with
+    | Config.Multi -> max_int
+    | Config.Full -> fresh.Messages.version + n.config.Config.gamma
+  in
+  widen rs ~classic_until:window;
+  { rebased; rebase = fresh; window; known = !already_visible; outcomes = List.rev outcomes;
+    forced = List.length classic_forced + List.length fast_forced; free = List.length free }
 
 type phase2a = Refused | Voted | Known | Voted_rebased | Known_rebased
 
@@ -584,7 +742,7 @@ let phase2a n rs ~now ballot (w : Woption.t) decision ~classic_until ~rebase:rb 
   else begin
     rs.promised <- ballot;
     if Key.Tbl.length n.promising > 0 then Key.Tbl.remove n.promising rs.key;
-    recovered_window rs ~classic_until;
+    widen rs ~classic_until;
     let rebased = match rb with Some rb -> rebase n rs.key rb | None -> false in
     if Option.is_some (outcome n rs w.Woption.txid) then if rebased then Known_rebased else Known
     else begin

@@ -10,15 +10,16 @@
     and only this module's functions change either.
 
     There are six steps, one per input: a fast proposal
-    ({!fast_propose}), Phase 1a ({!phase1a}), Phase 2a ({!phase2a}), the
-    master's recovered window ({!recovered_window}), a Visibility
-    ({!visibility}) and a status query ({!status}).  Five of them change
-    state; {!status} only reads.
+    ({!fast_propose}), Phase 1a ({!phase1a}), the master's Phase 1
+    resolution over a classic quorum's promises ({!resolve}), Phase 2a
+    ({!phase2a}), a Visibility ({!visibility}) and a status query
+    ({!status}).  Five of them change state; {!status} only reads.
     Anti-entropy installs a re-based state ({!rebase}) and replays a
     committed delta ({!repair}).  Each step takes its inputs, and the
     current time where it may vote, and answers with a verdict that is a
     constant constructor or a structured constant, so a step allocates
-    only what it stores.  The module has no runtime, sends nothing, counts
+    only what it stores; {!resolve}, which runs once per recovery, answers
+    a record.  The module has no runtime, sends nothing, counts
     nothing and emits nothing: {!Storage_node} drives it.  It finds the
     record, steps it, and sends, counts and emits from the verdict.  Lint
     rule [R6-runtime] keeps [Runtime], [Outbox], [Ctx], [Obs] and [Event]
@@ -34,8 +35,10 @@
 
     The {e pure} decision logic here is shared by all three places the
     paper makes an accept/reject decision: the acceptor's fast path
-    (SetCompatible, Algorithm 3 lines 83–99), the master's classic
-    validation, and collision/dangling recovery.  It implements:
+    (SetCompatible, Algorithm 3 lines 83–99, in {!fast_propose}), the
+    master's classic validation ({!escrow}), and collision recovery
+    ({!resolve}); the 2PC and Megastore* baselines borrow it through
+    {!valid}.  It implements:
     {ul
     {- write-write conflict detection via version preconditions
        ([vread] must equal the current version);}
@@ -50,23 +53,6 @@
 open Mdcc_storage
 open Mdcc_paxos
 
-type vote
-(** One option this replica voted on: its option, the decision and the
-    ballot the vote was cast at, and the simulated time it was cast.  A
-    record's outstanding votes form its pending chain, one vote per
-    transaction in arrival order; a node reuses the votes of settled
-    options, so a vote allocates nothing once the node holds as many as it
-    has outstanding.  {!promise} and {!status} report copies of a record's
-    votes. *)
-
-val none : vote
-(** The empty chain and the "no vote" answer. *)
-
-val vote : ?next:vote -> Woption.t -> Woption.decision -> Ballot.t -> vote
-(** A fresh vote, outside every record, linked in front of [next]
-    (default {!none}): how a recovery builds the accepted set it
-    validates against, and how tests build chains for {!evaluate}. *)
-
 type applied = Update.t Txn.Map.t
 (** An applied set: txid -> the update that transaction contributed.  A
     record keeps every committed transaction folded into its copy of the
@@ -80,8 +66,11 @@ type applied = Update.t Txn.Map.t
 
 type t
 (** One record's acceptor state, the paper's per-record Paxos state: the
-    promised ballot, the classic (γ) window, the pending chain, the
-    applied set and the decided log (the outcomes a visibility erased from
+    promised ballot, the classic (γ) window, the pending chain (one vote
+    per outstanding transaction, in arrival order, each holding its
+    option, decision, ballot and the time it was cast; a node reuses the
+    votes of settled options, and {!promise} and {!status} report copies),
+    the applied set and the decided log (the outcomes a visibility erased from
     the chain that the applied set does not hold: voided transactions,
     committed read guards, committed transactions a rebase clobbered).
     Only the steps below, {!rebase} and {!repair} change it. *)
@@ -103,16 +92,6 @@ val older_than : t -> now:Mdcc_sim.Engine.stamp -> float -> Woption.t list
 val in_classic_era : t -> version:int -> bool
 (** Must proposals for the next instance go through the master? *)
 
-type valuation = Store.row = {
-  mutable value : Value.t;
-  mutable version : int;
-  mutable exists : bool;
-}
-(** The committed state a decision is evaluated against: a store row,
-    passed as it is.  The decision functions only read it. *)
-
-type demarcation = [ `Quorum of int * int  (** (n, fast-quorum size) *) | `Escrow ]
-
 type reject_reason =
   | Version_validation
       (** missing/stale record or [vread] mismatch — write-write conflict *)
@@ -123,20 +102,14 @@ type reject_reason =
     fixed order version validation → outstanding option → demarcation, so
     the reason is deterministic even for multiply-invalid options. *)
 
-val evaluate :
-  bounds:Schema.bound list ->
-  demarcation:demarcation ->
-  valuation ->
-  pending:vote ->
-  Update.t ->
-  Woption.decision
-(** The accept/reject decision for a new option given committed state and
-    the outstanding votes, a chain of which only the [Accepted] votes
-    count.  Deterministic; safe to run at any replica that has the same
-    inputs. *)
-
 val decision_of : reject_reason option -> Woption.decision
 (** [Accepted] for [None], [Rejected] otherwise. *)
+
+val valid : bounds:Schema.bound list -> Store.row -> Update.t -> bool
+(** Would a sole decider with nothing pending accept the update against
+    the row: version validation and the value bounds, as {!escrow} decides
+    on a record with no vote.  The 2PC and Megastore* baselines validate
+    with it. *)
 
 (** {1 A node's acceptor} *)
 
@@ -152,9 +125,6 @@ val create_node : config:Config.t -> Store.t -> node
 val record : node -> Key.t -> t
 (** The key's record, created (fast era in Full mode, classic forever in
     Multi mode) on first use. *)
-
-val bounds : node -> Key.t -> Schema.bound list
-(** The value constraints of the key's table. *)
 
 val outcome : node -> t -> Txn.id -> bool option
 (** The transaction's visibility outcome at this record, if known:
@@ -205,15 +175,10 @@ val promised : t -> Ballot.t
 (** The highest ballot the record promised or voted at: the ballot a
     Phase 1b or Phase 2b answers with. *)
 
-val decided : t -> (Txn.id * bool) list
-(** The record's decided log, newest first, each txid once and none in
-    the applied set: what a master's recovery must honor beside the
-    applied set. *)
-
 val escrow : node -> t -> Update.t -> reject_reason option
 (** The master's verdict on a classic proposal, as the reason it rejects
-    ([None]: accepted): the decision {!evaluate} makes with plain escrow
-    against the record's committed row and every pending vote.  A stable
+    ([None]: accepted): the decision plain escrow makes against the
+    record's committed row and every pending vote.  A stable
     master's own votes mirror every classic option in flight. *)
 
 (** {2 The transitions} *)
@@ -245,12 +210,33 @@ val phase1a : node -> t -> Ballot.t -> bool
 
 val promise : node -> t -> Messages.promise
 (** What Phase 1b reports: the record's pending votes, committed state and
-    decided log. *)
+    decided log (newest first, each txid once and none in the applied
+    set). *)
 
-val recovered_window : t -> classic_until:int -> unit
-(** The master's recovered window: the master that won Phase 1 on the
-    record widens its own classic window to [classic_until] before its
-    first Phase 2a goes out.  A window only widens. *)
+type resolution = {
+  rebased : bool;  (** the re-based state moved the record's row *)
+  rebase : Messages.rebase;  (** the freshest committed state, which the Phase 2a's carry *)
+  window : int;  (** the recovered classic window's end, which they carry too *)
+  known : (Woption.t * bool) list;  (** outcomes a responder or this node knows: announced *)
+  outcomes : (Woption.t * Woption.decision) list;  (** the rest, decided, in re-proposal order *)
+  forced : int;  (** options of [outcomes] whose votes forced the decision *)
+  free : int;  (** options of [outcomes] no vote forced *)
+}
+
+val resolve :
+  node -> t -> promises:(int * Messages.promise) list -> extras:Woption.t list ->
+  replicas:int list -> resolution
+(** The master's Phase 1 resolution (ProvedSafe) over a classic quorum's
+    promises, each tagged with its acceptor in [replicas], and the options
+    escalated to the master ([extras]).  It installs the freshest committed
+    state ({!rebase}).  An option's highest classic vote (the later in
+    [promises] among equals), or fast votes at [Quorum.anchor_threshold], force its
+    decision; the rest are free.  One pass, classic by ballot, then forced
+    fast, then free (oldest instance first, then txid), validates each
+    against the re-based row plus the options accepted before it, under
+    plain escrow: a forced reject or commutative accept stands.  The
+    record's window widens to [rebase.version + γ] ([max_int] in Multi
+    mode). *)
 
 type phase2a =
   | Refused  (** the ballot is below the promise: no vote *)
@@ -271,9 +257,9 @@ val phase2a :
   phase2a
 (** Vote on a classic Phase 2a.  A ballot at or above the promise becomes
     the promise, clears the promise mark, widens the classic window to
-    [classic_until] and installs the re-based state ({!rebase}); the
-    option then gets the master's decision as its vote, stamped with
-    [now], unless its outcome is known.  The Phase 2b carries the record's
+    [classic_until] (a window never narrows) and installs the re-based
+    state ({!rebase}); the option then gets the master's decision as its
+    vote, stamped with [now], unless its outcome is known.  The Phase 2b carries the record's
     [promised], acknowledging exactly when the verdict is not [Refused]. *)
 
 type visibility =

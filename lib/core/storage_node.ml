@@ -135,8 +135,7 @@ let count_verdict t reason =
   | None -> Obs.bump t.option_accept
   | Some r -> Obs.incr t.obs (reject_counter r)
 
-let install_rebase t key rb =
-  if Acceptor.rebase t.acceptor key rb then Obs.incr t.obs "antientropy_repair"
+let count_repair t rebased = if rebased then Obs.incr t.obs "antientropy_repair"
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor role: step the record's acceptor, then send, count and emit *)
@@ -504,177 +503,30 @@ and master_phase1b t ~src key ballot ~ok ~promised promise =
 
 and resolve_recovery t key rc =
   let ms = mstate t key in
-  (* Re-base: the freshest committed state any responder reported. *)
-  let rebase =
-    List.fold_left
-      (fun best (_, (p : Messages.promise)) ->
-        if p.Messages.rebase.Messages.version > best.Messages.version then p.Messages.rebase
-        else best)
-      (Acceptor.rebase_of t.acceptor key) rc.rc_resp
+  let v =
+    Acceptor.resolve t.acceptor (record t key) ~promises:rc.rc_resp ~extras:rc.rc_extras
+      ~replicas:(t.replicas key)
   in
-  install_rebase t key rebase;
-  (* Candidate options: every pending vote reported, plus escalated extras.
-     Of an option's classic votes only the highest-ballot one matters, the
-     last reported among equals; its fast votes count by their reporter's
-     position in the key's replica group. *)
-  let candidates :
-      (string, Woption.t * (Woption.decision * Ballot.t) option * Quorum.tally) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let replicas = t.replicas key in
-  List.iter
-    (fun (src, (p : Messages.promise)) ->
-      let pos = Quorum.position src replicas in
-      List.iter
-        (fun { Messages.woption; decision; ballot } ->
-          let txid = woption.Woption.txid in
-          let w, classic, fast =
-            match Hashtbl.find_opt candidates txid with
-            | Some c -> c
-            | None -> (woption, None, Quorum.Tally.empty)
-          in
-          Hashtbl.replace candidates txid
-            (match classic with
-            | _ when Ballot.is_fast ballot ->
-              (w, classic, Quorum.Tally.vote fast ~pos ~ok:(decision = Woption.Accepted))
-            | Some (_, b) when Ballot.compare ballot b < 0 -> (w, classic, fast)
-            | Some _ | None -> (w, Some (decision, ballot), fast)))
-        p.Messages.votes)
-    rc.rc_resp;
-  List.iter
-    (fun (w : Woption.t) ->
-      if not (Hashtbl.mem candidates w.Woption.txid) then
-        Hashtbl.replace candidates w.Woption.txid (w, None, Quorum.Tally.empty))
-    rc.rc_extras;
-  (* Visibility outcomes known anywhere in the quorum (or locally) are final
-     — a concurrent recovery already executed or voided these options, and
-     this ballot must confirm, not contradict, them. *)
-  let known_viz : (Txn.id, bool) Hashtbl.t = Hashtbl.create 16 in
-  let learn applied decided =
-    Txn.Map.iter (fun txid _ -> Hashtbl.replace known_viz txid true) applied;
-    List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
-  in
-  learn (Acceptor.applied t.acceptor key) (Acceptor.decided (record t key));
-  List.iter
-    (fun (_, (p : Messages.promise)) ->
-      learn p.Messages.rebase.Messages.included p.Messages.decided)
-    rc.rc_resp;
-  (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
-     some classic round — for each option only its highest-ballot vote
-     matters), fast-threshold ("might have been chosen" at the fast
-     ballot), and free.  Every undecided option is paired with the decision
-     its votes force, if any. *)
-  let threshold =
-    Quorum.anchor_threshold ~n:t.config.Config.replication ~f:(Config.fast_quorum t.config)
-      ~responded:(List.length rc.rc_resp)
-  in
-  let already_visible = ref [] and classic_voted = ref [] and fast_forced = ref [] in
-  let free = ref [] in
-  (* Sorted by txid: the order candidates are classified (and therefore the
-     order recovered options re-propose) must not depend on hash order. *)
-  Table.sorted_iter ~compare:String.compare
-    (fun txid (w, classic, fast) ->
-      match Hashtbl.find_opt known_viz txid with
-      | Some committed -> already_visible := (w, committed) :: !already_visible
-      | None -> (
-        match classic with
-        | Some (d, b) -> classic_voted := (b, (w, Some d)) :: !classic_voted
-        | None -> (
-          match Quorum.Tally.decided fast ~quorum:threshold with
-          | Some ok -> fast_forced := (w, Some (Woption.of_ok ok)) :: !fast_forced
-          | None -> free := (w, None) :: !free)))
-    candidates;
-  let base_val =
-    {
-      Acceptor.value = rebase.Messages.value;
-      version = rebase.Messages.version;
-      exists = rebase.Messages.exists;
-    }
-  in
-  let instance_of (w : Woption.t) =
-    match w.Woption.update with
-    | Update.Physical { vread; _ } | Update.Delete { vread } | Update.Read_guard { vread } ->
-      vread
-    | Update.Insert _ -> 0
-    | Update.Delta _ -> max_int
-  in
-  let by_instance =
-    List.sort (fun ((a : Woption.t), _) ((b : Woption.t), _) ->
-        match Int.compare (instance_of a) (instance_of b) with
-        | 0 -> String.compare a.Woption.txid b.Woption.txid
-        | c -> c)
-  in
-  let classic_forced =
-    List.sort (fun (b1, _) (b2, _) -> Ballot.compare b2 b1) !classic_voted |> List.map snd
-  in
-  let fast_forced = by_instance !fast_forced and free = by_instance !free in
-  (* Validate in one pass — classic-voted by ballot, highest first, then
-     fast-forced, then free, the last two oldest instance first — each
-     option against the re-based state plus every option accepted before
-     it.  A forced reject stands, and so does a forced commutative accept:
-     deltas carry no instance to conflict on.  A forced non-commutative
-     accept is re-validated.
-     A classic vote proves the option *might* have been chosen in that
-     round, nothing more: the round may have died short of a quorum, and its
-     stale vote can linger in an acceptor's log long after a higher ballot
-     chose a conflicting option (whose own votes vanish once visibility
-     executes them).  Highest ballot first is what makes re-validation
-     safe: had the option truly been chosen, a classic quorum voted for it,
-     every later recovery quorum intersects that one, so no conflicting
-     option could have been chosen since — the re-based state still
-     satisfies it and re-validation re-accepts it.  An option re-validation
-     rejects provably was never chosen.  Fast votes likewise only prove an
-     option *might* have been chosen (the rest of the fast quorum is
-     outside this view); one that no longer applies to the re-based state,
-     or conflicts with an option validated before it, cannot in fact have
-     been chosen — a fast quorum would have had to intersect the classic /
-     rebasing quorum — so it is rejected, not committed alongside. *)
-  let outcomes, _ =
-    List.fold_left
-      (fun (outcomes, accepted) ((w : Woption.t), forced) ->
-        let d =
-          match forced with
-          | Some d when d = Woption.Rejected || Update.is_commutative w.Woption.update -> d
-          | Some _ | None ->
-            Acceptor.evaluate ~bounds:(Acceptor.bounds t.acceptor key) ~demarcation:`Escrow base_val
-              ~pending:accepted w.Woption.update
-        in
-        let accepted =
-          if d = Woption.Accepted then Acceptor.vote ~next:accepted w d rc.rc_ballot else accepted
-        in
-        ((w, d) :: outcomes, accepted))
-      ([], Acceptor.none)
-      (classic_forced @ fast_forced @ free)
-  in
-  let outcomes = List.rev outcomes in
-  (* Install the classic window and become the stable master. *)
-  let classic_until =
-    match t.config.Config.mode with
-    | Config.Multi -> max_int
-    | Config.Full -> rebase.Messages.version + t.config.Config.gamma
-  in
-  Acceptor.recovered_window (record t key) ~classic_until;
+  count_repair t v.Acceptor.rebased;
+  (* Become the stable master. *)
   ms.m_recovery <- None;
   ms.m_led <- Some rc.rc_ballot;
   (* Options already executed: just tell everyone who asked. *)
-  List.iter (fun (w, c) -> announce_outcome t key w rc.rc_notify c) !already_visible;
+  List.iter (fun (w, c) -> announce_outcome t key w rc.rc_notify c) v.Acceptor.known;
   (* Re-propose every undecided option at the classic ballot. *)
   List.iter
     (fun (w, d) -> ms.m_rounds <- new_round w d rc.rc_ballot rc.rc_notify :: ms.m_rounds)
-    outcomes;
+    v.Acceptor.outcomes;
   List.iter
     (fun ((w : Woption.t), d) ->
-      broadcast_phase2a t key rc.rc_ballot w d ~classic_until ~rebase:(Some rebase))
-    outcomes;
+      broadcast_phase2a t key rc.rc_ballot w d ~classic_until:v.Acceptor.window
+        ~rebase:(Some v.Acceptor.rebase))
+    v.Acceptor.outcomes;
   if live t then
     emit t
       (Event.Master_recovery_resolved
-         {
-           key;
-           options = List.length outcomes;
-           forced = List.length classic_forced + List.length fast_forced;
-           free = List.length free;
-         })
+         { key; options = List.length v.Acceptor.outcomes; forced = v.Acceptor.forced;
+           free = v.Acceptor.free })
 
 (* ------------------------------------------------------------------ *)
 (* Dangling-transaction recovery (app-server failure, §3.2.3)          *)
@@ -940,7 +792,7 @@ let rec handle t ~src payload =
     let row = Store.ensure t.store key in
     if row.Store.version > 0 then
       send t src (Messages.Catchup { key; rebase = Acceptor.rebase_of t.acceptor key })
-  | Messages.Catchup { key; rebase } -> install_rebase t key rebase
+  | Messages.Catchup { key; rebase } -> count_repair t (Acceptor.rebase t.acceptor key rebase)
   | Messages.Read_request { rid; key } ->
     let row = Store.ensure t.store key in
     send t src

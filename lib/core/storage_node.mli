@@ -19,10 +19,13 @@
     {- {b Master} — for records whose mastership maps here: the stable
        classic path (Multi-Paxos, Phase 1 skipped) serializing physical
        options and pipelining commutative ones with escrow validation, and
-       {e collision recovery}: Phase1a to all replicas, computing the safe
-       decision for every pending option from the Fast Paxos intersection
-       rule, re-proposing via classic Phase2a with a re-base of straggler
-       replicas, and imposing [classic_until = version + γ];}
+       {e collision recovery}: Phase1a to all replicas, re-driven on
+       silence or a nack, then one {!Acceptor.resolve} step over a classic
+       quorum's promises, which computes the safe decision for every
+       pending option from the Fast Paxos intersection rule and imposes
+       [classic_until = version + γ] on the master's own record; the
+       master announces what is already decided and re-proposes the rest
+       via classic Phase2a with a re-base of straggler replicas;}
     {- {b Recovery agent} — a periodic scan detects pending options older
        than the transaction timeout (a dangling transaction whose app-server
        died, §3.2.3), reconstructs the write-set from the option itself,
@@ -31,7 +34,7 @@
        behalf.}}
 
     The master, the recovery agent and anti-entropy read and change the
-    acceptor's state only through {!Acceptor}'s queries. *)
+    acceptor's state only through {!Acceptor}'s queries and steps. *)
 
 open Mdcc_storage
 

@@ -48,8 +48,7 @@ let validate t (updates : (Key.t * Update.t) list) =
     (fun (key, update) ->
       let row = Store.ensure store key in
       let bounds = Schema.bounds_of (Harness.schema t.d) key in
-      Acceptor.evaluate ~bounds ~demarcation:`Escrow row ~pending:Acceptor.none update
-      = Mdcc_core.Woption.Accepted)
+      Acceptor.valid ~bounds row update)
     updates
 
 let apply_at t node updates =

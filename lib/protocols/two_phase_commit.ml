@@ -36,10 +36,7 @@ let prepare t node key txid update =
     let store = Harness.store t.d node in
     let row = Store.ensure store key in
     let bounds = Schema.bounds_of (Harness.schema t.d) key in
-    let ok =
-      Acceptor.evaluate ~bounds ~demarcation:`Escrow row ~pending:Acceptor.none update
-      = Mdcc_core.Woption.Accepted
-    in
+    let ok = Acceptor.valid ~bounds row update in
     if ok then Key.Tbl.replace locks key (txid, update);
     ok
 

@@ -21,28 +21,32 @@ let per_op p = (Probe.run p).Probe.minor_words_per_op
 
 let key = Key.make ~table:"item" ~id:"42"
 
-let test_mark_applied_log_n () =
+let test_small_applied_insert () =
   let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
   let store = Store.create schema in
   let n = Acceptor.create_node ~config:(Config.make ~replication:5 ()) store in
-  let row = Store.ensure store key in
-  row.Store.value <- Value.of_list [ ("stock", Value.Int 1_000_000) ];
-  row.Store.exists <- true;
+  let keys = Array.init 100 (fun i -> Key.make ~table:"item" ~id:(string_of_int i)) in
   let up = Update.Delta [ ("stock", -1) ] in
-  let commit txid = ignore (Acceptor.visibility n txid key up true : Acceptor.visibility) in
-  for i = 0 to 9_999 do
-    commit (Printf.sprintf "t%05d" i)
-  done;
-  let fresh = Array.init 100 (fun i -> Printf.sprintf "u%05d" i) in
-  let w = words (fun () -> Array.iter commit fresh) in
-  (* The set marks a committed transaction in a txid table once it holds
-     32 entries, so the insert costs a bucket and the delta's new row
-     value, not the O(log n) path a balanced-tree insert copies (about
-     log2(10_100) = 14 nodes of 6 words).  Copying the set would cost
-     tens of thousands. *)
+  let commit txid key = ignore (Acceptor.visibility n txid key up true : Acceptor.visibility) in
+  Array.iter
+    (fun key ->
+      let row = Store.ensure store key in
+      row.Store.value <- Value.of_list [ ("stock", Value.Int 1_000_000) ];
+      row.Store.exists <- true;
+      for i = 0 to 29 do
+        commit (Printf.sprintf "t%02d" i) key
+      done)
+    keys;
+  let w = words (fun () -> Array.iter (commit "u") keys) in
+  (* Each record's set holds 30 entries, below the 32 that move it into a
+     txid table, so the 31st is a balanced-tree insert that copies the
+     path to its leaf.  The same visibility on an empty set costs 25.05
+     words; the 30 entries add 31, about log2(31) = 5 nodes of 6 words,
+     where copying the set would add 180. *)
   let per_call = w /. 100.0 in
-  if per_call > 200.0 then Alcotest.failf "a committed visibility allocated %.0f words" per_call;
-  let again = words (fun () -> commit fresh.(0)) in
+  if per_call > 56.05 then
+    Alcotest.failf "a committed visibility allocated %.2f words (ceiling 56.05)" per_call;
+  let again = words (fun () -> commit "u" keys.(0)) in
   Alcotest.(check (float 0.0)) "re-marking allocates nothing" 0.0 again
 
 (* The same insert through a storage node, on a record whose set holds
@@ -534,8 +538,10 @@ let test_settled_votes () =
    votes come from the pool); a committed Visibility allocates its
    applied-set insert and the delta's new row value, 20 words.  A Phase
    1a promise allocates the bucket of its promise mark, 4 words, in a
-   table a first promise on every record has grown; the master's
-   recovered window allocates nothing. *)
+   table a first promise on every record has grown.  The master's Phase
+   1 resolution of one classic-voted option from three promises
+   allocates its fold's two tables, candidate lists and validation chain,
+   the re-based state and its verdict: 351 words. *)
 let test_acceptor_steps () =
   let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
   let store = Store.create schema in
@@ -571,9 +577,6 @@ let test_acceptor_steps () =
   let promise ballot (w : Woption.t) =
     ignore (Acceptor.phase1a n (Acceptor.record n w.Woption.key) ballot : bool)
   in
-  let window (w : Woption.t) =
-    Acceptor.recovered_window (Acceptor.record n w.Woption.key) ~classic_until:5
-  in
   (* A classic Phase 2a clears each warm promise mark, keeping the marks'
      grown table. *)
   Array.iter (promise ballot) warm;
@@ -583,14 +586,29 @@ let test_acceptor_steps () =
   let visibility = per_step commit opts in
   let classic_vote = per_step classic classic_opts in
   let phase1a = per_step (promise (Mdcc_paxos.Ballot.classic ~number:2 ~proposer:1)) classic_opts in
-  let recovered_window = per_step window classic_opts in
+  (* Each classic record resolved from three copies of its own Phase 1b
+     promise, built beforehand: one classic-voted option. *)
+  let promised =
+    Array.map
+      (fun (w : Woption.t) ->
+        let rs = Acceptor.record n w.Woption.key in
+        (rs, List.map (fun src -> (src, Acceptor.promise n rs)) [ 0; 1; 2 ]))
+      classic_opts
+  in
+  let resolve (rs, promises) =
+    ignore
+      (Acceptor.resolve n rs ~promises ~extras:[] ~replicas:[ 0; 1; 2; 3; 4 ]
+        : Acceptor.resolution)
+  in
+  let resolution = per_step resolve promised in
   Alcotest.(check (float 0.0)) "words per fast vote" 0.0 vote;
   Alcotest.(check (float 0.0)) "words per classic vote" 0.0 classic_vote;
   if visibility > 20.0 then
     Alcotest.failf "a committed visibility allocated %.2f words (ceiling 20)" visibility;
   if phase1a > 4.0 then
     Alcotest.failf "a Phase 1a promise allocated %.2f words (ceiling 4)" phase1a;
-  Alcotest.(check (float 0.0)) "words per recovered window" 0.0 recovered_window
+  if resolution > 351.0 then
+    Alcotest.failf "a Phase 1 resolution allocated %.2f words (ceiling 351)" resolution
 
 let huge = 16_000
 
@@ -684,7 +702,7 @@ let suite =
     Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;
     Alcotest.test_case "acceptor steps alone, in words per step" `Quick test_acceptor_steps;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
-    Alcotest.test_case "mark_applied on 10k entries is O(log n)" `Quick test_mark_applied_log_n;
+    Alcotest.test_case "small applied-set insert is O(log n)" `Quick test_small_applied_insert;
     Alcotest.test_case "hot-record visibility is O(1)" `Quick test_hot_visibility_constant;
     Alcotest.test_case "a single-key fast commit folds nothing" `Quick test_single_key_commit;
     Alcotest.test_case "size_of allocates nothing" `Quick test_size_of_allocates_nothing;

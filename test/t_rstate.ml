@@ -12,116 +12,145 @@ let key = Key.make ~table:"item" ~id:"k"
 
 let bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ]
 
-let valuation ?(exists = true) ?(version = 1) stock =
-  { Acceptor.value = Value.of_list [ ("stock", Value.Int stock) ]; version; exists }
+let config = Mdcc_core.Config.make ~replication:5 ()
+
+let now = { Mdcc_sim.Engine.time = 0.0 }
 
 let woption ?(txid = "t") update =
   { Woption.txid; key; update; write_set = [ key ]; coordinator = 99 }
 
+(* An acceptor with no runtime, over a store whose row [key] holds
+   [stock] at [version] (version 1 and present by default), under the
+   table's [bounds]. *)
+let acceptor ?(config = config) ?(bounds = []) ?(exists = true) ?(version = 1) stock =
+  let store = Store.create (Schema.create [ { Schema.name = "item"; bounds; master_dc = 0 } ]) in
+  let row = Store.ensure store key in
+  row.Store.value <- Value.of_list [ ("stock", Value.Int stock) ];
+  row.Store.version <- version;
+  row.Store.exists <- exists;
+  (Acceptor.create_node ~config store, store)
+
+let ballot = Ballot.classic ~number:1 ~proposer:0
+
 (* An outstanding option and this replica's vote on it. *)
 let pend ?(txid = "t") ?(decision = Woption.Accepted) update = (woption ~txid update, decision)
 
-(* A chain of fresh votes with the list's options, in the list's order. *)
-let chain l =
-  List.fold_right (fun (w, d) next -> Acceptor.vote ~next w d Ballot.initial_fast) l Acceptor.none
+(* The record [key] of an acceptor as [acceptor] builds it, with a
+   pending chain of the list's votes, in the list's order: each is the
+   decision a classic Phase 2a carried. *)
+let with_pending ?bounds ?exists ?version stock pending =
+  let n, _ = acceptor ?bounds ?exists ?version stock in
+  let rs = Acceptor.record n key in
+  List.iter
+    (fun (w, d) ->
+      if Acceptor.phase2a n rs ~now ballot w d ~classic_until:0 ~rebase:None <> Acceptor.Voted then
+        Alcotest.fail "a Phase 2a cast no vote")
+    pending;
+  (n, rs)
 
-(* The sum of an option's stock deltas. *)
-let delta_sum ((w : Woption.t), _) =
-  List.fold_left (fun a (_, d) -> a + d) 0 (Update.deltas w.Woption.update)
+(* The two demarcation rules, each asked through the step that applies
+   it: plain escrow through the master's verdict on a classic proposal,
+   quorum demarcation (N = 5, Q_F = 4) through a fast proposal, which
+   also joins the chain. *)
+let esc = `Escrow
+
+let q54 = `Quorum
+
+let decide ?(txid = "new") ~demarcation (n, rs) up =
+  match demarcation with
+  | `Escrow -> Acceptor.decision_of (Acceptor.escrow n rs up)
+  | `Quorum -> (
+    match Acceptor.fast_propose n rs ~now (woption ~txid up) with
+    | Acceptor.Vote reason -> Acceptor.decision_of reason
+    | Acceptor.Behind -> Woption.Rejected
+    | Acceptor.Outcome _ | Acceptor.Standing _ | Acceptor.Redirect ->
+      Alcotest.fail "a fresh fast proposal got no vote")
 
 let accepted = Alcotest.testable Woption.pp_decision Woption.decision_equal
 
-let check_eval msg expected ~demarcation v ~accepted:acc up =
+(* The decision on [up] against a row of [stock] at [version] (present
+   unless [exists] is false) with the [accepted] votes pending. *)
+let check_eval ?exists ?(version = 1) stock msg expected ~demarcation ~accepted:acc up =
   Alcotest.check accepted msg expected
-    (Acceptor.evaluate ~bounds ~demarcation v ~pending:(chain acc) up)
-
-let esc = `Escrow
-
-let q54 = `Quorum (5, 4)
+    (decide ~demarcation (with_pending ~bounds ?exists ~version stock acc) up)
 
 let test_physical_version_check () =
-  let v = valuation ~version:3 10 in
-  check_eval "matching vread" Woption.Accepted ~demarcation:esc v ~accepted:[]
+  let v = check_eval ~version:3 10 in
+  v "matching vread" Woption.Accepted ~demarcation:esc ~accepted:[]
     (Update.Physical { vread = 3; value = Value.of_list [ ("stock", Value.Int 5) ] });
-  check_eval "stale vread" Woption.Rejected ~demarcation:esc v ~accepted:[]
+  v "stale vread" Woption.Rejected ~demarcation:esc ~accepted:[]
     (Update.Physical { vread = 2; value = Value.empty });
-  check_eval "future vread (straggler)" Woption.Rejected ~demarcation:esc v ~accepted:[]
+  v "future vread (straggler)" Woption.Rejected ~demarcation:esc ~accepted:[]
     (Update.Physical { vread = 4; value = Value.empty })
 
 let test_physical_bounds () =
-  let v = valuation ~version:1 10 in
-  check_eval "value violating constraint rejected" Woption.Rejected ~demarcation:esc v
+  check_eval 10 "value violating constraint rejected" Woption.Rejected ~demarcation:esc
     ~accepted:[]
     (Update.Physical { vread = 1; value = Value.of_list [ ("stock", Value.Int (-5)) ] })
 
 let test_insert_delete () =
-  let absent = valuation ~exists:false ~version:0 0 in
-  let present = valuation ~version:2 5 in
-  check_eval "insert on absent" Woption.Accepted ~demarcation:esc absent ~accepted:[]
+  let absent = check_eval ~exists:false ~version:0 0 in
+  let present = check_eval ~version:2 5 in
+  absent "insert on absent" Woption.Accepted ~demarcation:esc ~accepted:[]
     (Update.Insert Value.empty);
-  check_eval "insert on present" Woption.Rejected ~demarcation:esc present ~accepted:[]
+  present "insert on present" Woption.Rejected ~demarcation:esc ~accepted:[]
     (Update.Insert Value.empty);
-  check_eval "delete with version" Woption.Accepted ~demarcation:esc present ~accepted:[]
+  present "delete with version" Woption.Accepted ~demarcation:esc ~accepted:[]
     (Update.Delete { vread = 2 });
-  check_eval "delete stale" Woption.Rejected ~demarcation:esc present ~accepted:[]
+  present "delete stale" Woption.Rejected ~demarcation:esc ~accepted:[]
     (Update.Delete { vread = 1 });
-  check_eval "delta on absent" Woption.Rejected ~demarcation:esc absent ~accepted:[]
+  absent "delta on absent" Woption.Rejected ~demarcation:esc ~accepted:[]
     (Update.Delta [ ("stock", -1) ])
 
 let test_one_outstanding_option () =
-  let v = valuation ~version:1 10 in
+  let v = check_eval 10 in
   let outstanding = [ pend ~txid:"other" (Update.Physical { vread = 1; value = Value.empty }) ] in
   (* Deadlock avoidance: the later conflicting option is *rejected*, it does
      not wait (§3.2.2). *)
-  check_eval "physical blocked by outstanding" Woption.Rejected ~demarcation:esc v
-    ~accepted:outstanding
+  v "physical blocked by outstanding" Woption.Rejected ~demarcation:esc ~accepted:outstanding
     (Update.Physical { vread = 1; value = Value.empty });
-  check_eval "delta blocked by outstanding physical" Woption.Rejected ~demarcation:esc v
+  v "delta blocked by outstanding physical" Woption.Rejected ~demarcation:esc
     ~accepted:outstanding
     (Update.Delta [ ("stock", -1) ]);
   let outstanding_delta = [ pend ~txid:"other" (Update.Delta [ ("stock", -1) ]) ] in
-  check_eval "physical blocked by outstanding delta" Woption.Rejected ~demarcation:esc v
+  v "physical blocked by outstanding delta" Woption.Rejected ~demarcation:esc
     ~accepted:outstanding_delta
     (Update.Physical { vread = 1; value = Value.empty });
-  check_eval "delta pipelines with deltas" Woption.Accepted ~demarcation:esc v
-    ~accepted:outstanding_delta
+  v "delta pipelines with deltas" Woption.Accepted ~demarcation:esc ~accepted:outstanding_delta
     (Update.Delta [ ("stock", -1) ])
 
 let test_escrow_worst_case () =
-  let v = valuation 4 in
+  let v = check_eval 4 in
   (* Worst case counts all pending accepted decrements as committed. *)
   let pending = List.init 3 (fun i -> pend ~txid:(string_of_int i) (Update.Delta [ ("stock", -1) ])) in
-  check_eval "4th decrement fits (4-3-1 >= 0)" Woption.Accepted ~demarcation:esc v
-    ~accepted:pending
+  v "4th decrement fits (4-3-1 >= 0)" Woption.Accepted ~demarcation:esc ~accepted:pending
     (Update.Delta [ ("stock", -1) ]);
   let pending4 = pend ~txid:"x" (Update.Delta [ ("stock", -1) ]) :: pending in
-  check_eval "5th decrement rejected (paper's t5 example)" Woption.Rejected ~demarcation:esc v
+  v "5th decrement rejected (paper's t5 example)" Woption.Rejected ~demarcation:esc
     ~accepted:pending4
     (Update.Delta [ ("stock", -1) ])
 
 let test_escrow_increments_ignore_lower () =
-  let v = valuation 0 in
-  check_eval "increment always fine for lower bound" Woption.Accepted ~demarcation:esc v
-    ~accepted:[]
+  let v = check_eval 0 in
+  v "increment always fine for lower bound" Woption.Accepted ~demarcation:esc ~accepted:[]
     (Update.Delta [ ("stock", 5) ]);
   (* An increment does not relax the worst case for pending decrements:
      pending increments might abort. *)
   let pending = [ pend ~txid:"inc" (Update.Delta [ ("stock", 10) ]) ] in
-  check_eval "pending increment does not enable decrement" Woption.Rejected ~demarcation:esc v
+  v "pending increment does not enable decrement" Woption.Rejected ~demarcation:esc
     ~accepted:pending
     (Update.Delta [ ("stock", -1) ])
 
 let test_quorum_demarcation_limit () =
   (* L = (N - Q_F)/N * X = X/5 with N=5, Q_F=4: from base 10 a single
      acceptor may only go down to 2. *)
-  let v = valuation 10 in
-  check_eval "down to limit ok" Woption.Accepted ~demarcation:q54 v ~accepted:[]
+  let v = check_eval 10 in
+  v "down to limit ok" Woption.Accepted ~demarcation:q54 ~accepted:[]
     (Update.Delta [ ("stock", -8) ]);
-  check_eval "below limit rejected even though >= 0" Woption.Rejected ~demarcation:q54 v
-    ~accepted:[]
+  v "below limit rejected even though >= 0" Woption.Rejected ~demarcation:q54 ~accepted:[]
     (Update.Delta [ ("stock", -9) ]);
   (* Escrow (sole decider) would allow -9. *)
-  check_eval "escrow allows -9" Woption.Accepted ~demarcation:esc v ~accepted:[]
+  v "escrow allows -9" Woption.Accepted ~demarcation:esc ~accepted:[]
     (Update.Delta [ ("stock", -9) ])
 
 (* The §3.4.2 limit L = lower + (n - qf)/n * (base - lower), multiplied
@@ -138,8 +167,7 @@ let test_demarcation_formulas () =
   let check msg expected ?(lower = 0) ?upper base d =
     let bounds = [ { Schema.attr = "stock"; lower = Some lower; upper } ] in
     Alcotest.check accepted msg expected
-      (Acceptor.evaluate ~bounds ~demarcation:q54 (valuation base) ~pending:Acceptor.none
-         (Update.Delta [ ("stock", d) ]))
+      (decide ~demarcation:q54 (with_pending ~bounds base []) (Update.Delta [ ("stock", d) ]))
   in
   check "10 - 8 >= 2" Woption.Accepted 10 (-8);
   check "10 - 9 < 2" Woption.Rejected 10 (-9);
@@ -147,37 +175,38 @@ let test_demarcation_formulas () =
   check "upper symmetric" Woption.Accepted ~upper:100 90 8;
   check "upper violated" Woption.Rejected ~upper:100 90 9
 
-let config = Mdcc_core.Config.make ~replication:5 ()
-
-let now = { Mdcc_sim.Engine.time = 0.0 }
-
-(* An acceptor with no runtime, over a store whose row [key] holds
-   [stock] at version 1, under the table's [bounds]. *)
-let acceptor ?(bounds = []) stock =
-  let store = Store.create (Schema.create [ { Schema.name = "item"; bounds; master_dc = 0 } ]) in
-  let row = Store.ensure store key in
-  row.Store.value <- Value.of_list [ ("stock", Value.Int stock) ];
-  row.Store.version <- 1;
-  row.Store.exists <- true;
-  (Acceptor.create_node ~config store, store)
-
 (* The record's pending votes, as its Phase 1b reports them. *)
 let votes n rs = (Acceptor.promise n rs).Messages.votes
 
 let accepted_votes n rs =
   List.filter (fun (v : Messages.vote) -> v.Messages.decision = Woption.Accepted) (votes n rs)
 
+(* The sum of a vote's stock deltas. *)
+let delta_sum (v : Messages.vote) =
+  List.fold_left (fun a (_, d) -> a + d) 0 (Update.deltas v.Messages.woption.Woption.update)
+
+let decrement = Update.Delta [ ("stock", -1) ]
+
 let test_pending_state_helpers () =
   let n, _ = acceptor 100 in
   let rs = Acceptor.record n key in
   Alcotest.(check bool) "fast era by default" false (Acceptor.in_classic_era rs ~version:0);
-  let rs2 = Acceptor.record n (Key.make ~table:"item" ~id:"k2") in
-  Acceptor.recovered_window rs2 ~classic_until:5;
-  Acceptor.recovered_window rs2 ~classic_until:3;
+  (* A Phase 2a of an option voided here casts no vote, but widens the
+     record's window all the same. *)
+  let k2 = Key.make ~table:"item" ~id:"k2" in
+  let x = { (woption ~txid:"x" decrement) with Woption.key = k2; write_set = [ k2 ] } in
+  ignore (Acceptor.visibility n "x" k2 decrement false : Acceptor.visibility);
+  let rs2 = Acceptor.record n k2 in
+  let widen classic_until =
+    Alcotest.(check bool) "a known option's Phase 2a" true
+      (Acceptor.phase2a n rs2 ~now ballot x Woption.Accepted ~classic_until ~rebase:None
+      = Acceptor.Known)
+  in
+  widen 5;
+  widen 3;
   Alcotest.(check int) "a window only widens" 5 (Acceptor.classic_until rs2);
   Alcotest.(check bool) "classic below" true (Acceptor.in_classic_era rs2 ~version:4);
   Alcotest.(check bool) "fast at" false (Acceptor.in_classic_era rs2 ~version:5);
-  let ballot = Ballot.classic ~number:1 ~proposer:0 in
   let add ?(decision = Woption.Accepted) txid =
     Alcotest.(check bool) ("a vote for " ^ txid) true
       (Acceptor.phase2a n rs ~now ballot (woption ~txid (Update.Delta [ ("stock", -1) ])) decision
@@ -222,8 +251,6 @@ let test_promise_holds_fast_votes () =
 
 let physical ~vread = Update.Physical { vread; value = Value.of_list [ ("stock", Value.Int 7) ] }
 
-let decrement = Update.Delta [ ("stock", -1) ]
-
 let test_fast_verdicts () =
   let n, store = acceptor ~bounds 100 in
   let rs = Acceptor.record n key in
@@ -251,7 +278,10 @@ let test_fast_verdicts () =
   Alcotest.(check bool) "fast votes keep the fast promise" true
     (Ballot.equal (Acceptor.promised rs) Ballot.initial_fast);
   Alcotest.(check int) "and the fast window" 0 (Acceptor.classic_until rs);
-  Acceptor.recovered_window rs ~classic_until:3;
+  Alcotest.(check bool) "a classic Phase 2a opens a window" true
+    (Acceptor.phase2a n rs ~now ballot (woption ~txid:"v" decrement) Woption.Accepted
+       ~classic_until:3 ~rebase:None
+    = Acceptor.Known);
   Alcotest.(check bool) "inside a classic window the proposer is redirected" true
     (fast ~txid:"c" decrement = Acceptor.Redirect)
 
@@ -307,7 +337,7 @@ let test_visibility_verdicts () =
   Alcotest.(check bool) "an aborted option is voided" true
     (visibility "v" decrement false = Acceptor.Voided);
   Alcotest.(check bool) "the log holds the guard and the void" true
-    (Acceptor.decided rs = [ ("v", false); ("g", true) ]);
+    ((Acceptor.promise n rs).Messages.decided = [ ("v", false); ("g", true) ]);
   Alcotest.(check bool) "a placeholder's Visibility is unknown" true
     (Acceptor.fast_propose n rs ~now (woption ~txid:"u" (physical ~vread:2)) = Acceptor.Vote None
     && visibility "u" (physical ~vread:(-1)) true = Acceptor.Unknown);
@@ -342,6 +372,162 @@ let test_phase1a_nack () =
   Alcotest.(check bool) "the promise stands" true (Ballot.equal (Acceptor.promised rs) b21);
   Alcotest.(check bool) "a higher proposer at the same number is promised" true
     (Acceptor.phase1a n rs (Ballot.classic ~number:2 ~proposer:3))
+
+(* The master's Phase 1 resolution, stepped on the acceptor alone: the
+   record [key] of a five-replica acceptor (fast quorum 4) whose row holds
+   100 at version 1, folding the promises of replicas 0, 1 and 2.  With
+   three of five responding, [Quorum.anchor_threshold] is 4 - 2 = 2. *)
+
+let replicas = [ 0; 1; 2; 3; 4 ]
+
+let reported ?(decision = Woption.Accepted) ?number w =
+  let ballot =
+    match number with
+    | Some number -> Ballot.classic ~number ~proposer:0
+    | None -> Ballot.initial_fast
+  in
+  { Messages.woption = w; decision; ballot }
+
+(* A Phase 1b promise: its votes, a row holding 100 at [version] with
+   [included] applied, and its decided log. *)
+let promise_of ?(decided = []) ?(included = Txn.Map.empty) ?(version = 1) votes =
+  let rebase =
+    { Messages.value = Value.of_list [ ("stock", Value.Int 100) ]; version; exists = true;
+      included }
+  in
+  { Messages.votes; rebase; decided }
+
+let resolve ?(extras = []) n promises =
+  Acceptor.resolve n (Acceptor.record n key) ~extras ~replicas
+    ~promises:(List.mapi (fun src p -> (src, p)) promises)
+
+let txids l = List.map (fun ((w : Woption.t), _) -> w.Woption.txid) l
+
+let decision_of_txid (r : Acceptor.resolution) txid =
+  List.assoc txid (List.map (fun ((w : Woption.t), d) -> (w.Woption.txid, d)) r.Acceptor.outcomes)
+
+let test_resolve_known () =
+  let n, _ = acceptor ~bounds 100 in
+  let a = woption ~txid:"a" decrement and c = woption ~txid:"c" decrement in
+  let i = woption ~txid:"i" decrement and l = woption ~txid:"l" decrement in
+  ignore (Acceptor.visibility n "l" key decrement false : Acceptor.visibility);
+  let r =
+    resolve n
+      [
+        promise_of ~decided:[ ("a", true) ] [ reported a; reported c; reported l ];
+        promise_of ~included:(Txn.Map.singleton "i" decrement) [ reported a; reported i ];
+        promise_of [ reported c ];
+      ]
+  in
+  Alcotest.(check (list (pair string bool))) "outcomes a responder or this node knows"
+    [ ("a", true); ("i", true); ("l", false) ]
+    (List.sort compare (List.map (fun ((w : Woption.t), c) -> (w.Woption.txid, c)) r.Acceptor.known));
+  Alcotest.(check (list string)) "are not re-proposed" [ "c" ] (txids r.Acceptor.outcomes)
+
+let test_resolve_classic_votes () =
+  let n, _ = acceptor ~bounds 100 in
+  let h = woption ~txid:"h" decrement and e = woption ~txid:"e" decrement in
+  let e' = woption ~txid:"e'" decrement in
+  let r =
+    resolve n
+      [
+        promise_of
+          [ reported ~number:2 ~decision:Woption.Rejected h; reported ~number:3 e;
+            reported ~number:3 ~decision:Woption.Rejected e' ];
+        promise_of
+          [ reported ~number:3 h; reported ~number:3 ~decision:Woption.Rejected e;
+            reported ~number:3 e' ];
+        promise_of [ reported ~number:1 ~decision:Woption.Rejected h ];
+      ]
+  in
+  Alcotest.check accepted "the highest ballot wins" Woption.Accepted (decision_of_txid r "h");
+  Alcotest.check accepted "the last reported wins among equals" Woption.Rejected
+    (decision_of_txid r "e");
+  Alcotest.check accepted "in either order" Woption.Accepted (decision_of_txid r "e'");
+  Alcotest.(check (pair int int)) "three forced, none free" (3, 0)
+    (r.Acceptor.forced, r.Acceptor.free)
+
+let test_resolve_fast_threshold () =
+  let n, _ = acceptor ~bounds 100 in
+  let f2 = woption ~txid:"f2" decrement and r2 = woption ~txid:"r2" decrement in
+  let f1 = woption ~txid:"f1" (physical ~vread:0) in
+  let rejected = reported ~decision:Woption.Rejected in
+  let r =
+    resolve n
+      [
+        promise_of [ reported f2; rejected r2; reported f1 ];
+        promise_of [ reported f2; rejected r2 ];
+        promise_of [];
+      ]
+  in
+  Alcotest.check accepted "two fast accepts force an accept" Woption.Accepted
+    (decision_of_txid r "f2");
+  Alcotest.check accepted "two fast rejects force a reject" Woption.Rejected
+    (decision_of_txid r "r2");
+  Alcotest.check accepted "one fast accept leaves the option free, and validation rejects it"
+    Woption.Rejected (decision_of_txid r "f1");
+  Alcotest.(check (pair int int)) "two forced, one free" (2, 1) (r.Acceptor.forced, r.Acceptor.free)
+
+let test_resolve_validation () =
+  let n, _ = acceptor ~bounds 100 in
+  let ok = woption ~txid:"ok" (physical ~vread:1) in
+  let stale = woption ~txid:"stale" (physical ~vread:0) in
+  let rej = woption ~txid:"rej" decrement in
+  let big = woption ~txid:"big" (Update.Delta [ ("stock", -500) ]) in
+  let r =
+    resolve n
+      [
+        promise_of
+          [ reported ~number:5 ok; reported ~number:2 stale;
+            reported ~number:2 ~decision:Woption.Rejected rej; reported ~number:2 big ];
+        promise_of [];
+        promise_of [];
+      ]
+  in
+  Alcotest.check accepted "a forced reject stands" Woption.Rejected (decision_of_txid r "rej");
+  Alcotest.check accepted "so does a forced commutative accept past the bound" Woption.Accepted
+    (decision_of_txid r "big");
+  Alcotest.check accepted "a forced write at a stale version is re-validated to a reject"
+    Woption.Rejected (decision_of_txid r "stale");
+  Alcotest.check accepted "and one at the current version is re-validated to an accept"
+    Woption.Accepted (decision_of_txid r "ok")
+
+let test_resolve_order () =
+  let n, _ = acceptor ~bounds 100 in
+  let w txid update = woption ~txid update in
+  let c1 = w "c1" decrement and c2 = w "c2" decrement in
+  let fz = w "fz" decrement and fa = w "fa" (Update.Read_guard { vread = 1 }) in
+  let x0 = w "x0" (Update.Insert Value.empty) and x1 = w "x1" (physical ~vread:1) in
+  let x2 = w "x2" (physical ~vread:1) and x3 = w "x3" (physical ~vread:2) in
+  let r =
+    resolve n ~extras:[ x3 ]
+      [
+        promise_of
+          [ reported x2; reported ~number:2 c1; reported fz; reported x1; reported ~number:4 c2;
+            reported fa; reported x0 ];
+        promise_of [ reported fa; reported fz ];
+        promise_of [];
+      ]
+  in
+  Alcotest.(check (list string))
+    "classic by ballot, then fast-forced, then free, oldest instance first"
+    [ "c2"; "c1"; "fa"; "fz"; "x0"; "x1"; "x2"; "x3" ]
+    (txids r.Acceptor.outcomes)
+
+let test_resolve_window () =
+  let n, store = acceptor 100 in
+  let r = resolve n [ promise_of []; promise_of ~version:7 []; promise_of ~version:3 [] ] in
+  Alcotest.(check bool) "the freshest state re-bases the record" true r.Acceptor.rebased;
+  Alcotest.(check int) "the row takes its version" 7 (Store.version store key);
+  Alcotest.(check int) "the Phase 2a's carry it" 7 r.Acceptor.rebase.Messages.version;
+  Alcotest.(check int) "the window is its version + γ" 107 r.Acceptor.window;
+  Alcotest.(check int) "and the record's" 107 (Acceptor.classic_until (Acceptor.record n key));
+  Alcotest.(check bool) "a second resolution re-bases nothing" false
+    (resolve n [ promise_of []; promise_of []; promise_of [] ]).Acceptor.rebased;
+  let multi = Mdcc_core.Config.make ~mode:Mdcc_core.Config.Multi ~replication:5 () in
+  let n, _ = acceptor ~config:multi 100 in
+  Alcotest.(check int) "no end in Multi mode" max_int
+    (resolve n [ promise_of ~version:7 []; promise_of []; promise_of [] ]).Acceptor.window
 
 (* One entry of the list model: a txid's vote and the stock delta of its
    option, [0] standing for a physical write. *)
@@ -402,7 +588,6 @@ let prop_pending_ops_match_list_model =
         keys;
       let records = Array.map (Acceptor.record n) keys in
       let models = Array.make 3 [] and decided = Array.make 3 [] and kept = ref [] in
-      let ballot = Ballot.classic ~number:1 ~proposer:0 in
       let view (v : Messages.vote) =
         {
           m_txid = v.Messages.woption.Woption.txid;
@@ -510,9 +695,8 @@ let prop_delta_decision_matches_fold_model =
           && quorum_upper_ok ~n ~qf ~base ~upper:40 (base + pos + max 0 d)
         else base + neg + min 0 d >= 0 && base + pos + max 0 d <= 40
       in
-      let demarcation = if quorum then `Quorum (n, qf) else `Escrow in
-      Acceptor.evaluate ~bounds ~demarcation (valuation base) ~pending:(chain accepted)
-        (Update.Delta [ ("stock", d) ])
+      let demarcation = if quorum then q54 else esc in
+      decide ~demarcation (with_pending ~bounds base accepted) (Update.Delta [ ("stock", d) ])
       = if model then Woption.Accepted else Woption.Rejected)
 
 (* Property: the demarcation acceptance rule is safe — for ANY subset of the
@@ -526,26 +710,17 @@ let prop_demarcation_local_safety =
       triple (int_range 0 50) (list_of_size Gen.(int_range 0 12) (int_range 1 6)) (int_range 0 5))
     (fun (base, decs, lower) ->
       QCheck.assume (base >= lower);
-      let v = valuation base in
       let bounds = [ { Schema.attr = "stock"; lower = Some lower; upper = None } ] in
-      (* Feed decrements one at a time through the acceptance rule. *)
-      let accepted = ref [] in
+      (* Feed decrements one at a time through fast proposals. *)
+      let n, rs = with_pending ~bounds base [] in
       List.iteri
         (fun i d ->
-          let up = Update.Delta [ ("stock", -d) ] in
-          let dec =
-            Acceptor.evaluate ~bounds ~demarcation:q54 v ~pending:(chain !accepted) up
-          in
-          if dec = Woption.Accepted then
-            accepted := pend ~txid:(string_of_int i) up :: !accepted)
+          ignore
+            (decide ~txid:(string_of_int i) ~demarcation:q54 (n, rs)
+               (Update.Delta [ ("stock", -d) ])
+              : Woption.decision))
         decs;
-      let total_accepted =
-        List.fold_left
-          (fun acc p ->
-            acc
-            + delta_sum p)
-          0 !accepted
-      in
+      let total_accepted = List.fold_left (fun acc v -> acc + delta_sum v) 0 (accepted_votes n rs) in
       (* All accepted committing leaves the local view at or above L. *)
       5 * (base + total_accepted) >= (5 * lower) + (1 * (base - lower)))
 
@@ -554,24 +729,20 @@ let prop_escrow_safety =
   QCheck.Test.make ~name:"escrow: worst case stays in bounds" ~count:500
     QCheck.(pair (int_range 0 40) (list_of_size Gen.(int_range 0 15) (int_range (-5) 5)))
     (fun (base, deltas) ->
-      let v = valuation base in
-      let accepted = ref [] in
+      (* The master's path: each classic proposal escrow accepts is voted
+         on through a Phase 2a. *)
+      let n, rs = with_pending ~bounds base [] in
       List.iteri
         (fun i d ->
           QCheck.assume (d <> 0);
-          let up = Update.Delta [ ("stock", d) ] in
-          if
-            Acceptor.evaluate ~bounds ~demarcation:esc v ~pending:(chain !accepted) up
-            = Woption.Accepted
-          then accepted := pend ~txid:(string_of_int i) up :: !accepted)
+          let w = woption ~txid:(string_of_int i) (Update.Delta [ ("stock", d) ]) in
+          if Acceptor.escrow n rs w.Woption.update = None then
+            ignore
+              (Acceptor.phase2a n rs ~now ballot w Woption.Accepted ~classic_until:0 ~rebase:None
+                : Acceptor.phase2a))
         deltas;
       let neg =
-        List.fold_left
-          (fun acc p ->
-            acc
-            + Stdlib.min 0
-                (delta_sum p))
-          0 !accepted
+        List.fold_left (fun acc v -> acc + Stdlib.min 0 (delta_sum v)) 0 (accepted_votes n rs)
       in
       base + neg >= 0)
 
@@ -593,6 +764,12 @@ let suite =
     Alcotest.test_case "every visibility verdict" `Quick test_visibility_verdicts;
     Alcotest.test_case "every status answer" `Quick test_status_answers;
     Alcotest.test_case "a nacked Phase 1a" `Quick test_phase1a_nack;
+    Alcotest.test_case "a recovery announces known outcomes" `Quick test_resolve_known;
+    Alcotest.test_case "a recovery's classic votes" `Quick test_resolve_classic_votes;
+    Alcotest.test_case "a recovery's fast-vote threshold" `Quick test_resolve_fast_threshold;
+    Alcotest.test_case "a recovery's validation" `Quick test_resolve_validation;
+    Alcotest.test_case "a recovery's re-proposal order" `Quick test_resolve_order;
+    Alcotest.test_case "a recovery's classic window" `Quick test_resolve_window;
     QCheck_alcotest.to_alcotest prop_demarcation_local_safety;
     QCheck_alcotest.to_alcotest prop_escrow_safety;
     QCheck_alcotest.to_alcotest prop_pending_ops_match_list_model;

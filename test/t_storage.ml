@@ -394,7 +394,7 @@ let prop_promoted_set_is_a_map =
         let snap = Acceptor.applied n keys.(r) in
         Txn.Map.bindings snap = Txn.Map.bindings models.(r)
         && Messages.applied_digest snap = Messages.applied_digest models.(r)
-        && List.sort compare (Acceptor.decided records.(r))
+        && List.sort compare (Acceptor.promise n records.(r)).Messages.decided
            = List.map (fun (txid, ()) -> (txid, true)) (Txn.Map.bindings logged.(r))
       in
       let mem_agrees r txid =
