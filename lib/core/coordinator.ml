@@ -439,20 +439,14 @@ let read_colocated t key ~fresh cb =
 
 let any_row (_ : Key.t) (_ : (Value.t * int) option) = true
 
-(* [`Snapshot] is a co-located read with no version floor; an app-server
-   wired without co-located stores degrades to [`Local]. *)
-let read_snapshot t key cb =
-  if read_colocated t key ~fresh:any_row cb then Obs.incr t.obs "snapshot_fast_path"
-  else begin
-    Obs.incr t.obs "snapshot_fallback";
-    read_local t key (As_option cb)
-  end
-
+(* A [`Local] read is a co-located read with no version floor; an
+   app-server wired without co-located stores sends it as a message. *)
 let read ?(level = `Local) t key cb =
   match level with
-  | `Local -> read_local t key (As_option cb)
+  | `Local ->
+    if read_colocated t key ~fresh:any_row cb then Obs.incr t.obs "read_colocated"
+    else read_local t key (As_option cb)
   | `Majority -> read_majority t key (As_option cb)
-  | `Snapshot -> read_snapshot t key cb
 
 let read_row ~level t key cb =
   match level with

@@ -35,8 +35,8 @@ type snapshot_source = {
           {!Cluster.Layout.snapshot} fills it with a stub that fails. *)
 }
 (** Direct handles on the storage-node stores co-located with the
-    app-server, one per partition of its data center.  They power the
-    [`Snapshot] read level and {!read_colocated}: a read-committed view
+    app-server, one per partition of its data center.  They answer the
+    [`Local] read level and {!read_colocated}: a read-committed view
     served with {e zero} protocol messages.  Only deployments that
     actually co-locate app-servers with storage (the simulated cluster,
     the wire server's in-process replica group) can provide one. *)
@@ -55,9 +55,8 @@ val create :
     ({!Runtime.register}) — the coordinator never touches a clock or a
     socket except through [runtime], so the same state machine runs under
     the simulator and the real socket runtime.  [snapshot], when the
-    deployment co-locates storage with the app-server, enables the
-    [`Snapshot] read fast path (without it, [`Snapshot] degrades to
-    [`Local]).  [ctx] (default {!Ctx.make}[ ()]) bundles the cross-cutting
+    deployment co-locates storage with the app-server, answers [`Local]
+    reads without a message (without it, they go by message).  [ctx] (default {!Ctx.make}[ ()]) bundles the cross-cutting
     dependencies: [ctx.obs] receives the protocol-path counters ({!obs});
     every protocol step — submit, propose, collision, redirect, recovery,
     learn, decide — is an {!Event.t} on the node's stream ({!Ctx.stream}),
@@ -71,21 +70,20 @@ val submit : t -> Txn.t -> (Txn.outcome -> unit) -> unit
     at decision time (Visibility is sent asynchronously after it). *)
 
 val read :
-  ?level:[ `Local | `Majority | `Snapshot ] ->
+  ?level:[ `Local | `Majority ] ->
   t ->
   Key.t ->
   ((Value.t * int) option -> unit) ->
   unit
 (** The one read entry point.  [`Local] (the default) is the paper's
-    read-committed read of the replica in the app-server's own data center —
-    one local round trip, possibly stale (§4.2).  [`Majority] queries all
-    replicas and returns the freshest committed version once a classic
-    quorum answered — up to date, at wide-area cost.  [`Snapshot] serves the
-    co-located partition store directly — zero messages, read-committed,
-    point-in-time; counted in obs as [snapshot_fast_path] (or
-    [snapshot_fallback] when no {!snapshot_source} is wired, in which case
-    it behaves as [`Local]).  (Session-consistent reads live one layer up:
-    {!Session.read} with its [`Session] level.) *)
+    read-committed read of the replica in the app-server's own data center,
+    possibly stale (§4.2): answered from the co-located store with no
+    message, counted as [read_colocated], or, on a coordinator without a
+    {!snapshot_source}, by one local round trip, counted as [read_local].
+    [`Majority] queries all replicas and returns the freshest committed
+    version once a classic quorum answered — up to date, at wide-area cost.
+    (Session-consistent reads live one layer up: {!Session.read} with its
+    [`Session] level.) *)
 
 val read_row :
   level:[ `Local | `Majority ] ->
@@ -113,9 +111,9 @@ val read_colocated :
     reads by message.  The store is the one a [`Local] read would message
     (this data center's replica of the key), so the answer is the row that
     read would find.  [fresh] gets [key] back so that a caller can pass
-    one closure built once, not one per read.  [`Snapshot] is this read
-    with every row fresh; {!Session.read}'s [`Session] level passes its
-    watermark test. *)
+    one closure built once, not one per read.  {!read}'s [`Local] level
+    is this read with every row fresh; {!Session.read}'s [`Session] level
+    passes its watermark test. *)
 
 val inflight : t -> int
 (** Transactions submitted but not yet decided (diagnostics). *)

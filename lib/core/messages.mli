@@ -102,8 +102,9 @@ type Mdcc_sim.Network.payload +=
   | Catchup of { key : Key.t; rebase : rebase }
   | Read_request of { rid : int; key : Key.t }
       (** read of the committed state of one replica (reads never touch the
-          protocol; a single-replica read is the paper's default, possibly
-          stale, read-committed read) *)
+          protocol): a majority read's, a local read's from a coordinator
+          with no co-located store, or one whose absent row's tombstone
+          version matters *)
   | Read_reply of { rid : int; key : Key.t; value : Value.t; version : int; exists : bool }
   | Batch of Mdcc_sim.Network.payload list
       (** several protocol messages for the same destination folded into one

@@ -83,20 +83,36 @@ let rec read_majority_fresh t key callback ~sent =
       end
       else Obs.incr (Coordinator.obs t.coordinator) "session_read_dropped")
 
+(* A co-located row is observed only when present: an absent one carries
+   no version.  Callers wrap it in a closure of their own, one word
+   smaller than its partial application. *)
+let observe_colocated t key callback row =
+  (match row with Some (_, version) -> observe_row t key ~exists:true version | None -> ());
+  callback row
+
+let present (_ : Key.t) row = Option.is_some row
+
 let read ?(level = `Session) t key callback =
   let obs = Coordinator.obs t.coordinator in
   match level with
   | `Local ->
     (* Raw read-committed local read: no watermark upgrade, and the key
        stays dirty — a later [`Session] read still knows to catch up.  The
-       returned version is still observed (monotonic bookkeeping is free). *)
-    Coordinator.read_row ~level:`Local t.coordinator key (fun value version exists ->
-        observe_row t key ~exists version;
-        callback (row_of value version exists))
+       returned version is still observed (monotonic bookkeeping is free).
+       A present co-located row answers with no message; an absent one
+       takes the local round trip, whose reply carries the tombstone's
+       version. *)
+    if Coordinator.read_colocated t.coordinator key ~fresh:present (fun row ->
+           observe_colocated t key callback row)
+    then Obs.incr obs "read_colocated"
+    else
+      Coordinator.read_row ~level:`Local t.coordinator key (fun value version exists ->
+          observe_row t key ~exists version;
+          callback (row_of value version exists))
   | `Snapshot ->
-    (* Point-in-time fast path: no watermark machinery at all — the caller
-       explicitly trades session guarantees for a zero-message read. *)
-    Coordinator.read ~level:`Snapshot t.coordinator key callback
+    (* Point-in-time read: no watermark machinery at all — the caller
+       explicitly trades session guarantees for a co-located read. *)
+    Coordinator.read ~level:`Local t.coordinator key callback
   | `Majority -> Coordinator.read_row ~level:`Majority t.coordinator key (deliver t key callback)
   | `Session ->
     if Key.Tbl.mem t.dirty key then begin
@@ -105,8 +121,7 @@ let read ?(level = `Session) t key callback =
     end
     else if
       Coordinator.read_colocated t.coordinator key ~fresh:t.fresh (fun row ->
-          (match row with Some (_, version) -> observe_row t key ~exists:true version | None -> ());
-          callback row)
+          observe_colocated t key callback row)
     then
       (* The co-located replica already meets the watermark: no message. *)
       Obs.incr obs "session_read_colocated"

@@ -12,15 +12,16 @@
 
     {ul
     {- [`Local] — raw read-committed read of the local replica, bypassing
-       the watermark (what {!Coordinator.read} [`Local] does);}
+       the watermark: a present row comes from the co-located store with no
+       message (counted as [read_colocated]), an absent one by message,
+       whose reply carries its tombstone's version; both are observed;}
     {- [`Session] — serve locally when the replica is at or above the
        watermark, silently upgrade to a majority read otherwise;}
     {- [`Majority] — always read a classic quorum;}
-    {- [`Snapshot] — the zero-message point-in-time fast path
-       ({!Coordinator.read} [`Snapshot]): serve the co-located partition
-       store directly, bypassing watermarks {e and} the network.  No
-       session guarantee — it is the explicit opt-out for read-only
-       analytics.}}
+    {- [`Snapshot] — {!Coordinator.read} [`Local]: serve the co-located
+       partition store directly, bypassing watermarks {e and} the network,
+       and observing nothing.  No session guarantee — it is the explicit
+       opt-out for read-only analytics.}}
 
     {b The default is [`Session]} — it is the level this module exists to
     provide, it is never weaker than what the caller already observed, and

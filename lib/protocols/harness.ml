@@ -2,7 +2,6 @@ open Mdcc_storage
 module Cluster = Mdcc_core.Cluster
 module Layout = Cluster.Layout
 module Coordinator = Mdcc_core.Coordinator
-module Messages = Mdcc_core.Messages
 module Runtime = Mdcc_core.Runtime
 
 type t = {
@@ -46,8 +45,6 @@ type deployment = {
   layout : Layout.t;
   schema : Schema.t;
   stores : Store.t array;  (* indexed by storage node id *)
-  reads : (int, (Value.t * int) option -> unit) Hashtbl.t;
-  mutable next_rid : int;
   app_rank : int -> int;
 }
 
@@ -57,8 +54,6 @@ let deploy ~runtime ~layout ~schema =
     layout;
     schema;
     stores = Array.init (Layout.num_storage_nodes layout) (fun _ -> Store.create schema);
-    reads = Hashtbl.create 64;
-    next_rid = 0;
     app_rank = round_robin layout;
   }
 
@@ -69,42 +64,23 @@ let store d node = d.stores.(node)
 let app_node d ~dc = Layout.app_node d.layout ~dc ~rank:(d.app_rank dc)
 
 let install d ~storage ~app =
-  Array.iteri
-    (fun node store ->
-      Runtime.register d.runtime node (fun ~src payload ->
-          match payload with
-          | Messages.Read_request { rid; key } ->
-            let row = Store.ensure store key in
-            Runtime.send d.runtime ~src:node ~dst:src
-              (Messages.Read_reply
-                 { rid; key; value = row.Store.value; version = row.Store.version;
-                   exists = row.Store.exists })
-          | _ -> storage ~node ~src payload))
-    d.stores;
+  for node = 0 to Array.length d.stores - 1 do
+    Runtime.register d.runtime node (storage ~node)
+  done;
   for dc = 0 to Layout.num_dcs d.layout - 1 do
     for rank = 0 to Layout.app_servers_per_dc d.layout - 1 do
       let node = Layout.app_node d.layout ~dc ~rank in
-      Runtime.register d.runtime node (fun ~src payload ->
-          match payload with
-          | Messages.Read_reply { rid; value; version; exists; _ } -> (
-            match Hashtbl.find_opt d.reads rid with
-            | Some cb ->
-              Hashtbl.remove d.reads rid;
-              cb (if exists then Some (value, version) else None)
-            | None -> ())
-          | _ -> app ~node ~src payload)
+      Runtime.register d.runtime node (app ~node)
     done
   done
 
 (* Reads are the same in every protocol of the paper: read-committed, from
-   the replica in the client's data center, sent from its first app
-   server. *)
+   the replica in the client's data center, which the app server shares
+   its data center with, so the row is looked up with no message.  The
+   callback still runs later, through the runtime. *)
 let read_local d ~dc key cb =
-  let rid = d.next_rid in
-  d.next_rid <- d.next_rid + 1;
-  Hashtbl.replace d.reads rid cb;
-  Runtime.send d.runtime ~src:(Layout.app_node d.layout ~dc ~rank:0)
-    ~dst:(Layout.local_node d.layout ~dc key) (Messages.Read_request { rid; key })
+  let row = Store.read d.stores.(Layout.local_node d.layout ~dc key) key in
+  Runtime.spawn d.runtime (fun () -> cb row)
 
 let load d rows =
   List.iter

@@ -14,7 +14,8 @@ type t = {
   submit : dc:int -> Txn.t -> (Txn.outcome -> unit) -> unit;
       (** run the commit protocol from an app-server in [dc] *)
   read_local : dc:int -> Key.t -> ((Value.t * int) option -> unit) -> unit;
-      (** read-committed read against the local replica *)
+      (** read-committed read of the replica in [dc], co-located with the
+          app-server: no message, the callback deferred *)
   peek : dc:int -> Key.t -> (Value.t * int) option;
       (** direct committed-state inspection (tests / invariant checks) *)
   load : (Key.t * Value.t) list -> unit;  (** pre-populate all replicas *)
@@ -32,7 +33,8 @@ val of_mdcc : Mdcc_core.Cluster.t -> name:string -> t
     and {!Mdcc_core.Cluster.Layout.t} as MDCC, so they run under the
     simulator and the socket runtime alike.  What they share is here: one
     committed store per storage node and the local read path, which is the
-    same in every protocol of the paper.  Each baseline module implements
+    same in every protocol of the paper and, as in MDCC, sends no message:
+    the app-server reads its data center's store.  Each baseline module implements
     only its commit traffic. *)
 
 type deployment
@@ -57,9 +59,7 @@ val install :
   storage:(node:int -> src:int -> Mdcc_sim.Network.payload -> unit) ->
   app:(node:int -> src:int -> Mdcc_sim.Network.payload -> unit) ->
   unit
-(** Register a baseline's handlers on every storage node and app-server.
-    [Read_request]s and [Read_reply]s of the local read path are consumed
-    before the protocol's handler sees a message. *)
+(** Register a baseline's handlers on every storage node and app-server. *)
 
 val of_deployment :
   deployment ->

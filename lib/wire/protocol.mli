@@ -12,8 +12,8 @@
        {e one} MDCC transaction (atomic multi-record write-set, §2);}
     {- [read <key> \[local|session|majority|snapshot\]] — a [get] with an
        explicit consistency level, surfacing {!Mdcc_core.Session.read}'s
-       [?level] ([snapshot] is the zero-message fast path against the
-       in-process partition stores).}}
+       [?level] ([local] and [snapshot] answer a present row from the
+       in-process partition stores with no message).}}
 
     This module is the pure vocabulary: request values produced by
     {!Parser} and response strings consumed by {!Handler}. *)

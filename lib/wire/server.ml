@@ -100,7 +100,7 @@ let create ?(seed = 1) ?(nodes = 5) ?(partitions = 1) ?(table = "kv") ?(addr = "
   Array.iter Storage_node.start_maintenance storage;
   (* The stores are in-process: DC 0's partition stores answer every
      session read they hold fresh, and the wire protocol's
-     [read <key> snapshot]. *)
+     [read <key> local|snapshot] of a present row. *)
   let snapshot = Layout.snapshot layout ~dc:0 (fun node -> Storage_node.store storage.(node)) in
   let coord =
     Coordinator.create ~runtime ~config ~node_id:(Layout.app_node layout ~dc:0 ~rank:0) ~replicas

@@ -118,6 +118,47 @@ let test_session_read_fresh () =
   let w = per_op (Probe.session_read_fresh ~reads:10_000) in
   if w > 23.1 then Alcotest.failf "a fresh session read allocated %.2f words (ceiling 23.1)" w
 
+(* A [`Local] read of a loaded row at a coordinator with co-located
+   stores is answered in process, as the fresh session read above is:
+   what is left is the store lookup's answer, the deferred callback and
+   the engine event that runs it.  1,000 rows read once to warm the tables,
+   then ten more rounds; the ceiling is the words measured, 16.01. *)
+let test_local_read_colocated () =
+  let module Cluster = Mdcc_core.Cluster in
+  let module Coordinator = Mdcc_core.Coordinator in
+  let module Engine = Mdcc_sim.Engine in
+  let module Network = Mdcc_sim.Network in
+  let items = 1_000 and rounds = 10 in
+  let engine = Engine.create ~seed:31 in
+  let cluster =
+    Cluster.create ~engine ~spec:Cluster.Spec.default ~config:(Config.make ~replication:5 ())
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ()
+  in
+  let keys = Array.init items (fun i -> Key.make ~table:"item" ~id:(string_of_int i)) in
+  Cluster.load cluster
+    (Array.to_list (Array.map (fun k -> (k, Value.of_list [ ("stock", Value.Int 7) ])) keys));
+  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 and answered = ref 0 in
+  let on_row = function Some (_, 1) -> incr answered | Some _ | None -> () in
+  let round () =
+    Array.iter (fun k -> Coordinator.read c k on_row) keys;
+    Engine.run engine
+  in
+  round ();
+  let stats = Network.stats (Cluster.network cluster) in
+  let sent = stats.Network.sent in
+  answered := 0;
+  let w =
+    words (fun () ->
+        for _ = 1 to rounds do
+          round ()
+        done)
+    /. Float.of_int (items * rounds)
+  in
+  Alcotest.(check int) "every read answered" (items * rounds) !answered;
+  Alcotest.(check int) "no message" sent stats.Network.sent;
+  if w > 16.01 then Alcotest.failf "a co-located local read allocated %.2f words (ceiling 16.01)" w
+
 (* Words per draw over [n] draws.  A cross-module call returns an [int64]
    or a [float] boxed (3 and 2 words); everything else a draw computes —
    the state update, the output mix, Box–Muller's intermediates — must stay
@@ -710,6 +751,7 @@ let suite =
     Alcotest.test_case "idle maintenance tick allocates nothing" `Quick
       test_idle_tick_allocates_nothing;
     Alcotest.test_case "a fresh session read sends nothing" `Quick test_session_read_fresh;
+    Alcotest.test_case "a co-located local read sends nothing" `Quick test_local_read_colocated;
     Alcotest.test_case "wire parser: get and set lines" `Quick test_parser_words;
     Alcotest.test_case "txids and VALUE lines format like Printf" `Quick
       test_number_formatting;

@@ -50,6 +50,39 @@ let deploy ~seed ~rows create =
   h.Harness.load rows;
   (proto, h)
 
+(* Every baseline reads the replica in the client's data center from its
+   store, as MDCC does: no message, the callback deferred, and the row as
+   it stands there, a stale one included. *)
+let test_local_read_sends_nothing () =
+  let qw d = Mdcc_protocols.Quorum_writes.(submit (create d ~w:3))
+  and tpc d = Tpc.(submit (create d))
+  and ms d = Ms.(submit (create d)) in
+  List.iter
+    (fun (name, create) ->
+      let engine = Engine.create ~seed:5 in
+      let layout, net = Cluster.scaffold ~engine ~spec:Cluster.Spec.default in
+      let d = Harness.deploy ~runtime:(Runtime.of_network net) ~layout ~schema in
+      let h =
+        Harness.of_deployment d ~name ~engine ~fail_dc:(Net.fail_dc net)
+          ~recover_dc:(Net.recover_dc net) (create d)
+      in
+      h.Harness.load (rows 2 100);
+      let row = Store.ensure (Harness.store d (Layout.local_node layout ~dc:3 (item 1))) (item 1) in
+      row.Store.value <- Value.of_list [ ("stock", Value.Int 42) ];
+      row.Store.version <- 7;
+      let sent0 = (Net.stats net).Net.sent and answers = ref [] in
+      List.iter
+        (fun i ->
+          h.Harness.read_local ~dc:3 (item i) (fun r ->
+              answers := Option.map (fun (v, ver) -> (Value.get_int v "stock", ver)) r :: !answers))
+        [ 0; 1; 5 ];
+      Alcotest.(check int) (name ^ ": deferred") 0 (List.length !answers);
+      Engine.run ~until:1_000.0 engine;
+      Alcotest.(check (list (option (pair int int))))
+        (name ^ ": DC 3's rows") [ Some (100, 1); Some (42, 7); None ] (List.rev !answers);
+      Alcotest.(check int) (name ^ ": no message") sent0 (Net.stats net).Net.sent)
+    [ ("QW-3", qw); ("2PC", tpc); ("Megastore*", ms) ]
+
 (* --- quorum writes ----------------------------------------------------- *)
 
 let make_qw ?(w = 3) () = Setup.make (Setup.Qw w) ~seed:5 ~schema ~rows:(rows 5 100) ()
@@ -313,7 +346,9 @@ let test_pinned_reports () =
    DC: client [i] reads [item (i mod 6)] locally from DC [i mod 5] and
    submits a transaction — read-only, a two-key delta or a one-key
    read-modify-write, in turn.  One line per callback, in callback order:
-   read or commit, client, latency, result. *)
+   read or commit, client, latency, result.  A read is answered by the
+   client's data center's store with no message, so in 0 ms of virtual
+   time and before its own transaction's first message leaves. *)
 let setup_log protocol =
   let h =
     Setup.make protocol ~seed:3 ~schema ~partitions:2 ~app_servers_per_dc:2 ~rows:(rows 6 100) ()
@@ -350,23 +385,23 @@ let setup_log protocol =
 let pinned_setup_logs =
   [
     ( Setup.Qw 3,
-      [ "c0 0.000 committed"; "r0 1.491 1"; "r1 1.486 1"; "c1 93.018 committed"; "r2 1.530 2";
-        "c2 172.366 committed"; "c3 0.000 committed"; "r3 1.463 1"; "r4 1.513 1";
-        "c4 122.941 committed"; "r5 1.440 3"; "c5 124.399 committed"; "c6 0.000 committed";
-        "r6 1.526 1"; "r7 1.480 2"; "c7 167.982 committed"; "r8 1.478 5";
-        "c8 222.162 committed" ] );
+      [ "r0 0.000 1"; "c0 0.000 committed"; "r1 0.000 1"; "c1 89.385 committed"; "r2 0.000 2";
+        "c2 181.039 committed"; "r3 0.000 1"; "c3 0.000 committed"; "r4 0.000 1";
+        "c4 125.197 committed"; "r5 0.000 2"; "c5 125.596 committed"; "r6 0.000 1";
+        "c6 0.000 committed"; "r7 0.000 2"; "c7 171.223 committed"; "r8 0.000 4";
+        "c8 221.868 committed" ] );
     ( Setup.Two_pc,
-      [ "c0 0.000 committed"; "r0 1.491 1"; "r1 1.486 1"; "r2 1.508 1"; "c3 0.000 committed";
-        "r3 1.497 1"; "c1 510.584 committed"; "r4 1.475 1"; "c2 559.928 aborted(conflict)";
-        "r5 1.490 1"; "c6 0.000 committed"; "r6 1.547 1"; "c4 559.355 committed";
-        "c5 459.699 aborted(conflict)"; "r7 1.518 2"; "r8 1.463 2"; "c7 594.987 committed";
-        "c8 569.863 aborted(conflict)" ] );
+      [ "r0 0.000 1"; "c0 0.000 committed"; "r1 0.000 1"; "r2 0.000 1"; "r3 0.000 1";
+        "c3 0.000 committed"; "c1 524.790 committed"; "r4 0.000 1"; "c2 578.249 aborted(conflict)";
+        "r5 0.000 1"; "r6 0.000 1"; "c6 0.000 committed"; "c4 551.699 committed";
+        "c5 450.617 aborted(conflict)"; "r7 0.000 2"; "r8 0.000 2"; "c7 602.254 committed";
+        "c8 579.664 aborted(conflict)" ] );
     ( Setup.Megastore,
-      [ "c0 0.000 committed"; "r0 1.491 1"; "r1 1.481 1"; "c1 204.506 committed"; "r2 1.490 2";
-        "c2 172.934 aborted(conflict)"; "c3 0.000 committed"; "r3 1.510 1"; "r4 1.520 1";
-        "c4 245.715 committed"; "r5 1.487 2"; "c5 1.561 aborted(conflict)"; "c6 0.000 committed";
-        "r6 1.463 1"; "r7 1.458 2"; "r8 1.526 3"; "c7 305.475 committed";
-        "c8 235.702 aborted(conflict)" ] );
+      [ "r0 0.000 1"; "c0 0.000 committed"; "r1 0.000 1"; "c1 199.150 committed"; "r2 0.000 2";
+        "c2 176.025 aborted(conflict)"; "r3 0.000 1"; "c3 0.000 committed"; "r4 0.000 1";
+        "c4 243.532 committed"; "r5 0.000 2"; "c5 1.449 aborted(conflict)"; "r6 0.000 1";
+        "c6 0.000 committed"; "r7 0.000 2"; "r8 0.000 3"; "c7 301.113 committed";
+        "c8 232.215 aborted(conflict)" ] );
   ]
 
 let test_pinned_setup_logs () =
@@ -389,6 +424,7 @@ let suite =
     Alcotest.test_case "Megastore* commit & replication" `Quick test_ms_commit_and_replication;
     Alcotest.test_case "Megastore* conflict aborts" `Quick test_ms_conflict_aborts_without_position;
     Alcotest.test_case "Megastore* serializes (queueing)" `Quick test_ms_serialization_queueing;
+    Alcotest.test_case "local reads send no message" `Quick test_local_read_sends_nothing;
     Alcotest.test_case "pinned chaos reports (seeds 1-3)" `Quick test_pinned_reports;
     Alcotest.test_case "pinned Setup.make latencies" `Quick test_pinned_setup_logs;
   ]

@@ -109,6 +109,68 @@ let record_sends cluster =
     };
   fun () -> List.rev !sends
 
+(* A [`Local] read on a cluster is answered by the co-located store: no
+   message, the callback deferred, and the row a [Read_request] to the
+   local replica answers. *)
+let test_local_read_colocated () =
+  let engine, cluster = make_cluster ~items:3 () in
+  let o =
+    run_txn engine cluster ~dc:0 [ (item 1, Update.Physical { vread = 1; value = item_row 7 }) ]
+  in
+  Alcotest.(check bool) "committed" true (is_committed o);
+  let c = Cluster.coordinator cluster ~dc:2 ~rank:0 in
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  let local0 = counter "read_local" and colocated0 = counter "read_colocated" in
+  let sent = record_sends cluster in
+  let answer = ref None in
+  Coordinator.read ~level:`Local c (item 1) (fun r -> answer := Some r);
+  Alcotest.(check bool) "deferred" true (!answer = None);
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  Alcotest.(check (list (pair int int))) "no message" [] (sent ());
+  Alcotest.(check int) "counted co-located" 1 (counter "read_colocated" - colocated0);
+  Alcotest.(check int) "no local read by message" 0 (counter "read_local" - local0);
+  let by_message = ref None in
+  Coordinator.read_row ~level:`Local c (item 1) (fun value version exists ->
+      by_message := Some (if exists then Some (value, version) else None));
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  let app = Coordinator.node_id c in
+  let node2 = Cluster.Layout.local_node (Cluster.layout cluster) ~dc:2 (item 1) in
+  Alcotest.(check (list (pair int int))) "the message read: request and reply"
+    [ (app, node2); (node2, app) ] (sent ());
+  let stock = Option.map (Option.map (fun (v, ver) -> (Value.get_int v "stock", ver))) in
+  Alcotest.(check (option (option (pair int int)))) "the row the message read answers"
+    (stock !by_message) (stock !answer);
+  Alcotest.(check (option (option (pair int int)))) "the committed write" (Some (Some (7, 2)))
+    (stock !answer)
+
+(* A coordinator wired without co-located stores reads by message: one
+   [Read_request] to the replica in its data center. *)
+let test_local_read_without_source () =
+  let module Messages = Mdcc_core.Messages in
+  let { Helpers.runtime; deliver; drain; _ } = Helpers.scripted_runtime () in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  let answer = ref None in
+  Coordinator.read ~level:`Local c (item 0) (fun r -> answer := Some r);
+  let rids =
+    List.filter_map
+      (fun (dst, p) -> match p with Messages.Read_request { rid; _ } -> Some (dst, rid) | _ -> None)
+      (drain ())
+  in
+  Alcotest.(check (list int)) "one Read_request, to the local replica" [ 0 ] (List.map fst rids);
+  Alcotest.(check int) "counted as a local read" 1 (counter "read_local");
+  Alcotest.(check int) "nothing co-located" 0 (counter "read_colocated");
+  deliver ~src:0
+    (Messages.Read_reply
+       { rid = snd (List.hd rids); key = item 0; value = item_row 4; version = 3; exists = true });
+  Alcotest.(check (option (option (pair int int)))) "the reply's row" (Some (Some (4, 3)))
+    (Option.map (Option.map (fun (v, ver) -> (Value.get_int v "stock", ver))) !answer)
+
 let session_read_sync engine session key =
   let result = ref None and got = ref false in
   Session.read session key (fun r ->
@@ -338,6 +400,39 @@ let test_session_read_after_other_delete () =
   Alcotest.(check int) "watermark at the tombstone" 2 (Session.watermark reader (item 0));
   Alcotest.(check int) "nothing dropped" 0 (counter "session_read_dropped")
 
+(* A session's [`Local] read answers a present row co-located, with no
+   message.  A deleted row goes by message: only the reply carries the
+   tombstone's version, which the session observes. *)
+let test_session_local_read () =
+  let engine, cluster = make_cluster ~items:1 () in
+  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let session = Session.create c in
+  let counter = Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry (Coordinator.obs c)) in
+  let read () =
+    let result = ref None in
+    Session.read ~level:`Local session (item 0) (fun r -> result := Some r);
+    Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+    match !result with
+    | Some r -> Option.map (fun (v, ver) -> (Value.get_int v "stock", ver)) r
+    | None -> Alcotest.fail "read never answered"
+  in
+  let sent = record_sends cluster in
+  Alcotest.(check (option (pair int int))) "the loaded row" (Some (100, 1)) (read ());
+  Alcotest.(check (list (pair int int))) "no message for a present row" [] (sent ());
+  Alcotest.(check int) "counted co-located" 1 (counter "read_colocated");
+  Alcotest.(check int) "watermark observed" 1 (Session.watermark session (item 0));
+  let o = run_txn engine cluster ~dc:1 [ (item 0, Update.Delete { vread = 1 }) ] in
+  Alcotest.(check bool) "deleted by another app server" true (is_committed o);
+  let local0 = counter "read_local" in
+  let sent = record_sends cluster in
+  Alcotest.(check (option (pair int int))) "the deletion" None (read ());
+  let app = Coordinator.node_id c in
+  let node0 = Cluster.Layout.local_node (Cluster.layout cluster) ~dc:0 (item 0) in
+  Alcotest.(check (list (pair int int))) "a deleted row goes by message"
+    [ (app, node0); (node0, app) ] (sent ());
+  Alcotest.(check int) "one local read" 1 (counter "read_local" - local0);
+  Alcotest.(check int) "the tombstone's version observed" 2 (Session.watermark session (item 0))
+
 (* A `Majority read at a coordinator of five replicas whose replies the
    test delivers by hand: returns a function delivering one acceptor's
    reply, the answer so far and how often the callback ran. *)
@@ -410,11 +505,15 @@ let suite =
     Alcotest.test_case "majority read: duplicate ignored" `Quick
       test_majority_duplicate_reply_ignored;
     Alcotest.test_case "local read returns committed" `Quick test_local_read_returns_committed;
+    Alcotest.test_case "local read: co-located, no message" `Quick test_local_read_colocated;
+    Alcotest.test_case "local read without co-located stores: one message" `Quick
+      test_local_read_without_source;
     Alcotest.test_case "local read of missing row" `Quick test_local_read_missing;
     Alcotest.test_case "read-committed: no uncommitted data" `Quick
       test_local_read_never_sees_uncommitted;
     Alcotest.test_case "stale local vs fresh majority read" `Quick test_stale_local_vs_majority;
     Alcotest.test_case "majority read of deleted row" `Quick test_majority_read_of_deleted;
+    Alcotest.test_case "session local read: deleted row by message" `Quick test_session_local_read;
     Alcotest.test_case "fresh session read: co-located, no message" `Quick
       test_session_read_colocated;
     Alcotest.test_case "stale session read: local message, then majority" `Quick

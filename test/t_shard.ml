@@ -1,5 +1,5 @@
 (* The sharded keyspace: pinned cross-partition transactions, the
-   [`Snapshot] read fast path, the [Cluster.Spec] smart constructor, the
+   co-located [`Local] read, the [Cluster.Spec] smart constructor, the
    partition-aware checker extensions, and the full 150-seed shard-nemesis
    sweep. *)
 
@@ -103,14 +103,14 @@ let test_cross_partition_abort () =
       [ a; b ]
   done
 
-(* ---- Snapshot read fast path ---- *)
+(* ---- Co-located read fast path ---- *)
 
 let test_snapshot_fast_path () =
   let engine, cluster = make_cluster ~partitions:4 ~items:8 () in
   let coordinator = Cluster.coordinator cluster ~dc:2 ~rank:0 in
   let reg = Obs.registry (Cluster.obs cluster) in
   let hit = ref None in
-  Coordinator.read ~level:`Snapshot coordinator (item 3) (fun r -> hit := Some r);
+  Coordinator.read ~level:`Local coordinator (item 3) (fun r -> hit := Some r);
   (* The fast path sends zero messages but still defers its callback. *)
   Engine.run ~until:(Engine.now engine +. 1_000.0) engine;
   (match !hit with
@@ -119,9 +119,9 @@ let test_snapshot_fast_path () =
     Alcotest.(check int) "snapshot version" 1 version
   | Some None -> Alcotest.fail "snapshot read missed a loaded row"
   | None -> Alcotest.fail "snapshot read callback never fired");
-  Alcotest.(check bool) "fast path counted" true
-    (Registry.counter reg "snapshot_fast_path" >= 1);
-  Alcotest.(check int) "no fallback taken" 0 (Registry.counter reg "snapshot_fallback")
+  Alcotest.(check bool) "co-located read counted" true
+    (Registry.counter reg "read_colocated" >= 1);
+  Alcotest.(check int) "no local read by message" 0 (Registry.counter reg "read_local")
 
 (* ---- Checker: decision agreement ---- *)
 
