@@ -372,10 +372,11 @@ let span_event =
           Ctx.emit stream applied
         done)
 
-(* 1,000 [keys]-key delta commits, one after another, in [mode].  The
-   cluster reports to its own registry, so the counters it creates on
-   first use are its own whatever ran before it. *)
-let commit_section ?(keys = 3) name ~mode =
+(* 1,000 [keys]-key delta commits in [mode], submitted [together] at a
+   time and each group run to its end.  The cluster reports to its own
+   registry, so the counters it creates on first use are its own whatever
+   ran before it. *)
+let commit_section ?(keys = 3) ?(together = 1) ?master_dc_of name ~mode =
   let commits = 1_000 and items = 300 in
   probe name commits (fun () ->
       let engine = Engine.create ~seed:13 in
@@ -390,7 +391,7 @@ let commit_section ?(keys = 3) name ~mode =
           ]
       in
       let cluster =
-        Cluster.create ~engine ~spec:Cluster.Spec.default
+        Cluster.create ~engine ~spec:(Cluster.Spec.make ?master_dc_of ())
           ~config:(Config.make ~mode ~replication:5 ())
           ~ctx:(Ctx.make ~obs:(Obs.create ()) ())
           ~schema ()
@@ -408,10 +409,10 @@ let commit_section ?(keys = 3) name ~mode =
       let committed = ref 0 in
       let on_outcome = function Txn.Committed -> incr committed | Txn.Aborted _ -> () in
       fun () ->
-        Array.iter
-          (fun txn ->
+        Array.iteri
+          (fun i txn ->
             Coordinator.submit coord txn on_outcome;
-            Engine.run engine)
+            if (i + 1) mod together = 0 || i = commits - 1 then Engine.run engine)
           txns;
         check name "commits" ~got:!committed ~want:commits)
 
@@ -420,6 +421,11 @@ let fast_path_commit = commit_section "fast_path_commit" ~mode:Config.Full
 let fast_commit_one_key = commit_section ~keys:1 "fast_commit_one_key" ~mode:Config.Full
 
 let classic_commit = commit_section "classic_commit" ~mode:Config.Multi
+
+let classic_contended =
+  commit_section ~keys:1 ~together:8
+    ~master_dc_of:(fun _ -> 0)
+    "classic_contended" ~mode:Config.Multi
 
 (* ------------------------------------------------------------------ *)
 (* Session reads                                                       *)
@@ -560,6 +566,7 @@ let all =
     span_event;
     fast_path_commit;
     classic_commit;
+    classic_contended;
     session_read_fresh ~reads:ops;
     rng_lognormal ~ops;
     wire_parse;

@@ -48,6 +48,12 @@
       committed one after another on the simulated five-region cluster
       with the traffic meter on (one op = one commit).
     - [classic_commit]: the same through stable masters ([Config.Multi]).
+    - [classic_contended]: 1,000 one-key stock decrements through one
+      stable master (every key mastered in us-west), submitted eight at a
+      time on distinct keys, so eight classic rounds are in flight at
+      once: the two nearest replicas hear each Phase 2a at once, and the
+      two far ones one Batch of eight when the epoch ends (one op = one
+      commit).
     - [session_read_fresh]: [ops] {!Mdcc_core.Session} reads at DC 0's
       app server of the simulated five-region cluster, over 1,000 rows
       whose co-located replica already meets the session's watermark
@@ -72,7 +78,7 @@ val ops : int
 (** 300,000: the op count {!all} gives every probe that takes one. *)
 
 val all : t list
-(** The seventeen sections above, in ledger order. *)
+(** The eighteen sections above, in ledger order. *)
 
 (** {1 Probes the allocation ceilings run at a smaller count} *)
 

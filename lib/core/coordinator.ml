@@ -483,7 +483,7 @@ let rec handle t ~src payload =
     (* Not one step: a decide among the items runs its callback, which
        may submit the next transaction, and that submit's proposals must
        leave under its own trace context, not wait for this Batch. *)
-    handle_each t ~src items
+    handle_each t ~src items 0
   | Messages.Phase2b_fast { woption; decision } ->
     on_vote t woption.Woption.txid woption.Woption.key src decision
   | Messages.Learned { key; txid; decision } -> on_learned t txid key decision
@@ -502,11 +502,11 @@ let rec handle t ~src payload =
   | Messages.Read_request _ | Messages.Scan_request _ | Messages.Scan_reply _ -> ()
   | _ -> ()
 
-and handle_each t ~src = function
-  | [] -> ()
-  | item :: rest ->
-    handle t ~src item;
-    handle_each t ~src rest
+and handle_each t ~src items i =
+  if i < Array.length items then begin
+    handle t ~src items.(i);
+    handle_each t ~src items (i + 1)
+  end
 
 let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.make ())
     () =

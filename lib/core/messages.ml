@@ -59,7 +59,7 @@ type Mdcc_sim.Network.payload +=
   | Catchup of { key : Key.t; rebase : rebase }
   | Read_request of { rid : int; key : Key.t }
   | Read_reply of { rid : int; key : Key.t; value : Value.t; version : int; exists : bool }
-  | Batch of Mdcc_sim.Network.payload list
+  | Batch of Mdcc_sim.Network.payload array
   | Sync_request of { entries : (Key.t * int * int) list }
   | Sync_reply of { key : Key.t; version : int; applied : Update.t Txn.Map.t }
   (* Sent and read by nothing; see the .mli. *)
@@ -147,7 +147,7 @@ let rec size_of payload =
   | Read_reply { key; value; _ } -> key_bytes key + value_bytes value + 9
   | Batch items ->
     (* Batched messages share one header; count the parts in full. *)
-    List.fold_left (fun acc item -> acc + size_of item) 0 items
+    Array.fold_left (fun acc item -> acc + size_of item) 0 items
   | Sync_request { entries } ->
     List.fold_left (fun acc (key, _, _) -> acc + key_bytes key + 8) 0 entries
   | Sync_reply { key; applied; _ } -> key_bytes key + 4 + applied_bytes applied

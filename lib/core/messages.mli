@@ -106,9 +106,9 @@ type Mdcc_sim.Network.payload +=
           with no co-located store, or one whose absent row's tombstone
           version matters *)
   | Read_reply of { rid : int; key : Key.t; value : Value.t; version : int; exists : bool }
-  | Batch of Mdcc_sim.Network.payload list
+  | Batch of Mdcc_sim.Network.payload array
       (** several protocol messages for the same destination folded into one
-          network message, handled in list order — the batching
+          network message, handled in array order — the batching
           optimization the paper's conclusion proposes to reduce message
           overhead.  {!Outbox} builds them. *)
   | Sync_request of { entries : (Key.t * int * int) list }

@@ -9,18 +9,18 @@ type t = {
   mutable payloads : Net.payload array;
   mutable counts : int array;
       (* queued payloads per destination node id; all 0 outside [flush] *)
+  filler : Net.payload;
+      (* what an unused payload slot holds, so a flushed step keeps
+         nothing alive *)
 }
 
-(* What an unused payload slot holds, so a flushed step keeps nothing
-   alive. *)
-let filler = Messages.Batch []
-
 let create runtime ~src =
-  { runtime; src; depth = 0; len = 0; dsts = [||]; payloads = [||]; counts = [||] }
+  { runtime; src; depth = 0; len = 0; dsts = [||]; payloads = [||]; counts = [||];
+    filler = Messages.Batch [||] }
 
 let grow t =
   let cap = Stdlib.max 16 (2 * t.len) in
-  let dsts = Array.make cap 0 and payloads = Array.make cap filler in
+  let dsts = Array.make cap 0 and payloads = Array.make cap t.filler in
   Array.blit t.dsts 0 dsts 0 t.len;
   Array.blit t.payloads 0 payloads 0 t.len;
   t.dsts <- dsts;
@@ -40,21 +40,29 @@ let send t dst payload =
     t.len <- t.len + 1
   end
 
-(* The payloads queued for [dst] from slot [i] on, in queue order. *)
-let rec queued_for t dst i n =
-  if i = n then []
-  else if t.dsts.(i) = dst then t.payloads.(i) :: queued_for t dst (i + 1) n
-  else queued_for t dst (i + 1) n
+(* The [count] payloads queued for [dst] from slot [i] on, in queue
+   order. *)
+let queued_for t dst i count =
+  let items = Array.make count t.filler in
+  let j = ref i in
+  for k = 0 to count - 1 do
+    while t.dsts.(!j) <> dst do
+      incr j
+    done;
+    items.(k) <- t.payloads.(!j);
+    incr j
+  done;
+  items
 
 (* Whether the payloads queued for [dst] from slot [i] on are, one for
-   one, the very payloads of [items]. *)
-let rec queued_are t dst i n items =
-  if i = n then match items with [] -> true | _ :: _ -> false
-  else if t.dsts.(i) <> dst then queued_are t dst (i + 1) n items
+   one, the very payloads of [items] from index [k] on. *)
+let rec queued_are t dst i n items k =
+  if i = n then k = Array.length items
+  else if t.dsts.(i) <> dst then queued_are t dst (i + 1) n items k
   else
-    match items with
-    | p :: rest -> p == t.payloads.(i) && queued_are t dst (i + 1) n rest
-    | [] -> false
+    k < Array.length items
+    && items.(k) == t.payloads.(i)
+    && queued_are t dst (i + 1) n items (k + 1)
 
 (* Count the queue per destination, then walk it once: a destination's
    first slot sends everything queued for it and zeroes its count, so its
@@ -69,19 +77,19 @@ let flush t =
     if dst >= Array.length t.counts then grow_counts t dst;
     t.counts.(dst) <- t.counts.(dst) + 1
   done;
-  let last = ref filler and last_items = ref [] in
+  let last = ref t.filler and last_items = ref [||] in
   for i = 0 to n - 1 do
     let dst = t.dsts.(i) in
     let count = t.counts.(dst) in
     if count > 0 then begin
       t.counts.(dst) <- 0;
-      if count > 1 && not (queued_are t dst i n !last_items) then begin
-        last_items := queued_for t dst i n;
+      if count > 1 && not (queued_are t dst i n !last_items 0) then begin
+        last_items := queued_for t dst i count;
         last := Messages.Batch !last_items
       end;
       Runtime.send t.runtime ~src:t.src ~dst (if count = 1 then t.payloads.(i) else !last)
     end;
-    t.payloads.(i) <- filler
+    t.payloads.(i) <- t.filler
   done
 
 let enter t = t.depth <- t.depth + 1

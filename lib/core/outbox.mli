@@ -13,7 +13,7 @@
     Grouping is by node id, never by the identity of a replica list.  The
     queue and the per-destination counts are arrays kept from step to
     step: once they have grown to the node's largest step, a step
-    allocates only the lists of the Batches it sends. *)
+    allocates only the arrays of the Batches it sends. *)
 
 type t
 

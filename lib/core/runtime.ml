@@ -5,6 +5,8 @@ module Rng = Mdcc_util.Rng
 
 type timer = unit -> unit
 
+type alarm = after:float -> unit
+
 type t = {
   r_now : unit -> float;
   r_now_into : Engine.stamp -> unit;
@@ -12,6 +14,7 @@ type t = {
   r_register : int -> (src:int -> Net.payload -> unit) -> unit;
   r_set_timer : after:float -> (unit -> unit) -> (unit -> unit);
   r_every : period:float -> (unit -> unit) -> unit;
+  r_alarm : (unit -> unit) -> alarm;
   r_spawn : (unit -> unit) -> unit;
   r_rng : Rng.t;
   r_dc_of : int -> int;
@@ -28,6 +31,10 @@ let every_of_set_timer set_timer ~period f =
   in
   ignore (set_timer ~after:period loop)
 
+(* An alarm on a runtime that only has one-shot timers: each arming sets
+   one. *)
+let alarm_of_set_timer set_timer f ~after = ignore (set_timer ~after f)
+
 let make ~now ~send ~register ~set_timer ~spawn ~rng ~dc_of ~trace ~tracing () =
   {
     r_now = now;
@@ -36,6 +43,7 @@ let make ~now ~send ~register ~set_timer ~spawn ~rng ~dc_of ~trace ~tracing () =
     r_register = register;
     r_set_timer = set_timer;
     r_every = every_of_set_timer set_timer;
+    r_alarm = alarm_of_set_timer set_timer;
     r_spawn = spawn;
     r_rng = rng;
     r_dc_of = dc_of;
@@ -57,6 +65,10 @@ let every t ~period f =
   if not (period > 0.0) then
     Mdcc_util.Invariant.violate ~context:"Runtime.every" "period %g is not > 0" period;
   t.r_every ~period f
+
+let alarm t f = t.r_alarm f
+
+let arm (a : alarm) ~after = a ~after
 
 let no_timer : timer = ignore
 
@@ -98,6 +110,10 @@ let of_network ?trace net =
         let h = Engine.schedule engine ~after f in
         fun () -> Engine.cancel engine h);
     r_every = (fun ~period f -> Engine.every engine ~period f);
+    r_alarm =
+      (fun f ->
+        let a = Engine.alarm f in
+        fun ~after -> Engine.arm engine a ~after);
     r_spawn = (fun f -> ignore (Engine.schedule engine ~after:0.0 f));
     r_rng = Engine.rng engine;
     r_dc_of = (fun node -> Topology.dc_of topo node);

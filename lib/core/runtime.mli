@@ -27,6 +27,10 @@ val no_timer : timer
 (** A timer never armed: cancelling it does nothing.  It stands for a
     timeout not set yet, so a holder needs no option. *)
 
+type alarm
+(** A one-shot timer that is armed again after it fires (the epoch of
+    {!Storage_node}'s deferred Phase 2a messages). *)
+
 type t
 
 val make :
@@ -45,7 +49,9 @@ val make :
     [f] once, [after] milliseconds from now, and return the cancel thunk;
     the runtime's {!every} is derived from it, as a thunk that runs its
     callback and then calls [set_timer ~after:period] on itself again,
-    and its {!now_into} from [now], as a store of [now ()];
+    and so is its {!type-alarm}, which calls [set_timer ~after f] at each
+    arming and orders against other events as that timer would; its
+    {!now_into} is derived from [now], as a store of [now ()];
     [spawn f] must run [f] asynchronously but promptly (the "later, not
     reentrantly" primitive used for completion callbacks); [rng] is the
     runtime's root RNG, split once per component at create time; [trace]
@@ -75,6 +81,16 @@ val register : t -> int -> (src:int -> Mdcc_sim.Network.payload -> unit) -> unit
 
 val set_timer : t -> after:float -> (unit -> unit) -> timer
 (** [set_timer t ~after f] runs [f] once, [after] milliseconds from now. *)
+
+val alarm : t -> (unit -> unit) -> alarm
+(** [alarm t f] is a new alarm that runs [f]; it is not armed. *)
+
+val arm : alarm -> after:float -> unit
+(** [arm a ~after] makes [a] fire once, [after] milliseconds from now.
+    Arm an alarm only when it is not armed: it fires once per arming.
+    Under {!of_network} an arming re-inserts the alarm's one engine event
+    ({!Mdcc_sim.Engine.arm}) and allocates nothing; a runtime built with
+    {!make} sets a timer through its [set_timer]. *)
 
 val every : t -> period:float -> (unit -> unit) -> unit
 (** [every t ~period f] runs [f] [period] milliseconds from now and then
@@ -117,8 +133,8 @@ val trace : t -> tag:string -> ('a, unit, string, unit) format4 -> 'a
 val of_network : ?trace:(string -> unit) -> Mdcc_sim.Network.t -> t
 (** The simulator runtime: timers are engine events, [send] is simulated
     wide-area delivery with latency, jitter, drops and failures, [now] is
-    virtual time, [spawn] is a zero-delay event and {!every} is
-    {!Mdcc_sim.Engine.every}.  With [trace], {!tracing} is [true] and every
-    trace line reaches the sink rendered as [[%10.2f] %-12s %s] (engine
-    clock, tag, message); without it, {!tracing} is [false] for the
-    runtime's life. *)
+    virtual time, [spawn] is a zero-delay event, {!every} is
+    {!Mdcc_sim.Engine.every} and an alarm is an {!Mdcc_sim.Engine.alarm}.
+    With [trace], {!tracing} is [true] and every trace line reaches the
+    sink rendered as [[%10.2f] %-12s %s] (engine clock, tag, message);
+    without it, {!tracing} is [false] for the runtime's life. *)

@@ -80,6 +80,7 @@ type t = {
       (* raises [Key.Tbl.Found] on a record with an option past the
          timeout at [now]; built once in [create] *)
   outbox : Outbox.t;  (* the sends of a Batch's items fold here *)
+  epoch : Epoch.t;  (* the classic rounds' Phase 2a fan-out *)
 }
 
 let node_id t = t.id
@@ -305,19 +306,23 @@ and learn_at t key txid decision payload dst =
   if dst = t.id then txn_recovery_learned t txid key decision else send t dst payload
 
 (* Phase2a to every replica of [key] in order; this node votes in its own
-   place and acks its own vote. *)
+   place and acks its own vote.  The replicas {!Epoch.plan} names hear it
+   at once, the others at the end of the epoch. *)
 and broadcast_phase2a t key ballot (w : Woption.t) decision ~classic_until ~rebase =
+  let replicas = t.replicas key in
+  let mask = Epoch.plan t.epoch ~self:t.id ~quorum:(qc t) replicas in
   phase2a_to t key ballot w decision classic_until rebase
     (Messages.Phase2a { key; ballot; woption = w; decision; classic_until; rebase })
-    (t.replicas key)
+    mask 0 replicas
 
-and phase2a_to t key ballot (w : Woption.t) decision classic_until rebase payload = function
+and phase2a_to t key ballot (w : Woption.t) decision classic_until rebase payload mask pos =
+  function
   | [] -> ()
   | replica :: rest ->
     if replica = t.id then
       acceptor_phase2a t ~master:t.id key ballot w decision classic_until rebase
-    else send t replica payload;
-    phase2a_to t key ballot w decision classic_until rebase payload rest
+    else Epoch.send t.epoch ~mask ~pos replica w payload;
+    phase2a_to t key ballot w decision classic_until rebase payload mask (pos + 1) rest
 
 (* Step the acceptor on a Phase2a from [master] and answer with its
    Phase2b: a message, or a direct call when this node is the master. *)
@@ -742,7 +747,7 @@ let rec handle t ~src payload =
     (* One step: what the items send goes out folded per destination, so
        the votes on a batch of proposals return as one message. *)
     Outbox.enter t.outbox;
-    handle_each t ~src items;
+    handle_each t ~src items 0;
     Outbox.leave t.outbox
   | Messages.Sync_request { entries } ->
     (* Anti-entropy: answer with the committed state of any key where we are
@@ -780,6 +785,7 @@ let rec handle t ~src payload =
   | Messages.Phase2a { key; ballot; woption; decision; classic_until; rebase } ->
     acceptor_phase2a t ~master:src key ballot woption decision classic_until rebase
   | Messages.Phase2b_master { key; txid; ballot; ok } ->
+    Epoch.answered t.epoch ~src key txid;
     master_phase2b t ~src key txid ballot ok
   | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
   | Messages.Visibility { woption = w; committed } ->
@@ -803,15 +809,15 @@ let rec handle t ~src payload =
   | Messages.Scan_request _ | Messages.Scan_reply _ -> ()
   | _ -> ()
 
-and handle_each t ~src = function
-  | [] -> ()
-  | item :: rest ->
-    handle t ~src item;
-    handle_each t ~src rest
+and handle_each t ~src items i =
+  if i < Array.length items then begin
+    handle t ~src items.(i);
+    handle_each t ~src items (i + 1)
+  end
 
 let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.make ()) () =
   let obs = ctx.Ctx.obs and now = { Mdcc_sim.Engine.time = 0.0 } in
-  let store = Store.create schema in
+  let store = Store.create schema and outbox = Outbox.create runtime ~src:node_id in
   let t =
     {
       runtime;
@@ -834,7 +840,8 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
         (fun _ rs ->
           if Acceptor.any_older rs ~now config.Config.txn_timeout then
             raise_notrace Key.Tbl.Found);
-      outbox = Outbox.create runtime ~src:node_id;
+      outbox;
+      epoch = Epoch.create runtime outbox ~now;
     }
   in
   Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);

@@ -93,6 +93,22 @@ let every t ~period f =
   in
   arm ()
 
+(* An alarm is one thunk record, spent (its [cancelled] mark set) while it
+   waits outside the heap; arming it stages [now + after], takes the next
+   [seq] -- what [schedule ~after f] would push -- and inserts the record
+   itself, so arming allocates nothing. *)
+type alarm = Event_queue.event
+
+let alarm f = Event_queue.Thunk { seq = 0; cancelled = true; run = f }
+
+let arm t (a : alarm) ~after =
+  match a with
+  | Event_queue.Thunk { cancelled = true; _ } ->
+    stage t (after_time t after);
+    Event_queue.repush t.queue ~at:t.at ~seq:t.seq a
+  | Event_queue.Thunk _ | Event_queue.Msg _ ->
+    Mdcc_util.Invariant.violate ~context:"Engine.arm" "the alarm is already armed"
+
 (* A message takes a record from the free stack — a new one only while the
    number in flight is at a new high — and is pushed with the next [seq],
    so it orders against timers exactly as a scheduled closure would. *)

@@ -53,6 +53,21 @@ val every : t -> period:float -> (unit -> unit) -> unit
     [> 0] (NaN included) would fire forever at one instant: it raises
     {!Mdcc_util.Invariant.Violation}. *)
 
+type alarm
+(** A one-shot timer that can be armed again once it has fired. *)
+
+val alarm : (unit -> unit) -> alarm
+(** [alarm f] is an alarm that runs [f] each time it fires; it is not
+    armed. *)
+
+val arm : t -> alarm -> after:float -> unit
+(** [arm t a ~after] makes [a] fire once, [after] ms from now (clamped
+    like {!schedule}), taking its [seq] and time exactly as
+    [schedule t ~after f] would, so it orders against every other event as
+    that call's event would.  The alarm's one event record goes back into
+    the heap, so arming allocates nothing.  Arming an alarm that has not
+    fired yet raises {!Mdcc_util.Invariant.Violation}. *)
+
 type delivery =
   src:int -> dst:int -> bytes:int -> Event_queue.payload -> string option -> unit
 (** What the engine calls when a message posted with {!post} comes due:

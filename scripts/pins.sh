@@ -76,8 +76,8 @@ quick)
   # The checker's verdict on one run of every class known to violate.
   # Fixing the re-decided option, the recovery duels behind the liveness
   # case and the demarcation breach under faults moves these.
-  pin "report drop_spike 299 (option agreement)" -- "$chaos" replay --seed 299 --scenario drop_spike
-  pin "report random 1473 (liveness)" -- "$chaos" replay --seed 1473 --scenario random
+  pin "report drop_spike 1964 (option agreement)" -- "$chaos" replay --seed 1964 --scenario drop_spike
+  pin "report random 354 (liveness)" -- "$chaos" replay --seed 354 --scenario random
   pin "report clean 4, plant-bug 3" -- \
     "$chaos" replay --seed 4 --scenario clean --plant-bug 3
   pin "report deltas, 2 items, 120 txns, drop_spike 2 (demarcation)" -- \
@@ -92,8 +92,8 @@ full)
   pin "demo trace" -- "$experiments" demo --trace
   pin "sweep 2 items" obs.json -- \
     "$chaos" sweep --seeds 30 --items 2 --txns 120 --jobs 2 --json --obs-out obs.json
-  pin "replay drop_spike 299" -- \
-    "$chaos" replay --seed 299 --scenario drop_spike --trace
+  pin "replay drop_spike 1964" -- \
+    "$chaos" replay --seed 1964 --scenario drop_spike --trace
   pin "planted bug 3, jobs 1" -- \
     "$chaos" sweep --seeds 30 --json --trace --plant-bug 3 --jobs 1
   pin "planted bug 3, jobs 2" -- \
@@ -108,7 +108,7 @@ full)
   pin "shard sweep" -- \
     "$chaos" sweep --seeds 50 --scenario shard_partition,shard_outage,shard_flap --jobs 2 --json
   # The option-agreement seeds of the re-decided option, and the liveness
-  # seed of the recovery duels.
+  # seeds of the recovery duels.
   pin "random sweep 2000 seeds" -- "$chaos" sweep --seeds 2000 --scenario random --jobs 2
   ;;
 *) usage ;;

@@ -431,9 +431,9 @@ let node_words ?(txid = fun i -> Printf.sprintf "n%03d" i) ?(id = string_of_int)
 (* With no consumer — tracing off, spans off, no history — the protocol
    steps allocate no more than they did before the event stream existed
    (the storage node's figures), or within 5 % of their measured cost
-   (the coordinator's decide, 4.2 words, and 3-key submit, 106.8: the
+   (the coordinator's decide, 4.2 words, and 3-key submit, 97.8: the
    three keys share their five replicas, so the proposals leave as one
-   Batch record, a 3-word block over three list cells, that all five
+   Batch record, a 3-word block over a 4-word array, that all five
    replicas receive). *)
 let test_no_consumer () =
   let ceiling name limit w =
@@ -441,7 +441,7 @@ let test_no_consumer () =
   in
   let vote, vis = node_words `None in
   ceiling "coordinator decide" 4.5 (decide_words `None);
-  ceiling "coordinator submit of 3 keys" 112.0 (submit_words `None);
+  ceiling "coordinator submit of 3 keys" 102.7 (submit_words `None);
   ceiling "storage-node fast vote" 17.08 vote;
   ceiling "storage-node visibility" 30.2 vis
 
@@ -497,7 +497,7 @@ let test_window_route () =
 (* A classic round at a stable master: the [Propose], its Phase2a fan-out
    with the master's own vote and ack, two remote acks and the [Learned]
    to the coordinator.  The round's state, the master's own pending vote
-   and the two messages are 34 words; finding the round, counting its
+   and the two messages are 30 words; finding the round, counting its
    acks and announcing the decision allocate nothing more (108 words a
    round when they used closures, options and ack lists). *)
 let test_classic_round () =
@@ -515,21 +515,97 @@ let test_classic_round () =
   let ballot = Ballot.classic ~number:1 ~proposer:0 in
   let n = 50 in
   let update = Update.Delta [ ("stock", -1) ] in
-  let round prefix i =
+  let round prefix acks i =
     let k = Key.make ~table:"item" ~id:(string_of_int i) in
     let txid = Printf.sprintf "%s%03d" prefix i in
     let w = { Woption.txid; key = k; update; write_set = [ k ]; coordinator = 9 } in
     let ack = Messages.Phase2b_master { key = k; txid; ballot; ok = true } in
-    [| (9, Messages.Propose { woption = w; route = `Classic }); (1, ack); (2, ack) |]
+    let propose = Messages.Propose { woption = w; route = `Classic } in
+    Array.of_list ((9, propose) :: List.map (fun src -> (src, ack)) acks)
   in
   let run msgs = Array.iter (Array.iter (fun (src, m) -> s.Helpers.deliver ~src m)) msgs in
-  (* The first round on a record creates its acceptor and master state. *)
-  run (Array.init n (round "warm"));
-  let rounds = Array.init n (round "c") in
+  (* The first round on a record creates its acceptor and master state.
+     Every replica answers it, on a clock that stands still, so all four
+     measure alike and every later round sends its Phase2a to all at once:
+     nothing waits for an epoch that this runtime never ends. *)
+  run (Array.init n (round "warm" [ 1; 2; 3; 4 ]));
+  let rounds = Array.init n (round "c" [ 1; 2 ]) in
   let per_round = words (fun () -> run rounds) /. Float.of_int n in
   Alcotest.(check int) "every round learned" (2 * n)
     (Mdcc_obs.Registry.counter (Mdcc_obs.Obs.registry obs) "classic_learned");
   if per_round > 48.0 then Alcotest.failf "a classic round allocated %.1f words" per_round
+
+(* Classic rounds at a stable master (node 0) over the simulator, one at
+   a time, each run until every message is delivered: [n] warm rounds,
+   one more whose sends in its first millisecond are counted, then [n]
+   measured ones.  Returns the Phase2a's the counted round sent at once
+   and the minor words per measured round. *)
+let epoch_rounds topology =
+  let module Engine = Mdcc_sim.Engine in
+  let module Network = Mdcc_sim.Network in
+  let engine = Engine.create ~seed:29 in
+  let net = Network.create engine (Mdcc_sim.Topology.add_nodes topology ~per_dc:1) () in
+  let runtime = Mdcc_core.Runtime.of_network net in
+  let config = Config.make ~mode:Config.Multi ~replication:5 () in
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let replicas = [ 0; 1; 2; 3; 4 ] in
+  for node_id = 0 to 4 do
+    ignore
+      (Storage_node.create ~runtime ~config ~node_id ~schema
+         ~replicas:(fun _ -> replicas)
+         ~master_of:(fun _ -> 0)
+         ()
+        : Storage_node.t)
+  done;
+  (* Node 5, DC 0's first app server, coordinates and ignores the Learned. *)
+  Network.register net 5 (fun ~src:_ _ -> ());
+  let n = 50 in
+  let propose prefix i =
+    let k = Key.make ~table:"item" ~id:(string_of_int i) in
+    let w =
+      { Woption.txid = Printf.sprintf "%s%03d" prefix i; key = k; update = Update.Delta [];
+        write_set = [ k ]; coordinator = 5 }
+    in
+    Messages.Propose { woption = w; route = `Classic }
+  in
+  let drain () =
+    while Engine.step engine do
+      ()
+    done
+  in
+  let run msgs =
+    Array.iter
+      (fun m ->
+        Network.send net ~src:5 ~dst:0 m;
+        drain ())
+      msgs
+  in
+  run (Array.init n (propose "warm"));
+  let sent () = (Network.stats net).Network.sent in
+  let before = sent () in
+  Network.send net ~src:5 ~dst:0 (propose "count" 0);
+  Engine.run ~until:(Engine.now engine +. 1.0) engine;
+  let at_once = sent () - before - 1 in
+  drain ();
+  let rounds = Array.init n (propose "c") in
+  (at_once, words (fun () -> run rounds) /. Float.of_int n)
+
+(* From us-west, the master's two nearest replicas are us-east and Tokyo:
+   the Phase2a's for Ireland and Singapore wait for the epoch.  One round
+   per epoch leaves each of them alone, bare, so no Batch is built and a
+   round allocates exactly what it does where every round trip is equal
+   and nothing waits: arming and flushing the epoch cost nothing. *)
+let test_epoch_free () =
+  let equal =
+    Mdcc_sim.Topology.make ~dc_names:(Array.init 5 string_of_int)
+      ~rtt:(Array.init 5 (fun a -> Array.init 5 (fun b -> if a = b then 0.0 else 100.0)))
+      ~nodes_per_dc:1 ()
+  in
+  let at_once_equal, flat = epoch_rounds equal in
+  let at_once_ec2, held = epoch_rounds (Mdcc_sim.Topology.ec2_five ()) in
+  Alcotest.(check int) "equal round trips: every Phase2a at once" 4 at_once_equal;
+  Alcotest.(check int) "EC2: the two nearest at once" 2 at_once_ec2;
+  Alcotest.(check (float 0.0)) "words the epoch adds to a round" 0.0 (held -. flat)
 
 let delta = Update.Delta [ ("stock", -1) ]
 
@@ -738,6 +814,7 @@ let suite =
     Alcotest.test_case "loop poll allocates only select's lists" `Quick test_loop_poll_light;
     Alcotest.test_case "fast vote arrival is allocation-light" `Quick test_fast_vote_arrival;
     Alcotest.test_case "classic round allocates only its messages" `Quick test_classic_round;
+    Alcotest.test_case "an epoch of held Phase2a's allocates nothing" `Quick test_epoch_free;
     Alcotest.test_case "routing inside a classic window allocates nothing" `Quick
       test_window_route;
     Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;

@@ -128,10 +128,10 @@ let size_pins () =
     ( "batch",
       76,
       Messages.Batch
-        [
+        [|
           Messages.Learned { key = k; txid = "txn17"; decision = Woption.Accepted };
           Messages.Phase1a { key = k2; ballot = b };
-        ] );
+        |] );
     ("sync_request", 46, Messages.Sync_request { entries = [ (k, 4, 77); (k2, 1, 5) ] });
     ("sync_reply", 87, Messages.Sync_reply { key = k; version = 4; applied = included });
   ]

@@ -18,7 +18,7 @@ let rec kind = function
   | Messages.Phase2a _ -> "phase2a"
   | Messages.Phase2b_master _ -> "phase2b"
   | Messages.Learned _ -> "learned"
-  | Messages.Batch items -> "[" ^ String.concat " " (List.map kind items) ^ "]"
+  | Messages.Batch items -> "[" ^ String.concat " " (Array.to_list (Array.map kind items)) ^ "]"
   | _ -> "other"
 
 (* Installs a meter on the cluster's network; the returned function lists
@@ -112,6 +112,162 @@ let test_classic_round_from_batch () =
        @ List.map (fun r -> (app, r, "[visibility visibility]")) replicas))
     (sorted sent)
 
+(* [record_wire] with the engine's clock: the returned function lists the
+   sends since its last call as (time, src, dst, kind), oldest first. *)
+let record_timed engine cluster =
+  let sends = ref [] and last = ref "" in
+  Net.set_meter (Cluster.network cluster)
+    {
+      Net.m_size =
+        (fun p ->
+          last := kind p;
+          0);
+      m_on_send =
+        (fun ~src ~dst ~bytes:_ -> sends := (Engine.now engine, src, dst, !last) :: !sends);
+      m_on_deliver = (fun ~src:_ ~dst:_ ~bytes:_ -> ());
+    };
+  fun () ->
+    let s = List.rev !sends in
+    sends := [];
+    s
+
+(* Multi mode, every key mastered by us-west's node 0, after one
+   committed transaction has let the master measure every replica.  From
+   us-west the two nearest replicas are us-east (node 1, 80 ms) and Tokyo
+   (node 4, 120 ms); Ireland (node 2, 170 ms) is more than the epoch
+   beyond Tokyo, and Singapore (node 3) further still. *)
+let warm_master () =
+  let engine, cluster = make_cluster ~mode:Config.Multi ~master_dc_of:(fun _ -> 0) ~items:10 () in
+  Alcotest.(check bool) "warm-up commits" true
+    (is_committed (run_txn engine cluster ~dc:0 [ (item 9, Update.Delta [ ("stock", -1) ]) ]));
+  (engine, cluster, record_timed engine cluster)
+
+(* Submit single-key transactions on [items] at DC 0 together and run
+   them to their outcomes. *)
+let submit_together engine cluster items =
+  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let outcomes = ref [] in
+  List.iter
+    (fun i ->
+      Coordinator.submit c
+        (Txn.make ~id:(txid ()) ~updates:[ (item i, Update.Delta [ ("stock", -1) ]) ])
+        (fun o -> outcomes := o :: !outcomes))
+    items;
+  Engine.run ~until:(Engine.now engine +. 30_000.0) engine;
+  Alcotest.(check int) "every transaction commits" (List.length items)
+    (List.length (List.filter is_committed !outcomes))
+
+(* The master's Phase2a sends, as (time, dst, kind). *)
+let phase2a_sends sent =
+  List.filter_map
+    (fun (at, src, dst, k) ->
+      let phase2a = k = "phase2a" || String.starts_with ~prefix:"[phase2a" k in
+      if src = 0 && phase2a then Some (at, dst, k) else None)
+    sent
+
+(* When the first of [p2a] left. *)
+let round_start p2a = match p2a with (at, _, _) :: _ -> at | [] -> Alcotest.fail "no Phase2a"
+
+let test_far_replicas_wait_for_epoch () =
+  let engine, cluster, sent = warm_master () in
+  submit_together engine cluster [ 0; 1 ];
+  let sent = sent () in
+  let p2a = phase2a_sends sent in
+  let start = round_start p2a in
+  let at_once = List.filter (fun (at, _, _) -> at < start +. 1.0) p2a
+  and later = List.filter (fun (at, _, _) -> at >= start +. 1.0) p2a in
+  let pairs = Alcotest.(list (pair int string)) in
+  Alcotest.check pairs "each round's Phase2a at once, bare, to the two nearest"
+    [ (1, "phase2a"); (1, "phase2a"); (4, "phase2a"); (4, "phase2a") ]
+    (List.sort compare (List.map (fun (_, dst, k) -> (dst, k)) at_once));
+  Alcotest.check pairs "one Batch to each far replica when the epoch ends"
+    [ (2, "[phase2a phase2a]"); (3, "[phase2a phase2a]") ]
+    (List.sort compare (List.map (fun (_, dst, k) -> (dst, k)) later));
+  List.iter
+    (fun (at, _, _) ->
+      Alcotest.(check (float 1.0)) "the epoch ends E after the first held send"
+        (start +. Mdcc_core.Epoch.epoch_ms) at)
+    later;
+  (* The near replicas decide both rounds: the master learns them before
+     either far replica answers, and each far replica answers once. *)
+  let learned = List.filter (fun (_, src, _, k) -> src = 0 && k = "learned") sent
+  and far_answers =
+    List.filter (fun (_, src, dst, _) -> dst = 0 && (src = 2 || src = 3)) sent
+  in
+  Alcotest.(check int) "both rounds learned" 2 (List.length learned);
+  Alcotest.(check (list (pair int string))) "one folded answer per far replica"
+    [ (2, "[phase2b phase2b]"); (3, "[phase2b phase2b]") ]
+    (List.sort compare (List.map (fun (_, src, _, k) -> (src, k)) far_answers));
+  let last_learned = List.fold_left (fun acc (at, _, _, _) -> Float.max acc at) 0.0 learned in
+  List.iter
+    (fun (at, _, _, _) ->
+      Alcotest.(check bool) "learned before the far answers" true (last_learned < at))
+    far_answers
+
+let test_dead_near_replica_replaced () =
+  let engine, cluster, sent = warm_master () in
+  (* us-east, the master's nearest replica, goes dark. *)
+  Cluster.fail_dc cluster 1;
+  submit_together engine cluster [ 0 ];
+  let first = sent () in
+  let start = round_start (phase2a_sends first) in
+  let learned_at =
+    match List.find_opt (fun (_, src, _, k) -> src = 0 && k = "learned") first with
+    | Some (at, _, _, _) -> at
+    | None -> Alcotest.fail "no Learned"
+  in
+  (* Tokyo and Ireland's folded answer decide it: Ireland hears the round
+     when the epoch ends, one 170 ms round trip (jitter 5 %) before the
+     master learns it. *)
+  Alcotest.(check bool) "learned through a far replica, at most E late" true
+    (learned_at -. start <= Mdcc_core.Epoch.epoch_ms +. (170.0 *. 1.15));
+  (* Its probe unanswered, us-east now ranks behind Ireland. *)
+  submit_together engine cluster [ 1 ];
+  let second = sent () in
+  let start = round_start (phase2a_sends second) in
+  let split = List.partition (fun (at, _, _) -> at < start +. 1.0) (phase2a_sends second) in
+  let dsts l = List.sort compare (List.map (fun (_, dst, _) -> dst) l) in
+  Alcotest.(check (list int)) "Tokyo and Ireland at once" [ 2; 4 ] (dsts (fst split));
+  Alcotest.(check (list int)) "us-east and Singapore in the epoch" [ 1; 3 ] (dsts (snd split))
+
+let test_equal_round_trips_hold_nothing () =
+  (* A master (node 0) of replicas 0-4 on a scripted runtime: every
+     replica answers its first round 100 ms after it started, so all four
+     measure alike and each later round's Phase2a goes to all at once,
+     with no timer armed. *)
+  let s = scripted_runtime () in
+  let _node =
+    Mdcc_core.Storage_node.create ~runtime:s.runtime
+      ~config:(Config.make ~mode:Config.Multi ~replication:5 ())
+      ~node_id:0 ~schema:stock_schema
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let round txid =
+    let w = option_of ~txid (item 0) in
+    s.deliver ~src:9 (Messages.Propose { woption = w; route = `Classic });
+    let phase2a =
+      List.filter_map
+        (fun (dst, p) -> match p with Messages.Phase2a _ -> Some dst | _ -> None)
+        (s.drain ())
+    in
+    s.clock := !(s.clock) +. 100.0;
+    List.iter
+      (fun src ->
+        s.deliver ~src
+          (Messages.Phase2b_master
+             { key = item 0; txid; ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:0;
+               ok = true }))
+      [ 1; 2; 3; 4 ];
+    ignore (s.drain ());
+    phase2a
+  in
+  Alcotest.(check (list int)) "first round: all at once" [ 1; 2; 3; 4 ] (round "e1");
+  Alcotest.(check (list int)) "measured alike: all at once" [ 1; 2; 3; 4 ] (round "e2");
+  Alcotest.(check (list int)) "and again" [ 1; 2; 3; 4 ] (round "e3");
+  Alcotest.(check int) "no timer armed" 0 (List.length !(s.timers))
+
 let test_anti_entropy_repairs_recovered_dc () =
   let engine, cluster = make_cluster ~items:5 () in
   Cluster.fail_dc cluster 4;
@@ -154,6 +310,10 @@ let suite =
     Alcotest.test_case "3-key commit costs 3n messages" `Quick test_three_key_commit_cost;
     Alcotest.test_case "1-key commit costs 3n, unfolded" `Quick test_one_key_commit_cost;
     Alcotest.test_case "classic round from a Batch folds" `Quick test_classic_round_from_batch;
+    Alcotest.test_case "far replicas wait for the epoch" `Quick test_far_replicas_wait_for_epoch;
+    Alcotest.test_case "a dead near replica is replaced" `Quick test_dead_near_replica_replaced;
+    Alcotest.test_case "equal round trips hold nothing" `Quick
+      test_equal_round_trips_hold_nothing;
     Alcotest.test_case "anti-entropy repairs recovered DC" `Quick
       test_anti_entropy_repairs_recovered_dc;
     Alcotest.test_case "sync is a no-op when current" `Quick test_sync_is_noop_when_current;

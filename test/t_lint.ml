@@ -426,6 +426,7 @@ let test_whole_tree () =
       ("R1-wallclock", "lib/obs/clock.ml", "Unix.gettimeofday");
       ("R1-wallclock", "lib/runtime_unix/loop.ml", "Unix.gettimeofday");
       ("R1-wallclock", "lib/runtime_unix/loop.ml", "Unix.gettimeofday");
+      ("R2-payload", "lib/core/messages.ml", "Batch");
       ("R5-mutate", "lib/util/pool.ml", "slots");
       ("R6-unix", "lib/obs/clock.ml", "Unix.gettimeofday");
     ]

@@ -204,7 +204,7 @@ let test_five_keys_decide_when_all_learned () =
     List.map
       (fun (dst, p) ->
         match p with
-        | Messages.Batch items -> (dst, List.map f items)
+        | Messages.Batch items -> (dst, Array.to_list (Array.map f items))
         | _ -> Alcotest.fail "a bare payload where a Batch was due")
       (drain ())
   in

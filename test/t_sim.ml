@@ -282,6 +282,50 @@ let test_every_matches_rearming_chain () =
   Alcotest.(check (list (pair (float 0.0) string))) "same firing log" chain
     (periodic_log ~periodic:true)
 
+(* The (time, name) log of a script whose one-shot timer is an
+   [Engine.alarm] armed again after each firing or, when [alarm] is
+   false, a fresh [Engine.schedule] of the same thunk at each arming:
+   events at the alarm's instants are pushed before and after it is
+   armed, it is armed from another event at zero delay, and from its own
+   firing. *)
+let alarm_log ~alarm =
+  let e = Engine.create ~seed:1 in
+  let log = ref [] in
+  let note name = log := (Engine.now e, name) :: !log in
+  let at t name f = ignore (Engine.schedule_at e ~at:t (fun () -> note name; f ())) in
+  let fired = ref 0 and arm = ref (fun _ -> ()) in
+  let fire () =
+    incr fired;
+    note (Printf.sprintf "alarm %d" !fired);
+    if !fired = 2 then !arm 1.0
+  in
+  let a = Engine.alarm fire in
+  (arm := fun after -> if alarm then Engine.arm e a ~after else ignore (Engine.schedule e ~after fire));
+  at 4.0 "fixed 4, before" ignore;
+  !arm 4.0;
+  at 4.0 "fixed 4, after" ignore;
+  at 5.0 "arm for 8" (fun () ->
+      at 8.0 "fixed 8, before" ignore;
+      !arm 3.0;
+      at 8.0 "fixed 8, after" ignore);
+  at 10.0 "arm now" (fun () -> !arm 0.0);
+  at 10.0 "fixed 10" ignore;
+  Engine.run e;
+  List.rev !log
+
+let test_alarm_orders_as_schedule () =
+  let scheduled = alarm_log ~alarm:false in
+  Alcotest.(check int) "the scheduled log" 11 (List.length scheduled);
+  Alcotest.(check (list (pair (float 0.0) string))) "same firing log" scheduled
+    (alarm_log ~alarm:true);
+  let e = Engine.create ~seed:1 in
+  let a = Engine.alarm ignore in
+  Engine.arm e a ~after:1.0;
+  (match Engine.arm e a ~after:2.0 with
+  | () -> Alcotest.fail "an armed alarm was armed again"
+  | exception Mdcc_util.Invariant.Violation _ -> ());
+  Alcotest.(check int) "one event armed" 1 (Engine.pending e)
+
 (* A period that is not positive would tick forever at one instant. *)
 let test_every_rejects_bad_period () =
   let e = Engine.create ~seed:1 in
@@ -608,6 +652,7 @@ let suite =
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "every fires as a re-arming chain" `Quick test_every_matches_rearming_chain;
     Alcotest.test_case "every rejects a period not > 0" `Quick test_every_rejects_bad_period;
+    Alcotest.test_case "an alarm orders as a scheduled timer" `Quick test_alarm_orders_as_schedule;
     Alcotest.test_case "topology ec2" `Quick test_topology_ec2;
     Alcotest.test_case "topology partitioned" `Quick test_topology_partitioned;
     Alcotest.test_case "topology add_nodes" `Quick test_topology_add_nodes;
