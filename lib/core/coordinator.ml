@@ -6,26 +6,14 @@ module Rng = Mdcc_util.Rng
 module Invariant = Mdcc_util.Invariant
 module Obs = Mdcc_obs.Obs
 
-type key_state = {
-  woption : Woption.t;
-  replicas : int list;  (* the key's replica group; a vote counts by its position here *)
-  mutable votes : Quorum.tally;  (* the fast votes that arrived *)
-  mutable learned : Woption.decision option;
-  mutable collided_at : Engine.sim_time option;
-      (** when a collision was detected and recovery started, until the key
-          is learned; for resolution-latency metrics *)
-  mutable redirected : bool;  (** already re-routed to the master *)
-  mutable attempts : int;  (** timeout-driven recovery attempts *)
-}
-
-(* A transaction in flight.  [keys] holds one slot per update, in
-   ascending [Key.compare] order; its options share one write-set.  A
-   message finds its slot by a linear scan: write-sets are a handful of
-   keys, and [Txn.make] has already ruled out duplicates. *)
+(* A transaction in flight: its decision holds one slot per update, in
+   ascending key order, and a message finds its slot by index. *)
 type txn_state = {
-  txn : Txn.t;
   callback : Txn.outcome -> unit;
-  keys : key_state array;
+  decision : Txn_decision.t;
+  mutable collided : (int * Engine.sim_time) list;
+      (* the slots whose collision started a recovery, and when; for
+         resolution-latency metrics *)
   mutable timeout : Runtime.timer;  (* [Runtime.no_timer] until armed *)
 }
 
@@ -84,8 +72,6 @@ let live t = Ctx.live t.stream
 
 let emit t ev = Ctx.emit t.stream ev
 
-let n t = t.config.Config.replication
-
 (* The version this coordinator knows an option's record at: the
    option's [vread], or the co-located row's version for an insert or a
    delta.  [max_int] when it knows none: no co-located store, or no row. *)
@@ -134,121 +120,96 @@ let rec send_each_rev t p = function
 
 (* Settle a key's route — fast to every replica, or classic through the
    master inside the record's classic window. *)
-let route_proposal t (ks : key_state) =
-  let w = ks.woption in
+let route_proposal t (ts : txn_state) i =
+  let w = Txn_decision.option ts.decision i in
   let classic = route_classic t w in
   if live t then begin
     let route = if classic then `Classic else `Fast in
     emit t (Event.Proposed { txid = w.Woption.txid; key = w.Woption.key; route })
   end;
-  if classic then ks.redirected <- true
+  if classic then ignore (Txn_decision.redirect ts.decision i)
 
-let propose t (ks : key_state) =
-  let w = ks.woption in
-  if ks.redirected then
+let propose t (ts : txn_state) i =
+  let w = Txn_decision.option ts.decision i in
+  if Txn_decision.redirected ts.decision i then
     send t (t.master_of w.Woption.key) (Messages.Propose { woption = w; route = `Classic })
-  else send_each t (Messages.Propose { woption = w; route = `Fast }) ks.replicas
+  else
+    send_each t
+      (Messages.Propose { woption = w; route = `Fast })
+      (Txn_decision.replicas ts.decision i)
 
-(* [aborted]: a replica reported the transaction already aborted, so it
-   aborts whatever its keys learned. *)
-let decide ?(aborted = false) t (ts : txn_state) =
+let decide t (ts : txn_state) outcome =
+  let d = ts.decision in
+  let txid = Txn_decision.txid d in
   Runtime.cancel_timer t.runtime ts.timeout;
-  Hashtbl.remove t.txns ts.txn.Txn.id;
-  let committed = ref (not aborted) and commutative = ref (not aborted) in
-  let pure_fast = ref true in
-  for i = 0 to Array.length ts.keys - 1 do
-    let ks = ts.keys.(i) in
-    (match ks.learned with
-    | Some Woption.Rejected ->
-      committed := false;
-      if not (Woption.is_commutative ks.woption) then commutative := false
-    | Some Woption.Accepted | None -> ());
-    (* A collision started a recovery, so it counts among [attempts]. *)
-    if ks.redirected || ks.attempts > 0 then pure_fast := false
-  done;
-  let committed = !committed in
-  let outcome =
-    if committed then Txn.Committed
-    else if !commutative then Txn.Aborted Txn.Constraint_violation
-    else Txn.Aborted Txn.Conflict
-  in
+  Hashtbl.remove t.txns txid;
   (match outcome with
   | Txn.Committed ->
-    if !pure_fast && t.config.Config.mode <> Config.Multi then Obs.bump t.fast_commit
+    if Txn_decision.fast_path d && t.config.Config.mode <> Config.Multi
+    then Obs.bump t.fast_commit
     else Obs.incr t.obs "assisted_commit"
   | Txn.Aborted Txn.Constraint_violation -> Obs.incr t.obs "abort_constraint"
   | Txn.Aborted _ -> Obs.incr t.obs "abort_conflict");
-  if live t then emit t (Event.Decided { txid = ts.txn.Txn.id; outcome });
+  if live t then emit t (Event.Decided { txid; outcome });
   (* Asynchronous Learned/Visibility notification: execute or void every
      option; correctness does not depend on its timing (§3.2.1).  Keys are
      queued in descending order, each key's replicas in reverse, and fold
      into one message per replica. *)
+  let committed = outcome = Txn.Committed in
   Outbox.enter t.outbox;
-  for i = Array.length ts.keys - 1 downto 0 do
-    let ks = ts.keys.(i) in
-    send_each_rev t (Messages.Visibility { woption = ks.woption; committed }) ks.replicas
+  for i = Txn_decision.length d - 1 downto 0 do
+    send_each_rev t
+      (Messages.Visibility { woption = Txn_decision.option d i; committed })
+      (Txn_decision.replicas d i)
   done;
   Outbox.leave t.outbox;
   ts.callback outcome
 
-(* Learned outcomes, allocated once. *)
-let learned_accepted = Some Woption.Accepted
-
-let learned_rejected = Some Woption.Rejected
-
-let rec all_learned (keys : key_state array) i =
-  i < 0 || (Option.is_some keys.(i).learned && all_learned keys (i - 1))
-
-let learn t (ts : txn_state) (ks : key_state) decision =
-  match ks.learned with
-  | Some _ -> ()
-  | None ->
-    ks.learned <-
-      (match decision with
-      | Woption.Accepted -> learned_accepted
-      | Woption.Rejected -> learned_rejected);
-    let txid = ts.txn.Txn.id and key = ks.woption.Woption.key in
-    if live t then emit t (Event.Learned { txid; key; decision });
-    (match ks.collided_at with
-    | Some at ->
-      (* The collision on this key has now been resolved (either way). *)
-      ks.collided_at <- None;
-      Obs.incr t.obs "collision_resolved";
-      Obs.observe t.obs "collision_resolve_ms" (now t -. at);
-      if live t then emit t (Event.Collision_resolved { txid; key })
-    | None -> ());
-    if all_learned ts.keys (Array.length ts.keys - 1) then decide t ts
-
-let start_recovery_for t (ks : key_state) =
-  let w = ks.woption in
+let escalate t (ts : txn_state) i =
+  let w = Txn_decision.option ts.decision i in
   let key = w.Woption.key in
   (* The master's recovery opens a window of γ versions from a version no
      lower than the one known here. *)
   let known = known_version t w in
   if known <> max_int then note_window t key (known + t.config.Config.gamma);
-  (* Rotate through replicas on repeated attempts so a failed master does
-     not block the transaction forever. *)
-  let master = t.master_of key in
-  let target =
-    if ks.attempts = 0 then master
-    else begin
-      let others = List.filter (fun r -> r <> master) (t.replicas key) in
-      let all = master :: others in
-      List.nth all (ks.attempts mod List.length all)
-    end
-  in
-  ks.attempts <- ks.attempts + 1;
+  let target = Txn_decision.target ts.decision i ~master:(t.master_of key) in
   if live t then emit t (Event.Recovery_started { txid = w.Woption.txid; key; target });
   (* Timeout-driven recoveries run outside any delivery, so re-establish the
      causal context explicitly for the recovery cascade. *)
   Net.with_trace_context (Some w.Woption.txid) (fun () ->
       send t target (Messages.Start_recovery { key; woption = w }))
 
-(* The index of [key]'s slot, or -1. *)
-let rec slot_index (keys : key_state array) key i =
-  if i = Array.length keys then -1
-  else if Key.equal keys.(i).woption.Woption.key key then i
-  else slot_index keys key (i + 1)
+(* Act on a step of slot [i], which was open before it when [was_open]:
+   report what the slot learned, then follow the verdict. *)
+let stepped t (ts : txn_state) i ~was_open verdict =
+  let d = ts.decision in
+  (match Txn_decision.learned d i with
+  | Some decision when was_open ->
+    let key = (Txn_decision.option d i).Woption.key and txid = Txn_decision.txid d in
+    if live t then emit t (Event.Learned { txid; key; decision });
+    (match List.assoc i ts.collided with
+    | at ->
+      (* The collision on this key has now been resolved (either way). *)
+      Obs.incr t.obs "collision_resolved";
+      Obs.observe t.obs "collision_resolve_ms" (now t -. at);
+      if live t then emit t (Event.Collision_resolved { txid; key })
+    | exception Not_found -> ())
+  | Some _ | None -> ());
+  match verdict with
+  | Txn_decision.Pending -> ()
+  | Txn_decision.Escalate -> escalate t ts i
+  | Txn_decision.Collided ->
+    (* Fast Paxos collision: no outcome can reach a fast quorum. *)
+    ts.collided <- (i, now t) :: ts.collided;
+    Obs.incr t.obs "collision";
+    let votes = Txn_decision.votes d i in
+    let acks = Quorum.Tally.acks votes and rejects = Quorum.Tally.rejects votes in
+    let key = (Txn_decision.option d i).Woption.key in
+    if live t then emit t (Event.Collided { txid = Txn_decision.txid d; key; acks; rejects });
+    escalate t ts i
+  | Txn_decision.Decided outcome -> decide t ts outcome
+
+let is_open (ts : txn_state) i = Txn_decision.learned ts.decision i = None
 
 (* [find] with its exception rather than [find_opt], and the slot's
    index rather than an option: a vote allocates nothing to find its
@@ -257,45 +218,32 @@ let on_vote t txid key acceptor decision =
   match Hashtbl.find t.txns txid with
   | exception Not_found -> ()
   | ts ->
-    let i = slot_index ts.keys key 0 in
+    let i = Txn_decision.find ts.decision key in
     if i >= 0 then begin
-      let ks = ts.keys.(i) in
-      let pos = Quorum.position acceptor ks.replicas in
-      let votes = Quorum.Tally.vote ks.votes ~pos ~ok:(decision = Woption.Accepted) in
-      if ks.learned = None && votes <> ks.votes then begin
-        ks.votes <- votes;
-        match Quorum.Tally.decided votes ~quorum:(Config.fast_quorum t.config) with
-        | Some ok -> learn t ts ks (Woption.of_ok ok)
-        | None ->
-          if Quorum.Tally.fast_impossible votes ~n:(n t) && Option.is_none ks.collided_at
-          then begin
-            (* Fast Paxos collision: no outcome can reach a fast quorum. *)
-            ks.collided_at <- Some (now t);
-            Obs.incr t.obs "collision";
-            let acks = Quorum.Tally.acks votes and rejects = Quorum.Tally.rejects votes in
-            if live t then emit t (Event.Collided { txid; key; acks; rejects });
-            start_recovery_for t ks
-          end
-      end
+      let was_open = is_open ts i in
+      stepped t ts i ~was_open (Txn_decision.fast_vote t.config ts.decision i ~acceptor decision)
     end
 
 let on_learned t txid key decision =
   match Hashtbl.find t.txns txid with
   | exception Not_found -> ()
   | ts ->
-    let i = slot_index ts.keys key 0 in
-    if i >= 0 then learn t ts ts.keys.(i) decision
+    let i = Txn_decision.find ts.decision key in
+    if i >= 0 then begin
+      let was_open = is_open ts i in
+      stepped t ts i ~was_open (Txn_decision.learn ts.decision i decision)
+    end
 
-(* A replica found the transaction already decided.  A commit means
-   every option was accepted; an abort says nothing of this option's own
-   value, so the transaction aborts without learning it. *)
+(* A replica found the transaction already decided. *)
 let on_outcome t (w : Woption.t) committed =
   match Hashtbl.find t.txns w.Woption.txid with
   | exception Not_found -> ()
   | ts ->
-    let i = slot_index ts.keys w.Woption.key 0 in
-    if i >= 0 then
-      if committed then learn t ts ts.keys.(i) Woption.Accepted else decide ~aborted:true t ts
+    let i = Txn_decision.find ts.decision w.Woption.key in
+    if i >= 0 then begin
+      let was_open = is_open ts i in
+      stepped t ts i ~was_open (Txn_decision.outcome ts.decision i committed)
+    end
 
 (* A Redirect reports its record's classic window; like every reply, it
    counts only for an option still open. *)
@@ -303,15 +251,14 @@ let on_redirect t txid key master classic_until =
   match Hashtbl.find t.txns txid with
   | exception Not_found -> ()
   | ts ->
-    let i = slot_index ts.keys key 0 in
+    let i = Txn_decision.find ts.decision key in
     if i >= 0 then begin
-      let ks = ts.keys.(i) in
       note_window t key classic_until;
-      if ks.learned = None && not ks.redirected then begin
-        ks.redirected <- true;
+      if Txn_decision.redirect ts.decision i then begin
         Obs.incr t.obs "redirect";
         if live t then emit t (Event.Redirected { txid; key; master });
-        send t master (Messages.Propose { woption = ks.woption; route = `Classic })
+        send t master
+          (Messages.Propose { woption = Txn_decision.option ts.decision i; route = `Classic })
       end
     end
 
@@ -319,54 +266,23 @@ let rec arm_timeout t (ts : txn_state) =
   let jitter = Rng.float t.rng 100.0 in
   ts.timeout <-
     Runtime.set_timer t.runtime ~after:(t.config.Config.learn_timeout +. jitter) (fun () ->
-        if Hashtbl.mem t.txns ts.txn.Txn.id then begin
-          Array.iter
-            (fun ks ->
-              if ks.learned = None then begin
-                Obs.incr t.obs "timeout_recovery";
-                start_recovery_for t ks
-              end)
-            ts.keys;
+        if Hashtbl.mem t.txns (Txn_decision.txid ts.decision) then begin
+          for i = 0 to Txn_decision.length ts.decision - 1 do
+            match Txn_decision.timeout ts.decision i with
+            | Txn_decision.Escalate ->
+              Obs.incr t.obs "timeout_recovery";
+              escalate t ts i
+            | Txn_decision.Pending | Txn_decision.Collided | Txn_decision.Decided _ -> ()
+          done;
           arm_timeout t ts
         end)
-
-let new_slot t (txn : Txn.t) write_set (key, update) =
-  let woption = { Woption.txid = txn.Txn.id; key; update; write_set; coordinator = t.id } in
-  { woption; replicas = t.replicas key; votes = Quorum.Tally.empty; learned = None;
-    collided_at = None; redirected = false; attempts = 0 }
-
-let rec fill t txn write_set keys i = function
-  | [] -> ()
-  | u :: rest ->
-    keys.(i) <- new_slot t txn write_set u;
-    fill t txn write_set keys (i + 1) rest
-
-(* The slots of a non-empty write-set in ascending key order, by an
-   insertion sort: write-sets are a handful of keys. *)
-let slots t (txn : Txn.t) =
-  let write_set = Txn.keys txn in
-  match txn.Txn.updates with
-  | [] -> [||]
-  | first :: rest ->
-    let keys = Array.make (List.length txn.Txn.updates) (new_slot t txn write_set first) in
-    fill t txn write_set keys 1 rest;
-    for i = 1 to Array.length keys - 1 do
-      let ks = keys.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && Key.compare keys.(!j).woption.Woption.key ks.woption.Woption.key > 0 do
-        keys.(!j + 1) <- keys.(!j);
-        decr j
-      done;
-      keys.(!j + 1) <- ks
-    done;
-    keys
 
 let submit t txn callback =
   if Txn.is_read_only txn then
     Runtime.spawn t.runtime (fun () -> callback Txn.Committed)
   else begin
-    let keys = slots t txn in
-    let ts = { txn; callback; keys; timeout = Runtime.no_timer } in
+    let decision = Txn_decision.of_txn ~replicas:t.replicas ~coordinator:t.id txn in
+    let ts = { callback; decision; collided = []; timeout = Runtime.no_timer } in
     Hashtbl.replace t.txns txn.Txn.id ts;
     Obs.bump t.txn_submitted;
     if live t then emit t (Event.Submitted txn);
@@ -376,12 +292,13 @@ let submit t txn callback =
        every Propose (and every message it triggers in turn) carries its
        id, which both runtimes propagate and the bench tracer attributes
        time to. *)
-    for i = 0 to Array.length keys - 1 do
-      route_proposal t keys.(i)
+    let keys = Txn_decision.length decision in
+    for i = 0 to keys - 1 do
+      route_proposal t ts i
     done;
     Outbox.enter t.outbox;
-    for i = Array.length keys - 1 downto 0 do
-      propose t keys.(i)
+    for i = keys - 1 downto 0 do
+      propose t ts i
     done;
     Net.apply_with_trace_context (Some txn.Txn.id) Outbox.leave t.outbox;
     arm_timeout t ts

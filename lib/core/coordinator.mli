@@ -19,7 +19,13 @@
     once the known version reaches it.
     Collisions (no fast quorum possible for either outcome) and learn
     timeouts escalate to [Start_recovery] at the master — rotating through
-    replicas on repeated timeouts so a dead master is bypassed. *)
+    replicas on repeated timeouts so a dead master is bypassed.
+
+    The learned-all rule and that escalation policy live in one place,
+    {!Txn_decision}, which a node recovering a dangling transaction steps
+    too: the coordinator finds the transaction, steps its decision with
+    each vote, learn, outcome report and timeout, and sends, counts and
+    emits from the verdict. *)
 
 open Mdcc_storage
 

@@ -34,27 +34,6 @@ type mstate = {
   mutable m_recovery : recovery option;
 }
 
-(* One write-set key of a dangling-transaction recovery.  Each replica's
-   first status reply folds into [heard] once: a pending vote as a vote,
-   any other status as a reply that casts none.  The first option reported
-   is kept. *)
-type tslot = {
-  key : Key.t;
-  mutable opt : Woption.t option;  (* the key's option, once any replica reported it *)
-  mutable heard : Quorum.tally;
-  mutable learned : bool option;  (* the master's decision, [Some true] if accepted *)
-  mutable asked : bool;  (* escalated to the key's master *)
-}
-
-(* Dangling-transaction recovery in progress at this node: one slot per
-   write-set key, in write-set order. *)
-type txrec = {
-  tx_id : Txn.id;
-  tx_keys : Key.t list;  (* the write-set *)
-  tx_slots : tslot array;
-  mutable tx_done : bool;
-}
-
 type t = {
   runtime : Runtime.t;
   config : Config.t;
@@ -64,7 +43,7 @@ type t = {
   store : Store.t;
   acceptor : Acceptor.node;  (* every record's acceptor state *)
   masters : mstate Key.Tbl.t;
-  recoveries : (Txn.id, txrec) Hashtbl.t;
+  recoveries : (Txn.id, Txn_decision.t) Hashtbl.t;  (* dangling transactions being recovered *)
   rng : Rng.t;
   obs : Obs.t;
   diverged : (int * Key.t, unit) Hashtbl.t;
@@ -228,22 +207,6 @@ let rec without r = function
 (* Whether [dst] occurs in [all] before its cell [here]. *)
 let rec occurs_before dst all here =
   all != here && match all with [] -> false | x :: rest -> x = dst || occurs_before dst rest here
-
-(* The slot of [key] in a dangling-transaction recovery, if [key] is in
-   its write-set. *)
-let slot_of tr key = Array.find_opt (fun s -> Key.equal s.key key) tr.tx_slots
-
-(* The update of an option no replica has reported.  A physical update
-   with an impossible read version: as a proposal it is deterministically
-   rejected, and a committed Visibility carrying it is refused. *)
-let unknown_update = Update.Physical { vread = -1; value = Value.empty }
-
-(* The option of [key] when no replica has ever reported it: proposed, it
-   seals the instance and makes the abort durable; in a Visibility, it
-   voids the key or, committed, is refused. *)
-let unknown_option t tr key =
-  { Woption.txid = tr.tx_id; key; update = unknown_update; write_set = tr.tx_keys;
-    coordinator = t.id }
 
 let rec master_phase2b t ~src key txid ballot ok =
   let ms = mstate t key in
@@ -538,109 +501,70 @@ and resolve_recovery t key rc =
 (* ------------------------------------------------------------------ *)
 
 and txn_recovery_learned t txid key decision =
-  match Hashtbl.find_opt t.recoveries txid with
-  | Some tr when not tr.tx_done -> (
-    match slot_of tr key with
-    | Some s when Option.is_none s.learned ->
-      s.learned <- Some (decision = Woption.Accepted);
-      evaluate_txn_recovery t tr
-    | Some _ | None -> ())
-  | Some _ | None -> ()
+  match Hashtbl.find t.recoveries txid with
+  | exception Not_found -> ()
+  | d ->
+    let i = Txn_decision.find d key in
+    if i >= 0 then txn_recovery_step t txid d i (Txn_decision.learn d i decision)
 
-(* The learned-all rule: once every key is decided, by its master or else
-   by a fast quorum of reported votes, the transaction committed iff every
-   key accepted.  Until then, escalate each undecided key to its master,
-   once, after a classic quorum of replies for it. *)
-and evaluate_txn_recovery t tr =
-  let fq = Config.fast_quorum t.config in
-  let decision s = match s.learned with None -> Quorum.Tally.decided s.heard ~quorum:fq | d -> d in
-  if Array.for_all (fun s -> Option.is_some (decision s)) tr.tx_slots then
-    finish_txn_recovery t tr (Array.for_all (fun s -> decision s = Some true) tr.tx_slots)
-  else
-    Array.iter
-      (fun s ->
-        if Option.is_none (decision s) && (not s.asked)
-           && Quorum.Tally.replies s.heard >= qc t
-        then begin
-          s.asked <- true;
-          let w = match s.opt with Some w -> w | None -> unknown_option t tr s.key in
-          let master = t.master_of s.key in
-          if master = t.id then master_propose t w ~notify:[ t.id ]
-          else send t master (Messages.Start_recovery { key = s.key; woption = w })
-        end)
-      tr.tx_slots
+and txn_recovery_step t txid d i = function
+  | Txn_decision.Pending -> ()
+  | Txn_decision.Escalate | Txn_decision.Collided ->
+    let w = Txn_decision.option d i in
+    let key = w.Woption.key in
+    let target = Txn_decision.target d i ~master:(t.master_of key) in
+    if target = t.id then master_propose t w ~notify:[ t.id ]
+    else send t target (Messages.Start_recovery { key; woption = w })
+  | Txn_decision.Decided outcome -> finish_txn_recovery t txid d (outcome = Txn.Committed)
 
-and finish_txn_recovery t tr committed =
-  tr.tx_done <- true;
-  if live t then emit t (Event.Txn_recovery_finished { txid = tr.tx_id; committed });
-  Array.iter
-    (fun s ->
-      let w = match s.opt with Some w -> w | None -> unknown_option t tr s.key in
-      fan_out t
-        (Messages.Visibility { woption = w; committed })
-        (fun () -> visibility t tr.tx_id s.key w.Woption.update committed)
-        (t.replicas s.key))
-    tr.tx_slots
+(* Issue the Visibilities on the dead coordinator's behalf.  A key no
+   reply reported yet takes this node's own pending option, if it holds
+   one: its own status reply may still be on its way, and the placeholder
+   would make this node refuse its own option. *)
+and finish_txn_recovery t txid d committed =
+  Hashtbl.remove t.recoveries txid;
+  if live t then emit t (Event.Txn_recovery_finished { txid; committed });
+  for i = 0 to Txn_decision.length d - 1 do
+    let key = (Txn_decision.option d i).Woption.key in
+    (match Acceptor.status t.acceptor txid key with
+    | Messages.Status_pending v -> Txn_decision.fill d i v.Messages.woption
+    | Messages.Status_decided _ | Messages.Status_unknown -> ());
+    let w = Txn_decision.option d i in
+    fan_out t
+      (Messages.Visibility { woption = w; committed })
+      (fun () -> visibility t txid key w.Woption.update committed)
+      (Txn_decision.replicas d i)
+  done
 
 let start_txn_recovery t (w : Woption.t) =
-  if not (Hashtbl.mem t.recoveries w.Woption.txid) then begin
-    let slot key =
-      { key; opt = (if Key.equal key w.Woption.key then Some w else None);
-        heard = Quorum.Tally.empty; learned = None; asked = false }
-    in
-    let tr =
-      {
-        tx_id = w.Woption.txid;
-        tx_keys = w.Woption.write_set;
-        tx_slots = Array.of_list (List.map slot w.Woption.write_set);
-        tx_done = false;
-      }
-    in
-    Hashtbl.replace t.recoveries w.Woption.txid tr;
-    if live t then
-      emit t (Event.Txn_recovery_started { txid = w.Woption.txid; keys = List.length tr.tx_keys });
+  let txid = w.Woption.txid in
+  if not (Hashtbl.mem t.recoveries txid) then begin
+    let d = Txn_decision.of_option ~replicas:t.replicas ~self:t.id w in
+    Hashtbl.replace t.recoveries txid d;
+    if live t then emit t (Event.Txn_recovery_started { txid; keys = Txn_decision.length d });
     List.iter
       (fun key ->
         fan_out t
-          (Messages.Status_query { txid = w.Woption.txid; key })
-          (fun () -> status_query t ~src:t.id w.Woption.txid key)
+          (Messages.Status_query { txid; key })
+          (fun () -> status_query t ~src:t.id txid key)
           (t.replicas key))
-      tr.tx_keys;
+      w.Woption.write_set;
     (* If recovery stalls (failed replicas), forget it so a later scan can
        retry from scratch with fresh messages. *)
     ignore
       (Runtime.set_timer t.runtime ~after:(3.0 *. t.config.Config.txn_timeout) (fun () ->
-           match Hashtbl.find_opt t.recoveries w.Woption.txid with
-           | Some tr' when tr' == tr && not tr.tx_done ->
-             Hashtbl.remove t.recoveries w.Woption.txid
-           | Some _ | None -> ()))
+           match Hashtbl.find t.recoveries txid with
+           | d' when d' == d -> Hashtbl.remove t.recoveries txid
+           | (_ : Txn_decision.t) | (exception Not_found) -> ()))
   end
 
-(* Fold a replica's status reply into its key's slot, once per replica.
-   A decided reply settles the whole transaction at once. *)
+(* Step a replica's status reply on its key's slot. *)
 let txn_recovery_status t txid key status acceptor =
-  match Hashtbl.find_opt t.recoveries txid with
-  | Some tr when not tr.tx_done -> (
-    match slot_of tr key with
-    | Some s ->
-      let pos = Quorum.position acceptor (t.replicas key) in
-      let heard =
-        match status with
-        | Messages.Status_pending v ->
-          Quorum.Tally.vote s.heard ~pos ~ok:(v.Messages.decision = Woption.Accepted)
-        | Messages.Status_decided _ | Messages.Status_unknown -> Quorum.Tally.reply s.heard ~pos
-      in
-      if heard <> s.heard then begin
-        s.heard <- heard;
-        match status with
-        | Messages.Status_decided committed -> finish_txn_recovery t tr committed
-        | Messages.Status_pending v ->
-          if Option.is_none s.opt then s.opt <- Some v.Messages.woption;
-          evaluate_txn_recovery t tr
-        | Messages.Status_unknown -> evaluate_txn_recovery t tr
-      end
-    | None -> ())
-  | Some _ | None -> ()
+  match Hashtbl.find t.recoveries txid with
+  | exception Not_found -> ()
+  | d ->
+    let i = Txn_decision.find d key in
+    if i >= 0 then txn_recovery_step t txid d i (Txn_decision.status t.config d i ~acceptor status)
 
 (* Periodic scan for pending options whose coordinator went silent.  The
    record's master reacts after one timeout; other replicas after three, so
@@ -657,14 +581,14 @@ let scan_dangling t =
     Runtime.now_into t.runtime t.now;
     if Acceptor.any_record t.stale_walk t.acceptor then begin
       let now = t.now and timeout = t.config.Config.txn_timeout in
-      let recovering (w : Woption.t) = Hashtbl.mem t.recoveries w.Woption.txid in
       let stale_in key (rs : Acceptor.t) =
         (* The shortest deadline first: it settles almost every record
            without computing the record's master. *)
         if not (Acceptor.any_older rs ~now timeout) then None
         else begin
           let limit = timeout *. if t.master_of key = t.id then 1.0 else 3.0 in
-          match List.filter (fun w -> not (recovering w)) (Acceptor.older_than rs ~now limit) with
+          let open_here (w : Woption.t) = Acceptor.outcome t.acceptor rs w.Woption.txid = None in
+          match List.filter open_here (Acceptor.older_than rs ~now limit) with
           | [] -> None
           | stale -> Some stale
         end
@@ -857,6 +781,8 @@ let load t rows =
     rows
 
 let pending_options t = Acceptor.pending_options t.acceptor
+
+let recovering t = Hashtbl.length t.recoveries
 
 (* Anti-entropy sweep: send every node in [targets key] other than us one
    Sync_request with our (key, version, digest) for each key we hold that

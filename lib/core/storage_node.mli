@@ -31,7 +31,8 @@
        died, §3.2.3), reconstructs the write-set from the option itself,
        quorum-reads every key's status, forces undecided instances through
        the master, and issues the final Visibility on the dead coordinator's
-       behalf.}}
+       behalf.  The decision is a {!Txn_decision}, stepped with each status
+       reply and learn, as the coordinator steps its own.}}
 
     The master, the recovery agent and anti-entropy read and change the
     acceptor's state only through {!Acceptor}'s queries and steps. *)
@@ -73,6 +74,10 @@ val load : t -> (Key.t * Value.t) list -> unit
 
 val pending_options : t -> int
 (** Outstanding (undecided-visibility) options across all records. *)
+
+val recovering : t -> int
+(** Dangling transactions this node is recovering: started and not yet
+    decided or forgotten (diagnostics). *)
 
 val sync_with_masters : t -> unit
 (** Anti-entropy sweep: probe the master of every key this node holds with

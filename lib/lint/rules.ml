@@ -145,9 +145,11 @@ let rec type_mutability (env : env) ~current_module visited (ct : core_type) : s
    [exit] there is an effect the replayer cannot see.  The sanctioned homes
    for OS ambience are lib/runtime_unix and bin/; lib/obs's one clock,
    [Mdcc_obs.Clock], is carved out by a file-scoped lint_allow.conf entry.
-   [R6-runtime] goes one step further in lib/core/acceptor.ml, which takes
-   the time as an argument and answers verdicts: no runtime, outbox,
-   context, counter or event there, so a test can step it alone. *)
+   [R6-runtime] goes one step further in the step modules,
+   lib/core/acceptor.ml and lib/core/txn_decision.ml, which take the time
+   as an argument where they need it and answer verdicts: no runtime,
+   outbox, context, counter or event there, so a test can step them
+   alone. *)
 
 type ident_rule = {
   id : string;
@@ -222,7 +224,7 @@ let ident_rules =
       "process exit in the deterministic core; raise a structured error instead" (stdlib [ "exit" ]);
     rule ~shadowable:true "R6-channel" channel_io (stdlib channel_prims);
     rule "R6-runtime"
-      "runtime, send, count or emit in the acceptor; answer a verdict its driver acts on"
+      "runtime, send, count or emit in a step module; answer a verdict its driver acts on"
       (function
       | _ :: ("Runtime" | "Outbox" | "Ctx" | "Obs" | "Event") :: _ -> true
       | _ -> false);

@@ -28,7 +28,8 @@ let rule_help rule =
   | "R5-mutate" -> "Task closure mutates a captured variable; it races across domains."
   | "R6-unix" | "R6-sys" | "R6-channel" | "R6-print" | "R6-exit" ->
     "Direct OS/channel effect in the deterministic core; route it through Runtime.t."
-  | "R6-runtime" -> "Runtime, send, count or emit in the acceptor; answer a verdict instead."
+  | "R6-runtime" ->
+    "Runtime, send, count or emit in a step module; answer a verdict instead."
   | "R7-unhandled" ->
     "Payload dispatch wildcard silently drops constructors of its own message family."
   | r -> Printf.sprintf "mdcc_lint rule family %s." (Finding.family r)

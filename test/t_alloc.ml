@@ -650,7 +650,7 @@ let test_settled_votes () =
   Alcotest.(check (float 0.0)) "settling the only vote costs what no vote does" unvoted settle
 
 (* Each acceptor step alone, with no runtime, on warm records and a warm
-   vote pool: ROADMAP item 5's acceptor line.  A fast vote and a classic
+   vote pool: ROADMAP item 13's acceptor line.  A fast vote and a classic
    Phase 2a vote allocate nothing (the verdicts are constants and the
    votes come from the pool); a committed Visibility allocates its
    applied-set insert and the delta's new row value, 20 words.  A Phase
@@ -800,6 +800,37 @@ let test_number_formatting () =
   in
   Alcotest.(check (float 0.0)) "words per rendered hit" 0.0 w
 
+(* A transaction decision stepped alone, with no runtime: on a warm
+   decision, fast votes that count, repeat, decide and collide allocate
+   nothing, since each verdict is a constant and a learned decision is a
+   shared [Some]. *)
+let test_decision_vote () =
+  let module Txn_decision = Mdcc_core.Txn_decision in
+  let config = Config.make ~replication:5 () in
+  let n = 100 in
+  let decision i =
+    Txn_decision.of_txn ~replicas:(fun _ -> replicas) ~coordinator:9
+      (Txn.make ~id:(Printf.sprintf "w%03d" i) ~updates:[ (key, Update.Delta [ ("stock", -1) ]) ])
+  in
+  let deciding = Array.init n decision and colliding = Array.init n decision in
+  let vote d acceptor decision = Txn_decision.fast_vote config d 0 ~acceptor decision in
+  let w =
+    words (fun () ->
+        for i = 0 to n - 1 do
+          for acceptor = 0 to 3 do
+            ignore (vote deciding.(i) acceptor Woption.Accepted);
+            ignore (vote deciding.(i) acceptor Woption.Accepted)
+          done;
+          for acceptor = 0 to 3 do
+            ignore (vote colliding.(i) acceptor (Woption.of_ok (acceptor < 2)))
+          done
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words per vote step" 0.0 (w /. Float.of_int (12 * n));
+  Alcotest.(check bool) "every deciding one learned, every colliding one escalated" true
+    (Array.for_all (fun d -> Txn_decision.learned d 0 = Some Woption.Accepted) deciding
+    && Array.for_all (fun d -> not (Txn_decision.fast_path d)) colliding)
+
 let suite =
   [
     Alcotest.test_case "no consumer: decide, vote, visibility" `Quick test_no_consumer;
@@ -819,6 +850,8 @@ let suite =
       test_window_route;
     Alcotest.test_case "a settled vote allocates only its reply" `Quick test_settled_votes;
     Alcotest.test_case "acceptor steps alone, in words per step" `Quick test_acceptor_steps;
+    Alcotest.test_case "a vote step on a warm decision allocates nothing" `Quick
+      test_decision_vote;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "small applied-set insert is O(log n)" `Quick test_small_applied_insert;
     Alcotest.test_case "hot-record visibility is O(1)" `Quick test_hot_visibility_constant;

@@ -464,7 +464,53 @@ let test_dangling_recovery_fold () =
   Alcotest.(check (list string)) "finished once each"
     [ "txn recovery a -> commit"; "txn recovery b -> commit"; "txn recovery c -> abort" ]
     (List.rev
-       (List.filter (fun l -> contains ~needle:"txn recovery " l && contains ~needle:"->" l) !lines))
+       (List.filter (fun l -> contains ~needle:"txn recovery " l && contains ~needle:"->" l) !lines));
+  Alcotest.(check int) "every decided recovery leaves the table" 0 (Storage_node.recovering node)
+
+(* Node 0 holds fast votes for both options of "a" (items 0 and 1) from
+   a silent coordinator 9.  One scan recovers "a" from item 1's option;
+   node 0's status replies to itself are held back, and replica 1's
+   report that "a" committed arrives first, so the recovery finishes with
+   no reply for item 0.  Node 0 then issues its own pending option for
+   item 0, not the placeholder, and executes it. *)
+let test_early_finish_own_option () =
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let { node; handle; drain; lines; clock; timers } =
+    scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) ()
+  in
+  Storage_node.load node [ (item 0, item_row 10); (item 1, item_row 10) ];
+  let opt i =
+    { Woption.txid = "a"; key = item i; update = Update.Delta [ ("stock", -1) ];
+      write_set = [ item 0; item 1 ]; coordinator = 9 }
+  in
+  List.iter (fun i -> handle ~src:9 (Messages.Propose { woption = opt i; route = `Fast })) [ 0; 1 ];
+  clock := 1e9;
+  Storage_node.start_maintenance node;
+  (List.hd !timers) ();
+  Alcotest.(check int) "one recovery" 1 (Storage_node.recovering node);
+  ignore (drain ());
+  handle ~src:1
+    (Messages.Status_reply
+       { txid = "a"; key = item 1; status = Messages.Status_decided true; acceptor = 1 });
+  let sent =
+    List.filter_map
+      (fun (dst, p) ->
+        match p with
+        | Messages.Visibility { woption = w; committed } when dst = 1 ->
+          let proposed = w.Woption.update = Update.Delta [ ("stock", -1) ] in
+          Some (Key.to_string w.Woption.key, proposed, committed)
+        | _ -> None)
+      (drain ())
+  in
+  Alcotest.(check (list (triple string bool bool)))
+    "both options, committed" [ ("item/0", true, true); ("item/1", true, true) ] sent;
+  Alcotest.(check (list string)) "no refusal of its own option" []
+    (List.filter (fun l -> contains ~needle:"unknown update" l) !lines);
+  Alcotest.(check int) "both executed here" 0 (Storage_node.pending_options node);
+  Alcotest.(check int) "item 0 written" 9
+    (Value.get_int (Store.ensure (Storage_node.store node) (item 0)).Store.value "stock");
+  Alcotest.(check int) "the table is empty" 0 (Storage_node.recovering node)
 
 (* A stable master (Multi mode) of item 0 at its implicit classic ballot,
    replicas 0-4: node 0 is scripted, every other replica is played by the
@@ -1026,6 +1072,8 @@ let suite =
     Alcotest.test_case "quorum lost then restored" `Quick test_quorum_lost_then_restored;
     Alcotest.test_case "master recovery fold" `Quick test_recovery_fold;
     Alcotest.test_case "dangling recovery fold" `Quick test_dangling_recovery_fold;
+    Alcotest.test_case "an early finish issues its own option" `Quick
+      test_early_finish_own_option;
     Alcotest.test_case "re-proposed queued option runs one round" `Quick
       test_requeued_option_one_round;
     Alcotest.test_case "classic round acks" `Quick test_classic_round_acks;

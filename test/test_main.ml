@@ -6,6 +6,7 @@ let () =
       ("paxos", T_paxos.suite);
       ("storage", T_storage.suite);
       ("rstate", T_rstate.suite);
+      ("decision", T_decision.suite);
       ("protocol", T_protocol.suite);
       ("recovery", T_recovery.suite);
       ("stress", T_stress.suite);
