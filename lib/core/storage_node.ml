@@ -4,36 +4,6 @@ module Rng = Mdcc_util.Rng
 module Table = Mdcc_util.Table
 module Obs = Mdcc_obs.Obs
 
-(* A classic Phase 2 round this master is running for one option. *)
-type round = {
-  r_opt : Woption.t;
-  r_dec : Woption.decision;
-  r_ballot : Ballot.t;
-  mutable r_votes : Quorum.tally;  (* the acks that arrived at [r_ballot] *)
-  mutable r_notify : int list;
-}
-
-(* An option waiting for the master's earlier rounds to finish. *)
-type queued = { q_opt : Woption.t; mutable q_notify : int list }
-
-(* Collision recovery / mastership acquisition in progress for one record. *)
-type recovery = {
-  mutable rc_ballot : Ballot.t;
-  mutable rc_resp : (int * Messages.promise) list;  (* (acceptor, its Phase 1b promise) *)
-  mutable rc_extras : Woption.t list;
-  mutable rc_notify : int list;
-}
-
-(* Master-role state for one record. *)
-type mstate = {
-  m_key : Key.t;
-  mutable m_led : Ballot.t option;
-  mutable m_highest : int;
-  mutable m_rounds : round list;
-  mutable m_queue : queued list;
-  mutable m_recovery : recovery option;
-}
-
 type t = {
   runtime : Runtime.t;
   config : Config.t;
@@ -42,7 +12,7 @@ type t = {
   master_of : Key.t -> int;
   store : Store.t;
   acceptor : Acceptor.node;  (* every record's acceptor state *)
-  masters : mstate Key.Tbl.t;
+  masters : Leader.t Key.Tbl.t;  (* each record's master state, made by its first master step *)
   recoveries : (Txn.id, Txn_decision.t) Hashtbl.t;  (* dangling transactions being recovered *)
   rng : Rng.t;
   obs : Obs.t;
@@ -68,22 +38,13 @@ let store t = t.store
 
 let record t key = Acceptor.record t.acceptor key
 
-let mstate t key =
+let leader t key =
   match Key.Tbl.find t.masters key with
-  | ms -> ms
+  | l -> l
   | exception Not_found ->
-    let led =
-      (* In Multi mode the statically-assigned master owns an implicit
-         classic ballot from the start (stable master, Phase 1 skipped). *)
-      if t.config.Config.mode = Config.Multi && t.master_of key = t.id then
-        Some (Ballot.classic ~number:1 ~proposer:t.id)
-      else None
-    in
-    let ms =
-      { m_key = key; m_led = led; m_highest = 1; m_rounds = []; m_queue = []; m_recovery = None }
-    in
-    Key.Tbl.add t.masters key ms;
-    ms
+    let l = Leader.create t.config ~self:t.id ~master_of:t.master_of key in
+    Key.Tbl.add t.masters key l;
+    l
 
 let send t dst payload = Outbox.send t.outbox dst payload
 
@@ -176,66 +137,84 @@ let status_query t ~src txid key =
   send t src (Messages.Status_reply { txid; key; status; acceptor = t.id })
 
 (* ------------------------------------------------------------------ *)
-(* Master role                                                         *)
+(* Master role: step the record's leader, then send, count and emit     *)
 (* ------------------------------------------------------------------ *)
 
 let qc t = Config.classic_quorum t.config
-
-(* [a] with each member of [b] it lacks consed onto its front, one at a
-   time in [b]'s order. *)
-let union a b = List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) a b
-
-let new_round w dec ballot notify =
-  { r_opt = w; r_dec = dec; r_ballot = ballot; r_votes = Quorum.Tally.empty; r_notify = notify }
-
-(* The round running for [txid], first in the list; raises [Not_found].
-   This and the scanners below are top-level so that finding, joining or
-   dropping a round allocates no closure and no option. *)
-let rec find_round txid = function
-  | [] -> raise_notrace Not_found
-  | r :: rest -> if String.equal r.r_opt.Woption.txid txid then r else find_round txid rest
-
-let rec find_queued txid = function
-  | [] -> raise_notrace Not_found
-  | q :: rest -> if String.equal q.q_opt.Woption.txid txid then q else find_queued txid rest
-
-(* The list without [r]: only the cells before it are copied. *)
-let rec without r = function
-  | [] -> []
-  | r' :: rest -> if r' == r then rest else r' :: without r rest
 
 (* Whether [dst] occurs in [all] before its cell [here]. *)
 let rec occurs_before dst all here =
   all != here && match all with [] -> false | x :: rest -> x = dst || occurs_before dst rest here
 
-let rec master_phase2b t ~src key txid ballot ok =
-  let ms = mstate t key in
-  match find_round txid ms.m_rounds with
-  | exception Not_found -> ()
-  | r ->
-    if not (Ballot.equal r.r_ballot ballot) then ()
-    else if ok then begin
-      let pos = Quorum.position src (t.replicas key) in
-      let votes = Quorum.Tally.vote r.r_votes ~pos ~ok:true in
-      if votes <> r.r_votes then begin
-        r.r_votes <- votes;
-        if Quorum.Tally.acks votes >= qc t then begin
-          ms.m_rounds <- without r ms.m_rounds;
-          announce t key r.r_opt r.r_notify r.r_dec;
-          Obs.incr t.obs "classic_learned";
-          if live t then emit t (Event.Classic_learned { txid; key; decision = r.r_dec });
-          process_queue t key
-        end
-      end
-    end
-    else begin
-      (* Someone holds a higher ballot: step down and re-decide the option
-         through full recovery. *)
-      ms.m_highest <- Stdlib.max ms.m_highest ballot.Ballot.number;
-      ms.m_led <- None;
-      ms.m_rounds <- without r ms.m_rounds;
-      start_recovery t key ~extras:[ r.r_opt ] ~notify:r.r_notify
-    end
+(* Act on a leader step's verdict, reading the rest back from [l]. *)
+let rec lead t key l = function
+  | Leader.Pending -> ()
+  | Leader.Outcome _ -> () (* only a propose answers it: [master_propose] announces it *)
+  | Leader.Round reason ->
+    count_verdict t reason;
+    broadcast_phase2a t key (Leader.ballot l) (Leader.option l) (Acceptor.decision_of reason)
+      ~classic_until:(Acceptor.classic_until (record t key)) ~rebase:None
+  | Leader.Learned ->
+    let decision = Leader.decision l and w = Leader.option l in
+    announce t key w (Leader.notify l) decision;
+    Obs.incr t.obs "classic_learned";
+    if live t then emit t (Event.Classic_learned { txid = w.Woption.txid; key; decision });
+    dequeue t key l
+  | Leader.Phase1 ->
+    Obs.incr t.obs "recovery_start";
+    if live t then
+      emit t (Event.Master_recovery_started { key; ballot = (Leader.ballot l).Ballot.number });
+    redrive t key l
+  | Leader.Redrive -> redrive t key l
+  | Leader.Phase1a -> broadcast_phase1a t key l
+  | Leader.Nacked ->
+    (* Back off, then retry above the promise. *)
+    let a = Leader.attempt l in
+    let backoff = 20.0 +. Rng.float t.rng 150.0 in
+    ignore
+      (Runtime.set_timer t.runtime ~after:backoff (fun () -> lead t key l (Leader.backoff l a)))
+  | Leader.Resolved v ->
+    (* Options already executed: just tell everyone who asked.  Then the
+       Phase2a's of every undecided option, at the new classic ballot. *)
+    let notify = Leader.waiting (Leader.attempt l) and ballot = Leader.ballot l in
+    count_repair t v.Acceptor.rebased;
+    List.iter (fun (w, c) -> announce_outcome t key w notify c) v.Acceptor.known;
+    List.iter
+      (fun ((w : Woption.t), d) ->
+        broadcast_phase2a t key ballot w d ~classic_until:v.Acceptor.window
+          ~rebase:(Some v.Acceptor.rebase))
+      v.Acceptor.outcomes;
+    if live t then
+      emit t
+        (Event.Master_recovery_resolved
+           { key; options = List.length v.Acceptor.outcomes; forced = v.Acceptor.forced;
+             free = v.Acceptor.free })
+
+(* After a learned round: start every queued option that can run now. *)
+and dequeue t key l =
+  match Leader.dequeue l t.acceptor (record t key) with
+  | Leader.Pending -> ()
+  | verdict ->
+    lead t key l verdict;
+    dequeue t key l
+
+and master_propose t (w : Woption.t) ~notify =
+  let key = w.Woption.key in
+  let l = leader t key in
+  match Leader.propose l t.acceptor (record t key) t.store ~self:t.id w ~notify with
+  | Leader.Outcome committed -> announce_outcome t key w notify committed
+  | verdict -> lead t key l verdict
+
+and master_phase2b t ~src key txid ballot ok =
+  let l = leader t key in
+  lead t key l
+    (Leader.ack l ~self:t.id ~quorum:(qc t) ~replicas:(t.replicas key) ~src txid ballot ~ok)
+
+and master_phase1b t ~src key ballot ~ok ~promised promise =
+  let l = leader t key in
+  lead t key l
+    (Leader.promise l t.acceptor (record t key) ~self:t.id ~quorum:(qc t)
+       ~replicas:(t.replicas key) ~src ballot ~ok ~promised promise)
 
 (* Tell everyone in [notify] and then the option's coordinator the
    decision, each once and in the order of [union [coordinator] notify]:
@@ -305,119 +284,20 @@ and acceptor_phase2a t ~master key ballot (w : Woption.t) decision classic_until
   if master = t.id then master_phase2b t ~src:t.id key txid promised ok
   else send t master (Messages.Phase2b_master { key; txid; ballot = promised; ok })
 
-(* Stable-master classic round: validate with escrow against our own state
-   (our own pendings mirror every in-flight classic option) and replicate the
-   decision. *)
-and start_round t key (w : Woption.t) ~notify =
-  let ms = mstate t key in
-  match ms.m_led with
-  | None -> start_recovery t key ~extras:[ w ] ~notify
-  | Some ballot ->
-    let rs = record t key in
-    let reason = Acceptor.escrow t.acceptor rs w.Woption.update in
-    let decision = Acceptor.decision_of reason in
-    count_verdict t reason;
-    ms.m_rounds <- new_round w decision ballot notify :: ms.m_rounds;
-    broadcast_phase2a t key ballot w decision ~classic_until:(Acceptor.classic_until rs)
-      ~rebase:None
+(* Phase1a to everybody at the Phase 1's ballot, and a re-drive if it
+   stalls (lost messages, failed DC). *)
+and redrive t key l =
+  let a = Leader.attempt l in
+  broadcast_phase1a t key l;
+  let timeout = t.config.Config.learn_timeout +. Rng.float t.rng 200.0 in
+  ignore
+    (Runtime.set_timer t.runtime ~after:timeout (fun () ->
+         let l = leader t key in
+         lead t key l (Leader.redrive l ~self:t.id a)))
 
-and can_run_now t key (w : Woption.t) =
-  let ms = mstate t key in
-  ms.m_recovery = None
-  && (ms.m_rounds = []
-     || (Update.is_commutative w.Woption.update
-        && List.for_all (fun r -> Update.is_commutative r.r_opt.Woption.update) ms.m_rounds))
-
-and process_queue t key =
-  let ms = mstate t key in
-  match ms.m_queue with
-  | [] -> ()
-  | q :: rest ->
-    if ms.m_recovery = None && ms.m_led <> None && can_run_now t key q.q_opt then begin
-      ms.m_queue <- rest;
-      start_round t key q.q_opt ~notify:q.q_notify;
-      process_queue t key
-    end
-
-and master_propose t (w : Woption.t) ~notify =
-  let key = w.Woption.key in
-  let txid = w.Woption.txid in
-  let ms = mstate t key in
-  let rs = record t key in
-  match Acceptor.outcome t.acceptor rs txid with
-  | Some committed -> announce_outcome t key w notify committed
-  | None -> (
-    match find_round txid ms.m_rounds with
-    | r -> r.r_notify <- union r.r_notify notify
-    | exception Not_found -> (
-      match (ms.m_recovery, Acceptor.mem_pending rs txid) with
-      | Some _, _ | None, true ->
-        (* Join the recovery in progress.  Or a local vote for the option
-           exists — fast, or classic from a round we no longer track.
-           Either way a vote is not a decision (the round may have died
-           short of a quorum), and re-running a fresh round against our own
-           state would have the option conflicting with its own pending
-           vote.  Recovery reads a quorum and classifies the vote
-           correctly. *)
-        start_recovery t key ~extras:[ w ] ~notify
-      | None, false ->
-        let row = Store.ensure t.store key in
-        let era_classic = Acceptor.in_classic_era rs ~version:row.Store.version in
-        if ms.m_led <> None && era_classic then begin
-          if ms.m_queue = [] && can_run_now t key w then start_round t key w ~notify
-          else
-            (* A re-proposal of a queued option joins its entry, as one of
-               a running round joins the round: queued twice, it would run
-               two rounds at one ballot. *)
-            match find_queued txid ms.m_queue with
-            | q -> q.q_notify <- union q.q_notify notify
-            | exception Not_found ->
-              ms.m_queue <- ms.m_queue @ [ { q_opt = w; q_notify = notify } ]
-        end
-        else start_recovery t key ~extras:[ w ] ~notify))
-
-(* Collision recovery: Phase 1 to everybody, then decide every pending
-   option safely and re-propose at a classic ballot. *)
-and start_recovery t key ~extras ~notify =
-  let ms = mstate t key in
-  match ms.m_recovery with
-  | Some rc ->
-    List.iter
-      (fun w ->
-        if not (List.exists (fun o -> String.equal o.Woption.txid w.Woption.txid) rc.rc_extras)
-        then rc.rc_extras <- w :: rc.rc_extras)
-      extras;
-    rc.rc_notify <- union rc.rc_notify notify
-  | None ->
-    ms.m_led <- None;
-    (* Fold any interrupted rounds and queued work into the recovery. *)
-    let extras =
-      extras
-      @ List.map (fun r -> r.r_opt) ms.m_rounds
-      @ List.map (fun q -> q.q_opt) ms.m_queue
-    in
-    let notify = union notify (List.concat_map (fun r -> r.r_notify) ms.m_rounds) in
-    let notify = union notify (List.concat_map (fun q -> q.q_notify) ms.m_queue) in
-    ms.m_rounds <- [];
-    ms.m_queue <- [];
-    ms.m_highest <- ms.m_highest + 1;
-    let rc =
-      {
-        rc_ballot = Ballot.classic ~number:ms.m_highest ~proposer:t.id;
-        rc_resp = [];
-        rc_extras = extras;
-        rc_notify = notify;
-      }
-    in
-    ms.m_recovery <- Some rc;
-    Obs.incr t.obs "recovery_start";
-    if live t then emit t (Event.Master_recovery_started { key; ballot = ms.m_highest });
-    broadcast_phase1a t key rc;
-    watch_recovery t key rc
-
-and broadcast_phase1a t key rc =
+and broadcast_phase1a t key l =
   Obs.incr t.obs "phase1_round";
-  let ballot = rc.rc_ballot in
+  let ballot = Leader.ballot l in
   fan_out t (Messages.Phase1a { key; ballot })
     (fun () -> acceptor_phase1a t ~master:t.id key ballot)
     (t.replicas key)
@@ -430,71 +310,6 @@ and acceptor_phase1a t ~master key ballot =
   let promised = Acceptor.promised rs and promise = Acceptor.promise t.acceptor rs in
   if master = t.id then master_phase1b t ~src:t.id key ballot ~ok ~promised promise
   else send t master (Messages.Phase1b { key; ballot; ok; promised; promise })
-
-(* Re-drive Phase 1 if the recovery stalls (lost messages, failed DC). *)
-and watch_recovery t key rc =
-  let timeout = t.config.Config.learn_timeout +. Rng.float t.rng 200.0 in
-  ignore
-    (Runtime.set_timer t.runtime ~after:timeout (fun () ->
-         let ms = mstate t key in
-         match ms.m_recovery with
-         | Some rc' when rc' == rc ->
-           ms.m_highest <- ms.m_highest + 1;
-           rc.rc_ballot <- Ballot.classic ~number:ms.m_highest ~proposer:t.id;
-           rc.rc_resp <- [];
-           broadcast_phase1a t key rc;
-           watch_recovery t key rc
-         | Some _ | None -> ()))
-
-and master_phase1b t ~src key ballot ~ok ~promised promise =
-  let ms = mstate t key in
-  match ms.m_recovery with
-  | Some rc when Ballot.equal ballot rc.rc_ballot ->
-    if ok then begin
-      if not (List.mem_assoc src rc.rc_resp) then rc.rc_resp <- (src, promise) :: rc.rc_resp;
-      if List.length rc.rc_resp >= qc t then resolve_recovery t key rc
-    end
-    else begin
-      (* Nacked: someone promised higher; back off and retry above it. *)
-      ms.m_highest <- Stdlib.max ms.m_highest promised.Ballot.number;
-      ms.m_highest <- ms.m_highest + 1;
-      rc.rc_ballot <- Ballot.classic ~number:ms.m_highest ~proposer:t.id;
-      rc.rc_resp <- [];
-      let backoff = 20.0 +. Rng.float t.rng 150.0 in
-      ignore
-        (Runtime.set_timer t.runtime ~after:backoff (fun () ->
-             match ms.m_recovery with
-             | Some rc' when rc' == rc -> broadcast_phase1a t key rc
-             | Some _ | None -> ()))
-    end
-  | Some _ | None -> ()
-
-and resolve_recovery t key rc =
-  let ms = mstate t key in
-  let v =
-    Acceptor.resolve t.acceptor (record t key) ~promises:rc.rc_resp ~extras:rc.rc_extras
-      ~replicas:(t.replicas key)
-  in
-  count_repair t v.Acceptor.rebased;
-  (* Become the stable master. *)
-  ms.m_recovery <- None;
-  ms.m_led <- Some rc.rc_ballot;
-  (* Options already executed: just tell everyone who asked. *)
-  List.iter (fun (w, c) -> announce_outcome t key w rc.rc_notify c) v.Acceptor.known;
-  (* Re-propose every undecided option at the classic ballot. *)
-  List.iter
-    (fun (w, d) -> ms.m_rounds <- new_round w d rc.rc_ballot rc.rc_notify :: ms.m_rounds)
-    v.Acceptor.outcomes;
-  List.iter
-    (fun ((w : Woption.t), d) ->
-      broadcast_phase2a t key rc.rc_ballot w d ~classic_until:v.Acceptor.window
-        ~rebase:(Some v.Acceptor.rebase))
-    v.Acceptor.outcomes;
-  if live t then
-    emit t
-      (Event.Master_recovery_resolved
-         { key; options = List.length v.Acceptor.outcomes; forced = v.Acceptor.forced;
-           free = v.Acceptor.free })
 
 (* ------------------------------------------------------------------ *)
 (* Dangling-transaction recovery (app-server failure, §3.2.3)          *)

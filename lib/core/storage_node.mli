@@ -16,16 +16,19 @@
        sends, counts and emits from its verdict.  A Phase1a or Phase2a
        from the node's own master is answered by a direct call, not a
        message;}
-    {- {b Master} — for records whose mastership maps here: the stable
-       classic path (Multi-Paxos, Phase 1 skipped) serializing physical
+    {- {b Master} — one {!Leader} per record the node masters or
+       recovers, stepped once per input: a classic proposal, a Phase2b, a
+       Phase1b and the two Phase 1 timers.  The leader runs the stable
+       classic path (Multi-Paxos, Phase 1 skipped), serializing physical
        options and pipelining commutative ones with escrow validation, and
        {e collision recovery}: Phase1a to all replicas, re-driven on
        silence or a nack, then one {!Acceptor.resolve} step over a classic
        quorum's promises, which computes the safe decision for every
        pending option from the Fast Paxos intersection rule and imposes
-       [classic_until = version + γ] on the master's own record; the
-       master announces what is already decided and re-proposes the rest
-       via classic Phase2a with a re-base of straggler replicas;}
+       [classic_until = version + γ] on the master's own record.  From the
+       leader's verdicts the node sends the Phase1a's and Phase2a's (the
+       latter through {!Epoch}), announces what is already decided, draws
+       the timers' jitter, arms them, counts and emits;}
     {- {b Recovery agent} — a periodic scan detects pending options older
        than the transaction timeout (a dangling transaction whose app-server
        died, §3.2.3), reconstructs the write-set from the option itself,
@@ -34,7 +37,7 @@
        behalf.  The decision is a {!Txn_decision}, stepped with each status
        reply and learn, as the coordinator steps its own.}}
 
-    The master, the recovery agent and anti-entropy read and change the
+    The leaders, the recovery agent and anti-entropy read and change the
     acceptor's state only through {!Acceptor}'s queries and steps. *)
 
 open Mdcc_storage

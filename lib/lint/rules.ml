@@ -146,7 +146,7 @@ let rec type_mutability (env : env) ~current_module visited (ct : core_type) : s
    for OS ambience are lib/runtime_unix and bin/; lib/obs's one clock,
    [Mdcc_obs.Clock], is carved out by a file-scoped lint_allow.conf entry.
    [R6-runtime] goes one step further in the step modules,
-   lib/core/acceptor.ml and lib/core/txn_decision.ml, which take the time
+   lib/core/acceptor.ml, leader.ml and txn_decision.ml, which take the time
    as an argument where they need it and answer verdicts: no runtime,
    outbox, context, counter or event there, so a test can step them
    alone. *)

@@ -26,9 +26,9 @@ let table =
     ("R4", [ "lib/" ]);
     (* The deterministic core, plus lib/obs, which runs inside the sweeps. *)
     ("R6", protocol_core @ [ "lib/obs/"; "lib/protocols/"; "lib/storage/"; "lib/wire/" ]);
-    (* The acceptor and a transaction's decision step without a runtime:
-       their drivers send, count and emit. *)
-    ("R6-runtime", [ "lib/core/acceptor.ml"; "lib/core/txn_decision.ml" ]);
+    (* The acceptor, the leader and a transaction's decision step without
+       a runtime: their drivers send, count and emit. *)
+    ("R6-runtime", [ "lib/core/acceptor.ml"; "lib/core/leader.ml"; "lib/core/txn_decision.ml" ]);
     (* The receivers whose silent drops would stall the commit protocol;
        lib/chaos matches payloads partially on purpose. *)
     ("R7", protocol_core @ [ "lib/protocols/" ]);

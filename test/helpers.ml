@@ -26,7 +26,8 @@ let item_row stock = Value.of_list [ ("stock", Value.Int stock) ]
    registered; [drain] returns the (destination, payload) sends since the
    last drain, in order; [clock] is the runtime's time, 0 until the test
    sets it; [timers] holds every armed timer callback, newest first, and
-   none fires unless the test calls it; [spawn] runs its thunk at once.
+   none fires unless the test calls it, and [delays] their delays in the
+   same order; [spawn] runs its thunk at once.
    With [trace], tracing is on and every rendered line goes to the sink;
    without it tracing is off and any line that reaches the runtime fails
    the test.  [~record:false] drops sends and timers unseen, so an
@@ -37,18 +38,22 @@ type scripted = {
   drain : unit -> (int * Mdcc_sim.Network.payload) list;
   clock : float ref;
   timers : (unit -> unit) list ref;
+  delays : float list ref;
 }
 
 let scripted_runtime ?(record = true) ?trace () =
   let handler = ref (fun ~src:_ _ -> ()) and sent = ref [] in
-  let clock = ref 0.0 and timers = ref [] in
+  let clock = ref 0.0 and timers = ref [] and delays = ref [] in
   let runtime =
     Mdcc_core.Runtime.make
       ~now:(fun () -> !clock)
       ~send:(fun ~src:_ ~dst payload -> if record then sent := (dst, payload) :: !sent)
       ~register:(fun _ h -> handler := h)
-      ~set_timer:(fun ~after:_ f ->
-        if record then timers := f :: !timers;
+      ~set_timer:(fun ~after f ->
+        if record then begin
+          timers := f :: !timers;
+          delays := after :: !delays
+        end;
         ignore)
       ~spawn:(fun f -> f ())
       ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
@@ -64,7 +69,7 @@ let scripted_runtime ?(record = true) ?trace () =
     sent := [];
     s
   in
-  { runtime; deliver = (fun ~src payload -> !handler ~src payload); drain; clock; timers }
+  { runtime; deliver = (fun ~src payload -> !handler ~src payload); drain; clock; timers; delays }
 
 (* Transaction [txid]'s option of [key], standing alone in its write-set. *)
 let option_of ?(update = Update.Delta []) ~txid key =

@@ -831,6 +831,43 @@ let test_decision_vote () =
     (Array.for_all (fun d -> Txn_decision.learned d 0 = Some Woption.Accepted) deciding
     && Array.for_all (fun d -> not (Txn_decision.fast_path d)) colliding)
 
+(* A leader's Phase 2b step alone, with no runtime: on [count] stable
+   masters with one round each, an ack that counts, a repeated ack, an ack
+   at another ballot and one for no round decide nothing and allocate
+   nothing, since each verdict is a constant and a tally an immediate. *)
+let test_leader_ack () =
+  let module Leader = Mdcc_core.Leader in
+  let config = Config.make ~mode:Config.Multi ~replication:5 () in
+  let schema = Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ] in
+  let store = Store.create schema in
+  let n = Acceptor.create_node ~config store and count = 100 in
+  let opts = Array.init count (fun i -> option_on i "a") in
+  let leaders =
+    Array.map
+      (fun (w : Woption.t) ->
+        let l = Leader.create config ~self:0 ~master_of:(fun _ -> 0) w.Woption.key in
+        let rs = Acceptor.record n w.Woption.key in
+        ignore (Leader.propose l n rs store ~self:0 w ~notify:[] : Leader.verdict);
+        l)
+      opts
+  in
+  let ballot = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:0
+  and other = Mdcc_paxos.Ballot.classic ~number:1 ~proposer:3 in
+  let ack l src txid ballot = Leader.ack l ~self:0 ~quorum:3 ~replicas ~src txid ballot ~ok:true in
+  let pending = ref 0 in
+  let w =
+    words (fun () ->
+        for i = 0 to count - 1 do
+          let l = leaders.(i) and txid = opts.(i).Woption.txid in
+          if ack l 1 txid ballot = Leader.Pending then incr pending;
+          if ack l 1 txid ballot = Leader.Pending then incr pending;
+          if ack l 2 txid other = Leader.Pending then incr pending;
+          if ack l 2 "none" ballot = Leader.Pending then incr pending
+        done)
+  in
+  Alcotest.(check int) "no step decided" (4 * count) !pending;
+  Alcotest.(check (float 0.0)) "words per ack step" 0.0 (w /. Float.of_int (4 * count))
+
 let suite =
   [
     Alcotest.test_case "no consumer: decide, vote, visibility" `Quick test_no_consumer;
@@ -852,6 +889,7 @@ let suite =
     Alcotest.test_case "acceptor steps alone, in words per step" `Quick test_acceptor_steps;
     Alcotest.test_case "a vote step on a warm decision allocates nothing" `Quick
       test_decision_vote;
+    Alcotest.test_case "a non-deciding leader ack allocates nothing" `Quick test_leader_ack;
     Alcotest.test_case "rng draws allocate only their return" `Quick test_rng_draws;
     Alcotest.test_case "small applied-set insert is O(log n)" `Quick test_small_applied_insert;
     Alcotest.test_case "hot-record visibility is O(1)" `Quick test_hot_visibility_constant;

@@ -259,7 +259,7 @@ let test_r6_ok () =
   let r = scan ~rel:"lib/core/r6_purity_ok.ml" "r6_purity_ok.ml" in
   Alcotest.(check (list hit)) "sprintf/asprintf/constants are pure" [] (hits r)
 
-(* R6-runtime: the acceptor and a transaction's decision reach no runtime,
+(* R6-runtime: the acceptor, the leader and a transaction's decision reach no runtime,
    outbox, context, counter or event, constructors included; the same file
    elsewhere in lib/core is R6-runtime's business no more. *)
 let test_r6_runtime () =
@@ -277,6 +277,9 @@ let test_r6_runtime () =
   Alcotest.(check (list hit))
     "the same findings in a transaction's decision" (hits r)
     (hits (scan ~rel:"lib/core/txn_decision.ml" "r6_runtime.ml"));
+  Alcotest.(check (list hit))
+    "the same findings in the leader" (hits r)
+    (hits (scan ~rel:"lib/core/leader.ml" "r6_runtime.ml"));
   let elsewhere = scan ~rel:"lib/core/storage_node.ml" "r6_runtime.ml" in
   Alcotest.(check (list hit)) "no findings outside the step modules" [] (hits elsewhere);
   let ok = scan ~rel:"lib/core/acceptor.ml" "r6_runtime_ok.ml" in

@@ -231,18 +231,19 @@ type scripted = {
   lines : string list ref;
   clock : float ref;
   timers : (unit -> unit) list ref;
+  delays : float list ref;  (* each timer's delay, in [timers]' order *)
 }
 
 let scripted_node ?mode ~replicas ~master_of () =
   let lines = ref [] in
-  let { Helpers.runtime; deliver; drain; clock; timers } =
+  let { Helpers.runtime; deliver; drain; clock; timers; delays } =
     Helpers.scripted_runtime ~trace:(fun ~tag:_ line -> lines := line :: !lines) ()
   in
   let node =
     Storage_node.create ~runtime ~config:(Config.make ?mode ~replication:5 ()) ~node_id:0
       ~schema:stock_schema ~replicas ~master_of ()
   in
-  { node; handle = deliver; drain; lines; clock; timers }
+  { node; handle = deliver; drain; lines; clock; timers; delays }
 
 let test_recovery_fold () =
   (* n = 5, f = 4: a Phase 1b quorum of 3 anchors a fast value with
@@ -365,7 +366,7 @@ let test_dangling_recovery_fold () =
   let module Messages = Mdcc_core.Messages in
   let module Woption = Mdcc_core.Woption in
   let master_of (k : Key.t) = 1 + (int_of_string k.Key.id mod 4) in
-  let { node; handle; drain; lines; clock; timers } =
+  let { node; handle; drain; lines; clock; timers; _ } =
     scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of ()
   in
   Storage_node.load node [ (item 0, item_row 10) ];
@@ -476,7 +477,7 @@ let test_dangling_recovery_fold () =
 let test_early_finish_own_option () =
   let module Messages = Mdcc_core.Messages in
   let module Woption = Mdcc_core.Woption in
-  let { node; handle; drain; lines; clock; timers } =
+  let { node; handle; drain; lines; clock; timers; _ } =
     scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) ()
   in
   Storage_node.load node [ (item 0, item_row 10); (item 1, item_row 10) ];
@@ -511,6 +512,49 @@ let test_early_finish_own_option () =
   Alcotest.(check int) "item 0 written" 9
     (Value.get_int (Store.ensure (Storage_node.store node) (item 0)).Store.value "stock");
   Alcotest.(check int) "the table is empty" 0 (Storage_node.recovering node)
+
+(* A known defect of ROADMAP item 2 (CHANGES.md's FOUND line on
+   [start_txn_recovery]).  Node 0 holds a fast vote from a silent
+   coordinator 9 and starts recovering it on the first scan; no status
+   reply ever comes.  The recovery keeps its entry, and since a node
+   starts no recovery of a transaction it already holds, every later
+   scan sends nothing, until the forget timer, armed at 3 x
+   [txn_timeout], drops the entry and the next scan starts over. *)
+let test_unanswered_recovery_blocks_rescans () =
+  let module Messages = Mdcc_core.Messages in
+  let s = scripted_node ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ]) ~master_of:(fun _ -> 1) () in
+  Storage_node.load s.node [ (item 0, item_row 10) ];
+  let w =
+    { Mdcc_core.Woption.txid = "a"; key = item 0; update = Update.Delta [ ("stock", -1) ];
+      write_set = [ item 0 ]; coordinator = 9 }
+  in
+  s.handle ~src:9 (Messages.Propose { woption = w; route = `Fast });
+  s.clock := 1e9;
+  Storage_node.start_maintenance s.node;
+  (* The scan tick re-arms itself after it runs, so it is always the
+     newest timer. *)
+  let queries () =
+    List.length
+      (List.filter (function _, Messages.Status_query _ -> true | _ -> false) (s.drain ()))
+  in
+  let tick () =
+    (List.hd !(s.timers)) ();
+    queries ()
+  in
+  Alcotest.(check int) "the first scan queries the four other replicas" 4 (tick ());
+  Alcotest.(check int) "one recovery" 1 (Storage_node.recovering s.node);
+  let forget_after = 3.0 *. (Config.make ~replication:5 ()).Config.txn_timeout in
+  let forget =
+    match List.filter (fun (d, _) -> d = forget_after) (List.combine !(s.delays) !(s.timers)) with
+    | [ (_, f) ] -> f
+    | _ -> Alcotest.fail "no single timer at 3 x txn_timeout"
+  in
+  Alcotest.(check (list int)) "known defect, item 2: every later scan skips it" [ 0; 0; 0; 0; 0 ]
+    (List.init 5 (fun _ -> tick ()));
+  Alcotest.(check int) "still held" 1 (Storage_node.recovering s.node);
+  forget ();
+  Alcotest.(check int) "forgotten" 0 (Storage_node.recovering s.node);
+  Alcotest.(check int) "the next scan starts over" 4 (tick ())
 
 (* A stable master (Multi mode) of item 0 at its implicit classic ballot,
    replicas 0-4: node 0 is scripted, every other replica is played by the
@@ -993,7 +1037,7 @@ let prop_dangling_scan_matches_model =
                      [ (3, pure None); (1, map Option.some (pair (int_range 0 3) bool)) ])))))
     (fun (node_id, opts) ->
       let master_of (k : Key.t) = int_of_string k.Key.id mod 2 in
-      let { Helpers.runtime; deliver; drain; clock; timers } = Helpers.scripted_runtime () in
+      let { Helpers.runtime; deliver; drain; clock; timers; _ } = Helpers.scripted_runtime () in
       let node =
         Storage_node.create ~runtime
           ~config:(Config.make ~replication:3 ~txn_timeout:(Float.of_int timeout) ())
@@ -1074,6 +1118,8 @@ let suite =
     Alcotest.test_case "dangling recovery fold" `Quick test_dangling_recovery_fold;
     Alcotest.test_case "an early finish issues its own option" `Quick
       test_early_finish_own_option;
+    Alcotest.test_case "known defect, item 2: an unanswered recovery blocks rescans" `Quick
+      test_unanswered_recovery_blocks_rescans;
     Alcotest.test_case "re-proposed queued option runs one round" `Quick
       test_requeued_option_one_round;
     Alcotest.test_case "classic round acks" `Quick test_classic_round_acks;

@@ -7,6 +7,7 @@ let () =
       ("storage", T_storage.suite);
       ("rstate", T_rstate.suite);
       ("decision", T_decision.suite);
+      ("leader", T_leader.suite);
       ("protocol", T_protocol.suite);
       ("recovery", T_recovery.suite);
       ("stress", T_stress.suite);
