@@ -372,40 +372,47 @@ let span_event =
           Ctx.emit stream applied
         done)
 
-(* 1,000 [keys]-key delta commits in [mode], submitted [together] at a
-   time and each group run to its end.  The cluster reports to its own
+(* A cluster in [mode] with 300 loaded items, its DC 0 app server and
+   1,000 [keys]-key delta transactions.  The cluster reports to its own
    registry, so the counters it creates on first use are its own whatever
    ran before it. *)
+let commits = 1_000
+
+let commit_fixture ?master_dc_of ~keys ~mode () =
+  let items = 300 in
+  let engine = Engine.create ~seed:13 in
+  let schema =
+    Schema.create
+      [
+        {
+          Schema.name = "item";
+          bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
+          master_dc = 0;
+        };
+      ]
+  in
+  let cluster =
+    Cluster.create ~engine ~spec:(Cluster.Spec.make ?master_dc_of ())
+      ~config:(Config.make ~mode ~replication:5 ())
+      ~ctx:(Ctx.make ~obs:(Obs.create ()) ())
+      ~schema ()
+  in
+  Cluster.load cluster
+    (List.init items (fun i -> (item i, Value.of_list [ ("stock", Value.Int 1_000_000) ])));
+  let txns =
+    Array.init commits (fun i ->
+        Txn.make ~id:(Printf.sprintf "t%05d" i)
+          ~updates:
+            (List.init keys (fun j ->
+                 (item (((keys * i) + j) mod items), Update.Delta [ ("stock", -1) ]))))
+  in
+  (engine, Cluster.coordinator cluster ~dc:0 ~rank:0, txns)
+
+(* The fixture's commits, submitted [together] at a time and each group
+   run to its end. *)
 let commit_section ?(keys = 3) ?(together = 1) ?master_dc_of name ~mode =
-  let commits = 1_000 and items = 300 in
   probe name commits (fun () ->
-      let engine = Engine.create ~seed:13 in
-      let schema =
-        Schema.create
-          [
-            {
-              Schema.name = "item";
-              bounds = [ { Schema.attr = "stock"; lower = Some 0; upper = None } ];
-              master_dc = 0;
-            };
-          ]
-      in
-      let cluster =
-        Cluster.create ~engine ~spec:(Cluster.Spec.make ?master_dc_of ())
-          ~config:(Config.make ~mode ~replication:5 ())
-          ~ctx:(Ctx.make ~obs:(Obs.create ()) ())
-          ~schema ()
-      in
-      Cluster.load cluster
-        (List.init items (fun i -> (item i, Value.of_list [ ("stock", Value.Int 1_000_000) ])));
-      let coord = Cluster.coordinator cluster ~dc:0 ~rank:0 in
-      let txns =
-        Array.init commits (fun i ->
-            Txn.make ~id:(Printf.sprintf "t%05d" i)
-              ~updates:
-                (List.init keys (fun j ->
-                     (item (((keys * i) + j) mod items), Update.Delta [ ("stock", -1) ]))))
-      in
+      let engine, coord, txns = commit_fixture ?master_dc_of ~keys ~mode () in
       let committed = ref 0 in
       let on_outcome = function Txn.Committed -> incr committed | Txn.Aborted _ -> () in
       fun () ->
@@ -426,6 +433,28 @@ let classic_contended =
   commit_section ~keys:1 ~together:8
     ~master_dc_of:(fun _ -> 0)
     "classic_contended" ~mode:Config.Multi
+
+(* The fixture's fast-path commits by one closed-loop client: each is
+   submitted from the previous one's callback, at the instant it was
+   decided, so its proposals leave folded with that one's Visibilities. *)
+let closed_loop_commit =
+  let name = "closed_loop_commit" in
+  probe name commits (fun () ->
+      let engine, coord, txns = commit_fixture ~keys:3 ~mode:Config.Full () in
+      let next = ref 0 and committed = ref 0 in
+      let rec on_outcome outcome =
+        (match outcome with Txn.Committed -> incr committed | Txn.Aborted _ -> ());
+        submit_next ()
+      and submit_next () =
+        if !next < commits then begin
+          incr next;
+          Coordinator.submit coord txns.(!next - 1) on_outcome
+        end
+      in
+      fun () ->
+        submit_next ();
+        Engine.run engine;
+        check name "commits" ~got:!committed ~want:commits)
 
 (* ------------------------------------------------------------------ *)
 (* Session reads                                                       *)
@@ -567,6 +596,7 @@ let all =
     fast_path_commit;
     classic_commit;
     classic_contended;
+    closed_loop_commit;
     session_read_fresh ~reads:ops;
     rng_lognormal ~ops;
     wire_parse;

@@ -54,6 +54,10 @@
       once: the two nearest replicas hear each Phase 2a at once, and the
       two far ones one Batch of eight when the epoch ends (one op = one
       commit).
+    - [closed_loop_commit]: the [fast_path_commit] transactions by one
+      closed-loop client, each submitted from the previous one's
+      callback, so its proposals leave folded with that one's
+      Visibilities, one message per replica (one op = one commit).
     - [session_read_fresh]: [ops] {!Mdcc_core.Session} reads at DC 0's
       app server of the simulated five-region cluster, over 1,000 rows
       whose co-located replica already meets the session's watermark
@@ -78,7 +82,7 @@ val ops : int
 (** 300,000: the op count {!all} gives every probe that takes one. *)
 
 val all : t list
-(** The eighteen sections above, in ledger order. *)
+(** The nineteen sections above, in ledger order. *)
 
 (** {1 Probes the allocation ceilings run at a smaller count} *)
 

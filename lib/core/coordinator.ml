@@ -58,7 +58,7 @@ type t = {
   stream : Ctx.stream;  (* this node's protocol events *)
   txn_submitted : Obs.counter;  (* the per-transaction counters, resolved once *)
   fast_commit : Obs.counter;
-  outbox : Outbox.t;  (* submit's proposals and decide's Visibilities fold here *)
+  outbox : Outbox.t;  (* what one instant's deliveries and submits send folds here *)
 }
 
 let node_id t = t.id
@@ -153,16 +153,16 @@ let decide t (ts : txn_state) outcome =
   if live t then emit t (Event.Decided { txid; outcome });
   (* Asynchronous Learned/Visibility notification: execute or void every
      option; correctness does not depend on its timing (§3.2.1).  Keys are
-     queued in descending order, each key's replicas in reverse, and fold
-     into one message per replica. *)
+     queued in descending order, each key's replicas in reverse, into the
+     held delivery's outbox, so they fold into one message per replica
+     with whatever the callback submits at this instant, and come first
+     in it. *)
   let committed = outcome = Txn.Committed in
-  Outbox.enter t.outbox;
   for i = Txn_decision.length d - 1 downto 0 do
     send_each_rev t
       (Messages.Visibility { woption = Txn_decision.option d i; committed })
       (Txn_decision.replicas d i)
   done;
-  Outbox.leave t.outbox;
   ts.callback outcome
 
 let escalate t (ts : txn_state) i =
@@ -291,7 +291,9 @@ let submit t txn callback =
        message per destination under the transaction's trace context:
        every Propose (and every message it triggers in turn) carries its
        id, which both runtimes propagate and the bench tracer attributes
-       time to. *)
+       time to.  A submit made while a delivery holds the outbox joins
+       it: its proposals leave with the delivery's sends when the instant
+       ends, after this context is gone, so they carry none. *)
     let keys = Txn_decision.length decision in
     for i = 0 to keys - 1 do
       route_proposal t ts i
@@ -396,11 +398,7 @@ let on_read_reply t rid acceptor key value version exists =
 
 let rec handle t ~src payload =
   match payload with
-  | Messages.Batch items ->
-    (* Not one step: a decide among the items runs its callback, which
-       may submit the next transaction, and that submit's proposals must
-       leave under its own trace context, not wait for this Batch. *)
-    handle_each t ~src items 0
+  | Messages.Batch items -> handle_each t ~src items 0
   | Messages.Phase2b_fast { woption; decision } ->
     on_vote t woption.Woption.txid woption.Woption.key src decision
   | Messages.Learned { key; txid; decision } -> on_learned t txid key decision
@@ -449,7 +447,25 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       outbox = Outbox.create runtime ~src:node_id;
     }
   in
-  Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);
+  (* One delivery is one outbox step that lasts until the end of its
+     virtual instant.  When the handler has queued anything, the step is
+     left by a spawned [release], not at once: the callbacks that a
+     decide spawned during [handle] (a client's co-located reads) run
+     first, so a transaction they submit joins the step, and each replica
+     gets one message for the instant, a decided transaction's
+     Visibilities ahead of the next one's Proposes.  A delivery that
+     finds the step held (something queued, which outside a step never
+     is) nests in it and leaves at once: the pending release sends what
+     it queues too.  [let rec] builds the two closures as one block that
+     holds [t] once. *)
+  let rec deliver ~src payload =
+    let held = Outbox.queued t.outbox in
+    Outbox.enter t.outbox;
+    handle t ~src payload;
+    if (not held) && Outbox.queued t.outbox then Runtime.spawn t.runtime release
+    else Outbox.leave t.outbox
+  and release () = Outbox.leave t.outbox in
+  Runtime.register runtime node_id deliver;
   t
 
 let inflight t = Hashtbl.length t.txns

@@ -6,7 +6,17 @@
     proposed: the outcome is a deterministic function of the learned options
     (all accepted → commit; any rejected → abort), which is what makes the
     single-round-trip commit safe (§3.2.1).  After deciding it sends
-    asynchronous Visibility messages to execute or void the options.
+    asynchronous Visibility messages to execute or void the options, at
+    the end of the decision's virtual instant.
+
+    Each message delivered to the coordinator is one {!Outbox} step that
+    lasts to the end of its virtual instant: what the delivery queued
+    leaves from a spawned thunk, after the callbacks the delivery spawned
+    (a client's co-located reads).  A {!submit} or {!read} made before
+    then joins it, so a closed-loop client's next proposals share one
+    message per replica with the Visibilities just decided, which come
+    first in it.  Nothing waits: every message leaves at the instant it
+    would have left unheld.
 
     Routing implements the fast-policy from the client side: fast
     (master-bypassing) proposals by default, classic proposals through the
@@ -73,7 +83,10 @@ val node_id : t -> int
 
 val submit : t -> Txn.t -> (Txn.outcome -> unit) -> unit
 (** Run the commit protocol for a write-set; the callback fires exactly once
-    at decision time (Visibility is sent asynchronously after it). *)
+    at decision time (Visibility is sent asynchronously, at the end of the
+    decision's instant).  Made while a delivery holds the outbox, its
+    proposals leave with that delivery's sends, without the transaction's
+    trace context. *)
 
 val read :
   ?level:[ `Local | `Majority ] ->

@@ -9,18 +9,18 @@ type t = {
   mutable payloads : Net.payload array;
   mutable counts : int array;
       (* queued payloads per destination node id; all 0 outside [flush] *)
-  filler : Net.payload;
-      (* what an unused payload slot holds, so a flushed step keeps
-         nothing alive *)
 }
 
+(* What an unused payload slot holds, so a flushed step keeps nothing
+   alive: a constant, shared by every outbox and never sent. *)
+let filler = Messages.Sync_request { entries = [] }
+
 let create runtime ~src =
-  { runtime; src; depth = 0; len = 0; dsts = [||]; payloads = [||]; counts = [||];
-    filler = Messages.Batch [||] }
+  { runtime; src; depth = 0; len = 0; dsts = [||]; payloads = [||]; counts = [||] }
 
 let grow t =
   let cap = Stdlib.max 16 (2 * t.len) in
-  let dsts = Array.make cap 0 and payloads = Array.make cap t.filler in
+  let dsts = Array.make cap 0 and payloads = Array.make cap filler in
   Array.blit t.dsts 0 dsts 0 t.len;
   Array.blit t.payloads 0 payloads 0 t.len;
   t.dsts <- dsts;
@@ -43,7 +43,7 @@ let send t dst payload =
 (* The [count] payloads queued for [dst] from slot [i] on, in queue
    order. *)
 let queued_for t dst i count =
-  let items = Array.make count t.filler in
+  let items = Array.make count filler in
   let j = ref i in
   for k = 0 to count - 1 do
     while t.dsts.(!j) <> dst do
@@ -77,7 +77,7 @@ let flush t =
     if dst >= Array.length t.counts then grow_counts t dst;
     t.counts.(dst) <- t.counts.(dst) + 1
   done;
-  let last = ref t.filler and last_items = ref [||] in
+  let last = ref filler and last_items = ref [||] in
   for i = 0 to n - 1 do
     let dst = t.dsts.(i) in
     let count = t.counts.(dst) in
@@ -89,8 +89,10 @@ let flush t =
       end;
       Runtime.send t.runtime ~src:t.src ~dst (if count = 1 then t.payloads.(i) else !last)
     end;
-    t.payloads.(i) <- t.filler
+    t.payloads.(i) <- filler
   done
+
+let queued t = t.len > 0
 
 let enter t = t.depth <- t.depth + 1
 

@@ -10,6 +10,11 @@
     what it would have sent without folding, in the same order, and MDCC's
     batching (the paper's conclusion) needs no switch.
 
+    A step need not end in the call that began it: the coordinator ends a
+    delivery's step from a thunk spawned when the delivery has queued
+    something ({!queued}), so what is sent at the same virtual instant
+    joins it.
+
     Grouping is by node id, never by the identity of a replica list.  The
     queue and the per-destination counts are arrays kept from step to
     step: once they have grown to the node's largest step, a step
@@ -22,6 +27,10 @@ val create : Runtime.t -> src:int -> t
 
 val send : t -> int -> Mdcc_sim.Network.payload -> unit
 (** [send t dst payload]: at once outside a step, queued inside one. *)
+
+val queued : t -> bool
+(** Whether the current step has queued anything: [false] outside a
+    step. *)
 
 val enter : t -> unit
 (** Start a step, or nest one inside the current step. *)

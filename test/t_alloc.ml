@@ -445,6 +445,68 @@ let test_no_consumer () =
   ceiling "storage-node fast vote" 17.08 vote;
   ceiling "storage-node visibility" 30.2 vis
 
+(* The same deciding votes on the simulator's runtime, each delivered
+   by the network to a coordinator (node 1 of ec2_five with two nodes a
+   region) whose replicas are the regions' node 0s.  Words per
+   transaction of the second of two equal rounds, so the message pool
+   and the event heap are warm. *)
+let sim_decide_words () =
+  let module Engine = Mdcc_sim.Engine in
+  let module Network = Mdcc_sim.Network in
+  let engine = Engine.create ~seed:3 in
+  let net = Network.create engine (Mdcc_sim.Topology.ec2_five ~nodes_per_dc:2 ()) () in
+  let replicas = [ 0; 2; 4; 6; 8 ] in
+  List.iter (fun r -> Network.register net r (fun ~src:_ _ -> ())) replicas;
+  let coord =
+    Mdcc_core.Coordinator.create ~runtime:(Mdcc_core.Runtime.of_network net)
+      ~config:(Config.make ~replication:5 ()) ~node_id:1
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 0)
+      ~ctx:(ctx_of `None) ()
+  in
+  let txns = 50 in
+  let round prefix =
+    let deciding =
+      Array.init txns (fun i ->
+          let txid = Printf.sprintf "%s%03d" prefix i in
+          Mdcc_core.Coordinator.submit coord
+            (Txn.make ~id:txid ~updates:[ (key, Update.Delta [ ("stock", -1) ]) ])
+            ignore;
+          List.iteri
+            (fun j src ->
+              if j < 3 then
+                Network.send net ~src ~dst:1 (Helpers.fast_vote ~key ~txid Woption.Accepted))
+            replicas;
+          Helpers.fast_vote ~key ~txid Woption.Accepted)
+    in
+    (* Half a second delivers every vote and Visibility, well inside the
+       1.2 s learn timeout. *)
+    let settle () = Engine.run ~until:(Engine.now engine +. 500.0) engine in
+    settle ();
+    let deliver votes =
+      words (fun () ->
+          Array.iter (Network.send net ~src:6 ~dst:1) votes;
+          settle ())
+    in
+    let w = deliver deciding in
+    Alcotest.(check int) "all decided" 0 (Mdcc_core.Coordinator.inflight coord);
+    (* Less what sending and running cost with nothing to deliver. *)
+    (w -. deliver [||]) /. Float.of_int txns
+  in
+  ignore (round "w" : float);
+  round "h"
+
+(* On the simulator's runtime the deciding vote's delivery is held to
+   the end of its instant by one spawned zero-delay event, which then
+   sends the Visibilities as pooled messages.  So the vote costs at most
+   what it costs on the scripted runtime, whose spawn runs the release
+   at once, plus that event's record, a 4-word thunk: 8.0 words against
+   4.2, which counts 0.2 of its own harness. *)
+let test_held_delivery () =
+  let extra = sim_decide_words () -. decide_words `None in
+  if extra > 4.0 then
+    Alcotest.failf "a held delivery allocated %.2f words beyond its event record" (extra -. 4.0)
+
 (* Routing an option inside its record's classic window allocates
    nothing: a submit of a [Physical] option whose key has a live window
    allocates exactly what the same submit allocates in Multi mode, where
@@ -871,6 +933,7 @@ let test_leader_ack () =
 let suite =
   [
     Alcotest.test_case "no consumer: decide, vote, visibility" `Quick test_no_consumer;
+    Alcotest.test_case "a held delivery costs one event record" `Quick test_held_delivery;
     Alcotest.test_case "history only renders no strings" `Quick test_history_renders_nothing;
     Alcotest.test_case "spans only format no trace line" `Quick test_spans_format_no_line;
     Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;

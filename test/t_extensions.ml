@@ -131,6 +131,150 @@ let record_timed engine cluster =
     sends := [];
     s
 
+(* A closed-loop client at DC 0 over two partitions: the first
+   transaction writes one item of each, and its callback submits the
+   second, on another item of partition 0, at once or from a co-located
+   read's callback.  Every Visibility of the first and every proposal of
+   the second must leave at the first one's decision instant, as each
+   did unfolded: one that left at another time would be missing from the
+   (dst, kind) pairs compared. *)
+let closed_loop ~via_read =
+  let engine, cluster = make_cluster ~partitions:2 ~items:20 () in
+  let layout = Cluster.layout cluster in
+  let in_partition p =
+    List.filter (fun i -> Cluster.Layout.partition layout (item i) = p) (List.init 20 Fun.id)
+  in
+  let a, b, d =
+    match (in_partition 0, in_partition 1) with
+    | a :: b :: _, d :: _ -> (a, b, d)
+    | _ -> Alcotest.fail "20 items do not fill two partitions"
+  in
+  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let sent = record_timed engine cluster in
+  let decided_at = ref nan and second = ref None in
+  let submit_second () =
+    Coordinator.submit c
+      (Txn.make ~id:"c2" ~updates:[ (item b, Update.Delta [ ("stock", -1) ]) ])
+      (fun o -> second := Some o)
+  in
+  Coordinator.submit c
+    (Txn.make ~id:"c1"
+       ~updates:
+         [ (item a, Update.Delta [ ("stock", -1) ]); (item d, Update.Delta [ ("stock", -1) ]) ])
+    (fun o ->
+      Alcotest.(check bool) "first commits" true (is_committed o);
+      decided_at := Engine.now engine;
+      if via_read then Coordinator.read ~level:`Local c (item b) (fun _ -> submit_second ())
+      else submit_second ());
+  Engine.run ~until:30_000.0 engine;
+  Alcotest.(check bool) "second commits" true
+    (match !second with Some o -> is_committed o | None -> false);
+  let app = Coordinator.node_id c in
+  let at_decision =
+    List.filter_map
+      (fun (at, src, dst, k) -> if src = app && at = !decided_at then Some (dst, k) else None)
+      (sent ())
+  in
+  let folded = Cluster.Layout.replicas layout (item a)
+  and bare = Cluster.Layout.replicas layout (item d) in
+  Alcotest.(check (list (pair int string)))
+    "one [visibility propose] to each shared replica, a bare visibility to the others"
+    (List.sort compare
+       (List.map (fun r -> (r, "[visibility propose]")) folded
+       @ List.map (fun r -> (r, "visibility")) bare))
+    (List.sort compare at_decision)
+
+let test_closed_loop_folds () = closed_loop ~via_read:false
+
+let test_closed_loop_folds_after_read () = closed_loop ~via_read:true
+
+(* Two Redirects in one Batch, for two open options whose records share
+   a master: the coordinator's classic re-proposals leave together, as
+   one [propose propose] to that master. *)
+let test_redirects_fold_per_master () =
+  let engine, cluster = make_cluster ~items:10 () in
+  let c = Cluster.coordinator cluster ~dc:0 ~rank:0 in
+  let app = Coordinator.node_id c in
+  let replicas = Cluster.Layout.replicas (Cluster.layout cluster) (item 0) in
+  let master = List.nth replicas 2 in
+  let sent = record_timed engine cluster in
+  Coordinator.submit c
+    (Txn.make ~id:"r1"
+       ~updates:
+         [ (item 0, Update.Delta [ ("stock", -1) ]); (item 1, Update.Delta [ ("stock", -1) ]) ])
+    ignore;
+  let redirect i =
+    Messages.Redirect { key = item i; txid = "r1"; master; classic_until = 1_000 }
+  in
+  (* From the co-located replica, so the Batch arrives before any vote. *)
+  Net.send (Cluster.network cluster) ~src:(List.hd replicas) ~dst:app
+    (Messages.Batch [| redirect 0; redirect 1 |]);
+  Engine.run ~until:30_000.0 engine;
+  let reproposals =
+    List.filter_map
+      (fun (at, src, dst, k) ->
+        if src = app && at > 0.0 && contains ~needle:"propose" k then Some (dst, k) else None)
+      (sent ())
+  in
+  Alcotest.(check (list (pair int string))) "one message to the master"
+    [ (master, "[propose propose]") ] reproposals
+
+(* Two deciding votes at one instant, on a runtime whose spawned thunks
+   wait until the test runs them: the first delivery holds the outbox
+   and spawns its release, the second finds it held, joins it and spawns
+   nothing.  The one release sends both transactions' Visibilities as
+   one Batch per replica and ends the step, so the next submit sends at
+   once. *)
+let test_one_release_per_instant () =
+  let spawned = Queue.create () and sent = ref [] and handler = ref (fun ~src:_ _ -> ()) in
+  let runtime =
+    Mdcc_core.Runtime.make
+      ~now:(fun () -> 0.0)
+      ~send:(fun ~src:_ ~dst payload -> sent := (dst, kind payload) :: !sent)
+      ~register:(fun _ h -> handler := h)
+      ~set_timer:(fun ~after:_ _ -> ignore)
+      ~spawn:(fun f -> Queue.push f spawned)
+      ~rng:(Mdcc_util.Rng.create 1) ~dc_of:(fun _ -> 0)
+      ~trace:(fun ~tag:_ _ -> ())
+      ~tracing:(fun () -> false)
+      ()
+  in
+  let replicas = [ 0; 1; 2; 3; 4 ] in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let submit txid i =
+    Coordinator.submit c
+      (Txn.make ~id:txid ~updates:[ (item i, Update.Delta [ ("stock", -1) ]) ])
+      ignore
+  in
+  let vote txid i src =
+    !handler ~src (fast_vote ~key:(item i) ~txid Mdcc_core.Woption.Accepted)
+  in
+  submit "x1" 0;
+  submit "x2" 1;
+  (* Three of five votes each: below the fast quorum of four. *)
+  List.iter
+    (fun src ->
+      vote "x1" 0 src;
+      vote "x2" 1 src)
+    [ 0; 1; 2 ];
+  sent := [];
+  vote "x1" 0 3;
+  vote "x2" 1 3;
+  Alcotest.(check int) "one release spawned" 1 (Queue.length spawned);
+  Alcotest.(check int) "nothing sent before it runs" 0 (List.length !sent);
+  (Queue.pop spawned) ();
+  Alcotest.(check (list (pair int string))) "one Batch of both Visibilities per replica"
+    (List.map (fun r -> (r, "[visibility visibility]")) replicas)
+    (List.sort compare !sent);
+  sent := [];
+  submit "x3" 2;
+  Alcotest.(check int) "the next submit sends at once" 5 (List.length !sent)
+
 (* Multi mode, every key mastered by us-west's node 0, after one
    committed transaction has let the master measure every replica.  From
    us-west the two nearest replicas are us-east (node 1, 80 ms) and Tokyo
@@ -310,6 +454,12 @@ let suite =
     Alcotest.test_case "3-key commit costs 3n messages" `Quick test_three_key_commit_cost;
     Alcotest.test_case "1-key commit costs 3n, unfolded" `Quick test_one_key_commit_cost;
     Alcotest.test_case "classic round from a Batch folds" `Quick test_classic_round_from_batch;
+    Alcotest.test_case "a decision folds with the next submit" `Quick test_closed_loop_folds;
+    Alcotest.test_case "and with a submit after a local read" `Quick
+      test_closed_loop_folds_after_read;
+    Alcotest.test_case "a Batch of Redirects folds per master" `Quick
+      test_redirects_fold_per_master;
+    Alcotest.test_case "one release per held instant" `Quick test_one_release_per_instant;
     Alcotest.test_case "far replicas wait for the epoch" `Quick test_far_replicas_wait_for_epoch;
     Alcotest.test_case "a dead near replica is replaced" `Quick test_dead_near_replica_replaced;
     Alcotest.test_case "equal round trips hold nothing" `Quick
