@@ -174,10 +174,7 @@ let escalate t (ts : txn_state) i =
   if known <> max_int then note_window t key (known + t.config.Config.gamma);
   let target = Txn_decision.target ts.decision i ~master:(t.master_of key) in
   if live t then emit t (Event.Recovery_started { txid = w.Woption.txid; key; target });
-  (* Timeout-driven recoveries run outside any delivery, so re-establish the
-     causal context explicitly for the recovery cascade. *)
-  Net.with_trace_context (Some w.Woption.txid) (fun () ->
-      send t target (Messages.Start_recovery { key; woption = w }))
+  send t target (Messages.Start_recovery { key; woption = w })
 
 (* Act on a step of slot [i], which was open before it when [was_open]:
    report what the slot learned, then follow the verdict. *)
@@ -262,11 +259,16 @@ let on_redirect t txid key master classic_until =
       end
     end
 
+(* One timeout's escalations are one step: keys that share a target send
+   it one message, under the transaction's trace context, as the cause of
+   the recovery cascade. *)
 let rec arm_timeout t (ts : txn_state) =
   let jitter = Rng.float t.rng 100.0 in
   ts.timeout <-
     Runtime.set_timer t.runtime ~after:(t.config.Config.learn_timeout +. jitter) (fun () ->
-        if Hashtbl.mem t.txns (Txn_decision.txid ts.decision) then begin
+        let txid = Txn_decision.txid ts.decision in
+        if Hashtbl.mem t.txns txid then begin
+          Outbox.enter t.outbox;
           for i = 0 to Txn_decision.length ts.decision - 1 do
             match Txn_decision.timeout ts.decision i with
             | Txn_decision.Escalate ->
@@ -274,6 +276,7 @@ let rec arm_timeout t (ts : txn_state) =
               escalate t ts i
             | Txn_decision.Pending | Txn_decision.Collided | Txn_decision.Decided _ -> ()
           done;
+          Net.apply_with_trace_context (Some txid) Outbox.leave t.outbox;
           arm_timeout t ts
         end)
 

@@ -29,7 +29,9 @@
     once the known version reaches it.
     Collisions (no fast quorum possible for either outcome) and learn
     timeouts escalate to [Start_recovery] at the master — rotating through
-    replicas on repeated timeouts so a dead master is bypassed.
+    replicas on repeated timeouts so a dead master is bypassed.  One
+    timeout's escalations are one {!Outbox} step: keys that share a
+    target cost one message.
 
     The learned-all rule and that escalation policy live in one place,
     {!Txn_decision}, which a node recovering a dangling transaction steps

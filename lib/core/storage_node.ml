@@ -28,7 +28,9 @@ type t = {
   stale_walk : Key.t -> Acceptor.t -> unit;
       (* raises [Key.Tbl.Found] on a record with an option past the
          timeout at [now]; built once in [create] *)
-  outbox : Outbox.t;  (* the sends of a Batch's items fold here *)
+  outbox : Outbox.t;
+      (* every delivery, Phase 1 timer and dangling scan is one step: its
+         sends leave folded per destination when it ends *)
   epoch : Epoch.t;  (* the classic rounds' Phase 2a fan-out *)
 }
 
@@ -172,7 +174,8 @@ let rec lead t key l = function
     let a = Leader.attempt l in
     let backoff = 20.0 +. Rng.float t.rng 150.0 in
     ignore
-      (Runtime.set_timer t.runtime ~after:backoff (fun () -> lead t key l (Leader.backoff l a)))
+      (Runtime.set_timer t.runtime ~after:backoff (fun () ->
+           lead_step t key l (Leader.backoff l a)))
   | Leader.Resolved v ->
     (* Options already executed: just tell everyone who asked.  Then the
        Phase2a's of every undecided option, at the new classic ballot. *)
@@ -189,6 +192,12 @@ let rec lead t key l = function
         (Event.Master_recovery_resolved
            { key; options = List.length v.Acceptor.outcomes; forced = v.Acceptor.forced;
              free = v.Acceptor.free })
+
+(* A timer's verdict, acted on as a step of its own. *)
+and lead_step t key l verdict =
+  Outbox.enter t.outbox;
+  lead t key l verdict;
+  Outbox.leave t.outbox
 
 (* After a learned round: start every queued option that can run now. *)
 and dequeue t key l =
@@ -293,7 +302,7 @@ and redrive t key l =
   ignore
     (Runtime.set_timer t.runtime ~after:timeout (fun () ->
          let l = leader t key in
-         lead t key l (Leader.redrive l ~self:t.id a)))
+         lead_step t key l (Leader.redrive l ~self:t.id a)))
 
 and broadcast_phase1a t key l =
   Obs.incr t.obs "phase1_round";
@@ -390,7 +399,8 @@ let txn_recovery_status t txid key status acceptor =
    is past the timeout at all: a walk that allocates nothing.  Only then
    are candidates collected, all before the first recovery starts, since
    starting one mutates the acceptor's records.  Recoveries start in reverse (key,
-   pending) order. *)
+   pending) order, all in one step: a replica queried on several keys gets
+   one message. *)
 let scan_dangling t =
   if Acceptor.pending_records t.acceptor > 0 then begin
     Runtime.now_into t.runtime t.now;
@@ -408,9 +418,11 @@ let scan_dangling t =
           | stale -> Some stale
         end
       in
+      Outbox.enter t.outbox;
       Acceptor.filter_records stale_in t.acceptor
       |> List.concat |> List.rev
-      |> List.iter (start_txn_recovery t)
+      |> List.iter (start_txn_recovery t);
+      Outbox.leave t.outbox
     end
   end
 
@@ -483,11 +495,10 @@ let sync_repair t ~src key theirs =
 let rec handle t ~src payload =
   match payload with
   | Messages.Batch items ->
-    (* One step: what the items send goes out folded per destination, so
-       the votes on a batch of proposals return as one message. *)
-    Outbox.enter t.outbox;
-    handle_each t ~src items 0;
-    Outbox.leave t.outbox
+    (* Its items are handled within the delivery's step, so what they
+       send goes out folded per destination: the votes on a batch of
+       proposals return as one message. *)
+    handle_each t ~src items 0
   | Messages.Sync_request { entries } ->
     (* Anti-entropy: answer with the committed state of any key where we are
        ahead of the prober, and ask for theirs where we are behind.  At
@@ -583,7 +594,10 @@ let create ~runtime ~config ~node_id ~schema ~replicas ~master_of ?(ctx = Ctx.ma
       epoch = Epoch.create runtime outbox ~now;
     }
   in
-  Runtime.register runtime node_id (fun ~src payload -> handle t ~src payload);
+  Runtime.register runtime node_id (fun ~src payload ->
+      Outbox.enter outbox;
+      handle t ~src payload;
+      Outbox.leave outbox);
   t
 
 let load t rows =

@@ -38,7 +38,14 @@
        reply and learn, as the coordinator steps its own.}}
 
     The leaders, the recovery agent and anti-entropy read and change the
-    acceptor's state only through {!Acceptor}'s queries and steps. *)
+    acceptor's state only through {!Acceptor}'s queries and steps.
+
+    Each delivered message, each Phase 1 timer and each dangling scan is
+    one {!Outbox} step: what it sends leaves when it returns, one message
+    per destination.  So a Phase 1 resolution's announcements and
+    re-proposals, a learned round with the queued options it starts, or
+    a recovery's status queries cost each replica one [Batch].  Nothing
+    is held past the step, so nothing leaves later than unfolded. *)
 
 open Mdcc_storage
 

@@ -71,6 +71,16 @@ let scripted_runtime ?(record = true) ?trace () =
   in
   { runtime; deliver = (fun ~src payload -> !handler ~src payload); drain; clock; timers; delays }
 
+(* [sends] with each [(dst, Batch items)] expanded into [dst]'s items, in
+   order: a node's step sends one Batch per destination, and a test reads
+   what it sent one payload at a time. *)
+let unbatch sends =
+  List.concat_map
+    (function
+      | dst, Mdcc_core.Messages.Batch items -> List.map (fun p -> (dst, p)) (Array.to_list items)
+      | send -> [ send ])
+    sends
+
 (* Transaction [txid]'s option of [key], standing alone in its write-set. *)
 let option_of ?(update = Update.Delta []) ~txid key =
   { Mdcc_core.Woption.txid; key; update; write_set = [ key ]; coordinator = 9 }

@@ -507,6 +507,38 @@ let test_held_delivery () =
   if extra > 4.0 then
     Alcotest.failf "a held delivery allocated %.2f words beyond its event record" (extra -. 4.0)
 
+(* A storage-node delivery is one outbox step.  A status query for a
+   transaction the node never saw sends one reply, so the step queues it
+   and leaves it bare, and the delivery allocates the reply's record (6
+   words) and nothing else: the bracket adds 0 words. *)
+let test_one_message_step () =
+  let s = Helpers.scripted_runtime ~record:false () in
+  let _node =
+    Storage_node.create ~runtime:s.Helpers.runtime ~config:(Config.make ~replication:5 ())
+      ~node_id:0
+      ~schema:(Schema.create [ { Schema.name = "item"; bounds = []; master_dc = 0 } ])
+      ~replicas:(fun _ -> replicas)
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  let query = Messages.Status_query { txid = "t"; key } in
+  s.Helpers.deliver ~src:1 query;
+  let per_delivery =
+    words (fun () ->
+        for _ = 1 to 100 do
+          s.Helpers.deliver ~src:1 query
+        done)
+    /. 100.0
+  in
+  let reply =
+    words (fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Messages.Status_reply
+                { txid = "t"; key; status = Messages.Status_unknown; acceptor = 0 })))
+  in
+  Alcotest.(check (float 0.0)) "a one-message step allocates only its message" reply per_delivery
+
 (* Routing an option inside its record's classic window allocates
    nothing: a submit of a [Physical] option whose key has a live window
    allocates exactly what the same submit allocates in Multi mode, where
@@ -934,6 +966,8 @@ let suite =
   [
     Alcotest.test_case "no consumer: decide, vote, visibility" `Quick test_no_consumer;
     Alcotest.test_case "a held delivery costs one event record" `Quick test_held_delivery;
+    Alcotest.test_case "a one-message storage-node step adds no words" `Quick
+      test_one_message_step;
     Alcotest.test_case "history only renders no strings" `Quick test_history_renders_nothing;
     Alcotest.test_case "spans only format no trace line" `Quick test_spans_format_no_line;
     Alcotest.test_case "traffic meter allocates nothing" `Quick test_traffic_meter;

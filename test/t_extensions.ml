@@ -18,6 +18,7 @@ let rec kind = function
   | Messages.Phase2a _ -> "phase2a"
   | Messages.Phase2b_master _ -> "phase2b"
   | Messages.Learned _ -> "learned"
+  | Messages.Start_recovery _ -> "start_recovery"
   | Messages.Batch items -> "[" ^ String.concat " " (Array.to_list (Array.map kind items)) ^ "]"
   | _ -> "other"
 
@@ -275,6 +276,70 @@ let test_one_release_per_instant () =
   submit "x3" 2;
   Alcotest.(check int) "the next submit sends at once" 5 (List.length !sent)
 
+(* A master's Phase 1 over replicas 1 and 2 and itself: the coordinator
+   escalated "d", and both responders report a fast accept of "e", which
+   anchors it.  The resolution re-proposes both in the Phase1b's
+   delivery, so each replica gets the two Phase2a's as one Batch (no
+   round trip is measured yet, so the epoch holds none back), where it
+   got them one by one when only a Batch's items shared a step. *)
+let test_resolution_folds () =
+  let module Ballot = Mdcc_paxos.Ballot in
+  let { runtime; deliver; drain; _ } = Helpers.scripted_runtime () in
+  let key = item 0 in
+  let node =
+    Mdcc_core.Storage_node.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:0
+      ~schema:stock_schema
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  Mdcc_core.Storage_node.load node [ (key, item_row 100) ];
+  let opt txid =
+    { Mdcc_core.Woption.txid; key; update = Update.Delta [ ("stock", -1) ]; write_set = [ key ];
+      coordinator = 9 }
+  in
+  deliver ~src:9 (Messages.Start_recovery { key; woption = opt "d" });
+  ignore (drain ());
+  let ballot = Ballot.classic ~number:2 ~proposer:0 in
+  let vote = { Messages.woption = opt "e"; decision = Mdcc_core.Woption.Accepted;
+               ballot = Ballot.initial_fast } in
+  let rebase =
+    { Messages.value = item_row 100; version = 1; exists = true; included = Txn.Map.empty }
+  in
+  List.iter
+    (fun src ->
+      deliver ~src
+        (Messages.Phase1b
+           { key; ballot; ok = true; promised = ballot;
+             promise = { votes = [ vote ]; rebase; decided = [] } }))
+    [ 1; 2 ];
+  Alcotest.(check (list (pair int string)))
+    "one Batch of both Phase2a's per replica"
+    (List.map (fun r -> (r, "[phase2a phase2a]")) [ 1; 2; 3; 4 ])
+    (List.map (fun (dst, p) -> (dst, kind p)) (drain ()))
+
+(* A learn timeout that escalates both keys of a transaction, each to
+   its master, node 0: one step, so one message, where each escalation
+   was sent bare. *)
+let test_timeout_escalations_fold () =
+  let { runtime; drain; timers; _ } = Helpers.scripted_runtime () in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  Coordinator.submit c
+    (Txn.make ~id:"t1"
+       ~updates:
+         [ (item 0, Update.Delta [ ("stock", -1) ]); (item 1, Update.Delta [ ("stock", -1) ]) ])
+    ignore;
+  ignore (drain ());
+  (List.hd !timers) ();
+  Alcotest.(check (list (pair int string))) "one message to the master"
+    [ (0, "[start_recovery start_recovery]") ]
+    (List.map (fun (dst, p) -> (dst, kind p)) (drain ()))
+
 (* Multi mode, every key mastered by us-west's node 0, after one
    committed transaction has let the master measure every replica.  From
    us-west the two nearest replicas are us-east (node 1, 80 ms) and Tokyo
@@ -460,6 +525,10 @@ let suite =
     Alcotest.test_case "a Batch of Redirects folds per master" `Quick
       test_redirects_fold_per_master;
     Alcotest.test_case "one release per held instant" `Quick test_one_release_per_instant;
+    Alcotest.test_case "a Phase 1 resolution's re-proposals leave as one Batch per replica"
+      `Quick test_resolution_folds;
+    Alcotest.test_case "a timeout that escalates two keys to one master sends one message"
+      `Quick test_timeout_escalations_fold;
     Alcotest.test_case "far replicas wait for the epoch" `Quick test_far_replicas_wait_for_epoch;
     Alcotest.test_case "a dead near replica is replaced" `Quick test_dead_near_replica_replaced;
     Alcotest.test_case "equal round trips hold nothing" `Quick

@@ -321,7 +321,7 @@ let test_recovery_fold () =
           when dst = 1 && Ballot.equal b ballot ->
           Some (woption.Woption.txid, decision)
         | _ -> None)
-      (drain ())
+      (Helpers.unbatch (drain ()))
   in
   let decision = Alcotest.testable Woption.pp_decision ( = ) in
   let expected =
@@ -388,7 +388,7 @@ let test_dangling_recovery_fold () =
   List.iter
     (fun (dst, p) ->
       match p with Messages.Status_reply _ when dst = 0 -> handle ~src:0 p | _ -> ())
-    (drain ());
+    (Helpers.unbatch (drain ()));
   let update_str = function
     | Update.Delta _ -> "delta"
     | Update.Physical { vread; _ } -> Printf.sprintf "vread=%d" vread
@@ -417,7 +417,7 @@ let test_dangling_recovery_fold () =
               Key.to_string w.Woption.key,
               Printf.sprintf "%s %b" (update_str w.Woption.update) committed )
         | _ -> None)
-      (drain ())
+      (Helpers.unbatch (drain ()))
   in
   let reply src i txid status =
     handle ~src (Messages.Status_reply { txid; key = item i; status; acceptor = src })
@@ -442,9 +442,12 @@ let test_dangling_recovery_fold () =
     (starts ());
   reply 3 1 "a" (Messages.Status_decided true);
   let everywhere key update = List.map (fun dst -> (dst, key, update)) [ 1; 2; 3; 4 ] in
+  (* The finish is one step: each replica gets one Batch of the
+     transaction's Visibilities, in write-set order. *)
+  let per_replica = List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) in
   Alcotest.(check (list (triple int string string)))
     "a decided reply: visibility to every replica, in write-set order"
-    (everywhere "item/0" "delta true" @ everywhere "item/1" "vread=-1 true")
+    (per_replica (everywhere "item/0" "delta true" @ everywhere "item/1" "vread=-1 true"))
     (visibility "a");
   let learned i txid decision =
     handle ~src:(master_of (item i)) (Messages.Learned { key = item i; txid; decision })
@@ -454,13 +457,13 @@ let test_dangling_recovery_fold () =
   learned 3 "b" Woption.Accepted;
   Alcotest.(check (list (triple int string string)))
     "all learned accepted: commit"
-    (everywhere "item/2" "delta true" @ everywhere "item/3" "vread=-1 true")
+    (per_replica (everywhere "item/2" "delta true" @ everywhere "item/3" "vread=-1 true"))
     (visibility "b");
   learned 4 "c" Woption.Accepted;
   learned 5 "c" Woption.Rejected;
   Alcotest.(check (list (triple int string string)))
     "one learned rejected: abort"
-    (everywhere "item/4" "delta false" @ everywhere "item/5" "vread=-1 false")
+    (per_replica (everywhere "item/4" "delta false" @ everywhere "item/5" "vread=-1 false"))
     (visibility "c");
   Alcotest.(check (list string)) "finished once each"
     [ "txn recovery a -> commit"; "txn recovery b -> commit"; "txn recovery c -> abort" ]
@@ -502,7 +505,7 @@ let test_early_finish_own_option () =
           let proposed = w.Woption.update = Update.Delta [ ("stock", -1) ] in
           Some (Key.to_string w.Woption.key, proposed, committed)
         | _ -> None)
-      (drain ())
+      (Helpers.unbatch (drain ()))
   in
   Alcotest.(check (list (triple string bool bool)))
     "both options, committed" [ ("item/0", true, true); ("item/1", true, true) ] sent;
@@ -512,6 +515,57 @@ let test_early_finish_own_option () =
   Alcotest.(check int) "item 0 written" 9
     (Value.get_int (Store.ensure (Storage_node.store node) (item 0)).Store.value "stock");
   Alcotest.(check int) "the table is empty" 0 (Storage_node.recovering node)
+
+(* ROADMAP item 3, cause 2, on the master's Phase 1 step alone.  Three
+   committed deltas of -1 on a stock of 10: "d" executed only at replica
+   0 (version 2, stock 9), "e" and "f" only at replica 1 (version 3,
+   stock 8); the master, replica 2, executed none.  [Acceptor.resolve]
+   re-bases on the highest version, replica 1's, whose applied set lacks
+   "d", so its base reads 8 where the committed stock is 7, and under
+   plain escrow it admits a free -8 escalated to it: the stock would end
+   at -1.  The fix rejects it. *)
+let test_known_defect_rebase_drops_delta () =
+  let module Acceptor = Mdcc_core.Acceptor in
+  let module Messages = Mdcc_core.Messages in
+  let module Woption = Mdcc_core.Woption in
+  let key = item 0 in
+  let node () =
+    let store = Store.create stock_schema in
+    let row = Store.ensure store key in
+    row.Store.value <- item_row 10;
+    row.Store.version <- 1;
+    row.Store.exists <- true;
+    Acceptor.create_node ~config:(Config.make ~replication:5 ()) store
+  in
+  let nodes = Array.init 3 (fun _ -> node ()) in
+  let delta txid d =
+    { Woption.txid; key; update = Update.Delta [ ("stock", d) ]; write_set = [ key ];
+      coordinator = 9 }
+  in
+  let execute i (w : Woption.t) =
+    ignore (Acceptor.visibility nodes.(i) w.Woption.txid key w.Woption.update true
+      : Acceptor.visibility)
+  in
+  execute 0 (delta "d" (-1));
+  List.iter (fun txid -> execute 1 (delta txid (-1))) [ "e"; "f" ];
+  let ballot = Mdcc_paxos.Ballot.classic ~number:2 ~proposer:2 in
+  let rs i = Acceptor.record nodes.(i) key in
+  let promises =
+    List.map
+      (fun i ->
+        ignore (Acceptor.phase1a nodes.(i) (rs i) ballot : bool);
+        (i, Acceptor.promise nodes.(i) (rs i)))
+      [ 0; 1; 2 ]
+  in
+  let r =
+    Acceptor.resolve nodes.(2) (rs 2) ~promises ~extras:[ delta "g" (-8) ]
+      ~replicas:[ 0; 1; 2; 3; 4 ]
+  in
+  Alcotest.(check (pair int bool)) "the base is replica 1's, without d" (3, false)
+    (r.Acceptor.rebase.Messages.version, Txn.Map.mem "d" r.Acceptor.rebase.Messages.included);
+  Alcotest.(check bool) "known defect, item 3: a free delta is admitted past the committed stock"
+    true
+    (r.Acceptor.outcomes = [ (delta "g" (-8), Woption.Accepted) ])
 
 (* A known defect of ROADMAP item 2 (CHANGES.md's FOUND line on
    [start_txn_recovery]).  Node 0 holds a fast vote from a silent
@@ -965,7 +1019,7 @@ let prop_outcome_log_matches_model =
         List.sort_uniq compare
           (List.filter_map
              (function _, Messages.Status_query { txid; _ } -> Some txid | _ -> None)
-             (node.drain ()))
+             (Helpers.unbatch (node.drain ())))
       in
       let still_pending = List.sort compare (Hashtbl.fold (fun t () acc -> t :: acc) pending []) in
       status = expected
@@ -1079,7 +1133,7 @@ let prop_dangling_scan_matches_model =
             match p with
             | Messages.Status_query { txid; _ } when dst <> node_id -> Some txid
             | _ -> None)
-          (drain ())
+          (Helpers.unbatch (drain ()))
       in
       let expected =
         List.init 6 item
@@ -1120,6 +1174,8 @@ let suite =
       test_early_finish_own_option;
     Alcotest.test_case "known defect, item 2: an unanswered recovery blocks rescans" `Quick
       test_unanswered_recovery_blocks_rescans;
+    Alcotest.test_case "known defect, item 3: a re-base drops a committed delta" `Quick
+      test_known_defect_rebase_drops_delta;
     Alcotest.test_case "re-proposed queued option runs one round" `Quick
       test_requeued_option_one_round;
     Alcotest.test_case "classic round acks" `Quick test_classic_round_acks;

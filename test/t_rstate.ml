@@ -529,6 +529,75 @@ let test_resolve_window () =
   Alcotest.(check int) "no end in Multi mode" max_int
     (resolve n [ promise_of ~version:7 []; promise_of []; promise_of [] ]).Acceptor.window
 
+(* ROADMAP item 1's re-decided option, on the path of [drop_spike] 299,
+   stepped on five acceptors alone.  "a" writes version 1 and gets five
+   fast accepts, a fast quorum: it is chosen, and its coordinator
+   commits it.  Its Visibility reaches replicas 3 and 4 only.  "b" read
+   a's version 2 and commits too; its Visibility executes on every
+   replica, so rows 0-2 move to version 3 with a's accepts still pending
+   there.  Replica 2's Phase 1 over 0, 1 and 2 finds three fast accepts
+   of "a", which anchor it, and re-validates the physical write against
+   the re-based row at version 3, past a's instance: Rejected.  The fix
+   flips the verdict to Accepted. *)
+let test_known_defect_redecided_option () =
+  let nodes = Array.init 5 (fun _ -> fst (acceptor 100)) in
+  let rs i = Acceptor.record nodes.(i) key in
+  let a = woption ~txid:"a" (physical ~vread:1) and b = woption ~txid:"b" (physical ~vread:2) in
+  Alcotest.(check bool) "five fast accepts of a" true
+    (List.for_all (fun i -> Acceptor.fast_propose nodes.(i) (rs i) ~now a = Acceptor.Vote None)
+       replicas);
+  let execute (w : Woption.t) i =
+    Acceptor.visibility nodes.(i) w.Woption.txid key w.Woption.update true = Acceptor.Wrote
+  in
+  Alcotest.(check bool) "a executes on 3 and 4, b everywhere" true
+    (List.for_all (execute a) [ 3; 4 ] && List.for_all (execute b) replicas);
+  let b2 = Ballot.classic ~number:2 ~proposer:2 in
+  let promises =
+    List.map
+      (fun i ->
+        if not (Acceptor.phase1a nodes.(i) (rs i) b2) then Alcotest.fail "a Phase 1a was nacked";
+        (i, Acceptor.promise nodes.(i) (rs i)))
+      [ 0; 1; 2 ]
+  in
+  let r = Acceptor.resolve nodes.(2) (rs 2) ~promises ~extras:[] ~replicas in
+  Alcotest.(check (pair int int)) "a is anchored" (1, 0) (r.Acceptor.forced, r.Acceptor.free);
+  Alcotest.check accepted "known defect, item 1: the chosen option is re-decided" Woption.Rejected
+    (decision_of_txid r "a")
+
+(* ROADMAP item 3, cause 1, stepped on five acceptors alone: N = 5,
+   Q_F = 4, stock 10 and lower bound 0.  The paper takes each acceptor's
+   limit from X, the base the last classic ballot wrote, so each admits
+   at most Q_F/N (X - lower) = 8 of decrements and the committed total
+   stays within X - lower = 10.  Here the limit follows the row.  Five
+   deltas of -2 each reach a fast quorum, c_k at every replica but k: 10
+   units, 8 pending at each replica.  Replicas 0-3 execute the four they
+   voted for but not the one they missed, so each row reads 2 with
+   nothing pending, a limit of 2/5 that admits one unit more: a sixth
+   delta of -1 reaches a fast quorum.  11 units commit, and a replica
+   that executes them all reads -1. *)
+let test_known_defect_limit_follows_row () =
+  let nodes = Array.init 5 (fun _ -> acceptor ~bounds 10) in
+  let node i = fst nodes.(i) in
+  let fast i w = Acceptor.fast_propose (node i) (Acceptor.record (node i) key) ~now w in
+  let execute i (w : Woption.t) =
+    ignore
+      (Acceptor.visibility (node i) w.Woption.txid key w.Woption.update true : Acceptor.visibility)
+  in
+  let c =
+    Array.init 5 (fun k -> woption ~txid:(Printf.sprintf "c%d" k) (Update.Delta [ ("stock", -2) ]))
+  in
+  let reaches k w = List.for_all (fun i -> i = k || fast i w = Acceptor.Vote None) replicas in
+  Alcotest.(check bool) "each -2 is accepted by the four replicas it reaches" true
+    (Array.for_all Fun.id (Array.mapi reaches c));
+  List.iter (fun i -> Array.iteri (fun k w -> if k <> i then execute i w) c) [ 0; 1; 2; 3 ];
+  let last = woption ~txid:"c5" decrement in
+  Alcotest.(check bool) "known defect, item 3: an 11th unit reaches a fast quorum" true
+    (List.for_all (fun i -> fast i last = Acceptor.Vote None) [ 0; 1; 2; 3 ]);
+  execute 0 c.(0);
+  execute 0 last;
+  Alcotest.(check int) "the stock goes below its bound" (-1)
+    (Value.get_int (Store.ensure (snd nodes.(0)) key).Store.value "stock")
+
 (* One entry of the list model: a txid's vote and the stock delta of its
    option, [0] standing for a physical write. *)
 type entry = { m_txid : string; m_decision : Woption.decision; m_delta : int }
@@ -770,6 +839,10 @@ let suite =
     Alcotest.test_case "a recovery's validation" `Quick test_resolve_validation;
     Alcotest.test_case "a recovery's re-proposal order" `Quick test_resolve_order;
     Alcotest.test_case "a recovery's classic window" `Quick test_resolve_window;
+    Alcotest.test_case "known defect, item 1: Phase 1 re-decides a chosen option" `Quick
+      test_known_defect_redecided_option;
+    Alcotest.test_case "known defect, item 3: the fast limit follows the row" `Quick
+      test_known_defect_limit_follows_row;
     QCheck_alcotest.to_alcotest prop_demarcation_local_safety;
     QCheck_alcotest.to_alcotest prop_escrow_safety;
     QCheck_alcotest.to_alcotest prop_pending_ops_match_list_model;
