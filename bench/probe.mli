@@ -29,8 +29,10 @@
     - [visibility_hot_key]: 2,000 committed visibilities, one at a time,
       on a record whose applied set already holds 10,000 entries.
     - [visibility_void_hot_key]: 2,000 voided visibilities on a record
-      that already holds 10,000 voided outcomes: the abort path's cost
-      must not grow with the record's history.
+      that already holds 10,000 voided outcomes: the abort path's
+      allocation must not grow with the record's history.  Its time does:
+      each void walks the record's decided log, which here is far longer
+      than any a workload builds (49 entries at most in a hotspot run).
     - [dangling_scan_idle]: dangling-transaction scans over 10,000
       records, each with one pending option younger than the
       transaction timeout (one op = one scan).  A walk that finds
@@ -95,6 +97,7 @@ val session_read_fresh : reads:int -> t
 (** {1 Probes the allocation ceilings run as they are} *)
 
 val visibility_hot_key : t
+val visibility_void_hot_key : t
 
 val fast_commit_one_key : t
 (** [fast_path_commit] with one key per transaction: every step sends at

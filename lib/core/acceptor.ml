@@ -323,18 +323,6 @@ let valid ~bounds row up = Option.is_none (classify ~bounds ~demarcation:`Escrow
 (* A node's acceptor: its tables and one transition per input          *)
 (* ------------------------------------------------------------------ *)
 
-(* Visibility outcomes by (txid, key).  A lookup goes through the node's one
-   [probe] key, overwritten in place, so only an insert allocates a key; a
-   key hashes as the pair [(txid, key)] did. *)
-type vkey = { mutable v_txid : Txn.id; mutable v_key : Key.t }
-
-module Visible = Hashtbl.Make (struct
-  type t = vkey
-
-  let equal a b = String.equal a.v_txid b.v_txid && Key.equal a.v_key b.v_key
-  let hash (k : t) = Hashtbl.hash k
-end)
-
 type node = {
   store : Store.t;
   config : Config.t;  (* the mode, γ and the quorum sizes *)
@@ -343,20 +331,17 @@ type node = {
   promising : unit Key.Tbl.t;
       (* records whose classic promise has seen no Phase2a at or above it
          yet: sparse, since Phase 1 runs only in a recovery *)
-  visible : bool Visible.t;  (* (txid, key) -> txn committed? *)
-  probe : vkey;  (* the lookup key of [visible]; never stored in it *)
   mutable free : vote;  (* released votes, linked through [next]; reused by [cast] *)
   hot : Applied.store;  (* the applied sets of records past the promotion size *)
   mutable pending_records : int;  (* records with a pending vote *)
 }
 
 let create_node ~config store =
-  (* [records] and [visible] start large: arrays this long go straight to
-     the major heap, costing no minor words, and a loaded node regrows. *)
+  (* [records] starts large: an array this long goes straight to the major
+     heap, costing no minor words, and a loaded node regrows. *)
   { store; config;
     fast_demarcation = `Quorum (config.Config.replication, Config.fast_quorum config);
-    records = Key.Tbl.create 1024; promising = Key.Tbl.create 16; visible = Visible.create 4096;
-    probe = { v_txid = ""; v_key = Key.make ~table:"" ~id:"" }; free = none;
+    records = Key.Tbl.create 1024; promising = Key.Tbl.create 16; free = none;
     hot = Applied.store (); pending_records = 0 }
 
 let record n key =
@@ -435,34 +420,35 @@ let settle n rs txid =
     if rs.pending == none then n.pending_records <- n.pending_records - 1
   end
 
-let probe n txid key =
-  n.probe.v_txid <- txid;
-  n.probe.v_key <- key;
-  n.probe
-
 (* A committed value-affecting update's outcome lives only in the applied
-   set; every other outcome lives in [visible] and the decided log. *)
-let outcome n rs txid =
-  if Applied.mem n.hot rs txid then Some true else Visible.find_opt n.visible (probe n txid rs.key)
+   set; every other outcome lives only in the decided log, each txid once.
+   A log holds one record's outcomes, so the walk is short; it answers a
+   structured constant and allocates nothing. *)
+let rec logged txid = function
+  | [] -> None
+  | (id, committed) :: rest ->
+    if String.equal id txid then if committed then Some true else Some false
+    else logged txid rest
 
-(* [visible] doubles as the index of the decided log, so a txid enters the
-   log once however often its outcome is re-asserted.  [replace] stores
-   the key it is given: a fresh one, never the probe. *)
-let set_visible n rs txid committed =
-  if not (Visible.mem n.visible (probe n txid rs.key)) then
-    rs.decided <- (txid, committed) :: rs.decided;
-  Visible.replace n.visible { v_txid = txid; v_key = rs.key } committed
+let outcome n rs txid = if Applied.mem n.hot rs txid then Some true else logged txid rs.decided
+
+(* A txid enters the log once however often its outcome is re-asserted;
+   one re-asserted the other way keeps its place with the new outcome. *)
+let set_visible rs txid committed =
+  match logged txid rs.decided with
+  | None -> rs.decided <- (txid, committed) :: rs.decided
+  | Some c when Bool.equal c committed -> ()
+  | Some _ ->
+    let reassert ((id, _) as e) = if String.equal id txid then (id, committed) else e in
+    rs.decided <- List.map reassert rs.decided
 
 (* [txid] joins the applied set on a repair path: its logged outcome, if
-   any, leaves [visible] and the log.  Answers whether it was logged. *)
-let unlog n rs txid =
-  let k = probe n txid rs.key in
-  let logged = Visible.mem n.visible k in
-  if logged then begin
-    Visible.remove n.visible k;
-    rs.decided <- List.filter (fun (id, _) -> not (String.equal id txid)) rs.decided
-  end;
-  logged
+   any, leaves the log.  Answers whether it was logged. *)
+let unlog rs txid =
+  let was_logged = Option.is_some (logged txid rs.decided) in
+  if was_logged then
+    rs.decided <- List.filter (fun (id, _) -> not (String.equal id txid)) rs.decided;
+  was_logged
 
 let applied n key =
   match Key.Tbl.find n.records key with
@@ -494,7 +480,7 @@ let rebase n key (rb : Messages.rebase) =
         (fun txid _ kept ->
           if Txn.Map.mem txid old then kept + 1
           else begin
-            if not (unlog n rs txid) then settle n rs txid;
+            if not (unlog rs txid) then settle n rs txid;
             kept
           end)
         included 0
@@ -503,13 +489,13 @@ let rebase n key (rb : Messages.rebase) =
        so, and the walk for clobbered txids is skipped. *)
     if kept < Txn.Map.cardinal old then
       Txn.Map.iter
-        (fun txid _ -> if not (Txn.Map.mem txid included) then set_visible n rs txid true)
+        (fun txid _ -> if not (Txn.Map.mem txid included) then set_visible rs txid true)
         old;
     true
   end
 
 let repair n rs txid update =
-  ignore (unlog n rs txid : bool);
+  ignore (unlog rs txid : bool);
   settle n rs txid;
   Store.apply n.store rs.key update;
   Applied.add n.hot rs txid update
@@ -642,17 +628,17 @@ let resolve n rs ~promises ~extras ~replicas =
     extras;
   (* Visibility outcomes known anywhere in the quorum (or locally) are final
      — a concurrent recovery already executed or voided these options, and
-     this ballot must confirm, not contradict, them. *)
-  let known_viz : (Txn.id, bool) Hashtbl.t = Hashtbl.create 16 in
-  let learn applied decided =
-    Txn.Map.iter (fun txid _ -> Hashtbl.replace known_viz txid true) applied;
-    List.iter (fun (txid, c) -> Hashtbl.replace known_viz txid c) decided
+     this ballot must confirm, not contradict, them.  Each candidate is
+     looked up where it would be: here, then in each promise in turn, the
+     last that knows it answering. *)
+  let known txid =
+    List.fold_left
+      (fun known (_, (p : Messages.promise)) ->
+        match logged txid p.Messages.decided with
+        | Some _ as c -> c
+        | None -> if Txn.Map.mem txid p.Messages.rebase.Messages.included then Some true else known)
+      (outcome n rs txid) promises
   in
-  learn (Applied.snapshot n.hot rs) rs.decided;
-  List.iter
-    (fun (_, (p : Messages.promise)) ->
-      learn p.Messages.rebase.Messages.included p.Messages.decided)
-    promises;
   (* Split candidates: decided-by-visibility, classic-voted (a vote cast in
      some classic round — for each option only its highest-ballot vote
      matters), fast-threshold ("might have been chosen" at the fast
@@ -668,7 +654,7 @@ let resolve n rs ~promises ~extras ~replicas =
      order recovered options re-propose) must not depend on hash order. *)
   Table.sorted_iter ~compare:String.compare
     (fun txid (w, classic, fast) ->
-      match Hashtbl.find_opt known_viz txid with
+      match known txid with
       | Some committed -> already_visible := (w, committed) :: !already_visible
       | None -> (
         match classic with
@@ -771,7 +757,7 @@ let visibility n txid key (update : Update.t) committed =
       let rs = record n key in
       settle n rs txid;
       if not committed then begin
-        set_visible n rs txid false;
+        set_visible rs txid false;
         Voided
       end
       else begin
@@ -790,7 +776,7 @@ let visibility n txid key (update : Update.t) committed =
            the value, so they are logged instead: the anti-entropy digest
            must not diverge over no-ops one replica happened to miss. *)
         (match update with
-        | Update.Read_guard _ -> set_visible n rs txid true
+        | Update.Read_guard _ -> set_visible rs txid true
         | Update.Insert _ | Update.Physical _ | Update.Delete _ | Update.Delta _ ->
           Applied.add n.hot rs txid update);
         if apply_it then begin

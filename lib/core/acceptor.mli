@@ -4,8 +4,8 @@
     A record's state ({!t}) is the paper's per-record Paxos state: the
     promised ballot, the classic (γ) window, the chain of pending votes,
     the applied set and the decided log.  A node's state ({!node}) holds
-    its records and the tables around them: the promise marks, the
-    visibility index, the free votes and the hot applied sets.  Both types
+    its records and the tables around them: the promise marks, the free
+    votes and the hot applied sets.  Both types
     are abstract: a driver reads a record only through the queries below,
     and only this module's functions change either.
 
@@ -73,7 +73,9 @@ type t
     the applied set and the decided log (the outcomes a visibility erased from
     the chain that the applied set does not hold: voided transactions,
     committed read guards, committed transactions a rebase clobbered).
-    Only the steps below, {!rebase} and {!repair} change it. *)
+    The log is the only home of those outcomes, each txid once, newest
+    first; {!outcome} walks it.  Only the steps below, {!rebase} and
+    {!repair} change it. *)
 
 val applied_missing : mine:applied -> theirs:applied -> applied
 (** The entries of [theirs] absent from [mine] — exactly what a repair has
@@ -128,7 +130,8 @@ val record : node -> Key.t -> t
 
 val outcome : node -> t -> Txn.id -> bool option
 (** The transaction's visibility outcome at this record, if known:
-    [Some true] when it committed. *)
+    [Some true] when it committed.  It looks in the applied set, then
+    walks the decided log, and allocates nothing. *)
 
 val applied : node -> Key.t -> applied
 (** The key's applied set as an immutable snapshot: the empty set for a

@@ -63,6 +63,32 @@ let span_names =
   [ "submit"; "propose"; "vote"; "collision"; "collision_resolved"; "redirect";
     "start_recovery"; "learn"; "decide"; "visible"; "repair" ]
 
+module By_number = Map.Make (Int)
+
+(* Details that carry a small number, each rendered once here, so that a
+   span event with one costs what an event with a constant detail does;
+   a number past its map is formatted as it comes.  The maps are
+   immutable, so every domain may read them. *)
+let rendered size f =
+  let add m i = By_number.add i (f i) m in
+  let table = List.fold_left add By_number.empty (List.init size Fun.id) in
+  fun i -> match By_number.find i table with s -> s | exception Not_found -> f i
+
+let keys_detail = rendered 64 (fun n -> string_of_int n ^ " keys")
+
+let master_detail = rendered 64 (Printf.sprintf "to master %d")
+
+let target_detail = rendered 64 (Printf.sprintf "via node %d")
+
+(* Acks and rejects are votes of one replica group: a small square. *)
+let tally_detail =
+  let side = 8 and format acks rejects = Printf.sprintf "acks=%d rejects=%d" acks rejects in
+  let square = rendered (side * side) (fun i -> format (i / side) (i mod side)) in
+  fun ~acks ~rejects ->
+    if acks >= 0 && acks < side && rejects >= 0 && rejects < side then
+      square ((acks * side) + rejects)
+    else format acks rejects
+
 type span_sink = { sp : Span.t; labels : string option Key.Tbl.t }
 
 let span_sink sp = { sp; labels = Key.Tbl.create 16 }
@@ -86,21 +112,20 @@ let record_span sink ~at ~node ev =
   | Submitted txn ->
     Span.begin_txn sp ~txid:txn.Txn.id ~at;
     Span.event sp ~txid:txn.Txn.id ~at ~node ~name:"submit"
-      ~detail:(string_of_int (List.length txn.Txn.updates) ^ " keys")
+      ~detail:(keys_detail (List.length txn.Txn.updates))
       ()
   | Proposed { txid; key; route } ->
     keyed sink ~at ~node ~txid ~name:"propose" key
       (match route with `Classic -> "classic" | `Fast -> "fast")
   | Voted { txid; key; vote } -> keyed sink ~at ~node ~txid ~name:"vote" key (vote_detail vote)
   | Collided { txid; key; acks; rejects } ->
-    keyed sink ~at ~node ~txid ~name:"collision" key
-      (Printf.sprintf "acks=%d rejects=%d" acks rejects)
+    keyed sink ~at ~node ~txid ~name:"collision" key (tally_detail ~acks ~rejects)
   | Collision_resolved { txid; key } ->
     keyed sink ~at ~node ~txid ~name:"collision_resolved" key ""
   | Redirected { txid; key; master } ->
-    keyed sink ~at ~node ~txid ~name:"redirect" key (Printf.sprintf "to master %d" master)
+    keyed sink ~at ~node ~txid ~name:"redirect" key (master_detail master)
   | Recovery_started { txid; key; target } ->
-    keyed sink ~at ~node ~txid ~name:"start_recovery" key (Printf.sprintf "via node %d" target)
+    keyed sink ~at ~node ~txid ~name:"start_recovery" key (target_detail target)
   | Learned { txid; key; decision } ->
     keyed sink ~at ~node ~txid ~name:"learn" key
       (match decision with Woption.Accepted -> "accepted" | Woption.Rejected -> "rejected")

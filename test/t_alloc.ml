@@ -58,6 +58,48 @@ let test_hot_visibility_constant () =
   let w = per_op Probe.visibility_hot_key in
   if w > 16.0 then Alcotest.failf "a hot-record visibility allocated %.2f words" w
 
+(* The same on the abort path, on a record whose decided log already
+   holds 10,000 voided outcomes: the log is the outcome's only home, so a
+   void allocates its (txid, false) entry and a cons, 6 words, however
+   long the record's history.  A node-wide (txid, key) index beside the
+   log cost 7 words more. *)
+let test_void_visibility_one_entry () =
+  let w = per_op Probe.visibility_void_hot_key in
+  if w > 6.01 then Alcotest.failf "a voided visibility allocated %.2f words (ceiling 6.01)" w
+
+(* A span event whose detail names a node or counts a collision's votes
+   reads that detail from a table rendered once, so it costs the event
+   alone, as one with a constant detail does ([span_event], 9 words).
+   Formatting each detail cost 50 to 68 words more. *)
+let test_span_node_detail () =
+  let module Event = Mdcc_core.Event in
+  let obs = Mdcc_obs.Obs.create ~spans:true () in
+  let s = Helpers.silent_runtime () in
+  let stream = Mdcc_core.Ctx.stream (Mdcc_core.Ctx.make ~obs ()) s.Helpers.runtime ~node:3 in
+  let events =
+    Array.init 100 (fun i ->
+        let txid = Printf.sprintf "t%03d" i
+        and key = Key.make ~table:"item" ~id:(string_of_int i) in
+        Option.iter (fun sp -> Mdcc_obs.Span.begin_txn sp ~txid ~at:0.0) (Mdcc_obs.Obs.spans obs);
+        [|
+          Event.Recovery_started { txid; key; target = i mod 20 };
+          Event.Redirected { txid; key; master = i mod 20 };
+          Event.Collided { txid; key; acks = i mod 5; rejects = 5 - (i mod 5) };
+        |])
+  in
+  let emit () =
+    for i = 0 to Array.length events - 1 do
+      for j = 0 to 2 do
+        Mdcc_core.Ctx.emit stream events.(i).(j)
+      done
+    done
+  in
+  (* The first round renders every key's label. *)
+  emit ();
+  let rounds = 10 in
+  let w = words (fun () -> for _ = 1 to rounds do emit () done) /. Float.of_int (rounds * 300) in
+  if w > 9.0 then Alcotest.failf "a span event with a node detail allocated %.2f words (ceiling 9)" w
+
 (* A single-key fast commit on the simulated cluster: every step sends at
    most one message per destination, so the outbox folds nothing and adds
    nothing.  212.8 words a commit; 231.8 before the votes and Visibilities
@@ -1000,4 +1042,8 @@ let suite =
     Alcotest.test_case "wire parser: get and set lines" `Quick test_parser_words;
     Alcotest.test_case "txids and VALUE lines format like Printf" `Quick
       test_number_formatting;
+    Alcotest.test_case "a voided Visibility allocates only its log entry" `Quick
+      test_void_visibility_one_entry;
+    Alcotest.test_case "a span event with a node detail costs what a constant one does" `Quick
+      test_span_node_detail;
   ]

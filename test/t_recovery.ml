@@ -952,6 +952,13 @@ let prop_outcome_log_matches_model =
          option is pending from its proposal until its txid has an
          outcome; one proposed after that never becomes pending. *)
       let model = Hashtbl.create 16 and pending = Hashtbl.create 16 in
+      (* Where the acceptor keeps each outcome: the applied set, or the
+         decided log, newest first. *)
+      let applied = Hashtbl.create 16 and log = ref [] in
+      let unlog t = log := List.remove_assoc t !log in
+      let applied_txids () =
+        List.sort compare (Hashtbl.fold (fun t () acc -> t :: acc) applied [])
+      in
       let not_voided t = Hashtbl.find_opt model (txid t) <> Some false in
       let settle t = Hashtbl.remove pending (txid t) in
       let commit t =
@@ -988,7 +995,11 @@ let prop_outcome_log_matches_model =
             in
             node.handle ~src:9 (Helpers.visibility ~txid:(txid t) ~key update committed);
             settle t;
-            if not (Hashtbl.mem model (txid t)) then Hashtbl.replace model (txid t) committed
+            if not (Hashtbl.mem model (txid t)) then begin
+              Hashtbl.replace model (txid t) committed;
+              if committed && kind < 2 then Hashtbl.replace applied (txid t) ()
+              else log := (txid t, committed) :: !log
+            end
           | Rebase (ts, stock) ->
             let ts = List.filter not_voided ts in
             let included = Txn.Map.of_list (List.map (fun t -> (txid t, delta)) ts) in
@@ -999,12 +1010,28 @@ let prop_outcome_log_matches_model =
                    rebase =
                      { value = item_row stock; version = 1000 * (i + 1); exists = true; included };
                  });
-            List.iter commit ts
+            List.iter commit ts;
+            (* The rebase's set replaces ours: its txids leave the log, and
+               what we applied that it lacks is logged committed, in txid
+               order. *)
+            let old = applied_txids () in
+            Hashtbl.reset applied;
+            List.iter
+              (fun t ->
+                unlog (txid t);
+                Hashtbl.replace applied (txid t) ())
+              ts;
+            List.iter (fun t -> if not (Hashtbl.mem applied t) then log := (t, true) :: !log) old
           | Repair ts ->
             let ts = List.filter not_voided ts in
-            let applied = Txn.Map.of_list (List.map (fun t -> (txid t, delta)) ts) in
-            node.handle ~src:1 (Messages.Sync_reply { key; version = 0; applied });
-            List.iter commit ts)
+            let offered = Txn.Map.of_list (List.map (fun t -> (txid t, delta)) ts) in
+            node.handle ~src:1 (Messages.Sync_reply { key; version = 0; applied = offered });
+            List.iter commit ts;
+            List.iter
+              (fun t ->
+                unlog (txid t);
+                Hashtbl.replace applied (txid t) ())
+              ts)
         events;
       let expected = sorted_outcomes model in
       let status, included, decided =
@@ -1024,6 +1051,8 @@ let prop_outcome_log_matches_model =
       let still_pending = List.sort compare (Hashtbl.fold (fun t () acc -> t :: acc) pending []) in
       status = expected
       && promise_reports expected (included, decided)
+      && included = applied_txids ()
+      && decided = !log
       && queried = still_pending
       && List.length queried = Storage_node.pending_options node.node)
 

@@ -344,6 +344,46 @@ let test_visibility_verdicts () =
   Alcotest.(check bool) "and keeps the vote" true (Acceptor.mem_pending rs "u");
   Alcotest.(check bool) "and logs nothing" true (Acceptor.outcome n rs "u" = None)
 
+(* A logged outcome is final: a Visibility that re-asserts it, with either
+   outcome, is ignored, and the log holds each txid once.  A rebase moves a
+   logged txid into the applied set and a newer one without it logs it
+   again, committed, as the newest entry. *)
+let test_reasserted_outcome () =
+  let n, _ = acceptor 100 in
+  let rs = Acceptor.record n key in
+  let visibility txid update committed = Acceptor.visibility n txid key update committed in
+  let guard = Update.Read_guard { vread = 1 } in
+  let decided () = (Acceptor.promise n rs).Messages.decided in
+  let log = Alcotest.(list (pair string bool)) in
+  Alcotest.(check bool) "a void" true (visibility "v" decrement false = Acceptor.Voided);
+  Alcotest.(check bool) "a committed guard" true (visibility "g" guard true = Acceptor.Skipped);
+  List.iter
+    (fun committed ->
+      Alcotest.(check bool) "the void re-asserted: ignored" true
+        (visibility "v" decrement committed = Acceptor.Ignored);
+      Alcotest.(check bool) "the guard re-asserted: ignored" true
+        (visibility "g" guard committed = Acceptor.Ignored))
+    [ true; false ];
+  Alcotest.(check (option bool)) "the void's outcome" (Some false) (Acceptor.outcome n rs "v");
+  Alcotest.(check (option bool)) "the guard's outcome" (Some true) (Acceptor.outcome n rs "g");
+  Alcotest.check log "the log, newest first, each txid once" [ ("g", true); ("v", false) ]
+    (decided ());
+  Alcotest.(check bool) "the applied set holds neither" true
+    (Txn.Map.is_empty (Acceptor.applied n key));
+  let rebase version included =
+    Acceptor.rebase n key
+      { Messages.value = Value.of_list [ ("stock", Value.Int 90) ]; version; exists = true;
+        included }
+  in
+  Alcotest.(check bool) "a rebase that includes the guard" true
+    (rebase 5 (Txn.Map.singleton "g" guard));
+  Alcotest.check log "the guard leaves the log" [ ("v", false) ] (decided ());
+  Alcotest.(check (option bool)) "still committed" (Some true) (Acceptor.outcome n rs "g");
+  Alcotest.(check bool) "a newer rebase without it" true (rebase 6 Txn.Map.empty);
+  Alcotest.check log "the guard is logged again, newest" [ ("g", true); ("v", false) ]
+    (decided ());
+  Alcotest.(check (option bool)) "the void stays voided" (Some false) (Acceptor.outcome n rs "v")
+
 let test_status_answers () =
   let n, _ = acceptor 100 in
   let status txid = Acceptor.status n txid key in
@@ -847,4 +887,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_escrow_safety;
     QCheck_alcotest.to_alcotest prop_pending_ops_match_list_model;
     QCheck_alcotest.to_alcotest prop_delta_decision_matches_fold_model;
+    Alcotest.test_case "a re-asserted outcome keeps its first answer" `Quick
+      test_reasserted_outcome;
   ]
