@@ -18,7 +18,9 @@ module Sweep = Mdcc_chaos.Sweep
 module Baseline = Mdcc_chaos.Baseline
 module Pool = Mdcc_util.Pool
 module Json = Mdcc_obs.Json
+module Obs = Mdcc_obs.Obs
 module Prof = Mdcc_obs.Prof
+module Registry = Mdcc_obs.Registry
 module Envelope = Mdcc_bench.Envelope
 
 (* Unknown names are usage errors: a message on stderr and exit 2. *)
@@ -64,6 +66,29 @@ let print_report ~verbose ~trace r =
     print_endline "--- trace ---";
     List.iter print_endline r.Runner.r_trace
   end
+
+(* One row per scenario, summed over its runs: the masters' recoveries
+   ([recovery_start]), their Phase 1 rounds ([phase1_round]), the
+   coordinators' timeout escalations ([timeout_recovery]) and rounds per
+   recovery. *)
+let print_recoveries scenarios reports =
+  Printf.printf "\nrecoveries per scenario, summed over its seeds:\n  %-22s %14s %12s %16s %15s\n"
+    "scenario" "recovery_start" "phase1_round" "timeout_recovery" "rounds/recovery";
+  List.iter
+    (fun (sc : Nemesis.scenario) ->
+      let sum counter =
+        List.fold_left
+          (fun acc r ->
+            if String.equal r.Runner.r_scenario sc.Nemesis.sc_name then
+              acc + Registry.counter (Obs.registry r.Runner.r_obs) counter
+            else acc)
+          0 reports
+      in
+      let starts = sum "recovery_start" and rounds = sum "phase1_round" in
+      Printf.printf "  %-22s %14d %12d %16d %15s\n" sc.Nemesis.sc_name starts rounds
+        (sum "timeout_recovery")
+        (if starts = 0 then "-" else Printf.sprintf "%.2f" (float rounds /. float starts)))
+    scenarios
 
 let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~trace
     ~obs_out ~jobs ~profile =
@@ -119,7 +144,8 @@ let sweep ~seeds ~scenario ~workload ~txns ~items ~partitions ~plant_bug ~json ~
              (List.map
                 (fun v -> v.Mdcc_chaos.Checker.invariant)
                 r.Runner.r_violations)))
-      bad
+      bad;
+    print_recoveries scenarios all
   end;
   if bad <> [] then exit 1
 

@@ -757,7 +757,8 @@ let visibility n txid key (update : Update.t) committed =
       let rs = record n key in
       settle n rs txid;
       if not committed then begin
-        set_visible rs txid false;
+        (* [known] walked the log and found no outcome: no second walk. *)
+        rs.decided <- (txid, false) :: rs.decided;
         Voided
       end
       else begin

@@ -59,6 +59,11 @@ type t = {
   txn_submitted : Obs.counter;  (* the per-transaction counters, resolved once *)
   fast_commit : Obs.counter;
   outbox : Outbox.t;  (* what one instant's deliveries and submits send folds here *)
+  mutable heard : int array;
+      (* deliveries per source node id since an escalation last looked;
+         grown on demand *)
+  mutable heard_at : float array;  (* when an escalation last saw [heard] above 0 *)
+  clock : Engine.stamp;  (* filled when an escalation reads the clock *)
 }
 
 let node_id t = t.id
@@ -165,6 +170,31 @@ let decide t (ts : txn_state) outcome =
   done;
   ts.callback outcome
 
+let grow_heard t node =
+  let n = Stdlib.max (node + 1) (2 * Array.length t.heard) in
+  let heard = Array.make n 0 and heard_at = Array.make n 0.0 in
+  Array.blit t.heard 0 heard 0 (Array.length t.heard);
+  Array.blit t.heard_at 0 heard_at 0 (Array.length t.heard_at);
+  t.heard <- heard;
+  t.heard_at <- heard_at
+
+let heard_from t src =
+  if src >= Array.length t.heard then grow_heard t src;
+  t.heard.(src) <- t.heard.(src) + 1
+
+(* Whether nothing came from [node] for 2 × [learn_timeout]: a delivery
+   seen by this check counts as heard at the check. *)
+let silent t node =
+  if node >= Array.length t.heard then grow_heard t node;
+  Runtime.now_into t.runtime t.clock;
+  if t.heard.(node) > 0 then begin
+    t.heard.(node) <- 0;
+    t.heard_at.(node) <- t.clock.Engine.time
+  end;
+  t.clock.Engine.time -. t.heard_at.(node) > 2.0 *. t.config.Config.learn_timeout
+
+(* Recovery goes to the record's master while it is heard from: a master
+   that let go of the record hands the option on to whoever leads it. *)
 let escalate t (ts : txn_state) i =
   let w = Txn_decision.option ts.decision i in
   let key = w.Woption.key in
@@ -172,7 +202,8 @@ let escalate t (ts : txn_state) i =
      lower than the one known here. *)
   let known = known_version t w in
   if known <> max_int then note_window t key (known + t.config.Config.gamma);
-  let target = Txn_decision.target ts.decision i ~master:(t.master_of key) in
+  let master = t.master_of key in
+  let target = Txn_decision.target ts.decision i ~master ~rotate:(silent t master) in
   if live t then emit t (Event.Recovery_started { txid = w.Woption.txid; key; target });
   send t target (Messages.Start_recovery { key; woption = w })
 
@@ -448,6 +479,9 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
       txn_submitted = Obs.counter obs "txn_submitted";
       fast_commit = Obs.counter obs "fast_commit";
       outbox = Outbox.create runtime ~src:node_id;
+      heard = [||];
+      heard_at = [||];
+      clock = { Engine.time = 0.0 };
     }
   in
   (* One delivery is one outbox step that lasts until the end of its
@@ -459,9 +493,11 @@ let create ~runtime ~config ~node_id ~replicas ~master_of ?snapshot ?(ctx = Ctx.
      Visibilities ahead of the next one's Proposes.  A delivery that
      finds the step held (something queued, which outside a step never
      is) nests in it and leaves at once: the pending release sends what
-     it queues too.  [let rec] builds the two closures as one block that
-     holds [t] once. *)
+     it queues too.  Every delivery counts as hearing from its source.
+     [let rec] builds the two closures as one block that holds [t]
+     once. *)
   let rec deliver ~src payload =
+    heard_from t src;
     let held = Outbox.queued t.outbox in
     Outbox.enter t.outbox;
     handle t ~src payload;

@@ -28,8 +28,11 @@
     collision or timeout recovery, the known version + γ; it is dropped
     once the known version reaches it.
     Collisions (no fast quorum possible for either outcome) and learn
-    timeouts escalate to [Start_recovery] at the master — rotating through
-    replicas on repeated timeouts so a dead master is bypassed.  One
+    timeouts escalate to [Start_recovery] at the master, which hands it
+    on to whoever leads the record.  Only a master this coordinator has
+    heard nothing from for 2 × [learn_timeout] is bypassed: repeated
+    timeouts then rotate through the replicas.  Each delivery counts
+    one for its source; the clock is read only to escalate.  One
     timeout's escalations are one {!Outbox} step: keys that share a
     target cost one message.
 

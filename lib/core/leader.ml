@@ -30,10 +30,14 @@ type t = {
   mutable queue : queued list;
   mutable phase1 : attempt;
   mutable last : round;  (* the round the latest Round or Learned named *)
+  mutable handed : queued list;
+      (* options handed over, each with the askers only this node can
+         tell: the new leader's Learned comes back here *)
 }
 
 type verdict = Pending | Outcome of bool | Round of Acceptor.reject_reason option | Learned
   | Phase1 | Redrive | Phase1a | Nacked | Resolved of Acceptor.resolution
+  | Handover of { leader : int; released : Woption.t list }
 
 (* The placeholders a new leader holds before its first round and its
    first Phase 1: never in a list, never running, so no step changes
@@ -54,7 +58,7 @@ let create config ~self ~master_of key =
       Ballot.classic ~number:1 ~proposer:self
     else Ballot.initial_fast
   in
-  { led; highest = 1; rounds = []; queue = []; phase1 = idle; last = none }
+  { led; highest = 1; rounds = []; queue = []; phase1 = idle; last = none; handed = [] }
 
 let leads t = not (Ballot.is_fast t.led)
 let running t = t.phase1.p_running
@@ -83,6 +87,18 @@ let rec find_queued txid = function
 
 (* The list without [r]: only the cells before it are copied. *)
 let rec without r = function [] -> [] | r' :: rest -> if r' == r then rest else r' :: without r rest
+
+(* The askers of [txid]'s handed-over option, who stop waiting here; []
+   when none do. *)
+let forward t txid =
+  match t.handed with
+  | [] -> []
+  | handed -> (
+    match find_queued txid handed with
+    | q ->
+      t.handed <- without q handed;
+      q.q_notify
+    | exception Not_found -> [])
 
 (* Each reason's verdict is a literal, so starting a round allocates
    only the round. *)
@@ -141,6 +157,9 @@ let start_phase1 t ~self ~extras ~notify =
 
 let propose t node rs store ~self (w : Woption.t) ~notify =
   let txid = w.Woption.txid in
+  (* Asked again for an option it handed over, this node tells that
+     option's askers itself. *)
+  let notify = match forward t txid with [] -> notify | askers -> union notify askers in
   match Acceptor.outcome node rs txid with
   | Some true -> Outcome true
   | Some false -> Outcome false
@@ -176,12 +195,51 @@ let dequeue t node rs =
     start_round t node rs q.q_opt ~notify:q.q_notify
   | _ :: _ | [] -> Pending
 
+(* Let go of every round and the queue for [successor] to decide:
+   the rounds' options, then the queue's, as [start_phase1] folds them.
+   The option's coordinator hears [successor]'s decision, and so does this
+   node, which asks for it; any other asker is kept to be told. *)
+let handover t ~self (successor : Ballot.t) =
+  t.highest <- Stdlib.max t.highest successor.Ballot.number;
+  t.led <- Ballot.initial_fast;
+  let released =
+    List.map (fun r -> { q_opt = r.r_opt; q_notify = r.r_notify }) t.rounds @ t.queue
+  in
+  t.rounds <- [];
+  t.queue <- [];
+  List.iter
+    (fun q ->
+      let coordinator = q.q_opt.Woption.coordinator in
+      match List.filter (fun n -> n <> self && n <> coordinator) q.q_notify with
+      | [] -> ()
+      | askers -> t.handed <- { q with q_notify = askers } :: t.handed)
+    released;
+  Handover
+    { leader = successor.Ballot.proposer; released = List.map (fun q -> q.q_opt) released }
+
+(* A refusal at the round's own ballot is this node's own promise: an
+   acceptor refused a Phase 2a of an older round after this node's next
+   Phase 1, which re-opened the option's round at that ballot.  The
+   round, then the other rounds and the queue fold into a new Phase 1. *)
+let step_down t ~self r (ballot : Ballot.t) =
+  t.highest <- Stdlib.max t.highest ballot.Ballot.number;
+  t.led <- Ballot.initial_fast;
+  t.rounds <- without r t.rounds;
+  start_phase1 t ~self ~extras:[ r.r_opt ] ~notify:r.r_notify
+
 let ack t ~self ~quorum ~replicas ~src txid ballot ~ok =
   match find_round txid t.rounds with
   | exception Not_found -> Pending
   | r ->
-    if not (Ballot.equal r.r_ballot ballot) then Pending
-    else if ok then begin
+    if not ok then
+      (* A refusal carries the acceptor's own promise: another node's
+         higher ballot leads the record now. *)
+      if Ballot.compare ballot r.r_ballot > 0 && ballot.Ballot.proposer <> self then
+        handover t ~self ballot
+      else if Ballot.equal r.r_ballot ballot then step_down t ~self r ballot
+      else Pending
+    else if not (Ballot.equal r.r_ballot ballot) then Pending
+    else begin
       let votes = Quorum.Tally.vote r.r_votes ~pos:(Quorum.position src replicas) ~ok:true in
       if votes = r.r_votes then Pending
       else begin
@@ -193,14 +251,6 @@ let ack t ~self ~quorum ~replicas ~src txid ballot ~ok =
           Learned
         end
       end
-    end
-    else begin
-      (* Someone holds a higher ballot: step down and re-decide the
-         option through Phase 1. *)
-      t.highest <- Stdlib.max t.highest ballot.Ballot.number;
-      t.led <- Ballot.initial_fast;
-      t.rounds <- without r t.rounds;
-      start_phase1 t ~self ~extras:[ r.r_opt ] ~notify:r.r_notify
     end
 
 (* Become the stable master and open a round per undecided option, in
@@ -245,4 +295,5 @@ let redrive t ~self a =
   end
   else Pending
 
-let backoff t a = if a == t.phase1 && a.p_running then Phase1a else Pending
+let backoff t a ballot =
+  if a == t.phase1 && a.p_running && Ballot.equal a.p_ballot ballot then Phase1a else Pending

@@ -12,9 +12,15 @@
     itself), a Phase 2b ({!ack}), a Phase 1b ({!promise}) and the two
     Phase 1 timers ({!redrive} on silence, {!backoff} after a nack);
     {!dequeue} starts the queue's head once a learned round has been
-    announced.  Each step calls the {!Acceptor} steps it needs itself and
+    announced, and {!forward} names who waits on a handed-over option.
+
+    One node leads a record at a time: a master whose round an acceptor
+    refuses for another node's higher ballot hands its rounds and queue
+    to that node ({!Handover}) rather than running a Phase 1 against
+    it.  Each step calls the {!Acceptor} steps it needs itself and
     answers a constant {!verdict}, except that a resolved Phase 1 hands
-    over what {!Acceptor.resolve} answered; the driver reads the rest
+    over what {!Acceptor.resolve} answered and a {!Handover} the options
+    it let go of; the driver reads the rest
     back from the state: the ballot to send at, the round started or
     learned, who asked.  The module has no runtime, sends nothing,
     counts nothing, emits nothing and draws no randomness: {!Storage_node}
@@ -60,6 +66,11 @@ type verdict =
           and runs a round per undecided option.  Announce the known
           outcomes to the {!attempt}'s {!waiting}, then send the rounds'
           Phase 2a's *)
+  | Handover of { leader : int; released : Woption.t list }
+      (** {!ack}: an acceptor refused a round for the higher ballot of
+          node [leader]: it leads the record now.  This node leads
+          nothing and let go of [released], every round's option and
+          then the queue's: send [leader] a [Start_recovery] for each *)
 
 val create : Config.t -> self:int -> master_of:(Key.t -> int) -> Key.t -> t
 (** The master state of [key] at node [self].  In Multi mode the
@@ -118,10 +129,22 @@ val ack :
   t -> self:int -> quorum:int -> replicas:int list -> src:int -> Txn.id -> Ballot.t -> ok:bool ->
   verdict
 (** A Phase 2b from [src], one of [replicas], for the transaction's
-    round.  An ack at another ballot is ignored, and a repeated one
-    counts once; [quorum] acks learn the round.  A refusal at the round's
-    ballot steps down: the round, the other rounds and then the queue
-    fold into a new {!Phase1}. *)
+    round, at the acceptor's promise [Ballot.t].  An ack at another
+    ballot is ignored, and a repeated one counts once; [quorum] acks
+    learn the round.  A refusal reports the acceptor's higher promise:
+    made by another node, it is a {!Handover} to that node.  Made by this
+    one, it is a Phase 2a of an older round that arrived after this
+    node's next Phase 1: at the round's own ballot it steps down (the
+    round, the other rounds and then the queue fold into a new
+    {!Phase1}); above it, it is ignored.  The askers of a handed-over
+    option other than its coordinator and [self] wait here for the new
+    leader's decision ({!forward}). *)
+
+val forward : t -> Txn.id -> int list
+(** Who waits on this node for the decision of [txid]'s handed-over
+    option, now that it is here: they stop waiting.  [] for any other
+    transaction.  A {!propose} of the option takes them on as its own
+    askers instead. *)
 
 val promise :
   t -> Acceptor.node -> Acceptor.t -> self:int -> quorum:int -> replicas:int list -> src:int ->
@@ -135,7 +158,7 @@ val redrive : t -> self:int -> attempt -> verdict
 (** The re-drive timer of [attempt]: while it still runs, it moves to the
     next ballot number and sends again. *)
 
-val backoff : t -> attempt -> verdict
-(** The backoff timer of [attempt]: while it still runs, it sends again
-    at its current ballot, wherever a re-drive has moved it since the
-    nack (ROADMAP item 2). *)
+val backoff : t -> attempt -> Ballot.t -> verdict
+(** The backoff timer of [attempt], armed when a nack moved it to
+    [Ballot.t]: while it still runs at that ballot, it sends again.  A
+    re-drive since the nack has sent at a newer ballot already. *)

@@ -171,11 +171,11 @@ let rec lead t key l = function
   | Leader.Phase1a -> broadcast_phase1a t key l
   | Leader.Nacked ->
     (* Back off, then retry above the promise. *)
-    let a = Leader.attempt l in
+    let a = Leader.attempt l and ballot = Leader.ballot l in
     let backoff = 20.0 +. Rng.float t.rng 150.0 in
     ignore
       (Runtime.set_timer t.runtime ~after:backoff (fun () ->
-           lead_step t key l (Leader.backoff l a)))
+           lead_step t key l (Leader.backoff l a ballot)))
   | Leader.Resolved v ->
     (* Options already executed: just tell everyone who asked.  Then the
        Phase2a's of every undecided option, at the new classic ballot. *)
@@ -192,6 +192,10 @@ let rec lead t key l = function
         (Event.Master_recovery_resolved
            { key; options = List.length v.Acceptor.outcomes; forced = v.Acceptor.forced;
              free = v.Acceptor.free })
+  | Leader.Handover { leader; released } ->
+    (* One step: the new leader gets every released option in one
+       message, and answers this node, which asked. *)
+    List.iter (fun woption -> send t leader (Messages.Start_recovery { key; woption })) released
 
 (* A timer's verdict, acted on as a step of its own. *)
 and lead_step t key l verdict =
@@ -336,7 +340,8 @@ and txn_recovery_step t txid d i = function
   | Txn_decision.Escalate | Txn_decision.Collided ->
     let w = Txn_decision.option d i in
     let key = w.Woption.key in
-    let target = Txn_decision.target d i ~master:(t.master_of key) in
+    (* A recoverer hears from no master to judge it by: it rotates. *)
+    let target = Txn_decision.target d i ~master:(t.master_of key) ~rotate:true in
     if target = t.id then master_propose t w ~notify:[ t.id ]
     else send t target (Messages.Start_recovery { key; woption = w })
   | Txn_decision.Decided outcome -> finish_txn_recovery t txid d (outcome = Txn.Committed)
@@ -537,7 +542,11 @@ let rec handle t ~src payload =
   | Messages.Phase2b_master { key; txid; ballot; ok } ->
     Epoch.answered t.epoch ~src key txid;
     master_phase2b t ~src key txid ballot ok
-  | Messages.Learned { key; txid; decision } -> txn_recovery_learned t txid key decision
+  | Messages.Learned { key; txid; decision } ->
+    (match Key.Tbl.find t.masters key with
+    | l -> List.iter (fun dst -> send t dst payload) (Leader.forward l txid)
+    | exception Not_found -> ());
+    txn_recovery_learned t txid key decision
   | Messages.Visibility { woption = w; committed } ->
     visibility t w.Woption.txid w.Woption.key w.Woption.update committed
   | Messages.Start_recovery { key = _; woption } -> master_propose t woption ~notify:[ src ]

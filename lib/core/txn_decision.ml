@@ -101,9 +101,9 @@ let rec all (d : t) p i = i < 0 || (p d.(i) && all d p (i - 1))
 
 let fast_path d = all d (fun s -> (not s.redirected) && s.escalations = 0) (Array.length d - 1)
 
-let target (d : t) i ~master =
+let target (d : t) i ~master ~rotate =
   let s = d.(i) in
-  if s.escalations <= 1 then master
+  if s.escalations <= 1 || not rotate then master
   else
     let order = master :: List.filter (fun r -> r <> master) s.replicas in
     List.nth order ((s.escalations - 1) mod List.length order)

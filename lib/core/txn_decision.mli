@@ -24,11 +24,11 @@
     - a learn ({!learn}), a transaction-outcome report ({!outcome}) and a
       timeout ({!timeout}) read the same for both.
 
-    Every escalation is counted, and its target ({!target}) rotates
-    through the key's replicas, master first, so repeated escalations
-    bypass a dead master.  The module has no runtime, sends nothing,
-    counts nothing and emits nothing; lint rule [R6-runtime] holds it to
-    that. *)
+    Every escalation is counted, and its target ({!target}) is the key's
+    master; when the driver suspects the master, repeated escalations
+    rotate through the key's replicas, master first, to bypass it.  The
+    module has no runtime, sends nothing, counts nothing and emits
+    nothing; lint rule [R6-runtime] holds it to that. *)
 
 open Mdcc_storage
 
@@ -89,10 +89,11 @@ val fast_path : t -> bool
 (** No slot was redirected or escalated: a commit took the paper's one
     round trip. *)
 
-val target : t -> int -> master:int -> int
-(** Where the slot's latest escalation goes: the [k]-th escalation ([k]
-    from 0) goes to element [k mod m] of [master] followed by the slot's
-    other replicas, [m] long. *)
+val target : t -> int -> master:int -> rotate:bool -> int
+(** Where the slot's latest escalation goes: [master], unless [rotate]
+    says the driver suspects it.  Then the [k]-th escalation ([k] from 0)
+    goes to element [k mod m] of [master] followed by the slot's other
+    replicas, [m] long: the first two go to [master]. *)
 
 (** {1 Steps} *)
 

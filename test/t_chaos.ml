@@ -293,6 +293,20 @@ let test_promise_seeds_clean () =
       (Nemesis.torn_broadcast_crash, 34);
     ]
 
+(* The liveness seeds of the 2,000-seed [random] sweep, where every
+   coordinator rotated its recovery over replicas that each joined a
+   stuck round: a master that hands a refused round to the higher
+   ballot's leader, and coordinators that keep asking it, decide every
+   transaction. *)
+let test_liveness_seeds_decide () =
+  List.iter
+    (fun seed ->
+      let r = Runner.run (Runner.spec ~seed ~scenario:Nemesis.random_faults ()) in
+      Alcotest.(check int) (Printf.sprintf "random %d: undecided" seed) 0 r.Runner.r_undecided;
+      if not (Runner.ok r) then
+        Alcotest.failf "random %d: %s" seed (Runner.report_to_string ~verbose:true r))
+    [ 1190; 1208 ]
+
 (* Shrinking the fast quorum to 3 of 5 breaks quorum intersection; the
    checker must catch the resulting violations within a small sweep.
    (Seed 10 under the clean scenario is a known catching run; sweeping a
@@ -472,4 +486,6 @@ let suite =
       test_requeued_option_pinned;
     Alcotest.test_case "post-drain check failure paths" `Quick test_post_drain_failures;
     Alcotest.test_case "baseline canary" `Quick test_baseline_canary;
+    Alcotest.test_case "former liveness seeds decide every transaction" `Quick
+      test_liveness_seeds_decide;
   ]

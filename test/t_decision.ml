@@ -94,7 +94,7 @@ let test_collision () =
        [ (fun () -> vote d 0 0 true); (fun () -> vote d 0 1 true); (fun () -> vote d 0 2 false);
          (fun () -> vote d 0 3 false); (fun () -> vote d 0 4 true) ]);
   Alcotest.(check int) "the collision is the first escalation: to the master" 4
-    (Txn_decision.target d 0 ~master:4);
+    (Txn_decision.target d 0 ~master:4 ~rotate:true);
   Alcotest.(check bool) "escalated: not the fast path" false (Txn_decision.fast_path d)
 
 let test_timeout_rotation () =
@@ -106,10 +106,13 @@ let test_timeout_rotation () =
     List.init 7 (fun _ ->
         Alcotest.check verdict "an open key is escalated" Txn_decision.Escalate
           (Txn_decision.timeout d 0);
-        Txn_decision.target d 0 ~master:2)
+        (Txn_decision.target d 0 ~master:2 ~rotate:true,
+         Txn_decision.target d 0 ~master:2 ~rotate:false))
   in
-  Alcotest.(check (list int)) "master first, then the others in order, around"
-    [ 2; 0; 1; 3; 4; 2; 0 ] targets;
+  Alcotest.(check (list int)) "a suspected master: first, then the others in order, around"
+    [ 2; 0; 1; 3; 4; 2; 0 ] (List.map fst targets);
+  Alcotest.(check (list int)) "a master heard from gets every escalation"
+    [ 2; 2; 2; 2; 2; 2; 2 ] (List.map snd targets);
   Alcotest.(check bool) "escalated: not the fast path" false (Txn_decision.fast_path d)
 
 let test_learn () =
@@ -185,7 +188,7 @@ let test_status () =
          (fun () -> status 0 3 Messages.Status_unknown) ]);
   Alcotest.(check int) "the first reported option is kept" 9
     (Txn_decision.option d 0).Woption.coordinator;
-  Alcotest.(check int) "escalated to the master" 3 (Txn_decision.target d 0 ~master:3);
+  Alcotest.(check int) "escalated to the master" 3 (Txn_decision.target d 0 ~master:3 ~rotate:true);
   Alcotest.check verdict "the master's decision on the last key commits" committed
     (Txn_decision.learn d 0 Woption.Accepted);
   let _, d = recovery () in

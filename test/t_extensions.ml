@@ -340,6 +340,87 @@ let test_timeout_escalations_fold () =
     [ (0, "[start_recovery start_recovery]") ]
     (List.map (fun (dst, p) -> (dst, kind p)) (drain ()))
 
+(* A coordinator's learn timeouts on one key, master node 0: the first
+   two escalations go to the master as ever.  The master is heard from
+   at 2,600 ms, so the third, 1,300 ms later, goes to it again; the
+   fourth finds it silent for more than 2 x [learn_timeout] (2,400 ms)
+   and rotates, to the escalation count's replica (node 3). *)
+let test_reask_heard_master () =
+  let { runtime; deliver; drain; clock; timers; _ } = Helpers.scripted_runtime () in
+  let c =
+    Coordinator.create ~runtime ~config:(Config.make ~replication:5 ()) ~node_id:9
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  Coordinator.submit c
+    (Txn.make ~id:"t1" ~updates:[ (item 0, Update.Delta [ ("stock", -1) ]) ])
+    ignore;
+  ignore (drain ());
+  let timeout at =
+    clock := at;
+    (List.hd !timers) ();
+    List.map (fun (dst, p) -> (dst, kind p)) (drain ())
+  in
+  let first = timeout 1300.0 in
+  clock := 2600.0;
+  (* Any delivery counts, even one for a transaction long gone. *)
+  deliver ~src:0 (fast_vote ~key:(item 0) ~txid:"gone" Mdcc_core.Woption.Accepted);
+  let second = timeout 2600.0 in
+  let third = timeout 3900.0 in
+  let fourth = timeout 5200.0 in
+  Alcotest.(check (list (list (pair int string))))
+    "the master while heard from, then the rotation"
+    [ [ (0, "start_recovery") ]; [ (0, "start_recovery") ]; [ (0, "start_recovery") ];
+      [ (3, "start_recovery") ] ]
+    [ first; second; third; fourth ]
+
+(* A stable master, node 0, running three rounds on one record: two a
+   coordinator proposed, one a node recovering the dangling "r" (node 7)
+   escalated.  Acceptor 1 refuses the first for node 2's higher ballot. *)
+let handed_over () =
+  let module Ballot = Mdcc_paxos.Ballot in
+  let ({ runtime; deliver; drain; _ } : Helpers.scripted) = Helpers.scripted_runtime () in
+  let key = item 0 in
+  let node =
+    Mdcc_core.Storage_node.create ~runtime
+      ~config:(Config.make ~mode:Config.Multi ~replication:5 ())
+      ~node_id:0 ~schema:stock_schema
+      ~replicas:(fun _ -> [ 0; 1; 2; 3; 4 ])
+      ~master_of:(fun _ -> 0)
+      ()
+  in
+  Mdcc_core.Storage_node.load node [ (key, item_row 100) ];
+  let opt txid = option_of ~update:(Update.Delta [ ("stock", -1) ]) ~txid key in
+  deliver ~src:9 (Messages.Propose { woption = opt "a"; route = `Classic });
+  deliver ~src:9 (Messages.Propose { woption = opt "b"; route = `Classic });
+  deliver ~src:7 (Messages.Start_recovery { key; woption = opt "r" });
+  ignore (drain ());
+  deliver ~src:1
+    (Messages.Phase2b_master
+       { key; txid = "a"; ballot = Ballot.classic ~number:3 ~proposer:2; ok = false });
+  (deliver, drain, key)
+
+let test_handover_one_batch () =
+  let _, drain, _ = handed_over () in
+  Alcotest.(check (list (pair int string))) "one Batch of every released option, to node 2"
+    [ (2, "[start_recovery start_recovery start_recovery]") ]
+    (List.map (fun (dst, p) -> (dst, kind p)) (drain ()))
+
+let test_handover_tells_recoverer () =
+  let deliver, drain, key = handed_over () in
+  ignore (drain ());
+  let learned txid = deliver ~src:2 (Messages.Learned { key; txid; decision = Accepted }) in
+  learned "r";
+  Alcotest.(check (list (pair int string))) "node 2's decision on r goes on to its recoverer"
+    [ (7, "learned") ]
+    (List.map (fun (dst, p) -> (dst, kind p)) (drain ()));
+  learned "r";
+  learned "a";
+  Alcotest.(check (list (pair int string)))
+    "once; a's coordinator hears node 2 itself" []
+    (List.map (fun (dst, p) -> (dst, kind p)) (drain ()))
+
 (* Multi mode, every key mastered by us-west's node 0, after one
    committed transaction has let the master measure every replica.  From
    us-west the two nearest replicas are us-east (node 1, 80 ms) and Tokyo
@@ -536,4 +617,10 @@ let suite =
     Alcotest.test_case "anti-entropy repairs recovered DC" `Quick
       test_anti_entropy_repairs_recovered_dc;
     Alcotest.test_case "sync is a no-op when current" `Quick test_sync_is_noop_when_current;
+    Alcotest.test_case "a timed-out key goes to a master heard from, else rotates" `Quick
+      test_reask_heard_master;
+    Alcotest.test_case "a refused master's options reach the new leader as one Batch" `Quick
+      test_handover_one_batch;
+    Alcotest.test_case "a recoverer that asked the old master learns the decision" `Quick
+      test_handover_tells_recoverer;
   ]

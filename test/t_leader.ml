@@ -85,6 +85,9 @@ let pp_verdict ppf = function
   | Leader.Nacked -> Format.pp_print_string ppf "nacked"
   | Leader.Resolved v ->
     Format.fprintf ppf "resolved, %d rounds" (List.length v.Acceptor.outcomes)
+  | Leader.Handover { leader; released } ->
+    Format.fprintf ppf "handover to %d of %s" leader
+      (String.concat " " (List.map (fun (w : Woption.t) -> w.Woption.txid) released))
 
 let name v = Format.asprintf "%a" pp_verdict v
 
@@ -97,6 +100,11 @@ let ballot = Alcotest.testable Ballot.pp Ballot.equal
 let txids = Alcotest.(list string)
 
 let extras s = List.map (fun (w : Woption.t) -> w.Woption.txid) (Leader.extras (Leader.attempt s.l))
+
+(* A hand-over to [leader] of the options [txids], as {!verdict} compares
+   verdicts: by name. *)
+let handover leader txids =
+  Leader.Handover { leader; released = List.map (fun txid -> opt txid) txids }
 
 (* Each thunk's result, evaluated in list order. *)
 let in_order steps = List.map (fun step -> step ()) steps
@@ -173,13 +181,18 @@ let test_acks () =
       ~classic_until:max_int ~rebase:None
   in
   Alcotest.(check bool) "acceptor 1 refused" true (refused = Acceptor.Refused);
-  Alcotest.check verdict "a refusal at another ballot is ignored" Leader.Pending
-    (s.ack ~ok:false ~ballot:higher 1 a);
-  Alcotest.check verdict "so is an ack at another ballot" Leader.Pending (s.ack ~ballot:higher 2 a);
+  Alcotest.check verdict "an ack at another ballot is ignored" Leader.Pending
+    (s.ack ~ballot:higher 2 a);
+  Alcotest.check verdict "so is a refusal at this node's own ballot" Leader.Pending
+    (s.ack ~ok:false ~ballot:(Ballot.classic ~number:6 ~proposer:0) 2 a);
   Alcotest.(check bool) "still leading" true (Leader.leads s.l);
-  Alcotest.check verdicts "the round still needs three acks"
-    [ Leader.Pending; Leader.Pending; Leader.Learned ]
-    (in_order (List.map (fun src () -> s.ack src a) [ 0; 2; 3 ]))
+  Alcotest.check verdict "a refusal at another node's higher promise hands the round to it"
+    (handover 3 [ "a" ]) (s.ack ~ok:false ~ballot:higher 1 a);
+  Alcotest.(check bool) "leading nothing" false (Leader.leads s.l);
+  Alcotest.check verdict "a late ack of it is ignored" Leader.Pending (s.ack 3 a);
+  Alcotest.check verdict "asked again, it runs Phase 1" Leader.Phase1 (s.propose a);
+  Alcotest.check ballot "above the new leader's ballot" (Ballot.classic ~number:6 ~proposer:0)
+    (Leader.ballot s.l)
 
 let test_step_down () =
   let s = leader ~mode:Config.Multi 0 in
@@ -198,6 +211,24 @@ let test_step_down () =
   Alcotest.(check (list int)) "every asker, new ones in front" [ 7; 5; 6 ]
     (Leader.waiting (Leader.attempt s.l));
   Alcotest.check verdict "a late ack of a folded round is ignored" Leader.Pending (s.ack 1 a)
+
+let test_handover_release () =
+  let s = leader ~mode:Config.Multi 0 in
+  let a = opt "a" and b = opt "b" and c = opt ~update:physical "c" and d = opt "d" in
+  ignore
+    (in_order
+       [ (fun () -> s.propose ~notify:[ 5 ] a); (fun () -> s.propose ~notify:[ 6; 9 ] b);
+         (fun () -> s.propose ~notify:[ 7; 0; 5 ] c); (fun () -> s.propose d) ]);
+  Alcotest.check verdict "a refusal for node 3's ballot hands over every round, newest first, \
+                          then the queue"
+    (handover 3 [ "b"; "a"; "c"; "d" ])
+    (s.ack ~ok:false ~ballot:(Ballot.classic ~number:2 ~proposer:3) 2 b);
+  Alcotest.(check bool) "leading nothing" false (Leader.leads s.l);
+  Alcotest.(check (list (list int)))
+    "the askers other than the coordinator (9) and this node wait here"
+    [ [ 6 ]; [ 5 ]; [ 7; 5 ]; [] ]
+    (List.map (Leader.forward s.l) [ "b"; "a"; "c"; "d" ]);
+  Alcotest.(check (list int)) "once" [] (Leader.forward s.l "a")
 
 let test_phase1 () =
   let nodes = acceptors (Config.make ~replication:5 ()) in
@@ -223,7 +254,8 @@ let test_phase1 () =
     (Leader.ballot s.l);
   Alcotest.check verdict "a re-drive after the resolution does nothing" Leader.Pending
     (Leader.redrive s.l ~self:0 a);
-  Alcotest.check verdict "nor does a backoff" Leader.Pending (Leader.backoff s.l a);
+  Alcotest.check verdict "nor does a backoff" Leader.Pending
+    (Leader.backoff s.l a (Leader.ballot s.l));
   Alcotest.check ballot "the ballot stays" (Ballot.classic ~number:10 ~proposer:0)
     (Leader.ballot s.l)
 
@@ -245,7 +277,7 @@ let test_duel () =
       let dst = i mod 5 in
       ignore (newer.phase1a dst : Leader.verdict);
       let nacked = older.phase1a dst in
-      let resent = Leader.backoff older.l (Leader.attempt older.l) in
+      let resent = Leader.backoff older.l (Leader.attempt older.l) (Leader.ballot older.l) in
       if nacked <> Leader.Nacked || resent <> Leader.Phase1a then
         Alcotest.failf "turn %d: the older leader was not nacked and re-sent" i;
       duel (i + 1) older newer (Format.asprintf "%a" Ballot.pp (Leader.ballot older.l) :: acc)
@@ -259,8 +291,8 @@ let test_duel () =
 
 (* Item 2's stale backoff.  A nack moves the Phase 1 to ballot 6 and arms
    the backoff; the re-drive fires first, moving it to 7 and sending its
-   Phase 1a's.  The backoff then sends the Phase 1a's at 7 again: a
-   second round at one ballot. *)
+   Phase 1a's.  The backoff then finds the attempt moved since its nack
+   and sends nothing: the re-drive's round is the only one at 7. *)
 let test_stale_backoff () =
   let nodes = acceptors (Config.make ~replication:5 ()) in
   let s = leader ~nodes 0 in
@@ -268,13 +300,53 @@ let test_stale_backoff () =
   let a = Leader.attempt s.l in
   promise_elsewhere nodes 1 (Ballot.classic ~number:5 ~proposer:3);
   Alcotest.check verdict "nacked" Leader.Nacked (s.phase1a 1);
-  Alcotest.check ballot "backing off at 6" (Ballot.classic ~number:6 ~proposer:0)
-    (Leader.ballot s.l);
+  let nacked = Leader.ballot s.l in
+  Alcotest.check ballot "backing off at 6" (Ballot.classic ~number:6 ~proposer:0) nacked;
   Alcotest.check verdict "the re-drive fires first" Leader.Redrive (Leader.redrive s.l ~self:0 a);
   let redriven = Leader.ballot s.l in
-  Alcotest.check verdict "known defect, item 2: the backoff sends again" Leader.Phase1a
-    (Leader.backoff s.l a);
-  Alcotest.check ballot "at the re-drive's ballot" redriven (Leader.ballot s.l)
+  Alcotest.check verdict "the backoff sends nothing" Leader.Pending (Leader.backoff s.l a nacked);
+  Alcotest.check ballot "the re-drive's ballot stays" redriven (Leader.ballot s.l)
+
+(* The path of [chaos_cli replay --seed 1 --scenario clean]: master 3
+   leads the record after its Phase 1, with a round running and a
+   physical option queued behind it, when node 0 wins a Phase 1 at a
+   higher ballot.  The first acceptor that refuses master 3's round hands
+   the round and the queue to node 0, which, asked for them, leads their
+   rounds. *)
+let test_refused_round_goes_to_the_leader () =
+  let nodes = acceptors (Config.make ~replication:5 ()) in
+  let m = leader ~nodes 3 and p = leader ~nodes 0 in
+  let a = opt "a" and c = opt ~update:physical "c" in
+  ignore (m.propose ~notify:[ 7 ] a : Leader.verdict);
+  Alcotest.(check (list string)) "master 3 resolves a Phase 1 over 3, 4 and 0"
+    [ "pending"; "pending"; "resolved, 1 rounds" ]
+    (List.map name (in_order (List.map (fun dst () -> m.phase1a dst) [ 3; 4; 0 ])));
+  Alcotest.check verdict "a physical option queues behind the round" Leader.Pending
+    (m.propose c);
+  ignore (p.propose (opt "x") : Leader.verdict);
+  Alcotest.check verdict "node 0's Phase 1 at 2 is nacked by acceptor 0" Leader.Nacked
+    (p.phase1a 0);
+  Alcotest.check verdict "its backoff sends again at 3" Leader.Phase1a
+    (Leader.backoff p.l (Leader.attempt p.l) (Leader.ballot p.l));
+  Alcotest.(check (list string)) "and a quorum promises it"
+    [ "pending"; "pending"; "resolved, 1 rounds" ]
+    (List.map name (in_order (List.map (fun dst () -> p.phase1a dst) [ 0; 1; 2 ])));
+  let n1, _ = nodes.(1) in
+  let rs1 = Acceptor.record n1 key in
+  Alcotest.(check bool) "acceptor 1 refuses master 3's round" true
+    (Acceptor.phase2a n1 rs1 ~now (Leader.ballot m.l) a Woption.Accepted ~classic_until:max_int
+       ~rebase:None
+    = Acceptor.Refused);
+  Alcotest.check verdict "its refusal hands the round and the queue to node 0"
+    (handover 0 [ "a"; "c" ])
+    (m.ack ~ok:false ~ballot:(Acceptor.promised rs1) 1 a);
+  Alcotest.(check (list bool)) "node 0 leads, master 3 does not" [ true; false ]
+    [ Leader.leads p.l; Leader.leads m.l ];
+  Alcotest.check verdicts "node 0, asked for them, runs a's round and queues c"
+    [ Leader.Round None; Leader.Pending ]
+    (in_order [ (fun () -> p.propose ~notify:[ 3 ] a); (fun () -> p.propose ~notify:[ 3 ] c) ]);
+  Alcotest.(check (list int)) "master 3 tells a's recoverer when node 0 answers" [ 7 ]
+    (Leader.forward m.l "a")
 
 let suite =
   [
@@ -283,10 +355,15 @@ let suite =
     Alcotest.test_case "physical options queue, commutative ones pipeline" `Quick test_queue;
     Alcotest.test_case "a propose starts or joins Phase 1, or answers an outcome" `Quick
       test_propose_phase1_and_outcome;
-    Alcotest.test_case "an acceptor's refusal at its own promise is ignored" `Quick test_acks;
+    Alcotest.test_case "an acceptor's refusal at its own promise hands the round over" `Quick
+      test_acks;
     Alcotest.test_case "a refused ack folds rounds, then the queue" `Quick test_step_down;
     Alcotest.test_case "Phase 1 nacks, re-drives and resolves" `Quick test_phase1;
+    Alcotest.test_case "a hand-over lets go of the rounds, then the queue" `Quick
+      test_handover_release;
     Alcotest.test_case "known defect, item 2: two nacked leaders duel" `Quick test_duel;
-    Alcotest.test_case "known defect, item 2: a stale backoff sends a round twice" `Quick
+    Alcotest.test_case "a backoff after a re-drive sends nothing (item 2)" `Quick
       test_stale_backoff;
+    Alcotest.test_case "a refused round and its queue go to the higher ballot's leader" `Quick
+      test_refused_round_goes_to_the_leader;
   ]
